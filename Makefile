@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-obs bench-compare bench-smoke bench-baseline bench-alloc alloc-baseline chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke clean
+.PHONY: all build test race vet bench bench-obs bench-compare bench-smoke bench-baseline bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke clean
 
 all: build vet test
 
@@ -47,20 +47,34 @@ bench-smoke:
 	$(GO) run ./cmd/divebench -scale smoke -only none -speedup=false -pipeline-depth 0 -streams 4 -streams-secs 2 -runtime-log streams_runtime.jsonl -json streams_smoke.json
 	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json
 
-# Allocation gate (the CI bench-alloc job): run the steady-state encode
-# benchmarks with -benchmem and fail if allocs/op or B/op regressed past the
-# committed ci/alloc_baseline.json. The pooled path is pinned at 0 allocs/op;
-# allocation counts are deterministic after warm-up, so this gate is
-# machine-independent (unlike wall-clock latency baselines).
+# Allocation gate (the CI bench-alloc job): run the steady-state encode and
+# decode benchmarks with -benchmem and fail if allocs/op or B/op regressed
+# past the committed ci/alloc_baseline.json. The pooled encoder and the
+# session decoder are both pinned at 0 allocs/op; allocation counts are
+# deterministic after warm-up, so this gate is machine-independent (unlike
+# wall-clock latency baselines).
 bench-alloc:
-	$(GO) test -run xxx -bench 'EncodeSteadyState' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
+	$(GO) test -run xxx -bench 'EncodeSteadyState|DecodeSteadyState' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -alloc-baseline ci/alloc_baseline.json -json
 
 # Regenerate the committed allocation baseline after an intentional change to
-# the steady-state encode path, then commit ci/alloc_baseline.json.
+# the steady-state encode or decode path, then commit ci/alloc_baseline.json.
 alloc-baseline:
-	$(GO) test -run xxx -bench 'EncodeSteadyState' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
+	$(GO) test -run xxx -bench 'EncodeSteadyState|DecodeSteadyState' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -write-alloc-baseline ci/alloc_baseline.json
+
+# The repo benchmark (BENCHMARK.json): four closed-loop workloads — agent on
+# a clear and on a tight link, server replay, live lock-step — with nine
+# end-to-end metrics each and a traced per-layer run. It is a Go module of
+# its own under benchmark/ (see benchmark/README.md); pass arguments with
+# ARGS, e.g. make benchmark ARGS="-workload server_replay -out r.json".
+benchmark:
+	bash benchmark/run.sh $(ARGS)
+
+# The benchmark's own unit tests plus a -quick smoke of all four workloads.
+# Tier-1 `go test ./...` does not see them (separate module).
+benchmark-test:
+	cd benchmark && $(GO) test -short ./...
 
 # Regenerate the committed latency baseline from a fresh smoke run. Run on
 # the reference machine after intentional performance changes, then commit
@@ -107,7 +121,8 @@ fleet-smoke:
 	$(GO) test -race ./internal/fleet/ ./internal/obs/ ./internal/doctor/
 	ci/fleet_smoke.sh
 
-# Native fuzzing smoke over the edge wire decoders. Go allows exactly one
+# Native fuzzing smoke over everything that parses network bytes: the edge
+# wire decoders and the codec's bitstream decoder. Go allows exactly one
 # -fuzz pattern per invocation, so each target gets its own short run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -115,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzResultMsg -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzMsgReader -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzRedirectMsg -fuzztime=10s -run 'xxx' ./internal/edge/
+	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run 'xxx' ./internal/codec/
 
 clean:
 	$(GO) clean ./...

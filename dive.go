@@ -360,6 +360,8 @@ func (a *Agent) WriteSpans(w io.Writer) error {
 func (a *Agent) TelemetryHandler() http.Handler { return a.rec.Handler() }
 
 // Decoder reconstructs frames from Agent bitstreams — the edge-server side.
+// It recycles its picture buffers, so decoding allocates nothing per frame;
+// see Decode for how long a returned Frame stays valid.
 type Decoder struct {
 	inner *codec.Decoder
 }
@@ -374,6 +376,9 @@ func NewDecoder(w, h int) (*Decoder, error) {
 }
 
 // Decode parses one frame bitstream and returns the reconstructed image.
+// The Frame belongs to the Decoder and is valid until the next Decode call;
+// Clone it to keep it longer. A bitstream that fails to decode leaves the
+// decoder's state as it was.
 func (d *Decoder) Decode(bitstream []byte) (*Frame, error) {
 	df, err := d.inner.Decode(bitstream)
 	if err != nil {

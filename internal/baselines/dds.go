@@ -195,7 +195,7 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 			bits:    ef2.NumBits,
 			data:    ef2.Data,
 			regions: regions,
-			lowImg:  dec1.Image,
+			lowImg:  dec1.Image.Clone(), // outlives the next dec.Decode
 		})
 	}
 	return res, flush(1e18)

@@ -238,3 +238,58 @@ func TestReuseFramesAliasingContract(t *testing.T) {
 		}
 	}
 }
+
+// decodeStream encodes a short looping clip (an I-frame, rate-controlled
+// P-frames with real motion, a forced I-frame halfway) and returns a
+// Decoder that has already been through it once — both of its planes exist
+// — together with the bitstreams. The loop restarts on an I-frame, so
+// replaying it forever is a valid stream.
+func decodeStream(t testing.TB, cfg Config) (*Decoder, [][]byte) {
+	t.Helper()
+	cfg.Workers = 1
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := texturedFrame(cfg.Width, cfg.Height, 11)
+	var streams [][]byte
+	for i := 0; i < 12; i++ {
+		ef, err := enc.Encode(chainFrame(base, i), EncodeOptions{
+			TargetBits: cfg.Width * cfg.Height * 2, ForceIFrame: i == 6,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dec.Decode(ef.Data); err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, ef.Data)
+	}
+	return dec, streams
+}
+
+// TestDecodeSteadyStateZeroAlloc pins the decoder half of the allocation
+// contract: a session's Decoder owns its two planes, its side arrays and the
+// DecodedFrame it returns, so after the first two frames Decode allocates
+// nothing — on I-frames, P-frames, and with or without the loop filter.
+func TestDecodeSteadyStateZeroAlloc(t *testing.T) {
+	for _, deblock := range []bool{true, false} {
+		cfg := DefaultConfig(96, 80)
+		cfg.Deblock = deblock
+		dec, streams := decodeStream(t, cfg)
+		idx := 0
+		step := func() {
+			if _, err := dec.Decode(streams[idx%len(streams)]); err != nil {
+				t.Fatal(err)
+			}
+			idx++
+		}
+		if allocs := testing.AllocsPerRun(3*len(streams), step); allocs != 0 {
+			t.Errorf("deblock=%v: steady-state Decode: %.1f allocs/frame, want 0", deblock, allocs)
+		}
+	}
+}

@@ -262,3 +262,19 @@ func steadyStateBench(b *testing.B, reuse bool) {
 
 func BenchmarkEncodeSteadyState(b *testing.B)      { steadyStateBench(b, true) }
 func BenchmarkEncodeSteadyStateFresh(b *testing.B) { steadyStateBench(b, false) }
+
+// BenchmarkDecodeSteadyState is the server-side counterpart of
+// BenchmarkEncodeSteadyState: one session's Decoder reused across a clip
+// (I-frame, then a P-chain with a mid-clip forced I), one frame per op. Its
+// allocs/op is pinned at 0 by TestDecodeSteadyStateZeroAlloc and gated in CI
+// via make bench-alloc.
+func BenchmarkDecodeSteadyState(b *testing.B) {
+	dec, streams := decodeStream(b, DefaultConfig(320, 192))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decode(streams[i%len(streams)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -12,6 +12,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -97,7 +98,12 @@ func (w *BitWriter) Bytes() []byte {
 // ErrBitstream reports a malformed or truncated bitstream.
 var ErrBitstream = errors.New("codec: malformed bitstream")
 
-// BitReader consumes a bitstream produced by BitWriter.
+// BitReader consumes a bitstream produced by BitWriter. Multi-bit reads go
+// through a 64-bit big-endian window loaded at the current byte (window):
+// a whole Exp-Golomb symbol costs one load, one leading-zero count and one
+// shift. The bit-at-a-time loops remain as the fallback for the last seven
+// bytes of the buffer and for codes too long for the window, so every
+// truncation and over-long-code rejection is the historical one.
 type BitReader struct {
 	buf []byte
 	pos int // bit position
@@ -105,6 +111,17 @@ type BitReader struct {
 
 // NewBitReader wraps buf.
 func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
+
+// window returns the next bits left-aligned in a uint64 and how many of
+// them are valid (57..64), or ok=false within 8 bytes of the end.
+func (r *BitReader) window() (w uint64, valid int, ok bool) {
+	i := r.pos >> 3
+	if i+8 > len(r.buf) {
+		return 0, 0, false
+	}
+	sh := r.pos & 7
+	return binary.BigEndian.Uint64(r.buf[i:]) << uint(sh), 64 - sh, true
+}
 
 // ReadBit returns the next bit.
 func (r *BitReader) ReadBit() (int, error) {
@@ -118,6 +135,10 @@ func (r *BitReader) ReadBit() (int, error) {
 
 // ReadBits returns the next n bits as an unsigned value.
 func (r *BitReader) ReadBits(n int) (uint64, error) {
+	if w, valid, ok := r.window(); ok && n > 0 && n <= valid {
+		r.pos += n
+		return w >> uint(64-n), nil
+	}
 	var v uint64
 	for i := 0; i < n; i++ {
 		b, err := r.ReadBit()

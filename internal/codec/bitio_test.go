@@ -116,7 +116,7 @@ func TestCoeffsRoundTrip(t *testing.T) {
 		w := &BitWriter{}
 		writeCoeffs(w, &levels, nz)
 		r := NewBitReader(w.Bytes())
-		if err := readCoeffs(r, &got); err != nil {
+		if _, err := readCoeffs(r, &got); err != nil {
 			t.Fatal(err)
 		}
 		if levels != got {
@@ -274,5 +274,158 @@ func TestBitWriterReset(t *testing.T) {
 	w.Reset()
 	if second := write(); !bytes.Equal(first, second) {
 		t.Error("Reset writer produced different bytes")
+	}
+}
+
+// refBitReader is the historical bit-at-a-time reader, kept as the oracle
+// for the windowed fast path (mirroring refBitWriter).
+type refBitReader struct {
+	buf []byte
+	pos int
+}
+
+func (r *refBitReader) readBit() (int, error) {
+	if r.pos >= len(r.buf)*8 {
+		return 0, ErrBitstream
+	}
+	b := r.buf[r.pos/8] >> uint(7-r.pos%8) & 1
+	r.pos++
+	return int(b), nil
+}
+
+func (r *refBitReader) readBits(n int) (uint64, error) {
+	var v uint64
+	for i := 0; i < n; i++ {
+		b, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		v = v<<1 | uint64(b)
+	}
+	return v, nil
+}
+
+func (r *refBitReader) readUE() (uint32, error) {
+	n := 0
+	for {
+		b, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		if b == 1 {
+			break
+		}
+		n++
+		if n > 32 {
+			return 0, ErrBitstream
+		}
+	}
+	rest, err := r.readBits(n)
+	if err != nil {
+		return 0, err
+	}
+	return uint32(1<<uint(n) + rest - 1), nil
+}
+
+func (r *refBitReader) readSE() (int32, error) {
+	u, err := r.readUE()
+	if err != nil {
+		return 0, err
+	}
+	return ueToSE(u), nil
+}
+
+// readerOp is one scripted read; n is the ReadBits width.
+type readerOp struct{ kind, n int }
+
+// checkReaderAgainstReference replays ops on both readers over buf and
+// requires, op by op, the same value and position on success or an
+// ErrBitstream-wrapping error from both; it stops at the first error.
+func checkReaderAgainstReference(t *testing.T, buf []byte, ops []readerOp) {
+	t.Helper()
+	got, want := NewBitReader(buf), &refBitReader{buf: buf}
+	for i, op := range ops {
+		var gv, wv uint64
+		var gerr, werr error
+		switch op.kind {
+		case 0:
+			var g, w int
+			g, gerr = got.ReadBit()
+			w, werr = want.readBit()
+			gv, wv = uint64(g), uint64(w)
+		case 1:
+			gv, gerr = got.ReadBits(op.n)
+			wv, werr = want.readBits(op.n)
+		case 2:
+			var g, w uint32
+			g, gerr = got.ReadUE()
+			w, werr = want.readUE()
+			gv, wv = uint64(g), uint64(w)
+		case 3:
+			var g, w int32
+			g, gerr = got.ReadSE()
+			w, werr = want.readSE()
+			gv, wv = uint64(g), uint64(w)
+		}
+		if (gerr != nil) != (werr != nil) {
+			t.Fatalf("len %d op %d %+v: error %v, reference %v", len(buf), i, op, gerr, werr)
+		}
+		if gerr != nil {
+			if !errors.Is(gerr, ErrBitstream) {
+				t.Fatalf("len %d op %d: error %v does not wrap ErrBitstream", len(buf), i, gerr)
+			}
+			return
+		}
+		if gv != wv || got.Pos() != want.pos {
+			t.Fatalf("len %d op %d %+v: value %d pos %d, reference %d pos %d", len(buf), i, op, gv, got.Pos(), wv, want.pos)
+		}
+	}
+}
+
+// TestBitReaderMatchesReference cross-checks the windowed reader against the
+// bit-at-a-time reference on writer-produced streams (so Exp-Golomb reads
+// mostly succeed, including 65-bit codes) and on raw random bytes (long
+// zero runs, over-long codes), each replayed at every truncation point: the
+// window must hand over to the tail loop without changing a value, a
+// position or which reads fail.
+func TestBitReaderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 60; trial++ {
+		var w BitWriter
+		var ops []readerOp
+		for len(ops) < 40 {
+			op := readerOp{kind: rng.Intn(4), n: rng.Intn(66)}
+			switch op.kind {
+			case 0:
+				w.WriteBit(rng.Intn(2))
+			case 1:
+				if op.n > 64 { // ReadBits(65) shifts the first bit out
+					w.WriteBit(rng.Intn(2))
+				}
+				w.WriteBits(rng.Uint64(), min(op.n, 64))
+			case 2:
+				v := uint32(rng.Uint64())
+				if rng.Intn(3) > 0 {
+					v >>= uint(rng.Intn(32)) // short codes dominate real streams
+				}
+				w.WriteUE(v)
+			case 3:
+				w.WriteSE(int32(rng.Uint64()) >> uint(rng.Intn(32)))
+			}
+			ops = append(ops, op)
+		}
+		buf := w.Bytes()
+		if trial%2 == 1 {
+			// Raw bytes, sparse in ones: reads need not line up with writes.
+			buf = make([]byte, 24+rng.Intn(40))
+			for i := range buf {
+				if rng.Intn(4) == 0 {
+					buf[i] = byte(rng.Intn(256))
+				}
+			}
+		}
+		for cut := 0; cut <= len(buf); cut++ {
+			checkReaderAgainstReference(t, buf[:cut], ops)
+		}
 	}
 }

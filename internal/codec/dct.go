@@ -101,39 +101,37 @@ func coeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
 	return bits + ueBits(blockSize*blockSize)
 }
 
-// readCoeffs decodes one block written by writeCoeffs.
-func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) error {
-	for i := range levels {
-		levels[i] = 0
-	}
+// readCoeffs decodes one block written by writeCoeffs and returns its
+// nonzero-level count (every coded level is nonzero and lands on its own
+// position, so the count is exact).
+func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (nz int, err error) {
+	*levels = [blockSize * blockSize]int32{}
 	coded, err := r.ReadBit()
-	if err != nil {
-		return err
-	}
-	if coded == 0 {
-		return nil
+	if err != nil || coded == 0 {
+		return 0, err
 	}
 	idx := 0
 	for {
 		run, err := r.ReadUE()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if run >= blockSize*blockSize {
-			return nil // end of block
+			return nz, nil // end of block
 		}
 		idx += int(run)
 		if idx >= blockSize*blockSize {
-			return ErrBitstream
+			return 0, ErrBitstream
 		}
 		l, err := r.ReadSE()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if l == 0 {
-			return ErrBitstream
+			return 0, ErrBitstream
 		}
 		levels[zigzag8[idx]] = l
 		idx++
+		nz++
 	}
 }

@@ -145,45 +145,31 @@ func fdctPass(in, out []int32, stride, nb, base, step int, rnd int32, shift uint
 }
 
 // idctPass is the inverse counterpart of fdctPass (transposed butterfly,
-// int64 accumulators).
-func idctPass(in, out []int32, stride, nb, base, step int, rnd int64, shift uint) {
-	x0 := in[(base+0*step)*stride:][:nb]
-	x1 := in[(base+1*step)*stride:][:nb]
-	x2 := in[(base+2*step)*stride:][:nb]
-	x3 := in[(base+3*step)*stride:][:nb]
-	x4 := in[(base+4*step)*stride:][:nb]
-	x5 := in[(base+5*step)*stride:][:nb]
-	x6 := in[(base+6*step)*stride:][:nb]
-	x7 := in[(base+7*step)*stride:][:nb]
-	o0 := out[(base+0*step)*stride:][:nb]
-	o1 := out[(base+1*step)*stride:][:nb]
-	o2 := out[(base+2*step)*stride:][:nb]
-	o3 := out[(base+3*step)*stride:][:nb]
-	o4 := out[(base+4*step)*stride:][:nb]
-	o5 := out[(base+5*step)*stride:][:nb]
-	o6 := out[(base+6*step)*stride:][:nb]
-	o7 := out[(base+7*step)*stride:][:nb]
+// int64 accumulators) over one 8-point group of a block: elements sit at
+// in[base+j*step]. The inverse only ever runs per block, so it takes the
+// block arrays directly instead of fdctPass's strided lanes.
+func idctPass(in, out *[blockSize * blockSize]int32, base, step int, rnd int64, shift uint) {
 	c1, c2, c3, c4 := int64(fixC1), int64(fixC2), int64(fixC3), int64(fixC4)
 	c5, c6, c7 := int64(fixC5), int64(fixC6), int64(fixC7)
-	for b := 0; b < nb; b++ {
-		v0, v2, v4, v6 := int64(x0[b]), int64(x2[b]), int64(x4[b]), int64(x6[b])
-		v1, v3, v5, v7 := int64(x1[b]), int64(x3[b]), int64(x5[b]), int64(x7[b])
-		a0, a4 := c4*(v0+v4), c4*(v0-v4)
-		t2, t6 := c2*v2+c6*v6, c6*v2-c2*v6
-		e0, e1, e2, e3 := a0+t2, a4+t6, a4-t6, a0-t2
-		q0 := c1*v1 + c3*v3 + c5*v5 + c7*v7
-		q1 := c3*v1 - c7*v3 - c1*v5 - c5*v7
-		q2 := c5*v1 - c1*v3 + c7*v5 + c3*v7
-		q3 := c7*v1 - c5*v3 + c3*v5 - c1*v7
-		o0[b] = int32((e0 + q0 + rnd) >> shift)
-		o1[b] = int32((e1 + q1 + rnd) >> shift)
-		o2[b] = int32((e2 + q2 + rnd) >> shift)
-		o3[b] = int32((e3 + q3 + rnd) >> shift)
-		o4[b] = int32((e3 - q3 + rnd) >> shift)
-		o5[b] = int32((e2 - q2 + rnd) >> shift)
-		o6[b] = int32((e1 - q1 + rnd) >> shift)
-		o7[b] = int32((e0 - q0 + rnd) >> shift)
-	}
+	i0, i1, i2, i3 := base, base+step, base+2*step, base+3*step
+	i4, i5, i6, i7 := base+4*step, base+5*step, base+6*step, base+7*step
+	v0, v2, v4, v6 := int64(in[i0]), int64(in[i2]), int64(in[i4]), int64(in[i6])
+	v1, v3, v5, v7 := int64(in[i1]), int64(in[i3]), int64(in[i5]), int64(in[i7])
+	a0, a4 := c4*(v0+v4), c4*(v0-v4)
+	t2, t6 := c2*v2+c6*v6, c6*v2-c2*v6
+	e0, e1, e2, e3 := a0+t2, a4+t6, a4-t6, a0-t2
+	q0 := c1*v1 + c3*v3 + c5*v5 + c7*v7
+	q1 := c3*v1 - c7*v3 - c1*v5 - c5*v7
+	q2 := c5*v1 - c1*v3 + c7*v5 + c3*v7
+	q3 := c7*v1 - c5*v3 + c3*v5 - c1*v7
+	out[i0] = int32((e0 + q0 + rnd) >> shift)
+	out[i1] = int32((e1 + q1 + rnd) >> shift)
+	out[i2] = int32((e2 + q2 + rnd) >> shift)
+	out[i3] = int32((e3 + q3 + rnd) >> shift)
+	out[i4] = int32((e3 - q3 + rnd) >> shift)
+	out[i5] = int32((e2 - q2 + rnd) >> shift)
+	out[i6] = int32((e1 - q1 + rnd) >> shift)
+	out[i7] = int32((e0 - q0 + rnd) >> shift)
 }
 
 // fdct8Fixed computes the fixed-point forward 8×8 DCT of an integer
@@ -199,14 +185,19 @@ func fdct8Fixed(src, dst *[blockSize * blockSize]int32) {
 }
 
 // idct8Fixed inverts fdct8Fixed: fixed-point coefficients in, integer
-// residuals out.
+// residuals out. Quantized blocks are sparse, so the column pass skips
+// all-zero columns: their transform is (0 + idctRnd1) >> idctShift1 == 0,
+// which tmp already holds.
 func idct8Fixed(src, dst *[blockSize * blockSize]int32) {
 	var tmp [blockSize * blockSize]int32
 	for x := 0; x < blockSize; x++ {
-		idctPass(src[:], tmp[:], 1, 1, x, blockSize, idctRnd1, idctShift1)
+		if src[x]|src[x+8]|src[x+16]|src[x+24]|src[x+32]|src[x+40]|src[x+48]|src[x+56] == 0 {
+			continue
+		}
+		idctPass(src, &tmp, x, blockSize, idctRnd1, idctShift1)
 	}
 	for y := 0; y < blockSize; y++ {
-		idctPass(tmp[:], dst[:], 1, 1, y*blockSize, 1, idctRnd2, idctShift2)
+		idctPass(&tmp, dst, y*blockSize, 1, idctRnd2, idctShift2)
 	}
 }
 

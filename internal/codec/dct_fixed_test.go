@@ -303,8 +303,12 @@ func TestWriteCoeffsEarlyExitMatchesBits(t *testing.T) {
 			t.Fatalf("trial %d: wrote %d bits, coeffsBits says %d", trial, w.Len(), coeffsBits(&levels, nz))
 		}
 		r := NewBitReader(w.Bytes())
-		if err := readCoeffs(r, &got); err != nil {
+		gotNZ, err := readCoeffs(r, &got)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if gotNZ != nz {
+			t.Fatalf("trial %d: readCoeffs counted %d nonzero levels, block has %d", trial, gotNZ, nz)
 		}
 		if got != levels {
 			t.Fatalf("trial %d: round trip mismatch", trial)

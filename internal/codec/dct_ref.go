@@ -330,7 +330,7 @@ func refDecodeInterMB(r *BitReader, ref, recon *imgx.Plane, px, py int, mv MV, q
 	var levels [blockSize * blockSize]int32
 	for by := 0; by < MBSize; by += blockSize {
 		for bx := 0; bx < MBSize; bx += blockSize {
-			if err := readCoeffs(r, &levels); err != nil {
+			if _, err := readCoeffs(r, &levels); err != nil {
 				return err
 			}
 			refDequantizeBlock(&levels, qstep, &dct)
@@ -361,7 +361,7 @@ func refDecodeIntraMB(r *BitReader, recon *imgx.Plane, px, py int, qp int) error
 			if m >= numIntraModes {
 				return errBadIntraMode(m)
 			}
-			if err := readCoeffs(r, &levels); err != nil {
+			if _, err := readCoeffs(r, &levels); err != nil {
 				return err
 			}
 			refIntraPredict(recon, px+bx, py+by, int(m), &pred)

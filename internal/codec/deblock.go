@@ -43,62 +43,63 @@ func deblockAlpha(qp int) int { return alphaTable[clampQP(qp)] }
 func deblockBeta(qp int) int { return betaTable[clampQP(qp)] }
 
 // deblockFrame filters all 8×8 transform-block boundaries of recon in
-// place. qps holds the per-macroblock QP map; each edge uses the average QP
-// of the two adjacent macroblocks.
+// place: first every vertical edge (smoothing across columns), then every
+// horizontal edge (across rows). qps holds the per-macroblock QP map; an
+// edge inside a macroblock uses its QP, an edge between two macroblocks
+// their rounded-up average. Thresholds are looked up once per 16-pixel
+// macroblock span of an edge, and filterSpan walks Pix directly. Within one
+// direction the four pixels an edge position touches are disjoint from
+// every other position's, so the walk order is free; the two directions
+// are not independent, hence the two whole-frame passes.
 func deblockFrame(recon *imgx.Plane, qps []int, mbw int) {
 	w, h := recon.W, recon.H
-	// Vertical edges (filtering horizontally across columns).
-	for x := blockSize; x < w; x += blockSize {
-		for y := 0; y < h; y++ {
-			qp := edgeQP(qps, mbw, x, y, x-1, y)
-			filterEdge(recon, x, y, 1, 0, qp)
+	pix := recon.Pix
+	for by := 0; by < h/MBSize; by++ {
+		for bx := 0; bx < mbw; bx++ {
+			q := qps[by*mbw+bx]
+			o := by*MBSize*w + bx*MBSize
+			if bx > 0 {
+				filterSpan(pix, o, 1, w, (qps[by*mbw+bx-1]+q+1)/2)
+			}
+			filterSpan(pix, o+blockSize, 1, w, q)
 		}
 	}
-	// Horizontal edges (filtering vertically across rows).
-	for y := blockSize; y < h; y += blockSize {
-		for x := 0; x < w; x++ {
-			qp := edgeQP(qps, mbw, x, y, x, y-1)
-			filterEdge(recon, x, y, 0, 1, qp)
+	for by := 0; by < h/MBSize; by++ {
+		for bx := 0; bx < mbw; bx++ {
+			q := qps[by*mbw+bx]
+			o := by*MBSize*w + bx*MBSize
+			if by > 0 {
+				filterSpan(pix, o, w, 1, (qps[(by-1)*mbw+bx]+q+1)/2)
+			}
+			filterSpan(pix, o+blockSize*w, w, 1, q)
 		}
 	}
 }
 
-// edgeQP returns the average QP of the macroblocks containing the two
-// pixels adjacent to an edge.
-func edgeQP(qps []int, mbw int, x0, y0, x1, y1 int) int {
-	q0 := qps[(y0/MBSize)*mbw+x0/MBSize]
-	q1 := qps[(y1/MBSize)*mbw+x1/MBSize]
-	return (q0 + q1 + 1) / 2
-}
-
-// filterEdge conditionally smooths the four pixels straddling the edge at
-// (x, y): p1 p0 | q0 q1 along direction (dx, dy), where q0 is at (x, y).
-func filterEdge(recon *imgx.Plane, x, y, dx, dy, qp int) {
-	alpha := deblockAlpha(qp)
-	beta := deblockBeta(qp)
-	q0 := int(recon.At(x, y))
-	p0 := int(recon.At(x-dx, y-dy))
-	diff := q0 - p0
-	if diff < 0 {
-		diff = -diff
+// filterSpan conditionally smooths one macroblock's 16 positions of an
+// edge. q0 of the first position is pix[o]; across is the index step over
+// the edge (p1 p0 | q0 q1 sit at o-2·across .. o+across) and along the step
+// to the next position.
+func filterSpan(pix []uint8, o, across, along, qp int) {
+	alpha, beta := deblockAlpha(qp), deblockBeta(qp)
+	for k := 0; k < MBSize; k, o = k+1, o+along {
+		p0, q0 := int(pix[o-across]), int(pix[o])
+		if diff := absInt(q0 - p0); diff == 0 || diff >= alpha {
+			continue // flat already, or a real edge
+		}
+		p1, q1 := int(pix[o-2*across]), int(pix[o+across])
+		if absInt(p1-p0) >= beta || absInt(q1-q0) >= beta {
+			continue // too much structure next to the edge
+		}
+		// 4-tap smoothing of the two boundary pixels (H.263-style strength).
+		d := ((q0-p0)*3 + (p1 - q1)) / 8
+		if d > beta {
+			d = beta
+		}
+		if d < -beta {
+			d = -beta
+		}
+		pix[o-across] = clampPixI(int32(p0 + d))
+		pix[o] = clampPixI(int32(q0 - d))
 	}
-	if diff == 0 || diff >= alpha {
-		return // flat already, or a real edge
-	}
-	p1 := int(recon.At(x-2*dx, y-2*dy))
-	q1 := int(recon.At(x+dx, y+dy))
-	if absInt(p1-p0) >= beta || absInt(q1-q0) >= beta {
-		return // too much structure next to the edge
-	}
-	// 4-tap smoothing of the two boundary pixels (H.263-style strength).
-	d := ((q0-p0)*3 + (p1 - q1)) / 8
-	c := beta
-	if d > c {
-		d = c
-	}
-	if d < -c {
-		d = -c
-	}
-	recon.Set(x-dx, y-dy, clampPix(float64(p0+d)))
-	recon.Set(x, y, clampPix(float64(q0-d)))
 }

@@ -4,13 +4,30 @@ import (
 	"fmt"
 
 	"dive/internal/imgx"
+	"dive/internal/pool"
 )
 
 // Decoder reconstructs frames from bitstreams produced by Encoder. It must
 // be fed frames in encode order.
+//
+// A Decoder owns everything it hands out: two frame planes that alternate
+// between "reference" and "being decoded", the per-macroblock side arrays
+// and the DecodedFrame itself, all allocated by NewDecoder, so Decode
+// allocates nothing. The price is a lifetime rule: a DecodedFrame (Image,
+// MVs, Modes) is valid until the next Decode call on the same Decoder;
+// callers that keep a picture longer must Clone it.
 type Decoder struct {
 	cfg Config
-	ref *imgx.Plane
+	ref *imgx.Plane // nil until a frame has decoded
+	// planes holds whichever of the two planes is not the reference. Decode
+	// draws into one and swaps only on success, so a rejected bitstream
+	// leaves ref — and the picture the previous DecodedFrame points at —
+	// untouched.
+	planes *pool.Planes
+	mvs    []MV
+	modes  []MBMode
+	qps    []int
+	frame  DecodedFrame
 }
 
 // NewDecoder creates a decoder for streams produced with cfg (only the
@@ -19,7 +36,17 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.Width%MBSize != 0 || cfg.Height%MBSize != 0 {
 		return nil, fmt.Errorf("codec: frame size %dx%d must be positive multiples of %d", cfg.Width, cfg.Height, MBSize)
 	}
-	return &Decoder{cfg: cfg}, nil
+	n := (cfg.Width / MBSize) * (cfg.Height / MBSize)
+	planes := pool.NewPlanes(cfg.Width, cfg.Height, 2)
+	planes.Put(imgx.NewPlane(cfg.Width, cfg.Height))
+	planes.Put(imgx.NewPlane(cfg.Width, cfg.Height))
+	return &Decoder{
+		cfg:    cfg,
+		planes: planes,
+		mvs:    make([]MV, n),
+		modes:  make([]MBMode, n),
+		qps:    make([]int, n),
+	}, nil
 }
 
 // SniffFrameType reads only the frame-type header from a bitstream without
@@ -38,7 +65,9 @@ func SniffFrameType(data []byte) (FrameType, error) {
 	return ftype, nil
 }
 
-// DecodedFrame carries the reconstructed image and decoded side info.
+// DecodedFrame carries the reconstructed image and decoded side info. It
+// and everything it points at belong to the Decoder and are valid until the
+// next Decode call (see Decoder).
 type DecodedFrame struct {
 	Type   FrameType
 	BaseQP int
@@ -47,9 +76,25 @@ type DecodedFrame struct {
 	Modes  []MBMode
 }
 
-// Decode parses one frame bitstream and returns the reconstruction.
+// Decode parses one frame bitstream and returns the reconstruction. On
+// error the decoder's reference is unchanged: the next valid I-frame (or
+// the next P-frame of an undamaged chain) decodes as if the rejected
+// bitstream had never arrived.
 func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
-	r := NewBitReader(data)
+	recon := d.planes.Get()
+	df, err := d.decode(data, recon)
+	if err != nil {
+		d.planes.Put(recon)
+		return nil, err
+	}
+	d.planes.Put(d.ref)
+	d.ref = recon
+	return df, nil
+}
+
+// decode parses data into recon, reading d.ref as the reference.
+func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) {
+	r := &BitReader{buf: data}
 	ft, err := r.ReadUE()
 	if err != nil {
 		return nil, err
@@ -89,13 +134,10 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	}
 
 	w, h := int(mbw), int(mbh)
-	recon := imgx.NewPlane(d.cfg.Width, d.cfg.Height)
-	mvs := make([]MV, w*h)
-	modes := make([]MBMode, w*h)
-	qps := make([]int, w*h)
-	for i := range qps {
-		qps[i] = int(baseQP)
-	}
+	mvs, modes, qps := d.mvs, d.modes, d.qps
+	// One inter macroblock's levels and nonzero counts.
+	var levels [4 * blockSize * blockSize]int32
+	var nz [4]uint8
 
 	for by := 0; by < h; by++ {
 		for bx := 0; bx < w; bx++ {
@@ -107,6 +149,7 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 			}
 			mode := MBMode(m)
 			modes[i] = mode
+			qps[i] = int(baseQP)
 			if (mode == ModeSkip || mode == ModeInter) && d.ref == nil {
 				return nil, fmt.Errorf("%w: inter macroblock without reference", ErrBitstream)
 			}
@@ -114,7 +157,7 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 			case ModeSkip:
 				pred := predictMV(mvs, w, bx, by)
 				mvs[i] = pred
-				motionCompensate(recon, d.ref, px, py, pred, subpel)
+				predictBlock(recon.Pix[py*recon.W+px:], recon.W, d.ref, px, py, MBSize, MBSize, pred, subpel)
 			case ModeInter:
 				dx, err := r.ReadSE()
 				if err != nil {
@@ -134,14 +177,23 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 				qp := clampQP(int(baseQP) + int(dqp))
 				qps[i] = qp
 				if d.cfg.RefTransform {
-					err = refDecodeInterMB(r, d.ref, recon, px, py, mv, qp, subpel)
-				} else {
-					err = decodeInterMB(r, d.ref, recon, px, py, mv, qp, subpel)
+					if err := refDecodeInterMB(r, d.ref, recon, px, py, mv, qp, subpel); err != nil {
+						return nil, err
+					}
+					break
 				}
-				if err != nil {
-					return nil, err
+				for blk := range nz {
+					off := blk * blockSize * blockSize
+					n, err := readCoeffs(r, (*[blockSize * blockSize]int32)(levels[off:]))
+					if err != nil {
+						return nil, err
+					}
+					nz[blk] = uint8(n)
 				}
+				reconstructInterMB(recon, d.ref, px, py, mv, subpel, levels[:], nz[:], qp)
 			case ModeIntra:
+				// Later macroblocks predict their vector from this cell.
+				mvs[i] = MV{}
 				dqp, err := r.ReadSE()
 				if err != nil {
 					return nil, err
@@ -164,11 +216,12 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	if deblock {
 		deblockFrame(recon, qps, w)
 	}
-	d.ref = recon
-	return &DecodedFrame{
+	recon.Bump()
+	d.frame = DecodedFrame{
 		Type: ftype, BaseQP: int(baseQP),
 		Image: recon, MVs: mvs, Modes: modes,
-	}, nil
+	}
+	return &d.frame, nil
 }
 
 // errBadIntraMode is shared by the fixed and reference intra decoders.
@@ -176,35 +229,10 @@ func errBadIntraMode(m uint32) error {
 	return fmt.Errorf("%w: bad intra mode %d", ErrBitstream, m)
 }
 
-// decodeInterMB reads residual coefficients and reconstructs one inter MB
-// with the same fixed-point kernels the encoder reconstructed with, so the
-// decode stays bit-exact with the encoder's reference.
-func decodeInterMB(r *BitReader, ref, recon *imgx.Plane, px, py int, mv MV, qp int, subpel bool) error {
-	var dct, res [blockSize * blockSize]int32
-	var levels [blockSize * blockSize]int32
-	for by := 0; by < MBSize; by += blockSize {
-		for bx := 0; bx < MBSize; bx += blockSize {
-			if err := readCoeffs(r, &levels); err != nil {
-				return err
-			}
-			dequantizeBlockFixed(&levels, qp, &dct)
-			idct8Fixed(&dct, &res)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					cx, cy := px+bx+x, py+by+y
-					v := refSampleI(ref, cx, cy, mv, subpel) + res[y*blockSize+x]
-					recon.Set(cx, cy, clampPixI(v))
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // decodeIntraMB reads per-block prediction modes and coefficients and
-// reconstructs one intra MB, mirroring encodeIntraMB.
+// reconstructs one intra MB, mirroring quantizeIntraMB.
 func decodeIntraMB(r *BitReader, recon *imgx.Plane, px, py int, qp int) error {
-	var pred, dct, res [blockSize * blockSize]int32
+	var pred [blockSize * blockSize]uint8
 	var levels [blockSize * blockSize]int32
 	for by := 0; by < MBSize; by += blockSize {
 		for bx := 0; bx < MBSize; bx += blockSize {
@@ -215,17 +243,12 @@ func decodeIntraMB(r *BitReader, recon *imgx.Plane, px, py int, qp int) error {
 			if m >= numIntraModes {
 				return errBadIntraMode(m)
 			}
-			if err := readCoeffs(r, &levels); err != nil {
+			nz, err := readCoeffs(r, &levels)
+			if err != nil {
 				return err
 			}
 			intraPredict(recon, px+bx, py+by, int(m), &pred)
-			dequantizeBlockFixed(&levels, qp, &dct)
-			idct8Fixed(&dct, &res)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					recon.Set(px+bx+x, py+by+y, clampPixI(pred[y*blockSize+x]+res[y*blockSize+x]))
-				}
-			}
+			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, &levels, nz, qp)
 		}
 	}
 	return nil

@@ -507,117 +507,6 @@ func (e *Encoder) prefetchRCProbes(frame *imgx.Plane, ftype FrameType, mf *Motio
 	return memo, len(qps)
 }
 
-// passResult is the outcome of one trial encode at a fixed base QP.
-type passResult struct {
-	qp    int
-	data  []byte
-	nbits int
-	bits  int
-	recon *imgx.Plane
-	qps   []int
-}
-
-// encodePass transforms, quantizes and entropy-codes the frame at the given
-// base QP. Motion estimation results are shared across passes. When final
-// is false the pass is a rate-control trial: it produces exact bit counts
-// but skips inter-macroblock reconstruction and loop filtering (intra
-// macroblocks still reconstruct, because intra prediction is causal in the
-// reconstruction).
-//
-// Production no longer calls this: phase one quantizes via quantizePass and
-// rate-control trials count bits via countPass. It survives as the
-// single-pass reference implementation the equivalence tests compare
-// against (legacyEncode), so the pooled paths stay pinned to it.
-func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache interCache, baseQP int, offsets []int, final bool) *passResult {
-	w := &BitWriter{}
-	// A P-frame trial pass never reconstructs (skip MBs compensate only
-	// when final, inter MBs only quantize and count bits), so it needs no
-	// reconstruction plane at all. Intra trial passes still do: intra
-	// prediction reads reconstructed causal neighbors.
-	var recon *imgx.Plane
-	if final || ftype == IFrame {
-		recon = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
-	}
-	qps := make([]int, e.mbw*e.mbh)
-
-	// Header.
-	w.WriteUE(uint32(ftype))
-	w.WriteUE(uint32(baseQP))
-	w.WriteUE(uint32(e.mbw))
-	w.WriteUE(uint32(e.mbh))
-	if e.cfg.SubPel {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-	if e.cfg.Deblock {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-
-	codedMVs := make([]MV, e.mbw*e.mbh)
-	for by := 0; by < e.mbh; by++ {
-		for bx := 0; bx < e.mbw; bx++ {
-			i := by*e.mbw + bx
-			qp := baseQP
-			if offsets != nil {
-				qp = clampQP(baseQP + offsets[i])
-			}
-			qps[i] = qp
-			px, py := bx*MBSize, by*MBSize
-
-			if ftype == IFrame {
-				w.WriteUE(uint32(ModeIntra))
-				w.WriteSE(int32(qp - baseQP))
-				if e.cfg.RefTransform {
-					refEncodeIntraMB(w, frame, recon, px, py, qp)
-				} else {
-					encodeIntraMB(w, frame, recon, px, py, qp)
-				}
-				continue
-			}
-
-			mode := mf.Modes[i]
-			mv := mf.MVs[i]
-			pred := predictMV(codedMVs, e.mbw, bx, by)
-			if mode == ModeSkip && mv == pred {
-				w.WriteUE(uint32(ModeSkip))
-				codedMVs[i] = pred
-				if final {
-					motionCompensate(recon, e.ref, px, py, pred, e.cfg.SubPel)
-				}
-				continue
-			}
-			w.WriteUE(uint32(ModeInter))
-			w.WriteSE(int32(mv.X) - int32(pred.X))
-			w.WriteSE(int32(mv.Y) - int32(pred.Y))
-			w.WriteSE(int32(qp - baseQP))
-			codedMVs[i] = mv
-			if e.cfg.RefTransform {
-				refEncodeInterMB(w, dctCache.refMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
-			} else {
-				encodeInterMB(w, dctCache.fixMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
-			}
-		}
-	}
-	if final && e.cfg.Deblock {
-		deblockFrame(recon, qps, e.mbw)
-	}
-	nbits := w.Len()
-	data := w.Bytes()
-	return &passResult{qp: baseQP, data: data, nbits: nbits, bits: nbits, recon: recon, qps: qps}
-}
-
-// motionCompensate copies the reference block displaced by mv into recon.
-func motionCompensate(recon, ref *imgx.Plane, px, py int, mv MV, subpel bool) {
-	if subpel {
-		compensateHalf(recon, ref, px, py, mv)
-		return
-	}
-	imgx.CopyBlock(recon, px, py, ref, px+int(mv.X), py+int(mv.Y), MBSize, MBSize)
-}
-
 // refSampleI reads the reference pixel at (cx, cy) displaced by mv, which
 // is in half-pel units when subpel is set. Integer throughout: sampleHalf
 // rounds its bilinear taps internally.
@@ -684,7 +573,7 @@ func (e *Encoder) dctRow(by int) {
 	}
 	b := e.getBatch()
 	n := b.lanes
-	subpel := e.cfg.SubPel
+	var pred [MBSize * MBSize]uint8
 	nb := 0
 	for bx := 0; bx < e.mbw; bx++ {
 		i := by*e.mbw + bx
@@ -692,7 +581,7 @@ func (e *Encoder) dctRow(by int) {
 			continue
 		}
 		px, py := bx*MBSize, by*MBSize
-		mv := mf.MVs[i]
+		predictBlock(pred[:], MBSize, e.ref, px, py, MBSize, MBSize, mf.MVs[i], e.cfg.SubPel)
 		blk := 0
 		for oy := 0; oy < MBSize; oy += blockSize {
 			for ox := 0; ox < MBSize; ox += blockSize {
@@ -700,9 +589,10 @@ func (e *Encoder) dctRow(by int) {
 				b.slot[lane] = i*4 + blk
 				for y := 0; y < blockSize; y++ {
 					row := b.soa[y*blockSize*n:]
-					for x := 0; x < blockSize; x++ {
-						cx, cy := px+ox+x, py+oy+y
-						row[x*n+lane] = int32(frame.At(cx, cy)) - refSampleI(e.ref, cx, cy, mv, subpel)
+					cur := frame.Pix[(py+oy+y)*frame.W+px+ox:][:blockSize]
+					p := pred[(oy+y)*MBSize+ox:][:blockSize]
+					for x := range cur {
+						row[x*n+lane] = int32(cur[x]) - int32(p[x])
 					}
 				}
 				blk++
@@ -749,33 +639,6 @@ func (e *Encoder) refDctRow(frame *imgx.Plane, mf *MotionField, by int) {
 	}
 }
 
-// encodeInterMB quantizes and entropy-codes one inter macroblock from its
-// cached fixed-point DCT blocks and, on the final pass, reconstructs it.
-func encodeInterMB(w *BitWriter, dctBlocks [][blockSize * blockSize]int32, ref, recon *imgx.Plane, px, py int, mv MV, qp int, subpel, final bool) {
-	var dct, res [blockSize * blockSize]int32
-	var levels [blockSize * blockSize]int32
-	blk := 0
-	for by := 0; by < MBSize; by += blockSize {
-		for bx := 0; bx < MBSize; bx += blockSize {
-			nz := quantizeBlockFixed(&dctBlocks[blk], qp, &levels)
-			blk++
-			writeCoeffs(w, &levels, nz)
-			if !final {
-				continue
-			}
-			dequantizeBlockFixed(&levels, qp, &dct)
-			idct8Fixed(&dct, &res)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					cx, cy := px+bx+x, py+by+y
-					v := refSampleI(ref, cx, cy, mv, subpel) + res[y*blockSize+x]
-					recon.Set(cx, cy, clampPixI(v))
-				}
-			}
-		}
-	}
-}
-
 // Intra prediction modes, a simplified version of H.264's directional
 // prediction: DC (neighbor mean), vertical (columns continue the row
 // above), horizontal (rows continue the column to the left). The encoder
@@ -793,24 +656,24 @@ const (
 // Modes that lack their neighbor degrade to DC. Integer throughout — the DC
 // mean rounds to nearest (the float reference kept the fraction; one of the
 // documented output changes of the fixed-point switch).
-func intraPredict(recon *imgx.Plane, px, py, mode int, pred *[blockSize * blockSize]int32) {
+func intraPredict(recon *imgx.Plane, px, py, mode int, pred *[blockSize * blockSize]uint8) {
 	switch {
 	case mode == intraModeVertical && py > 0:
 		for x := 0; x < blockSize; x++ {
-			v := int32(recon.At(px+x, py-1))
+			v := recon.At(px+x, py-1)
 			for y := 0; y < blockSize; y++ {
 				pred[y*blockSize+x] = v
 			}
 		}
 	case mode == intraModeHorizontal && px > 0:
 		for y := 0; y < blockSize; y++ {
-			v := int32(recon.At(px-1, py+y))
+			v := recon.At(px-1, py+y)
 			for x := 0; x < blockSize; x++ {
 				pred[y*blockSize+x] = v
 			}
 		}
 	default:
-		dc := intraDC(recon, px, py)
+		dc := uint8(intraDC(recon, px, py))
 		for i := range pred {
 			pred[i] = dc
 		}
@@ -821,13 +684,13 @@ func intraPredict(recon *imgx.Plane, px, py, mode int, pred *[blockSize * blockS
 // residual for the block at (px, py).
 func chooseIntraMode(cur, recon *imgx.Plane, px, py int) int {
 	bestMode, bestSAD := intraModeDC, 1<<30
-	var pred [blockSize * blockSize]int32
+	var pred [blockSize * blockSize]uint8
 	for mode := 0; mode < numIntraModes; mode++ {
 		intraPredict(recon, px, py, mode, &pred)
 		sad := 0
 		for y := 0; y < blockSize && sad < bestSAD; y++ {
 			for x := 0; x < blockSize; x++ {
-				d := int(int32(cur.At(px+x, py+y)) - pred[y*blockSize+x])
+				d := int(cur.At(px+x, py+y)) - int(pred[y*blockSize+x])
 				if d < 0 {
 					d = -d
 				}
@@ -840,37 +703,6 @@ func chooseIntraMode(cur, recon *imgx.Plane, px, py int) int {
 		}
 	}
 	return bestMode
-}
-
-// encodeIntraMB codes one macroblock with per-block directional prediction
-// from reconstructed neighbors. Intra blocks transform one at a time (never
-// batched): prediction is causal in the reconstruction, so block k+1's
-// input depends on block k's output.
-func encodeIntraMB(w *BitWriter, cur, recon *imgx.Plane, px, py int, qp int) {
-	var pred, res, dct [blockSize * blockSize]int32
-	var levels [blockSize * blockSize]int32
-	for by := 0; by < MBSize; by += blockSize {
-		for bx := 0; bx < MBSize; bx += blockSize {
-			mode := chooseIntraMode(cur, recon, px+bx, py+by)
-			w.WriteUE(uint32(mode))
-			intraPredict(recon, px+bx, py+by, mode, &pred)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					res[y*blockSize+x] = int32(cur.At(px+bx+x, py+by+y)) - pred[y*blockSize+x]
-				}
-			}
-			fdct8Fixed(&res, &dct)
-			nz := quantizeBlockFixed(&dct, qp, &levels)
-			writeCoeffs(w, &levels, nz)
-			dequantizeBlockFixed(&levels, qp, &dct)
-			idct8Fixed(&dct, &res)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					recon.Set(px+bx+x, py+by+y, clampPixI(pred[y*blockSize+x]+res[y*blockSize+x]))
-				}
-			}
-		}
-	}
 }
 
 // intraDC predicts a block's DC from the reconstructed pixels directly above

@@ -20,8 +20,16 @@ func (w *BitWriter) WriteSE(v int32) {
 	w.WriteUE(seToUE(v))
 }
 
-// ReadUE reads an unsigned Exp-Golomb code.
+// ReadUE reads an unsigned Exp-Golomb code: n zeros, then the n+1 bits of
+// v+1. When all 2n+1 bits sit in the reader's window the symbol is the
+// window's top 2n+1 bits; otherwise (buffer tail, n > 28) the bit loop runs.
 func (r *BitReader) ReadUE() (uint32, error) {
+	if w, valid, ok := r.window(); ok {
+		if n := bits.LeadingZeros64(w); 2*n+1 <= valid {
+			r.pos += 2*n + 1
+			return uint32(w>>uint(63-2*n)) - 1, nil
+		}
+	}
 	n := 0
 	for {
 		b, err := r.ReadBit()

@@ -1,0 +1,344 @@
+package codec
+
+import "dive/internal/imgx"
+
+// Oracles: the kernels the decoder fast path replaced, verbatim from the
+// commit before it — the per-pixel clamped predictor (oracleMotionCompensate
+// and the refSampleI loops), the per-pixel column-major deblocking filter,
+// the IDCT that transforms every column, and the monolithic encodePass that
+// strings them together. Production reconstructs through predictBlock /
+// reconstructBlock / deblockFrame / idct8Fixed; the randomized tests in
+// recon_test.go and the legacy-vs-two-phase tests hold those to these.
+
+// passResult is the outcome of one trial encode at a fixed base QP.
+type passResult struct {
+	qp    int
+	data  []byte
+	nbits int
+	bits  int
+	recon *imgx.Plane
+	qps   []int
+}
+
+// encodePass transforms, quantizes and entropy-codes the frame at the given
+// base QP. Motion estimation results are shared across passes. When final
+// is false the pass is a rate-control trial: it produces exact bit counts
+// but skips inter-macroblock reconstruction and loop filtering (intra
+// macroblocks still reconstruct, because intra prediction is causal in the
+// reconstruction).
+//
+// Production no longer calls this: phase one quantizes via quantizePass and
+// rate-control trials count bits via countPass. It survives as the
+// single-pass reference implementation the equivalence tests compare
+// against (legacyEncode), so the pooled paths stay pinned to it.
+func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache interCache, baseQP int, offsets []int, final bool) *passResult {
+	w := &BitWriter{}
+	// A P-frame trial pass never reconstructs (skip MBs compensate only
+	// when final, inter MBs only quantize and count bits), so it needs no
+	// reconstruction plane at all. Intra trial passes still do: intra
+	// prediction reads reconstructed causal neighbors.
+	var recon *imgx.Plane
+	if final || ftype == IFrame {
+		recon = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
+	}
+	qps := make([]int, e.mbw*e.mbh)
+
+	// Header.
+	w.WriteUE(uint32(ftype))
+	w.WriteUE(uint32(baseQP))
+	w.WriteUE(uint32(e.mbw))
+	w.WriteUE(uint32(e.mbh))
+	if e.cfg.SubPel {
+		w.WriteBit(1)
+	} else {
+		w.WriteBit(0)
+	}
+	if e.cfg.Deblock {
+		w.WriteBit(1)
+	} else {
+		w.WriteBit(0)
+	}
+
+	codedMVs := make([]MV, e.mbw*e.mbh)
+	for by := 0; by < e.mbh; by++ {
+		for bx := 0; bx < e.mbw; bx++ {
+			i := by*e.mbw + bx
+			qp := baseQP
+			if offsets != nil {
+				qp = clampQP(baseQP + offsets[i])
+			}
+			qps[i] = qp
+			px, py := bx*MBSize, by*MBSize
+
+			if ftype == IFrame {
+				w.WriteUE(uint32(ModeIntra))
+				w.WriteSE(int32(qp - baseQP))
+				if e.cfg.RefTransform {
+					refEncodeIntraMB(w, frame, recon, px, py, qp)
+				} else {
+					encodeIntraMB(w, frame, recon, px, py, qp)
+				}
+				continue
+			}
+
+			mode := mf.Modes[i]
+			mv := mf.MVs[i]
+			pred := predictMV(codedMVs, e.mbw, bx, by)
+			if mode == ModeSkip && mv == pred {
+				w.WriteUE(uint32(ModeSkip))
+				codedMVs[i] = pred
+				if final {
+					oracleMotionCompensate(recon, e.ref, px, py, pred, e.cfg.SubPel)
+				}
+				continue
+			}
+			w.WriteUE(uint32(ModeInter))
+			w.WriteSE(int32(mv.X) - int32(pred.X))
+			w.WriteSE(int32(mv.Y) - int32(pred.Y))
+			w.WriteSE(int32(qp - baseQP))
+			codedMVs[i] = mv
+			if e.cfg.RefTransform {
+				refEncodeInterMB(w, dctCache.refMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
+			} else {
+				encodeInterMB(w, dctCache.fixMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
+			}
+		}
+	}
+	if final && e.cfg.Deblock {
+		oracleDeblockFrame(recon, qps, e.mbw)
+	}
+	nbits := w.Len()
+	data := w.Bytes()
+	return &passResult{qp: baseQP, data: data, nbits: nbits, bits: nbits, recon: recon, qps: qps}
+}
+
+// oracleMotionCompensate copies the reference block displaced by mv into recon.
+func oracleMotionCompensate(recon, ref *imgx.Plane, px, py int, mv MV, subpel bool) {
+	if subpel {
+		oracleCompensateHalf(recon, ref, px, py, mv)
+		return
+	}
+	imgx.CopyBlock(recon, px, py, ref, px+int(mv.X), py+int(mv.Y), MBSize, MBSize)
+}
+
+// encodeInterMB quantizes and entropy-codes one inter macroblock from its
+// cached fixed-point DCT blocks and, on the final pass, reconstructs it.
+func encodeInterMB(w *BitWriter, dctBlocks [][blockSize * blockSize]int32, ref, recon *imgx.Plane, px, py int, mv MV, qp int, subpel, final bool) {
+	var dct, res [blockSize * blockSize]int32
+	var levels [blockSize * blockSize]int32
+	blk := 0
+	for by := 0; by < MBSize; by += blockSize {
+		for bx := 0; bx < MBSize; bx += blockSize {
+			nz := quantizeBlockFixed(&dctBlocks[blk], qp, &levels)
+			blk++
+			writeCoeffs(w, &levels, nz)
+			if !final {
+				continue
+			}
+			dequantizeBlockFixed(&levels, qp, &dct)
+			oracleIdct8(&dct, &res)
+			for y := 0; y < blockSize; y++ {
+				for x := 0; x < blockSize; x++ {
+					cx, cy := px+bx+x, py+by+y
+					v := refSampleI(ref, cx, cy, mv, subpel) + res[y*blockSize+x]
+					recon.Set(cx, cy, clampPixI(v))
+				}
+			}
+		}
+	}
+}
+
+// encodeIntraMB codes one macroblock with per-block directional prediction
+// from reconstructed neighbors. Intra blocks transform one at a time (never
+// batched): prediction is causal in the reconstruction, so block k+1's
+// input depends on block k's output.
+func encodeIntraMB(w *BitWriter, cur, recon *imgx.Plane, px, py int, qp int) {
+	var pred, res, dct [blockSize * blockSize]int32
+	var levels [blockSize * blockSize]int32
+	for by := 0; by < MBSize; by += blockSize {
+		for bx := 0; bx < MBSize; bx += blockSize {
+			mode := chooseIntraMode(cur, recon, px+bx, py+by)
+			w.WriteUE(uint32(mode))
+			oracleIntraPredict(recon, px+bx, py+by, mode, &pred)
+			for y := 0; y < blockSize; y++ {
+				for x := 0; x < blockSize; x++ {
+					res[y*blockSize+x] = int32(cur.At(px+bx+x, py+by+y)) - pred[y*blockSize+x]
+				}
+			}
+			fdct8Fixed(&res, &dct)
+			nz := quantizeBlockFixed(&dct, qp, &levels)
+			writeCoeffs(w, &levels, nz)
+			dequantizeBlockFixed(&levels, qp, &dct)
+			oracleIdct8(&dct, &res)
+			for y := 0; y < blockSize; y++ {
+				for x := 0; x < blockSize; x++ {
+					recon.Set(px+bx+x, py+by+y, clampPixI(pred[y*blockSize+x]+res[y*blockSize+x]))
+				}
+			}
+		}
+	}
+}
+
+// oracleIntraPredict fills pred with the prediction for the 8×8 block at
+// (px, py) under the given mode, reading reconstructed causal neighbors.
+// Modes that lack their neighbor degrade to DC. Integer throughout — the DC
+// mean rounds to nearest (the float reference kept the fraction; one of the
+// documented output changes of the fixed-point switch).
+func oracleIntraPredict(recon *imgx.Plane, px, py, mode int, pred *[blockSize * blockSize]int32) {
+	switch {
+	case mode == intraModeVertical && py > 0:
+		for x := 0; x < blockSize; x++ {
+			v := int32(recon.At(px+x, py-1))
+			for y := 0; y < blockSize; y++ {
+				pred[y*blockSize+x] = v
+			}
+		}
+	case mode == intraModeHorizontal && px > 0:
+		for y := 0; y < blockSize; y++ {
+			v := int32(recon.At(px-1, py+y))
+			for x := 0; x < blockSize; x++ {
+				pred[y*blockSize+x] = v
+			}
+		}
+	default:
+		dc := intraDC(recon, px, py)
+		for i := range pred {
+			pred[i] = dc
+		}
+	}
+}
+
+// oracleCompensateHalf copies the half-pel displaced reference block into dst.
+// (px, py) is the macroblock origin in pixels and mv a half-pel vector.
+func oracleCompensateHalf(dst, ref *imgx.Plane, px, py int, mv MV) {
+	hbx := px*2 + int(mv.X)
+	hby := py*2 + int(mv.Y)
+	for y := 0; y < MBSize; y++ {
+		ty := py + y
+		if ty < 0 || ty >= dst.H {
+			continue
+		}
+		for x := 0; x < MBSize; x++ {
+			tx := px + x
+			if tx < 0 || tx >= dst.W {
+				continue
+			}
+			dst.Pix[ty*dst.W+tx] = sampleHalf(ref, hbx+2*x, hby+2*y)
+		}
+	}
+}
+
+// oracleDeblockFrame filters all 8×8 transform-block boundaries of recon in
+// place. qps holds the per-macroblock QP map; each edge uses the average QP
+// of the two adjacent macroblocks.
+func oracleDeblockFrame(recon *imgx.Plane, qps []int, mbw int) {
+	w, h := recon.W, recon.H
+	// Vertical edges (filtering horizontally across columns).
+	for x := blockSize; x < w; x += blockSize {
+		for y := 0; y < h; y++ {
+			qp := oracleEdgeQP(qps, mbw, x, y, x-1, y)
+			oracleFilterEdge(recon, x, y, 1, 0, qp)
+		}
+	}
+	// Horizontal edges (filtering vertically across rows).
+	for y := blockSize; y < h; y += blockSize {
+		for x := 0; x < w; x++ {
+			qp := oracleEdgeQP(qps, mbw, x, y, x, y-1)
+			oracleFilterEdge(recon, x, y, 0, 1, qp)
+		}
+	}
+}
+
+// oracleEdgeQP returns the average QP of the macroblocks containing the two
+// pixels adjacent to an edge.
+func oracleEdgeQP(qps []int, mbw int, x0, y0, x1, y1 int) int {
+	q0 := qps[(y0/MBSize)*mbw+x0/MBSize]
+	q1 := qps[(y1/MBSize)*mbw+x1/MBSize]
+	return (q0 + q1 + 1) / 2
+}
+
+// oracleFilterEdge conditionally smooths the four pixels straddling the edge at
+// (x, y): p1 p0 | q0 q1 along direction (dx, dy), where q0 is at (x, y).
+func oracleFilterEdge(recon *imgx.Plane, x, y, dx, dy, qp int) {
+	alpha := deblockAlpha(qp)
+	beta := deblockBeta(qp)
+	q0 := int(recon.At(x, y))
+	p0 := int(recon.At(x-dx, y-dy))
+	diff := q0 - p0
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff == 0 || diff >= alpha {
+		return // flat already, or a real edge
+	}
+	p1 := int(recon.At(x-2*dx, y-2*dy))
+	q1 := int(recon.At(x+dx, y+dy))
+	if absInt(p1-p0) >= beta || absInt(q1-q0) >= beta {
+		return // too much structure next to the edge
+	}
+	// 4-tap smoothing of the two boundary pixels (H.263-style strength).
+	d := ((q0-p0)*3 + (p1 - q1)) / 8
+	c := beta
+	if d > c {
+		d = c
+	}
+	if d < -c {
+		d = -c
+	}
+	recon.Set(x-dx, y-dy, clampPix(float64(p0+d)))
+	recon.Set(x, y, clampPix(float64(q0-d)))
+}
+
+// oracleIdct8 inverts fdct8Fixed: fixed-point coefficients in, integer
+// residuals out.
+func oracleIdct8(src, dst *[blockSize * blockSize]int32) {
+	var tmp [blockSize * blockSize]int32
+	for x := 0; x < blockSize; x++ {
+		oracleIdctPass(src[:], tmp[:], 1, 1, x, blockSize, idctRnd1, idctShift1)
+	}
+	for y := 0; y < blockSize; y++ {
+		oracleIdctPass(tmp[:], dst[:], 1, 1, y*blockSize, 1, idctRnd2, idctShift2)
+	}
+}
+
+// oracleIdctPass is the inverse counterpart of fdctPass (transposed butterfly,
+// int64 accumulators).
+func oracleIdctPass(in, out []int32, stride, nb, base, step int, rnd int64, shift uint) {
+	x0 := in[(base+0*step)*stride:][:nb]
+	x1 := in[(base+1*step)*stride:][:nb]
+	x2 := in[(base+2*step)*stride:][:nb]
+	x3 := in[(base+3*step)*stride:][:nb]
+	x4 := in[(base+4*step)*stride:][:nb]
+	x5 := in[(base+5*step)*stride:][:nb]
+	x6 := in[(base+6*step)*stride:][:nb]
+	x7 := in[(base+7*step)*stride:][:nb]
+	o0 := out[(base+0*step)*stride:][:nb]
+	o1 := out[(base+1*step)*stride:][:nb]
+	o2 := out[(base+2*step)*stride:][:nb]
+	o3 := out[(base+3*step)*stride:][:nb]
+	o4 := out[(base+4*step)*stride:][:nb]
+	o5 := out[(base+5*step)*stride:][:nb]
+	o6 := out[(base+6*step)*stride:][:nb]
+	o7 := out[(base+7*step)*stride:][:nb]
+	c1, c2, c3, c4 := int64(fixC1), int64(fixC2), int64(fixC3), int64(fixC4)
+	c5, c6, c7 := int64(fixC5), int64(fixC6), int64(fixC7)
+	for b := 0; b < nb; b++ {
+		v0, v2, v4, v6 := int64(x0[b]), int64(x2[b]), int64(x4[b]), int64(x6[b])
+		v1, v3, v5, v7 := int64(x1[b]), int64(x3[b]), int64(x5[b]), int64(x7[b])
+		a0, a4 := c4*(v0+v4), c4*(v0-v4)
+		t2, t6 := c2*v2+c6*v6, c6*v2-c2*v6
+		e0, e1, e2, e3 := a0+t2, a4+t6, a4-t6, a0-t2
+		q0 := c1*v1 + c3*v3 + c5*v5 + c7*v7
+		q1 := c3*v1 - c7*v3 - c1*v5 - c5*v7
+		q2 := c5*v1 - c1*v3 + c7*v5 + c3*v7
+		q3 := c7*v1 - c5*v3 + c3*v5 - c1*v7
+		o0[b] = int32((e0 + q0 + rnd) >> shift)
+		o1[b] = int32((e1 + q1 + rnd) >> shift)
+		o2[b] = int32((e2 + q2 + rnd) >> shift)
+		o3[b] = int32((e3 + q3 + rnd) >> shift)
+		o4[b] = int32((e3 - q3 + rnd) >> shift)
+		o5[b] = int32((e2 - q2 + rnd) >> shift)
+		o6[b] = int32((e1 - q1 + rnd) >> shift)
+		o7[b] = int32((e0 - q0 + rnd) >> shift)
+	}
+}

@@ -1,0 +1,168 @@
+package codec
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"dive/internal/imgx"
+)
+
+// Randomized equality tests holding the shared reconstruction kernels to the
+// per-pixel oracles in oracle_test.go.
+
+// blockyPlane builds content whose 8×8 block boundaries carry small steps
+// over a gentle texture, so the deblocking filter's every branch fires.
+func blockyPlane(rng *rand.Rand, w, h int) *imgx.Plane {
+	p := imgx.NewPlane(w, h)
+	step := make([]int, (w/8)*(h/8))
+	for i := range step {
+		step[i] = rng.Intn(48) - 24
+	}
+	base := 40 + rng.Intn(160)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := base + step[(y/8)*(w/8)+x/8] + rng.Intn(7) - 3
+			p.Pix[y*w+x] = clampPixI(int32(v))
+		}
+	}
+	return p
+}
+
+func TestDeblockMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 200; trial++ {
+		w, h := MBSize*(1+rng.Intn(5)), MBSize*(1+rng.Intn(4))
+		got := blockyPlane(rng, w, h)
+		if trial%5 == 0 {
+			got = randPlane(rng, w, h) // mostly real edges: the early-outs
+		}
+		want := got.Clone()
+		qps := make([]int, (w/MBSize)*(h/MBSize))
+		flat := rng.Intn(52)
+		for i := range qps {
+			qps[i] = flat
+			if trial%2 == 0 {
+				qps[i] = rng.Intn(52) // neighbours average across MB edges
+			}
+		}
+		deblockFrame(got, qps, w/MBSize)
+		oracleDeblockFrame(want, qps, w/MBSize)
+		if !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("trial %d (%dx%d): deblockFrame differs from the per-pixel oracle", trial, w, h)
+		}
+	}
+}
+
+// randMV draws a vector of one of three kinds around macroblock (px, py):
+// inside the frame, straddling a border, or far outside it.
+func randMV(rng *rand.Rand, ref *imgx.Plane, px, py, scale int) MV {
+	switch rng.Intn(3) {
+	case 0:
+		return MV{int16(rng.Intn(9) - 4), int16(rng.Intn(9) - 4)}
+	case 1:
+		// Land the block's origin within a macroblock of some border.
+		tx := []int{-rng.Intn(MBSize + 1), ref.W - MBSize + rng.Intn(MBSize+1)}[rng.Intn(2)]
+		ty := []int{-rng.Intn(MBSize + 1), ref.H - MBSize + rng.Intn(MBSize+1)}[rng.Intn(2)]
+		return MV{int16((tx-px)*scale + rng.Intn(scale)), int16((ty-py)*scale + rng.Intn(scale))}
+	default:
+		return MV{int16(rng.Intn(1<<16) - 1<<15), int16(rng.Intn(1<<16) - 1<<15)}
+	}
+}
+
+func TestPredictBlockMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	ref := randPlane(rng, 80, 64)
+	for trial := 0; trial < 3000; trial++ {
+		subpel := trial%2 == 0
+		scale := 1
+		if subpel {
+			scale = 2
+		}
+		px, py := MBSize*rng.Intn(ref.W/MBSize), MBSize*rng.Intn(ref.H/MBSize)
+		mv := randMV(rng, ref, px, py, scale)
+		got, want := imgx.NewPlane(ref.W, ref.H), imgx.NewPlane(ref.W, ref.H)
+		predictBlock(got.Pix[py*got.W+px:], got.W, ref, px, py, MBSize, MBSize, mv, subpel)
+		oracleMotionCompensate(want, ref, px, py, mv, subpel)
+		if !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("trial %d: MB (%d,%d) mv %v subpel=%v: predictBlock differs from the per-pixel oracle", trial, px, py, mv, subpel)
+		}
+	}
+}
+
+// randLevels fills one block with n nonzero levels (n = 64: dense) and
+// returns the nonzero count.
+func randLevels(rng *rand.Rand, levels *[blockSize * blockSize]int32, n, amp int) int {
+	*levels = [blockSize * blockSize]int32{}
+	for k := 0; k < n; k++ {
+		pos := rng.Intn(64)
+		if n < 8 && rng.Intn(2) == 0 {
+			pos = zigzag8[rng.Intn(10)] // low frequencies, as quantized blocks are
+		}
+		levels[pos] = int32(rng.Intn(2*amp+1) - amp)
+	}
+	nz := 0
+	for _, l := range levels {
+		if l != 0 {
+			nz++
+		}
+	}
+	return nz
+}
+
+func TestIdctMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	for trial := 0; trial < 5000; trial++ {
+		var coef, got, want [blockSize * blockSize]int32
+		n := []int{0, 1, 2, 5, 20, 64}[rng.Intn(6)]
+		amp := []int{3, 300, 40000, 1 << 30}[rng.Intn(4)] // up to hostile magnitudes
+		randLevels(rng, &coef, n, amp)
+		idct8Fixed(&coef, &got)
+		oracleIdct8(&coef, &want)
+		if got != want {
+			t.Fatalf("trial %d (%d coefficients, amplitude %d): sparse IDCT differs from the full one", trial, n, amp)
+		}
+	}
+}
+
+// TestReconstructInterMBMatchesOracle replays the reconstruction loop the
+// encoder and the decoder each used to carry (dequantize, full IDCT,
+// per-pixel clamped sample + residual, clamped store) against the shared
+// kernel, over QP 0–51, empty to dense blocks and all three vector kinds.
+func TestReconstructInterMBMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	ref := randPlane(rng, 64, 48)
+	for trial := 0; trial < 2000; trial++ {
+		subpel := trial%2 == 0
+		scale := 1
+		if subpel {
+			scale = 2
+		}
+		qp := trial % 52
+		px, py := MBSize*rng.Intn(ref.W/MBSize), MBSize*rng.Intn(ref.H/MBSize)
+		mv := randMV(rng, ref, px, py, scale)
+		var levels [4 * blockSize * blockSize]int32
+		var nz [4]uint8
+		for blk := range nz {
+			n := []int{0, 0, 1, 3, 12, 64}[rng.Intn(6)]
+			nz[blk] = uint8(randLevels(rng, (*[blockSize * blockSize]int32)(levels[blk*64:]), n, 1+rng.Intn(60)))
+		}
+		got, want := imgx.NewPlane(ref.W, ref.H), imgx.NewPlane(ref.W, ref.H)
+		reconstructInterMB(got, ref, px, py, mv, subpel, levels[:], nz[:], qp)
+		var dct, res [blockSize * blockSize]int32
+		for blk := 0; blk < 4; blk++ {
+			bx, by := blk%2*blockSize, blk/2*blockSize
+			dequantizeBlockFixed((*[blockSize * blockSize]int32)(levels[blk*64:]), qp, &dct)
+			oracleIdct8(&dct, &res)
+			for y := 0; y < blockSize; y++ {
+				for x := 0; x < blockSize; x++ {
+					cx, cy := px+bx+x, py+by+y
+					want.Set(cx, cy, clampPixI(refSampleI(ref, cx, cy, mv, subpel)+res[y*blockSize+x]))
+				}
+			}
+		}
+		if !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("trial %d: MB (%d,%d) mv %v subpel=%v qp %d nz %v: shared kernel differs from the per-pixel loop", trial, px, py, mv, subpel, qp, nz)
+		}
+	}
+}

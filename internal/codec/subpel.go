@@ -93,26 +93,6 @@ func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, w, h, earlyExit
 	return sum
 }
 
-// compensateHalf copies the half-pel displaced reference block into dst.
-// (px, py) is the macroblock origin in pixels and mv a half-pel vector.
-func compensateHalf(dst, ref *imgx.Plane, px, py int, mv MV) {
-	hbx := px*2 + int(mv.X)
-	hby := py*2 + int(mv.Y)
-	for y := 0; y < MBSize; y++ {
-		ty := py + y
-		if ty < 0 || ty >= dst.H {
-			continue
-		}
-		for x := 0; x < MBSize; x++ {
-			tx := px + x
-			if tx < 0 || tx >= dst.W {
-				continue
-			}
-			dst.Pix[ty*dst.W+tx] = sampleHalf(ref, hbx+2*x, hby+2*y)
-		}
-	}
-}
-
 // halfPelMargin is the minimum SAD improvement a half-pel candidate must
 // deliver over the integer-pel incumbent. Bilinear interpolation low-passes
 // the reference, which on noise-dominated content lowers SAD by roughly

@@ -225,15 +225,16 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	return job, nil
 }
 
-// quantizePass is the phase-one counterpart of encodePass(final=true): it
-// makes the identical mode decisions and produces the identical
-// reconstruction and per-MB QPs, but records quantized levels (and intra
-// modes) into the job instead of entropy-coding them, counting the exact
-// bits each write would produce. It fills job.qps and returns the total bit
-// count, which EmitBitstream later verifies against the real writer. The
-// recon plane comes recycled from the plane pool: every pixel is written in
-// raster order before any read (skip/inter compensation and causal intra
-// prediction both are), so stale content is never observed.
+// quantizePass is the phase-one counterpart of the historical single-pass
+// encodePass(final=true) (now a test oracle): it makes the identical mode
+// decisions and produces the identical reconstruction and per-MB QPs, but
+// records quantized levels (and intra modes) into the job instead of
+// entropy-coding them, counting the exact bits each write would produce. It
+// fills job.qps and returns the total bit count, which EmitBitstream later
+// verifies against the real writer. The recon plane comes recycled from the
+// plane pool: every pixel is written in raster order before any read
+// (skip/inter compensation and causal intra prediction both are), so stale
+// content is never observed.
 func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache interCache, baseQP int, offsets []int, job *FrameJob) int {
 	recon := e.recons.Get()
 	job.recon = recon
@@ -274,7 +275,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 				job.modes[i] = ModeSkip
 				bits += ueBits(uint32(ModeSkip))
 				codedMVs[i] = pred
-				motionCompensate(recon, e.ref, px, py, pred, e.cfg.SubPel)
+				predictBlock(recon.Pix[py*recon.W+px:], recon.W, e.ref, px, py, MBSize, MBSize, pred, e.cfg.SubPel)
 				continue
 			}
 			job.modes[i] = ModeInter
@@ -296,6 +297,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 	if e.cfg.Deblock {
 		deblockFrame(recon, qps, e.mbw)
 	}
+	recon.Bump()
 	return bits
 }
 
@@ -304,28 +306,14 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 // counts), reconstructs it, and returns the exact bit cost of
 // entropy-coding the levels.
 func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, ref, recon *imgx.Plane, px, py int, mv MV, qp int, subpel bool, out []int32, nzOut []uint8) int {
-	var dct, res [blockSize * blockSize]int32
 	bits := 0
-	blk := 0
-	for by := 0; by < MBSize; by += blockSize {
-		for bx := 0; bx < MBSize; bx += blockSize {
-			off := blk * blockSize * blockSize
-			levels := (*[blockSize * blockSize]int32)(out[off : off+blockSize*blockSize])
-			nz := quantizeBlockFixed(&dctBlocks[blk], qp, levels)
-			nzOut[blk] = uint8(nz)
-			bits += coeffsBits(levels, nz)
-			blk++
-			dequantizeBlockFixed(levels, qp, &dct)
-			idct8Fixed(&dct, &res)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					cx, cy := px+bx+x, py+by+y
-					v := refSampleI(ref, cx, cy, mv, subpel) + res[y*blockSize+x]
-					recon.Set(cx, cy, clampPixI(v))
-				}
-			}
-		}
+	for blk := 0; blk < 4; blk++ {
+		levels := (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:])
+		nz := quantizeBlockFixed(&dctBlocks[blk], qp, levels)
+		nzOut[blk] = uint8(nz)
+		bits += coeffsBits(levels, nz)
 	}
+	reconstructInterMB(recon, ref, px, py, mv, subpel, out, nzOut, qp)
 	return bits
 }
 
@@ -333,7 +321,8 @@ func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, ref, recon *imgx.
 // quantization into out/modesOut/nzOut, reconstructs it, and returns the
 // exact bit cost of the per-block mode symbols and levels.
 func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, modesOut, nzOut []uint8) int {
-	var pred, res, dct [blockSize * blockSize]int32
+	var pred [blockSize * blockSize]uint8
+	var res, dct [blockSize * blockSize]int32
 	bits := 0
 	blk := 0
 	for by := 0; by < MBSize; by += blockSize {
@@ -343,24 +332,18 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, mo
 			bits += ueBits(uint32(mode))
 			intraPredict(recon, px+bx, py+by, mode, &pred)
 			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					res[y*blockSize+x] = int32(cur.At(px+bx+x, py+by+y)) - pred[y*blockSize+x]
+				row := cur.Pix[(py+by+y)*cur.W+px+bx:][:blockSize]
+				for x, v := range row {
+					res[y*blockSize+x] = int32(v) - int32(pred[y*blockSize+x])
 				}
 			}
 			fdct8Fixed(&res, &dct)
-			off := blk * blockSize * blockSize
-			levels := (*[blockSize * blockSize]int32)(out[off : off+blockSize*blockSize])
+			levels := (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:])
 			nz := quantizeBlockFixed(&dct, qp, levels)
 			nzOut[blk] = uint8(nz)
 			bits += coeffsBits(levels, nz)
 			blk++
-			dequantizeBlockFixed(levels, qp, &dct)
-			idct8Fixed(&dct, &res)
-			for y := 0; y < blockSize; y++ {
-				for x := 0; x < blockSize; x++ {
-					recon.Set(px+bx+x, py+by+y, clampPixI(pred[y*blockSize+x]+res[y*blockSize+x]))
-				}
-			}
+			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, levels, nz, qp)
 		}
 	}
 	return bits

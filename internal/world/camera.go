@@ -26,29 +26,30 @@ type Camera struct {
 	minZ   float64 // near plane
 	rot    geom.Mat3
 	rotInv geom.Mat3
-	dirty  bool
 }
 
 // NewCamera creates a camera with the given focal length and image size.
 func NewCamera(f float64, w, h int) *Camera {
-	c := &Camera{F: f, W: w, H: h, minZ: 0.5, dirty: true}
+	c := &Camera{F: f, W: w, H: h, minZ: 0.5}
 	c.refresh()
 	return c
 }
 
-// SetPose positions and orients the camera.
+// SetPose positions and orients the camera. It is the only way to change
+// the orientation: the rotation matrices are rebuilt here, eagerly, so the
+// read-only methods below are safe to call from the renderer's concurrent
+// scanline bands (a lazy rebuild on first use raced between bands).
 func (c *Camera) SetPose(pos geom.Vec3, yaw, pitch float64) {
 	c.Pos = pos
 	c.Yaw = yaw
 	c.Pitch = pitch
-	c.dirty = true
+	c.refresh()
 }
 
 func (c *Camera) refresh() {
 	// Camera-to-world rotation: yaw about y, then pitch about camera x.
 	c.rot = geom.RotY(c.Yaw).Mul(geom.RotX(c.Pitch))
 	c.rotInv = c.rot.Transpose()
-	c.dirty = false
 }
 
 // Cx returns the principal point x coordinate.
@@ -59,17 +60,11 @@ func (c *Camera) Cy() float64 { return float64(c.H) / 2 }
 
 // ToCamera transforms a world point into the camera frame.
 func (c *Camera) ToCamera(p geom.Vec3) geom.Vec3 {
-	if c.dirty {
-		c.refresh()
-	}
 	return c.rotInv.Apply(p.Sub(c.Pos))
 }
 
 // ToWorldDir rotates a camera-frame direction into the world frame.
 func (c *Camera) ToWorldDir(d geom.Vec3) geom.Vec3 {
-	if c.dirty {
-		c.refresh()
-	}
 	return c.rot.Apply(d)
 }
 

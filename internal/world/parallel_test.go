@@ -2,6 +2,9 @@ package world
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -101,5 +104,50 @@ func BenchmarkRenderParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rdr.Render(cam, 0, int64(i))
+	}
+}
+
+// TestRenderBandsShareCameraRaceFree is the regression test for the Camera
+// data race: the pose changes before every frame and the banded passes then
+// read the camera from several goroutines at once. Camera used to rebuild
+// its rotation lazily on first use, i.e. inside the bands; `go test -race`
+// flags that, and passes now that SetPose rebuilds eagerly.
+func TestRenderBandsShareCameraRaceFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := KITTILike()
+	traj := p.Trajectory(rng)
+	scene := buildScene(p, traj, rng)
+	cam := NewCamera(p.focal(), p.W, p.H)
+	rdr := NewRenderer(scene)
+	rdr.Workers = 4
+	for i := 0; i < 6; i++ {
+		pose := traj.At(float64(i) / p.FPS)
+		cam.SetPose(pose.Pos, pose.Yaw, pose.Pitch)
+		rdr.Render(cam, float64(i)/p.FPS, int64(i))
+	}
+}
+
+// TestClipPixelsUnchanged pins rendered clips to the hashes the commit
+// before the Camera fix produced (eager and lazy refresh compute the same
+// matrices, so no pixel or ground-truth box may move): the benchmark's
+// kbit_frame and map depend on these clips bit for bit.
+func TestClipPixelsUnchanged(t *testing.T) {
+	want := map[string]string{
+		"nuScenes": "5fac80a188daf1c29a963d88",
+		"RobotCar": "07c1c1a4218a2b9a58d52234",
+		"KITTI":    "879394cc835b303547a57cdb",
+	}
+	for _, p := range []Profile{NuScenesLike(), RobotCarLike(), KITTILike()} {
+		p.ClipDuration = 1
+		clip := GenerateClip(p, 77)
+		h := sha256.New()
+		for i, f := range clip.Frames {
+			h.Write(f.Pix)
+			fmt.Fprintf(h, "%v", clip.GT[i])
+		}
+		got := hex.EncodeToString(h.Sum(nil)[:12])
+		if got != want[p.Name] {
+			t.Errorf("%s: clip hash %s, want %s", p.Name, got, want[p.Name])
+		}
 	}
 }
