@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-obs bench-compare bench-smoke bench-baseline bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke clean
+.PHONY: all build test race vet bench bench-obs bench-compare bench-smoke bench-baseline bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
 
 all: build vet test
 
@@ -131,6 +131,13 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMsgReader -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzRedirectMsg -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run 'xxx' ./internal/codec/
+
+# Non-test, non-generated Go lines per package and for the whole repo (the
+# benchmark module included): the number ROADMAP's simplicity items aim at.
+LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs grep -L '^// Code generated' | xargs cat | wc -l
+loc:
+	@for d in internal/* cmd/*; do printf '%-24s %6d\n' $$d $$($(call LOC,$$d)); done
+	@printf '%-24s %6d\n' total $$($(call LOC,.))
 
 clean:
 	$(GO) clean ./...

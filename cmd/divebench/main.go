@@ -28,10 +28,8 @@
 // -runtime.
 //
 // Experiment ids: t1 (Table I), f6, f7, f9, f10, f11, f12, f13, f14,
-// f16, f17, abl, abl2, night, parity. By default every experiment except
-// parity runs at the default scale; parity (the fixed-point-vs-float
-// transform gate, which doubles the end-to-end sweep) runs only when
-// explicitly selected with -only parity.
+// f16, f17, abl, abl2, night. By default every experiment runs at the
+// default scale.
 //
 // -json also writes a machine-readable results file: per-profile bitrate,
 // AP and latency quantiles from the end-to-end experiments (f16/f17),
@@ -88,7 +86,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("divebench", flag.ContinueOnError)
 	scaleName := fs.String("scale", "default", "experiment scale: smoke, default or full")
 	seed := fs.Int64("seed", experiments.BaseSeed, "base random seed")
-	only := fs.String("only", "", "comma-separated experiment ids (t1,f6,f7,f9,f10,f11,f12,f13,f14,f16,f17,abl,abl2,night,parity)")
+	only := fs.String("only", "", "comma-separated experiment ids (t1,f6,f7,f9,f10,f11,f12,f13,f14,f16,f17,abl,abl2,night)")
 	jsonPath := fs.String("json", "bench_results.json", "write machine-readable results here (empty disables)")
 	telemetry := fs.Bool("telemetry", false, "record pipeline telemetry and print periodic one-line summaries to stderr")
 	workers := fs.Int("workers", 0, "experiment fan-out and encoder pool width (0 = GOMAXPROCS, 1 = serial); tables are identical at any width")
@@ -243,14 +241,6 @@ func run(args []string) error {
 			}
 			return experiments.RenderNight(rows), nil
 		}},
-		{"parity", func() (*experiments.Table, error) {
-			r, err := experiments.TransformParity(scale, *seed)
-			if err != nil {
-				return nil, err
-			}
-			results.Parity = &r
-			return experiments.RenderParity(r), nil
-		}},
 		{"f17", func() (*experiments.Table, error) {
 			rows, err := experiments.Fig17EndToEndNuScenes(scale, *seed)
 			if err != nil {
@@ -264,10 +254,6 @@ func run(args []string) error {
 	fmt.Printf("divebench: scale=%s seed=%d\n\n", scale, *seed)
 	for _, e := range exps {
 		if !selected(e.id) {
-			continue
-		}
-		// parity doubles the end-to-end sweep; it only runs when asked for.
-		if e.id == "parity" && !want["parity"] {
 			continue
 		}
 		t0 := time.Now()
@@ -389,11 +375,7 @@ type benchResults struct {
 	// MultiStream is the -streams packing ladder: aggregate frames/sec/core
 	// and GC co-tenancy at 1/4/16/64 concurrent pooled encoders.
 	MultiStream *experiments.MultiStreamResult `json:"multistream,omitempty"`
-	// Parity is the fixed-point-vs-float64 transform gate (-only parity):
-	// end-to-end AP and bitrate deltas between the production kernels and
-	// Config.RefTransform.
-	Parity    *experiments.ParityResult `json:"transform_parity,omitempty"`
-	Telemetry *obs.Snapshot             `json:"telemetry,omitempty"`
+	Telemetry   *obs.Snapshot                  `json:"telemetry,omitempty"`
 	// Runtime captures the Go runtime at the end of the run — live heap,
 	// GC pause p99, goroutine count — sampled via runtime/metrics.
 	Runtime *obs.RuntimeStats `json:"runtime,omitempty"`

@@ -5,18 +5,16 @@ import "dive/internal/imgx"
 // Rate-control trial passes. A trial only needs the frame's exact bit count
 // at a candidate base QP — never its bytes — and every symbol length is
 // known arithmetically (ueBits/seBits/coeffsBits mirror the writers
-// exactly), so countPass quantizes into stack scratch and sums lengths
-// without touching a BitWriter. This is the allocation-free replacement for
-// the historical encodePass(final=false) trial: same mode decisions, same
-// bit counts (the NumBits cross-check in EmitBitstream and the
-// legacy-vs-two-phase tests pin the arithmetic to the writers).
+// exactly), so a trial is quantizePass run without a job: the same walk as
+// the final pass, quantizing into one macroblock of scratch and summing
+// lengths without touching a BitWriter.
 
 // trialScratch is one trial pass's working set. The per-MB coded-MV array
-// feeds the emit-side MV predictor replay; the recon plane exists only for
-// intra trials (intra prediction is causal in the reconstruction) and is
-// lazily allocated on the first intra trial that uses this scratch. Scratch
-// is recycled through Encoder.trials because speculative probes run one
-// trial per worker concurrently.
+// feeds the MV predictor; the recon plane exists only for intra trials
+// (intra prediction is causal in the reconstruction) and is allocated by the
+// first intra trial that uses this scratch. Scratch is recycled through
+// Encoder.trials because speculative probes run one trial per worker
+// concurrently.
 type trialScratch struct {
 	mvs   []MV
 	recon *imgx.Plane
@@ -27,79 +25,17 @@ type trialScratch struct {
 	nz     [4]uint8
 }
 
-// getTrial returns recycled or fresh trial scratch.
-func (e *Encoder) getTrial() *trialScratch {
-	if t := e.trials.Get(); t != nil {
-		return t
-	}
-	return &trialScratch{mvs: make([]MV, e.mbw*e.mbh)}
-}
-
-// putTrial releases trial scratch for reuse.
-func (e *Encoder) putTrial(t *trialScratch) { e.trials.Put(t) }
-
 // countPass returns the exact number of bits a final encode of frame at
-// baseQP would emit. It makes the identical per-MB mode and quantization
-// decisions as quantizePass but produces no bitstream, no QP array and (for
-// P-frames) no reconstruction. Safe to run concurrently with itself: all
-// mutable state lives in the per-call trial scratch.
-func (e *Encoder) countPass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache interCache, baseQP int, offsets []int) int {
-	t := e.getTrial()
-	defer e.putTrial(t)
-
-	bits := ueBits(uint32(ftype)) + ueBits(uint32(baseQP)) +
-		ueBits(uint32(e.mbw)) + ueBits(uint32(e.mbh)) + 2 // subpel + deblock flags
-
-	var recon *imgx.Plane
-	if ftype == IFrame {
-		// Intra reconstruction is written causally in raster order before it
-		// is read, so a recycled plane's stale content is never observed.
-		if t.recon == nil {
-			t.recon = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
-		}
-		recon = t.recon
+// baseQP would emit: quantizePass as a trial, on scratch recycled through
+// Encoder.trials. Safe to run concurrently with itself: all mutable state
+// lives in the per-call trial scratch.
+func (e *Encoder) countPass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int) int {
+	t := e.trials.Get()
+	if t == nil {
+		t = &trialScratch{mvs: make([]MV, e.mbw*e.mbh)}
 	}
-	codedMVs := t.mvs
-	for by := 0; by < e.mbh; by++ {
-		for bx := 0; bx < e.mbw; bx++ {
-			i := by*e.mbw + bx
-			qp := baseQP
-			if offsets != nil {
-				qp = clampQP(baseQP + offsets[i])
-			}
-			px, py := bx*MBSize, by*MBSize
-
-			if ftype == IFrame {
-				bits += ueBits(uint32(ModeIntra)) + seBits(int32(qp-baseQP))
-				if e.cfg.RefTransform {
-					bits += refQuantizeIntraMB(frame, recon, px, py, qp, t.levels[:], t.imodes[:], t.nz[:])
-				} else {
-					bits += quantizeIntraMB(frame, recon, px, py, qp, t.levels[:], t.imodes[:], t.nz[:])
-				}
-				continue
-			}
-
-			mode := mf.Modes[i]
-			mv := mf.MVs[i]
-			pred := predictMV(codedMVs, e.mbw, bx, by)
-			if mode == ModeSkip && mv == pred {
-				bits += ueBits(uint32(ModeSkip))
-				codedMVs[i] = pred
-				continue
-			}
-			bits += ueBits(uint32(ModeInter)) +
-				seBits(int32(mv.X)-int32(pred.X)) +
-				seBits(int32(mv.Y)-int32(pred.Y)) +
-				seBits(int32(qp-baseQP))
-			codedMVs[i] = mv
-			if e.cfg.RefTransform {
-				bits += refCountInterMB(dctCache.refMB(i), qp)
-			} else {
-				bits += countInterMB(dctCache.fixMB(i), qp)
-			}
-		}
-	}
-	return bits
+	defer e.trials.Put(t)
+	return e.quantizePass(frame, ftype, mf, dctCache, baseQP, offsets, nil, t)
 }
 
 // countInterMB returns the exact entropy-coded length of one inter

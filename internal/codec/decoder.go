@@ -176,12 +176,6 @@ func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) 
 				mvs[i] = mv
 				qp := clampQP(int(baseQP) + int(dqp))
 				qps[i] = qp
-				if d.cfg.RefTransform {
-					if err := refDecodeInterMB(r, d.ref, recon, px, py, mv, qp, subpel); err != nil {
-						return nil, err
-					}
-					break
-				}
 				for blk := range nz {
 					off := blk * blockSize * blockSize
 					n, err := readCoeffs(r, (*[blockSize * blockSize]int32)(levels[off:]))
@@ -200,12 +194,7 @@ func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) 
 				}
 				qp := clampQP(int(baseQP) + int(dqp))
 				qps[i] = qp
-				if d.cfg.RefTransform {
-					err = refDecodeIntraMB(r, recon, px, py, qp)
-				} else {
-					err = decodeIntraMB(r, recon, px, py, qp)
-				}
-				if err != nil {
+				if err := decodeIntraMB(r, recon, px, py, qp); err != nil {
 					return nil, err
 				}
 			default:
@@ -224,11 +213,6 @@ func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) 
 	return &d.frame, nil
 }
 
-// errBadIntraMode is shared by the fixed and reference intra decoders.
-func errBadIntraMode(m uint32) error {
-	return fmt.Errorf("%w: bad intra mode %d", ErrBitstream, m)
-}
-
 // decodeIntraMB reads per-block prediction modes and coefficients and
 // reconstructs one intra MB, mirroring quantizeIntraMB.
 func decodeIntraMB(r *BitReader, recon *imgx.Plane, px, py int, qp int) error {
@@ -241,7 +225,7 @@ func decodeIntraMB(r *BitReader, recon *imgx.Plane, px, py int, qp int) error {
 				return err
 			}
 			if m >= numIntraModes {
-				return errBadIntraMode(m)
+				return fmt.Errorf("%w: bad intra mode %d", ErrBitstream, m)
 			}
 			nz, err := readCoeffs(r, &levels)
 			if err != nil {

@@ -72,12 +72,6 @@ type Config struct {
 	// across encodes (tests, offline collectors) would observe overwrites.
 	// The emitted bits are byte-identical either way.
 	ReuseFrames bool
-	// RefTransform selects the float64 reference transform/quantize/intra
-	// kernels (dct_ref.go) instead of the fixed-point production kernels,
-	// reproducing the pre-fixed-point bitstreams exactly. Encoder and
-	// decoder must agree on it. It exists for the transform-parity
-	// experiment and the cross-check tests; production leaves it off.
-	RefTransform bool
 }
 
 // DefaultConfig returns sensible defaults for a frame size.
@@ -218,11 +212,8 @@ type Encoder struct {
 	mfBuf  [2]*MotionField
 	mfNext int
 	// dctScratch is the recycled backing array of the per-frame inter-DCT
-	// cache (QP-independent, rebuilt each P-frame, never escapes Encode):
-	// fixed-point coefficients on the production path. refDctScratch is its
-	// float64 twin, allocated lazily and only in RefTransform mode.
-	dctScratch    [][blockSize * blockSize]int32
-	refDctScratch [][blockSize * blockSize]float64
+	// cache (QP-independent, rebuilt each P-frame, never escapes Encode).
+	dctScratch [][blockSize * blockSize]int32
 	// batches recycles the structure-of-arrays row-batch transform scratch;
 	// sized to the pool width because buildInterDCTCache shards macroblock
 	// rows across the pool.
@@ -461,24 +452,25 @@ func (e *Encoder) Encode(frame *imgx.Plane, opts EncodeOptions) (*EncodedFrame, 
 }
 
 // prefetchRCProbes speculatively executes rate-control trial passes for the
-// top levels of the bisection tree over [0, 51], as many levels as fit the
-// pool width (1 + 2 + 4 + ... probes). It returns per-QP bit counts (-1 for
-// QPs not probed) and the number of passes executed. A serial pool probes
-// nothing — the bisection loop then runs exactly the pre-existing serial
-// sequence of passes.
-func (e *Encoder) prefetchRCProbes(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache interCache, offsets []int) (memo [52]int, probes int) {
+// top levels of the bisection tree over [minQP, 51] — the interval the
+// caller's bisection starts from — as many levels as fit the pool width
+// (1 + 2 + 4 + ... probes). It returns per-QP bit counts (-1 for QPs not
+// probed) and the number of passes executed. A serial pool probes nothing —
+// the bisection loop then runs exactly the serial sequence of passes — and
+// neither does a floor of 51, which leaves nothing to bisect.
+func (e *Encoder) prefetchRCProbes(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, offsets []int) (memo [52]int, probes int) {
 	for i := range memo {
 		memo[i] = -1
 	}
 	nw := e.pool.Workers()
-	if nw <= 1 {
+	if nw <= 1 || minQP >= 51 {
 		return memo, 0
 	}
 	// Enumerate the QPs the bisection may probe, level by level: interval
 	// (lo, hi) probes mid and continues with (lo, mid) or (mid+1, hi).
 	// Intervals on one level are disjoint, so the midpoints are distinct.
 	type iv struct{ lo, hi int }
-	level := []iv{{0, 51}}
+	level := []iv{{minQP, 51}}
 	var qps []int
 	for len(level) > 0 && len(qps)+len(level) <= nw {
 		var next []iv
@@ -517,20 +509,6 @@ func refSampleI(ref *imgx.Plane, cx, cy int, mv MV, subpel bool) int32 {
 	return int32(ref.At(cx+int(mv.X), cy+int(mv.Y)))
 }
 
-// interCache is the per-frame inter-residual transform cache built by
-// buildInterDCTCache: fixed-point coefficients on the production path,
-// float64 coefficients in RefTransform mode. Exactly one slice is non-nil.
-type interCache struct {
-	fix [][blockSize * blockSize]int32
-	ref [][blockSize * blockSize]float64
-}
-
-// fixMB returns macroblock i's 4 fixed-point coefficient blocks.
-func (c interCache) fixMB(i int) [][blockSize * blockSize]int32 { return c.fix[i*4 : i*4+4] }
-
-// refMB returns macroblock i's 4 float coefficient blocks.
-func (c interCache) refMB(i int) [][blockSize * blockSize]float64 { return c.ref[i*4 : i*4+4] }
-
 // buildInterDCTCache computes the forward DCT of every inter macroblock's
 // motion-compensated residual (4 blocks per MB, in raster order). The cache
 // is QP-independent and shared by all passes. Macroblock rows are
@@ -538,24 +516,15 @@ func (c interCache) refMB(i int) [][blockSize * blockSize]float64 { return c.ref
 // transform runs as one structure-of-arrays batch (dctRow). The backing
 // array is recycled across frames without zeroing: non-inter slots are
 // never read (only ModeInter macroblocks index into the cache).
-func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) interCache {
+func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) [][blockSize * blockSize]int32 {
 	n := e.mbw * e.mbh * 4
-	var cache interCache
-	if e.cfg.RefTransform {
-		if cap(e.refDctScratch) < n {
-			e.refDctScratch = make([][blockSize * blockSize]float64, n)
-		}
-		cache.ref = e.refDctScratch[:n]
-	} else {
-		if cap(e.dctScratch) < n {
-			e.dctScratch = make([][blockSize * blockSize]int32, n)
-		}
-		cache.fix = e.dctScratch[:n]
+	if cap(e.dctScratch) < n {
+		e.dctScratch = make([][blockSize * blockSize]int32, n)
 	}
 	e.dctFrame, e.dctMF = frame, mf
 	e.pool.ForEach(e.mbh, e.dctFn)
 	e.dctFrame, e.dctMF = nil, nil
-	return cache
+	return e.dctScratch[:n]
 }
 
 // dctRow is the buildInterDCTCache region body for macroblock row by,
@@ -567,10 +536,6 @@ func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) interCa
 // to per-block transforms at any worker count or row composition.
 func (e *Encoder) dctRow(by int) {
 	frame, mf := e.dctFrame, e.dctMF
-	if e.cfg.RefTransform {
-		e.refDctRow(frame, mf, by)
-		return
-	}
 	b := e.getBatch()
 	n := b.lanes
 	var pred [MBSize * MBSize]uint8
@@ -610,33 +575,6 @@ func (e *Encoder) dctRow(by int) {
 		}
 	}
 	e.batches.Put(b)
-}
-
-// refDctRow is dctRow's RefTransform twin: per-block float DCT into the
-// float cache, exactly the pre-fixed-point arithmetic.
-func (e *Encoder) refDctRow(frame *imgx.Plane, mf *MotionField, by int) {
-	var res [blockSize * blockSize]float64
-	for bx := 0; bx < e.mbw; bx++ {
-		i := by*e.mbw + bx
-		if mf.Modes[i] != ModeInter {
-			continue
-		}
-		px, py := bx*MBSize, by*MBSize
-		mv := mf.MVs[i]
-		blk := 0
-		for oy := 0; oy < MBSize; oy += blockSize {
-			for ox := 0; ox < MBSize; ox += blockSize {
-				for y := 0; y < blockSize; y++ {
-					for x := 0; x < blockSize; x++ {
-						cx, cy := px+ox+x, py+oy+y
-						res[y*blockSize+x] = float64(frame.At(cx, cy)) - refSample(e.ref, cx, cy, mv, e.cfg.SubPel)
-					}
-				}
-				refFdct8(&res, &e.refDctScratch[i*4+blk])
-				blk++
-			}
-		}
-	}
 }
 
 // Intra prediction modes, a simplified version of H.264's directional

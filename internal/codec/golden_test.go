@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"testing"
 
 	"dive/internal/imgx"
+	"dive/internal/obs"
 )
 
 // Decoder golden corpus. testdata/decoder_golden.json holds one hash per
@@ -98,8 +100,10 @@ func goldenChainHash(t *testing.T, cfg Config, scripted bool) string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-func TestDecoderGolden(t *testing.T) {
-	got := map[string]string{}
+// forEachGoldenConfig calls fn for each of the 40 golden configurations: 5 ME
+// methods × subpel × deblock × flat/scripted QP offsets, keyed as in the
+// golden file.
+func forEachGoldenConfig(fn func(key string, cfg Config, scripted bool)) {
 	for _, m := range AllMEMethods() {
 		for _, subpel := range []bool{false, true} {
 			for _, deblock := range []bool{false, true} {
@@ -107,12 +111,18 @@ func TestDecoderGolden(t *testing.T) {
 					cfg := DefaultConfig(96, 80)
 					cfg.Method, cfg.SubPel, cfg.Deblock = m, subpel, deblock
 					cfg.GoPSize = 48
-					key := fmt.Sprintf("%s/subpel=%v/deblock=%v/scripted=%v", m, subpel, deblock, scripted)
-					got[key] = goldenChainHash(t, cfg, scripted)
+					fn(fmt.Sprintf("%s/subpel=%v/deblock=%v/scripted=%v", m, subpel, deblock, scripted), cfg, scripted)
 				}
 			}
 		}
 	}
+}
+
+func TestDecoderGolden(t *testing.T) {
+	got := map[string]string{}
+	forEachGoldenConfig(func(key string, cfg Config, scripted bool) {
+		got[key] = goldenChainHash(t, cfg, scripted)
+	})
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -144,12 +154,73 @@ func TestDecoderGolden(t *testing.T) {
 	}
 }
 
+// TestTrialEqualsFinal holds the rate-control trial to the final pass by
+// property, over the golden chain configs: on every rate-controlled frame the
+// bisection's trial at the chosen QP counted exactly the bits the final pass
+// emitted, the chosen QP respects the floor, and it is the lowest that fits —
+// the trial one QP below, when the bisection probed it, overshot the budget.
+// The chain's budgets are cut to an eighth so they bind at this frame size,
+// and its forced I-frame is rate-controlled too, so intra trials (which
+// reconstruct into trial scratch) are covered as well as inter ones.
+func TestTrialEqualsFinal(t *testing.T) {
+	forEachGoldenConfig(func(name string, cfg Config, scripted bool) {
+		cfg.Obs = obs.NewRecorder(16)
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mbw, mbh := enc.MBDims()
+		base := texturedFrame(cfg.Width, cfg.Height, 31)
+		for i := 0; i < 9; i++ {
+			opts := chainOpts(i, mbw*mbh, scripted)
+			opts.TargetBits /= 8
+			if opts.ForceIFrame {
+				opts.TargetBits = 20_000
+			}
+			opts.MinQP = (i * 5) % 23
+			ef, err := enc.Encode(chainFrame(base, i), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ef.BaseQP < opts.MinQP {
+				t.Errorf("%s frame %d: base QP %d under the floor %d", name, i, ef.BaseQP, opts.MinQP)
+			}
+			if opts.TargetBits == 0 {
+				continue
+			}
+			atQP := false
+			for _, tr := range ef.RCTrials {
+				switch tr.QP {
+				case ef.BaseQP:
+					atQP = true
+					if tr.Bits != ef.NumBits {
+						t.Errorf("%s frame %d: trial at QP %d counted %d bits, final pass emitted %d",
+							name, i, tr.QP, tr.Bits, ef.NumBits)
+					}
+				case ef.BaseQP - 1:
+					if tr.Bits <= opts.TargetBits {
+						t.Errorf("%s frame %d: QP %d already fit the budget (%d ≤ %d) but QP %d was chosen",
+							name, i, tr.QP, tr.Bits, opts.TargetBits, ef.BaseQP)
+					}
+				}
+			}
+			// The bisection never probes 51: it is what remains when every
+			// lower QP overshot.
+			if !atQP && ef.BaseQP != 51 {
+				t.Errorf("%s frame %d: no trial at the chosen QP %d: %+v", name, i, ef.BaseQP, ef.RCTrials)
+			}
+		}
+	})
+}
+
 // TestDecoderMatchesEncoderOverLongChains is the structural-drift pin: over
 // 100-frame chains the decoder's picture equals Encoder.Reconstructed() byte
-// for byte whenever the QP map is flat or the loop filter is off. (Per-MB
-// offsets with deblocking on drift by design of the current bitstream — a
-// skipped MB's offset is not signalled — and are pinned by the golden file.)
+// for byte whenever the QP map is flat or the loop filter is off, under
+// random per-frame MinQP floors. (Per-MB offsets with deblocking on drift by
+// design of the current bitstream — a skipped MB's offset is not signalled —
+// and are pinned by the golden file.)
 func TestDecoderMatchesEncoderOverLongChains(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
 	for _, m := range AllMEMethods() {
 		for _, tc := range []struct {
 			name              string
@@ -173,9 +244,14 @@ func TestDecoderMatchesEncoderOverLongChains(t *testing.T) {
 			mbw, mbh := enc.MBDims()
 			base := texturedFrame(cfg.Width, cfg.Height, 5)
 			for i := 0; i < 100; i++ {
-				ef, err := enc.Encode(chainFrame(base, i), chainOpts(i, mbw*mbh, tc.scripted))
+				opts := chainOpts(i, mbw*mbh, tc.scripted)
+				opts.MinQP = rng.Intn(41)
+				ef, err := enc.Encode(chainFrame(base, i), opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if ef.BaseQP < opts.MinQP {
+					t.Fatalf("%s/%s frame %d: base QP %d under the floor %d", m, tc.name, i, ef.BaseQP, opts.MinQP)
 				}
 				df, err := dec.Decode(ef.Data)
 				if err != nil {

@@ -27,11 +27,11 @@ type passResult struct {
 // macroblocks still reconstruct, because intra prediction is causal in the
 // reconstruction).
 //
-// Production no longer calls this: phase one quantizes via quantizePass and
-// rate-control trials count bits via countPass. It survives as the
-// single-pass reference implementation the equivalence tests compare
-// against (legacyEncode), so the pooled paths stay pinned to it.
-func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache interCache, baseQP int, offsets []int, final bool) *passResult {
+// Production never calls this: quantizePass is both the final pass and (via
+// countPass) the trial. It survives as the single-pass, writer-driven
+// reference implementation the equivalence tests compare against
+// (legacyEncode), so the pooled paths stay pinned to it.
+func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, final bool) *passResult {
 	w := &BitWriter{}
 	// A P-frame trial pass never reconstructs (skip MBs compensate only
 	// when final, inter MBs only quantize and count bits), so it needs no
@@ -73,11 +73,7 @@ func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField
 			if ftype == IFrame {
 				w.WriteUE(uint32(ModeIntra))
 				w.WriteSE(int32(qp - baseQP))
-				if e.cfg.RefTransform {
-					refEncodeIntraMB(w, frame, recon, px, py, qp)
-				} else {
-					encodeIntraMB(w, frame, recon, px, py, qp)
-				}
+				encodeIntraMB(w, frame, recon, px, py, qp)
 				continue
 			}
 
@@ -97,11 +93,7 @@ func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField
 			w.WriteSE(int32(mv.Y) - int32(pred.Y))
 			w.WriteSE(int32(qp - baseQP))
 			codedMVs[i] = mv
-			if e.cfg.RefTransform {
-				refEncodeInterMB(w, dctCache.refMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
-			} else {
-				encodeInterMB(w, dctCache.fixMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
-			}
+			encodeInterMB(w, dctCache[i*4:i*4+4], e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
 		}
 	}
 	if final && e.cfg.Deblock {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dive/internal/imgx"
+	"dive/internal/obs"
 )
 
 // encodeScript encodes a fixed, varied frame sequence — an I-frame, plain
@@ -74,6 +75,45 @@ func TestParallelBitstreamBitExact(t *testing.T) {
 						m, subpel, i, len(got[i]), len(want[i]))
 				}
 			}
+		}
+	}
+}
+
+// TestSpeculativeProbesHonorMinQP pins the prefetcher to the tree the
+// bisection actually walks, [MinQP, 51]: with a QP floor (every
+// degradation-ladder rung sets one) the first probe the bisection consults
+// must come from the speculative memo, and the chosen QP and bitstream must
+// be the serial encoder's.
+func TestSpeculativeProbesHonorMinQP(t *testing.T) {
+	f0 := texturedFrame(96, 80, 7)
+	frames := []*imgx.Plane{f0, shiftFrame(f0, 3, 1)} // rate-controlled I, then P
+	opts := EncodeOptions{TargetBits: 3_200, MinQP: 30}
+	encode := func(workers int) []*EncodedFrame {
+		cfg := DefaultConfig(96, 80)
+		cfg.Workers = workers
+		cfg.Obs = obs.NewRecorder(64)
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*EncodedFrame
+		for i, f := range frames {
+			ef, err := enc.Encode(f, opts)
+			if err != nil {
+				t.Fatalf("workers=%d frame %d: %v", workers, i, err)
+			}
+			out = append(out, ef)
+		}
+		return out
+	}
+	serial, par := encode(1), encode(4)
+	for i := range frames {
+		if len(par[i].RCTrials) == 0 || !par[i].RCTrials[0].Speculative {
+			t.Errorf("frame %d: first bisection probe was not served speculatively: %+v", i, par[i].RCTrials)
+		}
+		if par[i].BaseQP != serial[i].BaseQP || !bytes.Equal(par[i].Data, serial[i].Data) {
+			t.Errorf("frame %d: parallel encode (QP %d, %d bytes) differs from serial (QP %d, %d bytes)",
+				i, par[i].BaseQP, len(par[i].Data), serial[i].BaseQP, len(serial[i].Data))
 		}
 	}
 }

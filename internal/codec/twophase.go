@@ -74,6 +74,13 @@ func (j *FrameJob) block(i, blk int) *[blockSize * blockSize]int32 {
 	return (*[blockSize * blockSize]int32)(j.levels[off : off+blockSize*blockSize])
 }
 
+// mb returns macroblock i's slots: 4 × 64 levels, 4 intra modes and 4
+// nonzero counts.
+func (j *FrameJob) mb(i int) (levels []int32, imodes, nz []uint8) {
+	const n = 4 * blockSize * blockSize
+	return j.levels[i*n : (i+1)*n], j.intraModes[i*4 : i*4+4], j.nz[i*4 : i*4+4]
+}
+
 // jobFreeCap bounds the encoder's job free list; a pipeline keeps at most a
 // few frames in flight, and overflow jobs are simply garbage-collected.
 const jobFreeCap = 4
@@ -145,7 +152,7 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	if ftype == IFrame && opts.IFrameBudgetScale > 1 && opts.TargetBits > 0 {
 		opts.TargetBits = int(float64(opts.TargetBits) * opts.IFrameBudgetScale)
 	}
-	var dctCache interCache
+	var dctCache [][blockSize * blockSize]int32
 	if ftype == PFrame {
 		dctTimer := e.cfg.Obs.StartStage(obs.StageCodecDCT)
 		dctCache = e.buildInterDCTCache(frame, mf)
@@ -155,13 +162,12 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	entropyTimer := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
 	var rcTrace []obs.QPTrial
 	if opts.TargetBits > 0 {
-		// Bisect the base QP over cheap trial passes exactly as before the
-		// split (see Encode's original rate-control comment): trials are
-		// entropy-only and the speculative prefetcher seeds the memo.
-		memo, trials := e.prefetchRCProbes(frame, ftype, mf, dctCache, opts.QPOffsets)
+		// Bisect the base QP over trial passes (countPass); the speculative
+		// prefetcher seeds the memo with the top of the bisection tree.
 		// MinQP floors the bisection: degradation ladders use it to keep a
 		// struggling link from being handed finely-quantized frames it
 		// cannot carry.
+		memo, trials := e.prefetchRCProbes(frame, ftype, mf, dctCache, minQP, opts.QPOffsets)
 		lo, hi := minQP, 51
 		for lo < hi {
 			mid := (lo + hi) / 2
@@ -185,7 +191,7 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	}
 	job := e.getJob()
 	job.enc = e
-	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job)
+	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job, nil)
 	entropyTimer.Stop()
 
 	// Advance the reference with a one-frame release lag: the retired plane
@@ -225,25 +231,51 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	return job, nil
 }
 
-// quantizePass is the phase-one counterpart of the historical single-pass
-// encodePass(final=true) (now a test oracle): it makes the identical mode
-// decisions and produces the identical reconstruction and per-MB QPs, but
-// records quantized levels (and intra modes) into the job instead of
-// entropy-coding them, counting the exact bits each write would produce. It
-// fills job.qps and returns the total bit count, which EmitBitstream later
-// verifies against the real writer. The recon plane comes recycled from the
-// plane pool: every pixel is written in raster order before any read
-// (skip/inter compensation and causal intra prediction both are), so stale
-// content is never observed.
-func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache interCache, baseQP int, offsets []int, job *FrameJob) int {
-	recon := e.recons.Get()
-	job.recon = recon
-	qps := job.qps
+// quantizePass is the encoder's one macroblock walk: header bits, per-MB QP,
+// the skip decision, MV prediction and every symbol length are stated here
+// and nowhere else, so a rate-control trial and the final pass cannot
+// disagree on them. It returns the exact number of bits EmitBitstream will
+// write for frame at baseQP. What differs is what becomes of a macroblock's
+// levels:
+//
+//   - final pass (job non-nil, t nil): levels, modes, coded MVs and per-MB
+//     QPs are stored in the job, every macroblock is reconstructed into a
+//     plane from the pool (installed as job.recon) and the loop filter runs.
+//     Every pixel of that plane is written in raster order before any read
+//     (skip/inter compensation and causal intra prediction both are), so the
+//     recycled plane's stale content is never observed.
+//   - trial (job nil, t non-nil): levels are quantized into one macroblock
+//     of scratch, counted and dropped. Inter macroblocks are not
+//     reconstructed; intra ones are, into t's plane, because intra
+//     prediction is causal in the reconstruction.
+//
+// A trial touches no encoder state outside t, so trials may run concurrently.
+func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob, t *trialScratch) int {
+	final := job != nil
+	var recon *imgx.Plane
+	var codedMVs []MV
+	// Where a macroblock's levels, intra modes and nonzero counts go: its
+	// slot in the job (picked per MB below), or the trial's one-MB scratch.
+	var levels []int32
+	var imodes, nz []uint8
+	if final {
+		recon = e.recons.Get()
+		job.recon = recon
+		codedMVs = job.mvs
+	} else {
+		codedMVs = t.mvs
+		levels, imodes, nz = t.levels[:], t.imodes[:], t.nz[:]
+		if ftype == IFrame {
+			if t.recon == nil {
+				t.recon = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
+			}
+			recon = t.recon
+		}
+	}
 
 	bits := ueBits(uint32(ftype)) + ueBits(uint32(baseQP)) +
 		ueBits(uint32(e.mbw)) + ueBits(uint32(e.mbh)) + 2 // subpel + deblock flags
 
-	codedMVs := job.mvs
 	for by := 0; by < e.mbh; by++ {
 		for bx := 0; bx < e.mbw; bx++ {
 			i := by*e.mbw + bx
@@ -251,20 +283,18 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			if offsets != nil {
 				qp = clampQP(baseQP + offsets[i])
 			}
-			qps[i] = qp
 			px, py := bx*MBSize, by*MBSize
+			if final {
+				job.qps[i] = qp
+				levels, imodes, nz = job.mb(i)
+			}
 
 			if ftype == IFrame {
-				job.modes[i] = ModeIntra
-				bits += ueBits(uint32(ModeIntra)) + seBits(int32(qp-baseQP))
-				mbLevels := job.levels[i*4*blockSize*blockSize : (i+1)*4*blockSize*blockSize]
-				if e.cfg.RefTransform {
-					bits += refQuantizeIntraMB(frame, recon, px, py, qp,
-						mbLevels, job.intraModes[i*4:i*4+4], job.nz[i*4:i*4+4])
-				} else {
-					bits += quantizeIntraMB(frame, recon, px, py, qp,
-						mbLevels, job.intraModes[i*4:i*4+4], job.nz[i*4:i*4+4])
+				if final {
+					job.modes[i] = ModeIntra
 				}
+				bits += ueBits(uint32(ModeIntra)) + seBits(int32(qp-baseQP)) +
+					quantizeIntraMB(frame, recon, px, py, qp, levels, imodes, nz)
 				continue
 			}
 
@@ -272,32 +302,33 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			mv := mf.MVs[i]
 			pred := predictMV(codedMVs, e.mbw, bx, by)
 			if mode == ModeSkip && mv == pred {
-				job.modes[i] = ModeSkip
 				bits += ueBits(uint32(ModeSkip))
 				codedMVs[i] = pred
-				predictBlock(recon.Pix[py*recon.W+px:], recon.W, e.ref, px, py, MBSize, MBSize, pred, e.cfg.SubPel)
+				if final {
+					job.modes[i] = ModeSkip
+					predictBlock(recon.Pix[py*recon.W+px:], recon.W, e.ref, px, py, MBSize, MBSize, pred, e.cfg.SubPel)
+				}
 				continue
 			}
-			job.modes[i] = ModeInter
 			bits += ueBits(uint32(ModeInter)) +
 				seBits(int32(mv.X)-int32(pred.X)) +
 				seBits(int32(mv.Y)-int32(pred.Y)) +
 				seBits(int32(qp-baseQP))
 			codedMVs[i] = mv
-			mbLevels := job.levels[i*4*blockSize*blockSize : (i+1)*4*blockSize*blockSize]
-			if e.cfg.RefTransform {
-				bits += refQuantizeInterMB(dctCache.refMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel,
-					mbLevels, job.nz[i*4:i*4+4])
+			if final {
+				job.modes[i] = ModeInter
+				bits += quantizeInterMB(dctCache[i*4:i*4+4], e.ref, recon, px, py, mv, qp, e.cfg.SubPel, levels, nz)
 			} else {
-				bits += quantizeInterMB(dctCache.fixMB(i), e.ref, recon, px, py, mv, qp, e.cfg.SubPel,
-					mbLevels, job.nz[i*4:i*4+4])
+				bits += countInterMB(dctCache[i*4:i*4+4], qp)
 			}
 		}
 	}
-	if e.cfg.Deblock {
-		deblockFrame(recon, qps, e.mbw)
+	if final {
+		if e.cfg.Deblock {
+			deblockFrame(recon, job.qps, e.mbw)
+		}
+		recon.Bump()
 	}
-	recon.Bump()
 	return bits
 }
 

@@ -24,13 +24,13 @@ func legacyEncode(t *testing.T, e *Encoder, frame *imgx.Plane, opts EncodeOption
 	if ftype == IFrame && opts.IFrameBudgetScale > 1 && opts.TargetBits > 0 {
 		opts.TargetBits = int(float64(opts.TargetBits) * opts.IFrameBudgetScale)
 	}
-	var dctCache interCache
+	var dctCache [][blockSize * blockSize]int32
 	if ftype == PFrame {
 		dctCache = e.buildInterDCTCache(frame, mf)
 	}
 	var result *passResult
 	if opts.TargetBits > 0 {
-		memo, _ := e.prefetchRCProbes(frame, ftype, mf, dctCache, opts.QPOffsets)
+		memo, _ := e.prefetchRCProbes(frame, ftype, mf, dctCache, 0, opts.QPOffsets)
 		lo, hi := 0, 51
 		for lo < hi {
 			mid := (lo + hi) / 2

@@ -76,31 +76,3 @@ func TestMultiStreamPacking(t *testing.T) {
 		t.Error("render missing title")
 	}
 }
-
-func TestTransformParity(t *testing.T) {
-	res, err := TransformParity(ScaleSmoke, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no parity rows")
-	}
-	// The codec-level fidelity gate: decoded PSNR of the two kernel paths
-	// must agree within 0.5 dB, and the rate-controlled bitrate within 2%
-	// at every bandwidth (the sim-level mAP is noisy at smoke scale, so it
-	// is reported but not gated here).
-	if d := res.FixedPSNR - res.RefPSNR; d < -0.5 || d > 0.5 {
-		t.Errorf("PSNR gap %.3f dB (fixed %.2f, ref %.2f)", d, res.FixedPSNR, res.RefPSNR)
-	}
-	if res.FixedPSNR < 30 {
-		t.Errorf("fixed PSNR %.2f dB implausibly low", res.FixedPSNR)
-	}
-	if res.MaxAbsBitrateRel > 0.02 {
-		t.Errorf("bitrate diverges %.2f%% from float reference", res.MaxAbsBitrateRel*100)
-	}
-	for _, row := range res.Rows {
-		if row.FixedMAP <= 0 || row.RefMAP <= 0 {
-			t.Errorf("bw %.0f: empty AP row %+v", row.Bandwidth, row)
-		}
-	}
-}
