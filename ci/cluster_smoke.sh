@@ -4,8 +4,8 @@
 # session migration → bounded re-detection gap). One drill, three gates:
 #
 #   1. The drill itself: three sessions spread round-robin over a 3-member
-#      cluster, the seed-chosen member killed once half the fleet's frames
-#      have streamed. Every session must finish (no session errors) and the
+#      cluster, the seed-chosen member killed once its session has
+#      streamed half its frames. Every session must finish (no session errors) and the
 #      report must show at least one forced migration.
 #   2. The gap bound: divedoctor grades each exported session journal and
 #      must find exactly one migration-gap finding fleet-wide, at warn

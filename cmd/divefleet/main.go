@@ -37,8 +37,8 @@
 // health-routed balancer: sessions are placed round-robin with the remaining
 // members as failover candidates, and the report gains per-server rollup rows
 // plus a migration summary. -kill-frac kills a seed-chosen member once the
-// fleet has streamed that fraction of its frames (-kill-after is the
-// wall-clock variant); the affected sessions must fail over with a bounded
+// sessions placed on it have streamed that fraction of their frames
+// (-kill-after is the wall-clock variant); the affected sessions must fail over with a bounded
 // re-detection gap. -journal-dir exports each session's decision journal as
 // JSONL for divedoctor grading.
 //
@@ -94,7 +94,7 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	live := fs.Bool("live", false, "run real edge clients/servers over loopback instead of the model")
 	cut := fs.Bool("cut", false, "with -live: route through the chaos proxy and sever all connections mid-run")
 	clusterN := fs.Int("cluster", 0, "with -live: run this many members behind the health-routed balancer")
-	killFrac := fs.Float64("kill-frac", 0, "with -cluster: kill a seeded member once this fraction of the fleet's frames streamed")
+	killFrac := fs.Float64("kill-frac", 0, "with -cluster: kill a seeded member once its sessions streamed this fraction of their frames")
 	killAfter := fs.Duration("kill-after", 0, "with -cluster: kill a seeded member after this wall-clock delay")
 	journalDir := fs.String("journal-dir", "", "with -live: export per-session decision journals (JSONL) to this directory")
 	if err := fs.Parse(args); err != nil {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -278,3 +279,38 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRCTrial measures one rate-control trial — a single countPass —
+// on a P-frame (every macroblock inter, fresh sensor noise as residual) and
+// on an I-frame, across the QP range the bisection visits: near-lossless,
+// the clear-link and tight-link operating points, and the dead-zone regime
+// where most inter blocks quantize to nothing. Trials run on recycled
+// scratch, so allocs/op is pinned at 0 in ci/alloc_baseline.json.
+func BenchmarkRCTrial(b *testing.B) {
+	cfg := DefaultConfig(320, 192)
+	cfg.Workers = 1
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
+		b.Fatal(err)
+	}
+	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
+	mf := enc.AnalyzeMotion(frame)
+	cache := enc.buildInterDCTCache(frame, mf)
+	for _, ft := range []FrameType{PFrame, IFrame} {
+		for _, qp := range []int{2, 12, 25, 40} {
+			b.Run(fmt.Sprintf("%v/qp%d", ft, qp), func(b *testing.B) {
+				enc.countPass(frame, ft, mf, cache, qp, nil) // warm the trial scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink = enc.countPass(frame, ft, mf, cache, qp, nil)
+				}
+			})
+		}
+	}
+}
+
+var benchSink int

@@ -1,5 +1,7 @@
 package codec
 
+import "math/bits"
+
 // blockSize is the transform block edge; a macroblock holds 2×2 transform
 // blocks.
 const blockSize = 8
@@ -78,27 +80,52 @@ func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, nz int) {
 }
 
 // coeffsBits is the exact length writeCoeffs(levels, nz) appends, computed
-// without a writer (the rate-control trials and phase one's arithmetic
-// NumBits both depend on it mirroring the writer bit for bit).
+// without a writer (phase one's arithmetic NumBits depends on it mirroring
+// the writer bit for bit). It reduces the block to the two quantities the
+// length depends on and prices them through blockBits, like the
+// rate-control trial's countBlock.
 func coeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
 	if nz == 0 {
 		return 1 // coded-block flag: empty
 	}
-	bits := 1
-	run := uint32(0)
-	for _, pos := range zigzag8 {
-		l := levels[pos]
-		if l == 0 {
-			run++
-			continue
-		}
-		bits += ueBits(run) + seBits(l)
-		run = 0
-		if nz--; nz == 0 {
-			break
-		}
+	var mask uint64
+	lenSum := 0
+	for k := range zigzag8 {
+		l := levels[zigzag8[k]&63]
+		s := l >> 31
+		a := uint32((l ^ s) - s)
+		lenSum += bits.Len32(a)
+		mask = mask>>1 | uint64((a|-a)>>31)<<63 // as in countBlock
 	}
-	return bits + ueBits(blockSize*blockSize)
+	return blockBits(mask, lenSum)
+}
+
+// eobBits is the end-of-block marker's length (13).
+var eobBits = ueBits(blockSize * blockSize)
+
+// blockBits is the exact length writeCoeffs appends for a block given its
+// significance mask (bit k set when the level at zigzag position k is
+// nonzero) and lenSum, the summed bit lengths of its level magnitudes.
+// Neither signs nor the levels themselves are needed:
+//
+//   - seBits(l) = 2·bitLen(|l|) + 1 whichever the sign, so the levels cost
+//     2·lenSum + nz;
+//   - ueBits(run) = 2·⌊log2(run+1)⌋ + 1, so the runs cost nz plus
+//     2·⌊log2(g+1)⌋ for every zero run g ahead of a coefficient — zero-length
+//     runs add nothing, and the loop below visits each zero run once by
+//     shifting it, then the coefficients behind it, out of the mask.
+func blockBits(mask uint64, lenSum int) int {
+	if mask == 0 {
+		return 1 // coded-block flag: empty
+	}
+	n := 1 + 2*bits.OnesCount64(mask) + 2*lenSum + eobBits
+	for m := mask; m != 0; {
+		g := bits.TrailingZeros64(m)
+		n += 2 * (bits.Len(uint(g)+1) - 1)
+		m >>= uint(g)
+		m >>= uint(bits.TrailingZeros64(^m))
+	}
+	return n
 }
 
 // readCoeffs decodes one block written by writeCoeffs and returns its

@@ -99,6 +99,21 @@ var quantRecip = func() [52]int64 {
 	return t
 }()
 
+// zeroBelow[qp] is the quantizer's dead zone: the smallest coefficient
+// magnitude whose level at qp is nonzero. quantizeBlockFixed maps a to
+// (a·recip + 2^(quantShift-1)) >> quantShift, which reaches 1 exactly when
+// a·recip ≥ 2^(quantShift-1), so the threshold is that bound divided by
+// the reciprocal, rounded up. A block whose largest magnitude is below it
+// quantizes to all zeros — the rate-control trials test that against an
+// upper bound on the maximum (see countInterMB) instead of quantizing.
+var zeroBelow = func() [52]uint32 {
+	var t [52]uint32
+	for qp, r := range quantRecip {
+		t[qp] = uint32((1<<(quantShift-1) + r - 1) / r)
+	}
+	return t
+}()
+
 // fdctPass runs one batched 1-D forward DCT pass over nb lanes in
 // structure-of-arrays layout: element j of the 8-point group sits at
 // in[(base+j*step)*stride + lane], lanes contiguous — the inner loop walks
@@ -173,14 +188,37 @@ func idctPass(in, out *[blockSize * blockSize]int32, base, step int, rnd int64, 
 }
 
 // fdct8Fixed computes the fixed-point forward 8×8 DCT of an integer
-// residual block: output coefficients carry coefBits fractional bits.
+// residual block: output coefficients carry coefBits fractional bits. Two
+// transposing row passes make the separable transform: the first leaves the
+// row-transformed block transposed, so the second — again along rows — runs
+// down the original columns and restores the orientation.
 func fdct8Fixed(src, dst *[blockSize * blockSize]int32) {
 	var tmp [blockSize * blockSize]int32
+	fdctRowsT(src, &tmp, fdctRnd1, fdctShift1)
+	fdctRowsT(&tmp, dst, fdctRnd2, fdctShift2)
+}
+
+// fdctRowsT applies fdctPass's butterfly to each row of in and stores row
+// y's coefficients down column y of out. It is the per-block form of the
+// kernel: fixed-size arrays instead of strided lanes, so one block costs two
+// calls rather than sixteen slice-windowed ones. The arithmetic is
+// fdctPass's, expression for expression (a property test holds them equal).
+func fdctRowsT(in, out *[blockSize * blockSize]int32, rnd int32, shift uint) {
 	for y := 0; y < blockSize; y++ {
-		fdctPass(src[:], tmp[:], 1, 1, y*blockSize, 1, fdctRnd1, fdctShift1)
-	}
-	for x := 0; x < blockSize; x++ {
-		fdctPass(tmp[:], dst[:], 1, 1, x, blockSize, fdctRnd2, fdctShift2)
+		r := (*[blockSize]int32)(in[y*blockSize:])
+		s0, s1, s2, s3 := r[0]+r[7], r[1]+r[6], r[2]+r[5], r[3]+r[4]
+		d0, d1, d2, d3 := r[0]-r[7], r[1]-r[6], r[2]-r[5], r[3]-r[4]
+		e0, e1 := s0+s3, s1+s2
+		e2, e3 := s0-s3, s1-s2
+		o := out[y : y+7*blockSize+1]
+		o[0*blockSize] = (fixC4*(e0+e1) + rnd) >> shift
+		o[4*blockSize] = (fixC4*(e0-e1) + rnd) >> shift
+		o[2*blockSize] = (fixC2*e2 + fixC6*e3 + rnd) >> shift
+		o[6*blockSize] = (fixC6*e2 - fixC2*e3 + rnd) >> shift
+		o[1*blockSize] = (fixC1*d0 + fixC3*d1 + fixC5*d2 + fixC7*d3 + rnd) >> shift
+		o[3*blockSize] = (fixC3*d0 - fixC7*d1 - fixC1*d2 - fixC5*d3 + rnd) >> shift
+		o[5*blockSize] = (fixC5*d0 - fixC1*d1 + fixC7*d2 + fixC3*d3 + rnd) >> shift
+		o[7*blockSize] = (fixC7*d0 - fixC5*d1 + fixC3*d2 - fixC1*d3 + rnd) >> shift
 	}
 }
 

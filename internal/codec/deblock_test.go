@@ -215,7 +215,8 @@ func TestChooseIntraModePicksDirections(t *testing.T) {
 			cur.Set(x, y, uint8(100+x*4))
 		}
 	}
-	if m := chooseIntraMode(cur, recon, 8, 8); m != intraModeVertical {
+	var pred [blockSize * blockSize]uint8
+	if m := chooseIntra(cur, recon, 8, 8, &pred); m != intraModeVertical {
 		t.Errorf("mode = %d, want vertical", m)
 	}
 	// Content continuing the left column picks horizontal.
@@ -229,7 +230,7 @@ func TestChooseIntraModePicksDirections(t *testing.T) {
 			cur2.Set(x, y, uint8(60+y*5))
 		}
 	}
-	if m := chooseIntraMode(cur2, recon2, 8, 8); m != intraModeHorizontal {
+	if m := chooseIntra(cur2, recon2, 8, 8, &pred); m != intraModeHorizontal {
 		t.Errorf("mode = %d, want horizontal", m)
 	}
 }

@@ -214,6 +214,11 @@ type Encoder struct {
 	// dctScratch is the recycled backing array of the per-frame inter-DCT
 	// cache (QP-independent, rebuilt each P-frame, never escapes Encode).
 	dctScratch [][blockSize * blockSize]int32
+	// dctOr[k] is the OR of cached block k's coefficient magnitudes, written
+	// with the block by dctRow: an upper bound on its largest magnitude that
+	// lets a rate-control trial price a block inside the quantizer's dead
+	// zone without reading it (countInterMB).
+	dctOr []uint32
 	// batches recycles the structure-of-arrays row-batch transform scratch;
 	// sized to the pool width because buildInterDCTCache shards macroblock
 	// rows across the pool.
@@ -515,11 +520,13 @@ func refSampleI(ref *imgx.Plane, cx, cy int, mv MV, subpel bool) int32 {
 // independent, so they are sharded across the pool; within a row the
 // transform runs as one structure-of-arrays batch (dctRow). The backing
 // array is recycled across frames without zeroing: non-inter slots are
-// never read (only ModeInter macroblocks index into the cache).
+// never read (only ModeInter macroblocks index into the cache). Each block's
+// magnitude bound lands in e.dctOr alongside it.
 func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) [][blockSize * blockSize]int32 {
 	n := e.mbw * e.mbh * 4
 	if cap(e.dctScratch) < n {
 		e.dctScratch = make([][blockSize * blockSize]int32, n)
+		e.dctOr = make([]uint32, n)
 	}
 	e.dctFrame, e.dctMF = frame, mf
 	e.pool.ForEach(e.mbh, e.dctFn)
@@ -531,7 +538,8 @@ func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) [][bloc
 // reading its inputs from the encoder's dctFrame/dctMF fields (see
 // searchFn). It gathers every inter MB's motion-compensated residual into
 // the row batch's structure-of-arrays lanes, transforms all lanes at once
-// and scatters the coefficients into the cache. Each block's result is a
+// and scatters the coefficients into the cache, OR-ing each block's
+// magnitudes into dctOr on the way out. Each block's result is a
 // pure function of its own residual, so the batched output is bit-identical
 // to per-block transforms at any worker count or row composition.
 func (e *Encoder) dctRow(by int) {
@@ -567,11 +575,16 @@ func (e *Encoder) dctRow(by int) {
 	}
 	if nb > 0 {
 		b.forward(nb)
-		for c := 0; c < blockSize*blockSize; c++ {
-			row := b.soa[c*n:]
-			for lane := 0; lane < nb; lane++ {
-				e.dctScratch[b.slot[lane]][c] = row[lane]
+		for lane := 0; lane < nb; lane++ {
+			dst := &e.dctScratch[b.slot[lane]]
+			or := int32(0)
+			for c := range dst {
+				v := b.soa[c*n+lane]
+				dst[c] = v
+				s := v >> 31
+				or |= (v ^ s) - s
 			}
+			e.dctOr[b.slot[lane]] = uint32(or)
 		}
 	}
 	e.batches.Put(b)
@@ -589,82 +602,97 @@ const (
 	numIntraModes
 )
 
-// intraPredict fills pred with the prediction for the 8×8 block at
-// (px, py) under the given mode, reading reconstructed causal neighbors.
-// Modes that lack their neighbor degrade to DC. Integer throughout — the DC
-// mean rounds to nearest (the float reference kept the fraction; one of the
-// documented output changes of the fixed-point switch).
-func intraPredict(recon *imgx.Plane, px, py, mode int, pred *[blockSize * blockSize]uint8) {
-	switch {
-	case mode == intraModeVertical && py > 0:
-		for x := 0; x < blockSize; x++ {
-			v := recon.At(px+x, py-1)
-			for y := 0; y < blockSize; y++ {
-				pred[y*blockSize+x] = v
-			}
+// intraEdge is the causal neighbourhood of one 8×8 block: the
+// reconstructed row above and column to the left, read once from Pix (both
+// lie inside the frame whenever they exist), and the DC predictor they
+// imply — their rounded mean, mid-gray at the frame corner. Encoder and
+// decoder predict every intra block from it, in raster order, so the
+// prediction is causal on both sides.
+type intraEdge struct {
+	top, left       [blockSize]uint8
+	hasTop, hasLeft bool
+	dc              uint8
+}
+
+func loadIntraEdge(recon *imgx.Plane, px, py int) intraEdge {
+	e := intraEdge{hasTop: py > 0, hasLeft: px > 0, dc: 128}
+	sum := 0
+	if e.hasTop {
+		copy(e.top[:], recon.Pix[(py-1)*recon.W+px:])
+		for _, v := range e.top {
+			sum += int(v)
 		}
-	case mode == intraModeHorizontal && px > 0:
+	}
+	if e.hasLeft {
+		for y := range e.left {
+			v := recon.Pix[(py+y)*recon.W+px-1]
+			e.left[y] = v
+			sum += int(v)
+		}
+	}
+	switch {
+	case e.hasTop && e.hasLeft:
+		e.dc = uint8((sum + blockSize) / (2 * blockSize))
+	case e.hasTop || e.hasLeft:
+		e.dc = uint8((sum + blockSize/2) / blockSize)
+	}
+	return e
+}
+
+// predict fills pred under mode. Modes that lack their neighbor degrade to
+// DC.
+func (e *intraEdge) predict(mode int, pred *[blockSize * blockSize]uint8) {
+	switch {
+	case mode == intraModeVertical && e.hasTop:
 		for y := 0; y < blockSize; y++ {
-			v := recon.At(px-1, py+y)
-			for x := 0; x < blockSize; x++ {
-				pred[y*blockSize+x] = v
+			copy(pred[y*blockSize:], e.top[:])
+		}
+	case mode == intraModeHorizontal && e.hasLeft:
+		for y, v := range e.left {
+			row := pred[y*blockSize:][:blockSize]
+			for x := range row {
+				row[x] = v
 			}
 		}
 	default:
-		dc := uint8(intraDC(recon, px, py))
 		for i := range pred {
-			pred[i] = dc
+			pred[i] = e.dc
 		}
 	}
 }
 
-// chooseIntraMode returns the mode with the smallest absolute prediction
-// residual for the block at (px, py).
-func chooseIntraMode(cur, recon *imgx.Plane, px, py int) int {
-	bestMode, bestSAD := intraModeDC, 1<<30
-	var pred [blockSize * blockSize]uint8
-	for mode := 0; mode < numIntraModes; mode++ {
-		intraPredict(recon, px, py, mode, &pred)
-		sad := 0
-		for y := 0; y < blockSize && sad < bestSAD; y++ {
-			for x := 0; x < blockSize; x++ {
-				d := int(cur.At(px+x, py+y)) - int(pred[y*blockSize+x])
-				if d < 0 {
-					d = -d
-				}
-				sad += d
-			}
-		}
-		if sad < bestSAD {
-			bestSAD = sad
-			bestMode = mode
-		}
-	}
-	return bestMode
+// intraPredict fills pred with the prediction for the 8×8 block at
+// (px, py) under the given mode — the decoder's entry point.
+func intraPredict(recon *imgx.Plane, px, py, mode int, pred *[blockSize * blockSize]uint8) {
+	e := loadIntraEdge(recon, px, py)
+	e.predict(mode, pred)
 }
 
-// intraDC predicts a block's DC from the reconstructed pixels directly above
-// and to the left, falling back to mid-gray at frame borders. Both encoder
-// and decoder reconstruct in raster order, so the prediction is causal. The
-// mean rounds to the nearest integer.
-func intraDC(recon *imgx.Plane, px, py int) int32 {
-	sum, n := 0, 0
-	if py > 0 {
-		for x := 0; x < blockSize; x++ {
-			sum += int(recon.At(px+x, py-1))
-			n++
+// chooseIntra picks the mode with the smallest absolute prediction residual
+// for the block of cur at (px, py) — the first such mode on a tie, and never
+// a mode that would degrade to DC — and fills pred with its prediction. The
+// three modes are scored in one sweep over the block's rows.
+func chooseIntra(cur, recon *imgx.Plane, px, py int, pred *[blockSize * blockSize]uint8) int {
+	e := loadIntraEdge(recon, px, py)
+	dc := int(e.dc)
+	sadDC, sadV, sadH := 0, 0, 0
+	for y, l := range e.left {
+		row := cur.Pix[(py+y)*cur.W+px:][:blockSize]
+		for x, v := range row {
+			sadDC += absInt(int(v) - dc)
+			sadV += absInt(int(v) - int(e.top[x]))
+			sadH += absInt(int(v) - int(l))
 		}
 	}
-	if px > 0 {
-		for y := 0; y < blockSize; y++ {
-			sum += int(recon.At(px-1, py+y))
-			n++
-		}
+	mode, best := intraModeDC, sadDC
+	if e.hasTop && sadV < best {
+		mode, best = intraModeVertical, sadV
 	}
-	if n == 0 {
-		return 128
+	if e.hasLeft && sadH < best {
+		mode = intraModeHorizontal
 	}
-	return int32((sum + n/2) / n)
+	e.predict(mode, pred)
+	return mode
 }
 
 func clampPixI(v int32) uint8 {

@@ -2,8 +2,8 @@ package codec
 
 import "dive/internal/imgx"
 
-// Oracles: the kernels the decoder fast path replaced, verbatim from the
-// commit before it — the per-pixel clamped predictor (oracleMotionCompensate
+// Oracles: the kernels the decoder fast path and the counting rate-control
+// trial replaced, verbatim from the commit before each — the per-pixel clamped predictor (oracleMotionCompensate
 // and the refSampleI loops), the per-pixel column-major deblocking filter,
 // the IDCT that transforms every column, and the monolithic encodePass that
 // strings them together. Production reconstructs through predictBlock /
@@ -333,4 +333,91 @@ func oracleIdctPass(in, out []int32, stride, nb, base, step int, rnd int64, shif
 		o6[b] = int32((e1 - q1 + rnd) >> shift)
 		o7[b] = int32((e0 - q0 + rnd) >> shift)
 	}
+}
+
+// chooseIntraMode returns the mode with the smallest absolute prediction
+// residual for the block at (px, py): the per-pixel chooser production ran
+// before chooseIntra, scoring one clamped At() at a time through
+// oracleIntraPredict.
+func chooseIntraMode(cur, recon *imgx.Plane, px, py int) int {
+	bestMode, bestSAD := intraModeDC, 1<<30
+	var pred [blockSize * blockSize]int32
+	for mode := 0; mode < numIntraModes; mode++ {
+		oracleIntraPredict(recon, px, py, mode, &pred)
+		sad := 0
+		for y := 0; y < blockSize && sad < bestSAD; y++ {
+			for x := 0; x < blockSize; x++ {
+				d := int(cur.At(px+x, py+y)) - int(pred[y*blockSize+x])
+				if d < 0 {
+					d = -d
+				}
+				sad += d
+			}
+		}
+		if sad < bestSAD {
+			bestSAD = sad
+			bestMode = mode
+		}
+	}
+	return bestMode
+}
+
+// intraDC predicts a block's DC from the reconstructed pixels directly above
+// and to the left, falling back to mid-gray at frame borders. Both encoder
+// and decoder reconstruct in raster order, so the prediction is causal. The
+// mean rounds to the nearest integer.
+func intraDC(recon *imgx.Plane, px, py int) int32 {
+	sum, n := 0, 0
+	if py > 0 {
+		for x := 0; x < blockSize; x++ {
+			sum += int(recon.At(px+x, py-1))
+			n++
+		}
+	}
+	if px > 0 {
+		for y := 0; y < blockSize; y++ {
+			sum += int(recon.At(px-1, py+y))
+			n++
+		}
+	}
+	if n == 0 {
+		return 128
+	}
+	return int32((sum + n/2) / n)
+}
+
+// oracleCountInterMB is the rate-control trial's inter-macroblock counter
+// before countBlock: quantize all 64 levels of each block, then walk them.
+func oracleCountInterMB(dctBlocks [][blockSize * blockSize]int32, qp int) int {
+	var levels [blockSize * blockSize]int32
+	bits := 0
+	for blk := 0; blk < 4; blk++ {
+		nz := quantizeBlockFixed(&dctBlocks[blk], qp, &levels)
+		bits += oracleCoeffsBits(&levels, nz)
+	}
+	return bits
+}
+
+// oracleCoeffsBits is the symbol-by-symbol mirror of writeCoeffs that
+// coeffsBits was before blockBits: one ueBits(run) + seBits(level) per
+// coefficient, stopping at the last one.
+func oracleCoeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
+	if nz == 0 {
+		return 1 // coded-block flag: empty
+	}
+	bits := 1
+	run := uint32(0)
+	for _, pos := range zigzag8 {
+		l := levels[pos]
+		if l == 0 {
+			run++
+			continue
+		}
+		bits += ueBits(run) + seBits(l)
+		run = 0
+		if nz--; nz == 0 {
+			break
+		}
+	}
+	return bits + ueBits(blockSize*blockSize)
 }

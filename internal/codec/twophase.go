@@ -159,9 +159,9 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 		dctTimer.Stop()
 	}
 
-	entropyTimer := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
 	var rcTrace []obs.QPTrial
 	if opts.TargetBits > 0 {
+		rcTimer := e.cfg.Obs.StartStage(obs.StageCodecRC)
 		// Bisect the base QP over trial passes (countPass); the speculative
 		// prefetcher seeds the memo with the top of the bisection tree.
 		// MinQP floors the bisection: degradation ladders use it to keep a
@@ -188,7 +188,9 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 		}
 		e.cfg.Obs.Counter(obs.MetricRCTrials).Add(int64(trials))
 		baseQP = lo
+		rcTimer.Stop()
 	}
+	entropyTimer := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
 	job := e.getJob()
 	job.enc = e
 	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job, nil)
@@ -244,10 +246,11 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 //     Every pixel of that plane is written in raster order before any read
 //     (skip/inter compensation and causal intra prediction both are), so the
 //     recycled plane's stale content is never observed.
-//   - trial (job nil, t non-nil): levels are quantized into one macroblock
-//     of scratch, counted and dropped. Inter macroblocks are not
-//     reconstructed; intra ones are, into t's plane, because intra
-//     prediction is causal in the reconstruction.
+//   - trial (job nil, t non-nil): inter macroblocks are only counted
+//     (countInterMB: no level is stored, nothing is reconstructed); intra
+//     ones are quantized into one macroblock of scratch and reconstructed
+//     into t's plane, because intra prediction is causal in the
+//     reconstruction.
 //
 // A trial touches no encoder state outside t, so trials may run concurrently.
 func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob, t *trialScratch) int {
@@ -319,7 +322,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 				job.modes[i] = ModeInter
 				bits += quantizeInterMB(dctCache[i*4:i*4+4], e.ref, recon, px, py, mv, qp, e.cfg.SubPel, levels, nz)
 			} else {
-				bits += countInterMB(dctCache[i*4:i*4+4], qp)
+				bits += countInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp)
 			}
 		}
 	}
@@ -358,10 +361,9 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, mo
 	blk := 0
 	for by := 0; by < MBSize; by += blockSize {
 		for bx := 0; bx < MBSize; bx += blockSize {
-			mode := chooseIntraMode(cur, recon, px+bx, py+by)
+			mode := chooseIntra(cur, recon, px+bx, py+by, &pred)
 			modesOut[blk] = uint8(mode)
 			bits += ueBits(uint32(mode))
-			intraPredict(recon, px+bx, py+by, mode, &pred)
 			for y := 0; y < blockSize; y++ {
 				row := cur.Pix[(py+by+y)*cur.W+px+bx:][:blockSize]
 				for x, v := range row {

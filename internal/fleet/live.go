@@ -45,9 +45,10 @@ type LiveSpec struct {
 	// Servers and Proxy/Cut are ignored in cluster mode.
 	Cluster int
 	// KillAfter, with Cluster > 0, kills a seeded member that long into the
-	// run (wall clock). KillAtFrac instead kills it once the fleet has
-	// streamed that fraction of its total frames — the reliable way to land
-	// the kill mid-clip, since unpaced loopback sessions outrun wall time.
+	// run (wall clock). KillAtFrac instead kills it once the sessions placed
+	// on it have streamed that fraction of their frames (the whole fleet's,
+	// if it hosts none) — the reliable way to land the kill mid-clip, since
+	// unpaced loopback sessions outrun wall time and each other.
 	// KillAtFrac wins when both are set.
 	KillAfter  time.Duration
 	KillAtFrac float64
@@ -239,13 +240,27 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 
 	// The kill drill: a seeded member dies mid-run. The victim comes from
 	// the chaos scenario so the same seed always kills the same member;
-	// KillAtFrac triggers on fleet frame progress (unpaced loopback sessions
-	// outrun wall time, so a fraction is how "mid-clip" is actually hit).
+	// KillAtFrac triggers on frame progress (unpaced loopback sessions
+	// outrun wall time, so a fraction is how "mid-clip" is actually hit) —
+	// the progress of the sessions placed on the victim, because sessions
+	// advance at different rates and a fleet-wide count can pass the mark
+	// after the victim's own sessions have finished; fleet-wide only when
+	// the victim hosts none.
 	if cl != nil && (spec.KillAtFrac > 0 || spec.KillAfter > 0) {
 		victim := chaos.KillMember(spec.Seed, spec.Cluster, 1, 1, 0).Faults[0].Member
 		go func() {
 			if spec.KillAtFrac > 0 {
-				target := int(spec.KillAtFrac * float64(totalFrames))
+				// Session i starts on member i mod N (the rotated candidate
+				// lists above).
+				stride := len(addrs)
+				first, watchedFrames := victim, 0
+				if victim >= len(sessions) {
+					first, stride = 0, 1
+				}
+				for i := first; i < len(sessions); i += stride {
+					watchedFrames += sessions[i].clip.NumFrames()
+				}
+				target := int(spec.KillAtFrac * float64(watchedFrames))
 				for {
 					select {
 					case <-done:
@@ -253,11 +268,11 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 					case <-time.After(5 * time.Millisecond):
 					}
 					n := 0
-					for i := range sessions {
+					for i := first; i < len(sessions); i += stride {
 						n += len(sessions[i].rec.Journal().Snapshot())
 					}
 					if n >= target {
-						logf("fleet: killing member %d at %d/%d frames", victim, n, totalFrames)
+						logf("fleet: killing member %d at %d/%d of its sessions' frames", victim, n, watchedFrames)
 						cl.Kill(victim)
 						return
 					}

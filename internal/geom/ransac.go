@@ -45,8 +45,11 @@ func RANSAC(m RANSACModel, cfg RANSACConfig, rng *rand.Rand) (interface{}, []int
 	if n < cfg.MinSamples {
 		return nil, nil, errors.New("geom: not enough points for ransac")
 	}
-	best := -1
-	var bestInliers []int
+	// Two inlier buffers serve every hypothesis: one holds the best
+	// consensus set so far, the other collects the current hypothesis's, and
+	// they swap when the current one wins.
+	bestInliers := make([]int, 0, n)
+	inliers := make([]int, 0, n)
 	sample := make([]int, cfg.MinSamples)
 	for it := 0; it < cfg.Iterations; it++ {
 		drawSample(sample, n, rng)
@@ -54,18 +57,18 @@ func RANSAC(m RANSACModel, cfg RANSACConfig, rng *rand.Rand) (interface{}, []int
 		if err != nil {
 			continue
 		}
-		var inliers []int
+		inliers = inliers[:0]
 		for i := 0; i < n; i++ {
 			if m.Residual(i, params) <= cfg.InlierThreshold {
 				inliers = append(inliers, i)
 			}
 		}
-		if len(inliers) > best {
-			best = len(inliers)
-			bestInliers = inliers
+		if len(inliers) > len(bestInliers) {
+			bestInliers, inliers = inliers, bestInliers
 		}
 	}
-	if bestInliers == nil || best < cfg.MinSamples || (cfg.MinInliers > 0 && best < cfg.MinInliers) {
+	best := len(bestInliers)
+	if best == 0 || best < cfg.MinSamples || (cfg.MinInliers > 0 && best < cfg.MinInliers) {
 		return nil, nil, ErrNoConsensus
 	}
 	params, err := m.Fit(bestInliers)
@@ -84,13 +87,17 @@ func drawSample(dst []int, n int, rng *rand.Rand) {
 		copy(dst, idx[:k])
 		return
 	}
-	seen := make(map[int]bool, k)
+	// Sparse draw: redraw on a repeat. k is a handful, so scanning the
+	// indices drawn so far beats a set.
+draw:
 	for i := 0; i < k; {
 		v := rng.Intn(n)
-		if !seen[v] {
-			seen[v] = true
-			dst[i] = v
-			i++
+		for _, u := range dst[:i] {
+			if u == v {
+				continue draw
+			}
 		}
+		dst[i] = v
+		i++
 	}
 }

@@ -193,3 +193,143 @@ func TestRANSACSurvivesDegenerateSamples(t *testing.T) {
 		t.Errorf("inliers = %d", len(inliers))
 	}
 }
+
+// oracleRANSAC is RANSAC as it stood before the inlier buffers were reused:
+// a fresh append-grown inlier slice per hypothesis and a map per sparse
+// draw. The production loop must consume the same rng draws and return the
+// same parameters and inliers.
+func oracleRANSAC(m RANSACModel, cfg RANSACConfig, rng *rand.Rand) (interface{}, []int, error) {
+	n := m.Len()
+	if n < cfg.MinSamples {
+		return nil, nil, errors.New("geom: not enough points for ransac")
+	}
+	best := -1
+	var bestInliers []int
+	sample := make([]int, cfg.MinSamples)
+	for it := 0; it < cfg.Iterations; it++ {
+		oracleDrawSample(sample, n, rng)
+		params, err := m.Fit(sample)
+		if err != nil {
+			continue
+		}
+		var inliers []int
+		for i := 0; i < n; i++ {
+			if m.Residual(i, params) <= cfg.InlierThreshold {
+				inliers = append(inliers, i)
+			}
+		}
+		if len(inliers) > best {
+			best = len(inliers)
+			bestInliers = inliers
+		}
+	}
+	if bestInliers == nil || best < cfg.MinSamples || (cfg.MinInliers > 0 && best < cfg.MinInliers) {
+		return nil, nil, ErrNoConsensus
+	}
+	params, err := m.Fit(bestInliers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return params, bestInliers, nil
+}
+
+func oracleDrawSample(dst []int, n int, rng *rand.Rand) {
+	k := len(dst)
+	if k*4 >= n {
+		idx := rng.Perm(n)
+		copy(dst, idx[:k])
+		return
+	}
+	seen := make(map[int]bool, k)
+	for i := 0; i < k; {
+		v := rng.Intn(n)
+		if !seen[v] {
+			seen[v] = true
+			dst[i] = v
+			i++
+		}
+	}
+}
+
+// TestRANSACMatchesOracle runs production and oracle from equal seeds over
+// dense and sparse draws, outlier-heavy data (ties and late winners),
+// duplicated points (failed fits) and thresholds that end in ErrNoConsensus:
+// parameters, inliers, error and the rng's state afterwards must agree.
+func TestRANSACMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		data := rand.New(rand.NewSource(seed))
+		model := &lineModel{}
+		n := 3 + data.Intn(120)
+		for i := 0; i < n; i++ {
+			x := float64(data.Intn(12)) // few distinct abscissae: degenerate samples happen
+			y := 2*x + 1 + data.NormFloat64()*0.05
+			if data.Intn(3) == 0 {
+				y = data.Float64()*40 - 20
+			}
+			model.pts = append(model.pts, Vec2{x, y})
+		}
+		cfg := RANSACConfig{
+			MinSamples:      2 + data.Intn(3),
+			Iterations:      1 + data.Intn(60),
+			InlierThreshold: []float64{1e-12, 0.1, 0.5}[data.Intn(3)],
+			MinInliers:      data.Intn(2) * data.Intn(n),
+		}
+		rngA, rngB := rand.New(rand.NewSource(seed+100)), rand.New(rand.NewSource(seed+100))
+		gotP, gotIn, gotErr := RANSAC(model, cfg, rngA)
+		wantP, wantIn, wantErr := oracleRANSAC(model, cfg, rngB)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("seed %d: err %v, oracle %v", seed, gotErr, wantErr)
+		}
+		if gotP != wantP {
+			t.Fatalf("seed %d: params %+v, oracle %+v", seed, gotP, wantP)
+		}
+		if len(gotIn) != len(wantIn) {
+			t.Fatalf("seed %d: %d inliers, oracle %d", seed, len(gotIn), len(wantIn))
+		}
+		for i := range gotIn {
+			if gotIn[i] != wantIn[i] {
+				t.Fatalf("seed %d: inlier %d is %d, oracle %d", seed, i, gotIn[i], wantIn[i])
+			}
+		}
+		if a, b := rngA.Int63(), rngB.Int63(); a != b {
+			t.Fatalf("seed %d: rng diverged after the run", seed)
+		}
+	}
+}
+
+// staticModel fits nothing: Fit hands back a model-owned pointer, so every
+// allocation AllocsPerRun sees is RANSAC's own.
+type staticModel struct {
+	vals   []float64
+	params float64
+}
+
+func (s *staticModel) Len() int { return len(s.vals) }
+func (s *staticModel) Fit(idx []int) (interface{}, error) {
+	s.params = s.vals[idx[0]]
+	return &s.params, nil
+}
+func (s *staticModel) Residual(i int, p interface{}) float64 {
+	return math.Abs(s.vals[i] - *p.(*float64))
+}
+
+// TestRANSACAllocBound pins the driver's own allocations on the sparse-draw
+// path the agent runs (hundreds of vectors, a handful per sample): the
+// sample plus the two inlier buffers, whatever the hypothesis count. The
+// append-grown version allocated per hypothesis.
+func TestRANSACAllocBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	model := &staticModel{vals: make([]float64, 400)}
+	for i := range model.vals {
+		model.vals[i] = rng.Float64()
+	}
+	cfg := RANSACConfig{MinSamples: 3, Iterations: 64, InlierThreshold: 0.2}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := RANSAC(model, cfg, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("RANSAC: %.0f allocs per run, want at most 3 (sample + two inlier buffers)", allocs)
+	}
+}

@@ -26,11 +26,14 @@ const (
 	StageForeground     = "dive_stage_foreground_seconds"
 	StageEncode         = "dive_stage_encode_seconds"
 
-	// Codec internals (internal/codec). StageCodecEntropy covers rate
-	// control and quantization (bit-accounting); StageCodecEmit is the
-	// deferred bitstream serialization of the two-phase encoder.
+	// Codec internals (internal/codec). StageCodecRC is the rate-control
+	// bisection (its trial passes; absent on fixed-QP frames),
+	// StageCodecEntropy the final quantize-reconstruct-count pass at the
+	// chosen QP, StageCodecEmit the deferred bitstream serialization of the
+	// two-phase encoder.
 	StageCodecMotion  = "codec_motion_search_seconds"
 	StageCodecDCT     = "codec_dct_seconds"
+	StageCodecRC      = "codec_rc_seconds"
 	StageCodecEntropy = "codec_entropy_seconds"
 	StageCodecEmit    = "codec_emit_seconds"
 	MetricRCTrials    = "codec_rc_trials_total"
