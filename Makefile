@@ -48,19 +48,20 @@ bench-smoke:
 	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
-# decode benchmarks and the rate-control trial benchmark with -benchmem and
-# fail if allocs/op or B/op regressed past the committed
-# ci/alloc_baseline.json. The pooled encoder, the session decoder and a
-# trial pass are all pinned at 0 allocs/op; allocation counts are
+# decode benchmarks and the rate-control trial, rate-control search and
+# bitstream-emission benchmarks with -benchmem and fail if allocs/op or B/op
+# regressed past the committed ci/alloc_baseline.json. The pooled encoder,
+# the session decoder, a trial pass, a whole search and the entropy writer
+# are all pinned at 0 allocs/op; allocation counts are
 # deterministic after warm-up, so this gate is machine-independent (unlike
 # wall-clock latency baselines).
-ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial
+ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream
 bench-alloc:
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -alloc-baseline ci/alloc_baseline.json -json
 
 # Regenerate the committed allocation baseline after an intentional change to
-# the steady-state encode, decode or rate-control trial path, then commit ci/alloc_baseline.json.
+# the steady-state encode, decode, rate-control or emission path, then commit ci/alloc_baseline.json.
 alloc-baseline:
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -write-alloc-baseline ci/alloc_baseline.json

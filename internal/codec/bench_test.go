@@ -313,4 +313,94 @@ func BenchmarkRCTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkRCSearch measures the rate-control search alone — searchBaseQP
+// over one P-frame's cached coefficients, the encoder's QP history carried
+// from op to op as AnalyzeAndQuantize carries it — and reports the trial
+// passes it ran per frame. "steady" repeats one budget (the clear-link
+// operating point, QP 12), so every search after the first warm-starts on the
+// answer; "swinging" multiplies the budget by 4 and back every four frames,
+// so a quarter of the searches start a doubling or two away and the next
+// falls back to the plain bisection; "cold" forgets the history before every
+// search, which is the plain bisection on every frame.
+func BenchmarkRCSearch(b *testing.B) {
+	cfg := DefaultConfig(320, 192)
+	cfg.Workers = 1
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
+		b.Fatal(err)
+	}
+	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
+	mf := enc.AnalyzeMotion(frame)
+	cache := enc.buildInterDCTCache(frame, mf)
+	budget := (enc.countPass(frame, PFrame, mf, cache, 12, nil) + enc.countPass(frame, PFrame, mf, cache, 11, nil)) / 2
+	for _, c := range []struct {
+		name  string
+		scale [8]int
+		cold  bool
+	}{
+		{"steady", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, false},
+		{"swinging", [8]int{1, 1, 1, 1, 4, 4, 4, 4}, false},
+		{"cold", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			enc.lastQP, enc.qpStep = -1, 0
+			trials := 0
+			b.ReportAllocs()
+			for i := -1; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer() // the first search had no history
+					trials = 0
+				}
+				qp, n, _ := enc.searchBaseQP(frame, PFrame, mf, cache, 0, EncodeOptions{TargetBits: budget * c.scale[(i+8)%8]})
+				trials += n
+				enc.noteBaseQP(qp)
+				if c.cold {
+					enc.lastQP = -1
+				}
+			}
+			b.ReportMetric(float64(trials)/float64(b.N), "probes/frame")
+		})
+	}
+}
+
+// BenchmarkEmitBitstream measures phase two alone — the entropy writer over
+// a frame of inter macroblocks — near-lossless, where every coefficient is
+// coded, and at the clear-link operating point, where blocks hold a few.
+// The job is re-armed and re-emitted; with ReuseFrames nothing allocates.
+func BenchmarkEmitBitstream(b *testing.B) {
+	for _, qp := range []int{2, 25} {
+		b.Run(fmt.Sprintf("qp%d", qp), func(b *testing.B) {
+			cfg := DefaultConfig(320, 192)
+			cfg.Workers = 1
+			cfg.ReuseFrames = true
+			enc, err := NewEncoder(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
+				b.Fatal(err)
+			}
+			job, err := enc.AnalyzeAndQuantize(shiftFrame(texturedFrame(320, 192, 12), 3, 1), EncodeOptions{BaseQP: qp})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ef := job.Frame
+			b.ReportAllocs()
+			for i := -1; i < b.N; i++ {
+				if i == 0 {
+					b.ResetTimer() // the first emit grew the writer's buffer
+				}
+				job.Frame = ef
+				if _, err := enc.EmitBitstream(job); err != nil {
+					b.Fatal(err)
+				}
+				<-enc.jobFree
+			}
+		})
+	}
+}
+
 var benchSink int

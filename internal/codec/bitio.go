@@ -38,14 +38,19 @@ func (w *BitWriter) Reset() {
 	w.acc, w.nAcc = 0, 0
 }
 
-// flushAcc spills whole bytes from the accumulator, restoring nAcc < 8.
-// Bits above position nAcc are garbage from earlier spills; byte() masks
-// them off because a spilled byte sits exactly at positions nAcc-8..nAcc-1.
+// flushAcc spills whole bytes from the accumulator, restoring nAcc < 8:
+// the nAcc valid bits go out left-aligned as one 8-byte big-endian store
+// (which shifts the stale bits above them away) and the buffer keeps the
+// nAcc/8 whole bytes of it.
 func (w *BitWriter) flushAcc() {
-	for w.nAcc >= 8 {
-		w.nAcc -= 8
-		w.buf = append(w.buf, byte(w.acc>>uint(w.nAcc)))
+	n := len(w.buf)
+	if n+8 > cap(w.buf) {
+		w.buf = append(w.buf, make([]byte, 8)...)
 	}
+	buf := w.buf[:n+8]
+	binary.BigEndian.PutUint64(buf[n:], w.acc<<uint(64-w.nAcc))
+	w.buf = buf[:n+w.nAcc>>3]
+	w.nAcc &= 7
 }
 
 // WriteBit appends one bit.

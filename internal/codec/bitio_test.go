@@ -228,6 +228,70 @@ func TestBitWriterMatchesReference(t *testing.T) {
 	}
 }
 
+// TestWriteCoeffsMatchesReference holds writeCoeffs' packed fields to the
+// symbol stream they stand for — flag, then ue(run) and se(level) per
+// coefficient, then the end-of-block run — written a bit at a time: sparse
+// and full blocks, levels of every length up to the 31-bit magnitudes whose
+// codes cannot share a field with their run (or with anything), and streams
+// of blocks so that fields start at every bit offset.
+func TestWriteCoeffsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	refUE := func(w *refBitWriter, v uint32) {
+		x := uint64(v) + 1
+		n := bitLen64(x)
+		w.writeBits(0, n-1)
+		w.writeBits(x, n)
+	}
+	for trial := 0; trial < 300; trial++ {
+		var got BitWriter
+		var want refBitWriter
+		for blk := 0; blk < 1+rng.Intn(6); blk++ {
+			var levels [blockSize * blockSize]int32
+			fill := []int{0, 1, 3, 12, 64}[rng.Intn(5)]
+			maxLen := 1 + rng.Intn(31) // magnitudes below 2^maxLen
+			for i := 0; i < fill; i++ {
+				l := int32(rng.Int63n(1<<uint(maxLen))) + 1
+				if l < 0 {
+					l = math.MaxInt32
+				}
+				if rng.Intn(2) == 0 {
+					l = -l
+				}
+				levels[rng.Intn(64)] = l
+			}
+			nz := 0
+			for _, l := range levels {
+				if l != 0 {
+					nz++
+				}
+			}
+			writeCoeffs(&got, &levels, nz)
+			if nz == 0 {
+				want.writeBit(0)
+				continue
+			}
+			want.writeBit(1)
+			run := uint32(0)
+			for _, pos := range zigzag8 {
+				if l := levels[pos]; l != 0 {
+					refUE(&want, run)
+					refUE(&want, seToUE(l))
+					run = 0
+				} else {
+					run++
+				}
+			}
+			refUE(&want, blockSize*blockSize)
+			if got.Len() != want.lenBits() {
+				t.Fatalf("trial %d block %d: %d bits, reference %d", trial, blk, got.Len(), want.lenBits())
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want.bytes()) {
+			t.Fatalf("trial %d: bytes differ from reference", trial)
+		}
+	}
+}
+
 // TestBitWriterUEMax covers the widest code path: WriteUE(MaxUint32) is a
 // 65-bit symbol, exercising the accumulator split.
 func TestBitWriterUEMax(t *testing.T) {

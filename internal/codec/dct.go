@@ -51,32 +51,53 @@ var zigzag8 = func() [blockSize * blockSize]int {
 
 // writeCoeffs entropy-codes one quantized block: a coded flag, then
 // (run, level) pairs in zigzag order with an end-of-block marker. nz is the
-// block's nonzero-level count, tracked by the quantizers so the historical
-// emptiness pre-scan over all 64 levels is gone and the zigzag walk stops
-// at the last nonzero coefficient. The emitted bits are identical to the
-// pre-scan version's.
+// block's nonzero-level count, tracked by the quantizers, so the zigzag walk
+// stops at the last nonzero coefficient.
+//
+// Symbols are gathered in a local field and handed to the writer as few
+// times as its 56-bit WriteBits allows — one (run, level) pair at least, a
+// whole sparse block at best. An Exp-Golomb code is its value plus one
+// written in 2n−1 bits, n the bit length of that, so appending a code to the
+// field is a shift and an or; the bits are those of one WriteUE/WriteSE per
+// symbol.
 func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, nz int) {
 	if nz == 0 {
 		w.WriteBit(0) // coded-block flag: empty
 		return
 	}
-	w.WriteBit(1)
-	run := uint32(0)
+	field, n := uint64(1), 1 // coded-block flag: coded
+	run := uint64(1)         // the zero run so far, plus one
 	for _, pos := range zigzag8 {
 		l := levels[pos]
 		if l == 0 {
 			run++
 			continue
 		}
-		w.WriteUE(run)
-		w.WriteSE(l)
-		run = 0
+		lev := uint64(seToUE(l)) + 1
+		nRun, nLev := 2*bits.Len64(run)-1, 2*bits.Len64(lev)-1
+		if n+nRun+nLev > 56 {
+			w.WriteBits(field, n)
+			field, n = 0, 0
+		}
+		if nRun+nLev > 56 {
+			// A level too long to share a field with its run.
+			w.WriteBits(run, nRun)
+			w.WriteBits(lev, nLev)
+		} else {
+			field = (field<<uint(nRun)|run)<<uint(nLev) | lev
+			n += nRun + nLev
+		}
+		run = 1
 		if nz--; nz == 0 {
 			break
 		}
 	}
 	// End of block: an out-of-range run signals no more coefficients.
-	w.WriteUE(uint32(blockSize * blockSize))
+	if n+eobBits > 56 {
+		w.WriteBits(field, n)
+		field, n = 0, 0
+	}
+	w.WriteBits(field<<uint(eobBits)|(blockSize*blockSize+1), n+eobBits)
 }
 
 // coeffsBits is the exact length writeCoeffs(levels, nz) appends, computed

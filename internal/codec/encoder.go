@@ -137,11 +137,14 @@ type EncodedFrame struct {
 	QPs     []int // final per-MB QP
 	Data    []byte
 	NumBits int
-	// RCTrials is the rate-control bisection path that chose BaseQP: every
-	// probe the bisection consulted, in loop order, with its exact trial
-	// bit count (speculative entries were served from the parallel
-	// prefetcher's memo). Nil when rate control did not run or telemetry is
-	// disabled (Config.Obs nil) — the decision journal is its consumer.
+	// RCTrials is the rate-control search path that chose BaseQP: every
+	// trial the bisection consulted, in loop order, with its exact bit
+	// count (speculative entries were served from the parallel prefetcher's
+	// memo). Steps a P-frame search settles from trials it already ran
+	// consult none and list none; the trial at BaseQP (unless that is 51)
+	// and the one below it (unless that is under MinQP) are always there.
+	// Nil when rate control did not run or telemetry is disabled
+	// (Config.Obs nil) — the decision journal is its consumer.
 	RCTrials []obs.QPTrial
 }
 
@@ -198,6 +201,10 @@ type Encoder struct {
 	// skip-threshold reads of the next analyze off that storage).
 	refQPs   []int
 	frameIdx int
+	// lastQP is the previous frame's base QP (-1 before the first frame) and
+	// qpStep how far it sat from the one before: where rate control starts
+	// the next P-frame's search, and whether it does (searchBaseQP).
+	lastQP, qpStep int
 	// analyzed/analyzedSeq identify the frame for which `motion` is valid:
 	// pointer identity plus the plane's content generation counter, so a
 	// caller that reuses one buffer across frames (and bumps it) never
@@ -262,6 +269,7 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 		trials:  pool.NewFreelist[trialScratch](p.Workers()),
 		batches: pool.NewFreelist[dctBatch](p.Workers()),
 		jobFree: make(chan *FrameJob, jobFreeCap),
+		lastQP:  -1,
 	}
 	e.searchFn = func(bx, by int) { e.searchMB(e.searchFrame, e.searchMF, bx, by) }
 	e.dctFn = func(by int) { e.dctRow(by) }
@@ -433,12 +441,9 @@ func (e *Encoder) searchMB(frame *imgx.Plane, mf *MotionField, bx, by int) {
 	if e.cfg.SubPel {
 		fullPred = MV{pred.X / 2, pred.Y / 2}
 	}
-	mv, cost := SearchMB(frame, e.ref, px, py, fullPred, e.cfg.Method, e.cfg.SearchRange)
+	mv, cost, sad := searchInteger(frame, e.ref, px, py, fullPred, e.cfg.Method, e.cfg.SearchRange)
 	if e.cfg.SubPel {
-		hmv := MV{mv.X * 2, mv.Y * 2}
-		sad := sadHalf(frame, px, py, e.ref, px*2+int(hmv.X), py*2+int(hmv.Y), MBSize, MBSize, 1<<30)
-		hmv, sad = refineHalf(frame, e.ref, px, py, hmv, sad)
-		mv, cost = hmv, sad
+		mv, cost = refineHalf(frame, e.ref, px, py, MV{mv.X * 2, mv.Y * 2}, sad)
 	}
 	mf.MVs[i] = mv
 	mf.Modes[i] = ModeInter
@@ -464,44 +469,47 @@ func (e *Encoder) Encode(frame *imgx.Plane, opts EncodeOptions) (*EncodedFrame, 
 // the bisection loop then runs exactly the serial sequence of passes — and
 // neither does a floor of 51, which leaves nothing to bisect.
 func (e *Encoder) prefetchRCProbes(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, offsets []int) (memo [52]int, probes int) {
-	for i := range memo {
-		memo[i] = -1
-	}
+	memo = noTrials
 	nw := e.pool.Workers()
 	if nw <= 1 || minQP >= 51 {
 		return memo, 0
 	}
 	// Enumerate the QPs the bisection may probe, level by level: interval
 	// (lo, hi) probes mid and continues with (lo, mid) or (mid+1, hi).
-	// Intervals on one level are disjoint, so the midpoints are distinct.
+	// Intervals on one level are disjoint, so the midpoints are distinct and
+	// 52 slots hold any level and every midpoint.
 	type iv struct{ lo, hi int }
-	level := []iv{{minQP, 51}}
-	var qps []int
-	for len(level) > 0 && len(qps)+len(level) <= nw {
-		var next []iv
-		for _, v := range level {
+	var level, next [52]iv
+	var qps, results [52]int
+	level[0] = iv{minQP, 51}
+	nLevel, n := 1, 0
+	for nLevel > 0 && n+nLevel <= nw {
+		nNext := 0
+		for _, v := range level[:nLevel] {
 			mid := (v.lo + v.hi) / 2
-			qps = append(qps, mid)
+			qps[n] = mid
+			n++
 			if v.lo < mid {
-				next = append(next, iv{v.lo, mid})
+				next[nNext] = iv{v.lo, mid}
+				nNext++
 			}
 			if mid+1 < v.hi {
-				next = append(next, iv{mid + 1, v.hi})
+				next[nNext] = iv{mid + 1, v.hi}
+				nNext++
 			}
 		}
-		level = next
+		level, nLevel = next, nNext
 	}
-	// The region body writes a separate results slice, never memo: a
-	// closure capturing memo would force it onto the heap at every call,
-	// including the serial early-return above that probes nothing.
-	results := make([]int, len(qps))
-	e.pool.ForEach(len(qps), func(k int) {
+	// The region body writes results, never memo: a closure capturing memo
+	// would force it onto the heap at every call, including the serial
+	// early-return above that probes nothing.
+	e.pool.ForEach(n, func(k int) {
 		results[k] = e.countPass(frame, ftype, mf, dctCache, qps[k], offsets)
 	})
-	for k, qp := range qps {
+	for k, qp := range qps[:n] {
 		memo[qp] = results[k]
 	}
-	return memo, len(qps)
+	return memo, n
 }
 
 // refSampleI reads the reference pixel at (cx, cy) displaced by mv, which

@@ -158,7 +158,8 @@ func TestDecoderGolden(t *testing.T) {
 // property, over the golden chain configs: on every rate-controlled frame the
 // bisection's trial at the chosen QP counted exactly the bits the final pass
 // emitted, the chosen QP respects the floor, and it is the lowest that fits —
-// the trial one QP below, when the bisection probed it, overshot the budget.
+// the search ran the trial one QP below (unless that is under the floor) and
+// it overshot the budget.
 // The chain's budgets are cut to an eighth so they bind at this frame size,
 // and its forced I-frame is rate-controlled too, so intra trials (which
 // reconstruct into trial scratch) are covered as well as inter ones.
@@ -188,7 +189,7 @@ func TestTrialEqualsFinal(t *testing.T) {
 			if opts.TargetBits == 0 {
 				continue
 			}
-			atQP := false
+			atQP, below := false, false
 			for _, tr := range ef.RCTrials {
 				switch tr.QP {
 				case ef.BaseQP:
@@ -198,6 +199,7 @@ func TestTrialEqualsFinal(t *testing.T) {
 							name, i, tr.QP, tr.Bits, ef.NumBits)
 					}
 				case ef.BaseQP - 1:
+					below = true
 					if tr.Bits <= opts.TargetBits {
 						t.Errorf("%s frame %d: QP %d already fit the budget (%d ≤ %d) but QP %d was chosen",
 							name, i, tr.QP, tr.Bits, opts.TargetBits, ef.BaseQP)
@@ -208,6 +210,11 @@ func TestTrialEqualsFinal(t *testing.T) {
 			// lower QP overshot.
 			if !atQP && ef.BaseQP != 51 {
 				t.Errorf("%s frame %d: no trial at the chosen QP %d: %+v", name, i, ef.BaseQP, ef.RCTrials)
+			}
+			// Fits at q, misses at q−1: the search always holds both halves
+			// of the proof, however few trials it ran.
+			if !below && ef.BaseQP > opts.MinQP {
+				t.Errorf("%s frame %d: no trial one below the chosen QP %d: %+v", name, i, ef.BaseQP, ef.RCTrials)
 			}
 		}
 	})

@@ -73,34 +73,56 @@ func AllMEMethods() []MEMethod {
 
 // searcher bundles the state one motion search needs.
 type searcher struct {
-	cur, ref  *imgx.Plane
-	mbx, mby  int // top-left pixel of the macroblock
-	rangePx   int
-	bestMV    MV
-	bestCost  int
+	cur, ref *imgx.Plane
+	mbx, mby int // top-left pixel of the macroblock
+	rangePx  int
+	bestMV   MV
+	bestCost int
+	// bestSAD is the distortion part of bestCost: the incumbent's full SAD.
+	bestSAD   int
 	lambdaMV  int // bit-cost weight for MV magnitude (rate term)
 	predictor MV
+	// priced has one bit per window offset try has already evaluated, row
+	// (dy − predictor.Y + pricedRadius) and column likewise; windows wider
+	// than pricedRadius are not tracked and re-price.
+	priced [2*pricedRadius + 1]uint64
 }
 
-// cost evaluates candidate (dx, dy): SAD plus a small rate term that
-// penalizes deviation from the predictor, the standard regularization that
-// keeps MV fields smooth in production encoders. The search window is
-// centered on the predictor (as in x264), so coherent large motion can be
-// tracked through predictor chaining even beyond the window radius.
-func (s *searcher) cost(dx, dy int) int {
-	if absInt(dx-int(s.predictor.X)) > s.rangePx || absInt(dy-int(s.predictor.Y)) > s.rangePx {
-		return math.MaxInt32
-	}
-	sad := imgx.SAD(s.cur, s.mbx, s.mby, s.ref, s.mbx+dx, s.mby+dy, MBSize, MBSize, s.bestCost)
-	rate := s.lambdaMV * (absInt(dx-int(s.predictor.X)) + absInt(dy-int(s.predictor.Y)))
-	return sad + rate
-}
+// pricedRadius is the largest search range whose window fits one uint64 a row.
+const pricedRadius = 31
 
-// try updates the incumbent if candidate (dx, dy) is cheaper.
+// try prices candidate (dx, dy) — SAD plus a small rate term that penalizes
+// deviation from the predictor, the standard regularization that keeps MV
+// fields smooth in production encoders — and makes it the incumbent if it is
+// strictly cheaper. The search window is centered on the predictor (as in
+// x264), so coherent large motion can be tracked through predictor chaining
+// even beyond the window radius.
+//
+// A candidate wins only with SAD < bestCost − rate, so that is the SAD's
+// early-exit bound and a candidate whose rate alone reaches bestCost is not
+// measured at all. One priced before is not measured again: it lost to, or
+// was, an incumbent no dearer than today's, bestCost only falls, and the
+// rate weight only rises between the two starting candidates and the walk.
 func (s *searcher) try(dx, dy int) {
-	c := s.cost(dx, dy)
-	if c < s.bestCost {
-		s.bestCost = c
+	ox, oy := dx-int(s.predictor.X), dy-int(s.predictor.Y)
+	if absInt(ox) > s.rangePx || absInt(oy) > s.rangePx {
+		return
+	}
+	if s.rangePx <= pricedRadius {
+		row, bit := &s.priced[oy+pricedRadius], uint64(1)<<uint(ox+pricedRadius)
+		if *row&bit != 0 {
+			return
+		}
+		*row |= bit
+	}
+	rate := s.lambdaMV * (absInt(ox) + absInt(oy))
+	bound := s.bestCost - rate
+	if bound <= 0 {
+		return
+	}
+	sad := imgx.SAD(s.cur, s.mbx, s.mby, s.ref, s.mbx+dx, s.mby+dy, MBSize, MBSize, bound)
+	if sad < bound {
+		s.bestCost, s.bestSAD = sad+rate, sad
 		s.bestMV = MV{int16(dx), int16(dy)}
 	}
 }
@@ -238,6 +260,7 @@ func (s *searcher) searchTesa() {
 		}
 	}
 	s.bestCost = bestCost
+	s.bestSAD = imgx.SAD(s.cur, s.mbx, s.mby, s.ref, s.mbx+int(s.bestMV.X), s.mby+int(s.bestMV.Y), MBSize, MBSize, math.MaxInt32)
 }
 
 // satd computes the sum of absolute Hadamard-transformed differences over
@@ -295,8 +318,15 @@ func hadamard8(v []int32) {
 }
 
 // SearchMB finds the motion vector for the macroblock whose top-left pixel
-// is (mbx, mby), starting from predictor pred.
+// is (mbx, mby), starting from predictor pred, and returns it with its cost.
 func SearchMB(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod, rangePx int) (MV, int) {
+	mv, cost, _ := searchInteger(cur, ref, mbx, mby, pred, method, rangePx)
+	return mv, cost
+}
+
+// searchInteger is SearchMB that also returns the winner's plain SAD — its
+// cost less the rate term (or, for TESA, in place of the SATD).
+func searchInteger(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod, rangePx int) (mv MV, cost, sad int) {
 	s := &searcher{
 		cur: cur, ref: ref, mbx: mbx, mby: mby,
 		rangePx: rangePx, bestCost: math.MaxInt32,
@@ -310,17 +340,15 @@ func SearchMB(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod, rang
 		// compression yet noisier for analytics — the window-global
 		// residual minimum need not be the true object motion.
 		s.lambdaMV = 0
-		s.bestMV = MV{}
-		s.bestCost = s.cost(0, 0)
+		s.try(0, 0)
 		if method == MEEsa {
 			s.searchEsa()
 		} else {
 			s.searchTesa()
 		}
 	default:
-		// Start from the predictor and the zero vector.
-		s.bestMV = MV{}
-		s.bestCost = s.cost(0, 0)
+		// Start from the zero vector and the predictor.
+		s.try(0, 0)
 		s.try(int(pred.X), int(pred.Y))
 		// Noise-adaptive rate penalty: when even the best starting
 		// candidate has high SAD (noisy or flat content), random offsets
@@ -340,5 +368,5 @@ func SearchMB(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod, rang
 			s.searchHex()
 		}
 	}
-	return s.bestMV, s.bestCost
+	return s.bestMV, s.bestCost, s.bestSAD
 }

@@ -1,6 +1,10 @@
 package codec
 
-import "dive/internal/imgx"
+import (
+	"math"
+
+	"dive/internal/imgx"
+)
 
 // Oracles: the kernels the decoder fast path and the counting rate-control
 // trial replaced, verbatim from the commit before each — the per-pixel clamped predictor (oracleMotionCompensate
@@ -420,4 +424,300 @@ func oracleCoeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
 		}
 	}
 	return bits + ueBits(blockSize*blockSize)
+}
+
+// The motion-search and rate-control oracles below are the bodies production
+// ran before the word-wide half-pel SAD, the priced-point search and the
+// warm-started rate control, verbatim but for their names: oracleSadHalf
+// (per-pixel interior loop), oracleSearcher / oracleSearchMB (every
+// candidate priced in full against bestCost, re-priced when revisited) and
+// oracleBisectQP (plain bisection over [minQP, 51]).
+
+// oracleSadHalf computes the SAD between the w×h block at (ax, ay) in a and the
+// half-pel displaced block at half-pel origin (hbx, hby) in b, with early
+// exit (checked after each completed row, matching imgx.SAD).
+func oracleSadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, w, h, earlyExit int) int {
+	// Fast path: even coordinates are plain integer SAD.
+	if hbx&1 == 0 && hby&1 == 0 {
+		return imgx.SAD(a, ax, ay, b, hbx>>1, hby>>1, w, h, earlyExit)
+	}
+	ix0, iy0 := hbx>>1, hby>>1
+	// Interior fast path: when every integer sample the bilinear taps touch
+	// (columns ix0..ix0+w, rows iy0..iy0+h — conservatively including the +1
+	// tap even on the even axis) is inside b, interpolation reads row slices
+	// directly instead of going through the clamping sampleHalf, with the
+	// identical rounding arithmetic and branchless absolute values.
+	if ix0 >= 0 && iy0 >= 0 && ix0+w < b.W && iy0+h < b.H {
+		oddX, oddY := hbx&1 == 1, hby&1 == 1
+		sum := 0
+		for y := 0; y < h; y++ {
+			ra := a.Pix[(ay+y)*a.W+ax : (ay+y)*a.W+ax+w]
+			iy := iy0 + y
+			r0 := b.Pix[iy*b.W+ix0 : iy*b.W+ix0+w+1]
+			switch {
+			case oddX && !oddY:
+				for x := 0; x < w; x++ {
+					d := int(ra[x]) - (int(r0[x])+int(r0[x+1])+1)/2
+					m := d >> 63
+					sum += (d + m) ^ m
+				}
+			case !oddX && oddY:
+				r1 := b.Pix[(iy+1)*b.W+ix0 : (iy+1)*b.W+ix0+w+1]
+				for x := 0; x < w; x++ {
+					d := int(ra[x]) - (int(r0[x])+int(r1[x])+1)/2
+					m := d >> 63
+					sum += (d + m) ^ m
+				}
+			default: // odd in both axes
+				r1 := b.Pix[(iy+1)*b.W+ix0 : (iy+1)*b.W+ix0+w+1]
+				for x := 0; x < w; x++ {
+					d := int(ra[x]) - (int(r0[x])+int(r0[x+1])+int(r1[x])+int(r1[x+1])+2)/4
+					m := d >> 63
+					sum += (d + m) ^ m
+				}
+			}
+			if sum >= earlyExit {
+				return sum
+			}
+		}
+		return sum
+	}
+	sum := 0
+	for y := 0; y < h; y++ {
+		ra := a.Pix[(ay+y)*a.W+ax : (ay+y)*a.W+ax+w]
+		for x := 0; x < w; x++ {
+			d := int(ra[x]) - int(sampleHalf(b, hbx+2*x, hby+2*y))
+			if d < 0 {
+				d = -d
+			}
+			sum += d
+		}
+		if sum >= earlyExit {
+			return sum
+		}
+	}
+	return sum
+}
+
+// oracleSearcher bundles the state one motion search needs.
+type oracleSearcher struct {
+	cur, ref  *imgx.Plane
+	mbx, mby  int // top-left pixel of the macroblock
+	rangePx   int
+	bestMV    MV
+	bestCost  int
+	lambdaMV  int // bit-cost weight for MV magnitude (rate term)
+	predictor MV
+}
+
+// cost evaluates candidate (dx, dy): SAD plus a small rate term that
+// penalizes deviation from the predictor, the standard regularization that
+// keeps MV fields smooth in production encoders. The search window is
+// centered on the predictor (as in x264), so coherent large motion can be
+// tracked through predictor chaining even beyond the window radius.
+func (s *oracleSearcher) cost(dx, dy int) int {
+	if absInt(dx-int(s.predictor.X)) > s.rangePx || absInt(dy-int(s.predictor.Y)) > s.rangePx {
+		return math.MaxInt32
+	}
+	sad := imgx.SAD(s.cur, s.mbx, s.mby, s.ref, s.mbx+dx, s.mby+dy, MBSize, MBSize, s.bestCost)
+	rate := s.lambdaMV * (absInt(dx-int(s.predictor.X)) + absInt(dy-int(s.predictor.Y)))
+	return sad + rate
+}
+
+// try updates the incumbent if candidate (dx, dy) is cheaper.
+func (s *oracleSearcher) try(dx, dy int) {
+	c := s.cost(dx, dy)
+	if c < s.bestCost {
+		s.bestCost = c
+		s.bestMV = MV{int16(dx), int16(dy)}
+	}
+}
+
+// searchDia runs an iterative small-diamond descent from the predictor.
+func (s *oracleSearcher) searchDia() {
+	cx, cy := int(s.bestMV.X), int(s.bestMV.Y)
+	for iter := 0; iter < 2*s.rangePx; iter++ {
+		improved := false
+		for _, d := range smallDiamond {
+			before := s.bestCost
+			s.try(cx+d[0], cy+d[1])
+			if s.bestCost < before {
+				improved = true
+			}
+		}
+		nx, ny := int(s.bestMV.X), int(s.bestMV.Y)
+		if !improved || (nx == cx && ny == cy) {
+			return
+		}
+		cx, cy = nx, ny
+	}
+}
+
+// searchHex runs hexagon descent followed by small-diamond refinement.
+func (s *oracleSearcher) searchHex() {
+	cx, cy := int(s.bestMV.X), int(s.bestMV.Y)
+	for iter := 0; iter < s.rangePx; iter++ {
+		for _, d := range hexPattern {
+			s.try(cx+d[0], cy+d[1])
+		}
+		nx, ny := int(s.bestMV.X), int(s.bestMV.Y)
+		if nx == cx && ny == cy {
+			break
+		}
+		cx, cy = nx, ny
+	}
+	cx, cy = int(s.bestMV.X), int(s.bestMV.Y)
+	for _, d := range smallDiamond {
+		s.try(cx+d[0], cy+d[1])
+	}
+}
+
+// searchUmh runs a simplified uneven multi-hexagon search: an uneven cross,
+// expanding multi-hexagon rings, then hexagon refinement.
+func (s *oracleSearcher) searchUmh() {
+	cx, cy := int(s.bestMV.X), int(s.bestMV.Y)
+	// Uneven cross: horizontal reach is twice the vertical (motion in
+	// driving video is predominantly horizontal).
+	for d := 1; d <= s.rangePx; d += 2 {
+		s.try(cx+d, cy)
+		s.try(cx-d, cy)
+		if d <= s.rangePx/2 {
+			s.try(cx, cy+d)
+			s.try(cx, cy-d)
+		}
+	}
+	// Multi-hexagon rings around the incumbent.
+	cx, cy = int(s.bestMV.X), int(s.bestMV.Y)
+	for r := 1; r <= s.rangePx/2; r *= 2 {
+		for _, d := range hexPattern {
+			s.try(cx+d[0]*r, cy+d[1]*r)
+		}
+	}
+	s.searchHex()
+}
+
+// searchEsa scans every offset in the predictor-centered window; the
+// window-global SAD-optimal match.
+func (s *oracleSearcher) searchEsa() {
+	px, py := int(s.predictor.X), int(s.predictor.Y)
+	for dy := py - s.rangePx; dy <= py+s.rangePx; dy++ {
+		for dx := px - s.rangePx; dx <= px+s.rangePx; dx++ {
+			s.try(dx, dy)
+		}
+	}
+}
+
+// searchTesa scans exhaustively with SAD, keeps the best candidates, and
+// re-ranks them with a Hadamard-transformed (SATD) cost, as x264's tesa
+// does. It is the most expensive method.
+func (s *oracleSearcher) searchTesa() {
+	type cand struct {
+		dx, dy, sad int
+	}
+	const keep = 12
+	cands := make([]cand, 0, keep+1)
+	worst := math.MaxInt32
+	px, py := int(s.predictor.X), int(s.predictor.Y)
+	for dy := py - s.rangePx; dy <= py+s.rangePx; dy++ {
+		for dx := px - s.rangePx; dx <= px+s.rangePx; dx++ {
+			sad := imgx.SAD(s.cur, s.mbx, s.mby, s.ref, s.mbx+dx, s.mby+dy, MBSize, MBSize, worst)
+			if len(cands) < keep || sad < worst {
+				cands = append(cands, cand{dx, dy, sad})
+				// Keep the candidate list small and worst up to date.
+				if len(cands) > keep {
+					wi, wv := 0, -1
+					for i, c := range cands {
+						if c.sad > wv {
+							wi, wv = i, c.sad
+						}
+					}
+					cands[wi] = cands[len(cands)-1]
+					cands = cands[:len(cands)-1]
+				}
+				worst = 0
+				for _, c := range cands {
+					if c.sad > worst {
+						worst = c.sad
+					}
+				}
+			}
+		}
+	}
+	bestCost := math.MaxInt32
+	for _, c := range cands {
+		satd := (&searcher{cur: s.cur, ref: s.ref, mbx: s.mbx, mby: s.mby}).satd(c.dx, c.dy)
+		cost := satd + s.lambdaMV*(absInt(c.dx-int(s.predictor.X))+absInt(c.dy-int(s.predictor.Y)))
+		if cost < bestCost {
+			bestCost = cost
+			s.bestMV = MV{int16(c.dx), int16(c.dy)}
+		}
+	}
+	s.bestCost = bestCost
+}
+
+// oracleSearchMB finds the motion vector for the macroblock whose top-left pixel
+// is (mbx, mby), starting from predictor pred.
+func oracleSearchMB(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod, rangePx int) (MV, int) {
+	s := &oracleSearcher{
+		cur: cur, ref: ref, mbx: mbx, mby: mby,
+		rangePx: rangePx, bestCost: math.MaxInt32,
+		lambdaMV: 4, predictor: pred,
+	}
+	switch method {
+	case MEEsa, METesa:
+		// Exhaustive variants are purely residual-driven: they visit the
+		// whole window, so the predictor only positions the window and
+		// contributes no rate bias. This is what makes them best for
+		// compression yet noisier for analytics — the window-global
+		// residual minimum need not be the true object motion.
+		s.lambdaMV = 0
+		s.bestMV = MV{}
+		s.bestCost = s.cost(0, 0)
+		if method == MEEsa {
+			s.searchEsa()
+		} else {
+			s.searchTesa()
+		}
+	default:
+		// Start from the predictor and the zero vector.
+		s.bestMV = MV{}
+		s.bestCost = s.cost(0, 0)
+		s.try(int(pred.X), int(pred.Y))
+		// Noise-adaptive rate penalty: when even the best starting
+		// candidate has high SAD (noisy or flat content), random offsets
+		// can beat it by chance alone, so demand proportionally more
+		// improvement per pixel of displacement. This is what keeps
+		// x264's vectors at zero on low-light footage — the effect the
+		// paper leans on when excluding night clips.
+		if adaptive := s.bestCost >> 5; adaptive > s.lambdaMV {
+			s.lambdaMV = adaptive
+		}
+		switch method {
+		case MEDia:
+			s.searchDia()
+		case MEUmh:
+			s.searchUmh()
+		default:
+			s.searchHex()
+		}
+	}
+	return s.bestMV, s.bestCost
+}
+
+// oracleBisectQP is the rate controller before the warm start: bisect the
+// base QP over trial passes, every probe a countPass. It returns the chosen
+// QP and the QPs it probed, in order.
+func (e *Encoder) oracleBisectQP(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, opts EncodeOptions) (qp int, probed []int) {
+	lo, hi := minQP, 51
+	for lo < hi {
+		mid := (lo + hi) / 2
+		bits := e.countPass(frame, ftype, mf, dctCache, mid, opts.QPOffsets)
+		probed = append(probed, mid)
+		if bits <= opts.TargetBits {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, probed
 }

@@ -81,9 +81,10 @@ func TestParallelBitstreamBitExact(t *testing.T) {
 
 // TestSpeculativeProbesHonorMinQP pins the prefetcher to the tree the
 // bisection actually walks, [MinQP, 51]: with a QP floor (every
-// degradation-ladder rung sets one) the first probe the bisection consults
-// must come from the speculative memo, and the chosen QP and bitstream must
-// be the serial encoder's.
+// degradation-ladder rung sets one) the first probe a bisecting frame — the
+// I-frame here — consults must come from the speculative memo. The P-frame
+// after it starts from the I-frame's QP and prefetches nothing. Either way
+// the chosen QP and bitstream must be the serial encoder's.
 func TestSpeculativeProbesHonorMinQP(t *testing.T) {
 	f0 := texturedFrame(96, 80, 7)
 	frames := []*imgx.Plane{f0, shiftFrame(f0, 3, 1)} // rate-controlled I, then P
@@ -108,8 +109,13 @@ func TestSpeculativeProbesHonorMinQP(t *testing.T) {
 	}
 	serial, par := encode(1), encode(4)
 	for i := range frames {
-		if len(par[i].RCTrials) == 0 || !par[i].RCTrials[0].Speculative {
-			t.Errorf("frame %d: first bisection probe was not served speculatively: %+v", i, par[i].RCTrials)
+		if tr := par[i].RCTrials; par[i].Type == IFrame && (len(tr) == 0 || !tr[0].Speculative) {
+			t.Errorf("frame %d: first bisection probe was not served speculatively: %+v", i, tr)
+		}
+		for _, tr := range par[i].RCTrials {
+			if par[i].Type == PFrame && tr.Speculative {
+				t.Errorf("frame %d: warm-started search consulted a speculative probe: %+v", i, par[i].RCTrials)
+			}
 		}
 		if par[i].BaseQP != serial[i].BaseQP || !bytes.Equal(par[i].Data, serial[i].Data) {
 			t.Errorf("frame %d: parallel encode (QP %d, %d bytes) differs from serial (QP %d, %d bytes)",

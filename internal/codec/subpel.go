@@ -1,6 +1,10 @@
 package codec
 
-import "dive/internal/imgx"
+import (
+	"encoding/binary"
+
+	"dive/internal/imgx"
+)
 
 // Half-pel motion support. When Config.SubPel is set, motion vectors are
 // expressed in half-pixel units (the paper's x264 baseline searches at
@@ -31,50 +35,27 @@ func sampleHalf(p *imgx.Plane, hx, hy int) uint8 {
 // half-pel displaced block at half-pel origin (hbx, hby) in b, with early
 // exit (checked after each completed row, matching imgx.SAD).
 func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, w, h, earlyExit int) int {
-	// Fast path: even coordinates are plain integer SAD.
+	// Even coordinates are plain integer SAD.
 	if hbx&1 == 0 && hby&1 == 0 {
 		return imgx.SAD(a, ax, ay, b, hbx>>1, hby>>1, w, h, earlyExit)
 	}
 	ix0, iy0 := hbx>>1, hby>>1
-	// Interior fast path: when every integer sample the bilinear taps touch
-	// (columns ix0..ix0+w, rows iy0..iy0+h — conservatively including the +1
-	// tap even on the even axis) is inside b, interpolation reads row slices
-	// directly instead of going through the clamping sampleHalf, with the
-	// identical rounding arithmetic and branchless absolute values.
-	if ix0 >= 0 && iy0 >= 0 && ix0+w < b.W && iy0+h < b.H {
-		oddX, oddY := hbx&1 == 1, hby&1 == 1
-		sum := 0
-		for y := 0; y < h; y++ {
-			ra := a.Pix[(ay+y)*a.W+ax : (ay+y)*a.W+ax+w]
-			iy := iy0 + y
-			r0 := b.Pix[iy*b.W+ix0 : iy*b.W+ix0+w+1]
-			switch {
-			case oddX && !oddY:
-				for x := 0; x < w; x++ {
-					d := int(ra[x]) - (int(r0[x])+int(r0[x+1])+1)/2
-					m := d >> 63
-					sum += (d + m) ^ m
-				}
-			case !oddX && oddY:
-				r1 := b.Pix[(iy+1)*b.W+ix0 : (iy+1)*b.W+ix0+w+1]
-				for x := 0; x < w; x++ {
-					d := int(ra[x]) - (int(r0[x])+int(r1[x])+1)/2
-					m := d >> 63
-					sum += (d + m) ^ m
-				}
-			default: // odd in both axes
-				r1 := b.Pix[(iy+1)*b.W+ix0 : (iy+1)*b.W+ix0+w+1]
-				for x := 0; x < w; x++ {
-					d := int(ra[x]) - (int(r0[x])+int(r0[x+1])+int(r1[x])+int(r1[x+1])+2)/4
-					m := d >> 63
-					sum += (d + m) ^ m
-				}
-			}
-			if sum >= earlyExit {
-				return sum
-			}
+	if w == MBSize && h <= MBSize {
+		// Macroblock-wide blocks — every search candidate — go a word at a
+		// time over the samples the bilinear taps touch: columns ix0..ix0+w
+		// and rows iy0..iy0+h, the last of each only on its odd axis. When
+		// some lie outside b, a border-clamped copy of them stands in.
+		ox, oy := hbx&1, hby&1
+		pb, wb := b.Pix, b.W
+		if ix0 >= 0 && iy0 >= 0 && ix0+w+ox <= b.W && iy0+h+oy <= b.H {
+			pb = pb[iy0*wb+ix0:]
+		} else {
+			var patch [(MBSize + 1) * patchStride]uint8
+			pp := imgx.Plane{W: patchStride, H: MBSize + 1, Pix: patch[:]}
+			imgx.CopyBlock(&pp, 0, 0, b, ix0, iy0, w+ox, h+oy)
+			pb, wb = patch[:], patchStride
 		}
-		return sum
+		return sadHalf16(a.Pix[ay*a.W+ax:], a.W, pb, wb, ox == 1, oy == 1, h, earlyExit)
 	}
 	sum := 0
 	for y := 0; y < h; y++ {
@@ -91,6 +72,60 @@ func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, w, h, earlyExit
 		}
 	}
 	return sum
+}
+
+// patchStride is the row stride of sadHalf's border patch: 17 samples a row,
+// padded so the word loads of its last row stay inside the array.
+const patchStride = 24
+
+// sadHalf16 is sadHalf for a 16-wide block on an odd phase with every tap
+// in bounds: pa and pb start at the blocks' first samples, wa and wb are the
+// row strides. Each row is two little-endian words per operand: the
+// interpolated reference is formed eight samples at once and differenced
+// with imgx.SwarSAD8.
+func sadHalf16(pa []uint8, wa int, pb []uint8, wb int, oddX, oddY bool, h, earlyExit int) int {
+	le := binary.LittleEndian
+	// The second tap of a two-tap phase: the right neighbour or the row below.
+	off := 1
+	if !oddX {
+		off = wb
+	}
+	sum := 0
+	for y := 0; y < h; y++ {
+		ra, rb := pa[y*wa:][:MBSize], pb[y*wb:]
+		var p0, p1 uint64
+		if oddX && oddY {
+			p0 = avg4Up8(le.Uint64(rb), le.Uint64(rb[1:]), le.Uint64(rb[wb:]), le.Uint64(rb[wb+1:]))
+			p1 = avg4Up8(le.Uint64(rb[8:]), le.Uint64(rb[9:]), le.Uint64(rb[wb+8:]), le.Uint64(rb[wb+9:]))
+		} else {
+			p0 = avgUp8(le.Uint64(rb), le.Uint64(rb[off:]))
+			p1 = avgUp8(le.Uint64(rb[8:]), le.Uint64(rb[off+8:]))
+		}
+		sum += int(imgx.SwarSAD8(le.Uint64(ra), p0)) + int(imgx.SwarSAD8(le.Uint64(ra[8:]), p1))
+		if sum >= earlyExit {
+			return sum
+		}
+	}
+	return sum
+}
+
+// avgUp8 is the per-byte (a+b+1)/2 of two packed words. a+b = 2(a|b) − (a^b),
+// so the mean rounded up is (a|b) − (a^b)>>1; masking the shifted xor to
+// seven bits a lane keeps the neighbouring lane's low bit out, and no lane
+// borrows because (a|b) ≥ (a^b)>>1 bytewise.
+func avgUp8(a, b uint64) uint64 {
+	return (a | b) - (a^b)>>1&0x7f7f7f7f7f7f7f7f
+}
+
+// avg4Up8 is the per-byte (a+b+c+d+2)/4 of four packed words. Chaining
+// avgUp8 would round twice, so the even and the odd bytes are summed exactly
+// in 16-bit lanes (≤ 4·255+2) and shifted there; the lane mask drops the two
+// bits the shift pulls in from the lane above.
+func avg4Up8(a, b, c, d uint64) uint64 {
+	const lo16, two = 0x00ff00ff00ff00ff, 0x0002000200020002
+	even := (a&lo16 + b&lo16 + c&lo16 + d&lo16 + two) >> 2 & lo16
+	odd := (a>>8&lo16 + b>>8&lo16 + c>>8&lo16 + d>>8&lo16 + two) >> 2 & lo16
+	return even | odd<<8
 }
 
 // halfPelMargin is the minimum SAD improvement a half-pel candidate must

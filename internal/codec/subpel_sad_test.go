@@ -35,13 +35,27 @@ func randPlane(rng *rand.Rand, w, h int) *imgx.Plane {
 	return p
 }
 
-// TestSadHalfMatchesNaive cross-checks sadHalf (interior fast path and
-// clamped fallback) against the naive sampleHalf loop over randomized
+// TestSadHalfMatchesNaive cross-checks sadHalf — the word kernel over
+// in-bounds taps, the same kernel over a border-clamped patch, and the
+// per-pixel fallback for other block widths — against the naive sampleHalf
+// loop and the per-pixel interior loop it replaced, over randomized
 // positions, all four half-pel phases, and early-exit thresholds.
 func TestSadHalfMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	a := randPlane(rng, 80, 64)
 	b := randPlane(rng, 80, 64)
+	check := func(ax, ay, hbx, hby, w, h, early int) {
+		t.Helper()
+		got := sadHalf(a, ax, ay, b, hbx, hby, w, h, early)
+		if want := sadHalfNaive(a, ax, ay, b, hbx, hby, w, h, early); got != want {
+			t.Fatalf("sadHalf(%d,%d vs half %d,%d %dx%d early=%d) = %d, naive = %d",
+				ax, ay, hbx, hby, w, h, early, got, want)
+		}
+		if want := oracleSadHalf(a, ax, ay, b, hbx, hby, w, h, early); got != want {
+			t.Fatalf("sadHalf(%d,%d vs half %d,%d %dx%d early=%d) = %d, previous kernel = %d",
+				ax, ay, hbx, hby, w, h, early, got, want)
+		}
+	}
 	for trial := 0; trial < 5000; trial++ {
 		w, h := MBSize, MBSize
 		if trial%3 == 0 {
@@ -55,27 +69,43 @@ func TestSadHalfMatchesNaive(t *testing.T) {
 		if trial%4 == 0 {
 			early = rng.Intn(w * h * 64)
 		}
-		got := sadHalf(a, ax, ay, b, hbx, hby, w, h, early)
-		want := sadHalfNaive(a, ax, ay, b, hbx, hby, w, h, early)
-		if got != want {
-			t.Fatalf("trial %d: sadHalf(%d,%d vs half %d,%d %dx%d early=%d) = %d, naive = %d",
-				trial, ax, ay, hbx, hby, w, h, early, got, want)
+		check(ax, ay, hbx, hby, w, h, early)
+	}
+	// The edges of the in-bounds region, on every odd phase: the last tap
+	// column and row sit on, one short of and one past the plane's last
+	// (ix0+16 == W−1 and iy0+16 == H−1 are the last positions the previous
+	// kernel took whole), and likewise around the first.
+	for _, phase := range [][2]int{{1, 0}, {0, 1}, {1, 1}} {
+		for _, ix0 := range []int{-2, -1, 0, 1, b.W - 18, b.W - 17, b.W - 16, b.W - 15} {
+			for _, iy0 := range []int{-2, -1, 0, 1, b.H - 18, b.H - 17, b.H - 16, b.H - 15} {
+				for _, early := range []int{1 << 30, 1, 700, 4000, 12000} {
+					check(32, 16, 2*ix0+phase[0], 2*iy0+phase[1], MBSize, MBSize, early)
+				}
+			}
 		}
 	}
 }
 
+// BenchmarkSadHalf measures one macroblock candidate on each odd phase —
+// horizontal and vertical two-tap, diagonal four-tap — with all taps in
+// bounds, and the diagonal phase through the border patch.
 func BenchmarkSadHalf(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	pa := randPlane(rng, 320, 192)
 	pb := randPlane(rng, 320, 192)
-	b.Run("odd-both", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sadHalf(pa, 64, 64, pb, 2*67+1, 2*62+1, MBSize, MBSize, 1<<30)
-		}
-	})
-	b.Run("odd-x", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sadHalf(pa, 64, 64, pb, 2*67+1, 2*62, MBSize, MBSize, 1<<30)
-		}
-	})
+	for _, c := range []struct {
+		name     string
+		hbx, hby int
+	}{
+		{"H", 2*67 + 1, 2 * 62},
+		{"V", 2 * 67, 2*62 + 1},
+		{"HV", 2*67 + 1, 2*62 + 1},
+		{"HV-border", 2*(320-16) + 1, 2*62 + 1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchSink = sadHalf(pa, 64, 64, pb, c.hbx, c.hby, MBSize, MBSize, 1<<30)
+			}
+		})
+	}
 }

@@ -162,32 +162,9 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	var rcTrace []obs.QPTrial
 	if opts.TargetBits > 0 {
 		rcTimer := e.cfg.Obs.StartStage(obs.StageCodecRC)
-		// Bisect the base QP over trial passes (countPass); the speculative
-		// prefetcher seeds the memo with the top of the bisection tree.
-		// MinQP floors the bisection: degradation ladders use it to keep a
-		// struggling link from being handed finely-quantized frames it
-		// cannot carry.
-		memo, trials := e.prefetchRCProbes(frame, ftype, mf, dctCache, minQP, opts.QPOffsets)
-		lo, hi := minQP, 51
-		for lo < hi {
-			mid := (lo + hi) / 2
-			bits := memo[mid]
-			speculative := bits >= 0
-			if bits < 0 {
-				bits = e.countPass(frame, ftype, mf, dctCache, mid, opts.QPOffsets)
-				trials++
-			}
-			if e.cfg.Obs != nil {
-				rcTrace = append(rcTrace, obs.QPTrial{QP: mid, Bits: bits, Speculative: speculative})
-			}
-			if bits <= opts.TargetBits {
-				hi = mid
-			} else {
-				lo = mid + 1
-			}
-		}
+		var trials int
+		baseQP, trials, rcTrace = e.searchBaseQP(frame, ftype, mf, dctCache, minQP, opts)
 		e.cfg.Obs.Counter(obs.MetricRCTrials).Add(int64(trials))
-		baseQP = lo
 		rcTimer.Stop()
 	}
 	entropyTimer := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
@@ -211,6 +188,7 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	}
 	copy(e.refQPs, job.qps)
 	e.analyzed, e.motion = nil, nil
+	e.noteBaseQP(baseQP)
 	idx := e.frameIdx
 	e.frameIdx++
 
@@ -231,6 +209,141 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 		RCTrials: rcTrace,
 	}
 	return job, nil
+}
+
+// searchBaseQP is rate control: it returns the base QP the bisection over
+// [minQP, 51] ends on — the lowest whose trial pass (countPass) fits
+// opts.TargetBits when fitting is monotone in QP, 51 unprobed — with the
+// number of trial passes it ran and, when telemetry is on, the trials the
+// bisection consulted. MinQP floors the search: degradation ladders use it
+// to keep a struggling link from being handed finely-quantized frames it
+// cannot carry.
+//
+// Every frame walks the same bisection; what differs is how a step learns
+// whether its midpoint fits. An I-frame's bits are not monotone in QP (intra
+// modes depend on the reconstruction), so each step needs that QP's exact
+// count: a trial pass, or the speculative prefetcher's memo. A P-frame's
+// counts bound one another (impliedFit), so a step that earlier trials
+// settle costs nothing — and while the base QP holds still (warmStartSpan)
+// the two trials that settle most steps run first: at the previous frame's
+// QP and at its neighbour on the side that failed. They are the whole search
+// if the answer has not moved, and otherwise the only two trials the plain
+// bisection would not have run itself (DESIGN.md §7 "Rate control").
+func (e *Encoder) searchBaseQP(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, opts EncodeOptions) (baseQP, trials int, trace []obs.QPTrial) {
+	target := opts.TargetBits
+	lo, hi := minQP, 51
+	bounded := ftype == PFrame && offsetsNonNegative(opts.QPOffsets)
+	warm := bounded && lo < hi && e.lastQP >= 0 && e.qpStep < warmStartSpan
+	memo := noTrials
+	if warm {
+		q := e.lastQP
+		if q < lo {
+			q = lo
+		} else if q >= hi {
+			q = hi - 1
+		}
+		memo[q] = e.countPass(frame, ftype, mf, dctCache, q, opts.QPOffsets)
+		trials++
+		if memo[q] <= target {
+			q--
+		} else {
+			q++
+		}
+		if q >= lo && q < hi {
+			memo[q] = e.countPass(frame, ftype, mf, dctCache, q, opts.QPOffsets)
+			trials++
+		}
+	} else {
+		memo, trials = e.prefetchRCProbes(frame, ftype, mf, dctCache, minQP, opts.QPOffsets)
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		bits := memo[mid]
+		fits, known := bits <= target, bits >= 0
+		// A count found in the memo is the prefetcher's, unless the warm
+		// start put it there.
+		speculative := known && !warm
+		if !known && bounded {
+			fits, known = impliedFit(&memo, mid, target)
+		}
+		if !known {
+			bits = e.countPass(frame, ftype, mf, dctCache, mid, opts.QPOffsets)
+			memo[mid] = bits
+			trials++
+			fits = bits <= target
+		}
+		if bits >= 0 && e.cfg.Obs != nil {
+			trace = append(trace, obs.QPTrial{QP: mid, Bits: bits, Speculative: speculative})
+		}
+		if fits {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, trials, trace
+}
+
+// noTrials is a rate-control memo before any trial ran: -1 bits at every QP.
+var noTrials = func() (memo [52]int) {
+	for i := range memo {
+		memo[i] = -1
+	}
+	return memo
+}()
+
+// noteBaseQP records a finished frame's base QP for the next search's warm
+// start.
+func (e *Encoder) noteBaseQP(qp int) {
+	if e.lastQP >= 0 {
+		e.qpStep = absInt(qp - e.lastQP)
+	}
+	e.lastQP = qp
+}
+
+// warmStartSpan is how far the base QP may have moved between the last two
+// frames for the next search to start from it: less than the 6 QP that
+// double the quantizer step. Past that (a link that fades frame by frame, a
+// reference whose quality alternates) the previous QP predicts nothing and
+// its two trials would only add to the bisection's.
+const warmStartSpan = 6
+
+// impliedFit reports whether a P-frame trial at base QP mid would fit target,
+// when the counts in memo (-1 where no trial ran) decide it. With
+// non-negative QP offsets every part of the count is non-increasing in the
+// base QP — quantizer levels shrink, blockBits does not grow when a level
+// shortens or drops out, each per-MB delta min(offset, 51 − baseQP) shrinks,
+// modes and vectors do not depend on the QP — except the header's
+// ue(baseQP). So bits(q) − ueBits(q) is non-increasing, and the nearest
+// trial at or below mid bounds the count at mid from above, the nearest at or
+// above from below.
+func impliedFit(memo *[52]int, mid, target int) (fits, known bool) {
+	for q := mid; q >= 0; q-- {
+		if memo[q] >= 0 {
+			if memo[q]-ueBits(uint32(q))+ueBits(uint32(mid)) <= target {
+				return true, true
+			}
+			break
+		}
+	}
+	for q := mid; q < len(memo); q++ {
+		if memo[q] >= 0 {
+			if memo[q]-ueBits(uint32(q))+ueBits(uint32(mid)) > target {
+				return false, true
+			}
+			break
+		}
+	}
+	return false, false
+}
+
+func offsetsNonNegative(offsets []int) bool {
+	for _, o := range offsets {
+		if o < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // quantizePass is the encoder's one macroblock walk: header bits, per-MB QP,

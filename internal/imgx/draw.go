@@ -142,21 +142,23 @@ func sadRow16(a, b *[16]uint8) uint16 {
 
 // sadRow8 sums |a[i]-b[i]| over 8 pixels: both rows are loaded as one
 // little-endian word each and reduced with branch-free SWAR arithmetic
-// (swarSAD8). Array-pointer parameters make the 8-byte loads provably in
+// (SwarSAD8). Array-pointer parameters make the 8-byte loads provably in
 // bounds, so the kernel compiles to two loads plus straight-line ALU ops.
 func sadRow8(a, b *[8]uint8) uint16 {
 	x := uint64(a[0]) | uint64(a[1])<<8 | uint64(a[2])<<16 | uint64(a[3])<<24 |
 		uint64(a[4])<<32 | uint64(a[5])<<40 | uint64(a[6])<<48 | uint64(a[7])<<56
 	y := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-	return swarSAD8(x, y)
+	return SwarSAD8(x, y)
 }
 
 // hi8 masks the high bit of each byte lane in a uint64.
 const hi8 = 0x8080808080808080
 
-// swarSAD8 computes the sum of absolute per-byte differences of two packed
-// 8-byte words without branches or lane splits (a scalar psadbw):
+// SwarSAD8 computes the sum of absolute per-byte differences of two packed
+// 8-byte words without branches or lane splits (a scalar psadbw). Exported
+// for the codec's half-pel kernel, which averages words before differencing
+// them:
 //
 //  1. d is the per-byte (x-y) mod 256 via the carry-isolating subtraction
 //     identity d = ((x|H) - (y&^H)) ^ ((x^^y)&H) — forcing the high bit of
@@ -171,7 +173,7 @@ const hi8 = 0x8080808080808080
 //  4. The horizontal add first widens to four uint16 lanes (each ≤ 510,
 //     exact), then a multiply by the ones vector accumulates all lanes into
 //     the top uint16 (≤ 2040, no overflow).
-func swarSAD8(x, y uint64) uint16 {
+func SwarSAD8(x, y uint64) uint16 {
 	d := ((x | hi8) - (y &^ hi8)) ^ ((x ^ ^y) & hi8)
 	m := (((^x & y) | ((^x | y) & d)) & hi8) >> 7
 	abs := (d ^ (m * 0xFF)) + m
