@@ -12,9 +12,10 @@ test:
 
 # Race-detector pass over the concurrency-bearing packages. core and sim
 # carry the frame-pipeline determinism tests (serial vs pipelined
-# byte-identity at depths 1-3), so this also proves the overlap is clean.
+# byte-identity at depths 1-3), so this also proves the overlap is clean;
+# doctor's one generic follower sits behind an HTTP handler (/debug/doctor).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
+	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
 
 vet:
 	$(GO) vet ./...
@@ -23,7 +24,10 @@ vet:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# Telemetry overhead benchmarks: the disabled span must stay <5 ns/op.
+# Telemetry overhead benchmarks. The machine-independent half of "telemetry
+# off is free" — the nil-recorder paths allocate nothing — is gated by
+# bench-alloc; the wall-clock half (a disabled span stays within a few ns/op)
+# is read off this target.
 bench-obs:
 	$(GO) test -run xxx -bench . -benchtime 2s ./internal/obs/
 
@@ -48,22 +52,27 @@ bench-smoke:
 	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
-# decode benchmarks and the rate-control trial, rate-control search and
-# bitstream-emission benchmarks with -benchmem and fail if allocs/op or B/op
-# regressed past the committed ci/alloc_baseline.json. The pooled encoder,
-# the session decoder, a trial pass, a whole search and the entropy writer
-# are all pinned at 0 allocs/op; allocation counts are
+# decode benchmarks, the rate-control trial, rate-control search and
+# bitstream-emission benchmarks, and the telemetry-off paths of internal/obs
+# with -benchmem and fail if allocs/op or B/op regressed past the committed
+# ci/alloc_baseline.json. The pooled encoder, the session decoder, a trial
+# pass, a whole search, the entropy writer, every nil-recorder
+# instrumentation path (span, counter, trace, labeled family, SLO — what each
+# end-to-end number in BENCHMARK.json runs with) and the journal's O(1)
+# amend-by-frame are all pinned at 0 allocs/op; allocation counts are
 # deterministic after warm-up, so this gate is machine-independent (unlike
 # wall-clock latency baselines).
-ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream
+ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense
+ALLOC_PKGS = ./internal/codec/ ./internal/obs/
 bench-alloc:
-	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
+	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem $(ALLOC_PKGS) | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -alloc-baseline ci/alloc_baseline.json -json
 
 # Regenerate the committed allocation baseline after an intentional change to
-# the steady-state encode, decode, rate-control or emission path, then commit ci/alloc_baseline.json.
+# the steady-state encode, decode, rate-control or emission path or to the
+# telemetry-off paths, then commit ci/alloc_baseline.json.
 alloc-baseline:
-	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ | tee bench_alloc.txt
+	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem $(ALLOC_PKGS) | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -write-alloc-baseline ci/alloc_baseline.json
 
 # The repo benchmark (BENCHMARK.json): four closed-loop workloads — agent on

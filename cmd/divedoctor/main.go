@@ -1,7 +1,6 @@
 // Command divedoctor is the automated trace analyzer: it ingests the
-// decision journal and trace spans a DiVE run exported (offline JSONL files
-// or the live /debug/journal and /debug/spans endpoints) and prints a
-// diagnosis report — QP oscillation, systematic bandwidth mis-estimation,
+// decision journal a DiVE run exported (an offline JSONL file or the live
+// /debug/journal endpoint) and prints a diagnosis report — QP oscillation, systematic bandwidth mis-estimation,
 // foreground-segmentation collapse during turns, stale-MOT drift across
 // outages, reconnect storms with collapsed backoff, slow post-outage
 // recovery of the degradation ladder, and per-stage latency regressions
@@ -9,8 +8,8 @@
 //
 // Usage:
 //
-//	divedoctor [-journal run.journal.jsonl] [-spans run.spans.jsonl]
-//	           [-url http://localhost:7061] [-bench bench_results.json]
+//	divedoctor [-journal run.journal.jsonl] [-url http://localhost:7061]
+//	           [-bench bench_results.json]
 //	           [-baseline ci/bench_baseline.json]
 //	           [-write-baseline ci/bench_baseline.json]
 //	           [-fleet fleet.jsonl] [-runtime runtime.jsonl]
@@ -18,13 +17,13 @@
 //	           [-alloc-baseline ci/alloc_baseline.json]
 //	           [-write-alloc-baseline ci/alloc_baseline.json] [-json]
 //	divedoctor -follow -url http://localhost:7061 [-interval 500ms]
-//	           [-settle 8] [-for 15s]
+//	           [-settle 8] [-for 15s] [-outage-run 6]
 //
-// Input modes (combinable):
+// Input modes (combinable; a detector suite is listed under checks_run and
+// run only when its input was supplied):
 //
-//   - -journal / -spans read exported JSONL files ("-" reads the journal
-//     from stdin).
-//   - -url fetches both live from a telemetry endpoint.
+//   - -journal reads an exported journal JSONL file ("-" reads stdin).
+//   - -url fetches the journal live from a telemetry endpoint.
 //   - -bench reads a divebench -json -telemetry results file; with
 //     -baseline its stage histograms are checked for latency regressions,
 //     with -write-baseline they become the new committed baseline.
@@ -100,8 +99,7 @@ type benchFile struct {
 func run(args []string, w io.Writer) (*doctor.Report, error) {
 	fs := flag.NewFlagSet("divedoctor", flag.ContinueOnError)
 	journalPath := fs.String("journal", "", "decision-journal JSONL file (- = stdin)")
-	spansPath := fs.String("spans", "", "trace-span JSONL file")
-	url := fs.String("url", "", "live telemetry base URL, e.g. http://localhost:7061; fetches /debug/journal and /debug/spans")
+	url := fs.String("url", "", "live telemetry base URL, e.g. http://localhost:7061; fetches /debug/journal")
 	benchPath := fs.String("bench", "", "divebench -json results file (needs -telemetry for stage histograms)")
 	baselinePath := fs.String("baseline", "", "committed latency baseline to compare -bench against")
 	writeBaseline := fs.String("write-baseline", "", "write the -bench stage histograms as a new baseline file and exit")
@@ -119,66 +117,60 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	th := doctor.Thresholds{OutageRun: *outageRun}
 	if *follow {
 		if *url == "" {
 			fs.Usage()
 			return nil, fmt.Errorf("-follow needs -url")
 		}
-		return followLive(*url, *interval, *followFor, *settle, th, w)
+		return followLive(*url, *interval, *followFor, *settle, *outageRun, w)
 	}
 	if *journalPath == "" && *url == "" && *benchPath == "" && *runtimePath == "" && *allocPath == "" && *fleetPath == "" {
 		fs.Usage()
 		return nil, fmt.Errorf("nothing to analyze: pass -journal, -url, -bench, -fleet, -runtime or -alloc")
 	}
 
-	var journal []obs.JournalRecord
-	var spans []obs.SpanRecord
-	var err error
-	if *journalPath != "" {
-		journal, err = readJournalFile(*journalPath)
-		if err != nil {
-			return nil, err
+	// Each suite below is listed and run only when its input was supplied.
+	rep := &doctor.Report{}
+	if *journalPath != "" || *url != "" {
+		var journal []obs.JournalRecord
+		if *journalPath != "" {
+			recs, err := readFile("journal", *journalPath, obs.ReadJSONL[obs.JournalRecord])
+			if err != nil {
+				return nil, err
+			}
+			journal = recs
 		}
-	}
-	if *spansPath != "" {
-		spans, err = readSpansFile(*spansPath)
-		if err != nil {
-			return nil, err
+		if *url != "" {
+			recs, err := fetchAs(&http.Client{Timeout: 10 * time.Second}, *url+"/debug/journal", obs.ReadJSONL[obs.JournalRecord])
+			if err != nil {
+				return nil, err
+			}
+			journal = append(journal, recs...)
 		}
+		rep = doctor.Analyze(journal, *outageRun)
 	}
-	if *url != "" {
-		j, s, err := fetchLive(*url)
-		if err != nil {
-			return nil, err
-		}
-		journal = append(journal, j...)
-		spans = append(spans, s...)
-	}
-
-	rep := doctor.Analyze(journal, spans, th)
 
 	if *fleetPath != "" {
-		rollups, err := readFleetFile(*fleetPath)
+		rollups, err := readFile("fleet rollups", *fleetPath, readRollups)
 		if err != nil {
 			return nil, err
 		}
-		frep := doctor.AnalyzeFleet(rollups, th)
+		frep := doctor.AnalyzeFleet(rollups)
 		rep.Checks = append(rep.Checks, frep.Checks...)
 		rep.Findings = append(rep.Findings, frep.Findings...)
 	}
 
 	if *runtimePath != "" {
-		samples, err := readRuntimeFile(*runtimePath)
+		samples, err := readFile("runtime samples", *runtimePath, obs.ReadJSONL[obs.RuntimeStats])
 		if err != nil {
 			return nil, err
 		}
 		rep.Checks = append(rep.Checks, "gc-pressure")
-		rep.Findings = append(rep.Findings, doctor.AnalyzeRuntime(samples, th)...)
+		rep.Findings = append(rep.Findings, doctor.AnalyzeRuntime(samples)...)
 	}
 
 	if *allocPath != "" {
-		cur, err := readAllocFile(*allocPath)
+		cur, err := readFile("bench output", *allocPath, doctor.ParseBenchOutput)
 		if err != nil {
 			return nil, err
 		}
@@ -199,17 +191,12 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 			return rep, nil
 		}
 		if *allocBaselinePath != "" {
-			f, err := os.Open(*allocBaselinePath)
-			if err != nil {
-				return nil, err
-			}
-			base, err := doctor.ReadAllocBaseline(f)
-			f.Close()
+			base, err := readFile("alloc baseline", *allocBaselinePath, doctor.ReadAllocBaseline)
 			if err != nil {
 				return nil, err
 			}
 			rep.Checks = append(rep.Checks, "alloc-regression")
-			rep.Findings = append(rep.Findings, doctor.CompareAlloc(cur, base, th)...)
+			rep.Findings = append(rep.Findings, doctor.CompareAlloc(cur, base)...)
 		}
 	}
 
@@ -235,17 +222,12 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 			return rep, nil
 		}
 		if *baselinePath != "" {
-			f, err := os.Open(*baselinePath)
-			if err != nil {
-				return nil, err
-			}
-			base, err := doctor.ReadBaseline(f)
-			f.Close()
+			base, err := readFile("baseline", *baselinePath, doctor.ReadBaseline)
 			if err != nil {
 				return nil, err
 			}
 			rep.Checks = append(rep.Checks, "latency-regression")
-			rep.Findings = append(rep.Findings, doctor.CompareLatency(cur, base, doctor.Thresholds{})...)
+			rep.Findings = append(rep.Findings, doctor.CompareLatency(cur, base)...)
 		}
 	}
 
@@ -262,8 +244,7 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 }
 
 func printReport(w io.Writer, rep *doctor.Report) {
-	fmt.Fprintf(w, "divedoctor: %d journal frames, %d spans, checks: %v\n",
-		rep.Frames, rep.Spans, rep.Checks)
+	fmt.Fprintf(w, "divedoctor: %d journal frames, checks: %v\n", rep.Frames, rep.Checks)
 	if rep.Healthy() {
 		fmt.Fprintln(w, "diagnosis: healthy — no findings")
 		return
@@ -278,76 +259,24 @@ func printReport(w io.Writer, rep *doctor.Report) {
 	}
 }
 
-func readJournalFile(path string) ([]obs.JournalRecord, error) {
-	r, err := openArg(path)
-	if err != nil {
-		return nil, err
+// readFile opens path ("-" = stdin) and parses it; a parse error names what
+// was being read and from where.
+func readFile[T any](what, path string, parse func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	r := io.NopCloser(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return zero, err
+		}
+		r = f
 	}
 	defer r.Close()
-	recs, err := obs.ReadJournal(r)
+	v, err := parse(r)
 	if err != nil {
-		return nil, fmt.Errorf("parse journal %s: %w", path, err)
+		return zero, fmt.Errorf("parse %s %s: %w", what, path, err)
 	}
-	return recs, nil
-}
-
-func readSpansFile(path string) ([]obs.SpanRecord, error) {
-	r, err := openArg(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	recs, err := obs.ReadSpans(r)
-	if err != nil {
-		return nil, fmt.Errorf("parse spans %s: %w", path, err)
-	}
-	return recs, nil
-}
-
-func openArg(path string) (io.ReadCloser, error) {
-	if path == "-" {
-		return io.NopCloser(os.Stdin), nil
-	}
-	return os.Open(path)
-}
-
-func readFleetFile(path string) ([]obs.FleetRollup, error) {
-	r, err := openArg(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	rollups, err := readRollups(r)
-	if err != nil {
-		return nil, fmt.Errorf("parse fleet rollups %s: %w", path, err)
-	}
-	return rollups, nil
-}
-
-func readRuntimeFile(path string) ([]obs.RuntimeStats, error) {
-	r, err := openArg(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	samples, err := doctor.ReadRuntimeSamples(r)
-	if err != nil {
-		return nil, fmt.Errorf("parse runtime samples %s: %w", path, err)
-	}
-	return samples, nil
-}
-
-func readAllocFile(path string) (map[string]doctor.BenchAlloc, error) {
-	r, err := openArg(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	cur, err := doctor.ParseBenchOutput(r)
-	if err != nil {
-		return nil, fmt.Errorf("parse bench output %s: %w", path, err)
-	}
-	return cur, nil
+	return v, nil
 }
 
 func readBench(path string) (*benchFile, error) {
@@ -376,10 +305,10 @@ const followMaxConsecFails = 6
 // when the deadline passes or the endpoint stays unreachable for
 // followMaxConsecFails polls. Either way the held-back tail is flushed
 // through the detectors so end-of-stream findings are not lost.
-func followLive(base string, interval, dur time.Duration, settle int, th doctor.Thresholds, w io.Writer) (*doctor.Report, error) {
+func followLive(base string, interval, dur time.Duration, settle, outageRun int, w io.Writer) (*doctor.Report, error) {
 	client := &http.Client{Timeout: 10 * time.Second}
-	follower := doctor.NewFollower(th, settle)
-	fleetFollower := doctor.NewFleetFollower(th)
+	follower := doctor.NewFollower(outageRun, settle)
+	fleetFollower := doctor.NewFleetFollower()
 	enc := json.NewEncoder(w)
 	var findings []doctor.Finding
 	emit := func(fs []doctor.Finding) error {
@@ -403,13 +332,12 @@ func followLive(base string, interval, dur time.Duration, settle int, th doctor.
 	// errors leave it open.
 	connected, failures, retries := false, 0, 0
 	hasJournal, hasFleet := true, true
-	fleetRollups := 0
 	sleep := interval
 	for {
 		var scrapeErr error
 		polled := false
 		if hasJournal {
-			recs, err := fetchJournal(client, base)
+			recs, err := fetchAs(client, base+"/debug/journal", obs.ReadJSONL[obs.JournalRecord])
 			switch {
 			case err == nil:
 				polled = true
@@ -419,8 +347,8 @@ func followLive(base string, interval, dur time.Duration, settle int, th doctor.
 				}
 				// Sample the runtime alongside the journal; servers without
 				// /debug/runtime just skip the GC-pressure series.
-				if st, err := fetchRuntime(client, base); err == nil {
-					rtSamples = append(rtSamples, st)
+				if st, err := fetchAs(client, base+"/debug/runtime", obs.ReadJSONL[obs.RuntimeStats]); err == nil {
+					rtSamples = append(rtSamples, st...)
 				}
 			case errors.Is(err, errNotFound):
 				hasJournal = false
@@ -429,14 +357,13 @@ func followLive(base string, interval, dur time.Duration, settle int, th doctor.
 			}
 		}
 		if hasFleet && scrapeErr == nil {
-			rollups, err := fetchFleet(client, base)
+			rollups, err := fetchAs(client, base+"/debug/fleet", readRollups)
 			switch {
 			case err == nil:
 				polled = true
 				if err := emit(fleetFollower.Ingest(rollups)); err != nil {
 					return nil, err
 				}
-				fleetRollups = fleetFollower.Rollups()
 			case errors.Is(err, errNotFound):
 				hasFleet = false
 			default:
@@ -478,7 +405,7 @@ done:
 	if err := emit(follower.Close(last)); err != nil {
 		return nil, err
 	}
-	if err := emit(fleetFollower.Close()); err != nil {
+	if err := emit(fleetFollower.Close(nil)); err != nil {
 		return nil, err
 	}
 	var checks []string
@@ -490,65 +417,14 @@ done:
 	}
 	if len(rtSamples) > 0 {
 		checks = append(checks, "gc-pressure")
-		if err := emit(doctor.AnalyzeRuntime(rtSamples, th)); err != nil {
+		if err := emit(doctor.AnalyzeRuntime(rtSamples)); err != nil {
 			return nil, err
 		}
 	}
-	rep := &doctor.Report{Frames: follower.Frames(), Checks: checks, Findings: findings}
+	rep := &doctor.Report{Frames: follower.Consumed(), Checks: checks, Findings: findings}
 	fmt.Fprintf(os.Stderr, "divedoctor: followed %d journal frames, %d fleet rollup(s), %d finding(s), %d scrape retries\n",
-		rep.Frames, fleetRollups, len(rep.Findings), retries)
+		rep.Frames, fleetFollower.Consumed(), len(rep.Findings), retries)
 	return rep, nil
-}
-
-func fetchJournal(client *http.Client, base string) ([]obs.JournalRecord, error) {
-	jr, err := fetch(client, base+"/debug/journal")
-	if err != nil {
-		return nil, err
-	}
-	defer jr.Close()
-	recs, err := obs.ReadJournal(jr)
-	if err != nil {
-		return nil, fmt.Errorf("parse %s/debug/journal: %w", base, err)
-	}
-	return recs, nil
-}
-
-func fetchRuntime(client *http.Client, base string) (obs.RuntimeStats, error) {
-	rr, err := fetch(client, base+"/debug/runtime")
-	if err != nil {
-		return obs.RuntimeStats{}, err
-	}
-	defer rr.Close()
-	var st obs.RuntimeStats
-	if err := json.NewDecoder(rr).Decode(&st); err != nil {
-		return obs.RuntimeStats{}, fmt.Errorf("parse %s/debug/runtime: %w", base, err)
-	}
-	return st, nil
-}
-
-// fetchLive pulls the journal and spans from a running agent's telemetry
-// endpoint.
-func fetchLive(base string) ([]obs.JournalRecord, []obs.SpanRecord, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	jr, err := fetch(client, base+"/debug/journal")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer jr.Close()
-	journal, err := obs.ReadJournal(jr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("parse %s/debug/journal: %w", base, err)
-	}
-	sr, err := fetch(client, base+"/debug/spans")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sr.Close()
-	spans, err := obs.ReadSpans(sr)
-	if err != nil {
-		return nil, nil, fmt.Errorf("parse %s/debug/spans: %w", base, err)
-	}
-	return journal, spans, nil
 }
 
 // errNotFound marks a 404: the server is alive but does not serve that
@@ -572,24 +448,23 @@ func fetch(client *http.Client, url string) (io.ReadCloser, error) {
 	return resp.Body, nil
 }
 
-// fetchFleet pulls the fleet rollup ring (JSONL, oldest first) from
-// /debug/fleet.
-func fetchFleet(client *http.Client, base string) ([]obs.FleetRollup, error) {
-	fr, err := fetch(client, base+"/debug/fleet")
+// fetchAs GETs url and parses the body; a parse error names the endpoint.
+func fetchAs[T any](client *http.Client, url string, parse func(io.Reader) (T, error)) (T, error) {
+	var zero T
+	body, err := fetch(client, url)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	defer fr.Close()
-	rollups, err := readRollups(fr)
+	defer body.Close()
+	v, err := parse(body)
 	if err != nil {
-		return nil, fmt.Errorf("parse %s/debug/fleet: %w", base, err)
+		return zero, fmt.Errorf("parse %s: %w", url, err)
 	}
-	return rollups, nil
+	return v, nil
 }
 
-// readRollups parses a fleet rollup stream: JSONL as /debug/fleet serves it,
-// or a divefleet -json report (its "rollups" array) — the decoder accepts
-// any concatenation of JSON values whose rollup-bearing shape it recognizes.
+// readRollups parses a fleet rollup stream: a whole divefleet -json report
+// (its "rollups" array), or JSONL as /debug/fleet serves it.
 func readRollups(r io.Reader) ([]obs.FleetRollup, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -601,16 +476,5 @@ func readRollups(r io.Reader) ([]obs.FleetRollup, error) {
 	if err := json.Unmarshal(data, &report); err == nil && len(report.Rollups) > 0 {
 		return report.Rollups, nil
 	}
-	var out []obs.FleetRollup
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for {
-		var ru obs.FleetRollup
-		if err := dec.Decode(&ru); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, err
-		}
-		out = append(out, ru)
-	}
-	return out, nil
+	return obs.ReadJSONL[obs.FleetRollup](bytes.NewReader(data))
 }

@@ -17,12 +17,8 @@ import (
 
 func writeJournal(t *testing.T, recs []obs.JournalRecord) string {
 	t.Helper()
-	ring := obs.NewJournalRing(len(recs))
-	for _, r := range recs {
-		ring.Append(r)
-	}
 	var buf bytes.Buffer
-	if err := ring.WriteJSONL(&buf); err != nil {
+	if err := obs.WriteJSONL(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "run.journal.jsonl")
@@ -198,6 +194,11 @@ func TestRunRuntimeFile(t *testing.T) {
 	}
 	if rep.Healthy() || !strings.Contains(out.String(), "gc-heap-growth") {
 		t.Fatalf("heap ramp diagnosed healthy:\n%s", out.String())
+	}
+	// Only the suite whose input was supplied is listed: no journal was
+	// read, so no journal detector ran and no frame count is claimed.
+	if len(rep.Checks) != 1 || rep.Checks[0] != "gc-pressure" || rep.Frames != 0 {
+		t.Fatalf("runtime-only input reports checks_run %v over %d frames, want [gc-pressure] over 0", rep.Checks, rep.Frames)
 	}
 }
 

@@ -79,7 +79,7 @@ func run(args []string) error {
 	if *telemetry != "" {
 		rec := obs.NewRecorder(0)
 		srv.Obs = rec
-		live := doctor.NewLive(doctor.Thresholds{}, -1, rec.Journal().Snapshot)
+		live := doctor.NewLive(0, -1, rec.Journal().Snapshot)
 		rec.RegisterDebug("/debug/doctor", live.Handler())
 		ln, err := net.Listen("tcp", *telemetry)
 		if err != nil {

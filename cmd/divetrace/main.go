@@ -168,17 +168,17 @@ func Trace(p world.Profile, seed int64, uplinkBps float64, w io.Writer) error {
 func agentRecon(a *core.Agent) *imgx.Plane { return a.Reconstructed() }
 
 // TraceJSONL runs the agent with a telemetry recorder attached and writes
-// the frame-lifecycle ring as JSONL.
+// the frame-lifecycle records as JSONL.
 func TraceJSONL(p world.Profile, seed int64, uplinkBps float64, w io.Writer) error {
 	return TraceTelemetry(p, seed, uplinkBps, "jsonl", 1, w)
 }
 
 // TraceTelemetry runs the agent with a telemetry recorder attached and
 // writes the selected telemetry stream as JSONL: "jsonl" emits the
-// frame-lifecycle ring, "journal" the decision journal, "spans" the frame
-// trace spans. depth >= 2 overlaps capture, analysis and entropy coding
-// via the agent's frame pipeline; the records are identical at any depth
-// (only wall-clock span timings change).
+// frame-lifecycle view (journal ⨝ agent spans), "journal" the decision
+// journal, "spans" the frame trace spans. depth >= 2 overlaps capture,
+// analysis and entropy coding via the agent's frame pipeline; the records
+// are identical at any depth (only wall-clock span timings change).
 func TraceTelemetry(p world.Profile, seed int64, uplinkBps float64, format string, depth int, w io.Writer) error {
 	clip := world.GenerateClip(p, seed)
 	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
@@ -212,7 +212,7 @@ func TraceTelemetry(p world.Profile, seed int64, uplinkBps float64, format strin
 	case "spans":
 		return rec.Spans().WriteJSONL(w)
 	default:
-		return rec.Frames().WriteJSONL(w)
+		return obs.WriteJSONL(w, rec.FrameRecords())
 	}
 }
 
@@ -223,7 +223,7 @@ func TraceTelemetry(p world.Profile, seed int64, uplinkBps float64, format strin
 func ServeLive(p world.Profile, seed int64, mbps float64, chaosName, addr string, pace, linger time.Duration) error {
 	clip := world.GenerateClip(p, seed)
 	rec := obs.NewRecorder(clip.NumFrames())
-	live := doctor.NewLive(doctor.Thresholds{}, -1, rec.Journal().Snapshot)
+	live := doctor.NewLive(0, -1, rec.Journal().Snapshot)
 	rec.RegisterDebug("/debug/doctor", live.Handler())
 
 	ln, err := net.Listen("tcp", addr)

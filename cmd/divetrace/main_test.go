@@ -59,7 +59,7 @@ func TestJournalFormatFeedsDoctorDecoder(t *testing.T) {
 	if err := TraceTelemetry(p, 3, netsim.Mbps(2), "journal", 1, &sb); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadJournal(strings.NewReader(sb.String()))
+	recs, err := obs.ReadJSONL[obs.JournalRecord](strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("journal output does not round-trip: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestSpansFormatRoundTrips(t *testing.T) {
 	if err := TraceTelemetry(p, 3, netsim.Mbps(2), "spans", 3, &sb); err != nil {
 		t.Fatal(err)
 	}
-	spans, err := obs.ReadSpans(strings.NewReader(sb.String()))
+	spans, err := obs.ReadJSONL[obs.SpanRecord](strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("spans output does not round-trip: %v", err)
 	}

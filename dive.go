@@ -329,7 +329,7 @@ func (a *Agent) WriteFrameTrace(w io.Writer) error {
 	if a.rec == nil {
 		return fmt.Errorf("dive: telemetry not enabled (set Config.Telemetry)")
 	}
-	return a.rec.Frames().WriteJSONL(w)
+	return obs.WriteJSONL(w, a.rec.FrameRecords())
 }
 
 // WriteJournal writes the retained decision-journal records as JSONL (one

@@ -221,14 +221,14 @@ func totalBoxes(dets [][]detect.Detection) int {
 // doctor's budget, (c) an intra frame opening the post-handoff bitstream, and
 // (d) detections comparable to the no-failure run.
 func TestKillMemberMidClip(t *testing.T) {
-	gapBudget := doctor.DefaultThresholds().MigrationGapBudgetSec
+	gapBudget := doctor.MigrationGapBudgetSec
 	for w := 1; w <= 3; w++ {
 		t.Run(fmt.Sprintf("window=%d", w), func(t *testing.T) {
 			cleanDets, cleanStats, cleanJS := runClusterClip(t, w, 77, nil)
 			if cleanStats.Migrations != 0 || cleanStats.Reconnects != 0 {
 				t.Fatalf("clean cluster run migrated or reconnected: %+v", cleanStats)
 			}
-			if rep := doctor.Analyze(cleanJS, nil, doctor.Thresholds{}); hasCheck(rep, "migration-gap") {
+			if rep := doctor.Analyze(cleanJS, 0); hasCheck(rep, "migration-gap") {
 				t.Fatalf("clean run produced migration findings: %+v", rep.Findings)
 			}
 
@@ -277,7 +277,7 @@ func TestKillMemberMidClip(t *testing.T) {
 
 			// The doctor must grade this exactly as CI will: one bounded
 			// migration-gap warn, no failover storm.
-			rep := doctor.Analyze(js, nil, doctor.Thresholds{})
+			rep := doctor.Analyze(js, 0)
 			gaps := 0
 			for _, f := range rep.Findings {
 				switch f.Check {

@@ -288,10 +288,6 @@ func countMask(mask []bool) int {
 // bits were serialized onto the link during [start, end].
 func (a *Agent) OnTransmitComplete(start, end float64, bits int) {
 	a.estimator.Record(start, end, bits)
-	a.cfg.Obs.AmendLastFrame(func(fr *obs.FrameRecord) {
-		fr.AckBits += bits
-		fr.AckEndSec = end
-	})
 	a.cfg.Obs.AmendLastJournal(func(j *obs.JournalRecord) {
 		j.AckBits += bits
 		j.AckStartSec = start

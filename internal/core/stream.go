@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"dive/internal/codec"
 	"dive/internal/imgx"
@@ -33,9 +32,6 @@ type PendingFrame struct {
 	actx obs.TraceContext
 	span obs.Span // open root "frame" span, ended when EmitFrame completes
 	now  float64
-	frac float64
-
-	motionDur, rotationDur, foregroundDur, encodeDur time.Duration
 }
 
 // Result returns the frame's analysis result. Before EmitFrame completes,
@@ -79,7 +75,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 	// Preprocessing: motion vectors come free from the encoder.
 	motionSpan := r.StartStageSpan(actx, "motion", "agent", obs.StageMotion)
 	mf := a.enc.AnalyzeMotion(frame)
-	p.motionDur = motionSpan.End()
+	motionSpan.End()
 	if mf != nil {
 		field := mvfield.FromMotion(mf, a.cfg.Focal, a.cx(), a.cy(), 0)
 		res.RawField = field
@@ -95,7 +91,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 					res.Rotation = RotationEstimate{PhiX: phiX, PhiY: phiY, OK: true}
 					field = field.RemoveRotation(phiX, phiY)
 				}
-				p.rotationDur = rotSpan.End()
+				rotSpan.End()
 			}
 			// FOE calibration on the corrected field.
 			if foe, err := mvfield.EstimateFOE(field, a.rng); err == nil {
@@ -109,7 +105,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 			// Foreground extraction (Section III-C).
 			fgSpan := r.StartStageSpan(actx, "foreground", "agent", obs.StageForeground)
 			fg := ExtractForeground(field, a.foeCal.FOE(), a.cfg.Foreground)
-			p.foregroundDur = fgSpan.End()
+			fgSpan.End()
 			if fg != nil && !fg.Empty() {
 				a.lastFG = fg
 			} else {
@@ -132,7 +128,6 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 		frac = a.lastFG.Fraction()
 		mask = a.lastFG.Mask
 	}
-	p.frac = frac
 	res.Delta = a.cfg.AVE.Delta(frac)
 	mbw, mbh := a.enc.MBDims()
 	a.qpOffsets = BuildQPOffsetsInto(a.qpOffsets, mask, mbw*mbh, res.Delta)
@@ -154,7 +149,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 	}
 	encSpan := r.StartStageSpan(actx, "encode", "agent", obs.StageEncode)
 	job, err := a.enc.AnalyzeAndQuantize(frame, opts)
-	p.encodeDur = encSpan.End()
+	encSpan.End()
 	a.forceI = false
 	if err != nil {
 		return nil, err
@@ -177,32 +172,20 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 		}
 		r.Gauge(obs.GaugeEta).Set(res.Eta)
 		r.Gauge(obs.GaugeFGFraction).Set(frac)
-		// Record the lifecycle and journal entries now, before any
-		// transport feedback for this frame can arrive: AmendLast* from
-		// OnTransmitComplete/ForceNextIFrame must land on this frame.
-		// TotalMs and EmitMs are amended when EmitFrame completes.
-		r.RecordFrame(obs.FrameRecord{
-			Frame: ef.Index, TimeSec: now, Type: ef.Type.String(),
-			Eta: res.Eta, Moving: res.Moving, ReusedFG: res.Reused,
-			FGFraction: frac, Delta: res.Delta,
-			BaseQP: ef.BaseQP, Bits: ef.NumBits, TargetBits: res.TargetBits,
-			EstBWBps:     res.EstimatedBandwidth,
-			MotionMs:     p.motionDur.Seconds() * 1000,
-			RotationMs:   p.rotationDur.Seconds() * 1000,
-			ForegroundMs: p.foregroundDur.Seconds() * 1000,
-			EncodeMs:     p.encodeDur.Seconds() * 1000,
-		})
+		// Journal the frame now, before any transport feedback for it can
+		// arrive: AmendLastJournal from OnTransmitComplete/ForceNextIFrame
+		// must land on this frame. Its stage durations are the spans above;
+		// obs.Recorder.FrameRecords joins the two.
 		r.RecordJournal(a.journalRecord(ctx, res, ef, now, frac))
 	}
 	return p, nil
 }
 
 // EmitFrame runs phase two: it serializes the pending frame's bitstream
-// (codec.EmitBitstream), closes the frame's root span and amends the
-// lifecycle record with the emit and total durations. It touches no mutable
-// agent analysis state, so it may run concurrently with AnalyzeFrame calls
-// for later frames; pending frames must be emitted in production order,
-// exactly once.
+// (codec.EmitBitstream) and closes the frame's root span. It touches no
+// mutable agent analysis state, so it may run concurrently with AnalyzeFrame
+// calls for later frames; pending frames must be emitted in production
+// order, exactly once.
 func (a *Agent) EmitFrame(p *PendingFrame) (*FrameResult, error) {
 	if p == nil || p.job == nil {
 		return nil, fmt.Errorf("core: EmitFrame on a consumed or nil pending frame")
@@ -210,19 +193,13 @@ func (a *Agent) EmitFrame(p *PendingFrame) (*FrameResult, error) {
 	r := a.cfg.Obs
 	emitSpan := r.StartSpan(p.actx, "emit", "agent")
 	ef, err := a.enc.EmitBitstream(p.job)
-	emitDur := emitSpan.End()
+	emitSpan.End()
 	p.job = nil
 	if err != nil {
 		return nil, err
 	}
 	p.res.Encoded = ef
-	total := p.span.End()
-	if r != nil {
-		r.AmendFrameRecord(ef.Index, func(fr *obs.FrameRecord) {
-			fr.EmitMs = emitDur.Seconds() * 1000
-			fr.TotalMs = total.Seconds() * 1000
-		})
-	}
+	p.span.End()
 	return p.res, nil
 }
 

@@ -91,15 +91,18 @@ func ParseBenchOutput(r io.Reader) (map[string]BenchAlloc, error) {
 	return out, nil
 }
 
+// allocBytesSlack is the multiplicative headroom CompareAlloc grants B/op
+// over the committed baseline before failing.
+const allocBytesSlack = 1.25
+
 // CompareAlloc diagnoses allocation regressions of measured benchmarks
 // against the committed baseline. allocs/op is compared exactly — it is
 // deterministic after warm-up, so any increase over the baseline fails.
-// B/op gets AllocBytesSlack multiplicative headroom (plus a small absolute
+// B/op gets allocBytesSlack multiplicative headroom (plus a small absolute
 // floor so a 0-byte baseline is not failed by rounding noise). A baseline
 // benchmark missing from the output warns: the gate silently weakening is
 // itself a finding.
-func CompareAlloc(cur map[string]BenchAlloc, base *AllocBaseline, th Thresholds) []Finding {
-	th = th.withDefaults()
+func CompareAlloc(cur map[string]BenchAlloc, base *AllocBaseline) []Finding {
 	if base == nil || len(base.Benchmarks) == 0 {
 		return nil
 	}
@@ -127,13 +130,13 @@ func CompareAlloc(cur map[string]BenchAlloc, base *AllocBaseline, th Thresholds)
 					name, got.AllocsPerOp, bl.AllocsPerOp),
 			})
 		}
-		ceil := bl.BytesPerOp*th.AllocBytesSlack + 64
+		ceil := bl.BytesPerOp*allocBytesSlack + 64
 		if got.BytesPerOp > ceil {
 			out = append(out, Finding{
 				Check: "alloc-regression", Severity: Fail,
 				Value: got.BytesPerOp, Threshold: ceil,
 				Message: fmt.Sprintf("%s allocates %.0f B/op, over the %.0f B/op ceiling (baseline %.0f × %.2f slack)",
-					name, got.BytesPerOp, ceil, bl.BytesPerOp, th.AllocBytesSlack),
+					name, got.BytesPerOp, ceil, bl.BytesPerOp, allocBytesSlack),
 			})
 		}
 	}

@@ -47,13 +47,13 @@ func TestCompareAllocCleanAndRegressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs := CompareAlloc(cur, base, Thresholds{}); len(fs) != 0 {
+	if fs := CompareAlloc(cur, base); len(fs) != 0 {
 		t.Fatalf("clean run flagged: %+v", fs)
 	}
 
 	// One alloc/op on the pooled path regresses the 0 baseline.
 	cur["BenchmarkEncodeSteadyState"] = BenchAlloc{BytesPerOp: 384, AllocsPerOp: 1}
-	fs := CompareAlloc(cur, base, Thresholds{})
+	fs := CompareAlloc(cur, base)
 	var allocFail, bytesFail bool
 	for _, f := range fs {
 		if f.Check != "alloc-regression" || f.Severity != Fail {
@@ -82,7 +82,7 @@ func TestCompareAllocSlackAndMissing(t *testing.T) {
 		// +20% B/op: inside the default 1.25x slack.
 		"BenchmarkEncodeSteadyStateFresh": {BytesPerOp: 12000, AllocsPerOp: 3},
 	}
-	fs := CompareAlloc(cur, base, Thresholds{})
+	fs := CompareAlloc(cur, base)
 	if len(fs) != 1 || fs[0].Severity != Warn || !strings.Contains(fs[0].Message, "BenchmarkGone") {
 		t.Fatalf("findings = %+v, want one Warn about BenchmarkGone", fs)
 	}

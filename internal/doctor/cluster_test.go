@@ -21,7 +21,7 @@ func migratedAt(js []obs.JournalRecord, frame int, gapSec float64, forced bool) 
 func TestMigrationGapWithinBudgetWarns(t *testing.T) {
 	js := flatJournal(60)
 	migratedAt(js, 30, 0.8, true)
-	rep := Analyze(js, nil, Thresholds{MigrationGapBudgetSec: 2.0})
+	rep := Analyze(js, 0)
 	found := false
 	for _, f := range rep.Findings {
 		if f.Check != "migration-gap" {
@@ -49,7 +49,7 @@ func TestMigrationGapWithinBudgetWarns(t *testing.T) {
 func TestMigrationGapOverBudgetFails(t *testing.T) {
 	js := flatJournal(60)
 	migratedAt(js, 30, 3.5, true)
-	rep := Analyze(js, nil, Thresholds{MigrationGapBudgetSec: 2.0})
+	rep := Analyze(js, 0)
 	for _, f := range rep.Findings {
 		if f.Check == "migration-gap" {
 			if f.Severity != Fail {
@@ -62,7 +62,7 @@ func TestMigrationGapOverBudgetFails(t *testing.T) {
 }
 
 func TestMigrationGapCleanJournalSilent(t *testing.T) {
-	rep := Analyze(flatJournal(60), nil, Thresholds{})
+	rep := Analyze(flatJournal(60), 0)
 	if hasCheck(rep, "migration-gap") || hasCheck(rep, "failover-storm") {
 		t.Fatalf("clean journal produced cluster findings: %+v", rep.Findings)
 	}
@@ -74,7 +74,7 @@ func TestFailoverStormDetected(t *testing.T) {
 	for _, fr := range []int{50, 70, 90} {
 		migratedAt(js, fr, 0.5, true)
 	}
-	rep := Analyze(js, nil, Thresholds{FailoverMigrations: 3, FailoverWindowFrames: 150})
+	rep := Analyze(js, 0)
 	found := false
 	for _, f := range rep.Findings {
 		if f.Check != "failover-storm" {
@@ -99,7 +99,7 @@ func TestFailoverStormWideSpacingClean(t *testing.T) {
 	for _, fr := range []int{50, 300, 600} {
 		migratedAt(js, fr, 0.5, false)
 	}
-	rep := Analyze(js, nil, Thresholds{FailoverMigrations: 3, FailoverWindowFrames: 150})
+	rep := Analyze(js, 0)
 	if hasCheck(rep, "failover-storm") {
 		t.Fatalf("well-spaced migrations flagged as a storm: %+v", rep.Findings)
 	}
@@ -110,7 +110,7 @@ func TestFailoverStormReportsOncePerBurst(t *testing.T) {
 	for _, fr := range []int{50, 60, 70, 80, 90} {
 		migratedAt(js, fr, 0.5, true)
 	}
-	rep := Analyze(js, nil, Thresholds{FailoverMigrations: 3, FailoverWindowFrames: 150})
+	rep := Analyze(js, 0)
 	storms := 0
 	for _, f := range rep.Findings {
 		if f.Check == "failover-storm" {

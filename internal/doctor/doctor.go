@@ -1,6 +1,6 @@
 // Package doctor is the automated trace analyzer behind cmd/divedoctor: it
-// ingests the decision journal and trace spans the obs layer exports and
-// diagnoses known DiVE pathologies — rate-control oscillation, systematic
+// ingests the decision journal the obs layer exports and diagnoses known
+// DiVE pathologies — rate-control oscillation, systematic
 // bandwidth mis-estimation, foreground-segmentation collapse during turns,
 // stale-MOT drift across long outages, reconnect storms whose backoff
 // collapsed, degradation ladders that stay down after the link healed, and
@@ -37,10 +37,11 @@ type Finding struct {
 	Message   string  `json:"message"`
 }
 
-// Report is the full diagnosis of one run.
+// Report is a diagnosis: of one recorded run, or of a live one so far (the
+// /debug/doctor document). Frames counts the records diagnosed — journal
+// frames, or rollups when only a fleet series was analyzed.
 type Report struct {
 	Frames   int       `json:"frames"`
-	Spans    int       `json:"spans"`
 	Checks   []string  `json:"checks_run"`
 	Findings []Finding `json:"findings"`
 }
@@ -48,223 +49,51 @@ type Report struct {
 // Healthy reports whether the diagnosis found nothing.
 func (r *Report) Healthy() bool { return len(r.Findings) == 0 }
 
-// Thresholds tunes the detectors. The zero value is replaced by
-// DefaultThresholds field-wise, so callers can override selectively.
-type Thresholds struct {
-	// QPSwing is the minimum |ΔBaseQP| between consecutive frames that
-	// counts as a swing; QPAlternations is how many sign-alternating swings
-	// in a row constitute oscillation.
-	QPSwing        int
-	QPAlternations int
-	// BWBiasRatio flags the estimator when the geometric mean of
-	// estimate/realized bandwidth over at least BWMinAcked acknowledged
-	// frames exceeds it (over-estimation) or falls below its reciprocal
-	// (under-estimation).
-	BWBiasRatio float64
-	BWMinAcked  int
-	// FGCollapseRun is the run length of moving, rotation-corrected frames
-	// with no fresh foreground that constitutes segmentation collapse.
-	FGCollapseRun int
-	// OutageRun is the run length of consecutive outage frames after which
-	// locally tracked boxes are considered drifted stale.
-	OutageRun int
-	// LatencyP95Ratio flags a pipeline stage whose p95 grew by this factor
-	// over a baseline from a comparable environment; StageShareGrowth is
-	// the fallback factor on the stage's share of total pipeline time when
-	// the environments are not comparable (different machine or worker
-	// count), where absolute times mean nothing.
-	LatencyP95Ratio  float64
-	StageShareGrowth float64
-	// StormAttempts is the number of reconnect attempts within any
-	// StormWindowFrames-frame window that constitutes a reconnect storm;
-	// MinMeanBackoffSec flags a storm whose mean per-attempt backoff is
-	// below it (the backoff schedule is not actually backing off).
-	StormAttempts     int
-	StormWindowFrames int
-	MinMeanBackoffSec float64
-	// LadderRecoverFrames is how many frames after the last failure event
-	// the degradation ladder may take to return to the healthy rung before
-	// recovery is diagnosed as slow (or stuck).
-	LadderRecoverFrames int
-	// HeapGrowthRatio flags GC pressure when the live heap grew by more than
-	// this factor across a runtime-snapshot series of at least
-	// HeapGrowthMinSamples samples with at least HeapGrowthFrac of the steps
-	// increasing (sustained ramp, not a single burst).
-	HeapGrowthRatio      float64
-	HeapGrowthMinSamples int
-	HeapGrowthFrac       float64
-	// GCPauseP99CeilSec flags any runtime snapshot whose GC pause p99
-	// exceeds it.
-	GCPauseP99CeilSec float64
-	// AllocBytesSlack is the multiplicative headroom CompareAlloc grants
-	// B/op over the committed baseline before failing (allocs/op gets none:
-	// it is deterministic after warm-up).
-	AllocBytesSlack float64
-	// StragglerTicks is how many consecutive fleet rollups a session must
-	// spend in the straggler table before straggler-session fires (one bad
-	// tick is noise; a streak is a pathology).
-	StragglerTicks int
-	// FleetBurnTicks is how many consecutive rollups the aggregate burn rate
-	// must exceed FleetBurnRate — with no straggler standing out — before
-	// fleet-burn diagnoses diffuse overload. The rate bar sits above 1 so a
-	// transient budget blip (one chaos outage window clustering across the
-	// fleet) doesn't read as overload.
-	FleetBurnTicks int
-	FleetBurnRate  float64
-	// MigrationGapBudgetSec bounds the re-detection gap a session migration
-	// may leave (last detection served by the old member to the first served
-	// by the new one). Every migration yields a migration-gap finding so the
-	// gap is always measured and visible: Warn within the budget, Fail
-	// beyond it. The default 2.0 covers one keyframe interval at the live
-	// cadence plus the reconnect backoff budget of the default schedule's
-	// early attempts.
-	MigrationGapBudgetSec float64
-	// FailoverMigrations is how many migrations within any
-	// FailoverWindowFrames-frame window constitute a failover storm — a
-	// session ping-ponging between members instead of settling, usually a
-	// balancer disagreement or a flapping prober.
-	FailoverMigrations   int
-	FailoverWindowFrames int
-	// NoisySessionGrowth is the session-count growth factor over the baseline
-	// rollup after which noisy-neighbor starts judging; NoisyGrowthRatio is
-	// the per-session heap (or GC pause p99) growth factor that then counts
-	// as superlinear pressure.
-	NoisySessionGrowth float64
-	NoisyGrowthRatio   float64
+// Detector is one incremental pathology check over a stream of records R:
+// the decision journal (obs.JournalRecord, in frame order) or the fleet
+// rollup series (obs.FleetRollup, in tick order). Observe folds in the next
+// record and returns any findings that became final: those that depend only
+// on a bounded suffix of the stream (runs, alternations, windows) as soon as
+// the run provably ended, whole-stream aggregates (bandwidth bias) at Flush.
+// Flush ends the stream, returning findings whose runs were still open, and
+// resets the detector for a new one. Batch analysis (analyze) and live
+// following (Follower: divedoctor -follow, /debug/doctor) feed the same
+// detectors, so they produce identical findings for identical input. Each
+// detector's thresholds are the constants declared next to it; the only one
+// any caller ever tunes is the outage-drift run length (NewDetectors).
+type Detector[R any] interface {
+	// Name is the check name findings carry (e.g. "qp-oscillation").
+	Name() string
+	Observe(rec R) []Finding
+	Flush() []Finding
 }
 
-// DefaultThresholds returns the tuned defaults.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		QPSwing:               6,
-		QPAlternations:        4,
-		BWBiasRatio:           1.5,
-		BWMinAcked:            16,
-		FGCollapseRun:         5,
-		OutageRun:             6,
-		LatencyP95Ratio:       1.5,
-		StageShareGrowth:      1.6,
-		StormAttempts:         6,
-		StormWindowFrames:     12,
-		MinMeanBackoffSec:     0.02,
-		LadderRecoverFrames:   24,
-		HeapGrowthRatio:       2.0,
-		HeapGrowthMinSamples:  6,
-		HeapGrowthFrac:        0.7,
-		GCPauseP99CeilSec:     0.05,
-		AllocBytesSlack:       1.25,
-		StragglerTicks:        3,
-		MigrationGapBudgetSec: 2.0,
-		FailoverMigrations:    3,
-		FailoverWindowFrames:  150,
-		FleetBurnTicks:        3,
-		FleetBurnRate:         2.0,
-		NoisySessionGrowth:    1.5,
-		NoisyGrowthRatio:      2.0,
-	}
-}
-
-func (t Thresholds) withDefaults() Thresholds {
-	d := DefaultThresholds()
-	if t.QPSwing <= 0 {
-		t.QPSwing = d.QPSwing
-	}
-	if t.QPAlternations <= 0 {
-		t.QPAlternations = d.QPAlternations
-	}
-	if t.BWBiasRatio <= 0 {
-		t.BWBiasRatio = d.BWBiasRatio
-	}
-	if t.BWMinAcked <= 0 {
-		t.BWMinAcked = d.BWMinAcked
-	}
-	if t.FGCollapseRun <= 0 {
-		t.FGCollapseRun = d.FGCollapseRun
-	}
-	if t.OutageRun <= 0 {
-		t.OutageRun = d.OutageRun
-	}
-	if t.LatencyP95Ratio <= 0 {
-		t.LatencyP95Ratio = d.LatencyP95Ratio
-	}
-	if t.StageShareGrowth <= 0 {
-		t.StageShareGrowth = d.StageShareGrowth
-	}
-	if t.StormAttempts <= 0 {
-		t.StormAttempts = d.StormAttempts
-	}
-	if t.StormWindowFrames <= 0 {
-		t.StormWindowFrames = d.StormWindowFrames
-	}
-	if t.MinMeanBackoffSec <= 0 {
-		t.MinMeanBackoffSec = d.MinMeanBackoffSec
-	}
-	if t.LadderRecoverFrames <= 0 {
-		t.LadderRecoverFrames = d.LadderRecoverFrames
-	}
-	if t.HeapGrowthRatio <= 0 {
-		t.HeapGrowthRatio = d.HeapGrowthRatio
-	}
-	if t.HeapGrowthMinSamples <= 0 {
-		t.HeapGrowthMinSamples = d.HeapGrowthMinSamples
-	}
-	if t.HeapGrowthFrac <= 0 {
-		t.HeapGrowthFrac = d.HeapGrowthFrac
-	}
-	if t.GCPauseP99CeilSec <= 0 {
-		t.GCPauseP99CeilSec = d.GCPauseP99CeilSec
-	}
-	if t.AllocBytesSlack <= 0 {
-		t.AllocBytesSlack = d.AllocBytesSlack
-	}
-	if t.StragglerTicks <= 0 {
-		t.StragglerTicks = d.StragglerTicks
-	}
-	if t.MigrationGapBudgetSec <= 0 {
-		t.MigrationGapBudgetSec = d.MigrationGapBudgetSec
-	}
-	if t.FailoverMigrations <= 0 {
-		t.FailoverMigrations = d.FailoverMigrations
-	}
-	if t.FailoverWindowFrames <= 0 {
-		t.FailoverWindowFrames = d.FailoverWindowFrames
-	}
-	if t.FleetBurnTicks <= 0 {
-		t.FleetBurnTicks = d.FleetBurnTicks
-	}
-	if t.FleetBurnRate <= 0 {
-		t.FleetBurnRate = d.FleetBurnRate
-	}
-	if t.NoisySessionGrowth <= 0 {
-		t.NoisySessionGrowth = d.NoisySessionGrowth
-	}
-	if t.NoisyGrowthRatio <= 0 {
-		t.NoisyGrowthRatio = d.NoisyGrowthRatio
-	}
-	return t
-}
-
-// Analyze diagnoses a run from its decision journal and trace spans (spans
-// may be nil; the span-based checks are then skipped). It is a thin batch
-// wrapper over the streaming detectors in stream.go: the whole journal is
-// fed through each detector's Observe/Flush, so offline analysis and live
-// following (divedoctor -follow, /debug/doctor) share one implementation.
-func Analyze(journal []obs.JournalRecord, spans []obs.SpanRecord, th Thresholds) *Report {
-	rep := &Report{Frames: len(journal), Spans: len(spans)}
-	dets := NewDetectors(th)
-	perDet := make([][]Finding, len(dets))
-	for i, d := range dets {
+// analyze is the batch wrapper: it feeds a whole recorded stream through
+// each detector's Observe/Flush and orders the findings by first frame (by
+// detector within a frame).
+func analyze[R any](dets []Detector[R], recs []R) *Report {
+	rep := &Report{Frames: len(recs)}
+	for _, d := range dets {
 		rep.Checks = append(rep.Checks, d.Name())
-		for _, rec := range journal {
-			perDet[i] = append(perDet[i], d.Observe(rec)...)
+		for _, rec := range recs {
+			rep.Findings = append(rep.Findings, d.Observe(rec)...)
 		}
-		perDet[i] = append(perDet[i], d.Flush()...)
-	}
-	for _, fs := range perDet {
-		rep.Findings = append(rep.Findings, fs...)
+		rep.Findings = append(rep.Findings, d.Flush()...)
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		return rep.Findings[i].FirstFrame < rep.Findings[j].FirstFrame
 	})
 	return rep
+}
+
+// Analyze diagnoses a run from its decision journal; outageRun as in
+// NewDetectors.
+func Analyze(journal []obs.JournalRecord, outageRun int) *Report {
+	return analyze(NewDetectors(outageRun), journal)
+}
+
+// AnalyzeFleet diagnoses a recorded rollup series (divedoctor -fleet).
+// Findings anchor FirstFrame/LastFrame to rollup ticks, not journal frames.
+func AnalyzeFleet(rollups []obs.FleetRollup) *Report {
+	return analyze(NewFleetDetectors(), rollups)
 }

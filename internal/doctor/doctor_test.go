@@ -31,7 +31,7 @@ func runDiVE(t *testing.T, trace netsim.Trace, dur float64) *obs.Recorder {
 // pipeline over a steady, adequate link must diagnose clean.
 func TestHealthyRunZeroFindings(t *testing.T) {
 	rec := runDiVE(t, netsim.ConstantTrace(netsim.Mbps(3)), 2.5)
-	rep := Analyze(rec.Journal().Snapshot(), rec.Spans().Snapshot(), Thresholds{})
+	rep := Analyze(rec.Journal().Snapshot(), 0)
 	if !rep.Healthy() {
 		t.Fatalf("healthy run produced findings: %+v", rep.Findings)
 	}
@@ -52,7 +52,7 @@ func TestSeededOutageDriftDetected(t *testing.T) {
 		Start: 0.8, Interval: 10, Duration: 1.5,
 	}, 3)
 	journal := rec.Journal().Snapshot()
-	rep := Analyze(journal, rec.Spans().Snapshot(), Thresholds{})
+	rep := Analyze(journal, 0)
 	if !hasCheck(rep, "outage-drift") {
 		t.Fatalf("outage drift not flagged; findings: %+v", rep.Findings)
 	}
@@ -67,7 +67,7 @@ func TestSeededOutageDriftDetected(t *testing.T) {
 			}
 		}
 	}
-	if outages < DefaultThresholds().OutageRun {
+	if outages < DefaultOutageRun {
 		t.Fatalf("only %d outage frames journaled", outages)
 	}
 }
@@ -81,7 +81,7 @@ func TestSeededQPOscillationDetected(t *testing.T) {
 	for i, qp := range qps {
 		journal = append(journal, obs.JournalRecord{Frame: i, BaseQP: qp, Type: "P"})
 	}
-	rep := Analyze(journal, nil, Thresholds{})
+	rep := Analyze(journal, 0)
 	f, ok := findCheck(rep, "qp-oscillation")
 	if !ok {
 		t.Fatalf("oscillation not flagged; findings: %+v", rep.Findings)
@@ -96,7 +96,7 @@ func TestSeededQPOscillationDetected(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		ramp = append(ramp, obs.JournalRecord{Frame: i, BaseQP: 10 + 4*i, Type: "P"})
 	}
-	if rep := Analyze(ramp, nil, Thresholds{}); hasCheck(rep, "qp-oscillation") {
+	if rep := Analyze(ramp, 0); hasCheck(rep, "qp-oscillation") {
 		t.Errorf("monotone QP ramp misdiagnosed as oscillation")
 	}
 }
@@ -111,7 +111,7 @@ func TestSeededBandwidthBiasDetected(t *testing.T) {
 			EstBWBps: 2e6, RealizedBWBps: 1e6,
 		})
 	}
-	rep := Analyze(journal, nil, Thresholds{})
+	rep := Analyze(journal, 0)
 	f, ok := findCheck(rep, "bandwidth-bias")
 	if !ok {
 		t.Fatalf("bandwidth over-estimation not flagged; findings: %+v", rep.Findings)
@@ -124,13 +124,13 @@ func TestSeededBandwidthBiasDetected(t *testing.T) {
 	for i := range journal {
 		journal[i].RealizedBWBps = journal[i].EstBWBps * 1.05
 	}
-	if rep := Analyze(journal, nil, Thresholds{}); hasCheck(rep, "bandwidth-bias") {
+	if rep := Analyze(journal, 0); hasCheck(rep, "bandwidth-bias") {
 		t.Errorf("unbiased estimator misdiagnosed")
 	}
 
 	// Too few acked frames must not trigger: outage-heavy runs would
 	// otherwise produce noise findings.
-	if rep := Analyze(journal[:4], nil, Thresholds{}); hasCheck(rep, "bandwidth-bias") {
+	if rep := Analyze(journal[:4], 0); hasCheck(rep, "bandwidth-bias") {
 		t.Errorf("bias flagged on %d samples, below the minimum", 4)
 	}
 }
@@ -147,7 +147,7 @@ func TestSeededFGCollapseDetected(t *testing.T) {
 			FGReused: true, FGMBs: 0,
 		})
 	}
-	rep := Analyze(journal, nil, Thresholds{})
+	rep := Analyze(journal, 0)
 	if !hasCheck(rep, "fg-collapse") {
 		t.Fatalf("foreground collapse not flagged; findings: %+v", rep.Findings)
 	}
@@ -157,7 +157,7 @@ func TestSeededFGCollapseDetected(t *testing.T) {
 		journal[i].Moving = false
 		journal[i].RotOK = false
 	}
-	if rep := Analyze(journal, nil, Thresholds{}); hasCheck(rep, "fg-collapse") {
+	if rep := Analyze(journal, 0); hasCheck(rep, "fg-collapse") {
 		t.Errorf("stationary mask reuse misdiagnosed as collapse")
 	}
 }
@@ -173,7 +173,7 @@ func TestLatencyRegressionComparable(t *testing.T) {
 		obs.StageEncode: {Count: 100, P95: 0.025}, // 2.5x
 		obs.StageMotion: {Count: 100, P95: 0.004},
 	}}
-	fs := CompareLatency(cur, base, Thresholds{})
+	fs := CompareLatency(cur, base)
 	if len(fs) != 1 || fs[0].Check != "latency-regression" || fs[0].Severity != Fail {
 		t.Fatalf("findings = %+v, want one comparable-environment regression", fs)
 	}
@@ -181,7 +181,7 @@ func TestLatencyRegressionComparable(t *testing.T) {
 		t.Errorf("ratio %.2f, want 2.5", fs[0].Value)
 	}
 	// Identical run: clean.
-	if fs := CompareLatency(base, base, Thresholds{}); len(fs) != 0 {
+	if fs := CompareLatency(base, base); len(fs) != 0 {
 		t.Errorf("identical run flagged: %+v", fs)
 	}
 }
@@ -202,7 +202,7 @@ func TestLatencyRegressionDifferentMachines(t *testing.T) {
 		obs.StageMotion:     {Count: 100, P95: 0.015},
 		obs.StageForeground: {Count: 100, P95: 0.015},
 	}}
-	if fs := CompareLatency(slower, base, Thresholds{}); len(fs) != 0 {
+	if fs := CompareLatency(slower, base); len(fs) != 0 {
 		t.Fatalf("uniformly slower machine flagged: %+v", fs)
 	}
 	// One stage ballooned relative to the rest: flagged as Warn.
@@ -211,7 +211,7 @@ func TestLatencyRegressionDifferentMachines(t *testing.T) {
 		obs.StageMotion:     {Count: 100, P95: 0.005},
 		obs.StageForeground: {Count: 100, P95: 0.005},
 	}}
-	fs := CompareLatency(skewed, base, Thresholds{})
+	fs := CompareLatency(skewed, base)
 	if len(fs) != 1 || fs[0].Severity != Warn {
 		t.Fatalf("findings = %+v, want one share-based warning", fs)
 	}

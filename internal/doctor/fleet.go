@@ -7,68 +7,36 @@ import (
 	"dive/internal/obs"
 )
 
-// Fleet detectors: streaming pathology checks over obs.FleetRollup series —
-// the aggregation plane's view of a whole fleet, as divefleet emits it and
-// /debug/fleet serves it. They mirror the journal Detector shape (Observe
-// per rollup, Flush at end of stream) so offline analysis (AnalyzeFleet)
-// and live following (divedoctor polling /debug/fleet) share one
-// implementation. Fleet findings anchor FirstFrame/LastFrame to rollup
-// ticks, not journal frames.
-
-// FleetDetector is one incremental fleet pathology check. Rollups must
-// arrive in tick order; Flush ends the stream and resets the detector.
-type FleetDetector interface {
-	Name() string
-	Observe(ru obs.FleetRollup) []Finding
-	Flush() []Finding
-}
+// The fleet detectors: streaming pathology checks over obs.FleetRollup
+// series — the aggregation plane's view of a whole fleet, as divefleet emits
+// it and /debug/fleet serves it (Detector). Fleet findings anchor
+// FirstFrame/LastFrame to rollup ticks, not journal frames.
 
 // NewFleetDetectors builds the fleet detector suite in canonical order.
-func NewFleetDetectors(th Thresholds) []FleetDetector {
-	th = th.withDefaults()
-	return []FleetDetector{
-		newStragglerSessionDetector(th),
-		&noisyNeighborDetector{th: th},
-		&fleetBurnDetector{th: th},
+func NewFleetDetectors() []Detector[obs.FleetRollup] {
+	return []Detector[obs.FleetRollup]{
+		&stragglerSessionDetector{streaks: make(map[string]*stragglerStreak)},
+		&noisyNeighborDetector{},
+		&fleetBurnDetector{},
 	}
-}
-
-// AnalyzeFleet diagnoses a recorded rollup series offline (divedoctor
-// -fleet). Report.Frames carries the rollup count.
-func AnalyzeFleet(rollups []obs.FleetRollup, th Thresholds) *Report {
-	rep := &Report{Frames: len(rollups)}
-	for _, d := range NewFleetDetectors(th) {
-		rep.Checks = append(rep.Checks, d.Name())
-		for _, ru := range rollups {
-			rep.Findings = append(rep.Findings, d.Observe(ru)...)
-		}
-		rep.Findings = append(rep.Findings, d.Flush()...)
-	}
-	sort.SliceStable(rep.Findings, func(i, j int) bool {
-		return rep.Findings[i].FirstFrame < rep.Findings[j].FirstFrame
-	})
-	return rep
 }
 
 // stragglerSessionDetector promotes a straggler-table entry to a finding
-// once the same session has stayed in the table for StragglerTicks
+// once the same session has stayed in the table for stragglerTicks
 // consecutive rollups — one bad tick is noise (a GC pause, one outage
 // window), a sustained streak is a session-level pathology. One finding per
 // streak; a session that recovers and regresses starts a new streak.
 type stragglerSessionDetector struct {
-	th      Thresholds
 	streaks map[string]*stragglerStreak
 }
+
+const stragglerTicks = 3
 
 type stragglerStreak struct {
 	firstTick int
 	count     int
 	reported  bool
 	last      obs.Straggler
-}
-
-func newStragglerSessionDetector(th Thresholds) *stragglerSessionDetector {
-	return &stragglerSessionDetector{th: th, streaks: make(map[string]*stragglerStreak)}
 }
 
 func (d *stragglerSessionDetector) Name() string { return "straggler-session" }
@@ -85,12 +53,12 @@ func (d *stragglerSessionDetector) Observe(ru obs.FleetRollup) []Finding {
 		}
 		st.count++
 		st.last = s
-		if st.count >= d.th.StragglerTicks && !st.reported {
+		if st.count >= stragglerTicks && !st.reported {
 			st.reported = true
 			out = append(out, Finding{
 				Check: d.Name(), Severity: Fail,
 				FirstFrame: st.firstTick, LastFrame: ru.Tick,
-				Value: float64(st.count), Threshold: float64(d.th.StragglerTicks),
+				Value: float64(st.count), Threshold: float64(stragglerTicks),
 				Message: fmt.Sprintf(
 					"session %s (profile %s) straggled for %d consecutive rollups: %s, %.1f× the fleet (p99 %.0f ms, burn %.1f×)",
 					s.Session, s.Profile, st.count, s.Reason, s.Factor,
@@ -117,20 +85,23 @@ func (d *stragglerSessionDetector) Flush() []Finding {
 // noisyNeighborDetector watches per-session resource cost as the fleet
 // grows: live heap per session and GC pause p99 should stay roughly flat
 // when sessions scale. Against the first runtime-bearing rollup as
-// baseline, once the session count has grown by NoisySessionGrowth×, heap
-// per session or GC pause p99 exceeding NoisyGrowthRatio× the baseline
+// baseline, once the session count has grown by noisySessionGrowth×, heap
+// per session or GC pause p99 exceeding noisyGrowthRatio× the baseline
 // means co-tenants are amplifying each other's cost — superlinear pressure,
 // the noisy-neighbor signature. Runtime-less rollup series (deterministic
 // model runs) never fire this check.
 type noisyNeighborDetector struct {
-	th Thresholds
-
 	baseSessions int
 	baseHeapPer  float64
 	baseGCPause  float64
 	heapReported bool
 	gcReported   bool
 }
+
+const (
+	noisySessionGrowth = 1.5
+	noisyGrowthRatio   = 2.0
+)
 
 func (d *noisyNeighborDetector) Name() string { return "noisy-neighbor" }
 
@@ -146,17 +117,17 @@ func (d *noisyNeighborDetector) Observe(ru obs.FleetRollup) []Finding {
 		return nil
 	}
 	growth := float64(ru.Sessions) / float64(d.baseSessions)
-	if growth < d.th.NoisySessionGrowth {
+	if growth < noisySessionGrowth {
 		return nil
 	}
 	var out []Finding
 	if !d.heapReported && d.baseHeapPer > 0 {
-		if ratio := heapPer / d.baseHeapPer; ratio > d.th.NoisyGrowthRatio {
+		if ratio := heapPer / d.baseHeapPer; ratio > noisyGrowthRatio {
 			d.heapReported = true
 			out = append(out, Finding{
 				Check: d.Name(), Severity: Warn,
 				FirstFrame: 0, LastFrame: ru.Tick,
-				Value: ratio, Threshold: d.th.NoisyGrowthRatio,
+				Value: ratio, Threshold: noisyGrowthRatio,
 				Message: fmt.Sprintf(
 					"live heap per session grew %.1f× while the fleet grew %d→%d sessions: per-session memory cost is superlinear in fleet size",
 					ratio, d.baseSessions, ru.Sessions),
@@ -164,12 +135,12 @@ func (d *noisyNeighborDetector) Observe(ru obs.FleetRollup) []Finding {
 		}
 	}
 	if !d.gcReported && d.baseGCPause > 0 {
-		if ratio := ru.Runtime.GCPauseP99Sec / d.baseGCPause; ratio > d.th.NoisyGrowthRatio {
+		if ratio := ru.Runtime.GCPauseP99Sec / d.baseGCPause; ratio > noisyGrowthRatio {
 			d.gcReported = true
 			out = append(out, Finding{
 				Check: d.Name(), Severity: Warn,
 				FirstFrame: 0, LastFrame: ru.Tick,
-				Value: ratio, Threshold: d.th.NoisyGrowthRatio,
+				Value: ratio, Threshold: noisyGrowthRatio,
 				Message: fmt.Sprintf(
 					"GC pause p99 grew %.1f× (to %.1f ms) while the fleet grew %d→%d sessions: collection pressure is superlinear in fleet size",
 					ratio, ru.Runtime.GCPauseP99Sec*1000, d.baseSessions, ru.Sessions),
@@ -180,29 +151,34 @@ func (d *noisyNeighborDetector) Observe(ru obs.FleetRollup) []Finding {
 }
 
 func (d *noisyNeighborDetector) Flush() []Finding {
-	*d = noisyNeighborDetector{th: d.th}
+	*d = noisyNeighborDetector{}
 	return nil
 }
 
 // fleetBurnDetector fires when the aggregate error budget burns past
-// FleetBurnRate for FleetBurnTicks consecutive rollups with an empty
+// fleetBurnRate for fleetBurnTicks consecutive rollups with an empty
 // straggler table — no single session stands out against the fleet median,
 // yet the fleet as a whole is violating its SLO. That is diffuse overload
 // (an under-provisioned edge, a fleet-wide link event), invisible to any
 // per-session view; burn attributable to stragglers is left to
 // straggler-session, and burn between 1 and the rate bar is treated as a
-// transient budget blip, not overload.
+// transient budget blip (one chaos outage window clustering across the
+// fleet), not overload.
 type fleetBurnDetector struct {
-	th        Thresholds
 	firstTick int
 	count     int
 	reported  bool
 }
 
+const (
+	fleetBurnTicks = 3
+	fleetBurnRate  = 2.0
+)
+
 func (d *fleetBurnDetector) Name() string { return "fleet-burn" }
 
 func (d *fleetBurnDetector) Observe(ru obs.FleetRollup) []Finding {
-	if ru.FleetBurn <= d.th.FleetBurnRate || len(ru.Stragglers) > 0 {
+	if ru.FleetBurn <= fleetBurnRate || len(ru.Stragglers) > 0 {
 		d.count, d.reported = 0, false
 		return nil
 	}
@@ -210,14 +186,14 @@ func (d *fleetBurnDetector) Observe(ru obs.FleetRollup) []Finding {
 		d.firstTick = ru.Tick
 	}
 	d.count++
-	if d.count < d.th.FleetBurnTicks || d.reported {
+	if d.count < fleetBurnTicks || d.reported {
 		return nil
 	}
 	d.reported = true
 	return []Finding{{
 		Check: d.Name(), Severity: Fail,
 		FirstFrame: d.firstTick, LastFrame: ru.Tick,
-		Value: ru.FleetBurn, Threshold: d.th.FleetBurnRate,
+		Value: ru.FleetBurn, Threshold: fleetBurnRate,
 		Message: fmt.Sprintf(
 			"fleet error budget burning at %.1f× for %d consecutive rollups with no straggler standing out (%d/%d sessions unhealthy): diffuse overload, not a per-session fault",
 			ru.FleetBurn, d.count, ru.Unhealthy, ru.Sessions),
@@ -227,62 +203,4 @@ func (d *fleetBurnDetector) Observe(ru obs.FleetRollup) []Finding {
 func (d *fleetBurnDetector) Flush() []Finding {
 	d.firstTick, d.count, d.reported = 0, 0, false
 	return nil
-}
-
-// FleetFollower incrementally diagnoses a live rollup stream, as served by
-// /debug/fleet. Feed it overlapping snapshots (oldest-first, ticks
-// increasing) via Ingest; the tick cursor consumes each rollup exactly
-// once. Rollups are immutable once emitted, so unlike the journal Follower
-// there is no settle margin.
-type FleetFollower struct {
-	dets []FleetDetector
-
-	started  bool
-	nextTick int
-	rollups  int
-}
-
-// NewFleetFollower builds a follower with the given thresholds.
-func NewFleetFollower(th Thresholds) *FleetFollower {
-	return &FleetFollower{dets: NewFleetDetectors(th)}
-}
-
-// Checks returns the fleet detector names in canonical order.
-func (f *FleetFollower) Checks() []string {
-	out := make([]string, len(f.dets))
-	for i, d := range f.dets {
-		out[i] = d.Name()
-	}
-	return out
-}
-
-// Rollups returns how many rollups have been consumed.
-func (f *FleetFollower) Rollups() int { return f.rollups }
-
-// Ingest consumes the not-yet-seen suffix of a rollup snapshot and returns
-// the findings that became final.
-func (f *FleetFollower) Ingest(snapshot []obs.FleetRollup) []Finding {
-	var out []Finding
-	for _, ru := range snapshot {
-		if f.started && ru.Tick < f.nextTick {
-			continue
-		}
-		f.started = true
-		f.nextTick = ru.Tick + 1
-		f.rollups++
-		for _, d := range f.dets {
-			out = append(out, d.Observe(ru)...)
-		}
-	}
-	return out
-}
-
-// Close flushes every detector, returning the remaining findings. The
-// follower must not be used afterwards.
-func (f *FleetFollower) Close() []Finding {
-	var out []Finding
-	for _, d := range f.dets {
-		out = append(out, d.Flush()...)
-	}
-	return out
 }

@@ -29,7 +29,7 @@ func TestStragglerSessionDetector(t *testing.T) {
 			ru.Stragglers = []obs.Straggler{lag}
 		}
 	})
-	rep := AnalyzeFleet(series, Thresholds{})
+	rep := AnalyzeFleet(series)
 	if len(rep.Findings) != 1 {
 		t.Fatalf("findings = %+v, want exactly 1", rep.Findings)
 	}
@@ -50,7 +50,7 @@ func TestStragglerSessionRecoveringSession(t *testing.T) {
 			ru.Stragglers = []obs.Straggler{{Session: "KITTI-017", Factor: 5}}
 		}
 	})
-	if rep := AnalyzeFleet(series, Thresholds{}); !rep.Healthy() {
+	if rep := AnalyzeFleet(series); !rep.Healthy() {
 		t.Fatalf("recovered session still diagnosed: %+v", rep.Findings)
 	}
 }
@@ -64,7 +64,7 @@ func TestFleetBurnDetector(t *testing.T) {
 			ru.Unhealthy = 1
 		}
 	})
-	rep := AnalyzeFleet(diffuse, Thresholds{})
+	rep := AnalyzeFleet(diffuse)
 	var burn []Finding
 	for _, f := range rep.Findings {
 		if f.Check == "fleet-burn" {
@@ -82,7 +82,7 @@ func TestFleetBurnDetector(t *testing.T) {
 		ru.FleetBurn = 3.5
 		ru.Stragglers = []obs.Straggler{{Session: "nuScenes-003", Factor: 9}}
 	})
-	for _, f := range AnalyzeFleet(attributed, Thresholds{}).Findings {
+	for _, f := range AnalyzeFleet(attributed).Findings {
 		if f.Check == "fleet-burn" {
 			t.Fatalf("fleet-burn fired on straggler-attributable burn: %+v", f)
 		}
@@ -101,7 +101,7 @@ func TestNoisyNeighborDetector(t *testing.T) {
 			GCPauseP99Sec: 0.001,
 		}
 	})
-	rep := AnalyzeFleet(super, Thresholds{})
+	rep := AnalyzeFleet(super)
 	var heap []Finding
 	for _, f := range rep.Findings {
 		if f.Check == "noisy-neighbor" {
@@ -122,7 +122,7 @@ func TestNoisyNeighborDetector(t *testing.T) {
 			GCPauseP99Sec: 0.001,
 		}
 	})
-	if rep := AnalyzeFleet(linear, Thresholds{}); !rep.Healthy() {
+	if rep := AnalyzeFleet(linear); !rep.Healthy() {
 		t.Fatalf("linear growth diagnosed noisy: %+v", rep.Findings)
 	}
 }
@@ -136,17 +136,17 @@ func TestFleetFollowerCursor(t *testing.T) {
 			ru.Stragglers = []obs.Straggler{{Session: "RobotCar-004", Profile: "RobotCar", Factor: 6, Reason: "latency"}}
 		}
 	})
-	follower := NewFleetFollower(Thresholds{})
+	follower := NewFleetFollower()
 	var live []Finding
 	// Overlapping windows: [0..4), [2..7), [5..10).
 	live = append(live, follower.Ingest(series[0:4])...)
 	live = append(live, follower.Ingest(series[2:7])...)
 	live = append(live, follower.Ingest(series[5:10])...)
-	live = append(live, follower.Close()...)
-	if follower.Rollups() != 10 {
-		t.Fatalf("follower consumed %d rollups, want 10", follower.Rollups())
+	live = append(live, follower.Close(nil)...)
+	if follower.Consumed() != 10 {
+		t.Fatalf("follower consumed %d rollups, want 10", follower.Consumed())
 	}
-	batch := AnalyzeFleet(series, Thresholds{})
+	batch := AnalyzeFleet(series)
 	if len(live) != len(batch.Findings) {
 		t.Fatalf("live findings %+v != batch findings %+v", live, batch.Findings)
 	}

@@ -1,10 +1,7 @@
 package doctor
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"dive/internal/obs"
 )
@@ -16,54 +13,38 @@ import (
 // /debug/runtime by divedoctor, or exported as JSONL by a soak harness — and
 // fires on two pathologies:
 //
-//   - gc-heap-growth: the live heap grew by more than HeapGrowthRatio over
-//     the window AND the growth is sustained (at least HeapGrowthFrac of
-//     the steps increase), which separates a leak/churn ramp from a single
-//     benign allocation burst that the next GC returns.
+//   - gc-heap-growth: the live heap grew by more than heapGrowthRatio over
+//     a series of at least heapGrowthMinSamples snapshots AND the growth is
+//     sustained (at least heapGrowthFrac of the steps increase), which
+//     separates a leak/churn ramp from a single benign allocation burst
+//     that the next GC returns.
 //   - gc-pause-p99: the GC stop-the-world pause p99 exceeded
-//     GCPauseP99CeilSec in any snapshot. On a 30 fps agent the frame budget
+//     gcPauseP99CeilSec in any snapshot. On a 30 fps agent the frame budget
 //     is 33 ms; a pause tail in the tens of milliseconds is a co-tenant the
 //     rate controller cannot see.
-
-// ReadRuntimeSamples decodes a JSONL stream of RuntimeStats snapshots.
-func ReadRuntimeSamples(r io.Reader) ([]obs.RuntimeStats, error) {
-	var out []obs.RuntimeStats
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var st obs.RuntimeStats
-		if err := json.Unmarshal(line, &st); err != nil {
-			return nil, fmt.Errorf("doctor: parse runtime sample %d: %w", len(out), err)
-		}
-		out = append(out, st)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+const (
+	heapGrowthRatio      = 2.0
+	heapGrowthMinSamples = 6
+	heapGrowthFrac       = 0.7
+	gcPauseP99CeilSec    = 0.05
+)
 
 // AnalyzeRuntime diagnoses GC pressure from a time-ordered series of runtime
-// snapshots. Fewer than HeapGrowthMinSamples snapshots skips the heap-growth
-// check (the pause check needs only one).
-func AnalyzeRuntime(samples []obs.RuntimeStats, th Thresholds) []Finding {
-	th = th.withDefaults()
+// snapshots (JSONL of /debug/runtime). Fewer than heapGrowthMinSamples
+// snapshots skips the heap-growth check (the pause check needs only one).
+func AnalyzeRuntime(samples []obs.RuntimeStats) []Finding {
 	var out []Finding
-	if f := heapGrowthFinding(samples, th); f != nil {
+	if f := heapGrowthFinding(samples); f != nil {
 		out = append(out, *f)
 	}
-	if f := gcPauseFinding(samples, th); f != nil {
+	if f := gcPauseFinding(samples); f != nil {
 		out = append(out, *f)
 	}
 	return out
 }
 
-func heapGrowthFinding(samples []obs.RuntimeStats, th Thresholds) *Finding {
-	if len(samples) < th.HeapGrowthMinSamples {
+func heapGrowthFinding(samples []obs.RuntimeStats) *Finding {
+	if len(samples) < heapGrowthMinSamples {
 		return nil
 	}
 	first, last := samples[0].HeapLiveBytes, samples[len(samples)-1].HeapLiveBytes
@@ -71,7 +52,7 @@ func heapGrowthFinding(samples []obs.RuntimeStats, th Thresholds) *Finding {
 		return nil
 	}
 	ratio := float64(last) / float64(first)
-	if ratio <= th.HeapGrowthRatio {
+	if ratio <= heapGrowthRatio {
 		return nil
 	}
 	// Sustained means the ramp is made of many small increases, not one
@@ -83,33 +64,33 @@ func heapGrowthFinding(samples []obs.RuntimeStats, th Thresholds) *Finding {
 		}
 	}
 	frac := float64(up) / float64(len(samples)-1)
-	if frac < th.HeapGrowthFrac {
+	if frac < heapGrowthFrac {
 		return nil
 	}
 	return &Finding{
 		Check: "gc-heap-growth", Severity: Fail,
-		Value: ratio, Threshold: th.HeapGrowthRatio,
+		Value: ratio, Threshold: heapGrowthRatio,
 		Message: fmt.Sprintf(
 			"live heap grew %.2fx over %d samples (%.1f MB → %.1f MB, %.0f%% of steps increasing) — allocation churn or a leak on the steady-state path",
 			ratio, len(samples), float64(first)/1e6, float64(last)/1e6, frac*100),
 	}
 }
 
-func gcPauseFinding(samples []obs.RuntimeStats, th Thresholds) *Finding {
+func gcPauseFinding(samples []obs.RuntimeStats) *Finding {
 	worst, at := 0.0, -1
 	for i, s := range samples {
 		if s.GCPauseP99Sec > worst {
 			worst, at = s.GCPauseP99Sec, i
 		}
 	}
-	if at < 0 || worst <= th.GCPauseP99CeilSec {
+	if at < 0 || worst <= gcPauseP99CeilSec {
 		return nil
 	}
 	return &Finding{
 		Check: "gc-pause-p99", Severity: Fail,
-		Value: worst, Threshold: th.GCPauseP99CeilSec,
+		Value: worst, Threshold: gcPauseP99CeilSec,
 		Message: fmt.Sprintf(
 			"GC pause p99 reached %.1f ms (sample %d of %d), over the %.1f ms ceiling — the collector is stealing frame budget",
-			worst*1000, at, len(samples), th.GCPauseP99CeilSec*1000),
+			worst*1000, at, len(samples), gcPauseP99CeilSec*1000),
 	}
 }

@@ -22,7 +22,7 @@ func rampSamples(heaps ...uint64) []obs.RuntimeStats {
 // gc-heap-growth finding.
 func TestAnalyzeRuntimeHeapGrowth(t *testing.T) {
 	samples := rampSamples(10e6, 13e6, 16e6, 19e6, 22e6, 25e6, 28e6, 31e6, 34e6, 40e6)
-	fs := AnalyzeRuntime(samples, Thresholds{})
+	fs := AnalyzeRuntime(samples)
 	if len(fs) != 1 || fs[0].Check != "gc-heap-growth" {
 		t.Fatalf("findings = %+v, want one gc-heap-growth", fs)
 	}
@@ -36,7 +36,7 @@ func TestAnalyzeRuntimeHeapGrowth(t *testing.T) {
 // steps is a burst the next GC returns, not a ramp, and must not fire.
 func TestAnalyzeRuntimeSpikeNotSustained(t *testing.T) {
 	samples := rampSamples(10e6, 9e6, 10e6, 9e6, 10e6, 9e6, 10e6, 9e6, 10e6, 40e6)
-	if fs := AnalyzeRuntime(samples, Thresholds{}); len(fs) != 0 {
+	if fs := AnalyzeRuntime(samples); len(fs) != 0 {
 		t.Fatalf("spike diagnosed as sustained growth: %+v", fs)
 	}
 }
@@ -45,7 +45,7 @@ func TestAnalyzeRuntimeSpikeNotSustained(t *testing.T) {
 // clean.
 func TestAnalyzeRuntimeHealthy(t *testing.T) {
 	samples := rampSamples(12e6, 12.5e6, 12e6, 13e6, 12e6, 12.4e6, 12e6, 12.2e6)
-	if fs := AnalyzeRuntime(samples, Thresholds{}); len(fs) != 0 {
+	if fs := AnalyzeRuntime(samples); len(fs) != 0 {
 		t.Fatalf("healthy run diagnosed: %+v", fs)
 	}
 }
@@ -54,7 +54,7 @@ func TestAnalyzeRuntimeHealthy(t *testing.T) {
 // HeapGrowthMinSamples cannot establish a ramp.
 func TestAnalyzeRuntimeShortSeriesSkipsGrowth(t *testing.T) {
 	samples := rampSamples(10e6, 25e6, 45e6)
-	if fs := AnalyzeRuntime(samples, Thresholds{}); len(fs) != 0 {
+	if fs := AnalyzeRuntime(samples); len(fs) != 0 {
 		t.Fatalf("3-sample series fired: %+v", fs)
 	}
 }
@@ -64,33 +64,30 @@ func TestAnalyzeRuntimeShortSeriesSkipsGrowth(t *testing.T) {
 func TestAnalyzeRuntimeGCPause(t *testing.T) {
 	samples := rampSamples(12e6, 12e6, 12e6)
 	samples[1].GCPauseP99Sec = 0.08
-	fs := AnalyzeRuntime(samples, Thresholds{})
+	fs := AnalyzeRuntime(samples)
 	if len(fs) != 1 || fs[0].Check != "gc-pause-p99" {
 		t.Fatalf("findings = %+v, want one gc-pause-p99", fs)
 	}
 	if fs[0].Value != 0.08 {
 		t.Errorf("value = %v, want 0.08", fs[0].Value)
 	}
-	// A custom ceiling above the observed pause silences it.
-	if fs := AnalyzeRuntime(samples, Thresholds{GCPauseP99CeilSec: 0.1}); len(fs) != 0 {
-		t.Errorf("custom ceiling ignored: %+v", fs)
-	}
 }
 
-// TestReadRuntimeSamples round-trips a JSONL stream, skipping blank lines.
+// TestReadRuntimeSamples round-trips a JSONL stream of runtime snapshots
+// through the one JSONL reader, skipping blank lines.
 func TestReadRuntimeSamples(t *testing.T) {
 	in := `{"heap_live_bytes":1000,"gc_pause_p99_sec":0.001,"goroutines":2,"num_gc":1,"gomaxprocs":4,"total_alloc_bytes":5000,"mallocs":42}
 
 {"heap_live_bytes":2000,"gc_pause_p99_sec":0.002,"goroutines":2,"num_gc":2,"gomaxprocs":4,"total_alloc_bytes":9000,"mallocs":77}
 `
-	got, err := ReadRuntimeSamples(strings.NewReader(in))
+	got, err := obs.ReadJSONL[obs.RuntimeStats](strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0].HeapLiveBytes != 1000 || got[1].Mallocs != 77 {
 		t.Fatalf("decoded %+v", got)
 	}
-	if _, err := ReadRuntimeSamples(strings.NewReader("{broken")); err == nil {
+	if _, err := obs.ReadJSONL[obs.RuntimeStats](strings.NewReader("{broken")); err == nil {
 		t.Error("malformed line decoded without error")
 	}
 }

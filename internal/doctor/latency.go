@@ -61,6 +61,15 @@ func (b *Baseline) WriteBaseline(w io.Writer) error {
 	return enc.Encode(b)
 }
 
+// latencyP95Ratio flags a pipeline stage whose p95 grew by this factor over a
+// baseline from a comparable environment; stageShareGrowth is the fallback
+// factor on the stage's share of total pipeline time when the environments
+// are not comparable (different machine or worker count).
+const (
+	latencyP95Ratio  = 1.5
+	stageShareGrowth = 1.6
+)
+
 // CompareLatency diagnoses per-stage latency regressions of the current run
 // against the baseline. When the two environments are comparable (same Go
 // version, machine shape and worker count) absolute p95s are compared
@@ -68,8 +77,7 @@ func (b *Baseline) WriteBaseline(w io.Writer) error {
 // check falls back to each stage's share of total pipeline time, which is
 // machine-invariant to first order. Findings are Warn severity when only
 // the share-based fallback fired on a non-comparable environment.
-func CompareLatency(cur *Baseline, base *Baseline, th Thresholds) []Finding {
-	th = th.withDefaults()
+func CompareLatency(cur *Baseline, base *Baseline) []Finding {
 	if base == nil || cur == nil || len(base.Stages) == 0 {
 		return nil
 	}
@@ -83,10 +91,10 @@ func CompareLatency(cur *Baseline, base *Baseline, th Thresholds) []Finding {
 				continue
 			}
 			ratio := ch.P95 / bh.P95
-			if ratio > th.LatencyP95Ratio {
+			if ratio > latencyP95Ratio {
 				out = append(out, Finding{
 					Check: "latency-regression", Severity: Fail,
-					Value: ratio, Threshold: th.LatencyP95Ratio,
+					Value: ratio, Threshold: latencyP95Ratio,
 					Message: fmt.Sprintf(
 						"stage %s p95 regressed %.2fx vs baseline (%.2fms → %.2fms) on a comparable environment",
 						name, ratio, bh.P95*1000, ch.P95*1000),
@@ -108,10 +116,10 @@ func CompareLatency(cur *Baseline, base *Baseline, th Thresholds) []Finding {
 		if bs < 0.02 || cs <= 0 {
 			continue
 		}
-		if ratio := cs / bs; ratio > th.StageShareGrowth {
+		if ratio := cs / bs; ratio > stageShareGrowth {
 			out = append(out, Finding{
 				Check: "latency-regression", Severity: Warn,
-				Value: ratio, Threshold: th.StageShareGrowth,
+				Value: ratio, Threshold: stageShareGrowth,
 				Message: fmt.Sprintf(
 					"stage %s grew from %.0f%% to %.0f%% of pipeline time (%.2fx); environments differ, so absolute times were not compared",
 					name, bs*100, cs*100, ratio),

@@ -2,17 +2,19 @@ package doctor
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"sync"
 
 	"dive/internal/obs"
 )
 
-// Live following: incremental diagnosis of a journal that is still being
-// written. A Follower consumes successive snapshots of the journal ring
-// (from /debug/journal polls or the in-process ring itself), feeds the new
-// records through the streaming detectors, and surfaces findings as they
-// become final — while the run is still going, not after it.
+// Live following: incremental diagnosis of a stream that is still being
+// written. A Follower consumes successive snapshots of a ring (from
+// /debug/journal or /debug/fleet polls, or the in-process ring itself),
+// feeds the new records through the streaming detectors, and surfaces
+// findings as they become final — while the run is still going, not after
+// it.
 
 // DefaultSettleFrames is how many of the newest journal frames a follower
 // holds back before analysis. Journal records are amended after they are
@@ -21,32 +23,47 @@ import (
 // moment it appears would see zeroed amendment fields and mis-diagnose.
 const DefaultSettleFrames = 8
 
-// Follower incrementally diagnoses a live journal stream. Feed it journal
-// snapshots (oldest-first, frames increasing, as /debug/journal serves
-// them) via Ingest; it consumes each frame exactly once, holding back the
-// newest settle frames until they have had time to be amended. Not
+// Follower incrementally diagnoses a live record stream. Feed it snapshots
+// (oldest-first, cursor values increasing, as the /debug endpoints serve
+// them) via Ingest; it consumes each record exactly once, holding back the
+// newest settle cursor values until they have had time to be amended. Not
 // goroutine-safe; wrap in Live for a shared HTTP-facing instance.
-type Follower struct {
-	dets   []Detector
+type Follower[R any] struct {
+	dets   []Detector[R]
+	cursor func(*R) int // the record's position in its stream: frame or tick
 	settle int
 
-	started   bool
-	nextFrame int // first frame not yet consumed
-	frames    int // frames consumed so far
+	started  bool
+	next     int // first cursor value not yet consumed
+	consumed int
 }
 
-// NewFollower builds a follower with the given thresholds and settle
-// margin (negative settle selects DefaultSettleFrames; 0 is valid and
-// analyzes every snapshot to its newest frame).
-func NewFollower(th Thresholds, settle int) *Follower {
+// NewFollower builds a journal follower: cursor on the frame number,
+// outageRun as in NewDetectors, settle the margin of newest frames held back
+// (negative selects DefaultSettleFrames; 0 is valid and analyzes every
+// snapshot to its newest frame).
+func NewFollower(outageRun, settle int) *Follower[obs.JournalRecord] {
 	if settle < 0 {
 		settle = DefaultSettleFrames
 	}
-	return &Follower{dets: NewDetectors(th), settle: settle}
+	return &Follower[obs.JournalRecord]{
+		dets: NewDetectors(outageRun), settle: settle,
+		cursor: func(rec *obs.JournalRecord) int { return rec.Frame },
+	}
+}
+
+// NewFleetFollower builds a follower of a rollup stream, as served by
+// /debug/fleet: cursor on the tick and, rollups being immutable once
+// emitted, no settle margin.
+func NewFleetFollower() *Follower[obs.FleetRollup] {
+	return &Follower[obs.FleetRollup]{
+		dets:   NewFleetDetectors(),
+		cursor: func(ru *obs.FleetRollup) int { return ru.Tick },
+	}
 }
 
 // Checks returns the detector names, in canonical order.
-func (f *Follower) Checks() []string {
+func (f *Follower[R]) Checks() []string {
 	out := make([]string, len(f.dets))
 	for i, d := range f.dets {
 		out[i] = d.Name()
@@ -54,66 +71,51 @@ func (f *Follower) Checks() []string {
 	return out
 }
 
-// Frames returns how many journal records have been consumed.
-func (f *Follower) Frames() int { return f.frames }
+// Consumed returns how many records have been consumed.
+func (f *Follower[R]) Consumed() int { return f.consumed }
 
-// Ingest consumes the not-yet-seen, settled prefix of a journal snapshot
-// and returns the findings that became final. Records already consumed
-// (frame < the follower's cursor) are skipped, so overlapping snapshots
-// are fine; records within the settle margin of the snapshot's newest
-// frame are deferred to a later Ingest or Close.
-func (f *Follower) Ingest(snapshot []obs.JournalRecord) []Finding {
+// Ingest consumes the not-yet-seen, settled prefix of a snapshot and returns
+// the findings that became final. Records already consumed (cursor below the
+// follower's) are skipped, so overlapping snapshots are fine; records within
+// the settle margin of the snapshot's newest one are deferred to a later
+// Ingest or Close.
+func (f *Follower[R]) Ingest(snapshot []R) []Finding {
 	if len(snapshot) == 0 {
 		return nil
 	}
-	limit := snapshot[len(snapshot)-1].Frame - f.settle
-	var out []Finding
-	for _, rec := range snapshot {
-		if f.started && rec.Frame < f.nextFrame {
-			continue
-		}
-		if rec.Frame > limit {
-			break
-		}
-		out = append(out, f.observe(rec)...)
-	}
-	return out
+	return f.observe(snapshot, f.cursor(&snapshot[len(snapshot)-1])-f.settle)
 }
 
-func (f *Follower) observe(rec obs.JournalRecord) []Finding {
-	f.started = true
-	f.nextFrame = rec.Frame + 1
-	f.frames++
+// observe feeds the unseen records with cursor <= limit to every detector.
+func (f *Follower[R]) observe(snapshot []R, limit int) []Finding {
 	var out []Finding
-	for _, d := range f.dets {
-		out = append(out, d.Observe(rec)...)
+	for i := range snapshot {
+		at := f.cursor(&snapshot[i])
+		if f.started && at < f.next {
+			continue
+		}
+		if at > limit {
+			break
+		}
+		f.started, f.next = true, at+1
+		f.consumed++
+		for _, d := range f.dets {
+			out = append(out, d.Observe(snapshot[i])...)
+		}
 	}
 	return out
 }
 
 // Close consumes the held-back tail of the final snapshot (ignoring the
-// settle margin — the stream is over, nothing will amend further) and
-// flushes every detector, returning the remaining findings. The follower
-// must not be used afterwards.
-func (f *Follower) Close(finalSnapshot []obs.JournalRecord) []Finding {
-	var out []Finding
-	for _, rec := range finalSnapshot {
-		if f.started && rec.Frame < f.nextFrame {
-			continue
-		}
-		out = append(out, f.observe(rec)...)
-	}
+// settle margin — the stream is over, nothing will amend further; nil when
+// nothing was held back) and flushes every detector, returning the remaining
+// findings. The follower must not be used afterwards.
+func (f *Follower[R]) Close(finalSnapshot []R) []Finding {
+	out := f.observe(finalSnapshot, math.MaxInt)
 	for _, d := range f.dets {
 		out = append(out, d.Flush()...)
 	}
 	return out
-}
-
-// LiveReport is the /debug/doctor document: the live diagnosis so far.
-type LiveReport struct {
-	Frames   int       `json:"frames"`
-	Checks   []string  `json:"checks_run"`
-	Findings []Finding `json:"findings"`
 }
 
 // maxLiveFindings bounds the findings a Live instance retains (oldest
@@ -128,15 +130,14 @@ type Live struct {
 	source func() []obs.JournalRecord
 
 	mu       sync.Mutex
-	follower *Follower
+	follower *Follower[obs.JournalRecord]
 	findings []Finding
 }
 
 // NewLive builds a live doctor over a journal source (typically
-// recorder.Journal().Snapshot). th zero value takes defaults; settle < 0
-// selects DefaultSettleFrames.
-func NewLive(th Thresholds, settle int, source func() []obs.JournalRecord) *Live {
-	return &Live{source: source, follower: NewFollower(th, settle)}
+// recorder.Journal().Snapshot); outageRun and settle as in NewFollower.
+func NewLive(outageRun, settle int, source func() []obs.JournalRecord) *Live {
+	return &Live{source: source, follower: NewFollower(outageRun, settle)}
 }
 
 // Poll ingests the journal's current snapshot and returns any findings
@@ -156,12 +157,12 @@ func (l *Live) Poll() []Finding {
 }
 
 // Report polls and returns the full live diagnosis.
-func (l *Live) Report() LiveReport {
+func (l *Live) Report() Report {
 	l.Poll()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return LiveReport{
-		Frames:   l.follower.Frames(),
+	return Report{
+		Frames:   l.follower.Consumed(),
 		Checks:   l.follower.Checks(),
 		Findings: append([]Finding(nil), l.findings...),
 	}

@@ -28,7 +28,7 @@ func TestReconnectStormBackoffCollapseFails(t *testing.T) {
 		js[i].ReconnectAttempts = 2
 		js[i].BackoffSec = 0.002
 	}
-	rep := Analyze(js, nil, Thresholds{})
+	rep := Analyze(js, 0)
 	if !hasCheck(rep, "reconnect-storm") {
 		t.Fatalf("storm not flagged; findings: %+v", rep.Findings)
 	}
@@ -53,7 +53,7 @@ func TestReconnectStormHealthyBackoffWarns(t *testing.T) {
 		js[i].ReconnectAttempts = 2
 		js[i].BackoffSec = 0.4
 	}
-	rep := Analyze(js, nil, Thresholds{})
+	rep := Analyze(js, 0)
 	found := false
 	for _, f := range rep.Findings {
 		if f.Check == "reconnect-storm" {
@@ -75,7 +75,7 @@ func TestReconnectStormBelowThresholdClean(t *testing.T) {
 	js[8].BackoffSec = 0.2
 	js[30].ReconnectAttempts = 2
 	js[30].BackoffSec = 0.5
-	rep := Analyze(js, nil, Thresholds{})
+	rep := Analyze(js, 0)
 	if hasCheck(rep, "reconnect-storm") {
 		t.Fatalf("sparse reconnects flagged as a storm: %+v", rep.Findings)
 	}
@@ -91,7 +91,7 @@ func TestSlowRecoveryStuckLadderDetected(t *testing.T) {
 	for i := 11; i < 80; i++ {
 		js[i].DegradeLevel = 2
 	}
-	rep := Analyze(js, nil, Thresholds{})
+	rep := Analyze(js, 0)
 	found := 0
 	for _, f := range rep.Findings {
 		if f.Check == "slow-recovery" {
@@ -117,7 +117,7 @@ func TestSlowRecoveryLateReturnDetected(t *testing.T) {
 	for i := 11; i < 50; i++ {
 		js[i].DegradeLevel = 1
 	}
-	rep := Analyze(js, nil, Thresholds{})
+	rep := Analyze(js, 0)
 	if !hasCheck(rep, "slow-recovery") {
 		t.Fatalf("late recovery not flagged; findings: %+v", rep.Findings)
 	}
@@ -131,7 +131,7 @@ func TestSlowRecoveryPromptReturnClean(t *testing.T) {
 	for i := 11; i < 20; i++ {
 		js[i].DegradeLevel = 1
 	}
-	rep := Analyze(js, nil, Thresholds{})
+	rep := Analyze(js, 0)
 	if hasCheck(rep, "slow-recovery") {
 		t.Fatalf("prompt recovery flagged: %+v", rep.Findings)
 	}
@@ -150,7 +150,7 @@ func TestSlowRecoveryResetByNewFailure(t *testing.T) {
 	for i := 61; i < 75; i++ {
 		js[i].DegradeLevel = 1
 	}
-	rep := Analyze(js, nil, Thresholds{})
+	rep := Analyze(js, 0)
 	if hasCheck(rep, "slow-recovery") {
 		t.Fatalf("recovery clock did not reset on new failure events: %+v", rep.Findings)
 	}

@@ -7,49 +7,42 @@ import (
 	"dive/internal/obs"
 )
 
-// Streaming detectors: every journal pathology check as an incremental
-// state machine consuming one JournalRecord at a time. Batch Analyze is a
-// thin wrapper that feeds a whole journal through these, so live mode
-// (divedoctor -follow, /debug/doctor) and offline mode share one
-// implementation and produce identical findings for identical input.
-//
-// Findings that depend only on a bounded suffix of the stream (runs,
-// alternations, windows) are emitted as soon as the run provably ended;
-// whole-stream aggregates (bandwidth bias) are emitted at Flush.
-
-// Detector is one incremental pathology check. Observe folds in the next
-// journal record (records must arrive in journal order) and returns any
-// findings that became final; Flush ends the stream, returning findings
-// whose runs were still open. After Flush the detector is reset and may be
-// reused for a new stream.
-type Detector interface {
-	// Name is the check name findings carry (e.g. "qp-oscillation").
-	Name() string
-	Observe(rec obs.JournalRecord) []Finding
-	Flush() []Finding
-}
+// The journal detectors: every journal pathology check as an incremental
+// state machine consuming one obs.JournalRecord at a time (Detector).
 
 // NewDetectors builds the full journal detector suite in canonical order.
-func NewDetectors(th Thresholds) []Detector {
-	th = th.withDefaults()
-	return []Detector{
-		&qpOscillationDetector{th: th},
-		&bandwidthBiasDetector{th: th, first: -1, last: -1},
-		&fgCollapseDetector{th: th, runStartFrame: -1},
-		&outageDriftDetector{th: th, runStartFrame: -1},
-		&reconnectStormDetector{th: th},
-		&slowRecoveryDetector{th: th, lastFailFrame: -1},
-		&migrationGapDetector{th: th},
-		&failoverStormDetector{th: th},
+// outageRun overrides the outage-drift run length (<= 0 selects
+// DefaultOutageRun): scenarios with short scripted outage windows need a
+// lower bar (divedoctor -outage-run).
+func NewDetectors(outageRun int) []Detector[obs.JournalRecord] {
+	if outageRun <= 0 {
+		outageRun = DefaultOutageRun
+	}
+	return []Detector[obs.JournalRecord]{
+		&qpOscillationDetector{},
+		&bandwidthBiasDetector{first: -1, last: -1},
+		newFGCollapseDetector(),
+		newOutageDriftDetector(outageRun),
+		&reconnectStormDetector{},
+		&slowRecoveryDetector{lastFailFrame: -1},
+		migrationGapDetector{},
+		&failoverStormDetector{},
 	}
 }
+
+// qpSwing is the minimum |ΔBaseQP| between consecutive frames that counts as
+// a swing; qpAlternations is how many sign-alternating swings in a row
+// constitute oscillation.
+const (
+	qpSwing        = 6
+	qpAlternations = 4
+)
 
 // qpOscillationDetector finds runs of sign-alternating base-QP swings — the
 // signature of a rate controller fighting its own bandwidth feedback (each
 // over-sized frame depresses the next estimate, which shrinks the next
 // frame, which inflates the estimate again).
 type qpOscillationDetector struct {
-	th      Thresholds
 	started bool
 	prev    obs.JournalRecord
 
@@ -63,14 +56,14 @@ func (d *qpOscillationDetector) Name() string { return "qp-oscillation" }
 // flushAt closes the current alternation run at endFrame.
 func (d *qpOscillationDetector) flushAt(endFrame int) []Finding {
 	var out []Finding
-	if d.runStartFrame >= 0 && d.alternations >= d.th.QPAlternations {
+	if d.runStartFrame >= 0 && d.alternations >= qpAlternations {
 		out = append(out, Finding{
 			Check: d.Name(), Severity: Fail,
 			FirstFrame: d.runStartFrame, LastFrame: endFrame,
-			Value: float64(d.alternations), Threshold: float64(d.th.QPAlternations),
+			Value: float64(d.alternations), Threshold: float64(qpAlternations),
 			Message: fmt.Sprintf(
 				"base QP oscillated %d times (swing ≥ %d) between frames %d and %d: rate control is fighting its bandwidth feedback",
-				d.alternations, d.th.QPSwing, d.runStartFrame, endFrame),
+				d.alternations, qpSwing, d.runStartFrame, endFrame),
 		})
 	}
 	d.runStartFrame, d.alternations, d.lastSign = -1, 0, 0
@@ -85,9 +78,9 @@ func (d *qpOscillationDetector) Observe(rec obs.JournalRecord) []Finding {
 	}
 	diff := rec.BaseQP - d.prev.BaseQP
 	sign := 0
-	if diff >= d.th.QPSwing {
+	if diff >= qpSwing {
 		sign = 1
-	} else if diff <= -d.th.QPSwing {
+	} else if diff <= -qpSwing {
 		sign = -1
 	}
 	var out []Finding
@@ -124,14 +117,20 @@ func (d *qpOscillationDetector) Flush() []Finding {
 // away from 1 means the estimator is mis-calibrated — over-estimation shows
 // up as queue build-ups and outages, under-estimation as wasted uplink. The
 // statistic is a whole-stream geometric mean, so the finding only lands at
-// Flush.
+// Flush: it fires when the geometric mean of estimate/realized over at least
+// bwMinAcked acknowledged frames exceeds bwBiasRatio (over-estimation) or
+// falls below its reciprocal (under-estimation).
 type bandwidthBiasDetector struct {
-	th     Thresholds
 	logSum float64
 	n      int
 	first  int
 	last   int
 }
+
+const (
+	bwBiasRatio = 1.5
+	bwMinAcked  = 16
+)
 
 func (d *bandwidthBiasDetector) Name() string { return "bandwidth-bias" }
 
@@ -150,94 +149,45 @@ func (d *bandwidthBiasDetector) Observe(rec obs.JournalRecord) []Finding {
 
 func (d *bandwidthBiasDetector) Flush() []Finding {
 	defer func() { d.logSum, d.n, d.first, d.last = 0, 0, -1, -1 }()
-	if d.n < d.th.BWMinAcked {
+	if d.n < bwMinAcked {
 		return nil
 	}
 	ratio := math.Exp(d.logSum / float64(d.n))
-	if ratio > d.th.BWBiasRatio {
+	if ratio > bwBiasRatio {
 		return []Finding{{
 			Check: d.Name(), Severity: Fail,
 			FirstFrame: d.first, LastFrame: d.last,
-			Value: ratio, Threshold: d.th.BWBiasRatio,
+			Value: ratio, Threshold: bwBiasRatio,
 			Message: fmt.Sprintf(
 				"bandwidth estimator systematically over-estimates: estimate/realized geometric mean %.2f over %d acked frames (limit %.2f)",
-				ratio, d.n, d.th.BWBiasRatio),
+				ratio, d.n, bwBiasRatio),
 		}}
 	}
-	if ratio < 1/d.th.BWBiasRatio {
+	if ratio < 1/bwBiasRatio {
 		return []Finding{{
 			Check: d.Name(), Severity: Fail,
 			FirstFrame: d.first, LastFrame: d.last,
-			Value: ratio, Threshold: 1 / d.th.BWBiasRatio,
+			Value: ratio, Threshold: 1 / bwBiasRatio,
 			Message: fmt.Sprintf(
 				"bandwidth estimator systematically under-estimates: estimate/realized geometric mean %.2f over %d acked frames (limit %.2f)",
-				ratio, d.n, 1/d.th.BWBiasRatio),
+				ratio, d.n, 1/bwBiasRatio),
 		}}
 	}
 	return nil
 }
 
-// fgCollapseDetector finds stretches where the agent is moving (and rotation
-// removal succeeded, so the flow field was usable) yet foreground extraction
-// kept coming back empty and the encoder fell back to a stale mask — the
-// failure mode of §III-C when the ground prior or cluster growing collapses
-// during sustained turns.
-type fgCollapseDetector struct {
-	th            Thresholds
-	started       bool
-	prevFrame     int
-	runStartFrame int
-	runLen        int
-}
+// runDetector is the run-length state machine behind fg-collapse and
+// outage-drift: a run of at least minRun consecutive journal records
+// satisfying in is a finding, emitted when the first record outside the run
+// (or Flush) ends it.
+type runDetector struct {
+	name   string
+	minRun int
+	in     func(rec *obs.JournalRecord) bool
+	// message renders the finding text from the run length, its first and
+	// last frame, and the tracked-box count of its last record.
+	message func(n, first, last, boxes int) string
 
-func (d *fgCollapseDetector) Name() string { return "fg-collapse" }
-
-func (d *fgCollapseDetector) flushAt(endFrame int) []Finding {
-	var out []Finding
-	if d.runLen >= d.th.FGCollapseRun {
-		out = append(out, Finding{
-			Check: d.Name(), Severity: Fail,
-			FirstFrame: d.runStartFrame, LastFrame: endFrame,
-			Value: float64(d.runLen), Threshold: float64(d.th.FGCollapseRun),
-			Message: fmt.Sprintf(
-				"foreground segmentation produced nothing fresh for %d consecutive moving frames (%d–%d): encoder is protecting a stale mask",
-				d.runLen, d.runStartFrame, endFrame),
-		})
-	}
-	d.runStartFrame, d.runLen = -1, 0
-	return out
-}
-
-func (d *fgCollapseDetector) Observe(rec obs.JournalRecord) []Finding {
-	var out []Finding
-	collapsed := rec.Moving && rec.RotOK && (rec.FGReused || rec.FGMBs == 0)
-	if collapsed {
-		if d.runStartFrame < 0 {
-			d.runStartFrame = rec.Frame
-		}
-		d.runLen++
-	} else if d.started {
-		out = d.flushAt(d.prevFrame)
-	}
-	d.started, d.prevFrame = true, rec.Frame
-	return out
-}
-
-func (d *fgCollapseDetector) Flush() []Finding {
-	if !d.started {
-		return nil
-	}
-	out := d.flushAt(d.prevFrame)
-	d.started = false
-	return out
-}
-
-// outageDriftDetector finds long consecutive outage stretches during which
-// detections were only advanced by local motion-vector tracking. MV tracking
-// is accurate over a handful of frames but drifts beyond that (the paper's
-// Figure 13), so a long run means the agent served stale boxes.
-type outageDriftDetector struct {
-	th            Thresholds
 	started       bool
 	prevFrame     int
 	runStartFrame int
@@ -245,28 +195,26 @@ type outageDriftDetector struct {
 	boxes         int
 }
 
-func (d *outageDriftDetector) Name() string { return "outage-drift" }
+func (d *runDetector) Name() string { return d.name }
 
-func (d *outageDriftDetector) flushAt(endFrame int) []Finding {
+func (d *runDetector) flushAt(endFrame int) []Finding {
 	var out []Finding
-	if d.runLen >= d.th.OutageRun {
+	if d.runLen >= d.minRun {
 		out = append(out, Finding{
-			Check: d.Name(), Severity: Fail,
+			Check: d.name, Severity: Fail,
 			FirstFrame: d.runStartFrame, LastFrame: endFrame,
-			Value: float64(d.runLen), Threshold: float64(d.th.OutageRun),
-			Message: fmt.Sprintf(
-				"link outage spanned %d consecutive frames (%d–%d); %d locally tracked boxes had no server correction and have likely drifted",
-				d.runLen, d.runStartFrame, endFrame, d.boxes),
+			Value: float64(d.runLen), Threshold: float64(d.minRun),
+			Message: d.message(d.runLen, d.runStartFrame, endFrame, d.boxes),
 		})
 	}
 	d.runStartFrame, d.runLen, d.boxes = -1, 0, 0
 	return out
 }
 
-func (d *outageDriftDetector) Observe(rec obs.JournalRecord) []Finding {
+func (d *runDetector) Observe(rec obs.JournalRecord) []Finding {
 	var out []Finding
-	if rec.Outage {
-		if d.runStartFrame < 0 {
+	if d.in(&rec) {
+		if d.runLen == 0 {
 			d.runStartFrame = rec.Frame
 		}
 		d.runLen++
@@ -278,13 +226,56 @@ func (d *outageDriftDetector) Observe(rec obs.JournalRecord) []Finding {
 	return out
 }
 
-func (d *outageDriftDetector) Flush() []Finding {
+func (d *runDetector) Flush() []Finding {
 	if !d.started {
 		return nil
 	}
 	out := d.flushAt(d.prevFrame)
 	d.started = false
 	return out
+}
+
+// fgCollapseRun is the run length of moving, rotation-corrected frames with
+// no fresh foreground that constitutes segmentation collapse.
+const fgCollapseRun = 5
+
+// newFGCollapseDetector finds stretches where the agent is moving (and
+// rotation removal succeeded, so the flow field was usable) yet foreground
+// extraction kept coming back empty and the encoder fell back to a stale
+// mask — the failure mode of §III-C when the ground prior or cluster growing
+// collapses during sustained turns.
+func newFGCollapseDetector() *runDetector {
+	return &runDetector{
+		name: "fg-collapse", minRun: fgCollapseRun,
+		in: func(rec *obs.JournalRecord) bool {
+			return rec.Moving && rec.RotOK && (rec.FGReused || rec.FGMBs == 0)
+		},
+		message: func(n, first, last, _ int) string {
+			return fmt.Sprintf(
+				"foreground segmentation produced nothing fresh for %d consecutive moving frames (%d–%d): encoder is protecting a stale mask",
+				n, first, last)
+		},
+	}
+}
+
+// DefaultOutageRun is the run length of consecutive outage frames after
+// which locally tracked boxes are considered drifted stale.
+const DefaultOutageRun = 6
+
+// newOutageDriftDetector finds long consecutive outage stretches during
+// which detections were only advanced by local motion-vector tracking. MV
+// tracking is accurate over a handful of frames but drifts beyond that (the
+// paper's Figure 13), so a long run means the agent served stale boxes.
+func newOutageDriftDetector(outageRun int) *runDetector {
+	return &runDetector{
+		name: "outage-drift", minRun: outageRun,
+		in: func(rec *obs.JournalRecord) bool { return rec.Outage },
+		message: func(n, first, last, boxes int) string {
+			return fmt.Sprintf(
+				"link outage spanned %d consecutive frames (%d–%d); %d locally tracked boxes had no server correction and have likely drifted",
+				n, first, last, boxes)
+		},
+	}
 }
 
 // stormEvent is one pending reconnect-bearing journal record.
@@ -297,19 +288,27 @@ type stormEvent struct {
 // reconnectStormDetector finds windows where the client hammered the server
 // with reconnect attempts. A storm with healthy per-attempt backoff is Warn
 // (a long blackout legitimately accumulates attempts); a storm whose mean
-// backoff collapsed below MinMeanBackoffSec is Fail — the backoff schedule
+// backoff collapsed below minMeanBackoffSec is Fail — the backoff schedule
 // is not damping the retry rate and the client is DoSing its own edge.
 //
 // The incremental form keeps the reconnect-bearing records whose window is
 // not yet provably complete; a window headed at frame f is decided once a
-// record at frame ≥ f+StormWindowFrames arrives (frames are journaled in
+// record at frame ≥ f+stormWindowFrames arrives (frames are journaled in
 // increasing order, so no later record can still fall inside it).
 type reconnectStormDetector struct {
-	th       Thresholds
 	pending  []stormEvent
 	maxFrame int
 	started  bool
 }
+
+// stormAttempts reconnect attempts within any stormWindowFrames-frame window
+// constitute a reconnect storm; minMeanBackoffSec is the mean per-attempt
+// backoff below which the schedule is not actually backing off.
+const (
+	stormAttempts     = 6
+	stormWindowFrames = 12
+	minMeanBackoffSec = 0.02
+)
 
 func (d *reconnectStormDetector) Name() string { return "reconnect-storm" }
 
@@ -318,19 +317,19 @@ func (d *reconnectStormDetector) Name() string { return "reconnect-storm" }
 // window is decided even though later frames could still have extended it.
 func (d *reconnectStormDetector) decideHead(final bool) (Finding, bool, bool) {
 	head := d.pending[0]
-	if !final && d.maxFrame-head.frame < d.th.StormWindowFrames {
+	if !final && d.maxFrame-head.frame < stormWindowFrames {
 		return Finding{}, false, false // window still open
 	}
 	attempts, backoff, end := 0, 0.0, head
 	for _, ev := range d.pending {
-		if ev.frame-head.frame >= d.th.StormWindowFrames {
+		if ev.frame-head.frame >= stormWindowFrames {
 			break
 		}
 		attempts += ev.attempts
 		backoff += ev.backoff
 		end = ev
 	}
-	if attempts < d.th.StormAttempts {
+	if attempts < stormAttempts {
 		// Not a storm from this head; slide to the next candidate.
 		d.pending = d.pending[1:]
 		return Finding{}, false, true
@@ -339,17 +338,17 @@ func (d *reconnectStormDetector) decideHead(final bool) (Finding, bool, bool) {
 	sev := Warn
 	msg := fmt.Sprintf(
 		"reconnect storm: %d reconnect attempts within %d frames (%d–%d)",
-		attempts, d.th.StormWindowFrames, head.frame, end.frame)
-	if mean < d.th.MinMeanBackoffSec {
+		attempts, stormWindowFrames, head.frame, end.frame)
+	if mean < minMeanBackoffSec {
 		sev = Fail
 		msg += fmt.Sprintf(
 			"; mean backoff %.0f ms/attempt (floor %.0f ms) — the backoff schedule is not damping the retry rate",
-			mean*1000, d.th.MinMeanBackoffSec*1000)
+			mean*1000, minMeanBackoffSec*1000)
 	}
 	f := Finding{
 		Check: d.Name(), Severity: sev,
 		FirstFrame: head.frame, LastFrame: end.frame,
-		Value: float64(attempts), Threshold: float64(d.th.StormAttempts),
+		Value: float64(attempts), Threshold: float64(stormAttempts),
 		Message: msg,
 	}
 	// Everything up to the storm's end is consumed so overlapping windows
@@ -403,13 +402,17 @@ func (d *reconnectStormDetector) Flush() []Finding {
 // it measured and visible even when healthy: Warn when the gap stayed within
 // MigrationGapBudgetSec, Fail when the session was blind longer than the
 // bound promises.
-type migrationGapDetector struct {
-	th Thresholds
-}
+type migrationGapDetector struct{}
 
-func (d *migrationGapDetector) Name() string { return "migration-gap" }
+// MigrationGapBudgetSec bounds the re-detection gap a session migration may
+// leave (last detection served by the old member to the first served by the
+// new one): one keyframe interval at the live cadence plus the reconnect
+// backoff budget of the default schedule's early attempts.
+const MigrationGapBudgetSec = 2.0
 
-func (d *migrationGapDetector) Observe(rec obs.JournalRecord) []Finding {
+func (migrationGapDetector) Name() string { return "migration-gap" }
+
+func (d migrationGapDetector) Observe(rec obs.JournalRecord) []Finding {
 	if !rec.Migrated {
 		return nil
 	}
@@ -420,20 +423,20 @@ func (d *migrationGapDetector) Observe(rec obs.JournalRecord) []Finding {
 	sev := Warn
 	msg := fmt.Sprintf(
 		"%s migration to %s re-detected at frame %d after a %.0f ms gap (budget %.0f ms)",
-		kind, rec.MigratedTo, rec.Frame, rec.MigrationGapSec*1000, d.th.MigrationGapBudgetSec*1000)
-	if rec.MigrationGapSec > d.th.MigrationGapBudgetSec {
+		kind, rec.MigratedTo, rec.Frame, rec.MigrationGapSec*1000, MigrationGapBudgetSec*1000)
+	if rec.MigrationGapSec > MigrationGapBudgetSec {
 		sev = Fail
 		msg += " — the session was blind longer than the failure model promises"
 	}
 	return []Finding{{
 		Check: d.Name(), Severity: sev,
 		FirstFrame: rec.Frame, LastFrame: rec.Frame,
-		Value: rec.MigrationGapSec, Threshold: d.th.MigrationGapBudgetSec,
+		Value: rec.MigrationGapSec, Threshold: MigrationGapBudgetSec,
 		Message: msg,
 	}}
 }
 
-func (d *migrationGapDetector) Flush() []Finding { return nil }
+func (migrationGapDetector) Flush() []Finding { return nil }
 
 // failoverStormDetector finds sessions ping-ponging between members: a kill
 // or drain legitimately migrates a session once, but several migrations
@@ -443,9 +446,16 @@ func (d *migrationGapDetector) Flush() []Finding { return nil }
 // bar cannot un-cross it); the contributing migrations are consumed so an
 // ongoing storm reports once per burst, not once per extra migration.
 type failoverStormDetector struct {
-	th      Thresholds
 	pending []int // frames of recent migrations, increasing
 }
+
+// failoverMigrations migrations within any failoverWindowFrames-frame window
+// constitute a failover storm — usually a balancer disagreement or a
+// flapping prober.
+const (
+	failoverMigrations   = 3
+	failoverWindowFrames = 150
+)
 
 func (d *failoverStormDetector) Name() string { return "failover-storm" }
 
@@ -454,19 +464,19 @@ func (d *failoverStormDetector) Observe(rec obs.JournalRecord) []Finding {
 		return nil
 	}
 	d.pending = append(d.pending, rec.Frame)
-	for len(d.pending) > 0 && rec.Frame-d.pending[0] >= d.th.FailoverWindowFrames {
+	for len(d.pending) > 0 && rec.Frame-d.pending[0] >= failoverWindowFrames {
 		d.pending = d.pending[1:]
 	}
-	if len(d.pending) < d.th.FailoverMigrations {
+	if len(d.pending) < failoverMigrations {
 		return nil
 	}
 	f := Finding{
 		Check: d.Name(), Severity: Fail,
 		FirstFrame: d.pending[0], LastFrame: rec.Frame,
-		Value: float64(len(d.pending)), Threshold: float64(d.th.FailoverMigrations),
+		Value: float64(len(d.pending)), Threshold: float64(failoverMigrations),
 		Message: fmt.Sprintf(
 			"failover storm: session migrated %d times within %d frames (%d–%d) — members are trading the session instead of one of them keeping it",
-			len(d.pending), d.th.FailoverWindowFrames, d.pending[0], rec.Frame),
+			len(d.pending), failoverWindowFrames, d.pending[0], rec.Frame),
 	}
 	d.pending = d.pending[:0]
 	return []Finding{f}
@@ -479,14 +489,15 @@ func (d *failoverStormDetector) Flush() []Finding {
 
 // slowRecoveryDetector grades time-to-recover: once the last failure event
 // of an episode (outage, reconnect, NACK) has passed, the degradation ladder
-// must climb back to the healthy rung within LadderRecoverFrames frames.
+// must climb back to the healthy rung within ladderRecoverFrames frames.
 // Staying degraded longer means the hysteresis/dwell tuning is too sticky —
 // the agent keeps paying the quality penalty on a link that has healed.
 type slowRecoveryDetector struct {
-	th            Thresholds
 	lastFailFrame int
 	reported      bool
 }
+
+const ladderRecoverFrames = 24
 
 func (d *slowRecoveryDetector) Name() string { return "slow-recovery" }
 
@@ -502,28 +513,28 @@ func (d *slowRecoveryDetector) Observe(rec obs.JournalRecord) []Finding {
 	tail := rec.Frame - d.lastFailFrame
 	if rec.DegradeLevel == 0 {
 		var out []Finding
-		if tail > d.th.LadderRecoverFrames {
+		if tail > ladderRecoverFrames {
 			out = append(out, Finding{
 				Check: d.Name(), Severity: Fail,
 				FirstFrame: d.lastFailFrame, LastFrame: rec.Frame,
-				Value: float64(tail), Threshold: float64(d.th.LadderRecoverFrames),
+				Value: float64(tail), Threshold: float64(ladderRecoverFrames),
 				Message: fmt.Sprintf(
 					"degradation ladder took %d frames after the last failure event (frame %d) to return to healthy (limit %d)",
-					tail, d.lastFailFrame, d.th.LadderRecoverFrames),
+					tail, d.lastFailFrame, ladderRecoverFrames),
 			})
 		}
 		d.lastFailFrame = -1
 		return out
 	}
-	if tail > d.th.LadderRecoverFrames {
+	if tail > ladderRecoverFrames {
 		d.reported = true
 		return []Finding{{
 			Check: d.Name(), Severity: Fail,
 			FirstFrame: d.lastFailFrame, LastFrame: rec.Frame,
-			Value: float64(tail), Threshold: float64(d.th.LadderRecoverFrames),
+			Value: float64(tail), Threshold: float64(ladderRecoverFrames),
 			Message: fmt.Sprintf(
 				"degradation ladder stuck at level %d for %d frames after the last failure event (frame %d, limit %d)",
-				rec.DegradeLevel, tail, d.lastFailFrame, d.th.LadderRecoverFrames),
+				rec.DegradeLevel, tail, d.lastFailFrame, ladderRecoverFrames),
 		}}
 	}
 	return nil

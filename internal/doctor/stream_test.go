@@ -66,9 +66,9 @@ func TestStreamingMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
 		journal := randomJournal(rng, 60+rng.Intn(120))
-		want := Analyze(journal, nil, Thresholds{})
+		want := Analyze(journal, 0)
 
-		f := NewFollower(Thresholds{}, 0)
+		f := NewFollower(0, 0)
 		var got []Finding
 		// Replay as a growing sequence of overlapping snapshots, as a live
 		// poller would see the journal ring.
@@ -82,8 +82,8 @@ func TestStreamingMatchesBatch(t *testing.T) {
 		}
 		got = append(got, f.Close(journal)...)
 
-		if f.Frames() != len(journal) {
-			t.Fatalf("trial %d: follower consumed %d of %d frames", trial, f.Frames(), len(journal))
+		if f.Consumed() != len(journal) {
+			t.Fatalf("trial %d: follower consumed %d of %d frames", trial, f.Consumed(), len(journal))
 		}
 		if len(got) != len(want.Findings) {
 			t.Fatalf("trial %d: streaming found %d findings, batch %d\nstream: %+v\nbatch: %+v",
@@ -115,30 +115,30 @@ func TestFollowerSettleMargin(t *testing.T) {
 	for f := 0; f < 20; f++ {
 		journal = append(journal, obs.JournalRecord{Frame: f, Outage: f >= 10, TrackedBoxes: 2, BaseQP: 30})
 	}
-	f := NewFollower(Thresholds{}, 8)
+	f := NewFollower(0, 8)
 	if got := f.Ingest(journal); len(got) != 0 {
 		t.Fatalf("settled ingest diagnosed held-back frames: %+v", got)
 	}
-	if f.Frames() != 12 { // frames 0..11: newest(19) - settle(8)
-		t.Fatalf("consumed %d frames, want 12", f.Frames())
+	if f.Consumed() != 12 { // frames 0..11: newest(19) - settle(8)
+		t.Fatalf("consumed %d frames, want 12", f.Consumed())
 	}
 	// Re-ingesting the same snapshot consumes nothing new.
-	if f.Ingest(journal); f.Frames() != 12 {
-		t.Fatalf("re-ingest advanced the cursor to %d", f.Frames())
+	if f.Ingest(journal); f.Consumed() != 12 {
+		t.Fatalf("re-ingest advanced the cursor to %d", f.Consumed())
 	}
 	got := f.Close(journal)
 	if len(got) != 1 || got[0].Check != "outage-drift" {
 		t.Fatalf("close findings = %+v, want one outage-drift", got)
 	}
-	if f.Frames() != 20 {
-		t.Fatalf("close consumed %d frames, want 20", f.Frames())
+	if f.Consumed() != 20 {
+		t.Fatalf("close consumed %d frames, want 20", f.Consumed())
 	}
 }
 
 func TestLivePollAndReport(t *testing.T) {
 	var journal []obs.JournalRecord
 	source := func() []obs.JournalRecord { return journal }
-	l := NewLive(Thresholds{}, 0, source)
+	l := NewLive(0, 0, source)
 
 	if got := l.Poll(); len(got) != 0 {
 		t.Fatalf("empty journal produced findings: %+v", got)

@@ -157,13 +157,12 @@ type Server struct {
 	// WriteTimeout bounds each result write (default 10s).
 	WriteTimeout time.Duration
 	// SessionLabelCap bounds the distinct per-session label values this
-	// server mints (0 selects obs.DefaultMaxLabelValues). Sessions beyond
-	// the cap have their series folded by profile (not profile-seed), so a
-	// fleet of hundreds of agents keeps per-profile attribution instead of
+	// server mints (0 selects obs.MaxLabelValues). Sessions beyond the cap
+	// have their series folded by profile (not profile-seed), so a fleet of
+	// hundreds of agents keeps per-profile attribution instead of
 	// collapsing into one _overflow series; every folded session increments
-	// obs.MetricLabelOverflow. When raising this above the default, raise
-	// the registry's per-family bound too (Registry.SetMaxLabelValues)
-	// before the first session, or the families fold at their own cap.
+	// obs.MetricLabelOverflow. Above obs.MaxLabelValues the metric families
+	// fold at their own bound first.
 	SessionLabelCap int
 
 	mu       sync.Mutex
@@ -457,7 +456,7 @@ func (s *Server) sessionLabelFor(profile string, seed int64) string {
 	full := fmt.Sprintf("%s-%d", profile, seed)
 	limit := s.SessionLabelCap
 	if limit <= 0 {
-		limit = obs.DefaultMaxLabelValues
+		limit = obs.MaxLabelValues
 	}
 	s.labelMu.Lock()
 	defer s.labelMu.Unlock()

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"dive/internal/doctor"
+	"dive/internal/obs"
 )
 
 func TestDefaultStreamLadder(t *testing.T) {
@@ -56,7 +56,7 @@ func TestMultiStreamPacking(t *testing.T) {
 	}
 	// The runtime log must parse as the JSONL series divedoctor consumes
 	// and cover only the final rung's steady window.
-	samples, err := doctor.ReadRuntimeSamples(&log)
+	samples, err := obs.ReadJSONL[obs.RuntimeStats](&log)
 	if err != nil {
 		t.Fatal(err)
 	}

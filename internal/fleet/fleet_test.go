@@ -170,8 +170,12 @@ func TestRunLiveClusterKill(t *testing.T) {
 	if report.Live.ForcedMigrations < 1 {
 		t.Fatalf("kill produced no forced migration: %+v", report.Live)
 	}
-	if report.Live.MaxMigrationGapSec <= 0 || report.Live.MaxMigrationGapSec > 2.0 {
-		t.Errorf("max migration gap %.3fs outside (0, 2.0]", report.Live.MaxMigrationGapSec)
+	// The gap must be measured; its 2.0 s wall-clock bound is asserted only
+	// without the race detector. Under -race with three packages sharing two
+	// cores the same single failover takes 2.4–2.6 s, and
+	// ci/cluster_smoke.sh gates the bound on a non-race binary anyway.
+	if gap := report.Live.MaxMigrationGapSec; gap <= 0 || (!raceEnabled && gap > 2.0) {
+		t.Errorf("max migration gap %.3fs outside (0, 2.0]", gap)
 	}
 
 	final := report.Final
@@ -206,7 +210,7 @@ func TestRunLiveClusterKill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		js, err := obs.ReadJournal(bytes.NewReader(data))
+		js, err := obs.ReadJSONL[obs.JournalRecord](bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
 	"sort"
@@ -19,68 +18,32 @@ import (
 // /debug/fleet, the stream the fleet doctor detectors (straggler-session,
 // noisy-neighbor, fleet-burn) follow.
 
-// FleetConfig tunes the aggregator. The zero value is usable: every field
-// falls back to the documented default.
+// FleetConfig holds the three aggregator settings some binary sets. The zero
+// value is usable.
 type FleetConfig struct {
-	// FramesMetric/BytesMetric name the per-session counters folded into the
-	// fleet totals (defaults MetricFrames/MetricBytes).
-	FramesMetric string
-	BytesMetric  string
-	// LatencyMetric names the per-session end-to-end latency histogram
-	// merged into the fleet distribution (default StageResponse).
-	LatencyMetric string
 	// RollupCap bounds the retained rollup ring (default 512).
 	RollupCap int
 	// StragglerFactor is k: a session is a straggler when its p99 exceeds
 	// k× the fleet median p99, or its burn rate exceeds k× max(median burn,
 	// 1). Default 3.
 	StragglerFactor float64
-	// MinSessionFrames excludes sessions with fewer SLO window samples from
-	// both the medians and the straggler table (warm-up noise). Default 16.
-	MinSessionFrames int
-	// MaxStragglers caps the straggler table per rollup (default 16; the
-	// worst offenders by factor are kept).
-	MaxStragglers int
-	// Registry, when set, receives the fleet gauges (GaugeFleet*) on every
-	// rollup.
-	Registry *Registry
 	// CollectRuntime attaches process runtime stats (heap, GC pause,
 	// goroutines) to each rollup — wall-clock-dependent, so deterministic
 	// report modes leave it off.
 	CollectRuntime bool
-	// MaxServers bounds the distinct per-server rollup rows (default
-	// DefaultMaxLabelValues); further members fold into one OverflowLabel
-	// row, mirroring the labeled-metric cardinality cap.
-	MaxServers int
 }
 
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.FramesMetric == "" {
-		c.FramesMetric = MetricFrames
-	}
-	if c.BytesMetric == "" {
-		c.BytesMetric = MetricBytes
-	}
-	if c.LatencyMetric == "" {
-		c.LatencyMetric = StageResponse
-	}
-	if c.RollupCap <= 0 {
-		c.RollupCap = 512
-	}
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = 3
-	}
-	if c.MinSessionFrames <= 0 {
-		c.MinSessionFrames = 16
-	}
-	if c.MaxStragglers <= 0 {
-		c.MaxStragglers = 16
-	}
-	if c.MaxServers <= 0 {
-		c.MaxServers = DefaultMaxLabelValues
-	}
-	return c
-}
+// What a rollup folds and how it judges stragglers. A session's frames,
+// bytes and end-to-end latency are its MetricFrames / MetricBytes counters
+// and StageResponse histogram; per-server rows are bounded by MaxLabelValues.
+const (
+	// fleetMinSessionFrames excludes sessions with fewer SLO window samples
+	// from both the medians and the straggler table (warm-up noise).
+	fleetMinSessionFrames = 16
+	// fleetMaxStragglers caps the straggler table per rollup (the worst
+	// offenders by factor are kept).
+	fleetMaxStragglers = 16
+)
 
 // Straggler is one row of the rollup's straggler table: a session whose
 // latency tail or burn rate stands out against the fleet median.
@@ -167,8 +130,7 @@ type FleetRollup struct {
 // ServerRollup is one cluster member's row in a rollup: how many sessions it
 // carries, the migration flow through it, and how stale its last heartbeat
 // is. Fed by ObserveServer/NoteMigration; row count is capped at
-// FleetConfig.MaxServers with the overflow folded into one OverflowLabel
-// row.
+// MaxLabelValues with the overflow folded into one OverflowLabel row.
 type ServerRollup struct {
 	Server string `json:"server"`
 	// State is the balancer's membership verdict ("healthy", "suspect",
@@ -198,16 +160,16 @@ type sessionSource struct {
 type FleetAggregator struct {
 	cfg FleetConfig
 
+	ring *Ring[FleetRollup] // bounded rollup history
+
 	mu       sync.Mutex
 	sessions map[string]*sessionSource
-	ring     []FleetRollup // bounded rollup history
-	ringPos  int           // next write index once the ring is full
 	tick     int
 	lastT    float64
 	lastN    int64
 
 	// Per-server dimension (cluster mode): member status snapshots and
-	// migration counters, bounded at cfg.MaxServers distinct names.
+	// migration counters, bounded at MaxLabelValues distinct names.
 	serverMu sync.Mutex
 	servers  map[string]*serverStat
 }
@@ -225,8 +187,15 @@ type serverStat struct {
 // NewFleetAggregator builds an aggregator with cfg (zero value for
 // defaults).
 func NewFleetAggregator(cfg FleetConfig) *FleetAggregator {
+	if cfg.RollupCap <= 0 {
+		cfg.RollupCap = 512
+	}
+	if cfg.StragglerFactor <= 0 {
+		cfg.StragglerFactor = 3
+	}
 	return &FleetAggregator{
-		cfg:      cfg.withDefaults(),
+		cfg:      cfg,
+		ring:     NewRing[FleetRollup](cfg.RollupCap, nil),
 		sessions: make(map[string]*sessionSource),
 	}
 }
@@ -266,25 +235,22 @@ func (a *FleetAggregator) SetSessionServer(session, server string) {
 	a.mu.Unlock()
 }
 
-// serverStatFor returns (creating) the row for name. Past MaxServers
-// distinct names the row folds into OverflowLabel — the same cardinality
-// discipline as labeled metric families — counting each fold on
-// MetricLabelOverflow when a registry is attached. Callers hold serverMu.
+// serverStatFor returns (creating) the row for name, folded by foldLabel —
+// the same cardinality rule as metric families; the aggregator has no
+// registry, so its folds are not counted. Callers hold serverMu.
 func (a *FleetAggregator) serverStatFor(name string) *serverStat {
 	if a.servers == nil {
 		a.servers = make(map[string]*serverStat)
 	}
-	if st, ok := a.servers[name]; ok {
-		return st
+	st := a.servers[name]
+	if st == nil {
+		name, _ = foldLabel(name, len(a.servers))
+		st = a.servers[name]
 	}
-	if len(a.servers) >= a.cfg.MaxServers && name != OverflowLabel {
-		if reg := a.cfg.Registry; reg != nil {
-			reg.Counter(MetricLabelOverflow).Inc()
-		}
-		return a.serverStatFor(OverflowLabel)
+	if st == nil {
+		st = &serverStat{hbAge: -1}
+		a.servers[name] = st
 	}
-	st := &serverStat{hbAge: -1}
-	a.servers[name] = st
 	return st
 }
 
@@ -342,19 +308,8 @@ func (a *FleetAggregator) serverRollups() []ServerRollup {
 	return out
 }
 
-// SessionCount returns the number of registered sources.
-func (a *FleetAggregator) SessionCount() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.sessions)
-}
-
 // Rollup folds every registered session into one FleetRollup stamped with
-// the caller's clock, appends it to the ring, and publishes the fleet
-// gauges.
+// the caller's clock and appends it to the ring.
 func (a *FleetAggregator) Rollup(simTimeSec float64) FleetRollup {
 	if a == nil {
 		return FleetRollup{}
@@ -379,22 +334,8 @@ func (a *FleetAggregator) Rollup(simTimeSec float64) FleetRollup {
 
 	a.mu.Lock()
 	a.lastT, a.lastN = simTimeSec, ru.FramesTotal
-	if len(a.ring) < a.cfg.RollupCap {
-		a.ring = append(a.ring, ru)
-	} else {
-		a.ring[a.ringPos] = ru
-		a.ringPos = (a.ringPos + 1) % a.cfg.RollupCap
-	}
 	a.mu.Unlock()
-
-	if reg := a.cfg.Registry; reg != nil {
-		reg.Gauge(GaugeFleetSessions).Set(float64(ru.Sessions))
-		reg.Gauge(GaugeFleetFPS).Set(ru.FramesPerSec)
-		reg.Gauge(GaugeFleetLatencyP99).Set(ru.LatencyP99Sec)
-		reg.Gauge(GaugeFleetBurnRate).Set(ru.FleetBurn)
-		reg.Gauge(GaugeFleetStragglers).Set(float64(len(ru.Stragglers)))
-		reg.Counter(MetricFleetRollups).Inc()
-	}
+	a.ring.Append(ru)
 	return ru
 }
 
@@ -415,12 +356,6 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 	ru := FleetRollup{Tick: tick, SimTimeSec: simTime, Sessions: len(sources)}
 	fleetLat := NewHistogram(DefaultDurationBuckets)
 	profiles := make(map[string]*profileAcc)
-	sloCfg := DefaultSLOConfig()
-	if len(sources) > 0 {
-		if t := sources[0].rec.SLO(); t != nil {
-			sloCfg = t.Config()
-		}
-	}
 
 	type sessionStat struct {
 		src *sessionSource
@@ -431,9 +366,9 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 
 	for _, src := range sources {
 		reg := src.rec.Registry()
-		frames := reg.Counter(a.cfg.FramesMetric).Value()
-		bytes := reg.Counter(a.cfg.BytesMetric).Value()
-		lat := reg.Histogram(a.cfg.LatencyMetric, DefaultDurationBuckets)
+		frames := reg.Counter(MetricFrames).Value()
+		bytes := reg.Counter(MetricBytes).Value()
+		lat := reg.Histogram(StageResponse, DefaultDurationBuckets)
 		ru.FramesTotal += frames
 		ru.BytesTotal += bytes
 		_ = fleetLat.Merge(lat)
@@ -479,16 +414,16 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 	}
 	if wFrames > 0 {
 		ru.OutageFrac = wOutage / wFrames
-		latBurn := (wLatOver / wFrames) / sloCfg.LatencyBudget
-		fgBurn := (wFGUnder / wFrames) / sloCfg.FGShareBudget
-		outBurn := (wOutage / wFrames) / sloCfg.MaxOutageFraction
+		latBurn := (wLatOver / wFrames) / SLOLatencyBudget
+		fgBurn := (wFGUnder / wFrames) / SLOFGShareBudget
+		outBurn := (wOutage / wFrames) / SLOMaxOutageFraction
 		ru.FleetBurn = math.Max(latBurn, math.Max(fgBurn, outBurn))
 	}
 
 	// Per-session medians over warm sessions, then the straggler table.
 	var p99s, burns []float64
 	for _, s := range stats {
-		if s.st.Frames < a.cfg.MinSessionFrames {
+		if s.st.Frames < fleetMinSessionFrames {
 			continue
 		}
 		p99s = append(p99s, s.st.LatencyP99Sec)
@@ -497,7 +432,7 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 	ru.MedianP99Sec = median(p99s)
 	ru.MedianBurn = median(burns)
 	for _, s := range stats {
-		if s.st.Frames < a.cfg.MinSessionFrames {
+		if s.st.Frames < fleetMinSessionFrames {
 			continue
 		}
 		factor, reason := 0.0, ""
@@ -530,8 +465,8 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 		}
 		return ru.Stragglers[i].Session < ru.Stragglers[j].Session
 	})
-	if len(ru.Stragglers) > a.cfg.MaxStragglers {
-		ru.Stragglers = ru.Stragglers[:a.cfg.MaxStragglers]
+	if len(ru.Stragglers) > fleetMaxStragglers {
+		ru.Stragglers = ru.Stragglers[:fleetMaxStragglers]
 	}
 
 	for _, name := range sortedKeys(profiles) {
@@ -576,49 +511,13 @@ func median(v []float64) float64 {
 	return (s[mid-1] + s[mid]) / 2
 }
 
-// Recent returns up to n rollups, oldest first (all when n <= 0).
-func (a *FleetAggregator) Recent(n int) []FleetRollup {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]FleetRollup, 0, len(a.ring))
-	if len(a.ring) < a.cfg.RollupCap {
-		out = append(out, a.ring...)
-	} else {
-		out = append(out, a.ring[a.ringPos:]...)
-		out = append(out, a.ring[:a.ringPos]...)
-	}
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
-	}
-	return out
-}
-
-// Last returns the most recent rollup (ok false before the first).
-func (a *FleetAggregator) Last() (FleetRollup, bool) {
-	r := a.Recent(1)
-	if len(r) == 0 {
-		return FleetRollup{}, false
-	}
-	return r[0], true
-}
-
 // Handler serves the rollup ring as JSONL, oldest first — the /debug/fleet
 // endpoint the fleet doctor follows (cursor on the tick field).
 func (a *FleetAggregator) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if a == nil {
+	if a == nil {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, "fleet aggregation disabled", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, ru := range a.Recent(0) {
-			if err := enc.Encode(ru); err != nil {
-				return
-			}
-		}
-	})
+		})
+	}
+	return jsonlHandler(a.ring.Snapshot)
 }

@@ -68,100 +68,25 @@ func TestHistogramMergeBoundsMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotMerge checks the snapshot-level fold: counters add, gauges
-// sum, histograms with bucket detail merge exactly, labeled families merge
-// per value.
-func TestSnapshotMerge(t *testing.T) {
-	r1, r2 := NewRegistry(), NewRegistry()
-	whole := NewRegistry()
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 3000; i++ {
-		v := math_exp(rng)
-		whole.Histogram("lat", DefaultDurationBuckets).Observe(v)
-		if rng.Intn(2) == 0 {
-			r1.Histogram("lat", DefaultDurationBuckets).Observe(v)
-		} else {
-			r2.Histogram("lat", DefaultDurationBuckets).Observe(v)
-		}
-	}
-	r1.Counter("frames").Add(10)
-	r2.Counter("frames").Add(32)
-	r1.Gauge("inflight").Set(3)
-	r2.Gauge("inflight").Set(4)
-	r1.LabeledCounter("by_session", "session").Add("a", 5)
-	r2.LabeledCounter("by_session", "session").Add("a", 7)
-	r2.LabeledCounter("by_session", "session").Add("b", 1)
-
-	s := r1.Snapshot()
-	s.Merge(r2.Snapshot())
-
-	if got := s.Counters["frames"]; got != 42 {
-		t.Fatalf("merged counter = %d, want 42", got)
-	}
-	if got := s.Gauges["inflight"]; got != 7 {
-		t.Fatalf("merged gauge = %v, want 7", got)
-	}
-	ws := whole.Snapshot().Histograms["lat"]
-	ms := s.Histograms["lat"]
-	if ms.Count != ws.Count || ms.P50 != ws.P50 || ms.P95 != ws.P95 || ms.P99 != ws.P99 {
-		t.Fatalf("merged hist %+v != unsplit %+v", ms, ws)
-	}
-	if got := s.LabeledCounters["by_session"]["a"]; got != 12 {
-		t.Fatalf("merged labeled counter a = %d, want 12", got)
-	}
-	if got := s.LabeledCounters["by_session"]["b"]; got != 1 {
-		t.Fatalf("merged labeled counter b = %d, want 1", got)
-	}
-}
-
-// TestLabeledFold checks LabeledHistogram.Fold and LabeledCounter.Total
-// roll a family up to one series.
-func TestLabeledFold(t *testing.T) {
-	r := NewRegistry()
-	lc := r.LabeledCounter("frames", "session")
-	lc.Add("a", 3)
-	lc.Add("b", 4)
-	if got := lc.Total(); got != 7 {
-		t.Fatalf("Total = %d, want 7", got)
-	}
-	lh := r.LabeledHistogram("lat", "session", []float64{1, 2, 3})
-	lh.Observe("a", 0.5)
-	lh.Observe("b", 2.5)
-	lh.Observe("b", 2.5)
-	f := lh.Fold()
-	if f.Count() != 3 {
-		t.Fatalf("folded count = %d, want 3", f.Count())
-	}
-	var nilH *LabeledHistogram
-	if nilH.Fold() != nil {
-		t.Fatal("nil family Fold should be nil")
-	}
-	var nilC *LabeledCounter
-	if nilC.Total() != 0 {
-		t.Fatal("nil family Total should be 0")
-	}
-}
-
 // TestLabelOverflowCounter checks that folding into OverflowLabel is
 // surfaced on obs_label_overflow_total instead of happening silently.
 func TestLabelOverflowCounter(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxLabelValues(4)
 	lc := r.LabeledCounter("frames", "session")
-	for i := 0; i < 4; i++ {
-		lc.Inc(fmt.Sprintf("s%d", i))
+	for i := 0; i < MaxLabelValues; i++ {
+		lc.With(fmt.Sprintf("s%d", i)).Inc()
 	}
-	if got := r.Counter(MetricLabelOverflow).Value(); got != 0 {
-		t.Fatalf("overflow counter = %d before cap hit, want 0", got)
+	if got := r.Snapshot().Counters; len(got) != 0 {
+		t.Fatalf("counters = %v before cap hit, want none (the overflow counter appears with the first fold)", got)
 	}
-	lc.Inc("s4")
-	lc.Inc("s5")
+	lc.With("over-a").Inc()
+	lc.With("over-b").Inc()
 	if got := r.Counter(MetricLabelOverflow).Value(); got != 2 {
 		t.Fatalf("overflow counter = %d after 2 folds, want 2", got)
 	}
 	// Cached overflow child lookups still count: each With on a folded value
 	// re-resolves, so repeated folded traffic stays visible.
-	lc.Inc("s4")
+	lc.With("over-a").Inc()
 	if got := r.Counter(MetricLabelOverflow).Value(); got != 3 {
 		t.Fatalf("overflow counter = %d after repeat fold, want 3", got)
 	}
@@ -196,8 +121,7 @@ func fleetFixture(t *testing.T, agg *FleetAggregator, n int, slow map[int]bool) 
 // TestFleetAggregatorRollup checks totals, per-profile breakdowns and the
 // straggler table against a fleet with two scripted slow sessions.
 func TestFleetAggregatorRollup(t *testing.T) {
-	reg := NewRegistry()
-	agg := NewFleetAggregator(FleetConfig{Registry: reg})
+	agg := NewFleetAggregator(FleetConfig{})
 	fleetFixture(t, agg, 12, map[int]bool{3: true, 7: true})
 
 	ru := agg.Rollup(5.0)
@@ -241,12 +165,6 @@ func TestFleetAggregatorRollup(t *testing.T) {
 	if ru.Unhealthy != 2 {
 		t.Fatalf("unhealthy = %d, want 2", ru.Unhealthy)
 	}
-	if reg.Gauge(GaugeFleetSessions).Value() != 12 {
-		t.Fatalf("fleet sessions gauge = %v", reg.Gauge(GaugeFleetSessions).Value())
-	}
-	if reg.Gauge(GaugeFleetStragglers).Value() != 2 {
-		t.Fatalf("fleet stragglers gauge = %v", reg.Gauge(GaugeFleetStragglers).Value())
-	}
 
 	// Second rollup: interval throughput, not whole-run average.
 	ru2 := agg.Rollup(6.0)
@@ -261,11 +179,10 @@ func TestFleetAggregatorRollup(t *testing.T) {
 // TestFleetPerServerRollup checks the per-server dimension: ObserveServer
 // rows surface in rollups with membership state and heartbeat age,
 // NoteMigration balances in/out across members, stragglers are attributed to
-// their member, and names past MaxServers fold into the overflow row with
-// the cardinality counter ticking — same discipline as labeled metrics.
+// their member, and names past MaxLabelValues fold into the overflow row —
+// the same rule as labeled metrics.
 func TestFleetPerServerRollup(t *testing.T) {
-	reg := NewRegistry()
-	agg := NewFleetAggregator(FleetConfig{Registry: reg, MaxServers: 2})
+	agg := NewFleetAggregator(FleetConfig{})
 	fleetFixture(t, agg, 8, map[int]bool{3: true})
 	agg.SetSessionServer("agent-003", "edge-1")
 
@@ -297,21 +214,22 @@ func TestFleetPerServerRollup(t *testing.T) {
 		t.Fatalf("straggler attribution = %+v, want agent-003 on edge-1", ru.Stragglers)
 	}
 
-	// A third member exceeds MaxServers: its rows fold into the overflow
-	// label and the cardinality counter ticks.
-	before := reg.Counter(MetricLabelOverflow).Value()
-	agg.ObserveServer("edge-2", "healthy", 4, 0.01)
-	agg.NoteMigration("edge-2", "edge-0")
+	// Members past MaxLabelValues distinct names fold into the overflow row.
+	for i := 2; i < MaxLabelValues; i++ {
+		agg.ObserveServer(fmt.Sprintf("edge-%02d", i), "healthy", 1, 0.01)
+	}
+	agg.ObserveServer("edge-over", "healthy", 4, 0.01)
+	agg.NoteMigration("edge-over", "edge-0")
 	ru2 := agg.Rollup(6.0)
-	if len(ru2.PerServer) != 3 {
-		t.Fatalf("per-server rows after overflow = %+v, want 3", ru2.PerServer)
+	if len(ru2.PerServer) != MaxLabelValues+1 {
+		t.Fatalf("per-server rows after overflow = %d, want %d", len(ru2.PerServer), MaxLabelValues+1)
 	}
 	last := ru2.PerServer[len(ru2.PerServer)-1]
 	if last.Server != OverflowLabel {
 		t.Fatalf("overflow row not last: %+v", ru2.PerServer)
 	}
 	if last.Sessions != 4 || last.MigrationsOut != 1 {
-		t.Fatalf("overflow row = %+v, want edge-2's sessions and migration", last)
+		t.Fatalf("overflow row = %+v, want edge-over's sessions and migration", last)
 	}
 	if rows2 := func() ServerRollup {
 		for _, r := range ru2.PerServer {
@@ -322,9 +240,6 @@ func TestFleetPerServerRollup(t *testing.T) {
 		return ServerRollup{}
 	}(); rows2.MigrationsIn != 1 {
 		t.Fatalf("edge-0 after overflow migration = %+v, want 1 in", rows2)
-	}
-	if after := reg.Counter(MetricLabelOverflow).Value(); after <= before {
-		t.Fatalf("label-overflow counter did not tick: %v -> %v", before, after)
 	}
 }
 

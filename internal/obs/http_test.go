@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -119,24 +120,40 @@ func TestMetricsEndpointPrometheusWellFormed(t *testing.T) {
 	}
 }
 
-// TestDebugFramesRoundTripsThroughDecoder serves /debug/frames and decodes
-// the body with the journal-side FrameRecord decoder — the exact path
-// divedoctor takes when pointed at a live agent.
+// TestDebugFramesRoundTripsThroughDecoder serves /debug/frames — the journal
+// joined with the agent spans on trace ID — and decodes the body with the
+// one JSONL reader, the exact path a consumer of a live agent takes.
 func TestDebugFramesRoundTripsThroughDecoder(t *testing.T) {
 	rec := NewRecorder(8)
 	want := []FrameRecord{
-		{Frame: 0, Type: "I", BaseQP: 30, Bits: 50000, EstBWBps: 2e6, TotalMs: 12},
-		{Frame: 1, Type: "P", BaseQP: 26, Bits: 20000, EstBWBps: 2.1e6, TotalMs: 9, AckBits: 20000, AckEndSec: 0.1},
+		{Frame: 0, Type: "I", BaseQP: 30, Bits: 50000, EstBWBps: 2e6, EncodeMs: 8, TotalMs: 12},
+		{Frame: 1, Type: "P", Moving: true, ReusedFG: true, BaseQP: 26, Bits: 20000, EstBWBps: 2.1e6,
+			MotionMs: 2, EmitMs: 0.5, TotalMs: 9, AckBits: 20000, AckEndSec: 0.1},
 	}
 	for _, fr := range want {
-		rec.RecordFrame(fr)
+		ctx := rec.StartTrace(fr.Frame)
+		rec.RecordJournal(JournalRecord{
+			TraceID: ctx.TraceID, Frame: fr.Frame, Type: fr.Type, Moving: fr.Moving, FGReused: fr.ReusedFG,
+			BaseQP: fr.BaseQP, Bits: fr.Bits, EstBWBps: fr.EstBWBps,
+		})
+		for name, ms := range map[string]float64{"motion": fr.MotionMs, "encode": fr.EncodeMs, "emit": fr.EmitMs, "frame": fr.TotalMs} {
+			if ms != 0 {
+				rec.RecordSpan(ctx, name, "agent", 0, ms/1000)
+			}
+		}
+		// Same stage name on the other side of the link: not the agent's.
+		rec.RecordSpan(ctx, "encode", "edge", 0, 7)
 	}
+	rec.AmendLastJournal(func(j *JournalRecord) { j.AckBits, j.AckEndSec = 20000, 0.1 })
+	// A span whose journal record is gone (or never existed) joins nothing.
+	rec.RecordSpan(TraceContext{TraceID: 99, Frame: 9}, "frame", "agent", 0, 1)
+
 	w := httptest.NewRecorder()
 	rec.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/frames", nil))
 	if w.Code != 200 {
 		t.Fatalf("status %d", w.Code)
 	}
-	got, err := ReadFrameRecords(w.Body)
+	got, err := ReadJSONL[FrameRecord](w.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +167,60 @@ func TestDebugFramesRoundTripsThroughDecoder(t *testing.T) {
 	}
 }
 
+// TestIndexListsExactlyTheMountedPaths pins the route table: GET / names
+// every path that answers — the built-ins and whatever RegisterDebug mounted,
+// before or after Handler() — and nothing that 404s.
+func TestIndexListsExactlyTheMountedPaths(t *testing.T) {
+	rec := NewRecorder(8)
+	ok := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {})
+	rec.RegisterDebug("/debug/fleet", ok)
+	h := rec.Handler()
+	rec.RegisterDebug("/debug/cluster", ok)
+	status := func(path string) int {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		return w.Code
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/", nil))
+	lines := strings.Split(strings.TrimSpace(w.Body.String()), "\n")
+	if len(lines) < 3 || lines[0] != "DiVE telemetry" || lines[1] != "" {
+		t.Fatalf("index = %q", w.Body.String())
+	}
+	listed := map[string]bool{}
+	for _, path := range lines[2:] {
+		listed[path] = true
+		if path == "/debug/pprof/" {
+			continue // answers, but its index page runs the profiler's template; probe a child instead
+		}
+		if code := status(path); code == 404 {
+			t.Errorf("index lists %s, which answers 404", path)
+		}
+	}
+	for _, path := range []string{
+		"/metrics", "/debug/vars", "/debug/frames", "/debug/journal", "/debug/spans",
+		"/debug/slo", "/debug/runtime", "/debug/pprof/", "/debug/fleet", "/debug/cluster",
+	} {
+		if !listed[path] {
+			t.Errorf("index does not list %s", path)
+		}
+	}
+	if len(listed) != 10 {
+		t.Errorf("index lists %d paths, want 10: %v", len(listed), lines[2:])
+	}
+	if status("/debug/pprof/cmdline") != 200 {
+		t.Error("/debug/pprof/cmdline does not answer below the listed /debug/pprof/")
+	}
+	// /debug/doctor is mounted by diveserver and divetrace -serve only.
+	for _, path := range []string{"/debug/doctor", "/debug", "/nope"} {
+		if listed[path] || status(path) != 404 {
+			t.Errorf("%s: listed=%t status=%d, want unlisted 404", path, listed[path], status(path))
+		}
+	}
+}
+
 // TestDebugJournalEndpoint serves /debug/journal and round-trips it through
-// ReadJournal.
+// ReadJSONL.
 func TestDebugJournalEndpoint(t *testing.T) {
 	rec := NewRecorder(8)
 	rec.RecordJournal(JournalRecord{TraceID: 1, Frame: 0, BaseQP: 28, RCTrials: []QPTrial{{QP: 25, Bits: 40000}}})
@@ -160,7 +229,7 @@ func TestDebugJournalEndpoint(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("status %d", w.Code)
 	}
-	got, err := ReadJournal(w.Body)
+	got, err := ReadJSONL[JournalRecord](w.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

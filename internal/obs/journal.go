@@ -1,12 +1,5 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sync"
-)
-
 // QPTrial is one consulted probe of the rate-control QP bisection: the base
 // QP tried and the exact bit count the trial pass produced. Speculative
 // marks probes whose bit count came from the parallel prefetcher's memo
@@ -20,10 +13,11 @@ type QPTrial struct {
 // JournalRecord is the decision journal of one frame: the inputs and
 // outputs of every decision point the DiVE pipeline takes, from the
 // motion-state judgement through rate control to outage handling. It is the
-// causal companion of FrameRecord (which records how long stages took):
+// causal companion of the frame's spans (which record how long stages took):
 // the journal records what was decided and why, so an accuracy or bitrate
-// anomaly can be attributed to a specific decision. Exported as JSONL at
-// /debug/journal and consumed by cmd/divedoctor.
+// anomaly can be attributed to a specific decision. It carries no wall-clock
+// value, so a run's journal is byte-identical at every pipeline depth.
+// Exported as JSONL at /debug/journal and consumed by cmd/divedoctor.
 type JournalRecord struct {
 	TraceID uint64  `json:"trace_id"`
 	Frame   int     `json:"frame"`
@@ -117,171 +111,8 @@ type JournalRecord struct {
 	MigrationForced bool    `json:"migration_forced,omitempty"`
 }
 
-// JournalRing is a bounded ring buffer of JournalRecords. A nil ring is a
-// valid no-op.
-type JournalRing struct {
-	mu    sync.Mutex
-	buf   []JournalRecord
-	total int
-}
-
-// NewJournalRing creates a ring keeping the last capacity records.
-func NewJournalRing(capacity int) *JournalRing {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &JournalRing{buf: make([]JournalRecord, 0, capacity)}
-}
-
-// Append adds one record, evicting the oldest when full.
-func (r *JournalRing) Append(rec JournalRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.total%cap(r.buf)] = rec
-	}
-	r.total++
-}
-
-// AmendLast applies fn to the most recently appended record; no-op when
-// empty.
-func (r *JournalRing) AmendLast(fn func(*JournalRecord)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total == 0 {
-		return
-	}
-	fn(&r.buf[(r.total-1)%cap(r.buf)])
-}
-
-// AmendFrame applies fn to the most recent retained record whose Frame
-// field matches; no-op when the frame was never journaled or has been
-// evicted. Pipelined runs use this instead of AmendLast: by the time a
-// frame's transport/outage verdict lands, later frames may already have
-// been journaled.
-func (r *JournalRing) AmendFrame(frame int, fn func(*JournalRecord)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total == 0 {
-		return
-	}
-	// Frames are journaled in increasing order, one record per frame, so
-	// frame f normally sits exactly (newestFrame - f) slots behind the
-	// newest record — an O(1) index instead of a back-scan, which matters on
-	// the pipelined path where every frame's transport feedback amends.
-	newest := &r.buf[(r.total-1)%cap(r.buf)]
-	if delta := newest.Frame - frame; delta >= 0 && delta < len(r.buf) {
-		k := r.total - 1 - delta
-		if rec := &r.buf[k%cap(r.buf)]; rec.Frame == frame {
-			fn(rec)
-			return
-		}
-	}
-	// Sparse journal (frames skipped or out of order): fall back to the
-	// linear back-scan over the retained records.
-	for k := r.total - 1; k >= 0 && k >= r.total-len(r.buf); k-- {
-		rec := &r.buf[k%cap(r.buf)]
-		if rec.Frame == frame {
-			fn(rec)
-			return
-		}
-	}
-}
-
-// Total returns how many records were ever appended.
-func (r *JournalRing) Total() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Snapshot copies the retained records, oldest first.
-func (r *JournalRing) Snapshot() []JournalRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]JournalRecord, 0, len(r.buf))
-	if r.total <= cap(r.buf) {
-		out = append(out, r.buf...)
-		return out
-	}
-	head := r.total % cap(r.buf)
-	out = append(out, r.buf[head:]...)
-	out = append(out, r.buf[:head]...)
-	return out
-}
-
-// WriteJSONL writes the retained records as one JSON object per line,
-// oldest first — the /debug/journal format.
-func (r *JournalRing) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, rec := range r.Snapshot() {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJournal decodes journal JSONL (the /debug/journal format), skipping
-// blank lines.
-func ReadJournal(r io.Reader) ([]JournalRecord, error) {
-	var out []JournalRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
-// ReadFrameRecords decodes frame-lifecycle JSONL (the /debug/frames and
-// divetrace -format jsonl format), skipping blank lines.
-func ReadFrameRecords(r io.Reader) ([]FrameRecord, error) {
-	var out []FrameRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec FrameRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
 // Journal returns the decision-journal ring (nil for a nil recorder).
-func (r *Recorder) Journal() *JournalRing {
+func (r *Recorder) Journal() *Ring[JournalRecord] {
 	if r == nil {
 		return nil
 	}
@@ -289,29 +120,16 @@ func (r *Recorder) Journal() *JournalRing {
 }
 
 // RecordJournal appends one decision record to the journal ring.
-func (r *Recorder) RecordJournal(rec JournalRecord) {
-	if r == nil {
-		return
-	}
-	r.journal.Append(rec)
-}
+func (r *Recorder) RecordJournal(rec JournalRecord) { r.Journal().Append(rec) }
 
 // AmendLastJournal applies fn to the most recently journaled frame — used
 // to attach transport feedback (ack, realized bandwidth) and outage/MOT
 // handoffs that happen after the frame was encoded.
-func (r *Recorder) AmendLastJournal(fn func(*JournalRecord)) {
-	if r == nil {
-		return
-	}
-	r.journal.AmendLast(fn)
-}
+func (r *Recorder) AmendLastJournal(fn func(*JournalRecord)) { r.Journal().AmendLast(fn) }
 
 // AmendJournalFrame applies fn to the journal record of a specific frame —
 // the pipelined counterpart of AmendLastJournal, for feedback that arrives
 // after later frames have already been journaled.
 func (r *Recorder) AmendJournalFrame(frame int, fn func(*JournalRecord)) {
-	if r == nil {
-		return
-	}
-	r.journal.AmendFrame(frame, fn)
+	r.Journal().AmendFrame(frame, fn)
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -8,12 +9,9 @@ import (
 func TestLabeledCounterBasics(t *testing.T) {
 	reg := NewRegistry()
 	fam := reg.LabeledCounter("rpc_total", "session")
-	if fam.Key() != "session" {
-		t.Fatalf("Key = %q, want session", fam.Key())
-	}
 	fam.With("a").Add(3)
-	fam.Inc("b")
-	fam.Inc("b")
+	fam.With("b").Inc()
+	fam.With("b").Inc()
 	if got := fam.With("a").Value(); got != 3 {
 		t.Fatalf("a = %d, want 3", got)
 	}
@@ -26,7 +24,7 @@ func TestLabeledCounterBasics(t *testing.T) {
 		t.Fatal("second LabeledCounter call returned a new family")
 	}
 	var order []string
-	fam.Each(func(v string, n int64) { order = append(order, v) })
+	fam.Each(func(v string, _ *Counter) { order = append(order, v) })
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
 		t.Fatalf("Each order = %v, want [a b]", order)
 	}
@@ -39,16 +37,10 @@ func TestLabeledNilSafety(t *testing.T) {
 	var g *LabeledGauge
 	var h *LabeledHistogram
 	c.With("x").Add(1)
-	c.Inc("x")
-	c.Each(func(string, int64) { t.Fatal("Each on nil family invoked fn") })
-	if c.Key() != "" {
-		t.Fatal("nil family Key != \"\"")
-	}
+	c.Each(func(string, *Counter) { t.Fatal("Each on nil family invoked fn") })
 	g.With("x").Set(2)
-	g.Set("x", 2)
-	g.Each(func(string, float64) { t.Fatal("Each on nil family invoked fn") })
+	g.Each(func(string, *Gauge) { t.Fatal("Each on nil family invoked fn") })
 	h.With("x").Observe(0.5)
-	h.Observe("x", 0.5)
 	h.Each(func(string, *Histogram) { t.Fatal("Each on nil family invoked fn") })
 
 	var rec *Recorder
@@ -60,36 +52,36 @@ func TestLabeledNilSafety(t *testing.T) {
 
 func TestLabeledOverflowFold(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetMaxLabelValues(2)
 	fam := reg.LabeledCounter("sess_total", "session")
-	fam.Inc("a")
-	fam.Inc("b")
-	fam.Inc("c") // over the bound: folds into _overflow
-	fam.Inc("d")
-	if got := fam.With("a").Value(); got != 1 {
-		t.Fatalf("a = %d, want 1", got)
+	for i := 0; i < MaxLabelValues; i++ {
+		fam.With(fmt.Sprintf("s%02d", i)).Inc()
+	}
+	fam.With("c").Inc() // over the bound: folds into _overflow
+	fam.With("d").Inc()
+	if got := fam.With("s00").Value(); got != 1 {
+		t.Fatalf("s00 = %d, want 1", got)
 	}
 	if got := fam.With(OverflowLabel).Value(); got != 2 {
 		t.Fatalf("overflow = %d, want 2 (c and d folded)", got)
 	}
 	// Established values keep their own children after the fold.
-	fam.Inc("b")
-	if got := fam.With("b").Value(); got != 2 {
-		t.Fatalf("b = %d, want 2", got)
+	fam.With("s01").Inc()
+	if got := fam.With("s01").Value(); got != 2 {
+		t.Fatalf("s01 = %d, want 2", got)
 	}
-	var values []string
-	fam.Each(func(v string, _ int64) { values = append(values, v) })
-	if len(values) != 3 {
-		t.Fatalf("families = %v, want exactly a, b, %s", values, OverflowLabel)
+	values := 0
+	fam.Each(func(string, *Counter) { values++ })
+	if values != MaxLabelValues+1 {
+		t.Fatalf("family holds %d values, want the first %d and %s", values, MaxLabelValues, OverflowLabel)
 	}
 }
 
 func TestLabeledPrometheusExposition(t *testing.T) {
 	reg := NewRegistry()
-	reg.LabeledCounter("edge_session_frames_total", "session").Add("nuScenes-1", 7)
-	reg.LabeledGauge("slo_burn_rate", "session").Set("nuScenes-1", 1.5)
+	reg.LabeledCounter("edge_session_frames_total", "session").With("nuScenes-1").Add(7)
+	reg.LabeledGauge("slo_burn_rate", "session").With("nuScenes-1").Set(1.5)
 	reg.LabeledHistogram("edge_session_decode_seconds", "session", []float64{0.01, 0.1}).
-		Observe("nuScenes-1", 0.05)
+		With("nuScenes-1").Observe(0.05)
 	// An empty family must not emit even a TYPE line.
 	reg.LabeledCounter("never_used_total", "session")
 
@@ -116,9 +108,9 @@ func TestLabeledPrometheusExposition(t *testing.T) {
 
 func TestSnapshotIncludesLabeledFamilies(t *testing.T) {
 	reg := NewRegistry()
-	reg.LabeledCounter("sess_frames", "session").Add("a", 4)
-	reg.LabeledGauge("sess_burn", "session").Set("a", 0.5)
-	reg.LabeledHistogram("sess_lat", "session", DefaultDurationBuckets).Observe("a", 0.2)
+	reg.LabeledCounter("sess_frames", "session").With("a").Add(4)
+	reg.LabeledGauge("sess_burn", "session").With("a").Set(0.5)
+	reg.LabeledHistogram("sess_lat", "session", DefaultDurationBuckets).With("a").Observe(0.2)
 	reg.LabeledCounter("empty", "session")
 
 	s := reg.Snapshot()

@@ -1,24 +1,32 @@
-// Package obs is the pipeline telemetry subsystem: a zero-dependency
-// metrics registry (atomic counters, gauges and fixed-bucket histograms
-// with quantile estimates), a stage-timing span API that degrades to a
-// no-op when no recorder is installed, a bounded ring buffer of per-frame
-// lifecycle records exportable as JSONL, a causal tracing layer (per-frame
-// TraceContext, agent/link/edge spans, a per-frame decision journal), and
-// HTTP surfacing (/metrics in Prometheus text format, /debug/frames,
-// /debug/journal, /debug/spans, pprof).
+// Package obs is the pipeline telemetry subsystem. Each mechanism exists
+// once and each per-frame fact is stored once:
+//
+//   - one metric family type (registry.go): atomic counters, gauges and
+//     fixed-bucket histograms keyed by at most one label — a plain metric is
+//     the family with no label — in a zero-dependency Registry exposed as
+//     Prometheus text and as a JSON Snapshot;
+//   - one bounded ring (ring.go) with one JSONL reader and writer: it holds
+//     the per-frame decision journal (what was decided, wall-clock-free), the
+//     spans of the causal frame traces (how long each agent/link/edge stage
+//     took) and the fleet aggregator's rollups; the frame-lifecycle records
+//     (frames.go) are the journal joined with the spans at read time;
+//   - per-session SLO windows with error-budget burn rates (slo.go), the
+//     fleet aggregation plane (fleet.go), Go runtime stats (runtime.go);
+//   - one HTTP surface (http.go): /metrics, /debug/vars, /debug/frames,
+//     /debug/journal, /debug/spans, /debug/slo, /debug/runtime, pprof, plus
+//     whatever RegisterDebug mounts, all listed by the index at /.
 //
 // Everything is safe for concurrent use. Instrumented packages hold a
 // *Recorder that may be nil; every method on Recorder, Counter, Gauge,
-// Histogram and FrameRing tolerates a nil receiver, so instrumentation
-// sites need no guards and cost a few nanoseconds when telemetry is off.
+// Histogram, Family, Ring and SLOTracker tolerates a nil receiver, so
+// instrumentation sites need no guards and cost a few nanoseconds when
+// telemetry is off.
 package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -129,7 +137,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // quantileFromBuckets is the quantile estimator over raw (non-cumulative)
-// bucket counts — shared by live histograms and merged snapshots so both
+// bucket counts — shared by live histograms and their snapshots so both
 // report identical quantiles for identical bucket contents.
 func quantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 	var total int64
@@ -239,186 +247,9 @@ var DefaultDurationBuckets = []float64{
 	1, 2.5, 5, 10,
 }
 
-// Registry holds named metrics. The zero value is not usable; call
-// NewRegistry.
-type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-
-	// Labeled families (labeled.go): one label key per family, bounded
-	// cardinality. maxLabelValues applies to families created after it is
-	// set (0 selects DefaultMaxLabelValues).
-	labeledCounters map[string]*LabeledCounter
-	labeledGauges   map[string]*LabeledGauge
-	labeledHists    map[string]*LabeledHistogram
-	maxLabelValues  int
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:        make(map[string]*Counter),
-		gauges:          make(map[string]*Gauge),
-		hists:           make(map[string]*Histogram),
-		labeledCounters: make(map[string]*LabeledCounter),
-		labeledGauges:   make(map[string]*LabeledGauge),
-		labeledHists:    make(map[string]*LabeledHistogram),
-	}
-}
-
-// SetMaxLabelValues bounds the distinct label values of labeled families
-// created after the call (0 restores DefaultMaxLabelValues). Existing
-// families keep their bound.
-func (r *Registry) SetMaxLabelValues(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.maxLabelValues = n
-	r.mu.Unlock()
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c := r.counters[name]; c != nil {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.gauges[name]; g != nil {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
-}
-
-// Histogram returns the named histogram, creating it with bounds on first
-// use (later calls ignore bounds).
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h := r.hists[name]; h != nil {
-		return h
-	}
-	h = NewHistogram(bounds)
-	r.hists[name] = h
-	return h
-}
-
-// WritePrometheus writes every metric in the Prometheus text exposition
-// format, names sorted for stable output.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	lcounters := make(map[string]*LabeledCounter, len(r.labeledCounters))
-	for k, v := range r.labeledCounters {
-		lcounters[k] = v
-	}
-	lgauges := make(map[string]*LabeledGauge, len(r.labeledGauges))
-	for k, v := range r.labeledGauges {
-		lgauges[k] = v
-	}
-	lhists := make(map[string]*LabeledHistogram, len(r.labeledHists))
-	for k, v := range r.labeledHists {
-		lhists[k] = v
-	}
-	r.mu.RUnlock()
-
-	for _, name := range sortedKeys(counters) {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, counters[name].Value()); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(gauges) {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, gauges[name].Value()); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(hists) {
-		h := hists[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
-		cum := h.cumulative()
-		for i, bound := range h.bounds {
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, bound, cum[i]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
-			name, cum[len(cum)-1], name, h.Sum(), name, h.Count()); err != nil {
-			return err
-		}
-	}
-	return r.writeLabeledPrometheus(w, lcounters, lgauges, lhists)
-}
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // HistogramSnapshot is the point-in-time summary of one histogram. Bounds
-// and Buckets carry the raw (non-cumulative) bucket detail so snapshots
-// from different sessions can be merged without losing quantile accuracy;
-// both are omitted from JSON when absent (hand-built summaries).
+// and Buckets carry the raw (non-cumulative) bucket detail; both are omitted
+// from JSON when absent (hand-built summaries).
 type HistogramSnapshot struct {
 	Count   int64     `json:"count"`
 	Sum     float64   `json:"sum"`
@@ -430,8 +261,8 @@ type HistogramSnapshot struct {
 }
 
 // snapshotHistogram summarizes h including its bucket detail. The quantiles
-// are computed from the same bucket copy that is exported, so a merged
-// snapshot re-deriving quantiles from Buckets reproduces them exactly.
+// are computed from the same bucket copy that is exported, so a consumer
+// re-deriving quantiles from Buckets reproduces them exactly.
 func snapshotHistogram(h *Histogram) HistogramSnapshot {
 	buckets := h.bucketCounts()
 	var count int64
@@ -445,194 +276,5 @@ func snapshotHistogram(h *Histogram) HistogramSnapshot {
 		P99:     quantileFromBuckets(h.bounds, buckets, 0.99),
 		Bounds:  h.Bounds(),
 		Buckets: buckets,
-	}
-}
-
-// mergeHistogramSnapshots folds b into a. When both carry identical bucket
-// detail the merge is exact: buckets add and quantiles are re-derived from
-// the merged buckets. Without matching detail it falls back to count-weighted
-// quantile interpolation — approximate, but monotone and bounded by the
-// inputs.
-func mergeHistogramSnapshots(a, b HistogramSnapshot) HistogramSnapshot {
-	if a.Count == 0 && a.Sum == 0 && len(a.Buckets) == 0 {
-		return b
-	}
-	if b.Count == 0 {
-		return a
-	}
-	if len(a.Bounds) > 0 && len(a.Bounds) == len(b.Bounds) &&
-		len(a.Buckets) == len(b.Buckets) && boundsEqual(a.Bounds, b.Bounds) {
-		buckets := make([]int64, len(a.Buckets))
-		for i := range buckets {
-			buckets[i] = a.Buckets[i] + b.Buckets[i]
-		}
-		return HistogramSnapshot{
-			Count: a.Count + b.Count, Sum: a.Sum + b.Sum,
-			P50:     quantileFromBuckets(a.Bounds, buckets, 0.50),
-			P95:     quantileFromBuckets(a.Bounds, buckets, 0.95),
-			P99:     quantileFromBuckets(a.Bounds, buckets, 0.99),
-			Bounds:  a.Bounds,
-			Buckets: buckets,
-		}
-	}
-	wa, wb := float64(a.Count), float64(b.Count)
-	tot := wa + wb
-	return HistogramSnapshot{
-		Count: a.Count + b.Count, Sum: a.Sum + b.Sum,
-		P50: (a.P50*wa + b.P50*wb) / tot,
-		P95: (a.P95*wa + b.P95*wb) / tot,
-		P99: (a.P99*wa + b.P99*wb) / tot,
-	}
-}
-
-func boundsEqual(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Snapshot is a point-in-time copy of every metric in a registry. The
-// labeled maps are keyed metric name → label value; they are omitted when no
-// labeled family exists, so pre-labeled consumers of the schema are
-// unaffected.
-type Snapshot struct {
-	UptimeSec         float64                                 `json:"uptime_sec"`
-	Counters          map[string]int64                        `json:"counters"`
-	Gauges            map[string]float64                      `json:"gauges"`
-	Histograms        map[string]HistogramSnapshot            `json:"histograms"`
-	LabeledCounters   map[string]map[string]int64             `json:"labeled_counters,omitempty"`
-	LabeledGauges     map[string]map[string]float64           `json:"labeled_gauges,omitempty"`
-	LabeledHistograms map[string]map[string]HistogramSnapshot `json:"labeled_histograms,omitempty"`
-}
-
-// Snapshot copies the current value of every metric.
-func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	if r == nil {
-		return s
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = snapshotHistogram(h)
-	}
-	for name, fam := range r.labeledCounters {
-		m := make(map[string]int64)
-		fam.Each(func(value string, v int64) { m[value] = v })
-		if len(m) > 0 {
-			if s.LabeledCounters == nil {
-				s.LabeledCounters = make(map[string]map[string]int64)
-			}
-			s.LabeledCounters[name] = m
-		}
-	}
-	for name, fam := range r.labeledGauges {
-		m := make(map[string]float64)
-		fam.Each(func(value string, v float64) { m[value] = v })
-		if len(m) > 0 {
-			if s.LabeledGauges == nil {
-				s.LabeledGauges = make(map[string]map[string]float64)
-			}
-			s.LabeledGauges[name] = m
-		}
-	}
-	for name, fam := range r.labeledHists {
-		m := make(map[string]HistogramSnapshot)
-		fam.Each(func(value string, h *Histogram) {
-			m[value] = snapshotHistogram(h)
-		})
-		if len(m) > 0 {
-			if s.LabeledHistograms == nil {
-				s.LabeledHistograms = make(map[string]map[string]HistogramSnapshot)
-			}
-			s.LabeledHistograms[name] = m
-		}
-	}
-	return s
-}
-
-// Merge folds src into s: counters and gauges add, histograms merge exactly
-// when both sides carry matching bucket detail (count-weighted quantile
-// blend otherwise), and labeled families merge per label value. Gauges add
-// rather than overwrite because fleet consumers want totals (frames in
-// flight, burn contributions); callers needing a different gauge fold should
-// post-process. UptimeSec keeps the maximum — the fleet has been up as long
-// as its oldest member.
-func (s *Snapshot) Merge(src *Snapshot) {
-	if s == nil || src == nil {
-		return
-	}
-	if src.UptimeSec > s.UptimeSec {
-		s.UptimeSec = src.UptimeSec
-	}
-	if s.Counters == nil {
-		s.Counters = make(map[string]int64)
-	}
-	for k, v := range src.Counters {
-		s.Counters[k] += v
-	}
-	if s.Gauges == nil {
-		s.Gauges = make(map[string]float64)
-	}
-	for k, v := range src.Gauges {
-		s.Gauges[k] += v
-	}
-	if s.Histograms == nil {
-		s.Histograms = make(map[string]HistogramSnapshot)
-	}
-	for k, v := range src.Histograms {
-		s.Histograms[k] = mergeHistogramSnapshots(s.Histograms[k], v)
-	}
-	for name, vals := range src.LabeledCounters {
-		if s.LabeledCounters == nil {
-			s.LabeledCounters = make(map[string]map[string]int64)
-		}
-		m := s.LabeledCounters[name]
-		if m == nil {
-			m = make(map[string]int64)
-			s.LabeledCounters[name] = m
-		}
-		for value, v := range vals {
-			m[value] += v
-		}
-	}
-	for name, vals := range src.LabeledGauges {
-		if s.LabeledGauges == nil {
-			s.LabeledGauges = make(map[string]map[string]float64)
-		}
-		m := s.LabeledGauges[name]
-		if m == nil {
-			m = make(map[string]float64)
-			s.LabeledGauges[name] = m
-		}
-		for value, v := range vals {
-			m[value] += v
-		}
-	}
-	for name, vals := range src.LabeledHistograms {
-		if s.LabeledHistograms == nil {
-			s.LabeledHistograms = make(map[string]map[string]HistogramSnapshot)
-		}
-		m := s.LabeledHistograms[name]
-		if m == nil {
-			m = make(map[string]HistogramSnapshot)
-			s.LabeledHistograms[name] = m
-		}
-		for value, v := range vals {
-			m[value] = mergeHistogramSnapshots(m[value], v)
-		}
 	}
 }

@@ -127,10 +127,11 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if d := r.StartStage("x").Stop(); d != 0 {
 		t.Errorf("nil recorder stage duration = %v, want 0", d)
 	}
-	r.RecordFrame(FrameRecord{})
-	r.AmendLastFrame(func(*FrameRecord) { t.Error("amend ran on nil recorder") })
-	if r.Frames().Total() != 0 {
-		t.Error("nil ring total != 0")
+	r.RecordJournal(JournalRecord{})
+	r.AmendLastJournal(func(*JournalRecord) { t.Error("amend ran on nil recorder") })
+	r.AmendJournalFrame(0, func(*JournalRecord) { t.Error("amend ran on nil recorder") })
+	if r.Journal().Total() != 0 || r.Spans().Total() != 0 || r.FrameRecords() != nil {
+		t.Error("nil recorder holds records")
 	}
 	if s := r.Snapshot(); len(s.Counters) != 0 {
 		t.Error("nil recorder snapshot not empty")

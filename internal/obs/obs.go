@@ -123,43 +123,35 @@ const (
 	GaugeGoGoroutines    = "go_goroutines"
 
 	// MetricLabelOverflow counts lookups folded into OverflowLabel because a
-	// labeled family hit its cardinality bound — the signal that per-session
-	// series are silently collapsing and the cap needs raising (labeled.go).
+	// labeled family or the SLO tracker hit MaxLabelValues — the signal that
+	// per-session series are silently collapsing (foldLabel, registry.go).
 	MetricLabelOverflow = "obs_label_overflow_total"
-
-	// Fleet aggregation plane (fleet.go): fleet-wide gauges published by the
-	// FleetAggregator each rollup tick.
-	GaugeFleetSessions   = "fleet_sessions"
-	GaugeFleetFPS        = "fleet_frames_per_sec"
-	GaugeFleetLatencyP99 = "fleet_latency_p99_seconds"
-	GaugeFleetBurnRate   = "fleet_burn_rate"
-	GaugeFleetStragglers = "fleet_stragglers"
-	MetricFleetRollups   = "fleet_rollups_total"
 )
 
-// Recorder bundles a metrics registry, a frame-lifecycle ring, a decision
-// journal and a span ring for causal frame traces. A nil *Recorder is a
-// valid, zero-cost no-op recorder; every method tolerates it, so
-// instrumented code never guards.
+// Recorder bundles a metrics registry, the decision journal, the span ring
+// of causal frame traces and the SLO tracker. Each per-frame fact is stored
+// once: decisions in the journal, durations in the spans; the frame
+// lifecycle (FrameRecords) is their join. A nil *Recorder is a valid,
+// zero-cost no-op recorder; every method tolerates it, so instrumented code
+// never guards.
 type Recorder struct {
 	reg     *Registry
-	ring    *FrameRing
-	journal *JournalRing
-	spans   *SpanRing
+	journal *Ring[JournalRecord]
+	spans   *Ring[SpanRecord]
 	slo     *SLOTracker
 	start   time.Time
 
 	traceSeq atomic.Uint64 // trace IDs minted by StartTrace
 	spanSeq  atomic.Uint64 // span IDs minted by StartSpan/RecordSpan
 
-	// debugMu guards extra /debug handlers registered before Handler().
+	// debugMu guards the handlers mounted via RegisterDebug (http.go).
 	debugMu    sync.Mutex
 	debugExtra map[string]http.Handler
 }
 
-// NewRecorder creates a recorder whose frame ring and decision journal keep
-// the last ringCap records (<= 0 selects 1024). The span ring keeps several
-// spans per frame, so it is sized to a small multiple of ringCap.
+// NewRecorder creates a recorder whose decision journal keeps the last
+// ringCap frames (<= 0 selects 1024). The span ring keeps several spans per
+// frame, so it is sized to a small multiple of ringCap.
 func NewRecorder(ringCap int) *Recorder {
 	if ringCap <= 0 {
 		ringCap = 1024
@@ -167,15 +159,14 @@ func NewRecorder(ringCap int) *Recorder {
 	reg := NewRegistry()
 	return &Recorder{
 		reg:     reg,
-		ring:    NewFrameRing(ringCap),
-		journal: NewJournalRing(ringCap),
-		spans:   NewSpanRing(ringCap * spansPerFrame),
-		slo:     NewSLOTracker(SLOConfig{}, reg),
+		journal: NewRing(ringCap, func(j *JournalRecord) int { return j.Frame }),
+		spans:   NewRing[SpanRecord](ringCap*spansPerFrame, nil),
+		slo:     NewSLOTracker(reg),
 		start:   time.Now(),
 	}
 }
 
-// spansPerFrame sizes the span ring relative to the frame rings: a frame
+// spansPerFrame sizes the span ring relative to the journal: a frame
 // trace holds roughly one span per pipeline stage on each side of the link.
 const spansPerFrame = 10
 
@@ -185,14 +176,6 @@ func (r *Recorder) Registry() *Registry {
 		return nil
 	}
 	return r.reg
-}
-
-// Frames returns the frame-lifecycle ring (nil for a nil recorder).
-func (r *Recorder) Frames() *FrameRing {
-	if r == nil {
-		return nil
-	}
-	return r.ring
 }
 
 // Counter returns the named counter (nil, hence no-op, on a nil recorder).
@@ -269,34 +252,6 @@ func (t StageTimer) Stop() time.Duration {
 	d := time.Since(t.start)
 	t.h.Observe(d.Seconds())
 	return d
-}
-
-// RecordFrame appends one lifecycle record to the ring.
-func (r *Recorder) RecordFrame(rec FrameRecord) {
-	if r == nil {
-		return
-	}
-	r.ring.Append(rec)
-}
-
-// AmendLastFrame applies fn to the most recently appended record (no-op
-// when nil or empty) — used to attach uplink-ack data that arrives after
-// the frame was recorded.
-func (r *Recorder) AmendLastFrame(fn func(*FrameRecord)) {
-	if r == nil {
-		return
-	}
-	r.ring.AmendLast(fn)
-}
-
-// AmendFrameRecord applies fn to the lifecycle record of a specific frame —
-// the pipelined counterpart of AmendLastFrame, for completions (deferred
-// bitstream emit) that land after later frames were already recorded.
-func (r *Recorder) AmendFrameRecord(frame int, fn func(*FrameRecord)) {
-	if r == nil {
-		return
-	}
-	r.ring.AmendFrame(frame, fn)
 }
 
 // Snapshot returns a point-in-time copy of every metric plus uptime.

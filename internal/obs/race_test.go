@@ -55,12 +55,12 @@ func TestLabeledFamilyConcurrentCreateAndIterate(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				v := "s" + strconv.Itoa((w*500+i)%80) // crosses the overflow bound
 				fam.With(v).Inc()
-				hfam.Observe(v, 0.01)
+				hfam.With(v).Observe(0.01)
 			}
 		}(w)
 	}
 	for i := 0; i < 200; i++ {
-		fam.Each(func(string, int64) {})
+		fam.Each(func(string, *Counter) {})
 		hfam.Each(func(string, *Histogram) {})
 		if err := reg.WritePrometheus(io.Discard); err != nil {
 			t.Error(err)
@@ -70,7 +70,7 @@ func TestLabeledFamilyConcurrentCreateAndIterate(t *testing.T) {
 	}
 	wg.Wait()
 	total := int64(0)
-	fam.Each(func(_ string, v int64) { total += v })
+	fam.Each(func(_ string, c *Counter) { total += c.Value() })
 	if total != 2000 {
 		t.Fatalf("counted %d increments, want 2000", total)
 	}
@@ -102,7 +102,7 @@ func TestSpansEndpointConcurrentWithRecording(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans, err := ReadSpans(resp.Body)
+		spans, err := ReadJSONL[SpanRecord](resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("scrape %d: %v", i, err)

@@ -7,62 +7,33 @@ import (
 	"sync"
 )
 
-// FrameRecord is the lifecycle of one frame through the DiVE pipeline:
-// capture → motion estimation → rotation removal → foreground extraction →
-// AVE/rate control + entropy encode → uplink ack. Durations are
-// milliseconds; zero means the stage did not run for this frame.
-type FrameRecord struct {
-	Frame   int     `json:"frame"`
-	TimeSec float64 `json:"time_sec"` // capture time on the pipeline clock
-	Type    string  `json:"type"`     // "I" or "P"
-
-	// Analysis byproducts.
-	Eta        float64 `json:"eta"`
-	Moving     bool    `json:"moving"`
-	ReusedFG   bool    `json:"reused_fg"`
-	FGFraction float64 `json:"fg_fraction"`
-	Delta      int     `json:"delta"`
-
-	// Rate control.
-	BaseQP     int     `json:"base_qp"`
-	Bits       int     `json:"bits"`
-	TargetBits int     `json:"target_bits"`
-	EstBWBps   float64 `json:"est_bw_bps"`
-
-	// Stage durations (wall clock, milliseconds).
-	MotionMs     float64 `json:"motion_ms"`
-	RotationMs   float64 `json:"rotation_ms"`
-	ForegroundMs float64 `json:"foreground_ms"`
-	EncodeMs     float64 `json:"encode_ms"`
-	// EmitMs is the deferred bitstream-serialization time, amended when the
-	// frame's EmitBitstream completes (possibly on a later pipeline stage).
-	EmitMs  float64 `json:"emit_ms,omitempty"`
-	TotalMs float64 `json:"total_ms"`
-
-	// Uplink ack, attached when transport feedback arrives (zero until
-	// then): acked payload size and the serialization end time.
-	AckBits   int     `json:"ack_bits,omitempty"`
-	AckEndSec float64 `json:"ack_end_sec,omitempty"`
-}
-
-// FrameRing is a bounded ring buffer of FrameRecords. A nil ring is a
-// valid no-op.
-type FrameRing struct {
+// Ring is a bounded ring buffer keeping the last capacity records of one
+// telemetry stream — the decision journal, the trace spans and the fleet
+// rollups all live in one. A nil ring is a valid no-op.
+type Ring[T any] struct {
 	mu    sync.Mutex
-	buf   []FrameRecord
+	buf   []T
 	total int // records ever appended
+	// frame keys AmendFrame; nil on rings that are never amended by frame.
+	frame func(*T) int
 }
 
-// NewFrameRing creates a ring keeping the last capacity records.
-func NewFrameRing(capacity int) *FrameRing {
+// NewRing creates a ring keeping the last capacity records (at least one).
+// frame extracts the frame number AmendFrame looks records up by; rings that
+// are only appended to pass nil.
+func NewRing[T any](capacity int, frame func(*T) int) *Ring[T] {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &FrameRing{buf: make([]FrameRecord, 0, capacity)}
+	return &Ring[T]{buf: make([]T, 0, capacity), frame: frame}
 }
 
+// at returns the k-th record ever appended; the caller holds r.mu and k is
+// retained (total-len(buf) <= k < total).
+func (r *Ring[T]) at(k int) *T { return &r.buf[k%cap(r.buf)] }
+
 // Append adds one record, evicting the oldest when full.
-func (r *FrameRing) Append(rec FrameRecord) {
+func (r *Ring[T]) Append(rec T) {
 	if r == nil {
 		return
 	}
@@ -71,31 +42,31 @@ func (r *FrameRing) Append(rec FrameRecord) {
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, rec)
 	} else {
-		r.buf[r.total%cap(r.buf)] = rec
+		*r.at(r.total) = rec
 	}
 	r.total++
 }
 
 // AmendLast applies fn to the most recently appended record; no-op when
 // empty.
-func (r *FrameRing) AmendLast(fn func(*FrameRecord)) {
+func (r *Ring[T]) AmendLast(fn func(*T)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.total == 0 {
-		return
+	if r.total > 0 {
+		fn(r.at(r.total - 1))
 	}
-	fn(&r.buf[(r.total-1)%cap(r.buf)])
 }
 
-// AmendFrame applies fn to the most recent retained record whose Frame
-// field matches; no-op when that frame was never recorded or has been
-// evicted. Pipelined runs use this instead of AmendLast: a frame's emit
-// completion can land after later frames were already recorded.
-func (r *FrameRing) AmendFrame(frame int, fn func(*FrameRecord)) {
-	if r == nil {
+// AmendFrame applies fn to the most recent retained record of the given
+// frame; no-op when that frame was never recorded, has been evicted, or the
+// ring has no frame key. Pipelined runs use this instead of AmendLast: by
+// the time a frame's transport verdict lands, later frames may already have
+// been recorded.
+func (r *Ring[T]) AmendFrame(frame int, fn func(*T)) {
+	if r == nil || r.frame == nil {
 		return
 	}
 	r.mu.Lock()
@@ -106,20 +77,20 @@ func (r *FrameRing) AmendFrame(frame int, fn func(*FrameRecord)) {
 	// Frames are recorded in increasing order, one record per frame, so
 	// frame f normally sits exactly (newestFrame - f) slots behind the
 	// newest record — an O(1) index instead of a back-scan, which matters on
-	// the pipelined path where every frame's emit completion amends.
-	newest := &r.buf[(r.total-1)%cap(r.buf)]
-	if delta := newest.Frame - frame; delta >= 0 && delta < len(r.buf) {
-		k := r.total - 1 - delta
-		if rec := &r.buf[k%cap(r.buf)]; rec.Frame == frame {
+	// the pipelined path where every frame's transport feedback amends. The
+	// look at the next slot keeps "most recent" true when a frame repeats.
+	newest := r.total - 1
+	if delta := r.frame(r.at(newest)) - frame; delta >= 0 && delta < len(r.buf) {
+		k := newest - delta
+		if rec := r.at(k); r.frame(rec) == frame && (delta == 0 || r.frame(r.at(k+1)) != frame) {
 			fn(rec)
 			return
 		}
 	}
-	// Sparse ring (frames skipped or out of order): fall back to the linear
-	// back-scan over the retained records.
-	for k := r.total - 1; k >= 0 && k >= r.total-len(r.buf); k-- {
-		rec := &r.buf[k%cap(r.buf)]
-		if rec.Frame == frame {
+	// Sparse ring (frames skipped, repeated or out of order): fall back to
+	// the linear back-scan over the retained records.
+	for k := newest; k >= r.total-len(r.buf); k-- {
+		if rec := r.at(k); r.frame(rec) == frame {
 			fn(rec)
 			return
 		}
@@ -127,7 +98,7 @@ func (r *FrameRing) AmendFrame(frame int, fn func(*FrameRecord)) {
 }
 
 // Total returns how many records were ever appended (≥ len(Snapshot())).
-func (r *FrameRing) Total() int {
+func (r *Ring[T]) Total() int {
 	if r == nil {
 		return 0
 	}
@@ -137,32 +108,56 @@ func (r *FrameRing) Total() int {
 }
 
 // Snapshot copies the retained records, oldest first.
-func (r *FrameRing) Snapshot() []FrameRecord {
+func (r *Ring[T]) Snapshot() []T {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]FrameRecord, 0, len(r.buf))
-	if r.total <= cap(r.buf) {
-		out = append(out, r.buf...)
-		return out
+	out := make([]T, 0, len(r.buf))
+	head := r.total % cap(r.buf) // index of the oldest record once full
+	if len(r.buf) < cap(r.buf) {
+		head = 0
 	}
-	head := r.total % cap(r.buf) // index of the oldest record
 	out = append(out, r.buf[head:]...)
-	out = append(out, r.buf[:head]...)
-	return out
+	return append(out, r.buf[:head]...)
 }
 
 // WriteJSONL writes the retained records as one JSON object per line,
-// oldest first — the divetrace-style replay format.
-func (r *FrameRing) WriteJSONL(w io.Writer) error {
+// oldest first — the format of every /debug/* stream endpoint and of
+// divetrace's exports.
+func (r *Ring[T]) WriteJSONL(w io.Writer) error {
+	return WriteJSONL(w, r.Snapshot())
+}
+
+// WriteJSONL writes recs as one JSON object per line.
+func WriteJSONL[T any](w io.Writer, recs []T) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, rec := range r.Snapshot() {
-		if err := enc.Encode(rec); err != nil {
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadJSONL decodes a JSONL stream of T — journal records, spans, frame
+// lifecycle lines, fleet rollups, runtime samples — skipping blank lines.
+func ReadJSONL[T any](r io.Reader) ([]T, error) {
+	var out []T
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		var rec T
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return nil, err
+		}
+		out = append(out, rec)
+	}
+	return out, sc.Err()
 }

@@ -14,14 +14,14 @@ import (
 // The three objectives proxy the paper's evaluation axes on a live stream:
 //
 //   - latency: the fraction of frames whose end-to-end response time exceeds
-//     TargetLatencySec must stay within LatencyBudget (so the configured
-//     target behaves as the window's p(1-LatencyBudget), p99 by default) —
-//     the response-time axis of the paper's Table I / Fig 16;
+//     SLOTargetLatencySec must stay within SLOLatencyBudget (so the target
+//     behaves as the window's p99) — the response-time axis of the paper's
+//     Table I / Fig 16;
 //   - foreground-bit share: the fraction of frames whose foreground share
-//     falls below MinFGShare must stay within FGShareBudget — the accuracy
-//     proxy, since foreground AP tracks the bits DiVE protects;
+//     falls below SLOMinFGShare must stay within SLOFGShareBudget — the
+//     accuracy proxy, since foreground AP tracks the bits DiVE protects;
 //   - outage: the fraction of frames covered only by local MOT tracking must
-//     stay below MaxOutageFraction — the staleness axis of Fig 13.
+//     stay below SLOMaxOutageFraction — the staleness axis of Fig 13.
 //
 // A burn rate is the observed violation fraction divided by the budget: 1.0
 // means the session is consuming its error budget exactly as fast as the SLO
@@ -30,65 +30,25 @@ import (
 // rather than raw violation counts because they are comparable across
 // objectives and sessions.
 
-// SLOConfig tunes the tracker. The zero value is replaced field-wise by
-// DefaultSLOConfig.
-type SLOConfig struct {
-	// TargetLatencySec is the per-frame end-to-end latency objective.
-	TargetLatencySec float64
-	// LatencyBudget is the allowed fraction of frames over the target
-	// (0.01 makes TargetLatencySec the window's p99 objective).
-	LatencyBudget float64
-	// MinFGShare is the foreground-share floor (the accuracy proxy).
-	MinFGShare float64
-	// FGShareBudget is the allowed fraction of frames under the floor.
-	FGShareBudget float64
-	// MaxOutageFraction is the allowed fraction of outage-tracked frames.
-	MaxOutageFraction float64
-	// WindowFrames is the sliding-window length in samples.
-	WindowFrames int
-	// MaxSessions bounds tracked-session cardinality; further sessions fold
-	// into OverflowLabel.
-	MaxSessions int
-}
-
-// DefaultSLOConfig returns the standard tuning.
-func DefaultSLOConfig() SLOConfig {
-	return SLOConfig{
-		TargetLatencySec:  0.25,
-		LatencyBudget:     0.01,
-		MinFGShare:        0.02,
-		FGShareBudget:     0.10,
-		MaxOutageFraction: 0.05,
-		WindowFrames:      240,
-		MaxSessions:       DefaultMaxLabelValues,
-	}
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	d := DefaultSLOConfig()
-	if c.TargetLatencySec <= 0 {
-		c.TargetLatencySec = d.TargetLatencySec
-	}
-	if c.LatencyBudget <= 0 {
-		c.LatencyBudget = d.LatencyBudget
-	}
-	if c.MinFGShare <= 0 {
-		c.MinFGShare = d.MinFGShare
-	}
-	if c.FGShareBudget <= 0 {
-		c.FGShareBudget = d.FGShareBudget
-	}
-	if c.MaxOutageFraction <= 0 {
-		c.MaxOutageFraction = d.MaxOutageFraction
-	}
-	if c.WindowFrames <= 0 {
-		c.WindowFrames = d.WindowFrames
-	}
-	if c.MaxSessions <= 0 {
-		c.MaxSessions = d.MaxSessions
-	}
-	return c
-}
+// The objectives are constants: no binary ever tuned them, and /debug/slo
+// prints them as its config block.
+const (
+	// SLOTargetLatencySec is the per-frame end-to-end latency objective and
+	// SLOLatencyBudget the allowed fraction of frames over it (0.01 makes
+	// the target the window's p99 objective).
+	SLOTargetLatencySec = 0.25
+	SLOLatencyBudget    = 0.01
+	// SLOMinFGShare is the foreground-share floor (the accuracy proxy) and
+	// SLOFGShareBudget the allowed fraction of frames under it.
+	SLOMinFGShare    = 0.02
+	SLOFGShareBudget = 0.10
+	// SLOMaxOutageFraction is the allowed fraction of outage-tracked frames.
+	SLOMaxOutageFraction = 0.05
+	// SLOWindowFrames is the sliding-window length in samples. Tracked
+	// sessions are bounded by MaxLabelValues; further ones fold into
+	// OverflowLabel.
+	SLOWindowFrames = 240
+)
 
 // SLOSample is one frame's SLO-relevant outcome. Negative LatencySec or
 // FGShare marks the dimension unobserved for this frame (a server-side
@@ -123,17 +83,20 @@ type SLOStatus struct {
 	Healthy  bool    `json:"healthy"`
 }
 
-// sloWindow is one session's sliding sample window (a bounded ring).
+// sloWindow is one session's sliding window of the last SLOWindowFrames
+// samples. Evaluation is order-free, so it is a bare overwrite-the-oldest
+// slice under the tracker's lock rather than a Ring (which would add a lock
+// per window and a copy per evaluation).
 type sloWindow struct {
 	buf   []SLOSample
 	total int
 }
 
-func (w *sloWindow) push(s SLOSample, capacity int) {
-	if len(w.buf) < capacity {
+func (w *sloWindow) push(s SLOSample) {
+	if len(w.buf) < SLOWindowFrames {
 		w.buf = append(w.buf, s)
 	} else {
-		w.buf[w.total%capacity] = s
+		w.buf[w.total%SLOWindowFrames] = s
 	}
 	w.total++
 }
@@ -142,7 +105,6 @@ func (w *sloWindow) push(s SLOSample, capacity int) {
 // tracker is a valid no-op. When constructed with a registry, evaluation
 // also publishes per-session burn-rate and p99 gauges as labeled metrics.
 type SLOTracker struct {
-	cfg SLOConfig
 	reg *Registry
 
 	mu       sync.Mutex
@@ -150,16 +112,8 @@ type SLOTracker struct {
 }
 
 // NewSLOTracker builds a tracker. reg may be nil (no gauge export).
-func NewSLOTracker(cfg SLOConfig, reg *Registry) *SLOTracker {
-	return &SLOTracker{cfg: cfg.withDefaults(), reg: reg, sessions: make(map[string]*sloWindow)}
-}
-
-// Config returns the effective configuration.
-func (t *SLOTracker) Config() SLOConfig {
-	if t == nil {
-		return SLOConfig{}
-	}
-	return t.cfg
+func NewSLOTracker(reg *Registry) *SLOTracker {
+	return &SLOTracker{reg: reg, sessions: make(map[string]*sloWindow)}
 }
 
 // Observe folds one frame outcome into the session's window.
@@ -168,10 +122,9 @@ func (t *SLOTracker) Observe(session string, s SLOSample) {
 		return
 	}
 	t.mu.Lock()
-	w := t.sessions[session]
+	w, folded := t.sessions[session], false
 	if w == nil {
-		if len(t.sessions) >= t.cfg.MaxSessions {
-			session = OverflowLabel
+		if session, folded = foldLabel(session, len(t.sessions)); folded {
 			w = t.sessions[session]
 		}
 		if w == nil {
@@ -179,8 +132,11 @@ func (t *SLOTracker) Observe(session string, s SLOSample) {
 			t.sessions[session] = w
 		}
 	}
-	w.push(s, t.cfg.WindowFrames)
+	w.push(s)
 	t.mu.Unlock()
+	if folded {
+		t.reg.Counter(MetricLabelOverflow).Inc()
+	}
 }
 
 // Status evaluates every session's objectives over its current window,
@@ -192,7 +148,7 @@ func (t *SLOTracker) Status() []SLOStatus {
 	t.mu.Lock()
 	out := make([]SLOStatus, 0, len(t.sessions))
 	for name, w := range t.sessions {
-		out = append(out, t.evaluate(name, w))
+		out = append(out, w.evaluate(name))
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Session < out[j].Session })
@@ -201,9 +157,9 @@ func (t *SLOTracker) Status() []SLOStatus {
 		p99 := t.reg.LabeledGauge(GaugeSLOLatencyP99, SessionLabel)
 		outage := t.reg.LabeledGauge(GaugeSLOOutageFrac, SessionLabel)
 		for _, s := range out {
-			burn.Set(s.Session, s.BurnRate)
-			p99.Set(s.Session, s.LatencyP99Sec)
-			outage.Set(s.Session, s.OutageFrac)
+			burn.With(s.Session).Set(s.BurnRate)
+			p99.With(s.Session).Set(s.LatencyP99Sec)
+			outage.With(s.Session).Set(s.OutageFrac)
 		}
 	}
 	return out
@@ -219,32 +175,32 @@ func (t *SLOTracker) SessionStatus(session string) (SLOStatus, bool) {
 	defer t.mu.Unlock()
 	if session == "" && len(t.sessions) == 1 {
 		for name, w := range t.sessions {
-			return t.evaluate(name, w), true
+			return w.evaluate(name), true
 		}
 	}
 	w := t.sessions[session]
 	if w == nil {
 		return SLOStatus{}, false
 	}
-	return t.evaluate(session, w), true
+	return w.evaluate(session), true
 }
 
-// evaluate computes one window's status. Caller holds t.mu.
-func (t *SLOTracker) evaluate(name string, w *sloWindow) SLOStatus {
+// evaluate computes the window's status. Caller holds the tracker's lock.
+func (w *sloWindow) evaluate(name string) SLOStatus {
 	st := SLOStatus{Session: name, Frames: len(w.buf)}
 	var lats []float64
 	latOver, fgN, fgUnder, fgSum, outages := 0, 0, 0, 0.0, 0
 	for _, s := range w.buf {
 		if s.LatencySec > 0 {
 			lats = append(lats, s.LatencySec)
-			if s.LatencySec > t.cfg.TargetLatencySec {
+			if s.LatencySec > SLOTargetLatencySec {
 				latOver++
 			}
 		}
 		if s.FGShare >= 0 {
 			fgN++
 			fgSum += s.FGShare
-			if s.FGShare < t.cfg.MinFGShare {
+			if s.FGShare < SLOMinFGShare {
 				fgUnder++
 			}
 		}
@@ -256,27 +212,28 @@ func (t *SLOTracker) evaluate(name string, w *sloWindow) SLOStatus {
 		sort.Float64s(lats)
 		st.LatencyP99Sec = lats[int(math.Ceil(0.99*float64(len(lats))))-1]
 		st.LatencyOverFrac = float64(latOver) / float64(len(lats))
-		st.LatencyBurn = st.LatencyOverFrac / t.cfg.LatencyBudget
+		st.LatencyBurn = st.LatencyOverFrac / SLOLatencyBudget
 	}
 	if fgN > 0 {
 		st.FGShareMean = fgSum / float64(fgN)
 		st.FGUnderFrac = float64(fgUnder) / float64(fgN)
-		st.FGShareBurn = st.FGUnderFrac / t.cfg.FGShareBudget
+		st.FGShareBurn = st.FGUnderFrac / SLOFGShareBudget
 	}
 	if len(w.buf) > 0 {
 		st.OutageFrac = float64(outages) / float64(len(w.buf))
-		st.OutageBurn = st.OutageFrac / t.cfg.MaxOutageFraction
+		st.OutageBurn = st.OutageFrac / SLOMaxOutageFraction
 	}
 	st.BurnRate = math.Max(st.LatencyBurn, math.Max(st.FGShareBurn, st.OutageBurn))
 	st.Healthy = st.BurnRate <= 1
 	return st
 }
 
-// sloReport is the /debug/slo JSON document.
-type sloReport struct {
-	Config   SLOConfig   `json:"config"`
-	Sessions []SLOStatus `json:"sessions"`
-}
+// sloConfig is the config block of the /debug/slo document: the constants the
+// statuses are evaluated against, under the names the document gives them.
+var sloConfig = struct {
+	TargetLatencySec, LatencyBudget, MinFGShare, FGShareBudget, MaxOutageFraction float64
+	WindowFrames, MaxSessions                                                     int
+}{SLOTargetLatencySec, SLOLatencyBudget, SLOMinFGShare, SLOFGShareBudget, SLOMaxOutageFraction, SLOWindowFrames, MaxLabelValues}
 
 // Handler serves the tracker state as JSON — the /debug/slo endpoint.
 func (t *SLOTracker) Handler() http.Handler {
@@ -288,7 +245,7 @@ func (t *SLOTracker) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(sloReport{Config: t.cfg, Sessions: t.Status()})
+		enc.Encode(map[string]any{"config": sloConfig, "sessions": t.Status()})
 	})
 }
 
@@ -298,15 +255,6 @@ func (r *Recorder) SLO() *SLOTracker {
 		return nil
 	}
 	return r.slo
-}
-
-// ConfigureSLO replaces the recorder's SLO tracker with one using cfg.
-// Existing windows are discarded; call before observations begin.
-func (r *Recorder) ConfigureSLO(cfg SLOConfig) {
-	if r == nil {
-		return
-	}
-	r.slo = NewSLOTracker(cfg, r.reg)
 }
 
 // ObserveSLO folds one frame outcome into the session's SLO window.

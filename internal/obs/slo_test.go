@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestSLOHealthyWithinBudget(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{WindowFrames: 100}, nil)
+	tr := NewSLOTracker(nil)
 	for i := 0; i < 100; i++ {
 		tr.Observe("s", SLOSample{LatencySec: 0.05, FGShare: 0.10})
 	}
@@ -32,12 +33,11 @@ func TestSLOBurnDuringFaultAndRecovery(t *testing.T) {
 	// A fault window pushes outage-tracked frames well over the 5% budget;
 	// burn must exceed 1 during the fault and fall back under once enough
 	// healthy frames slide the window past it.
-	cfg := SLOConfig{WindowFrames: 50}
-	tr := NewSLOTracker(cfg, nil)
-	for i := 0; i < 40; i++ {
+	tr := NewSLOTracker(nil)
+	for i := 0; i < SLOWindowFrames*4/5; i++ {
 		tr.Observe("s", SLOSample{LatencySec: 0.05, FGShare: 0.10})
 	}
-	for i := 0; i < 10; i++ { // outage burst: 20% of the window
+	for i := 0; i < SLOWindowFrames/5; i++ { // outage burst: 20% of the window
 		tr.Observe("s", SLOSample{LatencySec: 0.40, FGShare: 0.10, Outage: true})
 	}
 	st, _ := tr.SessionStatus("s")
@@ -55,7 +55,7 @@ func TestSLOBurnDuringFaultAndRecovery(t *testing.T) {
 	}
 
 	// Recovery: a full window of healthy frames displaces the fault.
-	for i := 0; i < 50; i++ {
+	for i := 0; i < SLOWindowFrames; i++ {
 		tr.Observe("s", SLOSample{LatencySec: 0.05, FGShare: 0.10})
 	}
 	st, _ = tr.SessionStatus("s")
@@ -68,7 +68,7 @@ func TestSLOUnobservedDimensions(t *testing.T) {
 	// Server-side samples carry no FG share (negative); agent-side outage
 	// samples may carry no latency. Unobserved dimensions must not count as
 	// violations.
-	tr := NewSLOTracker(SLOConfig{WindowFrames: 10}, nil)
+	tr := NewSLOTracker(nil)
 	for i := 0; i < 10; i++ {
 		tr.Observe("s", SLOSample{LatencySec: 0.05, FGShare: -1})
 	}
@@ -82,14 +82,20 @@ func TestSLOUnobservedDimensions(t *testing.T) {
 }
 
 func TestSLOSessionOverflowFold(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{WindowFrames: 10, MaxSessions: 2}, nil)
-	tr.Observe("a", SLOSample{LatencySec: 0.05, FGShare: 0.1})
-	tr.Observe("b", SLOSample{LatencySec: 0.05, FGShare: 0.1})
-	tr.Observe("c", SLOSample{LatencySec: 0.05, FGShare: 0.1})
-	tr.Observe("d", SLOSample{LatencySec: 0.05, FGShare: 0.1})
+	reg := NewRegistry()
+	tr := NewSLOTracker(reg)
+	for i := 0; i < MaxLabelValues+2; i++ {
+		tr.Observe(fmt.Sprintf("s%02d", i), SLOSample{LatencySec: 0.05, FGShare: 0.1})
+	}
+	tr.Observe("s00", SLOSample{LatencySec: 0.05, FGShare: 0.1}) // established: not a fold
+	// The tracker folds by the same rule as metric families, so its folds
+	// are counted on the same counter.
+	if got := reg.Counter(MetricLabelOverflow).Value(); got != 2 {
+		t.Fatalf("overflow counter = %d after 2 folded sessions, want 2", got)
+	}
 	sts := tr.Status()
-	if len(sts) != 3 {
-		t.Fatalf("tracked %d sessions, want a, b and %s", len(sts), OverflowLabel)
+	if len(sts) != MaxLabelValues+1 {
+		t.Fatalf("tracked %d sessions, want the first %d and %s", len(sts), MaxLabelValues, OverflowLabel)
 	}
 	ov, ok := tr.SessionStatus(OverflowLabel)
 	if !ok || ov.Frames != 2 {
@@ -99,7 +105,7 @@ func TestSLOSessionOverflowFold(t *testing.T) {
 
 func TestSLOStatusPublishesLabeledGauges(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewSLOTracker(SLOConfig{WindowFrames: 10}, reg)
+	tr := NewSLOTracker(reg)
 	for i := 0; i < 10; i++ {
 		tr.Observe("sess-1", SLOSample{LatencySec: 0.40, FGShare: 0.1, Outage: true})
 	}
@@ -117,7 +123,6 @@ func TestSLOStatusPublishesLabeledGauges(t *testing.T) {
 
 func TestSLODebugEndpoint(t *testing.T) {
 	rec := NewRecorder(16)
-	rec.ConfigureSLO(SLOConfig{WindowFrames: 20})
 	for i := 0; i < 20; i++ {
 		rec.ObserveSLO("sess-1", SLOSample{LatencySec: 0.30, FGShare: 0.1})
 	}
@@ -130,14 +135,14 @@ func TestSLODebugEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Config   SLOConfig   `json:"config"`
-		Sessions []SLOStatus `json:"sessions"`
+		Config   struct{ WindowFrames, MaxSessions int } `json:"config"`
+		Sessions []SLOStatus                             `json:"sessions"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Config.WindowFrames != 20 {
-		t.Fatalf("config window = %d, want 20", doc.Config.WindowFrames)
+	if doc.Config.WindowFrames != SLOWindowFrames || doc.Config.MaxSessions != MaxLabelValues {
+		t.Fatalf("config block = %+v, want the package constants", doc.Config)
 	}
 	if len(doc.Sessions) != 1 || doc.Sessions[0].Session != "sess-1" {
 		t.Fatalf("sessions = %+v, want one sess-1 row", doc.Sessions)
@@ -174,6 +179,5 @@ func TestSLONilSafety(t *testing.T) {
 	if rec.SLO() != nil {
 		t.Fatal("nil recorder SLO() != nil")
 	}
-	rec.ConfigureSLO(SLOConfig{})
 	rec.ObserveSLO("s", SLOSample{})
 }

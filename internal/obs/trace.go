@@ -1,12 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"encoding/json"
-	"io"
-	"sync"
-	"time"
-)
+import "time"
 
 // TraceContext identifies one frame's end-to-end causal trace. A context is
 // minted agent-side at capture (Recorder.StartTrace) and carried alongside
@@ -42,98 +36,6 @@ type SpanRecord struct {
 	DurSec   float64 `json:"dur_sec"`
 }
 
-// SpanRing is a bounded ring buffer of SpanRecords. A nil ring is a valid
-// no-op.
-type SpanRing struct {
-	mu    sync.Mutex
-	buf   []SpanRecord
-	total int
-}
-
-// NewSpanRing creates a ring keeping the last capacity spans.
-func NewSpanRing(capacity int) *SpanRing {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &SpanRing{buf: make([]SpanRecord, 0, capacity)}
-}
-
-// Append adds one span, evicting the oldest when full.
-func (r *SpanRing) Append(rec SpanRecord) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.total%cap(r.buf)] = rec
-	}
-	r.total++
-}
-
-// Total returns how many spans were ever appended.
-func (r *SpanRing) Total() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Snapshot copies the retained spans, oldest first.
-func (r *SpanRing) Snapshot() []SpanRecord {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SpanRecord, 0, len(r.buf))
-	if r.total <= cap(r.buf) {
-		out = append(out, r.buf...)
-		return out
-	}
-	head := r.total % cap(r.buf)
-	out = append(out, r.buf[head:]...)
-	out = append(out, r.buf[:head]...)
-	return out
-}
-
-// WriteJSONL writes the retained spans as one JSON object per line, oldest
-// first.
-func (r *SpanRing) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, rec := range r.Snapshot() {
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadSpans decodes span JSONL (the /debug/spans format), skipping blank
-// lines.
-func ReadSpans(r io.Reader) ([]SpanRecord, error) {
-	var out []SpanRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec SpanRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
 // StartTrace mints a fresh trace context for the frame captured now. A nil
 // recorder returns the invalid zero context at zero cost.
 func (r *Recorder) StartTrace(frame int) TraceContext {
@@ -144,7 +46,7 @@ func (r *Recorder) StartTrace(frame int) TraceContext {
 }
 
 // Spans returns the span ring (nil for a nil recorder).
-func (r *Recorder) Spans() *SpanRing {
+func (r *Recorder) Spans() *Ring[SpanRecord] {
 	if r == nil {
 		return nil
 	}

@@ -88,7 +88,7 @@ func TestSpanJSONLRoundTrip(t *testing.T) {
 	if err := rec.Spans().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSpans(&buf)
+	got, err := ReadJSONL[SpanRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestJournalJSONLRoundTrip(t *testing.T) {
 	if err := rec.Journal().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJournal(&buf)
+	got, err := ReadJSONL[JournalRecord](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,22 +138,6 @@ func TestJournalJSONLRoundTrip(t *testing.T) {
 	}
 	if j.RealizedBWBps == 0 || j.AckBits != 12345 {
 		t.Errorf("amendment lost: %+v", j)
-	}
-}
-
-func TestJournalRingWraparound(t *testing.T) {
-	ring := NewJournalRing(4)
-	for i := 0; i < 10; i++ {
-		ring.Append(JournalRecord{Frame: i})
-	}
-	snap := ring.Snapshot()
-	if len(snap) != 4 || ring.Total() != 10 {
-		t.Fatalf("len=%d total=%d", len(snap), ring.Total())
-	}
-	for i, rec := range snap {
-		if rec.Frame != 6+i {
-			t.Errorf("slot %d holds frame %d, want %d", i, rec.Frame, 6+i)
-		}
 	}
 }
 

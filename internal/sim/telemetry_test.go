@@ -13,9 +13,11 @@ import (
 )
 
 // TestTelemetryFrameLifecycle runs the full DiVE scheme over a short clip
-// with a recorder attached and checks the frame-lifecycle export: one JSONL
-// record per frame, monotonically increasing frame numbers, non-negative
-// stage durations, and a metrics snapshot consistent with the run.
+// with a recorder attached and checks the frame-lifecycle export — the view
+// derived from the journal and the agent spans: one JSONL record per frame,
+// monotonically increasing frame numbers, non-negative stage durations, a
+// metrics snapshot consistent with the run, and every derived field equal to
+// the journal record or span it was read from.
 func TestTelemetryFrameLifecycle(t *testing.T) {
 	clip := testClip(t, world.NuScenesLike(), 2, 21)
 	n := clip.NumFrames()
@@ -27,15 +29,15 @@ func TestTelemetryFrameLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := rec.Frames().Total(); got != n {
-		t.Fatalf("ring total = %d, want one record per frame (%d)", got, n)
+	if got := rec.Journal().Total(); got != n {
+		t.Fatalf("journal total = %d, want one record per frame (%d)", got, n)
 	}
 	if got := rec.Counter(obs.MetricFrames).Value(); got != int64(n) {
 		t.Errorf("frames counter = %d, want %d", got, n)
 	}
 
 	var buf bytes.Buffer
-	if err := rec.Frames().WriteJSONL(&buf); err != nil {
+	if err := obs.WriteJSONL(&buf, rec.FrameRecords()); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
@@ -81,7 +83,7 @@ func TestTelemetryFrameLifecycle(t *testing.T) {
 
 	// The first frame must be intra, and the intra counter must agree with
 	// the per-frame records.
-	snap := rec.Frames().Snapshot()
+	snap := rec.FrameRecords()
 	if snap[0].Type != "I" {
 		t.Errorf("first frame type %q, want I", snap[0].Type)
 	}
@@ -93,6 +95,45 @@ func TestTelemetryFrameLifecycle(t *testing.T) {
 	}
 	if got := rec.Counter(obs.MetricIFrames).Value(); got != int64(intra) {
 		t.Errorf("iframe counter = %d, records show %d", got, intra)
+	}
+
+	// The view stores nothing of its own: each line's decision fields are the
+	// frame's journal record, and each duration is the agent span of that
+	// name in the frame's trace (absent span: the stage did not run, 0).
+	journal := rec.Journal().Snapshot()
+	spanMs := map[uint64]map[string]float64{}
+	for _, s := range rec.Spans().Snapshot() {
+		if s.Site != "agent" {
+			continue
+		}
+		if spanMs[s.TraceID] == nil {
+			spanMs[s.TraceID] = map[string]float64{}
+		}
+		spanMs[s.TraceID][s.Name] = s.DurSec * 1000
+	}
+	acked := 0
+	for i, fr := range snap {
+		j, ms := journal[i], spanMs[journal[i].TraceID]
+		want := obs.FrameRecord{
+			Frame: j.Frame, TimeSec: j.TimeSec, Type: j.Type,
+			Eta: j.Eta, Moving: j.Moving, ReusedFG: j.FGReused, FGFraction: j.FGFraction, Delta: j.Delta,
+			BaseQP: j.BaseQP, Bits: j.Bits, TargetBits: j.TargetBits, EstBWBps: j.EstBWBps,
+			MotionMs: ms["motion"], RotationMs: ms["rotation"], ForegroundMs: ms["foreground"],
+			EncodeMs: ms["encode"], EmitMs: ms["emit"], TotalMs: ms["frame"],
+			AckBits: j.AckBits, AckEndSec: j.AckEndSec,
+		}
+		if fr != want {
+			t.Errorf("frame %d: derived line %+v != journal ⨝ spans %+v", j.Frame, fr, want)
+		}
+		if fr.MotionMs <= 0 || fr.EmitMs <= 0 || fr.TotalMs <= 0 {
+			t.Errorf("frame %d: a stage every frame runs reads 0: %+v", j.Frame, fr)
+		}
+		if fr.AckBits > 0 {
+			acked++
+		}
+	}
+	if acked == 0 {
+		t.Error("no derived line carries the uplink ack the journal was amended with")
 	}
 
 	// The stage histograms populated once per frame must have n samples.
