@@ -53,24 +53,26 @@ bench-smoke:
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
 # decode benchmarks, the rate-control trial, rate-control search and
-# bitstream-emission benchmarks, and the telemetry-off paths of internal/obs
-# with -benchmem and fail if allocs/op or B/op regressed past the committed
-# ci/alloc_baseline.json. The pooled encoder, the session decoder, a trial
-# pass, a whole search, the entropy writer, every nil-recorder
-# instrumentation path (span, counter, trace, labeled family, SLO — what each
-# end-to-end number in BENCHMARK.json runs with) and the journal's O(1)
-# amend-by-frame are all pinned at 0 allocs/op; allocation counts are
-# deterministic after warm-up, so this gate is machine-independent (unlike
-# wall-clock latency baselines).
-ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense
-ALLOC_PKGS = ./internal/codec/ ./internal/obs/
+# bitstream-emission benchmarks, the telemetry-off paths of internal/obs and
+# the server's two per-frame wire paths with -benchmem and fail if allocs/op
+# or B/op regressed past the committed ci/alloc_baseline.json. The pooled
+# encoder, the session decoder, a trial pass, a whole search, the entropy
+# writer, every nil-recorder instrumentation path (span, counter, trace,
+# labeled family, SLO — what each end-to-end number in BENCHMARK.json runs
+# with), the journal's O(1) amend-by-frame, reading a frame out of the
+# MsgReader's buffer and writing a result through the connection's are all
+# pinned at 0 allocs/op; allocation counts are deterministic after warm-up, so
+# this gate is machine-independent (unlike wall-clock latency baselines).
+ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
+ALLOC_PKGS = ./internal/codec/ ./internal/obs/ ./internal/edge/
 bench-alloc:
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem $(ALLOC_PKGS) | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -alloc-baseline ci/alloc_baseline.json -json
 
 # Regenerate the committed allocation baseline after an intentional change to
-# the steady-state encode, decode, rate-control or emission path or to the
-# telemetry-off paths, then commit ci/alloc_baseline.json.
+# the steady-state encode, decode, rate-control or emission path, to the
+# telemetry-off paths or to the wire read / reply paths, then commit
+# ci/alloc_baseline.json.
 alloc-baseline:
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem $(ALLOC_PKGS) | tee bench_alloc.txt
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -write-alloc-baseline ci/alloc_baseline.json

@@ -64,7 +64,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("diveagent", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7060", "edge server address")
-	profile := fs.String("profile", "nuScenes", "clip profile: nuScenes, RobotCar or KITTI")
+	profile := fs.String("profile", "nuScenes", "clip profile: nuScenes, nuScenes-night, RobotCar or KITTI")
 	seed := fs.Int64("seed", 1, "clip seed; sent to the server in the handshake so both sides render the same clip")
 	duration := fs.Float64("duration", 4, "clip duration in seconds")
 	rate := fs.Float64("rate", 2.0, "uplink throttle in Mbps (0 = unthrottled)")
@@ -77,15 +77,8 @@ func run(args []string) error {
 		return err
 	}
 
-	var wp world.Profile
-	switch *profile {
-	case "nuScenes":
-		wp = world.NuScenesLike()
-	case "RobotCar":
-		wp = world.RobotCarLike()
-	case "KITTI":
-		wp = world.KITTILike()
-	default:
+	wp, ok := world.ProfileByName(*profile)
+	if !ok {
 		return fmt.Errorf("unknown profile %q", *profile)
 	}
 	wp.ClipDuration = *duration

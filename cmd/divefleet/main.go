@@ -11,8 +11,7 @@
 //	          [-cores 8] [-straggler-factor 3] [-json] [-o report.json]
 //	divefleet -serve 127.0.0.1:7062 [-pace 100ms] [-linger 5s] [...]
 //	divefleet -live [-agents 3] [-duration 1] [-seed 1] [-cut] [-json]
-//	divefleet -live -cluster 3 [-kill-frac 0.5 | -kill-after 2s]
-//	          [-journal-dir DIR] [...]
+//	divefleet -live -cluster 3 [-kill-frac 0.5] [-journal-dir DIR] [...]
 //
 // The default (model) mode runs on a virtual clock with seeded link, frame
 // and contention models: the same flags and seed produce a byte-identical
@@ -37,9 +36,8 @@
 // health-routed balancer: sessions are placed round-robin with the remaining
 // members as failover candidates, and the report gains per-server rollup rows
 // plus a migration summary. -kill-frac kills a seed-chosen member once the
-// sessions placed on it have streamed that fraction of their frames
-// (-kill-after is the wall-clock variant); the affected sessions must fail over with a bounded
-// re-detection gap. -journal-dir exports each session's decision journal as
+// sessions placed on it have streamed that fraction of their frames; the
+// affected sessions must fail over with a bounded re-detection gap. -journal-dir exports each session's decision journal as
 // JSONL for divedoctor grading.
 //
 // Without -json a human summary is printed: the final rollup, per-profile
@@ -95,7 +93,6 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	cut := fs.Bool("cut", false, "with -live: route through the chaos proxy and sever all connections mid-run")
 	clusterN := fs.Int("cluster", 0, "with -live: run this many members behind the health-routed balancer")
 	killFrac := fs.Float64("kill-frac", 0, "with -cluster: kill a seeded member once its sessions streamed this fraction of their frames")
-	killAfter := fs.Duration("kill-after", 0, "with -cluster: kill a seeded member after this wall-clock delay")
 	journalDir := fs.String("journal-dir", "", "with -live: export per-session decision journals (JSONL) to this directory")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -112,8 +109,8 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 		var errs []error
 		rep, errs, err = fleet.RunLive(fleet.LiveSpec{
 			Agents: *agents, Servers: *servers, Duration: *duration,
-			Seed: *seed, Proxy: *cut, Cut: *cut,
-			Cluster: *clusterN, KillAtFrac: *killFrac, KillAfter: *killAfter,
+			Seed: *seed, Cut: *cut,
+			Cluster: *clusterN, KillAtFrac: *killFrac,
 			JournalDir: *journalDir,
 			Logf: func(format string, a ...interface{}) {
 				fmt.Fprintf(os.Stderr, "divefleet: "+format+"\n", a...)

@@ -86,17 +86,8 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown -format %q (supported: csv, jsonl, journal, spans)", *format)
 	}
 
-	var p world.Profile
-	switch *profile {
-	case "nuScenes":
-		p = world.NuScenesLike()
-	case "nuScenes-night":
-		p = world.NuScenesNightLike()
-	case "RobotCar":
-		p = world.RobotCarLike()
-	case "KITTI":
-		p = world.KITTILike()
-	default:
+	p, ok := world.ProfileByName(*profile)
+	if !ok {
 		return fmt.Errorf("unknown profile %q", *profile)
 	}
 	p.ClipDuration = *duration

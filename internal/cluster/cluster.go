@@ -12,8 +12,7 @@
 //   - migration: Drain redirects a member's live sessions to the best
 //     surviving member over the Redirect wire message (planned migration);
 //     Kill models the member dying mid-clip, after which clients fail over
-//     through their candidate list (forced migration). Rebalance drains load
-//     from the hottest member when the spread exceeds a bound.
+//     through their candidate list (forced migration).
 //
 // The cluster is in-process (members listen on 127.0.0.1:0), matching the
 // repo's simulation-first approach: chaos scenarios and CI kill real
@@ -22,7 +21,6 @@ package cluster
 
 import (
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -65,29 +63,15 @@ func (s State) String() string {
 // ProbeFunc checks one member's liveness within timeout.
 type ProbeFunc func(addr string, timeout time.Duration) error
 
-// HelloProbe is the default probe: dial, send a ProbeProfile handshake,
-// require the ack. A member whose listener accepts but whose handler is
-// wedged (or whose path is blacked out by a partition) fails it.
+// HelloProbe is the default probe: the client handshake with the reserved
+// ProbeProfile. A member whose listener accepts but whose handler is wedged
+// (or whose path is blacked out by a partition) fails it.
 func HelloProbe(addr string, timeout time.Duration) error {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return err
+	conn, _, _, err := edge.Handshake(addr, edge.Hello{Profile: edge.ProbeProfile}, timeout)
+	if err == nil {
+		conn.Close()
 	}
-	defer conn.Close()
-	deadline := time.Now().Add(timeout)
-	conn.SetDeadline(deadline)
-	if err := edge.WriteHello(conn, edge.Hello{Profile: edge.ProbeProfile}); err != nil {
-		return err
-	}
-	mr := edge.NewMsgReader(conn)
-	typ, _, err := mr.Next()
-	if err != nil {
-		return err
-	}
-	if typ != edge.MsgResult {
-		return fmt.Errorf("cluster: probe got message type %d", typ)
-	}
-	return nil
+	return err
 }
 
 // ProbeConfig shapes the health prober.
@@ -126,20 +110,20 @@ func (p ProbeConfig) withDefaults() ProbeConfig {
 	return p
 }
 
+// loadAlpha smooths the per-member session-load score the picker ranks by
+// (1 would be the raw instantaneous count).
+const loadAlpha = 0.4
+
 // Config configures a cluster.
 type Config struct {
 	// Members is the cluster size (default 3).
 	Members int
 	Probe   ProbeConfig
-	// EWMAAlpha smooths the per-member session-load score the picker ranks
-	// by (default 0.4; 1 = raw instantaneous count).
-	EWMAAlpha float64
 	// Proxied fronts every member with a chaos.Proxy so Partition can black
 	// out a member without killing its server process.
 	Proxied bool
 	// Configure, when set, is called with each member's server before it
-	// listens — the hook for wiring telemetry recorders, timeouts and label
-	// caps.
+	// listens — the hook for wiring telemetry recorders and timeouts.
 	Configure func(i int, srv *edge.Server)
 	// Logf receives membership and migration events; nil silences.
 	Logf func(format string, args ...interface{})
@@ -150,9 +134,6 @@ func (c Config) withDefaults() Config {
 		c.Members = 3
 	}
 	c.Probe = c.Probe.withDefaults()
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.4
-	}
 	return c
 }
 
@@ -271,7 +252,7 @@ func (c *Cluster) observeProbe(m *member, err error) {
 	sessions := m.srv.SessionCount()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.load = c.cfg.EWMAAlpha*float64(sessions) + (1-c.cfg.EWMAAlpha)*m.load
+	m.load = loadAlpha*float64(sessions) + (1-loadAlpha)*m.load
 	if err == nil {
 		m.lastBeat = time.Now()
 		m.consecFail = 0
@@ -421,35 +402,6 @@ func (c *Cluster) Drain(i int) (target string, redirected int, err error) {
 	n := m.srv.RedirectSessions(t.Addr, "drain")
 	c.logf("drained %s: %d session(s) redirected to %s", m.name, n, t.Name)
 	return t.Addr, n, nil
-}
-
-// Rebalance redirects the hottest member's sessions to the coldest when
-// their load spread exceeds maxImbalance sessions — the planned-migration
-// trigger that runs without an operator. Returns how many sessions moved.
-func (c *Cluster) Rebalance(maxImbalance float64) int {
-	var hot, cold *MemberStatus
-	for _, m := range c.members {
-		st := m.status()
-		if st.State != Healthy {
-			continue
-		}
-		s := st
-		if hot == nil || s.Load > hot.Load {
-			hot = &s
-		}
-		if cold == nil || rank(s, *cold) {
-			cold = &s
-		}
-	}
-	if hot == nil || cold == nil || hot.Index == cold.Index {
-		return 0
-	}
-	if hot.Load-cold.Load <= maxImbalance {
-		return 0
-	}
-	n := c.members[hot.Index].srv.RedirectSessions(cold.Addr, "rebalance")
-	c.logf("rebalanced %s -> %s: %d session(s)", hot.Name, cold.Name, n)
-	return n
 }
 
 // Kill stops member i abruptly — listener and live connections die with no

@@ -26,7 +26,7 @@ func inertProbe() ProbeConfig {
 func fastBackoff() edge.BackoffConfig {
 	return edge.BackoffConfig{
 		Initial: 10 * time.Millisecond, Max: 50 * time.Millisecond,
-		Factor: 2, Jitter: 0.25, MaxAttempts: 5,
+		MaxAttempts: 5,
 	}
 }
 

@@ -298,21 +298,11 @@ func (a *Agent) OnTransmitComplete(start, end float64, bits int) {
 	})
 }
 
-// NoteOutage journals that the frame just processed could not be uploaded:
-// the head-of-queue timer fired at queueDelay seconds and the agent fell
-// back to local tracking over trackedBoxes cached detections. The simulator
-// (or a live transport) calls this right after declaring the outage.
-func (a *Agent) NoteOutage(queueDelay float64, trackedBoxes int) {
-	a.cfg.Obs.AmendLastJournal(func(j *obs.JournalRecord) {
-		j.Outage = true
-		j.QueueDelaySec = queueDelay
-		j.TrackedBoxes = trackedBoxes
-	})
-}
-
-// NoteOutageAt is NoteOutage addressed to a specific frame — the pipelined
-// and live-transport variant, for outage verdicts that land after later
-// frames have already been journaled.
+// NoteOutageAt journals that the given frame could not be uploaded: the
+// head-of-queue timer (or the live transport's ack deadline) fired at
+// queueDelay seconds and the agent fell back to local tracking over
+// trackedBoxes cached detections. It is addressed by frame because the
+// verdict lands after later frames may have been journaled.
 func (a *Agent) NoteOutageAt(frame int, queueDelay float64, trackedBoxes int) {
 	a.cfg.Obs.AmendJournalFrame(frame, func(j *obs.JournalRecord) {
 		j.Outage = true

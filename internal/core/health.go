@@ -16,8 +16,8 @@ package core
 //
 // Transitions are damped two ways: a move needs the score to cross the
 // rung's threshold (with hysteresis on the way back up), and at most one
-// rung may be taken every DwellFrames frames. The damping is what makes the
-// ladder an instrument rather than an oscillator — divedoctor's
+// rung may be taken every healthDwellFrames frames. The damping is what makes
+// the ladder an instrument rather than an oscillator — divedoctor's
 // ladder-stuck and reconnect-storm detectors grade its journal trail.
 
 // LadderLevel is a rung of the graceful-degradation ladder.
@@ -79,53 +79,27 @@ func (l LadderLevel) Degradation() Degradation {
 	}
 }
 
-// HealthConfig tunes the link-health tracker.
-type HealthConfig struct {
-	// Alpha is the EWMA weight of each new observation (default 0.2).
-	Alpha float64
-	// DegradeAt are the score thresholds below which rungs 1..4 engage,
-	// strictly descending (default 0.75, 0.5, 0.3, 0.15).
-	DegradeAt [4]float64
-	// Hysteresis is the extra score margin required to climb back up a
-	// rung (default 0.1).
-	Hysteresis float64
-	// DwellFrames is the minimum number of Tick calls between ladder
-	// moves (default 6).
-	DwellFrames int
-}
+// The link-health tuning. One value of each was ever in use, so they are
+// constants, not configuration.
+const (
+	// healthAlpha is the EWMA weight of each new observation.
+	healthAlpha = 0.2
+	// healthHysteresis is the extra score margin required to climb back up a
+	// rung.
+	healthHysteresis = 0.1
+	// healthDwellFrames is the minimum number of Tick calls between ladder
+	// moves.
+	healthDwellFrames = 6
+)
 
-// DefaultHealthConfig returns the standard tuning.
-func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{
-		Alpha:       0.2,
-		DegradeAt:   [4]float64{0.75, 0.5, 0.3, 0.15},
-		Hysteresis:  0.1,
-		DwellFrames: 6,
-	}
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	d := DefaultHealthConfig()
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = d.Alpha
-	}
-	if c.DegradeAt == ([4]float64{}) {
-		c.DegradeAt = d.DegradeAt
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = d.Hysteresis
-	}
-	if c.DwellFrames <= 0 {
-		c.DwellFrames = d.DwellFrames
-	}
-	return c
-}
+// degradeAt are the score thresholds below which rungs 1..4 engage, strictly
+// descending.
+var degradeAt = [4]float64{0.75, 0.5, 0.3, 0.15}
 
 // LinkHealth tracks an EWMA health score from transport events and drives
 // the degradation ladder with hysteresis and dwell. Not safe for concurrent
 // use; transports own one instance on their feedback goroutine.
 type LinkHealth struct {
-	cfg    HealthConfig
 	score  float64
 	level  LadderLevel
 	dwell  int // Ticks since the last ladder move
@@ -133,9 +107,7 @@ type LinkHealth struct {
 }
 
 // NewLinkHealth builds a tracker starting healthy (score 1).
-func NewLinkHealth(cfg HealthConfig) *LinkHealth {
-	return &LinkHealth{cfg: cfg.withDefaults(), score: 1}
-}
+func NewLinkHealth() *LinkHealth { return &LinkHealth{score: 1} }
 
 // Observe folds one transport outcome in [0,1] into the score (1 = the link
 // behaved, 0 = it failed hard).
@@ -145,16 +117,12 @@ func (h *LinkHealth) Observe(outcome float64) {
 	} else if outcome > 1 {
 		outcome = 1
 	}
-	h.score = (1-h.cfg.Alpha)*h.score + h.cfg.Alpha*outcome
+	h.score = (1-healthAlpha)*h.score + healthAlpha*outcome
 	h.primed = true
 }
 
 // ObserveAck records a clean, in-deadline acknowledgement.
 func (h *LinkHealth) ObserveAck() { h.Observe(1) }
-
-// ObserveSlowAck records an ack that arrived but late relative to the
-// deadline: lateness in [0,1] where 1 means at the deadline.
-func (h *LinkHealth) ObserveSlowAck(lateness float64) { h.Observe(1 - 0.5*lateness) }
 
 // ObserveTimeout records an ack deadline expiry (the outage path fired).
 func (h *LinkHealth) ObserveTimeout() { h.Observe(0) }
@@ -176,7 +144,7 @@ func (h *LinkHealth) Level() LadderLevel { return h.level }
 // against the current rung on the way up.
 func (h *LinkHealth) target() LadderLevel {
 	t := LadderHealthy
-	for i, th := range h.cfg.DegradeAt {
+	for i, th := range degradeAt {
 		if h.score < th {
 			t = LadderLevel(i + 1)
 		}
@@ -185,7 +153,7 @@ func (h *LinkHealth) target() LadderLevel {
 		// Climbing back up: require the score to clear the threshold of
 		// the rung being left by the hysteresis margin.
 		for lvl := h.level; lvl > t; lvl-- {
-			if h.score < h.cfg.DegradeAt[lvl-1]+h.cfg.Hysteresis {
+			if h.score < degradeAt[lvl-1]+healthHysteresis {
 				return lvl
 			}
 		}
@@ -198,7 +166,7 @@ func (h *LinkHealth) target() LadderLevel {
 // per frame.
 func (h *LinkHealth) Tick() Degradation {
 	h.dwell++
-	if h.primed && h.dwell >= h.cfg.DwellFrames {
+	if h.primed && h.dwell >= healthDwellFrames {
 		t := h.target()
 		if t > h.level {
 			h.level++

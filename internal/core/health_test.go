@@ -41,7 +41,7 @@ func TestLadderLevelTable(t *testing.T) {
 }
 
 func TestLinkHealthStaysHealthyOnAcks(t *testing.T) {
-	h := NewLinkHealth(HealthConfig{})
+	h := NewLinkHealth()
 	for i := 0; i < 100; i++ {
 		h.ObserveAck()
 		if d := h.Tick(); d.Level != LadderHealthy {
@@ -54,7 +54,7 @@ func TestLinkHealthStaysHealthyOnAcks(t *testing.T) {
 }
 
 func TestLinkHealthDescendsUnderFailures(t *testing.T) {
-	h := NewLinkHealth(HealthConfig{})
+	h := NewLinkHealth()
 	var deepest LadderLevel
 	for i := 0; i < 60; i++ {
 		h.ObserveTimeout()
@@ -75,8 +75,7 @@ func TestLinkHealthDescendsUnderFailures(t *testing.T) {
 }
 
 func TestLinkHealthOneRungPerDwell(t *testing.T) {
-	cfg := DefaultHealthConfig()
-	h := NewLinkHealth(cfg)
+	h := NewLinkHealth()
 	// Crash the score instantly, then count frames between rung moves.
 	for i := 0; i < 50; i++ {
 		h.ObserveTimeout()
@@ -100,7 +99,7 @@ func TestLinkHealthOneRungPerDwell(t *testing.T) {
 }
 
 func TestLinkHealthRecoversWithHysteresis(t *testing.T) {
-	h := NewLinkHealth(HealthConfig{})
+	h := NewLinkHealth()
 	for i := 0; i < 60; i++ {
 		h.ObserveTimeout()
 		h.Tick()
@@ -119,7 +118,7 @@ func TestLinkHealthRecoversWithHysteresis(t *testing.T) {
 			t.Fatalf("ladder stuck at %v after %d clean frames (score %v)", h.Level(), frames, h.Score())
 		}
 	}
-	if frames < DefaultHealthConfig().DwellFrames*3 {
+	if frames < healthDwellFrames*3 {
 		t.Errorf("ladder recovered in %d frames — hysteresis/dwell not damping", frames)
 	}
 }
@@ -127,7 +126,7 @@ func TestLinkHealthRecoversWithHysteresis(t *testing.T) {
 // TestLinkHealthNoOscillation feeds an alternating good/bad pattern whose
 // mean sits near a threshold: the ladder must not flap every tick.
 func TestLinkHealthNoOscillation(t *testing.T) {
-	h := NewLinkHealth(HealthConfig{})
+	h := NewLinkHealth()
 	transitions := 0
 	last := h.Level()
 	for i := 0; i < 400; i++ {
@@ -148,7 +147,7 @@ func TestLinkHealthNoOscillation(t *testing.T) {
 }
 
 func TestObserveClamping(t *testing.T) {
-	h := NewLinkHealth(HealthConfig{})
+	h := NewLinkHealth()
 	h.Observe(42)
 	if h.Score() > 1 {
 		t.Errorf("score %v above 1", h.Score())
@@ -159,7 +158,6 @@ func TestObserveClamping(t *testing.T) {
 	if h.Score() < 0 {
 		t.Errorf("score %v below 0", h.Score())
 	}
-	h.ObserveSlowAck(0.5)
 	h.ObserveNack()
 	h.ObserveReconnect()
 	if s := h.Score(); s < 0 || s > 1 {

@@ -20,14 +20,18 @@ import (
 type BackoffConfig struct {
 	Initial time.Duration // first retry delay (default 100ms)
 	Max     time.Duration // delay ceiling (default 3s)
-	Factor  float64       // growth per attempt (default 2)
-	// Jitter spreads each delay uniformly over [1-j, 1+j] times the base —
-	// reconnect storms from co-located agents must not synchronize.
-	Jitter float64 // default 0.25
 	// MaxAttempts bounds consecutive failed dials before Run gives up
 	// (default 8).
 	MaxAttempts int
 }
+
+const (
+	backoffFactor = 2 // delay growth per attempt
+	// backoffJitter spreads each delay uniformly over [1-j, 1+j] times the
+	// base — reconnect storms from co-located agents must not synchronize.
+	backoffJitter    = 0.25
+	handshakeTimeout = 10 * time.Second // the dial, then the Hello and its ack
+)
 
 func (b BackoffConfig) withDefaults() BackoffConfig {
 	if b.Initial <= 0 {
@@ -35,12 +39,6 @@ func (b BackoffConfig) withDefaults() BackoffConfig {
 	}
 	if b.Max <= 0 {
 		b.Max = 3 * time.Second
-	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
-	if b.Jitter <= 0 {
-		b.Jitter = 0.25
 	}
 	if b.MaxAttempts <= 0 {
 		b.MaxAttempts = 8
@@ -52,16 +50,13 @@ func (b BackoffConfig) withDefaults() BackoffConfig {
 func (b BackoffConfig) delay(attempt int, rng *rand.Rand) time.Duration {
 	d := float64(b.Initial)
 	for i := 0; i < attempt; i++ {
-		d *= b.Factor
+		d *= backoffFactor
 		if d >= float64(b.Max) {
 			d = float64(b.Max)
 			break
 		}
 	}
-	d *= 1 - b.Jitter + 2*b.Jitter*rng.Float64()
-	if d < 0 {
-		d = 0
-	}
+	d *= 1 - backoffJitter + 2*backoffJitter*rng.Float64()
 	return time.Duration(d)
 }
 
@@ -89,7 +84,6 @@ type ClientConfig struct {
 	// which also provides the bandwidth estimator's feedback signal.
 	PaceBps float64
 	Backoff BackoffConfig
-	Health  core.HealthConfig
 	// Logf receives progress lines; nil silences the client.
 	Logf func(format string, args ...interface{})
 	Obs  *obs.Recorder
@@ -147,6 +141,8 @@ type Client struct {
 
 	conn net.Conn
 	acks chan ackEvent
+	// wbuf is the one buffer every uplink frame is encoded into.
+	wbuf []byte
 
 	// addrs is the resolved candidate list; curAddr the member currently
 	// serving the session; penalty the per-address dial-failure score that
@@ -168,11 +164,11 @@ type Client struct {
 
 	// pendingRedirect is a validated Redirect awaiting the dial; migration
 	// tracks a completed handoff until the new member's first ack closes the
-	// re-detection gap. lastServerAck/sessionStart anchor the gap measure.
+	// re-detection gap. lastServerAck is that gap's opening edge: the last
+	// server ack, or session start while no member has acked anything.
 	pendingRedirect *Redirect
 	migration       *migrationInfo
 	lastServerAck   time.Time
-	sessionStart    time.Time
 }
 
 // migrationInfo is one in-progress handoff: where the session moved, why,
@@ -195,16 +191,23 @@ type inflightFrame struct {
 	fr     *core.FrameResult
 }
 
+// ackEvent is one message the downlink reader saw: a kind and, for two of
+// the kinds, its payload. A transport failure is not an event: the reader
+// closes the channel.
 type ackEvent struct {
-	res ResultMsg
-	err error // transport-fatal error; res is invalid
-	// corrupt marks a discarded damaged downlink message (non-fatal).
-	corrupt bool
-	// redirect is a well-formed Redirect; badRedirect marks one that failed
-	// decode (empty addr, oversized strings) — counted, never dialed.
-	redirect    *Redirect
-	badRedirect bool
+	kind ackKind
+	res  ResultMsg // ackResult
+	rd   Redirect  // ackRedirect
 }
+
+type ackKind uint8
+
+const (
+	ackResult      ackKind = iota // a well-formed ResultMsg
+	ackCorrupt                    // a damaged downlink message, discarded (non-fatal)
+	ackRedirect                   // a well-formed Redirect
+	ackBadRedirect                // a Redirect that failed decode: counted, never dialed
+)
 
 // NewClient builds a client around an existing agent. The agent's encoder
 // state is owned by the client for the duration of Run.
@@ -219,13 +222,11 @@ func NewClient(cfg ClientConfig, agent *core.Agent) *Client {
 	addrs := cfg.Addrs
 	if len(addrs) == 0 {
 		addrs = []string{cfg.Addr}
-	} else if cfg.Addr == "" {
-		cfg.Addr = addrs[0]
 	}
 	return &Client{
 		cfg:     cfg,
 		agent:   agent,
-		health:  core.NewLinkHealth(cfg.Health),
+		health:  core.NewLinkHealth(),
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		addrs:   addrs,
 		penalty: make(map[string]int, len(addrs)),
@@ -254,61 +255,78 @@ func (c *Client) logf(format string, args ...interface{}) {
 	}
 }
 
-// connectTo dials one address and completes the handshake (plain or
-// resume), installing the connection and a fresh ack reader. firstFrame is
-// the index the stream will continue at. A failed dial or handshake raises
-// the address's penalty; success clears it, so a server that comes back (or
-// one we were redirected onto) starts with a clean score.
+// Handshake is the client half of the session handshake: dial addr, send
+// hello, read the server's ack and reject on its Err (unknown profile, bad
+// resume point) — all within timeout, after which the connection carries no
+// deadline. The returned reader has consumed exactly the ack.
+func Handshake(addr string, hello Hello, timeout time.Duration) (net.Conn, *MsgReader, ResultMsg, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, nil, ResultMsg{}, err
+	}
+	conn.SetDeadline(time.Now().Add(timeout))
+	mr := NewMsgReader(conn)
+	ack, err := helloAck(conn, mr, hello)
+	if err != nil {
+		conn.Close()
+		return nil, nil, ack, err
+	}
+	conn.SetDeadline(time.Time{})
+	return conn, mr, ack, nil
+}
+
+// helloAck sends the Hello and reads its ack.
+func helloAck(conn net.Conn, mr *MsgReader, hello Hello) (ResultMsg, error) {
+	if err := WriteHello(conn, hello); err != nil {
+		return ResultMsg{}, err
+	}
+	typ, payload, err := mr.Next()
+	if err != nil {
+		return ResultMsg{}, fmt.Errorf("handshake ack: %w", err)
+	}
+	if typ != MsgResult {
+		return ResultMsg{}, fmt.Errorf("handshake ack: unexpected message type %d", typ)
+	}
+	ack, err := DecodeResultMsg(payload)
+	if err != nil {
+		return ack, fmt.Errorf("handshake ack: %w", err)
+	}
+	if ack.Err != "" {
+		return ack, fmt.Errorf("server rejected session: %s", ack.Err)
+	}
+	return ack, nil
+}
+
+// connectTo completes the handshake (plain or resume) at one address and
+// installs the connection and a fresh ack reader. firstFrame is the index the
+// stream will continue at. A failed dial or handshake raises the address's
+// penalty; success clears it, so a server that comes back (or one we were
+// redirected onto) starts with a clean score.
 func (c *Client) connectTo(addr string, resume bool, firstFrame int) error {
-	if err := c.dialHandshake(addr, resume, firstFrame); err != nil {
+	conn, mr, _, err := Handshake(addr, Hello{
+		Profile: c.cfg.Profile, Seed: c.cfg.Seed, Duration: c.cfg.Duration,
+		Resume: resume, FirstFrame: firstFrame,
+	}, handshakeTimeout)
+	if err != nil {
 		c.penalty[addr]++
 		return err
 	}
-	c.curAddr = addr
-	c.penalty[addr] = 0
+	c.conn, c.curAddr, c.penalty[addr] = conn, addr, 0
+	// Window+4 leaves room for the redirect and corrupt events that can
+	// arrive on top of one result per in-flight frame.
+	c.acks = make(chan ackEvent, c.cfg.Window+4)
+	go readAcks(conn, mr, c.acks)
+	if resume {
+		c.forceIntra()
+	}
 	return nil
 }
 
-func (c *Client) dialHandshake(addr string, resume bool, firstFrame int) error {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return err
-	}
-	hello := Hello{
-		Profile: c.cfg.Profile, Seed: c.cfg.Seed, Duration: c.cfg.Duration,
-		Resume: resume, FirstFrame: firstFrame,
-	}
-	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if err := WriteHello(conn, hello); err != nil {
-		conn.Close()
-		return err
-	}
-	// The server acks the handshake before any frame flows; a rejection
-	// (unknown profile, bad resume point) arrives as res.Err.
-	mr := NewMsgReader(conn)
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	typ, payload, err := mr.Next()
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("handshake ack: %w", err)
-	}
-	if typ != MsgResult {
-		conn.Close()
-		return fmt.Errorf("handshake ack: unexpected message type %d", typ)
-	}
-	res, err := DecodeResultMsg(payload)
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("handshake ack: %w", err)
-	}
-	if res.Err != "" {
-		conn.Close()
-		return fmt.Errorf("server rejected session: %s", res.Err)
-	}
-	c.conn = conn
-	c.acks = make(chan ackEvent, c.cfg.Window+4)
-	go readAcks(conn, mr, c.acks)
-	return nil
+// forceIntra: the server's reference is gone — fresh decoder after a resume,
+// stale after skipped uploads — so the next upload is intra.
+func (c *Client) forceIntra() {
+	c.agent.ForceNextIFrame()
+	c.skippedSinceSend = false
 }
 
 // readAcks pumps downlink results into the ack channel until the transport
@@ -319,118 +337,60 @@ func readAcks(conn net.Conn, mr *MsgReader, out chan<- ackEvent) {
 	for {
 		conn.SetReadDeadline(time.Now().Add(120 * time.Second))
 		typ, payload, err := mr.Next()
-		if err != nil {
-			if IsRecoverable(err) {
-				out <- ackEvent{corrupt: true}
-				continue
-			}
-			out <- ackEvent{err: err}
+		if err != nil && !IsRecoverable(err) {
 			return
 		}
-		if typ == MsgRedirect {
-			rd, derr := DecodeRedirect(payload)
-			if derr != nil {
-				out <- ackEvent{badRedirect: true}
-				continue
+		// Anything but a well-formed result or redirect is a corrupt event.
+		ev := ackEvent{kind: ackCorrupt}
+		switch {
+		case err != nil:
+		case typ == MsgRedirect:
+			ev.kind = ackBadRedirect
+			if rd, derr := DecodeRedirect(payload); derr == nil {
+				ev = ackEvent{kind: ackRedirect, rd: rd}
 			}
-			out <- ackEvent{redirect: &rd}
-			continue
+		case typ == MsgResult:
+			if res, derr := DecodeResultMsg(payload); derr == nil {
+				ev = ackEvent{kind: ackResult, res: res}
+			}
 		}
-		if typ != MsgResult {
-			out <- ackEvent{corrupt: true}
-			continue
-		}
-		res, derr := DecodeResultMsg(payload)
-		if derr != nil {
-			out <- ackEvent{corrupt: true}
-			continue
-		}
-		out <- ackEvent{res: res}
+		out <- ev
 	}
+}
+
+// teardown is how a connection ends: close it and write off every in-flight
+// frame (their acks are gone) as outage-tracked.
+func (c *Client) teardown(dets [][]detect.Detection) {
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn = nil
+	}
+	for _, inf := range c.inflight {
+		c.noteFrameOutage(inf, dets)
+	}
+	c.inflight = c.inflight[:0]
 }
 
 // recover re-establishes the session after the transport failed or a
-// Redirect arrived. A pending redirect is tried first as a planned
-// migration — a direct dial at the target with no backoff sleep and no
-// ladder penalty, because a drain handoff is an orderly control-plane event,
-// not link failure. If the target refuses (or there was no redirect), the
-// ranked candidate scan with full backoff takes over.
+// Redirect arrived; nextFrame is where the stream resumes. A pending redirect
+// is tried first as a planned migration — a direct dial at the target with no
+// backoff sleep and no ladder penalty, because a drain handoff is an orderly
+// control-plane event, not link failure. If the target refuses (or there was
+// no redirect), the ranked candidate scan takes over, with backoff and jitter
+// before each attempt; landing on a different member than the one that failed
+// is a forced migration.
 func (c *Client) recover(nextFrame int, dets [][]detect.Detection) error {
+	from, lostAt := c.curAddr, c.lastServerAck
+	c.teardown(dets)
 	if rd := c.pendingRedirect; rd != nil {
 		c.pendingRedirect = nil
-		if err := c.migrate(rd, nextFrame, dets); err == nil {
+		err := c.connectTo(rd.Addr, true, nextFrame)
+		if err == nil {
+			c.noteMigration(&migrationInfo{from: from, to: rd.Addr, reason: rd.Reason, lostAt: lostAt}, nextFrame)
 			return nil
-		} else {
-			c.logf("redirect target %s refused: %v; falling back to candidate scan", rd.Addr, err)
 		}
+		c.logf("redirect target %s refused: %v; falling back to candidate scan", rd.Addr, err)
 	}
-	return c.reconnect(nextFrame, dets)
-}
-
-// migrate performs a planned handoff to the redirect target.
-func (c *Client) migrate(rd *Redirect, nextFrame int, dets [][]detect.Detection) error {
-	from := c.curAddr
-	lostAt := c.gapStart()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.drainInflight(dets)
-	if err := c.connectTo(rd.Addr, true, nextFrame); err != nil {
-		return err
-	}
-	c.noteMigration(&migrationInfo{from: from, to: rd.Addr, reason: rd.Reason, lostAt: lostAt}, nextFrame)
-	return nil
-}
-
-// noteMigration records a completed handoff; the re-detection gap closes at
-// the new member's first successful ack.
-func (c *Client) noteMigration(m *migrationInfo, nextFrame int) {
-	c.migration = m
-	c.stats.Migrations++
-	if m.forced {
-		c.stats.ForcedMigrations++
-	}
-	c.cfg.Obs.Counter(obs.MetricClientMigrations).Inc()
-	// The new member's decoder has no reference: first upload must be intra.
-	c.agent.ForceNextIFrame()
-	c.skippedSinceSend = false
-	kind := "planned"
-	if m.forced {
-		kind = "forced"
-	}
-	c.logf("migrated to %s (%s, reason %q, resume at frame %d)", m.to, kind, m.reason, nextFrame)
-	if c.cfg.OnMigrate != nil {
-		c.cfg.OnMigrate(m.from, m.to, m.forced)
-	}
-}
-
-// gapStart is the re-detection gap's opening edge: the last server ack, or
-// session start when the old member never acked anything.
-func (c *Client) gapStart() time.Time {
-	if !c.lastServerAck.IsZero() {
-		return c.lastServerAck
-	}
-	if !c.sessionStart.IsZero() {
-		return c.sessionStart
-	}
-	return time.Now()
-}
-
-// reconnect tears down the failed connection, journals every in-flight
-// frame as outage-tracked (their acks are gone), and re-dials with
-// exponential backoff and jitter until the handshake completes or attempts
-// run out, each attempt aimed at the best-ranked candidate. nextFrame is
-// where the stream resumes. Landing on a different member than the one that
-// failed is a forced migration.
-func (c *Client) reconnect(nextFrame int, dets [][]detect.Detection) error {
-	from := c.curAddr
-	lostAt := c.gapStart()
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	c.drainInflight(dets)
 	c.health.ObserveReconnect()
 	var totalBackoff float64
 	for attempt := 0; attempt < c.cfg.Backoff.MaxAttempts; attempt++ {
@@ -447,10 +407,6 @@ func (c *Client) reconnect(nextFrame int, dets [][]detect.Detection) error {
 			if addr != from && from != "" {
 				// The session moved because the old member went away.
 				c.noteMigration(&migrationInfo{from: from, to: addr, reason: "failover", forced: true, lostAt: lostAt}, nextFrame)
-			} else {
-				// The server's decoder is fresh: the next upload must be intra.
-				c.agent.ForceNextIFrame()
-				c.skippedSinceSend = false
 			}
 			c.logf("reconnected to %s (attempt %d, resume at frame %d)", addr, attempt+1, nextFrame)
 			return nil
@@ -466,14 +422,23 @@ func (c *Client) reconnect(nextFrame int, dets [][]detect.Detection) error {
 	return fmt.Errorf("edge: reconnect failed after %d attempts (candidates %v)", c.cfg.Backoff.MaxAttempts, c.addrs)
 }
 
-// drainInflight converts every unacked frame into an outage: journal it,
-// advance local MOT over its flow field, and record its tracked detections.
-// Called when the connection is known dead.
-func (c *Client) drainInflight(dets [][]detect.Detection) {
-	for _, inf := range c.inflight {
-		c.noteFrameOutage(inf, dets)
+// noteMigration records a completed handoff; the re-detection gap closes at
+// the new member's first successful ack.
+func (c *Client) noteMigration(m *migrationInfo, nextFrame int) {
+	c.migration = m
+	c.stats.Migrations++
+	if m.forced {
+		c.stats.ForcedMigrations++
 	}
-	c.inflight = c.inflight[:0]
+	c.cfg.Obs.Counter(obs.MetricClientMigrations).Inc()
+	kind := "planned"
+	if m.forced {
+		kind = "forced"
+	}
+	c.logf("migrated to %s (%s, reason %q, resume at frame %d)", m.to, kind, m.reason, nextFrame)
+	if c.cfg.OnMigrate != nil {
+		c.cfg.OnMigrate(m.from, m.to, m.forced)
+	}
 }
 
 // noteFrameOutage performs the MOT fallback for one lost frame.
@@ -511,35 +476,36 @@ func (c *Client) popInflight(idx int) (inflightFrame, bool) {
 	return inflightFrame{}, false
 }
 
-// handleAck folds one downlink event into session state. Returns a non-nil
-// error only on transport failure (the caller reconnects).
-func (c *Client) handleAck(ev ackEvent, dets [][]detect.Detection) error {
-	switch {
-	case ev.err != nil:
-		return ev.err
-	case ev.corrupt:
+// handleAck is the ack channel's one intake: it folds a downlink event into
+// session state. ok is the channel receive's, false once the reader stopped.
+// Returns a non-nil error only when the caller must recover.
+func (c *Client) handleAck(ev ackEvent, ok bool, dets [][]detect.Detection) error {
+	if !ok {
+		return io.EOF
+	}
+	switch ev.kind {
+	case ackCorrupt:
 		c.stats.CorruptAcks++
 		c.health.ObserveNack()
 		return nil
-	case ev.badRedirect:
+	case ackBadRedirect:
 		// Malformed redirect (empty addr, oversized strings): message-local
 		// damage. Never dialed, session continues on the current member.
 		c.stats.BadRedirects++
 		c.cfg.Obs.Counter(obs.MetricClientBadRedirects).Inc()
 		return nil
-	case ev.redirect != nil:
-		rd := ev.redirect
+	case ackRedirect:
 		c.stats.Redirects++
 		c.cfg.Obs.Counter(obs.MetricClientRedirects).Inc()
-		if rd.Addr == c.curAddr {
+		if ev.rd.Addr == c.curAddr {
 			// Self-redirect: well-formed but nonsensical — following it
 			// would churn the session for nothing. Reject without dialing.
 			c.stats.BadRedirects++
 			c.cfg.Obs.Counter(obs.MetricClientBadRedirects).Inc()
-			c.logf("ignoring self-redirect to %s", rd.Addr)
+			c.logf("ignoring self-redirect to %s", ev.rd.Addr)
 			return nil
 		}
-		c.pendingRedirect = rd
+		c.pendingRedirect = &ev.rd
 		return errFollowRedirect
 	}
 	res := ev.res
@@ -607,32 +573,14 @@ func (c *Client) handleAck(ev ackEvent, dets [][]detect.Detection) error {
 
 // awaitAck blocks until one downlink event arrives or the oldest in-flight
 // frame's deadline expires (which declares that frame outaged). Returns a
-// transport error when the connection died.
+// transport error when the connection died. Callers hold a frame in flight.
 func (c *Client) awaitAck(dets [][]detect.Detection) error {
-	if len(c.inflight) == 0 {
-		select {
-		case ev, ok := <-c.acks:
-			if !ok {
-				return io.EOF
-			}
-			return c.handleAck(ev, dets)
-		default:
-			return nil
-		}
-	}
 	oldest := c.inflight[0]
-	wait := time.Until(oldest.sentAt.Add(c.cfg.AckTimeout))
-	if wait < 0 {
-		wait = 0
-	}
-	timer := time.NewTimer(wait)
+	timer := time.NewTimer(max(0, time.Until(oldest.sentAt.Add(c.cfg.AckTimeout))))
 	defer timer.Stop()
 	select {
 	case ev, ok := <-c.acks:
-		if !ok {
-			return io.EOF
-		}
-		return c.handleAck(ev, dets)
+		return c.handleAck(ev, ok, dets)
 	case <-timer.C:
 		// Ack deadline: the oldest frame is written off, MOT covers it,
 		// the link is penalized. The connection stays up — a late ack for
@@ -667,13 +615,10 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 	if cerr != nil {
 		return nil, c.stats, fmt.Errorf("edge: connect to %v: %w", c.addrs, cerr)
 	}
-	defer func() {
-		if c.conn != nil {
-			c.conn.Close()
-		}
-	}()
+	defer c.teardown(dets)
 	start := time.Now()
-	c.sessionStart = start
+	c.lastServerAck = start
+	var msg FrameMsg // one for the run: &msg crosses an interface, so per-frame it would escape
 
 	for i := 0; i < n; i++ {
 		// Ladder first: the frame is encoded under the degradation the
@@ -685,13 +630,7 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 		for drained := false; !drained; {
 			select {
 			case ev, ok := <-c.acks:
-				var err error
-				if !ok {
-					err = io.EOF
-				} else {
-					err = c.handleAck(ev, dets)
-				}
-				if err != nil {
+				if err := c.handleAck(ev, ok, dets); err != nil {
 					if rerr := c.recover(i, dets); rerr != nil {
 						return dets, c.stats, rerr
 					}
@@ -702,14 +641,11 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 		}
 
 		skip := deg.SkipModulo > 1 && i%deg.SkipModulo != 0
-		if skip && !c.skippedSinceSend {
-			// First skip after a send: nothing forces the next upload intra
-			// yet, so arm it now.
+		if skip {
+			// The server's reference goes stale: the next upload is intra.
 			c.skippedSinceSend = true
-		}
-		if !skip && c.skippedSinceSend {
-			c.agent.ForceNextIFrame()
-			c.skippedSinceSend = false
+		} else if c.skippedSinceSend {
+			c.forceIntra()
 		}
 
 		now := time.Since(start).Seconds()
@@ -737,14 +673,15 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 		}
 
 		// Upload with pacing; a write failure means the connection is dead.
-		msg := &FrameMsg{
+		msg = FrameMsg{
 			Index: fr.Encoded.Index, Bitstream: fr.Encoded.Data,
 			SentNanos: time.Now().UnixNano(),
 			TraceID:   fr.Trace.TraceID, SpanID: fr.Trace.SpanID,
 		}
 		sendStart := time.Since(start).Seconds()
 		c.conn.SetWriteDeadline(time.Now().Add(2 * c.cfg.AckTimeout))
-		werr := WriteFrame(c.conn, msg)
+		var werr error
+		c.wbuf, werr = writeMsg(c.conn, c.wbuf, &msg)
 		if werr == nil && c.cfg.PaceBps > 0 {
 			time.Sleep(time.Duration(float64(fr.Encoded.NumBits) / c.cfg.PaceBps * float64(time.Second)))
 		}
@@ -779,7 +716,7 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 			// The server went away with frames outstanding (mid-stream
 			// close): journal them as outage-tracked and exit cleanly —
 			// there is nothing left to resume for.
-			c.drainInflight(dets)
+			c.teardown(dets)
 			break
 		}
 	}

@@ -34,7 +34,7 @@ func testClip(t *testing.T, seed int64, duration float64) *world.Clip {
 func fastBackoff() BackoffConfig {
 	return BackoffConfig{
 		Initial: 10 * time.Millisecond, Max: 50 * time.Millisecond,
-		Factor: 2, Jitter: 0.25, MaxAttempts: 5,
+		MaxAttempts: 5,
 	}
 }
 
@@ -206,7 +206,7 @@ func TestClientMidStreamServerClose(t *testing.T) {
 		AckTimeout: 500 * time.Millisecond,
 		Backoff: BackoffConfig{
 			Initial: 5 * time.Millisecond, Max: 20 * time.Millisecond,
-			Factor: 2, Jitter: 0.25, MaxAttempts: 3,
+			MaxAttempts: 3,
 		},
 		Obs: rec,
 	}, agent)
@@ -268,17 +268,15 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 	clip := testClip(t, 46, 2)
 	rec := obs.NewRecorder(512)
 	agent := newTestAgent(t, clip, rec)
-	hc := core.DefaultHealthConfig()
-	hc.DwellFrames = 2
 	client := NewClient(ClientConfig{
 		Addr: proxy.Addr(), Profile: "nuScenes", Seed: 46, Duration: 2,
 		AckTimeout: 150 * time.Millisecond,
 		// Backoff must outlast the 400ms blackout below.
 		Backoff: BackoffConfig{
 			Initial: 50 * time.Millisecond, Max: 200 * time.Millisecond,
-			Factor: 2, Jitter: 0.25, MaxAttempts: 12,
+			MaxAttempts: 12,
 		},
-		Health: hc, Obs: rec,
+		Obs: rec,
 	}, agent)
 
 	// Black out the proxy briefly mid-stream: acks stop, deadlines fire.

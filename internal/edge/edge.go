@@ -15,6 +15,12 @@
 // NACKed with a keyframe request instead of killing the session, frame-index
 // gaps force decoder resync, and a reconnecting agent resumes mid-clip with
 // the Resume handshake.
+//
+// Each rule has one home: what a server answers and when its decoder may be
+// trusted is session.step and its transition table (session.go), which
+// Server.handle only feeds and counts; the client half of the handshake is
+// Handshake; every message is encoded once into a buffer its connection owns
+// and read from a buffer its MsgReader owns (wire.go states both lifetimes).
 package edge
 
 import (
@@ -118,20 +124,6 @@ func FromWire(ws []WireDetection) []detect.Detection {
 // server acks the handshake and closes without creating session state.
 const ProbeProfile = "probe"
 
-// profileByName resolves a Hello profile.
-func profileByName(name string) (world.Profile, error) {
-	switch name {
-	case "nuScenes":
-		return world.NuScenesLike(), nil
-	case "RobotCar":
-		return world.RobotCarLike(), nil
-	case "KITTI":
-		return world.KITTILike(), nil
-	default:
-		return world.Profile{}, fmt.Errorf("edge: unknown profile %q", name)
-	}
-}
-
 // clipKey identifies a rendered reference clip.
 type clipKey struct {
 	profile  string
@@ -145,7 +137,6 @@ const clipCacheCap = 8
 
 // Server serves DiVE analytics sessions over TCP.
 type Server struct {
-	Detector *detect.Detector
 	// Logf receives progress lines; nil silences the server.
 	Logf func(format string, args ...interface{})
 	// Obs receives server telemetry: session/frame/byte counters and
@@ -156,14 +147,7 @@ type Server struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each result write (default 10s).
 	WriteTimeout time.Duration
-	// SessionLabelCap bounds the distinct per-session label values this
-	// server mints (0 selects obs.MaxLabelValues). Sessions beyond the cap
-	// have their series folded by profile (not profile-seed), so a fleet of
-	// hundreds of agents keeps per-profile attribution instead of
-	// collapsing into one _overflow series; every folded session increments
-	// obs.MetricLabelOverflow. Above obs.MaxLabelValues the metric families
-	// fold at their own bound first.
-	SessionLabelCap int
+	detector     *detect.Detector
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -171,24 +155,35 @@ type Server struct {
 	draining bool
 	wg       sync.WaitGroup
 
-	labelMu       sync.Mutex
-	sessionLabels map[string]struct{}
-
 	clipMu    sync.Mutex
 	clips     map[clipKey]*world.Clip
 	clipOrder []clipKey
 }
 
-// connState is the per-connection state shared between the handler
-// goroutine and control-plane writers (RedirectSessions): the write mutex
-// keeps a Redirect from interleaving bytes with an in-flight result frame.
+// connState is the write side of one connection, shared between the handler
+// goroutine and control-plane writers (RedirectSessions): the mutex keeps a
+// Redirect from interleaving bytes with an in-flight result, and guards the
+// one buffer every reply on this connection is encoded into.
 type connState struct {
-	wmu sync.Mutex
+	conn    net.Conn
+	timeout time.Duration
+	wmu     sync.Mutex
+	wbuf    []byte
+}
+
+// write sends m under the write deadline.
+func (st *connState) write(m message) error {
+	st.wmu.Lock()
+	defer st.wmu.Unlock()
+	st.conn.SetWriteDeadline(time.Now().Add(st.timeout))
+	var err error
+	st.wbuf, err = writeMsg(st.conn, st.wbuf, m)
+	return err
 }
 
 // NewServer builds a server with the default detector calibration.
 func NewServer() *Server {
-	return &Server{Detector: detect.New(detect.DefaultConfig())}
+	return &Server{detector: detect.New(detect.DefaultConfig())}
 }
 
 func (s *Server) logf(format string, args ...interface{}) {
@@ -270,7 +265,7 @@ func (s *Server) Serve() error {
 		conn, err := ln.Accept()
 		if err != nil {
 			s.wg.Wait()
-			if isClosed(err) {
+			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return err
@@ -281,7 +276,7 @@ func (s *Server) Serve() error {
 			conn.Close()
 			continue
 		}
-		st := &connState{}
+		st := &connState{conn: conn, timeout: s.writeTimeout()}
 		s.conns[conn] = st
 		s.wg.Add(1)
 		s.mu.Unlock()
@@ -292,7 +287,7 @@ func (s *Server) Serve() error {
 				s.mu.Unlock()
 				s.wg.Done()
 			}()
-			if err := s.handle(conn, st); err != nil && err != io.EOF {
+			if err := s.handle(st); err != nil && err != io.EOF {
 				s.logf("session error: %v", err)
 			}
 		}()
@@ -312,24 +307,34 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Shutdown drains the server: it stops accepting sessions, lets active
-// handlers finish their in-flight frame and exit cleanly within grace, then
-// force-closes whatever remains. Always returns after at most ~grace.
-func (s *Server) Shutdown(grace time.Duration) error {
+// stop refuses new sessions, closes the listener and returns the live
+// connections.
+func (s *Server) stop() ([]net.Conn, error) {
 	s.mu.Lock()
 	s.draining = true
 	ln := s.ln
 	s.ln = nil
+	conns := make([]net.Conn, 0, len(s.conns))
+	for conn := range s.conns {
+		conns = append(conns, conn)
+	}
+	s.mu.Unlock()
+	if ln == nil {
+		return conns, nil
+	}
+	return conns, ln.Close()
+}
+
+// Shutdown drains the server: it stops accepting sessions, lets active
+// handlers finish their in-flight frame and exit cleanly within grace, then
+// force-closes whatever remains. Always returns after at most ~grace.
+func (s *Server) Shutdown(grace time.Duration) error {
+	conns, err := s.stop()
 	// Wake blocked readers: their next read fails after the deadline, and
 	// the handler exits cleanly because draining is set.
 	deadline := time.Now().Add(grace)
-	for conn := range s.conns {
+	for _, conn := range conns {
 		conn.SetReadDeadline(deadline)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -339,11 +344,9 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	select {
 	case <-done:
 	case <-time.After(grace + 500*time.Millisecond):
-		s.mu.Lock()
-		for conn := range s.conns {
+		for _, conn := range conns {
 			conn.Close()
 		}
-		s.mu.Unlock()
 		<-done
 	}
 	return err
@@ -371,18 +374,14 @@ func (s *Server) SessionCount() int {
 // Returns the number of redirects written.
 func (s *Server) RedirectSessions(target, reason string) int {
 	s.mu.Lock()
-	conns := make(map[net.Conn]*connState, len(s.conns))
-	for conn, st := range s.conns {
-		conns[conn] = st
+	conns := make([]*connState, 0, len(s.conns))
+	for _, st := range s.conns {
+		conns = append(conns, st)
 	}
 	s.mu.Unlock()
 	n := 0
-	for conn, st := range conns {
-		st.wmu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		err := WriteRedirect(conn, Redirect{Addr: target, Reason: reason})
-		st.wmu.Unlock()
-		if err != nil {
+	for _, st := range conns {
+		if err := st.write(Redirect{Addr: target, Reason: reason}); err != nil {
 			s.logf("redirect write failed: %v", err)
 			continue
 		}
@@ -399,45 +398,11 @@ func (s *Server) RedirectSessions(target, reason string) int {
 // are closed with no drain and no redirect — the chaos "member died"
 // primitive. Safe to call more than once.
 func (s *Server) Kill() {
-	s.mu.Lock()
-	ln := s.ln
-	s.ln = nil
-	s.draining = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		conns = append(conns, conn)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
+	conns, _ := s.stop()
 	for _, conn := range conns {
 		conn.Close()
 	}
 	s.wg.Wait()
-}
-
-func isClosed(err error) bool {
-	var opErr *net.OpError
-	if ok := asOpError(err, &opErr); ok {
-		return opErr.Err.Error() == "use of closed network connection"
-	}
-	return false
-}
-
-func asOpError(err error, target **net.OpError) bool {
-	for err != nil {
-		if op, ok := err.(*net.OpError); ok {
-			*target = op
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // isTimeout reports whether err is a deadline expiry.
@@ -446,85 +411,71 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// sessionLabelFor returns the metric label for a session: profile-seed
-// while the server has label budget, the bare profile once SessionLabelCap
-// distinct sessions exist (folded profile labels live outside the budget,
-// so cardinality stays at cap + number of profiles). A session that already
-// holds a label keeps it across reconnects. Folds are counted on
-// obs.MetricLabelOverflow so the collapse is visible on /metrics.
-func (s *Server) sessionLabelFor(profile string, seed int64) string {
-	full := fmt.Sprintf("%s-%d", profile, seed)
-	limit := s.SessionLabelCap
-	if limit <= 0 {
-		limit = obs.MaxLabelValues
-	}
-	s.labelMu.Lock()
-	defer s.labelMu.Unlock()
-	if s.sessionLabels == nil {
-		s.sessionLabels = make(map[string]struct{})
-	}
-	if _, ok := s.sessionLabels[full]; ok {
-		return full
-	}
-	if len(s.sessionLabels) < limit {
-		s.sessionLabels[full] = struct{}{}
-		return full
-	}
-	s.Obs.Counter(obs.MetricLabelOverflow).Inc()
-	return profile
+// sessionMetrics are one session's labeled series next to the process-wide
+// globals. The label is profile-seed — the clip identity the agent uses too —
+// so a resumed session continues its own series and both ends' views of one
+// stream join on it; the families bound its cardinality. All handles are nil,
+// hence no-ops, when telemetry is disabled.
+type sessionMetrics struct {
+	label                string
+	frames, bytes, nacks *obs.Counter
+	decode, detect       *obs.Histogram
 }
 
-// handle runs one session.
-func (s *Server) handle(conn net.Conn, st *connState) error {
-	defer conn.Close()
-	mr := NewMsgReader(conn)
-
-	writeResult := func(res *ResultMsg) error {
-		st.wmu.Lock()
-		defer st.wmu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(s.writeTimeout()))
-		return WriteResult(conn, res)
+// count moves the frame, byte, NACK and corruption counters a row calls for.
+func (m *sessionMetrics) count(rec *obs.Recorder, out outcome, bitstreamLen int) {
+	row := rules[out]
+	if row.frame {
+		rec.Counter(obs.MetricEdgeFrames).Inc()
+		rec.Counter(obs.MetricEdgeBytes).Add(int64(bitstreamLen))
+		m.frames.Inc()
+		m.bytes.Add(int64(bitstreamLen))
 	}
+	if row.corrupt {
+		rec.Counter(obs.MetricEdgeCorrupt).Inc()
+	}
+	if row.nack {
+		rec.Counter(obs.MetricEdgeNacks).Inc()
+		m.nacks.Inc()
+	}
+}
 
-	conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+// handshake reads the Hello and answers it. A nil session means there is
+// nothing to serve: the error says why, and is nil for a health probe.
+func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetrics, error) {
+	reject := func(msg string) (*session, *sessionMetrics, error) {
+		st.write(&ResultMsg{Index: -1, Err: msg})
+		return nil, nil, fmt.Errorf("edge: handshake rejected: %s", msg)
+	}
+	st.conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
 	typ, payload, err := mr.Next()
 	if err != nil {
-		return fmt.Errorf("edge: handshake: %w", err)
+		return nil, nil, fmt.Errorf("edge: handshake: %w", err)
 	}
 	if typ != MsgHello {
-		writeResult(&ResultMsg{Index: -1, Err: "expected hello"})
-		return fmt.Errorf("edge: handshake: got message type %d", typ)
+		return reject("expected hello")
 	}
 	hello, err := DecodeHello(payload)
 	if err != nil {
-		writeResult(&ResultMsg{Index: -1, Err: err.Error()})
-		return fmt.Errorf("edge: handshake: %w", err)
+		return reject(err.Error())
 	}
 	if hello.Profile == ProbeProfile {
 		// Health probe: a full accept→handshake→write round trip proves the
 		// member is alive end to end, without touching session metrics or
 		// rendering a clip. Answer and hang up.
-		writeResult(&ResultMsg{Index: -1})
-		return nil
+		st.write(&ResultMsg{Index: -1})
+		return nil, nil, nil
 	}
 	s.Obs.Counter(obs.MetricEdgeSessions).Inc()
-	// Per-session labeled series on top of the process-wide globals. The
-	// session identity is profile-seed — the same clip identity the agent
-	// uses — so a resumed session continues its own series and the agent's
-	// and server's views of one stream join on the label. Beyond
-	// SessionLabelCap distinct sessions the label folds to the profile name
-	// (see sessionLabelFor). All handles are nil (hence no-op) when
-	// telemetry is disabled.
-	session := s.sessionLabelFor(hello.Profile, hello.Seed)
-	sessFrames := s.Obs.LabeledCounter(obs.MetricEdgeSessionFrames, obs.SessionLabel).With(session)
-	sessBytes := s.Obs.LabeledCounter(obs.MetricEdgeSessionBytes, obs.SessionLabel).With(session)
-	sessNacks := s.Obs.LabeledCounter(obs.MetricEdgeSessionNacks, obs.SessionLabel).With(session)
-	sessDecode := s.Obs.LabeledHistogram(obs.StageEdgeSessionDecode, obs.SessionLabel).With(session)
-	sessDetect := s.Obs.LabeledHistogram(obs.StageEdgeSessionDetect, obs.SessionLabel).With(session)
-	profile, err := profileByName(hello.Profile)
-	if err != nil {
-		writeResult(&ResultMsg{Index: -1, Err: err.Error()})
-		return err
+	m := &sessionMetrics{label: fmt.Sprintf("%s-%d", hello.Profile, hello.Seed)}
+	m.frames = s.Obs.LabeledCounter(obs.MetricEdgeSessionFrames, obs.SessionLabel).With(m.label)
+	m.bytes = s.Obs.LabeledCounter(obs.MetricEdgeSessionBytes, obs.SessionLabel).With(m.label)
+	m.nacks = s.Obs.LabeledCounter(obs.MetricEdgeSessionNacks, obs.SessionLabel).With(m.label)
+	m.decode = s.Obs.LabeledHistogram(obs.StageEdgeSessionDecode, obs.SessionLabel).With(m.label)
+	m.detect = s.Obs.LabeledHistogram(obs.StageEdgeSessionDetect, obs.SessionLabel).With(m.label)
+	profile, ok := world.ProfileByName(hello.Profile)
+	if !ok {
+		return reject(fmt.Sprintf("edge: unknown profile %q", hello.Profile))
 	}
 	if hello.Duration > 0 {
 		profile.ClipDuration = hello.Duration
@@ -539,141 +490,81 @@ func (s *Server) handle(conn net.Conn, st *connState) error {
 	}
 	clip := s.clipFor(profile, hello.Profile, hello.Seed)
 	if hello.FirstFrame >= clip.NumFrames() {
-		msg := fmt.Sprintf("resume frame %d beyond clip end %d", hello.FirstFrame, clip.NumFrames())
-		writeResult(&ResultMsg{Index: -1, Err: msg})
-		return fmt.Errorf("edge: %s", msg)
+		return reject(fmt.Sprintf("resume frame %d beyond clip end %d", hello.FirstFrame, clip.NumFrames()))
 	}
-	vdec, err := codec.NewDecoder(codec.DefaultConfig(clip.W, clip.H))
+	dec, err := codec.NewDecoder(codec.DefaultConfig(clip.W, clip.H))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	// Acknowledge the handshake so the client knows the session (and a
-	// resume in particular) was accepted before it starts streaming.
-	if err := writeResult(&ResultMsg{Index: -1, NeedKeyframe: true}); err != nil {
-		return fmt.Errorf("edge: handshake ack: %w", err)
+	// resume in particular) was accepted before it starts streaming. The
+	// decoder is fresh: the session starts desynced.
+	if err := st.write(&ResultMsg{Index: -1, NeedKeyframe: true}); err != nil {
+		return nil, nil, fmt.Errorf("edge: handshake ack: %w", err)
 	}
+	return &session{clip: clip, seed: hello.Seed, dec: dec, needKey: true, expect: hello.FirstFrame}, m, nil
+}
 
-	// needKey tracks decoder sync: set after a resume, a corrupt or
-	// malformed message, a frame-index gap or a decode failure; cleared
-	// when an intra frame lands. While set, P-frames are NACKed without
-	// touching the decoder.
-	needKey := true
-	expect := hello.FirstFrame
-
+// handle runs one session: read → step → decode and detect → count → write.
+func (s *Server) handle(st *connState) error {
+	defer st.conn.Close()
+	mr := NewMsgReader(st.conn)
+	ss, m, err := s.handshake(st, mr)
+	if ss == nil {
+		return err
+	}
+	var res ResultMsg // the session's one reply buffer (it crosses an interface on its way out: per frame it would escape)
 	for {
-		conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
-		typ, payload, err := mr.Next()
-		if err != nil {
-			switch {
-			case err == io.EOF:
-				return nil
-			case IsRecoverable(err):
-				// One damaged message: NACK with a keyframe request —
-				// a frame may have been lost inside the garbage.
-				s.Obs.Counter(obs.MetricEdgeCorrupt).Inc()
-				s.Obs.Counter(obs.MetricEdgeNacks).Inc()
-				sessNacks.Inc()
-				needKey = true
-				if werr := writeResult(&ResultMsg{Index: -1, Err: "corrupt message: " + err.Error(), NeedKeyframe: true}); werr != nil {
-					return fmt.Errorf("edge: write nack: %w", werr)
-				}
-				continue
-			case isTimeout(err):
-				if s.Draining() {
-					return nil
-				}
-				return fmt.Errorf("edge: session idle past %v: %w", s.readTimeout(), err)
-			default:
-				return fmt.Errorf("edge: read frame: %w", err)
-			}
+		st.conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		typ, payload, rerr := mr.Next()
+		switch {
+		case rerr == nil || IsRecoverable(rerr): // the step's input
+		case rerr == io.EOF, isTimeout(rerr) && s.Draining():
+			return nil
+		case isTimeout(rerr):
+			return fmt.Errorf("edge: session idle past %v: %w", s.readTimeout(), rerr)
+		default:
+			return fmt.Errorf("edge: read frame: %w", rerr)
 		}
-		if typ != MsgFrame {
-			s.Obs.Counter(obs.MetricEdgeNacks).Inc()
-			sessNacks.Inc()
-			if werr := writeResult(&ResultMsg{Index: -1, Err: fmt.Sprintf("unexpected message type %d", typ)}); werr != nil {
-				return fmt.Errorf("edge: write nack: %w", werr)
-			}
-			continue
-		}
-		fm, err := DecodeFrameMsg(payload)
-		if err != nil {
-			s.Obs.Counter(obs.MetricEdgeCorrupt).Inc()
-			s.Obs.Counter(obs.MetricEdgeNacks).Inc()
-			sessNacks.Inc()
-			needKey = true
-			if werr := writeResult(&ResultMsg{Index: -1, Err: "malformed frame: " + err.Error(), NeedKeyframe: true}); werr != nil {
-				return fmt.Errorf("edge: write nack: %w", werr)
-			}
-			continue
-		}
-
 		t0 := time.Now()
-		res := ResultMsg{Index: fm.Index, SentNanos: fm.SentNanos, TraceID: fm.TraceID}
+		fm, out := ss.step(typ, payload, rerr, &res)
 		// Rehydrate the agent-minted trace context: decode/detect spans
 		// recorded under it stitch into the agent's frame trace by ID.
 		ctx := obs.TraceContext{TraceID: fm.TraceID, Frame: fm.Index, SpanID: fm.SpanID}
-		s.Obs.Counter(obs.MetricEdgeFrames).Inc()
-		s.Obs.Counter(obs.MetricEdgeBytes).Add(int64(len(fm.Bitstream)))
-		sessFrames.Inc()
-		sessBytes.Add(int64(len(fm.Bitstream)))
-		switch {
-		case fm.Index < 0 || fm.Index >= clip.NumFrames():
-			res.Err = fmt.Sprintf("frame index %d out of range", fm.Index)
-		case fm.Index != expect:
-			// The agent skipped frames (outage, frame-skip degradation).
-			// The decoder reference is stale; require an intra frame.
-			needKey = true
-			fallthrough
-		default:
-			ftype, serr := codec.SniffFrameType(fm.Bitstream)
-			switch {
-			case serr != nil:
-				res.Err = "unreadable bitstream: " + serr.Error()
-				res.NeedKeyframe = true
-				needKey = true
-				s.Obs.Counter(obs.MetricEdgeNacks).Inc()
-				sessNacks.Inc()
-			case needKey && ftype != codec.IFrame:
-				// Desynced and the frame is predicted: decoding it against
-				// the stale reference would silently corrupt every frame
-				// until the next GoP. NACK instead.
-				res.Err = "decoder desynchronized"
-				res.NeedKeyframe = true
-				s.Obs.Counter(obs.MetricEdgeNacks).Inc()
-				sessNacks.Inc()
-			default:
-				decodeSpan := s.Obs.StartStageSpan(ctx, "decode", "edge", obs.StageEdgeDecode)
-				decT0 := time.Now()
-				df, derr := vdec.Decode(fm.Bitstream)
-				sessDecode.Observe(time.Since(decT0).Seconds())
-				decodeSpan.End()
-				if derr != nil {
-					res.Err = derr.Error()
-					res.NeedKeyframe = true
-					needKey = true
-					s.Obs.Counter(obs.MetricEdgeNacks).Inc()
-					sessNacks.Inc()
-				} else {
-					needKey = false
-					expect = fm.Index + 1
-					detectSpan := s.Obs.StartStageSpan(ctx, "detect", "edge", obs.StageEdgeDetect)
-					detT0 := time.Now()
-					dets := s.Detector.Detect(df.Image, clip.Frames[fm.Index], clip.GT[fm.Index], hello.Seed^int64(fm.Index*7919))
-					sessDetect.Observe(time.Since(detT0).Seconds())
-					detectSpan.End()
-					res.Detections = ToWire(dets)
-				}
-			}
+		if out == outAccepted {
+			out = s.decodeAndDetect(ss, m, ctx, &fm, &res)
 		}
-		res.ServerMs = time.Since(t0).Seconds() * 1000
-		// Server-side SLO view of this session: per-frame processing time
-		// (decode + detect + framing); foreground share is agent-side only.
-		s.Obs.ObserveSLO(session, obs.SLOSample{LatencySec: time.Since(t0).Seconds(), FGShare: -1})
-		ackSpan := s.Obs.StartSpan(ctx, "ack", "edge")
-		err = writeResult(&res)
+		m.count(s.Obs, out, len(fm.Bitstream))
+		var ackSpan obs.Span
+		if rules[out].frame {
+			res.ServerMs = time.Since(t0).Seconds() * 1000
+			// Server-side SLO view of this session: per-frame processing time
+			// (decode + detect + framing); foreground share is agent-side only.
+			s.Obs.ObserveSLO(m.label, obs.SLOSample{LatencySec: time.Since(t0).Seconds(), FGShare: -1})
+			ackSpan = s.Obs.StartSpan(ctx, "ack", "edge")
+		}
+		err = st.write(&res)
 		ackSpan.End()
 		if err != nil {
-			return fmt.Errorf("edge: write result: %w", err)
+			return fmt.Errorf("edge: write reply: %w", err)
 		}
 	}
+}
+
+// decodeAndDetect is the work behind an accepted frame, each half under its
+// own span and per-session histogram; the decode settles the outcome.
+func (s *Server) decodeAndDetect(ss *session, m *sessionMetrics, ctx obs.TraceContext, fm *FrameMsg, res *ResultMsg) outcome {
+	span, t := s.Obs.StartStageSpan(ctx, "decode", "edge", obs.StageEdgeDecode), time.Now()
+	df, out := ss.decode(fm, res)
+	m.decode.Observe(time.Since(t).Seconds())
+	span.End()
+	if out != outDecoded {
+		return out
+	}
+	span, t = s.Obs.StartStageSpan(ctx, "detect", "edge", obs.StageEdgeDetect), time.Now()
+	dets := s.detector.Detect(df.Image, ss.clip.Frames[fm.Index], ss.clip.GT[fm.Index], ss.seed^int64(fm.Index*7919))
+	m.detect.Observe(time.Since(t).Seconds())
+	span.End()
+	res.Detections = ToWire(dets)
+	return out
 }

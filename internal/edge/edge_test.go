@@ -28,18 +28,6 @@ func TestWireConversionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestProfileByName(t *testing.T) {
-	for _, name := range []string{"nuScenes", "RobotCar", "KITTI"} {
-		p, err := profileByName(name)
-		if err != nil || p.Name != name {
-			t.Errorf("profile %s: %v", name, err)
-		}
-	}
-	if _, err := profileByName("bogus"); err == nil {
-		t.Error("bogus profile accepted")
-	}
-}
-
 // startServer boots a server on loopback and returns its address plus a
 // shutdown func that asserts Serve exits cleanly.
 func startServer(t *testing.T, srv *Server) (string, func()) {
@@ -63,21 +51,13 @@ func startServer(t *testing.T, srv *Server) (string, func()) {
 	}
 }
 
-// testSession dials, handshakes (consuming the server's handshake ack) and
+// testSession runs the client handshake (consuming the server's ack) and
 // returns the conn plus a MsgReader.
 func testSession(t *testing.T, addr string, hello Hello) (net.Conn, *MsgReader) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	conn, mr, res, err := Handshake(addr, hello, 20*time.Second)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteHello(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	mr := NewMsgReader(conn)
-	res := readResult(t, conn, mr)
-	if res.Err != "" {
-		t.Fatalf("handshake rejected: %s", res.Err)
+		t.Fatalf("handshake: %v", err)
 	}
 	if res.Index != -1 || !res.NeedKeyframe {
 		t.Fatalf("handshake ack = %+v, want Index=-1 NeedKeyframe", res)
@@ -554,23 +534,5 @@ func TestLogfAndClosedDetection(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return")
-	}
-}
-
-func TestAsOpError(t *testing.T) {
-	if ok := asOpError(nil, new(*net.OpError)); ok {
-		t.Error("nil error classified as OpError")
-	}
-	if ok := asOpError(fmt.Errorf("plain"), new(*net.OpError)); ok {
-		t.Error("plain error classified as OpError")
-	}
-	op := &net.OpError{Op: "read", Err: fmt.Errorf("boom")}
-	wrapped := fmt.Errorf("outer: %w", op)
-	var out *net.OpError
-	if ok := asOpError(wrapped, &out); !ok || out != op {
-		t.Error("wrapped OpError not found")
-	}
-	if isClosed(wrapped) {
-		t.Error("non-closed OpError reported closed")
 	}
 }

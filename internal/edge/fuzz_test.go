@@ -126,7 +126,9 @@ func FuzzRedirectMsg(f *testing.F) {
 
 // FuzzMsgReader feeds arbitrary byte streams through the framing loop the
 // server runs on every connection: it must terminate (EOF or error) without
-// panicking, and any payload it yields must be safe to hand to the decoders.
+// panicking, any payload it yields must be safe to hand to the decoders, and
+// a decoded frame — which aliases the reader's buffer — must still read the
+// same right up to the next Next.
 func FuzzMsgReader(f *testing.F) {
 	var seed bytes.Buffer
 	WriteHello(&seed, Hello{Profile: "nuScenes", Seed: 1, Duration: 1})
@@ -138,7 +140,13 @@ func FuzzMsgReader(f *testing.F) {
 	f.Add([]byte{'D', 'D', 'v', 'D'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mr := NewMsgReader(bytes.NewReader(data))
+		var held FrameMsg // the last decoded frame, and a copy taken at decode time
+		var heldCopy []byte
 		for i := 0; i < 64; i++ { // bounded: each Next consumes ≥1 byte or errors
+			if !bytes.Equal(held.Bitstream, heldCopy) {
+				t.Fatalf("frame %d's bitstream changed before the next Next", held.Index)
+			}
+			held, heldCopy = FrameMsg{}, nil
 			typ, payload, err := mr.Next()
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return
@@ -153,7 +161,14 @@ func FuzzMsgReader(f *testing.F) {
 			case MsgHello:
 				DecodeHello(payload)
 			case MsgFrame:
-				DecodeFrameMsg(payload)
+				if fm, err := DecodeFrameMsg(payload); err == nil {
+					held, heldCopy = fm, append([]byte(nil), fm.Bitstream...)
+				}
+				// The other decoders copy what they keep: they must leave the
+				// payload, and so the frame aliasing it, alone.
+				DecodeHello(payload)
+				DecodeResultMsg(payload)
+				DecodeRedirect(payload)
 			case MsgResult:
 				DecodeResultMsg(payload)
 			case MsgRedirect:

@@ -127,70 +127,98 @@ func TestServerSessionNackCounter(t *testing.T) {
 	}
 }
 
-// TestServerSessionLabelCap opens more sessions than SessionLabelCap allows
-// and asserts the overflow sessions fold by profile (keeping per-profile
-// attribution instead of one _overflow bucket) while every fold is counted
-// on obs_label_overflow_total. Returning sessions keep their original label.
-func TestServerSessionLabelCap(t *testing.T) {
+// TestServerSessionLabelOverflow opens one session more than a metric family
+// holds label values, against a default server: the session label is
+// profile-seed and its only bound is the families' own (obs.MaxLabelValues,
+// then obs.OverflowLabel). The 65th session lands in _overflow, and the
+// overflow counter moves by exactly the families' own folds — one per family —
+// with no second rule counting the same session again.
+func TestServerSessionLabelOverflow(t *testing.T) {
 	rec := obs.NewRecorder(64)
 	srv := NewServer()
 	srv.Obs = rec
-	srv.SessionLabelCap = 2
 	addr, stop := startServer(t, srv)
 	defer stop()
 
-	const duration = 1.0
-	sendOne := func(seed int64) {
+	const duration = 0.25
+	for seed := int64(1); seed <= obs.MaxLabelValues; seed++ {
+		conn, _ := testSession(t, addr, Hello{Profile: "nuScenes", Seed: seed, Duration: duration})
+		conn.Close()
+	}
+	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != 0 {
+		t.Fatalf("overflow counter = %d with %d sessions, want 0", got, obs.MaxLabelValues)
+	}
+
+	// Session 65 streams one frame.
+	const over = obs.MaxLabelValues + 1
+	p := world.NuScenesLike()
+	p.ClipDuration = duration
+	clip := world.GenerateClip(p, over)
+	enc, err := codec.NewEncoder(codec.DefaultConfig(clip.W, clip.H))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ef, err := enc.Encode(clip.Frames[0], codec.EncodeOptions{BaseQP: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, mr := testSession(t, addr, Hello{Profile: "nuScenes", Seed: over, Duration: duration})
+	defer conn.Close()
+	if err := WriteFrame(conn, &FrameMsg{Index: 0, Bitstream: ef.Data}); err != nil {
+		t.Fatal(err)
+	}
+	if res := readResult(t, conn, mr); res.Err != "" {
+		t.Fatalf("session %d: %s", over, res.Err)
+	}
+
+	counters := []*obs.LabeledCounter{
+		rec.LabeledCounter(obs.MetricEdgeSessionFrames, obs.SessionLabel),
+		rec.LabeledCounter(obs.MetricEdgeSessionBytes, obs.SessionLabel),
+		rec.LabeledCounter(obs.MetricEdgeSessionNacks, obs.SessionLabel),
+	}
+	histograms := []*obs.LabeledHistogram{
+		rec.LabeledHistogram(obs.StageEdgeSessionDecode, obs.SessionLabel),
+		rec.LabeledHistogram(obs.StageEdgeSessionDetect, obs.SessionLabel),
+	}
+	checkLabels := func(family int, labels []string) {
 		t.Helper()
-		p := world.NuScenesLike()
-		p.ClipDuration = duration
-		clip := world.GenerateClip(p, seed)
-		enc, err := codec.NewEncoder(codec.DefaultConfig(clip.W, clip.H))
-		if err != nil {
-			t.Fatal(err)
+		sessions, overflow := 0, 0
+		for _, l := range labels {
+			switch {
+			case l == obs.OverflowLabel:
+				overflow++
+			case strings.HasPrefix(l, "nuScenes-") && l != fmt.Sprintf("nuScenes-%d", over):
+				sessions++
+			default:
+				t.Errorf("family %d: unexpected label %q", family, l)
+			}
 		}
-		conn, mr := testSession(t, addr, Hello{Profile: "nuScenes", Seed: seed, Duration: duration})
-		defer conn.Close()
-		ef, err := enc.Encode(clip.Frames[0], codec.EncodeOptions{BaseQP: 14})
-		if err != nil {
-			t.Fatal(err)
+		if sessions != obs.MaxLabelValues || overflow != 1 {
+			t.Errorf("family %d: %d session series and %d overflow series, want %d and 1", family, sessions, overflow, obs.MaxLabelValues)
 		}
-		if err := WriteFrame(conn, &FrameMsg{Index: 0, Bitstream: ef.Data, SentNanos: time.Now().UnixNano()}); err != nil {
-			t.Fatal(err)
-		}
-		if res := readResult(t, conn, mr); res.Err != "" {
-			t.Fatalf("seed %d: %s", seed, res.Err)
-		}
+	}
+	for i, fam := range counters {
+		var labels []string
+		fam.Each(func(v string, _ *obs.Counter) { labels = append(labels, v) })
+		checkLabels(i, labels)
+	}
+	for i, fam := range histograms {
+		var labels []string
+		fam.Each(func(v string, _ *obs.Histogram) { labels = append(labels, v) })
+		checkLabels(len(counters)+i, labels)
+	}
+	if got := counters[0].With(obs.OverflowLabel).Value(); got != 1 {
+		t.Errorf("frames{session=%q} = %d, want session %d's one frame", obs.OverflowLabel, got, over)
+	}
+	families := int64(len(counters) + len(histograms))
+	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != families {
+		t.Fatalf("overflow counter = %d after one session past the bound, want %d (one fold per family)", got, families)
 	}
 
-	for _, seed := range []int64{1, 2, 3} {
-		sendOne(seed)
-	}
-	fam := rec.LabeledCounter(obs.MetricEdgeSessionFrames, obs.SessionLabel)
-	for label, want := range map[string]int64{"nuScenes-1": 1, "nuScenes-2": 1, "nuScenes": 1} {
-		if got := fam.With(label).Value(); got != want {
-			t.Errorf("frames{session=%q} = %d, want %d", label, got, want)
-		}
-	}
-	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != 1 {
-		t.Fatalf("overflow counter = %d after 1 folded session, want 1", got)
-	}
-
-	// A returning session keeps its full label without another fold.
-	sendOne(1)
-	if got := fam.With("nuScenes-1").Value(); got != 2 {
-		t.Errorf("returning session frames = %d, want 2", got)
-	}
-	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != 1 {
-		t.Fatalf("overflow counter = %d after returning session, want still 1", got)
-	}
-
-	// Another fresh session folds into the profile label again.
-	sendOne(4)
-	if got := fam.With("nuScenes").Value(); got != 2 {
-		t.Errorf("profile-folded frames = %d, want 2", got)
-	}
-	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != 2 {
-		t.Fatalf("overflow counter = %d after second fold, want 2", got)
+	// A returning session finds its own series: no fold.
+	conn1, _ := testSession(t, addr, Hello{Profile: "nuScenes", Seed: 1, Duration: duration})
+	conn1.Close()
+	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != families {
+		t.Fatalf("overflow counter = %d after a returning session, want still %d", got, families)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Wire format. Every message is an envelope
@@ -62,25 +63,39 @@ func IsRecoverable(err error) bool {
 	return errors.Is(err, ErrChecksum) || errors.Is(err, ErrMalformed) || errors.Is(err, ErrTooLarge)
 }
 
-// WriteMsg frames and writes one message. The payload is not retained.
-func WriteMsg(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
+// message is anything that travels in an envelope: its type byte and its
+// payload encoding, appended in place.
+type message interface {
+	msgType() byte
+	appendPayload(b []byte) []byte
+}
+
+// writeMsg encodes m once, straight into its envelope, in buf's storage —
+// header reserved, payload appended, length patched, CRC appended — and hands
+// it to w in one Write. It returns the buffer for the next message: a
+// connection keeps one per direction (connState for replies, Client for
+// frames). Nothing is retained past the Write.
+func writeMsg(w io.Writer, buf []byte, m message) ([]byte, error) {
+	buf = append(buf[:0], wireMagic0, wireMagic1, m.msgType(), 0, 0, 0, 0)
+	buf = m.appendPayload(buf)
+	n := len(buf) - wireHeaderLen
+	if n > MaxPayload {
+		return buf, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	buf := make([]byte, 0, wireHeaderLen+len(payload)+wireTrailerLen)
-	buf = append(buf, wireMagic0, wireMagic1, typ)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	crc := crc32.ChecksumIEEE(buf[2 : wireHeaderLen+len(payload)])
-	buf = binary.BigEndian.AppendUint32(buf, crc)
+	binary.BigEndian.PutUint32(buf[3:], uint32(n))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[2:]))
 	_, err := w.Write(buf)
-	return err
+	return buf, err
 }
 
 // MsgReader reads framed messages, scanning forward to the next magic marker
 // after corruption so one damaged message never desynchronizes the session.
+// It owns one payload buffer, grown on demand: the slice Next returns — and
+// everything that aliases it, FrameMsg.Bitstream from DecodeFrameMsg
+// included — is valid until the following Next.
 type MsgReader struct {
-	br *bufio.Reader
+	br  *bufio.Reader
+	buf []byte // type + length + payload + crc of the current message
 }
 
 // NewMsgReader wraps r for framed reads.
@@ -88,61 +103,46 @@ func NewMsgReader(r io.Reader) *MsgReader {
 	return &MsgReader{br: bufio.NewReaderSize(r, 64*1024)}
 }
 
-// Next returns the next message. On ErrChecksum the damaged message was
-// consumed whole (the stream is aligned); on ErrMalformed/ErrTooLarge the
-// header was implausible and the next call rescans for the magic marker.
-// Other errors are transport failures.
+// Next returns the next message; the payload is valid until the following
+// Next. On ErrChecksum the damaged message was consumed whole (the stream is
+// aligned); on ErrMalformed/ErrTooLarge the header was implausible and the
+// next call rescans for the magic marker. Other errors are transport
+// failures.
 func (mr *MsgReader) Next() (typ byte, payload []byte, err error) {
-	// Scan to the magic marker. On a clean stream this consumes exactly
-	// two bytes.
-	for {
-		b0, err := mr.br.ReadByte()
+	// Scan to the magic marker: exactly two bytes on a clean stream, the
+	// first "Dv" after garbage.
+	for prev := byte(0); ; {
+		b, err := mr.br.ReadByte()
 		if err != nil {
 			return 0, nil, err
 		}
-		if b0 != wireMagic0 {
-			continue
-		}
-		b1, err := mr.br.ReadByte()
-		if err != nil {
-			return 0, nil, err
-		}
-		if b1 == wireMagic1 {
+		if prev == wireMagic0 && b == wireMagic1 {
 			break
 		}
-		// "D" followed by something else — could itself start "Dv";
-		// unread so the scan re-examines it.
-		if b1 == wireMagic0 {
-			mr.br.UnreadByte()
-		}
+		prev = b
 	}
-	var hdr [5]byte // type + length
-	if _, err := io.ReadFull(mr.br, hdr[:]); err != nil {
+	const hdr = 5 // type + length
+	mr.buf = append(mr.buf[:0], 0, 0, 0, 0, 0)
+	if _, err := io.ReadFull(mr.br, mr.buf); err != nil {
 		return 0, nil, noteEOF(err)
 	}
-	typ = hdr[0]
-	n := binary.BigEndian.Uint32(hdr[1:])
+	typ = mr.buf[0]
+	n := binary.BigEndian.Uint32(mr.buf[1:])
 	if typ < MsgHello || typ > MsgRedirect {
 		return 0, nil, fmt.Errorf("%w: unknown type %d", ErrMalformed, typ)
 	}
-	if n > MaxPayload {
+	if n > MaxPayload { // before the buffer grows: a hostile length allocates nothing
 		return 0, nil, fmt.Errorf("%w: claimed %d bytes", ErrTooLarge, n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(mr.br, payload); err != nil {
+	mr.buf = slices.Grow(mr.buf, int(n)+wireTrailerLen)[:hdr+int(n)+wireTrailerLen]
+	if _, err := io.ReadFull(mr.br, mr.buf[hdr:]); err != nil {
 		return 0, nil, noteEOF(err)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(mr.br, crcBuf[:]); err != nil {
-		return 0, nil, noteEOF(err)
-	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(crcBuf[:]) {
+	body := mr.buf[:hdr+int(n)]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(mr.buf[len(body):]) {
 		return typ, nil, ErrChecksum
 	}
-	return typ, payload, nil
+	return typ, body[hdr:], nil
 }
 
 // noteEOF maps a mid-message EOF onto ErrUnexpectedEOF so callers can
@@ -170,48 +170,30 @@ func (r *rbuf) fail(what string) {
 	}
 }
 
-func (r *rbuf) u8(what string) byte {
-	if r.err != nil || r.off+1 > len(r.b) {
+// take is the one bounds check: the next n bytes, aliased, or nil with the
+// truncation recorded.
+func (r *rbuf) take(n int, what string) []byte {
+	if r.err != nil || n > len(r.b)-r.off {
 		r.fail(what)
-		return 0
+		return nil
 	}
-	v := r.b[r.off]
-	r.off++
+	r.off += n
+	return r.b[r.off-n : r.off]
+}
+
+// uint reads an n-byte big-endian integer (0 once the payload ran out).
+func (r *rbuf) uint(n int, what string) (v uint64) {
+	for _, c := range r.take(n, what) {
+		v = v<<8 | uint64(c)
+	}
 	return v
 }
 
-func (r *rbuf) u16(what string) uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
-}
-
-func (r *rbuf) u32(what string) uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *rbuf) u64(what string) uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *rbuf) i32(what string) int32 { return int32(r.u32(what)) }
-func (r *rbuf) i64(what string) int64 { return int64(r.u64(what)) }
+func (r *rbuf) u8(what string) byte    { return byte(r.uint(1, what)) }
+func (r *rbuf) u16(what string) uint16 { return uint16(r.uint(2, what)) }
+func (r *rbuf) u32(what string) uint32 { return uint32(r.uint(4, what)) }
+func (r *rbuf) u64(what string) uint64 { return r.uint(8, what) }
+func (r *rbuf) i64(what string) int64  { return int64(r.uint(8, what)) }
 
 func (r *rbuf) f64(what string) float64 {
 	v := math.Float64frombits(r.u64(what))
@@ -223,34 +205,20 @@ func (r *rbuf) f64(what string) float64 {
 
 func (r *rbuf) str(what string) string {
 	n := int(r.u16(what))
-	if r.err != nil {
-		return ""
-	}
-	if n > maxStringLen {
+	if r.err == nil && n > maxStringLen {
 		r.err = fmt.Errorf("%w: %s length %d exceeds cap", ErrMalformed, what, n)
-		return ""
 	}
-	if r.off+n > len(r.b) {
-		r.fail(what)
-		return ""
-	}
-	v := string(r.b[r.off : r.off+n])
-	r.off += n
-	return v
+	return string(r.take(n, what))
 }
 
+// bytes reads a length-prefixed byte string, aliasing the payload.
 func (r *rbuf) bytes(what string) []byte {
-	n := int(r.u32(what))
-	if r.err != nil {
-		return nil
-	}
-	if n > MaxPayload || r.off+n > len(r.b) {
+	n := r.u32(what)
+	if n > MaxPayload {
 		r.fail(what)
 		return nil
 	}
-	v := append([]byte(nil), r.b[r.off:r.off+n]...)
-	r.off += n
-	return v
+	return r.take(int(n), what)
 }
 
 // done rejects trailing garbage: a well-formed payload is consumed exactly.
@@ -276,9 +244,9 @@ func appendString(b []byte, s string) []byte {
 // mid-clip and will continue from Hello.FirstFrame with a keyframe.
 const helloFlagResume = 1 << 0
 
-// EncodeHello serializes a Hello payload.
-func EncodeHello(h Hello) []byte {
-	b := make([]byte, 0, 32+len(h.Profile))
+func (h Hello) msgType() byte { return MsgHello }
+
+func (h Hello) appendPayload(b []byte) []byte {
 	b = append(b, 1) // version
 	var flags byte
 	if h.Resume {
@@ -288,8 +256,7 @@ func EncodeHello(h Hello) []byte {
 	b = appendString(b, h.Profile)
 	b = binary.BigEndian.AppendUint64(b, uint64(h.Seed))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(h.Duration))
-	b = binary.BigEndian.AppendUint32(b, uint32(h.FirstFrame))
-	return b
+	return binary.BigEndian.AppendUint32(b, uint32(h.FirstFrame))
 }
 
 // DecodeHello parses a Hello payload, rejecting malformed input with a
@@ -320,10 +287,12 @@ func DecodeHello(p []byte) (Hello, error) {
 	return h, nil
 }
 
-// EncodeFrameMsg serializes a FrameMsg payload. The envelope CRC covers the
+func (m *FrameMsg) msgType() byte { return MsgFrame }
+
+// appendPayload serializes a FrameMsg. The envelope CRC covers the
 // bitstream, so corruption anywhere in the frame is caught before decode.
-func EncodeFrameMsg(m *FrameMsg) []byte {
-	b := make([]byte, 0, 32+len(m.Bitstream))
+func (m *FrameMsg) appendPayload(b []byte) []byte {
+	b = slices.Grow(b, 32+len(m.Bitstream)+wireTrailerLen)
 	b = binary.BigEndian.AppendUint32(b, uint32(m.Index))
 	b = binary.BigEndian.AppendUint64(b, uint64(m.SentNanos))
 	b = binary.BigEndian.AppendUint64(b, m.TraceID)
@@ -332,7 +301,8 @@ func EncodeFrameMsg(m *FrameMsg) []byte {
 	return append(b, m.Bitstream...)
 }
 
-// DecodeFrameMsg parses a FrameMsg payload.
+// DecodeFrameMsg parses a FrameMsg payload. Bitstream aliases p: decoded
+// from a MsgReader payload it is valid until that reader's next Next.
 func DecodeFrameMsg(p []byte) (FrameMsg, error) {
 	r := &rbuf{b: p}
 	m := FrameMsg{
@@ -355,9 +325,10 @@ func DecodeFrameMsg(p []byte) (FrameMsg, error) {
 // server decoder lost sync (corrupt frame, dropped frame, fresh resume).
 const resultFlagNeedKeyframe = 1 << 0
 
-// EncodeResultMsg serializes a ResultMsg payload.
-func EncodeResultMsg(m *ResultMsg) []byte {
-	b := make([]byte, 0, 48+len(m.Err)+34*len(m.Detections))
+func (m *ResultMsg) msgType() byte { return MsgResult }
+
+func (m *ResultMsg) appendPayload(b []byte) []byte {
+	b = slices.Grow(b, 48+len(m.Err)+28*len(m.Detections)+wireTrailerLen)
 	b = binary.BigEndian.AppendUint32(b, uint32(int32(m.Index)))
 	var flags byte
 	if m.NeedKeyframe {
@@ -374,11 +345,9 @@ func EncodeResultMsg(m *ResultMsg) []byte {
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(n))
 	for _, d := range m.Detections[:n] {
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(d.Class)))
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(d.MinX)))
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(d.MinY)))
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(d.MaxX)))
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(d.MaxY)))
+		for _, v := range [...]int{d.Class, d.MinX, d.MinY, d.MaxX, d.MaxY} {
+			b = binary.BigEndian.AppendUint32(b, uint32(int32(v)))
+		}
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(d.Score))
 	}
 	return b
@@ -421,23 +390,22 @@ func DecodeResultMsg(p []byte) (ResultMsg, error) {
 }
 
 // Redirect tells the agent to move its live session to another cluster
-// member: the balancer sends it when draining a server (planned migration)
-// or when rebalancing load. Addr is the dial target ("host:port"); Reason
-// is a short human-readable tag ("drain", "rebalance") surfaced in the
-// decision journal. The client validates Addr before dialing — an empty or
-// self-referential target is message-local damage, not a command.
+// member: the balancer sends it when draining a server (planned migration).
+// Addr is the dial target ("host:port"); Reason is a short human-readable
+// tag ("drain") surfaced in the decision journal. The client validates Addr
+// before dialing — an empty or self-referential target is message-local
+// damage, not a command.
 type Redirect struct {
 	Addr   string
 	Reason string
 }
 
-// EncodeRedirect serializes a Redirect payload.
-func EncodeRedirect(rd Redirect) []byte {
-	b := make([]byte, 0, 8+len(rd.Addr)+len(rd.Reason))
+func (rd Redirect) msgType() byte { return MsgRedirect }
+
+func (rd Redirect) appendPayload(b []byte) []byte {
 	b = append(b, 1) // version
 	b = appendString(b, rd.Addr)
-	b = appendString(b, rd.Reason)
-	return b
+	return appendString(b, rd.Reason)
 }
 
 // DecodeRedirect parses a Redirect payload. An empty address is malformed:
@@ -461,16 +429,19 @@ func DecodeRedirect(p []byte) (Redirect, error) {
 	return rd, nil
 }
 
-// WriteHello frames and writes a Hello.
-func WriteHello(w io.Writer, h Hello) error { return WriteMsg(w, MsgHello, EncodeHello(h)) }
+// The bare payload encodings, for the fuzz and round-trip tests.
+func EncodeHello(h Hello) []byte          { return h.appendPayload(nil) }
+func EncodeFrameMsg(m *FrameMsg) []byte   { return m.appendPayload(nil) }
+func EncodeResultMsg(m *ResultMsg) []byte { return m.appendPayload(nil) }
+func EncodeRedirect(rd Redirect) []byte   { return rd.appendPayload(nil) }
 
-// WriteFrame frames and writes a FrameMsg.
-func WriteFrame(w io.Writer, m *FrameMsg) error { return WriteMsg(w, MsgFrame, EncodeFrameMsg(m)) }
+// The one-shot writers: a fresh buffer per message.
+func WriteHello(w io.Writer, h Hello) error        { return writeOnce(w, h) }
+func WriteFrame(w io.Writer, m *FrameMsg) error    { return writeOnce(w, m) }
+func WriteResult(w io.Writer, m *ResultMsg) error  { return writeOnce(w, m) }
+func WriteRedirect(w io.Writer, rd Redirect) error { return writeOnce(w, rd) }
 
-// WriteResult frames and writes a ResultMsg.
-func WriteResult(w io.Writer, m *ResultMsg) error { return WriteMsg(w, MsgResult, EncodeResultMsg(m)) }
-
-// WriteRedirect frames and writes a Redirect.
-func WriteRedirect(w io.Writer, rd Redirect) error {
-	return WriteMsg(w, MsgRedirect, EncodeRedirect(rd))
+func writeOnce(w io.Writer, m message) error {
+	_, err := writeMsg(w, nil, m)
+	return err
 }

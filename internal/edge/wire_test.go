@@ -104,7 +104,6 @@ func TestMsgReaderSurvivesCorruption(t *testing.T) {
 	WriteFrame(&buf, &FrameMsg{Index: 1, Bitstream: bytes.Repeat([]byte{0x55}, 64)})
 	raw := append([]byte(nil), buf.Bytes()...)
 	raw[wireHeaderLen+10] ^= 0xFF // inside the first payload
-	WriteMsg(bytes.NewBuffer(nil), MsgFrame, nil)
 	var stream bytes.Buffer
 	stream.Write(raw)
 	WriteFrame(&stream, &FrameMsg{Index: 2, Bitstream: []byte{7}})
@@ -214,5 +213,59 @@ func TestEncodeStringTruncation(t *testing.T) {
 	}
 	if len(got.Err) != maxStringLen {
 		t.Errorf("error string len %d, want capped at %d", len(got.Err), maxStringLen)
+	}
+}
+
+// TestMsgReaderPayloadLifetime pins the documented lifetime: what Next returns
+// (and what DecodeFrameMsg aliases out of it) is valid until the following
+// Next, which reuses the reader's buffer; and a message larger than every
+// earlier one, which makes that buffer grow, still round-trips.
+func TestMsgReaderPayloadLifetime(t *testing.T) {
+	a := bytes.Repeat([]byte{0xA5}, 100)
+	b := bytes.Repeat([]byte{0x3C}, 100)
+	big := make([]byte, 100_000) // past the bufio window and every earlier message
+	for i := range big {
+		big[i] = byte(i * 7)
+	}
+	var stream bytes.Buffer
+	for i, bs := range [][]byte{a, b, big, a} {
+		if err := WriteFrame(&stream, &FrameMsg{Index: i, Bitstream: bs}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mr := NewMsgReader(&stream)
+	next := func(index int) FrameMsg {
+		t.Helper()
+		typ, payload, err := mr.Next()
+		if err != nil || typ != MsgFrame {
+			t.Fatalf("message %d: type %d, %v", index, typ, err)
+		}
+		fm, err := DecodeFrameMsg(payload)
+		if err != nil || fm.Index != index {
+			t.Fatalf("message %d: decoded %+v, %v", index, fm, err)
+		}
+		return fm
+	}
+
+	first := next(0)
+	if !bytes.Equal(first.Bitstream, a) {
+		t.Fatal("message 0 does not round-trip")
+	}
+	kept := first.Bitstream // an alias, kept past its lifetime
+	second := next(1)
+	if !bytes.Equal(second.Bitstream, b) {
+		t.Fatal("message 1 does not round-trip")
+	}
+	if bytes.Equal(kept, a) || &kept[0] != &second.Bitstream[0] {
+		t.Error("message 0's bitstream survived the next Next: the reader is expected to reuse its buffer")
+	}
+	if third := next(2); !bytes.Equal(third.Bitstream, big) {
+		t.Fatal("a message larger than every earlier one does not round-trip")
+	}
+	if fourth := next(3); !bytes.Equal(fourth.Bitstream, a) {
+		t.Fatal("a small message after the buffer grew does not round-trip")
+	}
+	if _, _, err := mr.Next(); err != io.EOF {
+		t.Fatalf("after stream: %v, want io.EOF", err)
 	}
 }

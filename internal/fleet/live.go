@@ -20,9 +20,8 @@ import (
 // machinery and degradation ladder, with the same aggregation plane as the
 // model. Wall-clock timing makes this mode non-deterministic; it exists to
 // validate end-to-end that the model's telemetry shape (per-session series,
-// SLO windows, rollup fields) matches what the real stack emits, and to
-// exercise SessionLabelCap folding against real servers. Keep fleets small:
-// every session renders its reference clip on both ends.
+// SLO windows, rollup fields) matches what the real stack emits. Keep fleets
+// small: every session renders its reference clip on both ends.
 
 // LiveSpec configures a live fleet run.
 type LiveSpec struct {
@@ -33,46 +32,34 @@ type LiveSpec struct {
 	// Duration is the clip length in seconds (default 1).
 	Duration float64
 	Seed     int64
-	// Proxy routes every session through a chaos.Proxy; Cut additionally
-	// severs all proxied connections ~a third into the run, forcing the
-	// reconnect+resume path fleet-wide. Both apply to bare-server mode only.
-	Proxy bool
-	Cut   bool
+	// Cut routes every session through a chaos.Proxy and severs all proxied
+	// connections ~a third into the run, forcing the reconnect+resume path
+	// fleet-wide. Bare-server mode only.
+	Cut bool
 	// Cluster, when > 0, replaces the bare servers with an internal/cluster
 	// balancer of that many members: sessions get rotated candidate dial
 	// lists (round-robin placement with built-in failover), migrations are
 	// folded into the aggregator, and every rollup carries per-server rows.
-	// Servers and Proxy/Cut are ignored in cluster mode.
+	// Servers and Cut are ignored in cluster mode.
 	Cluster int
-	// KillAfter, with Cluster > 0, kills a seeded member that long into the
-	// run (wall clock). KillAtFrac instead kills it once the sessions placed
-	// on it have streamed that fraction of their frames (the whole fleet's,
-	// if it hosts none) — the reliable way to land the kill mid-clip, since
-	// unpaced loopback sessions outrun wall time and each other.
-	// KillAtFrac wins when both are set.
-	KillAfter  time.Duration
+	// KillAtFrac, with Cluster > 0, kills a seeded member once the sessions
+	// placed on it have streamed that fraction of their frames (the whole
+	// fleet's, if it hosts none) — progress, not wall time, because unpaced
+	// loopback sessions outrun the clock and each other.
 	KillAtFrac float64
 	// JournalDir, when set, exports each session's decision journal as
 	// <dir>/<session>.jsonl after the run, ready for divedoctor grading.
 	JournalDir string
-	// SessionLabelCap is applied to each server (0 keeps the default).
-	SessionLabelCap int
-	// RollupEvery is the wall-clock aggregation period (default 500ms).
-	RollupEvery time.Duration
 	// Logf receives progress lines; nil silences the run.
 	Logf func(format string, args ...interface{})
 }
 
-// liveProfiles maps the wire profile names the edge handshake accepts to
-// their world constructors.
-var liveProfiles = []struct {
-	name string
-	make func() world.Profile
-}{
-	{"nuScenes", world.NuScenesLike},
-	{"RobotCar", world.RobotCarLike},
-	{"KITTI", world.KITTILike},
-}
+// liveRollupEvery is the wall-clock aggregation period of a live run.
+const liveRollupEvery = 500 * time.Millisecond
+
+// liveProfiles are the profiles sessions rotate through, by the name the edge
+// handshake carries.
+var liveProfiles = []string{"nuScenes", "RobotCar", "KITTI"}
 
 // RunLive executes a live fleet run and returns its report plus the
 // per-session run errors (nil entries for clean sessions).
@@ -85,9 +72,6 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 	}
 	if spec.Duration <= 0 {
 		spec.Duration = 1
-	}
-	if spec.RollupEvery <= 0 {
-		spec.RollupEvery = 500 * time.Millisecond
 	}
 	logf := spec.Logf
 	if logf == nil {
@@ -116,7 +100,6 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			Members: spec.Cluster,
 			Configure: func(i int, srv *edge.Server) {
 				srv.Obs = obs.NewRecorder(256)
-				srv.SessionLabelCap = spec.SessionLabelCap
 			},
 			Logf: logf,
 		})
@@ -134,7 +117,6 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 		for i := 0; i < spec.Servers; i++ {
 			srv := edge.NewServer()
 			srv.Obs = obs.NewRecorder(256)
-			srv.SessionLabelCap = spec.SessionLabelCap
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {
 				return nil, nil, fmt.Errorf("fleet: server %d listen: %w", i, err)
@@ -143,7 +125,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			srvRef := srv
 			cleanup = append(cleanup, func() { srvRef.Shutdown(2 * time.Second) })
 			target := addr.String()
-			if spec.Proxy {
+			if spec.Cut {
 				proxy, err := chaos.NewProxy(target, chaos.ProxyConfig{})
 				if err != nil {
 					return nil, nil, fmt.Errorf("fleet: proxy %d: %w", i, err)
@@ -169,8 +151,8 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 	sessions := make([]session, spec.Agents)
 	totalFrames := 0
 	for i := 0; i < spec.Agents; i++ {
-		lp := liveProfiles[i%len(liveProfiles)]
-		p := lp.make()
+		name := liveProfiles[i%len(liveProfiles)]
+		p, _ := world.ProfileByName(name)
 		p.ClipDuration = spec.Duration
 		seed := spec.Seed + int64(i)
 		clip := world.GenerateClip(p, seed)
@@ -178,13 +160,13 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 		cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
 		cfg.Obs = rec
 		cfg.Seed = seed
-		cfg.Session = fmt.Sprintf("%s-%d", lp.name, seed)
+		cfg.Session = fmt.Sprintf("%s-%d", name, seed)
 		agent, err := core.NewAgent(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: agent %d: %w", i, err)
 		}
 		ccfg := edge.ClientConfig{
-			Profile: lp.name, Seed: seed, Duration: spec.Duration,
+			Profile: name, Seed: seed, Duration: spec.Duration,
 			AckTimeout: 2 * time.Second, Obs: rec,
 		}
 		if cl != nil {
@@ -209,7 +191,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 		client := edge.NewClient(ccfg, agent)
 		sessions[i] = session{name: cfg.Session, client: client, clip: clip, rec: rec}
 		totalFrames += clip.NumFrames()
-		agg.Register(cfg.Session, lp.name, rec)
+		agg.Register(cfg.Session, name, rec)
 	}
 
 	start := time.Now()
@@ -224,7 +206,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			errs[i] = err
 		}(i)
 	}
-	if spec.Cut && len(proxies) > 0 {
+	if len(proxies) > 0 {
 		// One fleet-wide link cut a beat into the run: every session takes
 		// the reconnect+resume path at once.
 		time.AfterFunc(300*time.Millisecond, func() {
@@ -246,43 +228,35 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 	// advance at different rates and a fleet-wide count can pass the mark
 	// after the victim's own sessions have finished; fleet-wide only when
 	// the victim hosts none.
-	if cl != nil && (spec.KillAtFrac > 0 || spec.KillAfter > 0) {
+	if cl != nil && spec.KillAtFrac > 0 {
 		victim := chaos.KillMember(spec.Seed, spec.Cluster, 1, 1, 0).Faults[0].Member
 		go func() {
-			if spec.KillAtFrac > 0 {
-				// Session i starts on member i mod N (the rotated candidate
-				// lists above).
-				stride := len(addrs)
-				first, watchedFrames := victim, 0
-				if victim >= len(sessions) {
-					first, stride = 0, 1
-				}
-				for i := first; i < len(sessions); i += stride {
-					watchedFrames += sessions[i].clip.NumFrames()
-				}
-				target := int(spec.KillAtFrac * float64(watchedFrames))
-				for {
-					select {
-					case <-done:
-						return
-					case <-time.After(5 * time.Millisecond):
-					}
-					n := 0
-					for i := first; i < len(sessions); i += stride {
-						n += len(sessions[i].rec.Journal().Snapshot())
-					}
-					if n >= target {
-						logf("fleet: killing member %d at %d/%d of its sessions' frames", victim, n, watchedFrames)
-						cl.Kill(victim)
-						return
-					}
-				}
+			// Session i starts on member i mod N (the rotated candidate
+			// lists above).
+			stride := len(addrs)
+			first, watchedFrames := victim, 0
+			if victim >= len(sessions) {
+				first, stride = 0, 1
 			}
-			select {
-			case <-done:
-			case <-time.After(spec.KillAfter):
-				logf("fleet: killing member %d after %s", victim, spec.KillAfter)
-				cl.Kill(victim)
+			for i := first; i < len(sessions); i += stride {
+				watchedFrames += sessions[i].clip.NumFrames()
+			}
+			target := int(spec.KillAtFrac * float64(watchedFrames))
+			for {
+				select {
+				case <-done:
+					return
+				case <-time.After(5 * time.Millisecond):
+				}
+				n := 0
+				for i := first; i < len(sessions); i += stride {
+					n += len(sessions[i].rec.Journal().Snapshot())
+				}
+				if n >= target {
+					logf("fleet: killing member %d at %d/%d of its sessions' frames", victim, n, watchedFrames)
+					cl.Kill(victim)
+					return
+				}
 			}
 		}()
 	}
@@ -299,7 +273,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			agg.ObserveServer(st.Name, st.State.String(), st.Sessions, st.LastHeartbeatAgeSec)
 		}
 	}
-	ticker := time.NewTicker(spec.RollupEvery)
+	ticker := time.NewTicker(liveRollupEvery)
 	defer ticker.Stop()
 loop:
 	for {

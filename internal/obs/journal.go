@@ -103,7 +103,7 @@ type JournalRecord struct {
 	// member acknowledged after a handoff. MigrationGapSec is the measured
 	// re-detection gap — last server detection on the old member to this ack.
 	// MigrationForced distinguishes a failover (member died) from a planned
-	// redirect (drain/rebalance). divedoctor's migration-gap and
+	// redirect (drain). divedoctor's migration-gap and
 	// failover-storm detectors grade these.
 	Migrated        bool    `json:"migrated,omitempty"`
 	MigrationGapSec float64 `json:"migration_gap_sec,omitempty"`

@@ -20,11 +20,11 @@ type DiVE struct {
 	// Figure 13 ablation): outage frames then keep the stale cached
 	// detections instead of tracking them forward.
 	DisableMOT bool
-	// PipelineDepth >= 2 runs the agent loop as a bounded frame pipeline
-	// (core.Agent.ProcessStream): frame N+1's analysis overlaps frame N's
-	// entropy coding and delivery. <= 1 keeps the plain serial loop. The
-	// simulated results — bitstreams, detections, response times — are
-	// identical at every depth; only wall-clock throughput changes.
+	// PipelineDepth >= 2 overlaps frame N+1's analysis with frame N's entropy
+	// coding and delivery (core.Agent.ProcessStream); <= 1 runs the same
+	// stages inline, one frame at a time. The simulated results — bitstreams,
+	// detections, response times, journal — are identical at every depth;
+	// only wall-clock throughput changes.
 	PipelineDepth int
 	// KeepPayloads retains every frame's bitstream in Result.Payloads.
 	KeepPayloads bool
@@ -85,111 +85,26 @@ func (d *DiVE) Run(clip *world.Clip, link *netsim.Link, env *Env) (*Result, erro
 	if d.KeepPayloads {
 		res.Payloads = make([][]byte, n)
 	}
-	if d.PipelineDepth >= 2 {
-		if err := d.runPipelined(clip, link, env, agent, dec, rec, res, session); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
 
-	for i, frame := range clip.Frames {
-		capture := float64(i) / clip.FPS
-		fr, err := agent.ProcessFrame(frame, capture)
-		if err != nil {
-			return nil, err
-		}
-		if d.KeepPayloads {
-			res.Payloads[i] = fr.Encoded.Data
-		}
-		// Keep the cached belief current: advance it by this frame's raw
-		// flow, so an outage can start tracking from fresh boxes even if
-		// the most recent server results flickered empty.
-		if !d.DisableMOT {
-			agent.TrackLocally(fr.RawField)
-		}
-		ready := capture + env.Lat.Encode
-
-		// Head-of-queue timer: if the queued traffic will not drain
-		// within the timeout, declare an outage and track locally
-		// (Section III-E). The dropped frame means the server decoder
-		// will be stale, so the next delivered frame must be intra.
-		if link.QueueDelay(ready) > agent.OutageTimeout() {
-			agent.ForceNextIFrame()
-			res.Detections[i] = agent.LastDetections()
-			res.ResponseTimes[i] = env.Lat.Encode + env.Lat.Track
-			agent.NoteOutage(link.QueueDelay(ready), len(res.Detections[i]))
-			rec.ObserveSLO(session, obs.SLOSample{
-				LatencySec: res.ResponseTimes[i], FGShare: fgShare(fr), Outage: true,
-			})
-			if d.FrameHook != nil {
-				d.FrameHook(i)
-			}
-			continue
-		}
-
-		encoded := fr.Encoded
-		start, serialized, delivered := link.SendTraced(fr.Trace, ready, encoded.NumBits)
-		agent.OnTransmitComplete(start, serialized, encoded.NumBits)
-		res.BitsSent[i] = encoded.NumBits
-		res.Uploaded[i] = true
-
-		decodeSpan := rec.StartStageSpan(fr.Trace, "decode", "edge", obs.StageEdgeDecode)
-		decoded, err := dec.Decode(encoded.Data)
-		decodeSpan.End()
-		if err != nil {
-			return nil, err
-		}
-		detectSpan := rec.StartStageSpan(fr.Trace, "detect", "edge", obs.StageEdgeDetect)
-		dets, resultAt := ServerInference(env, decoded.Image, frame, clip.GT[i], delivered, env.Seed^int64(i*7919))
-		detectSpan.End()
-		// The downlink leg lives on the simulated clock: delivery of the
-		// bitstream until the result lands back at the agent.
-		rec.RecordSpan(fr.Trace, "ack", "edge", delivered, resultAt-delivered)
-		if len(dets) > 0 || d.DisableMOT {
-			agent.OnDetections(dets)
-		}
-		res.Detections[i] = dets
-		res.ResponseTimes[i] = resultAt - capture
-		rec.ObserveSLO(session, obs.SLOSample{
-			LatencySec: res.ResponseTimes[i], FGShare: fgShare(fr),
-		})
-		if d.FrameHook != nil {
-			d.FrameHook(i)
-		}
-	}
-	return res, nil
-}
-
-// fgShare is the SLO accuracy proxy for one frame: the foreground fraction
-// the encoder protected (0 when no foreground was ever extracted).
-func fgShare(fr *core.FrameResult) float64 {
-	if fr.Foreground == nil {
-		return 0
-	}
-	return fr.Foreground.Fraction()
-}
-
-// runPipelined is the serial Run loop re-sliced onto ProcessStream's three
-// stages. Placement preserves the serial data flow exactly:
-//
-//   - Stage B (analysis order): the outage decision and the uplink send.
-//     Both read and advance serially-ordered state — the link queue, the
-//     bandwidth estimator, the next-frame ForceNextIFrame flag — that the
-//     NEXT frame's analysis or send must observe, so they run before frame
-//     N+1's analysis, exactly as in the serial loop.
-//   - Stage C (delivery order): local tracking, decode, detection and the
-//     detection cache. The lastDets sequence (TrackLocally then
-//     OnDetections, per frame) is confined to this single stage, so its
-//     interleaving is exactly the serial loop's even though stage B of
-//     later frames runs concurrently.
-//
-// Nothing the encoder consumes depends on stage C, which is why bitstreams
-// are byte-identical at every depth; everything the Result records rides
-// the simulated clock and serially-ordered state, which is why detections
-// and response times are identical too.
-func (d *DiVE) runPipelined(clip *world.Clip, link *netsim.Link, env *Env,
-	agent *core.Agent, dec *codec.Decoder, rec *obs.Recorder, res *Result, session string) error {
-	n := clip.NumFrames()
+	// The one DiVE frame loop, written on ProcessStream's three stages; at
+	// depth <= 1 they run inline, one frame after the other. Placement is what
+	// keeps every depth identical:
+	//
+	//   - Stage B (analysis order): the outage decision and the uplink send.
+	//     Both read and advance serially-ordered state — the link queue, the
+	//     bandwidth estimator, the next-frame ForceNextIFrame flag — that the
+	//     NEXT frame's analysis or send must observe, so they run before frame
+	//     N+1's analysis.
+	//   - Stage C (delivery order): local tracking, decode, detection and the
+	//     detection cache. The lastDets sequence (TrackLocally then
+	//     OnDetections, per frame) is confined to this single stage, so its
+	//     interleaving is the same even though stage B of later frames may run
+	//     concurrently.
+	//
+	// Nothing the encoder consumes depends on stage C, which is why bitstreams
+	// are byte-identical at every depth; everything the Result records rides
+	// the simulated clock and serially-ordered state, which is why detections
+	// and response times are identical too.
 	type frameState struct {
 		outage     bool
 		queueDelay float64
@@ -197,19 +112,22 @@ func (d *DiVE) runPipelined(clip *world.Clip, link *netsim.Link, env *Env,
 	}
 	states := make([]frameState, n)
 
-	_, err := agent.ProcessStream(n, d.PipelineDepth,
+	_, err = agent.ProcessStream(n, d.PipelineDepth,
 		func(i int) (*imgx.Plane, float64) {
 			return clip.Frames[i], float64(i) / clip.FPS
 		},
 		func(i int, fr *core.FrameResult) error {
 			st := &states[i]
 			ready := float64(i)/clip.FPS + env.Lat.Encode
+			// Head-of-queue timer: if the queued traffic will not drain
+			// within the timeout, declare an outage and track locally
+			// (Section III-E).
 			if link.QueueDelay(ready) > agent.OutageTimeout() {
-				// Outage: skip the send and force the next frame intra
-				// before that frame is analyzed. The tracked-box count is
-				// only known at delivery, so the journal's outage fields
-				// are amended there — by frame, not "last": later frames
-				// have been journaled by then.
+				// Skip the send and force the next frame intra before that
+				// frame is analyzed: the dropped frame leaves the server
+				// decoder stale. The tracked-box count is only known at
+				// delivery, so the outage is journaled there — by frame,
+				// not "last": later frames may have been journaled by then.
 				st.outage = true
 				st.queueDelay = link.QueueDelay(ready)
 				agent.ForceNextIFrame()
@@ -226,6 +144,9 @@ func (d *DiVE) runPipelined(clip *world.Clip, link *netsim.Link, env *Env,
 			if d.KeepPayloads {
 				res.Payloads[i] = fr.Encoded.Data
 			}
+			// Keep the cached belief current: advance it by this frame's raw
+			// flow, so an outage can start tracking from fresh boxes even if
+			// the most recent server results flickered empty.
 			if !d.DisableMOT {
 				agent.TrackLocally(fr.RawField)
 			}
@@ -234,12 +155,7 @@ func (d *DiVE) runPipelined(clip *world.Clip, link *netsim.Link, env *Env,
 			if st.outage {
 				res.Detections[i] = agent.LastDetections()
 				res.ResponseTimes[i] = env.Lat.Encode + env.Lat.Track
-				boxes := len(res.Detections[i])
-				rec.AmendJournalFrame(fr.Encoded.Index, func(j *obs.JournalRecord) {
-					j.Outage = true
-					j.QueueDelaySec = st.queueDelay
-					j.TrackedBoxes = boxes
-				})
+				agent.NoteOutageAt(fr.Encoded.Index, st.queueDelay, len(res.Detections[i]))
 				rec.ObserveSLO(session, obs.SLOSample{
 					LatencySec: res.ResponseTimes[i], FGShare: fgShare(fr), Outage: true,
 				})
@@ -257,6 +173,8 @@ func (d *DiVE) runPipelined(clip *world.Clip, link *netsim.Link, env *Env,
 			detectSpan := rec.StartStageSpan(fr.Trace, "detect", "edge", obs.StageEdgeDetect)
 			dets, resultAt := ServerInference(env, decoded.Image, clip.Frames[i], clip.GT[i], st.delivered, env.Seed^int64(i*7919))
 			detectSpan.End()
+			// The downlink leg lives on the simulated clock: delivery of the
+			// bitstream until the result lands back at the agent.
 			rec.RecordSpan(fr.Trace, "ack", "edge", st.delivered, resultAt-st.delivered)
 			if len(dets) > 0 || d.DisableMOT {
 				agent.OnDetections(dets)
@@ -271,5 +189,17 @@ func (d *DiVE) runPipelined(clip *world.Clip, link *netsim.Link, env *Env,
 			}
 			return nil
 		})
-	return err
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// fgShare is the SLO accuracy proxy for one frame: the foreground fraction
+// the encoder protected (0 when no foreground was ever extracted).
+func fgShare(fr *core.FrameResult) float64 {
+	if fr.Foreground == nil {
+		return 0
+	}
+	return fr.Foreground.Fraction()
 }

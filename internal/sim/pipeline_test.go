@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"dive/internal/codec"
@@ -23,28 +24,47 @@ func pipelineLink() *netsim.Link {
 }
 
 // TestPipelinedRunMatchesSerial is the output contract of the frame
-// pipeline at the system level: for every ME method, dataset profile and
-// pipeline depth 1–3, the pipelined DiVE run must reproduce the serial
-// run exactly — byte-identical bitstreams and identical detections,
-// response times and upload decisions.
+// pipeline at the system level: for every ME method and dataset profile, the
+// overlapped DiVE run (depth 2, 3) must reproduce the inline run (depth 1 —
+// the same stages, one frame after the other) exactly: byte-identical
+// bitstreams, identical detections, response times and upload decisions, and
+// — under the outage trace, where the outage fields are amended at delivery
+// — a decision journal that is equal field by field. The independent serial
+// reference is the repo benchmark's own agent loop, whose checkAgainstSim
+// holds sim.DiVE to it payload by payload (make benchmark-test).
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	profiles := []world.Profile{world.NuScenesLike(), world.KITTILike()}
 	for _, profile := range profiles {
 		clip := testClip(t, profile, 1.2, 19)
 		for _, method := range codec.AllMEMethods() {
-			cfgFn := func(cfg *core.AgentConfig) { cfg.Codec.Method = method }
-			run := func(depth int) *Result {
+			run := func(depth int) (*Result, []obs.JournalRecord) {
 				env := NewEnv(9)
-				scheme := &DiVE{ConfigFn: cfgFn, PipelineDepth: depth, KeepPayloads: true}
+				rec := obs.NewRecorder(clip.NumFrames())
+				scheme := &DiVE{
+					ConfigFn: func(cfg *core.AgentConfig) {
+						cfg.Codec.Method = method
+						cfg.Obs = rec
+					},
+					PipelineDepth: depth, KeepPayloads: true,
+				}
 				res, err := scheme.Run(clip, pipelineLink(), env)
 				if err != nil {
 					t.Fatalf("%s/%s depth %d: %v", profile.Name, method, depth, err)
 				}
-				return res
+				return res, rec.Journal().Snapshot()
 			}
-			want := run(0) // serial loop
-			for _, depth := range []int{1, 2, 3} {
-				got := run(depth)
+			want, wantJournal := run(1) // the stages inline
+			outages := 0
+			for _, j := range wantJournal {
+				if j.Outage {
+					outages++
+				}
+			}
+			if outages == 0 {
+				t.Fatalf("%s/%s: the outage trace journaled no outage", profile.Name, method)
+			}
+			for _, depth := range []int{2, 3} {
+				got, gotJournal := run(depth)
 				for i := 0; i < clip.NumFrames(); i++ {
 					tag := fmt.Sprintf("%s/%s depth %d frame %d", profile.Name, method, depth, i)
 					if !bytes.Equal(want.Payloads[i], got.Payloads[i]) {
@@ -64,6 +84,18 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 					for k := range want.Detections[i] {
 						if want.Detections[i][k] != got.Detections[i][k] {
 							t.Fatalf("%s: detection %d differs", tag, k)
+						}
+					}
+				}
+				if len(gotJournal) != len(wantJournal) {
+					t.Fatalf("%s/%s depth %d: journal has %d records, want %d", profile.Name, method, depth, len(gotJournal), len(wantJournal))
+				}
+				for i := range wantJournal {
+					w, g := reflect.ValueOf(wantJournal[i]), reflect.ValueOf(gotJournal[i])
+					for f := 0; f < w.NumField(); f++ {
+						if !reflect.DeepEqual(w.Field(f).Interface(), g.Field(f).Interface()) {
+							t.Fatalf("%s/%s depth %d frame %d: journal field %s = %v, want %v", profile.Name, method, depth, i,
+								w.Type().Field(f).Name, g.Field(f).Interface(), w.Field(f).Interface())
 						}
 					}
 				}

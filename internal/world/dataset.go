@@ -76,6 +76,17 @@ func KITTILike() Profile {
 	}
 }
 
+// ProfileByName resolves a profile by its Name — the one name → profile table
+// behind the edge handshake and every -profile flag.
+func ProfileByName(name string) (Profile, bool) {
+	for _, mk := range []func() Profile{NuScenesLike, NuScenesNightLike, RobotCarLike, KITTILike} {
+		if p := mk(); p.Name == name {
+			return p, true
+		}
+	}
+	return Profile{}, false
+}
+
 // Clip is one generated video clip with full ground truth.
 type Clip struct {
 	Profile string

@@ -57,3 +57,15 @@ func TestClipSourceMatchesGenerateClip(t *testing.T) {
 		t.Fatal("re-rendered frame 3 differs")
 	}
 }
+
+func TestProfileByName(t *testing.T) {
+	for _, name := range []string{"nuScenes", "nuScenes-night", "RobotCar", "KITTI"} {
+		p, ok := ProfileByName(name)
+		if !ok || p.Name != name {
+			t.Errorf("profile %s: got %q, found %v", name, p.Name, ok)
+		}
+	}
+	if _, ok := ProfileByName("bogus"); ok {
+		t.Error("bogus profile accepted")
+	}
+}
