@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-obs bench-compare bench-smoke bench-baseline bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
+.PHONY: all build test race vet bench bench-obs bench-compare bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
 
 all: build vet test
 
@@ -20,7 +20,8 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Full benchmark sweep (the per-figure benches in bench_test.go are slow).
+# Full benchmark sweep (BenchmarkExperiments in bench_test.go regenerates
+# every table at smoke scale and is slow).
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
@@ -31,24 +32,26 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench . -benchtime 2s ./internal/obs/
 
-# Serial-vs-parallel comparison of the hot kernels: the GOMAXPROCS-sized
-# pools degrade to the serial path at -cpu 1, so the two columns compare
-# identical output at width 1 and width 4.
+# Serial-vs-parallel comparison of the hot kernels and of the whole agent
+# loop: the GOMAXPROCS-sized pools degrade to the serial path at -cpu 1, so
+# the two columns compare identical output at width 1 and width 4;
+# ProcessStream's depth=1 / depth=3 rows at -cpu 4 are serial vs pipelined.
 bench-compare:
-	$(GO) test -run xxx -bench 'EncodeParallel|AnalyzeMotionParallel|RenderParallel' -benchmem -cpu 1,4 ./internal/codec/ ./internal/world/
+	$(GO) test -run xxx -bench 'EncodeParallel|AnalyzeMotionParallel|RenderParallel|ProcessStream' -benchmem -cpu 1,4 ./internal/codec/ ./internal/world/ ./internal/core/
 
-# Smoke benchmark + automated diagnosis (the CI bench-smoke job): run the
-# tiny end-to-end experiment with telemetry, export a healthy-run decision
-# journal, and have divedoctor check both — journal pathologies and stage
-# latencies against the committed baseline. Exit 1 on any finding.
-# The journal is exported from a pipelined run (-pipeline-depth 3): the
-# records are defined to be identical to serial, so doctor findings double
-# as a pipeline-determinism gate.
+# Smoke run + automated diagnosis (the CI bench-smoke job), both halves
+# machine-independent: export a healthy-run decision journal and have
+# divedoctor check it for journal pathologies, then run the packing ladder
+# to 4 streams and have divedoctor check its runtime series for GC pressure.
+# Exit 1 on any finding. The journal is exported from a pipelined run
+# (-pipeline-depth 3): the records are defined to be identical to serial, so
+# doctor findings double as a pipeline-determinism gate. Wall-clock speed is
+# not judged here: that is the repo benchmark's job (make benchmark,
+# alternated parent/change pairs).
 bench-smoke:
-	$(GO) run ./cmd/divebench -scale smoke -only f16 -speedup=false -telemetry -json bench_smoke.json
 	$(GO) run ./cmd/divetrace -format journal -duration 2 -pipeline-depth 3 -o smoke.journal.jsonl
-	$(GO) run ./cmd/divedoctor -journal smoke.journal.jsonl -bench bench_smoke.json -baseline ci/bench_baseline.json -json
-	$(GO) run ./cmd/divebench -scale smoke -only none -speedup=false -pipeline-depth 0 -streams 4 -streams-secs 2 -runtime-log streams_runtime.jsonl -json streams_smoke.json
+	$(GO) run ./cmd/divedoctor -journal smoke.journal.jsonl -json
+	$(GO) run ./cmd/divebench -scale smoke -only none -streams 4 -streams-secs 2 -runtime-log streams_runtime.jsonl -json streams_smoke.json
 	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
@@ -63,10 +66,16 @@ bench-smoke:
 # MsgReader's buffer and writing a result through the connection's are all
 # pinned at 0 allocs/op; allocation counts are deterministic after warm-up, so
 # this gate is machine-independent (unlike wall-clock latency baselines).
+#
+# The per-frame rows (codec) run 20 iterations; the nanosecond-scale rows
+# (obs, edge) run 2000, so that one runtime background allocation landing
+# inside the window (≈ 5.5 kB, seen about one run in ten) rounds to ≤ 3 B/op
+# instead of reading 275 B/op against the 64 B floor.
 ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
-ALLOC_PKGS = ./internal/codec/ ./internal/obs/ ./internal/edge/
+ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ && \
+	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
 bench-alloc:
-	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem $(ALLOC_PKGS) | tee bench_alloc.txt
+	$(ALLOC_RUN)
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -alloc-baseline ci/alloc_baseline.json -json
 
 # Regenerate the committed allocation baseline after an intentional change to
@@ -74,7 +83,7 @@ bench-alloc:
 # telemetry-off paths or to the wire read / reply paths, then commit
 # ci/alloc_baseline.json.
 alloc-baseline:
-	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem $(ALLOC_PKGS) | tee bench_alloc.txt
+	$(ALLOC_RUN)
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -write-alloc-baseline ci/alloc_baseline.json
 
 # The repo benchmark (BENCHMARK.json): four closed-loop workloads — agent on
@@ -89,13 +98,6 @@ benchmark:
 # Tier-1 `go test ./...` does not see them (separate module).
 benchmark-test:
 	cd benchmark && $(GO) test -short ./...
-
-# Regenerate the committed latency baseline from a fresh smoke run. Run on
-# the reference machine after intentional performance changes, then commit
-# ci/bench_baseline.json.
-bench-baseline:
-	$(GO) run ./cmd/divebench -scale smoke -only f16 -speedup=false -telemetry -json bench_smoke.json
-	$(GO) run ./cmd/divedoctor -bench bench_smoke.json -write-baseline ci/bench_baseline.json
 
 # Chaos smoke (the CI chaos-smoke job): the seeded fault-injection suite
 # under -race — scripted scenario traces through the simulator, the
@@ -155,4 +157,4 @@ loc:
 
 clean:
 	$(GO) clean ./...
-	rm -f bench_results.json bench_smoke.json smoke.journal.jsonl bench_alloc.txt streams_smoke.json streams_runtime.jsonl
+	rm -f bench_results.json smoke.journal.jsonl bench_alloc.txt streams_smoke.json streams_runtime.jsonl

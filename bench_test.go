@@ -1,10 +1,7 @@
 package dive
 
-// One testing.B benchmark per table and figure of the paper's evaluation.
-// Each benchmark regenerates its result at smoke scale per iteration and
-// reports the headline numbers as custom metrics, so `go test -bench=.`
-// doubles as a quick reproduction run. cmd/divebench runs the same
-// experiments at larger scales with full output.
+// Benchmarks over the paper's evaluation and over the public API.
+// cmd/divebench runs the same experiments at larger scales with full output.
 
 import (
 	"sync"
@@ -32,205 +29,25 @@ func benchClip(b *testing.B) *world.Clip {
 	return benchClipCached
 }
 
-func BenchmarkTableIDatasets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.TableI(experiments.ScaleSmoke, benchSeed)
-		if len(rows) != 2 {
-			b.Fatal("bad row count")
-		}
-	}
-}
-
-func BenchmarkFig6EgoMotion(b *testing.B) {
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6EgoMotion(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		acc = r.Accuracy
-	}
-	b.ReportMetric(acc, "η-rule-accuracy")
-}
-
-func BenchmarkFig7RSampling(b *testing.B) {
-	var meanErr float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig7RSampling(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanErr = r.Configs[0].MeanY
-	}
-	b.ReportMetric(meanErr, "rsampling-ωy-err")
-}
-
-func BenchmarkFig9MotionEstimation(b *testing.B) {
-	var hexMAP float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9MotionEstimation(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Method == "hex" && r.Dataset == "nuScenes" {
-				hexMAP = r.MAP
+// BenchmarkExperiments regenerates every table and figure of the paper's
+// evaluation at smoke scale, one sub-benchmark per registry entry, so `go
+// test -bench=.` doubles as a timed reproduction run. The numbers themselves
+// are printed by `divebench -scale smoke` and asserted directionally by
+// internal/experiments' own tests.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				table, _, err := e.Run(experiments.ScaleSmoke, benchSeed)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(table.Rows) == 0 {
+					b.Fatal("empty table")
+				}
 			}
-		}
+		})
 	}
-	b.ReportMetric(hexMAP, "hex-mAP")
-}
-
-func BenchmarkFig10SampleCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig10SampleCount(experiments.ScaleSmoke, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11QPAssignment(b *testing.B) {
-	var adaptive float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11QPAssignment(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Delta == "adaptive" && r.Bandwidth == 3 {
-				adaptive = r.MAP
-			}
-		}
-	}
-	b.ReportMetric(adaptive, "adaptive-mAP@3Mbps")
-}
-
-func BenchmarkFig12Foreground(b *testing.B) {
-	var carAP20 float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig12Foreground(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.BackgroundQP == 20 && r.Dataset == "RobotCar" {
-				carAP20 = r.CarAP
-			}
-		}
-	}
-	b.ReportMetric(carAP20, "carAP@bgQP20")
-}
-
-func BenchmarkFig13OfflineTracking(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig13OfflineTracking(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = 0
-		for _, r := range rows {
-			gain += r.MAPWith - r.MAPWithout
-		}
-		gain /= float64(len(rows))
-	}
-	b.ReportMetric(gain, "mean-MOT-gain")
-}
-
-func BenchmarkFig14MotionStates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig14MotionStates(experiments.ScaleSmoke, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig16EndToEndRobotCar(b *testing.B) {
-	var diveMAP float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig16EndToEndRobotCar(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheme == "DiVE" && r.Bandwidth == 3 {
-				diveMAP = r.MAP
-			}
-		}
-	}
-	b.ReportMetric(diveMAP, "DiVE-mAP@3Mbps")
-}
-
-func BenchmarkFig17EndToEndNuScenes(b *testing.B) {
-	var diveMAP float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig17EndToEndNuScenes(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			if r.Scheme == "DiVE" && r.Bandwidth == 3 {
-				diveMAP = r.MAP
-			}
-		}
-	}
-	b.ReportMetric(diveMAP, "DiVE-mAP@3Mbps")
-}
-
-// BenchmarkAblationRotation measures the value of rotational-component
-// elimination for foreground extraction (DESIGN.md §5).
-func BenchmarkAblationRotation(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationRotation(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var with, without, nw, nwo float64
-		for _, r := range rows {
-			if r.Variant == "with rotation elimination" {
-				with += r.Recall * float64(r.Frames)
-				nw += float64(r.Frames)
-			} else {
-				without += r.Recall * float64(r.Frames)
-				nwo += float64(r.Frames)
-			}
-		}
-		if nw > 0 && nwo > 0 {
-			gain = with/nw - without/nwo
-		}
-	}
-	b.ReportMetric(gain, "FG-recall-gain")
-}
-
-// BenchmarkAblationSubPel measures the rotation-accuracy value of half-pel
-// motion vectors (DESIGN.md §5).
-func BenchmarkAblationSubPel(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationSubPel(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		gain = rows[1].MeanErrY - rows[0].MeanErrY
-	}
-	b.ReportMetric(gain, "ωy-err-reduction")
-}
-
-// BenchmarkNightStudy measures the day/night degradation of the MV signal
-// (the phenomenon behind the paper's exclusion of night clips).
-func BenchmarkNightStudy(b *testing.B) {
-	var eff float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.NightStudy(experiments.ScaleSmoke, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		day := rows[0].FGRecall / (rows[0].MaskFraction + 1e-9)
-		night := rows[1].FGRecall / (rows[1].MaskFraction + 1e-9)
-		eff = night / day
-	}
-	b.ReportMetric(eff, "night/day-FG-efficiency")
 }
 
 // BenchmarkAgentProcessFrame measures the per-frame cost of the full DiVE

@@ -2,16 +2,12 @@
 // decision journal a DiVE run exported (an offline JSONL file or the live
 // /debug/journal endpoint) and prints a diagnosis report — QP oscillation, systematic bandwidth mis-estimation,
 // foreground-segmentation collapse during turns, stale-MOT drift across
-// outages, reconnect storms with collapsed backoff, slow post-outage
-// recovery of the degradation ladder, and per-stage latency regressions
-// against a committed baseline.
+// outages, reconnect storms with collapsed backoff and slow post-outage
+// recovery of the degradation ladder.
 //
 // Usage:
 //
 //	divedoctor [-journal run.journal.jsonl] [-url http://localhost:7061]
-//	           [-bench bench_results.json]
-//	           [-baseline ci/bench_baseline.json]
-//	           [-write-baseline ci/bench_baseline.json]
 //	           [-fleet fleet.jsonl] [-runtime runtime.jsonl]
 //	           [-alloc bench_alloc.txt]
 //	           [-alloc-baseline ci/alloc_baseline.json]
@@ -24,9 +20,6 @@
 //
 //   - -journal reads an exported journal JSONL file ("-" reads stdin).
 //   - -url fetches the journal live from a telemetry endpoint.
-//   - -bench reads a divebench -json -telemetry results file; with
-//     -baseline its stage histograms are checked for latency regressions,
-//     with -write-baseline they become the new committed baseline.
 //   - -fleet reads a fleet rollup series (/debug/fleet JSONL or a divefleet
 //     -json report) and runs the fleet detectors: straggler-session
 //     (sustained straggler-table residency), noisy-neighbor (per-session
@@ -90,19 +83,10 @@ func main() {
 	}
 }
 
-// benchFile is the slice of divebench's -json schema divedoctor consumes.
-type benchFile struct {
-	RunMeta   obs.RunMeta   `json:"run_meta"`
-	Telemetry *obs.Snapshot `json:"telemetry"`
-}
-
 func run(args []string, w io.Writer) (*doctor.Report, error) {
 	fs := flag.NewFlagSet("divedoctor", flag.ContinueOnError)
 	journalPath := fs.String("journal", "", "decision-journal JSONL file (- = stdin)")
 	url := fs.String("url", "", "live telemetry base URL, e.g. http://localhost:7061; fetches /debug/journal")
-	benchPath := fs.String("bench", "", "divebench -json results file (needs -telemetry for stage histograms)")
-	baselinePath := fs.String("baseline", "", "committed latency baseline to compare -bench against")
-	writeBaseline := fs.String("write-baseline", "", "write the -bench stage histograms as a new baseline file and exit")
 	asJSON := fs.Bool("json", false, "print the report as JSON")
 	follow := fs.Bool("follow", false, "watch mode: tail -url's /debug/journal and stream findings as JSONL")
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll period in -follow mode")
@@ -124,9 +108,9 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 		}
 		return followLive(*url, *interval, *followFor, *settle, *outageRun, w)
 	}
-	if *journalPath == "" && *url == "" && *benchPath == "" && *runtimePath == "" && *allocPath == "" && *fleetPath == "" {
+	if *journalPath == "" && *url == "" && *runtimePath == "" && *allocPath == "" && *fleetPath == "" {
 		fs.Usage()
-		return nil, fmt.Errorf("nothing to analyze: pass -journal, -url, -bench, -fleet, -runtime or -alloc")
+		return nil, fmt.Errorf("nothing to analyze: pass -journal, -url, -fleet, -runtime or -alloc")
 	}
 
 	// Each suite below is listed and run only when its input was supplied.
@@ -175,7 +159,7 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 			return nil, err
 		}
 		if *writeAllocBaseline != "" {
-			b := doctor.NewAllocBaseline(cur, "")
+			b := doctor.NewAllocBaseline(cur)
 			if len(b.Benchmarks) == 0 {
 				return nil, fmt.Errorf("%s has no -benchmem benchmark lines", *allocPath)
 			}
@@ -197,37 +181,6 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 			}
 			rep.Checks = append(rep.Checks, "alloc-regression")
 			rep.Findings = append(rep.Findings, doctor.CompareAlloc(cur, base)...)
-		}
-	}
-
-	if *benchPath != "" {
-		bf, err := readBench(*benchPath)
-		if err != nil {
-			return nil, err
-		}
-		cur := doctor.NewBaseline(bf.RunMeta, bf.Telemetry)
-		if *writeBaseline != "" {
-			if len(cur.Stages) == 0 {
-				return nil, fmt.Errorf("%s has no stage histograms (run divebench with -telemetry)", *benchPath)
-			}
-			f, err := os.Create(*writeBaseline)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			if err := cur.WriteBaseline(f); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(w, "wrote baseline %s (%d stages)\n", *writeBaseline, len(cur.Stages))
-			return rep, nil
-		}
-		if *baselinePath != "" {
-			base, err := readFile("baseline", *baselinePath, doctor.ReadBaseline)
-			if err != nil {
-				return nil, err
-			}
-			rep.Checks = append(rep.Checks, "latency-regression")
-			rep.Findings = append(rep.Findings, doctor.CompareLatency(cur, base)...)
 		}
 	}
 
@@ -277,18 +230,6 @@ func readFile[T any](what, path string, parse func(io.Reader) (T, error)) (T, er
 		return zero, fmt.Errorf("parse %s %s: %w", what, path, err)
 	}
 	return v, nil
-}
-
-func readBench(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf benchFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("parse bench results %s: %w", path, err)
-	}
-	return &bf, nil
 }
 
 // followMaxConsecFails is how many consecutive failed scrapes of a

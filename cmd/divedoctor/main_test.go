@@ -87,54 +87,6 @@ func TestRunFetchesLiveEndpoints(t *testing.T) {
 	}
 }
 
-func TestRunBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	meta := obs.CollectRunMeta(2)
-	meta.Profile = "smoke"
-	mkBench := func(encodeP95 float64) string {
-		bf := benchFile{RunMeta: meta, Telemetry: &obs.Snapshot{
-			Counters: map[string]int64{}, Gauges: map[string]float64{},
-			Histograms: map[string]obs.HistogramSnapshot{
-				obs.StageEncode: {Count: 50, P95: encodeP95},
-				obs.StageMotion: {Count: 50, P95: 0.004},
-			},
-		}}
-		data, err := json.Marshal(bf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "bench.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	bench := mkBench(0.010)
-	baseline := filepath.Join(dir, "baseline.json")
-	var out bytes.Buffer
-	if _, err := run([]string{"-bench", bench, "-write-baseline", baseline}, &out); err != nil {
-		t.Fatal(err)
-	}
-	// Same numbers against the new baseline: healthy.
-	rep, err := run([]string{"-bench", bench, "-baseline", baseline}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Healthy() {
-		t.Fatalf("identical run flagged: %+v", rep.Findings)
-	}
-	// Encode p95 regressed 3x on the same machine: flagged.
-	out.Reset()
-	rep, err = run([]string{"-bench", mkBench(0.030), "-baseline", baseline}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Healthy() || !strings.Contains(out.String(), "latency-regression") {
-		t.Fatalf("3x encode regression not flagged:\n%s", out.String())
-	}
-}
-
 func TestRunRejectsEmptyInvocation(t *testing.T) {
 	var out bytes.Buffer
 	if _, err := run(nil, &out); err == nil {

@@ -3,7 +3,6 @@ package baselines
 import (
 	"dive/internal/detect"
 	"dive/internal/mvfield"
-	"dive/internal/obs"
 )
 
 // resultQueue models the feedback latency of key-frame schemes: detection
@@ -15,7 +14,6 @@ import (
 type resultQueue struct {
 	w, h    int
 	pending []pendingResult
-	obs     *obs.Recorder
 }
 
 type pendingResult struct {
@@ -24,17 +22,14 @@ type pendingResult struct {
 	fields   []*mvfield.Field // motion since the result's capture frame
 }
 
-// newResultQueue creates a queue for a w×h stream. The process-wide
-// default recorder (obs.SetDefault) is picked up here.
+// newResultQueue creates a queue for a w×h stream.
 func newResultQueue(w, h int) *resultQueue {
-	return &resultQueue{w: w, h: h, obs: obs.Default()}
+	return &resultQueue{w: w, h: h}
 }
 
 // push registers a server result that will arrive at arriveAt.
 func (q *resultQueue) push(dets []detect.Detection, arriveAt float64) {
 	q.pending = append(q.pending, pendingResult{dets: dets, arriveAt: arriveAt})
-	q.obs.Counter(obs.MetricResults).Inc()
-	q.obs.Gauge(obs.GaugeResultQueueDepth).Set(float64(len(q.pending)))
 }
 
 // collect must be called once per frame with the frame's capture time and
@@ -56,8 +51,6 @@ func (q *resultQueue) collect(now float64, field *mvfield.Field) ([]detect.Detec
 				}
 				out = caught
 				found = true
-			} else {
-				q.obs.Counter(obs.MetricResultsDropped).Inc()
 			}
 			continue
 		}
@@ -65,6 +58,5 @@ func (q *resultQueue) collect(now float64, field *mvfield.Field) ([]detect.Detec
 		rest = append(rest, p)
 	}
 	q.pending = rest
-	q.obs.Gauge(obs.GaugeResultQueueDepth).Set(float64(len(q.pending)))
 	return out, found
 }

@@ -76,7 +76,6 @@ func DefaultAgentConfig(w, h int, fps, focal float64) AgentConfig {
 		BandwidthPrior:  netsim.Mbps(2),
 		OutageTimeout:   0.35,
 		Seed:            1,
-		Obs:             obs.Default(),
 	}
 }
 

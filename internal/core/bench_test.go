@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"dive/internal/detect"
@@ -43,4 +44,48 @@ func randomDetectionsForBench() []detect.Detection {
 		})
 	}
 	return out
+}
+
+// BenchmarkProcessStream times the whole agent loop — on-demand frame
+// rendering, analysis, entropy coding — over one clip per op, with the
+// stages inline (depth=1) and overlapped by the frame pipeline (depth=3) at
+// the default codec width; the ratio of the two is what the pipeline buys on
+// this machine (at -cpu 1 both take the inline path). The pipeline must not
+// change a bit: both depths have to emit the same total.
+func BenchmarkProcessStream(b *testing.B) {
+	p := world.RobotCarLike()
+	p.ClipDuration = 2
+	bits := map[int]int64{}
+	for _, depth := range []int{1, 3} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			var frames int
+			for i := 0; i < b.N; i++ {
+				src := world.NewClipSource(p, 7)
+				agent, err := NewAgent(DefaultAgentConfig(p.W, p.H, p.FPS, src.Focal()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var total int64
+				frames = src.NumFrames()
+				_, err = agent.ProcessStream(frames, depth,
+					func(i int) (*imgx.Plane, float64) {
+						frame, _, _ := src.Frame(i)
+						return frame, float64(i) / p.FPS
+					},
+					nil,
+					func(i int, fr *FrameResult) error {
+						total += int64(fr.Encoded.NumBits)
+						return nil
+					})
+				if err != nil {
+					b.Fatal(err)
+				}
+				bits[depth] = total
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1000/float64(b.N*frames), "ms/frame")
+		})
+	}
+	if len(bits) == 2 && bits[1] != bits[3] {
+		b.Fatalf("pipelined run emitted %d bits, serial %d — determinism broken", bits[3], bits[1])
+	}
 }

@@ -143,14 +143,11 @@ func CompareAlloc(cur map[string]BenchAlloc, base *AllocBaseline) []Finding {
 	return out
 }
 
-// NewAllocBaseline builds a baseline from measured benchmarks, keeping only
-// names matching the given prefix ("" keeps all).
-func NewAllocBaseline(cur map[string]BenchAlloc, prefix string) *AllocBaseline {
+// NewAllocBaseline builds a baseline from measured benchmarks.
+func NewAllocBaseline(cur map[string]BenchAlloc) *AllocBaseline {
 	b := &AllocBaseline{Benchmarks: map[string]BenchAlloc{}}
 	for name, ba := range cur {
-		if prefix == "" || strings.HasPrefix(name, prefix) {
-			b.Benchmarks[name] = ba
-		}
+		b.Benchmarks[name] = ba
 	}
 	return b
 }

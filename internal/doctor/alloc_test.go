@@ -89,13 +89,13 @@ func TestCompareAllocSlackAndMissing(t *testing.T) {
 }
 
 // TestAllocBaselineRoundTrip writes and re-reads a baseline built from
-// parsed output, filtered to the steady-state benchmarks.
+// parsed output.
 func TestAllocBaselineRoundTrip(t *testing.T) {
 	cur, err := ParseBenchOutput(strings.NewReader(benchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewAllocBaseline(cur, "BenchmarkEncodeSteadyState")
+	b := NewAllocBaseline(cur)
 	if len(b.Benchmarks) != 2 {
 		t.Fatalf("baseline kept %d benchmarks, want 2", len(b.Benchmarks))
 	}

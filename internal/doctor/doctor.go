@@ -3,9 +3,10 @@
 // DiVE pathologies — rate-control oscillation, systematic
 // bandwidth mis-estimation, foreground-segmentation collapse during turns,
 // stale-MOT drift across long outages, reconnect storms whose backoff
-// collapsed, degradation ladders that stay down after the link healed, and
-// per-stage latency regressions against a committed baseline. Findings are
-// machine-readable so CI can gate on them.
+// collapsed and degradation ladders that stay down after the link healed —
+// and, from their own inputs, fleet stragglers, GC pressure and allocation
+// regressions against a committed baseline. Findings are machine-readable so
+// CI can gate on them.
 package doctor
 
 import (
@@ -15,7 +16,8 @@ import (
 )
 
 // Severity ranks a finding. CI gates treat both as failures; Warn marks
-// diagnoses that may be environmental (e.g. latency on a loaded machine).
+// diagnoses that may be environmental (e.g. a GC pause tail growing with
+// fleet size on a loaded machine).
 type Severity string
 
 const (

@@ -162,61 +162,6 @@ func TestSeededFGCollapseDetected(t *testing.T) {
 	}
 }
 
-func TestLatencyRegressionComparable(t *testing.T) {
-	meta := obs.CollectRunMeta(4)
-	meta.Profile = "smoke"
-	base := &Baseline{Meta: meta, Stages: map[string]obs.HistogramSnapshot{
-		obs.StageEncode: {Count: 100, P95: 0.010},
-		obs.StageMotion: {Count: 100, P95: 0.004},
-	}}
-	cur := &Baseline{Meta: meta, Stages: map[string]obs.HistogramSnapshot{
-		obs.StageEncode: {Count: 100, P95: 0.025}, // 2.5x
-		obs.StageMotion: {Count: 100, P95: 0.004},
-	}}
-	fs := CompareLatency(cur, base)
-	if len(fs) != 1 || fs[0].Check != "latency-regression" || fs[0].Severity != Fail {
-		t.Fatalf("findings = %+v, want one comparable-environment regression", fs)
-	}
-	if fs[0].Value < 2.4 || fs[0].Value > 2.6 {
-		t.Errorf("ratio %.2f, want 2.5", fs[0].Value)
-	}
-	// Identical run: clean.
-	if fs := CompareLatency(base, base); len(fs) != 0 {
-		t.Errorf("identical run flagged: %+v", fs)
-	}
-}
-
-func TestLatencyRegressionDifferentMachines(t *testing.T) {
-	baseMeta := obs.CollectRunMeta(4)
-	baseMeta.Profile = "smoke"
-	curMeta := baseMeta
-	curMeta.GOMAXPROCS = baseMeta.GOMAXPROCS + 2 // different machine shape
-	base := &Baseline{Meta: baseMeta, Stages: map[string]obs.HistogramSnapshot{
-		obs.StageEncode:     {Count: 100, P95: 0.010},
-		obs.StageMotion:     {Count: 100, P95: 0.005},
-		obs.StageForeground: {Count: 100, P95: 0.005},
-	}}
-	// Uniformly 3x slower (a slower machine, same proportions): clean.
-	slower := &Baseline{Meta: curMeta, Stages: map[string]obs.HistogramSnapshot{
-		obs.StageEncode:     {Count: 100, P95: 0.030},
-		obs.StageMotion:     {Count: 100, P95: 0.015},
-		obs.StageForeground: {Count: 100, P95: 0.015},
-	}}
-	if fs := CompareLatency(slower, base); len(fs) != 0 {
-		t.Fatalf("uniformly slower machine flagged: %+v", fs)
-	}
-	// One stage ballooned relative to the rest: flagged as Warn.
-	skewed := &Baseline{Meta: curMeta, Stages: map[string]obs.HistogramSnapshot{
-		obs.StageEncode:     {Count: 100, P95: 0.090},
-		obs.StageMotion:     {Count: 100, P95: 0.005},
-		obs.StageForeground: {Count: 100, P95: 0.005},
-	}}
-	fs := CompareLatency(skewed, base)
-	if len(fs) != 1 || fs[0].Severity != Warn {
-		t.Fatalf("findings = %+v, want one share-based warning", fs)
-	}
-}
-
 func hasCheck(rep *Report, check string) bool {
 	_, ok := findCheck(rep, check)
 	return ok

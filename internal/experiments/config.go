@@ -1,12 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section IV) on the synthetic substrate: one function per
-// result, returning typed rows that cmd/divebench prints and bench_test.go
-// wraps as benchmarks. All experiments are deterministic in their seeds.
+// result returning typed rows, one renderer per row type, and Registry, the
+// one list that pairs them — cmd/divebench prints it, the root
+// BenchmarkExperiments times it. All experiments are deterministic in their
+// seeds.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"dive/internal/world"
 )
@@ -36,6 +39,18 @@ func (s Scale) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseScale is the inverse of Scale.String.
+func ParseScale(name string) (Scale, error) {
+	var valid []string
+	for s := ScaleSmoke; s <= ScaleFull; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+		valid = append(valid, s.String())
+	}
+	return 0, fmt.Errorf("unknown scale %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 // params returns clips-per-dataset and clip duration for a scale.

@@ -4,7 +4,6 @@ import (
 	"dive/internal/detect"
 	"dive/internal/metrics"
 	"dive/internal/netsim"
-	"dive/internal/obs"
 	"dive/internal/sim"
 	"dive/internal/world"
 )
@@ -82,14 +81,6 @@ func runScheme(w Workload, scheme sim.Scheme, traceFn func(clipIdx int) netsim.T
 	out.P95RT = lat.P95
 	if out.ClipSeconds > 0 {
 		out.BitrateMbps = float64(out.BitsSent) / out.ClipSeconds / 1e6
-	}
-	// Feed the end-to-end response-time histogram when telemetry is on, so
-	// live observers (divebench -telemetry) see the distribution build up.
-	if rec := obs.Default(); rec != nil {
-		h := rec.Histogram(obs.StageResponse)
-		for _, rt := range rts {
-			h.Observe(rt)
-		}
 	}
 	return out, nil
 }

@@ -16,7 +16,6 @@ func TestEstimatorNeverNonPositive(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		est := NewEstimator(0.25, Mbps(2))
-		est.Obs = nil
 		now := 0.0
 		for i := 0; i < 300; i++ {
 			dur := rng.Float64() * 0.2
@@ -45,7 +44,6 @@ func TestEstimatorNeverNonPositive(t *testing.T) {
 
 func TestEstimatorFloorConfigurable(t *testing.T) {
 	est := NewEstimator(0.25, Mbps(2))
-	est.Obs = nil
 	est.MinEstimate = 50_000
 	est.Record(0, 1, 0) // pure poison
 	if got := est.EstimateAt(1); got != 50_000 {
@@ -53,7 +51,6 @@ func TestEstimatorFloorConfigurable(t *testing.T) {
 	}
 	// Zero prior with no samples still floors.
 	empty := NewEstimator(0.25, 0)
-	empty.Obs = nil
 	if got := empty.EstimateAt(5); got != DefaultMinEstimate {
 		t.Errorf("empty estimator = %v, want default floor", got)
 	}
@@ -68,7 +65,6 @@ func TestEstimatorPoisonDecays(t *testing.T) {
 		const window = 0.25
 		const rate = 2_000_000.0 // true link rate, bits/s
 		est := NewEstimator(window, Mbps(2))
-		est.Obs = nil
 
 		now := 0.0
 		record := func(bits float64, dur float64) {
@@ -110,7 +106,6 @@ func TestEstimatorPoisonDecays(t *testing.T) {
 // contributes nothing.
 func TestEstimatorWindowExcludesOldSamples(t *testing.T) {
 	est := NewEstimator(0.25, Mbps(2))
-	est.Obs = nil
 	est.Record(0, 0.1, 1_000_000)
 	// Inside the window the sample dominates.
 	if got := est.EstimateAt(0.2); math.Abs(got-10_000_000) > 1 {

@@ -25,9 +25,9 @@ type Link struct {
 }
 
 // NewLink creates a link over the trace with the given propagation delay.
-// The process-wide default recorder (obs.SetDefault) is picked up here.
+// Obs is left nil; a caller that wants link telemetry sets it.
 func NewLink(trace Trace, propDelay float64) *Link {
-	return &Link{Trace: trace, PropDelay: propDelay, Obs: obs.Default(), integrationStep: 1e-3}
+	return &Link{Trace: trace, PropDelay: propDelay, integrationStep: 1e-3}
 }
 
 // Send enqueues bits at time t and returns (startTime, serializedTime,
@@ -147,10 +147,10 @@ type ackSample struct {
 	bits       float64
 }
 
-// NewEstimator creates an estimator with the given window and prior. The
-// process-wide default recorder (obs.SetDefault) is picked up here.
+// NewEstimator creates an estimator with the given window and prior. Obs is
+// left nil; a caller that wants estimator telemetry sets it.
 func NewEstimator(window, prior float64) *Estimator {
-	return &Estimator{Window: window, Prior: prior, Obs: obs.Default()}
+	return &Estimator{Window: window, Prior: prior}
 }
 
 // Record notes that bits were serialized onto the link during [start, end].

@@ -139,9 +139,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Handler() == nil {
 		t.Error("nil recorder handler is nil, want a 503-serving handler")
 	}
-	if got := r.Summary(); got != "telemetry off" {
-		t.Errorf("nil summary = %q", got)
-	}
 }
 
 func TestRegistryIdentity(t *testing.T) {

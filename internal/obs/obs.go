@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -71,25 +70,9 @@ const (
 	// Server-side drain: sessions redirected away by RedirectSessions.
 	MetricEdgeRedirectsSent = "edge_redirects_sent_total"
 
-	// Baseline result queues (internal/baselines).
-	GaugeResultQueueDepth = "baseline_result_queue_depth"
-	MetricResults         = "baseline_results_total"
-	MetricResultsDropped  = "baseline_results_dropped_total"
-
-	// Experiment harness end-to-end response times.
+	// End-to-end response times, capture to result: edge.Client observes
+	// one per ack, the fleet model one per modelled frame.
 	StageResponse = "e2e_response_seconds"
-
-	// Parallel execution layer (internal/parallel): pool width, regions in
-	// flight, cumulative regions and tasks dispatched.
-	GaugeParallelWorkers  = "parallel_pool_workers"
-	GaugeParallelActive   = "parallel_active_regions"
-	MetricParallelRegions = "parallel_regions_total"
-	MetricParallelTasks   = "parallel_tasks_total"
-
-	// Frame-level pipeline (internal/parallel.Pipeline): configured depth
-	// and the live number of frames concurrently in flight across stages.
-	GaugePipelineDepth    = "pipeline_depth"
-	GaugePipelineInFlight = "pipeline_frames_in_flight"
 
 	// Per-session edge serving (internal/edge.Server), labeled by session on
 	// top of the global MetricEdge* counters: frame/byte/NACK counts and
@@ -271,39 +254,4 @@ func (r *Recorder) Snapshot() *Snapshot {
 // SnapshotJSON marshals Snapshot as indented JSON.
 func (r *Recorder) SnapshotJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Snapshot(), "", "  ")
-}
-
-// Summary renders a one-line human summary for periodic stderr progress:
-// frame counts, encode-path latency quantiles and the live bandwidth
-// estimate.
-func (r *Recorder) Summary() string {
-	if r == nil {
-		return "telemetry off"
-	}
-	frames := r.Counter(MetricFrames).Value()
-	bits := r.Counter(MetricBits).Value()
-	h := r.Histogram(StageFrame)
-	return fmt.Sprintf("frames=%d bits=%d frame p50=%.1fms p95=%.1fms est_bw=%.2fMbps uptime=%.0fs",
-		frames, bits,
-		h.Quantile(0.50)*1000, h.Quantile(0.95)*1000,
-		r.Gauge(GaugeBWEstimate).Value()/1e6,
-		time.Since(r.start).Seconds())
-}
-
-// defaultRec is the process-wide recorder used by components that are not
-// explicitly wired (the experiment harness, baselines). Nil until a caller
-// opts in via SetDefault, so library users pay nothing.
-var defaultRec atomic.Pointer[Recorder]
-
-// SetDefault installs r as the process-wide default recorder. Components
-// constructed afterwards pick it up; pass nil to turn telemetry back off
-// for new components.
-func SetDefault(r *Recorder) {
-	defaultRec.Store(r)
-}
-
-// Default returns the process-wide recorder, or nil (no-op) when none was
-// installed.
-func Default() *Recorder {
-	return defaultRec.Load()
 }

@@ -3,8 +3,8 @@ package obs
 import "runtime"
 
 // RunMeta records the execution environment of a benchmark or telemetry
-// capture, so analyzers (cmd/divedoctor) can refuse or relax comparisons
-// that are not like-for-like: a p95 from a 2-core CI runner says nothing
+// capture (the header of divebench -json), so a reader can tell whether two
+// result files are like-for-like: a p95 from a 2-core CI runner says nothing
 // about a regression against a 16-core workstation baseline.
 type RunMeta struct {
 	GoVersion  string `json:"go_version"`
@@ -33,16 +33,4 @@ func CollectRunMeta(workers int) RunMeta {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    workers,
 	}
-}
-
-// Comparable reports whether two runs are like-for-like for absolute
-// latency comparison: same Go toolchain, same architecture, same effective
-// parallelism and same workload. Mismatched runs can still be compared on
-// relative stage shares.
-func (m RunMeta) Comparable(other RunMeta) bool {
-	return m.GoVersion == other.GoVersion &&
-		m.GOOS == other.GOOS && m.GOARCH == other.GOARCH &&
-		m.GOMAXPROCS == other.GOMAXPROCS &&
-		m.Workers == other.Workers &&
-		m.Profile == other.Profile
 }

@@ -22,6 +22,7 @@ var runtimeSamples = []string{
 	"/gc/pauses:seconds",
 	"/gc/heap/allocs:bytes",
 	"/gc/heap/allocs:objects",
+	"/gc/cycles/total:gc-cycles",
 }
 
 // RuntimeStats is a point-in-time snapshot of the Go runtime health signals.
@@ -36,13 +37,15 @@ type RuntimeStats struct {
 	GOMAXPROCS    int     `json:"gomaxprocs"`
 	// TotalAllocBytes/Mallocs are the cumulative heap allocation totals
 	// since process start; deltas between two snapshots give the allocation
-	// rate of the interval — what the throughput benchmark and the doctor's
+	// rate of the interval — what the packing ladder and the doctor's
 	// gc-pressure detector reason about.
 	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
 	Mallocs         uint64 `json:"mallocs"`
 }
 
-// CollectRuntimeStats reads the runtime counters.
+// CollectRuntimeStats reads the runtime counters in one runtime/metrics
+// call, which does not stop the world: samplers run it inside the windows
+// they measure and on live servers.
 func CollectRuntimeStats() RuntimeStats {
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, name := range runtimeSamples {
@@ -62,6 +65,8 @@ func CollectRuntimeStats() RuntimeStats {
 				st.TotalAllocBytes = s.Value.Uint64()
 			case "/gc/heap/allocs:objects":
 				st.Mallocs = s.Value.Uint64()
+			case "/gc/cycles/total:gc-cycles":
+				st.NumGC = uint32(s.Value.Uint64())
 			}
 		case metrics.KindFloat64Histogram:
 			if st.GCPauseP99Sec == 0 {
@@ -69,9 +74,6 @@ func CollectRuntimeStats() RuntimeStats {
 			}
 		}
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	st.NumGC = ms.NumGC
 	return st
 }
 

@@ -16,21 +16,14 @@
 // per-band RNG streams reproduce), Wavefront orders cells by dependency
 // diagonals (so every cell reads exactly the finalized neighbor values the
 // raster scan would have produced), and ForEach requires bodies to be
-// independent. Regions report pool gauges through the process-wide
-// obs.Default recorder when one is installed.
+// independent.
 package parallel
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"dive/internal/obs"
 )
-
-// activeRegions tracks concurrently executing parallel regions for the
-// obs gauge (a Gauge is set-only, so the running count lives here).
-var activeRegions atomic.Int64
 
 // Pool bounds the parallelism of the regions run through it.
 type Pool struct {
@@ -74,9 +67,6 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	regionEnter(nw, n)
-	defer regionExit()
-
 	chunk := n / (nw * 8)
 	if chunk < 1 {
 		chunk = 1
@@ -214,28 +204,5 @@ func (p *Pool) WavefrontBatch(w, h, batch int, fn func(x, y int)) {
 				fn(d-2*y, y)
 			}
 		})
-	}
-}
-
-// regionEnter records a parallel region start in the default recorder. The
-// active count is kept even with no recorder installed, so one can be
-// installed mid-run without the gauge going negative.
-func regionEnter(workers, tasks int) {
-	active := activeRegions.Add(1)
-	rec := obs.Default()
-	if rec == nil {
-		return
-	}
-	rec.Counter(obs.MetricParallelRegions).Inc()
-	rec.Counter(obs.MetricParallelTasks).Add(int64(tasks))
-	rec.Gauge(obs.GaugeParallelWorkers).Set(float64(workers))
-	rec.Gauge(obs.GaugeParallelActive).Set(float64(active))
-}
-
-// regionExit mirrors regionEnter.
-func regionExit() {
-	n := activeRegions.Add(-1)
-	if rec := obs.Default(); rec != nil {
-		rec.Gauge(obs.GaugeParallelActive).Set(float64(n))
 	}
 }

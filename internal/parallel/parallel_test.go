@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"dive/internal/obs"
 )
 
 func TestWorkersDefaults(t *testing.T) {
@@ -201,25 +199,5 @@ func TestWavefrontDegenerateGrids(t *testing.T) {
 		if int(n.Load()) != w*h {
 			t.Errorf("%dx%d grid: ran %d cells", w, h, n.Load())
 		}
-	}
-}
-
-func TestRegionGauges(t *testing.T) {
-	rec := obs.NewRecorder(0)
-	obs.SetDefault(rec)
-	defer obs.SetDefault(nil)
-	New(4).ForEach(64, func(i int) {})
-	snap := rec.Snapshot()
-	if snap.Counters[obs.MetricParallelRegions] < 1 {
-		t.Error("no parallel region recorded")
-	}
-	if snap.Counters[obs.MetricParallelTasks] < 64 {
-		t.Errorf("tasks counter = %d", snap.Counters[obs.MetricParallelTasks])
-	}
-	if snap.Gauges[obs.GaugeParallelWorkers] != 4 {
-		t.Errorf("workers gauge = %v", snap.Gauges[obs.GaugeParallelWorkers])
-	}
-	if snap.Gauges[obs.GaugeParallelActive] != 0 {
-		t.Errorf("active gauge = %v after region end", snap.Gauges[obs.GaugeParallelActive])
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dive/internal/obs"
 )
 
 // PipelineStats reports how much overlap a Pipeline run achieved.
@@ -65,11 +63,8 @@ func (p *Pool) Pipeline(n, depth int, stages ...func(i int) error) (PipelineStat
 		return PipelineStats{Items: n, Depth: 1, MaxInFlight: 1, MeanInFlight: 1}, nil
 	}
 
-	regionEnter(len(stages), n)
-	defer regionExit()
-
 	var (
-		occ       = newOccupancy(depth)
+		occ       = newOccupancy()
 		firstErr  atomic.Pointer[error]
 		panicked  atomic.Pointer[panicValue]
 		abort     = make(chan struct{})
@@ -159,8 +154,7 @@ func (p *Pool) Pipeline(n, depth int, stages ...func(i int) error) (PipelineStat
 	return stats, nil
 }
 
-// occupancy accumulates the time-weighted in-flight count of a pipeline run
-// and mirrors it to the process-wide recorder's pipeline gauges.
+// occupancy accumulates the time-weighted in-flight count of a pipeline run.
 type occupancy struct {
 	mu       sync.Mutex
 	inflight int
@@ -170,11 +164,8 @@ type occupancy struct {
 	start    time.Time
 }
 
-func newOccupancy(depth int) *occupancy {
+func newOccupancy() *occupancy {
 	now := time.Now()
-	if rec := obs.Default(); rec != nil {
-		rec.Gauge(obs.GaugePipelineDepth).Set(float64(depth))
-	}
 	return &occupancy{last: now, start: now}
 }
 
@@ -187,11 +178,7 @@ func (o *occupancy) change(d int) {
 	if o.inflight > o.max {
 		o.max = o.inflight
 	}
-	cur := o.inflight
 	o.mu.Unlock()
-	if rec := obs.Default(); rec != nil {
-		rec.Gauge(obs.GaugePipelineInFlight).Set(float64(cur))
-	}
 }
 
 func (o *occupancy) finish() PipelineStats {
