@@ -56,31 +56,35 @@ bench-smoke:
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
 # decode benchmarks, the rate-control trial, rate-control search and
-# bitstream-emission benchmarks, the telemetry-off paths of internal/obs and
-# the server's two per-frame wire paths with -benchmem and fail if allocs/op
-# or B/op regressed past the committed ci/alloc_baseline.json. The pooled
-# encoder, the session decoder, a trial pass, a whole search, the entropy
-# writer, every nil-recorder instrumentation path (span, counter, trace,
-# labeled family, SLO — what each end-to-end number in BENCHMARK.json runs
-# with), the journal's O(1) amend-by-frame, reading a frame out of the
-# MsgReader's buffer and writing a result through the connection's are all
-# pinned at 0 allocs/op; allocation counts are deterministic after warm-up, so
-# this gate is machine-independent (unlike wall-clock latency baselines).
+# bitstream-emission benchmarks, the whole agent loop, the telemetry-off paths
+# of internal/obs and the server's two per-frame wire paths with -benchmem and
+# fail if allocs/op or B/op regressed past the committed
+# ci/alloc_baseline.json. The pooled encoder, the session decoder, a trial
+# pass, a whole search, the entropy writer, every nil-recorder
+# instrumentation path (span, counter, trace, labeled family, SLO — what each
+# end-to-end number in BENCHMARK.json runs with), the journal's O(1)
+# amend-by-frame, reading a frame out of the MsgReader's buffer and writing a
+# result through the connection's are all pinned at 0 allocs/op, and a
+# core.Agent frame (ProcessFrame + TrackLocally + feedback, at one worker and
+# at the default width) at the 15 objects it hands to its caller; allocation
+# counts are deterministic after warm-up, so this gate is machine-independent
+# (unlike wall-clock latency baselines).
 #
-# The per-frame rows (codec) run 20 iterations; the nanosecond-scale rows
+# The per-frame rows (codec, core) run 20 iterations; the nanosecond-scale rows
 # (obs, edge) run 2000, so that one runtime background allocation landing
 # inside the window (≈ 5.5 kB, seen about one run in ten) rounds to ≤ 3 B/op
 # instead of reading 275 B/op against the 64 B floor.
-ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
-ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ && \
+ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream|AgentProcessFrame|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
+ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ && \
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
 bench-alloc:
 	$(ALLOC_RUN)
 	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -alloc-baseline ci/alloc_baseline.json -json
 
 # Regenerate the committed allocation baseline after an intentional change to
-# the steady-state encode, decode, rate-control or emission path, to the
-# telemetry-off paths or to the wire read / reply paths, then commit
+# the steady-state encode, decode, rate-control or emission path, to what the
+# agent hands out per frame, to the telemetry-off paths or to the wire read /
+# reply paths, then commit
 # ci/alloc_baseline.json.
 alloc-baseline:
 	$(ALLOC_RUN)

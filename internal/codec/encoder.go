@@ -248,6 +248,16 @@ type Encoder struct {
 	dctFn       func(by int)
 	dctFrame    *imgx.Plane
 	dctMF       *MotionField
+	// probeFn is prefetchRCProbes' region body, over probe (see searchFn).
+	probeFn func(k int)
+	probe   struct {
+		frame        *imgx.Plane
+		ftype        FrameType
+		mf           *MotionField
+		dctCache     [][blockSize * blockSize]int32
+		offsets      []int
+		qps, results [52]int
+	}
 }
 
 // NewEncoder validates cfg and creates an encoder.
@@ -273,6 +283,10 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	}
 	e.searchFn = func(bx, by int) { e.searchMB(e.searchFrame, e.searchMF, bx, by) }
 	e.dctFn = func(by int) { e.dctRow(by) }
+	e.probeFn = func(k int) {
+		p := &e.probe
+		p.results[k] = e.countPass(p.frame, p.ftype, p.mf, p.dctCache, p.qps[k], p.offsets)
+	}
 	return e, nil
 }
 
@@ -480,14 +494,14 @@ func (e *Encoder) prefetchRCProbes(frame *imgx.Plane, ftype FrameType, mf *Motio
 	// 52 slots hold any level and every midpoint.
 	type iv struct{ lo, hi int }
 	var level, next [52]iv
-	var qps, results [52]int
+	p := &e.probe
 	level[0] = iv{minQP, 51}
 	nLevel, n := 1, 0
 	for nLevel > 0 && n+nLevel <= nw {
 		nNext := 0
 		for _, v := range level[:nLevel] {
 			mid := (v.lo + v.hi) / 2
-			qps[n] = mid
+			p.qps[n] = mid
 			n++
 			if v.lo < mid {
 				next[nNext] = iv{v.lo, mid}
@@ -500,14 +514,11 @@ func (e *Encoder) prefetchRCProbes(frame *imgx.Plane, ftype FrameType, mf *Motio
 		}
 		level, nLevel = next, nNext
 	}
-	// The region body writes results, never memo: a closure capturing memo
-	// would force it onto the heap at every call, including the serial
-	// early-return above that probes nothing.
-	e.pool.ForEach(n, func(k int) {
-		results[k] = e.countPass(frame, ftype, mf, dctCache, qps[k], offsets)
-	})
-	for k, qp := range qps[:n] {
-		memo[qp] = results[k]
+	p.frame, p.ftype, p.mf, p.dctCache, p.offsets = frame, ftype, mf, dctCache, offsets
+	e.pool.ForEach(n, e.probeFn)
+	p.frame, p.mf, p.dctCache, p.offsets = nil, nil, nil, nil
+	for k, qp := range p.qps[:n] {
+		memo[qp] = p.results[k]
 	}
 	return memo, n
 }

@@ -144,6 +144,12 @@ type Agent struct {
 	// encoder. Owned by the analysis stage; the codec never retains it past
 	// AnalyzeAndQuantize, so one buffer serves every frame.
 	qpOffsets []int
+	// mv and fg are the analysis stage's working storage (estimator and
+	// foreground scratch), reused every frame. Nothing in them escapes
+	// analyzeFrame: whatever a FrameResult carries is freshly allocated and
+	// the caller's to keep.
+	mv mvfield.Scratch
+	fg fgScratch
 
 	// Per-session labeled counter children, resolved once at construction
 	// (nil — hence no-op — without a recorder or a configured Session).

@@ -89,3 +89,24 @@ func BenchmarkProcessStream(b *testing.B) {
 		b.Fatalf("pipelined run emitted %d bits, serial %d — determinism broken", bits[3], bits[1])
 	}
 }
+
+// BenchmarkAgentProcessFrame is one steady-state iteration of the loop every
+// transport runs (ProcessFrame, TrackLocally, OnTransmitComplete,
+// OnDetections) per op, at one worker and at the default width. Its
+// allocs/op is a row of ci/alloc_baseline.json: what the agent hands out,
+// nothing else.
+func BenchmarkAgentProcessFrame(b *testing.B) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=default", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			agent, frames, fps := steadyAgent(b, tc.workers, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stepAgent(b, agent, frames[i%len(frames)], float64(steadyWarm+i)/fps)
+			}
+		})
+	}
+}

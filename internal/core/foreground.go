@@ -117,6 +117,31 @@ func (r *ForegroundResult) Fraction() float64 {
 // Empty reports whether no foreground was extracted.
 func (r *ForegroundResult) Empty() bool { return r == nil || len(r.Objects) == 0 }
 
+// fgScratch is ExtractForeground's working storage: everything it builds on
+// the way to a ForegroundResult and does not hand out. members is one arena
+// all clusters of a frame live in, as subslices; hulls holds the ground hull
+// and then each object's, back to back.
+type fgScratch struct {
+	norms    []mvfield.NormalizedMagnitude
+	vals     []float64
+	hist     geom.Histogram
+	pts      []geom.Vec2
+	hull     geom.HullScratch
+	hulls    []geom.Vec2
+	seeds    []int
+	visited  []bool
+	members  []int
+	clusters []cluster
+}
+
+// cluster is one region-grown (then merged) set of macroblocks.
+type cluster struct {
+	members []int
+	mean    geom.Vec2
+	bbox    imgx.Rect
+	hullLen int
+}
+
 // ExtractForeground runs Section III-C on a rotation-corrected flow field:
 // ground estimation from normalized magnitudes, seed selection inside the
 // ground convex hull, region-growing clustering, direction-based merging,
@@ -124,10 +149,21 @@ func (r *ForegroundResult) Empty() bool { return r == nil || len(r.Objects) == 0
 // A nil result means no ground could be estimated (the caller should reuse
 // the previous foreground, as the paper prescribes for stopped agents).
 func ExtractForeground(f *mvfield.Field, foe geom.Vec2, cfg ForegroundConfig) *ForegroundResult {
-	norms := mvfield.NormalizedMagnitudes(f, foe, cfg.Normalize)
-	var vals []float64
+	return extractForeground(nil, f, foe, cfg)
+}
+
+// extractForeground is ExtractForeground working in s (nil: a fresh
+// scratch). The result is new storage, the caller's to keep: besides the
+// struct and its object list, one array each for the two masks, for the
+// index lists (seeds, members) and for the contours.
+func extractForeground(s *fgScratch, f *mvfield.Field, foe geom.Vec2, cfg ForegroundConfig) *ForegroundResult {
+	if s == nil {
+		s = &fgScratch{}
+	}
+	s.norms = mvfield.NormalizedMagnitudesInto(s.norms, f, foe, cfg.Normalize)
+	vals := s.vals[:0]
 	maxV := 0.0
-	for _, n := range norms {
+	for _, n := range s.norms {
 		if n.OK {
 			vals = append(vals, n.Value)
 			if n.Value > maxV {
@@ -135,58 +171,111 @@ func ExtractForeground(f *mvfield.Field, foe geom.Vec2, cfg ForegroundConfig) *F
 			}
 		}
 	}
+	s.vals = vals
 	if len(vals) < cfg.MinGroundSamples || maxV <= 0 {
 		return nil
 	}
 
 	// Ground = smallest normalized magnitudes, split off with the
 	// triangle method (Section III-C1).
-	hist := geom.NewHistogram(0, maxV*1.0001, cfg.HistBins)
+	s.hist.Reset(0, maxV*1.0001, cfg.HistBins)
 	for _, v := range vals {
-		hist.Add(v)
+		s.hist.Add(v)
 	}
-	threshold := hist.TriangleThreshold() * cfg.ThresholdScale
+	threshold := s.hist.TriangleThreshold() * cfg.ThresholdScale
 
-	res := &ForegroundResult{
-		MBW: f.MBW, MBH: f.MBH,
-		GroundMask: make([]bool, len(f.Vectors)),
-		Threshold:  threshold,
-		Mask:       make([]bool, len(f.Vectors)),
-	}
-	var groundPts []geom.Vec2
-	for _, n := range norms {
+	groundPts := s.pts[:0]
+	for _, n := range s.norms {
 		if n.OK && n.Value <= threshold {
-			res.GroundMask[n.Index] = true
 			groundPts = append(groundPts, mbCenter(n.Index, f.MBW))
 		}
 	}
+	s.pts = groundPts
 	if len(groundPts) < 3 {
 		return nil
 	}
-	res.GroundHull = geom.ConvexHull(groundPts)
+	masks := make([]bool, 2*len(f.Vectors))
+	res := &ForegroundResult{
+		MBW: f.MBW, MBH: f.MBH,
+		GroundMask: masks[:len(f.Vectors):len(f.Vectors)],
+		Threshold:  threshold,
+		Mask:       masks[len(f.Vectors):],
+	}
+	for _, n := range s.norms {
+		if n.OK && n.Value <= threshold {
+			res.GroundMask[n.Index] = true
+		}
+	}
+	s.hulls = geom.AppendConvexHull(s.hulls[:0], &s.hull, groundPts)
+	groundLen := len(s.hulls)
 
 	// Seeds: non-ground macroblocks with usable vectors inside the ground
 	// hull — objects standing on the ground. minY bounds how far above
 	// the horizon a standing object can reach.
 	minY := -cfg.MaxAboveHorizonFrac * float64(f.MBH*codec.MBSize) / 2
+	seeds := s.seeds[:0]
 	for i, v := range f.Vectors {
 		if res.GroundMask[i] || !v.Valid || v.Zero || v.Pos.Y < minY {
 			continue
 		}
-		if geom.PointInHull(mbCenter(i, f.MBW), res.GroundHull) {
-			res.Seeds = append(res.Seeds, i)
+		if geom.PointInHull(mbCenter(i, f.MBW), s.hulls[:groundLen]) {
+			seeds = append(seeds, i)
 		}
 	}
+	s.seeds = seeds
 
-	clusters := growClusters(f, res.GroundMask, res.Seeds, minY, cfg)
-	clusters = mergeClusters(f, clusters, cfg)
+	s.growClusters(f, res.GroundMask, minY, cfg)
+	s.mergeClusters(f, cfg)
+	indices := len(seeds)
+	for i := range s.clusters {
+		c := &s.clusters[i]
+		indices += len(c.members)
+		pts := s.pts[:0]
+		for _, m := range c.members {
+			pts = append(pts, mbCenter(m, f.MBW))
+		}
+		s.pts = pts
+		before := len(s.hulls)
+		s.hulls = geom.AppendConvexHull(s.hulls, &s.hull, pts)
+		c.hullLen = len(s.hulls) - before
+	}
 
-	for _, members := range clusters {
-		obj := buildObject(f, members)
+	// Hand out: copy what the scratch holds into the result's own arrays,
+	// then cut them up.
+	ints := append(make([]int, 0, indices), seeds...)
+	for _, c := range s.clusters {
+		ints = append(ints, c.members...)
+	}
+	vecs := append(make([]geom.Vec2, 0, len(s.hulls)), s.hulls...)
+	if len(seeds) > 0 {
+		res.Seeds = carve(&ints, len(seeds))
+	}
+	res.GroundHull = carve(&vecs, groundLen)
+	if len(s.clusters) > 0 {
+		res.Objects = make([]ForegroundObject, 0, len(s.clusters))
+	}
+	for _, c := range s.clusters {
+		obj := ForegroundObject{
+			Members: carve(&ints, len(c.members)),
+			Hull:    carve(&vecs, c.hullLen),
+			BBox: imgx.Rect{
+				MinX: c.bbox.MinX * codec.MBSize, MinY: c.bbox.MinY * codec.MBSize,
+				MaxX: c.bbox.MaxX * codec.MBSize, MaxY: c.bbox.MaxY * codec.MBSize,
+			},
+			MeanFlow: c.mean,
+		}
 		res.Objects = append(res.Objects, obj)
 		rasterizeHull(res.Mask, f.MBW, f.MBH, obj.Hull, cfg.DilateMBs)
 	}
 	return res
+}
+
+// carve cuts the next n elements off the front of *arena and returns them
+// capped, so that appending to one carved slice cannot reach the next.
+func carve[T any](arena *[]T, n int) []T {
+	out := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return out
 }
 
 // mbCenter returns macroblock i's center in grid coordinates.
@@ -204,21 +293,27 @@ func similarFlow(a, b geom.Vec2, cfg ForegroundConfig) bool {
 // growClusters performs the BFS region growing of Section III-C2: from each
 // seed, neighbors join when their vector is similar both to the current
 // block's vector and to the cluster's running mean (the guard against
-// over-growing).
-func growClusters(f *mvfield.Field, ground []bool, seeds []int, minY float64, cfg ForegroundConfig) [][]int {
-	visited := make([]bool, len(f.Vectors))
-	var clusters [][]int
-	for _, seed := range seeds {
+// over-growing). Clusters are disjoint, so they all fit in one arena of
+// len(f.Vectors) indices; the cluster being grown is its own BFS queue.
+func (s *fgScratch) growClusters(f *mvfield.Field, ground []bool, minY float64, cfg ForegroundConfig) {
+	if cap(s.visited) < len(f.Vectors) {
+		s.visited = make([]bool, len(f.Vectors))
+		s.members = make([]int, 0, len(f.Vectors))
+	}
+	visited := s.visited[:len(f.Vectors)]
+	clear(visited)
+	arena := s.members[:0]
+	s.clusters = s.clusters[:0]
+	for _, seed := range s.seeds {
 		if visited[seed] {
 			continue
 		}
 		visited[seed] = true
-		cluster := []int{seed}
+		start := len(arena)
+		arena = append(arena, seed)
 		mean := f.Vectors[seed].Flow
-		queue := []int{seed}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := start; head < len(arena); head++ {
+			cur := arena[head]
 			curFlow := f.Vectors[cur].Flow
 			bx, by := cur%f.MBW, cur/f.MBW
 			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
@@ -238,43 +333,41 @@ func growClusters(f *mvfield.Field, ground []bool, seeds []int, minY float64, cf
 					continue
 				}
 				visited[ni] = true
-				cluster = append(cluster, ni)
-				queue = append(queue, ni)
+				arena = append(arena, ni)
 				// Update the running mean.
-				n := float64(len(cluster))
+				n := float64(len(arena) - start)
 				mean = mean.Scale((n - 1) / n).Add(nv.Flow.Scale(1 / n))
 			}
 		}
-		if len(cluster) >= cfg.MinClusterSize {
-			clusters = append(clusters, cluster)
+		if len(arena)-start < cfg.MinClusterSize {
+			arena = arena[:start]
+			continue
 		}
+		members := arena[start:len(arena):len(arena)]
+		s.clusters = append(s.clusters, cluster{members: members, mean: meanFlow(f, members), bbox: gridBBox(members, f.MBW)})
 	}
-	return clusters
+	s.members = arena
 }
 
 // mergeClusters iteratively merges clusters whose mean flows point the same
 // way and whose footprints are close, filling the holes sparse motion
-// vectors leave in objects (Section III-C2).
-func mergeClusters(f *mvfield.Field, clusters [][]int, cfg ForegroundConfig) [][]int {
-	type info struct {
-		members []int
-		mean    geom.Vec2
-		bbox    imgx.Rect
-	}
-	items := make([]*info, 0, len(clusters))
-	for _, c := range clusters {
-		items = append(items, &info{members: c, mean: meanFlow(f, c), bbox: gridBBox(c, f.MBW)})
-	}
+// vectors leave in objects (Section III-C2). A merged cluster's members are
+// written to the arena's tail, the absorbed cluster's after the absorbing
+// one's.
+func (s *fgScratch) mergeClusters(f *mvfield.Field, cfg ForegroundConfig) {
+	items := s.clusters
 	merged := true
 	for merged {
 		merged = false
 		for i := 0; i < len(items) && !merged; i++ {
 			for j := i + 1; j < len(items); j++ {
-				a, b := items[i], items[j]
+				a, b := &items[i], items[j]
 				if !mergeCompatible(a.mean, b.mean, a.bbox, b.bbox, cfg) {
 					continue
 				}
-				a.members = append(a.members, b.members...)
+				start := len(s.members)
+				s.members = append(append(s.members, a.members...), b.members...)
+				a.members = s.members[start:len(s.members):len(s.members)]
 				a.mean = meanFlow(f, a.members)
 				a.bbox = a.bbox.Union(b.bbox)
 				items = append(items[:j], items[j+1:]...)
@@ -283,11 +376,7 @@ func mergeClusters(f *mvfield.Field, clusters [][]int, cfg ForegroundConfig) [][
 			}
 		}
 	}
-	out := make([][]int, 0, len(items))
-	for _, it := range items {
-		out = append(out, it.members)
-	}
-	return out
+	s.clusters = items
 }
 
 // mergeCompatible tests direction similarity, magnitude compatibility and
@@ -356,25 +445,6 @@ func gridBBox(members []int, mbw int) imgx.Rect {
 		}
 	}
 	return r
-}
-
-// buildObject computes the convex contour and pixel bbox of a cluster.
-func buildObject(f *mvfield.Field, members []int) ForegroundObject {
-	pts := make([]geom.Vec2, 0, len(members))
-	for _, i := range members {
-		pts = append(pts, mbCenter(i, f.MBW))
-	}
-	hull := geom.ConvexHull(pts)
-	bb := gridBBox(members, f.MBW)
-	return ForegroundObject{
-		Members: members,
-		Hull:    hull,
-		BBox: imgx.Rect{
-			MinX: bb.MinX * codec.MBSize, MinY: bb.MinY * codec.MBSize,
-			MaxX: bb.MaxX * codec.MBSize, MaxY: bb.MaxY * codec.MBSize,
-		},
-		MeanFlow: meanFlow(f, members),
-	}
 }
 
 // rasterizeHull marks every macroblock whose center lies in the hull

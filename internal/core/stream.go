@@ -86,7 +86,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 			// Rotational component elimination (Section III-B3).
 			if !a.cfg.DisableRotation {
 				rotSpan := r.StartStageSpan(actx, "rotation", "agent", obs.StageRotation)
-				phiX, phiY, err := a.cfg.Rotation.Estimate(field, a.foeCal.FOE(), a.rng)
+				phiX, phiY, err := a.cfg.Rotation.EstimateWith(&a.mv, field, a.foeCal.FOE(), a.rng)
 				if err == nil {
 					res.Rotation = RotationEstimate{PhiX: phiX, PhiY: phiY, OK: true}
 					field = field.RemoveRotation(phiX, phiY)
@@ -94,7 +94,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 				rotSpan.End()
 			}
 			// FOE calibration on the corrected field.
-			if foe, err := mvfield.EstimateFOE(field, a.rng); err == nil {
+			if foe, err := mvfield.EstimateFOEWith(&a.mv, field, a.rng); err == nil {
 				a.foeCal.Update(foe)
 				res.FOE = foe
 			} else {
@@ -104,7 +104,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, ctx obs.TraceContex
 
 			// Foreground extraction (Section III-C).
 			fgSpan := r.StartStageSpan(actx, "foreground", "agent", obs.StageForeground)
-			fg := ExtractForeground(field, a.foeCal.FOE(), a.cfg.Foreground)
+			fg := extractForeground(&a.fg, field, a.foeCal.FOE(), a.cfg.Foreground)
 			fgSpan.End()
 			if fg != nil && !fg.Empty() {
 				a.lastFG = fg

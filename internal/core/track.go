@@ -71,8 +71,7 @@ func boxMotion(field *mvfield.Field, box imgx.Rect, cx, cy float64) (geom.Vec2, 
 	}
 	bcx := float64(box.MinX+box.MaxX)/2 - cx // box center, centered coords
 	bcy := float64(box.MinY+box.MaxY)/2 - cy
-	var rows [][]float64
-	var rhs []float64
+	var q geom.Normal3
 	var sum geom.Vec2
 	n := 0
 	for _, v := range field.Vectors {
@@ -82,10 +81,8 @@ func boxMotion(field *mvfield.Field, box imgx.Rect, cx, cy float64) (geom.Vec2, 
 			py < float64(box.MinY) || py >= float64(box.MaxY) || !v.Valid {
 			continue
 		}
-		rows = append(rows,
-			[]float64{1, 0, v.Pos.X - bcx},
-			[]float64{0, 1, v.Pos.Y - bcy})
-		rhs = append(rhs, v.Flow.X, v.Flow.Y)
+		q.Add([3]float64{1, 0, v.Pos.X - bcx}, v.Flow.X)
+		q.Add([3]float64{0, 1, v.Pos.Y - bcy}, v.Flow.Y)
 		sum = sum.Add(v.Flow)
 		n++
 	}
@@ -96,7 +93,7 @@ func boxMotion(field *mvfield.Field, box imgx.Rect, cx, cy float64) (geom.Vec2, 
 	if n < 4 {
 		return mean, 1
 	}
-	u, err := geom.LeastSquares(rows, rhs)
+	u, err := q.Solve()
 	if err != nil {
 		return mean, 1
 	}

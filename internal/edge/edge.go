@@ -466,13 +466,6 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 		st.write(&ResultMsg{Index: -1})
 		return nil, nil, nil
 	}
-	s.Obs.Counter(obs.MetricEdgeSessions).Inc()
-	m := &sessionMetrics{label: fmt.Sprintf("%s-%d", hello.Profile, hello.Seed)}
-	m.frames = s.Obs.LabeledCounter(obs.MetricEdgeSessionFrames, obs.SessionLabel).With(m.label)
-	m.bytes = s.Obs.LabeledCounter(obs.MetricEdgeSessionBytes, obs.SessionLabel).With(m.label)
-	m.nacks = s.Obs.LabeledCounter(obs.MetricEdgeSessionNacks, obs.SessionLabel).With(m.label)
-	m.decode = s.Obs.LabeledHistogram(obs.StageEdgeSessionDecode, obs.SessionLabel).With(m.label)
-	m.detect = s.Obs.LabeledHistogram(obs.StageEdgeSessionDetect, obs.SessionLabel).With(m.label)
 	profile, ok := world.ProfileByName(hello.Profile)
 	if !ok {
 		return reject(fmt.Sprintf("edge: unknown profile %q", hello.Profile))
@@ -492,6 +485,17 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 	if hello.FirstFrame >= clip.NumFrames() {
 		return reject(fmt.Sprintf("resume frame %d beyond clip end %d", hello.FirstFrame, clip.NumFrames()))
 	}
+	// Only a Hello that will be served counts as a session and mints the
+	// per-session series: a label value is a bounded resource (obs.
+	// MaxLabelValues per family), and a stream of rejected Hellos with
+	// distinct names must not push real sessions into the overflow child.
+	s.Obs.Counter(obs.MetricEdgeSessions).Inc()
+	m := &sessionMetrics{label: fmt.Sprintf("%s-%d", hello.Profile, hello.Seed)}
+	m.frames = s.Obs.LabeledCounter(obs.MetricEdgeSessionFrames, obs.SessionLabel).With(m.label)
+	m.bytes = s.Obs.LabeledCounter(obs.MetricEdgeSessionBytes, obs.SessionLabel).With(m.label)
+	m.nacks = s.Obs.LabeledCounter(obs.MetricEdgeSessionNacks, obs.SessionLabel).With(m.label)
+	m.decode = s.Obs.LabeledHistogram(obs.StageEdgeSessionDecode, obs.SessionLabel).With(m.label)
+	m.detect = s.Obs.LabeledHistogram(obs.StageEdgeSessionDetect, obs.SessionLabel).With(m.label)
 	dec, err := codec.NewDecoder(codec.DefaultConfig(clip.W, clip.H))
 	if err != nil {
 		return nil, nil, err

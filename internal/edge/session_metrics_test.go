@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -221,4 +222,75 @@ func TestServerSessionLabelOverflow(t *testing.T) {
 	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != families {
 		t.Fatalf("overflow counter = %d after a returning session, want still %d", got, families)
 	}
+}
+
+// TestServerRejectedHellosMintNoLabels sends 100 Hellos with distinct unknown
+// profiles and one resume beyond the clip's end: none of them is a session,
+// so none may count as one or take a value out of the session label's
+// cardinality budget — the next valid session still gets a series of its own.
+func TestServerRejectedHellosMintNoLabels(t *testing.T) {
+	rec := obs.NewRecorder(64)
+	srv := NewServer()
+	srv.Obs = rec
+	addr, stop := startServer(t, srv)
+	defer stop()
+
+	const duration = 0.25
+	conn, _ := testSession(t, addr, Hello{Profile: "nuScenes", Seed: 1, Duration: duration})
+	conn.Close()
+
+	families := map[string]func() []string{}
+	for _, name := range []string{obs.MetricEdgeSessionFrames, obs.MetricEdgeSessionBytes, obs.MetricEdgeSessionNacks} {
+		fam := rec.LabeledCounter(name, obs.SessionLabel)
+		families[name] = func() (ls []string) {
+			fam.Each(func(v string, _ *obs.Counter) { ls = append(ls, v) })
+			return ls
+		}
+	}
+	for _, name := range []string{obs.StageEdgeSessionDecode, obs.StageEdgeSessionDetect} {
+		fam := rec.LabeledHistogram(name, obs.SessionLabel)
+		families[name] = func() (ls []string) {
+			fam.Each(func(v string, _ *obs.Histogram) { ls = append(ls, v) })
+			return ls
+		}
+	}
+	check := func(when string, sessions int64, labels ...string) {
+		t.Helper()
+		if got := rec.Counter(obs.MetricEdgeSessions).Value(); got != sessions {
+			t.Errorf("%s: %s = %d, want %d", when, obs.MetricEdgeSessions, got, sessions)
+		}
+		for name, list := range families {
+			if got := list(); strings.Join(got, ",") != strings.Join(labels, ",") {
+				t.Errorf("%s: %s has session labels %v, want %v", when, name, got, labels)
+			}
+		}
+	}
+	check("after one session", 1, "nuScenes-1")
+
+	reject := func(h Hello) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := WriteHello(conn, h); err != nil {
+			t.Fatal(err)
+		}
+		if res := readResult(t, conn, NewMsgReader(conn)); res.Err == "" {
+			t.Fatalf("Hello %+v accepted", h)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		reject(Hello{Profile: fmt.Sprintf("no-such-profile-%d", i), Seed: int64(i)})
+	}
+	reject(Hello{Profile: "nuScenes", Seed: 2, Duration: duration, Resume: true, FirstFrame: 1 << 20})
+	check("after 101 rejected Hellos", 1, "nuScenes-1")
+	if got := rec.Counter(obs.MetricLabelOverflow).Value(); got != 0 {
+		t.Errorf("overflow counter = %d after rejected Hellos, want 0", got)
+	}
+
+	conn, _ = testSession(t, addr, Hello{Profile: "nuScenes", Seed: 3, Duration: duration})
+	conn.Close()
+	check("after the next valid session", 2, "nuScenes-1", "nuScenes-3")
 }

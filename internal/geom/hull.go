@@ -1,6 +1,16 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
+
+// HullScratch is ConvexHull's working storage — the sorted copy of the
+// input and the chain under construction — kept between calls by a caller
+// that builds hulls every frame. The zero value is ready to use.
+type HullScratch struct {
+	pts, hull []Vec2
+}
 
 // ConvexHull returns the convex hull of the given points in counterclockwise
 // order (in the image convention with y downward this appears clockwise on
@@ -8,14 +18,22 @@ import "sort"
 // Sklansky's algorithm that the paper uses for ground and object contours.
 // Degenerate inputs (fewer than 3 distinct points, collinear sets) return
 // the distinct points sorted lexicographically.
-func ConvexHull(points []Vec2) []Vec2 {
-	pts := make([]Vec2, len(points))
-	copy(pts, points)
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].X != pts[j].X {
-			return pts[i].X < pts[j].X
+func ConvexHull(points []Vec2) []Vec2 { return AppendConvexHull(nil, nil, points) }
+
+// AppendConvexHull is ConvexHull working in s (nil: a fresh scratch) and
+// appending the hull to dst (nil: new storage of exactly the hull's length),
+// so a caller that builds several hulls a frame can lay them back to back.
+func AppendConvexHull(dst []Vec2, s *HullScratch, points []Vec2) []Vec2 {
+	if s == nil {
+		s = &HullScratch{}
+	}
+	pts := append(s.pts[:0], points...)
+	s.pts = pts
+	slices.SortFunc(pts, func(a, b Vec2) int {
+		if a.X != b.X {
+			return cmp.Compare(a.X, b.X)
 		}
-		return pts[i].Y < pts[j].Y
+		return cmp.Compare(a.Y, b.Y)
 	})
 	// Deduplicate.
 	uniq := pts[:0]
@@ -26,29 +44,33 @@ func ConvexHull(points []Vec2) []Vec2 {
 	}
 	pts = uniq
 	n := len(pts)
+	hull := s.hull[:0]
 	if n < 3 {
-		out := make([]Vec2, n)
-		copy(out, pts)
-		return out
-	}
-	hull := make([]Vec2, 0, 2*n)
-	// Lower hull.
-	for _, p := range pts {
-		for len(hull) >= 2 && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
+		hull = append(hull, pts...)
+	} else {
+		// Lower hull.
+		for _, p := range pts {
+			for len(hull) >= 2 && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
+				hull = hull[:len(hull)-1]
+			}
+			hull = append(hull, p)
 		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := pts[i]
-		for len(hull) >= lower && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
+		// Upper hull.
+		lower := len(hull) + 1
+		for i := n - 2; i >= 0; i-- {
+			p := pts[i]
+			for len(hull) >= lower && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
+				hull = hull[:len(hull)-1]
+			}
+			hull = append(hull, p)
 		}
-		hull = append(hull, p)
+		hull = hull[:len(hull)-1]
 	}
-	return hull[:len(hull)-1]
+	s.hull = hull
+	if dst == nil {
+		dst = make([]Vec2, 0, len(hull))
+	}
+	return append(dst, hull...)
 }
 
 // cross returns the z component of (b-a) × (c-a).

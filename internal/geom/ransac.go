@@ -3,6 +3,7 @@ package geom
 import (
 	"errors"
 	"math/rand"
+	"slices"
 )
 
 // RANSACConfig controls the generic RANSAC driver.
@@ -20,15 +21,24 @@ type RANSACConfig struct {
 
 // RANSACModel abstracts the model being fitted. Fit estimates model
 // parameters from the points with the given indices; Residual evaluates one
-// point against those parameters.
-type RANSACModel interface {
+// point against those parameters. The parameters are a value type P, so a
+// hypothesis is never boxed; instantiate with a struct-typed model (not a
+// pointer) and the driver calls Fit and Residual directly.
+type RANSACModel[P any] interface {
 	// Len returns the number of data points.
 	Len() int
 	// Fit estimates parameters from the selected points. It may fail for
 	// degenerate selections.
-	Fit(indices []int) (params interface{}, err error)
+	Fit(indices []int) (params P, err error)
 	// Residual returns the absolute residual of point i under params.
-	Residual(i int, params interface{}) float64
+	Residual(i int, params P) float64
+}
+
+// RANSACScratch is the driver's index storage — the sample, the two inlier
+// buffers and the dense draw's permutation — kept between runs by a caller
+// that fits every frame. The zero value is ready to use.
+type RANSACScratch struct {
+	sample, best, cur, perm []int
 }
 
 // ErrNoConsensus is returned when RANSAC finds no acceptable model.
@@ -39,20 +49,25 @@ var ErrNoConsensus = errors.New("geom: ransac found no consensus")
 // vectors): repeatedly fit a model to a random minimal sample, score it by
 // consensus-set size, and finally refit to the best consensus set.
 //
-// It returns the refitted parameters and the inlier indices.
-func RANSAC(m RANSACModel, cfg RANSACConfig, rng *rand.Rand) (interface{}, []int, error) {
+// It returns the refitted parameters and the inlier indices. With a non-nil
+// scratch it allocates nothing once the scratch has grown to the data, and
+// the inliers are valid until the scratch's next run; nil uses a fresh one.
+func RANSAC[P any, M RANSACModel[P]](m M, cfg RANSACConfig, rng *rand.Rand, s *RANSACScratch) (P, []int, error) {
+	var none P
 	n := m.Len()
 	if n < cfg.MinSamples {
-		return nil, nil, errors.New("geom: not enough points for ransac")
+		return none, nil, errors.New("geom: not enough points for ransac")
+	}
+	if s == nil {
+		s = &RANSACScratch{}
 	}
 	// Two inlier buffers serve every hypothesis: one holds the best
 	// consensus set so far, the other collects the current hypothesis's, and
 	// they swap when the current one wins.
-	bestInliers := make([]int, 0, n)
-	inliers := make([]int, 0, n)
-	sample := make([]int, cfg.MinSamples)
+	bestInliers, inliers := slices.Grow(s.best[:0], n), slices.Grow(s.cur[:0], n)
+	sample := slices.Grow(s.sample[:0], cfg.MinSamples)[:cfg.MinSamples]
 	for it := 0; it < cfg.Iterations; it++ {
-		drawSample(sample, n, rng)
+		s.perm = drawSample(sample, n, rng, s.perm)
 		params, err := m.Fit(sample)
 		if err != nil {
 			continue
@@ -67,25 +82,39 @@ func RANSAC(m RANSACModel, cfg RANSACConfig, rng *rand.Rand) (interface{}, []int
 			bestInliers, inliers = inliers, bestInliers
 		}
 	}
+	s.sample, s.best, s.cur = sample, bestInliers, inliers
 	best := len(bestInliers)
 	if best == 0 || best < cfg.MinSamples || (cfg.MinInliers > 0 && best < cfg.MinInliers) {
-		return nil, nil, ErrNoConsensus
+		return none, nil, ErrNoConsensus
 	}
 	params, err := m.Fit(bestInliers)
 	if err != nil {
-		return nil, nil, err
+		return none, nil, err
 	}
 	return params, bestInliers, nil
 }
 
-// drawSample fills dst with distinct indices in [0, n).
-func drawSample(dst []int, n int, rng *rand.Rand) {
+// PermInto is rng.Perm(n) written into dst's storage: the same draws in the
+// same order, so the same permutation, without a new slice per call.
+func PermInto(dst []int, n int, rng *rand.Rand) []int {
+	m := slices.Grow(dst[:0], n)[:n]
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
+// drawSample fills dst with distinct indices in [0, n). perm is the dense
+// path's working storage, returned (possibly grown) for the next draw.
+func drawSample(dst []int, n int, rng *rand.Rand, perm []int) []int {
 	k := len(dst)
 	if k*4 >= n {
 		// Dense draw: partial Fisher–Yates over an index array.
-		idx := rng.Perm(n)
-		copy(dst, idx[:k])
-		return
+		perm = PermInto(perm, n, rng)
+		copy(dst, perm[:k])
+		return perm
 	}
 	// Sparse draw: redraw on a repeat. k is a handful, so scanning the
 	// indices drawn so far beats a set.
@@ -100,4 +129,5 @@ draw:
 		dst[i] = v
 		i++
 	}
+	return perm
 }

@@ -16,7 +16,7 @@ type lineParams struct{ m, c float64 }
 
 func (l *lineModel) Len() int { return len(l.pts) }
 
-func (l *lineModel) Fit(idx []int) (interface{}, error) {
+func (l *lineModel) Fit(idx []int) (lineParams, error) {
 	var a [][]float64
 	var b []float64
 	for _, i := range idx {
@@ -25,13 +25,12 @@ func (l *lineModel) Fit(idx []int) (interface{}, error) {
 	}
 	u, err := LeastSquares(a, b)
 	if err != nil {
-		return nil, err
+		return lineParams{}, err
 	}
 	return lineParams{u[0], u[1]}, nil
 }
 
-func (l *lineModel) Residual(i int, params interface{}) float64 {
-	p := params.(lineParams)
+func (l *lineModel) Residual(i int, p lineParams) float64 {
 	return math.Abs(l.pts[i].Y - (p.m*l.pts[i].X + p.c))
 }
 
@@ -50,11 +49,11 @@ func TestRANSACLineWithOutliers(t *testing.T) {
 		MinSamples:      2,
 		Iterations:      100,
 		InlierThreshold: 0.3,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := params.(lineParams)
+	p := params
 	if math.Abs(p.m-2) > 0.05 || math.Abs(p.c-1) > 0.2 {
 		t.Errorf("fit = %+v, want m≈2 c≈1", p)
 	}
@@ -65,7 +64,7 @@ func TestRANSACLineWithOutliers(t *testing.T) {
 
 func TestRANSACNotEnoughPoints(t *testing.T) {
 	model := &lineModel{pts: []Vec2{{0, 0}}}
-	_, _, err := RANSAC(model, RANSACConfig{MinSamples: 2, Iterations: 10, InlierThreshold: 1}, rand.New(rand.NewSource(1)))
+	_, _, err := RANSAC(model, RANSACConfig{MinSamples: 2, Iterations: 10, InlierThreshold: 1}, rand.New(rand.NewSource(1)), nil)
 	if err == nil {
 		t.Error("expected error with too few points")
 	}
@@ -82,7 +81,7 @@ func TestRANSACNoConsensus(t *testing.T) {
 		Iterations:      50,
 		InlierThreshold: 1e-9, // nothing but the sample itself can be an inlier
 		MinInliers:      10,
-	}, rng)
+	}, rng, nil)
 	if !errors.Is(err, ErrNoConsensus) {
 		t.Errorf("expected ErrNoConsensus, got %v", err)
 	}
@@ -93,7 +92,7 @@ func TestDrawSampleDistinct(t *testing.T) {
 	for _, n := range []int{5, 10, 1000} {
 		for _, k := range []int{2, 4} {
 			dst := make([]int, k)
-			drawSample(dst, n, rng)
+			drawSample(dst, n, rng, nil)
 			seen := map[int]bool{}
 			for _, v := range dst {
 				if v < 0 || v >= n {
@@ -181,11 +180,11 @@ func TestRANSACSurvivesDegenerateSamples(t *testing.T) {
 	}
 	params, inliers, err := RANSAC(model, RANSACConfig{
 		MinSamples: 2, Iterations: 200, InlierThreshold: 0.1,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := params.(lineParams)
+	p := params
 	if math.Abs(p.m-2) > 0.05 || math.Abs(p.c-1) > 0.3 {
 		t.Errorf("fit = %+v", p)
 	}
@@ -194,11 +193,32 @@ func TestRANSACSurvivesDegenerateSamples(t *testing.T) {
 	}
 }
 
+// oracleModel is RANSACModel as it stood before the parameters became a
+// value type: every hypothesis boxed into an interface{}.
+type oracleModel interface {
+	Len() int
+	Fit(indices []int) (params interface{}, err error)
+	Residual(i int, params interface{}) float64
+}
+
+// boxed runs a value-typed model under the oracle driver.
+type boxed[P any, M RANSACModel[P]] struct{ m M }
+
+func (b boxed[P, M]) Len() int { return b.m.Len() }
+func (b boxed[P, M]) Fit(idx []int) (interface{}, error) {
+	p, err := b.m.Fit(idx)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+func (b boxed[P, M]) Residual(i int, p interface{}) float64 { return b.m.Residual(i, p.(P)) }
+
 // oracleRANSAC is RANSAC as it stood before the inlier buffers were reused:
 // a fresh append-grown inlier slice per hypothesis and a map per sparse
 // draw. The production loop must consume the same rng draws and return the
 // same parameters and inliers.
-func oracleRANSAC(m RANSACModel, cfg RANSACConfig, rng *rand.Rand) (interface{}, []int, error) {
+func oracleRANSAC(m oracleModel, cfg RANSACConfig, rng *rand.Rand) (interface{}, []int, error) {
 	n := m.Len()
 	if n < cfg.MinSamples {
 		return nil, nil, errors.New("geom: not enough points for ransac")
@@ -254,9 +274,12 @@ func oracleDrawSample(dst []int, n int, rng *rand.Rand) {
 // TestRANSACMatchesOracle runs production and oracle from equal seeds over
 // dense and sparse draws, outlier-heavy data (ties and late winners),
 // duplicated points (failed fits) and thresholds that end in ErrNoConsensus:
-// parameters, inliers, error and the rng's state afterwards must agree.
+// parameters, inliers, error and the rng's state afterwards must agree —
+// with a fresh scratch per run and with one scratch carried dirty through
+// every run, whose sizes go up and down with the seed.
 func TestRANSACMatchesOracle(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
+	var dirty RANSACScratch
+	for seed := int64(1); seed <= 200; seed++ {
 		data := rand.New(rand.NewSource(seed))
 		model := &lineModel{}
 		n := 3 + data.Intn(120)
@@ -274,62 +297,62 @@ func TestRANSACMatchesOracle(t *testing.T) {
 			InlierThreshold: []float64{1e-12, 0.1, 0.5}[data.Intn(3)],
 			MinInliers:      data.Intn(2) * data.Intn(n),
 		}
-		rngA, rngB := rand.New(rand.NewSource(seed+100)), rand.New(rand.NewSource(seed+100))
-		gotP, gotIn, gotErr := RANSAC(model, cfg, rngA)
-		wantP, wantIn, wantErr := oracleRANSAC(model, cfg, rngB)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("seed %d: err %v, oracle %v", seed, gotErr, wantErr)
-		}
-		if gotP != wantP {
-			t.Fatalf("seed %d: params %+v, oracle %+v", seed, gotP, wantP)
-		}
-		if len(gotIn) != len(wantIn) {
-			t.Fatalf("seed %d: %d inliers, oracle %d", seed, len(gotIn), len(wantIn))
-		}
-		for i := range gotIn {
-			if gotIn[i] != wantIn[i] {
-				t.Fatalf("seed %d: inlier %d is %d, oracle %d", seed, i, gotIn[i], wantIn[i])
+		rngB := rand.New(rand.NewSource(seed + 100))
+		wantP, wantIn, wantErr := oracleRANSAC(boxed[lineParams, *lineModel]{model}, cfg, rngB)
+		wantNext := rngB.Int63()
+		for name, scratch := range map[string]*RANSACScratch{"fresh": nil, "dirty": &dirty} {
+			rngA := rand.New(rand.NewSource(seed + 100))
+			gotP, gotIn, gotErr := RANSAC(model, cfg, rngA, scratch)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+				t.Fatalf("seed %d %s: err %v, oracle %v", seed, name, gotErr, wantErr)
+			}
+			if gotErr == nil && gotP != wantP.(lineParams) {
+				t.Fatalf("seed %d %s: params %+v, oracle %+v", seed, name, gotP, wantP)
+			}
+			if len(gotIn) != len(wantIn) {
+				t.Fatalf("seed %d %s: %d inliers, oracle %d", seed, name, len(gotIn), len(wantIn))
+			}
+			for i := range gotIn {
+				if gotIn[i] != wantIn[i] {
+					t.Fatalf("seed %d %s: inlier %d is %d, oracle %d", seed, name, i, gotIn[i], wantIn[i])
+				}
+			}
+			if rngA.Int63() != wantNext {
+				t.Fatalf("seed %d %s: rng diverged after the run", seed, name)
 			}
 		}
-		if a, b := rngA.Int63(), rngB.Int63(); a != b {
-			t.Fatalf("seed %d: rng diverged after the run", seed)
-		}
 	}
 }
 
-// staticModel fits nothing: Fit hands back a model-owned pointer, so every
-// allocation AllocsPerRun sees is RANSAC's own.
-type staticModel struct {
-	vals   []float64
-	params float64
+// staticModel fits nothing, so every allocation AllocsPerRun sees is
+// RANSAC's own.
+type staticModel struct{ vals []float64 }
+
+func (s staticModel) Len() int                       { return len(s.vals) }
+func (s staticModel) Fit(idx []int) (float64, error) { return s.vals[idx[0]], nil }
+func (s staticModel) Residual(i int, p float64) float64 {
+	return math.Abs(s.vals[i] - p)
 }
 
-func (s *staticModel) Len() int { return len(s.vals) }
-func (s *staticModel) Fit(idx []int) (interface{}, error) {
-	s.params = s.vals[idx[0]]
-	return &s.params, nil
-}
-func (s *staticModel) Residual(i int, p interface{}) float64 {
-	return math.Abs(s.vals[i] - *p.(*float64))
-}
-
-// TestRANSACAllocBound pins the driver's own allocations on the sparse-draw
-// path the agent runs (hundreds of vectors, a handful per sample): the
-// sample plus the two inlier buffers, whatever the hypothesis count. The
-// append-grown version allocated per hypothesis.
+// TestRANSACAllocBound pins the driver's own allocations, on the sparse-draw
+// path the agent runs (hundreds of vectors, a handful per sample) and on the
+// dense one (a permutation per hypothesis): with a warm scratch, none.
 func TestRANSACAllocBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	model := &staticModel{vals: make([]float64, 400)}
-	for i := range model.vals {
-		model.vals[i] = rng.Float64()
-	}
-	cfg := RANSACConfig{MinSamples: 3, Iterations: 64, InlierThreshold: 0.2}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, _, err := RANSAC(model, cfg, rng); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{400, 10} {
+		model := staticModel{vals: make([]float64, n)}
+		for i := range model.vals {
+			model.vals[i] = rng.Float64()
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("RANSAC: %.0f allocs per run, want at most 3 (sample + two inlier buffers)", allocs)
+		cfg := RANSACConfig{MinSamples: 3, Iterations: 64, InlierThreshold: 0.2}
+		var s RANSACScratch
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := RANSAC(model, cfg, rng, &s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("RANSAC over %d points: %.0f allocs per run with a warm scratch, want 0", n, allocs)
+		}
 	}
 }

@@ -25,35 +25,85 @@ func Solve2x2(a11, a12, a21, a22, b1, b2 float64) (x, y float64, err error) {
 	return x, y, nil
 }
 
+// Normal2 accumulates the normal equations of an over-determined system
+// A·u = b in two unknowns one row at a time, so a caller that can compute its
+// rows on the fly need not materialise A and b. This is the solver behind the
+// paper's Eq. (7): rows are (x·f, y·f) and b is x·vy − y·vx. The zero value
+// is empty.
+type Normal2 struct {
+	s11, s12, s22, t1, t2 float64
+	rows                  int
+}
+
+// Add folds in the equation a0·x + a1·y = b.
+func (q *Normal2) Add(a0, a1, b float64) {
+	q.s11 += a0 * a0
+	q.s12 += a0 * a1
+	q.s22 += a1 * a1
+	q.t1 += a0 * b
+	q.t2 += a1 * b
+	q.rows++
+}
+
+// Solve returns the least-squares solution of the rows added so far.
+func (q *Normal2) Solve() (x, y float64, err error) {
+	if q.rows < 2 {
+		return 0, 0, errors.New("geom: need at least two equations")
+	}
+	return Solve2x2(q.s11, q.s12, q.s12, q.s22, q.t1, q.t2)
+}
+
 // LeastSquares2 solves the over-determined system A·u = b for a 2-vector u
-// in the least-squares sense via the normal equations. Each row of a must
-// have exactly two entries. This is the solver behind the paper's Eq. (7):
-// rows are (x·f, y·f) and b holds y·vx − x·vy.
+// in the least-squares sense via the normal equations (Normal2, row by row).
+// Each row of a must have exactly two entries.
 func LeastSquares2(a [][2]float64, b []float64) (u [2]float64, err error) {
 	if len(a) != len(b) {
 		return u, errors.New("geom: dimension mismatch")
 	}
-	if len(a) < 2 {
-		return u, errors.New("geom: need at least two equations")
-	}
-	var s11, s12, s22, t1, t2 float64
+	var q Normal2
 	for i, row := range a {
-		s11 += row[0] * row[0]
-		s12 += row[0] * row[1]
-		s22 += row[1] * row[1]
-		t1 += row[0] * b[i]
-		t2 += row[1] * b[i]
+		q.Add(row[0], row[1], b[i])
 	}
-	x, y, err := Solve2x2(s11, s12, s12, s22, t1, t2)
+	x, y, err := q.Solve()
 	if err != nil {
 		return u, err
 	}
 	return [2]float64{x, y}, nil
 }
 
+// Normal3 is Normal2 for three unknowns: LeastSquares' accumulation and
+// elimination in the same operation order, on fixed-size arrays.
+type Normal3 struct {
+	m    [3][4]float64
+	rows int
+}
+
+// Add folds in the equation row·u = b.
+func (q *Normal3) Add(row [3]float64, b float64) {
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			q.m[i][j] += row[i] * row[j]
+		}
+		q.m[i][3] += row[i] * b
+	}
+	q.rows++
+}
+
+// Solve returns the least-squares solution of the rows added so far. It
+// eliminates in place, so the accumulator is spent afterwards.
+func (q *Normal3) Solve() (u [3]float64, err error) {
+	if q.rows < 3 {
+		return u, errors.New("geom: underdetermined system")
+	}
+	m := [3][]float64{q.m[0][:], q.m[1][:], q.m[2][:]}
+	err = gaussSolve(m[:], u[:])
+	return u, err
+}
+
 // LeastSquares solves the over-determined system A·u = b for an n-vector u
 // via normal equations and Gaussian elimination with partial pivoting.
-// It is used for general model fitting in tests and the renderer.
+// It is the general form, used for model fitting in tests; the agent's
+// three-unknown fit runs on Normal3.
 func LeastSquares(a [][]float64, b []float64) ([]float64, error) {
 	if len(a) == 0 || len(a) != len(b) {
 		return nil, errors.New("geom: dimension mismatch")
@@ -78,11 +128,16 @@ func LeastSquares(a [][]float64, b []float64) ([]float64, error) {
 			m[i][n] += row[i] * b[r]
 		}
 	}
-	return gaussSolve(m)
+	u := make([]float64, n)
+	if err := gaussSolve(m, u); err != nil {
+		return nil, err
+	}
+	return u, nil
 }
 
-// gaussSolve solves the augmented system m (n rows of n+1 columns) in place.
-func gaussSolve(m [][]float64) ([]float64, error) {
+// gaussSolve solves the augmented system m (n rows of n+1 columns) in place
+// and writes the solution into u.
+func gaussSolve(m [][]float64, u []float64) error {
 	n := len(m)
 	for col := 0; col < n; col++ {
 		// Partial pivot.
@@ -93,7 +148,7 @@ func gaussSolve(m [][]float64) ([]float64, error) {
 			}
 		}
 		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		m[col], m[pivot] = m[pivot], m[col]
 		inv := 1 / m[col][col]
@@ -110,9 +165,8 @@ func gaussSolve(m [][]float64) ([]float64, error) {
 			}
 		}
 	}
-	u := make([]float64, n)
 	for i := range u {
 		u[i] = m[i][n]
 	}
-	return u, nil
+	return nil
 }

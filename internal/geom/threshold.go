@@ -12,10 +12,22 @@ type Histogram struct {
 // NewHistogram creates a histogram with n bins over [min, max). It panics if
 // n <= 0 or max <= min, which indicates a programming error.
 func NewHistogram(min, max float64, n int) *Histogram {
+	h := &Histogram{}
+	h.Reset(min, max, n)
+	return h
+}
+
+// Reset empties h and gives it n bins over [min, max), keeping the count
+// storage when it is large enough. It panics like NewHistogram.
+func (h *Histogram) Reset(min, max float64, n int) {
 	if n <= 0 || max <= min {
 		panic("geom: invalid histogram parameters")
 	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, n)}
+	if cap(h.Counts) < n {
+		h.Counts = make([]int, n)
+	}
+	h.Min, h.Max, h.Counts, h.total = min, max, h.Counts[:n], 0
+	clear(h.Counts)
 }
 
 // Add records value v; values outside [Min, Max) are clamped into the

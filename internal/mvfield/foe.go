@@ -19,25 +19,19 @@ type foeModel struct {
 	vecs []Vector
 }
 
-func (m *foeModel) Len() int { return len(m.vecs) }
+func (m foeModel) Len() int { return len(m.vecs) }
 
-func (m *foeModel) Fit(idx []int) (interface{}, error) {
-	a := make([][2]float64, 0, len(idx))
-	b := make([]float64, 0, len(idx))
+func (m foeModel) Fit(idx []int) (geom.Vec2, error) {
+	var q geom.Normal2
 	for _, i := range idx {
 		v := m.vecs[i]
-		a = append(a, [2]float64{v.Flow.Y, -v.Flow.X})
-		b = append(b, v.Flow.Y*v.Pos.X-v.Flow.X*v.Pos.Y)
+		q.Add(v.Flow.Y, -v.Flow.X, v.Flow.Y*v.Pos.X-v.Flow.X*v.Pos.Y)
 	}
-	u, err := geom.LeastSquares2(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return geom.Vec2{X: u[0], Y: u[1]}, nil
+	x, y, err := q.Solve()
+	return geom.Vec2{X: x, Y: y}, err
 }
 
-func (m *foeModel) Residual(i int, params interface{}) float64 {
-	foe := params.(geom.Vec2)
+func (m foeModel) Residual(i int, foe geom.Vec2) float64 {
 	v := m.vecs[i]
 	radial := v.Pos.Sub(foe)
 	n := radial.Norm()
@@ -56,30 +50,49 @@ func absf(x float64) float64 {
 	return x
 }
 
+// Scratch is the working storage of the per-frame estimators — the usable
+// vectors EstimateFOE fits, R-sampling's sort keys, the rotation model's
+// points and the RANSAC driver's index buffers — kept between frames by a
+// caller that runs them on every frame. Nothing in it outlives the call that
+// filled it. The zero value is ready to use.
+type Scratch struct {
+	ransac geom.RANSACScratch
+	vecs   []Vector
+	keys   []distKey
+	pts    []rotPoint
+	idx    []int
+}
+
 // EstimateFOE locates the focus of expansion of a (rotation-free) flow
 // field with RANSAC over the radial-alignment constraint. Only valid,
 // non-zero vectors participate. The result is in principal-point-centered
 // coordinates.
 func EstimateFOE(f *Field, rng *rand.Rand) (geom.Vec2, error) {
-	m := &foeModel{}
+	return EstimateFOEWith(nil, f, rng)
+}
+
+// EstimateFOEWith is EstimateFOE working in s (nil: a fresh scratch).
+func EstimateFOEWith(s *Scratch, f *Field, rng *rand.Rand) (geom.Vec2, error) {
+	if s == nil {
+		s = &Scratch{}
+	}
+	vecs := s.vecs[:0]
 	for _, v := range f.Vectors {
 		if v.Valid && !v.Zero && v.Flow.Norm() >= 1 {
-			m.vecs = append(m.vecs, v)
+			vecs = append(vecs, v)
 		}
 	}
-	if len(m.vecs) < 8 {
+	s.vecs = vecs
+	if len(vecs) < 8 {
 		return geom.Vec2{}, ErrNoFOE
 	}
-	params, _, err := geom.RANSAC(m, geom.RANSACConfig{
+	foe, _, err := geom.RANSAC(foeModel{vecs}, geom.RANSACConfig{
 		MinSamples:      2,
 		Iterations:      64,
 		InlierThreshold: 2.0,
-		MinInliers:      len(m.vecs) / 4,
-	}, rng)
-	if err != nil {
-		return geom.Vec2{}, err
-	}
-	return params.(geom.Vec2), nil
+		MinInliers:      len(vecs) / 4,
+	}, rng, &s.ransac)
+	return foe, err
 }
 
 // FOECalibrator maintains the long-term "fixed FOE" the paper calibrates

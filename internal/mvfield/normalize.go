@@ -33,7 +33,17 @@ func DefaultNormalizeOptions() NormalizeOptions {
 // NormalizedMagnitudes evaluates Eq. (8) for every macroblock of a
 // rotation-corrected field against the given FOE.
 func NormalizedMagnitudes(f *Field, foe geom.Vec2, opts NormalizeOptions) []NormalizedMagnitude {
-	out := make([]NormalizedMagnitude, len(f.Vectors))
+	return NormalizedMagnitudesInto(nil, f, foe, opts)
+}
+
+// NormalizedMagnitudesInto is NormalizedMagnitudes writing into dst's
+// storage when it is large enough (see FromMotionInto).
+func NormalizedMagnitudesInto(dst []NormalizedMagnitude, f *Field, foe geom.Vec2, opts NormalizeOptions) []NormalizedMagnitude {
+	out := dst
+	if cap(out) < len(f.Vectors) {
+		out = make([]NormalizedMagnitude, len(f.Vectors))
+	}
+	out = out[:len(f.Vectors)]
 	for i, v := range f.Vectors {
 		out[i] = NormalizedMagnitude{Index: i}
 		if !v.Valid || v.Zero {

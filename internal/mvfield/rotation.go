@@ -1,9 +1,10 @@
 package mvfield
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dive/internal/geom"
 )
@@ -67,51 +68,66 @@ func NewRotationEstimator() *RotationEstimator {
 // component cancels from the right-hand side exactly when the agent
 // translates only along its z axis.
 type rotModel struct {
-	vecs  []Vector
-	focal float64
+	pts []rotPoint
 }
 
-type rotParams struct{ phiX, phiY float64 }
+// rotPoint is what Eq. (7) needs of one vector, none of it depending on the
+// hypothesis: the row (x·f, y·f), the right-hand side, and the lever arm
+// that scales the residual back to flow pixels.
+type rotPoint struct{ ax, ay, rhs, lever float64 }
 
-func (m *rotModel) Len() int { return len(m.vecs) }
-
-func (m *rotModel) Fit(idx []int) (interface{}, error) {
-	a := make([][2]float64, 0, len(idx))
-	b := make([]float64, 0, len(idx))
-	for _, i := range idx {
-		v := m.vecs[i]
-		a = append(a, [2]float64{v.Pos.X * m.focal, v.Pos.Y * m.focal})
-		b = append(b, v.Pos.X*v.Flow.Y-v.Pos.Y*v.Flow.X)
-	}
-	u, err := geom.LeastSquares2(a, b)
-	if err != nil {
-		return nil, err
-	}
-	return rotParams{phiX: u[0], phiY: u[1]}, nil
-}
-
-func (m *rotModel) Residual(i int, params interface{}) float64 {
-	p := params.(rotParams)
-	v := m.vecs[i]
-	lhs := v.Pos.X*m.focal*p.phiX + v.Pos.Y*m.focal*p.phiY
-	rhs := v.Pos.X*v.Flow.Y - v.Pos.Y*v.Flow.X
-	// Normalize by the lever arm so the residual is in flow pixels.
+func newRotPoint(v Vector, focal float64) rotPoint {
 	lever := v.Pos.Norm()
 	if lever < 1 {
 		lever = 1
 	}
-	return absf(lhs-rhs) / lever
+	return rotPoint{v.Pos.X * focal, v.Pos.Y * focal, v.Pos.X*v.Flow.Y - v.Pos.Y*v.Flow.X, lever}
+}
+
+type rotParams struct{ phiX, phiY float64 }
+
+func (m rotModel) Len() int { return len(m.pts) }
+
+func (m rotModel) Fit(idx []int) (rotParams, error) {
+	var q geom.Normal2
+	for _, i := range idx {
+		p := m.pts[i]
+		q.Add(p.ax, p.ay, p.rhs)
+	}
+	x, y, err := q.Solve()
+	return rotParams{phiX: x, phiY: y}, err
+}
+
+func (m rotModel) Residual(i int, p rotParams) float64 {
+	pt := m.pts[i]
+	return absf(pt.ax*p.phiX+pt.ay*p.phiY-pt.rhs) / pt.lever
+}
+
+// distKey is one candidate vector's R-sampling sort key: its distance to the
+// calibrated FOE, computed once instead of inside every comparison.
+type distKey struct {
+	dist float64
+	i    int // index into Field.Vectors
 }
 
 // Estimate returns the per-frame rotation increments (radians). foe is the
 // calibrated FOE used by R-sampling; it is ignored under RandomSampling.
 func (e *RotationEstimator) Estimate(f *Field, foe geom.Vec2, rng *rand.Rand) (phiX, phiY float64, err error) {
-	candidates := make([]Vector, 0, len(f.Vectors))
-	for _, v := range f.Vectors {
+	return e.EstimateWith(nil, f, foe, rng)
+}
+
+// EstimateWith is Estimate working in s (nil: a fresh scratch).
+func (e *RotationEstimator) EstimateWith(s *Scratch, f *Field, foe geom.Vec2, rng *rand.Rand) (phiX, phiY float64, err error) {
+	if s == nil {
+		s = &Scratch{}
+	}
+	candidates := s.keys[:0]
+	for i, v := range f.Vectors {
 		if v.Valid && !v.Zero {
-			candidates = append(candidates, v)
+			candidates = append(candidates, distKey{i: i})
 		}
 	}
+	s.keys = candidates
 	if len(candidates) < 4 {
 		return 0, 0, ErrNoRotation
 	}
@@ -119,45 +135,43 @@ func (e *RotationEstimator) Estimate(f *Field, foe geom.Vec2, rng *rand.Rand) (p
 	if k > len(candidates) {
 		k = len(candidates)
 	}
-	var chosen []Vector
+	pts := s.pts[:0]
 	switch e.Strategy {
 	case RandomSampling:
-		perm := rng.Perm(len(candidates))
-		chosen = make([]Vector, 0, k)
-		for _, i := range perm[:k] {
-			chosen = append(chosen, candidates[i])
+		s.idx = geom.PermInto(s.idx, len(candidates), rng)
+		for _, j := range s.idx[:k] {
+			pts = append(pts, newRotPoint(f.Vectors[candidates[j].i], f.Focal))
 		}
 	default: // RSampling
-		sort.Slice(candidates, func(i, j int) bool {
-			return candidates[i].Pos.Dist(foe) < candidates[j].Pos.Dist(foe)
-		})
-		chosen = candidates[:k]
+		for j := range candidates {
+			candidates[j].dist = f.Vectors[candidates[j].i].Pos.Dist(foe)
+		}
+		// Equidistant candidates (mirror images about an uncalibrated FOE)
+		// land in the order pdqsort leaves them; the chosen prefix, and so
+		// every rng draw after it, depends on that order.
+		slices.SortFunc(candidates, func(a, b distKey) int { return cmp.Compare(a.dist, b.dist) })
+		for _, c := range candidates[:k] {
+			pts = append(pts, newRotPoint(f.Vectors[c.i], f.Focal))
+		}
 	}
-	m := &rotModel{vecs: chosen, focal: f.Focal}
-	params, _, rerr := geom.RANSAC(m, geom.RANSACConfig{
+	s.pts = pts
+	m := rotModel{pts}
+	p, _, rerr := geom.RANSAC(m, geom.RANSACConfig{
 		MinSamples:      2,
 		Iterations:      e.Iterations,
 		InlierThreshold: e.InlierThreshold,
 		MinInliers:      k / 4,
-	}, rng)
+	}, rng, &s.ransac)
 	if rerr != nil {
 		// Fall back to a plain least-squares fit over all chosen vectors;
 		// better a rough estimate than none.
-		p, ferr := m.Fit(allIndices(len(chosen)))
-		if ferr != nil {
+		s.idx = s.idx[:0]
+		for i := range pts {
+			s.idx = append(s.idx, i)
+		}
+		if p, rerr = m.Fit(s.idx); rerr != nil {
 			return 0, 0, ErrNoRotation
 		}
-		rp := p.(rotParams)
-		return rp.phiX, rp.phiY, nil
 	}
-	rp := params.(rotParams)
-	return rp.phiX, rp.phiY, nil
-}
-
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
+	return p.phiX, p.phiY, nil
 }

@@ -28,6 +28,11 @@ import (
 // Pool bounds the parallelism of the regions run through it.
 type Pool struct {
 	workers int
+	// free recycles region state, so a steady-state region allocates
+	// nothing. It holds one region per nesting level or concurrent caller
+	// seen so far, up to its capacity; beyond that a region is built for the
+	// call and dropped.
+	free chan *region
 }
 
 // New creates a pool of the given width; width <= 0 selects
@@ -37,7 +42,9 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: workers}
+	// Four regions cover an experiment fan-out over pipelined agents over a
+	// parallel encoder, with one to spare.
+	return &Pool{workers: workers, free: make(chan *region, 4)}
 }
 
 // Serial returns a width-1 pool: every region runs inline on the caller.
@@ -49,6 +56,116 @@ func (p *Pool) Workers() int {
 		return 1
 	}
 	return p.workers
+}
+
+// region is the state of one parallel region: a set of helper goroutines
+// that lives as long as the region and runs any number of rounds — one for a
+// ForEach, one per anti-diagonal for a Wavefront — each an index loop shared
+// with the caller behind a blocking barrier. It is a recycled value whose
+// helper entry point is bound once, so that opening a region and running a
+// round cost no allocation.
+type region struct {
+	n, chunk int
+	fn       func(i int)
+	next     atomic.Int64
+	panicked atomic.Pointer[panicValue]
+
+	helpers int
+	start   chan bool     // one token per helper per round; false ends the helper
+	done    chan struct{} // one token per helper per round, after its share
+	wg      sync.WaitGroup
+	help    func() // r.helper
+
+	// A wavefront region's current diagonal (see WavefrontBatch).
+	cell               func(x, y int)
+	d, yLo, cells, bsz int
+	diagonal           func(t int) // r.runDiagonalTask
+}
+
+// open takes a region from the pool (or builds one) and starts its helpers.
+func (p *Pool) open(helpers int) *region {
+	var r *region
+	select {
+	case r = <-p.free:
+	default:
+		// The channels are buffered to the pool width, so handing out a
+		// round's tokens never blocks the caller.
+		r = &region{start: make(chan bool, p.workers), done: make(chan struct{}, p.workers)}
+		r.help, r.diagonal = r.helper, r.runDiagonalTask
+	}
+	r.helpers = helpers
+	r.wg.Add(helpers)
+	for k := 0; k < helpers; k++ {
+		go r.help()
+	}
+	return r
+}
+
+// close ends the helpers, waits for them to exit, returns the region to the
+// pool and re-raises the first body panic of its rounds, if any.
+func (p *Pool) close(r *region) {
+	for k := 0; k < r.helpers; k++ {
+		r.start <- false
+	}
+	r.wg.Wait()
+	pv := r.panicked.Swap(nil)
+	r.fn, r.cell = nil, nil
+	select {
+	case p.free <- r:
+	default:
+	}
+	if pv != nil {
+		panic(pv.v)
+	}
+}
+
+func (r *region) helper() {
+	defer r.wg.Done()
+	for <-r.start {
+		r.work()
+		r.done <- struct{}{}
+	}
+}
+
+// work claims chunks of the current round until none are left. A panic in a
+// body ends this worker's share; the others drain the remaining chunks.
+func (r *region) work() {
+	defer func() {
+		if v := recover(); v != nil {
+			r.panicked.CompareAndSwap(nil, &panicValue{v})
+		}
+	}()
+	for {
+		lo := int(r.next.Add(int64(r.chunk))) - r.chunk
+		if lo >= r.n {
+			return
+		}
+		hi := lo + r.chunk
+		if hi > r.n {
+			hi = r.n
+		}
+		for i := lo; i < hi; i++ {
+			r.fn(i)
+		}
+	}
+}
+
+// round runs fn(i) for i in [0, n) on the helpers and the caller and returns
+// once every one of them has finished its share; false means a body has
+// panicked and the caller should close the region.
+func (r *region) round(n int, fn func(i int)) bool {
+	r.n, r.fn = n, fn
+	r.chunk = max(n/((r.helpers+1)*8), 1)
+	r.next.Store(0)
+	woken := min(r.helpers, n-1) // no more helpers than there is work for
+	for k := 0; k < woken; k++ {
+		r.start <- true
+	}
+	r.work()
+	for k := 0; k < woken; k++ {
+		<-r.done
+	}
+	return r.panicked.Load() == nil
 }
 
 // ForEach runs fn(i) for every i in [0, n). Bodies must be independent of
@@ -67,47 +184,9 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	chunk := n / (nw * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var (
-		next     atomic.Int64
-		panicked atomic.Pointer[panicValue]
-	)
-	work := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &panicValue{r})
-			}
-		}()
-		for {
-			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(nw - 1)
-	for k := 0; k < nw-1; k++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if pv := panicked.Load(); pv != nil {
-		panic(pv.v)
-	}
+	r := p.open(nw - 1)
+	defer p.close(r)
+	r.round(n, fn)
 }
 
 // panicValue boxes a recovered panic for transport across goroutines.
@@ -146,8 +225,10 @@ const defaultWavefrontBatch = 3
 // on diagonal d lie on d-1 and d-2, so all cells of one diagonal run
 // concurrently with a barrier between diagonals, and every cell observes
 // exactly the finalized neighbor values the serial raster scan produces.
-// The barrier (ForEach completion) also establishes the happens-before edge
-// that makes neighbor reads race-free. A serial pool runs the plain raster
+// The barrier (every worker hands its token back before the caller opens the
+// next diagonal) also establishes the happens-before edge that makes
+// neighbor reads race-free; it blocks rather than spins, and one set of
+// helpers serves all diagonals of a call. A serial pool runs the plain raster
 // scan. Cells are dispatched in small fixed-size batches
 // (WavefrontBatch with defaultWavefrontBatch); the grouping never depends
 // on the worker count, so output is identical at every width.
@@ -163,7 +244,11 @@ func (p *Pool) Wavefront(w, h int, fn func(x, y int)) {
 // the serial raster scan at every batch size and worker count; batch only
 // tunes how much work amortizes each scheduling step. batch < 1 selects 1.
 func (p *Pool) WavefrontBatch(w, h, batch int, fn func(x, y int)) {
-	if p.Workers() <= 1 || w <= 0 || h <= 0 || w*h == 1 {
+	bsz := max(batch, 1)
+	// The longest diagonal — min(h, ⌈w/2⌉) cells — bounds how many workers
+	// can ever be busy.
+	nw := min(p.Workers(), (min(h, (w+1)/2)+bsz-1)/bsz)
+	if nw <= 1 {
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
 				fn(x, y)
@@ -171,38 +256,33 @@ func (p *Pool) WavefrontBatch(w, h, batch int, fn func(x, y int)) {
 		}
 		return
 	}
-	// bsz is a read-only copy: reassigning the captured batch parameter
-	// would make the task closure capture it by reference, heap-boxing it at
-	// every call — including serial calls that return above.
-	bsz := batch
-	if bsz < 1 {
-		bsz = 1
-	}
+	r := p.open(nw - 1)
+	defer p.close(r)
+	r.cell, r.bsz = fn, bsz
 	maxD := (w - 1) + 2*(h-1)
-	for d := 0; d <= maxD; d++ {
-		yLo := (d - w + 2) / 2
-		if yLo < 0 {
-			yLo = 0
-		}
-		yHi := d / 2
-		if yHi > h-1 {
-			yHi = h - 1
-		}
-		if yHi < yLo {
+	for r.d = 0; r.d <= maxD; r.d++ {
+		r.yLo = max((r.d-w+2)/2, 0)
+		yHi := min(r.d/2, h-1)
+		if yHi < r.yLo {
 			continue
 		}
-		cells := yHi - yLo + 1
-		tasks := (cells + bsz - 1) / bsz
-		p.ForEach(tasks, func(t int) {
-			lo := t * bsz
-			hi := lo + bsz
-			if hi > cells {
-				hi = cells
-			}
-			for k := lo; k < hi; k++ {
-				y := yLo + k
-				fn(d-2*y, y)
-			}
-		})
+		r.cells = yHi - r.yLo + 1
+		tasks := (r.cells + r.bsz - 1) / r.bsz
+		if tasks == 1 {
+			r.runDiagonalTask(0)
+		} else if !r.round(tasks, r.diagonal) {
+			return
+		}
+	}
+}
+
+// runDiagonalTask executes task t of the current diagonal: up to bsz
+// consecutive cells.
+func (r *region) runDiagonalTask(t int) {
+	lo := t * r.bsz
+	hi := min(lo+r.bsz, r.cells)
+	for k := lo; k < hi; k++ {
+		y := r.yLo + k
+		r.cell(r.d-2*y, y)
 	}
 }

@@ -201,3 +201,65 @@ func TestWavefrontDegenerateGrids(t *testing.T) {
 		}
 	}
 }
+
+// TestRegionsAllocateNothing pins a steady-state region at zero allocations
+// at widths 2 and 4: region state is recycled through the pool and its worker
+// entry points are bound once, so neither a ForEach nor the one-region-per-
+// diagonal Wavefront costs the caller an object. The bodies are bound outside
+// the measured call, as the encoder binds its own.
+func TestRegionsAllocateNothing(t *testing.T) {
+	var cells [20 * 12]atomic.Int32
+	each := func(i int) { cells[i].Add(1) }
+	cell := func(x, y int) { cells[y*20+x].Add(1) }
+	for _, workers := range []int{2, 4} {
+		p := New(workers)
+		p.ForEach(len(cells), each) // first use builds the region
+		if a := testing.AllocsPerRun(50, func() { p.ForEach(len(cells), each) }); a != 0 {
+			t.Errorf("workers=%d: ForEach allocates %.0f objects per region, want 0", workers, a)
+		}
+		if a := testing.AllocsPerRun(50, func() { p.Wavefront(20, 12, cell) }); a != 0 {
+			t.Errorf("workers=%d: Wavefront allocates %.0f objects per call, want 0", workers, a)
+		}
+	}
+	if n := cells[0].Load(); n != 2*(1+51+51) {
+		t.Errorf("cell 0 ran %d times, want %d", n, 2*(1+51+51))
+	}
+}
+
+// TestRegionsNestAndSurvivePanics exercises what recycling must not break:
+// a region opened from inside another on the same pool gets state of its own
+// (no deadlock, every index once), and a region whose body panicked goes back
+// to the pool clean — the next one neither re-raises the old panic nor loses
+// work.
+func TestRegionsNestAndSurvivePanics(t *testing.T) {
+	p := New(4)
+	const n = 40
+	counts := make([]atomic.Int32, n*n)
+	p.ForEach(n, func(i int) {
+		p.ForEach(n, func(j int) { counts[i*n+j].Add(1) })
+	})
+	for i := range counts {
+		if c := counts[i].Load(); c != 1 {
+			t.Fatalf("nested index %d ran %d times", i, c)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		func() {
+			defer func() {
+				if r := recover(); r != "cell" {
+					t.Errorf("round %d: recovered %v, want the cell's panic", round, r)
+				}
+			}()
+			p.Wavefront(9, 7, func(x, y int) {
+				if x == 4 && y == 3 {
+					panic("cell")
+				}
+			})
+		}()
+		var ran atomic.Int32
+		p.Wavefront(9, 7, func(x, y int) { ran.Add(1) })
+		if ran.Load() != 63 {
+			t.Fatalf("round %d: wavefront after a panic ran %d of 63 cells", round, ran.Load())
+		}
+	}
+}
