@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-obs bench-compare bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
+.PHONY: all build test race vet bench bench-obs bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
 
 all: build vet test
 
@@ -10,10 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detector pass over the concurrency-bearing packages. core and sim
-# carry the frame-pipeline determinism tests (serial vs pipelined
-# byte-identity at depths 1-3), so this also proves the overlap is clean;
-# doctor's one generic follower sits behind an HTTP handler (/debug/doctor).
+# Race-detector pass over the concurrency-bearing packages (the harness
+# fan-out and renderer bands, telemetry, transports, cluster) and the
+# single-goroutine agent packages they drive (codec, core, sim); doctor's one
+# generic follower sits behind an HTTP handler (/debug/doctor).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
 
@@ -32,24 +32,14 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench . -benchtime 2s ./internal/obs/
 
-# Serial-vs-parallel comparison of the hot kernels and of the whole agent
-# loop: the GOMAXPROCS-sized pools degrade to the serial path at -cpu 1, so
-# the two columns compare identical output at width 1 and width 4;
-# ProcessStream's depth=1 / depth=3 rows at -cpu 4 are serial vs pipelined.
-bench-compare:
-	$(GO) test -run xxx -bench 'EncodeParallel|AnalyzeMotionParallel|RenderParallel|ProcessStream' -benchmem -cpu 1,4 ./internal/codec/ ./internal/world/ ./internal/core/
-
 # Smoke run + automated diagnosis (the CI bench-smoke job), both halves
 # machine-independent: export a healthy-run decision journal and have
 # divedoctor check it for journal pathologies, then run the packing ladder
 # to 4 streams and have divedoctor check its runtime series for GC pressure.
-# Exit 1 on any finding. The journal is exported from a pipelined run
-# (-pipeline-depth 3): the records are defined to be identical to serial, so
-# doctor findings double as a pipeline-determinism gate. Wall-clock speed is
-# not judged here: that is the repo benchmark's job (make benchmark,
-# alternated parent/change pairs).
+# Exit 1 on any finding. Wall-clock speed is not judged here: that is the repo
+# benchmark's job (make benchmark, alternated parent/change pairs).
 bench-smoke:
-	$(GO) run ./cmd/divetrace -format journal -duration 2 -pipeline-depth 3 -o smoke.journal.jsonl
+	$(GO) run ./cmd/divetrace -format journal -duration 2 -o smoke.journal.jsonl
 	$(GO) run ./cmd/divedoctor -journal smoke.journal.jsonl -json
 	$(GO) run ./cmd/divebench -scale smoke -only none -streams 4 -streams-secs 2 -runtime-log streams_runtime.jsonl -json streams_smoke.json
 	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json
@@ -65,8 +55,8 @@ bench-smoke:
 # end-to-end number in BENCHMARK.json runs with), the journal's O(1)
 # amend-by-frame, reading a frame out of the MsgReader's buffer and writing a
 # result through the connection's are all pinned at 0 allocs/op, and a
-# core.Agent frame (ProcessFrame + TrackLocally + feedback, at one worker and
-# at the default width) at the 15 objects it hands to its caller; allocation
+# core.Agent frame (ProcessFrame + TrackLocally + feedback) at the 14 objects
+# it hands to its caller; allocation
 # counts are deterministic after warm-up, so this gate is machine-independent
 # (unlike wall-clock latency baselines).
 #

@@ -6,15 +6,15 @@
 // Usage:
 //
 //	diveagent [-addr 127.0.0.1:7060] [-profile nuScenes] [-seed 1]
-//	          [-duration 4] [-rate 2.0] [-telemetry :7061] [-workers N]
-//	          [-pipeline-depth N] [-ack-timeout 1s] [-max-reconnects 8]
+//	          [-duration 4] [-rate 2.0] [-telemetry :7061] [-window N]
+//	          [-ack-timeout 1s] [-max-reconnects 8]
 //
 // -rate throttles the uplink to the given Mbps (0 = unthrottled), pacing
 // writes so the bandwidth estimator sees realistic feedback.
 //
-// -pipeline-depth >= 2 lets up to that many frames be in flight to the
-// server at once: frame N's server inference and downlink overlap frame
-// N+1's encode instead of blocking it. Depth 1 (the default) is the classic
+// -window >= 2 lets up to that many frames be in flight to the server at
+// once: frame N's server inference and downlink overlap frame N+1's encode
+// instead of blocking it. A window of 1 (the default) is the classic
 // lock-step loop.
 //
 // The session survives the link failing under it: a frame unacknowledged
@@ -69,8 +69,7 @@ func run(args []string) error {
 	duration := fs.Float64("duration", 4, "clip duration in seconds")
 	rate := fs.Float64("rate", 2.0, "uplink throttle in Mbps (0 = unthrottled)")
 	telemetry := fs.String("telemetry", "", "serve telemetry (/metrics, /debug/frames, pprof) on this address, e.g. :7061")
-	workers := fs.Int("workers", 0, "encoder pool width (0 = GOMAXPROCS, 1 = serial); the bitstream is identical at any width")
-	pipelineDepth := fs.Int("pipeline-depth", 1, "max frames in flight to the server (1 = lock-step request/response)")
+	window := fs.Int("window", 1, "max frames in flight to the server (1 = lock-step request/response)")
 	ackTimeout := fs.Duration("ack-timeout", time.Second, "per-frame ack deadline before the MOT outage fallback covers it")
 	maxReconnects := fs.Int("max-reconnects", 8, "consecutive failed reconnect attempts before giving up")
 	if err := fs.Parse(args); err != nil {
@@ -92,7 +91,6 @@ func run(args []string) error {
 	// Same profile-seed identity the server labels this stream with, so
 	// both ends' per-session series join on one label value.
 	cfg.Session = fmt.Sprintf("%s-%d", wp.Name, *seed)
-	cfg.Codec.Workers = *workers
 	if *rate > 0.5 {
 		cfg.BandwidthPrior = netsim.Mbps(*rate)
 	}
@@ -112,7 +110,7 @@ func run(args []string) error {
 
 	client := edge.NewClient(edge.ClientConfig{
 		Addr: *addr, Profile: wp.Name, Seed: *seed, Duration: *duration,
-		Window:     *pipelineDepth,
+		Window:     *window,
 		AckTimeout: *ackTimeout,
 		PaceBps:    netsim.Mbps(*rate),
 		Backoff:    edge.BackoffConfig{MaxAttempts: *maxReconnects},

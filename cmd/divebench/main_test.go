@@ -99,7 +99,6 @@ func TestRejectsUnknownSelectionsAndRemovedFlags(t *testing.T) {
 		{[]string{"-scale", "huge"}, "smoke, default, full"},
 		{[]string{"-telemetry"}, "flag provided but not defined"},
 		{[]string{"-speedup=false"}, "flag provided but not defined"},
-		{[]string{"-pipeline-depth", "0"}, "flag provided but not defined"},
 		{[]string{"-throughput"}, "flag provided but not defined"},
 		{[]string{"-throughput-secs", "1"}, "flag provided but not defined"},
 	} {

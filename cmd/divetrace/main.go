@@ -6,7 +6,7 @@
 // Usage:
 //
 //	divetrace [-profile nuScenes] [-seed 1] [-duration 4] [-mbps 2] [-o out.csv]
-//	          [-format csv|jsonl|journal|spans] [-pipeline-depth N]
+//	          [-format csv|jsonl|journal|spans]
 //	divetrace -serve 127.0.0.1:7061 [-chaos outage-burst] [-pace 30ms]
 //	          [-linger 5s] [-profile ...] [-seed ...] [-duration ...]
 //
@@ -18,7 +18,8 @@
 // a named scenario from the standard chaos suite (outage-burst,
 // bandwidth-cliff, estimator-poison) as the link trace; without it the
 // constant -mbps link is used. -linger keeps the endpoint up after the run
-// finishes so followers can drain the journal tail.
+// finishes so followers can drain the journal tail. -chaos, -pace and
+// -linger are rejected without -serve.
 //
 // -format jsonl emits the telemetry subsystem's frame-lifecycle records
 // (one JSON object per frame: stage durations in milliseconds,
@@ -28,13 +29,6 @@
 // the per-frame trace spans (the /debug/journal and /debug/spans schemas),
 // both directly consumable by cmd/divedoctor. Unknown formats are rejected
 // with a non-zero exit.
-//
-// -pipeline-depth >= 2 runs the agent's frame-level pipeline (capture ∥
-// analyze ∥ emit) for the telemetry formats, so the emitted spans show the
-// real overlapped execution. Records and bitstreams are identical to the
-// serial run at any depth; only the wall-clock span timings change. The
-// CSV format reads the encoder reconstruction per frame and therefore
-// always runs serially.
 package main
 
 import (
@@ -71,13 +65,27 @@ func run(args []string, stdout io.Writer) error {
 	mbps := fs.Float64("mbps", 2, "simulated uplink bandwidth")
 	out := fs.String("o", "", "output file (default stdout)")
 	format := fs.String("format", "csv", "output format: csv, jsonl (frame-lifecycle records), journal (decision journal) or spans (trace spans)")
-	pipelineDepth := fs.Int("pipeline-depth", 1, "frame-pipeline depth for the telemetry formats (1 = serial; csv is always serial)")
 	serve := fs.String("serve", "", "serve live telemetry on this address while running (e.g. 127.0.0.1:7061); disables file output")
-	chaosName := fs.String("chaos", "", "run under a standard chaos scenario (outage-burst, bandwidth-cliff, estimator-poison) instead of a constant link")
-	pace := fs.Duration("pace", 30*time.Millisecond, "wall-clock delay per frame in -serve mode, so followers see the journal grow")
-	linger := fs.Duration("linger", 5*time.Second, "keep the -serve endpoint up this long after the run ends, so followers can drain the tail")
+	chaosName := fs.String("chaos", "", "with -serve: run under a standard chaos scenario (outage-burst, bandwidth-cliff, estimator-poison) instead of a constant link")
+	pace := fs.Duration("pace", 30*time.Millisecond, "with -serve: wall-clock delay per frame, so followers see the journal grow")
+	linger := fs.Duration("linger", 5*time.Second, "with -serve: keep the endpoint up this long after the run ends, so followers can drain the tail")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *mbps <= 0 {
+		return fmt.Errorf("-mbps must be positive, got %g", *mbps)
+	}
+	if *serve == "" {
+		var serveOnly error
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "chaos", "pace", "linger":
+				serveOnly = fmt.Errorf("-%s only applies with -serve", f.Name)
+			}
+		})
+		if serveOnly != nil {
+			return serveOnly
+		}
 	}
 	switch *format {
 	case "csv", "jsonl", "journal", "spans":
@@ -105,23 +113,32 @@ func run(args []string, stdout io.Writer) error {
 		defer f.Close()
 		w = f
 	}
-	if *format != "csv" {
-		return TraceTelemetry(p, *seed, netsim.Mbps(*mbps), *format, *pipelineDepth, w)
-	}
-	return Trace(p, *seed, netsim.Mbps(*mbps), w)
+	return Trace(p, *seed, netsim.Mbps(*mbps), *format, w)
 }
 
-// Trace generates the clip, runs the agent, and writes the CSV to w.
-func Trace(p world.Profile, seed int64, uplinkBps float64, w io.Writer) error {
+// Trace generates the clip, runs the agent over a constant uplink and writes
+// the selected format to w: "csv" a row of pipeline internals per frame, or —
+// with a telemetry recorder attached — "jsonl" the frame-lifecycle view
+// (journal ⨝ agent spans), "journal" the decision journal, "spans" the frame
+// trace spans.
+func Trace(p world.Profile, seed int64, uplinkBps float64, format string, w io.Writer) error {
 	clip := world.GenerateClip(p, seed)
 	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
 	cfg.Seed = seed
+	csv := format == "csv"
+	var rec *obs.Recorder
+	if !csv {
+		rec = obs.NewRecorder(clip.NumFrames())
+		cfg.Obs = rec
+	}
 	agent, err := core.NewAgent(cfg)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, "frame,time_s,state,eta,moving,rot_ok,phi_x,phi_y,foe_x,foe_y,fg_frac,fg_objects,reused,delta,base_qp,frame_type,bits,target_bits,est_bw_mbps,psnr_db"); err != nil {
-		return err
+	if csv {
+		if _, err := fmt.Fprintln(w, "frame,time_s,state,eta,moving,rot_ok,phi_x,phi_y,foe_x,foe_y,fg_frac,fg_objects,reused,delta,base_qp,frame_type,bits,target_bits,est_bw_mbps,psnr_db"); err != nil {
+			return err
+		}
 	}
 	for i, frame := range clip.Frames {
 		now := float64(i) / clip.FPS
@@ -131,7 +148,9 @@ func Trace(p world.Profile, seed int64, uplinkBps float64, w io.Writer) error {
 		}
 		tx := float64(fr.Encoded.NumBits) / uplinkBps
 		agent.OnTransmitComplete(now, now+tx, fr.Encoded.NumBits)
-
+		if !csv {
+			continue
+		}
 		fgFrac, fgObjs := 0.0, 0
 		if fr.Foreground != nil {
 			fgFrac = fr.Foreground.Fraction()
@@ -139,7 +158,7 @@ func Trace(p world.Profile, seed int64, uplinkBps float64, w io.Writer) error {
 		}
 		// Reconstruction quality as the server will see it (the encoder's
 		// recon is bit-exact with the decoder output).
-		psnr := imgx.PSNR(imgx.MSE(frame, agentRecon(agent)))
+		psnr := imgx.PSNR(imgx.MSE(frame, agent.Reconstructed()))
 		if _, err := fmt.Fprintf(w, "%d,%.4f,%s,%.4f,%t,%t,%.6f,%.6f,%.2f,%.2f,%.4f,%d,%t,%d,%d,%s,%d,%d,%.3f,%.2f\n",
 			i, now, clip.Poses[i].State, fr.Eta, fr.Moving,
 			fr.Rotation.OK, fr.Rotation.PhiX, fr.Rotation.PhiY,
@@ -152,59 +171,15 @@ func Trace(p world.Profile, seed int64, uplinkBps float64, w io.Writer) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// agentRecon exposes the encoder reconstruction for PSNR reporting.
-func agentRecon(a *core.Agent) *imgx.Plane { return a.Reconstructed() }
-
-// TraceJSONL runs the agent with a telemetry recorder attached and writes
-// the frame-lifecycle records as JSONL.
-func TraceJSONL(p world.Profile, seed int64, uplinkBps float64, w io.Writer) error {
-	return TraceTelemetry(p, seed, uplinkBps, "jsonl", 1, w)
-}
-
-// TraceTelemetry runs the agent with a telemetry recorder attached and
-// writes the selected telemetry stream as JSONL: "jsonl" emits the
-// frame-lifecycle view (journal ⨝ agent spans), "journal" the decision
-// journal, "spans" the frame trace spans. depth >= 2 overlaps capture,
-// analysis and entropy coding via the agent's frame pipeline; the records
-// are identical at any depth (only wall-clock span timings change).
-func TraceTelemetry(p world.Profile, seed int64, uplinkBps float64, format string, depth int, w io.Writer) error {
-	clip := world.GenerateClip(p, seed)
-	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
-	cfg.Seed = seed
-	rec := obs.NewRecorder(clip.NumFrames())
-	cfg.Obs = rec
-	agent, err := core.NewAgent(cfg)
-	if err != nil {
-		return err
-	}
-	// The uplink ack is analysis-stage feedback: it must land before the
-	// next frame's rate control runs, which the pipeline guarantees by
-	// running the post hook on the analysis stage.
-	_, err = agent.ProcessStream(clip.NumFrames(), depth,
-		func(i int) (*imgx.Plane, float64) {
-			return clip.Frames[i], float64(i) / clip.FPS
-		},
-		func(i int, fr *core.FrameResult) error {
-			now := float64(i) / clip.FPS
-			tx := float64(fr.Encoded.NumBits) / uplinkBps
-			agent.OnTransmitComplete(now, now+tx, fr.Encoded.NumBits)
-			return nil
-		},
-		nil)
-	if err != nil {
-		return err
-	}
 	switch format {
 	case "journal":
 		return rec.Journal().WriteJSONL(w)
 	case "spans":
 		return rec.Spans().WriteJSONL(w)
-	default:
+	case "jsonl":
 		return obs.WriteJSONL(w, rec.FrameRecords())
 	}
+	return nil
 }
 
 // ServeLive runs the full DiVE scheme (agent + simulated link) paced to

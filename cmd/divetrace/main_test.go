@@ -13,7 +13,7 @@ func TestTraceCSVOutput(t *testing.T) {
 	p := world.NuScenesLike()
 	p.ClipDuration = 0.5
 	var sb strings.Builder
-	if err := Trace(p, 3, netsim.Mbps(2), &sb); err != nil {
+	if err := Trace(p, 3, netsim.Mbps(2), "csv", &sb); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
@@ -50,13 +50,33 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("format error %q does not mention %q", err, want)
 		}
 	}
+	// Flags that would be ignored (serve-only ones without -serve) or choke
+	// the run at its end (a non-positive link rate) are rejected up front,
+	// by name.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-chaos", "outage-burst", "-format", "journal"}, "-chaos"},
+		{[]string{"-pace", "1ms"}, "-pace"},
+		{[]string{"-linger", "1s"}, "-linger"},
+		{[]string{"-mbps", "0"}, "-mbps"},
+		{[]string{"-mbps", "-2", "-format", "jsonl"}, "-mbps"},
+	} {
+		if err := run(tc.args, &sb); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error naming %s", tc.args, err, tc.want)
+		}
+	}
+	if sb.Len() != 0 {
+		t.Errorf("rejected invocations wrote %d bytes of output", sb.Len())
+	}
 }
 
 func TestJournalFormatFeedsDoctorDecoder(t *testing.T) {
 	p := world.NuScenesLike()
 	p.ClipDuration = 0.5
 	var sb strings.Builder
-	if err := TraceTelemetry(p, 3, netsim.Mbps(2), "journal", 1, &sb); err != nil {
+	if err := Trace(p, 3, netsim.Mbps(2), "journal", &sb); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := obs.ReadJSONL[obs.JournalRecord](strings.NewReader(sb.String()))
@@ -71,23 +91,13 @@ func TestJournalFormatFeedsDoctorDecoder(t *testing.T) {
 			t.Errorf("record %d malformed: %+v", i, r)
 		}
 	}
-
-	// The journal carries no wall-clock timings, so a pipelined run must
-	// reproduce it byte for byte.
-	var pipelined strings.Builder
-	if err := TraceTelemetry(p, 3, netsim.Mbps(2), "journal", 3, &pipelined); err != nil {
-		t.Fatal(err)
-	}
-	if pipelined.String() != sb.String() {
-		t.Error("journal output differs between depth 1 and depth 3")
-	}
 }
 
 func TestSpansFormatRoundTrips(t *testing.T) {
 	p := world.NuScenesLike()
 	p.ClipDuration = 0.5
 	var sb strings.Builder
-	if err := TraceTelemetry(p, 3, netsim.Mbps(2), "spans", 3, &sb); err != nil {
+	if err := Trace(p, 3, netsim.Mbps(2), "spans", &sb); err != nil {
 		t.Fatal(err)
 	}
 	spans, err := obs.ReadJSONL[obs.SpanRecord](strings.NewReader(sb.String()))

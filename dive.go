@@ -83,11 +83,6 @@ type Config struct {
 	// TelemetryRingSize bounds the retained frame-lifecycle records
 	// (default 1024).
 	TelemetryRingSize int
-	// Workers bounds the codec's intra-frame parallelism (wavefront motion
-	// search, DCT sharding, speculative rate-control probes). 0 sizes the
-	// pool to GOMAXPROCS, 1 forces serial execution. The emitted bitstream
-	// is bit-exact identical at every width.
-	Workers int
 }
 
 // Output is the result of processing one frame.
@@ -180,7 +175,6 @@ func NewAgent(cfg Config) (*Agent, error) {
 	if cfg.Seed != 0 {
 		ac.Seed = cfg.Seed
 	}
-	ac.Codec.Workers = cfg.Workers
 	var rec *obs.Recorder
 	if cfg.Telemetry {
 		rec = obs.NewRecorder(cfg.TelemetryRingSize)
@@ -195,76 +189,12 @@ func NewAgent(cfg Config) (*Agent, error) {
 
 // Process runs the DiVE pipeline on one captured frame. now is the capture
 // time in seconds on any monotonic clock shared with AckUplink.
-// It is Analyze followed immediately by Emit.
 func (a *Agent) Process(frame *Frame, now float64) (*Output, error) {
-	p, err := a.Analyze(frame, now)
-	if err != nil {
-		return nil, err
-	}
-	return a.Emit(p)
-}
-
-// Pending is a frame between Analyze and Emit: fully analyzed, rate
-// controlled and quantized, but not yet entropy coded. Bits reports the
-// exact bitstream size ahead of serialization, so transport scheduling can
-// run before the bytes exist.
-type Pending struct {
-	inner *core.PendingFrame
-}
-
-// Bits returns the frame's exact encoded size in bits (known before Emit —
-// entropy coding only serializes what quantization already decided).
-func (p *Pending) Bits() int { return p.inner.Result().Encoded.NumBits }
-
-// Analyze runs phase one of the pipeline on one captured frame: motion
-// analysis, foreground extraction, rate control and quantization. The agent
-// is immediately ready to analyze the next frame; the returned Pending must
-// be passed to Emit — in order, exactly once — for the bitstream. Emit may
-// run concurrently with later Analyze calls, which is what lets a frame
-// pipeline overlap entropy coding with the next frame's analysis.
-func (a *Agent) Analyze(frame *Frame, now float64) (*Pending, error) {
-	p, err := a.inner.AnalyzeFrame(frame, now)
-	if err != nil {
-		return nil, err
-	}
-	return &Pending{inner: p}, nil
-}
-
-// Emit runs phase two: entropy coding. It consumes the Pending and returns
-// the completed Output, byte-identical to what a direct Process call would
-// have produced.
-func (a *Agent) Emit(p *Pending) (*Output, error) {
-	res, err := a.inner.EmitFrame(p.inner)
+	res, err := a.inner.ProcessFrame(frame, now)
 	if err != nil {
 		return nil, err
 	}
 	return outputFromResult(res), nil
-}
-
-// ProcessStream runs frames [0, n) through the agent as a bounded-depth
-// frame pipeline: frame N+1's capture (the source callback) and analysis
-// overlap frame N's entropy coding and delivery, with at most depth frames
-// in flight. Bitstreams are byte-identical to a serial Process loop at any
-// depth, and hooks observe frames in order. The post hook runs right after
-// a frame's analysis — before its bitstream exists (Bitstream is nil) but
-// with Bits already exact — and is where AckUplink and ForceNextIFrame
-// belong; the deliver hook receives the completed Output and is where
-// CacheDetections belongs. depth <= 1 runs everything inline.
-func (a *Agent) ProcessStream(n, depth int,
-	source func(i int) (*Frame, float64),
-	post func(i int, out *Output) error,
-	deliver func(i int, out *Output) error,
-) error {
-	wrap := func(hook func(int, *Output) error) func(int, *core.FrameResult) error {
-		if hook == nil {
-			return nil
-		}
-		return func(i int, res *core.FrameResult) error {
-			return hook(i, outputFromResult(res))
-		}
-	}
-	_, err := a.inner.ProcessStream(n, depth, source, wrap(post), wrap(deliver))
-	return err
 }
 
 // outputFromResult converts the internal frame result to the public Output.

@@ -1,8 +1,6 @@
 package dive
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"dive/internal/imgx"
@@ -82,103 +80,6 @@ func TestPublicPipelineRoundTrip(t *testing.T) {
 	}
 	if !sawRegions {
 		t.Error("agent never reported foreground regions")
-	}
-}
-
-// TestPublicStreamMatchesProcess pins the public pipelining surface: the
-// Analyze/Emit split and ProcessStream at several depths must all produce
-// bitstreams byte-identical to the serial Process loop, with in-order
-// hooks and exact Bits available before emission.
-func TestPublicStreamMatchesProcess(t *testing.T) {
-	p := world.NuScenesLike()
-	p.ClipDuration = 1.0
-	clip := world.GenerateClip(p, 55)
-	cfg := Config{
-		Width: clip.W, Height: clip.H, FPS: clip.FPS, FocalPx: clip.Focal,
-		BandwidthPriorBps: Mbps(2), Seed: 9,
-	}
-
-	run := func(process func(a *Agent) ([][]byte, error)) [][]byte {
-		t.Helper()
-		a, err := NewAgent(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads, err := process(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return payloads
-	}
-
-	serial := run(func(a *Agent) ([][]byte, error) {
-		var out [][]byte
-		for i, frame := range clip.Frames {
-			now := float64(i) / clip.FPS
-			o, err := a.Process(frame, now)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, o.Bitstream)
-			a.AckUplink(now, now+float64(o.Bits)/Mbps(2), o.Bits)
-		}
-		return out, nil
-	})
-
-	// Two-phase: Analyze, then Emit — ack on analysis metadata, before the
-	// bitstream exists.
-	split := run(func(a *Agent) ([][]byte, error) {
-		var out [][]byte
-		for i, frame := range clip.Frames {
-			now := float64(i) / clip.FPS
-			pend, err := a.Analyze(frame, now)
-			if err != nil {
-				return nil, err
-			}
-			a.AckUplink(now, now+float64(pend.Bits())/Mbps(2), pend.Bits())
-			o, err := a.Emit(pend)
-			if err != nil {
-				return nil, err
-			}
-			if o.Bits != pend.Bits() {
-				return nil, fmt.Errorf("Pending.Bits %d != Output.Bits %d", pend.Bits(), o.Bits)
-			}
-			out = append(out, o.Bitstream)
-		}
-		return out, nil
-	})
-	for i := range serial {
-		if !bytes.Equal(serial[i], split[i]) {
-			t.Fatalf("Analyze/Emit frame %d differs from Process", i)
-		}
-	}
-
-	for _, depth := range []int{1, 3} {
-		streamed := run(func(a *Agent) ([][]byte, error) {
-			out := make([][]byte, clip.NumFrames())
-			err := a.ProcessStream(clip.NumFrames(), depth,
-				func(i int) (*Frame, float64) {
-					return clip.Frames[i], float64(i) / clip.FPS
-				},
-				func(i int, o *Output) error {
-					if o.Bitstream != nil {
-						t.Errorf("depth %d frame %d: post hook saw a bitstream", depth, i)
-					}
-					now := float64(i) / clip.FPS
-					a.AckUplink(now, now+float64(o.Bits)/Mbps(2), o.Bits)
-					return nil
-				},
-				func(i int, o *Output) error {
-					out[i] = o.Bitstream
-					return nil
-				})
-			return out, err
-		})
-		for i := range serial {
-			if !bytes.Equal(serial[i], streamed[i]) {
-				t.Fatalf("depth %d frame %d differs from serial Process", depth, i)
-			}
-		}
 	}
 }
 

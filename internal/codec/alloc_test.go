@@ -8,20 +8,19 @@ import (
 	"dive/internal/obs"
 )
 
-// Steady-state allocation contract. With ReuseFrames set, a serial encoder
-// (Workers=1, telemetry off) must not allocate at all once its free lists
+// Steady-state allocation contract. With ReuseFrames set, an encoder
+// (telemetry off) must not allocate at all once its free lists
 // are warm: recon planes, frame jobs, QP/mode/level scratch, trial scratch
 // and BitWriter buffers all recycle. These tests pin that with
 // testing.AllocsPerRun; the CI alloc gate (make bench-alloc) pins the
 // -benchmem numbers of the matching benchmarks.
 
-// allocStreamEncoder builds a pooled serial encoder plus a varied frame
+// allocStreamEncoder builds a pooled encoder plus a varied frame
 // cycle (shifting texture, so P-frames carry real motion and residual) for
 // steady-state loops. GoPSize 8 puts I-frames inside the measured window.
 func allocStreamEncoder(t testing.TB, reuse bool) (*Encoder, []*imgx.Plane) {
 	t.Helper()
 	cfg := DefaultConfig(96, 80)
-	cfg.Workers = 1
 	cfg.GoPSize = 8
 	cfg.ReuseFrames = reuse
 	enc, err := NewEncoder(cfg)
@@ -66,9 +65,8 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestTwoPhaseSteadyStateZeroAlloc drives AnalyzeAndQuantize/EmitBitstream
-// the way the frame pipeline does — emission deferred behind the analysis
-// by `depth` frames — and requires zero steady-state allocations at every
-// supported depth.
+// with emission deferred behind the analysis by `depth` frames and requires
+// zero steady-state allocations at every depth.
 func TestTwoPhaseSteadyStateZeroAlloc(t *testing.T) {
 	for _, depth := range []int{1, 2, 3} {
 		enc, frames := allocStreamEncoder(t, true)
@@ -140,7 +138,7 @@ func makeOffsets(w, h int) []int {
 // TestPooledBitExact pins the other half of the pooling contract: recycling
 // may not change a single emitted byte. A pooled (ReuseFrames, deferred
 // emit) encoder must match a fresh-buffer serial encoder across every ME
-// method, pipeline depth 1–3 and the scripted option mix (I, P,
+// method, emit deferral 1–3 and the scripted option mix (I, P,
 // differential QP, rate control, forced I).
 func TestPooledBitExact(t *testing.T) {
 	for _, m := range AllMEMethods() {
@@ -246,7 +244,6 @@ func TestReuseFramesAliasingContract(t *testing.T) {
 // replaying it forever is a valid stream.
 func decodeStream(t testing.TB, cfg Config) (*Decoder, [][]byte) {
 	t.Helper()
-	cfg.Workers = 1
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -83,52 +83,6 @@ func BenchmarkMotionSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeParallel measures the full encode path with the pool sized
-// to GOMAXPROCS, so `go test -cpu 1,4` compares serial and parallel encoding
-// of bit-identical streams.
-func BenchmarkEncodeParallel(b *testing.B) {
-	f0, f1 := benchFrames()
-	cfg := DefaultConfig(320, 192)
-	cfg.Workers = 0 // GOMAXPROCS-sized: serial at -cpu 1, parallel at -cpu 4
-	enc, _ := NewEncoder(cfg)
-	if _, err := enc.Encode(f0, EncodeOptions{BaseQP: 20}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := f1
-		if i%2 == 1 {
-			f = f0
-		}
-		if _, err := enc.Encode(f, EncodeOptions{TargetBits: 150_000}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnalyzeMotionParallel measures wavefront motion search alone with
-// a GOMAXPROCS-sized pool.
-func BenchmarkAnalyzeMotionParallel(b *testing.B) {
-	f0, f1 := benchFrames()
-	cfg := DefaultConfig(320, 192)
-	cfg.Workers = 0
-	enc, _ := NewEncoder(cfg)
-	if _, err := enc.Encode(f0, EncodeOptions{BaseQP: 20}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f := f1
-		if i%2 == 1 {
-			f = f0
-		}
-		enc.AnalyzeMotion(f)
-		enc.analyzed = nil
-	}
-}
-
 // BenchmarkDCT compares the float64 reference transform (the pre-switch
 // production kernel) against the fixed-point factorized kernel, forward +
 // inverse per op.
@@ -238,7 +192,6 @@ func BenchmarkDeblockFrame(b *testing.B) {
 // and gated in CI via make bench-alloc.
 func steadyStateBench(b *testing.B, reuse bool) {
 	cfg := DefaultConfig(320, 192)
-	cfg.Workers = 1
 	cfg.GoPSize = 48
 	cfg.ReuseFrames = reuse
 	enc, err := NewEncoder(cfg)
@@ -288,7 +241,6 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 // scratch, so allocs/op is pinned at 0 in ci/alloc_baseline.json.
 func BenchmarkRCTrial(b *testing.B) {
 	cfg := DefaultConfig(320, 192)
-	cfg.Workers = 1
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -324,7 +276,6 @@ func BenchmarkRCTrial(b *testing.B) {
 // search, which is the plain bisection on every frame.
 func BenchmarkRCSearch(b *testing.B) {
 	cfg := DefaultConfig(320, 192)
-	cfg.Workers = 1
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -374,7 +325,6 @@ func BenchmarkEmitBitstream(b *testing.B) {
 	for _, qp := range []int{2, 25} {
 		b.Run(fmt.Sprintf("qp%d", qp), func(b *testing.B) {
 			cfg := DefaultConfig(320, 192)
-			cfg.Workers = 1
 			cfg.ReuseFrames = true
 			enc, err := NewEncoder(cfg)
 			if err != nil {

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -471,5 +472,96 @@ func TestIFrameBudgetScale(t *testing.T) {
 	}
 	if scaled <= plain {
 		t.Errorf("budget scale had no effect: %d vs %d", scaled, plain)
+	}
+}
+
+// TestAnalyzeMotionSeesBufferMutation is the regression test for the
+// memoization hazard: a caller that reuses one frame buffer across frames
+// must not be served the previous frame's cached motion field. The content
+// generation counter (imgx.Plane.Seq) is the fix — pointer identity alone
+// cannot distinguish the two frames.
+func TestAnalyzeMotionSeesBufferMutation(t *testing.T) {
+	w, h := 64, 48
+	enc := newTestEncoder(t, w, h)
+	buf := texturedFrame(w, h, 3)
+	if _, err := enc.Encode(buf.Clone(), EncodeOptions{BaseQP: 20}); err != nil {
+		t.Fatal(err)
+	}
+
+	shifted := shiftFrame(buf, 4, 2)
+	copy(buf.Pix, shifted.Pix)
+	buf.Bump()
+	first := enc.AnalyzeMotion(buf)
+	if first == nil {
+		t.Fatal("no motion field")
+	}
+	eta := first.NonZeroRatio()
+	if eta < 0.5 {
+		t.Fatalf("sanity: shifted frame should be mostly moving, η = %.2f", eta)
+	}
+
+	// Mutate the same buffer in place back to the reference content: the
+	// frame is now static and a fresh analysis must say so. Serving the
+	// cached field would report the stale η ≈ 1.
+	ref := enc.Reconstructed()
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			buf.Set(x, y, ref.At(x, y))
+		}
+	}
+	second := enc.AnalyzeMotion(buf)
+	if second.NonZeroRatio() > 0.05 {
+		t.Errorf("stale motion memo: static content reported η = %.2f", second.NonZeroRatio())
+	}
+}
+
+// TestMotionFieldSurvivesOneFollowingEncode pins the documented lifetime of
+// EncodedFrame.Motion under buffer recycling: the field from frame i is
+// intact after encoding frame i+1.
+func TestMotionFieldSurvivesOneFollowingEncode(t *testing.T) {
+	w, h := 64, 48
+	enc := newTestEncoder(t, w, h)
+	f0 := texturedFrame(w, h, 3)
+	if _, err := enc.Encode(f0, EncodeOptions{BaseQP: 20}); err != nil {
+		t.Fatal(err)
+	}
+	ef1, err := enc.Encode(shiftFrame(f0, 3, 1), EncodeOptions{BaseQP: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mvs := append([]MV(nil), ef1.Motion.MVs...)
+	if _, err := enc.Encode(shiftFrame(f0, 6, 2), EncodeOptions{BaseQP: 20}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range mvs {
+		if ef1.Motion.MVs[i] != mvs[i] {
+			t.Fatalf("MV %d of frame 1 changed during the following encode", i)
+		}
+	}
+}
+
+// TestWorkersFieldIsIgnored: Config.Workers survives only because the
+// benchmark module assigns it; whatever it holds, the encoder emits the same
+// bytes.
+func TestWorkersFieldIsIgnored(t *testing.T) {
+	var want [][]byte
+	for _, workers := range []int{0, 1, 8} {
+		cfg := DefaultConfig(96, 80)
+		cfg.Workers = workers
+		enc, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range scriptInputs(96, 80) {
+			ef, err := enc.Encode(in.frame, in.opts)
+			if err != nil {
+				t.Fatalf("Workers=%d frame %d: %v", workers, i, err)
+			}
+			if workers == 0 {
+				want = append(want, ef.Data)
+			} else if !bytes.Equal(ef.Data, want[i]) {
+				t.Errorf("Workers=%d frame %d: %d bytes differ from the %d at Workers=0", workers, i, len(ef.Data), len(want[i]))
+			}
+		}
 	}
 }

@@ -18,9 +18,7 @@ import (
 // trialScratch is one trial pass's working set. The per-MB coded-MV array
 // feeds the MV predictor; the recon plane exists only for intra trials
 // (intra prediction is causal in the reconstruction) and is allocated by the
-// first intra trial that uses this scratch. Scratch is recycled through
-// Encoder.trials because speculative probes run one trial per worker
-// concurrently.
+// first intra trial.
 type trialScratch struct {
 	mvs   []MV
 	recon *imgx.Plane
@@ -33,16 +31,12 @@ type trialScratch struct {
 }
 
 // countPass returns the exact number of bits a final encode of frame at
-// baseQP would emit: quantizePass as a trial, on scratch recycled through
-// Encoder.trials. Safe to run concurrently with itself: all mutable state
-// lives in the per-call trial scratch.
+// baseQP would emit: quantizePass as a trial, on the encoder's trial scratch.
 func (e *Encoder) countPass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int) int {
-	t := e.trials.Get()
-	if t == nil {
-		t = &trialScratch{mvs: make([]MV, e.mbw*e.mbh)}
+	if e.trial.mvs == nil {
+		e.trial.mvs = make([]MV, e.mbw*e.mbh)
 	}
-	defer e.trials.Put(t)
-	return e.quantizePass(frame, ftype, mf, dctCache, baseQP, offsets, nil, t)
+	return e.quantizePass(frame, ftype, mf, dctCache, baseQP, offsets, nil, &e.trial)
 }
 
 // countInterMB returns the exact entropy-coded length of one inter

@@ -10,8 +10,7 @@ import "math"
 // no float division and no math.Pow anywhere on the encode path. The same
 // kernels run in the encoder's quantize/reconstruction passes, the
 // rate-control trials and the decoder, so encoder recon stays bit-exact
-// with decode and the serial ≡ parallel ≡ pipelined invariants carry over
-// unchanged (every kernel is a pure per-block function of its inputs).
+// with decode (every kernel is a pure per-block function of its inputs).
 //
 // Scaling chain (see DESIGN.md §12 for the range proof):
 //
@@ -272,9 +271,7 @@ func dequantizeBlockFixed(levels *[blockSize * blockSize]int32, qp int, coef *[b
 // inter-residual transforms: sample position is the outer dimension and
 // block index the contiguous inner one, so the 1-D passes stream across
 // blocks instead of within them. soa/tmp hold 64 lanes-rows of stride
-// lanes; slot maps each lane back to its inter-DCT cache index. Batches
-// recycle through a per-worker free list (buildInterDCTCache shards the MB
-// rows across the pool).
+// lanes; slot maps each lane back to its inter-DCT cache index.
 type dctBatch struct {
 	lanes int
 	soa   []int32
@@ -282,12 +279,13 @@ type dctBatch struct {
 	slot  []int
 }
 
-// getBatch returns recycled or fresh batch scratch sized for one MB row.
-func (e *Encoder) getBatch() *dctBatch {
-	n := e.mbw * 4
-	b := e.batches.Get()
-	if b == nil || b.lanes < n {
-		b = &dctBatch{
+// rowBatch returns the encoder's batch scratch, sized for one MB row on first
+// use.
+func (e *Encoder) rowBatch() *dctBatch {
+	b := &e.batch
+	if b.lanes == 0 {
+		n := e.mbw * 4
+		*b = dctBatch{
 			lanes: n,
 			soa:   make([]int32, blockSize*blockSize*n),
 			tmp:   make([]int32, blockSize*blockSize*n),

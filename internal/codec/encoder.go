@@ -5,7 +5,6 @@ import (
 
 	"dive/internal/imgx"
 	"dive/internal/obs"
-	"dive/internal/parallel"
 	"dive/internal/pool"
 )
 
@@ -56,10 +55,7 @@ type Config struct {
 	// entropy coding, rate-control trial counts). Nil disables
 	// instrumentation; the Decoder ignores it.
 	Obs *obs.Recorder
-	// Workers bounds the encoder's intra-frame parallelism: wavefront
-	// motion search, inter-DCT cache sharding and speculative rate-control
-	// probes. 0 sizes to GOMAXPROCS, 1 forces the serial path. The output
-	// bitstream is bit-exact identical for every value.
+	// Workers is ignored: the encoder runs on its caller's goroutine.
 	Workers int
 	// ReuseFrames recycles each frame's hand-out storage — the EncodedFrame
 	// struct and its QPs and Data slices — through the encoder's job free
@@ -68,9 +64,9 @@ type Config struct {
 	// its QPs/Data) is only valid until the job cycles back: callers must
 	// finish with (or copy) a frame before the encoder has analyzed
 	// jobFreeCap further frames — in practice, consume each frame before the
-	// next pipeline batch. Off by default because callers that retain frames
-	// across encodes (tests, offline collectors) would observe overwrites.
-	// The emitted bits are byte-identical either way.
+	// next. Off by default because callers that retain frames across encodes
+	// (tests, offline collectors) would observe overwrites. The emitted bits
+	// are byte-identical either way.
 	ReuseFrames bool
 }
 
@@ -139,8 +135,7 @@ type EncodedFrame struct {
 	NumBits int
 	// RCTrials is the rate-control search path that chose BaseQP: every
 	// trial the bisection consulted, in loop order, with its exact bit
-	// count (speculative entries were served from the parallel prefetcher's
-	// memo). Steps a P-frame search settles from trials it already ran
+	// count. Steps a P-frame search settles from trials it already ran
 	// consult none and list none; the trial at BaseQP (unless that is 51)
 	// and the one below it (unless that is under MinQP) are always there.
 	// Nil when rate control did not run or telemetry is disabled
@@ -182,7 +177,6 @@ type EncodeOptions struct {
 type Encoder struct {
 	cfg      Config
 	mbw, mbh int
-	pool     *parallel.Pool
 	ref      *imgx.Plane // reconstructed previous frame
 	// prevRef lags one frame behind ref before a retired reference plane is
 	// released to recons, so Reconstructed() callers keep a stable plane
@@ -192,13 +186,11 @@ type Encoder struct {
 	// one and retires one, so the steady state circulates three planes
 	// (ref, prevRef, in-build) with no allocation.
 	recons *pool.Planes
-	// trials recycles rate-control trial scratch (countPass); sized to the
-	// pool width because speculative probes run concurrently.
-	trials *pool.Freelist[trialScratch]
+	// trial is the rate-control trial scratch (countPass).
+	trial trialScratch
 	// refQPs is the per-MB QP the reference was coded with — an
-	// encoder-owned copy (the authoritative array lives in the frame's job,
-	// whose storage recycles on a pipeline goroutine; the copy keeps the
-	// skip-threshold reads of the next analyze off that storage).
+	// encoder-owned copy: the authoritative array lives in the frame's job,
+	// whose storage recycles once EmitBitstream consumes it.
 	refQPs   []int
 	frameIdx int
 	// lastQP is the previous frame's base QP (-1 before the first frame) and
@@ -226,38 +218,11 @@ type Encoder struct {
 	// lets a rate-control trial price a block inside the quantizer's dead
 	// zone without reading it (countInterMB).
 	dctOr []uint32
-	// batches recycles the structure-of-arrays row-batch transform scratch;
-	// sized to the pool width because buildInterDCTCache shards macroblock
-	// rows across the pool.
-	batches *pool.Freelist[dctBatch]
-	// jobFree recycles FrameJob backing storage between EmitBitstream
-	// (which may run on a pipeline goroutine) and the next
-	// AnalyzeAndQuantize; the channel provides the happens-before edge.
+	// batch is the structure-of-arrays row-batch transform scratch (dctRow).
+	batch dctBatch
+	// jobFree recycles FrameJob backing storage between EmitBitstream and a
+	// later AnalyzeAndQuantize.
 	jobFree chan *FrameJob
-	// searchFn/dctFn are the per-frame parallel-region bodies, built once at
-	// construction over encoder fields (searchFrame/searchMF, dctFrame/
-	// dctMF) instead of closing over loop-local values: a closure handed to
-	// Pool.ForEach/Wavefront escapes (the pool may run it on spawned
-	// goroutines), so a fresh closure per frame would be a steady-state heap
-	// allocation. The fields are written only by the analyze goroutine
-	// before the region runs and the region's completion is a barrier, so
-	// reuse is race-free.
-	searchFn    func(bx, by int)
-	searchFrame *imgx.Plane
-	searchMF    *MotionField
-	dctFn       func(by int)
-	dctFrame    *imgx.Plane
-	dctMF       *MotionField
-	// probeFn is prefetchRCProbes' region body, over probe (see searchFn).
-	probeFn func(k int)
-	probe   struct {
-		frame        *imgx.Plane
-		ftype        FrameType
-		mf           *MotionField
-		dctCache     [][blockSize * blockSize]int32
-		offsets      []int
-		qps, results [52]int
-	}
 }
 
 // NewEncoder validates cfg and creates an encoder.
@@ -271,23 +236,12 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	if cfg.Method < MEDia || cfg.Method > MEEsa {
 		return nil, fmt.Errorf("codec: unknown motion estimation method %d", cfg.Method)
 	}
-	p := parallel.New(cfg.Workers)
-	e := &Encoder{
+	return &Encoder{
 		cfg: cfg, mbw: cfg.Width / MBSize, mbh: cfg.Height / MBSize,
-		pool:    p,
 		recons:  pool.NewPlanes(cfg.Width, cfg.Height, 2),
-		trials:  pool.NewFreelist[trialScratch](p.Workers()),
-		batches: pool.NewFreelist[dctBatch](p.Workers()),
 		jobFree: make(chan *FrameJob, jobFreeCap),
 		lastQP:  -1,
-	}
-	e.searchFn = func(bx, by int) { e.searchMB(e.searchFrame, e.searchMF, bx, by) }
-	e.dctFn = func(by int) { e.dctRow(by) }
-	e.probeFn = func(k int) {
-		p := &e.probe
-		p.results[k] = e.countPass(p.frame, p.ftype, p.mf, p.dctCache, p.qps[k], p.offsets)
-	}
-	return e, nil
+	}, nil
 }
 
 // MBDims returns the macroblock grid size.
@@ -367,12 +321,6 @@ func (e *Encoder) neighborhoodMaxQP(bx, by int) int {
 // (imgx.Plane.Seq), so reusing one buffer for successive frames is safe as
 // long as writers bump the counter (Set/Fill do; direct Pix writers call
 // Bump). It returns nil when no reference exists yet (the very first frame).
-//
-// With a multi-worker pool the macroblock grid runs as a wavefront over
-// anti-diagonals d = bx + 2·by: each MB's predictor reads its left, top and
-// top-right neighbors, which all lie on earlier diagonals, so every MB sees
-// exactly the predictors the serial raster scan would have produced and the
-// resulting field is bit-identical at any worker count.
 func (e *Encoder) AnalyzeMotion(frame *imgx.Plane) *MotionField {
 	if e.ref == nil {
 		return nil
@@ -386,9 +334,11 @@ func (e *Encoder) AnalyzeMotion(frame *imgx.Plane) *MotionField {
 		scale = 2
 	}
 	mf := e.nextMotionField(scale)
-	e.searchFrame, e.searchMF = frame, mf
-	e.pool.Wavefront(e.mbw, e.mbh, e.searchFn)
-	e.searchFrame, e.searchMF = nil, nil
+	for by := 0; by < e.mbh; by++ {
+		for bx := 0; bx < e.mbw; bx++ {
+			e.searchMB(frame, mf, bx, by)
+		}
+	}
 	e.analyzed = frame
 	e.analyzedSeq = frame.Seq()
 	e.motion = mf
@@ -420,8 +370,8 @@ func (e *Encoder) nextMotionField(scale int) *MotionField {
 
 // searchMB runs the skip test and motion search for macroblock (bx, by) and
 // writes its vector, mode and SAD into mf. Predictors are read from mf.MVs,
-// so the caller must guarantee the left, top and top-right entries are final
-// before this cell runs — raster order and the d = bx+2·by wavefront both do.
+// so the left, top and top-right entries must be final before this cell runs
+// — raster order guarantees it.
 func (e *Encoder) searchMB(frame *imgx.Plane, mf *MotionField, bx, by int) {
 	i := by*e.mbw + bx
 	pred := predictMV(mf.MVs, e.mbw, bx, by)
@@ -465,7 +415,7 @@ func (e *Encoder) searchMB(frame *imgx.Plane, mf *MotionField, bx, by int) {
 }
 
 // Encode compresses one frame and advances the encoder state. It is the
-// serial composition of the two-phase API (see twophase.go): quantize, then
+// composition of the two-phase API (see twophase.go): quantize, then
 // emit immediately.
 func (e *Encoder) Encode(frame *imgx.Plane, opts EncodeOptions) (*EncodedFrame, error) {
 	job, err := e.AnalyzeAndQuantize(frame, opts)
@@ -473,54 +423,6 @@ func (e *Encoder) Encode(frame *imgx.Plane, opts EncodeOptions) (*EncodedFrame, 
 		return nil, err
 	}
 	return e.EmitBitstream(job)
-}
-
-// prefetchRCProbes speculatively executes rate-control trial passes for the
-// top levels of the bisection tree over [minQP, 51] — the interval the
-// caller's bisection starts from — as many levels as fit the pool width
-// (1 + 2 + 4 + ... probes). It returns per-QP bit counts (-1 for QPs not
-// probed) and the number of passes executed. A serial pool probes nothing —
-// the bisection loop then runs exactly the serial sequence of passes — and
-// neither does a floor of 51, which leaves nothing to bisect.
-func (e *Encoder) prefetchRCProbes(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, offsets []int) (memo [52]int, probes int) {
-	memo = noTrials
-	nw := e.pool.Workers()
-	if nw <= 1 || minQP >= 51 {
-		return memo, 0
-	}
-	// Enumerate the QPs the bisection may probe, level by level: interval
-	// (lo, hi) probes mid and continues with (lo, mid) or (mid+1, hi).
-	// Intervals on one level are disjoint, so the midpoints are distinct and
-	// 52 slots hold any level and every midpoint.
-	type iv struct{ lo, hi int }
-	var level, next [52]iv
-	p := &e.probe
-	level[0] = iv{minQP, 51}
-	nLevel, n := 1, 0
-	for nLevel > 0 && n+nLevel <= nw {
-		nNext := 0
-		for _, v := range level[:nLevel] {
-			mid := (v.lo + v.hi) / 2
-			p.qps[n] = mid
-			n++
-			if v.lo < mid {
-				next[nNext] = iv{v.lo, mid}
-				nNext++
-			}
-			if mid+1 < v.hi {
-				next[nNext] = iv{mid + 1, v.hi}
-				nNext++
-			}
-		}
-		level, nLevel = next, nNext
-	}
-	p.frame, p.ftype, p.mf, p.dctCache, p.offsets = frame, ftype, mf, dctCache, offsets
-	e.pool.ForEach(n, e.probeFn)
-	p.frame, p.mf, p.dctCache, p.offsets = nil, nil, nil, nil
-	for k, qp := range p.qps[:n] {
-		memo[qp] = p.results[k]
-	}
-	return memo, n
 }
 
 // refSampleI reads the reference pixel at (cx, cy) displaced by mv, which
@@ -535,8 +437,7 @@ func refSampleI(ref *imgx.Plane, cx, cy int, mv MV, subpel bool) int32 {
 
 // buildInterDCTCache computes the forward DCT of every inter macroblock's
 // motion-compensated residual (4 blocks per MB, in raster order). The cache
-// is QP-independent and shared by all passes. Macroblock rows are
-// independent, so they are sharded across the pool; within a row the
+// is QP-independent and shared by all passes. Within a macroblock row the
 // transform runs as one structure-of-arrays batch (dctRow). The backing
 // array is recycled across frames without zeroing: non-inter slots are
 // never read (only ModeInter macroblocks index into the cache). Each block's
@@ -547,23 +448,21 @@ func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) [][bloc
 		e.dctScratch = make([][blockSize * blockSize]int32, n)
 		e.dctOr = make([]uint32, n)
 	}
-	e.dctFrame, e.dctMF = frame, mf
-	e.pool.ForEach(e.mbh, e.dctFn)
-	e.dctFrame, e.dctMF = nil, nil
+	for by := 0; by < e.mbh; by++ {
+		e.dctRow(frame, mf, by)
+	}
 	return e.dctScratch[:n]
 }
 
-// dctRow is the buildInterDCTCache region body for macroblock row by,
-// reading its inputs from the encoder's dctFrame/dctMF fields (see
-// searchFn). It gathers every inter MB's motion-compensated residual into
-// the row batch's structure-of-arrays lanes, transforms all lanes at once
-// and scatters the coefficients into the cache, OR-ing each block's
-// magnitudes into dctOr on the way out. Each block's result is a
-// pure function of its own residual, so the batched output is bit-identical
-// to per-block transforms at any worker count or row composition.
-func (e *Encoder) dctRow(by int) {
-	frame, mf := e.dctFrame, e.dctMF
-	b := e.getBatch()
+// dctRow fills the inter-DCT cache for macroblock row by. It gathers every
+// inter MB's motion-compensated residual into the row batch's
+// structure-of-arrays lanes, transforms all lanes at once and scatters the
+// coefficients into the cache, OR-ing each block's magnitudes into dctOr on
+// the way out. Each block's result is a pure function of its own residual, so
+// the batched output is bit-identical to per-block transforms at any row
+// composition.
+func (e *Encoder) dctRow(frame *imgx.Plane, mf *MotionField, by int) {
+	b := e.rowBatch()
 	n := b.lanes
 	var pred [MBSize * MBSize]uint8
 	nb := 0
@@ -606,7 +505,6 @@ func (e *Encoder) dctRow(by int) {
 			e.dctOr[b.slot[lane]] = uint32(or)
 		}
 	}
-	e.batches.Put(b)
 }
 
 // Intra prediction modes, a simplified version of H.264's directional

@@ -10,27 +10,18 @@ import (
 // Two-phase encoding. Encode is split into AnalyzeAndQuantize (motion
 // analysis, rate control, transform, quantization and reconstruction — the
 // part the next frame depends on) and EmitBitstream (entropy serialization —
-// the part nothing downstream of the encoder state depends on). The split is
-// what makes frame-level pipelining possible: reconstruction is a function of
-// the quantized coefficients only, never of the written bits, so the encoder
-// reference advances at the end of phase one and frame N+1's motion search
-// can start while frame N's bits are still being written on another
-// goroutine.
-//
-// Contract: AnalyzeAndQuantize(f, o) followed by EmitBitstream(job) produces
-// a byte-identical bitstream, identical reconstruction and identical encoder
-// state trajectory to the pre-split Encode(f, o). NumBits is computed
-// arithmetically in phase one (exact, verified against the writer in
-// EmitBitstream), so rate-dependent consumers (the link simulator, rate
-// estimators) can run before the bytes exist.
+// the part nothing downstream of the encoder state depends on).
+// Reconstruction is a function of the quantized coefficients only, never of
+// the written bits, so the encoder reference advances at the end of phase one.
+// NumBits is computed arithmetically in phase one (exact, verified against the
+// writer in EmitBitstream), so rate control only ever counts, and
+// rate-dependent consumers (the link simulator, rate estimators) can run
+// before the bytes exist.
 
 // FrameJob is one frame's encode carried between AnalyzeAndQuantize and
 // EmitBitstream: the quantized coefficient grid, coded modes/vectors and the
 // already-installed reconstruction. Job backing storage is recycled through
 // the encoder's free list once EmitBitstream consumes it.
-//
-// EmitBitstream only reads immutable encoder config, so it may run
-// concurrently with the encoder's next AnalyzeAndQuantize calls.
 type FrameJob struct {
 	// Frame is the encoded frame under construction: every field except
 	// Data is final when AnalyzeAndQuantize returns; EmitBitstream fills
@@ -54,11 +45,9 @@ type FrameJob struct {
 	// pre-scan and stops the zigzag walk at the last coefficient.
 	nz []uint8
 	// qps is the per-MB QP array the job's frame hands out. It lives in the
-	// job — not the encoder — because EmitBitstream reads it on the
-	// pipeline's emit goroutine while the encoder is quantizing later
-	// frames; the job free list's channel is the happens-before edge that
-	// makes the recycling safe. The encoder keeps its own copy (refQPs) for
-	// next-frame skip thresholds.
+	// job — not the encoder — because EmitBitstream reads it after the
+	// encoder may have quantized later frames. The encoder keeps its own
+	// copy (refQPs) for next-frame skip thresholds.
 	qps []int
 	// frame and bw are the hand-out storage recycled in ReuseFrames mode:
 	// the EncodedFrame the caller receives and the bitstream writer whose
@@ -81,13 +70,12 @@ func (j *FrameJob) mb(i int) (levels []int32, imodes, nz []uint8) {
 	return j.levels[i*n : (i+1)*n], j.intraModes[i*4 : i*4+4], j.nz[i*4 : i*4+4]
 }
 
-// jobFreeCap bounds the encoder's job free list; a pipeline keeps at most a
-// few frames in flight, and overflow jobs are simply garbage-collected.
+// jobFreeCap bounds the encoder's job free list; a caller keeps at most a
+// few analyzed frames unemitted, and overflow jobs are simply
+// garbage-collected.
 const jobFreeCap = 4
 
-// getJob returns a recycled or freshly allocated job. The channel free list
-// gives the release (EmitBitstream, possibly on another goroutine) a
-// happens-before edge to the next acquisition here.
+// getJob returns a recycled or freshly allocated job.
 func (e *Encoder) getJob() *FrameJob {
 	select {
 	case j := <-e.jobFree:
@@ -123,9 +111,9 @@ func (e *Encoder) putJob(j *FrameJob) {
 // decision, motion analysis, rate control, transform, quantization and
 // reconstruction. On return the encoder's reference state has advanced — the
 // next frame may be analyzed immediately — and the returned job carries
-// everything EmitBitstream needs to serialize the bitstream later, on any
-// goroutine. Jobs must be emitted in the order they were produced (the
-// bitstream is stateless but consumers expect frame order) and exactly once.
+// everything EmitBitstream needs to serialize the bitstream later. Jobs must
+// be emitted in the order they were produced (the bitstream is stateless but
+// consumers expect frame order) and exactly once.
 func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*FrameJob, error) {
 	if frame.W != e.cfg.Width || frame.H != e.cfg.Height {
 		return nil, fmt.Errorf("codec: frame size %dx%d does not match config %dx%d", frame.W, frame.H, e.cfg.Width, e.cfg.Height)
@@ -180,9 +168,8 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	e.ref = job.recon
 	e.recons.Put(e.prevRef)
 	e.prevRef = old
-	// refQPs is a copy, not an alias: job.qps storage is read by the emit
-	// goroutine and recycled with the job, while refQPs feeds the next
-	// frame's skip thresholds on the analyze goroutine.
+	// refQPs is a copy, not an alias: job.qps storage recycles with the job,
+	// while refQPs feeds the next frame's skip thresholds.
 	if e.refQPs == nil {
 		e.refQPs = make([]int, e.mbw*e.mbh)
 	}
@@ -222,13 +209,13 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 // Every frame walks the same bisection; what differs is how a step learns
 // whether its midpoint fits. An I-frame's bits are not monotone in QP (intra
 // modes depend on the reconstruction), so each step needs that QP's exact
-// count: a trial pass, or the speculative prefetcher's memo. A P-frame's
-// counts bound one another (impliedFit), so a step that earlier trials
-// settle costs nothing — and while the base QP holds still (warmStartSpan)
-// the two trials that settle most steps run first: at the previous frame's
-// QP and at its neighbour on the side that failed. They are the whole search
-// if the answer has not moved, and otherwise the only two trials the plain
-// bisection would not have run itself (DESIGN.md §7 "Rate control").
+// count: a trial pass. A P-frame's counts bound one another (impliedFit), so
+// a step that earlier trials settle costs nothing — and while the base QP
+// holds still (warmStartSpan) the two trials that settle most steps run
+// first: at the previous frame's QP and at its neighbour on the side that
+// failed. They are the whole search if the answer has not moved, and
+// otherwise the only two trials the plain bisection would not have run itself
+// (DESIGN.md §8 "Rate control").
 func (e *Encoder) searchBaseQP(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, opts EncodeOptions) (baseQP, trials int, trace []obs.QPTrial) {
 	target := opts.TargetBits
 	lo, hi := minQP, 51
@@ -253,16 +240,11 @@ func (e *Encoder) searchBaseQP(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			memo[q] = e.countPass(frame, ftype, mf, dctCache, q, opts.QPOffsets)
 			trials++
 		}
-	} else {
-		memo, trials = e.prefetchRCProbes(frame, ftype, mf, dctCache, minQP, opts.QPOffsets)
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		bits := memo[mid]
 		fits, known := bits <= target, bits >= 0
-		// A count found in the memo is the prefetcher's, unless the warm
-		// start put it there.
-		speculative := known && !warm
 		if !known && bounded {
 			fits, known = impliedFit(&memo, mid, target)
 		}
@@ -273,7 +255,7 @@ func (e *Encoder) searchBaseQP(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			fits = bits <= target
 		}
 		if bits >= 0 && e.cfg.Obs != nil {
-			trace = append(trace, obs.QPTrial{QP: mid, Bits: bits, Speculative: speculative})
+			trace = append(trace, obs.QPTrial{QP: mid, Bits: bits})
 		}
 		if fits {
 			hi = mid
@@ -365,7 +347,7 @@ func offsetsNonNegative(offsets []int) bool {
 //     into t's plane, because intra prediction is causal in the
 //     reconstruction.
 //
-// A trial touches no encoder state outside t, so trials may run concurrently.
+// A trial touches no encoder state outside t.
 func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob, t *trialScratch) int {
 	final := job != nil
 	var recon *imgx.Plane
@@ -498,9 +480,8 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, mo
 // EmitBitstream runs phase two: it serializes the job into the final
 // bitstream, verifies the writer agrees with phase one's arithmetic bit
 // count, recycles the job and returns the completed frame. It reads only
-// job state and immutable encoder config, so it is safe to run concurrently
-// with later AnalyzeAndQuantize calls on the same encoder; jobs must be
-// emitted in production order, exactly once.
+// job state and immutable encoder config, so later AnalyzeAndQuantize calls
+// may come first; jobs must be emitted in production order, exactly once.
 func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 	if job == nil || job.Frame == nil {
 		return nil, fmt.Errorf("codec: EmitBitstream on a consumed or nil job")
@@ -512,9 +493,7 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 	defer emitTimer.Stop()
 
 	ef := job.Frame
-	// The writer (and its grow-once backing buffer) is job-owned: the job
-	// free list's channel hand-off orders this goroutine's writes before the
-	// next analyze reuses the storage.
+	// The writer (and its grow-once backing buffer) is job-owned.
 	w := &job.bw
 	w.Reset()
 	w.WriteUE(uint32(ef.Type))

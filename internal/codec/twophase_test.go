@@ -30,15 +30,10 @@ func legacyEncode(t *testing.T, e *Encoder, frame *imgx.Plane, opts EncodeOption
 	}
 	var result *passResult
 	if opts.TargetBits > 0 {
-		memo, _ := e.prefetchRCProbes(frame, ftype, mf, dctCache, 0, opts.QPOffsets)
 		lo, hi := 0, 51
 		for lo < hi {
 			mid := (lo + hi) / 2
-			bits := memo[mid]
-			if bits < 0 {
-				bits = e.encodePass(frame, ftype, mf, dctCache, mid, opts.QPOffsets, false).bits
-			}
-			if bits <= opts.TargetBits {
+			if e.encodePass(frame, ftype, mf, dctCache, mid, opts.QPOffsets, false).bits <= opts.TargetBits {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -62,8 +57,9 @@ func legacyEncode(t *testing.T, e *Encoder, frame *imgx.Plane, opts EncodeOption
 	}
 }
 
-// scriptInputs returns the same varied frame/option sequence encodeScript
-// uses (I, P, differential QP, rate control, forced I).
+// scriptInputs returns a fixed, varied frame/option sequence: an I-frame,
+// plain P-frames, a differential-QP P-frame, rate-controlled frames and a
+// forced rate-controlled I-frame.
 func scriptInputs(w, h int) []struct {
 	frame *imgx.Plane
 	opts  EncodeOptions
@@ -136,8 +132,8 @@ func TestTwoPhaseMatchesLegacyEncode(t *testing.T) {
 	}
 }
 
-// TestDeferredEmitBitExact drives the two-phase API the way the frame
-// pipeline does: up to depth frames are quantized ahead before their
+// TestDeferredEmitBitExact drives the two-phase API with emission deferred:
+// up to depth frames are quantized ahead before their
 // bitstreams are emitted. Because AnalyzeAndQuantize advances the encoder
 // reference, deferring emission must not change a single byte relative to
 // the immediate-emit serial path.

@@ -137,15 +137,15 @@ type Agent struct {
 	forceI    bool
 	// degrade is the active graceful-degradation response (set by the
 	// transport's link-health ladder) and health the score it journaled
-	// under; both are read at encode time on the analysis stage.
+	// under; both are read at encode time.
 	degrade Degradation
 	health  float64
 	// qpOffsets is the recycled per-frame QP offset map handed to the
-	// encoder. Owned by the analysis stage; the codec never retains it past
-	// AnalyzeAndQuantize, so one buffer serves every frame.
+	// encoder. The codec never retains it past AnalyzeAndQuantize, so one
+	// buffer serves every frame.
 	qpOffsets []int
-	// mv and fg are the analysis stage's working storage (estimator and
-	// foreground scratch), reused every frame. Nothing in them escapes
+	// mv and fg are the analysis working storage (estimator and foreground
+	// scratch), reused every frame. Nothing in them escapes
 	// analyzeFrame: whatever a FrameResult carries is freshly allocated and
 	// the caller's to keep.
 	mv mvfield.Scratch
@@ -201,16 +201,145 @@ func (a *Agent) cy() float64 { return float64(a.cfg.Height) / 2 }
 
 // ProcessFrame runs the full DiVE pipeline on one captured frame at
 // simulated time now and returns the encoded frame plus all analysis
-// byproducts. It is the serial composition of the two pipeline phases:
-// AnalyzeFrame (motion, foreground, rate control, quantization) immediately
-// followed by EmitFrame (bitstream serialization). Streaming callers use
-// ProcessStream to overlap the phases across consecutive frames.
+// byproducts: it mints the frame's trace and opens the root "frame" span,
+// analyzes and quantizes (analyzeFrame), serializes the bitstream, and closes
+// the root span.
 func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, error) {
-	p, err := a.AnalyzeFrame(frame, now)
+	r := a.cfg.Obs
+	frameSpan := r.StartStageSpan(r.StartTrace(a.frameNum), "frame", "agent", obs.StageFrame)
+	// Stage spans parent onto the root span, not the bare trace.
+	actx := frameSpan.Context()
+	res, job, err := a.analyzeFrame(frame, now, actx)
 	if err != nil {
 		return nil, err
 	}
-	return a.EmitFrame(p)
+	emitSpan := r.StartSpan(actx, "emit", "agent")
+	res.Encoded, err = a.enc.EmitBitstream(job)
+	emitSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	frameSpan.End()
+	return res, nil
+}
+
+// analyzeFrame is everything up to the bitstream: motion analysis, the
+// moving/stopped judgement, rotation removal, foreground extraction, adaptive
+// QP selection, rate control and quantization (codec.AnalyzeAndQuantize), and
+// the frame's journal record. The returned result's Encoded carries every
+// field except Data until the job is emitted.
+func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceContext) (*FrameResult, *codec.FrameJob, error) {
+	r := a.cfg.Obs
+	// Carry the root-span context outward: transport and edge spans become
+	// children of the frame span, exactly like the local stage spans.
+	res := &FrameResult{Trace: actx}
+
+	// Preprocessing: motion vectors come free from the encoder.
+	motionSpan := r.StartStageSpan(actx, "motion", "agent", obs.StageMotion)
+	mf := a.enc.AnalyzeMotion(frame)
+	motionSpan.End()
+	if mf != nil {
+		field := mvfield.FromMotion(mf, a.cfg.Focal, a.cx(), a.cy(), 0)
+		res.RawField = field
+		res.Eta = field.Eta()
+		res.Moving = res.Eta > a.cfg.EtaThreshold
+
+		if res.Moving {
+			// Rotational component elimination (Section III-B3).
+			if !a.cfg.DisableRotation {
+				rotSpan := r.StartStageSpan(actx, "rotation", "agent", obs.StageRotation)
+				phiX, phiY, err := a.cfg.Rotation.EstimateWith(&a.mv, field, a.foeCal.FOE(), a.rng)
+				if err == nil {
+					res.Rotation = RotationEstimate{PhiX: phiX, PhiY: phiY, OK: true}
+					field = field.RemoveRotation(phiX, phiY)
+				}
+				rotSpan.End()
+			}
+			// FOE calibration on the corrected field.
+			if foe, err := mvfield.EstimateFOEWith(&a.mv, field, a.rng); err == nil {
+				a.foeCal.Update(foe)
+				res.FOE = foe
+			} else {
+				res.FOE = a.foeCal.FOE()
+			}
+			res.Field = field
+
+			// Foreground extraction (Section III-C).
+			fgSpan := r.StartStageSpan(actx, "foreground", "agent", obs.StageForeground)
+			fg := extractForeground(&a.fg, field, a.foeCal.FOE(), a.cfg.Foreground)
+			fgSpan.End()
+			if fg != nil && !fg.Empty() {
+				a.lastFG = fg
+			} else {
+				res.Reused = true
+			}
+		} else {
+			// Stopped: no usable ground flow; reuse the latest foreground.
+			res.Field = field
+			res.Reused = true
+		}
+	} else {
+		res.Reused = a.lastFG != nil
+	}
+	res.Foreground = a.lastFG
+
+	// Adaptive video encoding (Section III-D).
+	frac := 0.0
+	var mask []bool
+	if a.lastFG != nil {
+		frac = a.lastFG.Fraction()
+		mask = a.lastFG.Mask
+	}
+	res.Delta = a.cfg.AVE.Delta(frac)
+	mbw, mbh := a.enc.MBDims()
+	a.qpOffsets = BuildQPOffsetsInto(a.qpOffsets, mask, mbw*mbh, res.Delta)
+	offsets := a.qpOffsets
+
+	opts := codec.EncodeOptions{QPOffsets: offsets, ForceIFrame: a.forceI, MinQP: a.degrade.QPFloor}
+	if a.cfg.CRF {
+		opts.BaseQP = a.cfg.CRFQP
+	} else {
+		res.EstimatedBandwidth = a.estimator.EstimateAt(now)
+		res.TargetBits = a.cfg.AVE.TargetBits(res.EstimatedBandwidth, a.cfg.FPS)
+		// The degradation ladder shrinks the budget before the bisection
+		// sees it: a struggling link gets cheaper frames, not hopeful ones.
+		if a.degrade.BudgetScale > 0 && a.degrade.BudgetScale < 1 {
+			res.TargetBits = int(float64(res.TargetBits) * a.degrade.BudgetScale)
+		}
+		opts.TargetBits = res.TargetBits
+		opts.IFrameBudgetScale = a.cfg.AVE.IFrameBudgetScale
+	}
+	encSpan := r.StartStageSpan(actx, "encode", "agent", obs.StageEncode)
+	job, err := a.enc.AnalyzeAndQuantize(frame, opts)
+	encSpan.End()
+	a.forceI = false
+	if err != nil {
+		return nil, nil, err
+	}
+	ef := job.Frame
+	res.Encoded = ef
+	a.frameNum++
+
+	if r != nil {
+		r.Counter(obs.MetricFrames).Inc()
+		r.Counter(obs.MetricBits).Add(int64(ef.NumBits))
+		a.sessFrames.Inc()
+		a.sessBits.Add(int64(ef.NumBits))
+		// The bitstream does not exist yet; the writer pads to a byte
+		// boundary, so its length is fully determined by the bit count.
+		r.Counter(obs.MetricBytes).Add(int64((ef.NumBits + 7) / 8))
+		if ef.Type == codec.IFrame {
+			r.Counter(obs.MetricIFrames).Inc()
+		}
+		r.Gauge(obs.GaugeEta).Set(res.Eta)
+		r.Gauge(obs.GaugeFGFraction).Set(frac)
+		// Journal the frame now, before any transport feedback for it can
+		// arrive: AmendLastJournal from OnTransmitComplete/ForceNextIFrame
+		// must land on this frame. Its stage durations are the spans above;
+		// obs.Recorder.FrameRecords joins the two.
+		r.RecordJournal(a.journalRecord(actx, res, ef, now, frac))
+	}
+	return res, job, nil
 }
 
 // journalRecord assembles the frame's decision-journal entry: the inputs
@@ -318,8 +447,7 @@ func (a *Agent) NoteOutageAt(frame int, queueDelay float64, trackedBoxes int) {
 
 // SetDegradation installs the transport's graceful-degradation response and
 // the link-health score it was derived from: subsequent frames are encoded
-// under the rung's QP floor and budget scale, and journaled with both. Call
-// from the same goroutine (or pipeline stage) as AnalyzeFrame.
+// under the rung's QP floor and budget scale, and journaled with both.
 func (a *Agent) SetDegradation(d Degradation, health float64) {
 	a.degrade = d
 	a.health = health

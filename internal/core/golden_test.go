@@ -19,9 +19,9 @@ import (
 // and RobotCar-like 4 s clips at seeds 7 and 13, every frame's bitstream
 // CRC-32, base QP and the boxes TrackLocally produced. It was generated at
 // PR 22's parent commit (6dbce14) by this same file, so a pass proves that
-// the agent-owned analysis scratch, the value-typed RANSAC and the recycled
-// parallel regions changed no rng draw, no float operation and therefore no
-// decision — at one worker and at the default width, inline and pipelined.
+// nothing since — the agent-owned analysis scratch, the value-typed RANSAC,
+// the cut to one execution mode — changed an rng draw, a float operation or
+// therefore a decision.
 // Regenerate only for an intentional decision change:
 // go test ./internal/core -run AgentGolden -update-golden.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/agent_golden.json")
@@ -48,14 +48,13 @@ func goldenDetections(w, h int) []detect.Detection {
 	}
 }
 
-// runAgentGolden drives one clip through ProcessStream the way sim.DiVE.Run
-// does — bandwidth feedback on the analysis stage, a forced I-frame every
-// 29 frames, tracking and the detection cache on the delivery stage.
-func runAgentGolden(t *testing.T, clip *world.Clip, workers, depth int) []goldenFrame {
+// runAgentGolden drives one clip through the frame loop the way sim.DiVE.Run
+// does: bandwidth feedback and a forced I-frame every 29 frames after the
+// encode, then tracking and the detection cache.
+func runAgentGolden(t *testing.T, clip *world.Clip) []goldenFrame {
 	t.Helper()
 	cfg := DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
 	cfg.Seed = clip.Seed
-	cfg.Codec.Workers = workers
 	agent, err := NewAgent(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -63,33 +62,28 @@ func runAgentGolden(t *testing.T, clip *world.Clip, workers, depth int) []golden
 	bw := netsim.Mbps(1.5)
 	dets := goldenDetections(clip.W, clip.H)
 	out := make([]goldenFrame, clip.NumFrames())
-	_, err = agent.ProcessStream(clip.NumFrames(), depth,
-		func(i int) (*imgx.Plane, float64) { return clip.Frames[i], float64(i) / clip.FPS },
-		func(i int, fr *FrameResult) error {
-			now := float64(i) / clip.FPS
-			agent.OnTransmitComplete(now, now+float64(fr.Encoded.NumBits)/bw, fr.Encoded.NumBits)
-			if i%29 == 28 {
-				agent.ForceNextIFrame()
+	for i, frame := range clip.Frames {
+		now := float64(i) / clip.FPS
+		fr, err := agent.ProcessFrame(frame, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent.OnTransmitComplete(now, now+float64(fr.Encoded.NumBits)/bw, fr.Encoded.NumBits)
+		if i%29 == 28 {
+			agent.ForceNextIFrame()
+		}
+		g := goldenFrame{CRC: crc32.ChecksumIEEE(fr.Encoded.Data), BaseQP: fr.Encoded.BaseQP}
+		for _, d := range agent.TrackLocally(fr.RawField) {
+			if !d.Tracked {
+				t.Fatalf("frame %d: untracked box out of TrackLocally", i)
 			}
-			return nil
-		},
-		func(i int, fr *FrameResult) error {
-			g := goldenFrame{CRC: crc32.ChecksumIEEE(fr.Encoded.Data), BaseQP: fr.Encoded.BaseQP}
-			for _, d := range agent.TrackLocally(fr.RawField) {
-				if !d.Tracked {
-					return fmt.Errorf("frame %d: untracked box out of TrackLocally", i)
-				}
-				g.Boxes = append(g.Boxes, [4]int{d.Box.MinX, d.Box.MinY, d.Box.MaxX, d.Box.MaxY})
-				g.Scores = append(g.Scores, d.Score)
-			}
-			out[i] = g
-			if i%5 == 0 {
-				agent.OnDetections(dets)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+			g.Boxes = append(g.Boxes, [4]int{d.Box.MinX, d.Box.MinY, d.Box.MaxX, d.Box.MaxY})
+			g.Scores = append(g.Scores, d.Score)
+		}
+		out[i] = g
+		if i%5 == 0 {
+			agent.OnDetections(dets)
+		}
 	}
 	return out
 }
@@ -108,7 +102,7 @@ func TestAgentGolden(t *testing.T) {
 	if *updateGolden {
 		got := map[string][]goldenFrame{}
 		for name, clip := range clips {
-			got[name] = runAgentGolden(t, clip, 1, 1)
+			got[name] = runAgentGolden(t, clip)
 		}
 		b, err := json.Marshal(got)
 		if err != nil {
@@ -133,17 +127,13 @@ func TestAgentGolden(t *testing.T) {
 		t.Fatalf("golden holds %d clips, want %d", len(want), len(clips))
 	}
 	for name, clip := range clips {
-		for _, workers := range []int{1, 0} {
-			for _, depth := range []int{1, 3} {
-				got := runAgentGolden(t, clip, workers, depth)
-				if len(got) != len(want[name]) {
-					t.Fatalf("%s workers=%d depth=%d: %d frames, golden %d", name, workers, depth, len(got), len(want[name]))
-				}
-				for i := range got {
-					if !reflect.DeepEqual(got[i], want[name][i]) {
-						t.Fatalf("%s workers=%d depth=%d frame %d: %+v, golden %+v", name, workers, depth, i, got[i], want[name][i])
-					}
-				}
+		got := runAgentGolden(t, clip)
+		if len(got) != len(want[name]) {
+			t.Fatalf("%s: %d frames, golden %d", name, len(got), len(want[name]))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[name][i]) {
+				t.Fatalf("%s frame %d: %+v, golden %+v", name, i, got[i], want[name][i])
 			}
 		}
 	}

@@ -440,10 +440,7 @@ var steadyClip = sync.OnceValue(func() *world.Clip {
 })
 
 // steadyWarm is how many frames steadyAgent runs before handing the agent
-// over: enough for the scratch to grow and the detections to be cached, and
-// — at the default width, three parallel regions a frame — for the runtime's
-// per-P free lists of goroutines to fill, so that the measured frames see
-// the agent's allocations and not the scheduler's warm-up.
+// over: enough for the scratch to grow and the detections to be cached.
 const steadyWarm = 28
 
 // steadyRun is how many frames steadyAgent hands over.
@@ -451,11 +448,10 @@ const steadyRun = 21
 
 // steadyAgent returns an agent warmed up over the first steadyWarm frames of
 // the clip, the steadyRun frames to feed it next and the clip's frame rate.
-func steadyAgent(tb testing.TB, workers int, reuse bool) (*Agent, []*imgx.Plane, float64) {
+func steadyAgent(tb testing.TB, reuse bool) (*Agent, []*imgx.Plane, float64) {
 	tb.Helper()
 	clip := steadyClip()
 	cfg := DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
-	cfg.Codec.Workers = workers
 	cfg.Codec.ReuseFrames = reuse
 	agent, err := NewAgent(cfg)
 	if err != nil {
@@ -481,27 +477,24 @@ func stepAgent(tb testing.TB, agent *Agent, frame *imgx.Plane, now float64) {
 }
 
 // TestAgentAllocsPerFrame pins what a steady-state frame allocates: only
-// what the agent hands to its caller. At one worker that is 15 objects on a
-// frame that extracts a foreground: the FrameResult and its PendingFrame (2),
-// the raw and the corrected flow field (struct + vectors each, 4), the
+// what the agent hands to its caller. That is 14 objects on a frame that
+// extracts a foreground: the FrameResult (1), the raw and the corrected flow
+// field (struct + vectors each, 4), the
 // ForegroundResult (struct, object list, and one array each for the masks,
 // the index lists and the contours, 5), the tracked detections (1) and the
-// encoder's frame (EncodedFrame, QPs, Data: 3, gone with ReuseFrames). The
-// default width adds nothing: the parallel regions run on recycled state and
-// pre-bound bodies. (AllocsPerRun reports the whole-number average, so the odd
+// encoder's frame (EncodedFrame, QPs, Data: 3, gone with ReuseFrames).
+// (AllocsPerRun reports the whole-number average, so the odd
 // payload buffer that grows mid-frame does not show.)
 func TestAgentAllocsPerFrame(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		workers int
-		reuse   bool
-		max     float64
+		name  string
+		reuse bool
+		max   float64
 	}{
-		{"workers=1", 1, false, 15},
-		{"workers=default", 0, false, 15},
-		{"workers=1,ReuseFrames", 1, true, 12},
+		{"fresh", false, 14},
+		{"ReuseFrames", true, 11},
 	} {
-		agent, frames, fps := steadyAgent(t, tc.workers, tc.reuse)
+		agent, frames, fps := steadyAgent(t, tc.reuse)
 		i := 0
 		allocs := testing.AllocsPerRun(len(frames)-1, func() {
 			stepAgent(t, agent, frames[i], float64(steadyWarm+i)/fps)

@@ -37,7 +37,6 @@ func BenchmarkWireFrameRead(b *testing.B) {
 	p.ClipDuration = 0.5
 	clip := world.GenerateClip(p, 18)
 	cfg := codec.DefaultConfig(clip.W, clip.H)
-	cfg.Workers = 1 // no pool goroutines left winding down inside the timed region
 	enc, err := codec.NewEncoder(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -30,7 +30,6 @@ func newModelClip(t *testing.T) *modelClip {
 	prof.W, prof.H, prof.ClipDuration = 16, 16, 1
 	mc := &modelClip{clip: world.GenerateClip(prof, 3)}
 	mc.cfg = codec.DefaultConfig(mc.clip.W, mc.clip.H)
-	mc.cfg.Workers = 1
 	chain, err := codec.NewEncoder(mc.cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -169,7 +169,7 @@ func (s *runtimeSampler) stop() {
 	s.wg.Wait()
 }
 
-// packStreams runs one rung: n pooled serial encoders over the shared
+// packStreams runs one rung: n pooled encoders over the shared
 // (read-only) clip, with staggered frame offsets so the streams do not march
 // in lockstep. Every stream warms up before the clock starts; a barrier
 // releases all streams together and an atomic flag stops them after the
@@ -179,7 +179,6 @@ func packStreams(clip *world.Clip, n int, budget time.Duration, sampler *runtime
 	encs := make([]*codec.Encoder, n)
 	for s := range encs {
 		cfg := codec.DefaultConfig(clip.W, clip.H)
-		cfg.Workers = 1
 		cfg.ReuseFrames = true
 		enc, err := codec.NewEncoder(cfg)
 		if err != nil {

@@ -26,9 +26,8 @@ type FrameRecord struct {
 	EstBWBps   float64 `json:"est_bw_bps"`
 
 	// Stage durations (wall clock, milliseconds): the agent spans "motion",
-	// "rotation", "foreground", "encode", "emit" (the deferred bitstream
-	// serialization, possibly on a later pipeline stage) and the root
-	// "frame" span.
+	// "rotation", "foreground", "encode", "emit" (the bitstream
+	// serialization) and the root "frame" span.
 	MotionMs     float64 `json:"motion_ms"`
 	RotationMs   float64 `json:"rotation_ms"`
 	ForegroundMs float64 `json:"foreground_ms"`

@@ -1,13 +1,10 @@
 package obs
 
 // QPTrial is one consulted probe of the rate-control QP bisection: the base
-// QP tried and the exact bit count the trial pass produced. Speculative
-// marks probes whose bit count came from the parallel prefetcher's memo
-// rather than a pass executed inside the bisection loop.
+// QP tried and the exact bit count the trial pass produced.
 type QPTrial struct {
-	QP          int  `json:"qp"`
-	Bits        int  `json:"bits"`
-	Speculative bool `json:"speculative,omitempty"`
+	QP   int `json:"qp"`
+	Bits int `json:"bits"`
 }
 
 // JournalRecord is the decision journal of one frame: the inputs and
@@ -16,7 +13,7 @@ type QPTrial struct {
 // causal companion of the frame's spans (which record how long stages took):
 // the journal records what was decided and why, so an accuracy or bitrate
 // anomaly can be attributed to a specific decision. It carries no wall-clock
-// value, so a run's journal is byte-identical at every pipeline depth.
+// value, so a run's journal is byte-identical per seed.
 // Exported as JSONL at /debug/journal and consumed by cmd/divedoctor.
 type JournalRecord struct {
 	TraceID uint64  `json:"trace_id"`
@@ -128,8 +125,8 @@ func (r *Recorder) RecordJournal(rec JournalRecord) { r.Journal().Append(rec) }
 func (r *Recorder) AmendLastJournal(fn func(*JournalRecord)) { r.Journal().AmendLast(fn) }
 
 // AmendJournalFrame applies fn to the journal record of a specific frame —
-// the pipelined counterpart of AmendLastJournal, for feedback that arrives
-// after later frames have already been journaled.
+// the counterpart of AmendLastJournal for feedback that arrives after later
+// frames have already been journaled (a windowed transport's acks).
 func (r *Recorder) AmendJournalFrame(frame int, fn func(*JournalRecord)) {
 	r.Journal().AmendFrame(frame, fn)
 }

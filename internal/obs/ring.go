@@ -62,9 +62,9 @@ func (r *Ring[T]) AmendLast(fn func(*T)) {
 
 // AmendFrame applies fn to the most recent retained record of the given
 // frame; no-op when that frame was never recorded, has been evicted, or the
-// ring has no frame key. Pipelined runs use this instead of AmendLast: by
-// the time a frame's transport verdict lands, later frames may already have
-// been recorded.
+// ring has no frame key. Windowed transports use this instead of AmendLast:
+// by the time a frame's transport verdict lands, later frames may already
+// have been recorded.
 func (r *Ring[T]) AmendFrame(frame int, fn func(*T)) {
 	if r == nil || r.frame == nil {
 		return
@@ -77,7 +77,7 @@ func (r *Ring[T]) AmendFrame(frame int, fn func(*T)) {
 	// Frames are recorded in increasing order, one record per frame, so
 	// frame f normally sits exactly (newestFrame - f) slots behind the
 	// newest record — an O(1) index instead of a back-scan, which matters on
-	// the pipelined path where every frame's transport feedback amends. The
+	// the windowed path where every frame's transport feedback amends. The
 	// look at the next slot keeps "most recent" true when a frame repeats.
 	newest := r.total - 1
 	if delta := r.frame(r.at(newest)) - frame; delta >= 0 && delta < len(r.buf) {

@@ -109,7 +109,7 @@ func TestJournalJSONLRoundTrip(t *testing.T) {
 		TraceID: 7, Frame: 0, Type: "I",
 		Eta: 0.4, EtaThreshold: 0.15, Moving: true,
 		BaseQP: 24, Bits: 12345, TargetBits: 20000, EstBWBps: 2e6,
-		RCTrials:  []QPTrial{{QP: 25, Bits: 30000}, {QP: 12, Bits: 90000, Speculative: true}},
+		RCTrials:  []QPTrial{{QP: 25, Bits: 30000}, {QP: 12, Bits: 90000}},
 		GroundMBs: 10, FGMBs: 5, BGMBs: 225,
 	})
 	rec.AmendLastJournal(func(j *JournalRecord) {
@@ -133,7 +133,7 @@ func TestJournalJSONLRoundTrip(t *testing.T) {
 	if j.TraceID != 7 || j.BaseQP != 24 || len(j.RCTrials) != 2 {
 		t.Errorf("round-trip mangled record: %+v", j)
 	}
-	if !j.RCTrials[1].Speculative || j.RCTrials[1].QP != 12 {
+	if j.RCTrials[1] != (QPTrial{QP: 12, Bits: 90000}) {
 		t.Errorf("RC trials mangled: %+v", j.RCTrials)
 	}
 	if j.RealizedBWBps == 0 || j.AckBits != 12345 {

@@ -1,16 +1,14 @@
 // Package pool is the buffer-reuse layer behind the allocation-free
 // steady-state encode path: bounded free lists for the per-frame buffers the
-// hot loop would otherwise re-allocate every frame (reconstruction planes,
-// rate-control trial scratch, frame jobs).
+// hot loop would otherwise re-allocate every frame (the encoder's
+// reconstruction planes, the decoder's picture buffers).
 //
-// Every free list is a buffered channel, not a sync.Pool, for two reasons.
-// First, the channel send/receive pair is the happens-before edge the
-// two-phase encoder needs: a buffer released on the pipeline's emit
-// goroutine (stage C) must be fully visible to the analysis goroutine
-// (stage B) that acquires it next. Second, sync.Pool drops its contents on
-// every GC cycle, which re-introduces exactly the steady-state allocation
-// churn this layer exists to remove; a channel free list keeps its capacity
-// forever, so after warm-up the hot loop runs at zero allocations per frame.
+// Every free list is a buffered channel, not a sync.Pool: sync.Pool drops
+// its contents on every GC cycle, which re-introduces exactly the
+// steady-state allocation churn this layer exists to remove; a channel free
+// list keeps its capacity forever, so after warm-up the hot loop runs at zero
+// allocations per frame. A release on one goroutine also happens-before the
+// acquisition that receives the same item on another.
 //
 // Ownership rules (see DESIGN.md "Buffer ownership in the pooled encoder"):
 // a Get transfers exclusive ownership to the caller; Put transfers it back

@@ -10,7 +10,7 @@ import (
 // TestChaosRunFeedsSLOTracker proves the sim is wired into per-session SLO
 // accounting: a chaos outage-burst run must leave a session window whose
 // outage objective is burning (the fault windows drop frames onto local
-// MOT), and a pipelined run must feed the same window shape.
+// MOT).
 func TestChaosRunFeedsSLOTracker(t *testing.T) {
 	var sc chaos.Scenario
 	for _, s := range chaos.StandardScenarios(99, chaosClipDur) {
