@@ -15,10 +15,14 @@ test:
 # single-goroutine agent packages they drive (codec, core, sim); doctor's one
 # generic follower sits behind an HTTP handler (/debug/doctor).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
+	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/imgx/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
 
+# The second vet compiles the side of internal/imgx's GOARCH split this
+# machine does not run (kernels_other.go, the pure-Go row kernels) and
+# type-checks its callers; the first covers asmdecl on the amd64 stubs.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/imgx/ ./internal/codec/
 
 # Full benchmark sweep (BenchmarkExperiments in bench_test.go regenerates
 # every table at smoke scale and is slow).
@@ -131,9 +135,10 @@ fleet-smoke:
 	$(GO) test -race ./internal/fleet/ ./internal/obs/ ./internal/doctor/
 	ci/fleet_smoke.sh
 
-# Native fuzzing smoke over everything that parses network bytes: the edge
-# wire decoders and the codec's bitstream decoder. Go allows exactly one
-# -fuzz pattern per invocation, so each target gets its own short run.
+# Native fuzzing smoke over everything that parses network bytes — the edge
+# wire decoders and the codec's bitstream decoder — and over the row kernels
+# whose amd64 bodies are assembly. Go allows exactly one -fuzz pattern per
+# invocation, so each target gets its own short run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzFrameMsg -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -141,10 +146,12 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMsgReader -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzRedirectMsg -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run 'xxx' ./internal/codec/
+	$(GO) test -fuzz=FuzzSAD16 -fuzztime=10s -run 'xxx' ./internal/imgx/
 
-# Non-test, non-generated Go lines per package and for the whole repo (the
-# benchmark module included): the number ROADMAP's simplicity items aim at.
-LOC = find $(1) -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs grep -L '^// Code generated' | xargs cat | wc -l
+# Non-test, non-generated Go and assembly lines per package and for the whole
+# repo (the benchmark module included): the number ROADMAP's simplicity items
+# aim at.
+LOC = find $(1) \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go' ! -path './.bench_build/*' | xargs grep -L '^// Code generated' | xargs cat | wc -l
 loc:
 	@for d in internal/* cmd/*; do printf '%-24s %6d\n' $$d $$($(call LOC,$$d)); done
 	@printf '%-24s %6d\n' total $$($(call LOC,.))

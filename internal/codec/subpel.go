@@ -1,10 +1,6 @@
 package codec
 
-import (
-	"encoding/binary"
-
-	"dive/internal/imgx"
-)
+import "dive/internal/imgx"
 
 // Half-pel motion support. When Config.SubPel is set, motion vectors are
 // expressed in half-pixel units (the paper's x264 baseline searches at
@@ -41,10 +37,11 @@ func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, w, h, earlyExit
 	}
 	ix0, iy0 := hbx>>1, hby>>1
 	if w == MBSize && h <= MBSize {
-		// Macroblock-wide blocks — every search candidate — go a word at a
-		// time over the samples the bilinear taps touch: columns ix0..ix0+w
-		// and rows iy0..iy0+h, the last of each only on its odd axis. When
-		// some lie outside b, a border-clamped copy of them stands in.
+		// Macroblock-wide blocks — every search candidate — go through the
+		// imgx row kernels over the samples the bilinear taps touch: columns
+		// ix0..ix0+w and rows iy0..iy0+h, the last of each only on its odd
+		// axis. When some lie outside b, a border-clamped copy of them
+		// stands in.
 		ox, oy := hbx&1, hby&1
 		pb, wb := b.Pix, b.W
 		if ix0 >= 0 && iy0 >= 0 && ix0+w+ox <= b.W && iy0+h+oy <= b.H {
@@ -75,57 +72,21 @@ func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, w, h, earlyExit
 }
 
 // patchStride is the row stride of sadHalf's border patch: 17 samples a row,
-// padded so the word loads of its last row stay inside the array.
+// padded so the kernels' loads from its last row stay inside the array.
 const patchStride = 24
 
 // sadHalf16 is sadHalf for a 16-wide block on an odd phase with every tap
 // in bounds: pa and pb start at the blocks' first samples, wa and wb are the
-// row strides. Each row is two little-endian words per operand: the
-// interpolated reference is formed eight samples at once and differenced
-// with imgx.SwarSAD8.
+// row strides. Each phase is one imgx row kernel.
 func sadHalf16(pa []uint8, wa int, pb []uint8, wb int, oddX, oddY bool, h, earlyExit int) int {
-	le := binary.LittleEndian
-	// The second tap of a two-tap phase: the right neighbour or the row below.
-	off := 1
-	if !oddX {
-		off = wb
+	switch {
+	case oddX && oddY:
+		return imgx.SAD16Avg4(pa, wa, pb, wb, h, earlyExit)
+	case oddX:
+		return imgx.SAD16Avg2(pa, wa, pb, wb, 1, h, earlyExit)
+	default:
+		return imgx.SAD16Avg2(pa, wa, pb, wb, wb, h, earlyExit)
 	}
-	sum := 0
-	for y := 0; y < h; y++ {
-		ra, rb := pa[y*wa:][:MBSize], pb[y*wb:]
-		var p0, p1 uint64
-		if oddX && oddY {
-			p0 = avg4Up8(le.Uint64(rb), le.Uint64(rb[1:]), le.Uint64(rb[wb:]), le.Uint64(rb[wb+1:]))
-			p1 = avg4Up8(le.Uint64(rb[8:]), le.Uint64(rb[9:]), le.Uint64(rb[wb+8:]), le.Uint64(rb[wb+9:]))
-		} else {
-			p0 = avgUp8(le.Uint64(rb), le.Uint64(rb[off:]))
-			p1 = avgUp8(le.Uint64(rb[8:]), le.Uint64(rb[off+8:]))
-		}
-		sum += int(imgx.SwarSAD8(le.Uint64(ra), p0)) + int(imgx.SwarSAD8(le.Uint64(ra[8:]), p1))
-		if sum >= earlyExit {
-			return sum
-		}
-	}
-	return sum
-}
-
-// avgUp8 is the per-byte (a+b+1)/2 of two packed words. a+b = 2(a|b) − (a^b),
-// so the mean rounded up is (a|b) − (a^b)>>1; masking the shifted xor to
-// seven bits a lane keeps the neighbouring lane's low bit out, and no lane
-// borrows because (a|b) ≥ (a^b)>>1 bytewise.
-func avgUp8(a, b uint64) uint64 {
-	return (a | b) - (a^b)>>1&0x7f7f7f7f7f7f7f7f
-}
-
-// avg4Up8 is the per-byte (a+b+c+d+2)/4 of four packed words. Chaining
-// avgUp8 would round twice, so the even and the odd bytes are summed exactly
-// in 16-bit lanes (≤ 4·255+2) and shifted there; the lane mask drops the two
-// bits the shift pulls in from the lane above.
-func avg4Up8(a, b, c, d uint64) uint64 {
-	const lo16, two = 0x00ff00ff00ff00ff, 0x0002000200020002
-	even := (a&lo16 + b&lo16 + c&lo16 + d&lo16 + two) >> 2 & lo16
-	odd := (a>>8&lo16 + b>>8&lo16 + c>>8&lo16 + d>>8&lo16 + two) >> 2 & lo16
-	return even | odd<<8
 }
 
 // halfPelMargin is the minimum SAD improvement a half-pel candidate must

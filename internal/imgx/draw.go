@@ -2,19 +2,34 @@ package imgx
 
 // CopyBlock copies a w×h block from src at (sx, sy) into dst at (dx, dy).
 // Source reads use border clamping (codec motion compensation semantics);
-// destination writes outside dst are dropped.
+// destination writes outside dst are dropped. It works a row at a time: the
+// source row index is clamped once, the in-frame span is copied and the edge
+// sample is replicated into the columns that lie outside src.
 func CopyBlock(dst *Plane, dx, dy int, src *Plane, sx, sy, w, h int) {
+	// Clip to dst's columns: x runs over [x0, x1) of the block.
+	x0, x1 := max(0, -dx), min(w, dst.W-dx)
+	if x0 >= x1 {
+		return
+	}
+	// [c0, c1) of the block reads inside src; left of it the first sample of
+	// the source row stands in, right of it the last.
+	c0 := min(max(x0, -sx), x1)
+	c1 := max(min(x1, src.W-sx), c0)
 	for y := 0; y < h; y++ {
 		ty := dy + y
 		if ty < 0 || ty >= dst.H {
 			continue
 		}
-		for x := 0; x < w; x++ {
-			tx := dx + x
-			if tx < 0 || tx >= dst.W {
-				continue
-			}
-			dst.Pix[ty*dst.W+tx] = src.At(sx+x, sy+y)
+		srow := src.Row(min(max(sy+y, 0), src.H-1))
+		drow := dst.Pix[ty*dst.W+dx+x0 : ty*dst.W+dx+x1]
+		for i := range drow[:c0-x0] {
+			drow[i] = srow[0]
+		}
+		if c0 < c1 {
+			copy(drow[c0-x0:c1-x0], srow[sx+c0:])
+		}
+		for i := range drow[c1-x0:] {
+			drow[c1-x0+i] = srow[src.W-1]
 		}
 	}
 }
@@ -74,23 +89,21 @@ func Downsample2x(p *Plane) *Plane {
 // and returns a value >= earlyExit as soon as the row-granular partial sum
 // crosses it, the standard motion-search optimization.
 //
-// Interior rows run through sadRow16/sadRow8: fixed-width groups of
-// branchless uint16 lane accumulation over array pointers, which eliminates
-// bounds checks and per-pixel compare/branch pairs — the hot shape of every
-// motion search (16-wide macroblock rows) stays in one straight-line kernel.
+// Macroblock-wide blocks — the hot shape of every motion search — go
+// through the SAD16 row kernel; one whose window crosses b's edge runs it
+// over a border-clamped copy. 8-wide groups run through sadRow8.
 func SAD(a *Plane, ax, ay int, b *Plane, bx, by, w, h, earlyExit int) int {
 	sum := 0
 	fastB := bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H
-	if fastB && w == 16 {
-		for y := 0; y < h; y++ {
-			oa := (ay+y)*a.W + ax
-			ob := (by+y)*b.W + bx
-			sum += int(sadRow16((*[16]uint8)(a.Pix[oa:oa+16]), (*[16]uint8)(b.Pix[ob:ob+16])))
-			if sum >= earlyExit {
-				return sum
-			}
+	if w == 16 && (fastB || h <= 16) {
+		pa := a.Pix[ay*a.W+ax:]
+		if fastB {
+			return SAD16(pa, a.W, b.Pix[by*b.W+bx:], b.W, h, earlyExit)
 		}
-		return sum
+		var patch [16 * 16]uint8
+		pp := Plane{W: 16, H: 16, Pix: patch[:]}
+		CopyBlock(&pp, 0, 0, b, bx, by, 16, h)
+		return SAD16(pa, a.W, patch[:], 16, h, earlyExit)
 	}
 	if fastB && w == 8 {
 		for y := 0; y < h; y++ {
@@ -130,54 +143,4 @@ func SAD(a *Plane, ax, ay int, b *Plane, bx, by, w, h, earlyExit int) int {
 		}
 	}
 	return sum
-}
-
-// sadRow16 sums |a[i]-b[i]| over a 16-pixel row as two 8-wide lane groups.
-// The worst case (16 × 255 = 4080) fits a uint16 accumulator with room to
-// spare, so the whole row stays in narrow arithmetic.
-func sadRow16(a, b *[16]uint8) uint16 {
-	return sadRow8((*[8]uint8)(a[0:8]), (*[8]uint8)(b[0:8])) +
-		sadRow8((*[8]uint8)(a[8:16]), (*[8]uint8)(b[8:16]))
-}
-
-// sadRow8 sums |a[i]-b[i]| over 8 pixels: both rows are loaded as one
-// little-endian word each and reduced with branch-free SWAR arithmetic
-// (SwarSAD8). Array-pointer parameters make the 8-byte loads provably in
-// bounds, so the kernel compiles to two loads plus straight-line ALU ops.
-func sadRow8(a, b *[8]uint8) uint16 {
-	x := uint64(a[0]) | uint64(a[1])<<8 | uint64(a[2])<<16 | uint64(a[3])<<24 |
-		uint64(a[4])<<32 | uint64(a[5])<<40 | uint64(a[6])<<48 | uint64(a[7])<<56
-	y := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-	return SwarSAD8(x, y)
-}
-
-// hi8 masks the high bit of each byte lane in a uint64.
-const hi8 = 0x8080808080808080
-
-// SwarSAD8 computes the sum of absolute per-byte differences of two packed
-// 8-byte words without branches or lane splits (a scalar psadbw). Exported
-// for the codec's half-pel kernel, which averages words before differencing
-// them:
-//
-//  1. d is the per-byte (x-y) mod 256 via the carry-isolating subtraction
-//     identity d = ((x|H) - (y&^H)) ^ ((x^^y)&H) — forcing the high bit of
-//     every x byte keeps borrows from crossing lane boundaries, and the
-//     final xor repairs the true high bits.
-//  2. m extracts the per-byte borrow-out (1 where x < y) from the standard
-//     subtraction borrow predicate (^x&y) | ((^x|y)&d).
-//  3. abs negates exactly the borrowed lanes: xor with the 0xFF mask is a
-//     per-byte complement, and adding m (+1 in those lanes) completes the
-//     two's-complement negation. ~d+1 never overflows a lane because d is
-//     nonzero wherever m is set.
-//  4. The horizontal add first widens to four uint16 lanes (each ≤ 510,
-//     exact), then a multiply by the ones vector accumulates all lanes into
-//     the top uint16 (≤ 2040, no overflow).
-func SwarSAD8(x, y uint64) uint16 {
-	d := ((x | hi8) - (y &^ hi8)) ^ ((x ^ ^y) & hi8)
-	m := (((^x & y) | ((^x | y) & d)) & hi8) >> 7
-	abs := (d ^ (m * 0xFF)) + m
-	const lo16 = 0x00FF00FF00FF00FF
-	s := (abs & lo16) + ((abs >> 8) & lo16)
-	return uint16((s * 0x0001000100010001) >> 48)
 }

@@ -1,6 +1,7 @@
 package imgx
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,6 +184,39 @@ func TestCopyBlock(t *testing.T) {
 	}
 	// Destination clipping: writes beyond dst are dropped without panic.
 	CopyBlock(dst2, 2, 2, src, 0, 0, 4, 4)
+}
+
+// copyBlockPerSample is CopyBlock as it was written before it went row-wise:
+// every sample clamped through At, every write clipped on its own.
+func copyBlockPerSample(dst *Plane, dx, dy int, src *Plane, sx, sy, w, h int) {
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if tx, ty := dx+x, dy+y; tx >= 0 && tx < dst.W && ty >= 0 && ty < dst.H {
+				dst.Pix[ty*dst.W+tx] = src.At(sx+x, sy+y)
+			}
+		}
+	}
+}
+
+// TestCopyBlockMatchesPerSample: random rectangles hanging off any side of
+// either plane, or missing it altogether, leave dst as the per-sample form
+// leaves it — clamped reads, clipped writes, nothing else touched.
+func TestCopyBlockMatchesPerSample(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	src := randomPlane(rng, 37, 23)
+	for trial := 0; trial < 5000; trial++ {
+		got := randomPlane(rng, 1+rng.Intn(40), 1+rng.Intn(30))
+		want := got.Clone()
+		w, h := rng.Intn(50), rng.Intn(40)
+		sx, sy := rng.Intn(src.W+2*w+20)-w-10, rng.Intn(src.H+2*h+20)-h-10
+		dx, dy := rng.Intn(got.W+2*w+8)-w-4, rng.Intn(got.H+2*h+8)-h-4
+		CopyBlock(got, dx, dy, src, sx, sy, w, h)
+		copyBlockPerSample(want, dx, dy, src, sx, sy, w, h)
+		if !bytes.Equal(got.Pix, want.Pix) {
+			t.Fatalf("trial %d: CopyBlock(dst %dx%d at %d,%d ← src at %d,%d, %dx%d) differs from the per-sample copy",
+				trial, got.W, got.H, dx, dy, sx, sy, w, h)
+		}
+	}
 }
 
 func TestDrawRectOutline(t *testing.T) {

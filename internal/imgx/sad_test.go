@@ -86,6 +86,14 @@ func BenchmarkSAD(b *testing.B) {
 			SAD(pa, 64, 64, pb, 67, 62, 16, 16, 1<<30)
 		}
 	})
+	// The common case inside a search: the candidate is abandoned once its
+	// partial sum passes the incumbent's, here on the fourth row.
+	exit := SAD(pa, 64, 64, pb, 67, 62, 16, 4, 1<<30)
+	b.Run("16x16-exit", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SAD(pa, 64, 64, pb, 67, 62, 16, 16, exit)
+		}
+	})
 	b.Run("16x16-clamped", func(b *testing.B) {
 		b.SetBytes(16 * 16)
 		for i := 0; i < b.N; i++ {
