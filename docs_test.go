@@ -10,11 +10,12 @@ import (
 
 // TestDocsNameWhatExists keeps README.md, DESIGN.md and EXPERIMENTS.md from
 // naming what the tree lacks: every `make <target>` in a code span or fenced
-// block must be a Makefile target, and every -flag that follows a cmd/<binary>
-// name inside one must be defined by that binary's flag set (read from its
-// source: the string literal of each fs.<Type>("name", …) call). A span that
-// starts with a flag and names no binary ("the send window (`-window`)") must
-// be some binary's flag, or one of go test's (the benchmark's run.sh takes
+// block must be a Makefile target, every internal/<pkg> named in one must be
+// a directory, and every -flag that follows a cmd/<binary> name inside one
+// must be defined by that binary's flag set (read from its source: the
+// string literal of each fs.<Type>("name", …) call). A span that starts with
+// a flag and names no binary ("the send window (`-window`)") must be some
+// binary's flag, or one of go test's (the benchmark's run.sh takes
 // double-dash options and is not checked).
 func TestDocsNameWhatExists(t *testing.T) {
 	targets := map[string]bool{}
@@ -58,6 +59,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 
 	makeUse := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+	pkgUse := regexp.MustCompile(`\binternal/([a-z][a-z0-9_]*)`)
 	flagUse := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		b, err := os.ReadFile(doc)
@@ -68,6 +70,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 			for _, m := range makeUse.FindAllStringSubmatch(seg, -1) {
 				if !targets[m[1]] {
 					t.Errorf("%s: `make %s` is not a Makefile target (in %q)", doc, m[1], seg)
+				}
+			}
+			for _, m := range pkgUse.FindAllStringSubmatch(seg, -1) {
+				if fi, err := os.Stat(filepath.Join("internal", m[1])); err != nil || !fi.IsDir() {
+					t.Errorf("%s: internal/%s is not a directory (in %q)", doc, m[1], seg)
 				}
 			}
 			bin := ""

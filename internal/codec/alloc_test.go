@@ -9,13 +9,13 @@ import (
 )
 
 // Steady-state allocation contract. With ReuseFrames set, an encoder
-// (telemetry off) must not allocate at all once its free lists
-// are warm: recon planes, frame jobs, QP/mode/level scratch, trial scratch
-// and BitWriter buffers all recycle. These tests pin that with
+// (telemetry off) must not allocate at all once warm: its two recon planes,
+// its one frame job (QP/mode/level storage and BitWriter buffer) and its
+// trial scratch are all reused. These tests pin that with
 // testing.AllocsPerRun; the CI alloc gate (make bench-alloc) pins the
 // -benchmem numbers of the matching benchmarks.
 
-// allocStreamEncoder builds a pooled encoder plus a varied frame
+// allocStreamEncoder builds a ReuseFrames encoder plus a varied frame
 // cycle (shifting texture, so P-frames carry real motion and residual) for
 // steady-state loops. GoPSize 8 puts I-frames inside the measured window.
 func allocStreamEncoder(t testing.TB, reuse bool) (*Encoder, []*imgx.Plane) {
@@ -51,9 +51,9 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Warm-up: fill the job/plane/trial free lists and grow the
-			// BitWriter to its steady-state capacity (covers one full GoP,
-			// so the I-frame trial recon is allocated here too).
+			// Warm-up: allocate the job, both planes and the trial scratch
+			// and grow the BitWriter to its steady-state capacity (covers
+			// one full GoP, so the I-frame trial recon is allocated here too).
 			for i := 0; i < 16; i++ {
 				step()
 			}
@@ -65,37 +65,25 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestTwoPhaseSteadyStateZeroAlloc drives AnalyzeAndQuantize/EmitBitstream
-// with emission deferred behind the analysis by `depth` frames and requires
-// zero steady-state allocations at every depth.
+// as separate calls and requires zero steady-state allocations.
 func TestTwoPhaseSteadyStateZeroAlloc(t *testing.T) {
-	for _, depth := range []int{1, 2, 3} {
-		enc, frames := allocStreamEncoder(t, true)
-		ring := make([]*FrameJob, depth)
-		idx, pending := 0, 0
-		step := func() {
-			// The oldest in-flight job sits depth frames back — the same
-			// ring slot this frame's job will take over.
-			if pending == depth {
-				if _, err := enc.EmitBitstream(ring[idx%depth]); err != nil {
-					t.Fatal(err)
-				}
-				pending--
-			}
-			f := frames[idx%len(frames)]
-			job, err := enc.AnalyzeAndQuantize(f, EncodeOptions{TargetBits: 40_000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ring[idx%depth] = job
-			idx++
-			pending++
+	enc, frames := allocStreamEncoder(t, true)
+	idx := 0
+	step := func() {
+		job, err := enc.AnalyzeAndQuantize(frames[idx%len(frames)], EncodeOptions{TargetBits: 40_000})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < 16; i++ {
-			step()
+		if _, err := enc.EmitBitstream(job); err != nil {
+			t.Fatal(err)
 		}
-		if allocs := testing.AllocsPerRun(32, step); allocs != 0 {
-			t.Errorf("depth %d: steady-state two-phase: %.1f allocs/frame, want 0", depth, allocs)
-		}
+		idx++
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(32, step); allocs != 0 {
+		t.Errorf("steady-state two-phase: %.1f allocs/frame, want 0", allocs)
 	}
 }
 
@@ -135,86 +123,57 @@ func makeOffsets(w, h int) []int {
 	return offsets
 }
 
-// TestPooledBitExact pins the other half of the pooling contract: recycling
-// may not change a single emitted byte. A pooled (ReuseFrames, deferred
-// emit) encoder must match a fresh-buffer serial encoder across every ME
-// method, emit deferral 1–3 and the scripted option mix (I, P,
-// differential QP, rate control, forced I).
+// TestPooledBitExact pins the other half of the reuse contract: handing out
+// job-owned storage may not change a single emitted byte. A ReuseFrames
+// encoder driven through AnalyzeAndQuantize/EmitBitstream must match a
+// fresh-buffer encoder across every ME method and the scripted option mix
+// (I, P, differential QP, rate control, forced I).
 func TestPooledBitExact(t *testing.T) {
 	for _, m := range AllMEMethods() {
-		for depth := 1; depth <= 3; depth++ {
-			cfg := DefaultConfig(96, 80)
-			cfg.Method = m
-			fresh, err := NewEncoder(cfg)
+		cfg := DefaultConfig(96, 80)
+		cfg.Method = m
+		fresh, err := NewEncoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcfg := cfg
+		pcfg.ReuseFrames = true
+		pooled, err := NewEncoder(pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range scriptInputs(96, 80) {
+			want, err := fresh.Encode(s.frame, s.opts)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("fresh frame %d: %v", i, err)
 			}
-			pcfg := cfg
-			pcfg.ReuseFrames = true
-			pooled, err := NewEncoder(pcfg)
+			job, err := pooled.AnalyzeAndQuantize(s.frame, s.opts)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("method=%s frame %d: %v", m, i, err)
 			}
-			inputs := scriptInputs(96, 80)
-			var want [][]byte
-			var wantQPs [][]int
-			for i, s := range inputs {
-				ef, err := fresh.Encode(s.frame, s.opts)
-				if err != nil {
-					t.Fatalf("fresh frame %d: %v", i, err)
-				}
-				want = append(want, ef.Data)
-				wantQPs = append(wantQPs, ef.QPs)
+			got, err := pooled.EmitBitstream(job)
+			if err != nil {
+				t.Fatalf("method=%s frame %d: emit: %v", m, i, err)
 			}
-			var pending []*FrameJob
-			var got [][]byte
-			var gotQPs [][]int
-			emitOldest := func() {
-				job := pending[0]
-				pending = pending[1:]
-				ef, err := pooled.EmitBitstream(job)
-				if err != nil {
-					t.Fatalf("method=%s depth=%d: emit: %v", m, depth, err)
-				}
-				// Pooled frames alias job storage: copy before the job
-				// cycles back, exactly as a ReuseFrames caller must.
-				got = append(got, append([]byte(nil), ef.Data...))
-				gotQPs = append(gotQPs, append([]int(nil), ef.QPs...))
+			if !bytes.Equal(want.Data, got.Data) {
+				t.Errorf("method=%s frame %d: pooled bitstream differs (%d vs %d bytes)",
+					m, i, len(got.Data), len(want.Data))
 			}
-			for i, s := range inputs {
-				job, err := pooled.AnalyzeAndQuantize(s.frame, s.opts)
-				if err != nil {
-					t.Fatalf("method=%s depth=%d frame %d: %v", m, depth, i, err)
-				}
-				pending = append(pending, job)
-				if len(pending) >= depth {
-					emitOldest()
+			for j := range want.QPs {
+				if want.QPs[j] != got.QPs[j] {
+					t.Fatalf("method=%s frame %d: QP map differs at MB %d", m, i, j)
 				}
 			}
-			for len(pending) > 0 {
-				emitOldest()
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Errorf("method=%s depth=%d frame %d: pooled bitstream differs (%d vs %d bytes)",
-						m, depth, i, len(got[i]), len(want[i]))
-				}
-				for j := range wantQPs[i] {
-					if wantQPs[i][j] != gotQPs[i][j] {
-						t.Fatalf("method=%s depth=%d frame %d: QP map differs at MB %d", m, depth, i, j)
-					}
-				}
-			}
-			if !bytes.Equal(fresh.Reconstructed().Pix, pooled.Reconstructed().Pix) {
-				t.Errorf("method=%s depth=%d: reconstructions diverge", m, depth)
-			}
+		}
+		if !bytes.Equal(fresh.Reconstructed().Pix, pooled.Reconstructed().Pix) {
+			t.Errorf("method=%s: reconstructions diverge", m)
 		}
 	}
 }
 
 // TestReuseFramesAliasingContract documents what ReuseFrames trades away:
-// the handed-out frame's Data is overwritten once the job cycles back. The
-// decode of each frame (before the next encode) must still be valid.
+// the handed-out frame's Data is overwritten by the next emit. The decode of
+// each frame (before the next encode) must still be valid.
 func TestReuseFramesAliasingContract(t *testing.T) {
 	enc, frames := allocStreamEncoder(t, true)
 	dec, err := NewDecoder(enc.cfg)

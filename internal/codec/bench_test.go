@@ -347,7 +347,6 @@ func BenchmarkEmitBitstream(b *testing.B) {
 				if _, err := enc.EmitBitstream(job); err != nil {
 					b.Fatal(err)
 				}
-				<-enc.jobFree
 			}
 		})
 	}

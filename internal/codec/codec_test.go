@@ -540,6 +540,25 @@ func TestMotionFieldSurvivesOneFollowingEncode(t *testing.T) {
 	}
 }
 
+// TestReconstructedSurvivesOneFollowingEncode pins the documented lifetime of
+// Reconstructed(): the plane handed out after frame i is intact after
+// encoding frame i+1 — P after I, P after P, a rate-controlled forced I after
+// P — though the encoder keeps only two planes.
+func TestReconstructedSurvivesOneFollowingEncode(t *testing.T) {
+	enc := newTestEncoder(t, 96, 80)
+	var prev, clone *imgx.Plane
+	for i, s := range scriptInputs(96, 80) {
+		if _, err := enc.Encode(s.frame, s.opts); err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil && !bytes.Equal(prev.Pix, clone.Pix) {
+			t.Fatalf("reconstruction of frame %d changed while encoding frame %d", i-1, i)
+		}
+		prev = enc.Reconstructed()
+		clone = prev.Clone()
+	}
+}
+
 // TestWorkersFieldIsIgnored: Config.Workers survives only because the
 // benchmark module assigns it; whatever it holds, the encoder emits the same
 // bytes.

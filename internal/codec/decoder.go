@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"dive/internal/imgx"
-	"dive/internal/pool"
 )
 
 // Decoder reconstructs frames from bitstreams produced by Encoder. It must
@@ -19,11 +18,11 @@ import (
 type Decoder struct {
 	cfg Config
 	ref *imgx.Plane // nil until a frame has decoded
-	// planes holds whichever of the two planes is not the reference. Decode
-	// draws into one and swaps only on success, so a rejected bitstream
-	// leaves ref — and the picture the previous DecodedFrame points at —
-	// untouched.
-	planes *pool.Planes
+	// planes are the decoder's two frame planes. Decode draws into the one
+	// that is not ref (the spare) and makes it ref only on success, so a
+	// rejected bitstream leaves ref — and the picture the previous
+	// DecodedFrame points at — untouched.
+	planes [2]*imgx.Plane
 	mvs    []MV
 	modes  []MBMode
 	qps    []int
@@ -37,12 +36,9 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 		return nil, fmt.Errorf("codec: frame size %dx%d must be positive multiples of %d", cfg.Width, cfg.Height, MBSize)
 	}
 	n := (cfg.Width / MBSize) * (cfg.Height / MBSize)
-	planes := pool.NewPlanes(cfg.Width, cfg.Height, 2)
-	planes.Put(imgx.NewPlane(cfg.Width, cfg.Height))
-	planes.Put(imgx.NewPlane(cfg.Width, cfg.Height))
 	return &Decoder{
 		cfg:    cfg,
-		planes: planes,
+		planes: [2]*imgx.Plane{imgx.NewPlane(cfg.Width, cfg.Height), imgx.NewPlane(cfg.Width, cfg.Height)},
 		mvs:    make([]MV, n),
 		modes:  make([]MBMode, n),
 		qps:    make([]int, n),
@@ -81,14 +77,16 @@ type DecodedFrame struct {
 // the next P-frame of an undamaged chain) decodes as if the rejected
 // bitstream had never arrived.
 func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
-	recon := d.planes.Get()
-	df, err := d.decode(data, recon)
+	spare := d.planes[0]
+	if spare == d.ref {
+		spare = d.planes[1]
+	}
+	spare.Bump()
+	df, err := d.decode(data, spare)
 	if err != nil {
-		d.planes.Put(recon)
 		return nil, err
 	}
-	d.planes.Put(d.ref)
-	d.ref = recon
+	d.ref = spare
 	return df, nil
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"dive/internal/imgx"
 	"dive/internal/obs"
-	"dive/internal/pool"
 )
 
 // FrameType distinguishes intra-coded from predicted frames.
@@ -57,16 +56,14 @@ type Config struct {
 	Obs *obs.Recorder
 	// Workers is ignored: the encoder runs on its caller's goroutine.
 	Workers int
-	// ReuseFrames recycles each frame's hand-out storage — the EncodedFrame
-	// struct and its QPs and Data slices — through the encoder's job free
-	// list instead of allocating fresh copies per frame. With it set the
-	// steady-state encode loop allocates nothing, but a returned frame (and
-	// its QPs/Data) is only valid until the job cycles back: callers must
-	// finish with (or copy) a frame before the encoder has analyzed
-	// jobFreeCap further frames — in practice, consume each frame before the
-	// next. Off by default because callers that retain frames across encodes
-	// (tests, offline collectors) would observe overwrites. The emitted bits
-	// are byte-identical either way.
+	// ReuseFrames hands out each frame's storage — the EncodedFrame struct
+	// and its QPs and Data slices — from the encoder's one job instead of
+	// fresh copies. With it set the steady-state encode loop allocates
+	// nothing, but a returned frame (and its QPs/Data) is only valid until
+	// the next AnalyzeAndQuantize/Encode: callers must finish with (or copy)
+	// each frame before encoding the next. Off by default because callers
+	// that retain frames across encodes (tests, offline collectors) would
+	// observe overwrites. The emitted bits are byte-identical either way.
 	ReuseFrames bool
 }
 
@@ -178,19 +175,18 @@ type Encoder struct {
 	cfg      Config
 	mbw, mbh int
 	ref      *imgx.Plane // reconstructed previous frame
-	// prevRef lags one frame behind ref before a retired reference plane is
-	// released to recons, so Reconstructed() callers keep a stable plane
-	// through the whole next analyze (see Reconstructed).
-	prevRef *imgx.Plane
-	// recons recycles reconstruction planes: each AnalyzeAndQuantize takes
-	// one and retires one, so the steady state circulates three planes
-	// (ref, prevRef, in-build) with no allocation.
-	recons *pool.Planes
+	// spare is the other reconstruction plane (nil until the second frame):
+	// the final quantizePass builds into it and AnalyzeAndQuantize swaps it
+	// with ref, so the plane Reconstructed() last handed out is not written
+	// before the encode after next.
+	spare *imgx.Plane
 	// trial is the rate-control trial scratch (countPass).
 	trial trialScratch
-	// refQPs is the per-MB QP the reference was coded with — an
-	// encoder-owned copy: the authoritative array lives in the frame's job,
-	// whose storage recycles once EmitBitstream consumes it.
+	// job is the encoder's one FrameJob (nil before the first frame):
+	// pending from AnalyzeAndQuantize until EmitBitstream consumes it.
+	job *FrameJob
+	// refQPs is the per-MB QP the reference was coded with, an alias of
+	// job.qps: motion analysis reads it before quantizePass rewrites it.
 	refQPs   []int
 	frameIdx int
 	// lastQP is the previous frame's base QP (-1 before the first frame) and
@@ -220,9 +216,6 @@ type Encoder struct {
 	dctOr []uint32
 	// batch is the structure-of-arrays row-batch transform scratch (dctRow).
 	batch dctBatch
-	// jobFree recycles FrameJob backing storage between EmitBitstream and a
-	// later AnalyzeAndQuantize.
-	jobFree chan *FrameJob
 }
 
 // NewEncoder validates cfg and creates an encoder.
@@ -238,9 +231,7 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	}
 	return &Encoder{
 		cfg: cfg, mbw: cfg.Width / MBSize, mbh: cfg.Height / MBSize,
-		recons:  pool.NewPlanes(cfg.Width, cfg.Height, 2),
-		jobFree: make(chan *FrameJob, jobFreeCap),
-		lastQP:  -1,
+		lastQP: -1,
 	}, nil
 }
 
@@ -250,8 +241,8 @@ func (e *Encoder) MBDims() (int, int) { return e.mbw, e.mbh }
 // Reconstructed returns the encoder's reconstruction of the last encoded
 // frame — bit-exact with what the decoder produces. The plane's backing
 // storage is recycled: it stays intact through the whole next
-// AnalyzeAndQuantize/Encode but may be overwritten by the second one;
-// consumers that need it longer must copy it.
+// AnalyzeAndQuantize/Encode (as that frame's reference) but is overwritten
+// by the second one; consumers that need it longer must copy it.
 func (e *Encoder) Reconstructed() *imgx.Plane { return e.ref }
 
 // predictMV returns the median-of-neighbors MV predictor for macroblock

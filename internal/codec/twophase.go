@@ -19,17 +19,15 @@ import (
 // before the bytes exist.
 
 // FrameJob is one frame's encode carried between AnalyzeAndQuantize and
-// EmitBitstream: the quantized coefficient grid, coded modes/vectors and the
-// already-installed reconstruction. Job backing storage is recycled through
-// the encoder's free list once EmitBitstream consumes it.
+// EmitBitstream: the quantized coefficient grid and coded modes/vectors. An
+// encoder owns exactly one, reused for every frame, so each analyzed frame
+// must be emitted before the next is analyzed.
 type FrameJob struct {
 	// Frame is the encoded frame under construction: every field except
 	// Data is final when AnalyzeAndQuantize returns; EmitBitstream fills
-	// Data and hands the frame out.
+	// Data, hands the frame out and sets Frame to nil (consumed).
 	Frame *EncodedFrame
 
-	enc   *Encoder
-	recon *imgx.Plane
 	// modes/mvs are the coded per-MB decisions (mvs is the codedMVs array
 	// the emit-side MV predictor replays). intraModes holds 4 per-block
 	// directional modes per MB (I-frames only). levels is the full
@@ -44,12 +42,10 @@ type FrameJob struct {
 	// quantizers so EmitBitstream's writeCoeffs skips its emptiness
 	// pre-scan and stops the zigzag walk at the last coefficient.
 	nz []uint8
-	// qps is the per-MB QP array the job's frame hands out. It lives in the
-	// job — not the encoder — because EmitBitstream reads it after the
-	// encoder may have quantized later frames. The encoder keeps its own
-	// copy (refQPs) for next-frame skip thresholds.
+	// qps is the per-MB QP array the job's frame hands out, and the
+	// encoder's refQPs for the next frame's skip thresholds.
 	qps []int
-	// frame and bw are the hand-out storage recycled in ReuseFrames mode:
+	// frame and bw are the hand-out storage reused in ReuseFrames mode:
 	// the EncodedFrame the caller receives and the bitstream writer whose
 	// backing buffer becomes Data. bw reaches a grow-once steady state via
 	// Reset. Without ReuseFrames, EmitBitstream copies out of them instead.
@@ -70,21 +66,12 @@ func (j *FrameJob) mb(i int) (levels []int32, imodes, nz []uint8) {
 	return j.levels[i*n : (i+1)*n], j.intraModes[i*4 : i*4+4], j.nz[i*4 : i*4+4]
 }
 
-// jobFreeCap bounds the encoder's job free list; a caller keeps at most a
-// few analyzed frames unemitted, and overflow jobs are simply
-// garbage-collected.
-const jobFreeCap = 4
-
-// getJob returns a recycled or freshly allocated job.
-func (e *Encoder) getJob() *FrameJob {
-	select {
-	case j := <-e.jobFree:
-		return j
-	default:
-	}
+// newJob allocates the encoder's job. Its slots are reused without zeroing:
+// the final pass writes every one it later emits, and the emit-side MV
+// predictor only reads cells the same frame wrote earlier in raster order.
+func (e *Encoder) newJob() *FrameJob {
 	n := e.mbw * e.mbh
 	return &FrameJob{
-		enc:        e,
 		modes:      make([]MBMode, n),
 		mvs:        make([]MV, n),
 		intraModes: make([]uint8, n*4),
@@ -94,27 +81,17 @@ func (e *Encoder) getJob() *FrameJob {
 	}
 }
 
-// putJob releases a consumed job's backing storage to the free list.
-// Transferred fields (Frame, recon — now the encoder reference) are cleared;
-// mvs needs no zeroing because the emit-side predictor only reads cells the
-// same frame wrote earlier in raster order.
-func (e *Encoder) putJob(j *FrameJob) {
-	j.Frame = nil
-	j.recon = nil
-	select {
-	case e.jobFree <- j:
-	default:
-	}
-}
-
 // AnalyzeAndQuantize runs phase one of the two-phase encode: frame-type
 // decision, motion analysis, rate control, transform, quantization and
-// reconstruction. On return the encoder's reference state has advanced — the
-// next frame may be analyzed immediately — and the returned job carries
-// everything EmitBitstream needs to serialize the bitstream later. Jobs must
-// be emitted in the order they were produced (the bitstream is stateless but
-// consumers expect frame order) and exactly once.
+// reconstruction. On return the encoder's reference state has advanced and
+// the returned job — the encoder's one job — carries everything
+// EmitBitstream needs to serialize the bitstream. It must be emitted before
+// the next AnalyzeAndQuantize, which otherwise fails rather than overwrite
+// it.
 func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*FrameJob, error) {
+	if e.job != nil && e.job.Frame != nil {
+		return nil, fmt.Errorf("codec: frame %d was analyzed but not emitted", e.job.Frame.Index)
+	}
 	if frame.W != e.cfg.Width || frame.H != e.cfg.Height {
 		return nil, fmt.Errorf("codec: frame size %dx%d does not match config %dx%d", frame.W, frame.H, e.cfg.Width, e.cfg.Height)
 	}
@@ -156,30 +133,21 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 		rcTimer.Stop()
 	}
 	entropyTimer := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
-	job := e.getJob()
-	job.enc = e
+	if e.job == nil {
+		e.job = e.newJob()
+	}
+	job := e.job
 	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job, nil)
 	entropyTimer.Stop()
 
-	// Advance the reference with a one-frame release lag: the retired plane
-	// parks in prevRef through the next analyze (Reconstructed contract)
-	// before recycling into the plane pool.
-	old := e.ref
-	e.ref = job.recon
-	e.recons.Put(e.prevRef)
-	e.prevRef = old
-	// refQPs is a copy, not an alias: job.qps storage recycles with the job,
-	// while refQPs feeds the next frame's skip thresholds.
-	if e.refQPs == nil {
-		e.refQPs = make([]int, e.mbw*e.mbh)
-	}
-	copy(e.refQPs, job.qps)
+	e.ref, e.spare = e.spare, e.ref
+	e.refQPs = job.qps
 	e.analyzed, e.motion = nil, nil
 	e.noteBaseQP(baseQP)
 	idx := e.frameIdx
 	e.frameIdx++
 
-	// Hand-out storage: recycled through the job in ReuseFrames mode,
+	// Hand-out storage: the job's own in ReuseFrames mode,
 	// freshly copied otherwise (so callers may retain frames indefinitely).
 	qps := job.qps
 	if e.cfg.ReuseFrames {
@@ -336,11 +304,11 @@ func offsetsNonNegative(offsets []int) bool {
 // levels:
 //
 //   - final pass (job non-nil, t nil): levels, modes, coded MVs and per-MB
-//     QPs are stored in the job, every macroblock is reconstructed into a
-//     plane from the pool (installed as job.recon) and the loop filter runs.
-//     Every pixel of that plane is written in raster order before any read
-//     (skip/inter compensation and causal intra prediction both are), so the
-//     recycled plane's stale content is never observed.
+//     QPs are stored in the job, every macroblock is reconstructed into the
+//     encoder's spare plane and the loop filter runs. Every pixel of that
+//     plane is written in raster order before any read (skip/inter
+//     compensation and causal intra prediction both are), so its stale
+//     content from two frames back is never observed.
 //   - trial (job nil, t non-nil): inter macroblocks are only counted
 //     (countInterMB: no level is stored, nothing is reconstructed); intra
 //     ones are quantized into one macroblock of scratch and reconstructed
@@ -357,8 +325,11 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 	var levels []int32
 	var imodes, nz []uint8
 	if final {
-		recon = e.recons.Get()
-		job.recon = recon
+		if e.spare == nil {
+			e.spare = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
+		}
+		recon = e.spare
+		recon.Bump()
 		codedMVs = job.mvs
 	} else {
 		codedMVs = t.mvs
@@ -479,20 +450,20 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, mo
 
 // EmitBitstream runs phase two: it serializes the job into the final
 // bitstream, verifies the writer agrees with phase one's arithmetic bit
-// count, recycles the job and returns the completed frame. It reads only
-// job state and immutable encoder config, so later AnalyzeAndQuantize calls
-// may come first; jobs must be emitted in production order, exactly once.
+// count and returns the completed frame. It consumes the job, whatever the
+// outcome: a job is emitted exactly once.
 func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 	if job == nil || job.Frame == nil {
 		return nil, fmt.Errorf("codec: EmitBitstream on a consumed or nil job")
 	}
-	if job.enc != e {
+	if job != e.job {
 		return nil, fmt.Errorf("codec: EmitBitstream on a job from a different encoder")
 	}
 	emitTimer := e.cfg.Obs.StartStage(obs.StageCodecEmit)
 	defer emitTimer.Stop()
 
 	ef := job.Frame
+	job.Frame = nil
 	// The writer (and its grow-once backing buffer) is job-owned.
 	w := &job.bw
 	w.Reset()
@@ -542,11 +513,10 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 		return nil, fmt.Errorf("codec: emitted %d bits for frame %d, phase one counted %d", w.Len(), ef.Index, ef.NumBits)
 	}
 	if e.cfg.ReuseFrames {
-		ef.Data = w.Bytes() // aliases job.bw's buffer until the job cycles back
+		ef.Data = w.Bytes() // aliases job.bw's buffer until the next emit
 	} else {
 		ef.Data = append([]byte(nil), w.Bytes()...)
 	}
-	e.putJob(job)
 	return ef, nil
 }
 

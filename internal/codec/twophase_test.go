@@ -132,66 +132,10 @@ func TestTwoPhaseMatchesLegacyEncode(t *testing.T) {
 	}
 }
 
-// TestDeferredEmitBitExact drives the two-phase API with emission deferred:
-// up to depth frames are quantized ahead before their
-// bitstreams are emitted. Because AnalyzeAndQuantize advances the encoder
-// reference, deferring emission must not change a single byte relative to
-// the immediate-emit serial path.
-func TestDeferredEmitBitExact(t *testing.T) {
-	for _, depth := range []int{2, 3} {
-		cfg := DefaultConfig(96, 80)
-		serial, err := NewEncoder(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deferred, err := NewEncoder(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs := scriptInputs(96, 80)
-		var want [][]byte
-		for i, s := range inputs {
-			ef, err := serial.Encode(s.frame, s.opts)
-			if err != nil {
-				t.Fatalf("serial frame %d: %v", i, err)
-			}
-			want = append(want, ef.Data)
-		}
-		var pending []*FrameJob
-		var got [][]byte
-		emitOldest := func() {
-			job := pending[0]
-			pending = pending[1:]
-			ef, err := deferred.EmitBitstream(job)
-			if err != nil {
-				t.Fatalf("depth %d: emit: %v", depth, err)
-			}
-			got = append(got, ef.Data)
-		}
-		for i, s := range inputs {
-			job, err := deferred.AnalyzeAndQuantize(s.frame, s.opts)
-			if err != nil {
-				t.Fatalf("depth %d frame %d: %v", depth, i, err)
-			}
-			pending = append(pending, job)
-			if len(pending) >= depth {
-				emitOldest()
-			}
-		}
-		for len(pending) > 0 {
-			emitOldest()
-		}
-		for i := range want {
-			if !bytes.Equal(want[i], got[i]) {
-				t.Errorf("depth %d frame %d: deferred-emit bitstream differs (%d vs %d bytes)",
-					depth, i, len(got[i]), len(want[i]))
-			}
-		}
-	}
-}
-
-// TestEmitBitstreamMisuse covers the job lifecycle errors: double emit and
-// emitting on a foreign encoder must fail rather than corrupt state.
+// TestEmitBitstreamMisuse covers the job lifecycle errors: analyzing a
+// second frame before emitting the first, emitting on a foreign encoder and
+// double emit must fail rather than corrupt state — the pending job still
+// emits exactly what an undisturbed encoder produces.
 func TestEmitBitstreamMisuse(t *testing.T) {
 	cfg := DefaultConfig(64, 48)
 	enc, err := NewEncoder(cfg)
@@ -202,15 +146,28 @@ func TestEmitBitstreamMisuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job, err := enc.AnalyzeAndQuantize(texturedFrame(64, 48, 1), EncodeOptions{BaseQP: 24})
+	frame := texturedFrame(64, 48, 1)
+	opts := EncodeOptions{BaseQP: 24}
+	want, err := other.Encode(frame, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	job, err := enc.AnalyzeAndQuantize(frame, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enc.AnalyzeAndQuantize(texturedFrame(64, 48, 2), EncodeOptions{BaseQP: 40}); err == nil {
+		t.Error("analyzing a frame while the previous one is unemitted should fail")
 	}
 	if _, err := other.EmitBitstream(job); err == nil {
 		t.Error("emitting a job on a different encoder should fail")
 	}
-	if _, err := enc.EmitBitstream(job); err != nil {
+	got, err := enc.EmitBitstream(job)
+	if err != nil {
 		t.Fatalf("first emit: %v", err)
+	}
+	if !bytes.Equal(got.Data, want.Data) {
+		t.Errorf("pending job emitted %d bytes unlike a fresh encoder's %d", len(got.Data), len(want.Data))
 	}
 	if _, err := enc.EmitBitstream(job); err == nil {
 		t.Error("double emit should fail")

@@ -38,10 +38,9 @@ const (
 	qpAlternations = 4
 )
 
-// qpOscillationDetector finds runs of sign-alternating base-QP swings — the
-// signature of a rate controller fighting its own bandwidth feedback (each
-// over-sized frame depresses the next estimate, which shrinks the next
-// frame, which inflates the estimate again).
+// qpOscillationDetector finds runs of sign-alternating base-QP swings
+// between consecutive frames. It reports what the journal shows — how many
+// alternations, over which frames — and names no cause.
 type qpOscillationDetector struct {
 	started bool
 	prev    obs.JournalRecord
@@ -62,7 +61,7 @@ func (d *qpOscillationDetector) flushAt(endFrame int) []Finding {
 			FirstFrame: d.runStartFrame, LastFrame: endFrame,
 			Value: float64(d.alternations), Threshold: float64(qpAlternations),
 			Message: fmt.Sprintf(
-				"base QP oscillated %d times (swing ≥ %d) between frames %d and %d: rate control is fighting its bandwidth feedback",
+				"base QP swung %d times in alternating directions (≥ %d between consecutive frames) over frames %d–%d",
 				d.alternations, qpSwing, d.runStartFrame, endFrame),
 		})
 	}
