@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-obs bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
+.PHONY: all build test portable race vet bench bench-obs bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
 
 all: build vet test
 
@@ -10,6 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The portable path, run rather than only vetted: as 386 every kernel with an
+# amd64 assembly body (internal/imgx's row kernels, internal/codec's block
+# quantizer) runs its Go body, against the same tests, decoder_golden.json and
+# agent_golden.json. Needs no 386 machine: a linux/amd64 kernel runs 386
+# binaries.
+portable:
+	GOARCH=386 $(GO) test ./internal/imgx/ ./internal/codec/ ./internal/core/
+
 # Race-detector pass over the concurrency-bearing packages (the harness
 # fan-out and renderer bands, telemetry, transports, cluster) and the
 # single-goroutine agent packages they drive (codec, core, sim); doctor's one
@@ -17,9 +25,10 @@ test:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/imgx/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
 
-# The second vet compiles the side of internal/imgx's GOARCH split this
-# machine does not run (kernels_other.go, the pure-Go row kernels) and
-# type-checks its callers; the first covers asmdecl on the amd64 stubs.
+# The second vet compiles the side of the GOARCH splits this machine does not
+# run (internal/imgx's kernels_other.go, the pure-Go row kernels, and
+# internal/codec's quantize_other.go) and type-checks their callers; the
+# first covers asmdecl on the amd64 stubs.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/imgx/ ./internal/codec/
@@ -136,8 +145,8 @@ fleet-smoke:
 	ci/fleet_smoke.sh
 
 # Native fuzzing smoke over everything that parses network bytes — the edge
-# wire decoders and the codec's bitstream decoder — and over the row kernels
-# whose amd64 bodies are assembly. Go allows exactly one -fuzz pattern per
+# wire decoders and the codec's bitstream decoder — and over the kernels
+# whose amd64 bodies are assembly (the row kernels, the block quantizer). Go allows exactly one -fuzz pattern per
 # invocation, so each target gets its own short run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -147,6 +156,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRedirectMsg -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzSAD16 -fuzztime=10s -run 'xxx' ./internal/imgx/
+	$(GO) test -fuzz=FuzzQuantizeBlock -fuzztime=10s -run 'xxx' ./internal/codec/
 
 # Non-test, non-generated Go and assembly lines per package and for the whole
 # repo (the benchmark module included): the number ROADMAP's simplicity items

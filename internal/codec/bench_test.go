@@ -145,32 +145,26 @@ func BenchmarkDCTBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkQuantize compares the float-division reference quantizer against
-// the reciprocal-multiply fixed-point quantizer.
+// BenchmarkQuantize times one block through the quantizer's Go body and
+// through the dispatched kernel (the SSE2 body on amd64), each priced the
+// way codeBlock prices it, near-lossless (most levels nonzero and long) and
+// at the clear-link operating point (a few short levels).
 func BenchmarkQuantize(b *testing.B) {
-	b.Run("ref", func(b *testing.B) {
-		var dct [blockSize * blockSize]float64
-		var levels [blockSize * blockSize]int32
-		for i := range dct {
-			dct[i] = float64(i%101-50) * 3.7
+	var coef [blockSize * blockSize]int32
+	for i := range coef {
+		coef[i] = int32((i%101 - 50) * 59)
+	}
+	for _, body := range quantizeBodies {
+		for _, qp := range []int{2, 25} {
+			b.Run(fmt.Sprintf("%s/qp%d", body.name, qp), func(b *testing.B) {
+				var levels [blockSize * blockSize]int32
+				for i := 0; i < b.N; i++ {
+					sig, lenSum := body.quantize(&coef, qp, &levels)
+					benchSink = blockBits(zigzagMask(sig), lenSum)
+				}
+			})
 		}
-		qstep := QStep(28)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			refQuantizeBlock(&dct, qstep, &levels)
-		}
-	})
-	b.Run("fixed", func(b *testing.B) {
-		var coef [blockSize * blockSize]int32
-		var levels [blockSize * blockSize]int32
-		for i := range coef {
-			coef[i] = int32((i%101 - 50) * 59)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			quantizeBlockFixed(&coef, 28, &levels)
-		}
-	})
+	}
 }
 
 func BenchmarkDeblockFrame(b *testing.B) {

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -9,22 +8,31 @@ import (
 	"dive/internal/obs"
 )
 
-// Property tests for the counting rate-control trial: each new kernel is
-// held to the code it replaced (oracle_test.go).
+// Property tests for the block quantizer and the counting rate-control
+// trial: each new kernel is held to the code it replaced (oracle_test.go).
 
-// checkCountBlock holds countBlock and coeffsBits to the symbol-by-symbol
-// oracle on one coefficient block at every QP.
+// checkCountBlock holds codeBlock — the dispatched quantizer priced through
+// the zigzag table and blockBits — and the quantizer's Go body to the
+// quantize-then-count oracle on one coefficient block at every QP: the same
+// levels, nonzero count and length as quantizeBlockFixed and the
+// symbol-by-symbol counter, and the same length as the old countBlock and
+// coeffsBits.
 func checkCountBlock(t *testing.T, name string, coef *[blockSize * blockSize]int32) {
 	t.Helper()
-	var levels [blockSize * blockSize]int32
+	var want, got, goLevels [blockSize * blockSize]int32
 	for qp := 0; qp < 52; qp++ {
-		nz := quantizeBlockFixed(coef, qp, &levels)
-		want := oracleCoeffsBits(&levels, nz)
-		if got := countBlock(coef, qp); got != want {
-			t.Fatalf("%s qp %d: countBlock = %d, quantize-then-count oracle = %d", name, qp, got, want)
+		wantNZ := quantizeBlockFixed(coef, qp, &want)
+		wantBits := oracleCoeffsBits(&want, wantNZ)
+		nz, n := codeBlock(coef, qp, &got)
+		if got != want || nz != wantNZ || n != wantBits {
+			t.Fatalf("%s qp %d: codeBlock = %d nonzero, %d bits (levels equal: %v); oracle %d nonzero, %d bits", name, qp, nz, n, got == want, wantNZ, wantBits)
 		}
-		if got := coeffsBits(&levels, nz); got != want {
-			t.Fatalf("%s qp %d: coeffsBits = %d, oracle = %d", name, qp, got, want)
+		if c, f := countBlock(coef, qp), coeffsBits(&want, wantNZ); c != wantBits || f != wantBits {
+			t.Fatalf("%s qp %d: old countBlock = %d, coeffsBits = %d, quantize-then-count oracle = %d", name, qp, c, f, wantBits)
+		}
+		sig, lenSum := quantizeBlockGo(coef, qp, &goLevels)
+		if goLevels != want || blockBits(zigzagMask(sig), lenSum) != wantBits {
+			t.Fatalf("%s qp %d: quantizeBlockGo disagrees with the oracle", name, qp)
 		}
 	}
 }
@@ -34,7 +42,7 @@ func TestCountBlockMatchesQuantizeThenCount(t *testing.T) {
 	checkCountBlock(t, "empty", &coef)
 
 	// A lone coefficient at the end of the scan: the longest possible run.
-	for _, v := range []int32{1, -1, 37, -4000, 34500, math.MaxInt32, -math.MaxInt32} {
+	for _, v := range []int32{1, -1, 37, -4000, 34500, maxKernelCoef, -maxKernelCoef} {
 		coef = [blockSize * blockSize]int32{}
 		coef[zigzag8[63]] = v
 		checkCountBlock(t, "lone@63", &coef)
@@ -42,11 +50,11 @@ func TestCountBlockMatchesQuantizeThenCount(t *testing.T) {
 		checkCountBlock(t, "ends", &coef)
 	}
 
-	// Every position at the fixed-point maximum: levels far beyond 2^15.
+	// Every position at the kernel domain's maximum: levels far beyond 2^15.
 	for i := range coef {
-		coef[i] = math.MaxInt32
+		coef[i] = maxKernelCoef
 		if i%3 == 0 {
-			coef[i] = -math.MaxInt32
+			coef[i] = -maxKernelCoef
 		}
 	}
 	checkCountBlock(t, "saturated", &coef)
@@ -56,7 +64,7 @@ func TestCountBlockMatchesQuantizeThenCount(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		coef = [blockSize * blockSize]int32{}
 		n := rng.Intn(65)
-		scale := int64(1) << uint(1+rng.Intn(31))
+		scale := int64(1) << uint(1+rng.Intn(24))
 		for i := 0; i < n; i++ {
 			coef[rng.Intn(64)] = int32(rng.Int63n(2*scale-1) - scale + 1)
 		}
@@ -71,7 +79,7 @@ func TestZeroBelowIsTheDeadZone(t *testing.T) {
 	for qp := 0; qp < 52; qp++ {
 		z := int32(zeroBelow[qp])
 		coef[0], coef[1], coef[2], coef[3] = z-1, -(z - 1), z, -z
-		quantizeBlockFixed(&coef, qp, &levels)
+		quantizeBlock(&coef, qp, &levels)
 		if levels[0] != 0 || levels[1] != 0 || levels[2] != 1 || levels[3] != -1 {
 			t.Errorf("qp %d: zeroBelow %d: levels of ±(z-1), ±z = %v, want 0 0 1 -1", qp, z, levels[:4])
 		}
@@ -80,8 +88,9 @@ func TestZeroBelowIsTheDeadZone(t *testing.T) {
 
 // TestDeadZoneSkipNeverHidesALevel checks the bound the skip rests on, on a
 // real inter-DCT cache: dctOr is the OR of the block's magnitudes (so at
-// least its maximum), a block the trial skips quantizes to nothing at that
-// QP, and countInterMB agrees with the quantize-then-count oracle on every
+// least its maximum), a block quantizeInterMB skips quantizes to nothing at
+// that QP, and quantizeInterMB agrees with the quantize-then-count oracle —
+// length, nonzero counts, and the levels of every block with one — on every
 // inter macroblock at every QP.
 func TestDeadZoneSkipNeverHidesALevel(t *testing.T) {
 	enc := newTestEncoder(t, 96, 80)
@@ -124,9 +133,17 @@ func TestDeadZoneSkipNeverHidesALevel(t *testing.T) {
 			}
 		}
 		for qp := 0; qp < 52; qp++ {
-			got := countInterMB(cache[i*4:i*4+4], enc.dctOr[i*4:i*4+4], qp)
+			var mbLevels [4 * blockSize * blockSize]int32
+			nz := [4]uint8{9, 9, 9, 9} // stale counts from an earlier macroblock
+			got := quantizeInterMB(cache[i*4:i*4+4], enc.dctOr[i*4:i*4+4], qp, mbLevels[:], nz[:])
 			if want := oracleCountInterMB(cache[i*4:i*4+4], qp); got != want {
-				t.Fatalf("MB %d qp %d: countInterMB = %d, oracle = %d", i, qp, got, want)
+				t.Fatalf("MB %d qp %d: quantizeInterMB = %d bits, oracle = %d", i, qp, got, want)
+			}
+			for blk := 0; blk < 4; blk++ {
+				wantNZ := quantizeBlockFixed(&cache[i*4+blk], qp, &levels)
+				if int(nz[blk]) != wantNZ || (wantNZ != 0 && [blockSize * blockSize]int32(mbLevels[blk*64:]) != levels) {
+					t.Fatalf("MB %d qp %d block %d: quantizeInterMB nz %d, oracle %d (or the levels differ)", i, qp, blk, nz[blk], wantNZ)
+				}
 			}
 		}
 	}

@@ -100,25 +100,44 @@ func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, nz int) {
 	w.WriteBits(field<<uint(eobBits)|(blockSize*blockSize+1), n+eobBits)
 }
 
-// coeffsBits is the exact length writeCoeffs(levels, nz) appends, computed
-// without a writer (phase one's arithmetic NumBits depends on it mirroring
-// the writer bit for bit). It reduces the block to the two quantities the
-// length depends on and prices them through blockBits, like the
-// rate-control trial's countBlock.
-func coeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
-	if nz == 0 {
-		return 1 // coded-block flag: empty
+// codeBlock quantizes one block into levels and returns its nonzero-level
+// count and the exact length writeCoeffs(levels, nz) will append (phase
+// one's arithmetic NumBits depends on that mirroring the writer bit for
+// bit). Every block the encoder quantizes — final pass and rate-control
+// trial, inter and intra — goes through here.
+func codeBlock(coef *[blockSize * blockSize]int32, qp int, levels *[blockSize * blockSize]int32) (nz, n int) {
+	sig, lenSum := quantizeBlock(coef, qp, levels)
+	return bits.OnesCount64(sig), blockBits(zigzagMask(sig), lenSum)
+}
+
+// zigzagBits[b][v] is the zigzag significance mask of a raster mask whose
+// byte b is v and whose other bytes are zero: it sets bit k for each raster
+// position 8b+i (bit i of v) that zigzag8 visits k-th.
+var zigzagBits = func() (t [8][256]uint64) {
+	var pos [blockSize * blockSize]uint
+	for k, r := range zigzag8 {
+		pos[r] = uint(k)
 	}
-	var mask uint64
-	lenSum := 0
-	for k := range zigzag8 {
-		l := levels[zigzag8[k]&63]
-		s := l >> 31
-		a := uint32((l ^ s) - s)
-		lenSum += bits.Len32(a)
-		mask = mask>>1 | uint64((a|-a)>>31)<<63 // as in countBlock
+	for b := range t {
+		for v := range t[b] {
+			for i := 0; i < 8; i++ {
+				if v>>i&1 == 1 {
+					t[b][v] |= 1 << pos[8*b+i]
+				}
+			}
+		}
 	}
-	return blockBits(mask, lenSum)
+	return t
+}()
+
+// zigzagMask turns a raster significance mask (bit i: the level at raster
+// position i is nonzero) into the zigzag one blockBits prices, a byte at a
+// time.
+func zigzagMask(sig uint64) uint64 {
+	return zigzagBits[0][uint8(sig)] | zigzagBits[1][uint8(sig>>8)] |
+		zigzagBits[2][uint8(sig>>16)] | zigzagBits[3][uint8(sig>>24)] |
+		zigzagBits[4][uint8(sig>>32)] | zigzagBits[5][uint8(sig>>40)] |
+		zigzagBits[6][uint8(sig>>48)] | zigzagBits[7][uint8(sig>>56)]
 }
 
 // eobBits is the end-of-block marker's length (13).
@@ -132,21 +151,35 @@ var eobBits = ueBits(blockSize * blockSize)
 //   - seBits(l) = 2·bitLen(|l|) + 1 whichever the sign, so the levels cost
 //     2·lenSum + nz;
 //   - ueBits(run) = 2·⌊log2(run+1)⌋ + 1, so the runs cost nz plus
-//     2·⌊log2(g+1)⌋ for every zero run g ahead of a coefficient — zero-length
-//     runs add nothing, and the loop below visits each zero run once by
-//     shifting it, then the coefficients behind it, out of the mask.
+//     2·⌊log2(g+1)⌋ for every zero run g ahead of a coefficient. That term is
+//     2·#{j ≥ 1 : g ≥ 2^j − 1}, so it is twice the number of runs at least 1,
+//     3, 7, 15, 31 and 63 long, each counted as a popcount of run starts —
+//     no branch on the data, however many runs the block has.
 func blockBits(mask uint64, lenSum int) int {
 	if mask == 0 {
 		return 1 // coded-block flag: empty
 	}
 	n := 1 + 2*bits.OnesCount64(mask) + 2*lenSum + eobBits
-	for m := mask; m != 0; {
-		g := bits.TrailingZeros64(m)
-		n += 2 * (bits.Len(uint(g)+1) - 1)
-		m >>= uint(g)
-		m >>= uint(bits.TrailingZeros64(^m))
-	}
-	return n
+	// The zero levels ahead of the last coefficient: each maximal run of
+	// ones here is a coded run, ended by the coefficient above it.
+	z := ^mask & (1<<uint(63-bits.LeadingZeros64(mask)) - 1)
+	// yL has bit i set when the L positions from i on all hold zero levels,
+	// so its run starts (a set bit above a clear one) count the runs ≥ L
+	// long. y(2L+1) is y(L+1) = yL & yL>>1 at i and at i+L.
+	y1 := z
+	t := y1 & (y1 >> 1)
+	y3 := t & (t >> 1)
+	t = y3 & (y3 >> 1)
+	y7 := t & (t >> 3)
+	t = y7 & (y7 >> 1)
+	y15 := t & (t >> 7)
+	t = y15 & (y15 >> 1)
+	y31 := t & (t >> 15)
+	t = y31 & (y31 >> 1)
+	y63 := t & (t >> 31)
+	return n + 2*(bits.OnesCount64(y1&^(y1<<1))+bits.OnesCount64(y3&^(y3<<1))+
+		bits.OnesCount64(y7&^(y7<<1))+bits.OnesCount64(y15&^(y15<<1))+
+		bits.OnesCount64(y31&^(y31<<1))+bits.OnesCount64(y63&^(y63<<1)))
 }
 
 // readCoeffs decodes one block written by writeCoeffs and returns its

@@ -1,6 +1,9 @@
 package codec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Fixed-point transform and quantization kernels — the production path.
 //
@@ -88,8 +91,10 @@ var qstepFix = func() [52]int32 {
 
 // quantRecip[qp] = round(2^quantShift / qstepFix[qp]): reciprocal
 // multipliers replacing the per-coefficient float division in the
-// quantizer. Products are formed in int64 (single imul on 64-bit targets),
-// so the full |coef|·recip range fits without narrowing the reciprocals.
+// quantizer. Products are formed in 64 bits (one imul on 64-bit targets, a
+// PMULUDQ lane in the SSE2 body: recip < 2^21 and |coef| < 2^31 are both
+// 32-bit operands), so the full |coef|·recip range fits without narrowing
+// the reciprocals.
 var quantRecip = func() [52]int64 {
 	var t [52]int64
 	for qp := range t {
@@ -99,12 +104,12 @@ var quantRecip = func() [52]int64 {
 }()
 
 // zeroBelow[qp] is the quantizer's dead zone: the smallest coefficient
-// magnitude whose level at qp is nonzero. quantizeBlockFixed maps a to
+// magnitude whose level at qp is nonzero. quantizeBlock maps a to
 // (a·recip + 2^(quantShift-1)) >> quantShift, which reaches 1 exactly when
 // a·recip ≥ 2^(quantShift-1), so the threshold is that bound divided by
 // the reciprocal, rounded up. A block whose largest magnitude is below it
-// quantizes to all zeros — the rate-control trials test that against an
-// upper bound on the maximum (see countInterMB) instead of quantizing.
+// quantizes to all zeros — quantizeInterMB tests that against an upper
+// bound on the maximum instead of quantizing.
 var zeroBelow = func() [52]uint32 {
 	var t [52]uint32
 	for qp, r := range quantRecip {
@@ -238,25 +243,27 @@ func idct8Fixed(src, dst *[blockSize * blockSize]int32) {
 	}
 }
 
-// quantizeBlockFixed quantizes fixed-point coefficients with the uniform
-// deadzone quantizer via a reciprocal multiply (no division), and returns
-// the number of nonzero levels so entropy coding can skip its emptiness
-// pre-scan and stop after the last coefficient. The rounding convention
-// matches the float reference: round half away from zero.
-func quantizeBlockFixed(coef *[blockSize * blockSize]int32, qp int, levels *[blockSize * blockSize]int32) int {
+// quantizeBlockGo is the specification of quantizeBlock, the encoder's one
+// quantizer, and its body on every platform without an assembly one. It
+// quantizes fixed-point coefficients with the uniform deadzone quantizer via
+// a reciprocal multiply (no division; round half away from zero, as the
+// float reference does), stores the signed levels in raster order, and
+// returns what pricing the block needs (blockBits): sig, the raster
+// significance mask (bit i set when levels[i] ≠ 0), and lenSum, Σ
+// bitLen(|level|). Its domain is |c| < 2^24 — ≈ 500× the largest
+// coefficient the forward transform produces (DESIGN.md §12) — where every
+// body returns the same three results.
+func quantizeBlockGo(coef *[blockSize * blockSize]int32, qp int, levels *[blockSize * blockSize]int32) (sig uint64, lenSum int) {
 	r := quantRecip[qp]
-	nz := 0
 	for i, c := range coef {
 		s := c >> 31 // 0 or -1
 		a := (c ^ s) - s
-		l := int32((int64(a)*r + 1<<(quantShift-1)) >> quantShift)
-		l = (l ^ s) - s
-		levels[i] = l
-		if l != 0 {
-			nz++
-		}
+		l := uint32((int64(a)*r + 1<<(quantShift-1)) >> quantShift)
+		levels[i] = (int32(l) ^ s) - s
+		lenSum += bits.Len32(l)
+		sig |= uint64((l|-l)>>31) << uint(i)
 	}
-	return nz
+	return sig, lenSum
 }
 
 // dequantizeBlockFixed reconstructs fixed-point coefficients from levels.

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -165,7 +166,8 @@ func TestFixedDCTDynamicRange(t *testing.T) {
 	for qp := 0; qp <= 51; qp++ {
 		var coef, levels [blockSize * blockSize]int32
 		coef[0], coef[1] = peak, -peak
-		nz := quantizeBlockFixed(&coef, qp, &levels)
+		sig, _ := quantizeBlock(&coef, qp, &levels)
+		nz := bits.OnesCount64(sig)
 		wantL := int32((int64(peak)*quantRecip[qp] + 1<<(quantShift-1)) >> quantShift)
 		if levels[0] != wantL || levels[1] != -wantL {
 			t.Fatalf("qp %d: levels (%d,%d), want ±%d", qp, levels[0], levels[1], wantL)
@@ -202,7 +204,8 @@ func TestFixedQuantizerMatchesReference(t *testing.T) {
 			// reference divide, using the fixed-point step the reciprocal
 			// approximates so only the rounding strategy differs.
 			qstep := float64(qstepFix[qp]) / (1 << coefBits)
-			nz := quantizeBlockFixed(&coef, qp, &levels)
+			sig, _ := quantizeBlock(&coef, qp, &levels)
+			nz := bits.OnesCount64(sig)
 			refQuantizeBlock(&fdct, qstep, &flevels)
 			gotNZ := 0
 			for i := range levels {
@@ -214,7 +217,7 @@ func TestFixedQuantizerMatchesReference(t *testing.T) {
 				}
 			}
 			if nz != gotNZ {
-				t.Fatalf("qp %d: quantizeBlockFixed nz = %d, counted %d", qp, nz, gotNZ)
+				t.Fatalf("qp %d: quantizeBlock nz = %d, counted %d", qp, nz, gotNZ)
 			}
 		}
 	}
@@ -280,9 +283,10 @@ func TestQuantTablesConsistent(t *testing.T) {
 }
 
 // TestWriteCoeffsEarlyExitMatchesBits drives the nz-aware writer against
-// coeffsBits for random sparsities: the early-exit walk must emit exactly
-// the arithmetic bit count (EmitBitstream cross-checks this invariant on
-// every frame, this pins it in isolation).
+// blockBits for random sparsities — priced as codeBlock prices a block,
+// from the raster mask through the zigzag table: the early-exit walk must
+// emit exactly the arithmetic bit count (EmitBitstream cross-checks this
+// invariant on every frame, this pins it in isolation).
 func TestWriteCoeffsEarlyExitMatchesBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
@@ -299,8 +303,9 @@ func TestWriteCoeffsEarlyExitMatchesBits(t *testing.T) {
 		}
 		w := &BitWriter{}
 		writeCoeffs(w, &levels, nz)
-		if w.Len() != coeffsBits(&levels, nz) {
-			t.Fatalf("trial %d: wrote %d bits, coeffsBits says %d", trial, w.Len(), coeffsBits(&levels, nz))
+		sig, lenSum := levelsSig(&levels)
+		if want := blockBits(zigzagMask(sig), lenSum); w.Len() != want {
+			t.Fatalf("trial %d: wrote %d bits, blockBits says %d", trial, w.Len(), want)
 		}
 		r := NewBitReader(w.Bytes())
 		gotNZ, err := readCoeffs(r, &got)

@@ -211,8 +211,8 @@ type Encoder struct {
 	dctScratch [][blockSize * blockSize]int32
 	// dctOr[k] is the OR of cached block k's coefficient magnitudes, written
 	// with the block by dctRow: an upper bound on its largest magnitude that
-	// lets a rate-control trial price a block inside the quantizer's dead
-	// zone without reading it (countInterMB).
+	// lets the quantizer price a block inside its dead zone without reading
+	// it (quantizeInterMB).
 	dctOr []uint32
 	// batch is the structure-of-arrays row-batch transform scratch (dctRow).
 	batch dctBatch

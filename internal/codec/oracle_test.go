@@ -2,12 +2,14 @@ package codec
 
 import (
 	"math"
+	"math/bits"
 
 	"dive/internal/imgx"
 )
 
-// Oracles: the kernels the decoder fast path and the counting rate-control
-// trial replaced, verbatim from the commit before each — the per-pixel clamped predictor (oracleMotionCompensate
+// Oracles: the kernels the decoder fast path, the counting rate-control
+// trial and the block quantizer replaced, verbatim from the commit before
+// each — the per-pixel clamped predictor (oracleMotionCompensate
 // and the refSampleI loops), the per-pixel column-major deblocking filter,
 // the IDCT that transforms every column, and the monolithic encodePass that
 // strings them together. Production reconstructs through predictBlock /
@@ -388,6 +390,92 @@ func intraDC(recon *imgx.Plane, px, py int) int32 {
 		return 128
 	}
 	return int32((sum + n/2) / n)
+}
+
+// The block quantizer and counters production ran before quantizeBlock,
+// verbatim but for blockBits, which they call as oracleBlockBits (its
+// trailing-zero loop): quantizeBlockFixed (the final pass's quantizer),
+// coeffsBits (the final pass's counter over stored levels) and countBlock
+// (the trial's zigzag-order quantize-and-count that stored nothing).
+
+// quantizeBlockFixed quantizes fixed-point coefficients with the uniform
+// deadzone quantizer via a reciprocal multiply (no division), and returns
+// the number of nonzero levels so entropy coding can skip its emptiness
+// pre-scan and stop after the last coefficient. The rounding convention
+// matches the float reference: round half away from zero.
+func quantizeBlockFixed(coef *[blockSize * blockSize]int32, qp int, levels *[blockSize * blockSize]int32) int {
+	r := quantRecip[qp]
+	nz := 0
+	for i, c := range coef {
+		s := c >> 31 // 0 or -1
+		a := (c ^ s) - s
+		l := int32((int64(a)*r + 1<<(quantShift-1)) >> quantShift)
+		l = (l ^ s) - s
+		levels[i] = l
+		if l != 0 {
+			nz++
+		}
+	}
+	return nz
+}
+
+// coeffsBits is the exact length writeCoeffs(levels, nz) appends, computed
+// without a writer (phase one's arithmetic NumBits depends on it mirroring
+// the writer bit for bit). It reduces the block to the two quantities the
+// length depends on and prices them through blockBits, like the
+// rate-control trial's countBlock.
+func coeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
+	if nz == 0 {
+		return 1 // coded-block flag: empty
+	}
+	var mask uint64
+	lenSum := 0
+	for k := range zigzag8 {
+		l := levels[zigzag8[k]&63]
+		s := l >> 31
+		a := uint32((l ^ s) - s)
+		lenSum += bits.Len32(a)
+		mask = mask>>1 | uint64((a|-a)>>31)<<63 // as in countBlock
+	}
+	return oracleBlockBits(mask, lenSum)
+}
+
+// countBlock returns coeffsBits(quantizeBlockFixed(coef, qp)) without
+// storing a level: one branch-free walk in zigzag order quantizes each
+// magnitude, sums the levels' bit lengths and sets the significance mask,
+// which is all blockBits needs.
+func countBlock(coef *[blockSize * blockSize]int32, qp int) int {
+	r := quantRecip[qp]
+	var mask uint64
+	lenSum := 0
+	for k := range zigzag8 {
+		c := coef[zigzag8[k]&63]
+		s := c >> 31
+		a := (c ^ s) - s
+		l := uint32((int64(a)*r + 1<<(quantShift-1)) >> quantShift)
+		lenSum += bits.Len32(l)
+		// Shift the significance bit in from the top: after 64 steps the
+		// bit of zigzag position k sits at bit k.
+		mask = mask>>1 | uint64((l|-l)>>31)<<63
+	}
+	return oracleBlockBits(mask, lenSum)
+}
+
+// oracleBlockBits is blockBits with the run term as a loop that visits each
+// zero run once by shifting it, then the coefficients behind it, out of the
+// mask.
+func oracleBlockBits(mask uint64, lenSum int) int {
+	if mask == 0 {
+		return 1 // coded-block flag: empty
+	}
+	n := 1 + 2*bits.OnesCount64(mask) + 2*lenSum + eobBits
+	for m := mask; m != 0; {
+		g := bits.TrailingZeros64(m)
+		n += 2 * (bits.Len(uint(g)+1) - 1)
+		m >>= uint(g)
+		m >>= uint(bits.TrailingZeros64(^m))
+	}
+	return n
 }
 
 // oracleCountInterMB is the rate-control trial's inter-macroblock counter

@@ -99,7 +99,7 @@ func randLevels(rng *rand.Rand, levels *[blockSize * blockSize]int32, n, amp int
 		if n < 8 && rng.Intn(2) == 0 {
 			pos = zigzag8[rng.Intn(10)] // low frequencies, as quantized blocks are
 		}
-		levels[pos] = int32(rng.Intn(2*amp+1) - amp)
+		levels[pos] = int32(rng.Int63n(2*int64(amp)+1) - int64(amp)) // 2·2^30+1 overflows a 32-bit int
 	}
 	nz := 0
 	for _, l := range levels {

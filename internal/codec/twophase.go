@@ -32,7 +32,8 @@ type FrameJob struct {
 	// the emit-side MV predictor replays). intraModes holds 4 per-block
 	// directional modes per MB (I-frames only). levels is the full
 	// quantized-coefficient grid, 4 blocks of 64 levels per MB; slots of
-	// skip MBs are stale garbage and never read, exactly like the
+	// skip MBs and of inter blocks inside the dead zone (nz 0,
+	// quantizeInterMB) are stale garbage and never read, exactly like the
 	// recycled inter-DCT cache.
 	modes      []MBMode
 	mvs        []MV
@@ -309,11 +310,10 @@ func offsetsNonNegative(offsets []int) bool {
 //     plane is written in raster order before any read (skip/inter
 //     compensation and causal intra prediction both are), so its stale
 //     content from two frames back is never observed.
-//   - trial (job nil, t non-nil): inter macroblocks are only counted
-//     (countInterMB: no level is stored, nothing is reconstructed); intra
-//     ones are quantized into one macroblock of scratch and reconstructed
-//     into t's plane, because intra prediction is causal in the
-//     reconstruction.
+//   - trial (job nil, t non-nil): every macroblock is quantized into one
+//     macroblock of scratch; inter ones are only counted (nothing is
+//     reconstructed), intra ones are reconstructed into t's plane, because
+//     intra prediction is causal in the reconstruction.
 //
 // A trial touches no encoder state outside t.
 func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob, t *trialScratch) int {
@@ -384,11 +384,10 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 				seBits(int32(mv.Y)-int32(pred.Y)) +
 				seBits(int32(qp-baseQP))
 			codedMVs[i] = mv
+			bits += quantizeInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp, levels, nz)
 			if final {
 				job.modes[i] = ModeInter
-				bits += quantizeInterMB(dctCache[i*4:i*4+4], e.ref, recon, px, py, mv, qp, e.cfg.SubPel, levels, nz)
-			} else {
-				bits += countInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp)
+				reconstructInterMB(recon, e.ref, px, py, mv, e.cfg.SubPel, levels, nz, qp)
 			}
 		}
 	}
@@ -403,18 +402,26 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 
 // quantizeInterMB quantizes one inter macroblock from its cached
 // fixed-point DCT blocks into out (4 × 64 levels) and nzOut (4 nonzero
-// counts), reconstructs it, and returns the exact bit cost of
-// entropy-coding the levels.
-func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, ref, recon *imgx.Plane, px, py int, mv MV, qp int, subpel bool, out []int32, nzOut []uint8) int {
-	bits := 0
-	for blk := 0; blk < 4; blk++ {
-		levels := (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:])
-		nz := quantizeBlockFixed(&dctBlocks[blk], qp, levels)
+// counts) and returns the exact bit cost of entropy-coding the levels. The
+// cache is QP-independent, so quantization is the only per-QP work, and a
+// block whose magnitude bound (or, Encoder.dctOr) sits under the
+// quantizer's dead zone has no nonzero level at this QP: it costs its empty
+// coded-block flag, its count is 0 and its coefficients are never read. Its
+// level slots keep whatever they held — neither the writer nor
+// reconstruction reads the levels of a block whose count is 0.
+func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, or []uint32, qp int, out []int32, nzOut []uint8) int {
+	n := 0
+	for blk := range dctBlocks {
+		if or[blk] < zeroBelow[qp] {
+			nzOut[blk] = 0
+			n++
+			continue
+		}
+		nz, bits := codeBlock(&dctBlocks[blk], qp, (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:]))
 		nzOut[blk] = uint8(nz)
-		bits += coeffsBits(levels, nz)
+		n += bits
 	}
-	reconstructInterMB(recon, ref, px, py, mv, subpel, out, nzOut, qp)
-	return bits
+	return n
 }
 
 // quantizeIntraMB codes one intra macroblock's prediction, transform and
@@ -438,9 +445,9 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, mo
 			}
 			fdct8Fixed(&res, &dct)
 			levels := (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:])
-			nz := quantizeBlockFixed(&dct, qp, levels)
+			nz, n := codeBlock(&dct, qp, levels)
 			nzOut[blk] = uint8(nz)
-			bits += coeffsBits(levels, nz)
+			bits += n
 			blk++
 			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, levels, nz, qp)
 		}
@@ -522,7 +529,7 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 
 // Bit-length arithmetic mirroring the Exp-Golomb writers: ueBits(v) is the
 // exact length WriteUE(v) appends, seBits the WriteSE counterpart
-// (coeffsBits, the writeCoeffs mirror, lives in dct.go next to the writer).
+// (blockBits, the writeCoeffs mirror, lives in dct.go next to the writer).
 
 func ueBits(v uint32) int { return 2*bitLen64(uint64(v)+1) - 1 }
 
