@@ -145,9 +145,11 @@ fleet-smoke:
 	ci/fleet_smoke.sh
 
 # Native fuzzing smoke over everything that parses network bytes — the edge
-# wire decoders and the codec's bitstream decoder — and over the kernels
-# whose amd64 bodies are assembly (the row kernels, the block quantizer). Go allows exactly one -fuzz pattern per
-# invocation, so each target gets its own short run.
+# wire decoders and the codec's bitstream decoder — over the entropy writer
+# (the mask walk against the writer it replaced), and over the kernels whose
+# amd64 bodies are assembly (the row kernels, the block quantizer). Go allows
+# exactly one -fuzz pattern per invocation, so each target gets its own short
+# run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzFrameMsg -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -155,6 +157,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMsgReader -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzRedirectMsg -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run 'xxx' ./internal/codec/
+	$(GO) test -fuzz=FuzzWriteCoeffs -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzSAD16 -fuzztime=10s -run 'xxx' ./internal/imgx/
 	$(GO) test -fuzz=FuzzQuantizeBlock -fuzztime=10s -run 'xxx' ./internal/codec/
 

@@ -107,19 +107,15 @@ func TestCoeffsRoundTrip(t *testing.T) {
 		for i := 0; i < rng.Intn(12); i++ {
 			levels[rng.Intn(64)] = int32(rng.Intn(41) - 20)
 		}
-		nz := 0
-		for _, l := range levels {
-			if l != 0 {
-				nz++
-			}
-		}
+		mask := levelsMask(&levels)
 		w := &BitWriter{}
-		writeCoeffs(w, &levels, nz)
+		writeCoeffs(w, &levels, mask)
 		r := NewBitReader(w.Bytes())
-		if _, err := readCoeffs(r, &got); err != nil {
+		gotMask, err := readCoeffs(r, &got)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if levels != got {
+		if levels != got || gotMask != mask {
 			t.Fatalf("trial %d: coeff mismatch", trial)
 		}
 	}
@@ -259,14 +255,9 @@ func TestWriteCoeffsMatchesReference(t *testing.T) {
 				}
 				levels[rng.Intn(64)] = l
 			}
-			nz := 0
-			for _, l := range levels {
-				if l != 0 {
-					nz++
-				}
-			}
-			writeCoeffs(&got, &levels, nz)
-			if nz == 0 {
+			mask := levelsMask(&levels)
+			writeCoeffs(&got, &levels, mask)
+			if mask == 0 {
 				want.writeBit(0)
 				continue
 			}

@@ -16,12 +16,12 @@ import "dive/internal/imgx"
 type trialScratch struct {
 	mvs   []MV
 	recon *imgx.Plane
-	// levels/imodes/nz receive one macroblock's quantizer output at a time:
-	// an intra trial's reconstruction reads the levels, every other use
-	// discards them after counting.
+	// levels/imodes/masks receive one macroblock's quantizer output at a
+	// time: an intra trial's reconstruction reads the levels, every other
+	// use discards them after counting.
 	levels [4 * blockSize * blockSize]int32
 	imodes [4]uint8
-	nz     [4]uint8
+	masks  [4]uint64
 }
 
 // countPass returns the exact number of bits a final encode of frame at

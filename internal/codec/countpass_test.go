@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // checkCountBlock holds codeBlock — the dispatched quantizer priced through
 // the zigzag table and blockBits — and the quantizer's Go body to the
 // quantize-then-count oracle on one coefficient block at every QP: the same
-// levels, nonzero count and length as quantizeBlockFixed and the
+// levels, significance mask and length as quantizeBlockFixed and the
 // symbol-by-symbol counter, and the same length as the old countBlock and
 // coeffsBits.
 func checkCountBlock(t *testing.T, name string, coef *[blockSize * blockSize]int32) {
@@ -23,9 +24,10 @@ func checkCountBlock(t *testing.T, name string, coef *[blockSize * blockSize]int
 	for qp := 0; qp < 52; qp++ {
 		wantNZ := quantizeBlockFixed(coef, qp, &want)
 		wantBits := oracleCoeffsBits(&want, wantNZ)
-		nz, n := codeBlock(coef, qp, &got)
-		if got != want || nz != wantNZ || n != wantBits {
-			t.Fatalf("%s qp %d: codeBlock = %d nonzero, %d bits (levels equal: %v); oracle %d nonzero, %d bits", name, qp, nz, n, got == want, wantNZ, wantBits)
+		wantMask := levelsMask(&want)
+		mask, n := codeBlock(coef, qp, &got)
+		if got != want || mask != wantMask || bits.OnesCount64(mask) != wantNZ || n != wantBits {
+			t.Fatalf("%s qp %d: codeBlock = mask %#x, %d bits (levels equal: %v); oracle mask %#x (%d nonzero), %d bits", name, qp, mask, n, got == want, wantMask, wantNZ, wantBits)
 		}
 		if c, f := countBlock(coef, qp), coeffsBits(&want, wantNZ); c != wantBits || f != wantBits {
 			t.Fatalf("%s qp %d: old countBlock = %d, coeffsBits = %d, quantize-then-count oracle = %d", name, qp, c, f, wantBits)
@@ -90,7 +92,7 @@ func TestZeroBelowIsTheDeadZone(t *testing.T) {
 // real inter-DCT cache: dctOr is the OR of the block's magnitudes (so at
 // least its maximum), a block quantizeInterMB skips quantizes to nothing at
 // that QP, and quantizeInterMB agrees with the quantize-then-count oracle —
-// length, nonzero counts, and the levels of every block with one — on every
+// length, significance masks, and the levels of every block with one — on every
 // inter macroblock at every QP.
 func TestDeadZoneSkipNeverHidesALevel(t *testing.T) {
 	enc := newTestEncoder(t, 96, 80)
@@ -134,15 +136,16 @@ func TestDeadZoneSkipNeverHidesALevel(t *testing.T) {
 		}
 		for qp := 0; qp < 52; qp++ {
 			var mbLevels [4 * blockSize * blockSize]int32
-			nz := [4]uint8{9, 9, 9, 9} // stale counts from an earlier macroblock
-			got := quantizeInterMB(cache[i*4:i*4+4], enc.dctOr[i*4:i*4+4], qp, mbLevels[:], nz[:])
+			masks := [4]uint64{9, 9, 9, 9} // stale masks from an earlier macroblock
+			got := quantizeInterMB(cache[i*4:i*4+4], enc.dctOr[i*4:i*4+4], qp, mbLevels[:], masks[:])
 			if want := oracleCountInterMB(cache[i*4:i*4+4], qp); got != want {
 				t.Fatalf("MB %d qp %d: quantizeInterMB = %d bits, oracle = %d", i, qp, got, want)
 			}
 			for blk := 0; blk < 4; blk++ {
 				wantNZ := quantizeBlockFixed(&cache[i*4+blk], qp, &levels)
-				if int(nz[blk]) != wantNZ || (wantNZ != 0 && [blockSize * blockSize]int32(mbLevels[blk*64:]) != levels) {
-					t.Fatalf("MB %d qp %d block %d: quantizeInterMB nz %d, oracle %d (or the levels differ)", i, qp, blk, nz[blk], wantNZ)
+				wantMask := levelsMask(&levels)
+				if masks[blk] != wantMask || (wantNZ != 0 && [blockSize * blockSize]int32(mbLevels[blk*64:]) != levels) {
+					t.Fatalf("MB %d qp %d block %d: quantizeInterMB mask %#x, oracle %#x (or the levels differ)", i, qp, blk, masks[blk], wantMask)
 				}
 			}
 		}

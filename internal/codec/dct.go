@@ -50,9 +50,10 @@ var zigzag8 = func() [blockSize * blockSize]int {
 }()
 
 // writeCoeffs entropy-codes one quantized block: a coded flag, then
-// (run, level) pairs in zigzag order with an end-of-block marker. nz is the
-// block's nonzero-level count, tracked by the quantizers, so the zigzag walk
-// stops at the last nonzero coefficient.
+// (run, level) pairs in zigzag order with an end-of-block marker. mask is
+// the block's zigzag significance mask from codeBlock (bit k set when the
+// level at zigzag position k is nonzero): the walk visits its set bits only,
+// so each run is the gap between two of them and no zero level is loaded.
 //
 // Symbols are gathered in a local field and handed to the writer as few
 // times as its 56-bit WriteBits allows — one (run, level) pair at least, a
@@ -60,20 +61,18 @@ var zigzag8 = func() [blockSize * blockSize]int {
 // written in 2n−1 bits, n the bit length of that, so appending a code to the
 // field is a shift and an or; the bits are those of one WriteUE/WriteSE per
 // symbol.
-func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, nz int) {
-	if nz == 0 {
+func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, mask uint64) {
+	if mask == 0 {
 		w.WriteBit(0) // coded-block flag: empty
 		return
 	}
 	field, n := uint64(1), 1 // coded-block flag: coded
-	run := uint64(1)         // the zero run so far, plus one
-	for _, pos := range zigzag8 {
-		l := levels[pos]
-		if l == 0 {
-			run++
-			continue
-		}
-		lev := uint64(seToUE(l)) + 1
+	next := 0                // the zigzag position after the previous coefficient
+	for ; mask != 0; mask &= mask - 1 {
+		k := bits.TrailingZeros64(mask)
+		run := uint64(k-next) + 1 // the zero run, plus one
+		next = k + 1
+		lev := uint64(seToUE(levels[zigzag8[k&63]&63])) + 1
 		nRun, nLev := 2*bits.Len64(run)-1, 2*bits.Len64(lev)-1
 		if n+nRun+nLev > 56 {
 			w.WriteBits(field, n)
@@ -87,10 +86,6 @@ func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, nz int) {
 			field = (field<<uint(nRun)|run)<<uint(nLev) | lev
 			n += nRun + nLev
 		}
-		run = 1
-		if nz--; nz == 0 {
-			break
-		}
 	}
 	// End of block: an out-of-range run signals no more coefficients.
 	if n+eobBits > 56 {
@@ -100,14 +95,15 @@ func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, nz int) {
 	w.WriteBits(field<<uint(eobBits)|(blockSize*blockSize+1), n+eobBits)
 }
 
-// codeBlock quantizes one block into levels and returns its nonzero-level
-// count and the exact length writeCoeffs(levels, nz) will append (phase
-// one's arithmetic NumBits depends on that mirroring the writer bit for
-// bit). Every block the encoder quantizes — final pass and rate-control
-// trial, inter and intra — goes through here.
-func codeBlock(coef *[blockSize * blockSize]int32, qp int, levels *[blockSize * blockSize]int32) (nz, n int) {
+// codeBlock quantizes one block into levels and returns its zigzag
+// significance mask and the exact length writeCoeffs(levels, mask) will
+// append (phase one's arithmetic NumBits depends on that mirroring the
+// writer bit for bit). Every block the encoder quantizes — final pass and
+// rate-control trial, inter and intra — goes through here.
+func codeBlock(coef *[blockSize * blockSize]int32, qp int, levels *[blockSize * blockSize]int32) (mask uint64, n int) {
 	sig, lenSum := quantizeBlock(coef, qp, levels)
-	return bits.OnesCount64(sig), blockBits(zigzagMask(sig), lenSum)
+	mask = zigzagMask(sig)
+	return mask, blockBits(mask, lenSum)
 }
 
 // zigzagBits[b][v] is the zigzag significance mask of a raster mask whose
@@ -149,7 +145,7 @@ var eobBits = ueBits(blockSize * blockSize)
 // Neither signs nor the levels themselves are needed:
 //
 //   - seBits(l) = 2·bitLen(|l|) + 1 whichever the sign, so the levels cost
-//     2·lenSum + nz;
+//     2·lenSum + nz, nz the mask's popcount;
 //   - ueBits(run) = 2·⌊log2(run+1)⌋ + 1, so the runs cost nz plus
 //     2·⌊log2(g+1)⌋ for every zero run g ahead of a coefficient. That term is
 //     2·#{j ≥ 1 : g ≥ 2^j − 1}, so it is twice the number of runs at least 1,
@@ -182,10 +178,10 @@ func blockBits(mask uint64, lenSum int) int {
 		bits.OnesCount64(y31&^(y31<<1))+bits.OnesCount64(y63&^(y63<<1)))
 }
 
-// readCoeffs decodes one block written by writeCoeffs and returns its
-// nonzero-level count (every coded level is nonzero and lands on its own
-// position, so the count is exact).
-func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (nz int, err error) {
+// readCoeffs decodes one block written by writeCoeffs and returns its zigzag
+// significance mask (every coded level is nonzero and lands on its own
+// position, so the mask is exact).
+func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (mask uint64, err error) {
 	*levels = [blockSize * blockSize]int32{}
 	coded, err := r.ReadBit()
 	if err != nil || coded == 0 {
@@ -198,7 +194,7 @@ func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (nz int, err
 			return 0, err
 		}
 		if run >= blockSize*blockSize {
-			return nz, nil // end of block
+			return mask, nil // end of block
 		}
 		idx += int(run)
 		if idx >= blockSize*blockSize {
@@ -212,7 +208,7 @@ func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (nz int, err
 			return 0, ErrBitstream
 		}
 		levels[zigzag8[idx]] = l
+		mask |= 1 << uint(idx)
 		idx++
-		nz++
 	}
 }

@@ -282,11 +282,12 @@ func TestQuantTablesConsistent(t *testing.T) {
 	}
 }
 
-// TestWriteCoeffsEarlyExitMatchesBits drives the nz-aware writer against
-// blockBits for random sparsities — priced as codeBlock prices a block,
-// from the raster mask through the zigzag table: the early-exit walk must
-// emit exactly the arithmetic bit count (EmitBitstream cross-checks this
-// invariant on every frame, this pins it in isolation).
+// TestWriteCoeffsEarlyExitMatchesBits drives the mask-walking writer
+// against blockBits for random sparsities — priced as codeBlock prices a
+// block, from the raster mask through the zigzag table: the walk over the
+// set bits must emit exactly the arithmetic bit count (EmitBitstream
+// cross-checks this invariant on every frame, this pins it in isolation),
+// and readCoeffs must hand the same mask back.
 func TestWriteCoeffsEarlyExitMatchesBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
@@ -295,25 +296,23 @@ func TestWriteCoeffsEarlyExitMatchesBits(t *testing.T) {
 		for i := 0; i < n; i++ {
 			levels[rng.Intn(64)] = int32(rng.Intn(2001) - 1000)
 		}
-		nz := 0
-		for _, l := range levels {
-			if l != 0 {
-				nz++
-			}
+		sig, lenSum := levelsSig(&levels)
+		mask := zigzagMask(sig)
+		if mask != levelsMask(&levels) {
+			t.Fatalf("trial %d: zigzagMask %#x, per-sample mask %#x", trial, mask, levelsMask(&levels))
 		}
 		w := &BitWriter{}
-		writeCoeffs(w, &levels, nz)
-		sig, lenSum := levelsSig(&levels)
-		if want := blockBits(zigzagMask(sig), lenSum); w.Len() != want {
+		writeCoeffs(w, &levels, mask)
+		if want := blockBits(mask, lenSum); w.Len() != want {
 			t.Fatalf("trial %d: wrote %d bits, blockBits says %d", trial, w.Len(), want)
 		}
 		r := NewBitReader(w.Bytes())
-		gotNZ, err := readCoeffs(r, &got)
+		gotMask, err := readCoeffs(r, &got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if gotNZ != nz {
-			t.Fatalf("trial %d: readCoeffs counted %d nonzero levels, block has %d", trial, gotNZ, nz)
+		if gotMask != mask {
+			t.Fatalf("trial %d: readCoeffs mask %#x, block has %#x", trial, gotMask, mask)
 		}
 		if got != levels {
 			t.Fatalf("trial %d: round trip mismatch", trial)

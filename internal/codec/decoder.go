@@ -133,9 +133,9 @@ func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) 
 
 	w, h := int(mbw), int(mbh)
 	mvs, modes, qps := d.mvs, d.modes, d.qps
-	// One inter macroblock's levels and nonzero counts.
+	// One inter macroblock's levels and significance masks.
 	var levels [4 * blockSize * blockSize]int32
-	var nz [4]uint8
+	var masks [4]uint64
 
 	for by := 0; by < h; by++ {
 		for bx := 0; bx < w; bx++ {
@@ -174,15 +174,15 @@ func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) 
 				mvs[i] = mv
 				qp := clampQP(int(baseQP) + int(dqp))
 				qps[i] = qp
-				for blk := range nz {
+				for blk := range masks {
 					off := blk * blockSize * blockSize
-					n, err := readCoeffs(r, (*[blockSize * blockSize]int32)(levels[off:]))
+					mask, err := readCoeffs(r, (*[blockSize * blockSize]int32)(levels[off:]))
 					if err != nil {
 						return nil, err
 					}
-					nz[blk] = uint8(n)
+					masks[blk] = mask
 				}
-				reconstructInterMB(recon, d.ref, px, py, mv, subpel, levels[:], nz[:], qp)
+				reconstructInterMB(recon, d.ref, px, py, mv, subpel, levels[:], masks[:], qp)
 			case ModeIntra:
 				// Later macroblocks predict their vector from this cell.
 				mvs[i] = MV{}
@@ -225,12 +225,12 @@ func decodeIntraMB(r *BitReader, recon *imgx.Plane, px, py int, qp int) error {
 			if m >= numIntraModes {
 				return fmt.Errorf("%w: bad intra mode %d", ErrBitstream, m)
 			}
-			nz, err := readCoeffs(r, &levels)
+			mask, err := readCoeffs(r, &levels)
 			if err != nil {
 				return err
 			}
 			intraPredict(recon, px+bx, py+by, int(m), &pred)
-			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, &levels, nz, qp)
+			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, &levels, mask, qp)
 		}
 	}
 	return nil

@@ -60,18 +60,19 @@ func (r *BitReader) ReadSE() (int32, error) {
 	return ueToSE(u), nil
 }
 
+// seToUE maps v > 0 to 2v−1 and v ≤ 0 to −2v without a branch: 2|v|, less
+// one when v is positive. Its domain excludes MinInt32, which no symbol
+// reaches (levels stay below 2^24, MV and QP deltas below 2^17).
 func seToUE(v int32) uint32 {
-	if v > 0 {
-		return uint32(2*v - 1)
-	}
-	return uint32(-2 * v)
+	a := v >> 31
+	return uint32(2*((v^a)-a)) - uint32(-v)>>31
 }
 
+// ueToSE is (u+1)/2 for odd u and −u/2 for even, picked by a parity mask.
 func ueToSE(u uint32) int32 {
-	if u%2 == 1 {
-		return int32(u+1) / 2
-	}
-	return -int32(u) / 2
+	a, b := int32(u+1)/2, -int32(u)/2
+	m := -int32(u & 1)
+	return b ^ (a^b)&m
 }
 
 func bitLen64(x uint64) int { return bits.Len64(x) }

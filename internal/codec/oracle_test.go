@@ -8,7 +8,8 @@ import (
 )
 
 // Oracles: the kernels the decoder fast path, the counting rate-control
-// trial and the block quantizer replaced, verbatim from the commit before
+// trial, the block quantizer and the mask-walking entropy writer replaced,
+// verbatim from the commit before
 // each — the per-pixel clamped predictor (oracleMotionCompensate
 // and the refSampleI loops), the per-pixel column-major deblocking filter,
 // the IDCT that transforms every column, and the monolithic encodePass that
@@ -129,7 +130,7 @@ func encodeInterMB(w *BitWriter, dctBlocks [][blockSize * blockSize]int32, ref, 
 		for bx := 0; bx < MBSize; bx += blockSize {
 			nz := quantizeBlockFixed(&dctBlocks[blk], qp, &levels)
 			blk++
-			writeCoeffs(w, &levels, nz)
+			oracleWriteCoeffs(w, &levels, nz)
 			if !final {
 				continue
 			}
@@ -165,7 +166,7 @@ func encodeIntraMB(w *BitWriter, cur, recon *imgx.Plane, px, py int, qp int) {
 			}
 			fdct8Fixed(&res, &dct)
 			nz := quantizeBlockFixed(&dct, qp, &levels)
-			writeCoeffs(w, &levels, nz)
+			oracleWriteCoeffs(w, &levels, nz)
 			dequantizeBlockFixed(&levels, qp, &dct)
 			oracleIdct8(&dct, &res)
 			for y := 0; y < blockSize; y++ {
@@ -512,6 +513,77 @@ func oracleCoeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
 		}
 	}
 	return bits + ueBits(blockSize*blockSize)
+}
+
+// The entropy writer and the Exp-Golomb sign maps before writeCoeffs walked
+// the zigzag significance mask and the maps went branch-free, verbatim but
+// for their names: oracleWriteCoeffs (a zigzag walk that tests every level
+// for zero and stops at the nz-th coefficient), oracleSeToUE and
+// oracleUeToSE (a branch on the sign and on the parity).
+
+// oracleWriteCoeffs entropy-codes one quantized block: a coded flag, then
+// (run, level) pairs in zigzag order with an end-of-block marker. nz is the
+// block's nonzero-level count, tracked by the quantizers, so the zigzag walk
+// stops at the last nonzero coefficient.
+//
+// Symbols are gathered in a local field and handed to the writer as few
+// times as its 56-bit WriteBits allows — one (run, level) pair at least, a
+// whole sparse block at best. An Exp-Golomb code is its value plus one
+// written in 2n−1 bits, n the bit length of that, so appending a code to the
+// field is a shift and an or; the bits are those of one WriteUE/WriteSE per
+// symbol.
+func oracleWriteCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, nz int) {
+	if nz == 0 {
+		w.WriteBit(0) // coded-block flag: empty
+		return
+	}
+	field, n := uint64(1), 1 // coded-block flag: coded
+	run := uint64(1)         // the zero run so far, plus one
+	for _, pos := range zigzag8 {
+		l := levels[pos]
+		if l == 0 {
+			run++
+			continue
+		}
+		lev := uint64(oracleSeToUE(l)) + 1
+		nRun, nLev := 2*bits.Len64(run)-1, 2*bits.Len64(lev)-1
+		if n+nRun+nLev > 56 {
+			w.WriteBits(field, n)
+			field, n = 0, 0
+		}
+		if nRun+nLev > 56 {
+			// A level too long to share a field with its run.
+			w.WriteBits(run, nRun)
+			w.WriteBits(lev, nLev)
+		} else {
+			field = (field<<uint(nRun)|run)<<uint(nLev) | lev
+			n += nRun + nLev
+		}
+		run = 1
+		if nz--; nz == 0 {
+			break
+		}
+	}
+	// End of block: an out-of-range run signals no more coefficients.
+	if n+eobBits > 56 {
+		w.WriteBits(field, n)
+		field, n = 0, 0
+	}
+	w.WriteBits(field<<uint(eobBits)|(blockSize*blockSize+1), n+eobBits)
+}
+
+func oracleSeToUE(v int32) uint32 {
+	if v > 0 {
+		return uint32(2*v - 1)
+	}
+	return uint32(-2 * v)
+}
+
+func oracleUeToSE(u uint32) int32 {
+	if u%2 == 1 {
+		return int32(u+1) / 2
+	}
+	return -int32(u) / 2
 }
 
 // The motion-search and rate-control oracles below are the bodies production

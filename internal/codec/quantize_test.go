@@ -25,6 +25,18 @@ func levelsSig(levels *[blockSize * blockSize]int32) (sig uint64, lenSum int) {
 	return sig, lenSum
 }
 
+// levelsMask is the per-sample reference for a block's zigzag significance
+// mask, the one codeBlock returns and writeCoeffs walks: bit k set when the
+// level at zigzag position k is nonzero.
+func levelsMask(levels *[blockSize * blockSize]int32) (mask uint64) {
+	for k, pos := range zigzag8 {
+		if levels[pos] != 0 {
+			mask |= 1 << uint(k)
+		}
+	}
+	return mask
+}
+
 // checkQuantize holds the Go body and the dispatched kernel to the
 // reference — quantizeBlockFixed's levels and levelsSig of them — on one
 // block at one QP. Both write into levels that start dirty, so a lane the

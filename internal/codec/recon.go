@@ -69,11 +69,11 @@ func predictBlock(dst []uint8, stride int, ref *imgx.Plane, x0, y0, w, h int, mv
 
 // reconstructBlock rebuilds the 8×8 block of recon at (x, y) from its
 // prediction (pred, pstride bytes per row) and quantized levels: dequantize,
-// inverse transform, add, clamp. nz is the block's nonzero-level count; a
-// block without coefficients is its prediction (the inverse transform of
-// zero is exactly zero), so it skips the transform.
-func reconstructBlock(recon *imgx.Plane, x, y int, pred []uint8, pstride int, levels *[blockSize * blockSize]int32, nz, qp int) {
-	if nz == 0 {
+// inverse transform, add, clamp. mask is the block's significance mask; a
+// block without coefficients (mask 0) is its prediction (the inverse
+// transform of zero is exactly zero), so it skips the transform.
+func reconstructBlock(recon *imgx.Plane, x, y int, pred []uint8, pstride int, levels *[blockSize * blockSize]int32, mask uint64, qp int) {
+	if mask == 0 {
 		for r := 0; r < blockSize; r++ {
 			copy(recon.Pix[(y+r)*recon.W+x:][:blockSize], pred[r*pstride:])
 		}
@@ -93,13 +93,13 @@ func reconstructBlock(recon *imgx.Plane, x, y int, pred []uint8, pstride int, le
 }
 
 // reconstructInterMB predicts the macroblock at (px, py) from ref displaced
-// by mv and rebuilds its four blocks from levels (4 × 64) and nz (4).
-func reconstructInterMB(recon, ref *imgx.Plane, px, py int, mv MV, subpel bool, levels []int32, nz []uint8, qp int) {
+// by mv and rebuilds its four blocks from levels (4 × 64) and masks (4).
+func reconstructInterMB(recon, ref *imgx.Plane, px, py int, mv MV, subpel bool, levels []int32, masks []uint64, qp int) {
 	var pred [MBSize * MBSize]uint8
 	predictBlock(pred[:], MBSize, ref, px, py, MBSize, MBSize, mv, subpel)
 	for blk := 0; blk < 4; blk++ {
 		bx, by := blk%2*blockSize, blk/2*blockSize
 		reconstructBlock(recon, px+bx, py+by, pred[by*MBSize+bx:], MBSize,
-			(*[blockSize * blockSize]int32)(levels[blk*blockSize*blockSize:]), int(nz[blk]), qp)
+			(*[blockSize * blockSize]int32)(levels[blk*blockSize*blockSize:]), masks[blk], qp)
 	}
 }

@@ -91,8 +91,8 @@ func TestPredictBlockMatchesOracle(t *testing.T) {
 }
 
 // randLevels fills one block with n nonzero levels (n = 64: dense) and
-// returns the nonzero count.
-func randLevels(rng *rand.Rand, levels *[blockSize * blockSize]int32, n, amp int) int {
+// returns its zigzag significance mask.
+func randLevels(rng *rand.Rand, levels *[blockSize * blockSize]int32, n, amp int) uint64 {
 	*levels = [blockSize * blockSize]int32{}
 	for k := 0; k < n; k++ {
 		pos := rng.Intn(64)
@@ -101,13 +101,7 @@ func randLevels(rng *rand.Rand, levels *[blockSize * blockSize]int32, n, amp int
 		}
 		levels[pos] = int32(rng.Int63n(2*int64(amp)+1) - int64(amp)) // 2·2^30+1 overflows a 32-bit int
 	}
-	nz := 0
-	for _, l := range levels {
-		if l != 0 {
-			nz++
-		}
-	}
-	return nz
+	return levelsMask(levels)
 }
 
 func TestIdctMatchesOracle(t *testing.T) {
@@ -142,13 +136,13 @@ func TestReconstructInterMBMatchesOracle(t *testing.T) {
 		px, py := MBSize*rng.Intn(ref.W/MBSize), MBSize*rng.Intn(ref.H/MBSize)
 		mv := randMV(rng, ref, px, py, scale)
 		var levels [4 * blockSize * blockSize]int32
-		var nz [4]uint8
-		for blk := range nz {
+		var masks [4]uint64
+		for blk := range masks {
 			n := []int{0, 0, 1, 3, 12, 64}[rng.Intn(6)]
-			nz[blk] = uint8(randLevels(rng, (*[blockSize * blockSize]int32)(levels[blk*64:]), n, 1+rng.Intn(60)))
+			masks[blk] = randLevels(rng, (*[blockSize * blockSize]int32)(levels[blk*64:]), n, 1+rng.Intn(60))
 		}
 		got, want := imgx.NewPlane(ref.W, ref.H), imgx.NewPlane(ref.W, ref.H)
-		reconstructInterMB(got, ref, px, py, mv, subpel, levels[:], nz[:], qp)
+		reconstructInterMB(got, ref, px, py, mv, subpel, levels[:], masks[:], qp)
 		var dct, res [blockSize * blockSize]int32
 		for blk := 0; blk < 4; blk++ {
 			bx, by := blk%2*blockSize, blk/2*blockSize
@@ -162,7 +156,7 @@ func TestReconstructInterMBMatchesOracle(t *testing.T) {
 			}
 		}
 		if !bytes.Equal(got.Pix, want.Pix) {
-			t.Fatalf("trial %d: MB (%d,%d) mv %v subpel=%v qp %d nz %v: shared kernel differs from the per-pixel loop", trial, px, py, mv, subpel, qp, nz)
+			t.Fatalf("trial %d: MB (%d,%d) mv %v subpel=%v qp %d masks %#x: shared kernel differs from the per-pixel loop", trial, px, py, mv, subpel, qp, masks)
 		}
 	}
 }

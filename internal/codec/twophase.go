@@ -32,17 +32,17 @@ type FrameJob struct {
 	// the emit-side MV predictor replays). intraModes holds 4 per-block
 	// directional modes per MB (I-frames only). levels is the full
 	// quantized-coefficient grid, 4 blocks of 64 levels per MB; slots of
-	// skip MBs and of inter blocks inside the dead zone (nz 0,
+	// skip MBs and of inter blocks inside the dead zone (mask 0,
 	// quantizeInterMB) are stale garbage and never read, exactly like the
 	// recycled inter-DCT cache.
 	modes      []MBMode
 	mvs        []MV
 	intraModes []uint8
 	levels     []int32
-	// nz holds each transform block's nonzero-level count, recorded by the
-	// quantizers so EmitBitstream's writeCoeffs skips its emptiness
-	// pre-scan and stops the zigzag walk at the last coefficient.
-	nz []uint8
+	// masks holds each transform block's zigzag significance mask, the one
+	// codeBlock priced it by, so EmitBitstream's writeCoeffs visits only
+	// the coded coefficients and reconstruction skips empty blocks.
+	masks []uint64
 	// qps is the per-MB QP array the job's frame hands out, and the
 	// encoder's refQPs for the next frame's skip thresholds.
 	qps []int
@@ -61,10 +61,10 @@ func (j *FrameJob) block(i, blk int) *[blockSize * blockSize]int32 {
 }
 
 // mb returns macroblock i's slots: 4 × 64 levels, 4 intra modes and 4
-// nonzero counts.
-func (j *FrameJob) mb(i int) (levels []int32, imodes, nz []uint8) {
+// significance masks.
+func (j *FrameJob) mb(i int) (levels []int32, imodes []uint8, masks []uint64) {
 	const n = 4 * blockSize * blockSize
-	return j.levels[i*n : (i+1)*n], j.intraModes[i*4 : i*4+4], j.nz[i*4 : i*4+4]
+	return j.levels[i*n : (i+1)*n], j.intraModes[i*4 : i*4+4], j.masks[i*4 : i*4+4]
 }
 
 // newJob allocates the encoder's job. Its slots are reused without zeroing:
@@ -77,7 +77,7 @@ func (e *Encoder) newJob() *FrameJob {
 		mvs:        make([]MV, n),
 		intraModes: make([]uint8, n*4),
 		levels:     make([]int32, n*4*blockSize*blockSize),
-		nz:         make([]uint8, n*4),
+		masks:      make([]uint64, n*4),
 		qps:        make([]int, n),
 	}
 }
@@ -320,10 +320,12 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 	final := job != nil
 	var recon *imgx.Plane
 	var codedMVs []MV
-	// Where a macroblock's levels, intra modes and nonzero counts go: its
-	// slot in the job (picked per MB below), or the trial's one-MB scratch.
+	// Where a macroblock's levels, intra modes and significance masks go:
+	// its slot in the job (picked per MB below), or the trial's one-MB
+	// scratch.
 	var levels []int32
-	var imodes, nz []uint8
+	var imodes []uint8
+	var masks []uint64
 	if final {
 		if e.spare == nil {
 			e.spare = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
@@ -333,7 +335,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 		codedMVs = job.mvs
 	} else {
 		codedMVs = t.mvs
-		levels, imodes, nz = t.levels[:], t.imodes[:], t.nz[:]
+		levels, imodes, masks = t.levels[:], t.imodes[:], t.masks[:]
 		if ftype == IFrame {
 			if t.recon == nil {
 				t.recon = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
@@ -355,7 +357,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			px, py := bx*MBSize, by*MBSize
 			if final {
 				job.qps[i] = qp
-				levels, imodes, nz = job.mb(i)
+				levels, imodes, masks = job.mb(i)
 			}
 
 			if ftype == IFrame {
@@ -363,7 +365,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 					job.modes[i] = ModeIntra
 				}
 				bits += ueBits(uint32(ModeIntra)) + seBits(int32(qp-baseQP)) +
-					quantizeIntraMB(frame, recon, px, py, qp, levels, imodes, nz)
+					quantizeIntraMB(frame, recon, px, py, qp, levels, imodes, masks)
 				continue
 			}
 
@@ -384,10 +386,10 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 				seBits(int32(mv.Y)-int32(pred.Y)) +
 				seBits(int32(qp-baseQP))
 			codedMVs[i] = mv
-			bits += quantizeInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp, levels, nz)
+			bits += quantizeInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp, levels, masks)
 			if final {
 				job.modes[i] = ModeInter
-				reconstructInterMB(recon, e.ref, px, py, mv, e.cfg.SubPel, levels, nz, qp)
+				reconstructInterMB(recon, e.ref, px, py, mv, e.cfg.SubPel, levels, masks, qp)
 			}
 		}
 	}
@@ -401,33 +403,33 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 }
 
 // quantizeInterMB quantizes one inter macroblock from its cached
-// fixed-point DCT blocks into out (4 × 64 levels) and nzOut (4 nonzero
-// counts) and returns the exact bit cost of entropy-coding the levels. The
-// cache is QP-independent, so quantization is the only per-QP work, and a
-// block whose magnitude bound (or, Encoder.dctOr) sits under the
+// fixed-point DCT blocks into out (4 × 64 levels) and masksOut (4 zigzag
+// significance masks) and returns the exact bit cost of entropy-coding the
+// levels. The cache is QP-independent, so quantization is the only per-QP
+// work, and a block whose magnitude bound (or, Encoder.dctOr) sits under the
 // quantizer's dead zone has no nonzero level at this QP: it costs its empty
-// coded-block flag, its count is 0 and its coefficients are never read. Its
+// coded-block flag, its mask is 0 and its coefficients are never read. Its
 // level slots keep whatever they held — neither the writer nor
-// reconstruction reads the levels of a block whose count is 0.
-func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, or []uint32, qp int, out []int32, nzOut []uint8) int {
+// reconstruction reads the levels of a block whose mask is 0.
+func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, or []uint32, qp int, out []int32, masksOut []uint64) int {
 	n := 0
 	for blk := range dctBlocks {
 		if or[blk] < zeroBelow[qp] {
-			nzOut[blk] = 0
+			masksOut[blk] = 0
 			n++
 			continue
 		}
-		nz, bits := codeBlock(&dctBlocks[blk], qp, (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:]))
-		nzOut[blk] = uint8(nz)
+		mask, bits := codeBlock(&dctBlocks[blk], qp, (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:]))
+		masksOut[blk] = mask
 		n += bits
 	}
 	return n
 }
 
 // quantizeIntraMB codes one intra macroblock's prediction, transform and
-// quantization into out/modesOut/nzOut, reconstructs it, and returns the
+// quantization into out/modesOut/masksOut, reconstructs it, and returns the
 // exact bit cost of the per-block mode symbols and levels.
-func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, modesOut, nzOut []uint8) int {
+func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, modesOut []uint8, masksOut []uint64) int {
 	var pred [blockSize * blockSize]uint8
 	var res, dct [blockSize * blockSize]int32
 	bits := 0
@@ -445,11 +447,11 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, mo
 			}
 			fdct8Fixed(&res, &dct)
 			levels := (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:])
-			nz, n := codeBlock(&dct, qp, levels)
-			nzOut[blk] = uint8(nz)
+			mask, n := codeBlock(&dct, qp, levels)
+			masksOut[blk] = mask
 			bits += n
 			blk++
-			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, levels, nz, qp)
+			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, levels, mask, qp)
 		}
 	}
 	return bits
@@ -499,7 +501,7 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 				w.WriteSE(int32(qp - ef.BaseQP))
 				for blk := 0; blk < 4; blk++ {
 					w.WriteUE(uint32(job.intraModes[i*4+blk]))
-					writeCoeffs(w, job.block(i, blk), int(job.nz[i*4+blk]))
+					writeCoeffs(w, job.block(i, blk), job.masks[i*4+blk])
 				}
 			case ModeSkip:
 				w.WriteUE(uint32(ModeSkip))
@@ -511,7 +513,7 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 				w.WriteSE(int32(mv.Y) - int32(pred.Y))
 				w.WriteSE(int32(qp - ef.BaseQP))
 				for blk := 0; blk < 4; blk++ {
-					writeCoeffs(w, job.block(i, blk), int(job.nz[i*4+blk]))
+					writeCoeffs(w, job.block(i, blk), job.masks[i*4+blk])
 				}
 			}
 		}
