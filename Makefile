@@ -59,7 +59,7 @@ bench-smoke:
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
 # decode benchmarks, the rate-control trial, rate-control search and
-# bitstream-emission benchmarks, the whole agent loop, the telemetry-off paths
+# entropy-writer benchmarks, the whole agent loop, the telemetry-off paths
 # of internal/obs and the server's two per-frame wire paths with -benchmem and
 # fail if allocs/op or B/op regressed past the committed
 # ci/alloc_baseline.json. The pooled encoder, the session decoder, a trial
@@ -77,7 +77,7 @@ bench-smoke:
 # (obs, edge) run 2000, so that one runtime background allocation landing
 # inside the window (≈ 5.5 kB, seen about one run in ten) rounds to ≤ 3 B/op
 # instead of reading 275 B/op against the 64 B floor.
-ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|EmitBitstream|AgentProcessFrame|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
+ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|AgentProcessFrame|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
 ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ && \
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
 bench-alloc:
@@ -109,13 +109,15 @@ benchmark-test:
 # Chaos smoke (the CI chaos-smoke job): the seeded fault-injection suite
 # under -race — scripted scenario traces through the simulator, the
 # proxy/conn wrapper's own tests, and the live client↔server runs under
-# disconnects, corruption and blackouts — then a divedoctor gate proving the
-# recovery detectors (reconnect-storm, slow-recovery) stay silent on a
-# healthy-run journal.
+# disconnects, corruption and blackouts, the blackout ladder test 20 times
+# over (it once flaked on a wall-clock blackout) — then a divedoctor gate
+# proving the recovery detectors (reconnect-storm, slow-recovery) stay silent
+# on a healthy-run journal.
 chaos-smoke: doctor-live
 	$(GO) test -race ./internal/chaos/...
 	$(GO) test -race -run 'Chaos' ./internal/sim/
 	$(GO) test -race -run 'TestClient|TestServer|TestGraceful' ./internal/edge/
+	$(GO) test -race -run '^TestClientLadderEngagesUnderBlackout$$' -count=20 ./internal/edge/
 	$(GO) run ./cmd/divetrace -format journal -duration 2 -o smoke.journal.jsonl
 	$(GO) run ./cmd/divedoctor -journal smoke.journal.jsonl
 

@@ -311,37 +311,47 @@ func BenchmarkRCSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkEmitBitstream measures phase two alone — the entropy writer over
-// a frame of inter macroblocks — near-lossless, where every coefficient is
-// coded, and at the clear-link operating point, where blocks hold a few.
-// The job is re-armed and re-emitted; with ReuseFrames nothing allocates.
-func BenchmarkEmitBitstream(b *testing.B) {
+// BenchmarkWriteCoeffs measures the entropy writer alone: writeCoeffs over
+// every transform block of one P-frame of inter macroblocks, quantized from
+// the encoder's inter-DCT cache, near-lossless, where every coefficient is
+// coded, and at the clear-link operating point, where blocks hold a few. The
+// writer is Reset and refilled; nothing allocates.
+func BenchmarkWriteCoeffs(b *testing.B) {
+	enc, err := NewEncoder(DefaultConfig(320, 192))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
+		b.Fatal(err)
+	}
+	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
+	mf := enc.AnalyzeMotion(frame)
+	cache := enc.buildInterDCTCache(frame, mf)
+	var coded [][blockSize * blockSize]int32 // the inter macroblocks' blocks
+	for i, mode := range mf.Modes {
+		if mode == ModeInter {
+			coded = append(coded, cache[i*4:i*4+4]...)
+		}
+	}
+	levels := make([][blockSize * blockSize]int32, len(coded))
+	masks := make([]uint64, len(coded))
 	for _, qp := range []int{2, 25} {
 		b.Run(fmt.Sprintf("qp%d", qp), func(b *testing.B) {
-			cfg := DefaultConfig(320, 192)
-			cfg.ReuseFrames = true
-			enc, err := NewEncoder(cfg)
-			if err != nil {
-				b.Fatal(err)
+			for k := range coded {
+				masks[k], _ = codeBlock(&coded[k], qp, &levels[k])
 			}
-			if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
-				b.Fatal(err)
-			}
-			job, err := enc.AnalyzeAndQuantize(shiftFrame(texturedFrame(320, 192, 12), 3, 1), EncodeOptions{BaseQP: qp})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ef := job.Frame
+			var w BitWriter
 			b.ReportAllocs()
 			for i := -1; i < b.N; i++ {
 				if i == 0 {
-					b.ResetTimer() // the first emit grew the writer's buffer
+					b.ResetTimer() // the first frame grew the writer's buffer
 				}
-				job.Frame = ef
-				if _, err := enc.EmitBitstream(job); err != nil {
-					b.Fatal(err)
+				w.Reset()
+				for k := range levels {
+					writeCoeffs(&w, &levels[k], masks[k])
 				}
 			}
+			benchSink = w.Len()
 		})
 	}
 }

@@ -137,7 +137,7 @@ func TestDeadZoneSkipNeverHidesALevel(t *testing.T) {
 		for qp := 0; qp < 52; qp++ {
 			var mbLevels [4 * blockSize * blockSize]int32
 			masks := [4]uint64{9, 9, 9, 9} // stale masks from an earlier macroblock
-			got := quantizeInterMB(cache[i*4:i*4+4], enc.dctOr[i*4:i*4+4], qp, mbLevels[:], masks[:])
+			got := quantizeInterMB(cache[i*4:i*4+4], enc.dctOr[i*4:i*4+4], qp, mbLevels[:], masks[:], nil)
 			if want := oracleCountInterMB(cache[i*4:i*4+4], qp); got != want {
 				t.Fatalf("MB %d qp %d: quantizeInterMB = %d bits, oracle = %d", i, qp, got, want)
 			}

@@ -97,8 +97,9 @@ func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, mask uint64
 
 // codeBlock quantizes one block into levels and returns its zigzag
 // significance mask and the exact length writeCoeffs(levels, mask) will
-// append (phase one's arithmetic NumBits depends on that mirroring the
-// writer bit for bit). Every block the encoder quantizes — final pass and
+// append (a rate-control trial's count, and the final pass's check of the
+// writer against its own count, depend on that mirroring the writer bit for
+// bit). Every block the encoder quantizes — final pass and
 // rate-control trial, inter and intra — goes through here.
 func codeBlock(coef *[blockSize * blockSize]int32, qp int, levels *[blockSize * blockSize]int32) (mask uint64, n int) {
 	sig, lenSum := quantizeBlock(coef, qp, levels)

@@ -285,7 +285,7 @@ func TestQuantTablesConsistent(t *testing.T) {
 // TestWriteCoeffsEarlyExitMatchesBits drives the mask-walking writer
 // against blockBits for random sparsities — priced as codeBlock prices a
 // block, from the raster mask through the zigzag table: the walk over the
-// set bits must emit exactly the arithmetic bit count (EmitBitstream
+// set bits must emit exactly the arithmetic bit count (AnalyzeAndQuantize
 // cross-checks this invariant on every frame, this pins it in isolation),
 // and readCoeffs must hand the same mask back.
 func TestWriteCoeffsEarlyExitMatchesBits(t *testing.T) {

@@ -180,10 +180,10 @@ type Encoder struct {
 	// with ref, so the plane Reconstructed() last handed out is not written
 	// before the encode after next.
 	spare *imgx.Plane
-	// trial is the rate-control trial scratch (countPass).
+	// trial is the one-macroblock scratch every quantizePass runs on.
 	trial trialScratch
 	// job is the encoder's one FrameJob (nil before the first frame):
-	// pending from AnalyzeAndQuantize until EmitBitstream consumes it.
+	// pending from AnalyzeAndQuantize until EmitBitstream hands it out.
 	job *FrameJob
 	// refQPs is the per-MB QP the reference was coded with, an alias of
 	// job.qps: motion analysis reads it before quantizePass rewrites it.

@@ -421,7 +421,7 @@ func quantizeBlockFixed(coef *[blockSize * blockSize]int32, qp int, levels *[blo
 }
 
 // coeffsBits is the exact length writeCoeffs(levels, nz) appends, computed
-// without a writer (phase one's arithmetic NumBits depends on it mirroring
+// without a writer (the rate-control trial's count depends on it mirroring
 // the writer bit for bit). It reduces the block to the two quantities the
 // length depends on and prices them through blockBits, like the
 // rate-control trial's countBlock.

@@ -8,87 +8,62 @@ import (
 )
 
 // Two-phase encoding. Encode is split into AnalyzeAndQuantize (motion
-// analysis, rate control, transform, quantization and reconstruction — the
-// part the next frame depends on) and EmitBitstream (entropy serialization —
-// the part nothing downstream of the encoder state depends on).
-// Reconstruction is a function of the quantized coefficients only, never of
-// the written bits, so the encoder reference advances at the end of phase one.
-// NumBits is computed arithmetically in phase one (exact, verified against the
-// writer in EmitBitstream), so rate control only ever counts, and
-// rate-dependent consumers (the link simulator, rate estimators) can run
-// before the bytes exist.
+// analysis, rate control, then one final quantizePass that quantizes,
+// reconstructs and writes the bitstream) and EmitBitstream (the hand-out of
+// the finished frame). Rate-control trials run the same quantizePass without
+// a writer: every symbol length is known arithmetically (ueBits/seBits/
+// blockBits mirror the writers exactly), so a trial only counts, and the
+// final pass writes each symbol on the line next to the term that counts it.
+// The writer's length is checked against that count before the frame is
+// handed out.
 
-// FrameJob is one frame's encode carried between AnalyzeAndQuantize and
-// EmitBitstream: the quantized coefficient grid and coded modes/vectors. An
-// encoder owns exactly one, reused for every frame, so each analyzed frame
-// must be emitted before the next is analyzed.
+// FrameJob is one encoded frame carried from AnalyzeAndQuantize to
+// EmitBitstream. An encoder owns exactly one, reused for every frame, so
+// each analyzed frame must be emitted before the next is analyzed.
 type FrameJob struct {
-	// Frame is the encoded frame under construction: every field except
-	// Data is final when AnalyzeAndQuantize returns; EmitBitstream fills
-	// Data, hands the frame out and sets Frame to nil (consumed).
+	// Frame is the encoded frame: every field except Data is final when
+	// AnalyzeAndQuantize returns; EmitBitstream fills Data, hands the frame
+	// out and sets Frame to nil (consumed).
 	Frame *EncodedFrame
-
-	// modes/mvs are the coded per-MB decisions (mvs is the codedMVs array
-	// the emit-side MV predictor replays). intraModes holds 4 per-block
-	// directional modes per MB (I-frames only). levels is the full
-	// quantized-coefficient grid, 4 blocks of 64 levels per MB; slots of
-	// skip MBs and of inter blocks inside the dead zone (mask 0,
-	// quantizeInterMB) are stale garbage and never read, exactly like the
-	// recycled inter-DCT cache.
-	modes      []MBMode
-	mvs        []MV
-	intraModes []uint8
-	levels     []int32
-	// masks holds each transform block's zigzag significance mask, the one
-	// codeBlock priced it by, so EmitBitstream's writeCoeffs visits only
-	// the coded coefficients and reconstruction skips empty blocks.
-	masks []uint64
 	// qps is the per-MB QP array the job's frame hands out, and the
 	// encoder's refQPs for the next frame's skip thresholds.
 	qps []int
 	// frame and bw are the hand-out storage reused in ReuseFrames mode:
-	// the EncodedFrame the caller receives and the bitstream writer whose
-	// backing buffer becomes Data. bw reaches a grow-once steady state via
-	// Reset. Without ReuseFrames, EmitBitstream copies out of them instead.
+	// the EncodedFrame the caller receives and the bitstream writer the
+	// final quantizePass fills, whose backing buffer becomes Data. bw
+	// reaches a grow-once steady state via Reset. Without ReuseFrames,
+	// EmitBitstream copies out of them instead.
 	frame EncodedFrame
 	bw    BitWriter
 }
 
-// block returns the levels of transform block blk (0..3) of macroblock i.
-func (j *FrameJob) block(i, blk int) *[blockSize * blockSize]int32 {
-	off := (i*4 + blk) * blockSize * blockSize
-	return (*[blockSize * blockSize]int32)(j.levels[off : off+blockSize*blockSize])
+// trialScratch is the one macroblock of working set every quantizePass,
+// trial or final, runs on. The per-MB coded-MV array feeds the MV predictor;
+// the recon plane exists only for intra trials (intra prediction is causal
+// in the reconstruction) and is allocated by the first intra trial.
+type trialScratch struct {
+	mvs   []MV
+	recon *imgx.Plane
+	// levels/masks receive one inter macroblock's quantizer output at a
+	// time: the final pass writes and reconstructs from them, a trial
+	// discards them after counting.
+	levels [4 * blockSize * blockSize]int32
+	masks  [4]uint64
 }
 
-// mb returns macroblock i's slots: 4 × 64 levels, 4 intra modes and 4
-// significance masks.
-func (j *FrameJob) mb(i int) (levels []int32, imodes []uint8, masks []uint64) {
-	const n = 4 * blockSize * blockSize
-	return j.levels[i*n : (i+1)*n], j.intraModes[i*4 : i*4+4], j.masks[i*4 : i*4+4]
-}
-
-// newJob allocates the encoder's job. Its slots are reused without zeroing:
-// the final pass writes every one it later emits, and the emit-side MV
-// predictor only reads cells the same frame wrote earlier in raster order.
-func (e *Encoder) newJob() *FrameJob {
-	n := e.mbw * e.mbh
-	return &FrameJob{
-		modes:      make([]MBMode, n),
-		mvs:        make([]MV, n),
-		intraModes: make([]uint8, n*4),
-		levels:     make([]int32, n*4*blockSize*blockSize),
-		masks:      make([]uint64, n*4),
-		qps:        make([]int, n),
-	}
+// countPass returns the exact number of bits a final encode of frame at
+// baseQP would write: quantizePass as a trial.
+func (e *Encoder) countPass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int) int {
+	return e.quantizePass(frame, ftype, mf, dctCache, baseQP, offsets, nil)
 }
 
 // AnalyzeAndQuantize runs phase one of the two-phase encode: frame-type
-// decision, motion analysis, rate control, transform, quantization and
-// reconstruction. On return the encoder's reference state has advanced and
-// the returned job — the encoder's one job — carries everything
-// EmitBitstream needs to serialize the bitstream. It must be emitted before
-// the next AnalyzeAndQuantize, which otherwise fails rather than overwrite
-// it.
+// decision, motion analysis, rate control, transform, quantization,
+// reconstruction and the bitstream itself. It fails if the written bitstream
+// is not exactly as long as the counted one. On return the encoder's
+// reference state has advanced and the returned job — the encoder's one
+// job — holds the finished frame. It must be emitted before the next
+// AnalyzeAndQuantize, which otherwise fails rather than overwrite it.
 func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*FrameJob, error) {
 	if e.job != nil && e.job.Frame != nil {
 		return nil, fmt.Errorf("codec: frame %d was analyzed but not emitted", e.job.Frame.Index)
@@ -135,11 +110,14 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	}
 	entropyTimer := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
 	if e.job == nil {
-		e.job = e.newJob()
+		e.job = &FrameJob{qps: make([]int, e.mbw*e.mbh)}
 	}
 	job := e.job
-	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job, nil)
+	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job)
 	entropyTimer.Stop()
+	if job.bw.Len() != nbits {
+		return nil, fmt.Errorf("codec: wrote %d bits for frame %d, counted %d", job.bw.Len(), e.frameIdx, nbits)
+	}
 
 	e.ref, e.spare = e.spare, e.ref
 	e.refQPs = job.qps
@@ -300,52 +278,60 @@ func offsetsNonNegative(offsets []int) bool {
 // quantizePass is the encoder's one macroblock walk: header bits, per-MB QP,
 // the skip decision, MV prediction and every symbol length are stated here
 // and nowhere else, so a rate-control trial and the final pass cannot
-// disagree on them. It returns the exact number of bits EmitBitstream will
-// write for frame at baseQP. What differs is what becomes of a macroblock's
-// levels:
+// disagree on them. It returns the exact number of bits the final pass
+// writes for frame at baseQP. Both modes run on the encoder's
+// one-macroblock scratch (e.trial); what differs is what becomes of a
+// macroblock once it is quantized:
 //
-//   - final pass (job non-nil, t nil): levels, modes, coded MVs and per-MB
-//     QPs are stored in the job, every macroblock is reconstructed into the
-//     encoder's spare plane and the loop filter runs. Every pixel of that
-//     plane is written in raster order before any read (skip/inter
-//     compensation and causal intra prediction both are), so its stale
-//     content from two frames back is never observed.
-//   - trial (job nil, t non-nil): every macroblock is quantized into one
-//     macroblock of scratch; inter ones are only counted (nothing is
-//     reconstructed), intra ones are reconstructed into t's plane, because
-//     intra prediction is causal in the reconstruction.
+//   - final pass (job non-nil): every symbol is written into job.bw next to
+//     the term that counts it, per-MB QPs are stored in the job, every
+//     macroblock is reconstructed into the encoder's spare plane and the
+//     loop filter runs. Every pixel of that plane is written in raster order
+//     before any read (skip/inter compensation and causal intra prediction
+//     both are), so its stale content from two frames back is never
+//     observed.
+//   - trial (job nil): nothing is written; inter macroblocks are only
+//     counted (nothing is reconstructed), intra ones are reconstructed into
+//     the scratch plane, because intra prediction is causal in the
+//     reconstruction.
 //
-// A trial touches no encoder state outside t.
-func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob, t *trialScratch) int {
-	final := job != nil
+// A trial touches no encoder state outside e.trial. The coded-MV array is
+// reused without zeroing: the predictor only reads cells the same pass wrote
+// earlier in raster order.
+func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob) int {
+	t := &e.trial
+	if t.mvs == nil {
+		t.mvs = make([]MV, e.mbw*e.mbh)
+	}
+	codedMVs := t.mvs
+	levels, masks := t.levels[:], t.masks[:]
 	var recon *imgx.Plane
-	var codedMVs []MV
-	// Where a macroblock's levels, intra modes and significance masks go:
-	// its slot in the job (picked per MB below), or the trial's one-MB
-	// scratch.
-	var levels []int32
-	var imodes []uint8
-	var masks []uint64
-	if final {
+	var w *BitWriter // nil in a trial
+	if job != nil {
 		if e.spare == nil {
 			e.spare = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
 		}
 		recon = e.spare
 		recon.Bump()
-		codedMVs = job.mvs
-	} else {
-		codedMVs = t.mvs
-		levels, imodes, masks = t.levels[:], t.imodes[:], t.masks[:]
-		if ftype == IFrame {
-			if t.recon == nil {
-				t.recon = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
-			}
-			recon = t.recon
+		w = &job.bw
+		w.Reset()
+	} else if ftype == IFrame {
+		if t.recon == nil {
+			t.recon = imgx.NewPlane(e.cfg.Width, e.cfg.Height)
 		}
+		recon = t.recon
 	}
 
 	bits := ueBits(uint32(ftype)) + ueBits(uint32(baseQP)) +
 		ueBits(uint32(e.mbw)) + ueBits(uint32(e.mbh)) + 2 // subpel + deblock flags
+	if w != nil {
+		w.WriteUE(uint32(ftype))
+		w.WriteUE(uint32(baseQP))
+		w.WriteUE(uint32(e.mbw))
+		w.WriteUE(uint32(e.mbh))
+		w.WriteBit(flagBit(e.cfg.SubPel))
+		w.WriteBit(flagBit(e.cfg.Deblock))
+	}
 
 	for by := 0; by < e.mbh; by++ {
 		for bx := 0; bx < e.mbw; bx++ {
@@ -355,17 +341,17 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 				qp = clampQP(baseQP + offsets[i])
 			}
 			px, py := bx*MBSize, by*MBSize
-			if final {
+			if job != nil {
 				job.qps[i] = qp
-				levels, imodes, masks = job.mb(i)
 			}
 
 			if ftype == IFrame {
-				if final {
-					job.modes[i] = ModeIntra
+				bits += ueBits(uint32(ModeIntra)) + seBits(int32(qp-baseQP))
+				if w != nil {
+					w.WriteUE(uint32(ModeIntra))
+					w.WriteSE(int32(qp - baseQP))
 				}
-				bits += ueBits(uint32(ModeIntra)) + seBits(int32(qp-baseQP)) +
-					quantizeIntraMB(frame, recon, px, py, qp, levels, imodes, masks)
+				bits += quantizeIntraMB(frame, recon, px, py, qp, w)
 				continue
 			}
 
@@ -375,8 +361,8 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			if mode == ModeSkip && mv == pred {
 				bits += ueBits(uint32(ModeSkip))
 				codedMVs[i] = pred
-				if final {
-					job.modes[i] = ModeSkip
+				if w != nil {
+					w.WriteUE(uint32(ModeSkip))
 					predictBlock(recon.Pix[py*recon.W+px:], recon.W, e.ref, px, py, MBSize, MBSize, pred, e.cfg.SubPel)
 				}
 				continue
@@ -385,15 +371,20 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 				seBits(int32(mv.X)-int32(pred.X)) +
 				seBits(int32(mv.Y)-int32(pred.Y)) +
 				seBits(int32(qp-baseQP))
+			if w != nil {
+				w.WriteUE(uint32(ModeInter))
+				w.WriteSE(int32(mv.X) - int32(pred.X))
+				w.WriteSE(int32(mv.Y) - int32(pred.Y))
+				w.WriteSE(int32(qp - baseQP))
+			}
 			codedMVs[i] = mv
-			bits += quantizeInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp, levels, masks)
-			if final {
-				job.modes[i] = ModeInter
+			bits += quantizeInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp, levels, masks, w)
+			if w != nil {
 				reconstructInterMB(recon, e.ref, px, py, mv, e.cfg.SubPel, levels, masks, qp)
 			}
 		}
 	}
-	if final {
+	if job != nil {
 		if e.cfg.Deblock {
 			deblockFrame(recon, job.qps, e.mbw)
 		}
@@ -402,42 +393,57 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 	return bits
 }
 
+// flagBit is a one-bit header flag.
+func flagBit(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // quantizeInterMB quantizes one inter macroblock from its cached
 // fixed-point DCT blocks into out (4 × 64 levels) and masksOut (4 zigzag
-// significance masks) and returns the exact bit cost of entropy-coding the
-// levels. The cache is QP-independent, so quantization is the only per-QP
-// work, and a block whose magnitude bound (or, Encoder.dctOr) sits under the
-// quantizer's dead zone has no nonzero level at this QP: it costs its empty
-// coded-block flag, its mask is 0 and its coefficients are never read. Its
-// level slots keep whatever they held — neither the writer nor
-// reconstruction reads the levels of a block whose mask is 0.
-func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, or []uint32, qp int, out []int32, masksOut []uint64) int {
+// significance masks), writes each block to w when w is non-nil, and returns
+// the exact bit cost of entropy-coding the levels. The cache is
+// QP-independent, so quantization is the only per-QP work, and a block whose
+// magnitude bound (or, Encoder.dctOr) sits under the quantizer's dead zone
+// has no nonzero level at this QP: it costs its empty coded-block flag, its
+// mask is 0 and its coefficients are never read. Its level slots keep
+// whatever they held — neither the writer nor reconstruction reads the
+// levels of a block whose mask is 0.
+func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, or []uint32, qp int, out []int32, masksOut []uint64, w *BitWriter) int {
 	n := 0
 	for blk := range dctBlocks {
 		if or[blk] < zeroBelow[qp] {
 			masksOut[blk] = 0
 			n++
+			if w != nil {
+				w.WriteBit(0) // coded-block flag: empty
+			}
 			continue
 		}
-		mask, bits := codeBlock(&dctBlocks[blk], qp, (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:]))
+		levels := (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:])
+		mask, bits := codeBlock(&dctBlocks[blk], qp, levels)
 		masksOut[blk] = mask
 		n += bits
+		if w != nil {
+			writeCoeffs(w, levels, mask)
+		}
 	}
 	return n
 }
 
-// quantizeIntraMB codes one intra macroblock's prediction, transform and
-// quantization into out/modesOut/masksOut, reconstructs it, and returns the
-// exact bit cost of the per-block mode symbols and levels.
-func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, modesOut []uint8, masksOut []uint64) int {
+// quantizeIntraMB codes one intra macroblock block by block — prediction,
+// transform, quantization, each block's mode and levels written to w when w
+// is non-nil, reconstruction — and returns the exact bit cost of the
+// per-block mode symbols and levels.
+func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, w *BitWriter) int {
 	var pred [blockSize * blockSize]uint8
-	var res, dct [blockSize * blockSize]int32
+	var res, dct, levels [blockSize * blockSize]int32
 	bits := 0
-	blk := 0
 	for by := 0; by < MBSize; by += blockSize {
 		for bx := 0; bx < MBSize; bx += blockSize {
 			mode := chooseIntra(cur, recon, px+bx, py+by, &pred)
-			modesOut[blk] = uint8(mode)
 			bits += ueBits(uint32(mode))
 			for y := 0; y < blockSize; y++ {
 				row := cur.Pix[(py+by+y)*cur.W+px+bx:][:blockSize]
@@ -446,21 +452,22 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, out []int32, mo
 				}
 			}
 			fdct8Fixed(&res, &dct)
-			levels := (*[blockSize * blockSize]int32)(out[blk*blockSize*blockSize:])
-			mask, n := codeBlock(&dct, qp, levels)
-			masksOut[blk] = mask
+			mask, n := codeBlock(&dct, qp, &levels)
 			bits += n
-			blk++
-			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, levels, mask, qp)
+			if w != nil {
+				w.WriteUE(uint32(mode))
+				writeCoeffs(w, &levels, mask)
+			}
+			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, &levels, mask, qp)
 		}
 	}
 	return bits
 }
 
-// EmitBitstream runs phase two: it serializes the job into the final
-// bitstream, verifies the writer agrees with phase one's arithmetic bit
-// count and returns the completed frame. It consumes the job, whatever the
-// outcome: a job is emitted exactly once.
+// EmitBitstream runs phase two: it hands out the frame AnalyzeAndQuantize
+// finished, its Data aliasing the job's writer in ReuseFrames mode and
+// copied otherwise. It consumes the job, whatever the outcome: a job is
+// emitted exactly once.
 func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 	if job == nil || job.Frame == nil {
 		return nil, fmt.Errorf("codec: EmitBitstream on a consumed or nil job")
@@ -473,58 +480,10 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 
 	ef := job.Frame
 	job.Frame = nil
-	// The writer (and its grow-once backing buffer) is job-owned.
-	w := &job.bw
-	w.Reset()
-	w.WriteUE(uint32(ef.Type))
-	w.WriteUE(uint32(ef.BaseQP))
-	w.WriteUE(uint32(e.mbw))
-	w.WriteUE(uint32(e.mbh))
-	if e.cfg.SubPel {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-	if e.cfg.Deblock {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-
-	for by := 0; by < e.mbh; by++ {
-		for bx := 0; bx < e.mbw; bx++ {
-			i := by*e.mbw + bx
-			qp := ef.QPs[i]
-			switch job.modes[i] {
-			case ModeIntra:
-				w.WriteUE(uint32(ModeIntra))
-				w.WriteSE(int32(qp - ef.BaseQP))
-				for blk := 0; blk < 4; blk++ {
-					w.WriteUE(uint32(job.intraModes[i*4+blk]))
-					writeCoeffs(w, job.block(i, blk), job.masks[i*4+blk])
-				}
-			case ModeSkip:
-				w.WriteUE(uint32(ModeSkip))
-			case ModeInter:
-				mv := job.mvs[i]
-				pred := predictMV(job.mvs, e.mbw, bx, by)
-				w.WriteUE(uint32(ModeInter))
-				w.WriteSE(int32(mv.X) - int32(pred.X))
-				w.WriteSE(int32(mv.Y) - int32(pred.Y))
-				w.WriteSE(int32(qp - ef.BaseQP))
-				for blk := 0; blk < 4; blk++ {
-					writeCoeffs(w, job.block(i, blk), job.masks[i*4+blk])
-				}
-			}
-		}
-	}
-	if w.Len() != ef.NumBits {
-		return nil, fmt.Errorf("codec: emitted %d bits for frame %d, phase one counted %d", w.Len(), ef.Index, ef.NumBits)
-	}
 	if e.cfg.ReuseFrames {
-		ef.Data = w.Bytes() // aliases job.bw's buffer until the next emit
+		ef.Data = job.bw.Bytes() // aliases job.bw's buffer until the next encode
 	} else {
-		ef.Data = append([]byte(nil), w.Bytes()...)
+		ef.Data = append([]byte(nil), job.bw.Bytes()...)
 	}
 	return ef, nil
 }

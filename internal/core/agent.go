@@ -202,8 +202,8 @@ func (a *Agent) cy() float64 { return float64(a.cfg.Height) / 2 }
 // ProcessFrame runs the full DiVE pipeline on one captured frame at
 // simulated time now and returns the encoded frame plus all analysis
 // byproducts: it mints the frame's trace and opens the root "frame" span,
-// analyzes and quantizes (analyzeFrame), serializes the bitstream, and closes
-// the root span.
+// analyzes, quantizes and encodes (analyzeFrame), hands out the bitstream,
+// and closes the root span.
 func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, error) {
 	r := a.cfg.Obs
 	frameSpan := r.StartStageSpan(r.StartTrace(a.frameNum), "frame", "agent", obs.StageFrame)
@@ -223,11 +223,12 @@ func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, erro
 	return res, nil
 }
 
-// analyzeFrame is everything up to the bitstream: motion analysis, the
-// moving/stopped judgement, rotation removal, foreground extraction, adaptive
-// QP selection, rate control and quantization (codec.AnalyzeAndQuantize), and
-// the frame's journal record. The returned result's Encoded carries every
-// field except Data until the job is emitted.
+// analyzeFrame is everything up to the bitstream's hand-out: motion
+// analysis, the moving/stopped judgement, rotation removal, foreground
+// extraction, adaptive QP selection, rate control, quantization and entropy
+// coding (codec.AnalyzeAndQuantize), and the frame's journal record. The
+// returned result's Encoded carries every field except Data until the job is
+// emitted.
 func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceContext) (*FrameResult, *codec.FrameJob, error) {
 	r := a.cfg.Obs
 	// Carry the root-span context outward: transport and edge spans become
@@ -325,8 +326,8 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 		r.Counter(obs.MetricBits).Add(int64(ef.NumBits))
 		a.sessFrames.Inc()
 		a.sessBits.Add(int64(ef.NumBits))
-		// The bitstream does not exist yet; the writer pads to a byte
-		// boundary, so its length is fully determined by the bit count.
+		// Data is handed out only by EmitBitstream; the writer pads to a
+		// byte boundary, so its length is fully determined by the bit count.
 		r.Counter(obs.MetricBytes).Add(int64((ef.NumBits + 7) / 8))
 		if ef.Type == codec.IFrame {
 			r.Counter(obs.MetricIFrames).Inc()

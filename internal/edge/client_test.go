@@ -271,7 +271,7 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 	client := NewClient(ClientConfig{
 		Addr: proxy.Addr(), Profile: "nuScenes", Seed: 46, Duration: 2,
 		AckTimeout: 150 * time.Millisecond,
-		// Backoff must outlast the 400ms blackout below.
+		// Backoff must outlast the blackout's 1 s bound below.
 		Backoff: BackoffConfig{
 			Initial: 50 * time.Millisecond, Max: 200 * time.Millisecond,
 			MaxAttempts: 12,
@@ -279,16 +279,26 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 		Obs: rec,
 	}, agent)
 
-	// Black out the proxy briefly mid-stream: acks stop, deadlines fire.
+	// Black out the proxy mid-stream, keyed to the stream's progress rather
+	// than the wall clock, so it cannot land in the clip's last frames. It
+	// starts once the ladder's dwell has passed (8 frames journaled, at
+	// least one acked) and lifts once the client has failed two redials
+	// (three link failures take the health score well below the first rung)
+	// or a deadline passes, with most of the clip still to encode.
+	reconnects := rec.Counter(obs.MetricClientReconnects)
+	blackoutDone := make(chan struct{})
 	go func() {
-		time.Sleep(250 * time.Millisecond)
+		defer close(blackoutDone)
+		waitUntil(5*time.Second, func() bool {
+			return proxy.DownBytes.Load() > 0 && len(rec.Journal().Snapshot()) >= 8
+		})
 		proxy.SetBlackout(true)
-		proxy.CutConnections()
-		time.Sleep(400 * time.Millisecond)
+		waitUntil(time.Second, func() bool { return reconnects.Value() >= 3 })
 		proxy.SetBlackout(false)
 	}()
 
 	dets, stats, err := client.Run(clip)
+	<-blackoutDone
 	if err != nil {
 		t.Fatalf("run did not survive the blackout: %v (stats %+v)", err, stats)
 	}
@@ -309,5 +319,15 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 	}
 	if !engaged && stats.OutageFrames > 0 {
 		t.Error("outages occurred but the ladder never engaged")
+	}
+	if stats.Reconnects == 0 {
+		t.Errorf("the blackout never reached the session (stats %+v)", stats)
+	}
+}
+
+// waitUntil polls cond every millisecond until it holds or d has passed.
+func waitUntil(d time.Duration, cond func() bool) {
+	for deadline := time.Now().Add(d); !cond() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }
