@@ -1,6 +1,9 @@
 package dive
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,7 +19,10 @@ import (
 // string literal of each fs.<Type>("name", …) call). A span that starts with
 // a flag and names no binary ("the send window (`-window`)") must be some
 // binary's flag, or one of go test's (the benchmark's run.sh takes
-// double-dash options and is not checked).
+// double-dash options and is not checked). In README.md and DESIGN.md, every
+// <pkg>.<Ident> in a code span or fenced block, where internal/<pkg> exists,
+// must name a function, method, type, variable or constant declared in that
+// package's non-test files.
 func TestDocsNameWhatExists(t *testing.T) {
 	targets := map[string]bool{}
 	mk, err := os.ReadFile("Makefile")
@@ -58,6 +64,9 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
+	declared := map[string]map[string]bool{} // internal package → its top-level names
+	goUse := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+
 	makeUse := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	pkgUse := regexp.MustCompile(`\binternal/([a-z][a-z0-9_]*)`)
 	flagUse := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
@@ -75,6 +84,18 @@ func TestDocsNameWhatExists(t *testing.T) {
 			for _, m := range pkgUse.FindAllStringSubmatch(seg, -1) {
 				if fi, err := os.Stat(filepath.Join("internal", m[1])); err != nil || !fi.IsDir() {
 					t.Errorf("%s: internal/%s is not a directory (in %q)", doc, m[1], seg)
+				}
+			}
+			if doc != "EXPERIMENTS.md" {
+				for _, m := range goUse.FindAllStringSubmatch(seg, -1) {
+					names, ok := declared[m[1]]
+					if !ok {
+						names = declaredNames(t, filepath.Join("internal", m[1]))
+						declared[m[1]] = names
+					}
+					if names != nil && !names[m[2]] {
+						t.Errorf("%s: internal/%s declares no %s (in %q)", doc, m[1], m[2], seg)
+					}
 				}
 			}
 			bin := ""
@@ -99,6 +120,45 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// declaredNames returns the names of the functions, methods, types,
+// variables and constants declared at top level in dir's non-test Go files
+// (a doc may write a method as pkg.Method), or nil when dir is not a
+// directory.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		return nil
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					names[d.Name.Name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names[spec.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // codeSegments returns the inline code spans (which may wrap across the lines

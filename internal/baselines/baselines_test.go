@@ -117,15 +117,16 @@ func TestDDSSlowerThanDiVE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dds.MeanResponseTime() <= dive.MeanResponseTime() {
-		t.Errorf("DDS (%v) should be slower than DiVE (%v)",
-			dds.MeanResponseTime(), dive.MeanResponseTime())
+	ddsRT := metrics.SummarizeLatency(dds.ResponseTimes).Mean
+	diveRT := metrics.SummarizeLatency(dive.ResponseTimes).Mean
+	if ddsRT <= diveRT {
+		t.Errorf("DDS (%v) should be slower than DiVE (%v)", ddsRT, diveRT)
 	}
 }
 
 func TestRoiOffsets(t *testing.T) {
-	dets := []detect.Detection{{Class: world.ClassCar, Box: imgx.NewRect(32, 32, 32, 32), Score: 0.9}}
-	off := roiOffsets(dets, 10, 6, 0, 10)
+	boxes := []imgx.Rect{imgx.NewRect(32, 32, 32, 32)}
+	off := regionOffsets(boxes, 10, 6, 0, 10)
 	// MBs (2,2)..(3,3) are ROI.
 	if off[2*10+2] != 0 || off[3*10+3] != 0 {
 		t.Error("ROI MBs not zeroed")
@@ -134,18 +135,18 @@ func TestRoiOffsets(t *testing.T) {
 		t.Error("background offset wrong")
 	}
 	// Dilation expands the ROI.
-	off = roiOffsets(dets, 10, 6, 16, 10)
+	off = regionOffsets(boxes, 10, 6, 16, 10)
 	if off[1*10+1] != 0 {
 		t.Error("dilated ROI missing")
 	}
 	// Out-of-frame boxes are clipped safely.
-	dets[0].Box = imgx.NewRect(-100, -100, 50, 50)
-	_ = roiOffsets(dets, 10, 6, 16, 10)
+	boxes[0] = imgx.NewRect(-100, -100, 50, 50)
+	_ = regionOffsets(boxes, 10, 6, 16, 10)
 }
 
 func TestRegionOffsets(t *testing.T) {
 	regions := []imgx.Rect{imgx.NewRect(64, 64, 16, 16)}
-	off := regionOffsets(regions, 10, 6, 0)
+	off := regionOffsets(regions, 10, 6, 0, 51)
 	if off[4*10+4] != 0 {
 		t.Error("region MB not zeroed")
 	}

@@ -178,7 +178,8 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 
 		// Phase 2: standalone intra patch of the regions, spending the
 		// rest of the frame budget.
-		offsets := regionOffsets(regions, mbw, mbh, dilate)
+		// +51 outside the regions: the background of a patch is never used.
+		offsets := regionOffsets(regions, mbw, mbh, dilate, 51)
 		phase2Budget := budget - ef1.NumBits
 		if phase2Budget < budget/4 {
 			phase2Budget = budget / 4
@@ -206,11 +207,10 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 func mergeRegions(low, patch *imgx.Plane, regions []imgx.Rect, dilatePx int) *imgx.Plane {
 	out := low.Clone()
 	for _, r := range regions {
+		mb := mbSpan(r, dilatePx)
 		box := imgx.Rect{
-			MinX: (r.MinX - dilatePx) / codec.MBSize * codec.MBSize,
-			MinY: (r.MinY - dilatePx) / codec.MBSize * codec.MBSize,
-			MaxX: (r.MaxX + dilatePx + codec.MBSize - 1) / codec.MBSize * codec.MBSize,
-			MaxY: (r.MaxY + dilatePx + codec.MBSize - 1) / codec.MBSize * codec.MBSize,
+			MinX: mb.MinX * codec.MBSize, MinY: mb.MinY * codec.MBSize,
+			MaxX: mb.MaxX * codec.MBSize, MaxY: mb.MaxY * codec.MBSize,
 		}.ClipTo(out.W, out.H)
 		for y := box.MinY; y < box.MaxY; y++ {
 			copy(out.Row(y)[box.MinX:box.MaxX], patch.Row(y)[box.MinX:box.MaxX])
@@ -226,26 +226,29 @@ func maxi(a, b int) int {
 	return b
 }
 
-// regionOffsets maps requested pixel regions onto a QP offset map: 0 in the
-// dilated regions, +51 elsewhere (the background of a patch is never used).
-func regionOffsets(regions []imgx.Rect, mbw, mbh, dilatePx int) []int {
+// mbSpan returns the macroblocks that pixel region r, dilated by dilatePx on
+// every side, touches: a rectangle in macroblock units, not clipped to the
+// frame.
+func mbSpan(r imgx.Rect, dilatePx int) imgx.Rect {
+	return imgx.Rect{
+		MinX: (r.MinX - dilatePx) / codec.MBSize,
+		MinY: (r.MinY - dilatePx) / codec.MBSize,
+		MaxX: (r.MaxX + dilatePx + codec.MBSize - 1) / codec.MBSize,
+		MaxY: (r.MaxY + dilatePx + codec.MBSize - 1) / codec.MBSize,
+	}
+}
+
+// regionOffsets maps pixel regions onto a QP offset map: 0 on the
+// macroblocks the dilated regions touch, fill elsewhere.
+func regionOffsets(regions []imgx.Rect, mbw, mbh, dilatePx, fill int) []int {
 	offsets := make([]int, mbw*mbh)
 	for i := range offsets {
-		offsets[i] = 51
+		offsets[i] = fill
 	}
 	for _, r := range regions {
-		bx0 := (r.MinX - dilatePx) / codec.MBSize
-		by0 := (r.MinY - dilatePx) / codec.MBSize
-		bx1 := (r.MaxX + dilatePx + codec.MBSize - 1) / codec.MBSize
-		by1 := (r.MaxY + dilatePx + codec.MBSize - 1) / codec.MBSize
-		for by := by0; by < by1; by++ {
-			if by < 0 || by >= mbh {
-				continue
-			}
-			for bx := bx0; bx < bx1; bx++ {
-				if bx < 0 || bx >= mbw {
-					continue
-				}
+		mb := mbSpan(r, dilatePx).ClipTo(mbw, mbh)
+		for by := mb.MinY; by < mb.MaxY; by++ {
+			for bx := mb.MinX; bx < mb.MaxX; bx++ {
 				offsets[by*mbw+bx] = 0
 			}
 		}

@@ -98,7 +98,11 @@ func (e *EAAR) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resu
 		var offsets []int
 		refresh := (i/interval)%8 == 7
 		if len(cached) > 0 && !refresh {
-			offsets = roiOffsets(cached, mbw, mbh, dilate, low-high)
+			boxes := make([]imgx.Rect, len(cached))
+			for k, d := range cached {
+				boxes[k] = d.Box
+			}
+			offsets = regionOffsets(boxes, mbw, mbh, dilate, low-high)
 		}
 		ef, err := enc.Encode(frame, codec.EncodeOptions{
 			BaseQP: high, QPOffsets: offsets, ForceIFrame: true,
@@ -121,35 +125,4 @@ func (e *EAAR) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resu
 		res.ResponseTimes[i] = resultAt - capture
 	}
 	return res, nil
-}
-
-// roiOffsets builds a QP offset map that is 0 inside dilated detection
-// boxes and delta outside.
-func roiOffsets(dets []detect.Detection, mbw, mbh, dilatePx, delta int) []int {
-	offsets := make([]int, mbw*mbh)
-	for i := range offsets {
-		offsets[i] = delta
-	}
-	for _, d := range dets {
-		box := imgx.Rect{
-			MinX: d.Box.MinX - dilatePx, MinY: d.Box.MinY - dilatePx,
-			MaxX: d.Box.MaxX + dilatePx, MaxY: d.Box.MaxY + dilatePx,
-		}
-		bx0 := box.MinX / codec.MBSize
-		by0 := box.MinY / codec.MBSize
-		bx1 := (box.MaxX + codec.MBSize - 1) / codec.MBSize
-		by1 := (box.MaxY + codec.MBSize - 1) / codec.MBSize
-		for by := by0; by < by1; by++ {
-			if by < 0 || by >= mbh {
-				continue
-			}
-			for bx := bx0; bx < bx1; bx++ {
-				if bx < 0 || bx >= mbw {
-					continue
-				}
-				offsets[by*mbw+bx] = 0
-			}
-		}
-	}
-	return offsets
 }

@@ -199,13 +199,6 @@ func (p *Proxy) CorruptNextUplink(relOffset int) {
 	}
 }
 
-// ActiveSessions reports how many sessions are currently relaying.
-func (p *Proxy) ActiveSessions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.active)
-}
-
 // Close stops the listener and severs all sessions.
 func (p *Proxy) Close() error {
 	p.mu.Lock()

@@ -317,15 +317,10 @@ func hadamard8(v []int32) {
 	}
 }
 
-// SearchMB finds the motion vector for the macroblock whose top-left pixel
-// is (mbx, mby), starting from predictor pred, and returns it with its cost.
-func SearchMB(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod, rangePx int) (MV, int) {
-	mv, cost, _ := searchInteger(cur, ref, mbx, mby, pred, method, rangePx)
-	return mv, cost
-}
-
-// searchInteger is SearchMB that also returns the winner's plain SAD — its
-// cost less the rate term (or, for TESA, in place of the SATD).
+// searchInteger finds the motion vector for the macroblock whose top-left
+// pixel is (mbx, mby), starting from predictor pred, and returns it with its
+// cost and the winner's plain SAD — its cost less the rate term (or, for
+// TESA, in place of the SATD).
 func searchInteger(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod, rangePx int) (mv MV, cost, sad int) {
 	s := &searcher{
 		cur: cur, ref: ref, mbx: mbx, mby: mby,

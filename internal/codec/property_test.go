@@ -137,7 +137,7 @@ func TestPropertySearchRespectsWindow(t *testing.T) {
 			pred := MV{int16(rng.Intn(9) - 4), int16(rng.Intn(9) - 4)}
 			mbx := MBSize * (1 + rng.Intn(3))
 			mby := MBSize * (1 + rng.Intn(2))
-			mv, cost := SearchMB(cur, ref, mbx, mby, pred, m, 8)
+			mv, cost, _ := searchInteger(cur, ref, mbx, mby, pred, m, 8)
 			if absInt(int(mv.X)-int(pred.X)) > 8 || absInt(int(mv.Y)-int(pred.Y)) > 8 {
 				t.Fatalf("%v: MV %v outside window around %v", m, mv, pred)
 			}
@@ -164,9 +164,9 @@ func TestPropertyESAIsOptimal(t *testing.T) {
 		mbx := MBSize * rng.Intn(96/MBSize)
 		mby := MBSize * rng.Intn(64/MBSize)
 		pred := MV{}
-		_, esaCost := SearchMB(cur, ref, mbx, mby, pred, MEEsa, 6)
+		_, esaCost, _ := searchInteger(cur, ref, mbx, mby, pred, MEEsa, 6)
 		for _, m := range []MEMethod{MEDia, MEHex, MEUmh} {
-			_, c := SearchMB(cur, ref, mbx, mby, pred, m, 6)
+			_, c, _ := searchInteger(cur, ref, mbx, mby, pred, m, 6)
 			if c < esaCost {
 				t.Fatalf("%v cost %d beat ESA %d at (%d,%d)", m, c, esaCost, mbx, mby)
 			}

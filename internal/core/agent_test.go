@@ -44,7 +44,7 @@ func TestDeltaPolicyString(t *testing.T) {
 
 func TestBuildQPOffsets(t *testing.T) {
 	mask := []bool{true, false, false, true}
-	off := BuildQPOffsets(mask, 4, 20)
+	off := BuildQPOffsetsInto(nil, mask, 4, 20)
 	want := []int{0, 20, 20, 0}
 	for i := range want {
 		if off[i] != want[i] {
@@ -52,7 +52,7 @@ func TestBuildQPOffsets(t *testing.T) {
 		}
 	}
 	// Nil mask: uniform moderate compression.
-	flat := BuildQPOffsets(nil, 4, 20)
+	flat := BuildQPOffsetsInto(nil, nil, 4, 20)
 	for _, v := range flat {
 		if v != 10 {
 			t.Fatalf("flat offsets = %v", flat)

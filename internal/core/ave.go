@@ -76,18 +76,13 @@ func (c AVEConfig) Delta(foregroundFrac float64) int {
 	return d
 }
 
-// BuildQPOffsets converts a foreground mask into the per-macroblock QP
+// BuildQPOffsetsInto converts a foreground mask into the per-macroblock QP
 // offset map: 0 on foreground, delta on background. A nil mask returns a
 // flat map of delta/2 (no foreground knowledge: encode uniformly but do
-// not spend foreground-grade bits everywhere).
-func BuildQPOffsets(mask []bool, numMBs, delta int) []int {
-	return BuildQPOffsetsInto(nil, mask, numMBs, delta)
-}
-
-// BuildQPOffsetsInto is BuildQPOffsets writing into a caller-recycled slice:
-// dst's backing array is reused when large enough, so the agent's per-frame
-// encode prep allocates nothing in steady state. Safe because the codec
-// never retains the offsets map past AnalyzeAndQuantize. Returns the map.
+// not spend foreground-grade bits everywhere). The map is written into dst's
+// backing array when it is large enough, so the agent's per-frame encode
+// prep allocates nothing in steady state. Safe because the codec never
+// retains the offsets map past AnalyzeAndQuantize. Returns the map.
 func BuildQPOffsetsInto(dst []int, mask []bool, numMBs, delta int) []int {
 	offsets := dst
 	if cap(offsets) < numMBs {

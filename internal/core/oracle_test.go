@@ -22,11 +22,11 @@ import (
 // here verbatim before PR 22 rewrote them to run on agent-owned scratch. The
 // pieces they share with production unchanged (similarFlow, mergeCompatible,
 // meanFlow, gridBBox, rasterizeHull) and the two functions with oracles of
-// their own next door (mvfield.NormalizedMagnitudes, geom.ConvexHull) are
-// called, not copied.
+// their own next door (mvfield.NormalizedMagnitudesInto,
+// geom.AppendConvexHull) are called, not copied.
 
 func oracleExtractForeground(f *mvfield.Field, foe geom.Vec2, cfg ForegroundConfig) *ForegroundResult {
-	norms := mvfield.NormalizedMagnitudes(f, foe, cfg.Normalize)
+	norms := mvfield.NormalizedMagnitudesInto(nil, f, foe, cfg.Normalize)
 	var vals []float64
 	maxV := 0.0
 	for _, n := range norms {
@@ -65,7 +65,7 @@ func oracleExtractForeground(f *mvfield.Field, foe geom.Vec2, cfg ForegroundConf
 	if len(groundPts) < 3 {
 		return nil
 	}
-	res.GroundHull = geom.ConvexHull(groundPts)
+	res.GroundHull = geom.AppendConvexHull(nil, nil, groundPts)
 
 	// Seeds: non-ground macroblocks with usable vectors inside the ground
 	// hull — objects standing on the ground. minY bounds how far above
@@ -178,7 +178,7 @@ func oracleBuildObject(f *mvfield.Field, members []int) ForegroundObject {
 	for _, i := range members {
 		pts = append(pts, mbCenter(i, f.MBW))
 	}
-	hull := geom.ConvexHull(pts)
+	hull := geom.AppendConvexHull(nil, nil, pts)
 	bb := gridBBox(members, f.MBW)
 	return ForegroundObject{
 		Members: members,

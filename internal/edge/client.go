@@ -378,10 +378,15 @@ func (c *Client) teardown(dets [][]detect.Detection) {
 // control-plane event, not link failure. If the target refuses (or there was
 // no redirect), the ranked candidate scan takes over, with backoff and jitter
 // before each attempt; landing on a different member than the one that failed
-// is a forced migration.
+// is a forced migration. When nothing is left to stream (nextFrame is the
+// clip's end, the length of dets) the teardown is the whole recovery, as in
+// Run's tail drain: a server refuses a resume there.
 func (c *Client) recover(nextFrame int, dets [][]detect.Detection) error {
 	from, lostAt := c.curAddr, c.lastServerAck
 	c.teardown(dets)
+	if nextFrame == len(dets) {
+		return nil
+	}
 	if rd := c.pendingRedirect; rd != nil {
 		c.pendingRedirect = nil
 		err := c.connectTo(rd.Addr, true, nextFrame)

@@ -1,6 +1,8 @@
 package edge
 
 import (
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -249,6 +251,92 @@ func TestClientMidStreamServerClose(t *testing.T) {
 	}
 	if err != nil && stats.OutageFrames > 0 && outaged == 0 {
 		t.Error("outage frames in stats but none journaled")
+	}
+}
+
+// TestClientLastFramesUnacked: the server reads the clip's last frame and
+// hangs up with a full window in flight. Nothing is left to stream, and a
+// server refuses a resume at the clip's end, so the client must not redial:
+// it writes the unacked frames off as outage-tracked and returns cleanly,
+// every frame acked or outage-tracked exactly once.
+func TestClientLastFramesUnacked(t *testing.T) {
+	for _, window := range []int{1, 3} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) {
+			clip := testClip(t, 47, 0.5)
+			n := clip.NumFrames()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					serveUntilLastFrame(conn, n, window)
+				}
+			}()
+			defer func() { ln.Close(); <-served }()
+
+			rec := obs.NewRecorder(256)
+			client := NewClient(ClientConfig{
+				Addr: ln.Addr().String(), Profile: "nuScenes", Seed: 47, Duration: 0.5,
+				Window: window, AckTimeout: 5 * time.Second, Backoff: fastBackoff(), Obs: rec,
+			}, newTestAgent(t, clip, rec))
+			_, stats, err := client.Run(clip)
+			if err != nil {
+				t.Fatalf("run failed at the clip's end: %v (stats %+v)", err, stats)
+			}
+			if stats.Reconnects != 0 || stats.FramesUploaded != n || stats.OutageFrames != window {
+				t.Errorf("stats %+v: want 0 reconnects, %d uploads, %d outage-tracked", stats, n, window)
+			}
+			js := rec.Journal().Snapshot()
+			if len(js) != n {
+				t.Fatalf("journal has %d records, want %d", len(js), n)
+			}
+			for _, j := range js {
+				if want := j.Frame >= n-window; j.Outage != want {
+					t.Errorf("frame %d: outage-tracked %v, want %v (the server acked frames below %d)", j.Frame, j.Outage, want, n-window)
+				}
+			}
+		})
+	}
+}
+
+// serveUntilLastFrame is a scripted server for one connection: it accepts a
+// fresh session (refusing a resume, as edge.Server does at the clip's end),
+// acks each frame once the next window-1 frames have arrived, so the client
+// always has a full window in flight, and hangs up on reading frame n-1
+// without acking the last window.
+func serveUntilLastFrame(conn net.Conn, n, window int) {
+	defer conn.Close()
+	mr := NewMsgReader(conn)
+	_, payload, err := mr.Next()
+	if err != nil {
+		return
+	}
+	if hello, err := DecodeHello(payload); err != nil || hello.Resume {
+		WriteResult(conn, &ResultMsg{Index: -1, Err: "resume beyond clip end"})
+		return
+	}
+	if WriteResult(conn, &ResultMsg{Index: -1}) != nil {
+		return
+	}
+	for {
+		_, payload, err := mr.Next()
+		if err != nil {
+			return
+		}
+		m, err := DecodeFrameMsg(payload)
+		if err != nil || m.Index == n-1 {
+			return
+		}
+		if ack := m.Index - (window - 1); ack >= 0 && WriteResult(conn, &ResultMsg{Index: ack}) != nil {
+			return
+		}
 	}
 }
 

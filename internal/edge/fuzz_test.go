@@ -14,8 +14,8 @@ import (
 // decodes cleanly must re-encode to a semantically identical message.
 
 func FuzzHello(f *testing.F) {
-	f.Add(EncodeHello(Hello{Profile: "nuScenes", Seed: 42, Duration: 8}))
-	f.Add(EncodeHello(Hello{Profile: "KITTI", Seed: -1, Duration: 0.25, Resume: true, FirstFrame: 7}))
+	f.Add(Hello{Profile: "nuScenes", Seed: 42, Duration: 8}.appendPayload(nil))
+	f.Add(Hello{Profile: "KITTI", Seed: -1, Duration: 0.25, Resume: true, FirstFrame: 7}.appendPayload(nil))
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{1, 0, 0xFF, 0xFF})
@@ -32,7 +32,7 @@ func FuzzHello(f *testing.F) {
 		if h.Duration < 0 || h.Duration > 3600 || h.FirstFrame < 0 || h.FirstFrame > maxFrameIndex {
 			t.Fatalf("decoded hello violates invariants: %+v", h)
 		}
-		h2, err := DecodeHello(EncodeHello(h))
+		h2, err := DecodeHello(h.appendPayload(nil))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded hello failed: %v", err)
 		}
@@ -43,8 +43,8 @@ func FuzzHello(f *testing.F) {
 }
 
 func FuzzFrameMsg(f *testing.F) {
-	f.Add(EncodeFrameMsg(&FrameMsg{Index: 0, Bitstream: []byte{1, 2, 3}}))
-	f.Add(EncodeFrameMsg(&FrameMsg{Index: 9, SentNanos: 1, TraceID: 2, SpanID: 3}))
+	f.Add((&FrameMsg{Index: 0, Bitstream: []byte{1, 2, 3}}).appendPayload(nil))
+	f.Add((&FrameMsg{Index: 9, SentNanos: 1, TraceID: 2, SpanID: 3}).appendPayload(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,7 +58,7 @@ func FuzzFrameMsg(f *testing.F) {
 		if m.Index < 0 || m.Index > maxFrameIndex {
 			t.Fatalf("decoded frame index out of range: %d", m.Index)
 		}
-		m2, err := DecodeFrameMsg(EncodeFrameMsg(&m))
+		m2, err := DecodeFrameMsg(m.appendPayload(nil))
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -71,8 +71,8 @@ func FuzzFrameMsg(f *testing.F) {
 }
 
 func FuzzResultMsg(f *testing.F) {
-	f.Add(EncodeResultMsg(&ResultMsg{Index: 1, Detections: []WireDetection{{Class: 1, Score: 0.5}}}))
-	f.Add(EncodeResultMsg(&ResultMsg{Index: -1, Err: "nack", NeedKeyframe: true}))
+	f.Add((&ResultMsg{Index: 1, Detections: []WireDetection{{Class: 1, Score: 0.5}}}).appendPayload(nil))
+	f.Add((&ResultMsg{Index: -1, Err: "nack", NeedKeyframe: true}).appendPayload(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeResultMsg(data)
@@ -89,8 +89,8 @@ func FuzzResultMsg(f *testing.F) {
 }
 
 func FuzzRedirectMsg(f *testing.F) {
-	f.Add(EncodeRedirect(Redirect{Addr: "127.0.0.1:7061", Reason: "drain"}))
-	f.Add(EncodeRedirect(Redirect{Addr: "edge-2:9000", Reason: ""}))
+	f.Add(Redirect{Addr: "127.0.0.1:7061", Reason: "drain"}.appendPayload(nil))
+	f.Add(Redirect{Addr: "edge-2:9000", Reason: ""}.appendPayload(nil))
 	// Malformed shapes the client must reject, never dial: empty addr,
 	// truncated strings, oversized length claims, wrong version.
 	f.Add([]byte{})
@@ -114,7 +114,7 @@ func FuzzRedirectMsg(f *testing.F) {
 		if len(rd.Addr) > maxStringLen || len(rd.Reason) > maxStringLen {
 			t.Fatalf("decoded redirect exceeds string cap: %+v", rd)
 		}
-		rd2, err := DecodeRedirect(EncodeRedirect(rd))
+		rd2, err := DecodeRedirect(rd.appendPayload(nil))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded redirect failed: %v", err)
 		}
@@ -133,7 +133,7 @@ func FuzzMsgReader(f *testing.F) {
 	var seed bytes.Buffer
 	WriteHello(&seed, Hello{Profile: "nuScenes", Seed: 1, Duration: 1})
 	WriteFrame(&seed, &FrameMsg{Index: 0, Bitstream: []byte{5, 6}})
-	WriteRedirect(&seed, Redirect{Addr: "127.0.0.1:1", Reason: "drain"})
+	writeOnce(&seed, Redirect{Addr: "127.0.0.1:1", Reason: "drain"})
 	f.Add(seed.Bytes())
 	f.Add([]byte("Dv"))
 	f.Add([]byte{'D', 'v', MsgFrame, 0, 0, 0, 2, 1, 2, 0, 0, 0, 0})

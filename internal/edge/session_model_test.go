@@ -79,7 +79,7 @@ func (mc *modelClip) generate(rng *rand.Rand, expect int) modelInput {
 	n := mc.clip.NumFrames()
 	frame := func(kind string, index int, bs []byte, intact bool) modelInput {
 		fm := FrameMsg{Index: index, Bitstream: bs, SentNanos: rng.Int63(), TraceID: rng.Uint64(), SpanID: rng.Uint64()}
-		return modelInput{kind: kind, typ: MsgFrame, payload: EncodeFrameMsg(&fm), frame: true, index: index, intact: intact}
+		return modelInput{kind: kind, typ: MsgFrame, payload: fm.appendPayload(nil), frame: true, index: index, intact: intact}
 	}
 	// bitstream picks the I or P encoding of an in-range frame.
 	bitstream := func(index int) []byte {
@@ -123,9 +123,9 @@ func (mc *modelClip) generate(rng *rand.Rand, expect int) modelInput {
 		return in
 	case r < 94:
 		wrong := []modelInput{
-			{typ: MsgHello, payload: EncodeHello(Hello{Profile: "nuScenes", Seed: 3})},
-			{typ: MsgResult, payload: EncodeResultMsg(&ResultMsg{Index: at})},
-			{typ: MsgRedirect, payload: EncodeRedirect(Redirect{Addr: "127.0.0.1:1"})},
+			{typ: MsgHello, payload: Hello{Profile: "nuScenes", Seed: 3}.appendPayload(nil)},
+			{typ: MsgResult, payload: (&ResultMsg{Index: at}).appendPayload(nil)},
+			{typ: MsgRedirect, payload: Redirect{Addr: "127.0.0.1:1"}.appendPayload(nil)},
 		}[rng.Intn(3)]
 		wrong.kind = "wrong-type"
 		return wrong

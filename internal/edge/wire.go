@@ -429,17 +429,10 @@ func DecodeRedirect(p []byte) (Redirect, error) {
 	return rd, nil
 }
 
-// The bare payload encodings, for the fuzz and round-trip tests.
-func EncodeHello(h Hello) []byte          { return h.appendPayload(nil) }
-func EncodeFrameMsg(m *FrameMsg) []byte   { return m.appendPayload(nil) }
-func EncodeResultMsg(m *ResultMsg) []byte { return m.appendPayload(nil) }
-func EncodeRedirect(rd Redirect) []byte   { return rd.appendPayload(nil) }
-
 // The one-shot writers: a fresh buffer per message.
-func WriteHello(w io.Writer, h Hello) error        { return writeOnce(w, h) }
-func WriteFrame(w io.Writer, m *FrameMsg) error    { return writeOnce(w, m) }
-func WriteResult(w io.Writer, m *ResultMsg) error  { return writeOnce(w, m) }
-func WriteRedirect(w io.Writer, rd Redirect) error { return writeOnce(w, rd) }
+func WriteHello(w io.Writer, h Hello) error       { return writeOnce(w, h) }
+func WriteFrame(w io.Writer, m *FrameMsg) error   { return writeOnce(w, m) }
+func WriteResult(w io.Writer, m *ResultMsg) error { return writeOnce(w, m) }
 
 func writeOnce(w io.Writer, m message) error {
 	_, err := writeMsg(w, nil, m)

@@ -15,7 +15,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		{Profile: "", Seed: 0, Duration: 0},
 	}
 	for _, h := range cases {
-		got, err := DecodeHello(EncodeHello(h))
+		got, err := DecodeHello(h.appendPayload(nil))
 		if err != nil {
 			t.Fatalf("%+v: %v", h, err)
 		}
@@ -33,7 +33,7 @@ func TestFrameMsgRoundTrip(t *testing.T) {
 		TraceID:   0xdeadbeef,
 		SpanID:    0xfeed,
 	}
-	got, err := DecodeFrameMsg(EncodeFrameMsg(&m))
+	got, err := DecodeFrameMsg(m.appendPayload(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestResultMsgRoundTrip(t *testing.T) {
 		{Index: 0},
 	}
 	for _, m := range cases {
-		got, err := DecodeResultMsg(EncodeResultMsg(&m))
+		got, err := DecodeResultMsg(m.appendPayload(nil))
 		if err != nil {
 			t.Fatalf("%+v: %v", m, err)
 		}
@@ -180,12 +180,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Errorf("empty hello: %v", err)
 	}
 	// Trailing garbage after a valid hello.
-	p := append(EncodeHello(Hello{Profile: "x"}), 0xAB)
+	p := append(Hello{Profile: "x"}.appendPayload(nil), 0xAB)
 	if _, err := DecodeHello(p); !errors.Is(err, ErrMalformed) {
 		t.Errorf("trailing bytes: %v", err)
 	}
 	// Unsupported version.
-	p = EncodeHello(Hello{Profile: "x"})
+	p = Hello{Profile: "x"}.appendPayload(nil)
 	p[0] = 99
 	if _, err := DecodeHello(p); !errors.Is(err, ErrMalformed) {
 		t.Errorf("bad version: %v", err)
@@ -197,7 +197,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Errorf("short result: %v", err)
 	}
 	// Claimed bitstream length far beyond the actual payload.
-	fm := EncodeFrameMsg(&FrameMsg{Index: 1, Bitstream: []byte{1}})
+	fm := (&FrameMsg{Index: 1, Bitstream: []byte{1}}).appendPayload(nil)
 	fm[28] = 0xFF // bitstream length field high byte
 	if _, err := DecodeFrameMsg(fm); !errors.Is(err, ErrMalformed) {
 		t.Errorf("length overclaim: %v", err)
@@ -207,7 +207,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 func TestEncodeStringTruncation(t *testing.T) {
 	long := strings.Repeat("e", 4*maxStringLen)
 	m := ResultMsg{Index: 1, Err: long}
-	got, err := DecodeResultMsg(EncodeResultMsg(&m))
+	got, err := DecodeResultMsg(m.appendPayload(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,24 +5,21 @@ import (
 	"slices"
 )
 
-// HullScratch is ConvexHull's working storage — the sorted copy of the
+// HullScratch is AppendConvexHull's working storage — the sorted copy of the
 // input and the chain under construction — kept between calls by a caller
 // that builds hulls every frame. The zero value is ready to use.
 type HullScratch struct {
 	pts, hull []Vec2
 }
 
-// ConvexHull returns the convex hull of the given points in counterclockwise
-// order (in the image convention with y downward this appears clockwise on
-// screen). It implements Andrew's monotone chain, an O(n log n) relative of
-// Sklansky's algorithm that the paper uses for ground and object contours.
-// Degenerate inputs (fewer than 3 distinct points, collinear sets) return
-// the distinct points sorted lexicographically.
-func ConvexHull(points []Vec2) []Vec2 { return AppendConvexHull(nil, nil, points) }
-
-// AppendConvexHull is ConvexHull working in s (nil: a fresh scratch) and
-// appending the hull to dst (nil: new storage of exactly the hull's length),
-// so a caller that builds several hulls a frame can lay them back to back.
+// AppendConvexHull appends the convex hull of the given points to dst (nil:
+// new storage of exactly the hull's length), in counterclockwise order (in
+// the image convention with y downward this appears clockwise on screen),
+// working in s (nil: a fresh scratch), so a caller that builds several hulls
+// a frame can lay them back to back. It implements Andrew's monotone chain,
+// an O(n log n) relative of Sklansky's algorithm that the paper uses for
+// ground and object contours. Degenerate inputs (fewer than 3 distinct
+// points, collinear sets) return the distinct points sorted lexicographically.
 func AppendConvexHull(dst []Vec2, s *HullScratch, points []Vec2) []Vec2 {
 	if s == nil {
 		s = &HullScratch{}
@@ -79,7 +76,7 @@ func cross(a, b, c Vec2) float64 {
 }
 
 // PointInHull reports whether p lies inside or on the convex polygon hull
-// (vertices in the order produced by ConvexHull). Hulls with fewer than 3
+// (vertices in the order produced by AppendConvexHull). Hulls with fewer than 3
 // vertices contain only their own points (within a small tolerance).
 func PointInHull(p Vec2, hull []Vec2) bool {
 	n := len(hull)
@@ -107,19 +104,6 @@ func PointInHull(p Vec2, hull []Vec2) bool {
 		}
 	}
 	return true
-}
-
-// PolygonArea returns the absolute area enclosed by the polygon.
-func PolygonArea(poly []Vec2) float64 {
-	if len(poly) < 3 {
-		return 0
-	}
-	s := 0.0
-	for i := range poly {
-		j := (i + 1) % len(poly)
-		s += poly[i].Cross(poly[j])
-	}
-	return absf(s) / 2
 }
 
 func absf(x float64) float64 {

@@ -9,7 +9,7 @@ import (
 
 func TestConvexHullSquare(t *testing.T) {
 	pts := []Vec2{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0.5, 0.5}, {0.2, 0.8}}
-	hull := ConvexHull(pts)
+	hull := AppendConvexHull(nil, nil, pts)
 	if len(hull) != 4 {
 		t.Fatalf("hull size = %d, want 4 (%v)", len(hull), hull)
 	}
@@ -24,23 +24,20 @@ func TestConvexHullSquare(t *testing.T) {
 			t.Errorf("corner %v missing from hull", c)
 		}
 	}
-	if a := PolygonArea(hull); !almostEq(a, 1, 1e-12) {
-		t.Errorf("area = %v", a)
-	}
 }
 
 func TestConvexHullDegenerate(t *testing.T) {
-	if h := ConvexHull(nil); len(h) != 0 {
+	if h := AppendConvexHull(nil, nil, nil); len(h) != 0 {
 		t.Errorf("empty hull = %v", h)
 	}
-	if h := ConvexHull([]Vec2{{1, 2}}); len(h) != 1 {
+	if h := AppendConvexHull(nil, nil, []Vec2{{1, 2}}); len(h) != 1 {
 		t.Errorf("single-point hull = %v", h)
 	}
-	if h := ConvexHull([]Vec2{{1, 2}, {1, 2}, {1, 2}}); len(h) != 1 {
+	if h := AppendConvexHull(nil, nil, []Vec2{{1, 2}, {1, 2}, {1, 2}}); len(h) != 1 {
 		t.Errorf("duplicate-point hull = %v", h)
 	}
 	// Collinear points collapse to their extremes-inclusive sorted set.
-	h := ConvexHull([]Vec2{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
+	h := AppendConvexHull(nil, nil, []Vec2{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
 	if len(h) > 4 {
 		t.Errorf("collinear hull too large: %v", h)
 	}
@@ -50,7 +47,7 @@ func TestConvexHullDegenerate(t *testing.T) {
 }
 
 func TestPointInHull(t *testing.T) {
-	hull := ConvexHull([]Vec2{{0, 0}, {4, 0}, {4, 4}, {0, 4}})
+	hull := AppendConvexHull(nil, nil, []Vec2{{0, 0}, {4, 0}, {4, 4}, {0, 4}})
 	cases := []struct {
 		p    Vec2
 		want bool
@@ -79,7 +76,7 @@ func TestConvexHullContainsAllPoints(t *testing.T) {
 		for i := range pts {
 			pts[i] = Vec2{r.Float64()*100 - 50, r.Float64()*100 - 50}
 		}
-		hull := ConvexHull(pts)
+		hull := AppendConvexHull(nil, nil, pts)
 		for _, p := range pts {
 			if !PointInHull(p, hull) {
 				return false
@@ -102,7 +99,7 @@ func TestConvexHullIsConvex(t *testing.T) {
 		for i := range pts {
 			pts[i] = Vec2{rng.NormFloat64() * 10, rng.NormFloat64() * 10}
 		}
-		hull := ConvexHull(pts)
+		hull := AppendConvexHull(nil, nil, pts)
 		if len(hull) < 3 {
 			continue
 		}
@@ -114,16 +111,6 @@ func TestConvexHullIsConvex(t *testing.T) {
 				t.Fatalf("trial %d: hull not strictly convex at %d", trial, i)
 			}
 		}
-	}
-}
-
-func TestPolygonArea(t *testing.T) {
-	tri := []Vec2{{0, 0}, {4, 0}, {0, 3}}
-	if a := PolygonArea(tri); !almostEq(a, 6, 1e-12) {
-		t.Errorf("triangle area = %v", a)
-	}
-	if a := PolygonArea([]Vec2{{0, 0}, {1, 1}}); a != 0 {
-		t.Errorf("degenerate area = %v", a)
 	}
 }
 

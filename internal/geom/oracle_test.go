@@ -78,7 +78,7 @@ func oracleLeastSquares2(a [][2]float64, b []float64) (u [2]float64, err error) 
 	return [2]float64{x, y}, nil
 }
 
-// TestConvexHullMatchesOracle compares ConvexHull, on a fresh scratch and on
+// TestConvexHullMatchesOracle compares AppendConvexHull, on a fresh scratch and on
 // one carried dirty through every case in whatever size order the seeds give,
 // with the oracle over random point sets on a small integer grid: duplicates,
 // collinear runs and fewer than three distinct points all occur.

@@ -17,20 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Median returns the median of xs, or 0 for an empty slice.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
@@ -80,16 +66,6 @@ func EmpiricalCDF(xs []float64) []CDFPoint {
 		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / n}
 	}
 	return out
-}
-
-// CDFAt evaluates an empirical CDF (as returned by EmpiricalCDF) at value v.
-func CDFAt(cdf []CDFPoint, v float64) float64 {
-	// Binary search for the last point with Value <= v.
-	i := sort.Search(len(cdf), func(i int) bool { return cdf[i].Value > v })
-	if i == 0 {
-		return 0
-	}
-	return cdf[i-1].Fraction
 }
 
 // Clamp limits v to [lo, hi].

@@ -86,11 +86,6 @@ func (v Vec3) Normalize() Vec3 {
 // Mat3 is a 3×3 matrix in row-major order, used for camera rotations.
 type Mat3 [3][3]float64
 
-// Identity3 returns the 3×3 identity matrix.
-func Identity3() Mat3 {
-	return Mat3{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
-}
-
 // Mul returns the matrix product m·n.
 func (m Mat3) Mul(n Mat3) Mat3 {
 	var r Mat3
@@ -137,10 +132,4 @@ func RotX(a float64) Mat3 {
 func RotY(a float64) Mat3 {
 	c, s := math.Cos(a), math.Sin(a)
 	return Mat3{{c, 0, s}, {0, 1, 0}, {-s, 0, c}}
-}
-
-// RotZ returns the rotation matrix for angle a (radians) about the z axis.
-func RotZ(a float64) Mat3 {
-	c, s := math.Cos(a), math.Sin(a)
-	return Mat3{{c, -s, 0}, {s, c, 0}, {0, 0, 1}}
 }

@@ -34,17 +34,6 @@ func CopyBlock(dst *Plane, dx, dy int, src *Plane, sx, sy, w, h int) {
 	}
 }
 
-// FillRect fills rect (clipped) with value v.
-func FillRect(p *Plane, rect Rect, v uint8) {
-	r := rect.ClipTo(p.W, p.H)
-	for y := r.MinY; y < r.MaxY; y++ {
-		row := p.Row(y)
-		for x := r.MinX; x < r.MaxX; x++ {
-			row[x] = v
-		}
-	}
-}
-
 // DrawRectOutline draws a 1-pixel rectangle outline (clipped) with value v;
 // used by the example programs to visualize detections.
 func DrawRectOutline(p *Plane, rect Rect, v uint8) {
@@ -60,26 +49,6 @@ func DrawRectOutline(p *Plane, rect Rect, v uint8) {
 		p.Set(r.MinX, y, v)
 		p.Set(r.MaxX-1, y, v)
 	}
-}
-
-// Downsample2x returns a half-resolution plane by 2×2 box averaging. Odd
-// trailing rows/columns are dropped.
-func Downsample2x(p *Plane) *Plane {
-	w, h := p.W/2, p.H/2
-	if w == 0 || h == 0 {
-		return p.Clone()
-	}
-	out := NewPlane(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			s := int(p.Pix[(2*y)*p.W+2*x]) +
-				int(p.Pix[(2*y)*p.W+2*x+1]) +
-				int(p.Pix[(2*y+1)*p.W+2*x]) +
-				int(p.Pix[(2*y+1)*p.W+2*x+1])
-			out.Pix[y*w+x] = uint8((s + 2) / 4)
-		}
-	}
-	return out
 }
 
 // SAD returns the sum of absolute differences between the w×h block at

@@ -141,7 +141,11 @@ func TestMSEAndPSNR(t *testing.T) {
 func TestRegionMSE(t *testing.T) {
 	a := NewPlane(16, 16)
 	b := a.Clone()
-	FillRect(b, Rect{0, 0, 8, 8}, 20) // distort top-left quadrant only
+	for y := 0; y < 8; y++ { // distort top-left quadrant only
+		for x := 0; x < 8; x++ {
+			b.Set(x, y, 20)
+		}
+	}
 	if got := RegionMSE(a, b, Rect{0, 0, 8, 8}); got != 400 {
 		t.Errorf("distorted region MSE = %v", got)
 	}
@@ -229,22 +233,6 @@ func TestDrawRectOutline(t *testing.T) {
 		t.Error("outline filled interior")
 	}
 	DrawRectOutline(p, Rect{20, 20, 30, 30}, 255) // fully clipped: no panic
-}
-
-func TestDownsample2x(t *testing.T) {
-	p := NewPlane(4, 4)
-	FillRect(p, Rect{0, 0, 2, 2}, 100)
-	d := Downsample2x(p)
-	if d.W != 2 || d.H != 2 {
-		t.Fatalf("size = %dx%d", d.W, d.H)
-	}
-	if d.At(0, 0) != 100 || d.At(1, 1) != 0 {
-		t.Errorf("averaging wrong: %v %v", d.At(0, 0), d.At(1, 1))
-	}
-	tiny := NewPlane(1, 1)
-	if got := Downsample2x(tiny); got.W != 1 || got.H != 1 {
-		t.Error("degenerate downsample should clone")
-	}
 }
 
 func TestSAD(t *testing.T) {

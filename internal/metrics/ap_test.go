@@ -158,34 +158,3 @@ func TestSummarizeLatency(t *testing.T) {
 		t.Errorf("empty summary = %+v", z)
 	}
 }
-
-func TestAPRange(t *testing.T) {
-	gts := [][]detect.Detection{{det(world.ClassCar, 0, 0, 40, 40, 1)}}
-	// Perfect boxes: AP 1 at every threshold.
-	if v := APRange(gts, gts, world.ClassCar, 0.5, 0.95, 0.05); v != 1 {
-		t.Errorf("perfect APRange = %v", v)
-	}
-	// A slightly loose box passes 0.5 but fails 0.9: range AP lands
-	// strictly between 0 and 1.
-	loose := [][]detect.Detection{{det(world.ClassCar, 4, 4, 40, 40, 0.9)}}
-	iou := gts[0][0].Box.IoU(loose[0][0].Box)
-	if iou < 0.5 || iou > 0.9 {
-		t.Fatalf("setup: iou = %v", iou)
-	}
-	v := APRange(loose, gts, world.ClassCar, 0.5, 0.95, 0.05)
-	if v <= 0 || v >= 1 {
-		t.Errorf("loose APRange = %v, want in (0,1)", v)
-	}
-	if m := MAPRange(gts, gts, 0.5, 0.95, 0.05); m != 1 {
-		t.Errorf("MAPRange = %v", m)
-	}
-}
-
-func TestAPRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for bad range")
-		}
-	}()
-	APRange(nil, nil, world.ClassCar, 0.9, 0.5, 0.05)
-}

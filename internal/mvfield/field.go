@@ -42,25 +42,10 @@ const MaxTrustedSAD = 24 * codec.MBSize * codec.MBSize
 // the principal point in pixel coordinates; focal is in pixels. maxSAD <= 0
 // selects MaxTrustedSAD.
 func FromMotion(mf *codec.MotionField, focal, cx, cy float64, maxSAD int) *Field {
-	return FromMotionInto(nil, mf, focal, cx, cy, maxSAD)
-}
-
-// FromMotionInto is FromMotion writing into a caller-recycled field: dst's
-// Vectors backing array is reused when it is large enough, so a steady-state
-// analysis loop that cycles two fields allocates nothing. A nil dst (or one
-// with too-small capacity) allocates exactly like FromMotion. Returns dst.
-func FromMotionInto(dst *Field, mf *codec.MotionField, focal, cx, cy float64, maxSAD int) *Field {
 	if maxSAD <= 0 {
 		maxSAD = MaxTrustedSAD
 	}
-	if dst == nil {
-		dst = &Field{}
-	}
-	if cap(dst.Vectors) < len(mf.MVs) {
-		dst.Vectors = make([]Vector, len(mf.MVs))
-	}
-	dst.MBW, dst.MBH, dst.Focal = mf.MBW, mf.MBH, focal
-	dst.Vectors = dst.Vectors[:len(mf.MVs)]
+	f := &Field{MBW: mf.MBW, MBH: mf.MBH, Focal: focal, Vectors: make([]Vector, len(mf.MVs))}
 	scale := float64(mf.Scale)
 	if scale <= 0 {
 		scale = 1
@@ -76,9 +61,9 @@ func FromMotionInto(dst *Field, mf *codec.MotionField, focal, cx, cy float64, ma
 		}
 		v.Zero = mv.IsZero()
 		v.Valid = mf.SADs[i] <= maxSAD
-		dst.Vectors[i] = v
+		f.Vectors[i] = v
 	}
-	return dst
+	return f
 }
 
 // At returns the vector of macroblock (bx, by).
@@ -111,40 +96,19 @@ func (f *Field) Clone() *Field {
 // paper's Eq. (5) for the estimated per-frame rotations (radians) and
 // returns a corrected copy. phiX is pitch, phiY is yaw.
 func (f *Field) RemoveRotation(phiX, phiY float64) *Field {
-	return f.RemoveRotationInto(nil, phiX, phiY)
-}
-
-// RemoveRotationInto is RemoveRotation writing the corrected copy into a
-// caller-recycled destination field (see FromMotionInto). dst must not alias
-// f. Returns dst.
-func (f *Field) RemoveRotationInto(dst *Field, phiX, phiY float64) *Field {
-	g := dst
-	if g == nil {
-		g = &Field{}
-	}
-	if cap(g.Vectors) < len(f.Vectors) {
-		g.Vectors = make([]Vector, len(f.Vectors))
-	}
-	g.MBW, g.MBH, g.Focal = f.MBW, f.MBH, f.Focal
-	g.Vectors = g.Vectors[:len(f.Vectors)]
-	copy(g.Vectors, f.Vectors)
-	fl := f.Focal
+	g := f.Clone()
 	for i := range g.Vectors {
 		v := &g.Vectors[i]
 		if v.Zero && !v.Valid {
 			continue
 		}
-		x, y := v.Pos.X, v.Pos.Y
-		rotX := -phiY*fl + phiX*x*y/fl - phiY*x*x/fl
-		rotY := phiX*fl - phiY*x*y/fl + phiX*y*y/fl
-		v.Flow.X -= rotX
-		v.Flow.Y -= rotY
+		v.Flow = v.Flow.Sub(RotationalFlow(g.Focal, v.Pos.X, v.Pos.Y, phiX, phiY))
 	}
 	return g
 }
 
 // RotationalFlow returns the flow that a pure rotation (phiX, phiY) induces
-// at centered image position (x, y); exposed for tests and tooling.
+// at centered image position (x, y): the paper's Eq. (5).
 func RotationalFlow(focal, x, y, phiX, phiY float64) geom.Vec2 {
 	return geom.Vec2{
 		X: -phiY*focal + phiX*x*y/focal - phiY*x*x/focal,

@@ -249,7 +249,7 @@ func TestNormalizedMagnitudesGroundInvariant(t *testing.T) {
 		}
 		return focal * h / pos.Y // ground depth
 	}))
-	norms := NormalizedMagnitudes(f, foe, DefaultNormalizeOptions())
+	norms := NormalizedMagnitudesInto(nil, f, foe, DefaultNormalizeOptions())
 	want := dz / (focal * h)
 	seen := 0
 	for _, n := range norms {
@@ -276,7 +276,7 @@ func TestNormalizedMagnitudesFiltering(t *testing.T) {
 		r := pos.Sub(foe)
 		return geom.Vec2{X: -r.Y, Y: r.X}.Scale(0.05), true
 	})
-	norms := NormalizedMagnitudes(f, foe, DefaultNormalizeOptions())
+	norms := NormalizedMagnitudesInto(nil, f, foe, DefaultNormalizeOptions())
 	for _, n := range norms {
 		if n.OK {
 			t.Fatalf("vector %d passed filtering but should not", n.Index)
@@ -356,78 +356,5 @@ func TestFromMotionScaleConversion(t *testing.T) {
 	f = FromMotion(mf, 250, 8, 8, 0)
 	if f.Vectors[0].Flow != (geom.Vec2{X: 6, Y: -4}) {
 		t.Errorf("flow = %v, want (6,-4)", f.Vectors[0].Flow)
-	}
-}
-
-// testMotionField builds a small codec motion field with varied vectors.
-func testMotionField() *codec.MotionField {
-	mf := &codec.MotionField{
-		MBW: 4, MBH: 3, Scale: 2,
-		MVs:  make([]codec.MV, 12),
-		SADs: make([]int, 12),
-	}
-	for i := range mf.MVs {
-		mf.MVs[i] = codec.MV{X: int16(i - 5), Y: int16(2*i - 11)}
-		mf.SADs[i] = i * 3000
-	}
-	return mf
-}
-
-// TestFromMotionIntoMatchesFromMotion pins the recycled-destination variant
-// to the allocating one, and checks the backing array actually reuses.
-func TestFromMotionIntoMatchesFromMotion(t *testing.T) {
-	mf := testMotionField()
-	want := FromMotion(mf, 120, 32, 24, 0)
-	dst := &Field{Vectors: make([]Vector, 0, 12)}
-	backing := &dst.Vectors[:1][0]
-	got := FromMotionInto(dst, mf, 120, 32, 24, 0)
-	if got != dst {
-		t.Fatal("FromMotionInto must return dst")
-	}
-	if &got.Vectors[0] != backing {
-		t.Error("FromMotionInto reallocated a sufficient backing array")
-	}
-	if got.MBW != want.MBW || got.MBH != want.MBH || got.Focal != want.Focal {
-		t.Fatalf("header differs: %d/%d/%g vs %d/%d/%g", got.MBW, got.MBH, got.Focal, want.MBW, want.MBH, want.Focal)
-	}
-	for i := range want.Vectors {
-		if got.Vectors[i] != want.Vectors[i] {
-			t.Fatalf("vector %d differs: %+v vs %+v", i, got.Vectors[i], want.Vectors[i])
-		}
-	}
-	// Steady state: reusing the same destination must not allocate.
-	if allocs := testing.AllocsPerRun(20, func() {
-		FromMotionInto(dst, mf, 120, 32, 24, 0)
-	}); allocs != 0 {
-		t.Errorf("FromMotionInto with warm dst: %.1f allocs, want 0", allocs)
-	}
-}
-
-// TestRemoveRotationIntoMatchesRemoveRotation pins the recycled variant of
-// rotation removal to the cloning one.
-func TestRemoveRotationIntoMatchesRemoveRotation(t *testing.T) {
-	f := FromMotion(testMotionField(), 120, 32, 24, 0)
-	want := f.RemoveRotation(0.01, -0.02)
-	dst := &Field{}
-	got := f.RemoveRotationInto(dst, 0.01, -0.02)
-	if got != dst {
-		t.Fatal("RemoveRotationInto must return dst")
-	}
-	for i := range want.Vectors {
-		if got.Vectors[i] != want.Vectors[i] {
-			t.Fatalf("vector %d differs: %+v vs %+v", i, got.Vectors[i], want.Vectors[i])
-		}
-	}
-	// The source must be untouched (RemoveRotation is a corrected copy).
-	orig := FromMotion(testMotionField(), 120, 32, 24, 0)
-	for i := range orig.Vectors {
-		if f.Vectors[i] != orig.Vectors[i] {
-			t.Fatalf("source vector %d mutated by RemoveRotationInto", i)
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		f.RemoveRotationInto(dst, 0.01, -0.02)
-	}); allocs != 0 {
-		t.Errorf("RemoveRotationInto with warm dst: %.1f allocs, want 0", allocs)
 	}
 }

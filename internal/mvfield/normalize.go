@@ -30,14 +30,10 @@ func DefaultNormalizeOptions() NormalizeOptions {
 	return NormalizeOptions{CosTol: 0.9, MinY: 4, MinFlow: 0.5}
 }
 
-// NormalizedMagnitudes evaluates Eq. (8) for every macroblock of a
-// rotation-corrected field against the given FOE.
-func NormalizedMagnitudes(f *Field, foe geom.Vec2, opts NormalizeOptions) []NormalizedMagnitude {
-	return NormalizedMagnitudesInto(nil, f, foe, opts)
-}
-
-// NormalizedMagnitudesInto is NormalizedMagnitudes writing into dst's
-// storage when it is large enough (see FromMotionInto).
+// NormalizedMagnitudesInto evaluates Eq. (8) for every macroblock of a
+// rotation-corrected field against the given FOE, writing into dst's storage
+// when it is large enough (nil: new storage), so a steady-state analysis
+// loop allocates nothing.
 func NormalizedMagnitudesInto(dst []NormalizedMagnitude, f *Field, foe geom.Vec2, opts NormalizeOptions) []NormalizedMagnitude {
 	out := dst
 	if cap(out) < len(f.Vectors) {

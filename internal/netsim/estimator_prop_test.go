@@ -42,12 +42,11 @@ func TestEstimatorNeverNonPositive(t *testing.T) {
 	}
 }
 
-func TestEstimatorFloorConfigurable(t *testing.T) {
+func TestEstimatorFloor(t *testing.T) {
 	est := NewEstimator(0.25, Mbps(2))
-	est.MinEstimate = 50_000
 	est.Record(0, 1, 0) // pure poison
-	if got := est.EstimateAt(1); got != 50_000 {
-		t.Errorf("floored estimate = %v, want 50000", got)
+	if got := est.EstimateAt(1); got != DefaultMinEstimate {
+		t.Errorf("floored estimate = %v, want default floor", got)
 	}
 	// Zero prior with no samples still floors.
 	empty := NewEstimator(0.25, 0)

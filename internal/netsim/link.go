@@ -121,26 +121,16 @@ type Estimator struct {
 	Prior float64
 	// Obs receives estimator telemetry: acked bits, serialization times
 	// and the live bandwidth estimate. Nil disables instrumentation.
-	Obs *obs.Recorder
-	// MinEstimate floors EstimateAt (bits/s). Outage-poisoned windows —
-	// acked intervals carrying zero or near-zero bits — would otherwise
-	// drive the estimate to zero and deadlock rate control at a zero bit
-	// budget. Zero selects DefaultMinEstimate.
-	MinEstimate float64
-	samples     []ackSample
+	Obs     *obs.Recorder
+	samples []ackSample
 }
 
-// DefaultMinEstimate is the estimate floor when MinEstimate is unset:
-// 8 kbit/s, far below any usable video rate but enough to keep rate
-// control's budget strictly positive so probe frames keep flowing.
+// DefaultMinEstimate floors EstimateAt (bits/s): 8 kbit/s, far below any
+// usable video rate but enough to keep rate control's budget strictly
+// positive so probe frames keep flowing. Outage-poisoned windows — acked
+// intervals carrying zero or near-zero bits — would otherwise drive the
+// estimate to zero and deadlock rate control at a zero bit budget.
 const DefaultMinEstimate = 8_000.0
-
-func (e *Estimator) floor() float64 {
-	if e.MinEstimate > 0 {
-		return e.MinEstimate
-	}
-	return DefaultMinEstimate
-}
 
 type ackSample struct {
 	start, end float64
@@ -202,17 +192,11 @@ func (e *Estimator) EstimateAt(t float64) float64 {
 		active += clipEnd - clipStart
 	}
 	if active <= 1e-9 {
-		est := e.Prior
-		if est < e.floor() {
-			est = e.floor()
-		}
+		est := max(e.Prior, DefaultMinEstimate)
 		e.Obs.Gauge(obs.GaugeBWEstimate).Set(est)
 		return est
 	}
-	est := bits / active
-	if est < e.floor() {
-		est = e.floor()
-	}
+	est := max(bits/active, DefaultMinEstimate)
 	e.Obs.Gauge(obs.GaugeBWEstimate).Set(est)
 	return est
 }

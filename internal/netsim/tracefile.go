@@ -74,17 +74,3 @@ func ParseTraceCSV(r io.Reader) (*StepTrace, error) {
 	}
 	return trace, nil
 }
-
-// WriteTraceCSV writes a StepTrace in the format ParseTraceCSV reads.
-func WriteTraceCSV(w io.Writer, trace *StepTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# time_s,bandwidth_mbps"); err != nil {
-		return err
-	}
-	for i := range trace.Times {
-		if _, err := fmt.Fprintf(bw, "%g,%g\n", trace.Times[i], trace.Rates[i]/1e6); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

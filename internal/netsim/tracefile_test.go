@@ -58,23 +58,3 @@ func TestParseTraceCSVErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestTraceCSVRoundTrip(t *testing.T) {
-	orig := &StepTrace{
-		Times: []float64{0, 2.5, 7},
-		Rates: []float64{Mbps(1.5), Mbps(3), Mbps(0.25)},
-	}
-	var sb strings.Builder
-	if err := WriteTraceCSV(&sb, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTraceCSV(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, probe := range []float64{0.1, 3, 10} {
-		if back.BandwidthAt(probe) != orig.BandwidthAt(probe) {
-			t.Errorf("t=%v: %v vs %v", probe, back.BandwidthAt(probe), orig.BandwidthAt(probe))
-		}
-	}
-}

@@ -155,8 +155,8 @@ type sessionSource struct {
 }
 
 // FleetAggregator folds per-session recorders into FleetRollups. All methods
-// are safe for concurrent use; Register/Unregister may race with Rollup (a
-// rollup sees a point-in-time membership). A nil aggregator is a no-op.
+// are safe for concurrent use; Register may race with Rollup (a rollup sees a
+// point-in-time membership). A nil aggregator is a no-op.
 type FleetAggregator struct {
 	cfg FleetConfig
 
@@ -208,16 +208,6 @@ func (a *FleetAggregator) Register(name, profile string, rec *Recorder) {
 	}
 	a.mu.Lock()
 	a.sessions[name] = &sessionSource{name: name, profile: profile, rec: rec}
-	a.mu.Unlock()
-}
-
-// Unregister removes a session's source; its history stays in past rollups.
-func (a *FleetAggregator) Unregister(name string) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	delete(a.sessions, name)
 	a.mu.Unlock()
 }
 

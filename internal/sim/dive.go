@@ -21,10 +21,6 @@ type DiVE struct {
 	DisableMOT bool
 	// KeepPayloads retains every frame's bitstream in Result.Payloads.
 	KeepPayloads bool
-	// Session names the stream for per-session observability (SLO windows,
-	// labeled metrics); empty uses Name(). Only meaningful with telemetry
-	// enabled on the agent configuration.
-	Session string
 	// FrameHook, when set, is called after each frame completes. Live servers
 	// use it to pace the simulated run on the wall clock so followers see the
 	// journal grow in real time.
@@ -46,10 +42,7 @@ func (d *DiVE) Run(clip *world.Clip, link *netsim.Link, env *Env) (*Result, erro
 	}
 	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
 	cfg.Seed = env.Seed
-	session := d.Session
-	if session == "" {
-		session = d.Name()
-	}
+	session := d.Name()
 	cfg.Session = session
 	if d.ConfigFn != nil {
 		d.ConfigFn(&cfg)

@@ -85,18 +85,6 @@ func (r *Result) TotalBits() int {
 	return s
 }
 
-// MeanResponseTime averages the per-frame response times.
-func (r *Result) MeanResponseTime() float64 {
-	if len(r.ResponseTimes) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range r.ResponseTimes {
-		s += v
-	}
-	return s / float64(len(r.ResponseTimes))
-}
-
 // Scheme is one video-analytics system under test.
 type Scheme interface {
 	// Name identifies the scheme in reports.

@@ -65,8 +65,8 @@ func TestDiVERunBasics(t *testing.T) {
 	if m := metrics.MAP(res.Detections, oracle, metrics.DefaultIoU); m < 0.3 {
 		t.Errorf("DiVE mAP = %v on an easy link", m)
 	}
-	if res.MeanResponseTime() > 0.5 {
-		t.Errorf("mean response time %v too high", res.MeanResponseTime())
+	if rt := metrics.SummarizeLatency(res.ResponseTimes).Mean; rt > 0.5 {
+		t.Errorf("mean response time %v too high", rt)
 	}
 }
 
@@ -141,12 +141,5 @@ func TestResultHelpers(t *testing.T) {
 	r := &Result{BitsSent: []int{10, 20}, ResponseTimes: []float64{0.1, 0.3}}
 	if r.TotalBits() != 30 {
 		t.Error("TotalBits wrong")
-	}
-	if math.Abs(r.MeanResponseTime()-0.2) > 1e-12 {
-		t.Error("MeanResponseTime wrong")
-	}
-	empty := &Result{}
-	if empty.MeanResponseTime() != 0 {
-		t.Error("empty mean should be 0")
 	}
 }
