@@ -12,7 +12,7 @@ test:
 
 # The portable path, run rather than only vetted: as 386 every kernel with an
 # amd64 assembly body (internal/imgx's row kernels, internal/codec's block
-# quantizer) runs its Go body, against the same tests, decoder_golden.json and
+# quantizer and block transforms) runs its Go body, against the same tests, decoder_golden.json and
 # agent_golden.json. Needs no 386 machine: a linux/amd64 kernel runs 386
 # binaries.
 portable:
@@ -27,7 +27,8 @@ race:
 
 # The second vet compiles the side of the GOARCH splits this machine does not
 # run (internal/imgx's kernels_other.go, the pure-Go row kernels, and
-# internal/codec's quantize_other.go) and type-checks their callers; the
+# internal/codec's quantize_other.go and transform_other.go) and type-checks
+# their callers; the
 # first covers asmdecl on the amd64 stubs.
 vet:
 	$(GO) vet ./...
@@ -149,7 +150,8 @@ fleet-smoke:
 # Native fuzzing smoke over everything that parses network bytes — the edge
 # wire decoders and the codec's bitstream decoder — over the entropy writer
 # (the mask walk against the writer it replaced), and over the kernels whose
-# amd64 bodies are assembly (the row kernels, the block quantizer). Go allows
+# amd64 bodies are assembly (the row kernels, the block quantizer, the block
+# transforms). Go allows
 # exactly one -fuzz pattern per invocation, so each target gets its own short
 # run.
 fuzz-smoke:
@@ -162,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzWriteCoeffs -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzSAD16 -fuzztime=10s -run 'xxx' ./internal/imgx/
 	$(GO) test -fuzz=FuzzQuantizeBlock -fuzztime=10s -run 'xxx' ./internal/codec/
+	$(GO) test -fuzz=FuzzTransform -fuzztime=10s -run 'xxx' ./internal/codec/
 
 # Non-test, non-generated Go and assembly lines per package and for the whole
 # repo (the benchmark module included): the number ROADMAP's simplicity items

@@ -83,66 +83,37 @@ func BenchmarkMotionSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkDCT compares the float64 reference transform (the pre-switch
-// production kernel) against the fixed-point factorized kernel, forward +
-// inverse per op.
+// BenchmarkDCT times one 8×8 block through each body of the forward
+// transform (residual bytes in, coefficients and their magnitude OR out) and
+// of the inverse step (levels in at QP 20, reconstructed bytes out), with
+// dense levels and with three.
 func BenchmarkDCT(b *testing.B) {
-	b.Run("ref", func(b *testing.B) {
-		var src, dst [blockSize * blockSize]float64
-		for i := range src {
-			src[i] = float64(i%511 - 255)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			refFdct8(&src, &dst)
-			refIdct8(&dst, &src)
-		}
-	})
-	b.Run("fixed", func(b *testing.B) {
-		var src, dst [blockSize * blockSize]int32
-		for i := range src {
-			src[i] = int32(i%511 - 255)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fdct8Fixed(&src, &dst)
-			idct8Fixed(&dst, &src)
-		}
-	})
-}
-
-// BenchmarkDCTBatch compares per-block forward transforms against the
-// structure-of-arrays row batch over one macroblock row's worth of blocks
-// (reported per block-row, 80 blocks at 320 px width).
-func BenchmarkDCTBatch(b *testing.B) {
-	const lanes = (320 / MBSize) * 4
-	b.Run("perblock", func(b *testing.B) {
-		var src, dst [blockSize * blockSize]int32
-		for i := range src {
-			src[i] = int32(i%511 - 255)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l := 0; l < lanes; l++ {
-				fdct8Fixed(&src, &dst)
+	var cur, pred [blockSize * blockSize]uint8
+	var dense, sparse [blockSize * blockSize]int32
+	for i := range cur {
+		cur[i], pred[i] = uint8(i*37), uint8(i*11+40)
+		dense[i] = int32(i%7 - 3)
+	}
+	sparse[0], sparse[1], sparse[blockSize] = 12, -3, 2
+	for _, body := range transformBodies {
+		b.Run(body.name+"/forward", func(b *testing.B) {
+			var coef [blockSize * blockSize]int32
+			for i := 0; i < b.N; i++ {
+				benchSink = int(body.fdct(cur[:], blockSize, pred[:], blockSize, &coef))
 			}
+		})
+		for _, in := range []struct {
+			name   string
+			levels *[blockSize * blockSize]int32
+		}{{"inverse-dense", &dense}, {"inverse-sparse", &sparse}} {
+			b.Run(body.name+"/"+in.name, func(b *testing.B) {
+				var out [blockSize * blockSize]uint8
+				for i := 0; i < b.N; i++ {
+					body.idct(out[:], blockSize, pred[:], blockSize, in.levels, 20)
+				}
+			})
 		}
-	})
-	b.Run("soa", func(b *testing.B) {
-		batch := &dctBatch{
-			lanes: lanes,
-			soa:   make([]int32, blockSize*blockSize*lanes),
-			tmp:   make([]int32, blockSize*blockSize*lanes),
-			slot:  make([]int, lanes),
-		}
-		for i := range batch.soa {
-			batch.soa[i] = int32(i%511 - 255)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			batch.forward(lanes)
-		}
-	})
+	}
 }
 
 // BenchmarkQuantize times one block through the quantizer's Go body and

@@ -250,35 +250,6 @@ func TestChooseIntraMatchesPerPixelOracle(t *testing.T) {
 	}
 }
 
-// TestArrayDCTMatchesFdctPass holds fdct8Fixed's array kernel to the batched
-// butterfly it restates: sixteen fdctPass calls at stride 1, one lane.
-func TestArrayDCTMatchesFdctPass(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 500; trial++ {
-		var src, got, tmp, want [blockSize * blockSize]int32
-		for i := range src {
-			switch trial % 3 {
-			case 0:
-				src[i] = int32(rng.Intn(511) - 255)
-			case 1:
-				src[i] = int32(rng.Intn(2)*510 - 255) // every sample at an extreme
-			default:
-				src[i] = int32(rng.Intn(21) - 10)
-			}
-		}
-		fdct8Fixed(&src, &got)
-		for y := 0; y < blockSize; y++ {
-			fdctPass(src[:], tmp[:], 1, 1, y*blockSize, 1, fdctRnd1, fdctShift1)
-		}
-		for x := 0; x < blockSize; x++ {
-			fdctPass(tmp[:], want[:], 1, 1, x, blockSize, fdctRnd2, fdctShift2)
-		}
-		if got != want {
-			t.Fatalf("trial %d: array DCT differs from the fdctPass composition", trial)
-		}
-	}
-}
-
 // TestRCStageTimedApartFromFinalPass pins the telemetry split: the bisection
 // lands in codec_rc_seconds once per rate-controlled frame and never on a
 // fixed-QP one, while codec_entropy_seconds (the final pass) is recorded for

@@ -118,55 +118,9 @@ var zeroBelow = func() [52]uint32 {
 	return t
 }()
 
-// fdctPass runs one batched 1-D forward DCT pass over nb lanes in
-// structure-of-arrays layout: element j of the 8-point group sits at
-// in[(base+j*step)*stride + lane], lanes contiguous — the inner loop walks
-// 16 parallel streams with unit stride, which is the layout the issue sizes
-// for auto-vectorization and what keeps the batch cache-friendly either
-// way. The scalar kernels reuse it with stride=1, nb=1, so the batched and
-// per-block transforms are the same code and trivially bit-identical.
-//
-// Even coefficients come from the sum half of the input butterfly (2 + 2 + 2
-// multiplies), odd from the difference half (4×4): 22 multiplies per pass.
-func fdctPass(in, out []int32, stride, nb, base, step int, rnd int32, shift uint) {
-	x0 := in[(base+0*step)*stride:][:nb]
-	x1 := in[(base+1*step)*stride:][:nb]
-	x2 := in[(base+2*step)*stride:][:nb]
-	x3 := in[(base+3*step)*stride:][:nb]
-	x4 := in[(base+4*step)*stride:][:nb]
-	x5 := in[(base+5*step)*stride:][:nb]
-	x6 := in[(base+6*step)*stride:][:nb]
-	x7 := in[(base+7*step)*stride:][:nb]
-	o0 := out[(base+0*step)*stride:][:nb]
-	o1 := out[(base+1*step)*stride:][:nb]
-	o2 := out[(base+2*step)*stride:][:nb]
-	o3 := out[(base+3*step)*stride:][:nb]
-	o4 := out[(base+4*step)*stride:][:nb]
-	o5 := out[(base+5*step)*stride:][:nb]
-	o6 := out[(base+6*step)*stride:][:nb]
-	o7 := out[(base+7*step)*stride:][:nb]
-	for b := 0; b < nb; b++ {
-		v0, v1, v2, v3 := x0[b], x1[b], x2[b], x3[b]
-		v4, v5, v6, v7 := x4[b], x5[b], x6[b], x7[b]
-		s0, s1, s2, s3 := v0+v7, v1+v6, v2+v5, v3+v4
-		d0, d1, d2, d3 := v0-v7, v1-v6, v2-v5, v3-v4
-		e0, e1 := s0+s3, s1+s2
-		e2, e3 := s0-s3, s1-s2
-		o0[b] = (fixC4*(e0+e1) + rnd) >> shift
-		o4[b] = (fixC4*(e0-e1) + rnd) >> shift
-		o2[b] = (fixC2*e2 + fixC6*e3 + rnd) >> shift
-		o6[b] = (fixC6*e2 - fixC2*e3 + rnd) >> shift
-		o1[b] = (fixC1*d0 + fixC3*d1 + fixC5*d2 + fixC7*d3 + rnd) >> shift
-		o3[b] = (fixC3*d0 - fixC7*d1 - fixC1*d2 - fixC5*d3 + rnd) >> shift
-		o5[b] = (fixC5*d0 - fixC1*d1 + fixC7*d2 + fixC3*d3 + rnd) >> shift
-		o7[b] = (fixC7*d0 - fixC5*d1 + fixC3*d2 - fixC1*d3 + rnd) >> shift
-	}
-}
-
-// idctPass is the inverse counterpart of fdctPass (transposed butterfly,
-// int64 accumulators) over one 8-point group of a block: elements sit at
-// in[base+j*step]. The inverse only ever runs per block, so it takes the
-// block arrays directly instead of fdctPass's strided lanes.
+// idctPass is the inverse of fdctRowsT's butterfly (transposed, with int64
+// accumulators) over one 8-point group of a block: elements sit at
+// in[base+j*step].
 func idctPass(in, out *[blockSize * blockSize]int32, base, step int, rnd int64, shift uint) {
 	c1, c2, c3, c4 := int64(fixC1), int64(fixC2), int64(fixC3), int64(fixC4)
 	c5, c6, c7 := int64(fixC5), int64(fixC6), int64(fixC7)
@@ -202,11 +156,10 @@ func fdct8Fixed(src, dst *[blockSize * blockSize]int32) {
 	fdctRowsT(&tmp, dst, fdctRnd2, fdctShift2)
 }
 
-// fdctRowsT applies fdctPass's butterfly to each row of in and stores row
-// y's coefficients down column y of out. It is the per-block form of the
-// kernel: fixed-size arrays instead of strided lanes, so one block costs two
-// calls rather than sixteen slice-windowed ones. The arithmetic is
-// fdctPass's, expression for expression (a property test holds them equal).
+// fdctRowsT applies the forward butterfly to each row of in and stores row
+// y's coefficients down column y of out. Even coefficients come from the sum
+// half of the input butterfly (2 + 2 + 2 multiplies), odd from the
+// difference half (4×4): 22 multiplies per row.
 func fdctRowsT(in, out *[blockSize * blockSize]int32, rnd int32, shift uint) {
 	for y := 0; y < blockSize; y++ {
 		r := (*[blockSize]int32)(in[y*blockSize:])
@@ -274,40 +227,46 @@ func dequantizeBlockFixed(levels *[blockSize * blockSize]int32, qp int, coef *[b
 	}
 }
 
-// dctBatch is the structure-of-arrays scratch for one macroblock row's
-// inter-residual transforms: sample position is the outer dimension and
-// block index the contiguous inner one, so the 1-D passes stream across
-// blocks instead of within them. soa/tmp hold 64 lanes-rows of stride
-// lanes; slot maps each lane back to its inter-DCT cache index.
-type dctBatch struct {
-	lanes int
-	soa   []int32
-	tmp   []int32
-	slot  []int
-}
-
-// rowBatch returns the encoder's batch scratch, sized for one MB row on first
-// use.
-func (e *Encoder) rowBatch() *dctBatch {
-	b := &e.batch
-	if b.lanes == 0 {
-		n := e.mbw * 4
-		*b = dctBatch{
-			lanes: n,
-			soa:   make([]int32, blockSize*blockSize*n),
-			tmp:   make([]int32, blockSize*blockSize*n),
-			slot:  make([]int, n),
+// fdctResidualGo is the specification of fdctResidual, the encoder's one
+// forward transform, and its body on every platform without an assembly one.
+// It transforms the 8×8 residual cur − pred (rows cstride and pstride bytes
+// apart) into coef and returns the OR of the coefficients' magnitudes: an
+// upper bound on the largest, which the dead-zone test reads instead of the
+// block (quantizeInterMB).
+func fdctResidualGo(cur []uint8, cstride int, pred []uint8, pstride int, coef *[blockSize * blockSize]int32) uint32 {
+	var res [blockSize * blockSize]int32
+	for y := 0; y < blockSize; y++ {
+		c, p := cur[y*cstride:][:blockSize], pred[y*pstride:][:blockSize]
+		for x := range c {
+			res[y*blockSize+x] = int32(c[x]) - int32(p[x])
 		}
 	}
-	return b
+	fdct8Fixed(&res, coef)
+	or := int32(0)
+	for _, v := range coef {
+		s := v >> 31
+		or |= (v ^ s) - s
+	}
+	return uint32(or)
 }
 
-// forward transforms the first nb lanes in place (soa → soa).
-func (b *dctBatch) forward(nb int) {
+// idctAddGo is the specification of idctAdd, the one inverse path of the
+// encoder's reconstruction and the decoder, and its body on every platform
+// without an assembly one: it dequantizes levels at qp, inverse-transforms
+// them and stores prediction + residual, clamped to a byte, into dst (rows
+// dstride bytes apart; pred's pstride). Every input is in its domain — a
+// hostile stream's level wraps in the dequantizer's int32 multiply and the
+// inverse accumulates in int64 — and the SSE2 body hands the blocks it cannot
+// carry in int16 lanes back to this one.
+func idctAddGo(dst []uint8, dstride int, pred []uint8, pstride int, levels *[blockSize * blockSize]int32, qp int) {
+	var dct, res [blockSize * blockSize]int32
+	dequantizeBlockFixed(levels, qp, &dct)
+	idct8Fixed(&dct, &res)
 	for y := 0; y < blockSize; y++ {
-		fdctPass(b.soa, b.tmp, b.lanes, nb, y*blockSize, 1, fdctRnd1, fdctShift1)
-	}
-	for x := 0; x < blockSize; x++ {
-		fdctPass(b.tmp, b.soa, b.lanes, nb, x, blockSize, fdctRnd2, fdctShift2)
+		out, p := dst[y*dstride:][:blockSize], pred[y*pstride:][:blockSize]
+		r := res[y*blockSize:][:blockSize]
+		for x := range out {
+			out[x] = clampPixI(int32(p[x]) + r[x])
+		}
 	}
 }

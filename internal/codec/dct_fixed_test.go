@@ -108,17 +108,19 @@ func shadowFdct8(src *[blockSize * blockSize]int32, dst *[blockSize * blockSize]
 // TestFixedDCTDynamicRange is the satellite overflow property test: for
 // worst-case ±255 residual patterns the int32 forward transform must agree
 // with an int64 shadow of the identical arithmetic — any int32 wrap would
-// show up as a mismatch. The transform is separable, so the per-coefficient
-// worst cases are rank-1 sign patterns: all 256×256 (row mask × column mask)
-// ±255 blocks are swept exhaustively, plus randomized full-range blocks, and
-// the resulting coefficients are quantized at every QP 0–51 to cover the
+// show up as a mismatch — and so must both bodies of fdctResidual, given the
+// same residual as current and prediction bytes (the SSE2 one carries it in
+// int16 lanes). The transform is separable, so the per-coefficient worst
+// cases are rank-1 sign patterns: all 256×256 (row mask × column mask) ±255
+// blocks are swept exhaustively, plus randomized full-range blocks, and the
+// resulting coefficients are quantized at every QP 0–51 to cover the
 // reciprocal quantizer's range too.
 func TestFixedDCTDynamicRange(t *testing.T) {
 	check := func(src *[blockSize * blockSize]int32) (maxCoef int32) {
-		var got, want [blockSize * blockSize]int32
+		var got [blockSize * blockSize]int32
 		fdct8Fixed(src, &got)
-		shadowFdct8(src, &want)
-		if got != want {
+		cur, pred := residualBytes(src)
+		if want := checkFdct(t, "±255", cur[:], blockSize, pred[:], blockSize); got != want {
 			t.Fatalf("int32 transform diverged from int64 shadow: overflow")
 		}
 		for _, c := range got {
@@ -218,40 +220,6 @@ func TestFixedQuantizerMatchesReference(t *testing.T) {
 			}
 			if nz != gotNZ {
 				t.Fatalf("qp %d: quantizeBlock nz = %d, counted %d", qp, nz, gotNZ)
-			}
-		}
-	}
-}
-
-// TestBatchForwardMatchesScalar pins the SoA gather/scatter indexing: a
-// batched forward over random lanes must be bit-identical to per-block
-// scalar transforms of the same data (they share fdctPass, so this is a
-// layout test, not an arithmetic one).
-func TestBatchForwardMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	const lanes = 20
-	b := &dctBatch{
-		lanes: lanes,
-		soa:   make([]int32, blockSize*blockSize*lanes),
-		tmp:   make([]int32, blockSize*blockSize*lanes),
-		slot:  make([]int, lanes),
-	}
-	blocks := make([][blockSize * blockSize]int32, lanes)
-	for l := range blocks {
-		randResidualBlock(rng, &blocks[l])
-		for i, v := range blocks[l] {
-			b.soa[i*lanes+l] = v
-		}
-	}
-	// Transform a partial batch to cover the nb < lanes path too.
-	const nb = lanes - 3
-	b.forward(nb)
-	for l := 0; l < nb; l++ {
-		var want [blockSize * blockSize]int32
-		fdct8Fixed(&blocks[l], &want)
-		for i := range want {
-			if got := b.soa[i*lanes+l]; got != want[i] {
-				t.Fatalf("lane %d sample %d: batch %d, scalar %d", l, i, got, want[i])
 			}
 		}
 	}

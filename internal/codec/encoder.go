@@ -209,13 +209,11 @@ type Encoder struct {
 	// dctScratch is the recycled backing array of the per-frame inter-DCT
 	// cache (QP-independent, rebuilt each P-frame, never escapes Encode).
 	dctScratch [][blockSize * blockSize]int32
-	// dctOr[k] is the OR of cached block k's coefficient magnitudes, written
-	// with the block by dctRow: an upper bound on its largest magnitude that
-	// lets the quantizer price a block inside its dead zone without reading
-	// it (quantizeInterMB).
+	// dctOr[k] is the OR of cached block k's coefficient magnitudes, which
+	// fdctResidual returns with the block: an upper bound on its largest
+	// magnitude that lets the quantizer price a block inside its dead zone
+	// without reading it (quantizeInterMB).
 	dctOr []uint32
-	// batch is the structure-of-arrays row-batch transform scratch (dctRow).
-	batch dctBatch
 }
 
 // NewEncoder validates cfg and creates an encoder.
@@ -310,7 +308,7 @@ func (e *Encoder) neighborhoodMaxQP(bx, by int) int {
 // result is cached: a subsequent Encode of the same frame reuses it. The
 // cache key is the plane pointer plus its content generation counter
 // (imgx.Plane.Seq), so reusing one buffer for successive frames is safe as
-// long as writers bump the counter (Set/Fill do; direct Pix writers call
+// long as writers bump the counter (Set does; direct Pix writers call
 // Bump). It returns nil when no reference exists yet (the very first frame).
 func (e *Encoder) AnalyzeMotion(frame *imgx.Plane) *MotionField {
 	if e.ref == nil {
@@ -427,75 +425,32 @@ func refSampleI(ref *imgx.Plane, cx, cy int, mv MV, subpel bool) int32 {
 }
 
 // buildInterDCTCache computes the forward DCT of every inter macroblock's
-// motion-compensated residual (4 blocks per MB, in raster order). The cache
-// is QP-independent and shared by all passes. Within a macroblock row the
-// transform runs as one structure-of-arrays batch (dctRow). The backing
-// array is recycled across frames without zeroing: non-inter slots are
-// never read (only ModeInter macroblocks index into the cache). Each block's
-// magnitude bound lands in e.dctOr alongside it.
+// motion-compensated residual (4 blocks per MB, in raster order), each block
+// straight from the frame and the prediction into its cache slot and its
+// magnitude bound into e.dctOr. The cache is QP-independent and shared by
+// all passes. The backing array is recycled across frames without zeroing:
+// non-inter slots are never read (only ModeInter macroblocks index into the
+// cache).
 func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) [][blockSize * blockSize]int32 {
 	n := e.mbw * e.mbh * 4
 	if cap(e.dctScratch) < n {
 		e.dctScratch = make([][blockSize * blockSize]int32, n)
 		e.dctOr = make([]uint32, n)
 	}
-	for by := 0; by < e.mbh; by++ {
-		e.dctRow(frame, mf, by)
-	}
-	return e.dctScratch[:n]
-}
-
-// dctRow fills the inter-DCT cache for macroblock row by. It gathers every
-// inter MB's motion-compensated residual into the row batch's
-// structure-of-arrays lanes, transforms all lanes at once and scatters the
-// coefficients into the cache, OR-ing each block's magnitudes into dctOr on
-// the way out. Each block's result is a pure function of its own residual, so
-// the batched output is bit-identical to per-block transforms at any row
-// composition.
-func (e *Encoder) dctRow(frame *imgx.Plane, mf *MotionField, by int) {
-	b := e.rowBatch()
-	n := b.lanes
 	var pred [MBSize * MBSize]uint8
-	nb := 0
-	for bx := 0; bx < e.mbw; bx++ {
-		i := by*e.mbw + bx
-		if mf.Modes[i] != ModeInter {
+	for i, mode := range mf.Modes {
+		if mode != ModeInter {
 			continue
 		}
-		px, py := bx*MBSize, by*MBSize
+		px, py := i%e.mbw*MBSize, i/e.mbw*MBSize
 		predictBlock(pred[:], MBSize, e.ref, px, py, MBSize, MBSize, mf.MVs[i], e.cfg.SubPel)
-		blk := 0
-		for oy := 0; oy < MBSize; oy += blockSize {
-			for ox := 0; ox < MBSize; ox += blockSize {
-				lane := nb + blk
-				b.slot[lane] = i*4 + blk
-				for y := 0; y < blockSize; y++ {
-					row := b.soa[y*blockSize*n:]
-					cur := frame.Pix[(py+oy+y)*frame.W+px+ox:][:blockSize]
-					p := pred[(oy+y)*MBSize+ox:][:blockSize]
-					for x := range cur {
-						row[x*n+lane] = int32(cur[x]) - int32(p[x])
-					}
-				}
-				blk++
-			}
-		}
-		nb += 4
-	}
-	if nb > 0 {
-		b.forward(nb)
-		for lane := 0; lane < nb; lane++ {
-			dst := &e.dctScratch[b.slot[lane]]
-			or := int32(0)
-			for c := range dst {
-				v := b.soa[c*n+lane]
-				dst[c] = v
-				s := v >> 31
-				or |= (v ^ s) - s
-			}
-			e.dctOr[b.slot[lane]] = uint32(or)
+		for blk := 0; blk < 4; blk++ {
+			bx, by := blk%2*blockSize, blk/2*blockSize
+			e.dctOr[i*4+blk] = fdctResidual(frame.Pix[(py+by)*frame.W+px+bx:], frame.W,
+				pred[by*MBSize+bx:], MBSize, &e.dctScratch[i*4+blk])
 		}
 	}
+	return e.dctScratch[:n]
 }
 
 // Intra prediction modes, a simplified version of H.264's directional

@@ -300,8 +300,8 @@ func oracleIdct8(src, dst *[blockSize * blockSize]int32) {
 	}
 }
 
-// oracleIdctPass is the inverse counterpart of fdctPass (transposed butterfly,
-// int64 accumulators).
+// oracleIdctPass is a strided inverse butterfly (fdctRowsT's, transposed,
+// with int64 accumulators).
 func oracleIdctPass(in, out []int32, stride, nb, base, step int, rnd int64, shift uint) {
 	x0 := in[(base+0*step)*stride:][:nb]
 	x1 := in[(base+1*step)*stride:][:nb]

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"math/rand"
 	"runtime/debug"
 	"syscall"
@@ -52,6 +53,44 @@ func TestQuantizeBlockStaysInBounds(t *testing.T) {
 			if sig, lenSum := quantizeBlock(coef, qp, levels); sig != wantSig || lenSum != wantLen || *levels != want {
 				t.Fatalf("qp %d: guarded kernel differs from the Go body", qp)
 			}
+		}
+	}
+}
+
+// TestTransformsStayInBounds runs both dispatched transforms with every
+// window — current, prediction and destination rows at stride 8, so 64
+// contiguous bytes — flush against an inaccessible page, once at the start
+// of the writable page and once at its end.
+func TestTransformsStayInBounds(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("transform touched memory outside its windows: %v", r)
+		}
+	}()
+	lo, hi := guardedBlocks(t)
+	const n = blockSize * blockSize
+	first := unsafe.Slice((*uint8)(unsafe.Pointer(lo)), n)
+	last := unsafe.Slice((*uint8)(unsafe.Add(unsafe.Pointer(hi), 3*n)), n)
+	rng := rand.New(rand.NewSource(50))
+	for _, w := range [][2][]uint8{{first, last}, {last, first}} {
+		a, b := w[0], w[1]
+		rng.Read(a)
+		rng.Read(b)
+		var coef, wantCoef [n]int32
+		or, wantOr := fdctResidual(a, blockSize, b, blockSize, &coef), fdctResidualGo(a, blockSize, b, blockSize, &wantCoef)
+		if coef != wantCoef || or != wantOr {
+			t.Fatal("guarded forward kernel differs from the Go body")
+		}
+		var levels [n]int32
+		for i := range levels {
+			levels[i] = int32(rng.Intn(41) - 20)
+		}
+		want := make([]uint8, n)
+		idctAddGo(want, blockSize, a, blockSize, &levels, 20)
+		idctAdd(b, blockSize, a, blockSize, &levels, 20)
+		if !bytes.Equal(b, want) {
+			t.Fatal("guarded inverse kernel differs from the Go body")
 		}
 	}
 }

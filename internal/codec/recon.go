@@ -3,7 +3,7 @@ package codec
 import "dive/internal/imgx"
 
 // Reconstruction kernels shared by Encoder and Decoder. Phase one of the
-// encoder (quantizePass, dctRow) and Decoder.Decode predict every block
+// encoder (quantizePass, buildInterDCTCache) and Decoder.Decode predict every block
 // through predictBlock and rebuild every block through reconstructBlock, so
 // the two sides cannot drift apart: they run the same function on the same
 // levels. Both work on row slices of Pix; writers Bump the plane once per
@@ -69,27 +69,18 @@ func predictBlock(dst []uint8, stride int, ref *imgx.Plane, x0, y0, w, h int, mv
 
 // reconstructBlock rebuilds the 8×8 block of recon at (x, y) from its
 // prediction (pred, pstride bytes per row) and quantized levels: dequantize,
-// inverse transform, add, clamp. mask is the block's significance mask; a
-// block without coefficients (mask 0) is its prediction (the inverse
-// transform of zero is exactly zero), so it skips the transform.
+// inverse transform, add, clamp — one idctAdd. mask is the block's
+// significance mask; a block without coefficients (mask 0) is its prediction
+// (the inverse transform of zero is exactly zero), so it skips the transform.
 func reconstructBlock(recon *imgx.Plane, x, y int, pred []uint8, pstride int, levels *[blockSize * blockSize]int32, mask uint64, qp int) {
+	dst := recon.Pix[y*recon.W+x:]
 	if mask == 0 {
 		for r := 0; r < blockSize; r++ {
-			copy(recon.Pix[(y+r)*recon.W+x:][:blockSize], pred[r*pstride:])
+			copy(dst[r*recon.W:][:blockSize], pred[r*pstride:])
 		}
 		return
 	}
-	var dct, res [blockSize * blockSize]int32
-	dequantizeBlockFixed(levels, qp, &dct)
-	idct8Fixed(&dct, &res)
-	for r := 0; r < blockSize; r++ {
-		out := recon.Pix[(y+r)*recon.W+x:][:blockSize]
-		p := pred[r*pstride:][:blockSize]
-		rr := res[r*blockSize:][:blockSize]
-		for i := range out {
-			out[i] = clampPixI(int32(p[i]) + rr[i])
-		}
-	}
+	idctAdd(dst, recon.W, pred, pstride, levels, qp)
 }
 
 // reconstructInterMB predicts the macroblock at (px, py) from ref displaced

@@ -104,8 +104,12 @@ func randLevels(rng *rand.Rand, levels *[blockSize * blockSize]int32, n, amp int
 	return levelsMask(levels)
 }
 
+// TestIdctMatchesOracle holds the column-skipping IDCT to the full one, and
+// both bodies of idctAdd to the full one's reconstruction with the same
+// values taken as levels, at a random QP over a random prediction, strided.
 func TestIdctMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
+	pred := make([]uint8, 7*13+blockSize)
 	for trial := 0; trial < 5000; trial++ {
 		var coef, got, want [blockSize * blockSize]int32
 		n := []int{0, 1, 2, 5, 20, 64}[rng.Intn(6)]
@@ -116,6 +120,8 @@ func TestIdctMatchesOracle(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d (%d coefficients, amplitude %d): sparse IDCT differs from the full one", trial, n, amp)
 		}
+		rng.Read(pred)
+		checkIdctAdd(t, "random", &coef, rng.Intn(52), pred, 13)
 	}
 }
 

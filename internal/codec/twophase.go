@@ -436,23 +436,21 @@ func quantizeInterMB(dctBlocks [][blockSize * blockSize]int32, or []uint32, qp i
 // quantizeIntraMB codes one intra macroblock block by block — prediction,
 // transform, quantization, each block's mode and levels written to w when w
 // is non-nil, reconstruction — and returns the exact bit cost of the
-// per-block mode symbols and levels.
+// per-block mode symbols and levels. A block whose magnitude bound sits
+// under the dead zone codes as its empty flag without being quantized, as in
+// quantizeInterMB.
 func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, w *BitWriter) int {
 	var pred [blockSize * blockSize]uint8
-	var res, dct, levels [blockSize * blockSize]int32
+	var dct, levels [blockSize * blockSize]int32
 	bits := 0
 	for by := 0; by < MBSize; by += blockSize {
 		for bx := 0; bx < MBSize; bx += blockSize {
 			mode := chooseIntra(cur, recon, px+bx, py+by, &pred)
 			bits += ueBits(uint32(mode))
-			for y := 0; y < blockSize; y++ {
-				row := cur.Pix[(py+by+y)*cur.W+px+bx:][:blockSize]
-				for x, v := range row {
-					res[y*blockSize+x] = int32(v) - int32(pred[y*blockSize+x])
-				}
+			mask, n := uint64(0), 1 // coded-block flag: empty
+			if fdctResidual(cur.Pix[(py+by)*cur.W+px+bx:], cur.W, pred[:], blockSize, &dct) >= zeroBelow[qp] {
+				mask, n = codeBlock(&dct, qp, &levels)
 			}
-			fdct8Fixed(&res, &dct)
-			mask, n := codeBlock(&dct, qp, &levels)
 			bits += n
 			if w != nil {
 				w.WriteUE(uint32(mode))

@@ -1,11 +1,19 @@
 package experiments
 
 import (
+	"math"
 	"testing"
+	"time"
+
+	"dive/internal/codec"
+	"dive/internal/imgx"
+	"dive/internal/world"
 )
 
 // TestFig9Smoke sweeps the ME methods at smoke scale; it is the slowest
-// experiment test (ESA/TESA are exhaustive searches).
+// experiment test (ESA/TESA are exhaustive searches). The table's time column
+// is one wall-clock sample of a whole clip, taken while other packages' tests
+// share the CPU, so the cost ordering is asserted on minAnalysisMs instead.
 func TestFig9Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive ME sweep skipped in -short")
@@ -17,11 +25,7 @@ func TestFig9Smoke(t *testing.T) {
 	if len(rows) != 10 { // 2 datasets × 5 methods
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byMethod := map[string]Fig9Row{}
 	for _, r := range rows {
-		if r.Dataset == "nuScenes" {
-			byMethod[r.Method] = r
-		}
 		if r.MAP < 0 || r.MAP > 1 {
 			t.Errorf("%+v: mAP out of range", r)
 		}
@@ -29,15 +33,48 @@ func TestFig9Smoke(t *testing.T) {
 			t.Errorf("%+v: no time measured", r)
 		}
 	}
-	// Cost ordering: exhaustive searches must be slower than hexagon.
-	if byMethod["esa"].TimeMs < byMethod["hex"].TimeMs {
-		t.Errorf("esa (%v ms) faster than hex (%v ms)", byMethod["esa"].TimeMs, byMethod["hex"].TimeMs)
+	// Cost ordering: exhaustive searches must be slower than hexagon, on a
+	// rendered frame and a copy shifted so that every macroblock moves.
+	p := world.NuScenesLike()
+	p.ClipDuration = 0.25
+	f0 := world.GenerateClip(p, testSeed).Frames[0]
+	f1 := imgx.NewPlane(f0.W, f0.H)
+	imgx.CopyBlock(f1, 0, 0, f0, 3, 1, f0.W, f0.H)
+	hex := minAnalysisMs(t, codec.MEHex, f0, f1)
+	esa := minAnalysisMs(t, codec.MEEsa, f0, f1)
+	tesa := minAnalysisMs(t, codec.METesa, f0, f1)
+	t.Logf("least of seven analyses: hex %.2f ms, esa %.2f ms, tesa %.2f ms", hex, esa, tesa)
+	if esa < hex {
+		t.Errorf("esa (%v ms) faster than hex (%v ms)", esa, hex)
 	}
-	if byMethod["tesa"].TimeMs < byMethod["esa"].TimeMs*0.8 {
-		t.Errorf("tesa (%v ms) should not be much faster than esa (%v ms)",
-			byMethod["tesa"].TimeMs, byMethod["esa"].TimeMs)
+	if tesa < esa*0.8 {
+		t.Errorf("tesa (%v ms) should not be much faster than esa (%v ms)", tesa, esa)
 	}
 	RenderFig9(rows)
+}
+
+// minAnalysisMs is the least of seven timings of one motion analysis of f1
+// against f0 with method m. A scheduler that stalls the test can only
+// lengthen a run, so the minimum tracks the search's own work.
+func minAnalysisMs(t *testing.T, m codec.MEMethod, f0, f1 *imgx.Plane) float64 {
+	t.Helper()
+	cfg := codec.DefaultConfig(f0.W, f0.H)
+	cfg.Method = m
+	enc, err := codec.NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := enc.Encode(f0, codec.EncodeOptions{BaseQP: 20}); err != nil {
+		t.Fatal(err)
+	}
+	best := math.Inf(1)
+	for i := 0; i < 7; i++ {
+		f1.Bump() // a new generation: AnalyzeMotion searches again
+		t0 := time.Now()
+		enc.AnalyzeMotion(f1)
+		best = math.Min(best, time.Since(t0).Seconds()*1000)
+	}
+	return best
 }
 
 func TestFig11Smoke(t *testing.T) {

@@ -37,9 +37,6 @@ func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 // Dist returns the Euclidean distance between v and w.
 func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
 
-// Angle returns the direction of v in radians in (-π, π].
-func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
-
 // IsZero reports whether both components are exactly zero.
 func (v Vec2) IsZero() bool { return v.X == 0 && v.Y == 0 }
 

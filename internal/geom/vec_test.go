@@ -32,12 +32,6 @@ func TestVec2Basics(t *testing.T) {
 	if !v.Sub(v).IsZero() {
 		t.Error("v-v should be zero")
 	}
-	if (Vec2{1, 0}).Angle() != 0 {
-		t.Error("Angle of +x should be 0")
-	}
-	if !almostEq((Vec2{0, 1}).Angle(), math.Pi/2, 1e-12) {
-		t.Error("Angle of +y should be π/2")
-	}
 }
 
 func TestVec3Basics(t *testing.T) {

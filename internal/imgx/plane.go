@@ -15,7 +15,7 @@ import (
 type Plane struct {
 	W, H int
 	Pix  []uint8
-	// seq is a content generation counter: Set and Fill bump it, and
+	// seq is a content generation counter: Set bumps it, and
 	// callers that rewrite Pix directly and reuse the buffer across frames
 	// must call Bump so content-keyed caches (the encoder's motion-analysis
 	// memo) notice the change. Pointer identity alone cannot.
@@ -69,14 +69,6 @@ func (p *Plane) Clone() *Plane {
 	q := NewPlane(p.W, p.H)
 	copy(q.Pix, p.Pix)
 	return q
-}
-
-// Fill sets every pixel to v.
-func (p *Plane) Fill(v uint8) {
-	for i := range p.Pix {
-		p.Pix[i] = v
-	}
-	p.seq++
 }
 
 // Row returns the pixels of row y as a shared slice (no copy).

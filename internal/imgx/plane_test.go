@@ -34,12 +34,6 @@ func TestPlaneBasics(t *testing.T) {
 	if p.At(0, 0) == 99 {
 		t.Error("Clone shares storage")
 	}
-	p.Fill(128)
-	for _, v := range p.Pix {
-		if v != 128 {
-			t.Fatal("Fill incomplete")
-		}
-	}
 	if len(p.Row(1)) != 4 {
 		t.Error("Row length wrong")
 	}
@@ -128,7 +122,9 @@ func TestMSEAndPSNR(t *testing.T) {
 	if !math.IsInf(PSNR(0), 1) {
 		t.Error("PSNR(0) should be +Inf")
 	}
-	b.Fill(10)
+	for i := range b.Pix {
+		b.Pix[i] = 10
+	}
 	if got := MSE(a, b); got != 100 {
 		t.Errorf("MSE = %v, want 100", got)
 	}
@@ -253,7 +249,9 @@ func TestSAD(t *testing.T) {
 	}
 	// Early exit returns a value >= threshold when cost is high.
 	d := NewPlane(32, 32)
-	d.Fill(255)
+	for i := range d.Pix {
+		d.Pix[i] = 255
+	}
 	if got := SAD(a, 8, 8, d, 8, 8, 16, 16, 100); got < 100 {
 		t.Errorf("early-exit SAD = %d, want >= 100", got)
 	}
@@ -288,11 +286,6 @@ func TestPlaneSeqTracksContent(t *testing.T) {
 	if p.Seq() != s {
 		t.Error("out-of-bounds Set bumped Seq")
 	}
-	p.Fill(3)
-	if p.Seq() <= s {
-		t.Error("Fill did not bump Seq")
-	}
-	s = p.Seq()
 	p.Pix[0] = 42 // direct write: caller's responsibility
 	p.Bump()
 	if p.Seq() != s+1 {

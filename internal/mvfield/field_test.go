@@ -286,14 +286,15 @@ func TestNormalizedMagnitudesFiltering(t *testing.T) {
 
 func TestFOECalibrator(t *testing.T) {
 	c := NewFOECalibrator()
-	if c.Calibrated() {
-		t.Error("fresh calibrator claims calibration")
-	}
 	if c.FOE() != (geom.Vec2{}) {
 		t.Error("prior should be the principal point")
 	}
-	c.Update(geom.Vec2{X: 10, Y: 2})
-	if !c.Calibrated() || c.FOE() != (geom.Vec2{X: 10, Y: 2}) {
+	c.Update(geom.Vec2{X: 500, Y: 0}) // beyond MaxRadius: rejected
+	if c.FOE() != (geom.Vec2{}) {
+		t.Errorf("out-of-radius update moved the prior: %v", c.FOE())
+	}
+	c.Update(geom.Vec2{X: 10, Y: 2}) // the first accepted update replaces the prior
+	if c.FOE() != (geom.Vec2{X: 10, Y: 2}) {
 		t.Errorf("first update: %v", c.FOE())
 	}
 	// Smoothing pulls toward later estimates slowly.

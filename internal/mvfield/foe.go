@@ -128,6 +128,3 @@ func (c *FOECalibrator) Update(foe geom.Vec2) {
 // FOE returns the calibrated FOE; before any update it is the principal
 // point (the natural prior for a forward-facing camera).
 func (c *FOECalibrator) FOE() geom.Vec2 { return c.foe }
-
-// Calibrated reports whether at least one update has been accepted.
-func (c *FOECalibrator) Calibrated() bool { return c.weight > 0 }

@@ -73,9 +73,6 @@ func (l *Link) QueueDelay(t float64) float64 {
 	return 0
 }
 
-// BusyUntil returns the time the link finishes its current queue.
-func (l *Link) BusyUntil() float64 { return l.busyUntil }
-
 // Reset clears queued state (used between independent experiment runs).
 func (l *Link) Reset() { l.busyUntil = 0 }
 

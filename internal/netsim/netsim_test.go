@@ -27,8 +27,8 @@ func TestConstantTraceAndLink(t *testing.T) {
 		t.Error("queue delay should be positive while busy")
 	}
 	link.Reset()
-	if link.BusyUntil() != 0 {
-		t.Error("reset failed")
+	if link.QueueDelay(0.2) != 0 {
+		t.Error("reset failed: the queue still holds the first messages")
 	}
 }
 

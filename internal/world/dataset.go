@@ -103,9 +103,6 @@ type Clip struct {
 // NumFrames returns the clip length in frames.
 func (c *Clip) NumFrames() int { return len(c.Frames) }
 
-// FrameInterval returns the inter-frame time in seconds.
-func (c *Clip) FrameInterval() float64 { return 1 / c.FPS }
-
 // Focal returns the focal length in pixels for a profile.
 func (p Profile) focal() float64 {
 	return float64(p.W) / (2 * math.Tan(p.FOVDeg*math.Pi/360))

@@ -208,8 +208,8 @@ func TestGenerateClipShape(t *testing.T) {
 	if clip.NumFrames() != 16 {
 		t.Errorf("frames = %d, want 16 (1s at 16 FPS)", clip.NumFrames())
 	}
-	if clip.FrameInterval() != 1.0/16 {
-		t.Errorf("interval = %v", clip.FrameInterval())
+	if clip.FPS != 16 {
+		t.Errorf("FPS = %v, want 16", clip.FPS)
 	}
 	if len(clip.GT) != clip.NumFrames() || len(clip.Poses) != clip.NumFrames() {
 		t.Error("GT/pose length mismatch")
