@@ -5,11 +5,10 @@
 //
 // It operates at two levels:
 //
-//   - Transport: Conn wraps a live net.Conn and injects faults into the byte
-//     stream at seeded byte offsets; Proxy is an in-process TCP relay that
-//     applies per-direction fault plans between a real agent and a real edge
-//     server, plus programmatic triggers (CutConnections, SetBlackout,
-//     CorruptNext) for scripted scenarios.
+//   - Transport: Proxy is an in-process TCP relay that applies
+//     per-direction fault plans, at seeded byte offsets, between a real agent
+//     and a real edge server, plus programmatic triggers (CutConnections,
+//     SetBlackout, CorruptNextUplink) for scripted scenarios.
 //   - Simulation: scenario.go builds netsim.Trace bandwidth shapes — outage
 //     bursts, bandwidth cliffs, estimator-poisoning flutter — reusable by the
 //     simulator and the experiment harness.
@@ -20,16 +19,10 @@
 package chaos
 
 import (
-	"errors"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 )
-
-// ErrInjectedDisconnect marks a connection severed by the fault plan (as
-// opposed to a real transport error).
-var ErrInjectedDisconnect = errors.New("chaos: injected disconnect")
 
 // PlanConfig schedules faults for one direction of a byte stream. The zero
 // value injects nothing. All schedules are deterministic in Seed.
@@ -52,14 +45,9 @@ type PlanConfig struct {
 	ThrottleBps int
 }
 
-// enabled reports whether the plan injects anything at all.
-func (p PlanConfig) enabled() bool {
-	return p.CorruptEvery > 0 || p.StallEvery > 0 || p.DisconnectAfter > 0 || p.ThrottleBps > 0
-}
-
 // faultStream applies one PlanConfig to a sequence of byte chunks. It is the
-// shared engine behind Conn and Proxy: callers pass each chunk through
-// apply() before handing it to the underlying writer.
+// engine behind Proxy (and the tests' conn wrapper): callers pass each chunk
+// through apply() before handing it to the underlying writer.
 type faultStream struct {
 	cfg PlanConfig
 	rng *rand.Rand
@@ -169,16 +157,6 @@ func (fs *faultStream) apply(chunk []byte) applyResult {
 	return res
 }
 
-// active reports whether any fault could fire on the next chunk.
-func (fs *faultStream) active() bool {
-	if fs.cfg.enabled() {
-		return true
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.corruptOnce) > 0
-}
-
 // gapFrom is gap() anchored at a specific offset.
 func (fs *faultStream) gapFrom(from, mean int) int {
 	lo := mean / 2
@@ -187,66 +165,3 @@ func (fs *faultStream) gapFrom(from, mean int) int {
 	}
 	return from + lo + fs.rng.Intn(mean+1)
 }
-
-// Conn wraps a net.Conn with fault injection: Write passes through the
-// uplink plan, Read through the downlink plan. A severed plan closes the
-// underlying connection and surfaces ErrInjectedDisconnect.
-type Conn struct {
-	net.Conn
-	up, down *faultStream
-}
-
-// WrapConn applies fault plans to a live connection. Either plan may be the
-// zero PlanConfig to leave that direction clean.
-func WrapConn(c net.Conn, uplink, downlink PlanConfig) *Conn {
-	return &Conn{Conn: c, up: newFaultStream(uplink), down: newFaultStream(downlink)}
-}
-
-// Write implements net.Conn with uplink fault injection.
-func (c *Conn) Write(b []byte) (int, error) {
-	if !c.up.active() {
-		return c.Conn.Write(b)
-	}
-	// Copy so corruption never mutates the caller's buffer.
-	buf := append([]byte(nil), b...)
-	res := c.up.apply(buf)
-	if res.sleep > 0 {
-		time.Sleep(res.sleep)
-	}
-	n := 0
-	if len(res.chunk) > 0 {
-		var err error
-		n, err = c.Conn.Write(res.chunk)
-		if err != nil {
-			return n, err
-		}
-	}
-	if res.severed {
-		c.Conn.Close()
-		return n, ErrInjectedDisconnect
-	}
-	return len(b), nil
-}
-
-// Read implements net.Conn with downlink fault injection.
-func (c *Conn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
-	if n > 0 && c.down.active() {
-		res := c.down.apply(b[:n])
-		if res.sleep > 0 {
-			time.Sleep(res.sleep)
-		}
-		if res.severed {
-			c.Conn.Close()
-			if len(res.chunk) == 0 {
-				return 0, ErrInjectedDisconnect
-			}
-			return len(res.chunk), nil
-		}
-	}
-	return n, err
-}
-
-// CorruptUplinkAt queues a one-shot corruption of the uplink byte at the
-// given offset from the current write position.
-func (c *Conn) CorruptUplinkAt(relOffset int) { c.up.corruptAt(relOffset) }

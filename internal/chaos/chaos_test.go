@@ -84,8 +84,8 @@ func TestFaultStreamDisconnectTruncates(t *testing.T) {
 func TestConnCorruptionAndDisconnect(t *testing.T) {
 	client, server := pipePair(t)
 	defer server.Close()
-	wrapped := WrapConn(client, PlanConfig{Seed: 3, DisconnectAfter: 200}, PlanConfig{})
-	wrapped.CorruptUplinkAt(10)
+	wrapped := wrapConn(client, PlanConfig{Seed: 3, DisconnectAfter: 200}, PlanConfig{})
+	wrapped.corruptUplinkAt(10)
 
 	payload := make([]byte, 150)
 	for i := range payload {
@@ -113,7 +113,7 @@ func TestConnCorruptionAndDisconnect(t *testing.T) {
 
 	// Next write crosses DisconnectAfter=200: 50-byte prefix, then sever.
 	_, err := wrapped.Write(payload)
-	if err != ErrInjectedDisconnect {
+	if err != errInjectedDisconnect {
 		t.Fatalf("expected injected disconnect, got %v", err)
 	}
 	prefix := make([]byte, 50)
@@ -129,7 +129,7 @@ func TestConnThrottlePaces(t *testing.T) {
 	client, server := pipePair(t)
 	defer server.Close()
 	// 80 kbit/s: 1000 bytes = 100 ms serialized.
-	wrapped := WrapConn(client, PlanConfig{Seed: 1, ThrottleBps: 80_000}, PlanConfig{})
+	wrapped := wrapConn(client, PlanConfig{Seed: 1, ThrottleBps: 80_000}, PlanConfig{})
 	go func() {
 		buf := make([]byte, 4096)
 		for {

@@ -70,25 +70,6 @@ func KillMember(seed int64, members int, duration, frac, gapBudgetSec float64) C
 	}
 }
 
-// PartitionMember returns the partition scenario: one member, chosen by
-// seed, drops off the network at frac of the run and heals healFrac in — the
-// fault Kill cannot model, because the server process stays healthy and only
-// the path dies.
-func PartitionMember(seed int64, members int, duration, frac, healFrac, gapBudgetSec float64) ClusterScenario {
-	rng := rand.New(rand.NewSource(seed))
-	victim := 0
-	if members > 1 {
-		victim = rng.Intn(members)
-	}
-	return ClusterScenario{
-		Name: "partition-member",
-		Faults: []MemberFault{
-			{AtSec: duration * frac, Member: victim, Kind: FaultPartition, HealAtSec: duration * healFrac},
-		},
-		GapBudgetSec: gapBudgetSec,
-	}
-}
-
 // Apply schedules the scenario's faults against ctl on the wall clock,
 // measured from the moment of the call. The returned stop function cancels
 // pending faults and waits for in-flight ones; faults already fired are not

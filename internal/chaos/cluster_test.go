@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func TestApplyFiresDueFaultsAndStopCancelsPending(t *testing.T) {
 
 func TestApplyPartitionHeals(t *testing.T) {
 	ctl := &fakeCtl{}
-	s := PartitionMember(3, 4, 0.1, 0.1, 0.3, 2)
+	s := partitionMember(3, 4, 0.1, 0.1, 0.3, 2)
 	if s.Faults[0].HealAtSec <= s.Faults[0].AtSec {
 		t.Fatalf("heal %.2fs not after fault %.2fs", s.Faults[0].HealAtSec, s.Faults[0].AtSec)
 	}
@@ -108,5 +109,24 @@ func TestApplyPartitionHeals(t *testing.T) {
 			t.Fatalf("partition/heal never completed: %v", parts)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// partitionMember returns the partition scenario: one member, chosen by
+// seed, drops off the network at frac of the run and heals healFrac in — the
+// fault Kill cannot model, because the server process stays healthy and only
+// the path dies.
+func partitionMember(seed int64, members int, duration, frac, healFrac, gapBudgetSec float64) ClusterScenario {
+	rng := rand.New(rand.NewSource(seed))
+	victim := 0
+	if members > 1 {
+		victim = rng.Intn(members)
+	}
+	return ClusterScenario{
+		Name: "partition-member",
+		Faults: []MemberFault{
+			{AtSec: duration * frac, Member: victim, Kind: FaultPartition, HealAtSec: duration * healFrac},
+		},
+		GapBudgetSec: gapBudgetSec,
 	}
 }

@@ -186,7 +186,8 @@ func (p *Proxy) SetBlackout(on bool) {
 // CorruptNextUplink queues a one-shot single-byte corruption of the uplink,
 // relOffset bytes past the current position of every active session (and of
 // the next accepted session if none is active). Exercises the wire CRC and
-// the server's NACK→keyframe recovery.
+// the server's NACK→keyframe recovery. Only tests call it, edge's among
+// them, which is why it is exported rather than kept in a test file.
 func (p *Proxy) CorruptNextUplink(relOffset int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -6,9 +6,8 @@
 //     fails the probe even when its TCP port still accepts); consecutive
 //     failures walk a member healthy→suspect→down with hysteresis on the way
 //     back, so one dropped probe never flaps routing.
-//   - routing: new sessions go to the healthiest, least-loaded member via an
-//     EWMA-smoothed session-count score; CandidateAddrs exposes the same
-//     ranking as an ordered dial list for edge.Client failover.
+//   - routing: sessions go to the healthiest, least-loaded member via an
+//     EWMA-smoothed session-count score (rank).
 //   - migration: Drain redirects a member's live sessions to the best
 //     surviving member over the Redirect wire message (planned migration);
 //     Kill models the member dying mid-clip, after which clients fail over
@@ -336,13 +335,9 @@ func rank(a, b MemberStatus) bool {
 	return a.Index < b.Index
 }
 
-// Pick returns the member a new session should dial: the lowest-loaded
-// healthy member, or the best suspect when no member is healthy. Errors when
-// every member is down or draining.
-func (c *Cluster) Pick() (MemberStatus, error) {
-	return c.pick(-1)
-}
-
+// pick returns the member a session should move to: the lowest-loaded
+// healthy member other than exclude (-1 excludes none), or the best suspect
+// when no member is healthy. Errors when every member is down or draining.
 func (c *Cluster) pick(exclude int) (MemberStatus, error) {
 	var best MemberStatus
 	found := false
@@ -364,29 +359,12 @@ func (c *Cluster) pick(exclude int) (MemberStatus, error) {
 	return best, nil
 }
 
-// CandidateAddrs returns every member's address ordered by routing
-// desirability — the ordered failover list for edge.ClientConfig.Addrs. Down
-// and draining members are included last: a client that exhausts the healthy
-// set should still try them, they may have recovered by then.
-func (c *Cluster) CandidateAddrs() []string {
-	sts := c.Status()
-	// Insertion sort: member counts are single digits.
-	for i := 1; i < len(sts); i++ {
-		for j := i; j > 0 && rank(sts[j], sts[j-1]); j-- {
-			sts[j], sts[j-1] = sts[j-1], sts[j]
-		}
-	}
-	out := make([]string, len(sts))
-	for i, st := range sts {
-		out[i] = st.Addr
-	}
-	return out
-}
-
 // Drain starts a planned migration off member i: it is marked Draining
 // (leaves the routing set) and its live sessions are redirected to the best
 // surviving member. Returns the target address and how many sessions were
-// redirected.
+// redirected. No command drains a member yet; Drain stays exported as the
+// operator's planned-migration call (DESIGN.md §13), which a reference
+// hand-over on drain would extend, and TestDrainPlannedMigration drives it.
 func (c *Cluster) Drain(i int) (target string, redirected int, err error) {
 	if i < 0 || i >= len(c.members) {
 		return "", 0, fmt.Errorf("cluster: no member %d", i)

@@ -91,7 +91,7 @@ func TestProbeStateMachine(t *testing.T) {
 
 // TestPickerRouting checks the balancer's ranking: healthy beats suspect,
 // lower load wins among equals, down and draining are never picked, and
-// CandidateAddrs exposes the same order as a dial list.
+// candidateAddrs exposes the same order as a dial list.
 func TestPickerRouting(t *testing.T) {
 	c, err := New(Config{Members: 3, Probe: inertProbe()})
 	if err != nil {
@@ -108,35 +108,35 @@ func TestPickerRouting(t *testing.T) {
 	set(0, Healthy, 2.0)
 	set(1, Healthy, 0.5)
 	set(2, Suspect, 0)
-	st, err := c.Pick()
+	st, err := c.pick(-1)
 	if err != nil || st.Index != 1 {
-		t.Fatalf("Pick = %+v, %v; want lowest-loaded healthy member 1", st, err)
+		t.Fatalf("pick = %+v, %v; want lowest-loaded healthy member 1", st, err)
 	}
 	want := []string{c.Addr(1), c.Addr(0), c.Addr(2)}
-	got := c.CandidateAddrs()
+	got := c.candidateAddrs()
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("CandidateAddrs = %v, want %v", got, want)
+			t.Fatalf("candidateAddrs = %v, want %v", got, want)
 		}
 	}
 
 	set(1, Down, 0)
-	if st, _ := c.Pick(); st.Index != 0 {
-		t.Fatalf("Pick with member 1 down = %d, want 0", st.Index)
+	if st, _ := c.pick(-1); st.Index != 0 {
+		t.Fatalf("pick with member 1 down = %d, want 0", st.Index)
 	}
 	if st, _ := c.pick(0); st.Index != 2 {
 		t.Fatalf("pick excluding 0 = %d, want suspect member 2 over down member 1", st.Index)
 	}
 	// Down members still appear in the dial list, just last among these.
-	got = c.CandidateAddrs()
+	got = c.candidateAddrs()
 	if got[len(got)-1] != c.Addr(1) {
-		t.Fatalf("down member not last in CandidateAddrs: %v", got)
+		t.Fatalf("down member not last in candidateAddrs: %v", got)
 	}
 
 	set(0, Down, 0)
 	set(2, Draining, 0)
-	if _, err := c.Pick(); err == nil {
-		t.Fatal("Pick succeeded with every member down or draining")
+	if _, err := c.pick(-1); err == nil {
+		t.Fatal("pick succeeded with every member down or draining")
 	}
 }
 
@@ -164,7 +164,7 @@ func runClusterClip(t *testing.T, window int, seed int64, disrupt func(c *Cluste
 		t.Fatal(err)
 	}
 	client := edge.NewClient(edge.ClientConfig{
-		Addrs: c.CandidateAddrs(), Profile: "nuScenes", Seed: seed,
+		Addrs: c.candidateAddrs(), Profile: "nuScenes", Seed: seed,
 		Duration: p.ClipDuration, Window: window,
 		AckTimeout: 2 * time.Second, Backoff: fastBackoff(), Obs: rec,
 	}, agent)
@@ -392,11 +392,30 @@ func TestPartitionMarksDownAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(0, Down)
-	if st, err := c.Pick(); err != nil || st.Index != 1 {
-		t.Fatalf("Pick during partition = %+v, %v; want member 1", st, err)
+	if st, err := c.pick(-1); err != nil || st.Index != 1 {
+		t.Fatalf("pick during partition = %+v, %v; want member 1", st, err)
 	}
 	if err := c.Partition(0, false); err != nil {
 		t.Fatal(err)
 	}
 	waitState(0, Healthy)
+}
+
+// candidateAddrs returns every member's address ordered by routing
+// desirability — the ordered failover list for edge.ClientConfig.Addrs. Down
+// and draining members are included last: a client that exhausts the healthy
+// set should still try them, they may have recovered by then.
+func (c *Cluster) candidateAddrs() []string {
+	sts := c.Status()
+	// Insertion sort: member counts are single digits.
+	for i := 1; i < len(sts); i++ {
+		for j := i; j > 0 && rank(sts[j], sts[j-1]); j-- {
+			sts[j], sts[j-1] = sts[j-1], sts[j]
+		}
+	}
+	out := make([]string, len(sts))
+	for i, st := range sts {
+		out[i] = st.Addr
+	}
+	return out
 }

@@ -154,6 +154,3 @@ func (r *BitReader) ReadBits(n int) (uint64, error) {
 	}
 	return v, nil
 }
-
-// Pos returns the current bit position.
-func (r *BitReader) Pos() int { return r.pos }

@@ -48,7 +48,7 @@ func TestExpGolombRoundTrip(t *testing.T) {
 		w.WriteUE(v)
 	}
 	for _, v := range ses {
-		w.WriteSE(v)
+		w.WriteUE(seToUE(v))
 	}
 	r := NewBitReader(w.Bytes())
 	for _, want := range ues {
@@ -69,7 +69,7 @@ func TestExpGolombProperty(t *testing.T) {
 	f := func(vals []int32) bool {
 		w := &BitWriter{}
 		for _, v := range vals {
-			w.WriteSE(v % 1_000_000)
+			w.WriteUE(seToUE(v % 1_000_000))
 		}
 		r := NewBitReader(w.Bytes())
 		for _, v := range vals {
@@ -144,6 +144,45 @@ func TestZigzagIsPermutation(t *testing.T) {
 	if zigzag8[1] != 1 || zigzag8[2] != 8 {
 		t.Errorf("zigzag start = %v", zigzag8[:4])
 	}
+	if zigzag8 != oracleZigzag8() {
+		t.Errorf("zigzag8 = %v, the anti-diagonal walk gives %v", zigzag8, oracleZigzag8())
+	}
+}
+
+// oracleZigzag8 is the scan's definition that the literal zigzag8 table is
+// held to: walk the anti-diagonals, even ones up-right, odd ones down-left.
+func oracleZigzag8() [blockSize * blockSize]int {
+	var order [blockSize * blockSize]int
+	idx := 0
+	for s := 0; s < 2*blockSize-1; s++ {
+		if s%2 == 0 {
+			// Up-right diagonal.
+			y := s
+			if y > blockSize-1 {
+				y = blockSize - 1
+			}
+			x := s - y
+			for y >= 0 && x < blockSize {
+				order[idx] = y*blockSize + x
+				idx++
+				y--
+				x++
+			}
+		} else {
+			x := s
+			if x > blockSize-1 {
+				x = blockSize - 1
+			}
+			y := s - x
+			for x >= 0 && y < blockSize {
+				order[idx] = y*blockSize + x
+				idx++
+				x--
+				y++
+			}
+		}
+	}
+	return order
 }
 
 // refBitWriter is the historical bit-at-a-time writer, kept as the oracle
@@ -208,7 +247,7 @@ func TestBitWriterMatchesReference(t *testing.T) {
 				want.writeBits(x, n)
 			case 3:
 				v := int32(rng.Uint64())
-				got.WriteSE(v)
+				got.WriteUE(seToUE(v))
 				x := uint64(seToUE(v)) + 1
 				n := bitLen64(x)
 				want.writeBits(0, n-1)
@@ -431,8 +470,8 @@ func checkReaderAgainstReference(t *testing.T, buf []byte, ops []readerOp) {
 			}
 			return
 		}
-		if gv != wv || got.Pos() != want.pos {
-			t.Fatalf("len %d op %d %+v: value %d pos %d, reference %d pos %d", len(buf), i, op, gv, got.Pos(), wv, want.pos)
+		if gv != wv || got.pos != want.pos {
+			t.Fatalf("len %d op %d %+v: value %d pos %d, reference %d pos %d", len(buf), i, op, gv, got.pos, wv, want.pos)
 		}
 	}
 }
@@ -465,7 +504,7 @@ func TestBitReaderMatchesReference(t *testing.T) {
 				}
 				w.WriteUE(v)
 			case 3:
-				w.WriteSE(int32(rng.Uint64()) >> uint(rng.Intn(32)))
+				w.WriteUE(seToUE(int32(rng.Uint64()) >> uint(rng.Intn(32))))
 			}
 			ops = append(ops, op)
 		}

@@ -14,40 +14,18 @@ func QStep(qp int) float64 {
 	return qstepTable[clampQP(qp)]
 }
 
-// zigzag8 is the classic 8×8 zigzag scan order.
-var zigzag8 = func() [blockSize * blockSize]int {
-	var order [blockSize * blockSize]int
-	idx := 0
-	for s := 0; s < 2*blockSize-1; s++ {
-		if s%2 == 0 {
-			// Up-right diagonal.
-			y := s
-			if y > blockSize-1 {
-				y = blockSize - 1
-			}
-			x := s - y
-			for y >= 0 && x < blockSize {
-				order[idx] = y*blockSize + x
-				idx++
-				y--
-				x++
-			}
-		} else {
-			x := s
-			if x > blockSize-1 {
-				x = blockSize - 1
-			}
-			y := s - x
-			for x >= 0 && y < blockSize {
-				order[idx] = y*blockSize + x
-				idx++
-				x--
-				y++
-			}
-		}
-	}
-	return order
-}()
+// zigzag8 is the classic 8×8 zigzag scan order: raster positions along
+// the anti-diagonals, alternately up-right and down-left, from DC.
+var zigzag8 = [blockSize * blockSize]int{
+	0, 1, 8, 16, 9, 2, 3, 10,
+	17, 24, 32, 25, 18, 11, 4, 5,
+	12, 19, 26, 33, 40, 48, 41, 34,
+	27, 20, 13, 6, 7, 14, 21, 28,
+	35, 42, 49, 56, 57, 50, 43, 36,
+	29, 22, 15, 23, 30, 37, 44, 51,
+	58, 59, 52, 45, 38, 31, 39, 46,
+	53, 60, 61, 54, 47, 55, 62, 63,
+}
 
 // writeCoeffs entropy-codes one quantized block: a coded flag, then
 // (run, level) pairs in zigzag order with an end-of-block marker. mask is
@@ -59,7 +37,7 @@ var zigzag8 = func() [blockSize * blockSize]int {
 // times as its 56-bit WriteBits allows — one (run, level) pair at least, a
 // whole sparse block at best. An Exp-Golomb code is its value plus one
 // written in 2n−1 bits, n the bit length of that, so appending a code to the
-// field is a shift and an or; the bits are those of one WriteUE/WriteSE per
+// field is a shift and an or; the bits are those of one ue / se code per
 // symbol.
 func writeCoeffs(w *BitWriter, levels *[blockSize * blockSize]int32, mask uint64) {
 	if mask == 0 {

@@ -48,17 +48,9 @@ func NewDecoder(cfg Config) (*Decoder, error) {
 // SniffFrameType reads only the frame-type header from a bitstream without
 // touching decoder state — servers use it to tell whether a frame is safe to
 // decode while the reference is known stale.
-func SniffFrameType(data []byte) (FrameType, error) {
-	r := NewBitReader(data)
-	ft, err := r.ReadUE()
-	if err != nil {
-		return 0, err
-	}
-	ftype := FrameType(ft)
-	if ftype != IFrame && ftype != PFrame {
-		return 0, fmt.Errorf("%w: bad frame type %d", ErrBitstream, ft)
-	}
-	return ftype, nil
+func SniffFrameType(data []byte) (t FrameType, err error) {
+	err = t.get(NewBitReader(data))
+	return t, err
 }
 
 // DecodedFrame carries the reconstructed image and decoded side info. It
@@ -93,119 +85,71 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 // decode parses data into recon, reading d.ref as the reference.
 func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) {
 	r := &BitReader{buf: data}
-	ft, err := r.ReadUE()
-	if err != nil {
+	var fh frameHeader
+	if err := fh.get(r); err != nil {
 		return nil, err
 	}
-	ftype := FrameType(ft)
-	if ftype != IFrame && ftype != PFrame {
-		return nil, fmt.Errorf("%w: bad frame type %d", ErrBitstream, ft)
-	}
-	baseQP, err := r.ReadUE()
-	if err != nil {
-		return nil, err
-	}
-	mbw, err := r.ReadUE()
-	if err != nil {
-		return nil, err
-	}
-	mbh, err := r.ReadUE()
-	if err != nil {
-		return nil, err
-	}
-	subpelBit, err := r.ReadBit()
-	if err != nil {
-		return nil, err
-	}
-	subpel := subpelBit == 1
-	deblockBit, err := r.ReadBit()
-	if err != nil {
-		return nil, err
-	}
-	deblock := deblockBit == 1
-	if int(mbw)*MBSize != d.cfg.Width || int(mbh)*MBSize != d.cfg.Height {
+	// Counts, not their products in pixels: a crafted count times MBSize
+	// can wrap a 32-bit int onto the configured size.
+	w, h := d.cfg.Width/MBSize, d.cfg.Height/MBSize
+	if fh.mbw != uint32(w) || fh.mbh != uint32(h) {
 		return nil, fmt.Errorf("%w: stream is %dx%d MBs, decoder configured for %dx%d px",
-			ErrBitstream, mbw, mbh, d.cfg.Width, d.cfg.Height)
+			ErrBitstream, fh.mbw, fh.mbh, d.cfg.Width, d.cfg.Height)
 	}
-	if ftype == PFrame && d.ref == nil {
+	if fh.typ == PFrame && d.ref == nil {
 		return nil, fmt.Errorf("%w: P-frame before any I-frame", ErrBitstream)
 	}
 
-	w, h := int(mbw), int(mbh)
+	baseQP := int(fh.baseQP)
 	mvs, modes, qps := d.mvs, d.modes, d.qps
-	// One inter macroblock's levels and significance masks.
-	var levels [4 * blockSize * blockSize]int32
-	var masks [4]uint64
+	var mb mbHeader
+	var levels [4 * blockSize * blockSize]int32 // one inter macroblock's levels
+	var masks [4]uint64                         // and significance masks
 
 	for by := 0; by < h; by++ {
 		for bx := 0; bx < w; bx++ {
 			i := by*w + bx
 			px, py := bx*MBSize, by*MBSize
-			m, err := r.ReadUE()
-			if err != nil {
+			if err := mb.get(r); err != nil {
 				return nil, err
 			}
-			mode := MBMode(m)
-			modes[i] = mode
-			qps[i] = int(baseQP)
-			if (mode == ModeSkip || mode == ModeInter) && d.ref == nil {
+			if mb.mode != ModeIntra && d.ref == nil {
 				return nil, fmt.Errorf("%w: inter macroblock without reference", ErrBitstream)
 			}
-			switch mode {
-			case ModeSkip:
-				pred := predictMV(mvs, w, bx, by)
-				mvs[i] = pred
-				predictBlock(recon.Pix[py*recon.W+px:], recon.W, d.ref, px, py, MBSize, MBSize, pred, subpel)
-			case ModeInter:
-				dx, err := r.ReadSE()
-				if err != nil {
-					return nil, err
-				}
-				dy, err := r.ReadSE()
-				if err != nil {
-					return nil, err
-				}
-				dqp, err := r.ReadSE()
-				if err != nil {
-					return nil, err
-				}
-				pred := predictMV(mvs, w, bx, by)
-				mv := MV{pred.X + int16(dx), pred.Y + int16(dy)}
-				mvs[i] = mv
-				qp := clampQP(int(baseQP) + int(dqp))
-				qps[i] = qp
-				for blk := range masks {
-					off := blk * blockSize * blockSize
-					mask, err := readCoeffs(r, (*[blockSize * blockSize]int32)(levels[off:]))
-					if err != nil {
-						return nil, err
-					}
-					masks[blk] = mask
-				}
-				reconstructInterMB(recon, d.ref, px, py, mv, subpel, levels[:], masks[:], qp)
-			case ModeIntra:
+			modes[i], qps[i] = mb.mode, baseQP
+			if mb.mode == ModeIntra {
 				// Later macroblocks predict their vector from this cell.
-				mvs[i] = MV{}
-				dqp, err := r.ReadSE()
+				mvs[i], qps[i] = MV{}, clampQP(baseQP+int(mb.dqp))
+				if err := decodeIntraMB(r, recon, px, py, qps[i]); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			// A skip codes no vector delta: its vector is the predictor.
+			pred := predictMV(mvs, w, bx, by)
+			mv := MV{pred.X + int16(mb.dx), pred.Y + int16(mb.dy)}
+			mvs[i] = mv
+			if mb.mode == ModeSkip {
+				predictBlock(recon.Pix[py*recon.W+px:], recon.W, d.ref, px, py, MBSize, MBSize, mv, fh.subpel)
+				continue
+			}
+			qps[i] = clampQP(baseQP + int(mb.dqp))
+			for blk := range masks {
+				mask, err := readCoeffs(r, (*[blockSize * blockSize]int32)(levels[blk*blockSize*blockSize:]))
 				if err != nil {
 					return nil, err
 				}
-				qp := clampQP(int(baseQP) + int(dqp))
-				qps[i] = qp
-				if err := decodeIntraMB(r, recon, px, py, qp); err != nil {
-					return nil, err
-				}
-			default:
-				return nil, fmt.Errorf("%w: bad MB mode %d", ErrBitstream, m)
+				masks[blk] = mask
 			}
+			reconstructInterMB(recon, d.ref, px, py, mv, fh.subpel, levels[:], masks[:], qps[i])
 		}
 	}
-	if deblock {
+	if fh.deblock {
 		deblockFrame(recon, qps, w)
 	}
 	recon.Bump()
 	d.frame = DecodedFrame{
-		Type: ftype, BaseQP: int(baseQP),
+		Type: fh.typ, BaseQP: baseQP,
 		Image: recon, MVs: mvs, Modes: modes,
 	}
 	return &d.frame, nil
@@ -216,14 +160,11 @@ func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) 
 func decodeIntraMB(r *BitReader, recon *imgx.Plane, px, py int, qp int) error {
 	var pred [blockSize * blockSize]uint8
 	var levels [blockSize * blockSize]int32
+	var m intraMode
 	for by := 0; by < MBSize; by += blockSize {
 		for bx := 0; bx < MBSize; bx += blockSize {
-			m, err := r.ReadUE()
-			if err != nil {
+			if err := m.get(r); err != nil {
 				return err
-			}
-			if m >= numIntraModes {
-				return fmt.Errorf("%w: bad intra mode %d", ErrBitstream, m)
 			}
 			mask, err := readCoeffs(r, &levels)
 			if err != nil {

@@ -15,11 +15,6 @@ func (w *BitWriter) WriteUE(v uint32) {
 	w.WriteBits(x, 2*n-1)
 }
 
-// WriteSE appends the signed Exp-Golomb code of v.
-func (w *BitWriter) WriteSE(v int32) {
-	w.WriteUE(seToUE(v))
-}
-
 // ReadUE reads an unsigned Exp-Golomb code: n zeros, then the n+1 bits of
 // v+1. When all 2n+1 bits sit in the reader's window the symbol is the
 // window's top 2n+1 bits; otherwise (buffer tail, n > 28) the bit loop runs.
@@ -76,3 +71,8 @@ func ueToSE(u uint32) int32 {
 }
 
 func bitLen64(x uint64) int { return bits.Len64(x) }
+
+// ueBits is the exact length WriteUE(v) appends (blockBits, the writeCoeffs
+// mirror, lives in dct.go next to the writer). It calls bits.Len64 itself,
+// so putUE stays within the inliner's budget.
+func ueBits(v uint32) int { return 2*bits.Len64(uint64(v)+1) - 1 }

@@ -62,6 +62,7 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	f.Add([]byte{0xFF, 0xFF, 0xFF})
+	f.Add(wrappingMBCountStream())
 
 	fresh, err := NewDecoder(cfg)
 	if err != nil {
@@ -112,6 +113,43 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("I-frame after fuzzed input decodes to a different picture")
 		}
 	})
+}
+
+// wrappingMBCountStream is a 34-byte P-frame for a 48×32 decoder whose
+// header claims 2^28+3 macroblocks a row: times MBSize that is 2^32+48,
+// which a 32-bit int wraps to the configured width. Skip modes follow, more
+// than the frame's six macroblocks.
+func wrappingMBCountStream() []byte {
+	var w BitWriter
+	w.WriteUE(uint32(PFrame))
+	w.WriteUE(20)
+	w.WriteUE(1<<28 + 3)
+	w.WriteUE(2)
+	w.WriteBits(0b11, 2) // sub-pel, deblock
+	for w.Len() < 34*8-2 {
+		w.WriteUE(uint32(ModeSkip))
+	}
+	return w.Bytes()
+}
+
+// TestDecodeRejectsWrappingMBCount: the decoder compares the stream's
+// macroblock counts with its own, never their products in pixels, so the
+// wrapping claim is rejected on every GOARCH (as 386 it used to pass the
+// size check and index past the per-macroblock arrays).
+func TestDecodeRejectsWrappingMBCount(t *testing.T) {
+	cfg := DefaultConfig(48, 32)
+	iframe, _ := fuzzStreams(t, cfg)
+	dec, _ := NewDecoder(cfg)
+	if _, err := dec.Decode(iframe); err != nil {
+		t.Fatal(err)
+	}
+	data := wrappingMBCountStream()
+	if len(data) != 34 {
+		t.Fatalf("stream is %d bytes, want 34", len(data))
+	}
+	if _, err := dec.Decode(data); !errors.Is(err, ErrBitstream) {
+		t.Fatalf("Decode = %v, want ErrBitstream", err)
+	}
 }
 
 // TestDecodeRejectionLeavesReferenceIntact is the P-frame half of the
@@ -185,9 +223,9 @@ func TestDecodeOutOfFrameVectors(t *testing.T) {
 			mvs[i] = []MV{{-30000, 9}, {32767, -32768}, {5, 20000}, {-77, -4000}, {1200, 1201}, {-32768, 32767}}[i]
 			pred := predictMV(mvs, 3, bx, by)
 			w.WriteUE(uint32(ModeInter))
-			w.WriteSE(int32(mvs[i].X) - int32(pred.X))
-			w.WriteSE(int32(mvs[i].Y) - int32(pred.Y))
-			w.WriteSE(0)
+			w.WriteUE(seToUE(int32(mvs[i].X) - int32(pred.X)))
+			w.WriteUE(seToUE(int32(mvs[i].Y) - int32(pred.Y)))
+			w.WriteUE(seToUE(0))
 			for blk := 0; blk < 4; blk++ {
 				w.WriteBit(0) // no coefficients
 			}

@@ -79,7 +79,7 @@ func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField
 
 			if ftype == IFrame {
 				w.WriteUE(uint32(ModeIntra))
-				w.WriteSE(int32(qp - baseQP))
+				w.WriteUE(seToUE(int32(qp - baseQP)))
 				encodeIntraMB(w, frame, recon, px, py, qp)
 				continue
 			}
@@ -96,9 +96,9 @@ func (e *Encoder) encodePass(frame *imgx.Plane, ftype FrameType, mf *MotionField
 				continue
 			}
 			w.WriteUE(uint32(ModeInter))
-			w.WriteSE(int32(mv.X) - int32(pred.X))
-			w.WriteSE(int32(mv.Y) - int32(pred.Y))
-			w.WriteSE(int32(qp - baseQP))
+			w.WriteUE(seToUE(int32(mv.X) - int32(pred.X)))
+			w.WriteUE(seToUE(int32(mv.Y) - int32(pred.Y)))
+			w.WriteUE(seToUE(int32(qp - baseQP)))
 			codedMVs[i] = mv
 			encodeInterMB(w, dctCache[i*4:i*4+4], e.ref, recon, px, py, mv, qp, e.cfg.SubPel, final)
 		}
@@ -492,7 +492,7 @@ func oracleCountInterMB(dctBlocks [][blockSize * blockSize]int32, qp int) int {
 }
 
 // oracleCoeffsBits is the symbol-by-symbol mirror of writeCoeffs that
-// coeffsBits was before blockBits: one ueBits(run) + seBits(level) per
+// coeffsBits was before blockBits: one ue(run) + se(level) length per
 // coefficient, stopping at the last one.
 func oracleCoeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
 	if nz == 0 {
@@ -506,7 +506,7 @@ func oracleCoeffsBits(levels *[blockSize * blockSize]int32, nz int) int {
 			run++
 			continue
 		}
-		bits += ueBits(run) + seBits(l)
+		bits += ueBits(run) + ueBits(seToUE(l))
 		run = 0
 		if nz--; nz == 0 {
 			break

@@ -7,15 +7,10 @@ import (
 	"dive/internal/obs"
 )
 
-// Two-phase encoding. Encode is split into AnalyzeAndQuantize (motion
-// analysis, rate control, then one final quantizePass that quantizes,
-// reconstructs and writes the bitstream) and EmitBitstream (the hand-out of
-// the finished frame). Rate-control trials run the same quantizePass without
-// a writer: every symbol length is known arithmetically (ueBits/seBits/
-// blockBits mirror the writers exactly), so a trial only counts, and the
-// final pass writes each symbol on the line next to the term that counts it.
-// The writer's length is checked against that count before the frame is
-// handed out.
+// Two-phase encoding. Encode is AnalyzeAndQuantize (motion analysis, rate
+// control, then one final quantizePass that quantizes, reconstructs and
+// writes the bitstream) followed by EmitBitstream (the hand-out). A
+// rate-control trial is the same quantizePass without a writer: it counts.
 
 // FrameJob is one encoded frame carried from AnalyzeAndQuantize to
 // EmitBitstream. An encoder owns exactly one, reused for every frame, so
@@ -275,16 +270,16 @@ func offsetsNonNegative(offsets []int) bool {
 	return true
 }
 
-// quantizePass is the encoder's one macroblock walk: header bits, per-MB QP,
-// the skip decision, MV prediction and every symbol length are stated here
-// and nowhere else, so a rate-control trial and the final pass cannot
-// disagree on them. It returns the exact number of bits the final pass
-// writes for frame at baseQP. Both modes run on the encoder's
-// one-macroblock scratch (e.trial); what differs is what becomes of a
-// macroblock once it is quantized:
+// quantizePass is the encoder's one macroblock walk: per-MB QP, the skip
+// decision and MV prediction are stated here and nowhere else, and every
+// symbol goes through its syntax element's put (syntax.go), so a
+// rate-control trial and the final pass cannot disagree on them. It returns
+// the exact number of bits the final pass writes for frame at baseQP. Both
+// modes run on the encoder's one-macroblock scratch (e.trial); what differs
+// is what becomes of a macroblock once it is quantized:
 //
-//   - final pass (job non-nil): every symbol is written into job.bw next to
-//     the term that counts it, per-MB QPs are stored in the job, every
+//   - final pass (job non-nil): every symbol is written into job.bw by the
+//     put that counts it, per-MB QPs are stored in the job, every
 //     macroblock is reconstructed into the encoder's spare plane and the
 //     loop filter runs. Every pixel of that plane is written in raster order
 //     before any read (skip/inter compensation and causal intra prediction
@@ -322,16 +317,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 		recon = t.recon
 	}
 
-	bits := ueBits(uint32(ftype)) + ueBits(uint32(baseQP)) +
-		ueBits(uint32(e.mbw)) + ueBits(uint32(e.mbh)) + 2 // subpel + deblock flags
-	if w != nil {
-		w.WriteUE(uint32(ftype))
-		w.WriteUE(uint32(baseQP))
-		w.WriteUE(uint32(e.mbw))
-		w.WriteUE(uint32(e.mbh))
-		w.WriteBit(flagBit(e.cfg.SubPel))
-		w.WriteBit(flagBit(e.cfg.Deblock))
-	}
+	bits := frameHeader{ftype, uint32(baseQP), uint32(e.mbw), uint32(e.mbh), e.cfg.SubPel, e.cfg.Deblock}.put(w)
 
 	for by := 0; by < e.mbh; by++ {
 		for bx := 0; bx < e.mbw; bx++ {
@@ -346,12 +332,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			}
 
 			if ftype == IFrame {
-				bits += ueBits(uint32(ModeIntra)) + seBits(int32(qp-baseQP))
-				if w != nil {
-					w.WriteUE(uint32(ModeIntra))
-					w.WriteSE(int32(qp - baseQP))
-				}
-				bits += quantizeIntraMB(frame, recon, px, py, qp, w)
+				bits += mbHeader{mode: ModeIntra, dqp: int32(qp - baseQP)}.put(w) + quantizeIntraMB(frame, recon, px, py, qp, w)
 				continue
 			}
 
@@ -359,24 +340,14 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 			mv := mf.MVs[i]
 			pred := predictMV(codedMVs, e.mbw, bx, by)
 			if mode == ModeSkip && mv == pred {
-				bits += ueBits(uint32(ModeSkip))
+				bits += mbHeader{mode: ModeSkip}.put(w)
 				codedMVs[i] = pred
 				if w != nil {
-					w.WriteUE(uint32(ModeSkip))
 					predictBlock(recon.Pix[py*recon.W+px:], recon.W, e.ref, px, py, MBSize, MBSize, pred, e.cfg.SubPel)
 				}
 				continue
 			}
-			bits += ueBits(uint32(ModeInter)) +
-				seBits(int32(mv.X)-int32(pred.X)) +
-				seBits(int32(mv.Y)-int32(pred.Y)) +
-				seBits(int32(qp-baseQP))
-			if w != nil {
-				w.WriteUE(uint32(ModeInter))
-				w.WriteSE(int32(mv.X) - int32(pred.X))
-				w.WriteSE(int32(mv.Y) - int32(pred.Y))
-				w.WriteSE(int32(qp - baseQP))
-			}
+			bits += mbHeader{ModeInter, int32(mv.X) - int32(pred.X), int32(mv.Y) - int32(pred.Y), int32(qp - baseQP)}.put(w)
 			codedMVs[i] = mv
 			bits += quantizeInterMB(dctCache[i*4:i*4+4], e.dctOr[i*4:i*4+4], qp, levels, masks, w)
 			if w != nil {
@@ -391,14 +362,6 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 		recon.Bump()
 	}
 	return bits
-}
-
-// flagBit is a one-bit header flag.
-func flagBit(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // quantizeInterMB quantizes one inter macroblock from its cached
@@ -446,14 +409,13 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, w *BitWriter) i
 	for by := 0; by < MBSize; by += blockSize {
 		for bx := 0; bx < MBSize; bx += blockSize {
 			mode := chooseIntra(cur, recon, px+bx, py+by, &pred)
-			bits += ueBits(uint32(mode))
+			bits += intraMode(mode).put(w)
 			mask, n := uint64(0), 1 // coded-block flag: empty
 			if fdctResidual(cur.Pix[(py+by)*cur.W+px+bx:], cur.W, pred[:], blockSize, &dct) >= zeroBelow[qp] {
 				mask, n = codeBlock(&dct, qp, &levels)
 			}
 			bits += n
 			if w != nil {
-				w.WriteUE(uint32(mode))
 				writeCoeffs(w, &levels, mask)
 			}
 			reconstructBlock(recon, px+bx, py+by, pred[:], blockSize, &levels, mask, qp)
@@ -485,11 +447,3 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 	}
 	return ef, nil
 }
-
-// Bit-length arithmetic mirroring the Exp-Golomb writers: ueBits(v) is the
-// exact length WriteUE(v) appends, seBits the WriteSE counterpart
-// (blockBits, the writeCoeffs mirror, lives in dct.go next to the writer).
-
-func ueBits(v uint32) int { return 2*bitLen64(uint64(v)+1) - 1 }
-
-func seBits(v int32) int { return ueBits(seToUE(v)) }

@@ -19,7 +19,7 @@ func renderWith(t *testing.T, workers int) []byte {
 	scene := buildScene(p, traj, rng)
 	cam := NewCamera(p.focal(), p.W, p.H)
 	rdr := NewRenderer(scene)
-	rdr.Workers = workers
+	rdr.workers = workers
 	rdr.Illumination = 0.4 // exercise the fused illumination + noise pass
 	var out []byte
 	for i := 0; i < 3; i++ {
@@ -56,7 +56,7 @@ func TestBillboardParallelMatchesSerial(t *testing.T) {
 		scene := buildScene(p, traj, rng)
 		cam := NewCamera(p.focal(), p.W, p.H)
 		rdr := NewRenderer(scene)
-		rdr.Workers = workers
+		rdr.workers = workers
 		rdr.NoiseStd = 0
 		rdr.Illumination = 1
 		var pix []byte
@@ -99,7 +99,7 @@ func BenchmarkRenderParallel(b *testing.B) {
 	pose := traj.At(0)
 	cam.SetPose(pose.Pos, pose.Yaw, pose.Pitch)
 	rdr := NewRenderer(scene)
-	rdr.Workers = 0 // GOMAXPROCS-sized
+	rdr.workers = 0 // GOMAXPROCS-sized
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,7 +119,7 @@ func TestRenderBandsShareCameraRaceFree(t *testing.T) {
 	scene := buildScene(p, traj, rng)
 	cam := NewCamera(p.focal(), p.W, p.H)
 	rdr := NewRenderer(scene)
-	rdr.Workers = 4
+	rdr.workers = 4
 	for i := 0; i < 6; i++ {
 		pose := traj.At(float64(i) / p.FPS)
 		cam.SetPose(pose.Pos, pose.Yaw, pose.Pitch)

@@ -58,11 +58,12 @@ type Renderer struct {
 	wroteScratch []bool
 	pool         *parallel.Pool
 	poolW        int
-	// Workers bounds the renderer's scanline-band parallelism (background
-	// ray-cast, illumination and sensor noise). 0 sizes to GOMAXPROCS, 1
-	// is serial. Output is identical for every value: bands are fixed
-	// renderBand-row slabs and each band owns an independent RNG stream.
-	Workers int
+	// workers bounds the renderer's scanline-band parallelism (background
+	// ray-cast, illumination and sensor noise). 0, what every program runs,
+	// sizes to GOMAXPROCS; the package's tests set other widths. Output is
+	// identical for every value: bands are fixed renderBand-row slabs and
+	// each band owns an independent RNG stream.
+	workers int
 	// MaxObjectDist culls objects farther than this from the camera.
 	MaxObjectDist float64
 	// NoiseStd adds per-pixel Gaussian sensor noise (luma levels).
@@ -164,12 +165,12 @@ func (r *Renderer) Render(cam *Camera, t float64, frameSeed int64) (*imgx.Plane,
 	return frame, gts
 }
 
-// workerPool returns the pool for the current Workers setting, rebuilding it
+// workerPool returns the pool for the current workers setting, rebuilding it
 // when the setting changed since the last frame.
 func (r *Renderer) workerPool() *parallel.Pool {
-	if r.pool == nil || r.poolW != r.Workers {
-		r.pool = parallel.New(r.Workers)
-		r.poolW = r.Workers
+	if r.pool == nil || r.poolW != r.workers {
+		r.pool = parallel.New(r.workers)
+		r.poolW = r.workers
 	}
 	return r.pool
 }
