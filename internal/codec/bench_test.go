@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dive/internal/imgx"
@@ -138,16 +139,35 @@ func BenchmarkQuantize(b *testing.B) {
 	}
 }
 
+// BenchmarkDeblockFrame times the loop filter on what the decoder hands it:
+// the decodeStream clip (P-frames at base QP 0 to 15, I-frames at 22, as on
+// a clear link) decoded without the filter, so each frame is a real
+// reconstruction before filtering, with the QP map its macroblocks were
+// decoded at. One frame per op, restored from its copy first (a 61 kB copy
+// beside the filter).
 func BenchmarkDeblockFrame(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	p := randomFrame(320, 192, rng)
-	qps := make([]int, (320/MBSize)*(192/MBSize))
-	for i := range qps {
-		qps[i] = 30
+	cfg := DefaultConfig(320, 192)
+	cfg.Deblock = false
+	dec, streams := decodeStream(b, cfg)
+	type frame struct {
+		pix []uint8
+		qps []int
 	}
+	frames := make([]frame, len(streams))
+	for i, s := range streams {
+		df, err := dec.Decode(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		frames[i] = frame{slices.Clone(df.Image.Pix), slices.Clone(dec.qps)}
+	}
+	p := imgx.NewPlane(cfg.Width, cfg.Height)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		deblockFrame(p, qps, 320/MBSize)
+		f := frames[i%len(frames)]
+		copy(p.Pix, f.pix)
+		deblockFrame(p, f.qps, cfg.Width/MBSize)
 	}
 }
 
@@ -282,35 +302,48 @@ func BenchmarkRCSearch(b *testing.B) {
 	}
 }
 
+// interBlocks returns the transform blocks of one P-frame's inter
+// macroblocks, from the encoder's inter-DCT cache, for the entropy coder's
+// benchmarks and the reader's test seeds.
+func interBlocks(tb testing.TB) [][blockSize * blockSize]int32 {
+	enc, err := NewEncoder(DefaultConfig(320, 192))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
+		tb.Fatal(err)
+	}
+	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
+	mf := enc.AnalyzeMotion(frame)
+	cache := enc.buildInterDCTCache(frame, mf)
+	var coded [][blockSize * blockSize]int32
+	for i, mode := range mf.Modes {
+		if mode == ModeInter {
+			coded = append(coded, cache[i*4:i*4+4]...)
+		}
+	}
+	return coded
+}
+
+// codeBlocks quantizes every block at qp and returns the levels and masks.
+func codeBlocks(coded [][blockSize * blockSize]int32, qp int) ([][blockSize * blockSize]int32, []uint64) {
+	levels, masks := make([][blockSize * blockSize]int32, len(coded)), make([]uint64, len(coded))
+	for k := range coded {
+		masks[k], _ = codeBlock(&coded[k], qp, &levels[k])
+	}
+	return levels, masks
+}
+
 // BenchmarkWriteCoeffs measures the entropy writer alone: writeCoeffs over
 // every transform block of one P-frame of inter macroblocks, quantized from
 // the encoder's inter-DCT cache, near-lossless, where every coefficient is
 // coded, and at the clear-link operating point, where blocks hold a few. The
 // writer is Reset and refilled; nothing allocates.
 func BenchmarkWriteCoeffs(b *testing.B) {
-	enc, err := NewEncoder(DefaultConfig(320, 192))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
-		b.Fatal(err)
-	}
-	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
-	mf := enc.AnalyzeMotion(frame)
-	cache := enc.buildInterDCTCache(frame, mf)
-	var coded [][blockSize * blockSize]int32 // the inter macroblocks' blocks
-	for i, mode := range mf.Modes {
-		if mode == ModeInter {
-			coded = append(coded, cache[i*4:i*4+4]...)
-		}
-	}
-	levels := make([][blockSize * blockSize]int32, len(coded))
-	masks := make([]uint64, len(coded))
+	coded := interBlocks(b)
 	for _, qp := range []int{2, 25} {
 		b.Run(fmt.Sprintf("qp%d", qp), func(b *testing.B) {
-			for k := range coded {
-				masks[k], _ = codeBlock(&coded[k], qp, &levels[k])
-			}
+			levels, masks := codeBlocks(coded, qp)
 			var w BitWriter
 			b.ReportAllocs()
 			for i := -1; i < b.N; i++ {
@@ -323,6 +356,35 @@ func BenchmarkWriteCoeffs(b *testing.B) {
 				}
 			}
 			benchSink = w.Len()
+		})
+	}
+}
+
+// BenchmarkReadCoeffs is BenchmarkWriteCoeffs read back: readCoeffs over the
+// same frame's blocks, written one after another as the decoder meets them,
+// at the same two QPs. Nothing allocates.
+func BenchmarkReadCoeffs(b *testing.B) {
+	coded := interBlocks(b)
+	for _, qp := range []int{2, 25} {
+		b.Run(fmt.Sprintf("qp%d", qp), func(b *testing.B) {
+			levels, masks := codeBlocks(coded, qp)
+			var w BitWriter
+			for k := range levels {
+				writeCoeffs(&w, &levels[k], masks[k])
+			}
+			data := w.Bytes()
+			var got [blockSize * blockSize]int32
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := BitReader{buf: data}
+				for range levels {
+					if _, err := readCoeffs(&r, &got); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 		})
 	}
 }

@@ -340,6 +340,32 @@ func TestBitWriterUEMax(t *testing.T) {
 	}
 }
 
+// TestReadUERejectsWrappingCode pins the 65-bit codes: 32 zeros, a 1 and a
+// 32-bit tail. Only a zero tail (MaxUint32) is a value; any other would wrap
+// to tail − 1, the value of a short code, and is rejected by the reader and
+// by the reference alike, at the end of the buffer and ahead of more bytes.
+func TestReadUERejectsWrappingCode(t *testing.T) {
+	for _, tail := range []uint64{0, 1, 5, math.MaxUint32} {
+		for _, pad := range []int{0, 16} {
+			var w BitWriter
+			w.WriteBits(1<<32|tail, 65)
+			w.WriteBits(0xA5A5, pad)
+			buf := w.Bytes()
+			got, err := NewBitReader(buf).ReadUE()
+			ref, refErr := (&refBitReader{buf: buf}).readUE()
+			if tail == 0 {
+				if err != nil || got != math.MaxUint32 || refErr != nil || ref != math.MaxUint32 {
+					t.Fatalf("pad %d: MaxUint32 read as %d, %v (reference %d, %v)", pad, got, err, ref, refErr)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrBitstream) || !errors.Is(refErr, ErrBitstream) {
+				t.Fatalf("tail %d pad %d: read %d, %v (reference %d, %v), want ErrBitstream", tail, pad, got, err, ref, refErr)
+			}
+		}
+	}
+}
+
 // TestBitWriterReset pins the grow-once contract: a Reset writer keeps its
 // backing capacity and produces byte-identical output without reallocating.
 func TestBitWriterReset(t *testing.T) {
@@ -417,6 +443,9 @@ func (r *refBitReader) readUE() (uint32, error) {
 	rest, err := r.readBits(n)
 	if err != nil {
 		return 0, err
+	}
+	if n == 32 && rest != 0 {
+		return 0, ErrBitstream
 	}
 	return uint32(1<<uint(n) + rest - 1), nil
 }

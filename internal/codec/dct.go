@@ -1,6 +1,9 @@
 package codec
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // blockSize is the transform block edge; a macroblock holds 2×2 transform
 // blocks.
@@ -160,13 +163,76 @@ func blockBits(mask uint64, lenSum int) int {
 // readCoeffs decodes one block written by writeCoeffs and returns its zigzag
 // significance mask (every coded level is nonzero and lands on its own
 // position, so the mask is exact).
+//
+// The bits are read from a 64-bit window held in locals for the whole
+// block: a (run, level) pair is a leading-zero count and a shift for each
+// symbol, and the window is reloaded from the buffer only when fewer than 40
+// of its bits remain. valid counts at most 63 of them, so a pair the window
+// holds is at most 63 bits long. A pair is taken only when both its codes
+// lie whole in the window; otherwise — the last seven bytes of the buffer, or a code too long
+// for what is left — the ReadUE / ReadSE loop below takes over at the start
+// of that pair, so every rejection (read past the end, a code over 32 zeros
+// long, a run past the block, a zero level) is the bit reader's.
 func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (mask uint64, err error) {
 	*levels = [blockSize * blockSize]int32{}
-	coded, err := r.ReadBit()
-	if err != nil || coded == 0 {
+	idx := 0
+	if buf, pos := r.buf, r.pos; pos>>3+8 <= len(buf) {
+		sh := pos & 7
+		w := binary.BigEndian.Uint64(buf[pos>>3:]) << uint(sh)
+		if w>>63 == 0 {
+			r.pos = pos + 1 // coded-block flag: empty
+			return 0, nil
+		}
+		w, pos = w<<1, pos+1
+		valid := 63 - sh
+		for {
+			if valid < 40 {
+				i := pos >> 3
+				if i+8 > len(buf) {
+					break
+				}
+				w, valid = binary.BigEndian.Uint64(buf[i:])<<uint(pos&7), 63-pos&7
+			}
+			n := bits.LeadingZeros64(w)
+			nRun := 2*n + 1
+			if nRun > valid {
+				break
+			}
+			run := w>>((63-2*n)&63) - 1
+			if run >= blockSize*blockSize {
+				r.pos = pos + nRun
+				return mask, nil // end of block
+			}
+			k := idx + int(run)
+			if k >= blockSize*blockSize {
+				r.pos = pos + nRun
+				return 0, ErrBitstream
+			}
+			v := w << (nRun & 63)
+			m := bits.LeadingZeros64(v)
+			nLev := 2*m + 1
+			if nRun+nLev > valid {
+				break
+			}
+			// ueToSE of the level's code: half of the code plus one, negated
+			// when that is odd. The pair is at most 63 bits, so m ≤ 30 and the
+			// code plus one is below 2^31, where ueToSE does not wrap.
+			x := v >> ((63 - 2*m) & 63)
+			sign := -int32(x & 1)
+			l := (int32(x>>1) ^ sign) - sign
+			if l == 0 {
+				r.pos = pos + nRun + nLev
+				return 0, ErrBitstream
+			}
+			levels[zigzag8[k&63]&63] = l
+			mask |= 1 << (k & 63)
+			idx = k + 1
+			w, valid, pos = v<<(nLev&63), valid-nRun-nLev, pos+nRun+nLev
+		}
+		r.pos = pos
+	} else if coded, err := r.ReadBit(); err != nil || coded == 0 {
 		return 0, err
 	}
-	idx := 0
 	for {
 		run, err := r.ReadUE()
 		if err != nil {

@@ -59,9 +59,10 @@ func deblockFrame(recon *imgx.Plane, qps []int, mbw int) {
 			q := qps[by*mbw+bx]
 			o := by*MBSize*w + bx*MBSize
 			if bx > 0 {
-				filterSpan(pix, o, 1, w, (qps[by*mbw+bx-1]+q+1)/2)
+				e := (qps[by*mbw+bx-1] + q + 1) / 2
+				filterSpan(pix, o, 1, w, deblockAlpha(e), deblockBeta(e))
 			}
-			filterSpan(pix, o+blockSize, 1, w, q)
+			filterSpan(pix, o+blockSize, 1, w, deblockAlpha(q), deblockBeta(q))
 		}
 	}
 	for by := 0; by < h/MBSize; by++ {
@@ -69,19 +70,21 @@ func deblockFrame(recon *imgx.Plane, qps []int, mbw int) {
 			q := qps[by*mbw+bx]
 			o := by*MBSize*w + bx*MBSize
 			if by > 0 {
-				filterSpan(pix, o, w, 1, (qps[(by-1)*mbw+bx]+q+1)/2)
+				e := (qps[(by-1)*mbw+bx] + q + 1) / 2
+				filterSpan(pix, o, w, 1, deblockAlpha(e), deblockBeta(e))
 			}
-			filterSpan(pix, o+blockSize*w, w, 1, q)
+			filterSpan(pix, o+blockSize*w, w, 1, deblockAlpha(q), deblockBeta(q))
 		}
 	}
 }
 
-// filterSpan conditionally smooths one macroblock's 16 positions of an
-// edge. q0 of the first position is pix[o]; across is the index step over
-// the edge (p1 p0 | q0 q1 sit at o-2·across .. o+across) and along the step
-// to the next position.
-func filterSpan(pix []uint8, o, across, along, qp int) {
-	alpha, beta := deblockAlpha(qp), deblockBeta(qp)
+// filterSpanGo conditionally smooths one macroblock's 16 positions of an
+// edge at thresholds alpha and beta (1 … 256). q0 of the first position is
+// pix[o]; across is the index step over the edge (p1 p0 | q0 q1 sit at
+// o-2·across .. o+across) and along the step to the next position. It is
+// the specification of filterSpan, which runs an assembly body where there
+// is one (deblock_amd64.s).
+func filterSpanGo(pix []uint8, o, across, along, alpha, beta int) {
 	for k := 0; k < MBSize; k, o = k+1, o+along {
 		p0, q0 := int(pix[o-across]), int(pix[o])
 		if diff := absInt(q0 - p0); diff == 0 || diff >= alpha {

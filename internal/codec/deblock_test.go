@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dive/internal/imgx"
@@ -233,4 +235,149 @@ func TestChooseIntraModePicksDirections(t *testing.T) {
 	if m := chooseIntra(cur2, recon2, 8, 8, &pred); m != intraModeHorizontal {
 		t.Errorf("mode = %d, want horizontal", m)
 	}
+}
+
+// deblockBodies are the two bodies of the span filter: the Go specification
+// and the dispatched kernel (the SSE2 body on amd64).
+var deblockBodies = []struct {
+	name   string
+	filter func(pix []uint8, o, across, along, alpha, beta int)
+}{
+	{"go", filterSpanGo},
+	{"kernel", filterSpan},
+}
+
+// spanShape lays a span out in a buffer that begins at its first p1 and ends
+// at its last q1, as at the frame border: a horizontal edge (four rows of 16
+// positions, stride apart) or a vertical one (16 rows of four bytes).
+type spanShape struct {
+	name                string
+	across, along, o, n int
+}
+
+var spanShapes = []spanShape{
+	{"horizontal", 16, 1, 32, 64},
+	{"horizontal", 21, 1, 42, 79},
+	{"vertical", 1, 4, 2, 64},
+	{"vertical", 1, 9, 2, 139},
+}
+
+// checkDeblockSpan writes quads[k] = (p1, p0, q0, q1) into position k of a
+// span laid out as sh, fills every other byte with noise, runs each body on
+// its own copy at (alpha, beta) and requires the same bytes from both.
+func checkDeblockSpan(t *testing.T, name string, sh spanShape, quads *[MBSize][4]uint8, alpha, beta int, rng *rand.Rand) {
+	t.Helper()
+	buf := make([]uint8, sh.n)
+	rng.Read(buf)
+	for k, q := range quads {
+		o := sh.o + k*sh.along
+		for j, v := range q {
+			buf[o+(j-2)*sh.across] = v
+		}
+	}
+	var want []uint8
+	for _, body := range deblockBodies {
+		got := slices.Clone(buf)
+		body.filter(got, sh.o, sh.across, sh.along, alpha, beta)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s %s stride %d α %d β %d: %s byte %d = %d, go %d",
+				name, sh.name, sh.across*sh.along, alpha, beta, body.name, i, got[i], want[i])
+		}
+	}
+}
+
+// deblockQuads returns (p1, p0, q0, q1) at the edges of the filter
+// condition for (alpha, beta): |q0 − p0| of 0, 1, α − 1 and α, |p1 − p0|
+// and |q1 − q0| of β − 1 and β, small negative differences whose sum
+// 3·(q0 − p0) + p1 − q1 leaves a remainder mod 8 — all of it from p0 = 0,
+// 1, 128, 254 and 255, clamped to bytes, so results reach 0 and 255.
+func deblockQuads(alpha, beta int) [][4]uint8 {
+	b := func(v int) uint8 { return uint8(min(max(v, 0), 255)) }
+	var quads [][4]uint8
+	for _, p0 := range []int{0, 1, 128, 254, 255} {
+		for _, diff := range []int{0, 1, -1, -3, alpha - 1, 1 - alpha, alpha, -alpha} {
+			for _, dp := range []int{0, 1, -2, beta - 1, 1 - beta, beta, -beta} {
+				for _, dq := range []int{0, -1, 3, beta - 1, 1 - beta, beta, -beta} {
+					q0 := p0 + diff
+					quads = append(quads, [4]uint8{b(p0 + dp), b(p0), b(q0), b(q0 + dq)})
+				}
+			}
+		}
+	}
+	return quads
+}
+
+// TestDeblockBodiesMatch holds the kernel to the Go body at every QP's
+// thresholds, in both directions and at the frame border, on deblockQuads
+// in order (spans of like positions, some all filtered, some all skipped)
+// and shuffled. The tables never let d reach ±β (|d| ≤ 20 < 24 at QP 51),
+// so thresholds off the tables, up to the body's 256, exercise the clamp.
+func TestDeblockBodiesMatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	type thresholds struct{ alpha, beta int }
+	var ths []thresholds
+	for qp := 0; qp < 52; qp++ {
+		ths = append(ths, thresholds{deblockAlpha(qp), deblockBeta(qp)})
+	}
+	ths = append(ths, thresholds{200, 2}, thresholds{256, 5}, thresholds{90, 1}, thresholds{256, 256}, thresholds{1, 256})
+	for _, th := range ths {
+		quads := deblockQuads(th.alpha, th.beta)
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				rng.Shuffle(len(quads), func(i, j int) { quads[i], quads[j] = quads[j], quads[i] })
+			}
+			for i := 0; i < len(quads); i += MBSize {
+				var span [MBSize][4]uint8
+				for k := range span {
+					span[k] = quads[(i+k)%len(quads)]
+				}
+				for _, sh := range spanShapes {
+					checkDeblockSpan(t, "quads", sh, &span, th.alpha, th.beta, rng)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDeblock maps the fuzzer's bytes to a span — p0 and q0 of each
+// position, then p1 − p0 and q1 − q0 as signed bytes, so that most
+// positions sit near the thresholds — and holds the two bodies to each other
+// at the thresholds qp picks, or at (alpha, beta) themselves when qp is 52
+// or more. Missing bytes read as zero.
+func FuzzDeblock(f *testing.F) {
+	rng := rand.New(rand.NewSource(69))
+	for _, n := range []int{0, 32, 64} {
+		seed := make([]byte, n)
+		rng.Read(seed)
+		f.Add(uint8(n), uint8(0), uint8(0), seed)
+	}
+	f.Add(uint8(60), uint8(200), uint8(3), []byte{100, 140, 0, 0})
+	f.Fuzz(func(t *testing.T, qp, alpha, beta uint8, data []byte) {
+		rng := rand.New(rand.NewSource(70))
+		at := func(i int) int {
+			if i < len(data) {
+				return int(data[i])
+			}
+			return 0
+		}
+		a, b := int(alpha)+1, int(beta)+1
+		if qp < 52 {
+			a, b = deblockAlpha(int(qp)), deblockBeta(int(qp))
+		}
+		var span [MBSize][4]uint8
+		for k := range span {
+			p0, q0 := at(k), at(MBSize+k)
+			p1, q1 := p0+int(int8(at(2*MBSize+k))), q0+int(int8(at(3*MBSize+k)))
+			span[k] = [4]uint8{uint8(min(max(p1, 0), 255)), uint8(p0), uint8(q0), uint8(min(max(q1, 0), 255))}
+		}
+		for _, sh := range spanShapes {
+			checkDeblockSpan(t, "fuzz", sh, &span, a, b, rng)
+		}
+	})
 }

@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -181,5 +183,109 @@ func FuzzWriteCoeffs(f *testing.F) {
 			levels[bits.TrailingZeros64(sel)] = l
 		}
 		checkWriteCoeffs(t, "fuzz", &levels, int(pending%8))
+	})
+}
+
+// checkReadCoeffs reads blocks from buf, bit start on, through readCoeffs and
+// through the oracle reader in step until one fails or the bits run out, and
+// requires of every block the same mask and levels, an ErrBitstream from
+// both or from neither, and the same position after a success.
+func checkReadCoeffs(t *testing.T, name string, buf []byte, start int) {
+	t.Helper()
+	got, want := &BitReader{buf: buf, pos: start}, &BitReader{buf: buf, pos: start}
+	for blk := 0; want.pos < 8*len(buf); blk++ {
+		var gl, wl [blockSize * blockSize]int32
+		gm, gerr := readCoeffs(got, &gl)
+		wm, werr := oracleReadCoeffs(want, &wl)
+		if (gerr != nil) != (werr != nil) || gm != wm || gl != wl {
+			t.Fatalf("%s (start %d, %d bytes) block %d: mask %#x, %v; oracle %#x, %v; levels equal %v",
+				name, start, len(buf), blk, gm, gerr, wm, werr, gl == wl)
+		}
+		if gerr != nil {
+			if !errors.Is(gerr, ErrBitstream) {
+				t.Fatalf("%s (start %d) block %d: error %v does not wrap ErrBitstream", name, start, blk, gerr)
+			}
+			return
+		}
+		if got.pos != want.pos {
+			t.Fatalf("%s (start %d) block %d: ends at bit %d, oracle %d", name, start, blk, got.pos, want.pos)
+		}
+	}
+}
+
+// coeffStream writes blocks through writeCoeffs behind start bits.
+func coeffStream(start int, levels [][blockSize * blockSize]int32, masks []uint64) []byte {
+	var w BitWriter
+	w.WriteBits(0x5a, start)
+	for k := range levels {
+		writeCoeffs(&w, &levels[k], masks[k])
+	}
+	return w.Bytes()
+}
+
+// TestReadCoeffsMatchesOracle holds the windowed reader to the ReadUE /
+// ReadSE loop it replaced, from every start bit 0–7: on one P-frame's real
+// blocks at QP 2 and 25, read whole and, for the first dozen blocks, cut at
+// every byte; on blocks of levels too long for the window beside short
+// ones; and on random bytes, dense and sparse in ones (long zero runs,
+// over-long codes, runs past the block, zero levels).
+func TestReadCoeffsMatchesOracle(t *testing.T) {
+	coded := interBlocks(t)
+	rng := rand.New(rand.NewSource(33))
+	long := make([][blockSize * blockSize]int32, 6)
+	for k := range long {
+		for i := range long[k] {
+			if rng.Intn(3) == 0 {
+				l := int32(rng.Int63n(1 << uint(1+rng.Intn(31))))
+				long[k][i] = max(l, 1) * int32(1-2*rng.Intn(2))
+			}
+		}
+	}
+	longMasks := make([]uint64, len(long))
+	for k := range long {
+		longMasks[k] = levelsMask(&long[k])
+	}
+	for start := 0; start < 8; start++ {
+		for _, qp := range []int{2, 25} {
+			levels, masks := codeBlocks(coded, qp)
+			name := fmt.Sprintf("qp%d", qp)
+			checkReadCoeffs(t, name, coeffStream(start, levels, masks), start)
+			head := coeffStream(start, levels[:12], masks[:12])
+			for cut := range head {
+				checkReadCoeffs(t, name+" cut", head[:cut], start)
+			}
+		}
+		stream := coeffStream(start, long, longMasks)
+		for cut := range stream {
+			checkReadCoeffs(t, "long", stream[:cut], start)
+		}
+		for trial := 0; trial < 200; trial++ {
+			buf := make([]byte, rng.Intn(64))
+			for i := range buf {
+				if trial%2 == 0 || rng.Intn(4) == 0 {
+					buf[i] = byte(rng.Intn(256))
+				}
+			}
+			checkReadCoeffs(t, "random", buf, start)
+		}
+	}
+}
+
+// FuzzReadCoeffs holds the windowed reader to the oracle on arbitrary bytes
+// read from bit start%8 on. The seeds are the head of one P-frame's real
+// blocks at QP 2 and 25, whole and cut inside a symbol.
+func FuzzReadCoeffs(f *testing.F) {
+	coded := interBlocks(f)
+	f.Add(uint8(0), []byte{})
+	for _, qp := range []int{2, 25} {
+		levels, masks := codeBlocks(coded, qp)
+		for _, start := range []int{0, 5} {
+			s := coeffStream(start, levels[:16], masks[:16])
+			f.Add(uint8(start), s)
+			f.Add(uint8(start), s[:len(s)/2])
+		}
+	}
+	f.Fuzz(func(t *testing.T, start uint8, data []byte) {
+		checkReadCoeffs(t, "fuzz", data, int(start%8))
 	})
 }

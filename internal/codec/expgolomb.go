@@ -18,6 +18,8 @@ func (w *BitWriter) WriteUE(v uint32) {
 // ReadUE reads an unsigned Exp-Golomb code: n zeros, then the n+1 bits of
 // v+1. When all 2n+1 bits sit in the reader's window the symbol is the
 // window's top 2n+1 bits; otherwise (buffer tail, n > 28) the bit loop runs.
+// The longest code is MaxUint32's, 32 zeros and a 1 followed by 32 zeros; a
+// code with more zeros, or with 32 and a nonzero tail, is rejected.
 func (r *BitReader) ReadUE() (uint32, error) {
 	if w, valid, ok := r.window(); ok {
 		if n := bits.LeadingZeros64(w); 2*n+1 <= valid {
@@ -42,6 +44,9 @@ func (r *BitReader) ReadUE() (uint32, error) {
 	rest, err := r.ReadBits(n)
 	if err != nil {
 		return 0, err
+	}
+	if n == 32 && rest != 0 {
+		return 0, ErrBitstream // past MaxUint32: the value would wrap
 	}
 	return uint32(1<<uint(n) + rest - 1), nil
 }

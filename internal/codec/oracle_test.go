@@ -586,6 +586,40 @@ func oracleUeToSE(u uint32) int32 {
 	return -int32(u) / 2
 }
 
+// oracleReadCoeffs is the coefficient reader before it kept its bit window in
+// locals: one ReadUE for each run and one ReadSE for each level.
+func oracleReadCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (mask uint64, err error) {
+	*levels = [blockSize * blockSize]int32{}
+	coded, err := r.ReadBit()
+	if err != nil || coded == 0 {
+		return 0, err
+	}
+	idx := 0
+	for {
+		run, err := r.ReadUE()
+		if err != nil {
+			return 0, err
+		}
+		if run >= blockSize*blockSize {
+			return mask, nil // end of block
+		}
+		idx += int(run)
+		if idx >= blockSize*blockSize {
+			return 0, ErrBitstream
+		}
+		l, err := r.ReadSE()
+		if err != nil {
+			return 0, err
+		}
+		if l == 0 {
+			return 0, ErrBitstream
+		}
+		levels[zigzag8[idx]] = l
+		mask |= 1 << uint(idx)
+		idx++
+	}
+}
+
 // The motion-search and rate-control oracles below are the bodies production
 // ran before the word-wide half-pel SAD, the priced-point search and the
 // warm-started rate control, verbatim but for their names: oracleSadHalf

@@ -94,3 +94,34 @@ func TestTransformsStayInBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestDeblockStaysInBounds runs the dispatched span filter on every
+// spanShapes layout flush against an inaccessible page, once with its first
+// p1 on the first byte of the writable page and once with its last q1 on the
+// last, at thresholds that filter most positions.
+func TestDeblockStaysInBounds(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("deblocking touched memory outside its span: %v", r)
+		}
+	}()
+	lo, hi := guardedBlocks(t)
+	const n = int(unsafe.Sizeof(*lo))
+	first := unsafe.Slice((*uint8)(unsafe.Pointer(lo)), n)
+	last := unsafe.Slice((*uint8)(unsafe.Pointer(hi)), n)
+	rng := rand.New(rand.NewSource(71))
+	for _, sh := range spanShapes {
+		for _, buf := range [][]uint8{first[:sh.n], last[n-sh.n:]} {
+			for i := range buf {
+				buf[i] = uint8(100 + rng.Intn(3))
+			}
+			want := bytes.Clone(buf)
+			filterSpanGo(want, sh.o, sh.across, sh.along, 60, 24)
+			filterSpan(buf, sh.o, sh.across, sh.along, 60, 24)
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("%s stride %d: guarded kernel differs from the Go body", sh.name, sh.across*sh.along)
+			}
+		}
+	}
+}
