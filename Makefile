@@ -12,8 +12,9 @@ test:
 
 # The portable path, run rather than only vetted: as 386 every kernel with an
 # amd64 assembly body (internal/imgx's row kernels, internal/codec's block
-# quantizer, block transforms and deblocking filter) runs its Go body, against
-# the same tests, decoder_golden.json and agent_golden.json. Needs no 386 machine: a linux/amd64 kernel runs 386
+# quantizer, block transforms, deblocking filter and intra mode decision)
+# runs its Go body, against the same tests, decoder_golden.json and
+# agent_golden.json. Needs no 386 machine: a linux/amd64 kernel runs 386
 # binaries.
 portable:
 	GOARCH=386 $(GO) test ./internal/imgx/ ./internal/codec/ ./internal/core/
@@ -27,7 +28,8 @@ race:
 
 # The second vet compiles the side of the GOARCH splits this machine does not
 # run (internal/imgx's kernels_other.go, the pure-Go row kernels, and
-# internal/codec's quantize_other.go, transform_other.go and deblock_other.go)
+# internal/codec's quantize_other.go, transform_other.go, deblock_other.go and
+# intra_other.go)
 # and type-checks their callers; the first covers asmdecl on the amd64 stubs.
 vet:
 	$(GO) vet ./...
@@ -58,9 +60,9 @@ bench-smoke:
 	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
-# decode benchmarks, the rate-control trial, rate-control search,
-# entropy-writer, entropy-reader and loop-filter benchmarks, the whole agent
-# loop, the telemetry-off paths of internal/obs and the server's two
+# decode benchmarks, a forced I-frame's encode, the rate-control trial,
+# rate-control search, entropy-writer, entropy-reader and loop-filter
+# benchmarks, the whole agent loop, the telemetry-off paths of internal/obs and the server's two
 # per-frame wire paths with -benchmem and fail if allocs/op or B/op regressed
 # past the committed ci/alloc_baseline.json. The pooled encoder, the session
 # decoder, a trial pass, a whole search, the entropy writer and reader, the
@@ -68,16 +70,16 @@ bench-smoke:
 # trace, labeled family, SLO — what each end-to-end number in BENCHMARK.json
 # runs with), the journal's O(1) amend-by-frame, reading a frame out of the
 # MsgReader's buffer and writing a result through the connection's are all
-# pinned at 0 allocs/op, and a core.Agent frame (ProcessFrame +
-# TrackLocally + feedback) at the 14 objects it hands to its caller;
-# allocation counts are deterministic after warm-up, so this gate is
+# pinned at 0 allocs/op, a forced I-frame's whole encode too, and a
+# core.Agent frame (ProcessFrame + TrackLocally + feedback) at the 14
+# objects it hands to its caller; allocation counts are deterministic after warm-up, so this gate is
 # machine-independent (unlike wall-clock latency baselines).
 #
 # The per-frame rows (codec, core) run 20 iterations; the nanosecond-scale rows
 # (obs, edge) run 2000, so that one runtime background allocation landing
 # inside the window (≈ 5.5 kB, seen about one run in ten) rounds to ≤ 3 B/op
 # instead of reading 275 B/op against the 64 B floor.
-ALLOC_BENCH = EncodeSteadyState|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
+ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
 ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ && \
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
 bench-alloc:
@@ -151,9 +153,9 @@ fleet-smoke:
 # register-resident window against the ReadUE loop it replaced) — over the
 # entropy writer (the mask walk against the writer it replaced), and over the
 # kernels whose amd64 bodies are assembly (the row kernels, the block
-# quantizer, the block transforms, the deblocking filter). Go allows
-# exactly one -fuzz pattern per invocation, so each target gets its own short
-# run.
+# quantizer, the block transforms, the deblocking filter, the intra mode
+# decision). Go allows exactly one -fuzz pattern per invocation, so each
+# target gets its own short run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzFrameMsg -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -167,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzQuantizeBlock -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzTransform -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzDeblock -fuzztime=10s -run 'xxx' ./internal/codec/
+	$(GO) test -fuzz=FuzzChooseIntra -fuzztime=10s -run 'xxx' ./internal/codec/
 
 # Non-test, non-generated Go and assembly lines per package and for the whole
 # repo (the benchmark module included): the number ROADMAP's simplicity items

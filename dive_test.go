@@ -1,6 +1,7 @@
 package dive
 
 import (
+	"bytes"
 	"testing"
 
 	"dive/internal/imgx"
@@ -160,5 +161,61 @@ func TestDecoderErrors(t *testing.T) {
 	}
 	if _, err := dec.Decode([]byte{0xff, 0x00}); err == nil {
 		t.Error("expected error for garbage bitstream")
+	}
+}
+
+// TestProcessRejectsWrongSizeFrames offers a 320×192 agent frames one row
+// short, half its size and larger than it, each after two good frames and
+// with a forced I-frame pending: every one must be an error, not a panic,
+// and the next good frame's bitstream must be byte-identical to that of a
+// control agent that was never offered the bad frame.
+func TestProcessRejectsWrongSizeFrames(t *testing.T) {
+	p := world.NuScenesLike()
+	p.ClipDuration = 0.5
+	clip := world.GenerateClip(p, 56)
+	cfg := Config{Width: clip.W, Height: clip.H, FPS: clip.FPS, FocalPx: clip.Focal, BandwidthPriorBps: Mbps(2), Seed: 3}
+	if clip.W != 320 || clip.H != 192 {
+		t.Fatalf("clip is %dx%d, the sizes below assume 320x192", clip.W, clip.H)
+	}
+	for _, size := range [][2]int{{320, 190}, {160, 96}, {640, 384}} {
+		agent, err := NewAgent(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		control, err := NewAgent(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got *Output
+		for i := 0; i < 3; i++ {
+			now := float64(i) / clip.FPS
+			if i == 2 {
+				agent.ForceNextIFrame()
+				control.ForceNextIFrame()
+				bad := NewFrame(size[0], size[1])
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%dx%d frame panicked: %v", size[0], size[1], r)
+						}
+					}()
+					if _, err := agent.Process(bad, now); err == nil {
+						t.Fatalf("%dx%d frame into a %dx%d agent was accepted", size[0], size[1], clip.W, clip.H)
+					}
+				}()
+			}
+			if want, err = control.Process(clip.Frames[i], now); err != nil {
+				t.Fatal(err)
+			}
+			if got, err = agent.Process(clip.Frames[i], now); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bitstream, want.Bitstream) || got.IsIFrame != want.IsIFrame {
+				t.Fatalf("%dx%d: frame %d differs from the control agent's (I-frame %v, control %v)", size[0], size[1], i, got.IsIFrame, want.IsIFrame)
+			}
+		}
+		if !got.IsIFrame {
+			t.Errorf("%dx%d: the forced I-frame pending before the bad frame was dropped", size[0], size[1])
+		}
 	}
 }

@@ -250,6 +250,42 @@ func BenchmarkRCTrial(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeIFrame encodes one forced I-frame per op the way the agent
+// answers an outage: motion analysis (analytics want vectors on I-frames
+// too), the rate-control bisection at the tight link's budget (1.2 Mbit/s at
+// 30 frames/s) scaled by IFrameBudgetScale 3, the final pass and the
+// hand-out, on ReuseFrames storage. Two shifted frames alternate, so every
+// op is analysed against a different reference. allocs/op is pinned at 0 in
+// ci/alloc_baseline.json.
+func BenchmarkEncodeIFrame(b *testing.B) {
+	cfg := DefaultConfig(320, 192)
+	cfg.ReuseFrames = true
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frames := []*imgx.Plane{texturedFrame(320, 192, 11), shiftFrame(texturedFrame(320, 192, 11), 3, 1)}
+	opts := EncodeOptions{TargetBits: 40_000, IFrameBudgetScale: 3, ForceIFrame: true}
+	encode := func(f *imgx.Plane) {
+		enc.AnalyzeMotion(f)
+		ef, err := enc.Encode(f, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ef.Type != IFrame {
+			b.Fatalf("frame %d is %v, want a forced I-frame", ef.Index, ef.Type)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		encode(frames[i%2])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode(frames[i%2])
+	}
+}
+
 // BenchmarkRCSearch measures the rate-control search alone — searchBaseQP
 // over one P-frame's cached coefficients, the encoder's QP history carried
 // from op to op as AnalyzeAndQuantize carries it — and reports the trial

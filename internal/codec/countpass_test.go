@@ -155,9 +155,10 @@ func TestDeadZoneSkipNeverHidesALevel(t *testing.T) {
 	}
 }
 
-// TestChooseIntraMatchesPerPixelOracle compares the row-slice intra kernel
-// with the per-pixel chooser and predictor at every block position of
-// random planes — frame corner, top row and left column included — and on
+// TestChooseIntraMatchesPerPixelOracle compares chooseIntra, and the mode
+// each of intraBodies scores, with the per-pixel chooser and predictor at
+// every block position of random planes — frame corner, top row and left
+// column included — and on
 // inputs built to tie: flat neighbourhoods (all three modes predict alike,
 // DC must win) and transpose-symmetric blocks under equal top and left
 // edges (vertical and horizontal score alike, vertical must win). The
@@ -207,6 +208,12 @@ func TestChooseIntraMatchesPerPixelOracle(t *testing.T) {
 				mode := chooseIntra(cur, recon, px, py, &pred)
 				if m := chooseIntraMode(cur, recon, px, py); mode != m {
 					t.Fatalf("trial %d block (%d,%d): chooseIntra = %d, per-pixel chooser = %d", trial, px, py, mode, m)
+				}
+				for _, body := range intraBodies {
+					e := loadIntraEdge(recon, px, py)
+					if m := e.choose(body.sad(cur.Pix[py*w+px:], w, &e.top, &e.left, e.dc)); m != mode {
+						t.Fatalf("trial %d block (%d,%d): %s body chooses %d, per-pixel chooser %d", trial, px, py, body.name, m, mode)
+					}
 				}
 				modeSeen[mode]++
 				if trial%3 == 2 && px > 0 && py > 0 {

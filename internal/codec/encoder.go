@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dive/internal/imgx"
@@ -502,24 +503,25 @@ func loadIntraEdge(recon *imgx.Plane, px, py int) intraEdge {
 	return e
 }
 
-// predict fills pred under mode. Modes that lack their neighbor degrade to
-// DC.
+// predict fills pred under mode, one 64-bit word per row: the top row
+// itself, or a byte repeated eight times. Modes that lack their neighbor
+// degrade to DC.
 func (e *intraEdge) predict(mode int, pred *[blockSize * blockSize]uint8) {
+	const ones = 0x0101010101010101
 	switch {
 	case mode == intraModeVertical && e.hasTop:
+		top := binary.LittleEndian.Uint64(e.top[:])
 		for y := 0; y < blockSize; y++ {
-			copy(pred[y*blockSize:], e.top[:])
+			binary.LittleEndian.PutUint64(pred[y*blockSize:], top)
 		}
 	case mode == intraModeHorizontal && e.hasLeft:
 		for y, v := range e.left {
-			row := pred[y*blockSize:][:blockSize]
-			for x := range row {
-				row[x] = v
-			}
+			binary.LittleEndian.PutUint64(pred[y*blockSize:], uint64(v)*ones)
 		}
 	default:
-		for i := range pred {
-			pred[i] = e.dc
+		dc := uint64(e.dc) * ones
+		for y := 0; y < blockSize; y++ {
+			binary.LittleEndian.PutUint64(pred[y*blockSize:], dc)
 		}
 	}
 }
@@ -532,21 +534,18 @@ func intraPredict(recon *imgx.Plane, px, py, mode int, pred *[blockSize * blockS
 }
 
 // chooseIntra picks the mode with the smallest absolute prediction residual
-// for the block of cur at (px, py) — the first such mode on a tie, and never
-// a mode that would degrade to DC — and fills pred with its prediction. The
-// three modes are scored in one sweep over the block's rows.
+// for the block of cur at (px, py) and fills pred with its prediction. The
+// three modes are scored by intraSAD in one sweep over the block's rows.
 func chooseIntra(cur, recon *imgx.Plane, px, py int, pred *[blockSize * blockSize]uint8) int {
 	e := loadIntraEdge(recon, px, py)
-	dc := int(e.dc)
-	sadDC, sadV, sadH := 0, 0, 0
-	for y, l := range e.left {
-		row := cur.Pix[(py+y)*cur.W+px:][:blockSize]
-		for x, v := range row {
-			sadDC += absInt(int(v) - dc)
-			sadV += absInt(int(v) - int(e.top[x]))
-			sadH += absInt(int(v) - int(l))
-		}
-	}
+	mode := e.choose(intraSAD(cur.Pix[py*cur.W+px:], cur.W, &e.top, &e.left, e.dc))
+	e.predict(mode, pred)
+	return mode
+}
+
+// choose returns the mode with the smallest of the three scores — the first
+// such mode on a tie, and never a mode that would degrade to DC.
+func (e *intraEdge) choose(sadDC, sadV, sadH int) int {
 	mode, best := intraModeDC, sadDC
 	if e.hasTop && sadV < best {
 		mode, best = intraModeVertical, sadV
@@ -554,8 +553,24 @@ func chooseIntra(cur, recon *imgx.Plane, px, py int, pred *[blockSize * blockSiz
 	if e.hasLeft && sadH < best {
 		mode = intraModeHorizontal
 	}
-	e.predict(mode, pred)
 	return mode
+}
+
+// intraSADGo returns the sums of absolute differences between the 8×8 block
+// whose rows start stride bytes apart in cur and its three predictions: dc
+// everywhere, the top row repeated down the block, and each row's left
+// value repeated across it. Each sum is at most 64·255 = 16 320. It
+// specifies intraSAD and is its body where there is no assembly one.
+func intraSADGo(cur []uint8, stride int, top, left *[blockSize]uint8, dc uint8) (sadDC, sadV, sadH int) {
+	for y, l := range left {
+		row := cur[y*stride:][:blockSize]
+		for x, v := range row {
+			sadDC += absInt(int(v) - int(dc))
+			sadV += absInt(int(v) - int(top[x]))
+			sadH += absInt(int(v) - int(l))
+		}
+	}
+	return sadDC, sadV, sadH
 }
 
 func clampPixI(v int32) uint8 {

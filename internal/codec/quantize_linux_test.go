@@ -7,6 +7,8 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
+
+	"dive/internal/imgx"
 )
 
 // guardedBlocks returns two blocks in one writable page between two
@@ -121,6 +123,40 @@ func TestDeblockStaysInBounds(t *testing.T) {
 			filterSpan(buf, sh.o, sh.across, sh.along, 60, 24)
 			if !bytes.Equal(buf, want) {
 				t.Fatalf("%s stride %d: guarded kernel differs from the Go body", sh.name, sh.across*sh.along)
+			}
+		}
+	}
+}
+
+// TestChooseIntraStaysInBounds runs chooseIntra on every block of a 16×16
+// frame whose pixels are flush against an inaccessible page — the bottom-
+// right block's last row ends on the writable page's last byte, the top-left
+// block's first row begins on its first — with the reconstruction at the
+// other end of the page, then with the two swapped.
+func TestChooseIntraStaysInBounds(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("intra mode decision touched memory outside its frame: %v", r)
+		}
+	}()
+	lo, hi := guardedBlocks(t)
+	const w = 2 * blockSize
+	first := &imgx.Plane{W: w, H: w, Pix: unsafe.Slice((*uint8)(unsafe.Pointer(lo)), w*w)}
+	last := &imgx.Plane{W: w, H: w, Pix: unsafe.Slice((*uint8)(unsafe.Add(unsafe.Pointer(hi), int(unsafe.Sizeof(*hi))-w*w)), w*w)}
+	rng := rand.New(rand.NewSource(74))
+	for _, p := range [][2]*imgx.Plane{{last, first}, {first, last}} {
+		cur, recon := p[0], p[1]
+		rng.Read(cur.Pix)
+		rng.Read(recon.Pix)
+		for py := 0; py < w; py += blockSize {
+			for px := 0; px < w; px += blockSize {
+				var pred [blockSize * blockSize]uint8
+				mode := chooseIntra(cur, recon, px, py, &pred)
+				e := loadIntraEdge(recon, px, py)
+				if m := e.choose(intraSADGo(cur.Pix[py*w+px:], w, &e.top, &e.left, e.dc)); m != mode {
+					t.Fatalf("block (%d,%d): guarded kernel chooses %d, the Go body %d", px, py, mode, m)
+				}
 			}
 		}
 	}

@@ -203,8 +203,14 @@ func (a *Agent) cy() float64 { return float64(a.cfg.Height) / 2 }
 // simulated time now and returns the encoded frame plus all analysis
 // byproducts: it mints the frame's trace and opens the root "frame" span,
 // analyzes, quantizes and encodes (analyzeFrame), hands out the bitstream,
-// and closes the root span.
+// and closes the root span. A frame of another size than the agent's is
+// an error before anything runs on it — no trace is minted, no estimate,
+// calibration or reference moves — so the next good frame encodes as if it
+// had never been offered.
 func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, error) {
+	if frame.W != a.cfg.Width || frame.H != a.cfg.Height {
+		return nil, fmt.Errorf("core: frame size %dx%d does not match agent size %dx%d", frame.W, frame.H, a.cfg.Width, a.cfg.Height)
+	}
 	r := a.cfg.Obs
 	frameSpan := r.StartStageSpan(r.StartTrace(a.frameNum), "frame", "agent", obs.StageFrame)
 	// Stage spans parent onto the root span, not the bare trace.
@@ -313,10 +319,10 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 	encSpan := r.StartStageSpan(actx, "encode", "agent", obs.StageEncode)
 	job, err := a.enc.AnalyzeAndQuantize(frame, opts)
 	encSpan.End()
-	a.forceI = false
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, err // a pending forced I-frame stays pending
 	}
+	a.forceI = false
 	ef := job.Frame
 	res.Encoded = ef
 	a.frameNum++

@@ -8,6 +8,7 @@ import (
 	"dive/internal/geom"
 	"dive/internal/imgx"
 	"dive/internal/netsim"
+	"dive/internal/obs"
 	"dive/internal/world"
 )
 
@@ -321,5 +322,42 @@ func TestAgentAccessors(t *testing.T) {
 	}
 	if res.Encoded.Type != codec.IFrame {
 		t.Error("ForceNextIFrame ignored")
+	}
+}
+
+// TestForcedIFrameSurvivesFailedEncode pins that a forced I-frame stays
+// pending through an encode that fails: the next frame that encodes is
+// intra, not a P-frame against the reference the server lost. The failure
+// is the encoder's refusal to analyze a frame while the previous job is
+// unemitted.
+func TestForcedIFrameSurvivesFailedEncode(t *testing.T) {
+	agent, err := NewAgent(DefaultAgentConfig(64, 64, 10, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := imgx.NewPlane(64, 64)
+	for i := range f.Pix {
+		f.Pix[i] = uint8(i * 7)
+	}
+	if _, err := agent.ProcessFrame(f, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, job, err := agent.analyzeFrame(f, 0.1, obs.TraceContext{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agent.ForceNextIFrame()
+	if _, err := agent.ProcessFrame(f, 0.2); err == nil {
+		t.Fatal("an encode over an unemitted job succeeded")
+	}
+	if _, err := agent.enc.EmitBitstream(job); err != nil {
+		t.Fatal(err)
+	}
+	res, err := agent.ProcessFrame(f, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Encoded.Type != codec.IFrame {
+		t.Errorf("frame after the failed encode is %v: the forced I-frame was dropped", res.Encoded.Type)
 	}
 }
