@@ -62,7 +62,8 @@ bench-smoke:
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
 # decode benchmarks, a forced I-frame's encode, the rate-control trial,
 # rate-control search, entropy-writer, entropy-reader and loop-filter
-# benchmarks, the whole agent loop, the telemetry-off paths of internal/obs and the server's two
+# benchmarks, the agent's rotation and FOE estimates, the whole agent loop,
+# the telemetry-off paths of internal/obs and the server's two
 # per-frame wire paths with -benchmem and fail if allocs/op or B/op regressed
 # past the committed ci/alloc_baseline.json. The pooled encoder, the session
 # decoder, a trial pass, a whole search, the entropy writer and reader, the
@@ -70,17 +71,18 @@ bench-smoke:
 # trace, labeled family, SLO — what each end-to-end number in BENCHMARK.json
 # runs with), the journal's O(1) amend-by-frame, reading a frame out of the
 # MsgReader's buffer and writing a result through the connection's are all
-# pinned at 0 allocs/op, a forced I-frame's whole encode too, and a
+# pinned at 0 allocs/op, a forced I-frame's whole encode and both
+# ego-motion estimates on a warm scratch too, and a
 # core.Agent frame (ProcessFrame + TrackLocally + feedback) at the 14
 # objects it hands to its caller; allocation counts are deterministic after warm-up, so this gate is
 # machine-independent (unlike wall-clock latency baselines).
 #
-# The per-frame rows (codec, core) run 20 iterations; the nanosecond-scale rows
+# The per-frame rows (codec, core, mvfield) run 20 iterations; the nanosecond-scale rows
 # (obs, edge) run 2000, so that one runtime background allocation landing
 # inside the window (≈ 5.5 kB, seen about one run in ten) rounds to ≤ 3 B/op
 # instead of reading 275 B/op against the 64 B floor.
-ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
-ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ && \
+ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|EstimateFOE|EstimateRotation|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
+ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ ./internal/mvfield/ && \
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
 bench-alloc:
 	$(ALLOC_RUN)
@@ -154,8 +156,9 @@ fleet-smoke:
 # entropy writer (the mask walk against the writer it replaced), and over the
 # kernels whose amd64 bodies are assembly (the row kernels, the block
 # quantizer, the block transforms, the deblocking filter, the intra mode
-# decision). Go allows exactly one -fuzz pattern per invocation, so each
-# target gets its own short run.
+# decision), and over the FOE fit's filtered inlier predicate (against the
+# Residual it must agree with on every float64). Go allows exactly one -fuzz
+# pattern per invocation, so each target gets its own short run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzFrameMsg -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -170,6 +173,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTransform -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzDeblock -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzChooseIntra -fuzztime=10s -run 'xxx' ./internal/codec/
+	$(GO) test -fuzz=FuzzFOEInliers -fuzztime=10s -run 'xxx' ./internal/mvfield/
 
 # Non-test, non-generated Go and assembly lines per package and for the whole
 # repo (the benchmark module included): the number ROADMAP's simplicity items

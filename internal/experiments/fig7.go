@@ -28,7 +28,8 @@ type Fig7Result struct {
 
 // rotationErrors runs one estimator over KITTI-flavored clips and collects
 // absolute rotational-speed errors. It returns the mean wall time per
-// estimate, which Figure 10 reuses.
+// estimate — every call, failed ones included, on one scratch kept warm
+// across the clips as the agent keeps its own — which Figure 10 reuses.
 func rotationErrors(clips []*world.Clip, est *mvfield.RotationEstimator, seed int64) (xErrs, yErrs []float64, meanTime float64, err error) {
 	return rotationErrorsCfg(clips, est, seed, nil)
 }
@@ -37,8 +38,11 @@ func rotationErrors(clips []*world.Clip, est *mvfield.RotationEstimator, seed in
 // sub-pel ablation).
 func rotationErrorsCfg(clips []*world.Clip, est *mvfield.RotationEstimator, seed int64, cfgFn func(*codec.Config)) (xErrs, yErrs []float64, meanTime float64, err error) {
 	rng := rand.New(rand.NewSource(seed))
-	var elapsed time.Duration
-	count := 0
+	var (
+		scratch mvfield.Scratch
+		elapsed time.Duration
+		calls   int
+	)
 	for _, clip := range clips {
 		ccfg := codec.DefaultConfig(clip.W, clip.H)
 		if cfgFn != nil {
@@ -58,12 +62,12 @@ func rotationErrorsCfg(clips []*world.Clip, est *mvfield.RotationEstimator, seed
 			}
 			field := mvfield.FromMotion(mf, clip.Focal, float64(clip.W)/2, float64(clip.H)/2, 0)
 			t0 := time.Now()
-			phiX, phiY, eerr := est.Estimate(field, geom.Vec2{}, rng)
+			phiX, phiY, eerr := est.EstimateWith(&scratch, field, geom.Vec2{}, rng)
 			elapsed += time.Since(t0)
+			calls++
 			if eerr != nil {
 				continue
 			}
-			count++
 			// Per-frame increments → rates.
 			wx := phiX * clip.FPS
 			wy := phiY * clip.FPS
@@ -71,8 +75,8 @@ func rotationErrorsCfg(clips []*world.Clip, est *mvfield.RotationEstimator, seed
 			yErrs = append(yErrs, math.Abs(wy-clip.Poses[i].YawRate))
 		}
 	}
-	if count > 0 {
-		meanTime = elapsed.Seconds() / float64(count)
+	if calls > 0 {
+		meanTime = elapsed.Seconds() / float64(calls)
 	}
 	return xErrs, yErrs, meanTime, nil
 }

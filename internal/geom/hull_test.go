@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +149,37 @@ func TestTriangleThresholdEdgeCases(t *testing.T) {
 	}
 	if h.Counts[0] != 1 || h.Counts[9] != 1 {
 		t.Error("clamping failed")
+	}
+}
+
+// TestHistogramClampsEveryValue pins Add's bin for values whose position
+// overflows int (they used to land in bin 0 on amd64), for ±Inf and NaN
+// (bin 0), and holds every in-range value to the plain truncation.
+func TestHistogramClampsEveryValue(t *testing.T) {
+	h := NewHistogram(0, 1, 10)
+	for _, c := range []struct {
+		v   float64
+		bin int
+	}{
+		{1e30, 9}, {math.Inf(1), 9}, {math.MaxFloat64, 9}, {1, 9}, {math.Nextafter(1, 0), 9},
+		{-1e30, 0}, {math.Inf(-1), 0}, {-0.05, 0}, {math.NaN(), 0}, {0, 0}, {0.55, 5},
+	} {
+		h.Reset(0, 1, 10)
+		h.Add(c.v)
+		if h.Counts[c.bin] != 1 || h.Total() != 1 {
+			t.Errorf("Add(%v): counts %v, total %d; want one in bin %d", c.v, h.Counts, h.Total(), c.bin)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	h.Reset(-3, 5, 37)
+	want := make([]int, 37)
+	for i := 0; i < 10000; i++ {
+		v := -3 + rng.Float64()*8
+		h.Add(v)
+		want[min(int((v+3)/8*37), 36)]++
+	}
+	if !slices.Equal(h.Counts, want) {
+		t.Errorf("in-range counts %v, want %v", h.Counts, want)
 	}
 }
 

@@ -20,18 +20,22 @@ type RANSACConfig struct {
 }
 
 // RANSACModel abstracts the model being fitted. Fit estimates model
-// parameters from the points with the given indices; Residual evaluates one
-// point against those parameters. The parameters are a value type P, so a
-// hypothesis is never boxed; instantiate with a struct-typed model (not a
-// pointer) and the driver calls Fit and Residual directly.
+// parameters from the points with the given indices; Inliers scores one
+// hypothesis against every point in one loop. The parameters are a value type
+// P, so a hypothesis is never boxed; instantiate with a struct-typed model
+// (not a pointer) and the driver calls Fit and Inliers directly, once per
+// hypothesis.
 type RANSACModel[P any] interface {
 	// Len returns the number of data points.
 	Len() int
 	// Fit estimates parameters from the selected points. It may fail for
 	// degenerate selections.
 	Fit(indices []int) (params P, err error)
-	// Residual returns the absolute residual of point i under params.
-	Residual(i int, params P) float64
+	// Inliers appends to dst, in index order, every point whose absolute
+	// residual under params is ≤ thr, and returns the extended slice. A
+	// model states its residual as an ordinary Residual method, and Inliers
+	// decides every point exactly as Residual(i, params) <= thr does.
+	Inliers(params P, thr float64, dst []int) []int
 }
 
 // RANSACScratch is the driver's index storage — the sample, the two inlier
@@ -72,12 +76,7 @@ func RANSAC[P any, M RANSACModel[P]](m M, cfg RANSACConfig, rng *rand.Rand, s *R
 		if err != nil {
 			continue
 		}
-		inliers = inliers[:0]
-		for i := 0; i < n; i++ {
-			if m.Residual(i, params) <= cfg.InlierThreshold {
-				inliers = append(inliers, i)
-			}
-		}
+		inliers = m.Inliers(params, cfg.InlierThreshold, inliers[:0])
 		if len(inliers) > len(bestInliers) {
 			bestInliers, inliers = inliers, bestInliers
 		}

@@ -34,6 +34,15 @@ func (l *lineModel) Residual(i int, p lineParams) float64 {
 	return math.Abs(l.pts[i].Y - (p.m*l.pts[i].X + p.c))
 }
 
+func (l *lineModel) Inliers(p lineParams, thr float64, dst []int) []int {
+	for i := range l.pts {
+		if l.Residual(i, p) <= thr {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
 func TestRANSACLineWithOutliers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	model := &lineModel{}
@@ -189,8 +198,15 @@ type oracleModel interface {
 	Residual(i int, params interface{}) float64
 }
 
+// residualModel is a value-typed model that also states its residual, which
+// is what the oracle driver scores with.
+type residualModel[P any] interface {
+	RANSACModel[P]
+	Residual(i int, params P) float64
+}
+
 // boxed runs a value-typed model under the oracle driver.
-type boxed[P any, M RANSACModel[P]] struct{ m M }
+type boxed[P any, M residualModel[P]] struct{ m M }
 
 func (b boxed[P, M]) Len() int { return b.m.Len() }
 func (b boxed[P, M]) Fit(idx []int) (interface{}, error) {
@@ -318,8 +334,13 @@ type staticModel struct{ vals []float64 }
 
 func (s staticModel) Len() int                       { return len(s.vals) }
 func (s staticModel) Fit(idx []int) (float64, error) { return s.vals[idx[0]], nil }
-func (s staticModel) Residual(i int, p float64) float64 {
-	return math.Abs(s.vals[i] - p)
+func (s staticModel) Inliers(p, thr float64, dst []int) []int {
+	for i, v := range s.vals {
+		if math.Abs(v-p) <= thr {
+			dst = append(dst, i)
+		}
+	}
+	return dst
 }
 
 // TestRANSACAllocBound pins the driver's own allocations, on the sparse-draw

@@ -31,15 +31,18 @@ func (h *Histogram) Reset(min, max float64, n int) {
 }
 
 // Add records value v; values outside [Min, Max) are clamped into the
-// nearest bin so tails are never silently dropped.
+// nearest bin so tails are never silently dropped — ±Inf included. A NaN
+// counts in bin 0.
 func (h *Histogram) Add(v float64) {
 	n := len(h.Counts)
-	i := int((v - h.Min) / (h.Max - h.Min) * float64(n))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
+	// Clamp before converting: a bin position past int's range (+Inf, or a
+	// huge v) converts to an undefined int, which amd64 makes negative.
+	x, i := (v-h.Min)/(h.Max-h.Min)*float64(n), 0
+	switch {
+	case x >= float64(n):
 		i = n - 1
+	case x > 0:
+		i = int(x)
 	}
 	h.Counts[i]++
 	h.total++

@@ -3,6 +3,7 @@ package mvfield
 import (
 	"errors"
 	"math/rand"
+	"slices"
 
 	"dive/internal/geom"
 )
@@ -41,6 +42,46 @@ func (m foeModel) Residual(i int, foe geom.Vec2) float64 {
 	// Perpendicular distance of the flow direction from the radial line,
 	// scaled back to pixels of flow.
 	return absf(v.Flow.Cross(radial)) / n
+}
+
+// Inliers appends every i with Residual(i, foe) <= thr, without a square
+// root or a division. With r = pos − foe, c = flow × r and s = r·r the
+// residual is |c|/√s, so the test is c² against thr²·s. The two sides are
+// compared with a margin of 2⁻⁴⁷·(thr² + |flow|²)·s, which bounds every
+// rounding either computation makes: c's cancellation (a few ulps of
+// |flow|·|r|, fused multiply-add or not, on either side), the squares and
+// products here, and Hypot's and the division's in Residual. So a point the
+// margin decides is decided as Residual decides it, on every GOARCH. The
+// rest — the band within the margin, s below 4e-18 (where Residual's
+// n < 1e-9 rule returns 0), a product that overflows, a NaN — and every
+// point when thr² would leave the normal range go through Residual itself.
+func (m foeModel) Inliers(foe geom.Vec2, thr float64, dst []int) []int {
+	k := len(dst)
+	dst = slices.Grow(dst, len(m.vecs))[:k+len(m.vecs)]
+	t, exact := thr*thr, !(thr >= 0x1p-450 && thr <= 0x1p450)
+	for i := range m.vecs {
+		v := &m.vecs[i]
+		r := v.Pos.Sub(foe)
+		c, s := v.Flow.Cross(r), r.Dot(r)
+		cc, ts := c*c, t*s
+		margin := (t + v.Flow.Dot(v.Flow)) * s * 0x1p-47
+		in := cc < ts-margin
+		if exact || !(s >= 4e-18) || !in && !(cc > ts+margin) {
+			in = m.Residual(i, foe) <= thr
+		}
+		// Store unconditionally and advance by the verdict: about half the
+		// points are inliers, so a branch here would mispredict.
+		dst[k] = i
+		k += b2i(in)
+	}
+	return dst[:k]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func absf(x float64) float64 {

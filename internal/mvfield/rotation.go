@@ -103,6 +103,18 @@ func (m rotModel) Residual(i int, p rotParams) float64 {
 	return absf(pt.ax*p.phiX+pt.ay*p.phiY-pt.rhs) / pt.lever
 }
 
+// Inliers appends every i with Residual(i, p) <= thr: the same expression,
+// in one loop over the points.
+func (m rotModel) Inliers(p rotParams, thr float64, dst []int) []int {
+	k := len(dst)
+	dst = slices.Grow(dst, len(m.pts))[:k+len(m.pts)]
+	for i := range m.pts {
+		dst[k] = i
+		k += b2i(m.Residual(i, p) <= thr)
+	}
+	return dst[:k]
+}
+
 // distKey is one candidate vector's R-sampling sort key: its distance to the
 // calibrated FOE, computed once instead of inside every comparison.
 type distKey struct {
