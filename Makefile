@@ -156,8 +156,10 @@ fleet-smoke:
 # entropy writer (the mask walk against the writer it replaced), and over the
 # kernels whose amd64 bodies are assembly (the row kernels, the block
 # quantizer, the block transforms, the deblocking filter, the intra mode
-# decision), and over the FOE fit's filtered inlier predicate (against the
-# Residual it must agree with on every float64). Go allows exactly one -fuzz
+# decision), over the FOE fit's filtered inlier predicate (against the
+# Residual it must agree with on every float64), and over the rate-control
+# search on synthetic bits-vs-QP curves (against the plain bisection's QP and
+# its trial count + 2). Go allows exactly one -fuzz
 # pattern per invocation, so each target gets its own short run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -174,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeblock -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzChooseIntra -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzFOEInliers -fuzztime=10s -run 'xxx' ./internal/mvfield/
+	$(GO) test -fuzz=FuzzSearchBaseQP -fuzztime=10s -run 'xxx' ./internal/codec/
 
 # Non-test, non-generated Go and assembly lines per package and for the whole
 # repo (the benchmark module included): the number ROADMAP's simplicity items

@@ -287,14 +287,14 @@ func BenchmarkEncodeIFrame(b *testing.B) {
 }
 
 // BenchmarkRCSearch measures the rate-control search alone — searchBaseQP
-// over one P-frame's cached coefficients, the encoder's QP history carried
-// from op to op as AnalyzeAndQuantize carries it — and reports the trial
-// passes it ran per frame. "steady" repeats one budget (the clear-link
-// operating point, QP 12), so every search after the first warm-starts on the
-// answer; "swinging" multiplies the budget by 4 and back every four frames,
-// so a quarter of the searches start a doubling or two away and the next
-// falls back to the plain bisection; "cold" forgets the history before every
-// search, which is the plain bisection on every frame.
+// over one P-frame's cached coefficients, the encoder's model carried from
+// op to op as AnalyzeAndQuantize carries it — and reports the trial passes it
+// ran per frame. "steady" repeats one budget (the clear-link operating point,
+// QP 12); "swinging" multiplies the budget by 4 and back every four frames;
+// "alternating" doubles it every other frame, a period-two QP as on a tight
+// link; "cold" resets the model before every search, an encoder's first
+// P-frame every time: the floor is probed first, which at this budget costs
+// the bisection's five trials plus two.
 func BenchmarkRCSearch(b *testing.B) {
 	cfg := DefaultConfig(320, 192)
 	enc, err := NewEncoder(cfg)
@@ -315,10 +315,11 @@ func BenchmarkRCSearch(b *testing.B) {
 	}{
 		{"steady", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, false},
 		{"swinging", [8]int{1, 1, 1, 1, 4, 4, 4, 4}, false},
+		{"alternating", [8]int{1, 2, 1, 2, 1, 2, 1, 2}, false},
 		{"cold", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			enc.lastQP, enc.qpStep = -1, 0
+			enc.rc = rcModel{k: 6}
 			trials := 0
 			b.ReportAllocs()
 			for i := -1; i < b.N; i++ {
@@ -326,12 +327,11 @@ func BenchmarkRCSearch(b *testing.B) {
 					b.ResetTimer() // the first search had no history
 					trials = 0
 				}
-				qp, n, _ := enc.searchBaseQP(frame, PFrame, mf, cache, 0, EncodeOptions{TargetBits: budget * c.scale[(i+8)%8]})
-				trials += n
-				enc.noteBaseQP(qp)
 				if c.cold {
-					enc.lastQP = -1
+					enc.rc = rcModel{k: 6}
 				}
+				_, n, _ := enc.searchBaseQP(frame, PFrame, mf, cache, 0, EncodeOptions{TargetBits: budget * c.scale[(i+8)%8]})
+				trials += n
 			}
 			b.ReportMetric(float64(trials)/float64(b.N), "probes/frame")
 		})

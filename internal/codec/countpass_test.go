@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -11,6 +12,12 @@ import (
 
 // Property tests for the block quantizer and the counting rate-control
 // trial: each new kernel is held to the code it replaced (oracle_test.go).
+
+// countPass returns the exact number of bits a final encode of frame at
+// baseQP would write: quantizePass as a trial that never stops early.
+func (e *Encoder) countPass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int) int {
+	return e.quantizePass(frame, ftype, mf, dctCache, baseQP, offsets, nil, math.MaxInt)
+}
 
 // checkCountBlock holds codeBlock — the dispatched quantizer priced through
 // the zigzag table and blockBits — and the quantizer's Go body to the

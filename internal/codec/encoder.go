@@ -131,13 +131,12 @@ type EncodedFrame struct {
 	QPs     []int // final per-MB QP
 	Data    []byte
 	NumBits int
-	// RCTrials is the rate-control search path that chose BaseQP: every
-	// trial the bisection consulted, in loop order, with its exact bit
-	// count. Steps a P-frame search settles from trials it already ran
-	// consult none and list none; the trial at BaseQP (unless that is 51)
-	// and the one below it (unless that is under MinQP) are always there.
-	// Nil when rate control did not run or telemetry is disabled
-	// (Config.Obs nil) — the decision journal is its consumer.
+	// RCTrials is every trial pass rate control ran, in run order, with its
+	// bit count (past the budget, off the bounded path, the count it stopped
+	// at): its length is the frame's rate-control cost. The trial at BaseQP
+	// (unless that is 51) and the one below it (unless that is under MinQP)
+	// are always there. Nil when rate control did not run or telemetry is
+	// disabled (Config.Obs nil) — the decision journal is its consumer.
 	RCTrials []obs.QPTrial
 }
 
@@ -190,10 +189,7 @@ type Encoder struct {
 	// job.qps: motion analysis reads it before quantizePass rewrites it.
 	refQPs   []int
 	frameIdx int
-	// lastQP is the previous frame's base QP (-1 before the first frame) and
-	// qpStep how far it sat from the one before: where rate control starts
-	// the next P-frame's search, and whether it does (searchBaseQP).
-	lastQP, qpStep int
+	rc       rcModel // what rate control aims its P-frame trials with
 	// analyzed/analyzedSeq identify the frame for which `motion` is valid:
 	// pointer identity plus the plane's content generation counter, so a
 	// caller that reuses one buffer across frames (and bumps it) never
@@ -230,7 +226,7 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	}
 	return &Encoder{
 		cfg: cfg, mbw: cfg.Width / MBSize, mbh: cfg.Height / MBSize,
-		lastQP: -1,
+		rc: rcModel{k: 6},
 	}, nil
 }
 

@@ -622,7 +622,8 @@ func oracleReadCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (mask 
 
 // The motion-search and rate-control oracles below are the bodies production
 // ran before the word-wide half-pel SAD, the priced-point search and the
-// warm-started rate control, verbatim but for their names: oracleSadHalf
+// warm-started rate control, verbatim but for their names (and the rate
+// controller's trial, now a parameter): oracleSadHalf
 // (per-pixel interior loop), oracleSearcher / oracleSearchMB (every
 // candidate priced in full against bestCost, re-priced when revisited) and
 // oracleBisectQP (plain bisection over [minQP, 51]).
@@ -899,15 +900,16 @@ func oracleSearchMB(cur, ref *imgx.Plane, mbx, mby int, pred MV, method MEMethod
 }
 
 // oracleBisectQP is the rate controller before the warm start: bisect the
-// base QP over trial passes, every probe a countPass. It returns the chosen
-// QP and the QPs it probed, in order.
-func (e *Encoder) oracleBisectQP(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, opts EncodeOptions) (qp int, probed []int) {
+// base QP over trial passes, every probe a trial (a countPass in production,
+// any curve in FuzzSearchBaseQP). It returns the chosen QP and the QPs it
+// probed, in order.
+func oracleBisectQP(minQP, target int, trial func(q int) int) (qp int, probed []int) {
 	lo, hi := minQP, 51
 	for lo < hi {
 		mid := (lo + hi) / 2
-		bits := e.countPass(frame, ftype, mf, dctCache, mid, opts.QPOffsets)
+		bits := trial(mid)
 		probed = append(probed, mid)
-		if bits <= opts.TargetBits {
+		if bits <= target {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 
 	"dive/internal/imgx"
 	"dive/internal/obs"
@@ -44,12 +45,6 @@ type trialScratch struct {
 	// discards them after counting.
 	levels [4 * blockSize * blockSize]int32
 	masks  [4]uint64
-}
-
-// countPass returns the exact number of bits a final encode of frame at
-// baseQP would write: quantizePass as a trial.
-func (e *Encoder) countPass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int) int {
-	return e.quantizePass(frame, ftype, mf, dctCache, baseQP, offsets, nil)
 }
 
 // AnalyzeAndQuantize runs phase one of the two-phase encode: frame-type
@@ -108,7 +103,7 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 		e.job = &FrameJob{qps: make([]int, e.mbw*e.mbh)}
 	}
 	job := e.job
-	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job)
+	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job, math.MaxInt)
 	entropyTimer.Stop()
 	if job.bw.Len() != nbits {
 		return nil, fmt.Errorf("codec: wrote %d bits for frame %d, counted %d", job.bw.Len(), e.frameIdx, nbits)
@@ -117,7 +112,6 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	e.ref, e.spare = e.spare, e.ref
 	e.refQPs = job.qps
 	e.analyzed, e.motion = nil, nil
-	e.noteBaseQP(baseQP)
 	idx := e.frameIdx
 	e.frameIdx++
 
@@ -141,71 +135,136 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 }
 
 // searchBaseQP is rate control: it returns the base QP the bisection over
-// [minQP, 51] ends on — the lowest whose trial pass (countPass) fits
-// opts.TargetBits when fitting is monotone in QP, 51 unprobed — with the
-// number of trial passes it ran and, when telemetry is on, the trials the
-// bisection consulted. MinQP floors the search: degradation ladders use it
-// to keep a struggling link from being handed finely-quantized frames it
-// cannot carry.
-//
-// Every frame walks the same bisection; what differs is how a step learns
-// whether its midpoint fits. An I-frame's bits are not monotone in QP (intra
-// modes depend on the reconstruction), so each step needs that QP's exact
-// count: a trial pass. A P-frame's counts bound one another (impliedFit), so
-// a step that earlier trials settle costs nothing — and while the base QP
-// holds still (warmStartSpan) the two trials that settle most steps run
-// first: at the previous frame's QP and at its neighbour on the side that
-// failed. They are the whole search if the answer has not moved, and
-// otherwise the only two trials the plain bisection would not have run itself
-// (DESIGN.md §8 "Rate control").
+// [minQP, 51] ends on — the lowest whose trial pass fits opts.TargetBits when
+// fitting is monotone in QP, 51 unprobed — with the number of trial passes it
+// ran and, when telemetry is on, every trial in run order. MinQP floors the
+// search: degradation ladders use it to keep a struggling link from being
+// handed finely-quantized frames it cannot carry. Only the bounded path (a
+// P-frame with non-negative offsets) reads a count past "fits"; elsewhere a
+// trial stops after the macroblock row where it passes the target.
 func (e *Encoder) searchBaseQP(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, minQP int, opts EncodeOptions) (baseQP, trials int, trace []obs.QPTrial) {
-	target := opts.TargetBits
-	lo, hi := minQP, 51
 	bounded := ftype == PFrame && offsetsNonNegative(opts.QPOffsets)
-	warm := bounded && lo < hi && e.lastQP >= 0 && e.qpStep < warmStartSpan
-	memo := noTrials
-	if warm {
-		q := e.lastQP
-		if q < lo {
-			q = lo
-		} else if q >= hi {
-			q = hi - 1
-		}
-		memo[q] = e.countPass(frame, ftype, mf, dctCache, q, opts.QPOffsets)
-		trials++
-		if memo[q] <= target {
-			q--
-		} else {
-			q++
-		}
-		if q >= lo && q < hi {
-			memo[q] = e.countPass(frame, ftype, mf, dctCache, q, opts.QPOffsets)
-			trials++
+	stop, coded := opts.TargetBits, 0
+	if bounded {
+		stop = math.MaxInt
+		for _, m := range mf.Modes {
+			if m != ModeSkip {
+				coded++
+			}
 		}
 	}
+	baseQP, trials = e.rc.search(minQP, opts.TargetBits, coded, bounded, func(q int) int {
+		bits := e.quantizePass(frame, ftype, mf, dctCache, q, opts.QPOffsets, nil, stop)
+		if e.cfg.Obs != nil {
+			trace = append(trace, obs.QPTrial{QP: q, Bits: bits})
+		}
+		return bits
+	})
+	return baseQP, trials, trace
+}
+
+// rcModel is what P-frame rate control has learnt: the last two bounded
+// P-frames (bits 0 where none) and k, the QP it takes to halve a frame's bits.
+type rcModel struct {
+	last [2]struct{ qp, bits, coded int }
+	k    float64
+}
+
+// search walks the bisection over [minQP, 51] (walk) and runs a trial at the
+// first step the trials so far leave unsettled, until none is. On the bounded
+// path up to three of them are instead probes aimed at the answer (aim). A
+// probe off the path costs a trial the bisection would not have run, so the
+// next one runs only while probes ≤ 1 + the steps settled without a trial of
+// their own: no frame costs more than the bisection's trials plus two.
+func (r *rcModel) search(minQP, target, coded int, bounded bool, trial func(q int) int) (qp, trials int) {
+	memo, walked, probes, last := noTrials, uint64(0), 0, [2]int{-1, -1}
+	for {
+		mid, credit, done := walk(&memo, walked, minQP, target, bounded)
+		if done {
+			qp = mid
+			break
+		}
+		q := mid
+		if bounded && probes < 3 && probes-credit < 2 {
+			if a := r.aim(&memo, last, minQP, target, coded); a >= 0 && a != mid {
+				q = a
+				probes++
+			}
+		}
+		if q == mid {
+			walked |= 1 << q
+		}
+		memo[q] = trial(q)
+		last = [2]int{q, last[0]}
+		trials++
+	}
+	if bounded && qp < 51 && memo[qp] > 0 {
+		r.last[1] = r.last[0]
+		r.last[0].qp, r.last[0].bits, r.last[0].coded = qp, memo[qp], coded
+		if qp > minQP && memo[qp-1] > memo[qp] {
+			r.k = min(max((r.k+1/math.Log2(float64(memo[qp-1])/float64(memo[qp])))/2, 5), 10)
+		}
+	}
+	return qp, trials
+}
+
+// aim returns the QP to probe next, or -1: the untried one the model takes
+// for the answer or, when that is the lowest fitting trial f, f−1. It carries
+// a point (q, bits) to the target along a slope, x = q + k·log2(bits/target):
+// the last trial along the log-secant through the last two (k if that does
+// not fall), or before any trial the last frame whose coded count is nearest,
+// its bits scaled by coded over its own (no frame yet: bits 0, x = −∞, lo).
+func (r *rcModel) aim(memo *[52]int, last [2]int, lo, target, coded int) int {
+	p := r.last[0]
+	if o := r.last[1]; o.bits > 0 && absInt(o.coded-coded) < absInt(p.coded-coded) {
+		p = o
+	}
+	q, bits, k := p.qp, float64(p.bits)*float64(coded+1)/float64(p.coded+1), r.k
+	if a, b := last[0], last[1]; a >= 0 {
+		q, bits = a, float64(memo[a])
+		if b >= 0 && (b-a)*(memo[a]-memo[b]) > 0 {
+			k = float64(b-a) / math.Log2(bits/float64(memo[b]))
+		}
+	}
+	x := float64(q) + k*math.Log2(bits/float64(target))
+	m, f := lo-1, 51 // the bracket: the lowest fitting trial f, the trial m below it
+	for i := lo; i < 51 && f == 51; i++ {
+		if memo[i] > target {
+			m = i
+		} else if memo[i] >= 0 {
+			f = i
+		}
+	}
+	if f-1 <= m {
+		return -1
+	}
+	return max(int(math.Ceil(min(max(x, float64(m)), float64(f-1)))), m+1)
+}
+
+// walk follows the bisection over [lo, 51] as far as memo (or, bounded,
+// impliedFit) settles it: to the answer (done) or the first step left
+// unsettled, with the number of steps before it settled without a trial the
+// walk ran there (walked).
+func walk(memo *[52]int, walked uint64, lo, target int, bounded bool) (q, credit int, done bool) {
+	hi := 51
 	for lo < hi {
 		mid := (lo + hi) / 2
 		bits := memo[mid]
 		fits, known := bits <= target, bits >= 0
 		if !known && bounded {
-			fits, known = impliedFit(&memo, mid, target)
+			fits, known = impliedFit(memo, mid, target)
 		}
 		if !known {
-			bits = e.countPass(frame, ftype, mf, dctCache, mid, opts.QPOffsets)
-			memo[mid] = bits
-			trials++
-			fits = bits <= target
+			return mid, credit, false
 		}
-		if bits >= 0 && e.cfg.Obs != nil {
-			trace = append(trace, obs.QPTrial{QP: mid, Bits: bits})
-		}
+		credit += int(^walked >> mid & 1)
 		if fits {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	return lo, trials, trace
+	return lo, credit, true
 }
 
 // noTrials is a rate-control memo before any trial ran: -1 bits at every QP.
@@ -215,22 +274,6 @@ var noTrials = func() (memo [52]int) {
 	}
 	return memo
 }()
-
-// noteBaseQP records a finished frame's base QP for the next search's warm
-// start.
-func (e *Encoder) noteBaseQP(qp int) {
-	if e.lastQP >= 0 {
-		e.qpStep = absInt(qp - e.lastQP)
-	}
-	e.lastQP = qp
-}
-
-// warmStartSpan is how far the base QP may have moved between the last two
-// frames for the next search to start from it: less than the 6 QP that
-// double the quantizer step. Past that (a link that fades frame by frame, a
-// reference whose quality alternates) the previous QP predicts nothing and
-// its two trials would only add to the bisection's.
-const warmStartSpan = 6
 
 // impliedFit reports whether a P-frame trial at base QP mid would fit target,
 // when the counts in memo (-1 where no trial ran) decide it. With
@@ -274,7 +317,8 @@ func offsetsNonNegative(offsets []int) bool {
 // decision and MV prediction are stated here and nowhere else, and every
 // symbol goes through its syntax element's put (syntax.go), so a
 // rate-control trial and the final pass cannot disagree on them. It returns
-// the exact number of bits the final pass writes for frame at baseQP. Both
+// the exact number of bits the final pass writes for frame at baseQP (a
+// trial returns early, after the row where the count passes stop). Both
 // modes run on the encoder's one-macroblock scratch (e.trial); what differs
 // is what becomes of a macroblock once it is quantized:
 //
@@ -293,7 +337,7 @@ func offsetsNonNegative(offsets []int) bool {
 // A trial touches no encoder state outside e.trial. The coded-MV array is
 // reused without zeroing: the predictor only reads cells the same pass wrote
 // earlier in raster order.
-func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob) int {
+func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionField, dctCache [][blockSize * blockSize]int32, baseQP int, offsets []int, job *FrameJob, stop int) int {
 	t := &e.trial
 	if t.mvs == nil {
 		t.mvs = make([]MV, e.mbw*e.mbh)
@@ -319,7 +363,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 
 	bits := frameHeader{ftype, uint32(baseQP), uint32(e.mbw), uint32(e.mbh), e.cfg.SubPel, e.cfg.Deblock}.put(w)
 
-	for by := 0; by < e.mbh; by++ {
+	for by := 0; by < e.mbh && bits <= stop; by++ {
 		for bx := 0; bx < e.mbw; bx++ {
 			i := by*e.mbw + bx
 			qp := baseQP
