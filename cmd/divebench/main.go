@@ -17,7 +17,7 @@
 // parallel layer only changes wall-clock time.
 //
 // -streams runs the multi-stream packing ladder: 1/4/16/64 (≤ N) concurrent
-// pooled serial encoders, reporting aggregate frames/sec/core and GC
+// serial encoders, reporting aggregate frames/sec/core and GC
 // co-tenancy per rung in -json; -runtime-log captures the highest-density
 // rung's steady window as a runtime-stats JSONL series for divedoctor
 // -runtime.
@@ -202,7 +202,7 @@ type benchResults struct {
 	// comparisons (bitrate, AP, p50/p95 latency).
 	EndToEnd []experiments.EndToEndRow `json:"end_to_end,omitempty"`
 	// MultiStream is the -streams packing ladder: aggregate frames/sec/core
-	// and GC co-tenancy at 1/4/16/64 concurrent pooled encoders.
+	// and GC co-tenancy at 1/4/16/64 concurrent encoders.
 	MultiStream *experiments.MultiStreamResult `json:"multistream,omitempty"`
 	// Runtime captures the Go runtime at the end of the run — live heap,
 	// GC pause p99, goroutine count — sampled via runtime/metrics: with

@@ -165,10 +165,7 @@ func NewAgent(cfg Config) (*Agent, error) {
 	if cfg.EtaThreshold > 0 {
 		ac.EtaThreshold = cfg.EtaThreshold
 	}
-	if cfg.FixedDelta > 0 {
-		ac.AVE.Policy = core.DeltaFixed
-		ac.AVE.FixedDelta = cfg.FixedDelta
-	}
+	ac.AVE.FixedDelta = cfg.FixedDelta
 	if cfg.BandwidthPriorBps > 0 {
 		ac.BandwidthPrior = cfg.BandwidthPriorBps
 	}

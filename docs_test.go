@@ -22,7 +22,8 @@ import (
 // double-dash options and is not checked). In README.md and DESIGN.md, every
 // <pkg>.<Ident> in a code span or fenced block, where internal/<pkg> exists,
 // must name a function, method, type, variable or constant declared in that
-// package's non-test files.
+// package's non-test files, and a <pkg>.<Type>.<Name> must name a field or
+// method of that type.
 func TestDocsNameWhatExists(t *testing.T) {
 	targets := map[string]bool{}
 	mk, err := os.ReadFile("Makefile")
@@ -64,8 +65,8 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
-	declared := map[string]map[string]bool{} // internal package → its top-level names
-	goUse := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	declared := map[string]*pkgDecls{} // internal package → what it declares
+	goUse := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 
 	makeUse := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	pkgUse := regexp.MustCompile(`\binternal/([a-z][a-z0-9_]*)`)
@@ -88,13 +89,18 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 			if doc != "EXPERIMENTS.md" {
 				for _, m := range goUse.FindAllStringSubmatch(seg, -1) {
-					names, ok := declared[m[1]]
+					decls, ok := declared[m[1]]
 					if !ok {
-						names = declaredNames(t, filepath.Join("internal", m[1]))
-						declared[m[1]] = names
+						decls = declaredNames(t, filepath.Join("internal", m[1]))
+						declared[m[1]] = decls
 					}
-					if names != nil && !names[m[2]] {
+					switch {
+					case decls == nil:
+					case !decls.names[m[2]]:
 						t.Errorf("%s: internal/%s declares no %s (in %q)", doc, m[1], m[2], seg)
+					case m[3] != "" && decls.members[m[2]] != nil && !decls.members[m[2]][m[3]]:
+						// members[m[2]] is nil when m[2] is not a type.
+						t.Errorf("%s: %s.%s has no field or method %s (in %q)", doc, m[1], m[2], m[3], seg)
 					}
 				}
 			}
@@ -122,11 +128,19 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
-// declaredNames returns the names of the functions, methods, types,
-// variables and constants declared at top level in dir's non-test Go files
-// (a doc may write a method as pkg.Method), or nil when dir is not a
-// directory.
-func declaredNames(t *testing.T, dir string) map[string]bool {
+// pkgDecls is what one package declares at top level: every name, and for
+// each type the fields (of a struct) or methods (of an interface) its
+// declaration lists plus the methods declared on it.
+type pkgDecls struct {
+	names   map[string]bool
+	members map[string]map[string]bool
+}
+
+// declaredNames returns the functions, methods, types, variables and
+// constants declared at top level in dir's non-test Go files (a doc may
+// write a method as pkg.Method) with the members of each type, or nil when
+// dir is not a directory.
+func declaredNames(t *testing.T, dir string) *pkgDecls {
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		return nil
 	}
@@ -136,21 +150,51 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	d := &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}}
+	member := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		if name != "" {
+			d.members[typ][name] = true
+		}
+	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
 				case *ast.FuncDecl:
-					names[d.Name.Name] = true
+					d.names[decl.Name.Name] = true
+					if decl.Recv != nil {
+						member(typeName(decl.Recv.List[0].Type), decl.Name.Name)
+					}
 				case *ast.GenDecl:
-					for _, spec := range d.Specs {
+					for _, spec := range decl.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							names[spec.Name.Name] = true
+							d.names[spec.Name.Name] = true
+							member(spec.Name.Name, "")
+							var fields *ast.FieldList
+							switch typ := spec.Type.(type) {
+							case *ast.StructType:
+								fields = typ.Fields
+							case *ast.InterfaceType:
+								fields = typ.Methods
+							}
+							if fields == nil {
+								continue
+							}
+							for _, field := range fields.List {
+								for _, n := range field.Names {
+									member(spec.Name.Name, n.Name)
+								}
+								if len(field.Names) == 0 { // embedded
+									member(spec.Name.Name, typeName(field.Type))
+								}
+							}
 						case *ast.ValueSpec:
 							for _, n := range spec.Names {
-								names[n.Name] = true
+								d.names[n.Name] = true
 							}
 						}
 					}
@@ -158,7 +202,25 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 			}
 		}
 	}
-	return names
+	return d
+}
+
+// typeName is the bare name of a receiver or embedded type: T for T, *T,
+// T[P] and pkg.T.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	}
+	return ""
 }
 
 // codeSegments returns the inline code spans (which may wrap across the lines

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"hash/crc32"
 	"testing"
 
 	"dive/internal/detect"
@@ -101,6 +102,37 @@ func TestDDSRunShape(t *testing.T) {
 	oracle := sim.OracleDetections(clip, env)
 	if m := metrics.MAP(res.Detections, oracle, metrics.DefaultIoU); m <= 0.1 {
 		t.Errorf("DDS mAP = %v", m)
+	}
+}
+
+// TestDDSPatchesOutliveLaterEncodes: a phase-2 patch waits in the queue for
+// its feedback while later frames' patches are encoded on the same encoder,
+// so the queued bitstream must be DDS's own copy. Each patch is checksummed
+// when it is queued and again when it is flushed.
+func TestDDSPatchesOutliveLaterEncodes(t *testing.T) {
+	clip := shortClip(t, 23)
+	queued := map[int]uint32{}
+	waited := 0 // patches flushed after a later one was queued
+	d := &DDS{}
+	d.onPatch = func(idx int, data []byte, flushed bool) {
+		sum := crc32.ChecksumIEEE(data)
+		if !flushed {
+			queued[idx] = sum
+			return
+		}
+		if _, ok := queued[idx+1]; ok {
+			waited++
+		}
+		if sum != queued[idx] {
+			t.Errorf("frame %d: patch changed between queueing and flush", idx)
+		}
+	}
+	link := netsim.NewLink(netsim.ConstantTrace(netsim.Mbps(2)), 0.012)
+	if _, err := d.Run(clip, link, sim.NewEnv(4)); err != nil {
+		t.Fatal(err)
+	}
+	if len(queued) != clip.NumFrames() || waited == 0 {
+		t.Fatalf("%d patches queued for %d frames, %d waited behind a later one", len(queued), clip.NumFrames(), waited)
 	}
 }
 

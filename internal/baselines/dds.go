@@ -32,6 +32,10 @@ type DDS struct {
 	FeedbackScore float64
 	// DilatePx grows feedback regions before re-encoding.
 	DilatePx int
+
+	// onPatch, when set, sees each phase-2 patch's bitstream as it is
+	// queued (flushed false) and as it is decoded (flushed true).
+	onPatch func(idx int, data []byte, flushed bool)
 }
 
 // Name implements sim.Scheme.
@@ -103,6 +107,9 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 		for len(pending) > 0 && pending[0].ready <= until {
 			job := pending[0]
 			pending = pending[1:]
+			if d.onPatch != nil {
+				d.onPatch(job.idx, job.data, true)
+			}
 			s2, ser2, delivered2 := link.Send(job.ready, job.bits)
 			estimator.Record(s2, ser2, job.bits)
 			pdec, derr := codec.NewDecoder(patchCfg)
@@ -194,10 +201,13 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 			idx:     i,
 			ready:   feedbackAt + env.Lat.Encode,
 			bits:    ef2.NumBits,
-			data:    ef2.Data,
+			data:    ef2.Clone().Data, // outlives the next patchEnc.Encode
 			regions: regions,
 			lowImg:  dec1.Image.Clone(), // outlives the next dec.Decode
 		})
+		if d.onPatch != nil {
+			d.onPatch(i, pending[len(pending)-1].data, false)
+		}
 	}
 	return res, flush(1e18)
 }

@@ -2,27 +2,28 @@ package codec
 
 import (
 	"bytes"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"dive/internal/imgx"
 	"dive/internal/obs"
 )
 
-// Steady-state allocation contract. With ReuseFrames set, an encoder
-// (telemetry off) must not allocate at all once warm: its two recon planes,
-// its one frame job (QP/mode/level storage and BitWriter buffer) and its
-// trial scratch are all reused. These tests pin that with
-// testing.AllocsPerRun; the CI alloc gate (make bench-alloc) pins the
-// -benchmem numbers of the matching benchmarks.
+// Steady-state allocation contract. An encoder (telemetry off) must not
+// allocate at all once warm: its two recon planes, its one frame job (the
+// handed-out EncodedFrame, QP storage and BitWriter buffer) and its trial
+// scratch are all reused. These tests pin that with testing.AllocsPerRun;
+// the CI alloc gate (make bench-alloc) pins the -benchmem numbers of the
+// matching benchmarks.
 
-// allocStreamEncoder builds a ReuseFrames encoder plus a varied frame
-// cycle (shifting texture, so P-frames carry real motion and residual) for
-// steady-state loops. GoPSize 8 puts I-frames inside the measured window.
-func allocStreamEncoder(t testing.TB, reuse bool) (*Encoder, []*imgx.Plane) {
+// allocStreamEncoder builds an encoder plus a varied frame cycle (shifting
+// texture, so P-frames carry real motion and residual) for steady-state
+// loops. GoPSize 8 puts I-frames inside the measured window.
+func allocStreamEncoder(t testing.TB) (*Encoder, []*imgx.Plane) {
 	t.Helper()
 	cfg := DefaultConfig(96, 80)
 	cfg.GoPSize = 8
-	cfg.ReuseFrames = reuse
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 		{"rate-controlled", EncodeOptions{TargetBits: 40_000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			enc, frames := allocStreamEncoder(t, true)
+			enc, frames := allocStreamEncoder(t)
 			idx := 0
 			step := func() {
 				f := frames[idx%len(frames)]
@@ -67,7 +68,7 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 // TestTwoPhaseSteadyStateZeroAlloc drives AnalyzeAndQuantize/EmitBitstream
 // as separate calls and requires zero steady-state allocations.
 func TestTwoPhaseSteadyStateZeroAlloc(t *testing.T) {
-	enc, frames := allocStreamEncoder(t, true)
+	enc, frames := allocStreamEncoder(t)
 	idx := 0
 	step := func() {
 		job, err := enc.AnalyzeAndQuantize(frames[idx%len(frames)], EncodeOptions{TargetBits: 40_000})
@@ -92,7 +93,7 @@ func TestTwoPhaseSteadyStateZeroAlloc(t *testing.T) {
 // value by the decision journal), so the steady state allocates a little —
 // but the bound must stay small and flat.
 func TestJournaledPathAllocBound(t *testing.T) {
-	enc, frames := allocStreamEncoder(t, true)
+	enc, frames := allocStreamEncoder(t)
 	enc.cfg.Obs = obs.NewRecorder(64)
 	idx := 0
 	step := func() {
@@ -123,75 +124,120 @@ func makeOffsets(w, h int) []int {
 	return offsets
 }
 
-// TestPooledBitExact pins the other half of the reuse contract: handing out
-// job-owned storage may not change a single emitted byte. A ReuseFrames
-// encoder driven through AnalyzeAndQuantize/EmitBitstream must match a
-// fresh-buffer encoder across every ME method and the scripted option mix
-// (I, P, differential QP, rate control, forced I).
+// TestPooledBitExact pins the other half of the hand-out contract: reusing
+// the encoder's storage may not change a single emitted byte. An encoder
+// driven through AnalyzeAndQuantize/EmitBitstream must match one driven
+// through Encode, across every ME method and the scripted option mix (I, P,
+// differential QP, rate control, forced I), and the clones kept of the
+// latter must still hold those bytes, and decode, once the script is over.
 func TestPooledBitExact(t *testing.T) {
 	for _, m := range AllMEMethods() {
 		cfg := DefaultConfig(96, 80)
 		cfg.Method = m
-		fresh, err := NewEncoder(cfg)
+		whole, err := NewEncoder(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pcfg := cfg
-		pcfg.ReuseFrames = true
-		pooled, err := NewEncoder(pcfg)
+		split, err := NewEncoder(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var kept []*EncodedFrame
+		var sums []uint32
 		for i, s := range scriptInputs(96, 80) {
-			want, err := fresh.Encode(s.frame, s.opts)
-			if err != nil {
-				t.Fatalf("fresh frame %d: %v", i, err)
-			}
-			job, err := pooled.AnalyzeAndQuantize(s.frame, s.opts)
+			want, err := whole.Encode(s.frame, s.opts)
 			if err != nil {
 				t.Fatalf("method=%s frame %d: %v", m, i, err)
 			}
-			got, err := pooled.EmitBitstream(job)
+			kept = append(kept, want.Clone())
+			job, err := split.AnalyzeAndQuantize(s.frame, s.opts)
+			if err != nil {
+				t.Fatalf("method=%s frame %d: %v", m, i, err)
+			}
+			got, err := split.EmitBitstream(job)
 			if err != nil {
 				t.Fatalf("method=%s frame %d: emit: %v", m, i, err)
 			}
-			if !bytes.Equal(want.Data, got.Data) {
-				t.Errorf("method=%s frame %d: pooled bitstream differs (%d vs %d bytes)",
+			if !bytes.Equal(want.Data, got.Data) || !slices.Equal(want.QPs, got.QPs) {
+				t.Errorf("method=%s frame %d: two-phase frame differs from Encode's (%d vs %d bytes)",
 					m, i, len(got.Data), len(want.Data))
 			}
-			for j := range want.QPs {
-				if want.QPs[j] != got.QPs[j] {
-					t.Fatalf("method=%s frame %d: QP map differs at MB %d", m, i, j)
-				}
-			}
+			sums = append(sums, crc32.ChecksumIEEE(got.Data))
 		}
-		if !bytes.Equal(fresh.Reconstructed().Pix, pooled.Reconstructed().Pix) {
+		if !bytes.Equal(whole.Reconstructed().Pix, split.Reconstructed().Pix) {
 			t.Errorf("method=%s: reconstructions diverge", m)
+		}
+		dec, err := NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ef := range kept {
+			if crc32.ChecksumIEEE(ef.Data) != sums[i] {
+				t.Fatalf("method=%s: kept frame %d changed after later encodes", m, i)
+			}
+			if _, err := dec.Decode(ef.Data); err != nil {
+				t.Fatalf("method=%s: kept frame %d: %v", m, i, err)
+			}
 		}
 	}
 }
 
-// TestReuseFramesAliasingContract documents what ReuseFrames trades away:
-// the handed-out frame's Data is overwritten by the next emit. The decode of
-// each frame (before the next encode) must still be valid.
-func TestReuseFramesAliasingContract(t *testing.T) {
-	enc, frames := allocStreamEncoder(t, true)
+// TestHandOutContract pins what the encoder's one hand-out means: the
+// EncodedFrame, its QPs and its Data belong to the encoder and the next
+// Encode overwrites them, while a Clone taken at hand-out survives every
+// later frame and decodes, in order, to the encoder's reconstructions.
+func TestHandOutContract(t *testing.T) {
+	enc, frames := allocStreamEncoder(t)
+	var clones []*EncodedFrame
+	var recons []uint32
+	var prev *EncodedFrame
+	var prevQPs []int
+	var prevData []byte
+	for i := 0; i < 12; i++ {
+		// Falling QPs: every frame's map differs from the last, and an
+		// early frame at QP 10 grows the writer past what later ones need,
+		// so its buffer is rewritten in place.
+		qp := 40 - 2*i
+		if i == 0 {
+			qp = 10
+		}
+		ef, err := enc.Encode(frames[i%len(frames)], EncodeOptions{BaseQP: qp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev != nil {
+			if ef != prev {
+				t.Fatalf("frame %d: a second EncodedFrame was handed out", i)
+			}
+			if prevQPs[0] != qp {
+				t.Errorf("frame %d: the last frame's QPs still read %d, want this frame's %d", i, prevQPs[0], qp)
+			}
+			if i >= 2 && bytes.Equal(prevData, clones[i-1].Data) {
+				t.Errorf("frame %d: the last frame's Data survived the next Encode", i)
+			}
+		}
+		c := ef.Clone()
+		if c == ef || !bytes.Equal(c.Data, ef.Data) || !slices.Equal(c.QPs, ef.QPs) || c.NumBits != ef.NumBits {
+			t.Fatalf("frame %d: Clone is not an equal copy", i)
+		}
+		clones = append(clones, c)
+		recons = append(recons, crc32.ChecksumIEEE(enc.Reconstructed().Pix))
+		prev, prevQPs, prevData = ef, ef.QPs, ef.Data
+	}
 	dec, err := NewDecoder(enc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
-		ef, err := enc.Encode(frames[i%len(frames)], EncodeOptions{BaseQP: 26})
-		if err != nil {
-			t.Fatal(err)
+	for i, c := range clones {
+		if c.QPs[0] != c.BaseQP {
+			t.Errorf("clone %d: QPs[0] %d, want its BaseQP %d", i, c.QPs[0], c.BaseQP)
 		}
-		// Consume immediately — the ReuseFrames contract.
-		rec, err := dec.Decode(ef.Data)
+		rec, err := dec.Decode(c.Data)
 		if err != nil {
-			t.Fatalf("frame %d: decode of pooled Data failed: %v", i, err)
+			t.Fatalf("clone %d: %v", i, err)
 		}
-		if !bytes.Equal(rec.Image.Pix, enc.Reconstructed().Pix) {
-			t.Fatalf("frame %d: decoder disagrees with encoder reconstruction", i)
+		if crc32.ChecksumIEEE(rec.Image.Pix) != recons[i] {
+			t.Fatalf("clone %d: decodes to another picture than the encoder reconstructed", i)
 		}
 	}
 }
@@ -223,7 +269,7 @@ func decodeStream(t testing.TB, cfg Config) (*Decoder, [][]byte) {
 		if _, err := dec.Decode(ef.Data); err != nil {
 			t.Fatal(err)
 		}
-		streams = append(streams, ef.Data)
+		streams = append(streams, ef.Clone().Data)
 	}
 	return dec, streams
 }

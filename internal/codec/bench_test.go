@@ -171,14 +171,12 @@ func BenchmarkDeblockFrame(b *testing.B) {
 	}
 }
 
-// steadyStateBench drives a serial streaming encode loop for -benchmem
-// inspection; reuse selects the pooled (ReuseFrames) configuration. The
-// pooled variant's allocs/op is pinned at 0 by TestEncodeSteadyStateZeroAlloc
-// and gated in CI via make bench-alloc.
-func steadyStateBench(b *testing.B, reuse bool) {
+// BenchmarkEncodeSteadyState drives a serial streaming encode loop for
+// -benchmem inspection. Its allocs/op is pinned at 0 by
+// TestEncodeSteadyStateZeroAlloc and gated in CI via make bench-alloc.
+func BenchmarkEncodeSteadyState(b *testing.B) {
 	cfg := DefaultConfig(320, 192)
 	cfg.GoPSize = 48
-	cfg.ReuseFrames = reuse
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -198,9 +196,6 @@ func steadyStateBench(b *testing.B, reuse bool) {
 		}
 	}
 }
-
-func BenchmarkEncodeSteadyState(b *testing.B)      { steadyStateBench(b, true) }
-func BenchmarkEncodeSteadyStateFresh(b *testing.B) { steadyStateBench(b, false) }
 
 // BenchmarkDecodeSteadyState is the server-side counterpart of
 // BenchmarkEncodeSteadyState: one session's Decoder reused across a clip
@@ -254,12 +249,10 @@ func BenchmarkRCTrial(b *testing.B) {
 // answers an outage: motion analysis (analytics want vectors on I-frames
 // too), the rate-control bisection at the tight link's budget (1.2 Mbit/s at
 // 30 frames/s) scaled by IFrameBudgetScale 3, the final pass and the
-// hand-out, on ReuseFrames storage. Two shifted frames alternate, so every
-// op is analysed against a different reference. allocs/op is pinned at 0 in
-// ci/alloc_baseline.json.
+// hand-out. Two shifted frames alternate, so every op is analysed against a
+// different reference. allocs/op is pinned at 0 in ci/alloc_baseline.json.
 func BenchmarkEncodeIFrame(b *testing.B) {
 	cfg := DefaultConfig(320, 192)
-	cfg.ReuseFrames = true
 	enc, err := NewEncoder(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -49,11 +49,6 @@ func TestNewEncoderValidation(t *testing.T) {
 		t.Error("expected error for non-multiple-of-16 width")
 	}
 	cfg := DefaultConfig(64, 64)
-	cfg.SearchRange = 0
-	if _, err := NewEncoder(cfg); err == nil {
-		t.Error("expected error for zero search range")
-	}
-	cfg = DefaultConfig(64, 64)
 	cfg.Method = MEMethod(99)
 	if _, err := NewEncoder(cfg); err == nil {
 		t.Error("expected error for bad ME method")
@@ -517,7 +512,8 @@ func TestAnalyzeMotionSeesBufferMutation(t *testing.T) {
 
 // TestMotionFieldSurvivesOneFollowingEncode pins the documented lifetime of
 // EncodedFrame.Motion under buffer recycling: the field from frame i is
-// intact after encoding frame i+1.
+// intact after encoding frame i+1 (the EncodedFrame itself is not: it is
+// the encoder's, so the test holds on to the field).
 func TestMotionFieldSurvivesOneFollowingEncode(t *testing.T) {
 	w, h := 64, 48
 	enc := newTestEncoder(t, w, h)
@@ -529,12 +525,13 @@ func TestMotionFieldSurvivesOneFollowingEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mvs := append([]MV(nil), ef1.Motion.MVs...)
+	mf1 := ef1.Motion
+	mvs := append([]MV(nil), mf1.MVs...)
 	if _, err := enc.Encode(shiftFrame(f0, 6, 2), EncodeOptions{BaseQP: 20}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range mvs {
-		if ef1.Motion.MVs[i] != mvs[i] {
+		if mf1.MVs[i] != mvs[i] {
 			t.Fatalf("MV %d of frame 1 changed during the following encode", i)
 		}
 	}
@@ -577,7 +574,7 @@ func TestWorkersFieldIsIgnored(t *testing.T) {
 				t.Fatalf("Workers=%d frame %d: %v", workers, i, err)
 			}
 			if workers == 0 {
-				want = append(want, ef.Data)
+				want = append(want, ef.Clone().Data)
 			} else if !bytes.Equal(ef.Data, want[i]) {
 				t.Errorf("Workers=%d frame %d: %d bytes differ from the %d at Workers=0", workers, i, len(ef.Data), len(want[i]))
 			}

@@ -39,9 +39,7 @@ const (
 type Config struct {
 	Width, Height int      // frame size; must be multiples of 16
 	GoPSize       int      // I-frame interval; <= 1 means every frame is I
-	SearchRange   int      // motion search window radius in pixels
 	Method        MEMethod // motion estimation strategy
-	SkipThreshold int      // SAD at the predictor below which a MB is skipped
 	// SubPel enables half-pixel motion vectors (bilinear interpolation),
 	// matching the sub-pel precision of production encoders. Vectors are
 	// then expressed in half-pel units throughout (MotionField.Scale 2).
@@ -57,27 +55,16 @@ type Config struct {
 	Obs *obs.Recorder
 	// Workers is ignored: the encoder runs on its caller's goroutine.
 	Workers int
-	// ReuseFrames hands out each frame's storage — the EncodedFrame struct
-	// and its QPs and Data slices — from the encoder's one job instead of
-	// fresh copies. With it set the steady-state encode loop allocates
-	// nothing, but a returned frame (and its QPs/Data) is only valid until
-	// the next AnalyzeAndQuantize/Encode: callers must finish with (or copy)
-	// each frame before encoding the next. Off by default because callers
-	// that retain frames across encodes (tests, offline collectors) would
-	// observe overwrites. The emitted bits are byte-identical either way.
-	ReuseFrames bool
 }
 
 // DefaultConfig returns sensible defaults for a frame size.
 func DefaultConfig(w, h int) Config {
 	return Config{
 		Width: w, Height: h,
-		GoPSize:       48,
-		SearchRange:   12,
-		Method:        MEHex,
-		SkipThreshold: 512, // 2 luma levels per pixel over a 16×16 MB
-		SubPel:        true,
-		Deblock:       true,
+		GoPSize: 48,
+		Method:  MEHex,
+		SubPel:  true,
+		Deblock: true,
 	}
 }
 
@@ -115,7 +102,10 @@ func (f *MotionField) NonZeroRatio() float64 {
 }
 
 // EncodedFrame is one compressed frame plus the side information the
-// analytics layer uses.
+// analytics layer uses. The encoder hands out one EncodedFrame, one QPs
+// array and one Data buffer for every frame: all three belong to the encoder
+// and are overwritten by its next AnalyzeAndQuantize/Encode. A caller that
+// keeps a frame past that keeps a Clone.
 type EncodedFrame struct {
 	Type   FrameType
 	Index  int
@@ -142,6 +132,17 @@ type EncodedFrame struct {
 
 // Bytes returns the frame payload size in bytes.
 func (ef *EncodedFrame) Bytes() int { return len(ef.Data) }
+
+// Clone returns a copy of the frame that owns its QPs and Data, and so
+// outlives the encoder's next frame. Motion and RCTrials are shared: Motion
+// keeps its own lifetime (above) and rate control builds RCTrials afresh
+// for every frame.
+func (ef *EncodedFrame) Clone() *EncodedFrame {
+	c := *ef
+	c.QPs = append([]int(nil), ef.QPs...)
+	c.Data = append([]byte(nil), ef.Data...)
+	return &c
+}
 
 // EncodeOptions controls one frame's encode.
 type EncodeOptions struct {
@@ -217,9 +218,6 @@ type Encoder struct {
 func NewEncoder(cfg Config) (*Encoder, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.Width%MBSize != 0 || cfg.Height%MBSize != 0 {
 		return nil, fmt.Errorf("codec: frame size %dx%d must be positive multiples of %d", cfg.Width, cfg.Height, MBSize)
-	}
-	if cfg.SearchRange <= 0 {
-		return nil, fmt.Errorf("codec: search range must be positive")
 	}
 	if cfg.Method < MEDia || cfg.Method > MEEsa {
 		return nil, fmt.Errorf("codec: unknown motion estimation method %d", cfg.Method)
@@ -354,6 +352,17 @@ func (e *Encoder) nextMotionField(scale int) *MotionField {
 	return mf
 }
 
+// The motion search's operating point.
+const (
+	// skipThreshold is the SAD at the predictor below which a macroblock is
+	// skipped unsearched: 2 luma levels per pixel over a 16×16 macroblock.
+	// searchMB raises it over a coarsely quantized reference.
+	skipThreshold = 512
+	// searchRange is the radius, in whole pixels, of the window searchMB
+	// has searchInteger look for a macroblock's vector in.
+	searchRange = 12
+)
+
 // searchMB runs the skip test and motion search for macroblock (bx, by) and
 // writes its vector, mode and SAD into mf. Predictors are read from mf.MVs,
 // so the left, top and top-right entries must be final before this cell runs
@@ -369,7 +378,7 @@ func (e *Encoder) searchMB(frame *imgx.Plane, mf *MotionField, bx, by int) {
 	// emit jitter vectors. The neighborhood maximum matters
 	// because deblocking smears a crushed neighbor's noise across
 	// the shared boundary.
-	skipThresh := e.cfg.SkipThreshold
+	skipThresh := skipThreshold
 	if e.refQPs != nil {
 		if qpAware := int(96 * QStep(e.neighborhoodMaxQP(bx, by))); qpAware > skipThresh {
 			skipThresh = qpAware
@@ -391,7 +400,7 @@ func (e *Encoder) searchMB(frame *imgx.Plane, mf *MotionField, bx, by int) {
 	if e.cfg.SubPel {
 		fullPred = MV{pred.X / 2, pred.Y / 2}
 	}
-	mv, cost, sad := searchInteger(frame, e.ref, px, py, fullPred, e.cfg.Method, e.cfg.SearchRange)
+	mv, cost, sad := searchInteger(frame, e.ref, px, py, fullPred, e.cfg.Method, searchRange)
 	if e.cfg.SubPel {
 		mv, cost = refineHalf(frame, e.ref, px, py, MV{mv.X * 2, mv.Y * 2}, sad)
 	}

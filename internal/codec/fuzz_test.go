@@ -40,7 +40,7 @@ func fuzzStreams(t testing.TB, cfg Config) (iframe []byte, pframes [][]byte) {
 		if iframe != nil && !bytes.Equal(iframe, ef0.Data) {
 			t.Fatalf("%s: I-frame differs between ME methods", m)
 		}
-		iframe = ef0.Data
+		iframe = ef0.Clone().Data
 		ef1, err := enc.Encode(f1, EncodeOptions{BaseQP: 24, QPOffsets: makeOffsets(cfg.Width, cfg.Height)})
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +48,7 @@ func fuzzStreams(t testing.TB, cfg Config) (iframe []byte, pframes [][]byte) {
 		if ef1.Type != PFrame {
 			t.Fatalf("%s: second frame is not a P-frame", m)
 		}
-		pframes = append(pframes, ef1.Data)
+		pframes = append(pframes, ef1.Clone().Data)
 	}
 	return iframe, pframes
 }

@@ -24,11 +24,10 @@ type FrameJob struct {
 	// qps is the per-MB QP array the job's frame hands out, and the
 	// encoder's refQPs for the next frame's skip thresholds.
 	qps []int
-	// frame and bw are the hand-out storage reused in ReuseFrames mode:
-	// the EncodedFrame the caller receives and the bitstream writer the
-	// final quantizePass fills, whose backing buffer becomes Data. bw
-	// reaches a grow-once steady state via Reset. Without ReuseFrames,
-	// EmitBitstream copies out of them instead.
+	// frame and bw are the hand-out storage, reused for every frame: the
+	// EncodedFrame the caller receives and the bitstream writer the final
+	// quantizePass fills, whose backing buffer becomes Data. bw reaches a
+	// grow-once steady state via Reset.
 	frame EncodedFrame
 	bw    BitWriter
 }
@@ -115,22 +114,14 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	idx := e.frameIdx
 	e.frameIdx++
 
-	// Hand-out storage: the job's own in ReuseFrames mode,
-	// freshly copied otherwise (so callers may retain frames indefinitely).
-	qps := job.qps
-	if e.cfg.ReuseFrames {
-		job.Frame = &job.frame
-	} else {
-		job.Frame = &EncodedFrame{}
-		qps = append([]int(nil), job.qps...)
-	}
-	*job.Frame = EncodedFrame{
+	job.frame = EncodedFrame{
 		Type: ftype, Index: idx, BaseQP: baseQP,
 		MBW: e.mbw, MBH: e.mbh,
-		Motion: mf, QPs: qps,
+		Motion: mf, QPs: job.qps,
 		NumBits:  nbits,
 		RCTrials: rcTrace,
 	}
+	job.Frame = &job.frame
 	return job, nil
 }
 
@@ -469,9 +460,9 @@ func quantizeIntraMB(cur, recon *imgx.Plane, px, py int, qp int, w *BitWriter) i
 }
 
 // EmitBitstream runs phase two: it hands out the frame AnalyzeAndQuantize
-// finished, its Data aliasing the job's writer in ReuseFrames mode and
-// copied otherwise. It consumes the job, whatever the outcome: a job is
-// emitted exactly once.
+// finished, its Data aliasing the job's writer (see EncodedFrame for how
+// long). It consumes the job, whatever the outcome: a job is emitted exactly
+// once.
 func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 	if job == nil || job.Frame == nil {
 		return nil, fmt.Errorf("codec: EmitBitstream on a consumed or nil job")
@@ -484,10 +475,6 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 
 	ef := job.Frame
 	job.Frame = nil
-	if e.cfg.ReuseFrames {
-		ef.Data = job.bw.Bytes() // aliases job.bw's buffer until the next encode
-	} else {
-		ef.Data = append([]byte(nil), job.bw.Bytes()...)
-	}
+	ef.Data = job.bw.Bytes()
 	return ef, nil
 }

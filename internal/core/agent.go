@@ -37,11 +37,10 @@ type AgentConfig struct {
 	// agent declares a link outage and switches to local tracking.
 	OutageTimeout float64
 	// CRF, when true, disables bandwidth-driven rate control and encodes
-	// every frame at the constant base quantizer CRFQP (foreground
-	// macroblocks then sit exactly at CRFQP and background at CRFQP+δ).
-	// The Figure 12 experiment uses CRFQP 0 with a fixed δ sweep.
-	CRF   bool
-	CRFQP int
+	// every frame at the constant base quantizer crfQP: foreground
+	// macroblocks then sit exactly at crfQP and background at crfQP+δ. The
+	// Figure 12 experiment sweeps a fixed δ in this mode.
+	CRF bool
 	// DisableRotation skips rotational-component elimination — the
 	// ablation of the preprocessing stage. Foreground extraction then
 	// consumes raw (rotation-contaminated) vectors.
@@ -120,6 +119,16 @@ type FrameResult struct {
 	// Link.SendTraced in the simulator) so server-side spans stitch into
 	// the same trace. Invalid (zero) when telemetry is disabled.
 	Trace obs.TraceContext
+}
+
+// FGShare is the SLO accuracy proxy for the frame: the foreground fraction
+// the encoder protected, 0 when no foreground was ever extracted or fr is
+// nil.
+func (fr *FrameResult) FGShare() float64 {
+	if fr == nil || fr.Foreground == nil {
+		return 0
+	}
+	return fr.Foreground.Fraction()
 }
 
 // Agent is a DiVE mobile agent: it turns raw frames into differentially
@@ -202,11 +211,13 @@ func (a *Agent) cy() float64 { return float64(a.cfg.Height) / 2 }
 // ProcessFrame runs the full DiVE pipeline on one captured frame at
 // simulated time now and returns the encoded frame plus all analysis
 // byproducts: it mints the frame's trace and opens the root "frame" span,
-// analyzes, quantizes and encodes (analyzeFrame), hands out the bitstream,
-// and closes the root span. A frame of another size than the agent's is
-// an error before anything runs on it — no trace is minted, no estimate,
-// calibration or reference moves — so the next good frame encodes as if it
-// had never been offered.
+// analyzes, quantizes and encodes (analyzeFrame), hands out a clone of the
+// encoder's frame, and closes the root span. Everything in the result is the
+// caller's to keep (the encoded frame's Motion has codec.EncodedFrame's own
+// lifetime). A frame of another size than the agent's is an error before
+// anything runs on it — no trace is minted, no estimate, calibration or
+// reference moves — so the next good frame encodes as if it had never been
+// offered.
 func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, error) {
 	if frame.W != a.cfg.Width || frame.H != a.cfg.Height {
 		return nil, fmt.Errorf("core: frame size %dx%d does not match agent size %dx%d", frame.W, frame.H, a.cfg.Width, a.cfg.Height)
@@ -220,14 +231,21 @@ func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, erro
 		return nil, err
 	}
 	emitSpan := r.StartSpan(actx, "emit", "agent")
-	res.Encoded, err = a.enc.EmitBitstream(job)
+	ef, err := a.enc.EmitBitstream(job)
 	emitSpan.End()
 	if err != nil {
 		return nil, err
 	}
+	// The encoder's frame is overwritten by the next; the result's is the
+	// caller's to keep.
+	res.Encoded = ef.Clone()
 	frameSpan.End()
 	return res, nil
 }
+
+// crfQP is the base QP of every frame in CRF mode (AgentConfig.CRF): the
+// foreground is coded at the codec's finest quantizer.
+const crfQP = 0
 
 // analyzeFrame is everything up to the bitstream's hand-out: motion
 // analysis, the moving/stopped judgement, rotation removal, foreground
@@ -304,7 +322,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 
 	opts := codec.EncodeOptions{QPOffsets: offsets, ForceIFrame: a.forceI, MinQP: a.degrade.QPFloor}
 	if a.cfg.CRF {
-		opts.BaseQP = a.cfg.CRFQP
+		opts.BaseQP = crfQP
 	} else {
 		res.EstimatedBandwidth = a.estimator.EstimateAt(now)
 		res.TargetBits = a.cfg.AVE.TargetBits(res.EstimatedBandwidth, a.cfg.FPS)

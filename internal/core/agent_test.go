@@ -1,6 +1,8 @@
 package core
 
 import (
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"dive/internal/codec"
@@ -14,32 +16,32 @@ import (
 
 func TestAVEDeltaPolicies(t *testing.T) {
 	cfg := DefaultAVEConfig()
-	cfg.Policy = DeltaFixed
-	cfg.FixedDelta = 15
-	if d := cfg.Delta(0.5); d != 15 {
-		t.Errorf("fixed delta = %d", d)
+	if cfg.FixedDelta != 0 {
+		t.Fatalf("default FixedDelta %d, want 0 (adaptive)", cfg.FixedDelta)
 	}
-	cfg.Policy = DeltaAdaptive
 	small := cfg.Delta(0.05)
 	large := cfg.Delta(0.40)
 	if small >= large {
 		t.Errorf("adaptive delta not increasing: %d vs %d", small, large)
 	}
-	if small < cfg.MinDelta || large > cfg.MaxDelta {
+	if small < minDelta || large > maxDelta {
 		t.Errorf("delta out of clamp range: %d, %d", small, large)
 	}
 	// Extremes clamp.
-	if cfg.Delta(0) != cfg.MinDelta {
-		t.Error("zero foreground should clamp to MinDelta")
+	if cfg.Delta(0) != minDelta {
+		t.Error("zero foreground should clamp to minDelta")
 	}
-	if cfg.Delta(1) != cfg.MaxDelta {
-		t.Error("full foreground should clamp to MaxDelta")
+	if cfg.Delta(1) != maxDelta {
+		t.Error("full foreground should clamp to maxDelta")
 	}
-}
-
-func TestDeltaPolicyString(t *testing.T) {
-	if DeltaFixed.String() != "fixed" || DeltaAdaptive.String() != "adaptive" || DeltaPolicy(9).String() != "unknown" {
-		t.Error("policy names wrong")
+	// A fixed δ ignores the foreground; a negative one means adaptive.
+	cfg.FixedDelta = 15
+	if d := cfg.Delta(0.5); d != 15 {
+		t.Errorf("fixed delta = %d", d)
+	}
+	cfg.FixedDelta = -3
+	if cfg.Delta(1) != maxDelta {
+		t.Error("negative FixedDelta should be adaptive")
 	}
 }
 
@@ -61,10 +63,21 @@ func TestBuildQPOffsets(t *testing.T) {
 	}
 }
 
+func TestFGShare(t *testing.T) {
+	var none *FrameResult
+	if none.FGShare() != 0 || (&FrameResult{}).FGShare() != 0 {
+		t.Error("no result or no foreground should read 0")
+	}
+	fr := &FrameResult{Foreground: &ForegroundResult{Mask: []bool{true, false, false, false}}}
+	if got := fr.FGShare(); got != 0.25 {
+		t.Errorf("FGShare = %v, want 0.25", got)
+	}
+}
+
 func TestTargetBits(t *testing.T) {
 	cfg := DefaultAVEConfig()
 	got := cfg.TargetBits(netsim.Mbps(2), 10)
-	want := int(2e6 * cfg.BitrateSafety / 10)
+	want := 180_000 // 90 % of 2 Mbit/s over 10 frames/s
 	if got != want {
 		t.Errorf("TargetBits = %d, want %d", got, want)
 	}
@@ -207,6 +220,72 @@ func TestAgentEndToEndOnClip(t *testing.T) {
 	est := agent.estimator.EstimateAt(now)
 	if est < bw*0.2 || est > bw*3 {
 		t.Errorf("bandwidth estimate %v far from actual %v", est, bw)
+	}
+}
+
+// TestFrameResultsOutliveLaterFrames pins ProcessFrame's half of the
+// hand-out contract: the encoder reuses one frame's storage, but every
+// FrameResult is the caller's to keep. All results of a clip are kept; each
+// Data and QP map must still match what was handed out, and the kept stream,
+// decoded in order afterwards, must give the pictures a decoder fed at
+// hand-out gave.
+func TestFrameResultsOutliveLaterFrames(t *testing.T) {
+	clip := steadyClip()
+	if len(clip.Frames) < 30 {
+		t.Fatalf("clip has %d frames, want at least 30", len(clip.Frames))
+	}
+	cfg := DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
+	agent, err := NewAgent(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := codec.NewDecoder(cfg.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type handOut struct {
+		data, picture uint32
+		qps           []int
+	}
+	var kept []*FrameResult
+	var at []handOut
+	for i, frame := range clip.Frames {
+		now := float64(i) / clip.FPS
+		fr, err := agent.ProcessFrame(frame, now)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		agent.OnTransmitComplete(now, now+float64(fr.Encoded.NumBits)/2e6, fr.Encoded.NumBits)
+		df, err := live.Decode(fr.Encoded.Data)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		kept = append(kept, fr)
+		at = append(at, handOut{
+			data:    crc32.ChecksumIEEE(fr.Encoded.Data),
+			picture: crc32.ChecksumIEEE(df.Image.Pix),
+			qps:     slices.Clone(fr.Encoded.QPs),
+		})
+	}
+	dec, err := codec.NewDecoder(cfg.Codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, fr := range kept {
+		ef := fr.Encoded
+		if ef.Index != i {
+			t.Fatalf("result %d carries frame %d", i, ef.Index)
+		}
+		if crc32.ChecksumIEEE(ef.Data) != at[i].data || !slices.Equal(ef.QPs, at[i].qps) {
+			t.Fatalf("frame %d: Data or QPs changed after later frames", i)
+		}
+		df, err := dec.Decode(ef.Data)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if crc32.ChecksumIEEE(df.Image.Pix) != at[i].picture {
+			t.Fatalf("frame %d: kept stream decodes to another picture than at hand-out", i)
+		}
 	}
 }
 

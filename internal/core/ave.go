@@ -2,45 +2,14 @@ package core
 
 import "math"
 
-// DeltaPolicy selects how the foreground/background QP delta is chosen
-// (Section III-D2; Figure 11 compares the options).
-type DeltaPolicy int
-
-// Delta policies.
-const (
-	// DeltaFixed always uses AVEConfig.FixedDelta.
-	DeltaFixed DeltaPolicy = iota + 1
-	// DeltaAdaptive scales the delta with the extracted foreground size:
-	// larger extracted foregrounds are likelier to cover the real
-	// foreground, so the background can be crushed harder.
-	DeltaAdaptive
-)
-
-// String names the policy.
-func (p DeltaPolicy) String() string {
-	switch p {
-	case DeltaFixed:
-		return "fixed"
-	case DeltaAdaptive:
-		return "adaptive"
-	default:
-		return "unknown"
-	}
-}
-
-// AVEConfig configures adaptive video encoding.
+// AVEConfig configures adaptive video encoding (Section III-D).
 type AVEConfig struct {
-	Policy     DeltaPolicy
+	// FixedDelta, when positive, is the background QP offset δ of every
+	// frame (Figures 11 and 12 sweep it). Zero selects DiVE's adaptive δ,
+	// which grows with the extracted foreground: larger extracted
+	// foregrounds are likelier to cover the real foreground, so the
+	// background can be crushed harder.
 	FixedDelta int
-	// AdaptiveCoeff is the constant the foreground fraction is multiplied
-	// by to obtain δ (the paper: "δ equals current foreground size
-	// multiplying a constant coefficient").
-	AdaptiveCoeff float64
-	// MinDelta and MaxDelta clamp the adaptive δ.
-	MinDelta, MaxDelta int
-	// BitrateSafety is the fraction of the estimated bandwidth the encoder
-	// targets, leaving headroom for estimation error.
-	BitrateSafety float64
 	// IFrameBudgetScale lets intra frames spend this multiple of the
 	// per-frame budget; the transmit queue absorbs the burst over the
 	// following frames instead of the I-frame collapsing to mush.
@@ -49,29 +18,31 @@ type AVEConfig struct {
 
 // DefaultAVEConfig returns DiVE's adaptive policy.
 func DefaultAVEConfig() AVEConfig {
-	return AVEConfig{
-		Policy:            DeltaAdaptive,
-		FixedDelta:        15,
-		AdaptiveCoeff:     45,
-		MinDelta:          4,
-		MaxDelta:          22,
-		BitrateSafety:     0.90,
-		IFrameBudgetScale: 3,
-	}
+	return AVEConfig{IFrameBudgetScale: 3}
 }
+
+// The adaptive δ Delta computes when no FixedDelta is set.
+const (
+	// adaptiveCoeff is the constant the foreground fraction is multiplied
+	// by to obtain δ (the paper: "δ equals current foreground size
+	// multiplying a constant coefficient").
+	adaptiveCoeff = 45
+	// minDelta and maxDelta clamp the adaptive δ.
+	minDelta, maxDelta = 4, 22
+)
 
 // Delta returns the QP offset for background macroblocks given the current
 // foreground fraction of the frame.
 func (c AVEConfig) Delta(foregroundFrac float64) int {
-	if c.Policy == DeltaFixed {
+	if c.FixedDelta > 0 {
 		return c.FixedDelta
 	}
-	d := int(math.Round(c.AdaptiveCoeff * foregroundFrac))
-	if d < c.MinDelta {
-		d = c.MinDelta
+	d := int(math.Round(adaptiveCoeff * foregroundFrac))
+	if d < minDelta {
+		d = minDelta
 	}
-	if d > c.MaxDelta {
-		d = c.MaxDelta
+	if d > maxDelta {
+		d = maxDelta
 	}
 	return d
 }
@@ -105,11 +76,15 @@ func BuildQPOffsetsInto(dst []int, mask []bool, numMBs, delta int) []int {
 	return offsets
 }
 
+// bitrateSafety is the fraction of the estimated bandwidth TargetBits
+// budgets, leaving headroom for estimation error.
+const bitrateSafety = 0.90
+
 // TargetBits returns the per-frame bit budget for the estimated uplink
 // bandwidth (bits/s) at the given frame rate.
 func (c AVEConfig) TargetBits(bandwidthBps, fps float64) int {
 	if fps <= 0 || bandwidthBps <= 0 {
 		return 0
 	}
-	return int(bandwidthBps * c.BitrateSafety / fps)
+	return int(bandwidthBps * bitrateSafety / fps)
 }

@@ -83,7 +83,7 @@ func BenchmarkAgentResolution(b *testing.B) {
 // OnDetections) per op. Its allocs/op is a row of ci/alloc_baseline.json:
 // what the agent hands out, nothing else.
 func BenchmarkAgentProcessFrame(b *testing.B) {
-	agent, frames, fps := steadyAgent(b, false)
+	agent, frames, fps := steadyAgent(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

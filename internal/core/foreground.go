@@ -49,8 +49,6 @@ type ForegroundConfig struct {
 	// camera height), while buildings extend far above it; the bound
 	// keeps facades out of the foreground.
 	MaxAboveHorizonFrac float64
-	// Normalize configures the Eq. (8) computation.
-	Normalize mvfield.NormalizeOptions
 }
 
 // DefaultForegroundConfig returns the operating point used by DiVE.
@@ -66,7 +64,6 @@ func DefaultForegroundConfig() ForegroundConfig {
 		MergeGapMBs:         2,
 		DilateMBs:           1,
 		MaxAboveHorizonFrac: 0.3,
-		Normalize:           mvfield.DefaultNormalizeOptions(),
 	}
 }
 
@@ -160,7 +157,7 @@ func extractForeground(s *fgScratch, f *mvfield.Field, foe geom.Vec2, cfg Foregr
 	if s == nil {
 		s = &fgScratch{}
 	}
-	s.norms = mvfield.NormalizedMagnitudesInto(s.norms, f, foe, cfg.Normalize)
+	s.norms = mvfield.NormalizedMagnitudesInto(s.norms, f, foe)
 	vals := s.vals[:0]
 	maxV := 0.0
 	for _, n := range s.norms {

@@ -26,7 +26,7 @@ import (
 // geom.AppendConvexHull) are called, not copied.
 
 func oracleExtractForeground(f *mvfield.Field, foe geom.Vec2, cfg ForegroundConfig) *ForegroundResult {
-	norms := mvfield.NormalizedMagnitudesInto(nil, f, foe, cfg.Normalize)
+	norms := mvfield.NormalizedMagnitudesInto(nil, f, foe)
 	var vals []float64
 	maxV := 0.0
 	for _, n := range norms {
@@ -448,12 +448,10 @@ const steadyRun = 21
 
 // steadyAgent returns an agent warmed up over the first steadyWarm frames of
 // the clip, the steadyRun frames to feed it next and the clip's frame rate.
-func steadyAgent(tb testing.TB, reuse bool) (*Agent, []*imgx.Plane, float64) {
+func steadyAgent(tb testing.TB) (*Agent, []*imgx.Plane, float64) {
 	tb.Helper()
 	clip := steadyClip()
-	cfg := DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
-	cfg.Codec.ReuseFrames = reuse
-	agent, err := NewAgent(cfg)
+	agent, err := NewAgent(DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -482,26 +480,17 @@ func stepAgent(tb testing.TB, agent *Agent, frame *imgx.Plane, now float64) {
 // field (struct + vectors each, 4), the
 // ForegroundResult (struct, object list, and one array each for the masks,
 // the index lists and the contours, 5), the tracked detections (1) and the
-// encoder's frame (EncodedFrame, QPs, Data: 3, gone with ReuseFrames).
-// (AllocsPerRun reports the whole-number average, so the odd
-// payload buffer that grows mid-frame does not show.)
+// clone of the encoder's frame (EncodedFrame, QPs, Data: 3). (AllocsPerRun
+// reports the whole-number average, so the odd payload buffer that grows
+// mid-frame does not show.)
 func TestAgentAllocsPerFrame(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		reuse bool
-		max   float64
-	}{
-		{"fresh", false, 14},
-		{"ReuseFrames", true, 11},
-	} {
-		agent, frames, fps := steadyAgent(t, tc.reuse)
-		i := 0
-		allocs := testing.AllocsPerRun(len(frames)-1, func() {
-			stepAgent(t, agent, frames[i], float64(steadyWarm+i)/fps)
-			i++
-		})
-		if allocs > tc.max {
-			t.Errorf("%s: %.0f allocs per steady-state frame, want at most %.0f", tc.name, allocs, tc.max)
-		}
+	agent, frames, fps := steadyAgent(t)
+	i := 0
+	allocs := testing.AllocsPerRun(len(frames)-1, func() {
+		stepAgent(t, agent, frames[i], float64(steadyWarm+i)/fps)
+		i++
+	})
+	if allocs > 14 {
+		t.Errorf("%.0f allocs per steady-state frame, want at most 14", allocs)
 	}
 }

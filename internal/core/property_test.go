@@ -101,7 +101,7 @@ func TestPropertyAdaptiveDeltaMonotone(t *testing.T) {
 		}
 		da := cfg.Delta(fa)
 		db := cfg.Delta(fb)
-		return da <= db && da >= cfg.MinDelta && db <= cfg.MaxDelta
+		return da <= db && da >= minDelta && db <= maxDelta
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

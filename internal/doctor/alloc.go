@@ -13,7 +13,7 @@ import (
 // Allocation regression gate: `make bench-alloc` runs the steady-state
 // encoder benchmarks with -benchmem, and divedoctor compares the measured
 // B/op and allocs/op against the committed ci/alloc_baseline.json. The
-// pooled encode path is pinned at 0 allocs/op by tests; this gate covers
+// encode path is pinned at 0 allocs/op by tests; this gate covers
 // the benchmarks' broader view (full rate-controlled GoPs at bench
 // resolution) and fails CI when a change reintroduces steady-state churn.
 

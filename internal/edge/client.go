@@ -457,17 +457,8 @@ func (c *Client) noteFrameOutage(inf inflightFrame, dets [][]detect.Detection) {
 	c.agent.NoteOutageAt(inf.idx, time.Since(inf.sentAt).Seconds(), len(tracked))
 	c.agent.ForceNextIFrame()
 	c.cfg.Obs.ObserveSLO(c.session, obs.SLOSample{
-		LatencySec: time.Since(inf.sentAt).Seconds(), FGShare: frameFGShare(inf.fr), Outage: true,
+		LatencySec: time.Since(inf.sentAt).Seconds(), FGShare: inf.fr.FGShare(), Outage: true,
 	})
-}
-
-// frameFGShare is the SLO accuracy proxy for one frame: the foreground
-// fraction the encoder protected (0 when none was ever extracted).
-func frameFGShare(fr *core.FrameResult) float64 {
-	if fr == nil || fr.Foreground == nil {
-		return 0
-	}
-	return fr.Foreground.Fraction()
 }
 
 // popInflight removes and returns the in-flight entry with the given index.
@@ -566,7 +557,7 @@ func (c *Client) handleAck(ev ackEvent, ok bool, dets [][]detect.Detection) erro
 	rtt := time.Since(inf.sentAt).Seconds()
 	c.cfg.Obs.Histogram(obs.StageResponse).Observe(rtt)
 	c.cfg.Obs.ObserveSLO(c.session, obs.SLOSample{
-		LatencySec: rtt, FGShare: frameFGShare(inf.fr),
+		LatencySec: rtt, FGShare: inf.fr.FGShare(),
 	})
 	got := FromWire(res.Detections)
 	c.agent.OnDetections(got)

@@ -51,10 +51,7 @@ func Fig11QPAssignment(scale Scale, seed int64) ([]Fig11Row, error) {
 
 // fixedDelta pins the AVE policy to a constant δ.
 func fixedDelta(d int) func(*core.AgentConfig) {
-	return func(c *core.AgentConfig) {
-		c.AVE.Policy = core.DeltaFixed
-		c.AVE.FixedDelta = d
-	}
+	return func(c *core.AgentConfig) { c.AVE.FixedDelta = d }
 }
 
 // bandwidthSweep returns the 1..5 Mbps axis (coarser at smoke scale).

@@ -32,8 +32,6 @@ func Fig12Foreground(scale Scale, seed int64) ([]Fig12Row, error) {
 			bg := qp
 			scheme := &sim.DiVE{ConfigFn: func(c *core.AgentConfig) {
 				c.CRF = true
-				c.CRFQP = 0
-				c.AVE.Policy = core.DeltaFixed
 				c.AVE.FixedDelta = bg
 			}}
 			var allDets, allGT [][]detect.Detection

@@ -15,13 +15,12 @@ import (
 )
 
 // Multi-stream packing: how many concurrent agent streams one edge-class
-// host can encode. Each stream is an independent serial pooled encoder
-// (Config.ReuseFrames) on its own goroutine — the fleet deployment shape,
-// where a host packs one goroutine per camera rather than one wide pool per
-// frame. The ladder N = 1/4/16/64 shows where aggregate frames/sec/core
-// stops scaling and what the GC looks like as co-tenant density grows; with
-// the steady state at 0 allocs/frame the collector should stay idle at
-// every rung.
+// host can encode. Each stream is an independent serial encoder on its own
+// goroutine — the fleet deployment shape, where a host packs one goroutine
+// per camera rather than one wide pool per frame. The ladder N = 1/4/16/64
+// shows where aggregate frames/sec/core stops scaling and what the GC looks
+// like as co-tenant density grows; with the steady state at 0 allocs/frame
+// the collector should stay idle at every rung.
 
 // StreamRung is one concurrency level of the packing ladder.
 type StreamRung struct {
@@ -72,7 +71,7 @@ func DefaultStreamLadder(max int) []int {
 }
 
 // MultiStreamPacking renders one shared clip and runs the packing ladder:
-// for each rung, N pooled serial encoders each stream the clip from a
+// for each rung, N serial encoders each stream the clip from a
 // staggered offset for secs wall-clock seconds. runtimeLog, when non-nil,
 // receives periodic obs.RuntimeStats snapshots as JSONL for the whole run —
 // the series divedoctor's gc-pressure detectors consume.
@@ -169,7 +168,7 @@ func (s *runtimeSampler) stop() {
 	s.wg.Wait()
 }
 
-// packStreams runs one rung: n pooled encoders over the shared
+// packStreams runs one rung: n encoders over the shared
 // (read-only) clip, with staggered frame offsets so the streams do not march
 // in lockstep. Every stream warms up before the clock starts; a barrier
 // releases all streams together and an atomic flag stops them after the
@@ -178,9 +177,7 @@ func packStreams(clip *world.Clip, n int, budget time.Duration, sampler *runtime
 	nframes := len(clip.Frames)
 	encs := make([]*codec.Encoder, n)
 	for s := range encs {
-		cfg := codec.DefaultConfig(clip.W, clip.H)
-		cfg.ReuseFrames = true
-		enc, err := codec.NewEncoder(cfg)
+		enc, err := codec.NewEncoder(codec.DefaultConfig(clip.W, clip.H))
 		if err != nil {
 			return StreamRung{}, err
 		}

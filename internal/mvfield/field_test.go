@@ -191,12 +191,12 @@ func TestRSamplingBeatsRandomWithFewSamples(t *testing.T) {
 			flow.Y += rng.NormFloat64() * 0.3
 			return flow, true
 		})
-		er := &RotationEstimator{K: 30, Strategy: RSampling, Iterations: 48, InlierThreshold: 1.0}
+		er := &RotationEstimator{K: 30, Strategy: RSampling}
 		_, phiYr, err := er.Estimate(f, geom.Vec2{}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		en := &RotationEstimator{K: 30, Strategy: RandomSampling, Iterations: 48, InlierThreshold: 1.0}
+		en := &RotationEstimator{K: 30, Strategy: RandomSampling}
 		_, phiYn, err := en.Estimate(f, geom.Vec2{}, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +249,7 @@ func TestNormalizedMagnitudesGroundInvariant(t *testing.T) {
 		}
 		return focal * h / pos.Y // ground depth
 	}))
-	norms := NormalizedMagnitudesInto(nil, f, foe, DefaultNormalizeOptions())
+	norms := NormalizedMagnitudesInto(nil, f, foe)
 	want := dz / (focal * h)
 	seen := 0
 	for _, n := range norms {
@@ -276,7 +276,7 @@ func TestNormalizedMagnitudesFiltering(t *testing.T) {
 		r := pos.Sub(foe)
 		return geom.Vec2{X: -r.Y, Y: r.X}.Scale(0.05), true
 	})
-	norms := NormalizedMagnitudesInto(nil, f, foe, DefaultNormalizeOptions())
+	norms := NormalizedMagnitudesInto(nil, f, foe)
 	for _, n := range norms {
 		if n.OK {
 			t.Fatalf("vector %d passed filtering but should not", n.Index)

@@ -135,7 +135,7 @@ func TestRealPipelineGroundNormalization(t *testing.T) {
 	dz := 1.2
 	mf, cam := renderPair(t, dz, 0, 0)
 	f := FromMotion(mf, cam.F, cam.Cx(), cam.Cy(), 0)
-	norms := NormalizedMagnitudesInto(nil, f, geom.Vec2{}, DefaultNormalizeOptions())
+	norms := NormalizedMagnitudesInto(nil, f, geom.Vec2{})
 	want := dz / (cam.F * world.GroundPlaneY)
 	// Collect values of the bottom two MB rows, which can only be road.
 	var groundVals []float64

@@ -12,29 +12,24 @@ type NormalizedMagnitude struct {
 	OK    bool    // false when the vector is unusable for Eq. (8)
 }
 
-// NormalizeOptions tunes the Eq. (8) computation.
-type NormalizeOptions struct {
-	// CosTol is the minimum cosine between a flow vector and the radial
-	// direction from the FOE for the vector to be kept (the "points to the
-	// FOE" filter from Section III-C1).
-	CosTol float64
-	// MinY is the minimum centered y coordinate; macroblocks above (or at)
-	// the horizon cannot belong to the ground.
-	MinY float64
-	// MinFlow discards vectors shorter than this many pixels.
-	MinFlow float64
-}
-
-// DefaultNormalizeOptions returns the values used by DiVE.
-func DefaultNormalizeOptions() NormalizeOptions {
-	return NormalizeOptions{CosTol: 0.9, MinY: 4, MinFlow: 0.5}
-}
+// Which vectors NormalizedMagnitudesInto keeps for Eq. (8).
+const (
+	// normMinFlow discards vectors shorter than this many pixels.
+	normMinFlow = 0.5
+	// normMinY is the least centered y coordinate of a kept vector:
+	// macroblocks above (or at) the horizon cannot belong to the ground.
+	normMinY = 4
+	// normCosTol is the least cosine between a kept vector and the radial
+	// direction from the FOE (the "points to the FOE" filter of Section
+	// III-C1).
+	normCosTol = 0.9
+)
 
 // NormalizedMagnitudesInto evaluates Eq. (8) for every macroblock of a
 // rotation-corrected field against the given FOE, writing into dst's storage
 // when it is large enough (nil: new storage), so a steady-state analysis
 // loop allocates nothing.
-func NormalizedMagnitudesInto(dst []NormalizedMagnitude, f *Field, foe geom.Vec2, opts NormalizeOptions) []NormalizedMagnitude {
+func NormalizedMagnitudesInto(dst []NormalizedMagnitude, f *Field, foe geom.Vec2) []NormalizedMagnitude {
 	out := dst
 	if cap(out) < len(f.Vectors) {
 		out = make([]NormalizedMagnitude, len(f.Vectors))
@@ -46,17 +41,17 @@ func NormalizedMagnitudesInto(dst []NormalizedMagnitude, f *Field, foe geom.Vec2
 			continue
 		}
 		flowN := v.Flow.Norm()
-		if flowN < opts.MinFlow {
+		if flowN < normMinFlow {
 			continue
 		}
-		if v.Pos.Y < opts.MinY {
+		if v.Pos.Y < normMinY {
 			continue
 		}
 		r := v.Pos.Dist(foe)
 		if r < 1e-6 {
 			continue
 		}
-		if !PointsToward(v.Pos, v.Flow, foe, opts.CosTol) {
+		if !PointsToward(v.Pos, v.Flow, foe, normCosTol) {
 			continue
 		}
 		out[i] = NormalizedMagnitude{

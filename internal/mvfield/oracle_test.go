@@ -216,8 +216,8 @@ func oracleEstimate(e *RotationEstimator, f *Field, foe geom.Vec2, rng *rand.Ran
 	m := &oracleRotModel{vecs: chosen, focal: f.Focal}
 	params, _, rerr := oracleRANSAC(m, geom.RANSACConfig{
 		MinSamples:      2,
-		Iterations:      e.Iterations,
-		InlierThreshold: e.InlierThreshold,
+		Iterations:      rotIterations,
+		InlierThreshold: rotInlierThreshold,
 		MinInliers:      k / 4,
 	}, rng)
 	if rerr != nil {
@@ -242,7 +242,7 @@ func oracleAllIndices(n int) []int {
 	return idx
 }
 
-func oracleNormalizedMagnitudes(f *Field, foe geom.Vec2, opts NormalizeOptions) []NormalizedMagnitude {
+func oracleNormalizedMagnitudes(f *Field, foe geom.Vec2) []NormalizedMagnitude {
 	out := make([]NormalizedMagnitude, len(f.Vectors))
 	for i, v := range f.Vectors {
 		out[i] = NormalizedMagnitude{Index: i}
@@ -250,17 +250,17 @@ func oracleNormalizedMagnitudes(f *Field, foe geom.Vec2, opts NormalizeOptions) 
 			continue
 		}
 		flowN := v.Flow.Norm()
-		if flowN < opts.MinFlow {
+		if flowN < normMinFlow {
 			continue
 		}
-		if v.Pos.Y < opts.MinY {
+		if v.Pos.Y < normMinY {
 			continue
 		}
 		r := v.Pos.Dist(foe)
 		if r < 1e-6 {
 			continue
 		}
-		if !PointsToward(v.Pos, v.Flow, foe, opts.CosTol) {
+		if !PointsToward(v.Pos, v.Flow, foe, normCosTol) {
 			continue
 		}
 		out[i] = NormalizedMagnitude{
@@ -345,19 +345,16 @@ func TestEstimatorsMatchOracle(t *testing.T) {
 			foe = geom.Vec2{X: rng.NormFloat64() * 15, Y: rng.NormFloat64() * 15}
 		}
 		e := &RotationEstimator{
-			K:               []int{3, 8, 70, 1000}[rng.Intn(4)],
-			Strategy:        []Sampling{RSampling, RSampling, RandomSampling}[rng.Intn(3)],
-			Iterations:      1 + rng.Intn(48),
-			InlierThreshold: []float64{1e-12, 0.3, 1.0}[rng.Intn(3)],
+			K:        []int{3, 8, 70, 1000}[rng.Intn(4)],
+			Strategy: []Sampling{RSampling, RSampling, RandomSampling}[rng.Intn(3)],
 		}
-		opts := DefaultNormalizeOptions()
 
 		rngO := rand.New(rand.NewSource(seed + 1000))
 		wantX, wantY, wantRotErr := oracleEstimate(e, f, foe, rngO)
 		wantChosen := oracleChosen
 		wantFOE, wantFOEErr := oracleEstimateFOE(f, rngO)
 		wantNext := rngO.Int63()
-		wantNorms := oracleNormalizedMagnitudes(f, foe, opts)
+		wantNorms := oracleNormalizedMagnitudes(f, foe)
 		outcomes[fmtOutcome(wantRotErr, wantFOEErr)]++
 
 		for name, s := range map[string]*Scratch{"fresh": {}, "dirty": &dirty} {
@@ -385,7 +382,7 @@ func TestEstimatorsMatchOracle(t *testing.T) {
 			}
 		}
 		for name, dst := range map[string][]NormalizedMagnitude{"fresh": nil, "dirty": dirtyNorms} {
-			got := NormalizedMagnitudesInto(dst, f, foe, opts)
+			got := NormalizedMagnitudesInto(dst, f, foe)
 			if !reflect.DeepEqual(got, wantNorms) {
 				t.Fatalf("seed %d %s: normalized magnitudes differ from the oracle's", seed, name)
 			}
@@ -427,7 +424,7 @@ func TestEstimatorsAllocateNothingWarm(t *testing.T) {
 		if _, err := EstimateFOEWith(&s, f, rng); err != nil {
 			t.Fatal(err)
 		}
-		norms = NormalizedMagnitudesInto(norms, f, geom.Vec2{}, DefaultNormalizeOptions())
+		norms = NormalizedMagnitudesInto(norms, f, geom.Vec2{})
 	}
 	run()
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {

@@ -46,22 +46,12 @@ type RotationEstimator struct {
 	K int
 	// Strategy selects R-sampling or random sampling.
 	Strategy Sampling
-	// Iterations is the RANSAC hypothesis count.
-	Iterations int
-	// InlierThreshold is the residual bound in pixel·focal units scaled
-	// back to pixels (see rotModel.Residual).
-	InlierThreshold float64
 }
 
 // NewRotationEstimator returns the paper's operating point: R-sampling with
 // k = 70.
 func NewRotationEstimator() *RotationEstimator {
-	return &RotationEstimator{
-		K:               70,
-		Strategy:        RSampling,
-		Iterations:      48,
-		InlierThreshold: 1.0,
-	}
+	return &RotationEstimator{K: 70, Strategy: RSampling}
 }
 
 // rotModel fits Eq. (7): x·f·Δφx + y·f·Δφy = x·vy − y·vx. The translational
@@ -128,6 +118,15 @@ func (e *RotationEstimator) Estimate(f *Field, foe geom.Vec2, rng *rand.Rand) (p
 	return e.EstimateWith(nil, f, foe, rng)
 }
 
+// The RANSAC that EstimateWith runs over the sampled vectors.
+const (
+	// rotIterations is its hypothesis count.
+	rotIterations = 48
+	// rotInlierThreshold is its residual bound, in pixel·focal units scaled
+	// back to flow pixels (see rotModel.Residual).
+	rotInlierThreshold = 1.0
+)
+
 // EstimateWith is Estimate working in s (nil: a fresh scratch).
 func (e *RotationEstimator) EstimateWith(s *Scratch, f *Field, foe geom.Vec2, rng *rand.Rand) (phiX, phiY float64, err error) {
 	if s == nil {
@@ -170,8 +169,8 @@ func (e *RotationEstimator) EstimateWith(s *Scratch, f *Field, foe geom.Vec2, rn
 	m := rotModel{pts}
 	p, _, rerr := geom.RANSAC(m, geom.RANSACConfig{
 		MinSamples:      2,
-		Iterations:      e.Iterations,
-		InlierThreshold: e.InlierThreshold,
+		Iterations:      rotIterations,
+		InlierThreshold: rotInlierThreshold,
 		MinInliers:      k / 4,
 	}, rng, &s.ransac)
 	if rerr != nil {

@@ -123,20 +123,11 @@ func (d *DiVE) Run(clip *world.Clip, link *netsim.Link, env *Env) (*Result, erro
 			res.ResponseTimes[i] = resultAt - capture
 		}
 		rec.ObserveSLO(session, obs.SLOSample{
-			LatencySec: res.ResponseTimes[i], FGShare: fgShare(fr), Outage: outage,
+			LatencySec: res.ResponseTimes[i], FGShare: fr.FGShare(), Outage: outage,
 		})
 		if d.FrameHook != nil {
 			d.FrameHook(i)
 		}
 	}
 	return res, nil
-}
-
-// fgShare is the SLO accuracy proxy for one frame: the foreground fraction
-// the encoder protected (0 when no foreground was ever extracted).
-func fgShare(fr *core.FrameResult) float64 {
-	if fr.Foreground == nil {
-		return 0
-	}
-	return fr.Foreground.Fraction()
 }
