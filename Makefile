@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test portable race vet bench bench-obs bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
+.PHONY: all build test experiments portable race vet bench bench-obs bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
 
 all: build vet test
 
@@ -9,6 +9,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The one regeneration command for the evaluation's committed copies: the
+# registry golden (every experiment's typed rows at smoke scale,
+# internal/experiments/testdata/registry_smoke.json), EXPERIMENTS.md's
+# measured tables (the same registry at default scale, ≈ 42 s on 2 vCPUs) and
+# its perf ledger (from BENCH_*.json). CI runs it and fails on any diff.
+experiments:
+	$(GO) test -count=1 -run '^TestRegistryGolden$$' ./internal/experiments/ -update-golden
+	$(GO) test -count=1 -run '^TestPerfLedger$$' . -update-golden
 
 # The portable path, run rather than only vetted: as 386 every kernel with an
 # amd64 assembly body (internal/imgx's row kernels, internal/codec's block

@@ -32,17 +32,17 @@ func benchClip(b *testing.B) *world.Clip {
 // BenchmarkExperiments regenerates every table and figure of the paper's
 // evaluation at smoke scale, one sub-benchmark per registry entry, so `go
 // test -bench=.` doubles as a timed reproduction run. The numbers themselves
-// are printed by `divebench -scale smoke` and asserted directionally by
-// internal/experiments' own tests.
+// are printed by `divebench -scale smoke`, pinned by internal/experiments'
+// testdata/registry_smoke.json and asserted directionally by its tests.
 func BenchmarkExperiments(b *testing.B) {
 	for _, e := range experiments.Registry {
 		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				table, _, err := e.Run(experiments.ScaleSmoke, benchSeed)
+				res, err := e.Run(experiments.ScaleSmoke, benchSeed)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(table.Rows) == 0 {
+				if len(res.Table().Rows) == 0 {
 					b.Fatal("empty table")
 				}
 			}

@@ -23,9 +23,9 @@
 // -runtime.
 //
 // -json also writes a machine-readable results file: the environment that
-// produced the numbers, per-profile bitrate, AP and latency quantiles from
-// the end-to-end experiments (f16/f17), per-experiment wall times, the
-// packing ladder and the runtime's shape at exit.
+// produced the numbers, every selected experiment's typed rows under its id,
+// per-experiment wall times, the packing ladder and the runtime's shape at
+// exit.
 package main
 
 import (
@@ -124,17 +124,18 @@ func run(args []string, w io.Writer) error {
 		Scale: scale.String(), Seed: *seed,
 		RunMeta:        collectRunMeta(*workers, scale.String()),
 		ExperimentSecs: map[string]float64{},
+		Results:        map[string]any{},
 	}
 
 	fmt.Fprintf(w, "divebench: scale=%s seed=%d\n\n", scale, *seed)
 	for _, e := range selected {
 		t0 := time.Now()
-		table, endToEnd, err := e.Run(scale, *seed)
+		res, err := e.Run(scale, *seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		results.EndToEnd = append(results.EndToEnd, endToEnd...)
-		table.Fprint(w)
+		results.Results[e.ID] = res.Rows
+		res.Table().Fprint(w)
 		took := time.Since(t0).Seconds()
 		results.ExperimentSecs[e.ID] = took
 		fmt.Fprintf(w, "[%s took %.1fs]\n\n", e.ID, took)
@@ -198,9 +199,8 @@ type benchResults struct {
 	// regression from a machine change.
 	RunMeta        obs.RunMeta        `json:"run_meta"`
 	ExperimentSecs map[string]float64 `json:"experiment_secs"`
-	// EndToEnd holds the per-profile, per-scheme rows of the f16/f17
-	// comparisons (bitrate, AP, p50/p95 latency).
-	EndToEnd []experiments.EndToEndRow `json:"end_to_end,omitempty"`
+	// Results holds each selected experiment's typed rows under its id.
+	Results map[string]any `json:"results,omitempty"`
 	// MultiStream is the -streams packing ladder: aggregate frames/sec/core
 	// and GC co-tenancy at 1/4/16/64 concurrent encoders.
 	MultiStream *experiments.MultiStreamResult `json:"multistream,omitempty"`

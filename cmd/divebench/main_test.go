@@ -18,7 +18,7 @@ type benchJSON struct {
 	Scale          string                 `json:"scale"`
 	RunMeta        *obs.RunMeta           `json:"run_meta"`
 	ExperimentSecs map[string]float64     `json:"experiment_secs"`
-	EndToEnd       []map[string]any       `json:"end_to_end"`
+	Results        map[string]any         `json:"results"`
 	MultiStream    *struct{ Rungs []any } `json:"multistream"`
 	Runtime        *obs.RuntimeStats      `json:"runtime"`
 }
@@ -44,7 +44,7 @@ func runJSON(t *testing.T, args ...string) (benchJSON, string) {
 	return res, out.String()
 }
 
-func keys(m map[string]float64) []string {
+func keys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -63,22 +63,27 @@ func TestOnlySelectsExactlyTheNamedExperiments(t *testing.T) {
 	if t1 < 0 || abl2 < t1 {
 		t.Fatalf("tables not printed in registry order:\n%s", out)
 	}
-	if len(res.EndToEnd) != 0 || res.MultiStream != nil {
-		t.Errorf("unselected outputs present: %d end_to_end rows, multistream %v", len(res.EndToEnd), res.MultiStream)
+	if got := keys(res.Results); strings.Join(got, ",") != "abl2,t1" || res.MultiStream != nil {
+		t.Errorf("results keys = %v, multistream %v; want [abl2 t1] and none", got, res.MultiStream)
 	}
 }
 
-// TestEndToEndRowsReachJSON: the f16 / f17 entries hand their typed rows
-// through the registry into end_to_end, field names unchanged.
+// TestEndToEndRowsReachJSON: the f16 entry's typed rows reach results.f16,
+// under the JSON names the end-to-end rows have always had.
 func TestEndToEndRowsReachJSON(t *testing.T) {
 	res, _ := runJSON(t, "-only", "f16")
-	if len(res.EndToEnd) == 0 {
-		t.Fatal("-only f16 wrote no end_to_end rows")
+	rows, _ := res.Results["f16"].([]any)
+	if len(rows) == 0 {
+		t.Fatalf("-only f16 wrote no results.f16 rows: %v", res.Results)
 	}
-	for _, field := range []string{"dataset", "scheme", "bandwidth_mbps", "map", "p50_rt_sec", "p95_rt_sec", "bitrate_mbps", "frames"} {
-		if _, ok := res.EndToEnd[0][field]; !ok {
-			t.Errorf("end_to_end row lacks %q: %v", field, res.EndToEnd[0])
+	row, _ := rows[0].(map[string]any)
+	for _, field := range []string{"dataset", "scheme", "bandwidth_mbps", "map", "car_ap", "ped_ap", "mean_rt_sec", "p50_rt_sec", "p95_rt_sec", "bitrate_mbps", "frames"} {
+		if _, ok := row[field]; !ok {
+			t.Errorf("results.f16 row lacks %q: %v", field, rows[0])
 		}
+	}
+	if len(row) != 11 {
+		t.Errorf("results.f16 row has %d fields, want the 11 above: %v", len(row), row)
 	}
 }
 
@@ -86,6 +91,9 @@ func TestOnlyNoneRunsNothing(t *testing.T) {
 	res, out := runJSON(t, "-only", "none")
 	if len(res.ExperimentSecs) != 0 || strings.Contains(out, "took") {
 		t.Fatalf("-only none ran %v:\n%s", keys(res.ExperimentSecs), out)
+	}
+	if res.Results != nil {
+		t.Errorf("-only none wrote results: %v", res.Results)
 	}
 }
 

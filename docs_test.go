@@ -1,15 +1,164 @@
 package dive
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
+
+// updateGolden rewrites EXPERIMENTS.md's perf ledger (make experiments).
+var updateGolden = flag.Bool("update-golden", false, "rewrite EXPERIMENTS.md's perf ledger from BENCH_*.json")
+
+// ledgerAnchorPR is the ROADMAP re-anchor the ledger's running product of
+// fps ratios starts after.
+const ledgerAnchorPR = 30
+
+// TestPerfLedger: EXPERIMENTS.md's perf ledger, between the <!-- ledger -->
+// markers, is the one perfLedger builds from the committed BENCH_<pr>.json
+// files, so a new file lands together with its row.
+func TestPerfLedger(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, end := "<!-- ledger -->\n", "<!-- /ledger -->\n"
+	i, j := strings.Index(string(doc), open), strings.Index(string(doc), end)
+	if strings.Count(string(doc), open) != 1 || strings.Count(string(doc), end) != 1 || j < i {
+		t.Fatalf("EXPERIMENTS.md: want exactly one %q … %q block", open, end)
+	}
+	want := string(doc[:i+len(open)]) + perfLedger(t) + string(doc[j:])
+	if *updateGolden {
+		if err := os.WriteFile("EXPERIMENTS.md", []byte(want), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if want != string(doc) {
+		t.Error("EXPERIMENTS.md's perf ledger differs from BENCH_*.json; regenerate it with make experiments")
+	}
+}
+
+// benchFile is the part of a BENCH_<pr>.json file the ledger reads.
+type benchFile struct {
+	RunMeta struct {
+		Claim string `json:"claim"`
+	} `json:"run_meta"`
+	Workloads map[string]struct {
+		Pairs   int `json:"pairs"`
+		Metrics map[string]struct {
+			Parent      struct{ Median float64 } `json:"parent"`
+			Change      struct{ Median float64 } `json:"change"`
+			ChangeWins  int                      `json:"change_wins"`
+			WithinBound *bool                    `json:"within_bound"`
+		} `json:"metrics"`
+	} `json:"workloads"`
+}
+
+// perfLedger renders one row per BENCH_<pr>.json, in PR order: the file's
+// claim, each BENCHMARK.json workload's fps change/parent median ratio with
+// the pairs the change won, and whether every end-to-end metric stayed
+// within its bound ("—" where a file does not say); then the product of the
+// fps ratios since the ledgerAnchorPR re-anchor.
+func perfLedger(t *testing.T) string {
+	var spec struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	}
+	readJSON(t, "BENCHMARK.json", &spec)
+	paths, err := filepath.Glob("BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no BENCH_*.json files (%v)", err)
+	}
+	prOf := func(path string) int {
+		pr, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(path, "BENCH_"), ".json"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return pr
+	}
+	sort.Slice(paths, func(i, j int) bool { return prOf(paths[i]) < prOf(paths[j]) })
+
+	var b strings.Builder
+	b.WriteString("| PR | claim |")
+	product := map[string]float64{}
+	for _, w := range spec.Workloads {
+		fmt.Fprintf(&b, " `%s` fps |", w.Name)
+		product[w.Name] = 1
+	}
+	b.WriteString(" within bound |\n|---|---|" + strings.Repeat("---|", len(spec.Workloads)+1) + "\n")
+	var since []string
+	for _, path := range paths {
+		pr := prOf(path)
+		var f benchFile
+		readJSON(t, path, &f)
+		claim := strings.Join(strings.Fields(f.RunMeta.Claim), " ")
+		if claim == "" {
+			claim = "—"
+		}
+		fmt.Fprintf(&b, "| %d | %s |", pr, strings.ReplaceAll(claim, "|", `\|`))
+		if pr > ledgerAnchorPR {
+			since = append(since, strconv.Itoa(pr))
+		}
+		var over []string
+		unjudged := false
+		for _, w := range spec.Workloads {
+			wl := f.Workloads[w.Name]
+			fps := wl.Metrics["fps"]
+			if fps.Parent.Median == 0 {
+				t.Fatalf("%s: no fps medians for %s", path, w.Name)
+			}
+			ratio := fps.Change.Median / fps.Parent.Median
+			fmt.Fprintf(&b, " ×%.3f (%d/%d) |", ratio, fps.ChangeWins, wl.Pairs)
+			if pr > ledgerAnchorPR {
+				product[w.Name] *= ratio
+			}
+			for _, m := range spec.EndToEnd {
+				switch mt, ok := wl.Metrics[m.Name]; {
+				case !ok || mt.WithinBound == nil:
+					unjudged = true
+				case !*mt.WithinBound:
+					over = append(over, m.Name+" on "+w.Name)
+				}
+			}
+		}
+		switch {
+		case len(over) > 0:
+			fmt.Fprintf(&b, " no: %s |\n", strings.Join(over, ", "))
+		case unjudged:
+			b.WriteString(" — |\n")
+		default:
+			b.WriteString(" yes |\n")
+		}
+	}
+	var products []string
+	for _, w := range spec.Workloads {
+		products = append(products, fmt.Sprintf("`%s` ×%.2f", w.Name, product[w.Name]))
+	}
+	fmt.Fprintf(&b, "\nProduct of the fps ratios since the PR %d re-anchor (PRs %s): %s.\n",
+		ledgerAnchorPR, strings.Join(since, ", "), strings.Join(products, ", "))
+	return b.String()
+}
+
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
 
 // TestDocsNameWhatExists keeps README.md, DESIGN.md and EXPERIMENTS.md from
 // naming what the tree lacks: every `make <target>` in a code span or fenced

@@ -35,14 +35,14 @@ func TestO3RunShape(t *testing.T) {
 	clip := shortClip(t, 21)
 	env := sim.NewEnv(2)
 	link := netsim.NewLink(netsim.ConstantTrace(netsim.Mbps(2)), 0.012)
-	res, err := (&O3{KeyInterval: 5}).Run(clip, link, env)
+	res, err := (&O3{}).Run(clip, link, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, res, clip.NumFrames())
-	// Exactly every 5th frame uploads.
+	// Exactly every key-interval-th frame uploads.
 	for i, up := range res.Uploaded {
-		want := i%5 == 0
+		want := i%o3KeyInterval == 0
 		if up != want {
 			t.Errorf("frame %d uploaded=%v, want %v", i, up, want)
 		}

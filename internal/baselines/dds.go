@@ -24,15 +24,6 @@ import (
 // system), so the two flows are independent and the agent keeps streaming
 // phase-1 frames while feedback for earlier frames is in flight.
 type DDS struct {
-	// Phase1Frac is the share of the per-frame bit budget spent on the
-	// low-quality pass.
-	Phase1Frac float64
-	// FeedbackScore is the phase-1 confidence below which a detection's
-	// region is re-requested; confident detections are kept as-is.
-	FeedbackScore float64
-	// DilatePx grows feedback regions before re-encoding.
-	DilatePx int
-
 	// onPatch, when set, sees each phase-2 patch's bitstream as it is
 	// queued (flushed false) and as it is decoded (flushed true).
 	onPatch func(idx int, data []byte, flushed bool)
@@ -41,19 +32,17 @@ type DDS struct {
 // Name implements sim.Scheme.
 func (d *DDS) Name() string { return "DDS" }
 
-func (d *DDS) defaults() (frac, fbScore float64, dilate int) {
-	frac, fbScore, dilate = d.Phase1Frac, d.FeedbackScore, d.DilatePx
-	if frac <= 0 {
-		frac = 0.45
-	}
-	if fbScore <= 0 {
-		fbScore = 0.85
-	}
-	if dilate <= 0 {
-		dilate = 10
-	}
-	return frac, fbScore, dilate
-}
+// DDS's operating point.
+const (
+	// ddsPhase1Frac is the share of the per-frame bit budget spent on the
+	// low-quality pass.
+	ddsPhase1Frac = 0.45
+	// ddsFeedbackScore is the phase-1 confidence below which a detection's
+	// region is re-requested; confident detections are kept as-is.
+	ddsFeedbackScore = 0.85
+	// ddsDilatePx grows feedback regions before re-encoding.
+	ddsDilatePx = 10
+)
 
 // phase2Job is a pending region re-upload.
 type phase2Job struct {
@@ -67,7 +56,6 @@ type phase2Job struct {
 
 // Run implements sim.Scheme.
 func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Result, error) {
-	frac, fbScore, dilate := d.defaults()
 	cfg := codec.DefaultConfig(clip.W, clip.H)
 	cfg.GoPSize = 1 << 30 // phase-1 stream: one I-frame, then P-chain
 	enc, err := codec.NewEncoder(cfg)
@@ -120,7 +108,7 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 			if derr != nil {
 				return derr
 			}
-			merged := mergeRegions(job.lowImg, patch.Image, job.regions, dilate)
+			merged := mergeRegions(job.lowImg, patch.Image, job.regions, ddsDilatePx)
 			dets2, resultAt := sim.ServerInference(env, merged, clip.Frames[job.idx], clip.GT[job.idx], delivered2, env.Seed^int64(job.idx*27644437))
 			res.BitsSent[job.idx] += job.bits
 			res.Detections[job.idx] = dets2
@@ -140,7 +128,7 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 
 		// Phase 1: whole frame, low quality, part of the P-chain.
 		ef1, err := enc.Encode(frame, codec.EncodeOptions{
-			TargetBits:        int(float64(budget) * frac),
+			TargetBits:        int(float64(budget) * ddsPhase1Frac),
 			IFrameBudgetScale: 3,
 		})
 		if err != nil {
@@ -161,7 +149,7 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 		// plus sub-threshold region proposals.
 		var regions []imgx.Rect
 		for _, dt := range dets1 {
-			if dt.Score < fbScore {
+			if dt.Score < ddsFeedbackScore {
 				regions = append(regions, dt.Box)
 			}
 		}
@@ -186,7 +174,7 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 		// Phase 2: standalone intra patch of the regions, spending the
 		// rest of the frame budget.
 		// +51 outside the regions: the background of a patch is never used.
-		offsets := regionOffsets(regions, mbw, mbh, dilate, 51)
+		offsets := regionOffsets(regions, mbw, mbh, ddsDilatePx, 51)
 		phase2Budget := budget - ef1.NumBits
 		if phase2Budget < budget/4 {
 			phase2Budget = budget / 4

@@ -15,39 +15,24 @@ import (
 // paper's stated defaults — and inference runs in parallel with streaming.
 // Non-key frames are tracked locally. Fixed QPs mean no bitrate adaptation:
 // under tight uplinks the transmit queue grows and results arrive stale.
-type EAAR struct {
-	// KeyInterval is the number of frames between uploaded key frames.
-	KeyInterval int
-	// HighQP and LowQP are the ROI and background quantizers (30/40 in
-	// the paper).
-	HighQP, LowQP int
-	// DilatePx grows cached boxes into the ROI to tolerate motion.
-	DilatePx int
-}
+type EAAR struct{}
+
+// EAAR's operating point.
+const (
+	// eaarKeyInterval is the number of frames between uploaded key frames.
+	eaarKeyInterval = 4
+	// eaarROIQP and eaarBackgroundQP are the quantizers inside and outside
+	// the ROI (30 / 40 in the paper).
+	eaarROIQP, eaarBackgroundQP = 30, 40
+	// eaarDilatePx grows cached boxes into the ROI to tolerate motion.
+	eaarDilatePx = 12
+)
 
 // Name implements sim.Scheme.
 func (e *EAAR) Name() string { return "EAAR" }
 
-func (e *EAAR) defaults() (interval, high, low, dilate int) {
-	interval, high, low, dilate = e.KeyInterval, e.HighQP, e.LowQP, e.DilatePx
-	if interval <= 0 {
-		interval = 4
-	}
-	if high <= 0 {
-		high = 30
-	}
-	if low <= 0 {
-		low = 40
-	}
-	if dilate <= 0 {
-		dilate = 12
-	}
-	return interval, high, low, dilate
-}
-
 // Run implements sim.Scheme.
 func (e *EAAR) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Result, error) {
-	interval, high, low, dilate := e.defaults()
 	cfg := codec.DefaultConfig(clip.W, clip.H)
 	cfg.GoPSize = 1
 	enc, err := codec.NewEncoder(cfg)
@@ -86,7 +71,7 @@ func (e *EAAR) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resu
 			cached = fresh
 		}
 		cached = trackForward(cached, field, clip.W, clip.H)
-		if i%interval != 0 {
+		if i%eaarKeyInterval != 0 {
 			res.Detections[i] = cached
 			res.ResponseTimes[i] = env.Lat.Track
 			continue
@@ -96,16 +81,16 @@ func (e *EAAR) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resu
 		// as a refresh, so objects the ROI never covered get a chance to
 		// bootstrap — stream the whole frame at ROI quality.
 		var offsets []int
-		refresh := (i/interval)%8 == 7
+		refresh := (i/eaarKeyInterval)%8 == 7
 		if len(cached) > 0 && !refresh {
 			boxes := make([]imgx.Rect, len(cached))
 			for k, d := range cached {
 				boxes[k] = d.Box
 			}
-			offsets = regionOffsets(boxes, mbw, mbh, dilate, low-high)
+			offsets = regionOffsets(boxes, mbw, mbh, eaarDilatePx, eaarBackgroundQP-eaarROIQP)
 		}
 		ef, err := enc.Encode(frame, codec.EncodeOptions{
-			BaseQP: high, QPOffsets: offsets, ForceIFrame: true,
+			BaseQP: eaarROIQP, QPOffsets: offsets, ForceIFrame: true,
 		})
 		if err != nil {
 			return nil, err

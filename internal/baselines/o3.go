@@ -12,20 +12,16 @@ import (
 // frames, using the accumulated bandwidth budget of the whole key-frame
 // interval), the edge detects on them, and all other frames reuse the cached
 // key-frame results corrected by on-device MV tracking.
-type O3 struct {
-	// KeyInterval is the number of frames between key frames.
-	KeyInterval int
-}
+type O3 struct{}
+
+// o3KeyInterval is the number of frames between O3's key frames.
+const o3KeyInterval = 5
 
 // Name implements sim.Scheme.
 func (o *O3) Name() string { return "O3" }
 
 // Run implements sim.Scheme.
 func (o *O3) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Result, error) {
-	interval := o.KeyInterval
-	if interval <= 0 {
-		interval = 5
-	}
 	cfg := codec.DefaultConfig(clip.W, clip.H)
 	cfg.GoPSize = 1 // every uploaded frame is standalone
 	enc, err := codec.NewEncoder(cfg)
@@ -64,7 +60,7 @@ func (o *O3) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Result
 		if fresh, ok := arrivals.collect(capture, field); ok {
 			cached = fresh
 		}
-		if i%interval != 0 {
+		if i%o3KeyInterval != 0 {
 			// Tracked frame: correct cached results with local MVs.
 			cached = trackForward(cached, field, clip.W, clip.H)
 			res.Detections[i] = cached
@@ -73,7 +69,7 @@ func (o *O3) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Result
 		}
 		// Key frame: spend the whole interval's bit budget on quality.
 		bw := estimator.EstimateAt(capture)
-		budget := int(bw * 0.9 * float64(interval) / clip.FPS)
+		budget := int(bw * 0.9 * o3KeyInterval / clip.FPS)
 		ef, err := enc.Encode(frame, codec.EncodeOptions{TargetBits: budget, ForceIFrame: true})
 		if err != nil {
 			return nil, err

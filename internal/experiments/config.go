@@ -143,3 +143,14 @@ func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
 // f1 formats a float with 1 decimal.
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
+
+// WallMs is a wall-clock time in milliseconds, the one kind of result value
+// its seed does not fix: the registry golden pins it to zero, shown as "—".
+type WallMs float64
+
+func (m WallMs) cell(format func(float64) string) string {
+	if m == 0 {
+		return "—"
+	}
+	return format(float64(m))
+}

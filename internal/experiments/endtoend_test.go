@@ -117,7 +117,7 @@ func TestFig16Fig17Smoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rows := range [][]EndToEndRow{rows16, rows17} {
+	for _, rows := range [][]EvalResult{rows16, rows17} {
 		if len(rows) != 8 { // 2 bandwidths × 4 schemes at smoke scale
 			t.Fatalf("rows = %d", len(rows))
 		}
@@ -135,7 +135,7 @@ func TestFig16Fig17Smoke(t *testing.T) {
 		}
 		// Directional checks at 3 Mbps (the easier setting): DiVE's mAP
 		// should top the field, and DDS should be the slowest.
-		byScheme := map[string]EndToEndRow{}
+		byScheme := map[string]EvalResult{}
 		for _, r := range rows {
 			if r.Bandwidth == 3 {
 				byScheme[r.Scheme] = r

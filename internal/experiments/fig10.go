@@ -13,7 +13,7 @@ type Fig10Row struct {
 	// averaged over both axes.
 	MeanErr float64
 	// TimeMs is the mean wall time of one rotation estimate.
-	TimeMs float64
+	TimeMs WallMs
 }
 
 // Fig10SampleCount sweeps k from 10 to 100 in steps of 5 (the paper's
@@ -36,7 +36,7 @@ func Fig10SampleCount(scale Scale, seed int64) ([]Fig10Row, error) {
 		rows = append(rows, Fig10Row{
 			K:       k,
 			MeanErr: (geom.Mean(xe) + geom.Mean(ye)) / 2,
-			TimeMs:  meanTime * 1000,
+			TimeMs:  WallMs(meanTime * 1000),
 		})
 	}
 	return rows, nil
@@ -49,7 +49,7 @@ func RenderFig10(rows []Fig10Row) *Table {
 		Columns: []string{"k", "mean |ω err| (rad/s)", "time (ms)"},
 	}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{f1(float64(r.K)), f3(r.MeanErr), f3(r.TimeMs)})
+		t.Rows = append(t.Rows, []string{f1(float64(r.K)), f3(r.MeanErr), r.TimeMs.cell(f3)})
 	}
 	return t
 }

@@ -7,21 +7,6 @@ import (
 	"dive/internal/sim"
 )
 
-// EndToEndRow is one (scheme, bandwidth) end-to-end measurement.
-type EndToEndRow struct {
-	Dataset     string  `json:"dataset"`
-	Scheme      string  `json:"scheme"`
-	Bandwidth   float64 `json:"bandwidth_mbps"` // link capacity, Mbps
-	MAP         float64 `json:"map"`
-	CarAP       float64 `json:"car_ap"`
-	PedAP       float64 `json:"ped_ap"`
-	MeanRT      float64 `json:"mean_rt_sec"` // seconds
-	P50RT       float64 `json:"p50_rt_sec"`
-	P95RT       float64 `json:"p95_rt_sec"`
-	BitrateMbps float64 `json:"bitrate_mbps"` // achieved uplink bitrate
-	Frames      int     `json:"frames"`
-}
-
 // schemes returns the full comparison field of Section IV-G.
 func schemes() []sim.Scheme {
 	return []sim.Scheme{
@@ -37,10 +22,10 @@ func schemes() []sim.Scheme {
 // pool into a slice pre-sized and indexed by cell — row order is identical
 // to the serial double loop at any width. Each cell evaluates a fresh scheme
 // instance so no state is shared across concurrent cells.
-func endToEnd(w Workload, scale Scale, seed int64) ([]EndToEndRow, error) {
+func endToEnd(w Workload, scale Scale, seed int64) ([]EvalResult, error) {
 	bws := bandwidthSweep(scale)
 	numSchemes := len(schemes())
-	rows := make([]EndToEndRow, len(bws)*numSchemes)
+	rows := make([]EvalResult, len(bws)*numSchemes)
 	errs := make([]error, len(rows))
 	pool().ForEach(len(rows), func(j int) {
 		bw := bws[j/numSchemes]
@@ -50,12 +35,8 @@ func endToEnd(w Workload, scale Scale, seed int64) ([]EndToEndRow, error) {
 			errs[j] = err
 			return
 		}
-		rows[j] = EndToEndRow{
-			Dataset: w.Name, Scheme: s.Name(), Bandwidth: bw,
-			MAP: res.MAP, CarAP: res.CarAP, PedAP: res.PedAP,
-			MeanRT: res.MeanRT, P50RT: res.P50RT, P95RT: res.P95RT,
-			BitrateMbps: res.BitrateMbps, Frames: res.Frames,
-		}
+		res.Bandwidth = bw
+		rows[j] = res
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -67,20 +48,20 @@ func endToEnd(w Workload, scale Scale, seed int64) ([]EndToEndRow, error) {
 
 // Fig16EndToEndRobotCar compares DiVE with O3, EAAR and DDS on the
 // RobotCar-flavored workload across 1..5 Mbps (Figure 16).
-func Fig16EndToEndRobotCar(scale Scale, seed int64) ([]EndToEndRow, error) {
+func Fig16EndToEndRobotCar(scale Scale, seed int64) ([]EvalResult, error) {
 	rc, _ := Datasets(scale, seed)
 	return endToEnd(rc, scale, seed)
 }
 
 // Fig17EndToEndNuScenes is the same comparison on the nuScenes-flavored
 // workload (Figure 17).
-func Fig17EndToEndNuScenes(scale Scale, seed int64) ([]EndToEndRow, error) {
+func Fig17EndToEndNuScenes(scale Scale, seed int64) ([]EvalResult, error) {
 	_, ns := Datasets(scale, seed)
 	return endToEnd(ns, scale, seed+500)
 }
 
 // RenderEndToEnd formats a comparison table.
-func RenderEndToEnd(title string, rows []EndToEndRow) *Table {
+func RenderEndToEnd(title string, rows []EvalResult) *Table {
 	t := &Table{
 		Title:   title,
 		Columns: []string{"scheme", "bandwidth (Mbps)", "mAP", "car AP", "ped AP", "mean RT (ms)", "P95 RT (ms)"},

@@ -16,7 +16,7 @@ type Fig9Row struct {
 	MAP     float64
 	// TimeMs is the measured mean wall time the agent spends per frame
 	// (motion estimation dominates for the exhaustive searches).
-	TimeMs float64
+	TimeMs WallMs
 }
 
 // Fig9MotionEstimation sweeps the five x264 search strategies on both
@@ -40,7 +40,7 @@ func Fig9MotionEstimation(scale Scale, seed int64) ([]Fig9Row, error) {
 				Dataset: w.Name,
 				Method:  m.String(),
 				MAP:     res.MAP,
-				TimeMs:  elapsed.Seconds() * 1000 / float64(res.Frames),
+				TimeMs:  WallMs(elapsed.Seconds() * 1000 / float64(res.Frames)),
 			})
 		}
 	}
@@ -54,7 +54,7 @@ func RenderFig9(rows []Fig9Row) *Table {
 		Columns: []string{"dataset", "method", "mAP", "agent ms/frame"},
 	}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, []string{r.Dataset, r.Method, f3(r.MAP), f1(r.TimeMs)})
+		t.Rows = append(t.Rows, []string{r.Dataset, r.Method, f3(r.MAP), r.TimeMs.cell(f1)})
 	}
 	return t
 }

@@ -1,13 +1,22 @@
 package experiments
 
 // Experiment is one table or figure of the evaluation: the id `divebench
-// -only` selects it by, and a Run that computes its typed rows and renders
-// them. The end-to-end comparisons (f16, f17) also hand back their rows,
-// which divebench -json records; every other entry returns nil there.
+// -only` selects it by, and a Run that computes its typed rows.
 type Experiment struct {
 	ID  string
-	Run func(scale Scale, seed int64) (*Table, []EndToEndRow, error)
+	Run func(scale Scale, seed int64) (Result, error)
 }
+
+// Result is what one experiment measured: its typed rows, the one statement
+// of the result (divebench -json records them, the registry golden pins
+// them), and the renderer Table draws them with.
+type Result struct {
+	Rows   any
+	render func(rows any) *Table
+}
+
+// Table renders the rows as the entry's printable table.
+func (r Result) Table() *Table { return r.render(r.Rows) }
 
 // Registry lists every experiment once, in print order. cmd/divebench loops
 // over it and the root BenchmarkExperiments times each entry; a new
@@ -29,19 +38,17 @@ var Registry = []Experiment{
 	entry("f17", Fig17EndToEndNuScenes, endToEndTitled("Fig 17: end-to-end comparison, nuScenes")),
 }
 
-// entry pairs a typed experiment function with its renderer. Rows of the
-// end-to-end type are passed through as the entry's second result.
+// entry pairs a typed experiment function with its renderer.
 func entry[R any](id string, fig func(Scale, int64) (R, error), render func(R) *Table) Experiment {
-	return Experiment{ID: id, Run: func(scale Scale, seed int64) (*Table, []EndToEndRow, error) {
+	return Experiment{ID: id, Run: func(scale Scale, seed int64) (Result, error) {
 		rows, err := fig(scale, seed)
 		if err != nil {
-			return nil, nil, err
+			return Result{}, err
 		}
-		endToEnd, _ := any(rows).([]EndToEndRow)
-		return render(rows), endToEnd, nil
+		return Result{Rows: rows, render: func(rows any) *Table { return render(rows.(R)) }}, nil
 	}}
 }
 
-func endToEndTitled(title string) func([]EndToEndRow) *Table {
-	return func(rows []EndToEndRow) *Table { return RenderEndToEnd(title, rows) }
+func endToEndTitled(title string) func([]EvalResult) *Table {
+	return func(rows []EvalResult) *Table { return RenderEndToEnd(title, rows) }
 }

@@ -33,26 +33,3 @@ func TestParseScaleInvertsString(t *testing.T) {
 		t.Errorf("ParseScale(unknown) error = %v, want one naming the valid scales", err)
 	}
 }
-
-// TestRegistryEntryRuns drives one cheap entry through Run: the pairing
-// helper must hand the typed rows to the renderer, and only the end-to-end
-// entries hand rows back.
-func TestRegistryEntryRuns(t *testing.T) {
-	for _, e := range Registry {
-		if e.ID != "abl2" {
-			continue
-		}
-		table, endToEnd, err := e.Run(ScaleSmoke, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if table.Title == "" || len(table.Rows) == 0 || len(table.Rows[0]) != len(table.Columns) {
-			t.Errorf("abl2 rendered an empty or ragged table: %+v", table)
-		}
-		if endToEnd != nil {
-			t.Errorf("abl2 handed back %d end-to-end rows", len(endToEnd))
-		}
-		return
-	}
-	t.Fatal("abl2 not registered")
-}

@@ -8,20 +8,20 @@ import (
 	"dive/internal/world"
 )
 
-// EvalResult aggregates one (scheme, workload, network) evaluation.
+// EvalResult aggregates one (scheme, workload, network) evaluation; it is
+// also the row of the end-to-end comparisons (f16, f17), which set Bandwidth.
 type EvalResult struct {
-	Scheme      string
-	Dataset     string
-	MAP         float64
-	CarAP       float64
-	PedAP       float64
-	MeanRT      float64 // seconds
-	P50RT       float64
-	P95RT       float64
-	BitsSent    int
-	Frames      int
-	ClipSeconds float64 // summed clip durations
-	BitrateMbps float64 // BitsSent over ClipSeconds
+	Dataset     string  `json:"dataset"`
+	Scheme      string  `json:"scheme"`
+	Bandwidth   float64 `json:"bandwidth_mbps"` // constant link capacity, Mbps (end-to-end rows only)
+	MAP         float64 `json:"map"`
+	CarAP       float64 `json:"car_ap"`
+	PedAP       float64 `json:"ped_ap"`
+	MeanRT      float64 `json:"mean_rt_sec"` // seconds
+	P50RT       float64 `json:"p50_rt_sec"`
+	P95RT       float64 `json:"p95_rt_sec"`
+	BitrateMbps float64 `json:"bitrate_mbps"` // achieved uplink bitrate over the summed clip durations
+	Frames      int     `json:"frames"`
 }
 
 // clipOutcome is one clip's evaluation, produced into a pre-sized per-clip
@@ -61,6 +61,7 @@ func runScheme(w Workload, scheme sim.Scheme, traceFn func(clipIdx int) netsim.T
 	})
 	var allDets, allGT [][]detect.Detection
 	var rts []float64
+	bits, seconds := 0, 0.0
 	for _, c := range outs {
 		if c.err != nil {
 			return out, c.err
@@ -68,9 +69,9 @@ func runScheme(w Workload, scheme sim.Scheme, traceFn func(clipIdx int) netsim.T
 		allDets = append(allDets, c.dets...)
 		allGT = append(allGT, c.gt...)
 		rts = append(rts, c.rts...)
-		out.BitsSent += c.bits
+		bits += c.bits
 		out.Frames += c.frames
-		out.ClipSeconds += c.seconds
+		seconds += c.seconds
 	}
 	out.CarAP = metrics.AP(allDets, allGT, world.ClassCar, metrics.DefaultIoU)
 	out.PedAP = metrics.AP(allDets, allGT, world.ClassPedestrian, metrics.DefaultIoU)
@@ -79,8 +80,8 @@ func runScheme(w Workload, scheme sim.Scheme, traceFn func(clipIdx int) netsim.T
 	out.MeanRT = lat.Mean
 	out.P50RT = lat.P50
 	out.P95RT = lat.P95
-	if out.ClipSeconds > 0 {
-		out.BitrateMbps = float64(out.BitsSent) / out.ClipSeconds / 1e6
+	if seconds > 0 {
+		out.BitrateMbps = float64(bits) / seconds / 1e6
 	}
 	return out, nil
 }
