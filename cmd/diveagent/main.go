@@ -88,9 +88,6 @@ func run(args []string) error {
 	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
 	cfg.Seed = *seed
 	cfg.Obs = rec
-	// Same profile-seed identity the server labels this stream with, so
-	// both ends' per-session series join on one label value.
-	cfg.Session = fmt.Sprintf("%s-%d", wp.Name, *seed)
 	if *rate > 0.5 {
 		cfg.BandwidthPrior = netsim.Mbps(*rate)
 	}

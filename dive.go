@@ -76,13 +76,11 @@ type Config struct {
 	// behaviour.
 	Seed int64
 	// Telemetry enables the observability subsystem: per-stage timing
-	// histograms, frame-lifecycle records and rate-control internals,
-	// queryable via Snapshot, WriteFrameTrace and TelemetryHandler. Off it
-	// costs nothing; on it costs a few clock reads per frame.
+	// histograms, frame-lifecycle records (the last 1024 frames) and
+	// rate-control internals, queryable via Snapshot, WriteFrameTrace and
+	// TelemetryHandler. Off it costs nothing; on it costs a few clock reads
+	// per frame.
 	Telemetry bool
-	// TelemetryRingSize bounds the retained frame-lifecycle records
-	// (default 1024).
-	TelemetryRingSize int
 }
 
 // Output is the result of processing one frame.
@@ -174,7 +172,7 @@ func NewAgent(cfg Config) (*Agent, error) {
 	}
 	var rec *obs.Recorder
 	if cfg.Telemetry {
-		rec = obs.NewRecorder(cfg.TelemetryRingSize)
+		rec = obs.NewRecorder(0)
 		ac.Obs = rec
 	}
 	inner, err := core.NewAgent(ac)

@@ -171,8 +171,10 @@ func readJSON(t *testing.T, path string, v any) {
 // double-dash options and is not checked). In README.md and DESIGN.md, every
 // <pkg>.<Ident> in a code span or fenced block, where internal/<pkg> exists,
 // must name a function, method, type, variable or constant declared in that
-// package's non-test files, and a <pkg>.<Type>.<Name> must name a field or
-// method of that type.
+// package's non-test files, a <pkg>.<Type>.<Name> must name a field or
+// method of that type, and a metric name (a dive_, codec_, netsim_, edge_,
+// e2e_, slo_, go_ or obs_ token ending in a unit suffix, less a histogram's
+// _count / _sum / _bucket) must be the value of an internal/obs constant.
 func TestDocsNameWhatExists(t *testing.T) {
 	targets := map[string]bool{}
 	mk, err := os.ReadFile("Makefile")
@@ -216,6 +218,8 @@ func TestDocsNameWhatExists(t *testing.T) {
 
 	declared := map[string]*pkgDecls{} // internal package → what it declares
 	goUse := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	metrics := declaredNames(t, filepath.Join("internal", "obs")).strings
+	metricUse := regexp.MustCompile(`\b((?:dive|codec|netsim|edge|e2e|slo|go|obs)_\w*_(?:total|seconds|bps|bytes|fraction))(?:_count|_sum|_bucket)?\b`)
 
 	makeUse := regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	pkgUse := regexp.MustCompile(`\binternal/([a-z][a-z0-9_]*)`)
@@ -237,6 +241,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 				}
 			}
 			if doc != "EXPERIMENTS.md" {
+				for _, m := range metricUse.FindAllStringSubmatch(seg, -1) {
+					if !metrics[m[1]] {
+						t.Errorf("%s: no internal/obs constant names the metric %s (in %q)", doc, m[1], seg)
+					}
+				}
 				for _, m := range goUse.FindAllStringSubmatch(seg, -1) {
 					decls, ok := declared[m[1]]
 					if !ok {
@@ -277,12 +286,14 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 }
 
-// pkgDecls is what one package declares at top level: every name, and for
+// pkgDecls is what one package declares at top level: every name, for
 // each type the fields (of a struct) or methods (of an interface) its
-// declaration lists plus the methods declared on it.
+// declaration lists plus the methods declared on it, and the values of its
+// string constants.
 type pkgDecls struct {
 	names   map[string]bool
 	members map[string]map[string]bool
+	strings map[string]bool
 }
 
 // declaredNames returns the functions, methods, types, variables and
@@ -299,7 +310,7 @@ func declaredNames(t *testing.T, dir string) *pkgDecls {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}}
+	d := &pkgDecls{names: map[string]bool{}, members: map[string]map[string]bool{}, strings: map[string]bool{}}
 	member := func(typ, name string) {
 		if d.members[typ] == nil {
 			d.members[typ] = map[string]bool{}
@@ -344,6 +355,12 @@ func declaredNames(t *testing.T, dir string) *pkgDecls {
 						case *ast.ValueSpec:
 							for _, n := range spec.Names {
 								d.names[n.Name] = true
+							}
+							for _, v := range spec.Values {
+								if lit, ok := v.(*ast.BasicLit); ok && decl.Tok == token.CONST && lit.Kind == token.STRING {
+									s, _ := strconv.Unquote(lit.Value)
+									d.strings[s] = true
+								}
 							}
 						}
 					}

@@ -49,8 +49,8 @@ type Config struct {
 	// both encoder- and decoder-side, improving reference quality at high
 	// QP exactly as H.264's loop filter does.
 	Deblock bool
-	// Obs receives per-stage encode telemetry (motion search, DCT,
-	// entropy coding, rate-control trial counts). Nil disables
+	// Obs receives per-stage encode telemetry (DCT, rate control, the
+	// final entropy pass, rate-control trial counts). Nil disables
 	// instrumentation; the Decoder ignores it.
 	Obs *obs.Recorder
 	// Workers is ignored: the encoder runs on its caller's goroutine.
@@ -312,7 +312,6 @@ func (e *Encoder) AnalyzeMotion(frame *imgx.Plane) *MotionField {
 	if e.analyzed == frame && e.analyzedSeq == frame.Seq() && e.motion != nil {
 		return e.motion
 	}
-	searchTimer := e.cfg.Obs.StartStage(obs.StageCodecMotion)
 	scale := 1
 	if e.cfg.SubPel {
 		scale = 2
@@ -326,7 +325,6 @@ func (e *Encoder) AnalyzeMotion(frame *imgx.Plane) *MotionField {
 	e.analyzed = frame
 	e.analyzedSeq = frame.Seq()
 	e.motion = mf
-	searchTimer.Stop()
 	return mf
 }
 

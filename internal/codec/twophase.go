@@ -84,26 +84,26 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	}
 	var dctCache [][blockSize * blockSize]int32
 	if ftype == PFrame {
-		dctTimer := e.cfg.Obs.StartStage(obs.StageCodecDCT)
+		dctSpan := e.cfg.Obs.StartStage(obs.StageCodecDCT)
 		dctCache = e.buildInterDCTCache(frame, mf)
-		dctTimer.Stop()
+		dctSpan.End()
 	}
 
 	var rcTrace []obs.QPTrial
 	if opts.TargetBits > 0 {
-		rcTimer := e.cfg.Obs.StartStage(obs.StageCodecRC)
+		rcSpan := e.cfg.Obs.StartStage(obs.StageCodecRC)
 		var trials int
 		baseQP, trials, rcTrace = e.searchBaseQP(frame, ftype, mf, dctCache, minQP, opts)
 		e.cfg.Obs.Counter(obs.MetricRCTrials).Add(int64(trials))
-		rcTimer.Stop()
+		rcSpan.End()
 	}
-	entropyTimer := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
+	entropySpan := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
 	if e.job == nil {
 		e.job = &FrameJob{qps: make([]int, e.mbw*e.mbh)}
 	}
 	job := e.job
 	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job, math.MaxInt)
-	entropyTimer.Stop()
+	entropySpan.End()
 	if job.bw.Len() != nbits {
 		return nil, fmt.Errorf("codec: wrote %d bits for frame %d, counted %d", job.bw.Len(), e.frameIdx, nbits)
 	}
@@ -470,9 +470,6 @@ func (e *Encoder) EmitBitstream(job *FrameJob) (*EncodedFrame, error) {
 	if job != e.job {
 		return nil, fmt.Errorf("codec: EmitBitstream on a job from a different encoder")
 	}
-	emitTimer := e.cfg.Obs.StartStage(obs.StageCodecEmit)
-	defer emitTimer.Stop()
-
 	ef := job.Frame
 	job.Frame = nil
 	ef.Data = job.bw.Bytes()

@@ -50,12 +50,6 @@ type AgentConfig struct {
 	// records, rate-control internals). Nil disables instrumentation at a
 	// cost of a few nanoseconds per frame.
 	Obs *obs.Recorder
-	// Session names this stream for per-session observability: when set,
-	// the agent's frame/bit counters are additionally exported as labeled
-	// series under this value (matching the edge server's profile-seed
-	// labels), so a process hosting several agents keeps per-stream
-	// attribution. Empty disables the labeled series.
-	Session string
 }
 
 // DefaultAgentConfig returns a full DiVE configuration for a frame size and
@@ -159,11 +153,6 @@ type Agent struct {
 	// the caller's to keep.
 	mv mvfield.Scratch
 	fg fgScratch
-
-	// Per-session labeled counter children, resolved once at construction
-	// (nil — hence no-op — without a recorder or a configured Session).
-	sessFrames *obs.Counter
-	sessBits   *obs.Counter
 }
 
 // NewAgent validates the configuration and builds an agent.
@@ -187,18 +176,13 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	estimator := netsim.NewEstimator(cfg.BandwidthWindow, cfg.BandwidthPrior)
 	estimator.Obs = cfg.Obs
-	a := &Agent{
+	return &Agent{
 		cfg:       cfg,
 		enc:       enc,
 		estimator: estimator,
 		foeCal:    mvfield.NewFOECalibrator(),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.Session != "" {
-		a.sessFrames = cfg.Obs.LabeledCounter(obs.MetricAgentSessionFrames, obs.SessionLabel).With(cfg.Session)
-		a.sessBits = cfg.Obs.LabeledCounter(obs.MetricAgentSessionBits, obs.SessionLabel).With(cfg.Session)
-	}
-	return a, nil
+	}, nil
 }
 
 // Config returns the agent configuration.
@@ -223,7 +207,7 @@ func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, erro
 		return nil, fmt.Errorf("core: frame size %dx%d does not match agent size %dx%d", frame.W, frame.H, a.cfg.Width, a.cfg.Height)
 	}
 	r := a.cfg.Obs
-	frameSpan := r.StartStageSpan(r.StartTrace(a.frameNum), "frame", "agent", obs.StageFrame)
+	frameSpan := r.StartStageSpan(r.StartTrace(a.frameNum), "frame", "agent", r.Histogram(obs.StageFrame))
 	// Stage spans parent onto the root span, not the bare trace.
 	actx := frameSpan.Context()
 	res, job, err := a.analyzeFrame(frame, now, actx)
@@ -260,7 +244,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 	res := &FrameResult{Trace: actx}
 
 	// Preprocessing: motion vectors come free from the encoder.
-	motionSpan := r.StartStageSpan(actx, "motion", "agent", obs.StageMotion)
+	motionSpan := r.StartStageSpan(actx, "motion", "agent", r.Histogram(obs.StageMotion))
 	mf := a.enc.AnalyzeMotion(frame)
 	motionSpan.End()
 	if mf != nil {
@@ -272,7 +256,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 		if res.Moving {
 			// Rotational component elimination (Section III-B3).
 			if !a.cfg.DisableRotation {
-				rotSpan := r.StartStageSpan(actx, "rotation", "agent", obs.StageRotation)
+				rotSpan := r.StartStageSpan(actx, "rotation", "agent", r.Histogram(obs.StageRotation))
 				phiX, phiY, err := a.cfg.Rotation.EstimateWith(&a.mv, field, a.foeCal.FOE(), a.rng)
 				if err == nil {
 					res.Rotation = RotationEstimate{PhiX: phiX, PhiY: phiY, OK: true}
@@ -290,7 +274,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 			res.Field = field
 
 			// Foreground extraction (Section III-C).
-			fgSpan := r.StartStageSpan(actx, "foreground", "agent", obs.StageForeground)
+			fgSpan := r.StartStageSpan(actx, "foreground", "agent", r.Histogram(obs.StageForeground))
 			fg := extractForeground(&a.fg, field, a.foeCal.FOE(), a.cfg.Foreground)
 			fgSpan.End()
 			if fg != nil && !fg.Empty() {
@@ -334,7 +318,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 		opts.TargetBits = res.TargetBits
 		opts.IFrameBudgetScale = a.cfg.AVE.IFrameBudgetScale
 	}
-	encSpan := r.StartStageSpan(actx, "encode", "agent", obs.StageEncode)
+	encSpan := r.StartStageSpan(actx, "encode", "agent", r.Histogram(obs.StageEncode))
 	job, err := a.enc.AnalyzeAndQuantize(frame, opts)
 	encSpan.End()
 	if err != nil {
@@ -348,8 +332,6 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 	if r != nil {
 		r.Counter(obs.MetricFrames).Inc()
 		r.Counter(obs.MetricBits).Add(int64(ef.NumBits))
-		a.sessFrames.Inc()
-		a.sessBits.Add(int64(ef.NumBits))
 		// Data is handed out only by EmitBitstream; the writer pads to a
 		// byte boundary, so its length is fully determined by the bit count.
 		r.Counter(obs.MetricBytes).Add(int64((ef.NumBits + 7) / 8))
@@ -359,8 +341,8 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 		r.Gauge(obs.GaugeEta).Set(res.Eta)
 		r.Gauge(obs.GaugeFGFraction).Set(frac)
 		// Journal the frame now, before any transport feedback for it can
-		// arrive: AmendLastJournal from OnTransmitComplete/ForceNextIFrame
-		// must land on this frame. Its stage durations are the spans above;
+		// arrive: OnTransmitComplete/ForceNextIFrame amend this frame
+		// (amendNewest). Its stage durations are the spans above;
 		// obs.Recorder.FrameRecords joins the two.
 		r.RecordJournal(a.journalRecord(actx, res, ef, now, frac))
 	}
@@ -447,7 +429,7 @@ func countMask(mask []bool) int {
 // bits were serialized onto the link during [start, end].
 func (a *Agent) OnTransmitComplete(start, end float64, bits int) {
 	a.estimator.Record(start, end, bits)
-	a.cfg.Obs.AmendLastJournal(func(j *obs.JournalRecord) {
+	a.amendNewest(func(j *obs.JournalRecord) {
 		j.AckBits += bits
 		j.AckStartSec = start
 		j.AckEndSec = end
@@ -507,7 +489,15 @@ func (a *Agent) OutageTimeout() float64 { return a.cfg.OutageTimeout }
 func (a *Agent) ForceNextIFrame() {
 	a.forceI = true
 	a.cfg.Obs.Counter(obs.MetricForcedIFrames).Inc()
-	a.cfg.Obs.AmendLastJournal(func(j *obs.JournalRecord) { j.ForcedIFrame = true })
+	a.amendNewest(func(j *obs.JournalRecord) { j.ForcedIFrame = true })
+}
+
+// amendNewest applies fn to the journal record of the agent's newest frame
+// (encoder index frameNum−1); a no-op before the first frame.
+func (a *Agent) amendNewest(fn func(*obs.JournalRecord)) {
+	if a.frameNum > 0 {
+		a.cfg.Obs.AmendJournalFrame(a.frameNum-1, fn)
+	}
 }
 
 // Reconstructed returns the encoder's reconstruction of the last processed

@@ -411,11 +411,12 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// sessionMetrics are one session's labeled series next to the process-wide
-// globals. The label is profile-seed — the clip identity the agent uses too —
-// so a resumed session continues its own series and both ends' views of one
-// stream join on it; the families bound its cardinality. All handles are nil,
-// hence no-ops, when telemetry is disabled.
+// sessionMetrics are one session's labeled series, the server's only record
+// of frames, bytes, NACKs and decode/detect time (a process total is their
+// sum). The label is profile-seed — the clip identity the agent's SLO series
+// use too — so a resumed session continues its own series and both ends'
+// views of one stream join on it; the families bound its cardinality. All
+// handles are nil, hence no-ops, when telemetry is disabled.
 type sessionMetrics struct {
 	label                string
 	frames, bytes, nacks *obs.Counter
@@ -426,8 +427,6 @@ type sessionMetrics struct {
 func (m *sessionMetrics) count(rec *obs.Recorder, out outcome, bitstreamLen int) {
 	row := rules[out]
 	if row.frame {
-		rec.Counter(obs.MetricEdgeFrames).Inc()
-		rec.Counter(obs.MetricEdgeBytes).Add(int64(bitstreamLen))
 		m.frames.Inc()
 		m.bytes.Add(int64(bitstreamLen))
 	}
@@ -435,7 +434,6 @@ func (m *sessionMetrics) count(rec *obs.Recorder, out outcome, bitstreamLen int)
 		rec.Counter(obs.MetricEdgeCorrupt).Inc()
 	}
 	if row.nack {
-		rec.Counter(obs.MetricEdgeNacks).Inc()
 		m.nacks.Inc()
 	}
 }
@@ -541,10 +539,12 @@ func (s *Server) handle(st *connState) error {
 		m.count(s.Obs, out, len(fm.Bitstream))
 		var ackSpan obs.Span
 		if rules[out].frame {
-			res.ServerMs = time.Since(t0).Seconds() * 1000
-			// Server-side SLO view of this session: per-frame processing time
-			// (decode + detect + framing); foreground share is agent-side only.
-			s.Obs.ObserveSLO(m.label, obs.SLOSample{LatencySec: time.Since(t0).Seconds(), FGShare: -1})
+			// One reading of the service time (decode + detect + framing)
+			// serves the reply and the server-side SLO view of this session;
+			// foreground share is agent-side only.
+			served := time.Since(t0).Seconds()
+			res.ServerMs = served * 1000
+			s.Obs.ObserveSLO(m.label, obs.SLOSample{LatencySec: served, FGShare: -1})
 			ackSpan = s.Obs.StartSpan(ctx, "ack", "edge")
 		}
 		err = st.write(&res)
@@ -556,18 +556,17 @@ func (s *Server) handle(st *connState) error {
 }
 
 // decodeAndDetect is the work behind an accepted frame, each half under its
-// own span and per-session histogram; the decode settles the outcome.
+// own span, which observes the session's histogram; the decode settles the
+// outcome.
 func (s *Server) decodeAndDetect(ss *session, m *sessionMetrics, ctx obs.TraceContext, fm *FrameMsg, res *ResultMsg) outcome {
-	span, t := s.Obs.StartStageSpan(ctx, "decode", "edge", obs.StageEdgeDecode), time.Now()
+	span := s.Obs.StartStageSpan(ctx, "decode", "edge", m.decode)
 	df, out := ss.decode(fm, res)
-	m.decode.Observe(time.Since(t).Seconds())
 	span.End()
 	if out != outDecoded {
 		return out
 	}
-	span, t = s.Obs.StartStageSpan(ctx, "detect", "edge", obs.StageEdgeDetect), time.Now()
+	span = s.Obs.StartStageSpan(ctx, "detect", "edge", m.detect)
 	dets := s.detector.Detect(df.Image, ss.clip.Frames[fm.Index], ss.clip.GT[fm.Index], ss.seed^int64(fm.Index*7919))
-	m.detect.Observe(time.Since(t).Seconds())
 	span.End()
 	res.Detections = ToWire(dets)
 	return out

@@ -41,8 +41,8 @@ const (
 // at an unexpected index desyncs first and is then judged by the same rows;
 // outDecoded alone clears needKey and moves expect.
 var rules = [...]struct {
-	frame    bool // a FrameMsg parsed: the reply names its index; frame and byte counters move
-	nack     bool // MetricEdgeNacks and the session's NACK counter move
+	frame    bool // a FrameMsg parsed: the reply names its index; the session's frame and byte counters move
+	nack     bool // the session's NACK counter (MetricEdgeSessionNacks) moves
 	corrupt  bool // MetricEdgeCorrupt moves
 	keyframe bool // the reply sets NeedKeyframe
 	desync   bool // needKey is set

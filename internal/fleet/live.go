@@ -160,7 +160,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 		cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
 		cfg.Obs = rec
 		cfg.Seed = seed
-		cfg.Session = fmt.Sprintf("%s-%d", name, seed)
+		sess := fmt.Sprintf("%s-%d", name, seed)
 		agent, err := core.NewAgent(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: agent %d: %w", i, err)
@@ -177,7 +177,6 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 				rot[j] = addrs[(i+j)%len(addrs)]
 			}
 			ccfg.Addrs = rot
-			sess := cfg.Session
 			ccfg.OnMigrate = func(from, to string, forced bool) {
 				agg.NoteMigration(addrToName[from], addrToName[to])
 				agg.SetSessionServer(sess, addrToName[to])
@@ -189,9 +188,9 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			ccfg.Addr = addrs[i%len(addrs)]
 		}
 		client := edge.NewClient(ccfg, agent)
-		sessions[i] = session{name: cfg.Session, client: client, clip: clip, rec: rec}
+		sessions[i] = session{name: sess, client: client, clip: clip, rec: rec}
 		totalFrames += clip.NumFrames()
-		agg.Register(cfg.Session, name, rec)
+		agg.Register(sess, name, rec)
 	}
 
 	start := time.Now()

@@ -9,8 +9,8 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := r.StartStage(StageEncode)
-		_ = t.Stop()
+		s := r.StartStage(StageEncode)
+		_ = s.End()
 	}
 }
 
@@ -31,7 +31,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx := r.StartTrace(i)
-		s := r.StartStageSpan(ctx, "motion", "agent", StageMotion)
+		s := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageMotion))
 		_ = s.End()
 		r.RecordSpan(ctx, "send", "agent", 0, 1)
 	}
@@ -98,8 +98,8 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	r := NewRecorder(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t := r.StartStage(StageEncode)
-		_ = t.Stop()
+		s := r.StartStage(StageEncode)
+		_ = s.End()
 	}
 }
 

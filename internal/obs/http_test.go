@@ -144,7 +144,7 @@ func TestDebugFramesRoundTripsThroughDecoder(t *testing.T) {
 		// Same stage name on the other side of the link: not the agent's.
 		rec.RecordSpan(ctx, "encode", "edge", 0, 7)
 	}
-	rec.AmendLastJournal(func(j *JournalRecord) { j.AckBits, j.AckEndSec = 20000, 0.1 })
+	rec.AmendJournalFrame(1, func(j *JournalRecord) { j.AckBits, j.AckEndSec = 20000, 0.1 })
 	// A span whose journal record is gone (or never existed) joins nothing.
 	rec.RecordSpan(TraceContext{TraceID: 99, Frame: 9}, "frame", "agent", 0, 1)
 

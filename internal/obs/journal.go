@@ -119,14 +119,11 @@ func (r *Recorder) Journal() *Ring[JournalRecord] {
 // RecordJournal appends one decision record to the journal ring.
 func (r *Recorder) RecordJournal(rec JournalRecord) { r.Journal().Append(rec) }
 
-// AmendLastJournal applies fn to the most recently journaled frame — used
-// to attach transport feedback (ack, realized bandwidth) and outage/MOT
-// handoffs that happen after the frame was encoded.
-func (r *Recorder) AmendLastJournal(fn func(*JournalRecord)) { r.Journal().AmendLast(fn) }
-
 // AmendJournalFrame applies fn to the journal record of a specific frame —
-// the counterpart of AmendLastJournal for feedback that arrives after later
-// frames have already been journaled (a windowed transport's acks).
+// the one way to attach what happens after a frame was encoded: transport
+// feedback (ack, realized bandwidth), outage/MOT handoffs and forced
+// I-frames, whether it lands on the newest frame or, on a windowed
+// transport, after later frames have already been journaled.
 func (r *Recorder) AmendJournalFrame(frame int, fn func(*JournalRecord)) {
 	r.Journal().AmendFrame(frame, fn)
 }

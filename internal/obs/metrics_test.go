@@ -124,11 +124,10 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)
 	r.Histogram("x").Observe(1)
-	if d := r.StartStage("x").Stop(); d != 0 {
+	if d := r.StartStage("x").End(); d != 0 {
 		t.Errorf("nil recorder stage duration = %v, want 0", d)
 	}
 	r.RecordJournal(JournalRecord{})
-	r.AmendLastJournal(func(*JournalRecord) { t.Error("amend ran on nil recorder") })
 	r.AmendJournalFrame(0, func(*JournalRecord) { t.Error("amend ran on nil recorder") })
 	if r.Journal().Total() != 0 || r.Spans().Total() != 0 || r.FrameRecords() != nil {
 		t.Error("nil recorder holds records")

@@ -25,16 +25,14 @@ const (
 	StageForeground     = "dive_stage_foreground_seconds"
 	StageEncode         = "dive_stage_encode_seconds"
 
-	// Codec internals (internal/codec). StageCodecRC is the rate-control
-	// bisection (its trial passes; absent on fixed-QP frames),
+	// Codec internals (internal/codec), the parts of the agent's encode
+	// span: StageCodecDCT the P-frame transform cache, StageCodecRC the
+	// rate-control search (its trial passes; absent on fixed-QP frames),
 	// StageCodecEntropy the final quantize-reconstruct-count pass at the
-	// chosen QP, StageCodecEmit the deferred bitstream serialization of the
-	// two-phase encoder.
-	StageCodecMotion  = "codec_motion_search_seconds"
+	// chosen QP.
 	StageCodecDCT     = "codec_dct_seconds"
 	StageCodecRC      = "codec_rc_seconds"
 	StageCodecEntropy = "codec_entropy_seconds"
-	StageCodecEmit    = "codec_emit_seconds"
 	MetricRCTrials    = "codec_rc_trials_total"
 
 	// Network simulator (internal/netsim).
@@ -45,17 +43,11 @@ const (
 	StageQueueDelay = "netsim_queue_delay_seconds"
 	MetricOutageTx  = "netsim_outage_sends_total"
 
-	// Edge server (internal/edge).
+	// Edge server (internal/edge): served sessions, and the robustness
+	// counters — resumed sessions and corrupt/malformed messages survived.
 	MetricEdgeSessions = "edge_sessions_total"
-	MetricEdgeFrames   = "edge_frames_total"
-	MetricEdgeBytes    = "edge_bytes_total"
-	StageEdgeDecode    = "edge_decode_seconds"
-	StageEdgeDetect    = "edge_detect_seconds"
-	// Robustness counters: resumed sessions, corrupt/malformed messages
-	// survived, and keyframe NACKs issued by the server.
-	MetricEdgeResumes = "edge_session_resumes_total"
-	MetricEdgeCorrupt = "edge_corrupt_msgs_total"
-	MetricEdgeNacks   = "edge_nacks_total"
+	MetricEdgeResumes  = "edge_session_resumes_total"
+	MetricEdgeCorrupt  = "edge_corrupt_msgs_total"
 	// Client-side robustness: reconnect attempts, ACK-deadline outage
 	// activations, and sends suppressed by the degradation ladder.
 	MetricClientReconnects = "edge_client_reconnects_total"
@@ -74,21 +66,16 @@ const (
 	// one per ack, the fleet model one per modelled frame.
 	StageResponse = "e2e_response_seconds"
 
-	// Per-session edge serving (internal/edge.Server), labeled by session on
-	// top of the global MetricEdge* counters: frame/byte/NACK counts and
-	// decode/detect latency per stream, the inputs of fleet-level routing
-	// and shedding decisions.
+	// Edge serving (internal/edge.Server, and the simulated edge of
+	// internal/sim), labeled by session: frame/byte/keyframe-NACK counts
+	// and decode/detect latency per stream, the inputs of fleet-level
+	// routing and shedding decisions. They are the only record: a process
+	// total is the sum over sessions.
 	MetricEdgeSessionFrames = "edge_session_frames_total"
 	MetricEdgeSessionBytes  = "edge_session_bytes_total"
 	MetricEdgeSessionNacks  = "edge_session_nacks_total"
 	StageEdgeSessionDecode  = "edge_session_decode_seconds"
 	StageEdgeSessionDetect  = "edge_session_detect_seconds"
-
-	// Agent-side per-session series (internal/core.Agent with a configured
-	// Session): encoded frames and bits per stream, matching the edge
-	// labels so both ends of one stream join on the session value.
-	MetricAgentSessionFrames = "dive_session_frames_total"
-	MetricAgentSessionBits   = "dive_session_bits_total"
 
 	// SessionLabel is the label key of every per-session family.
 	SessionLabel = "session"
@@ -209,32 +196,6 @@ func (r *Recorder) LabeledHistogram(name, key string) *LabeledHistogram {
 		return nil
 	}
 	return r.reg.LabeledHistogram(name, key, DefaultDurationBuckets)
-}
-
-// StageTimer times one pipeline stage. The zero value (returned by a nil
-// recorder) is a no-op; no clock is read on either side.
-type StageTimer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartStage begins timing the named stage.
-func (r *Recorder) StartStage(name string) StageTimer {
-	if r == nil {
-		return StageTimer{}
-	}
-	return StageTimer{h: r.Histogram(name), start: time.Now()}
-}
-
-// Stop records the elapsed time into the stage histogram and returns it
-// (0 for the no-op timer).
-func (t StageTimer) Stop() time.Duration {
-	if t.h == nil {
-		return 0
-	}
-	d := time.Since(t.start)
-	t.h.Observe(d.Seconds())
-	return d
 }
 
 // Snapshot returns a point-in-time copy of every metric plus uptime.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -301,4 +302,31 @@ func (r *Registry) Snapshot() *Snapshot {
 	snapshotFamilies(r.gauges, s.Gauges, &s.LabeledGauges, (*Gauge).Value)
 	snapshotFamilies(r.hists, s.Histograms, &s.LabeledHistograms, snapshotHistogram)
 	return s
+}
+
+// Inventory lists the families that have at least one child, one
+// "<kind> <name> <label key>" line each (no key for a plain metric), sorted:
+// the schema a run registered, which the telemetry inventory tests pin.
+func (r *Registry) Inventory() []string {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	out := inventory(nil, r.counters, "counter")
+	out = inventory(out, r.gauges, "gauge")
+	out = inventory(out, r.hists, "histogram")
+	r.mu.RUnlock()
+	sort.Strings(out)
+	return out
+}
+
+func inventory[T any](out []string, fams map[string]*Family[T], kind string) []string {
+	for name, f := range fams {
+		f.mu.RLock()
+		if len(f.children) > 0 {
+			out = append(out, strings.TrimSpace(kind+" "+name+" "+f.key))
+		}
+		f.mu.RUnlock()
+	}
+	return out
 }

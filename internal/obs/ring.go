@@ -47,24 +47,12 @@ func (r *Ring[T]) Append(rec T) {
 	r.total++
 }
 
-// AmendLast applies fn to the most recently appended record; no-op when
-// empty.
-func (r *Ring[T]) AmendLast(fn func(*T)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.total > 0 {
-		fn(r.at(r.total - 1))
-	}
-}
-
 // AmendFrame applies fn to the most recent retained record of the given
 // frame; no-op when that frame was never recorded, has been evicted, or the
-// ring has no frame key. Windowed transports use this instead of AmendLast:
-// by the time a frame's transport verdict lands, later frames may already
-// have been recorded.
+// ring has no frame key. It is the one way to amend, by frame rather than
+// by position: the newest record is the lookup at distance 0, and by the
+// time a windowed transport's verdict lands, later frames may already have
+// been recorded.
 func (r *Ring[T]) AmendFrame(frame int, fn func(*T)) {
 	if r == nil || r.frame == nil {
 		return

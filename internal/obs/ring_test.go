@@ -18,8 +18,8 @@ type ringRec struct {
 }
 
 // ringModel states Ring's contract over a plain slice: keep the last cap
-// records, AmendLast touches the newest, AmendFrame back-scans for the most
-// recent retained record of the frame.
+// records, AmendFrame back-scans for the most recent retained record of the
+// frame.
 type ringModel struct {
 	cap   int
 	recs  []ringRec
@@ -82,16 +82,6 @@ func (h *ringHarness) append(frames ...int) {
 	}
 }
 
-func (h *ringHarness) amendLast() {
-	h.t.Helper()
-	h.op++
-	h.ring.AmendLast(func(r *ringRec) { r.Amended = h.op })
-	if n := len(h.model.recs); n > 0 {
-		h.model.recs[n-1].Amended = h.op
-	}
-	h.check()
-}
-
 func (h *ringHarness) amendFrame(frames ...int) {
 	h.t.Helper()
 	for _, f := range frames {
@@ -111,7 +101,7 @@ func seq(from, to int) []int {
 }
 
 // TestRingMatchesModel is the ring's contract, stated once: seeded random
-// Append / AmendLast / AmendFrame sequences against the plain-slice model
+// Append / AmendFrame sequences against the plain-slice model
 // over every capacity from 1 to 64, with dense (+1), sparse (+2..5) and
 // repeated (+0) frame numbers, well past wraparound. After every operation
 // the retained contents, their order and Total must match — so the O(1)
@@ -121,7 +111,6 @@ func TestRingMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for capacity := 1; capacity <= 64; capacity++ {
 		h := newRingHarness(t, capacity)
-		h.amendLast()
 		h.amendFrame(0)
 		frame := rng.Intn(10)
 		// Per capacity one step mix: mostly dense, mostly sparse, or
@@ -139,7 +128,7 @@ func TestRingMatchesModel(t *testing.T) {
 				}
 				h.append(frame)
 			case p < 60:
-				h.amendLast()
+				h.amendFrame(frame) // the newest record, as the agent's feedback amends
 			default:
 				// Around the retained window: hits, gaps, evicted frames and
 				// frames not recorded yet.
@@ -155,11 +144,11 @@ func TestRingMatchesModel(t *testing.T) {
 func TestRingPartialFill(t *testing.T) { newRingHarness(t, 8).append(seq(0, 2)...) }
 func TestRingWraparound(t *testing.T)  { newRingHarness(t, 8).append(seq(0, 19)...) }
 
-func TestRingAmendLast(t *testing.T) {
+func TestRingAmendNewestFrame(t *testing.T) {
 	h := newRingHarness(t, 2)
-	h.amendLast() // empty: must not run
+	h.amendFrame(0) // empty: must not run
 	h.append(seq(0, 4)...)
-	h.amendLast()
+	h.amendFrame(4)
 }
 
 func TestJournalRingWraparound(t *testing.T) { newRingHarness(t, 4).append(seq(0, 9)...) }
@@ -217,7 +206,7 @@ func TestRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Append(ringRec{Frame: i})
-				r.AmendLast(func(rec *ringRec) { rec.Amended++ })
+				r.AmendFrame(i, func(rec *ringRec) { rec.Amended++ })
 				r.AmendFrame(i-3, func(rec *ringRec) { rec.Amended++ })
 				_ = r.Snapshot()
 			}
@@ -229,7 +218,6 @@ func TestRingConcurrent(t *testing.T) {
 	}
 	var nilRing *Ring[ringRec]
 	nilRing.Append(ringRec{})
-	nilRing.AmendLast(func(*ringRec) { t.Error("amend ran on a nil ring") })
 	nilRing.AmendFrame(0, func(*ringRec) { t.Error("amend ran on a nil ring") })
 	if nilRing.Total() != 0 || nilRing.Snapshot() != nil {
 		t.Error("nil ring is not empty")

@@ -53,9 +53,10 @@ func (r *Recorder) Spans() *Ring[SpanRecord] {
 	return r.spans
 }
 
-// Span is one in-flight wall-clock span. The zero value (returned under a
-// nil recorder or an invalid context) is a no-op on both sides; no clock is
-// read and nothing allocates.
+// Span is one in-flight wall-clock span, and the one timer of the pipeline
+// stages. The zero value (returned under a nil recorder, or an invalid
+// context with no histogram) is a no-op on both sides; no clock is read and
+// nothing allocates.
 type Span struct {
 	r     *Recorder
 	ctx   TraceContext
@@ -68,24 +69,31 @@ type Span struct {
 
 // StartSpan begins a wall-clock span under ctx at the given site.
 func (r *Recorder) StartSpan(ctx TraceContext, name, site string) Span {
-	return r.StartStageSpan(ctx, name, site, "")
+	return r.StartStageSpan(ctx, name, site, nil)
 }
 
-// StartStageSpan begins a wall-clock span that, on End, also observes its
-// duration into the named stage histogram ("" skips the histogram). This is
-// the one-clock-read-per-side primitive pipeline stages use: the span feeds
-// the causal trace, the histogram feeds the aggregate metrics. With an
-// invalid context (e.g. the peer ran without telemetry) the histogram is
-// still fed, only the trace record is skipped.
-func (r *Recorder) StartStageSpan(ctx TraceContext, name, site, histName string) Span {
+// StartStage begins timing the named stage outside any trace: the span only
+// observes the stage histogram on End. The nil check stands apart from the
+// histogram lookup (startStage) so that it inlines into the call site.
+func (r *Recorder) StartStage(name string) Span {
 	if r == nil {
 		return Span{}
 	}
-	var h *Histogram
-	if histName != "" {
-		h = r.Histogram(histName)
-	}
-	if !ctx.Valid() && h == nil {
+	return r.startStage(name)
+}
+
+func (r *Recorder) startStage(name string) Span {
+	return r.StartStageSpan(TraceContext{}, "", "", r.Histogram(name))
+}
+
+// StartStageSpan begins a wall-clock span that, on End, also observes its
+// duration into h (nil skips the histogram; a labeled child works as well
+// as a plain one). This is the one timer: one clock read per side feeds the
+// causal trace and the aggregate metrics. With an invalid context (e.g. the
+// peer ran without telemetry) the histogram is still fed, only the trace
+// record is skipped.
+func (r *Recorder) StartStageSpan(ctx TraceContext, name, site string, h *Histogram) Span {
+	if r == nil || (!ctx.Valid() && h == nil) {
 		return Span{}
 	}
 	var id uint64

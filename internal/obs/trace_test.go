@@ -23,7 +23,7 @@ func TestStartTraceMintsDistinctIDs(t *testing.T) {
 func TestSpanParentChildLinkage(t *testing.T) {
 	rec := NewRecorder(8)
 	ctx := rec.StartTrace(3)
-	root := rec.StartStageSpan(ctx, "frame", "agent", StageFrame)
+	root := rec.StartStageSpan(ctx, "frame", "agent", rec.Histogram(StageFrame))
 	child := rec.StartSpan(root.Context(), "motion", "agent")
 	child.End()
 	root.End()
@@ -112,7 +112,7 @@ func TestJournalJSONLRoundTrip(t *testing.T) {
 		RCTrials:  []QPTrial{{QP: 25, Bits: 30000}, {QP: 12, Bits: 90000}},
 		GroundMBs: 10, FGMBs: 5, BGMBs: 225,
 	})
-	rec.AmendLastJournal(func(j *JournalRecord) {
+	rec.AmendJournalFrame(0, func(j *JournalRecord) {
 		j.AckBits = 12345
 		j.AckStartSec = 0.0
 		j.AckEndSec = 0.006
@@ -148,11 +148,11 @@ func TestDisabledTracePathAllocFree(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		ctx := r.StartTrace(1)
-		sp := r.StartStageSpan(ctx, "motion", "agent", StageMotion)
+		sp := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageMotion))
 		sp.Context()
 		sp.End()
 		r.RecordSpan(ctx, "send", "agent", 0, 1)
-		r.AmendLastJournal(func(*JournalRecord) {})
+		r.AmendJournalFrame(1, func(*JournalRecord) {})
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled trace path allocates %.1f objects per frame, want 0", allocs)

@@ -42,8 +42,6 @@ func (d *DiVE) Run(clip *world.Clip, link *netsim.Link, env *Env) (*Result, erro
 	}
 	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
 	cfg.Seed = env.Seed
-	session := d.Name()
-	cfg.Session = session
 	if d.ConfigFn != nil {
 		d.ConfigFn(&cfg)
 	}
@@ -51,10 +49,12 @@ func (d *DiVE) Run(clip *world.Clip, link *netsim.Link, env *Env) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	// rec stitches the simulated-edge side of each frame's trace (send,
-	// decode, detect, ack spans on the simulated clock) onto the context the
-	// agent minted. Nil keeps everything a no-op.
-	rec := cfg.Obs
+	// rec stitches the simulated edge's spans (send, decode, detect, ack)
+	// onto the agent's trace and keeps its session histograms under the SLO
+	// window's name. Nil keeps everything a no-op.
+	rec, session := cfg.Obs, d.Name()
+	decodeHist := rec.LabeledHistogram(obs.StageEdgeSessionDecode, obs.SessionLabel).With(session)
+	detectHist := rec.LabeledHistogram(obs.StageEdgeSessionDetect, obs.SessionLabel).With(session)
 	dec, err := codec.NewDecoder(cfg.Codec)
 	if err != nil {
 		return nil, err
@@ -104,13 +104,13 @@ func (d *DiVE) Run(clip *world.Clip, link *netsim.Link, env *Env) (*Result, erro
 			agent.OnTransmitComplete(start, serialized, fr.Encoded.NumBits)
 			res.BitsSent[i] = fr.Encoded.NumBits
 			res.Uploaded[i] = true
-			decodeSpan := rec.StartStageSpan(fr.Trace, "decode", "edge", obs.StageEdgeDecode)
+			decodeSpan := rec.StartStageSpan(fr.Trace, "decode", "edge", decodeHist)
 			decoded, err := dec.Decode(fr.Encoded.Data)
 			decodeSpan.End()
 			if err != nil {
 				return nil, err
 			}
-			detectSpan := rec.StartStageSpan(fr.Trace, "detect", "edge", obs.StageEdgeDetect)
+			detectSpan := rec.StartStageSpan(fr.Trace, "detect", "edge", detectHist)
 			dets, resultAt := ServerInference(env, decoded.Image, frame, clip.GT[i], delivered, env.Seed^int64(i*7919))
 			detectSpan.End()
 			// The downlink leg lives on the simulated clock: delivery of the
