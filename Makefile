@@ -30,8 +30,9 @@ portable:
 
 # Race-detector pass over the concurrency-bearing packages (the harness
 # fan-out and renderer bands, telemetry, transports, cluster) and the
-# single-goroutine agent packages they drive (codec, core, sim); doctor's one
-# generic follower sits behind an HTTP handler (/debug/doctor).
+# single-goroutine agent packages they drive (codec, core, sim); doctor is
+# single-goroutine too, but its tests grade the journals of real sim.DiVE
+# runs, so it goes with sim.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/imgx/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # doctor_live.sh — live-observability smoke: boot a paced chaos run serving
 # telemetry over HTTP, tail it with divedoctor -follow, and assert at least
-# one outage/recovery finding streams out as JSONL *while the run is live*.
-# This is the end-to-end gate on the streaming-doctor path: journal ring →
+# one outage/recovery finding streams out as JSONL *while the run is live*,
+# and that the follower diagnosed every frame of the run. This is the
+# end-to-end gate on the one live-diagnosis path: journal ring →
 # /debug/journal → follower → incremental detectors → JSONL.
 #
 # Usage: ci/doctor_live.sh [port]
@@ -59,5 +60,13 @@ if ! grep -q '"check":"outage-drift"' "$OUT/findings.jsonl"; then
     exit 1
 fi
 
+# The whole run, tail included: a 3 s clip at 12 fps is 36 frames.
+frames=$(sed -n 's/^divedoctor: followed \([0-9][0-9]*\) journal frames.*/\1/p' "$OUT/follow.log")
+if [ "$frames" != 36 ]; then
+    echo "doctor-live: followed ${frames:-no} journal frames, want all 36 of the run" >&2
+    cat "$OUT/follow.log" >&2
+    exit 1
+fi
+
 n=$(grep -c '"check"' "$OUT/findings.jsonl")
-echo "doctor-live: OK — $n finding(s) streamed live, outage-drift present"
+echo "doctor-live: OK — $n finding(s) streamed live over all $frames frames, outage-drift present"

@@ -32,9 +32,9 @@
 // server score detections against the pristine frames without any pixels
 // crossing the wire.
 //
-// -telemetry serves live introspection on the given address: /metrics
-// (Prometheus text format), /debug/vars (JSON snapshot), /debug/frames
-// (per-frame lifecycle records as JSONL) and /debug/pprof/.
+// -telemetry serves the telemetry HTTP surface on the given address; GET /
+// lists its endpoints. divedoctor -follow -url grades the run from it while
+// the clip is still streaming.
 package main
 
 import (
@@ -68,7 +68,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "clip seed; sent to the server in the handshake so both sides render the same clip")
 	duration := fs.Float64("duration", 4, "clip duration in seconds")
 	rate := fs.Float64("rate", 2.0, "uplink throttle in Mbps (0 = unthrottled)")
-	telemetry := fs.String("telemetry", "", "serve telemetry (/metrics, /debug/frames, pprof) on this address, e.g. :7061")
+	telemetry := fs.String("telemetry", "", "serve telemetry on this address (GET / lists the endpoints), e.g. :7061")
 	window := fs.Int("window", 1, "max frames in flight to the server (1 = lock-step request/response)")
 	ackTimeout := fs.Duration("ack-timeout", time.Second, "per-frame ack deadline before the MOT outage fallback covers it")
 	maxReconnects := fs.Int("max-reconnects", 8, "consecutive failed reconnect attempts before giving up")
@@ -101,7 +101,7 @@ func run(args []string) error {
 			return fmt.Errorf("telemetry listen: %w", err)
 		}
 		defer ln.Close()
-		fmt.Printf("telemetry on http://%s/ (/metrics, /debug/vars, /debug/frames, /debug/pprof/)\n", ln.Addr())
+		fmt.Printf("telemetry on http://%s/ (GET / lists the endpoints)\n", ln.Addr())
 		go http.Serve(ln, rec.Handler())
 	}
 

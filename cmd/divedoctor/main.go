@@ -13,7 +13,7 @@
 //	           [-alloc-baseline ci/alloc_baseline.json]
 //	           [-write-alloc-baseline ci/alloc_baseline.json] [-json]
 //	divedoctor -follow -url http://localhost:7061 [-interval 500ms]
-//	           [-settle 8] [-for 15s] [-outage-run 6]
+//	           [-for 15s] [-outage-run 6]
 //
 // Input modes (combinable; a detector suite is listed under checks_run and
 // run only when its input was supplied):
@@ -45,9 +45,9 @@
 // retried with capped exponential backoff (a chaos blackout between doctor
 // and target must not abort the watch) and counted in the exit summary; the
 // watch only ends once the endpoint stays unreachable for several
-// consecutive polls. -interval is the poll period; -settle holds back the
-// newest N frames so late journal amendments (acks, outage verdicts) land
-// before analysis; -for bounds the watch (0 follows until the endpoint
+// consecutive polls. The newest 8 journal frames are held back so late
+// amendments (acks, outage verdicts) land before analysis. -interval is the
+// poll period; -for bounds the watch (0 follows until the endpoint
 // disappears or the process is interrupted). The stream ends with a final
 // flush over the tail and a summary on stderr; stdout carries only finding
 // JSONL.
@@ -90,7 +90,6 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 	asJSON := fs.Bool("json", false, "print the report as JSON")
 	follow := fs.Bool("follow", false, "watch mode: tail -url's /debug/journal and stream findings as JSONL")
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll period in -follow mode")
-	settle := fs.Int("settle", doctor.DefaultSettleFrames, "journal frames held back from analysis in -follow mode (late amendments need time to land)")
 	followFor := fs.Duration("for", 0, "stop following after this long (0 = until the endpoint disappears)")
 	outageRun := fs.Int("outage-run", 0, "override the outage-drift run-length threshold (0 = default; scenarios with short outage windows need a lower bar)")
 	fleetPath := fs.String("fleet", "", "fleet rollup file for the fleet detectors: /debug/fleet JSONL or a divefleet -json report (- = stdin)")
@@ -106,7 +105,7 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 			fs.Usage()
 			return nil, fmt.Errorf("-follow needs -url")
 		}
-		return followLive(*url, *interval, *followFor, *settle, *outageRun, w)
+		return followLive(*url, *interval, *followFor, *outageRun, w)
 	}
 	if *journalPath == "" && *url == "" && *runtimePath == "" && *allocPath == "" && *fleetPath == "" {
 		fs.Usage()
@@ -246,9 +245,9 @@ const followMaxConsecFails = 6
 // when the deadline passes or the endpoint stays unreachable for
 // followMaxConsecFails polls. Either way the held-back tail is flushed
 // through the detectors so end-of-stream findings are not lost.
-func followLive(base string, interval, dur time.Duration, settle, outageRun int, w io.Writer) (*doctor.Report, error) {
+func followLive(base string, interval, dur time.Duration, outageRun int, w io.Writer) (*doctor.Report, error) {
 	client := &http.Client{Timeout: 10 * time.Second}
-	follower := doctor.NewFollower(outageRun, settle)
+	follower := doctor.NewFollower(outageRun)
 	fleetFollower := doctor.NewFleetFollower()
 	enc := json.NewEncoder(w)
 	var findings []doctor.Finding

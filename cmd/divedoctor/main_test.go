@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +71,9 @@ func TestRunJSONReportIsMachineReadable(t *testing.T) {
 	}
 }
 
+// TestRunFetchesLiveEndpoints diagnoses a recorder's real telemetry surface
+// twice, by batch -url and by -follow, and checks the follower against
+// -journal on the same journal exported to a file.
 func TestRunFetchesLiveEndpoints(t *testing.T) {
 	rec := obs.NewRecorder(16)
 	for _, r := range oscillatingJournal() {
@@ -85,6 +89,60 @@ func TestRunFetchesLiveEndpoints(t *testing.T) {
 	if rep.Healthy() {
 		t.Fatalf("live oscillating journal diagnosed healthy: %s", out.String())
 	}
+
+	var file bytes.Buffer
+	if err := rec.Journal().WriteJSONL(&file); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.journal.jsonl")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := run([]string{"-journal", path}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := run([]string{"-follow", "-url", srv.URL, "-interval", "20ms", "-for", "300ms"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Frames != want.Frames {
+		t.Errorf("-follow consumed %d frames, -journal %d", got.Frames, want.Frames)
+	}
+	// The recorder serves /debug/runtime but 404s /debug/fleet: the follower
+	// runs the journal checks plus gc-pressure, and no fleet check.
+	if wantChecks := append(append([]string(nil), want.Checks...), "gc-pressure"); !reflect.DeepEqual(got.Checks, wantChecks) {
+		t.Errorf("-follow checks_run %v, want %v", got.Checks, wantChecks)
+	}
+	// The gc-pressure suite grades this process's own runtime samples,
+	// which -journal has no counterpart of; every other finding must match
+	// as a multiset (the stream orders by arrival, the batch by frame).
+	var journalFindings []doctor.Finding
+	for _, f := range got.Findings {
+		if !strings.HasPrefix(f.Check, "gc-") {
+			journalFindings = append(journalFindings, f)
+		}
+	}
+	if !sameMultiset(journalFindings, want.Findings) {
+		t.Errorf("-follow findings %+v, -journal findings %+v", journalFindings, want.Findings)
+	}
+}
+
+// sameMultiset reports whether a and b hold the same findings, in any order.
+func sameMultiset(a, b []doctor.Finding) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	count := map[doctor.Finding]int{}
+	for _, f := range a {
+		count[f]++
+	}
+	for _, f := range b {
+		if count[f]--; count[f] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func TestRunRejectsEmptyInvocation(t *testing.T) {
@@ -223,7 +281,7 @@ func TestFollowRetriesTransientScrapeFailures(t *testing.T) {
 	defer srv.Close()
 
 	var out bytes.Buffer
-	rep, err := run([]string{"-follow", "-url", srv.URL, "-interval", "30ms", "-settle", "0", "-for", "3s"}, &out)
+	rep, err := run([]string{"-follow", "-url", srv.URL, "-interval", "30ms", "-for", "3s"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}

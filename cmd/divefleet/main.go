@@ -7,8 +7,8 @@
 // Usage:
 //
 //	divefleet [-agents 50] [-servers 1] [-duration 30] [-seed 1]
-//	          [-chaos outage-burst] [-slow 3,17] [-rollup-every 1]
-//	          [-cores 8] [-straggler-factor 3] [-json] [-o report.json]
+//	          [-chaos outage-burst] [-slow 3,17] [-cores 8]
+//	          [-json] [-o report.json]
 //	divefleet -serve 127.0.0.1:7062 [-pace 100ms] [-linger 5s] [...]
 //	divefleet -live [-agents 3] [-duration 1] [-seed 1] [-cut] [-json]
 //	divefleet -live -cluster 3 [-kill-frac 0.5] [-journal-dir DIR] [...]
@@ -81,9 +81,7 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	seed := fs.Int64("seed", 1, "master seed; same flags + same seed = byte-identical report")
 	chaosName := fs.String("chaos", "", "standard chaos scenario every agent runs a seeded variant of (outage-burst, bandwidth-cliff, estimator-poison)")
 	slow := fs.String("slow", "", "comma-separated agent indices scripted onto crippled links (straggler pathology)")
-	rollupEvery := fs.Float64("rollup-every", 1, "aggregation period in virtual seconds")
 	cores := fs.Float64("cores", 8, "per-server service capacity; overload inflates co-tenant latency")
-	stragglerFactor := fs.Float64("straggler-factor", 0, "straggler threshold vs the fleet median (0 = default 3)")
 	asJSON := fs.Bool("json", false, "print the full report as JSON")
 	out := fs.String("o", "", "write the report to this file instead of stdout (implies -json)")
 	serve := fs.String("serve", "", "pace the run to wall clock and serve /debug/fleet on this address")
@@ -128,8 +126,7 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 		spec := fleet.Spec{
 			Agents: *agents, Servers: *servers, Duration: *duration,
 			Seed: *seed, Chaos: *chaosName, SlowAgents: slowIdx,
-			RollupEverySec: *rollupEvery, ServerCores: *cores,
-			StragglerFactor: *stragglerFactor,
+			ServerCores: *cores,
 		}
 		if *serve != "" {
 			rep, err = serveFleet(spec, *serve, *pace, *linger)
@@ -232,18 +229,11 @@ func printReport(w io.Writer, rep *fleet.Report) {
 		fmt.Fprintln(w, "stragglers: none")
 		return
 	}
-	fmt.Fprintf(w, "stragglers (> %.0fx the fleet median):\n", stragglerFactorOf(rep))
+	fmt.Fprintf(w, "stragglers (> %.0fx the fleet median):\n", obs.FleetStragglerFactor)
 	for _, s := range f.Stragglers {
 		fmt.Fprintf(w, "  %-16s %-10s %6.1fx  %-8s p99 %6.0f ms  burn %6.1fx  %d frames\n",
 			s.Session, s.Profile, s.Factor, s.Reason, s.LatencyP99Sec*1000, s.BurnRate, s.Frames)
 	}
-}
-
-func stragglerFactorOf(rep *fleet.Report) float64 {
-	if rep.Spec.StragglerFactor > 0 {
-		return rep.Spec.StragglerFactor
-	}
-	return 3
 }
 
 // parseIndexList parses "3,17" into []int{3, 17}.

@@ -22,12 +22,11 @@
 // SIGTERM the server drains gracefully: it stops accepting sessions, lets
 // in-flight frames finish for up to -drain, then exits.
 //
-// -telemetry serves live introspection on the given address: /metrics
-// (Prometheus text format: global and per-session frame/byte/NACK counters,
-// decode and detect latency histograms, SLO burn-rate gauges, Go runtime
-// gauges), /debug/slo (per-session SLO windows with error-budget burn),
-// /debug/doctor (streaming diagnosis of the live decision journal),
-// /debug/vars (JSON snapshot) and /debug/pprof/.
+// -telemetry serves the telemetry HTTP surface on the given address; GET /
+// lists its endpoints. /metrics carries the per-session frame, byte and NACK
+// counters, the decode and detect latency histograms, the SLO burn-rate
+// gauges and the Go runtime gauges. The server writes no decision journal,
+// so /debug/journal and /debug/frames stay empty: the agent serves them.
 package main
 
 import (
@@ -44,7 +43,6 @@ import (
 
 	"dive/internal/chaos"
 	"dive/internal/cluster"
-	"dive/internal/doctor"
 	"dive/internal/edge"
 	"dive/internal/obs"
 )
@@ -59,7 +57,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("diveserver", flag.ContinueOnError)
 	addr := fs.String("addr", ":7060", "listen address")
-	telemetry := fs.String("telemetry", "", "serve telemetry (/metrics, pprof) on this address, e.g. :7070")
+	telemetry := fs.String("telemetry", "", "serve telemetry on this address (GET / lists the endpoints), e.g. :7070")
 	readTimeout := fs.Duration("read-timeout", 60*time.Second, "per-message read deadline; an idle session past it is dropped")
 	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "per-result write deadline")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown grace for in-flight frames on SIGINT/SIGTERM")
@@ -79,14 +77,12 @@ func run(args []string) error {
 	if *telemetry != "" {
 		rec := obs.NewRecorder(0)
 		srv.Obs = rec
-		live := doctor.NewLive(0, -1, rec.Journal().Snapshot)
-		rec.RegisterDebug("/debug/doctor", live.Handler())
 		ln, err := net.Listen("tcp", *telemetry)
 		if err != nil {
 			return fmt.Errorf("telemetry listen: %w", err)
 		}
 		defer ln.Close()
-		log.Printf("telemetry on http://%s/ (/metrics, /debug/slo, /debug/doctor, /debug/vars, /debug/pprof/)", ln.Addr())
+		log.Printf("telemetry on http://%s/ (GET / lists the endpoints)", ln.Addr())
 		go http.Serve(ln, rec.Handler())
 		// Keep the Go runtime gauges on /metrics fresh without coupling
 		// their collection to scrape handling.
@@ -122,7 +118,6 @@ func runCluster(members int, killAfter time.Duration, seed int64, telemetry stri
 			srv.Logf = log.Printf
 			srv.ReadTimeout = readTimeout
 			srv.WriteTimeout = writeTimeout
-			srv.Obs = obs.NewRecorder(0)
 		},
 		Logf: log.Printf,
 	})

@@ -11,11 +11,10 @@
 //	          [-linger 5s] [-profile ...] [-seed ...] [-duration ...]
 //
 // -serve turns divetrace into a live telemetry source: the run is paced to
-// wall-clock (-pace per frame) while a telemetry HTTP endpoint serves
-// /metrics, /debug/journal, /debug/slo and a streaming /debug/doctor — a
-// self-contained target for divedoctor -follow and for exercising the
-// fleet observability stack without a real agent/server pair. -chaos picks
-// a named scenario from the standard chaos suite (outage-burst,
+// wall-clock (-pace per frame) while the telemetry HTTP surface serves it
+// (GET / lists the endpoints) — a self-contained target for divedoctor
+// -follow and for exercising the fleet observability stack without a real
+// agent/server pair. -chaos picks a named scenario from the standard chaos suite (outage-burst,
 // bandwidth-cliff, estimator-poison) as the link trace; without it the
 // constant -mbps link is used. -linger keeps the endpoint up after the run
 // finishes so followers can drain the journal tail. -chaos, -pace and
@@ -42,7 +41,6 @@ import (
 
 	"dive/internal/chaos"
 	"dive/internal/core"
-	"dive/internal/doctor"
 	"dive/internal/imgx"
 	"dive/internal/netsim"
 	"dive/internal/obs"
@@ -183,14 +181,11 @@ func Trace(p world.Profile, seed int64, uplinkBps float64, format string, w io.W
 }
 
 // ServeLive runs the full DiVE scheme (agent + simulated link) paced to
-// wall-clock while serving live telemetry over HTTP: the standard recorder
-// endpoints plus a streaming /debug/doctor. It is the self-contained target
-// for divedoctor -follow — `make doctor-live` points one at the other.
+// wall-clock while serving its telemetry over HTTP. It is the self-contained
+// target for divedoctor -follow — `make doctor-live` points one at the other.
 func ServeLive(p world.Profile, seed int64, mbps float64, chaosName, addr string, pace, linger time.Duration) error {
 	clip := world.GenerateClip(p, seed)
 	rec := obs.NewRecorder(clip.NumFrames())
-	live := doctor.NewLive(0, -1, rec.Journal().Snapshot)
-	rec.RegisterDebug("/debug/doctor", live.Handler())
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

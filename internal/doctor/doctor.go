@@ -39,8 +39,8 @@ type Finding struct {
 	Message   string  `json:"message"`
 }
 
-// Report is a diagnosis: of one recorded run, or of a live one so far (the
-// /debug/doctor document). Frames counts the records diagnosed — journal
+// Report is a diagnosis: of one recorded run, or of a live one followed to
+// its end (divedoctor -follow). Frames counts the records diagnosed — journal
 // frames, or rollups when only a fleet series was analyzed.
 type Report struct {
 	Frames   int       `json:"frames"`
@@ -59,7 +59,7 @@ func (r *Report) Healthy() bool { return len(r.Findings) == 0 }
 // the run provably ended, whole-stream aggregates (bandwidth bias) at Flush.
 // Flush ends the stream, returning findings whose runs were still open, and
 // resets the detector for a new one. Batch analysis (analyze) and live
-// following (Follower: divedoctor -follow, /debug/doctor) feed the same
+// following (Follower: divedoctor -follow) feed the same
 // detectors, so they produce identical findings for identical input. Each
 // detector's thresholds are the constants declared next to it; the only one
 // any caller ever tunes is the outage-drift run length (NewDetectors).

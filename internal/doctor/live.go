@@ -1,33 +1,29 @@
 package doctor
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
-	"sync"
 
 	"dive/internal/obs"
 )
 
 // Live following: incremental diagnosis of a stream that is still being
 // written. A Follower consumes successive snapshots of a ring (from
-// /debug/journal or /debug/fleet polls, or the in-process ring itself),
-// feeds the new records through the streaming detectors, and surfaces
-// findings as they become final — while the run is still going, not after
-// it.
+// /debug/journal or /debug/fleet polls), feeds the new records through the
+// streaming detectors, and surfaces findings as they become final — while
+// the run is still going, not after it.
 
-// DefaultSettleFrames is how many of the newest journal frames a follower
+// settleFrames is how many of the newest journal frames a journal follower
 // holds back before analysis. Journal records are amended after they are
 // appended — transport feedback (acks, realized bandwidth) and outage/MOT
 // verdicts land one to a few frames later — so analyzing a record the
 // moment it appears would see zeroed amendment fields and mis-diagnose.
-const DefaultSettleFrames = 8
+const settleFrames = 8
 
 // Follower incrementally diagnoses a live record stream. Feed it snapshots
 // (oldest-first, cursor values increasing, as the /debug endpoints serve
 // them) via Ingest; it consumes each record exactly once, holding back the
 // newest settle cursor values until they have had time to be amended. Not
-// goroutine-safe; wrap in Live for a shared HTTP-facing instance.
+// goroutine-safe.
 type Follower[R any] struct {
 	dets   []Detector[R]
 	cursor func(*R) int // the record's position in its stream: frame or tick
@@ -39,15 +35,10 @@ type Follower[R any] struct {
 }
 
 // NewFollower builds a journal follower: cursor on the frame number,
-// outageRun as in NewDetectors, settle the margin of newest frames held back
-// (negative selects DefaultSettleFrames; 0 is valid and analyzes every
-// snapshot to its newest frame).
-func NewFollower(outageRun, settle int) *Follower[obs.JournalRecord] {
-	if settle < 0 {
-		settle = DefaultSettleFrames
-	}
+// outageRun as in NewDetectors, the newest settleFrames frames held back.
+func NewFollower(outageRun int) *Follower[obs.JournalRecord] {
 	return &Follower[obs.JournalRecord]{
-		dets: NewDetectors(outageRun), settle: settle,
+		dets: NewDetectors(outageRun), settle: settleFrames,
 		cursor: func(rec *obs.JournalRecord) int { return rec.Frame },
 	}
 }
@@ -116,68 +107,4 @@ func (f *Follower[R]) Close(finalSnapshot []R) []Finding {
 		out = append(out, d.Flush()...)
 	}
 	return out
-}
-
-// maxLiveFindings bounds the findings a Live instance retains (oldest
-// dropped first), so a pathological run cannot grow the process.
-const maxLiveFindings = 256
-
-// Live is a goroutine-safe follower bound to an in-process journal source,
-// serving the current diagnosis at /debug/doctor. Each Poll (or HTTP
-// request) ingests whatever the journal has accumulated since the last
-// one, so no background goroutine is needed.
-type Live struct {
-	source func() []obs.JournalRecord
-
-	mu       sync.Mutex
-	follower *Follower[obs.JournalRecord]
-	findings []Finding
-}
-
-// NewLive builds a live doctor over a journal source (typically
-// recorder.Journal().Snapshot); outageRun and settle as in NewFollower.
-func NewLive(outageRun, settle int, source func() []obs.JournalRecord) *Live {
-	return &Live{source: source, follower: NewFollower(outageRun, settle)}
-}
-
-// Poll ingests the journal's current snapshot and returns any findings
-// that became final on this poll.
-func (l *Live) Poll() []Finding {
-	if l == nil || l.source == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fresh := l.follower.Ingest(l.source())
-	l.findings = append(l.findings, fresh...)
-	if n := len(l.findings); n > maxLiveFindings {
-		l.findings = append(l.findings[:0:0], l.findings[n-maxLiveFindings:]...)
-	}
-	return fresh
-}
-
-// Report polls and returns the full live diagnosis.
-func (l *Live) Report() Report {
-	l.Poll()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return Report{
-		Frames:   l.follower.Consumed(),
-		Checks:   l.follower.Checks(),
-		Findings: append([]Finding(nil), l.findings...),
-	}
-}
-
-// Handler serves the live diagnosis as JSON — the /debug/doctor endpoint.
-func (l *Live) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if l == nil {
-			http.Error(w, "live doctor disabled", http.StatusServiceUnavailable)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(l.Report())
-	})
 }

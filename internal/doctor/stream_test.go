@@ -68,7 +68,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 		journal := randomJournal(rng, 60+rng.Intn(120))
 		want := Analyze(journal, 0)
 
-		f := NewFollower(0, 0)
+		f := NewFollower(0)
 		var got []Finding
 		// Replay as a growing sequence of overlapping snapshots, as a live
 		// poller would see the journal ring.
@@ -115,7 +115,7 @@ func TestFollowerSettleMargin(t *testing.T) {
 	for f := 0; f < 20; f++ {
 		journal = append(journal, obs.JournalRecord{Frame: f, Outage: f >= 10, TrackedBoxes: 2, BaseQP: 30})
 	}
-	f := NewFollower(0, 8)
+	f := NewFollower(0)
 	if got := f.Ingest(journal); len(got) != 0 {
 		t.Fatalf("settled ingest diagnosed held-back frames: %+v", got)
 	}
@@ -133,42 +133,4 @@ func TestFollowerSettleMargin(t *testing.T) {
 	if f.Consumed() != 20 {
 		t.Fatalf("close consumed %d frames, want 20", f.Consumed())
 	}
-}
-
-func TestLivePollAndReport(t *testing.T) {
-	var journal []obs.JournalRecord
-	source := func() []obs.JournalRecord { return journal }
-	l := NewLive(0, 0, source)
-
-	if got := l.Poll(); len(got) != 0 {
-		t.Fatalf("empty journal produced findings: %+v", got)
-	}
-	// Grow the journal past an outage run and poll again.
-	for f := 0; f < 10; f++ {
-		journal = append(journal, obs.JournalRecord{Frame: f, Outage: true, TrackedBoxes: 1, BaseQP: 30})
-	}
-	for f := 10; f < 14; f++ {
-		journal = append(journal, obs.JournalRecord{Frame: f, BaseQP: 30})
-	}
-	fresh := l.Poll()
-	if len(fresh) != 1 || fresh[0].Check != "outage-drift" {
-		t.Fatalf("poll findings = %+v, want one outage-drift", fresh)
-	}
-	// The finding is retained; re-polling does not duplicate it.
-	rep := l.Report()
-	if len(rep.Findings) != 1 || rep.Frames != 14 {
-		t.Fatalf("report = %+v, want 1 finding over 14 frames", rep)
-	}
-	if len(rep.Checks) == 0 {
-		t.Fatal("report lists no checks")
-	}
-}
-
-func TestLiveNilSafety(t *testing.T) {
-	var l *Live
-	if l.Poll() != nil {
-		t.Fatal("nil Live polled findings")
-	}
-	// The handler of a nil Live answers 503 rather than panicking; covered
-	// via the exported Handler contract.
 }

@@ -54,18 +54,14 @@ type Spec struct {
 	// bandwidth, +300ms service) — the straggler pathology the rollup table
 	// and the straggler-session detector must surface.
 	SlowAgents []int `json:"slow_agents,omitempty"`
-	// RollupEverySec is the aggregation period in virtual seconds (default
-	// 1).
-	RollupEverySec float64 `json:"rollup_every_sec"`
 	// ServerCores scales each server's service capacity; utilization beyond
 	// it inflates next-tick service times (default 8).
 	ServerCores float64 `json:"server_cores"`
-	// StragglerFactor overrides the aggregator's k (default 3).
-	StragglerFactor float64 `json:"straggler_factor,omitempty"`
-	// CollectRuntime attaches wall-clock process runtime stats to rollups.
-	// Leave off for deterministic reports.
-	CollectRuntime bool `json:"collect_runtime,omitempty"`
 }
+
+// rollupEverySec is the model's aggregation period in virtual seconds: one
+// rollup per virtual second.
+const rollupEverySec = 1.0
 
 func (s Spec) withDefaults() Spec {
 	if s.Agents <= 0 {
@@ -76,9 +72,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Duration <= 0 {
 		s.Duration = 30
-	}
-	if s.RollupEverySec <= 0 {
-		s.RollupEverySec = 1
 	}
 	if s.ServerCores <= 0 {
 		s.ServerCores = 8
@@ -103,8 +96,8 @@ func (s Spec) validate() error {
 
 // Report is the machine-readable outcome of a fleet run: the effective spec,
 // every rollup in order, and the final rollup repeated for direct access.
-// With Spec.CollectRuntime off the report contains no wall-clock-derived
-// fields, so identical specs serialize byte-identically.
+// A model run collects no runtime stats, so its report contains no
+// wall-clock-derived fields and identical specs serialize byte-identically.
 type Report struct {
 	Spec    Spec              `json:"spec"`
 	Rollups []obs.FleetRollup `json:"rollups"`
@@ -118,11 +111,7 @@ type Report struct {
 // serve mode can mount its /debug/fleet handler before the run starts.
 func NewAggregator(spec Spec) *obs.FleetAggregator {
 	spec = spec.withDefaults()
-	return obs.NewFleetAggregator(obs.FleetConfig{
-		StragglerFactor: spec.StragglerFactor,
-		CollectRuntime:  spec.CollectRuntime,
-		RollupCap:       rollupCapFor(spec),
-	})
+	return obs.NewFleetAggregator(obs.FleetConfig{RollupCap: rollupCapFor(spec)})
 }
 
 // Run executes the deterministic virtual-time fleet simulation.
@@ -158,9 +147,9 @@ func RunStream(spec Spec, agg *obs.FleetAggregator, hook func(obs.FleetRollup)) 
 	}
 
 	report := &Report{Spec: spec}
-	steps := int(math.Ceil(spec.Duration / spec.RollupEverySec))
+	steps := int(math.Ceil(spec.Duration / rollupEverySec))
 	for step := 1; step <= steps; step++ {
-		tEnd := math.Min(float64(step)*spec.RollupEverySec, spec.Duration)
+		tEnd := math.Min(float64(step)*rollupEverySec, spec.Duration)
 		for _, srv := range servers {
 			srv.beginTick()
 		}
@@ -170,7 +159,7 @@ func RunStream(spec Spec, agg *obs.FleetAggregator, hook func(obs.FleetRollup)) 
 			ag.advance(tEnd)
 		}
 		for _, srv := range servers {
-			srv.endTick(spec.RollupEverySec)
+			srv.endTick(rollupEverySec)
 		}
 		ru := agg.Rollup(tEnd)
 		report.Rollups = append(report.Rollups, ru)
@@ -186,7 +175,7 @@ func RunStream(spec Spec, agg *obs.FleetAggregator, hook func(obs.FleetRollup)) 
 
 // rollupCapFor sizes the aggregator ring to hold every rollup of the run.
 func rollupCapFor(spec Spec) int {
-	n := int(math.Ceil(spec.Duration/spec.RollupEverySec)) + 1
+	n := int(math.Ceil(spec.Duration/rollupEverySec)) + 1
 	if n < 64 {
 		n = 64
 	}

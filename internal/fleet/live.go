@@ -262,7 +262,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 
 	report := &Report{Spec: Spec{
 		Agents: spec.Agents, Servers: spec.Servers, Cluster: spec.Cluster,
-		Duration: spec.Duration, Seed: spec.Seed, CollectRuntime: true,
+		Duration: spec.Duration, Seed: spec.Seed,
 	}}
 	pollServers := func() {
 		if cl == nil {

@@ -18,15 +18,11 @@ import (
 // /debug/fleet, the stream the fleet doctor detectors (straggler-session,
 // noisy-neighbor, fleet-burn) follow.
 
-// FleetConfig holds the three aggregator settings some binary sets. The zero
+// FleetConfig holds the two aggregator settings some binary sets. The zero
 // value is usable.
 type FleetConfig struct {
 	// RollupCap bounds the retained rollup ring (default 512).
 	RollupCap int
-	// StragglerFactor is k: a session is a straggler when its p99 exceeds
-	// k× the fleet median p99, or its burn rate exceeds k× max(median burn,
-	// 1). Default 3.
-	StragglerFactor float64
 	// CollectRuntime attaches process runtime stats (heap, GC pause,
 	// goroutines) to each rollup — wall-clock-dependent, so deterministic
 	// report modes leave it off.
@@ -37,6 +33,10 @@ type FleetConfig struct {
 // bytes and end-to-end latency are its MetricFrames / MetricBytes counters
 // and StageResponse histogram; per-server rows are bounded by MaxLabelValues.
 const (
+	// FleetStragglerFactor is k: a session is a straggler when its p99
+	// exceeds k× the fleet median p99, or its burn rate exceeds k×
+	// max(median burn, 1).
+	FleetStragglerFactor = 3.0
 	// fleetMinSessionFrames excludes sessions with fewer SLO window samples
 	// from both the medians and the straggler table (warm-up noise).
 	fleetMinSessionFrames = 16
@@ -189,9 +189,6 @@ type serverStat struct {
 func NewFleetAggregator(cfg FleetConfig) *FleetAggregator {
 	if cfg.RollupCap <= 0 {
 		cfg.RollupCap = 512
-	}
-	if cfg.StragglerFactor <= 0 {
-		cfg.StragglerFactor = 3
 	}
 	return &FleetAggregator{
 		cfg:      cfg,
@@ -436,7 +433,7 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 		if f := s.st.BurnRate / math.Max(ru.MedianBurn, 1); f > factor {
 			factor, reason = f, "burn-rate"
 		}
-		if factor > a.cfg.StragglerFactor {
+		if factor > FleetStragglerFactor {
 			ru.Stragglers = append(ru.Stragglers, Straggler{
 				Session:       s.src.name,
 				Profile:       s.src.profile,

@@ -8,21 +8,6 @@ import (
 	"strings"
 )
 
-// RegisterDebug mounts an additional handler on the telemetry surface at
-// path (e.g. "/debug/doctor"). Handlers registered after Handler() was
-// called still take effect: the surface resolves them per request. A nil recorder ignores the registration.
-func (r *Recorder) RegisterDebug(path string, h http.Handler) {
-	if r == nil || path == "" || h == nil {
-		return
-	}
-	r.debugMu.Lock()
-	if r.debugExtra == nil {
-		r.debugExtra = make(map[string]http.Handler)
-	}
-	r.debugExtra[path] = h
-	r.debugMu.Unlock()
-}
-
 // jsonlHandler serves a record stream as JSONL, oldest first — the one
 // handler behind every /debug/* stream endpoint.
 func jsonlHandler[T any](snapshot func() []T) http.Handler {
@@ -46,10 +31,9 @@ func jsonHandler(marshal func() ([]byte, error)) http.Handler {
 	})
 }
 
-// Handler returns the telemetry HTTP surface. Its built-in endpoints and
-// everything mounted via RegisterDebug form one route table, from which both
-// the dispatch and the index at / are driven, so the index lists exactly the
-// paths that answer:
+// Handler returns the telemetry HTTP surface. Its endpoints form one route
+// table, from which both the dispatch and the index at / are driven, so the
+// index lists exactly the paths that answer:
 //
 //	/metrics       Prometheus text exposition of every metric (including
 //	               per-session labeled series)
@@ -74,10 +58,10 @@ func (r *Recorder) Handler() http.Handler {
 		})
 	}
 	mux := http.NewServeMux()
-	var builtin []string
+	var paths []string
 	mount := func(path string, h http.Handler) {
 		mux.Handle(path, h)
-		builtin = append(builtin, path)
+		paths = append(paths, path)
 	}
 	mount("/metrics", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		// Refresh SLO gauges so scraped burn rates reflect the window at
@@ -102,26 +86,16 @@ func (r *Recorder) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	// Everything else: the RegisterDebug extras, resolved per request, then
-	// the index.
+	// Everything else: the index at /, 404 below it.
+	sort.Strings(paths)
+	index := []byte("DiVE telemetry\n\n" + strings.Join(paths, "\n") + "\n")
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		r.debugMu.Lock()
-		h := r.debugExtra[req.URL.Path]
-		var paths []string
-		if h == nil && req.URL.Path == "/" {
-			paths = append(sortedKeys(r.debugExtra), builtin...)
-		}
-		r.debugMu.Unlock()
-		switch {
-		case h != nil:
-			h.ServeHTTP(w, req)
-		case req.URL.Path == "/":
-			sort.Strings(paths)
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.Write([]byte("DiVE telemetry\n\n" + strings.Join(paths, "\n") + "\n"))
-		default:
+		if req.URL.Path != "/" {
 			http.NotFound(w, req)
+			return
 		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.Write(index)
 	})
 	return mux
 }

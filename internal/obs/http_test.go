@@ -3,7 +3,6 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -168,14 +167,10 @@ func TestDebugFramesRoundTripsThroughDecoder(t *testing.T) {
 }
 
 // TestIndexListsExactlyTheMountedPaths pins the route table: GET / names
-// every path that answers — the built-ins and whatever RegisterDebug mounted,
-// before or after Handler() — and nothing that 404s.
+// the eight built-in paths, each of which answers, and nothing that 404s.
 func TestIndexListsExactlyTheMountedPaths(t *testing.T) {
 	rec := NewRecorder(8)
-	ok := http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {})
-	rec.RegisterDebug("/debug/fleet", ok)
 	h := rec.Handler()
-	rec.RegisterDebug("/debug/cluster", ok)
 	status := func(path string) int {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
@@ -199,20 +194,21 @@ func TestIndexListsExactlyTheMountedPaths(t *testing.T) {
 	}
 	for _, path := range []string{
 		"/metrics", "/debug/vars", "/debug/frames", "/debug/journal", "/debug/spans",
-		"/debug/slo", "/debug/runtime", "/debug/pprof/", "/debug/fleet", "/debug/cluster",
+		"/debug/slo", "/debug/runtime", "/debug/pprof/",
 	} {
 		if !listed[path] {
 			t.Errorf("index does not list %s", path)
 		}
 	}
-	if len(listed) != 10 {
-		t.Errorf("index lists %d paths, want 10: %v", len(listed), lines[2:])
+	if len(listed) != 8 {
+		t.Errorf("index lists %d paths, want 8: %v", len(listed), lines[2:])
 	}
 	if status("/debug/pprof/cmdline") != 200 {
 		t.Error("/debug/pprof/cmdline does not answer below the listed /debug/pprof/")
 	}
-	// /debug/doctor is mounted by diveserver and divetrace -serve only.
-	for _, path := range []string{"/debug/doctor", "/debug", "/nope"} {
+	// /debug/fleet and /debug/cluster are served by divefleet -serve and
+	// diveserver -cluster on muxes of their own, and no doctor is mounted.
+	for _, path := range []string{"/debug/doctor", "/debug/fleet", "/debug/cluster", "/debug", "/nope"} {
 		if listed[path] || status(path) != 404 {
 			t.Errorf("%s: listed=%t status=%d, want unlisted 404", path, listed[path], status(path))
 		}

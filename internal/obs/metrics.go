@@ -13,8 +13,8 @@
 //   - per-session SLO windows with error-budget burn rates (slo.go), the
 //     fleet aggregation plane (fleet.go), Go runtime stats (runtime.go);
 //   - one HTTP surface (http.go): /metrics, /debug/vars, /debug/frames,
-//     /debug/journal, /debug/spans, /debug/slo, /debug/runtime, pprof, plus
-//     whatever RegisterDebug mounts, all listed by the index at /.
+//     /debug/journal, /debug/spans, /debug/slo, /debug/runtime and pprof,
+//     all listed by the index at /.
 //
 // Everything is safe for concurrent use. Instrumented packages hold a
 // *Recorder that may be nil; every method on Recorder, Counter, Gauge,

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -113,10 +111,6 @@ type Recorder struct {
 
 	traceSeq atomic.Uint64 // trace IDs minted by StartTrace
 	spanSeq  atomic.Uint64 // span IDs minted by StartSpan/RecordSpan
-
-	// debugMu guards the handlers mounted via RegisterDebug (http.go).
-	debugMu    sync.Mutex
-	debugExtra map[string]http.Handler
 }
 
 // NewRecorder creates a recorder whose decision journal keeps the last
