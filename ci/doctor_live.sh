@@ -2,8 +2,9 @@
 # doctor_live.sh — live-observability smoke: boot a paced chaos run serving
 # telemetry over HTTP, tail it with divedoctor -follow, and assert at least
 # one outage/recovery finding streams out as JSONL *while the run is live*,
-# and that the follower diagnosed every frame of the run. This is the
-# end-to-end gate on the one live-diagnosis path: journal ring →
+# that the follower diagnosed every frame of the run, and that its findings
+# equal divedoctor -journal's on the offline journal of the same run. This
+# is the end-to-end gate on the one live-diagnosis path: journal ring →
 # /debug/journal → follower → incremental detectors → JSONL.
 #
 # Usage: ci/doctor_live.sh [port]
@@ -16,6 +17,14 @@ trap 'kill "$SERVE_PID" 2>/dev/null; rm -rf "$OUT"' EXIT INT TERM
 
 go build -o "$OUT/divetrace" ./cmd/divetrace || exit 2
 go build -o "$OUT/divedoctor" ./cmd/divedoctor || exit 2
+
+# triples FILE: one sorted "check first_frame last_frame" line per finding,
+# from compact finding JSONL and from an indented -json report alike.
+triples() {
+    tr ',{' '\n\n' <"$1" |
+        sed -E -n 's/^ *"(check|first_frame|last_frame)": *"?([^"]*)"? *$/\2/p' |
+        paste -d' ' - - - | sort
+}
 
 # A short outage-burst scenario, paced so the journal grows in wall-clock
 # time, lingering after the run so the follower can drain the tail.
@@ -68,5 +77,25 @@ if [ "$frames" != 36 ]; then
     exit 1
 fi
 
+# Served or written, divetrace runs one loop (sim.DiVE.Run), so the offline
+# journal of the same scenario, seed and duration must diagnose to the same
+# findings the follower streamed.
+"$OUT/divetrace" -chaos outage-burst -duration 3 -o "$OUT/offline.jsonl" || exit 2
+"$OUT/divedoctor" -journal "$OUT/offline.jsonl" -outage-run 3 -json >"$OUT/offline.json"
+if [ $? -eq 2 ]; then
+    echo "doctor-live: divedoctor -journal errored on the offline journal" >&2
+    exit 2
+fi
+live=$(triples "$OUT/findings.jsonl")
+offline=$(triples "$OUT/offline.json")
+if [ "$live" != "$offline" ]; then
+    echo "doctor-live: followed findings differ from the offline journal's" >&2
+    echo "--- followed (check first_frame last_frame)" >&2
+    echo "$live" >&2
+    echo "--- offline" >&2
+    echo "$offline" >&2
+    exit 1
+fi
+
 n=$(grep -c '"check"' "$OUT/findings.jsonl")
-echo "doctor-live: OK — $n finding(s) streamed live over all $frames frames, outage-drift present"
+echo "doctor-live: OK — $n finding(s) streamed live over all $frames frames, outage-drift present, equal to the offline journal's"

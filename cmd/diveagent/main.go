@@ -66,7 +66,7 @@ func run(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:7060", "edge server address")
 	profile := fs.String("profile", "nuScenes", "clip profile: nuScenes, nuScenes-night, RobotCar or KITTI")
 	seed := fs.Int64("seed", 1, "clip seed; sent to the server in the handshake so both sides render the same clip")
-	duration := fs.Float64("duration", 4, "clip duration in seconds")
+	duration := fs.Float64("duration", 4, fmt.Sprintf("clip duration in seconds, at most %d", world.MaxClipDuration))
 	rate := fs.Float64("rate", 2.0, "uplink throttle in Mbps (0 = unthrottled)")
 	telemetry := fs.String("telemetry", "", "serve telemetry on this address (GET / lists the endpoints), e.g. :7061")
 	window := fs.Int("window", 1, "max frames in flight to the server (1 = lock-step request/response)")
@@ -76,6 +76,9 @@ func run(args []string) error {
 		return err
 	}
 
+	if !(*duration > 0 && *duration <= world.MaxClipDuration) {
+		return fmt.Errorf("-duration must be in (0, %d] seconds, got %g", world.MaxClipDuration, *duration)
+	}
 	wp, ok := world.ProfileByName(*profile)
 	if !ok {
 		return fmt.Errorf("unknown profile %q", *profile)

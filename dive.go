@@ -248,7 +248,7 @@ func (a *Agent) Snapshot() ([]byte, error) {
 }
 
 // WriteFrameTrace writes the retained frame-lifecycle records as JSONL
-// (one frame per line, oldest first) — the same schema divetrace -jsonl
+// (one frame per line, oldest first) — the same schema divetrace -format jsonl
 // emits. It fails unless Config.Telemetry was set.
 func (a *Agent) WriteFrameTrace(w io.Writer) error {
 	if a.rec == nil {

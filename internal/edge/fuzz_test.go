@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"dive/internal/world"
 )
 
 // The decoders are the trust boundary of the live link: every byte arriving
@@ -29,7 +31,7 @@ func FuzzHello(f *testing.F) {
 		}
 		// Decoded OK: the struct must satisfy the documented invariants and
 		// re-encode losslessly.
-		if h.Duration < 0 || h.Duration > 3600 || h.FirstFrame < 0 || h.FirstFrame > maxFrameIndex {
+		if !(h.Duration >= 0 && h.Duration <= world.MaxClipDuration) || h.FirstFrame < 0 || h.FirstFrame > maxFrameIndex {
 			t.Fatalf("decoded hello violates invariants: %+v", h)
 		}
 		h2, err := DecodeHello(h.appendPayload(nil))

@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"slices"
+
+	"dive/internal/world"
 )
 
 // Wire format. Every message is an envelope
@@ -275,7 +277,7 @@ func DecodeHello(p []byte) (Hello, error) {
 		Duration:   r.f64("duration"),
 		FirstFrame: int(r.u32("first_frame")),
 	}
-	if r.err == nil && (h.Duration < 0 || h.Duration > 3600) {
+	if r.err == nil && !(h.Duration >= 0 && h.Duration <= world.MaxClipDuration) {
 		return Hello{}, fmt.Errorf("%w: duration %v out of range", ErrMalformed, h.Duration)
 	}
 	if r.err == nil && h.FirstFrame > maxFrameIndex {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"testing"
+
+	"dive/internal/world"
 )
 
 func TestHelloRoundTrip(t *testing.T) {
@@ -189,6 +192,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	p[0] = 99
 	if _, err := DecodeHello(p); !errors.Is(err, ErrMalformed) {
 		t.Errorf("bad version: %v", err)
+	}
+	// A clip duration the server must not render, NaN included.
+	for _, d := range []float64{-1, world.MaxClipDuration + 1, math.NaN()} {
+		if _, err := DecodeHello(Hello{Profile: "x", Duration: d}.appendPayload(nil)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("duration %v: %v", d, err)
+		}
 	}
 	if _, err := DecodeFrameMsg([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("short frame: %v", err)

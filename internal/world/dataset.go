@@ -8,6 +8,11 @@ import (
 	"dive/internal/imgx"
 )
 
+// MaxClipDuration is the longest clip, in seconds, that a program renders:
+// the commands reject a longer -duration before rendering, and the edge
+// server rejects a Hello that asks for one.
+const MaxClipDuration = 3600
+
 // Profile describes a synthetic stand-in for one of the paper's datasets.
 // Resolutions are scaled-down versions of the originals with the macroblock
 // grid preserved (multiples of 16); FPS and scene composition mimic each
