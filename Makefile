@@ -59,12 +59,14 @@ bench-obs:
 
 # Smoke run + automated diagnosis (the CI bench-smoke job), both halves
 # machine-independent: export a healthy-run decision journal and have
-# divedoctor check it for journal pathologies, then run the packing ladder
-# to 4 streams and have divedoctor check its runtime series for GC pressure.
+# divedoctor check it for journal pathologies, then run the packing ladder to
+# 4 streams and have divedoctor check its runtime series for GC pressure. The
+# journal is 6 s of RobotCar at 1 Mbps, where rate control is tightest, so a
+# base QP that swings frame to frame shows as qp-oscillation findings.
 # Exit 1 on any finding. Wall-clock speed is not judged here: that is the repo
 # benchmark's job (make benchmark, alternated parent/change pairs).
 bench-smoke:
-	$(GO) run ./cmd/divetrace -format journal -duration 2 -o smoke.journal.jsonl
+	$(GO) run ./cmd/divetrace -format journal -profile RobotCar -mbps 1 -duration 6 -o smoke.journal.jsonl
 	$(GO) run ./cmd/divedoctor -journal smoke.journal.jsonl -json
 	$(GO) run ./cmd/divebench -scale smoke -only none -streams 4 -streams-secs 2 -runtime-log streams_runtime.jsonl -json streams_smoke.json
 	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json

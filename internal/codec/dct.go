@@ -9,14 +9,6 @@ import (
 // blocks.
 const blockSize = 8
 
-// QStep converts a quantizer parameter (0..51) into a quantization step,
-// following the H.264 convention of the step doubling every 6 QP. Served
-// from a precomputed table (qstepTable in dct_fixed.go) — the skip
-// threshold reads it per macroblock, so the old math.Pow was hot.
-func QStep(qp int) float64 {
-	return qstepTable[clampQP(qp)]
-}
-
 // zigzag8 is the classic 8×8 zigzag scan order: raster positions along
 // the anti-diagonals, alternately up-right and down-left, from DC.
 var zigzag8 = [blockSize * blockSize]int{

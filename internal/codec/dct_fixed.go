@@ -66,10 +66,11 @@ func fixConst(k int) int32 {
 	return int32(math.Round(0.5 * math.Cos(float64(k)*math.Pi/16) * (1 << constBits)))
 }
 
-// qstepTable is the float QStep law 0.625·2^(qp/6), precomputed so QStep is
-// a table lookup instead of a math.Pow per call (the skip threshold reads it
-// per macroblock). Package-level, like every table here: the steady-state
-// encode loop is pinned at 0 allocs/frame.
+// qstepTable maps a quantizer parameter (0..51) to its quantization step,
+// 0.625·2^(qp/6): the H.264 convention of the step doubling every 6 QP. The
+// dequantizer multipliers and the loop filter's thresholds derive from it.
+// Package-level, like every table here: the steady-state encode loop is
+// pinned at 0 allocs/frame.
 var qstepTable = func() [52]float64 {
 	var t [52]float64
 	for qp := range t {
@@ -78,7 +79,7 @@ var qstepTable = func() [52]float64 {
 	return t
 }()
 
-// qstepFix[qp] = round(QStep(qp)·2^coefBits): the integer dequantizer
+// qstepFix[qp] = round(qstepTable[qp]·2^coefBits): the integer dequantizer
 // multiplier, in the same fixed-point units as the forward transform's
 // output — level·qstepFix reconstructs a coefficient directly.
 var qstepFix = func() [52]int32 {

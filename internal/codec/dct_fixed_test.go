@@ -226,7 +226,7 @@ func TestFixedQuantizerMatchesReference(t *testing.T) {
 }
 
 // TestQuantTablesConsistent pins the table relationships the scaling chain
-// depends on: qstepFix tracks the float QStep law, quantRecip inverts
+// depends on: qstepFix tracks the float qstepTable law, quantRecip inverts
 // qstepFix at 2^-20 relative error, and both are monotonic in QP (rate
 // control bisects on QP and needs bits monotone).
 func TestQuantTablesConsistent(t *testing.T) {

@@ -56,22 +56,23 @@ func TestDCTParseval(t *testing.T) {
 	}
 }
 
+// TestQStep pins the quantization-step law qstepTable holds: 0.625 at QP 0,
+// doubling every 6 QP, monotone, and read through clampQP outside [0, 51].
 func TestQStep(t *testing.T) {
-	if QStep(0) != 0.625 {
-		t.Errorf("QStep(0) = %v", QStep(0))
+	if qstepTable[0] != 0.625 {
+		t.Errorf("qstepTable[0] = %v", qstepTable[0])
 	}
-	// Doubles every 6 QP.
-	if math.Abs(QStep(12)/QStep(6)-2) > 1e-12 {
-		t.Error("QStep should double every 6 QP")
+	for qp := 6; qp <= 51; qp++ {
+		if math.Abs(qstepTable[qp]/qstepTable[qp-6]-2) > 1e-12 {
+			t.Errorf("qstepTable[%d] / qstepTable[%d] = %v, want 2", qp, qp-6, qstepTable[qp]/qstepTable[qp-6])
+		}
 	}
-	// Clamped outside [0, 51].
-	if QStep(-5) != QStep(0) || QStep(99) != QStep(51) {
-		t.Error("QStep clamp failed")
+	if clampQP(-5) != 0 || clampQP(99) != 51 {
+		t.Error("clampQP clamp failed")
 	}
-	// Monotone.
 	for qp := 1; qp <= 51; qp++ {
-		if QStep(qp) <= QStep(qp-1) {
-			t.Fatalf("QStep not monotone at %d", qp)
+		if qstepTable[qp] <= qstepTable[qp-1] {
+			t.Fatalf("qstepTable not monotone at %d", qp)
 		}
 	}
 }
@@ -82,7 +83,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	dct[0] = 800
 	dct[1] = -37.3
 	dct[9] = 12.1
-	qstep := QStep(20)
+	qstep := qstepTable[20]
 	refQuantizeBlock(&dct, qstep, &levels)
 	refDequantizeBlock(&levels, qstep, &back)
 	for i := range dct {
@@ -92,8 +93,8 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	}
 	// Higher QP quantizes more coefficients to zero.
 	var levLow, levHigh [blockSize * blockSize]int32
-	refQuantizeBlock(&dct, QStep(4), &levLow)
-	refQuantizeBlock(&dct, QStep(40), &levHigh)
+	refQuantizeBlock(&dct, qstepTable[4], &levLow)
+	refQuantizeBlock(&dct, qstepTable[40], &levHigh)
 	nz := func(l *[blockSize * blockSize]int32) int {
 		n := 0
 		for _, v := range l {

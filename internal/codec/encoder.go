@@ -185,10 +185,7 @@ type Encoder struct {
 	trial trialScratch
 	// job is the encoder's one FrameJob (nil before the first frame):
 	// pending from AnalyzeAndQuantize until EmitBitstream hands it out.
-	job *FrameJob
-	// refQPs is the per-MB QP the reference was coded with, an alias of
-	// job.qps: motion analysis reads it before quantizePass rewrites it.
-	refQPs   []int
+	job      *FrameJob
 	frameIdx int
 	rc       rcModel // what rate control aims its P-frame trials with
 	// analyzed/analyzedSeq identify the frame for which `motion` is valid:
@@ -280,24 +277,6 @@ func median3(a, b, c int16) int16 {
 	return b
 }
 
-// neighborhoodMaxQP returns the maximum reference QP in the 3×3 macroblock
-// neighborhood of (bx, by).
-func (e *Encoder) neighborhoodMaxQP(bx, by int) int {
-	maxQP := 0
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			nx, ny := bx+dx, by+dy
-			if nx < 0 || ny < 0 || nx >= e.mbw || ny >= e.mbh {
-				continue
-			}
-			if qp := e.refQPs[ny*e.mbw+nx]; qp > maxQP {
-				maxQP = qp
-			}
-		}
-	}
-	return maxQP
-}
-
 // AnalyzeMotion runs motion estimation of frame against the current
 // reference and returns the motion field without encoding anything. The
 // result is cached: a subsequent Encode of the same frame reuses it. The
@@ -354,7 +333,6 @@ func (e *Encoder) nextMotionField(scale int) *MotionField {
 const (
 	// skipThreshold is the SAD at the predictor below which a macroblock is
 	// skipped unsearched: 2 luma levels per pixel over a 16×16 macroblock.
-	// searchMB raises it over a coarsely quantized reference.
 	skipThreshold = 512
 	// searchRange is the radius, in whole pixels, of the window searchMB
 	// has searchInteger look for a macroblock's vector in.
@@ -369,26 +347,14 @@ func (e *Encoder) searchMB(frame *imgx.Plane, mf *MotionField, bx, by int) {
 	i := by*e.mbw + bx
 	pred := predictMV(mf.MVs, e.mbw, bx, by)
 	px, py := bx*MBSize, by*MBSize
-	// Skip test at the predictor. The threshold is QP-aware: a
-	// heavily quantized reference block carries reconstruction
-	// noise on the order of 64–77·Qstep of SAD even when the
-	// content is static, and searching through that noise would
-	// emit jitter vectors. The neighborhood maximum matters
-	// because deblocking smears a crushed neighbor's noise across
-	// the shared boundary.
-	skipThresh := skipThreshold
-	if e.refQPs != nil {
-		if qpAware := int(96 * QStep(e.neighborhoodMaxQP(bx, by))); qpAware > skipThresh {
-			skipThresh = qpAware
-		}
-	}
+	// Skip test at the predictor.
 	var sadPred int
 	if e.cfg.SubPel {
-		sadPred = sadHalf(frame, px, py, e.ref, px*2+int(pred.X), py*2+int(pred.Y), MBSize, MBSize, skipThresh)
+		sadPred = sadHalf(frame, px, py, e.ref, px*2+int(pred.X), py*2+int(pred.Y), MBSize, MBSize, skipThreshold)
 	} else {
-		sadPred = imgx.SAD(frame, px, py, e.ref, px+int(pred.X), py+int(pred.Y), MBSize, MBSize, skipThresh)
+		sadPred = imgx.SAD(frame, px, py, e.ref, px+int(pred.X), py+int(pred.Y), MBSize, MBSize, skipThreshold)
 	}
-	if sadPred < skipThresh {
+	if sadPred < skipThreshold {
 		mf.MVs[i] = pred
 		mf.Modes[i] = ModeSkip
 		mf.SADs[i] = sadPred

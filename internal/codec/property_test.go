@@ -76,7 +76,7 @@ func TestPropertyReconErrorBoundedByQP(t *testing.T) {
 		// Uniform quantization noise bound: MSE ≈ Qstep²/12 per
 		// coefficient; allow a generous 2× factor for clipping and DC
 		// prediction effects.
-		bound := QStep(qp)*QStep(qp)/6 + 4
+		bound := qstepTable[qp]*qstepTable[qp]/6 + 4
 		if mse > bound {
 			t.Errorf("QP %d: MSE %v exceeds bound %v", qp, mse, bound)
 		}

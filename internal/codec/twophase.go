@@ -21,8 +21,7 @@ type FrameJob struct {
 	// AnalyzeAndQuantize returns; EmitBitstream fills Data, hands the frame
 	// out and sets Frame to nil (consumed).
 	Frame *EncodedFrame
-	// qps is the per-MB QP array the job's frame hands out, and the
-	// encoder's refQPs for the next frame's skip thresholds.
+	// qps is the per-MB QP array the job's frame hands out.
 	qps []int
 	// frame and bw are the hand-out storage, reused for every frame: the
 	// EncodedFrame the caller receives and the bitstream writer the final
@@ -109,7 +108,6 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	}
 
 	e.ref, e.spare = e.spare, e.ref
-	e.refQPs = job.qps
 	e.analyzed, e.motion = nil, nil
 	idx := e.frameIdx
 	e.frameIdx++
@@ -154,10 +152,10 @@ func (e *Encoder) searchBaseQP(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 	return baseQP, trials, trace
 }
 
-// rcModel is what P-frame rate control has learnt: the last two bounded
-// P-frames (bits 0 where none) and k, the QP it takes to halve a frame's bits.
+// rcModel is what P-frame rate control has learnt: the last bounded P-frame
+// (bits 0 where none) and k, the QP it takes to halve a frame's bits.
 type rcModel struct {
-	last [2]struct{ qp, bits, coded int }
+	last struct{ qp, bits, coded int }
 	k    float64
 }
 
@@ -190,8 +188,7 @@ func (r *rcModel) search(minQP, target, coded int, bounded bool, trial func(q in
 		trials++
 	}
 	if bounded && qp < 51 && memo[qp] > 0 {
-		r.last[1] = r.last[0]
-		r.last[0].qp, r.last[0].bits, r.last[0].coded = qp, memo[qp], coded
+		r.last.qp, r.last.bits, r.last.coded = qp, memo[qp], coded
 		if qp > minQP && memo[qp-1] > memo[qp] {
 			r.k = min(max((r.k+1/math.Log2(float64(memo[qp-1])/float64(memo[qp])))/2, 5), 10)
 		}
@@ -203,14 +200,10 @@ func (r *rcModel) search(minQP, target, coded int, bounded bool, trial func(q in
 // for the answer or, when that is the lowest fitting trial f, f−1. It carries
 // a point (q, bits) to the target along a slope, x = q + k·log2(bits/target):
 // the last trial along the log-secant through the last two (k if that does
-// not fall), or before any trial the last frame whose coded count is nearest,
-// its bits scaled by coded over its own (no frame yet: bits 0, x = −∞, lo).
+// not fall), or before any trial the last frame, its bits scaled by coded
+// over its own (no frame yet: bits 0, x = −∞, lo).
 func (r *rcModel) aim(memo *[52]int, last [2]int, lo, target, coded int) int {
-	p := r.last[0]
-	if o := r.last[1]; o.bits > 0 && absInt(o.coded-coded) < absInt(p.coded-coded) {
-		p = o
-	}
-	q, bits, k := p.qp, float64(p.bits)*float64(coded+1)/float64(p.coded+1), r.k
+	q, bits, k := r.last.qp, float64(r.last.bits)*float64(coded+1)/float64(r.last.coded+1), r.k
 	if a, b := last[0], last[1]; a >= 0 {
 		q, bits = a, float64(memo[a])
 		if b >= 0 && (b-a)*(memo[a]-memo[b]) > 0 {

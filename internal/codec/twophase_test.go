@@ -45,7 +45,6 @@ func legacyEncode(t *testing.T, e *Encoder, frame *imgx.Plane, opts EncodeOption
 		result = e.encodePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, true)
 	}
 	e.ref = result.recon
-	e.refQPs = result.qps
 	e.analyzed, e.motion = nil, nil
 	idx := e.frameIdx
 	e.frameIdx++

@@ -1,6 +1,7 @@
 package doctor
 
 import (
+	"fmt"
 	"testing"
 
 	"dive/internal/core"
@@ -10,11 +11,11 @@ import (
 	"dive/internal/world"
 )
 
-// runDiVE runs the real pipeline over the given link trace with telemetry on
-// and returns the recorder holding journal + spans.
-func runDiVE(t *testing.T, trace netsim.Trace, dur float64) *obs.Recorder {
+// runDiVE runs the real pipeline over a clip of the given profile (clip seed
+// 31) and link trace with telemetry on and returns the recorder holding
+// journal + spans.
+func runDiVE(t *testing.T, profile world.Profile, trace netsim.Trace, dur float64) *obs.Recorder {
 	t.Helper()
-	profile := world.NuScenesLike()
 	profile.ClipDuration = dur
 	clip := world.GenerateClip(profile, 31)
 	rec := obs.NewRecorder(clip.NumFrames())
@@ -28,18 +29,35 @@ func runDiVE(t *testing.T, trace netsim.Trace, dur float64) *obs.Recorder {
 }
 
 // TestHealthyRunZeroFindings is the false-positive guard: the default
-// pipeline over a steady, adequate link must diagnose clean.
+// pipeline over a steady link must diagnose clean, on every dataset profile
+// down to 1 Mbps, where rate control is tightest and a base QP that swings
+// frame to frame would be a qp-oscillation finding.
 func TestHealthyRunZeroFindings(t *testing.T) {
-	rec := runDiVE(t, netsim.ConstantTrace(netsim.Mbps(3)), 2.5)
-	rep := Analyze(rec.Journal().Snapshot(), 0)
-	if !rep.Healthy() {
-		t.Fatalf("healthy run produced findings: %+v", rep.Findings)
-	}
-	if len(rep.Checks) < 4 {
-		t.Errorf("only %d checks ran: %v", len(rep.Checks), rep.Checks)
-	}
-	if rep.Frames == 0 {
-		t.Error("report saw no journal frames")
+	for _, c := range []struct {
+		profile   world.Profile
+		mbps, dur float64
+	}{
+		{world.NuScenesLike(), 3, 2.5},
+		{world.NuScenesLike(), 1, 6},
+		{world.NuScenesLike(), 2, 6},
+		{world.RobotCarLike(), 1, 6},
+		{world.RobotCarLike(), 2, 6},
+		{world.KITTILike(), 1, 6},
+		{world.KITTILike(), 2, 6},
+	} {
+		t.Run(fmt.Sprintf("%s/%gMbps/%gs", c.profile.Name, c.mbps, c.dur), func(t *testing.T) {
+			rec := runDiVE(t, c.profile, netsim.ConstantTrace(netsim.Mbps(c.mbps)), c.dur)
+			rep := Analyze(rec.Journal().Snapshot(), 0)
+			if !rep.Healthy() {
+				t.Fatalf("healthy run produced %d findings: %+v", len(rep.Findings), rep.Findings)
+			}
+			if len(rep.Checks) < 4 {
+				t.Errorf("only %d checks ran: %v", len(rep.Checks), rep.Checks)
+			}
+			if rep.Frames == 0 {
+				t.Error("report saw no journal frames")
+			}
+		})
 	}
 }
 
@@ -47,7 +65,7 @@ func TestHealthyRunZeroFindings(t *testing.T) {
 // simulator: the head-of-queue timer fires frame after frame, local MOT
 // carries the boxes, and the doctor must call the drift out.
 func TestSeededOutageDriftDetected(t *testing.T) {
-	rec := runDiVE(t, &netsim.OutageTrace{
+	rec := runDiVE(t, world.NuScenesLike(), &netsim.OutageTrace{
 		Inner: netsim.ConstantTrace(netsim.Mbps(2)),
 		Start: 0.8, Interval: 10, Duration: 1.5,
 	}, 3)
