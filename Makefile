@@ -122,9 +122,9 @@ benchmark:
 benchmark-test:
 	cd benchmark && $(GO) test -short ./...
 
-# Chaos smoke (the CI chaos-smoke job): the seeded fault-injection suite
-# under -race — scripted scenario traces through the simulator, the
-# proxy/conn wrapper's own tests, and the live client↔server runs under
+# Chaos smoke (the CI chaos-smoke job): the fault-injection suite under
+# -race — seeded scenario traces through the simulator, the proxy's and the
+# victim pick's own tests, and the live client↔server runs under scripted
 # disconnects, corruption and blackouts, the blackout ladder test 20 times
 # over (it once flaked on a wall-clock blackout) — then a divedoctor gate
 # proving the recovery detectors (reconnect-storm, slow-recovery) stay silent

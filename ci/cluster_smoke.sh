@@ -4,8 +4,9 @@
 # session migration → bounded re-detection gap). One drill, three gates:
 #
 #   1. The drill itself: three sessions spread round-robin over a 3-member
-#      cluster, the seed-chosen member killed once its session has
-#      streamed half its frames. Every session must finish (no session errors) and the
+#      cluster, the seed-chosen member (2, for seed 42) killed once its
+#      session has streamed half its frames. The log must name member 2 as
+#      the victim, every session must finish (no session errors) and the
 #      report must show at least one forced migration.
 #   2. The gap bound: divedoctor grades each exported session journal and
 #      must find exactly one migration-gap finding fleet-wide, at warn
@@ -33,6 +34,13 @@ if [ "$status" -ge 2 ]; then
     echo "cluster-smoke: divefleet errored (exit $status)" >&2
     cat "$OUT/run.log" >&2
     exit 2
+fi
+# Seed 42 on three members is member 2 (chaos.Victim): a drill that kills
+# another member, or none, has lost its seeded victim.
+if ! grep -q 'fleet: killing member 2 ' "$OUT/run.log"; then
+    echo "cluster-smoke: the drill did not kill the seeded victim, member 2" >&2
+    cat "$OUT/run.log" >&2
+    exit 1
 fi
 if grep -q 'session [0-9][0-9]*:' "$OUT/run.log"; then
     echo "cluster-smoke: a session did not survive the kill" >&2

@@ -10,40 +10,31 @@
 //	          [-chaos outage-burst] [-slow 3,17] [-cores 8]
 //	          [-json] [-o report.json]
 //	divefleet -serve 127.0.0.1:7062 [-pace 100ms] [-linger 5s] [...]
-//	divefleet -live [-agents 3] [-duration 1] [-seed 1] [-cut] [-json]
+//	divefleet -live [-agents 3] [-servers 1] [-duration 1] [-seed 1] [-json]
 //	divefleet -live -cluster 3 [-kill-frac 0.5] [-journal-dir DIR] [...]
 //
 // The default (model) mode runs on a virtual clock with seeded link, frame
 // and contention models: the same flags and seed produce a byte-identical
-// report, so CI can diff fleet behaviour run against run. -slow scripts the
-// listed agent indices onto crippled links (5% bandwidth, +300ms service) —
-// the straggler pathology the rollup table must surface. -chaos runs every
-// agent under a per-agent-seeded variant of the named standard chaos
-// scenario.
+// report. -slow scripts the listed agents onto crippled links (5% bandwidth,
+// +300ms service), the straggler pathology the rollup table must surface;
+// -chaos runs every agent under a per-agent-seeded variant of the named
+// standard chaos scenario. -serve paces the run to wall clock (-pace per
+// rollup) while serving the rollup ring at /debug/fleet as JSONL, the live
+// target for divedoctor -follow; -linger keeps it up after the run.
 //
-// -serve paces the simulation to wall clock (-pace per rollup) while
-// serving the rollup ring at /debug/fleet as JSONL — the live target for
-// divedoctor -follow's fleet detectors (straggler-session, noisy-neighbor,
-// fleet-burn). -linger keeps the endpoint up after the run so followers
-// drain the tail.
-//
-// -live swaps the model for a small fleet of real edge.Client sessions over
-// loopback TCP against real edge.Server instances (wall-clock,
-// non-deterministic); -cut routes them through the chaos proxy and severs
-// every connection mid-run, exercising the reconnect path fleet-wide.
-//
-// -cluster (with -live) replaces the bare servers with N members behind the
-// health-routed balancer: sessions are placed round-robin with the remaining
-// members as failover candidates, and the report gains per-server rollup rows
-// plus a migration summary. -kill-frac kills a seed-chosen member once the
-// sessions placed on it have streamed that fraction of their frames; the
-// affected sessions must fail over with a bounded re-detection gap. -journal-dir exports each session's decision journal as
-// JSONL for divedoctor grading.
+// -live runs real edge.Client sessions over loopback TCP against real
+// edge.Server instances (wall-clock, non-deterministic), or with -cluster
+// against N members behind the health-routed balancer, which adds per-server
+// rollup rows and a migration summary. -kill-frac kills a seed-chosen member
+// once its sessions have streamed that fraction of their frames; they must
+// fail over with a bounded re-detection gap. -journal-dir exports each
+// session's decision journal as JSONL for divedoctor. A flag the chosen mode
+// does not read is rejected.
 //
 // Without -json a human summary is printed: the final rollup, per-profile
 // table and straggler table. Exit status: 0 on a clean run, 1 when the
-// final rollup has stragglers or the fleet burn rate exceeds 1
-// (machine-gateable), 2 on usage errors.
+// final rollup has stragglers or the fleet burn rate exceeds 1, 2 on usage
+// errors.
 package main
 
 import (
@@ -88,12 +79,31 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	pace := fs.Duration("pace", 100*time.Millisecond, "wall-clock delay per rollup in -serve mode")
 	linger := fs.Duration("linger", 5*time.Second, "keep the -serve endpoint up this long after the run")
 	live := fs.Bool("live", false, "run real edge clients/servers over loopback instead of the model")
-	cut := fs.Bool("cut", false, "with -live: route through the chaos proxy and sever all connections mid-run")
 	clusterN := fs.Int("cluster", 0, "with -live: run this many members behind the health-routed balancer")
 	killFrac := fs.Float64("kill-frac", 0, "with -cluster: kill a seeded member once its sessions streamed this fraction of their frames")
 	journalDir := fs.String("journal-dir", "", "with -live: export per-session decision journals (JSONL) to this directory")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
+	}
+	// Flags this mode would ignore, or that could never act, fail by name.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, r := range []struct {
+		bad   bool
+		names []string
+		why   string
+	}{
+		{*live, []string{"chaos", "slow", "cores", "serve", "pace", "linger"}, "does not apply with -live"},
+		{!*live, []string{"cluster", "kill-frac", "journal-dir"}, "only applies with -live"},
+		{*clusterN <= 0, []string{"kill-frac"}, "only applies with -cluster"},
+		{!(*killFrac > 0 && *killFrac <= 1), []string{"kill-frac"}, "must be in (0, 1]"},
+		{*clusterN > 0, []string{"servers"}, "does not apply with -cluster"},
+	} {
+		for _, name := range r.names {
+			if r.bad && set[name] {
+				return nil, fmt.Errorf("-%s %s", name, r.why)
+			}
+		}
 	}
 
 	slowIdx, err := parseIndexList(*slow)
@@ -104,11 +114,10 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	var rep *fleet.Report
 	switch {
 	case *live:
-		var errs []error
-		rep, errs, err = fleet.RunLive(fleet.LiveSpec{
+		// RunLive logs each failed session as "session <i>: <err>".
+		rep, _, err = fleet.RunLive(fleet.LiveSpec{
 			Agents: *agents, Servers: *servers, Duration: *duration,
-			Seed: *seed, Cut: *cut,
-			Cluster: *clusterN, KillAtFrac: *killFrac,
+			Seed: *seed, Cluster: *clusterN, KillAtFrac: *killFrac,
 			JournalDir: *journalDir,
 			Logf: func(format string, a ...interface{}) {
 				fmt.Fprintf(os.Stderr, "divefleet: "+format+"\n", a...)
@@ -116,11 +125,6 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 		})
 		if err != nil {
 			return nil, err
-		}
-		for i, e := range errs {
-			if e != nil {
-				fmt.Fprintf(os.Stderr, "divefleet: session %d: %v\n", i, e)
-			}
 		}
 	default:
 		spec := fleet.Spec{
@@ -150,10 +154,7 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	if *asJSON || *out != "" {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			return nil, err
-		}
-		return rep, nil
+		return rep, enc.Encode(rep)
 	}
 	printReport(w, rep)
 	return rep, nil
@@ -185,13 +186,12 @@ func serveFleet(spec fleet.Spec, addr string, pace, linger time.Duration) (*flee
 
 func printReport(w io.Writer, rep *fleet.Report) {
 	f := rep.Final
+	where := fmt.Sprintf("%d server(s)", rep.Spec.Servers)
 	if rep.Spec.Cluster > 0 {
-		fmt.Fprintf(w, "fleet: %d sessions on a %d-member cluster, %.0fs, seed %d",
-			rep.Spec.Agents, rep.Spec.Cluster, rep.Spec.Duration, rep.Spec.Seed)
-	} else {
-		fmt.Fprintf(w, "fleet: %d sessions on %d server(s), %.0fs, seed %d",
-			rep.Spec.Agents, rep.Spec.Servers, rep.Spec.Duration, rep.Spec.Seed)
+		where = fmt.Sprintf("a %d-member cluster", rep.Spec.Cluster)
 	}
+	fmt.Fprintf(w, "fleet: %d sessions on %s, %.0fs, seed %d",
+		rep.Spec.Agents, where, rep.Spec.Duration, rep.Spec.Seed)
 	if rep.Spec.Chaos != "" {
 		fmt.Fprintf(w, ", chaos %s", rep.Spec.Chaos)
 	}

@@ -63,6 +63,32 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if _, err := run([]string{"-chaos", "full-moon", "-duration", "1"}, &out); err == nil {
 		t.Error("unknown chaos scenario accepted")
 	}
+	// A flag the chosen mode never reads, or a -kill-frac that never kills,
+	// is an error naming the flag, returned before any fleet runs.
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-live", "-chaos", "outage-burst"}, "-chaos"},
+		{[]string{"-live", "-slow", "0"}, "-slow"},
+		{[]string{"-live", "-cores", "4"}, "-cores"},
+		{[]string{"-live", "-serve", "127.0.0.1:0"}, "-serve"},
+		{[]string{"-live", "-pace", "1ms"}, "-pace"},
+		{[]string{"-live", "-linger", "1ms"}, "-linger"},
+		{[]string{"-cluster", "3"}, "-cluster"},
+		{[]string{"-kill-frac", "0.5"}, "-kill-frac"},
+		{[]string{"-journal-dir", t.TempDir()}, "-journal-dir"},
+		{[]string{"-live", "-kill-frac", "0.5"}, "-kill-frac"},
+		{[]string{"-live", "-cluster", "2", "-kill-frac", "0"}, "-kill-frac"},
+		{[]string{"-live", "-cluster", "2", "-kill-frac", "1.5"}, "-kill-frac"},
+		{[]string{"-live", "-cluster", "2", "-kill-frac", "NaN"}, "-kill-frac"},
+		{[]string{"-live", "-cluster", "2", "-servers", "2"}, "-servers"},
+	} {
+		args := append([]string{"-agents", "1", "-duration", "0.5"}, tc.args...)
+		if _, err := run(args, &out); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("run(%v) = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
 }
 
 func TestParseIndexList(t *testing.T) {

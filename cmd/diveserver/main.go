@@ -67,6 +67,14 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The drill's flags do nothing without a cluster: rejected by name.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"kill-after", "seed"} {
+		if set[name] && *members <= 0 {
+			return fmt.Errorf("-%s only applies with -cluster", name)
+		}
+	}
 	if *members > 0 {
 		return runCluster(*members, *killAfter, *seed, *telemetry, *readTimeout, *writeTimeout)
 	}
@@ -133,23 +141,7 @@ func runCluster(members int, killAfter time.Duration, seed int64, telemetry stri
 		mux := http.NewServeMux()
 		mux.HandleFunc("/debug/cluster", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			type row struct {
-				Name                string  `json:"name"`
-				Addr                string  `json:"addr"`
-				State               string  `json:"state"`
-				Sessions            int     `json:"sessions"`
-				Load                float64 `json:"load"`
-				LastHeartbeatAgeSec float64 `json:"last_heartbeat_age_sec"`
-			}
-			rows := make([]row, 0, members)
-			for _, st := range c.Status() {
-				rows = append(rows, row{
-					Name: st.Name, Addr: st.Addr, State: st.State.String(),
-					Sessions: st.Sessions, Load: st.Load,
-					LastHeartbeatAgeSec: st.LastHeartbeatAgeSec,
-				})
-			}
-			json.NewEncoder(w).Encode(rows)
+			json.NewEncoder(w).Encode(c.Status())
 		})
 		ln, err := net.Listen("tcp", telemetry)
 		if err != nil {
@@ -160,12 +152,10 @@ func runCluster(members int, killAfter time.Duration, seed int64, telemetry stri
 		go http.Serve(ln, mux)
 	}
 
-	var stopDrill func()
 	if killAfter > 0 {
-		sc := chaos.KillMember(seed, members, killAfter.Seconds(), 1, 0)
-		log.Printf("chaos drill armed: member %d dies in %s", sc.Faults[0].Member, killAfter)
-		stopDrill = sc.Apply(c)
-		defer stopDrill()
+		victim := chaos.Victim(seed, members)
+		log.Printf("chaos drill armed: member %d dies in %s", victim, killAfter)
+		defer time.AfterFunc(killAfter, func() { c.Kill(victim) }).Stop()
 	}
 
 	sigc := make(chan os.Signal, 1)

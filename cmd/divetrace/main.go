@@ -102,9 +102,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	p.ClipDuration = *duration
 	trace := netsim.Trace(netsim.ConstantTrace(netsim.Mbps(*mbps)))
 	if *chaosName != "" {
-		sc, err := findScenario(*chaosName, *seed, *duration)
+		sc, err := chaos.FindScenario(*chaosName, *seed, *duration)
 		if err != nil {
-			return err
+			return fmt.Errorf("-chaos: %w", err)
 		}
 		trace = sc.Trace
 	}
@@ -145,17 +145,4 @@ func run(args []string, stdout io.Writer) (err error) {
 	fmt.Fprintf(os.Stderr, "divetrace: run complete (%d frames), lingering %s\n", clip.NumFrames(), *linger)
 	time.Sleep(*linger)
 	return nil
-}
-
-// findScenario resolves a chaos scenario by name from the standard suite.
-func findScenario(name string, seed int64, duration float64) (chaos.Scenario, error) {
-	all := chaos.StandardScenarios(seed, duration)
-	names := make([]string, len(all))
-	for i, sc := range all {
-		names[i] = sc.Name
-		if sc.Name == name {
-			return sc, nil
-		}
-	}
-	return chaos.Scenario{}, fmt.Errorf("unknown -chaos scenario %q (available: %v)", name, names)
 }

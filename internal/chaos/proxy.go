@@ -1,31 +1,22 @@
 package chaos
 
 import (
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ProxyConfig configures an in-process fault-injecting TCP relay.
-type ProxyConfig struct {
-	// Uplink faults apply to agent→server bytes, Downlink to server→agent.
-	Uplink, Downlink PlanConfig
-	// DialTimeout bounds the upstream dial (default 2s).
-	DialTimeout time.Duration
-}
+// dialTimeout bounds the proxy's upstream dial.
+const dialTimeout = 2 * time.Second
 
-// Proxy relays TCP connections to a target address through fault-injecting
-// streams. Tests place it between a live agent and a live edge server:
-// the agent dials Proxy.Addr(), the proxy dials the real server, and every
-// byte crosses the configured fault plans. On top of the seeded plans the
-// proxy offers scripted controls — CutConnections severs everything active,
+// Proxy relays TCP connections to a target address. Tests place it between
+// a live agent and a live edge server: the agent dials Proxy.Addr(), the
+// proxy dials the real server, and every byte crosses it untouched until the
+// test scripts a fault — CutConnections severs everything active,
 // SetBlackout refuses new connections, CorruptNextUplink flips one byte of
-// an upcoming uplink chunk — so scenarios can mix scheduled and scripted
-// faults deterministically.
+// an upcoming uplink chunk.
 type Proxy struct {
-	cfg    ProxyConfig
 	target string
 	ln     net.Listener
 
@@ -40,29 +31,60 @@ type Proxy struct {
 
 	wg sync.WaitGroup
 
-	// Counters for assertions: sessions accepted, sessions severed by
-	// script, bytes relayed per direction.
+	// Counters for assertions: sessions accepted, bytes relayed per
+	// direction.
 	Accepted  atomic.Int64
-	Severed   atomic.Int64
 	UpBytes   atomic.Int64
 	DownBytes atomic.Int64
 }
 
 type proxySession struct {
 	client, server net.Conn
-	up, down       *faultStream
+	up             uplink
+}
+
+// uplink is one session's agent→server byte position and the one-shot
+// corruptions queued against it.
+type uplink struct {
+	mu      sync.Mutex
+	offset  int   // bytes relayed so far
+	corrupt []int // absolute offsets still to flip
+}
+
+// corruptAt queues a one-shot corruption rel bytes past the current offset.
+func (u *uplink) corruptAt(rel int) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	u.corrupt = append(u.corrupt, u.offset+rel)
+}
+
+// apply flips every queued byte that falls inside chunk (XOR 0xFF: the
+// byte always changes, so the wire CRC always catches it) and advances the
+// offset past chunk.
+func (u *uplink) apply(chunk []byte) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	start, end := u.offset, u.offset+len(chunk)
+	keep := u.corrupt[:0]
+	for _, at := range u.corrupt {
+		switch {
+		case at >= end:
+			keep = append(keep, at)
+		case at >= start:
+			chunk[at-start] ^= 0xFF
+		}
+	}
+	u.corrupt = keep
+	u.offset = end
 }
 
 // NewProxy starts a relay on 127.0.0.1:0 toward target. Close releases it.
-func NewProxy(target string, cfg ProxyConfig) (*Proxy, error) {
+func NewProxy(target string) (*Proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	p := &Proxy{cfg: cfg, target: target, ln: ln, active: make(map[int64]*proxySession)}
+	p := &Proxy{target: target, ln: ln, active: make(map[int64]*proxySession)}
 	p.wg.Add(1)
 	go p.serve()
 	return p, nil
@@ -82,17 +104,13 @@ func (p *Proxy) serve() {
 			conn.Close()
 			continue
 		}
-		server, err := net.DialTimeout("tcp", p.target, p.cfg.DialTimeout)
+		server, err := net.DialTimeout("tcp", p.target, dialTimeout)
 		if err != nil {
 			conn.Close()
 			continue
 		}
 		p.Accepted.Add(1)
-		sess := &proxySession{
-			client: conn, server: server,
-			up:   newFaultStream(p.cfg.Uplink),
-			down: newFaultStream(p.cfg.Downlink),
-		}
+		sess := &proxySession{client: conn, server: server}
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -120,36 +138,26 @@ func (p *Proxy) serve() {
 			p.mu.Unlock()
 			p.wg.Done()
 		}
-		go func() { defer done(); p.pipe(sess.client, sess.server, sess.up, &p.UpBytes) }()
-		go func() { defer done(); p.pipe(sess.server, sess.client, sess.down, &p.DownBytes) }()
+		go func() { defer done(); pipe(sess.client, sess.server, &sess.up, &p.UpBytes) }()
+		go func() { defer done(); pipe(sess.server, sess.client, nil, &p.DownBytes) }()
 	}
 }
 
-// pipe copies src→dst through a fault stream.
-func (p *Proxy) pipe(src, dst net.Conn, fs *faultStream, count *atomic.Int64) {
+// pipe copies src→dst, through up's queued corruptions when up is non-nil.
+func pipe(src, dst net.Conn, up *uplink, count *atomic.Int64) {
 	buf := make([]byte, 16*1024)
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			res := fs.apply(buf[:n])
-			if res.sleep > 0 {
-				time.Sleep(res.sleep)
+			if up != nil {
+				up.apply(buf[:n])
 			}
-			if len(res.chunk) > 0 {
-				if _, werr := dst.Write(res.chunk); werr != nil {
-					return
-				}
-				count.Add(int64(len(res.chunk)))
-			}
-			if res.severed {
-				p.Severed.Add(1)
+			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
+			count.Add(int64(n))
 		}
 		if err != nil {
-			if err != io.EOF {
-				return
-			}
 			return
 		}
 	}
@@ -166,9 +174,6 @@ func (p *Proxy) CutConnections() int {
 		sess.server.Close()
 		delete(p.active, id)
 		n++
-	}
-	if n > 0 {
-		p.Severed.Add(int64(n))
 	}
 	return n
 }

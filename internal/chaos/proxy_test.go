@@ -42,7 +42,7 @@ func echoServer(t *testing.T) (addr string, closeFn func()) {
 func TestProxyRelaysCleanly(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()
-	p, err := NewProxy(addr, ProxyConfig{})
+	p, err := NewProxy(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestProxyRelaysCleanly(t *testing.T) {
 func TestProxyCutAndBlackout(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()
-	p, err := NewProxy(addr, ProxyConfig{})
+	p, err := NewProxy(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestProxyCutAndBlackout(t *testing.T) {
 func TestProxyScriptedCorruption(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()
-	p, err := NewProxy(addr, ProxyConfig{})
+	p, err := NewProxy(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,4 +213,17 @@ func TestOutageBurstWindowsOrdered(t *testing.T) {
 			t.Errorf("InOutage false inside window %d", i)
 		}
 	}
+}
+
+func readFull(c net.Conn, buf []byte) (int, error) {
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	total := 0
+	for total < len(buf) {
+		n, err := c.Read(buf[total:])
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"math/rand"
 
 	"dive/internal/netsim"
@@ -119,4 +120,18 @@ func StandardScenarios(seed int64, duration float64) []Scenario {
 			FaultWindows: poison.Windows,
 		},
 	}
+}
+
+// FindScenario resolves a StandardScenarios entry by name, for the same seed
+// and duration; an unknown name is an error that lists the known ones.
+func FindScenario(name string, seed int64, duration float64) (Scenario, error) {
+	all := StandardScenarios(seed, duration)
+	names := make([]string, len(all))
+	for i, sc := range all {
+		names[i] = sc.Name
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return Scenario{}, fmt.Errorf("unknown chaos scenario %q (available: %v)", name, names)
 }

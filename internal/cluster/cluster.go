@@ -14,7 +14,7 @@
 //     through their candidate list (forced migration).
 //
 // The cluster is in-process (members listen on 127.0.0.1:0), matching the
-// repo's simulation-first approach: chaos scenarios and CI kill real
+// repo's simulation-first approach: the seeded kill drill and CI kill real
 // listeners and real sessions deterministically, without containers.
 package cluster
 
@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"dive/internal/chaos"
 	"dive/internal/edge"
 )
 
@@ -37,8 +36,8 @@ const (
 	// off; they keep their sessions and are routed to only when no healthy
 	// member exists.
 	Suspect
-	// Down members failed ProbeConfig.FailThreshold consecutive probes (or
-	// were killed); they are never routed to until they re-earn Healthy.
+	// Down members failed failThreshold consecutive probes (or were
+	// killed); they are never routed to until they re-earn Healthy.
 	Down
 	// Draining members are being emptied on purpose; never routed to.
 	Draining
@@ -59,12 +58,15 @@ func (s State) String() string {
 	}
 }
 
+// MarshalText encodes a state as its String, "healthy" etc.
+func (s State) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
 // ProbeFunc checks one member's liveness within timeout.
 type ProbeFunc func(addr string, timeout time.Duration) error
 
 // HelloProbe is the default probe: the client handshake with the reserved
 // ProbeProfile. A member whose listener accepts but whose handler is wedged
-// (or whose path is blacked out by a partition) fails it.
+// (or whose network path is blacked out) fails it.
 func HelloProbe(addr string, timeout time.Duration) error {
 	conn, _, _, err := edge.Handshake(addr, edge.Hello{Profile: edge.ProbeProfile}, timeout)
 	if err == nil {
@@ -77,15 +79,6 @@ func HelloProbe(addr string, timeout time.Duration) error {
 type ProbeConfig struct {
 	// Interval between probes of one member (default 50ms).
 	Interval time.Duration
-	// Timeout bounds one probe round trip (default 500ms).
-	Timeout time.Duration
-	// FailThreshold is the consecutive-failure count that marks a member
-	// down (default 3); the first failure already marks it suspect.
-	FailThreshold int
-	// RecoverThreshold is the consecutive-success count a suspect or down
-	// member needs to re-earn healthy (default 2) — the hysteresis that
-	// keeps a flapping member from oscillating in and out of rotation.
-	RecoverThreshold int
 	// Func replaces the probe implementation (tests); default HelloProbe.
 	Func ProbeFunc
 }
@@ -94,33 +87,32 @@ func (p ProbeConfig) withDefaults() ProbeConfig {
 	if p.Interval <= 0 {
 		p.Interval = 50 * time.Millisecond
 	}
-	if p.Timeout <= 0 {
-		p.Timeout = 500 * time.Millisecond
-	}
-	if p.FailThreshold <= 0 {
-		p.FailThreshold = 3
-	}
-	if p.RecoverThreshold <= 0 {
-		p.RecoverThreshold = 2
-	}
 	if p.Func == nil {
 		p.Func = HelloProbe
 	}
 	return p
 }
 
-// loadAlpha smooths the per-member session-load score the picker ranks by
-// (1 would be the raw instantaneous count).
-const loadAlpha = 0.4
+const (
+	// loadAlpha smooths the per-member session-load score the picker ranks
+	// by (1 would be the raw instantaneous count).
+	loadAlpha = 0.4
+	// probeTimeout bounds one probe round trip.
+	probeTimeout = 500 * time.Millisecond
+	// failThreshold is the consecutive-failure count that marks a member
+	// down; the first failure already marks it suspect.
+	failThreshold = 3
+	// recoverThreshold is the consecutive-success count a suspect or down
+	// member needs to re-earn healthy — the hysteresis that keeps a
+	// flapping member from oscillating in and out of rotation.
+	recoverThreshold = 2
+)
 
 // Config configures a cluster.
 type Config struct {
 	// Members is the cluster size (default 3).
 	Members int
 	Probe   ProbeConfig
-	// Proxied fronts every member with a chaos.Proxy so Partition can black
-	// out a member without killing its server process.
-	Proxied bool
 	// Configure, when set, is called with each member's server before it
 	// listens — the hook for wiring telemetry recorders and timeouts.
 	Configure func(i int, srv *edge.Server)
@@ -136,18 +128,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// MemberStatus is one member's point-in-time view.
+// MemberStatus is one member's point-in-time view, in the JSON shape
+// diveserver's /debug/cluster serves.
 type MemberStatus struct {
-	Index    int
-	Name     string // "edge-<index>"
-	Addr     string // the address clients dial (the proxy when Proxied)
-	State    State
-	Sessions int
+	Index    int    `json:"-"`
+	Name     string `json:"name"` // "edge-<index>"
+	Addr     string `json:"addr"` // the address clients dial
+	State    State  `json:"state"`
+	Sessions int    `json:"sessions"`
 	// Load is the EWMA-smoothed session count the picker ranks by.
-	Load float64
+	Load float64 `json:"load"`
 	// LastHeartbeatAgeSec is the age of the last successful probe (-1 before
 	// the first success).
-	LastHeartbeatAgeSec float64
+	LastHeartbeatAgeSec float64 `json:"last_heartbeat_age_sec"`
 }
 
 // member is one edge server plus its membership bookkeeping.
@@ -156,7 +149,6 @@ type member struct {
 	name  string
 	addr  string
 	srv   *edge.Server
-	proxy *chaos.Proxy // nil unless Config.Proxied
 
 	mu         sync.Mutex
 	state      State
@@ -166,9 +158,6 @@ type member struct {
 	lastBeat   time.Time
 	killed     bool
 }
-
-// Cluster is the control handle chaos cluster scenarios drive.
-var _ chaos.ClusterControl = (*Cluster)(nil)
 
 // Cluster is a running set of members plus the balancer state.
 type Cluster struct {
@@ -198,16 +187,6 @@ func New(cfg Config) (*Cluster, error) {
 		m := &member{
 			index: i, name: fmt.Sprintf("edge-%d", i),
 			addr: addr.String(), srv: srv, state: Healthy,
-		}
-		if cfg.Proxied {
-			p, err := chaos.NewProxy(addr.String(), chaos.ProxyConfig{})
-			if err != nil {
-				srv.Kill()
-				c.Close()
-				return nil, fmt.Errorf("cluster: member %d proxy: %w", i, err)
-			}
-			m.proxy = p
-			m.addr = p.Addr()
 		}
 		c.members = append(c.members, m)
 		c.wg.Add(1)
@@ -240,7 +219,7 @@ func (c *Cluster) probeLoop(m *member) {
 			return
 		case <-t.C:
 		}
-		err := c.cfg.Probe.Func(m.addr, c.cfg.Probe.Timeout)
+		err := c.cfg.Probe.Func(m.addr, probeTimeout)
 		c.observeProbe(m, err)
 	}
 }
@@ -258,7 +237,7 @@ func (c *Cluster) observeProbe(m *member, err error) {
 		m.consecOK++
 		// Draining is an operator verdict, not a health one: a draining
 		// member stays draining however well it probes.
-		if (m.state == Suspect || m.state == Down) && m.consecOK >= c.cfg.Probe.RecoverThreshold {
+		if (m.state == Suspect || m.state == Down) && m.consecOK >= recoverThreshold {
 			c.logf("member %s %s -> healthy (%d consecutive probe successes)", m.name, m.state, m.consecOK)
 			m.state = Healthy
 		}
@@ -270,7 +249,7 @@ func (c *Cluster) observeProbe(m *member, err error) {
 	case m.state == Healthy:
 		c.logf("member %s healthy -> suspect: %v", m.name, err)
 		m.state = Suspect
-	case m.state == Suspect && m.consecFail >= c.cfg.Probe.FailThreshold:
+	case m.state == Suspect && m.consecFail >= failThreshold:
 		c.logf("member %s suspect -> down after %d consecutive probe failures", m.name, m.consecFail)
 		m.state = Down
 	}
@@ -399,28 +378,10 @@ func (c *Cluster) Kill(i int) {
 	c.logf("killed member %s", m.name)
 }
 
-// Partition blacks out member i's network path without touching its server —
-// distinguishable from Kill only from the inside. Requires Config.Proxied.
-func (c *Cluster) Partition(i int, on bool) error {
-	if i < 0 || i >= len(c.members) {
-		return fmt.Errorf("cluster: no member %d", i)
-	}
-	m := c.members[i]
-	if m.proxy == nil {
-		return fmt.Errorf("cluster: Partition requires Config.Proxied")
-	}
-	m.proxy.SetBlackout(on)
-	c.logf("partition member %s: %v", m.name, on)
-	return nil
-}
-
 // Close stops the prober and hard-stops every member.
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() { close(c.stopc) })
 	for _, m := range c.members {
-		if m.proxy != nil {
-			m.proxy.Close()
-		}
 		m.srv.Kill()
 	}
 	c.wg.Wait()

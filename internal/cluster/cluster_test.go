@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dive/internal/chaos"
 	"dive/internal/core"
 	"dive/internal/detect"
 	"dive/internal/doctor"
@@ -359,46 +360,34 @@ func TestDrainPlannedMigration(t *testing.T) {
 	}
 }
 
-// TestPartitionMarksDownAndRecovers runs the real HelloProbe against a
-// proxied cluster: blacking out a member's path must walk it to down even
-// though its TCP port still accepts, and healing the path must walk it back.
-func TestPartitionMarksDownAndRecovers(t *testing.T) {
-	c, err := New(Config{
-		Members: 2, Proxied: true,
-		Probe: ProbeConfig{
-			Interval: 10 * time.Millisecond, Timeout: 200 * time.Millisecond,
-			FailThreshold: 2, RecoverThreshold: 2,
-		},
-	})
+// TestHelloProbeFailsThroughBlackout runs the real HelloProbe through a
+// chaos.Proxy in front of an edge.Server: a blacked-out path fails the probe
+// even though its TCP port still accepts, and the healed path passes again.
+func TestHelloProbeFailsThroughBlackout(t *testing.T) {
+	srv := edge.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	waitState := func(i int, want State) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if c.Status()[i].State == want {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Fatalf("member %d never reached %v (now %v)", i, want, c.Status()[i].State)
-	}
-
-	waitState(0, Healthy)
-	if err := c.Partition(0, true); err != nil {
+	go srv.Serve()
+	defer srv.Kill()
+	p, err := chaos.NewProxy(addr.String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(0, Down)
-	if st, err := c.pick(-1); err != nil || st.Index != 1 {
-		t.Fatalf("pick during partition = %+v, %v; want member 1", st, err)
+	defer p.Close()
+
+	if err := HelloProbe(p.Addr(), probeTimeout); err != nil {
+		t.Fatalf("probe over a clean path: %v", err)
 	}
-	if err := c.Partition(0, false); err != nil {
-		t.Fatal(err)
+	p.SetBlackout(true)
+	if err := HelloProbe(p.Addr(), probeTimeout); err == nil {
+		t.Fatal("probe passed through a blackout")
 	}
-	waitState(0, Healthy)
+	p.SetBlackout(false)
+	if err := HelloProbe(p.Addr(), probeTimeout); err != nil {
+		t.Fatalf("probe over the healed path: %v", err)
+	}
 }
 
 // candidateAddrs returns every member's address ordered by routing

@@ -93,7 +93,7 @@ func TestClientSurvivesDisconnect(t *testing.T) {
 	srv := NewServer()
 	addr, stop := startServer(t, srv)
 	defer stop()
-	proxy, err := chaos.NewProxy(addr, chaos.ProxyConfig{})
+	proxy, err := chaos.NewProxy(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestClientSurvivesCorruption(t *testing.T) {
 	srv := NewServer()
 	addr, stop := startServer(t, srv)
 	defer stop()
-	proxy, err := chaos.NewProxy(addr, chaos.ProxyConfig{})
+	proxy, err := chaos.NewProxy(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 	srv := NewServer()
 	addr, stop := startServer(t, srv)
 	defer stop()
-	proxy, err := chaos.NewProxy(addr, chaos.ProxyConfig{})
+	proxy, err := chaos.NewProxy(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 //     same spec and seed produce a byte-identical report, which is what
 //     lets CI diff fleet behaviour run against run.
 //   - RunLive (live.go): a small fleet of real edge.Client sessions over
-//     loopback TCP against real edge.Server instances, optionally through
-//     the chaos proxy. End-to-end fidelity (wire protocol, reconnects,
+//     loopback TCP against real edge.Server instances or a health-routed
+//     cluster. End-to-end fidelity (wire protocol, reconnects,
 //     degradation ladder) at the cost of wall-clock time and
 //     non-determinism; used to validate that the model's telemetry shape
 //     matches the real stack's.
@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"dive/internal/chaos"
 	"dive/internal/obs"
 )
 
@@ -46,8 +47,7 @@ type Spec struct {
 	// Seed drives every random stream in the run; identical specs with
 	// identical seeds produce identical reports.
 	Seed int64 `json:"seed"`
-	// Chaos optionally names a chaos.StandardScenarios scenario
-	// ("outage-burst", "bandwidth-cliff", "estimator-poison"); each agent
+	// Chaos optionally names a chaos.StandardScenarios scenario; each agent
 	// runs a per-agent seeded variant of it. Empty runs clean fading links.
 	Chaos string `json:"chaos,omitempty"`
 	// SlowAgents lists agent indices scripted onto a crippled link (5%
@@ -86,10 +86,10 @@ func (s Spec) validate() error {
 			return fmt.Errorf("fleet: slow agent index %d outside fleet of %d", idx, s.Agents)
 		}
 	}
-	switch s.Chaos {
-	case "", "outage-burst", "bandwidth-cliff", "estimator-poison":
-	default:
-		return fmt.Errorf("fleet: unknown chaos scenario %q", s.Chaos)
+	if s.Chaos != "" {
+		if _, err := chaos.FindScenario(s.Chaos, s.Seed, s.Duration); err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
 	}
 	return nil
 }

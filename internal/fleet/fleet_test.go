@@ -105,13 +105,19 @@ func TestRunServerContention(t *testing.T) {
 	}
 }
 
-// TestRunValidation rejects out-of-range slow indices and unknown scenarios.
+// TestRunValidation rejects out-of-range slow indices and unknown scenarios,
+// and accepts every standard scenario name.
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Spec{Agents: 5, SlowAgents: []int{5}}); err == nil {
 		t.Error("slow index == fleet size accepted")
 	}
 	if _, err := Run(Spec{Agents: 5, Chaos: "full-moon"}); err == nil {
 		t.Error("unknown chaos scenario accepted")
+	}
+	for _, name := range []string{"outage-burst", "bandwidth-cliff", "estimator-poison"} {
+		if _, err := Run(Spec{Agents: 5, Duration: 2, Chaos: name}); err != nil {
+			t.Errorf("standard scenario %q rejected: %v", name, err)
+		}
 	}
 }
 

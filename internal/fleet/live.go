@@ -32,15 +32,11 @@ type LiveSpec struct {
 	// Duration is the clip length in seconds (default 1).
 	Duration float64
 	Seed     int64
-	// Cut routes every session through a chaos.Proxy and severs all proxied
-	// connections ~a third into the run, forcing the reconnect+resume path
-	// fleet-wide. Bare-server mode only.
-	Cut bool
 	// Cluster, when > 0, replaces the bare servers with an internal/cluster
 	// balancer of that many members: sessions get rotated candidate dial
 	// lists (round-robin placement with built-in failover), migrations are
 	// folded into the aggregator, and every rollup carries per-server rows.
-	// Servers and Cut are ignored in cluster mode.
+	// Servers is ignored in cluster mode.
 	Cluster int
 	// KillAtFrac, with Cluster > 0, kills a seeded member once the sessions
 	// placed on it have streamed that fraction of their frames (the whole
@@ -62,7 +58,8 @@ const liveRollupEvery = 500 * time.Millisecond
 var liveProfiles = []string{"nuScenes", "RobotCar", "KITTI"}
 
 // RunLive executes a live fleet run and returns its report plus the
-// per-session run errors (nil entries for clean sessions).
+// per-session run errors (nil entries for clean sessions), each also logged
+// as "session <i>: <err>".
 func RunLive(spec LiveSpec) (*Report, []error, error) {
 	if spec.Agents <= 0 {
 		spec.Agents = 3
@@ -80,8 +77,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 
 	agg := obs.NewFleetAggregator(obs.FleetConfig{CollectRuntime: true})
 
-	// Servers: either a health-routed cluster or bare servers (with an
-	// optional chaos proxy each).
+	// Servers: either a health-routed cluster or bare servers.
 	var cleanup []func()
 	defer func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {
@@ -92,7 +88,6 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 		cl         *cluster.Cluster
 		addrs      []string
 		addrToName map[string]string
-		proxies    []*chaos.Proxy
 	)
 	if spec.Cluster > 0 {
 		var err error
@@ -124,18 +119,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			go srv.Serve()
 			srvRef := srv
 			cleanup = append(cleanup, func() { srvRef.Shutdown(2 * time.Second) })
-			target := addr.String()
-			if spec.Cut {
-				proxy, err := chaos.NewProxy(target, chaos.ProxyConfig{})
-				if err != nil {
-					return nil, nil, fmt.Errorf("fleet: proxy %d: %w", i, err)
-				}
-				proxies = append(proxies, proxy)
-				proxyRef := proxy
-				cleanup = append(cleanup, func() { proxyRef.Close() })
-				target = proxy.Addr()
-			}
-			addrs[i] = target
+			addrs[i] = addr.String()
 		}
 	}
 
@@ -205,22 +189,12 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			errs[i] = err
 		}(i)
 	}
-	if len(proxies) > 0 {
-		// One fleet-wide link cut a beat into the run: every session takes
-		// the reconnect+resume path at once.
-		time.AfterFunc(300*time.Millisecond, func() {
-			logf("fleet: cutting %d proxied links", len(proxies))
-			for _, p := range proxies {
-				p.CutConnections()
-			}
-		})
-	}
 
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 
-	// The kill drill: a seeded member dies mid-run. The victim comes from
-	// the chaos scenario so the same seed always kills the same member;
+	// The kill drill: a seeded member dies mid-run. chaos.Victim picks it,
+	// so the same seed always kills the same member;
 	// KillAtFrac triggers on frame progress (unpaced loopback sessions
 	// outrun wall time, so a fraction is how "mid-clip" is actually hit) —
 	// the progress of the sessions placed on the victim, because sessions
@@ -228,7 +202,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 	// after the victim's own sessions have finished; fleet-wide only when
 	// the victim hosts none.
 	if cl != nil && spec.KillAtFrac > 0 {
-		victim := chaos.KillMember(spec.Seed, spec.Cluster, 1, 1, 0).Faults[0].Member
+		victim := chaos.Victim(spec.Seed, spec.Cluster)
 		go func() {
 			// Session i starts on member i mod N (the rotated candidate
 			// lists above).
@@ -299,6 +273,7 @@ loop:
 		}
 		if errs[i] != nil {
 			live.SessionErrors++
+			logf("session %d: %v", i, errs[i])
 		}
 	}
 	report.Live = live

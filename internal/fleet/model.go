@@ -134,13 +134,8 @@ func (a *modelAgent) linkTrace(spec Spec, seed int64) netsim.Trace {
 	if spec.Chaos == "" {
 		return &netsim.FadingTrace{Base: netsim.Mbps(2), Swing: 0.3, Period: 6, Jitter: 0.15, Seed: seed}
 	}
-	for _, sc := range chaos.StandardScenarios(seed, spec.Duration) {
-		if sc.Name == spec.Chaos {
-			return sc.Trace
-		}
-	}
-	// validate() rejected unknown names; unreachable.
-	return netsim.ConstantTrace(netsim.Mbps(2))
+	sc, _ := chaos.FindScenario(spec.Chaos, seed, spec.Duration) // validate() checked the name
+	return sc.Trace
 }
 
 // frameBits draws one frame's encoded size from the GoP model.

@@ -62,10 +62,10 @@ func TestOutageTrace(t *testing.T) {
 	if tr.BandwidthAt(4.9) == 0 {
 		t.Error("bandwidth before first outage should be non-zero")
 	}
-	if tr.BandwidthAt(5.5) != 0 || !tr.InOutage(5.5) {
+	if tr.BandwidthAt(5.5) != 0 {
 		t.Error("outage not applied")
 	}
-	if tr.BandwidthAt(6.5) == 0 || tr.InOutage(6.5) {
+	if tr.BandwidthAt(6.5) == 0 {
 		t.Error("bandwidth after outage should recover")
 	}
 	if tr.BandwidthAt(15.5) != 0 {
@@ -97,22 +97,6 @@ func TestFadingTraceProperties(t *testing.T) {
 	// Deterministic.
 	if tr.BandwidthAt(7.77) != tr.BandwidthAt(7.77) {
 		t.Error("fading trace not deterministic")
-	}
-}
-
-func TestRandomWalkTrace(t *testing.T) {
-	tr := &RandomWalkTrace{Base: Mbps(2), Min: Mbps(0.5), Max: Mbps(6), Epoch: 1, Seed: 7}
-	for i := 0; i < 100; i++ {
-		v := tr.BandwidthAt(float64(i))
-		if v < Mbps(0.5)-1 || v > Mbps(6)+1 {
-			t.Fatalf("walk escaped bounds: %v", v)
-		}
-	}
-	if tr.BandwidthAt(33.3) != tr.BandwidthAt(33.7) {
-		t.Error("rate should be constant within an epoch")
-	}
-	if tr.BandwidthAt(-5) != Mbps(2) {
-		t.Error("negative time should clamp to epoch 0")
 	}
 }
 

@@ -90,7 +90,6 @@ func TestPropertyTracesNonNegative(t *testing.T) {
 		&StepTrace{Times: []float64{0, 5}, Rates: []float64{Mbps(1), Mbps(3)}},
 		&FadingTrace{Base: Mbps(2), Swing: 0.9, Period: 7, Jitter: 0.9, Seed: 3},
 		&OutageTrace{Inner: ConstantTrace(Mbps(2)), Start: 1, Interval: 4, Duration: 1},
-		&RandomWalkTrace{Base: Mbps(2), Min: Mbps(0.2), Max: Mbps(8), Epoch: 1, Seed: 5},
 	}
 	for ti, tr := range traces {
 		for x := 0.0; x < 60; x += 0.37 {

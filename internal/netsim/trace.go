@@ -6,10 +6,7 @@
 // reproducible.
 package netsim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Trace models uplink bandwidth over time in bits per second.
 type Trace interface {
@@ -101,46 +98,4 @@ func (o *OutageTrace) BandwidthAt(t float64) float64 {
 		}
 	}
 	return o.Inner.BandwidthAt(t)
-}
-
-// InOutage reports whether t falls inside an injected outage.
-func (o *OutageTrace) InOutage(t float64) bool {
-	if o.Interval <= 0 || t < o.Start {
-		return false
-	}
-	return math.Mod(t-o.Start, o.Interval) < o.Duration
-}
-
-// RandomWalkTrace is a Markov-modulated rate: every Epoch seconds the rate
-// multiplies by a random factor, clamped to [Min, Max]. Deterministic in
-// Seed with random access by time.
-type RandomWalkTrace struct {
-	Base     float64
-	Min, Max float64
-	Epoch    float64
-	Seed     int64
-}
-
-// BandwidthAt implements Trace.
-func (r *RandomWalkTrace) BandwidthAt(t float64) float64 {
-	if t < 0 {
-		t = 0
-	}
-	n := int(t / r.Epoch)
-	// Replay the walk up to epoch n. Epoch counts in experiments are
-	// small (hundreds), so the O(n) replay is negligible and keeps the
-	// trace random-access without storing state.
-	rng := rand.New(rand.NewSource(r.Seed))
-	rate := r.Base
-	for i := 0; i < n; i++ {
-		factor := 0.75 + 0.5*rng.Float64()
-		rate *= factor
-		if rate < r.Min {
-			rate = r.Min
-		}
-		if rate > r.Max {
-			rate = r.Max
-		}
-	}
-	return rate
 }
