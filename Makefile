@@ -155,8 +155,8 @@ doctor-live:
 
 # Fleet smoke (the CI fleet-smoke job): the fleet simulator and aggregation
 # plane under -race, then the end-to-end gates in ci/fleet_smoke.sh — seeded
-# model runs must be byte-identical, a scripted slow link must stream a
-# straggler-session finding out of a live /debug/fleet endpoint, and the
+# model runs must be byte-identical, divedoctor -fleet must report a
+# straggler-session finding on a scripted slow link's report, and the
 # healthy fleet must diagnose clean.
 fleet-smoke:
 	$(GO) test -race ./internal/fleet/ ./internal/obs/ ./internal/doctor/

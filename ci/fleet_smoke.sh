@@ -1,26 +1,22 @@
 #!/bin/sh
 # fleet_smoke.sh — fleet-observability smoke: the end-to-end gate on the
 # aggregation plane (per-session recorders → FleetAggregator → rollups →
-# /debug/fleet → streaming fleet detectors). Three gates:
+# divefleet -json report → fleet detectors). Three gates:
 #
 #   1. Determinism: two identical seeded model runs must print
 #      byte-identical JSON reports — the property every fleet experiment
 #      in EXPERIMENTS.md relies on.
-#   2. Pathology: a served fleet run with one scripted slow link, tailed
-#      live by divedoctor -follow, must stream a straggler-session finding
-#      as JSONL while the run is still going.
+#   2. Pathology: divedoctor -fleet on gate 1's report, whose fleet has one
+#      scripted slow link, must report a straggler-session finding.
 #   3. Healthy: the same fleet spec without the slow link must exit 0 from
 #      divefleet (no stragglers, burn within budget) and diagnose clean
-#      offline via divedoctor -fleet.
+#      via divedoctor -fleet.
 #
-# Usage: ci/fleet_smoke.sh [port]
+# Usage: ci/fleet_smoke.sh
 set -u
 
-PORT="${1:-7081}"
-URL="http://127.0.0.1:${PORT}"
 OUT="$(mktemp -d)"
-SERVE_PID=""
-trap '[ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null; rm -rf "$OUT"' EXIT INT TERM
+trap 'rm -rf "$OUT"' EXIT INT TERM
 
 go build -o "$OUT/divefleet" ./cmd/divefleet || exit 2
 go build -o "$OUT/divedoctor" ./cmd/divedoctor || exit 2
@@ -34,51 +30,25 @@ if ! cmp -s "$OUT/run1.json" "$OUT/run2.json"; then
     exit 1
 fi
 
-# --- Gate 2: scripted straggler streams out of a live fleet. Serve the
-# rollups paced in wall-clock time; agent 3's link runs at 5% bandwidth
-# plus 300ms of server-side delay, so straggler-session must fire while
-# divedoctor is following /debug/fleet.
-"$OUT/divefleet" $FLAGS -slow 3 -serve "127.0.0.1:${PORT}" \
-    -pace 100ms -linger 8s >"$OUT/serve.out" 2>"$OUT/serve.log" &
-SERVE_PID=$!
-
-up=0
-for _ in $(seq 1 50); do
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$URL/debug/fleet" >/dev/null 2>&1 && { up=1; break; }
-    else
-        wget -qO /dev/null "$URL/debug/fleet" 2>/dev/null && { up=1; break; }
-    fi
-    sleep 0.2
-done
-if [ "$up" != 1 ]; then
-    echo "fleet-smoke: /debug/fleet never came up" >&2
-    cat "$OUT/serve.log" >&2
-    exit 2
-fi
-
+# --- Gate 2: the scripted straggler is diagnosed. Agent 3's link runs at 5%
+# bandwidth plus 300ms of server-side delay, so straggler-session must fire
+# over the report's rollup series.
 # divedoctor exits 1 when findings fired — which is what we expect here.
-"$OUT/divedoctor" -follow -url "$URL" -interval 250ms -for 30s \
-    >"$OUT/findings.jsonl" 2>"$OUT/follow.log"
+"$OUT/divedoctor" -fleet "$OUT/run1.json" -json >"$OUT/findings.json" 2>"$OUT/doctor.log"
 status=$?
 if [ "$status" -eq 2 ]; then
-    echo "fleet-smoke: divedoctor -follow errored" >&2
-    cat "$OUT/follow.log" >&2
+    echo "fleet-smoke: divedoctor -fleet errored" >&2
+    cat "$OUT/doctor.log" >&2
     exit 2
 fi
-if ! grep -q '"check":"straggler-session"' "$OUT/findings.jsonl"; then
-    echo "fleet-smoke: no straggler-session finding streamed from the live fleet" >&2
-    echo "--- findings" >&2
-    cat "$OUT/findings.jsonl" >&2
-    echo "--- follow log" >&2
-    cat "$OUT/follow.log" >&2
+if ! grep -q '"check": "straggler-session"' "$OUT/findings.json"; then
+    echo "fleet-smoke: no straggler-session finding in the slow-link fleet's report" >&2
+    cat "$OUT/findings.json" "$OUT/doctor.log" >&2
     exit 1
 fi
-wait "$SERVE_PID"
-SERVE_PID=""
 
 # --- Gate 3: the healthy fleet (same spec, no slow link) must pass its own
-# exit gate and diagnose clean offline.
+# exit gate and diagnose clean.
 if ! "$OUT/divefleet" $FLAGS -json -o "$OUT/healthy.json" >/dev/null; then
     echo "fleet-smoke: healthy fleet run failed its exit gate" >&2
     exit 1
@@ -89,5 +59,5 @@ if ! "$OUT/divedoctor" -fleet "$OUT/healthy.json" >"$OUT/healthy.diag" 2>&1; the
     exit 1
 fi
 
-n=$(grep -c '"check"' "$OUT/findings.jsonl")
-echo "fleet-smoke: OK — deterministic report, $n live finding(s) with straggler-session present, healthy run clean"
+n=$(grep -c '"check": "' "$OUT/findings.json")
+echo "fleet-smoke: OK — deterministic report, $n finding(s) with straggler-session present, healthy run clean"

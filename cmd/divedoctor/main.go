@@ -20,8 +20,8 @@
 //
 //   - -journal reads an exported journal JSONL file ("-" reads stdin).
 //   - -url fetches the journal live from a telemetry endpoint.
-//   - -fleet reads a fleet rollup series (/debug/fleet JSONL or a divefleet
-//     -json report) and runs the fleet detectors: straggler-session
+//   - -fleet reads a fleet rollup series (a divefleet -json report or
+//     rollup JSONL) and runs the fleet detectors: straggler-session
 //     (sustained straggler-table residency), noisy-neighbor (per-session
 //     heap or GC pause growing superlinearly with fleet size) and
 //     fleet-burn (aggregate SLO burn with no straggler standing out —
@@ -37,11 +37,9 @@
 // Watch mode: -follow tails -url's /debug/journal while the run is still
 // going, feeding new records through the streaming detectors and printing
 // each finding as one JSON line the moment it becomes final. Each poll also
-// samples /debug/runtime and /debug/fleet when the endpoint serves them
-// (404s disable the respective series): runtime snapshots feed the final
-// GC-pressure diagnosis, fleet rollups stream through the fleet detectors
-// live — following a divefleet -serve run surfaces straggler-session the
-// moment a session's streak crosses the bar. Transient scrape failures are
+// samples /debug/runtime when the endpoint serves it; the snapshots feed the
+// final GC-pressure diagnosis. A fleet is diagnosed offline, by -fleet on
+// its divefleet -json report. Transient scrape failures are
 // retried with capped exponential backoff (a chaos blackout between doctor
 // and target must not abort the watch) and counted in the exit summary; the
 // watch only ends once the endpoint stays unreachable for several
@@ -92,7 +90,7 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll period in -follow mode")
 	followFor := fs.Duration("for", 0, "stop following after this long (0 = until the endpoint disappears)")
 	outageRun := fs.Int("outage-run", 0, "override the outage-drift run-length threshold (0 = default; scenarios with short outage windows need a lower bar)")
-	fleetPath := fs.String("fleet", "", "fleet rollup file for the fleet detectors: /debug/fleet JSONL or a divefleet -json report (- = stdin)")
+	fleetPath := fs.String("fleet", "", "fleet rollup file for the fleet detectors: a divefleet -json report or rollup JSONL (- = stdin)")
 	runtimePath := fs.String("runtime", "", "runtime-stats JSONL file (series of /debug/runtime snapshots) for the GC-pressure checks (- = stdin)")
 	allocPath := fs.String("alloc", "", "go test -bench -benchmem output for the allocation gate (- = stdin)")
 	allocBaselinePath := fs.String("alloc-baseline", "", "committed allocation baseline to compare -alloc against")
@@ -238,17 +236,16 @@ func readFile[T any](what, path string, parse func(io.Reader) (T, error)) (T, er
 // watch mid-stream.
 const followMaxConsecFails = 6
 
-// followLive tails a live /debug/journal (and /debug/fleet when the
-// endpoint serves it), streaming each finding to w as one JSON line the
-// moment the incremental detectors finalize it. Transient scrape failures
-// are retried with capped exponential backoff and counted; the loop ends
-// when the deadline passes or the endpoint stays unreachable for
-// followMaxConsecFails polls. Either way the held-back tail is flushed
-// through the detectors so end-of-stream findings are not lost.
+// followLive tails a live /debug/journal, streaming each finding to w as
+// one JSON line the moment the incremental detectors finalize it, and
+// samples /debug/runtime alongside. Transient scrape failures are retried
+// with capped exponential backoff and counted; the loop ends when the
+// deadline passes or the endpoint stays unreachable for followMaxConsecFails
+// polls. Either way the held-back tail is flushed through the detectors so
+// end-of-stream findings are not lost.
 func followLive(base string, interval, dur time.Duration, outageRun int, w io.Writer) (*doctor.Report, error) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	follower := doctor.NewFollower(outageRun)
-	fleetFollower := doctor.NewFleetFollower()
 	enc := json.NewEncoder(w)
 	var findings []doctor.Finding
 	emit := func(fs []doctor.Finding) error {
@@ -267,55 +264,25 @@ func followLive(base string, interval, dur time.Duration, outageRun int, w io.Wr
 	}
 	var last []obs.JournalRecord
 	var rtSamples []obs.RuntimeStats
-	// hasJournal/hasFleet track which endpoints this server serves; a 404
-	// answers the question for good (the mux is static), while connection
-	// errors leave it open.
 	connected, failures, retries := false, 0, 0
-	hasJournal, hasFleet := true, true
 	sleep := interval
 	for {
-		var scrapeErr error
-		polled := false
-		if hasJournal {
-			recs, err := fetchAs(client, base+"/debug/journal", obs.ReadJSONL[obs.JournalRecord])
-			switch {
-			case err == nil:
-				polled = true
-				last = recs
-				if err := emit(follower.Ingest(recs)); err != nil {
-					return nil, err
-				}
-				// Sample the runtime alongside the journal; servers without
-				// /debug/runtime just skip the GC-pressure series.
-				if st, err := fetchAs(client, base+"/debug/runtime", obs.ReadJSONL[obs.RuntimeStats]); err == nil {
-					rtSamples = append(rtSamples, st...)
-				}
-			case errors.Is(err, errNotFound):
-				hasJournal = false
-			default:
-				scrapeErr = err
-			}
-		}
-		if hasFleet && scrapeErr == nil {
-			rollups, err := fetchAs(client, base+"/debug/fleet", readRollups)
-			switch {
-			case err == nil:
-				polled = true
-				if err := emit(fleetFollower.Ingest(rollups)); err != nil {
-					return nil, err
-				}
-			case errors.Is(err, errNotFound):
-				hasFleet = false
-			default:
-				scrapeErr = err
-			}
-		}
-		if !hasJournal && !hasFleet {
-			return nil, fmt.Errorf("follow %s: serves neither /debug/journal nor /debug/fleet", base)
-		}
+		recs, err := fetchAs(client, base+"/debug/journal", obs.ReadJSONL[obs.JournalRecord])
 		switch {
-		case polled:
+		case err == nil:
 			connected, failures, sleep = true, 0, interval
+			last = recs
+			if err := emit(follower.Ingest(recs)); err != nil {
+				return nil, err
+			}
+			// Sample the runtime alongside the journal; servers without
+			// /debug/runtime just skip the GC-pressure series.
+			if st, err := fetchAs(client, base+"/debug/runtime", obs.ReadJSONL[obs.RuntimeStats]); err == nil {
+				rtSamples = append(rtSamples, st...)
+			}
+		case errors.Is(err, errNotFound):
+			// The debug mux is static: a 404 is a permanent answer.
+			return nil, fmt.Errorf("follow %s: %w", base, err)
 		case connected:
 			// The endpoint answered before and stopped. A shut-down run
 			// stays down; a chaos blip recovers — retry with capped backoff
@@ -333,7 +300,7 @@ func followLive(base string, interval, dur time.Duration, outageRun int, w io.Wr
 			// Never connected; give a just-starting server a grace window.
 			failures++
 			if failures >= 10 {
-				return nil, fmt.Errorf("follow %s: %w", base, scrapeErr)
+				return nil, fmt.Errorf("follow %s: %w", base, err)
 			}
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
@@ -345,16 +312,7 @@ done:
 	if err := emit(follower.Close(last)); err != nil {
 		return nil, err
 	}
-	if err := emit(fleetFollower.Close(nil)); err != nil {
-		return nil, err
-	}
-	var checks []string
-	if hasJournal {
-		checks = append(checks, follower.Checks()...)
-	}
-	if hasFleet {
-		checks = append(checks, fleetFollower.Checks()...)
-	}
+	checks := follower.Checks()
 	if len(rtSamples) > 0 {
 		checks = append(checks, "gc-pressure")
 		if err := emit(doctor.AnalyzeRuntime(rtSamples)); err != nil {
@@ -362,8 +320,8 @@ done:
 		}
 	}
 	rep := &doctor.Report{Frames: follower.Consumed(), Checks: checks, Findings: findings}
-	fmt.Fprintf(os.Stderr, "divedoctor: followed %d journal frames, %d fleet rollup(s), %d finding(s), %d scrape retries\n",
-		rep.Frames, fleetFollower.Consumed(), len(rep.Findings), retries)
+	fmt.Fprintf(os.Stderr, "divedoctor: followed %d journal frames, %d finding(s), %d scrape retries\n",
+		rep.Frames, len(rep.Findings), retries)
 	return rep, nil
 }
 
@@ -403,8 +361,8 @@ func fetchAs[T any](client *http.Client, url string, parse func(io.Reader) (T, e
 	return v, nil
 }
 
-// readRollups parses a fleet rollup stream: a whole divefleet -json report
-// (its "rollups" array), or JSONL as /debug/fleet serves it.
+// readRollups parses a fleet rollup series: a whole divefleet -json report
+// (its "rollups" array), or one rollup per line (JSONL).
 func readRollups(r io.Reader) ([]obs.FleetRollup, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

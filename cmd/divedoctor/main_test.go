@@ -109,8 +109,8 @@ func TestRunFetchesLiveEndpoints(t *testing.T) {
 	if got.Frames != want.Frames {
 		t.Errorf("-follow consumed %d frames, -journal %d", got.Frames, want.Frames)
 	}
-	// The recorder serves /debug/runtime but 404s /debug/fleet: the follower
-	// runs the journal checks plus gc-pressure, and no fleet check.
+	// The recorder serves /debug/runtime: the follower runs the journal
+	// checks plus gc-pressure.
 	if wantChecks := append(append([]string(nil), want.Checks...), "gc-pressure"); !reflect.DeepEqual(got.Checks, wantChecks) {
 		t.Errorf("-follow checks_run %v, want %v", got.Checks, wantChecks)
 	}
@@ -213,7 +213,7 @@ func TestRunRuntimeFile(t *testing.T) {
 }
 
 // fleetRollupJSONL renders n rollups, straggling from tick `from`, as
-// /debug/fleet-style JSONL.
+// rollup JSONL.
 func fleetRollupJSONL(t *testing.T, n, from int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -290,29 +290,5 @@ func TestFollowRetriesTransientScrapeFailures(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "qp-oscillation") {
 		t.Errorf("post-recovery pathology not diagnosed:\n%s", out.String())
-	}
-}
-
-// TestFollowFleetOnlyEndpoint follows a target that serves /debug/fleet but
-// no journal (a divefleet -serve process) and streams fleet findings.
-func TestFollowFleetOnlyEndpoint(t *testing.T) {
-	rollups := fleetRollupJSONL(t, 8, 2)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/fleet", func(w http.ResponseWriter, r *http.Request) {
-		w.Write(rollups)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	var out bytes.Buffer
-	rep, err := run([]string{"-follow", "-url", srv.URL, "-interval", "30ms", "-for", "500ms"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Frames != 0 {
-		t.Errorf("journal-less target reported %d frames", rep.Frames)
-	}
-	if !strings.Contains(out.String(), "straggler-session") {
-		t.Fatalf("fleet findings not streamed:\n%s", out.String())
 	}
 }

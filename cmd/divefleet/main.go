@@ -9,7 +9,6 @@
 //	divefleet [-agents 50] [-servers 1] [-duration 30] [-seed 1]
 //	          [-chaos outage-burst] [-slow 3,17] [-cores 8]
 //	          [-json] [-o report.json]
-//	divefleet -serve 127.0.0.1:7062 [-pace 100ms] [-linger 5s] [...]
 //	divefleet -live [-agents 3] [-servers 1] [-duration 1] [-seed 1] [-json]
 //	divefleet -live -cluster 3 [-kill-frac 0.5] [-journal-dir DIR] [...]
 //
@@ -18,9 +17,8 @@
 // report. -slow scripts the listed agents onto crippled links (5% bandwidth,
 // +300ms service), the straggler pathology the rollup table must surface;
 // -chaos runs every agent under a per-agent-seeded variant of the named
-// standard chaos scenario. -serve paces the run to wall clock (-pace per
-// rollup) while serving the rollup ring at /debug/fleet as JSONL, the live
-// target for divedoctor -follow; -linger keeps it up after the run.
+// standard chaos scenario. The report's rollup series is what divedoctor
+// -fleet diagnoses.
 //
 // -live runs real edge.Client sessions over loopback TCP against real
 // edge.Server instances (wall-clock, non-deterministic), or with -cluster
@@ -29,7 +27,9 @@
 // once its sessions have streamed that fraction of their frames; they must
 // fail over with a bounded re-detection gap. -journal-dir exports each
 // session's decision journal as JSONL for divedoctor. A flag the chosen mode
-// does not read is rejected.
+// does not read is rejected, as is a -duration outside
+// (0, world.MaxClipDuration] seconds, a -cores that is not finite and
+// positive, and -agents or -servers below 1.
 //
 // Without -json a human summary is printed: the final rollup, per-profile
 // table and straggler table. Exit status: 0 on a clean run, 1 when the
@@ -42,15 +42,15 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
+	"math"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
+	"dive/internal/chaos"
 	"dive/internal/fleet"
 	"dive/internal/obs"
+	"dive/internal/world"
 )
 
 func main() {
@@ -68,16 +68,13 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	fs := flag.NewFlagSet("divefleet", flag.ContinueOnError)
 	agents := fs.Int("agents", 50, "fleet size")
 	servers := fs.Int("servers", 1, "edge server instances (sessions assigned round-robin)")
-	duration := fs.Float64("duration", 30, "run length in virtual seconds (wall-clock seconds with -live)")
+	duration := fs.Float64("duration", 30, fmt.Sprintf("run length in virtual seconds (wall-clock seconds with -live), at most %d", world.MaxClipDuration))
 	seed := fs.Int64("seed", 1, "master seed; same flags + same seed = byte-identical report")
-	chaosName := fs.String("chaos", "", "standard chaos scenario every agent runs a seeded variant of (outage-burst, bandwidth-cliff, estimator-poison)")
+	chaosName := fs.String("chaos", "", "standard chaos scenario every agent runs a seeded variant of ("+chaos.ScenarioNames()+")")
 	slow := fs.String("slow", "", "comma-separated agent indices scripted onto crippled links (straggler pathology)")
 	cores := fs.Float64("cores", 8, "per-server service capacity; overload inflates co-tenant latency")
 	asJSON := fs.Bool("json", false, "print the full report as JSON")
 	out := fs.String("o", "", "write the report to this file instead of stdout (implies -json)")
-	serve := fs.String("serve", "", "pace the run to wall clock and serve /debug/fleet on this address")
-	pace := fs.Duration("pace", 100*time.Millisecond, "wall-clock delay per rollup in -serve mode")
-	linger := fs.Duration("linger", 5*time.Second, "keep the -serve endpoint up this long after the run")
 	live := fs.Bool("live", false, "run real edge clients/servers over loopback instead of the model")
 	clusterN := fs.Int("cluster", 0, "with -live: run this many members behind the health-routed balancer")
 	killFrac := fs.Float64("kill-frac", 0, "with -cluster: kill a seeded member once its sessions streamed this fraction of their frames")
@@ -85,7 +82,8 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	// Flags this mode would ignore, or that could never act, fail by name.
+	// Flags this mode would ignore, that could never act, or whose value the
+	// run would replace with a default or fail to encode, fail by name.
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	for _, r := range []struct {
@@ -93,11 +91,15 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 		names []string
 		why   string
 	}{
-		{*live, []string{"chaos", "slow", "cores", "serve", "pace", "linger"}, "does not apply with -live"},
+		{*live, []string{"chaos", "slow", "cores"}, "does not apply with -live"},
 		{!*live, []string{"cluster", "kill-frac", "journal-dir"}, "only applies with -live"},
 		{*clusterN <= 0, []string{"kill-frac"}, "only applies with -cluster"},
 		{!(*killFrac > 0 && *killFrac <= 1), []string{"kill-frac"}, "must be in (0, 1]"},
 		{*clusterN > 0, []string{"servers"}, "does not apply with -cluster"},
+		{!(*duration > 0 && *duration <= world.MaxClipDuration), []string{"duration"}, fmt.Sprintf("must be in (0, %d] seconds", world.MaxClipDuration)},
+		{!(*cores > 0 && !math.IsInf(*cores, 1)), []string{"cores"}, "must be finite and > 0"},
+		{*agents < 1, []string{"agents"}, "must be at least 1"},
+		{*servers < 1, []string{"servers"}, "must be at least 1"},
 	} {
 		for _, name := range r.names {
 			if r.bad && set[name] {
@@ -127,16 +129,11 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 			return nil, err
 		}
 	default:
-		spec := fleet.Spec{
+		rep, err = fleet.Run(fleet.Spec{
 			Agents: *agents, Servers: *servers, Duration: *duration,
 			Seed: *seed, Chaos: *chaosName, SlowAgents: slowIdx,
 			ServerCores: *cores,
-		}
-		if *serve != "" {
-			rep, err = serveFleet(spec, *serve, *pace, *linger)
-		} else {
-			rep, err = fleet.Run(spec)
-		}
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -157,30 +154,6 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 		return rep, enc.Encode(rep)
 	}
 	printReport(w, rep)
-	return rep, nil
-}
-
-// serveFleet paces the model run to wall clock while /debug/fleet serves
-// the growing rollup ring.
-func serveFleet(spec fleet.Spec, addr string, pace, linger time.Duration) (*fleet.Report, error) {
-	agg := fleet.NewAggregator(spec)
-	mux := http.NewServeMux()
-	mux.Handle("/debug/fleet", agg.Handler())
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-	go http.Serve(ln, mux)
-	fmt.Fprintf(os.Stderr, "divefleet: serving /debug/fleet on http://%s\n", ln.Addr())
-
-	rep, err := fleet.RunStream(spec, agg, func(obs.FleetRollup) { time.Sleep(pace) })
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "divefleet: run complete (%d rollups), lingering %s\n",
-		len(rep.Rollups), linger)
-	time.Sleep(linger)
 	return rep, nil
 }
 

@@ -63,8 +63,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if _, err := run([]string{"-chaos", "full-moon", "-duration", "1"}, &out); err == nil {
 		t.Error("unknown chaos scenario accepted")
 	}
-	// A flag the chosen mode never reads, or a -kill-frac that never kills,
-	// is an error naming the flag, returned before any fleet runs.
+	// A flag the chosen mode never reads, a -kill-frac that never kills, or
+	// a value the run would replace with a default or fail to encode, is an
+	// error naming the flag, returned before any fleet runs.
 	for _, tc := range []struct {
 		args []string
 		flag string
@@ -72,9 +73,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-live", "-chaos", "outage-burst"}, "-chaos"},
 		{[]string{"-live", "-slow", "0"}, "-slow"},
 		{[]string{"-live", "-cores", "4"}, "-cores"},
-		{[]string{"-live", "-serve", "127.0.0.1:0"}, "-serve"},
-		{[]string{"-live", "-pace", "1ms"}, "-pace"},
-		{[]string{"-live", "-linger", "1ms"}, "-linger"},
 		{[]string{"-cluster", "3"}, "-cluster"},
 		{[]string{"-kill-frac", "0.5"}, "-kill-frac"},
 		{[]string{"-journal-dir", t.TempDir()}, "-journal-dir"},
@@ -83,6 +81,16 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-live", "-cluster", "2", "-kill-frac", "1.5"}, "-kill-frac"},
 		{[]string{"-live", "-cluster", "2", "-kill-frac", "NaN"}, "-kill-frac"},
 		{[]string{"-live", "-cluster", "2", "-servers", "2"}, "-servers"},
+		{[]string{"-duration", "NaN"}, "-duration"},
+		{[]string{"-duration", "-5"}, "-duration"},
+		{[]string{"-duration", "0"}, "-duration"},
+		{[]string{"-duration", "3601"}, "-duration"},
+		{[]string{"-cores", "NaN"}, "-cores"},
+		{[]string{"-cores", "-2"}, "-cores"},
+		{[]string{"-cores", "+Inf"}, "-cores"},
+		{[]string{"-agents", "0"}, "-agents"},
+		{[]string{"-servers", "-3"}, "-servers"},
+		{[]string{"-live", "-servers", "0"}, "-servers"},
 	} {
 		args := append([]string{"-agents", "1", "-duration", "0.5"}, tc.args...)
 		if _, err := run(args, &out); err == nil || !strings.Contains(err.Error(), tc.flag) {

@@ -11,7 +11,7 @@
 //	          [-seed ...] [-duration ...] [-mbps ... | -chaos ...]
 //
 // The uplink is a constant -mbps link, or with -chaos a named scenario from
-// the standard chaos suite (outage-burst, bandwidth-cliff, estimator-poison);
+// the standard chaos suite (chaos.StandardScenarios; -h lists the names);
 // -mbps is rejected with -chaos, since the scenario sets the link.
 //
 // -format journal (the default) emits the per-frame decision journal, spans
@@ -67,7 +67,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	out := fs.String("o", "", "output file (default stdout)")
 	format := fs.String("format", "journal", "output format: journal (decision journal), jsonl (frame-lifecycle records) or spans (trace spans)")
 	serve := fs.String("serve", "", "serve live telemetry on this address while running (e.g. 127.0.0.1:7061); disables file output")
-	chaosName := fs.String("chaos", "", "run under a standard chaos scenario (outage-burst, bandwidth-cliff, estimator-poison) instead of a constant link")
+	chaosName := fs.String("chaos", "", "run under a standard chaos scenario ("+chaos.ScenarioNames()+") instead of a constant link")
 	pace := fs.Duration("pace", 30*time.Millisecond, "with -serve: wall-clock delay per frame, so followers see the journal grow")
 	linger := fs.Duration("linger", 5*time.Second, "with -serve: keep the endpoint up this long after the run ends, so followers can drain the tail")
 	if err := fs.Parse(args); err != nil {

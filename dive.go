@@ -61,7 +61,7 @@ type Config struct {
 	// "hex", "umh", "tesa", "esa"); empty selects "hex", the paper's
 	// choice.
 	MEMethod string
-	// GoPSize is the I-frame interval (default 48).
+	// GoPSize is the I-frame interval (default 96).
 	GoPSize int
 	// EtaThreshold is the moving/static decision threshold on the
 	// non-zero motion vector ratio (default 0.15).

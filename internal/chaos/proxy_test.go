@@ -209,8 +209,8 @@ func TestOutageBurstWindowsOrdered(t *testing.T) {
 		if i > 0 && w[0] < b.Windows[i-1][1] {
 			t.Errorf("windows overlap: %v", b.Windows)
 		}
-		if !b.InOutage((w[0] + w[1]) / 2) {
-			t.Errorf("InOutage false inside window %d", i)
+		if bw := b.BandwidthAt((w[0] + w[1]) / 2); bw != 0 {
+			t.Errorf("bandwidth %v inside window %d", bw, i)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"dive/internal/netsim"
 )
@@ -39,16 +40,6 @@ func (w *WindowedOutageTrace) BandwidthAt(t float64) float64 {
 	return w.Inner.BandwidthAt(t)
 }
 
-// InOutage reports whether t falls inside a scripted window.
-func (w *WindowedOutageTrace) InOutage(t float64) bool {
-	for _, win := range w.Windows {
-		if t >= win[0] && t < win[1] {
-			return true
-		}
-	}
-	return false
-}
-
 // OutageBurst scripts n dead-air windows of dur seconds over a base trace,
 // spaced pseudo-randomly (seeded) across [start, horizon).
 func OutageBurst(base netsim.Trace, seed int64, n int, start, horizon, dur float64) *WindowedOutageTrace {
@@ -68,16 +59,6 @@ func OutageBurst(base netsim.Trace, seed int64, n int, start, horizon, dur float
 		windows = append(windows, [2]float64{at, at + dur})
 	}
 	return &WindowedOutageTrace{Inner: base, Windows: windows}
-}
-
-// BandwidthCliff drops the link from base to base*cliffFactor at cliffAt and
-// restores it at recoverAt — the hard-handover shape that breaks estimators
-// trained on the pre-cliff rate.
-func BandwidthCliff(baseBps, cliffFactor, cliffAt, recoverAt float64) *netsim.StepTrace {
-	return &netsim.StepTrace{
-		Times: []float64{0, cliffAt, recoverAt},
-		Rates: []float64{baseBps, baseBps * cliffFactor, baseBps},
-	}
 }
 
 // EstimatorPoison flutters the link on and off with short seeded dead slots:
@@ -102,7 +83,10 @@ func StandardScenarios(seed int64, duration float64) []Scenario {
 	fading := &netsim.FadingTrace{Base: base, Swing: 0.3, Period: 6, Jitter: 0.15, Seed: seed}
 	burst := OutageBurst(fading, seed, 2, duration*0.25, duration*0.85, 0.6)
 	poison := EstimatorPoison(netsim.ConstantTrace(base), seed+1, duration*0.3, duration*0.6, 0.25)
+	// The cliff drops the link to 15% and restores it: the hard-handover
+	// shape that breaks estimators trained on the pre-cliff rate.
 	cliffAt, recoverAt := duration*0.35, duration*0.7
+	cliff := &netsim.StepTrace{Times: []float64{0, cliffAt, recoverAt}, Rates: []float64{base, base * 0.15, base}}
 	return []Scenario{
 		{
 			Name:  "outage-burst",
@@ -111,7 +95,7 @@ func StandardScenarios(seed int64, duration float64) []Scenario {
 		},
 		{
 			Name:  "bandwidth-cliff",
-			Trace: BandwidthCliff(base, 0.15, cliffAt, recoverAt), RecoverWithinSec: 1.5,
+			Trace: cliff, RecoverWithinSec: 1.5,
 			FaultWindows: [][2]float64{{cliffAt, recoverAt}},
 		},
 		{
@@ -122,16 +106,22 @@ func StandardScenarios(seed int64, duration float64) []Scenario {
 	}
 }
 
+// ScenarioNames lists the StandardScenarios names in suite order.
+func ScenarioNames() string {
+	var names []string
+	for _, sc := range StandardScenarios(0, 1) {
+		names = append(names, sc.Name)
+	}
+	return strings.Join(names, ", ")
+}
+
 // FindScenario resolves a StandardScenarios entry by name, for the same seed
 // and duration; an unknown name is an error that lists the known ones.
 func FindScenario(name string, seed int64, duration float64) (Scenario, error) {
-	all := StandardScenarios(seed, duration)
-	names := make([]string, len(all))
-	for i, sc := range all {
-		names[i] = sc.Name
+	for _, sc := range StandardScenarios(seed, duration) {
 		if sc.Name == name {
 			return sc, nil
 		}
 	}
-	return Scenario{}, fmt.Errorf("unknown chaos scenario %q (available: %v)", name, names)
+	return Scenario{}, fmt.Errorf("unknown chaos scenario %q (available: %s)", name, ScenarioNames())
 }

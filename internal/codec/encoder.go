@@ -350,7 +350,7 @@ func (e *Encoder) searchMB(frame *imgx.Plane, mf *MotionField, bx, by int) {
 	// Skip test at the predictor.
 	var sadPred int
 	if e.cfg.SubPel {
-		sadPred = sadHalf(frame, px, py, e.ref, px*2+int(pred.X), py*2+int(pred.Y), MBSize, MBSize, skipThreshold)
+		sadPred = sadHalf(frame, px, py, e.ref, px*2+int(pred.X), py*2+int(pred.Y), skipThreshold)
 	} else {
 		sadPred = imgx.SAD(frame, px, py, e.ref, px+int(pred.X), py+int(pred.Y), MBSize, MBSize, skipThreshold)
 	}

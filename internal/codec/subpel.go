@@ -27,65 +27,47 @@ func sampleHalf(p *imgx.Plane, hx, hy int) uint8 {
 	}
 }
 
-// sadHalf computes the SAD between the w×h block at (ax, ay) in a and the
-// half-pel displaced block at half-pel origin (hbx, hby) in b, with early
-// exit (checked after each completed row, matching imgx.SAD).
-func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, w, h, earlyExit int) int {
+// sadHalf computes the SAD between the macroblock at (ax, ay) in a and the
+// half-pel displaced macroblock at half-pel origin (hbx, hby) in b, with
+// early exit (checked after each completed row, matching imgx.SAD).
+func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, earlyExit int) int {
 	// Even coordinates are plain integer SAD.
 	if hbx&1 == 0 && hby&1 == 0 {
-		return imgx.SAD(a, ax, ay, b, hbx>>1, hby>>1, w, h, earlyExit)
+		return imgx.SAD(a, ax, ay, b, hbx>>1, hby>>1, MBSize, MBSize, earlyExit)
 	}
+	// Odd phases go through the imgx row kernels over the samples the
+	// bilinear taps touch: columns ix0..ix0+16 and rows iy0..iy0+16, the last
+	// of each only on its odd axis. When some lie outside b, a border-clamped
+	// copy of them stands in.
 	ix0, iy0 := hbx>>1, hby>>1
-	if w == MBSize && h <= MBSize {
-		// Macroblock-wide blocks — every search candidate — go through the
-		// imgx row kernels over the samples the bilinear taps touch: columns
-		// ix0..ix0+w and rows iy0..iy0+h, the last of each only on its odd
-		// axis. When some lie outside b, a border-clamped copy of them
-		// stands in.
-		ox, oy := hbx&1, hby&1
-		pb, wb := b.Pix, b.W
-		if ix0 >= 0 && iy0 >= 0 && ix0+w+ox <= b.W && iy0+h+oy <= b.H {
-			pb = pb[iy0*wb+ix0:]
-		} else {
-			var patch [(MBSize + 1) * patchStride]uint8
-			pp := imgx.Plane{W: patchStride, H: MBSize + 1, Pix: patch[:]}
-			imgx.CopyBlock(&pp, 0, 0, b, ix0, iy0, w+ox, h+oy)
-			pb, wb = patch[:], patchStride
-		}
-		return sadHalf16(a.Pix[ay*a.W+ax:], a.W, pb, wb, ox == 1, oy == 1, h, earlyExit)
+	ox, oy := hbx&1, hby&1
+	pb, wb := b.Pix, b.W
+	if ix0 >= 0 && iy0 >= 0 && ix0+MBSize+ox <= b.W && iy0+MBSize+oy <= b.H {
+		pb = pb[iy0*wb+ix0:]
+	} else {
+		var patch [(MBSize + 1) * patchStride]uint8
+		pp := imgx.Plane{W: patchStride, H: MBSize + 1, Pix: patch[:]}
+		imgx.CopyBlock(&pp, 0, 0, b, ix0, iy0, MBSize+ox, MBSize+oy)
+		pb, wb = patch[:], patchStride
 	}
-	sum := 0
-	for y := 0; y < h; y++ {
-		ra := a.Pix[(ay+y)*a.W+ax : (ay+y)*a.W+ax+w]
-		for x := 0; x < w; x++ {
-			d := int(ra[x]) - int(sampleHalf(b, hbx+2*x, hby+2*y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-		if sum >= earlyExit {
-			return sum
-		}
-	}
-	return sum
+	return sadHalf16(a.Pix[ay*a.W+ax:], a.W, pb, wb, ox == 1, oy == 1, earlyExit)
 }
 
 // patchStride is the row stride of sadHalf's border patch: 17 samples a row,
 // padded so the kernels' loads from its last row stay inside the array.
 const patchStride = 24
 
-// sadHalf16 is sadHalf for a 16-wide block on an odd phase with every tap
-// in bounds: pa and pb start at the blocks' first samples, wa and wb are the
-// row strides. Each phase is one imgx row kernel.
-func sadHalf16(pa []uint8, wa int, pb []uint8, wb int, oddX, oddY bool, h, earlyExit int) int {
+// sadHalf16 is sadHalf on an odd phase with every tap in bounds: pa and pb
+// start at the blocks' first samples, wa and wb are the row strides. Each
+// phase is one imgx row kernel.
+func sadHalf16(pa []uint8, wa int, pb []uint8, wb int, oddX, oddY bool, earlyExit int) int {
 	switch {
 	case oddX && oddY:
-		return imgx.SAD16Avg4(pa, wa, pb, wb, h, earlyExit)
+		return imgx.SAD16Avg4(pa, wa, pb, wb, MBSize, earlyExit)
 	case oddX:
-		return imgx.SAD16Avg2(pa, wa, pb, wb, 1, h, earlyExit)
+		return imgx.SAD16Avg2(pa, wa, pb, wb, 1, MBSize, earlyExit)
 	default:
-		return imgx.SAD16Avg2(pa, wa, pb, wb, wb, h, earlyExit)
+		return imgx.SAD16Avg2(pa, wa, pb, wb, wb, MBSize, earlyExit)
 	}
 }
 
@@ -113,7 +95,7 @@ func refineHalf(cur, ref *imgx.Plane, mbx, mby int, mv MV, bestSAD int) (MV, int
 				continue
 			}
 			cand := MV{base.X + int16(dx), base.Y + int16(dy)}
-			s := sadHalf(cur, mbx, mby, ref, mbx*2+int(cand.X), mby*2+int(cand.Y), MBSize, MBSize, threshold)
+			s := sadHalf(cur, mbx, mby, ref, mbx*2+int(cand.X), mby*2+int(cand.Y), threshold)
 			if s < threshold {
 				threshold = s
 				bestSAD = s

@@ -36,40 +36,36 @@ func randPlane(rng *rand.Rand, w, h int) *imgx.Plane {
 }
 
 // TestSadHalfMatchesNaive cross-checks sadHalf — the word kernel over
-// in-bounds taps, the same kernel over a border-clamped patch, and the
-// per-pixel fallback for other block widths — against the naive sampleHalf
-// loop and the per-pixel interior loop it replaced, over randomized
-// positions, all four half-pel phases, and early-exit thresholds.
+// in-bounds taps and the same kernel over a border-clamped patch — against
+// the naive sampleHalf loop and the per-pixel interior loop it replaced, over
+// randomized macroblock positions, all four half-pel phases, and early-exit
+// thresholds.
 func TestSadHalfMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	a := randPlane(rng, 80, 64)
 	b := randPlane(rng, 80, 64)
-	check := func(ax, ay, hbx, hby, w, h, early int) {
+	check := func(ax, ay, hbx, hby, early int) {
 		t.Helper()
-		got := sadHalf(a, ax, ay, b, hbx, hby, w, h, early)
-		if want := sadHalfNaive(a, ax, ay, b, hbx, hby, w, h, early); got != want {
-			t.Fatalf("sadHalf(%d,%d vs half %d,%d %dx%d early=%d) = %d, naive = %d",
-				ax, ay, hbx, hby, w, h, early, got, want)
+		got := sadHalf(a, ax, ay, b, hbx, hby, early)
+		if want := sadHalfNaive(a, ax, ay, b, hbx, hby, MBSize, MBSize, early); got != want {
+			t.Fatalf("sadHalf(%d,%d vs half %d,%d early=%d) = %d, naive = %d",
+				ax, ay, hbx, hby, early, got, want)
 		}
-		if want := oracleSadHalf(a, ax, ay, b, hbx, hby, w, h, early); got != want {
-			t.Fatalf("sadHalf(%d,%d vs half %d,%d %dx%d early=%d) = %d, previous kernel = %d",
-				ax, ay, hbx, hby, w, h, early, got, want)
+		if want := oracleSadHalf(a, ax, ay, b, hbx, hby, MBSize, MBSize, early); got != want {
+			t.Fatalf("sadHalf(%d,%d vs half %d,%d early=%d) = %d, previous kernel = %d",
+				ax, ay, hbx, hby, early, got, want)
 		}
 	}
 	for trial := 0; trial < 5000; trial++ {
-		w, h := MBSize, MBSize
-		if trial%3 == 0 {
-			w, h = 8, 8
-		}
-		ax := rng.Intn(a.W-w) &^ 1
-		ay := rng.Intn(a.H-h) &^ 1
+		ax := rng.Intn(a.W-MBSize) &^ 1
+		ay := rng.Intn(a.H-MBSize) &^ 1
 		hbx := rng.Intn(2*(b.W+16)) - 16
 		hby := rng.Intn(2*(b.H+16)) - 16
 		early := 1 << 30
 		if trial%4 == 0 {
-			early = rng.Intn(w * h * 64)
+			early = rng.Intn(MBSize * MBSize * 64)
 		}
-		check(ax, ay, hbx, hby, w, h, early)
+		check(ax, ay, hbx, hby, early)
 	}
 	// The edges of the in-bounds region, on every odd phase: the last tap
 	// column and row sit on, one short of and one past the plane's last
@@ -79,7 +75,7 @@ func TestSadHalfMatchesNaive(t *testing.T) {
 		for _, ix0 := range []int{-2, -1, 0, 1, b.W - 18, b.W - 17, b.W - 16, b.W - 15} {
 			for _, iy0 := range []int{-2, -1, 0, 1, b.H - 18, b.H - 17, b.H - 16, b.H - 15} {
 				for _, early := range []int{1 << 30, 1, 700, 4000, 12000} {
-					check(32, 16, 2*ix0+phase[0], 2*iy0+phase[1], MBSize, MBSize, early)
+					check(32, 16, 2*ix0+phase[0], 2*iy0+phase[1], early)
 				}
 			}
 		}
@@ -104,7 +100,7 @@ func BenchmarkSadHalf(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				benchSink = sadHalf(pa, 64, 64, pb, c.hbx, c.hby, MBSize, MBSize, 1<<30)
+				benchSink = sadHalf(pa, 64, 64, pb, c.hbx, c.hby, 1<<30)
 			}
 		})
 	}

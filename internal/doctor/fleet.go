@@ -8,9 +8,9 @@ import (
 )
 
 // The fleet detectors: streaming pathology checks over obs.FleetRollup
-// series — the aggregation plane's view of a whole fleet, as divefleet emits
-// it and /debug/fleet serves it (Detector). Fleet findings anchor
-// FirstFrame/LastFrame to rollup ticks, not journal frames.
+// series — the aggregation plane's view of a whole fleet, as a divefleet
+// report carries it (Detector). Fleet findings anchor FirstFrame/LastFrame
+// to rollup ticks, not journal frames.
 
 // NewFleetDetectors builds the fleet detector suite in canonical order.
 func NewFleetDetectors() []Detector[obs.FleetRollup] {

@@ -126,33 +126,3 @@ func TestNoisyNeighborDetector(t *testing.T) {
 		t.Fatalf("linear growth diagnosed noisy: %+v", rep.Findings)
 	}
 }
-
-// TestFleetFollowerCursor feeds overlapping snapshots (as /debug/fleet polls
-// produce) and checks each rollup is consumed once and findings match the
-// batch analysis.
-func TestFleetFollowerCursor(t *testing.T) {
-	series := rollupSeries(10, func(tick int, ru *obs.FleetRollup) {
-		if tick >= 2 {
-			ru.Stragglers = []obs.Straggler{{Session: "RobotCar-004", Profile: "RobotCar", Factor: 6, Reason: "latency"}}
-		}
-	})
-	follower := NewFleetFollower()
-	var live []Finding
-	// Overlapping windows: [0..4), [2..7), [5..10).
-	live = append(live, follower.Ingest(series[0:4])...)
-	live = append(live, follower.Ingest(series[2:7])...)
-	live = append(live, follower.Ingest(series[5:10])...)
-	live = append(live, follower.Close(nil)...)
-	if follower.Consumed() != 10 {
-		t.Fatalf("follower consumed %d rollups, want 10", follower.Consumed())
-	}
-	batch := AnalyzeFleet(series)
-	if len(live) != len(batch.Findings) {
-		t.Fatalf("live findings %+v != batch findings %+v", live, batch.Findings)
-	}
-	for i := range live {
-		if live[i] != batch.Findings[i] {
-			t.Errorf("finding %d: live %+v != batch %+v", i, live[i], batch.Findings[i])
-		}
-	}
-}

@@ -107,31 +107,14 @@ type Report struct {
 	Live *LiveSummary `json:"live,omitempty"`
 }
 
-// NewAggregator builds the aggregator Run would use for spec — exposed so
-// serve mode can mount its /debug/fleet handler before the run starts.
-func NewAggregator(spec Spec) *obs.FleetAggregator {
-	spec = spec.withDefaults()
-	return obs.NewFleetAggregator(obs.FleetConfig{RollupCap: rollupCapFor(spec)})
-}
-
 // Run executes the deterministic virtual-time fleet simulation.
 func Run(spec Spec) (*Report, error) {
-	return RunStream(spec, nil, nil)
-}
-
-// RunStream is Run with the aggregation plane exposed: rollups land in agg
-// (nil builds a private one) so its /debug/fleet handler can serve the ring
-// while the simulation advances, and hook — when non-nil — is called after
-// every rollup, which serve mode uses to pace virtual ticks to wall clock.
-func RunStream(spec Spec, agg *obs.FleetAggregator, hook func(obs.FleetRollup)) (*Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 
-	if agg == nil {
-		agg = NewAggregator(spec)
-	}
+	agg := obs.NewFleetAggregator(obs.FleetConfig{})
 	servers := make([]*modelServer, spec.Servers)
 	for i := range servers {
 		servers[i] = newModelServer(spec, i)
@@ -161,23 +144,10 @@ func RunStream(spec Spec, agg *obs.FleetAggregator, hook func(obs.FleetRollup)) 
 		for _, srv := range servers {
 			srv.endTick(rollupEverySec)
 		}
-		ru := agg.Rollup(tEnd)
-		report.Rollups = append(report.Rollups, ru)
-		if hook != nil {
-			hook(ru)
-		}
+		report.Rollups = append(report.Rollups, agg.Rollup(tEnd))
 	}
 	if n := len(report.Rollups); n > 0 {
 		report.Final = report.Rollups[n-1]
 	}
 	return report, nil
-}
-
-// rollupCapFor sizes the aggregator ring to hold every rollup of the run.
-func rollupCapFor(spec Spec) int {
-	n := int(math.Ceil(spec.Duration/rollupEverySec)) + 1
-	if n < 64 {
-		n = 64
-	}
-	return n
 }

@@ -94,7 +94,6 @@ type modelAgent struct {
 	rec     *obs.Recorder
 	rng     *rand.Rand
 	trace   netsim.Trace
-	outage  *chaos.WindowedOutageTrace // nil when no scripted windows
 	srv     *modelServer
 	slow    bool
 
@@ -122,9 +121,6 @@ func newModelAgent(spec Spec, idx int, srv *modelServer, slow bool) *modelAgent 
 		nextFrame: float64(idx%7) / (7 * profile.FPS),
 	}
 	a.trace = a.linkTrace(spec, seed)
-	if w, ok := a.trace.(*chaos.WindowedOutageTrace); ok {
-		a.outage = w
-	}
 	return a
 }
 
@@ -157,7 +153,7 @@ func (a *modelAgent) advance(tEnd float64) {
 		if a.slow {
 			bw *= slowBandwidthFactor
 		}
-		outage := bw <= 0 || (a.outage != nil && a.outage.InOutage(t))
+		outage := bw <= 0
 
 		a.rec.Counter(obs.MetricFrames).Inc()
 		// FGShare proxy: stable foreground around 15% with seeded wobble,

@@ -2,9 +2,10 @@ package obs
 
 import (
 	"math"
-	"net/http"
 	"sort"
 	"sync"
+
+	"dive/internal/geom"
 )
 
 // Fleet aggregation: the layer that turns N per-session telemetry streams
@@ -14,15 +15,13 @@ import (
 // frames/sec, exactly-merged latency quantiles (Histogram.Merge over
 // identical bounds), per-profile breakdowns, fleet error-budget burn, and a
 // straggler table of sessions whose p99 or burn rate stands k× above the
-// fleet median. Rollups are kept in a bounded ring served as JSONL at
-// /debug/fleet, the stream the fleet doctor detectors (straggler-session,
-// noisy-neighbor, fleet-burn) follow.
+// fleet median. Rollup returns each fold to its caller, which keeps the
+// series (fleet.Report.Rollups) the fleet doctor detectors
+// (straggler-session, noisy-neighbor, fleet-burn) diagnose.
 
-// FleetConfig holds the two aggregator settings some binary sets. The zero
+// FleetConfig holds the one aggregator setting some binary sets. The zero
 // value is usable.
 type FleetConfig struct {
-	// RollupCap bounds the retained rollup ring (default 512).
-	RollupCap int
 	// CollectRuntime attaches process runtime stats (heap, GC pause,
 	// goroutines) to each rollup — wall-clock-dependent, so deterministic
 	// report modes leave it off.
@@ -86,8 +85,8 @@ type RuntimeRollup struct {
 }
 
 // FleetRollup is one periodic fold of every session's telemetry into the
-// fleet picture — the /debug/fleet JSONL record and the input of the fleet
-// doctor detectors.
+// fleet picture — one element of a fleet report's rollup series and the
+// input of the fleet doctor detectors.
 type FleetRollup struct {
 	// Tick is the rollup sequence number (0-based); SimTimeSec is the
 	// caller-supplied clock (virtual time in the simulator, seconds since
@@ -160,8 +159,6 @@ type sessionSource struct {
 type FleetAggregator struct {
 	cfg FleetConfig
 
-	ring *Ring[FleetRollup] // bounded rollup history
-
 	mu       sync.Mutex
 	sessions map[string]*sessionSource
 	tick     int
@@ -181,20 +178,12 @@ type serverStat struct {
 	hbAge    float64
 	migIn    int64
 	migOut   int64
-	observed bool // ObserveServer ever called (vs. migration-only rows)
 }
 
 // NewFleetAggregator builds an aggregator with cfg (zero value for
 // defaults).
 func NewFleetAggregator(cfg FleetConfig) *FleetAggregator {
-	if cfg.RollupCap <= 0 {
-		cfg.RollupCap = 512
-	}
-	return &FleetAggregator{
-		cfg:      cfg,
-		ring:     NewRing[FleetRollup](cfg.RollupCap, nil),
-		sessions: make(map[string]*sessionSource),
-	}
+	return &FleetAggregator{cfg: cfg, sessions: make(map[string]*sessionSource)}
 }
 
 // Register adds (or replaces) a session's telemetry source. profile groups
@@ -296,7 +285,7 @@ func (a *FleetAggregator) serverRollups() []ServerRollup {
 }
 
 // Rollup folds every registered session into one FleetRollup stamped with
-// the caller's clock and appends it to the ring.
+// the caller's clock.
 func (a *FleetAggregator) Rollup(simTimeSec float64) FleetRollup {
 	if a == nil {
 		return FleetRollup{}
@@ -322,7 +311,6 @@ func (a *FleetAggregator) Rollup(simTimeSec float64) FleetRollup {
 	a.mu.Lock()
 	a.lastT, a.lastN = simTimeSec, ru.FramesTotal
 	a.mu.Unlock()
-	a.ring.Append(ru)
 	return ru
 }
 
@@ -416,8 +404,8 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 		p99s = append(p99s, s.st.LatencyP99Sec)
 		burns = append(burns, s.st.BurnRate)
 	}
-	ru.MedianP99Sec = median(p99s)
-	ru.MedianBurn = median(burns)
+	ru.MedianP99Sec = geom.Median(p99s)
+	ru.MedianBurn = geom.Median(burns)
 	for _, s := range stats {
 		if s.st.Frames < fleetMinSessionFrames {
 			continue
@@ -483,28 +471,4 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 		}
 	}
 	return ru
-}
-
-func median(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}
-
-// Handler serves the rollup ring as JSONL, oldest first — the /debug/fleet
-// endpoint the fleet doctor follows (cursor on the tick field).
-func (a *FleetAggregator) Handler() http.Handler {
-	if a == nil {
-		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-			http.Error(w, "fleet aggregation disabled", http.StatusServiceUnavailable)
-		})
-	}
-	return jsonlHandler(a.ring.Snapshot)
 }

@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -240,36 +237,6 @@ func TestFleetPerServerRollup(t *testing.T) {
 		return ServerRollup{}
 	}(); rows2.MigrationsIn != 1 {
 		t.Fatalf("edge-0 after overflow migration = %+v, want 1 in", rows2)
-	}
-}
-
-// TestFleetHandlerJSONL checks /debug/fleet serves the rollup ring as
-// JSONL, oldest first, with parseable records.
-func TestFleetHandlerJSONL(t *testing.T) {
-	agg := NewFleetAggregator(FleetConfig{RollupCap: 4})
-	fleetFixture(t, agg, 3, nil)
-	for i := 0; i < 6; i++ {
-		agg.Rollup(float64(i + 1))
-	}
-	rr := httptest.NewRecorder()
-	agg.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/fleet", nil))
-	lines := strings.Split(strings.TrimSpace(rr.Body.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d, want ring cap 4", len(lines))
-	}
-	prev := -1
-	for _, line := range lines {
-		var ru FleetRollup
-		if err := json.Unmarshal([]byte(line), &ru); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if ru.Tick <= prev {
-			t.Fatalf("ticks not ascending: %d after %d", ru.Tick, prev)
-		}
-		prev = ru.Tick
-	}
-	if prev != 5 {
-		t.Fatalf("last tick = %d, want 5", prev)
 	}
 }
 

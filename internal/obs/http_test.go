@@ -206,8 +206,8 @@ func TestIndexListsExactlyTheMountedPaths(t *testing.T) {
 	if status("/debug/pprof/cmdline") != 200 {
 		t.Error("/debug/pprof/cmdline does not answer below the listed /debug/pprof/")
 	}
-	// /debug/fleet and /debug/cluster are served by divefleet -serve and
-	// diveserver -cluster on muxes of their own, and no doctor is mounted.
+	// /debug/cluster is served by diveserver -cluster on a mux of its own;
+	// no process serves /debug/fleet and no doctor is mounted.
 	for _, path := range []string{"/debug/doctor", "/debug/fleet", "/debug/cluster", "/debug", "/nope"} {
 		if listed[path] || status(path) != 404 {
 			t.Errorf("%s: listed=%t status=%d, want unlisted 404", path, listed[path], status(path))

@@ -8,8 +8,8 @@
 //   - one bounded ring (ring.go) with one JSONL reader and writer: it holds
 //     the per-frame decision journal (what was decided, wall-clock-free), the
 //     spans of the causal frame traces (how long each agent/link/edge stage
-//     took) and the fleet aggregator's rollups; the frame-lifecycle records
-//     (frames.go) are the journal joined with the spans at read time;
+//     took); the frame-lifecycle records (frames.go) are the journal joined
+//     with the spans at read time;
 //   - per-session SLO windows with error-budget burn rates (slo.go), the
 //     fleet aggregation plane (fleet.go), Go runtime stats (runtime.go);
 //   - one HTTP surface (http.go): /metrics, /debug/vars, /debug/frames,

@@ -8,8 +8,8 @@ import (
 )
 
 // Ring is a bounded ring buffer keeping the last capacity records of one
-// telemetry stream — the decision journal, the trace spans and the fleet
-// rollups all live in one. A nil ring is a valid no-op.
+// telemetry stream — the decision journal and the trace spans each live in
+// one. A nil ring is a valid no-op.
 type Ring[T any] struct {
 	mu    sync.Mutex
 	buf   []T
