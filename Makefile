@@ -75,26 +75,29 @@ bench-smoke:
 # decode benchmarks, a forced I-frame's encode, the rate-control trial,
 # rate-control search, entropy-writer, entropy-reader and loop-filter
 # benchmarks, the agent's rotation and FOE estimates, the whole agent loop,
-# the telemetry-off paths of internal/obs and the server's two
-# per-frame wire paths with -benchmem and fail if allocs/op or B/op regressed
-# past the committed ci/alloc_baseline.json. The pooled encoder, the session
-# decoder, a trial pass, a whole search, the entropy writer and reader, the
-# loop filter, every nil-recorder instrumentation path (span, counter,
-# trace, labeled family, SLO — what each end-to-end number in BENCHMARK.json
-# runs with), the journal's O(1) amend-by-frame, reading a frame out of the
-# MsgReader's buffer and writing a result through the connection's are all
-# pinned at 0 allocs/op, a forced I-frame's whole encode and both
-# ego-motion estimates on a warm scratch too, and a
-# core.Agent frame (ProcessFrame + TrackLocally + feedback) at the 14
-# objects it hands to its caller; allocation counts are deterministic after warm-up, so this gate is
+# the detector on a session's scratch, the telemetry-off paths of
+# internal/obs, the server's wire paths and a whole server frame with
+# -benchmem and fail if allocs/op or B/op regressed past the committed
+# ci/alloc_baseline.json. The pooled encoder, the session decoder, a trial
+# pass, a whole search, the entropy writer and reader, the loop filter, the
+# detector, every nil-recorder instrumentation path (span, counter, trace,
+# labeled family, SLO — what each end-to-end number in BENCHMARK.json runs
+# with), the journal's O(1) amend-by-frame, reading a frame out of the
+# MsgReader's buffer, writing a result or a frame through a pooled envelope
+# and everything a session runs on one frame (step, decode, detect, reply)
+# are all pinned at 0 allocs/op, a forced I-frame's whole encode and both
+# ego-motion estimates on a warm scratch too, and a core.Agent frame
+# (ProcessFrame + TrackLocally + feedback) at the 14 objects it hands to its
+# caller; allocation counts are deterministic after warm-up, so this gate is
 # machine-independent (unlike wall-clock latency baselines).
 #
-# The per-frame rows (codec, core, mvfield) run 20 iterations; the nanosecond-scale rows
-# (obs, edge) run 2000, so that one runtime background allocation landing
-# inside the window (≈ 5.5 kB, seen about one run in ten) rounds to ≤ 3 B/op
-# instead of reading 275 B/op against the 64 B floor.
-ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|EstimateFOE|EstimateRotation|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite
-ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ ./internal/mvfield/ && \
+# The per-frame rows (codec, core, mvfield, detect) run 20 iterations; the
+# rows of obs and edge run 2000 (most are nanosecond-scale), so that one
+# runtime background allocation landing inside the window (≈ 5.5 kB, seen
+# about one run in ten) rounds to ≤ 3 B/op instead of reading 275 B/op
+# against the 64 B floor.
+ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|EstimateFOE|EstimateRotation|DetectInto|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite|WriteFrame|ServerFrame
+ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ ./internal/mvfield/ ./internal/detect/ && \
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
 bench-alloc:
 	$(ALLOC_RUN)
@@ -102,8 +105,8 @@ bench-alloc:
 
 # Regenerate the committed allocation baseline after an intentional change to
 # the steady-state encode, decode, rate-control or emission path, to what the
-# agent hands out per frame, to the telemetry-off paths or to the wire read /
-# reply paths, then commit
+# agent hands out per frame, to the detector, to the telemetry-off paths or to
+# the server's wire and frame paths, then commit
 # ci/alloc_baseline.json.
 alloc-baseline:
 	$(ALLOC_RUN)

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	divedoctor [-journal run.journal.jsonl] [-url http://localhost:7061]
-//	           [-fleet fleet.jsonl] [-runtime runtime.jsonl]
+//	           [-fleet fleet.json] [-runtime runtime.jsonl]
 //	           [-alloc bench_alloc.txt]
 //	           [-alloc-baseline ci/alloc_baseline.json]
 //	           [-write-alloc-baseline ci/alloc_baseline.json] [-json]
@@ -20,12 +20,11 @@
 //
 //   - -journal reads an exported journal JSONL file ("-" reads stdin).
 //   - -url fetches the journal live from a telemetry endpoint.
-//   - -fleet reads a fleet rollup series (a divefleet -json report or
-//     rollup JSONL) and runs the fleet detectors: straggler-session
-//     (sustained straggler-table residency), noisy-neighbor (per-session
-//     heap or GC pause growing superlinearly with fleet size) and
-//     fleet-burn (aggregate SLO burn with no straggler standing out —
-//     diffuse overload).
+//   - -fleet reads the rollup series of a divefleet -json report and runs
+//     the fleet detectors: straggler-session (sustained straggler-table
+//     residency), noisy-neighbor (per-session heap or GC pause growing
+//     superlinearly with fleet size) and fleet-burn (aggregate SLO burn
+//     with no straggler standing out — diffuse overload).
 //   - -runtime reads a JSONL series of /debug/runtime snapshots and
 //     diagnoses GC pressure: sustained live-heap growth and GC pause p99
 //     over the ceiling.
@@ -56,7 +55,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -90,7 +88,7 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 	interval := fs.Duration("interval", 500*time.Millisecond, "poll period in -follow mode")
 	followFor := fs.Duration("for", 0, "stop following after this long (0 = until the endpoint disappears)")
 	outageRun := fs.Int("outage-run", 0, "override the outage-drift run-length threshold (0 = default; scenarios with short outage windows need a lower bar)")
-	fleetPath := fs.String("fleet", "", "fleet rollup file for the fleet detectors: a divefleet -json report or rollup JSONL (- = stdin)")
+	fleetPath := fs.String("fleet", "", "divefleet -json report for the fleet detectors (- = stdin)")
 	runtimePath := fs.String("runtime", "", "runtime-stats JSONL file (series of /debug/runtime snapshots) for the GC-pressure checks (- = stdin)")
 	allocPath := fs.String("alloc", "", "go test -bench -benchmem output for the allocation gate (- = stdin)")
 	allocBaselinePath := fs.String("alloc-baseline", "", "committed allocation baseline to compare -alloc against")
@@ -361,18 +359,14 @@ func fetchAs[T any](client *http.Client, url string, parse func(io.Reader) (T, e
 	return v, nil
 }
 
-// readRollups parses a fleet rollup series: a whole divefleet -json report
-// (its "rollups" array), or one rollup per line (JSONL).
+// readRollups returns a divefleet -json report's rollups; none is an error.
 func readRollups(r io.Reader) ([]obs.FleetRollup, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
 	var report struct {
 		Rollups []obs.FleetRollup `json:"rollups"`
 	}
-	if err := json.Unmarshal(data, &report); err == nil && len(report.Rollups) > 0 {
-		return report.Rollups, nil
+	err := json.NewDecoder(r).Decode(&report)
+	if err == nil && len(report.Rollups) == 0 {
+		err = errors.New("no rollups in the report")
 	}
-	return obs.ReadJSONL[obs.FleetRollup](bytes.NewReader(data))
+	return report.Rollups, err
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"dive/internal/doctor"
+	"dive/internal/fleet"
 	"dive/internal/obs"
 )
 
@@ -212,11 +213,11 @@ func TestRunRuntimeFile(t *testing.T) {
 	}
 }
 
-// fleetRollupJSONL renders n rollups, straggling from tick `from`, as
-// rollup JSONL.
-func fleetRollupJSONL(t *testing.T, n, from int) []byte {
+// fleetReport renders a divefleet -json report of n rollups, straggling from
+// tick `from`.
+func fleetReport(t *testing.T, n, from int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
+	rep := fleet.Report{Spec: fleet.Spec{Agents: 10, Servers: 2}}
 	for i := 0; i < n; i++ {
 		ru := obs.FleetRollup{Tick: i, Sessions: 10, FramesTotal: int64(100 * (i + 1))}
 		if i >= from {
@@ -225,20 +226,24 @@ func fleetRollupJSONL(t *testing.T, n, from int) []byte {
 				LatencyP99Sec: 0.6, BurnRate: 40, Reason: "latency",
 			}}
 		}
-		data, err := json.Marshal(ru)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(append(data, '\n'))
+		rep.Rollups = append(rep.Rollups, ru)
 	}
-	return buf.Bytes()
+	if n > 0 {
+		rep.Final = rep.Rollups[n-1]
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
-// TestRunFleetFile drives -fleet offline over a rollup JSONL with a
-// sustained straggler.
+// TestRunFleetFile drives -fleet offline over a divefleet -json report with
+// a sustained straggler; a report without rollups is an error naming the
+// file.
 func TestRunFleetFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fleet.jsonl")
-	os.WriteFile(path, fleetRollupJSONL(t, 8, 2), 0o644)
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	os.WriteFile(path, fleetReport(t, 8, 2), 0o644)
 	var out bytes.Buffer
 	rep, err := run([]string{"-fleet", path}, &out)
 	if err != nil {
@@ -246,6 +251,10 @@ func TestRunFleetFile(t *testing.T) {
 	}
 	if rep.Healthy() || !strings.Contains(out.String(), "straggler-session") {
 		t.Fatalf("sustained straggler diagnosed healthy:\n%s", out.String())
+	}
+	os.WriteFile(path, fleetReport(t, 0, 0), 0o644)
+	if _, err := run([]string{"-fleet", path}, &out); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("empty report: err = %v, want an error naming %s", err, path)
 	}
 }
 

@@ -78,12 +78,30 @@ func New(cfg Config) *Detector { return &Detector{cfg: cfg} }
 // Config returns the detector calibration.
 func (d *Detector) Config() Config { return d.cfg }
 
+// Scratch is what DetectInto reuses from frame to frame: the generator,
+// reseeded per frame, and the detection slice it returns. One caller owns
+// it; the Detector itself holds no state and is shared.
+type Scratch struct {
+	rng  *rand.Rand
+	dets []Detection
+}
+
 // Detect runs the simulated DNN on decoded, using pristine (the raw render)
 // and its ground truth to evaluate what compression destroyed. frameSeed
-// makes the stochastic decisions reproducible.
+// makes the stochastic decisions reproducible. The result is the caller's.
 func (d *Detector) Detect(decoded, pristine *imgx.Plane, gt []world.GTBox, frameSeed int64) []Detection {
-	rng := rand.New(rand.NewSource(frameSeed ^ 0x5EED))
-	var out []Detection
+	return d.DetectInto(new(Scratch), decoded, pristine, gt, frameSeed)
+}
+
+// DetectInto is Detect on s's generator and slice: after the first call it
+// allocates nothing, and its result is valid until the next DetectInto on s.
+func (d *Detector) DetectInto(s *Scratch, decoded, pristine *imgx.Plane, gt []world.GTBox, frameSeed int64) []Detection {
+	if seed := frameSeed ^ 0x5EED; s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed) // the stream NewSource(seed) starts
+	}
+	rng, out := s.rng, s.dets[:0]
 	for _, obj := range gt {
 		area := obj.Box.Area()
 		if area < d.cfg.MinArea {
@@ -104,8 +122,8 @@ func (d *Detector) Detect(decoded, pristine *imgx.Plane, gt []world.GTBox, frame
 			Score: clamp01(score),
 		})
 	}
-	out = append(out, d.falsePositives(decoded, pristine, rng)...)
-	return out
+	s.dets = d.falsePositives(out, decoded, pristine, rng)
+	return s.dets
 }
 
 // Proposals returns low-confidence candidate regions, modeling the region
@@ -163,23 +181,22 @@ func (d *Detector) detectionProbability(psnr float64, area int, visible float64)
 	return p
 }
 
-// falsePositives emits spurious low-score detections in badly degraded
-// frames (compression artifacts that look like objects).
-func (d *Detector) falsePositives(decoded, pristine *imgx.Plane, rng *rand.Rand) []Detection {
+// falsePositives appends spurious low-score detections in badly degraded
+// frames (compression artifacts that look like objects) to out.
+func (d *Detector) falsePositives(out []Detection, decoded, pristine *imgx.Plane, rng *rand.Rand) []Detection {
 	full := imgx.Rect{MinX: 0, MinY: 0, MaxX: decoded.W, MaxY: decoded.H}
 	psnr := d.localPSNR(decoded, pristine, full)
 	if psnr >= d.cfg.BasePSNR+6 {
-		return nil
+		return out
 	}
 	sev := (d.cfg.BasePSNR + 6 - psnr) / 12
 	lambda := d.cfg.FPRate * clamp01(sev)
 	n := poisson(lambda, rng)
-	out := make([]Detection, 0, n)
 	for i := 0; i < n; i++ {
 		w := 12 + rng.Intn(40)
 		h := 12 + rng.Intn(40)
-		x := rng.Intn(maxInt(decoded.W-w, 1))
-		y := rng.Intn(maxInt(decoded.H-h, 1))
+		x := rng.Intn(max(decoded.W-w, 1))
+		y := rng.Intn(max(decoded.H-h, 1))
 		class := world.ClassCar
 		if rng.Intn(2) == 0 {
 			class = world.ClassPedestrian
@@ -238,11 +255,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

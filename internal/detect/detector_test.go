@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dive/internal/imgx"
@@ -183,5 +184,57 @@ func TestPoisson(t *testing.T) {
 	mean := float64(sum) / n
 	if mean < 1.2 || mean > 1.8 {
 		t.Errorf("poisson mean = %v, want ≈ 1.5", mean)
+	}
+}
+
+// TestDetectIntoMatchesDetect holds the reused-scratch path to the fresh one
+// over three profiles' clips, clean and degraded (so false positives fire
+// too), on one Scratch whose slice starts with stale entries.
+func TestDetectIntoMatchesDetect(t *testing.T) {
+	d := New(DefaultConfig())
+	stale := Detection{Class: world.ClassCar, Box: imgx.NewRect(1, 2, 3, 4), Score: 2}
+	s := Scratch{dets: []Detection{stale, stale, stale}}
+	fps := 0
+	for _, p := range []world.Profile{world.NuScenesLike(), world.RobotCarLike(), world.KITTILike()} {
+		p.ClipDuration = 0.3
+		clip := world.GenerateClip(p, 5)
+		for i, frame := range clip.Frames {
+			full := imgx.Rect{MaxX: frame.W, MaxY: frame.H}
+			for _, decoded := range []*imgx.Plane{frame, degrade(frame, full, 40, int64(i))} {
+				for seed := int64(0); seed < 4; seed++ {
+					want := d.Detect(decoded, frame, clip.GT[i], seed*7919+int64(i))
+					got := d.DetectInto(&s, decoded, frame, clip.GT[i], seed*7919+int64(i))
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s frame %d seed %d: DetectInto %v, Detect %v", p.Name, i, seed, got, want)
+					}
+					fps += len(d.falsePositives(nil, decoded, frame, rand.New(rand.NewSource(seed))))
+				}
+			}
+		}
+	}
+	if fps <= 0 {
+		t.Error("no degraded frame draws false positives: that path goes unchecked")
+	}
+}
+
+// BenchmarkDetectInto is the server's detect step at steady state, pinned at
+// 0 allocs/op in ci/alloc_baseline.json (make bench-alloc): a degraded frame
+// with a clip's ground truth, through one session's Scratch.
+func BenchmarkDetectInto(b *testing.B) {
+	p := world.NuScenesLike()
+	p.ClipDuration = 0.2
+	clip := world.GenerateClip(p, 18)
+	frame := clip.Frames[0]
+	decoded := degrade(frame, imgx.Rect{MaxX: frame.W, MaxY: frame.H}, 40, 1)
+	d := New(DefaultConfig())
+	var s Scratch
+	const seeds = 16 // a lap of them first: the slice reaches its largest frame
+	for i := 0; i < seeds; i++ {
+		d.DetectInto(&s, decoded, frame, clip.GT[0], int64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.DetectInto(&s, decoded, frame, clip.GT[0], int64(i%seeds))
 	}
 }

@@ -141,8 +141,8 @@ type Client struct {
 
 	conn net.Conn
 	acks chan ackEvent
-	// wbuf is the one buffer every uplink frame is encoded into.
-	wbuf []byte
+	// ackTimer is awaitAck's deadline, one per Client, reset per wait.
+	ackTimer *time.Timer
 
 	// addrs is the resolved candidate list; curAddr the member currently
 	// serving the session; penalty the per-address dial-failure score that
@@ -501,7 +501,8 @@ func (c *Client) handleAck(ev ackEvent, ok bool, dets [][]detect.Detection) erro
 			c.logf("ignoring self-redirect to %s", ev.rd.Addr)
 			return nil
 		}
-		c.pendingRedirect = &ev.rd
+		rd := ev.rd
+		c.pendingRedirect = &rd
 		return errFollowRedirect
 	}
 	res := ev.res
@@ -572,12 +573,24 @@ func (c *Client) handleAck(ev ackEvent, ok bool, dets [][]detect.Detection) erro
 // transport error when the connection died. Callers hold a frame in flight.
 func (c *Client) awaitAck(dets [][]detect.Detection) error {
 	oldest := c.inflight[0]
-	timer := time.NewTimer(max(0, time.Until(oldest.sentAt.Add(c.cfg.AckTimeout))))
-	defer timer.Stop()
+	wait := max(0, time.Until(oldest.sentAt.Add(c.cfg.AckTimeout)))
+	if c.ackTimer == nil {
+		c.ackTimer = time.NewTimer(wait)
+	} else {
+		// Pre-1.23 timer semantics (go.mod): a Reset must follow a Stop
+		// that drained any expiry the last wait left unread.
+		if !c.ackTimer.Stop() {
+			select {
+			case <-c.ackTimer.C:
+			default:
+			}
+		}
+		c.ackTimer.Reset(wait)
+	}
 	select {
 	case ev, ok := <-c.acks:
 		return c.handleAck(ev, ok, dets)
-	case <-timer.C:
+	case <-c.ackTimer.C:
 		// Ack deadline: the oldest frame is written off, MOT covers it,
 		// the link is penalized. The connection stays up — a late ack for
 		// it will be ignored as stale.
@@ -614,7 +627,6 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 	defer c.teardown(dets)
 	start := time.Now()
 	c.lastServerAck = start
-	var msg FrameMsg // one for the run: &msg crosses an interface, so per-frame it would escape
 
 	for i := 0; i < n; i++ {
 		// Ladder first: the frame is encoded under the degradation the
@@ -669,15 +681,13 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 		}
 
 		// Upload with pacing; a write failure means the connection is dead.
-		msg = FrameMsg{
+		sendStart := time.Since(start).Seconds()
+		c.conn.SetWriteDeadline(time.Now().Add(2 * c.cfg.AckTimeout))
+		werr := WriteFrame(c.conn, &FrameMsg{
 			Index: fr.Encoded.Index, Bitstream: fr.Encoded.Data,
 			SentNanos: time.Now().UnixNano(),
 			TraceID:   fr.Trace.TraceID, SpanID: fr.Trace.SpanID,
-		}
-		sendStart := time.Since(start).Seconds()
-		c.conn.SetWriteDeadline(time.Now().Add(2 * c.cfg.AckTimeout))
-		var werr error
-		c.wbuf, werr = writeMsg(c.conn, c.wbuf, &msg)
+		})
 		if werr == nil && c.cfg.PaceBps > 0 {
 			time.Sleep(time.Duration(float64(fr.Encoded.NumBits) / c.cfg.PaceBps * float64(time.Second)))
 		}

@@ -8,6 +8,7 @@ import (
 
 	"dive/internal/chaos"
 	"dive/internal/core"
+	"dive/internal/detect"
 	"dive/internal/obs"
 	"dive/internal/world"
 )
@@ -417,5 +418,27 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 func waitUntil(d time.Duration, cond func() bool) {
 	for deadline := time.Now().Add(d); !cond() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestResultAckAllocs: a result ack, through awaitAck's deadline and
+// handleAck, allocates only the detections the agent keeps (FromWire's
+// slice).
+func TestResultAckAllocs(t *testing.T) {
+	c := NewClient(ClientConfig{Profile: "nuScenes", Seed: 3}, newTestAgent(t, testClip(t, 3, 0.2), nil))
+	c.acks = make(chan ackEvent, 1)
+	dets := make([][]detect.Detection, 1)
+	fr := &core.FrameResult{}
+	ev := ackEvent{kind: ackResult, res: ResultMsg{Index: 0, Detections: make([]WireDetection, 3)}}
+	ack := func() {
+		c.inflight = append(c.inflight, inflightFrame{idx: 0, sentAt: time.Now(), fr: fr})
+		c.acks <- ev
+		if err := c.awaitAck(dets); err != nil || len(c.inflight) != 0 || len(dets[0]) != 3 {
+			t.Fatalf("ack not taken: err %v, in flight %d, detections %d", err, len(c.inflight), len(dets[0]))
+		}
+	}
+	ack() // the session's deadline timer and the in-flight slice exist from here
+	if n := testing.AllocsPerRun(200, ack); n > 1 {
+		t.Errorf("a result ack allocates %.1f objects, want ≤ 1", n)
 	}
 }

@@ -18,9 +18,9 @@
 //
 // Each rule has one home: what a server answers and when its decoder may be
 // trusted is session.step and its transition table (session.go), which
-// Server.handle only feeds and counts; the client half of the handshake is
-// Handshake; every message is encoded once into a buffer its connection owns
-// and read from a buffer its MsgReader owns (wire.go states both lifetimes).
+// Server.serveFrame only feeds and counts; the client half of the handshake
+// is Handshake; every message is encoded once into a pooled envelope and read
+// from a buffer its MsgReader owns (wire.go states both lifetimes).
 package edge
 
 import (
@@ -92,16 +92,21 @@ type ResultMsg struct {
 
 // ToWire converts detections for transport.
 func ToWire(dets []detect.Detection) []WireDetection {
-	out := make([]WireDetection, 0, len(dets))
+	return appendWire(make([]WireDetection, 0, len(dets)), dets)
+}
+
+// appendWire is ToWire appending to dst: the server fills each reply into
+// the capacity of the last one.
+func appendWire(dst []WireDetection, dets []detect.Detection) []WireDetection {
 	for _, d := range dets {
-		out = append(out, WireDetection{
+		dst = append(dst, WireDetection{
 			Class: int(d.Class),
 			MinX:  d.Box.MinX, MinY: d.Box.MinY,
 			MaxX: d.Box.MaxX, MaxY: d.Box.MaxY,
 			Score: d.Score,
 		})
 	}
-	return out
+	return dst
 }
 
 // FromWire converts transported detections back.
@@ -156,29 +161,26 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	clipMu    sync.Mutex
-	clips     map[clipKey]*world.Clip
+	clips     map[clipKey]*clipEntry
 	clipOrder []clipKey
 }
 
 // connState is the write side of one connection, shared between the handler
-// goroutine and control-plane writers (RedirectSessions): the mutex keeps a
-// Redirect from interleaving bytes with an in-flight result, and guards the
-// one buffer every reply on this connection is encoded into.
+// goroutine and control-plane writers (RedirectSessions). Every writer hands
+// it a whole message in one Write, so the mutex keeps a Redirect from
+// interleaving bytes with an in-flight result.
 type connState struct {
 	conn    net.Conn
 	timeout time.Duration
 	wmu     sync.Mutex
-	wbuf    []byte
 }
 
-// write sends m under the write deadline.
-func (st *connState) write(m message) error {
+// Write sends one message under the write deadline.
+func (st *connState) Write(p []byte) (int, error) {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
 	st.conn.SetWriteDeadline(time.Now().Add(st.timeout))
-	var err error
-	st.wbuf, err = writeMsg(st.conn, st.wbuf, m)
-	return err
+	return st.conn.Write(p)
 }
 
 // NewServer builds a server with the default detector calibration.
@@ -206,32 +208,36 @@ func (s *Server) writeTimeout() time.Duration {
 	return 10 * time.Second
 }
 
+// clipEntry is one slot of the clip cache: the first session to ask for the
+// clip renders it, and concurrent sessions for the same clip wait on once.
+type clipEntry struct {
+	once sync.Once
+	clip *world.Clip
+}
+
 // clipFor renders (or returns the cached) reference clip for a session.
 func (s *Server) clipFor(profile world.Profile, name string, seed int64) *world.Clip {
 	key := clipKey{profile: name, seed: seed, duration: profile.ClipDuration}
 	s.clipMu.Lock()
 	if s.clips == nil {
-		s.clips = make(map[clipKey]*world.Clip)
+		s.clips = make(map[clipKey]*clipEntry)
 	}
-	if clip, ok := s.clips[key]; ok {
-		s.clipMu.Unlock()
-		return clip
+	e, ok := s.clips[key]
+	if !ok {
+		if len(s.clipOrder) >= clipCacheCap {
+			delete(s.clips, s.clipOrder[0])
+			s.clipOrder = s.clipOrder[1:]
+		}
+		e = &clipEntry{}
+		s.clips[key] = e
+		s.clipOrder = append(s.clipOrder, key)
 	}
 	s.clipMu.Unlock()
-	clip := world.GenerateClip(profile, seed)
-	s.clipMu.Lock()
-	defer s.clipMu.Unlock()
-	if cached, ok := s.clips[key]; ok {
-		return cached
-	}
-	if len(s.clipOrder) >= clipCacheCap {
-		oldest := s.clipOrder[0]
-		s.clipOrder = s.clipOrder[1:]
-		delete(s.clips, oldest)
-	}
-	s.clips[key] = clip
-	s.clipOrder = append(s.clipOrder, key)
-	return clip
+	e.once.Do(func() {
+		s.logf("rendering reference clip: profile=%s seed=%d dur=%.1fs", name, seed, profile.ClipDuration)
+		e.clip = world.GenerateClip(profile, seed)
+	})
+	return e.clip
 }
 
 // Listen binds the address and returns the bound address (useful with
@@ -381,7 +387,7 @@ func (s *Server) RedirectSessions(target, reason string) int {
 	s.mu.Unlock()
 	n := 0
 	for _, st := range conns {
-		if err := st.write(Redirect{Addr: target, Reason: reason}); err != nil {
+		if err := writeRedirect(st, Redirect{Addr: target, Reason: reason}); err != nil {
 			s.logf("redirect write failed: %v", err)
 			continue
 		}
@@ -442,7 +448,7 @@ func (m *sessionMetrics) count(rec *obs.Recorder, out outcome, bitstreamLen int)
 // nothing to serve: the error says why, and is nil for a health probe.
 func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetrics, error) {
 	reject := func(msg string) (*session, *sessionMetrics, error) {
-		st.write(&ResultMsg{Index: -1, Err: msg})
+		WriteResult(st, &ResultMsg{Index: -1, Err: msg})
 		return nil, nil, fmt.Errorf("edge: handshake rejected: %s", msg)
 	}
 	st.conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
@@ -461,7 +467,7 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 		// Health probe: a full accept→handshake→write round trip proves the
 		// member is alive end to end, without touching session metrics or
 		// rendering a clip. Answer and hang up.
-		st.write(&ResultMsg{Index: -1})
+		WriteResult(st, &ResultMsg{Index: -1})
 		return nil, nil, nil
 	}
 	profile, ok := world.ProfileByName(hello.Profile)
@@ -476,8 +482,7 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 		s.logf("session resume: profile=%s seed=%d from frame %d",
 			hello.Profile, hello.Seed, hello.FirstFrame)
 	} else {
-		s.logf("session: profile=%s seed=%d dur=%.1fs — rendering reference clip",
-			hello.Profile, hello.Seed, profile.ClipDuration)
+		s.logf("session: profile=%s seed=%d dur=%.1fs", hello.Profile, hello.Seed, profile.ClipDuration)
 	}
 	clip := s.clipFor(profile, hello.Profile, hello.Seed)
 	if hello.FirstFrame >= clip.NumFrames() {
@@ -501,13 +506,13 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 	// Acknowledge the handshake so the client knows the session (and a
 	// resume in particular) was accepted before it starts streaming. The
 	// decoder is fresh: the session starts desynced.
-	if err := st.write(&ResultMsg{Index: -1, NeedKeyframe: true}); err != nil {
+	if err := WriteResult(st, &ResultMsg{Index: -1, NeedKeyframe: true}); err != nil {
 		return nil, nil, fmt.Errorf("edge: handshake ack: %w", err)
 	}
 	return &session{clip: clip, seed: hello.Seed, dec: dec, needKey: true, expect: hello.FirstFrame}, m, nil
 }
 
-// handle runs one session: read → step → decode and detect → count → write.
+// handle runs one session: the handshake, then serveFrame on every read.
 func (s *Server) handle(st *connState) error {
 	defer st.conn.Close()
 	mr := NewMsgReader(st.conn)
@@ -515,44 +520,53 @@ func (s *Server) handle(st *connState) error {
 	if ss == nil {
 		return err
 	}
-	var res ResultMsg // the session's one reply buffer (it crosses an interface on its way out: per frame it would escape)
 	for {
 		st.conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
 		typ, payload, rerr := mr.Next()
-		switch {
-		case rerr == nil || IsRecoverable(rerr): // the step's input
-		case rerr == io.EOF, isTimeout(rerr) && s.Draining():
-			return nil
-		case isTimeout(rerr):
-			return fmt.Errorf("edge: session idle past %v: %w", s.readTimeout(), rerr)
-		default:
-			return fmt.Errorf("edge: read frame: %w", rerr)
-		}
-		t0 := time.Now()
-		fm, out := ss.step(typ, payload, rerr, &res)
-		// Rehydrate the agent-minted trace context: decode/detect spans
-		// recorded under it stitch into the agent's frame trace by ID.
-		ctx := obs.TraceContext{TraceID: fm.TraceID, Frame: fm.Index, SpanID: fm.SpanID}
-		if out == outAccepted {
-			out = s.decodeAndDetect(ss, m, ctx, &fm, &res)
-		}
-		m.count(s.Obs, out, len(fm.Bitstream))
-		var ackSpan obs.Span
-		if rules[out].frame {
-			// One reading of the service time (decode + detect + framing)
-			// serves the reply and the server-side SLO view of this session;
-			// foreground share is agent-side only.
-			served := time.Since(t0).Seconds()
-			res.ServerMs = served * 1000
-			s.Obs.ObserveSLO(m.label, obs.SLOSample{LatencySec: served, FGShare: -1})
-			ackSpan = s.Obs.StartSpan(ctx, "ack", "edge")
-		}
-		err = st.write(&res)
-		ackSpan.End()
-		if err != nil {
-			return fmt.Errorf("edge: write reply: %w", err)
+		if err := s.serveFrame(st, ss, m, typ, payload, rerr); err != nil {
+			return err
 		}
 	}
+}
+
+// serveFrame is a session's work on one read: step → decode and detect →
+// count → reply. It returns io.EOF when the session ends cleanly.
+func (s *Server) serveFrame(st *connState, ss *session, m *sessionMetrics, typ byte, payload []byte, rerr error) error {
+	switch {
+	case rerr == nil || IsRecoverable(rerr): // the step's input
+	case rerr == io.EOF, isTimeout(rerr) && s.Draining():
+		return io.EOF
+	case isTimeout(rerr):
+		return fmt.Errorf("edge: session idle past %v: %w", s.readTimeout(), rerr)
+	default:
+		return fmt.Errorf("edge: read frame: %w", rerr)
+	}
+	t0 := time.Now()
+	res := &ss.res
+	fm, out := ss.step(typ, payload, rerr, res)
+	// Rehydrate the agent-minted trace context: decode/detect spans
+	// recorded under it stitch into the agent's frame trace by ID.
+	ctx := obs.TraceContext{TraceID: fm.TraceID, Frame: fm.Index, SpanID: fm.SpanID}
+	if out == outAccepted {
+		out = s.decodeAndDetect(ss, m, ctx, &fm, res)
+	}
+	m.count(s.Obs, out, len(fm.Bitstream))
+	var ackSpan obs.Span
+	if rules[out].frame {
+		// One reading of the service time (decode + detect + framing)
+		// serves the reply and the server-side SLO view of this session;
+		// foreground share is agent-side only.
+		served := time.Since(t0).Seconds()
+		res.ServerMs = served * 1000
+		s.Obs.ObserveSLO(m.label, obs.SLOSample{LatencySec: served, FGShare: -1})
+		ackSpan = s.Obs.StartSpan(ctx, "ack", "edge")
+	}
+	err := WriteResult(st, res)
+	ackSpan.End()
+	if err != nil {
+		return fmt.Errorf("edge: write reply: %w", err)
+	}
+	return nil
 }
 
 // decodeAndDetect is the work behind an accepted frame, each half under its
@@ -566,8 +580,8 @@ func (s *Server) decodeAndDetect(ss *session, m *sessionMetrics, ctx obs.TraceCo
 		return out
 	}
 	span = s.Obs.StartStageSpan(ctx, "detect", "edge", m.detect)
-	dets := s.detector.Detect(df.Image, ss.clip.Frames[fm.Index], ss.clip.GT[fm.Index], ss.seed^int64(fm.Index*7919))
+	dets := s.detector.DetectInto(&ss.det, df.Image, ss.clip.Frames[fm.Index], ss.clip.GT[fm.Index], ss.seed^int64(fm.Index*7919))
 	span.End()
-	res.Detections = ToWire(dets)
+	res.Detections = appendWire(res.Detections, dets)
 	return out
 }

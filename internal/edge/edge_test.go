@@ -3,6 +3,9 @@ package edge
 import (
 	"fmt"
 	"net"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -534,5 +537,114 @@ func TestLogfAndClosedDetection(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return")
+	}
+}
+
+// TestConcurrentHellosRenderOnce: sessions that open at once on a clip the
+// server has not rendered yet wait for one render instead of each running
+// their own.
+func TestConcurrentHellosRenderOnce(t *testing.T) {
+	srv := NewServer()
+	var mu sync.Mutex
+	renders := 0
+	srv.Logf = func(format string, args ...interface{}) {
+		if strings.HasPrefix(format, "rendering reference clip") {
+			mu.Lock()
+			renders++
+			mu.Unlock()
+		}
+	}
+	addr, stop := startServer(t, srv)
+	defer stop()
+	const sessions = 4
+	var wg sync.WaitGroup
+	conns := make([]net.Conn, sessions)
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn, _, _, err := Handshake(addr, Hello{Profile: "nuScenes", Seed: 31, Duration: 0.5}, 20*time.Second)
+			if err != nil {
+				t.Errorf("session %d: %v", i, err)
+				return
+			}
+			conns[i] = conn
+		}(i)
+	}
+	wg.Wait()
+	for _, conn := range conns {
+		if conn != nil {
+			conn.Close()
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if renders != 1 {
+		t.Errorf("%d concurrent Hellos for one clip rendered it %d times, want 1", sessions, renders)
+	}
+}
+
+// TestInterleavedSessionsMatchDetect runs two sessions on one Server with
+// their frames in flight at the same time: the detector is shared and each
+// session detects through its own scratch, so every reply must equal Detect
+// on the same decoded frame (run it under -race).
+func TestInterleavedSessionsMatchDetect(t *testing.T) {
+	srv := NewServer()
+	addr, stop := startServer(t, srv)
+	defer stop()
+	det := detect.New(detect.DefaultConfig())
+	type stream struct {
+		seed  int64
+		clip  *world.Clip
+		enc   *codec.Encoder
+		dec   *codec.Decoder
+		conn  net.Conn
+		mr    *MsgReader
+		want  []WireDetection
+		total int
+	}
+	streams := []*stream{{seed: 41}, {seed: 42}}
+	for _, s := range streams {
+		p := world.NuScenesLike()
+		p.ClipDuration = 0.5
+		s.clip = world.GenerateClip(p, s.seed)
+		cfg := codec.DefaultConfig(s.clip.W, s.clip.H)
+		var err error
+		if s.enc, err = codec.NewEncoder(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if s.dec, err = codec.NewDecoder(cfg); err != nil {
+			t.Fatal(err)
+		}
+		s.conn, s.mr = testSession(t, addr, Hello{Profile: "nuScenes", Seed: s.seed, Duration: 0.5})
+		defer s.conn.Close()
+	}
+	for i := range streams[0].clip.Frames {
+		for _, s := range streams { // both frames are written before either reply is read
+			ef, err := s.enc.Encode(s.clip.Frames[i], codec.EncodeOptions{BaseQP: 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			df, err := s.dec.Decode(ef.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.want = ToWire(det.Detect(df.Image, s.clip.Frames[i], s.clip.GT[i], s.seed^int64(i*7919)))
+			if err := WriteFrame(s.conn, &FrameMsg{Index: i, Bitstream: ef.Data}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, s := range streams {
+			res := readResult(t, s.conn, s.mr)
+			if res.Err != "" || res.Index != i || !slices.Equal(res.Detections, s.want) {
+				t.Fatalf("seed %d frame %d: reply %+v, want detections %v", s.seed, i, res, s.want)
+			}
+			s.total += len(s.want)
+		}
+	}
+	for _, s := range streams {
+		if s.total == 0 {
+			t.Errorf("seed %d: no detections in the whole clip, nothing compared", s.seed)
+		}
 	}
 }

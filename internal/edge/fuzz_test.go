@@ -135,7 +135,7 @@ func FuzzMsgReader(f *testing.F) {
 	var seed bytes.Buffer
 	WriteHello(&seed, Hello{Profile: "nuScenes", Seed: 1, Duration: 1})
 	WriteFrame(&seed, &FrameMsg{Index: 0, Bitstream: []byte{5, 6}})
-	writeOnce(&seed, Redirect{Addr: "127.0.0.1:1", Reason: "drain"})
+	writeRedirect(&seed, Redirect{Addr: "127.0.0.1:1", Reason: "drain"})
 	f.Add(seed.Bytes())
 	f.Add([]byte("Dv"))
 	f.Add([]byte{'D', 'v', MsgFrame, 0, 0, 0, 2, 1, 2, 0, 0, 0, 0})

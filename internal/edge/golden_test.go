@@ -41,7 +41,7 @@ var goldenMessages = []struct {
 		return WriteResult(w, &ResultMsg{Index: -1, Err: "corrupt message: edge: message checksum mismatch", NeedKeyframe: true})
 	}},
 	{"redirect", func(w io.Writer) error {
-		return writeOnce(w, Redirect{Addr: "127.0.0.1:7061", Reason: "drain"})
+		return writeRedirect(w, Redirect{Addr: "127.0.0.1:7061", Reason: "drain"})
 	}},
 }
 

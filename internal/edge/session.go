@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dive/internal/codec"
+	"dive/internal/detect"
 	"dive/internal/world"
 )
 
@@ -15,6 +16,10 @@ type session struct {
 	clip *world.Clip
 	seed int64
 	dec  *codec.Decoder
+	// det and res are reused frame to frame: the detector's scratch, and
+	// the reply, whose Detections keep their capacity.
+	det detect.Scratch
+	res ResultMsg
 	// needKey is set while the decoder's reference cannot be trusted: from
 	// the handshake on and after every desync. While set, only an intra frame
 	// reaches the decoder.
@@ -61,7 +66,7 @@ var rules = [...]struct {
 // outAccepted the frame is fit to decode and the reply is still open: the
 // caller runs decode.
 func (ss *session) step(typ byte, payload []byte, rerr error, res *ResultMsg) (FrameMsg, outcome) {
-	*res = ResultMsg{Index: -1}
+	*res = ResultMsg{Index: -1, Detections: res.Detections[:0]}
 	if rerr != nil {
 		return FrameMsg{}, ss.settle(res, outCorrupt, "corrupt message: "+rerr.Error())
 	}

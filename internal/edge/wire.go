@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"dive/internal/world"
 )
@@ -65,29 +66,26 @@ func IsRecoverable(err error) bool {
 	return errors.Is(err, ErrChecksum) || errors.Is(err, ErrMalformed) || errors.Is(err, ErrTooLarge)
 }
 
-// message is anything that travels in an envelope: its type byte and its
-// payload encoding, appended in place.
-type message interface {
-	msgType() byte
-	appendPayload(b []byte) []byte
-}
+// envPool holds the envelope buffers every writer encodes into.
+var envPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeMsg encodes m once, straight into its envelope, in buf's storage —
-// header reserved, payload appended, length patched, CRC appended — and hands
-// it to w in one Write. It returns the buffer for the next message: a
-// connection keeps one per direction (connState for replies, Client for
-// frames). Nothing is retained past the Write.
-func writeMsg(w io.Writer, buf []byte, m message) ([]byte, error) {
-	buf = append(buf[:0], wireMagic0, wireMagic1, m.msgType(), 0, 0, 0, 0)
-	buf = m.appendPayload(buf)
-	n := len(buf) - wireHeaderLen
+// writeMsg encodes one message straight into its envelope, in a pooled
+// buffer — header opened, payload appended, length patched, CRC appended —
+// and hands it to w in one Write. Nothing of the message is retained past
+// the Write, and payload, a concrete message's method value, keeps the
+// message off the heap.
+func writeMsg(w io.Writer, typ byte, payload func([]byte) []byte) error {
+	buf := envPool.Get().(*[]byte)
+	defer envPool.Put(buf)
+	b := payload(append((*buf)[:0], wireMagic0, wireMagic1, typ, 0, 0, 0, 0))
+	n := len(b) - wireHeaderLen
 	if n > MaxPayload {
-		return buf, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(buf[3:], uint32(n))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[2:]))
-	_, err := w.Write(buf)
-	return buf, err
+	binary.BigEndian.PutUint32(b[3:], uint32(n))
+	*buf = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[2:]))
+	_, err := w.Write(*buf)
+	return err
 }
 
 // MsgReader reads framed messages, scanning forward to the next magic marker
@@ -246,8 +244,6 @@ func appendString(b []byte, s string) []byte {
 // mid-clip and will continue from Hello.FirstFrame with a keyframe.
 const helloFlagResume = 1 << 0
 
-func (h Hello) msgType() byte { return MsgHello }
-
 func (h Hello) appendPayload(b []byte) []byte {
 	b = append(b, 1) // version
 	var flags byte
@@ -289,8 +285,6 @@ func DecodeHello(p []byte) (Hello, error) {
 	return h, nil
 }
 
-func (m *FrameMsg) msgType() byte { return MsgFrame }
-
 // appendPayload serializes a FrameMsg. The envelope CRC covers the
 // bitstream, so corruption anywhere in the frame is caught before decode.
 func (m *FrameMsg) appendPayload(b []byte) []byte {
@@ -326,8 +320,6 @@ func DecodeFrameMsg(p []byte) (FrameMsg, error) {
 // resultFlagNeedKeyframe asks the agent to intra-code its next frame: the
 // server decoder lost sync (corrupt frame, dropped frame, fresh resume).
 const resultFlagNeedKeyframe = 1 << 0
-
-func (m *ResultMsg) msgType() byte { return MsgResult }
 
 func (m *ResultMsg) appendPayload(b []byte) []byte {
 	b = slices.Grow(b, 48+len(m.Err)+28*len(m.Detections)+wireTrailerLen)
@@ -402,8 +394,6 @@ type Redirect struct {
 	Reason string
 }
 
-func (rd Redirect) msgType() byte { return MsgRedirect }
-
 func (rd Redirect) appendPayload(b []byte) []byte {
 	b = append(b, 1) // version
 	b = appendString(b, rd.Addr)
@@ -431,12 +421,8 @@ func DecodeRedirect(p []byte) (Redirect, error) {
 	return rd, nil
 }
 
-// The one-shot writers: a fresh buffer per message.
-func WriteHello(w io.Writer, h Hello) error       { return writeOnce(w, h) }
-func WriteFrame(w io.Writer, m *FrameMsg) error   { return writeOnce(w, m) }
-func WriteResult(w io.Writer, m *ResultMsg) error { return writeOnce(w, m) }
-
-func writeOnce(w io.Writer, m message) error {
-	_, err := writeMsg(w, nil, m)
-	return err
-}
+// The writers allocate nothing and issue exactly one Write per message.
+func WriteHello(w io.Writer, h Hello) error        { return writeMsg(w, MsgHello, h.appendPayload) }
+func WriteFrame(w io.Writer, m *FrameMsg) error    { return writeMsg(w, MsgFrame, m.appendPayload) }
+func WriteResult(w io.Writer, m *ResultMsg) error  { return writeMsg(w, MsgResult, m.appendPayload) }
+func writeRedirect(w io.Writer, rd Redirect) error { return writeMsg(w, MsgRedirect, rd.appendPayload) }
