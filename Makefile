@@ -20,7 +20,8 @@ experiments:
 	$(GO) test -count=1 -run '^TestPerfLedger$$' . -update-golden
 
 # The portable path, run rather than only vetted: as 386 every kernel with an
-# amd64 assembly body (internal/imgx's row kernels, internal/codec's block
+# amd64 assembly body (internal/imgx's row kernels — the SAD kernels and ssd,
+# the squared-error row of MSE and RegionMSE — internal/codec's block
 # quantizer, block transforms, deblocking filter and intra mode decision)
 # runs its Go body, against the same tests, decoder_golden.json and
 # agent_golden.json. Needs no 386 machine: a linux/amd64 kernel runs 386
@@ -75,7 +76,8 @@ bench-smoke:
 # decode benchmarks, a forced I-frame's encode, the rate-control trial,
 # rate-control search, entropy-writer, entropy-reader and loop-filter
 # benchmarks, the agent's rotation and FOE estimates, the whole agent loop,
-# the detector on a session's scratch, the telemetry-off paths of
+# the detector on a session's scratch, its squared-error scoring of a frame
+# and of an object box (imgx.RegionMSE), the telemetry-off paths of
 # internal/obs, the server's wire paths and a whole server frame with
 # -benchmem and fail if allocs/op or B/op regressed past the committed
 # ci/alloc_baseline.json. The pooled encoder, the session decoder, a trial
@@ -87,17 +89,17 @@ bench-smoke:
 # and everything a session runs on one frame (step, decode, detect, reply)
 # are all pinned at 0 allocs/op, a forced I-frame's whole encode and both
 # ego-motion estimates on a warm scratch too, and a core.Agent frame
-# (ProcessFrame + TrackLocally + feedback) at the 14 objects it hands to its
+# (ProcessFrame + TrackLocally + feedback) at the 13 objects it hands to its
 # caller; allocation counts are deterministic after warm-up, so this gate is
 # machine-independent (unlike wall-clock latency baselines).
 #
-# The per-frame rows (codec, core, mvfield, detect) run 20 iterations; the
+# The per-frame rows (codec, core, mvfield, detect, imgx) run 20 iterations; the
 # rows of obs and edge run 2000 (most are nanosecond-scale), so that one
 # runtime background allocation landing inside the window (≈ 5.5 kB, seen
 # about one run in ten) rounds to ≤ 3 B/op instead of reading 275 B/op
 # against the 64 B floor.
-ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|EstimateFOE|EstimateRotation|DetectInto|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite|WriteFrame|ServerFrame
-ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ ./internal/mvfield/ ./internal/detect/ && \
+ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|EstimateFOE|EstimateRotation|DetectInto|RegionMSE|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite|WriteFrame|ServerFrame
+ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ ./internal/mvfield/ ./internal/detect/ ./internal/imgx/ && \
 	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
 bench-alloc:
 	$(ALLOC_RUN)
@@ -169,7 +171,7 @@ fleet-smoke:
 # wire decoders, the codec's bitstream decoder and its coefficient reader (the
 # register-resident window against the ReadUE loop it replaced) — over the
 # entropy writer (the mask walk against the writer it replaced), and over the
-# kernels whose amd64 bodies are assembly (the row kernels, the block
+# kernels whose amd64 bodies are assembly (the SAD and squared-error row kernels, the block
 # quantizer, the block transforms, the deblocking filter, the intra mode
 # decision), over the FOE fit's filtered inlier predicate (against the
 # Residual it must agree with on every float64), and over the rate-control
@@ -186,6 +188,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadCoeffs -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzWriteCoeffs -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzSAD16 -fuzztime=10s -run 'xxx' ./internal/imgx/
+	$(GO) test -fuzz=FuzzSSD -fuzztime=10s -run 'xxx' ./internal/imgx/
 	$(GO) test -fuzz=FuzzQuantizeBlock -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzTransform -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzDeblock -fuzztime=10s -run 'xxx' ./internal/codec/

@@ -87,6 +87,7 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 	}
 	mbw, mbh := enc.MBDims()
 
+	var props detect.Scratch // the proposals' generator and slice, reused every frame
 	var pending []phase2Job
 	// flush transmits and evaluates every pending patch that becomes ready
 	// before `until`, so phase-1 and phase-2 traffic interleave on the
@@ -153,7 +154,7 @@ func (d *DDS) Run(clip *world.Clip, link *netsim.Link, env *sim.Env) (*sim.Resul
 				regions = append(regions, dt.Box)
 			}
 		}
-		for _, pr := range env.Detector.Proposals(dec1.Image, frame, clip.GT[i], env.Seed^int64(i*611953)) {
+		for _, pr := range env.Detector.Proposals(&props, dec1.Image, frame, clip.GT[i], env.Seed^int64(i*611953)) {
 			regions = append(regions, pr.Box)
 		}
 		if len(regions) == 0 {

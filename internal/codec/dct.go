@@ -152,19 +152,75 @@ func blockBits(mask uint64, lenSum int) int {
 		bits.OnesCount64(y31&^(y31<<1))+bits.OnesCount64(y63&^(y63<<1)))
 }
 
+// pairPeek is the width of the window prefix pairTable is indexed by.
+const pairPeek = 12
+
+// pairTable[p] decodes the head of a window whose top pairPeek bits are p
+// when a (run, level) pair lies whole in those bits with a nonzero level,
+// and a second such pair too when it fits behind the first:
+//
+//	bits  0–3   the length of what the entry decodes (2–12)
+//	bits  4–9   the first run
+//	bits 10–15  the second run plus one — the step from the first level's
+//	            zigzag position to the second's — or 0 for one pair
+//	bits 20–25  the first level, signed
+//	bits 26–31  the second level, signed; the first again for one pair
+//
+// so one pair stores its level twice at one position. Every other prefix —
+// a longer pair, the 13-bit end-of-block marker, a zero level — is 0, and
+// readCoeffs decodes it code by code. A nonzero level's code is at least 3
+// bits, so within pairPeek bits a run is at most 30 and a level's magnitude
+// at most 31: both fit their 6-bit fields. The codes are read with the
+// arithmetic readCoeffs uses.
+var pairTable = func() (t [1 << pairPeek]uint32) {
+	// pair decodes the pair at the head of w if it lies within w's top
+	// avail bits; l == 0 when it does not.
+	pair := func(w uint64, avail int) (run uint64, l int32, n int) {
+		z := bits.LeadingZeros64(w)
+		nRun := 2*z + 1
+		if nRun >= avail {
+			return 0, 0, 0
+		}
+		run = w>>uint(63-2*z) - 1
+		v := w << uint(nRun)
+		m := bits.LeadingZeros64(v)
+		nLev := 2*m + 1
+		if nRun+nLev > avail {
+			return 0, 0, 0
+		}
+		return run, ueToSE(uint32(v>>uint(63-2*m)) - 1), nRun + nLev
+	}
+	for p := range t {
+		w := uint64(p) << (64 - pairPeek)
+		run, l, n := pair(w, pairPeek)
+		if l == 0 {
+			continue
+		}
+		run2, l2, n2 := pair(w<<uint(n), pairPeek-n)
+		step := run2 + 1
+		if l2 == 0 {
+			l2, step, n2 = l, 0, 0
+		}
+		t[p] = uint32(l2)<<26 | uint32(l&63)<<20 | uint32(step)<<10 | uint32(run)<<4 | uint32(n+n2)
+	}
+	return t
+}()
+
 // readCoeffs decodes one block written by writeCoeffs and returns its zigzag
 // significance mask (every coded level is nonzero and lands on its own
 // position, so the mask is exact).
 //
 // The bits are read from a 64-bit window held in locals for the whole
-// block: a (run, level) pair is a leading-zero count and a shift for each
-// symbol, and the window is reloaded from the buffer only when fewer than 40
-// of its bits remain. valid counts at most 63 of them, so a pair the window
-// holds is at most 63 bits long. A pair is taken only when both its codes
-// lie whole in the window; otherwise — the last seven bytes of the buffer, or a code too long
-// for what is left — the ReadUE / ReadSE loop below takes over at the start
-// of that pair, so every rejection (read past the end, a code over 32 zeros
-// long, a run past the block, a zero level) is the bit reader's.
+// block. While at least pairPeek bits remain, a prefix pairTable decodes —
+// one short pair or two — costs one lookup and one shift. Any other pair is
+// a leading-zero count and a shift for each symbol, taken once the window
+// holds at least 40 bits (it is reloaded from the buffer when it holds
+// fewer); valid counts at most 63 of them, so a pair the window holds is at
+// most 63 bits long. A pair is taken only when both its codes lie whole in
+// the window; otherwise — the last seven bytes of the buffer, or a code too
+// long for what is left — the ReadUE / ReadSE loop below takes over at the
+// start of that pair, so every rejection (read past the end, a code over 32
+// zeros long, a run past the block, a zero level) is the bit reader's.
 func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (mask uint64, err error) {
 	*levels = [blockSize * blockSize]int32{}
 	idx := 0
@@ -178,12 +234,27 @@ func readCoeffs(r *BitReader, levels *[blockSize * blockSize]int32) (mask uint64
 		w, pos = w<<1, pos+1
 		valid := 63 - sh
 		for {
+			for valid >= pairPeek {
+				e := pairTable[w>>(64-pairPeek)]
+				k := idx + int(e>>4&63)
+				k2 := k + int(e>>10&63)
+				if e == 0 || k2 >= blockSize*blockSize {
+					break // decoded code by code, which rejects a run past the block
+				}
+				levels[zigzag8[k&63]&63] = int32(e<<6) >> 26
+				levels[zigzag8[k2&63]&63] = int32(e) >> 26
+				mask |= 1<<(k&63) | 1<<(k2&63)
+				idx = k2 + 1
+				n := int(e & 15)
+				w, valid, pos = w<<(n&63), valid-n, pos+n
+			}
 			if valid < 40 {
 				i := pos >> 3
 				if i+8 > len(buf) {
 					break
 				}
 				w, valid = binary.BigEndian.Uint64(buf[i:])<<uint(pos&7), 63-pos&7
+				continue
 			}
 			n := bits.LeadingZeros64(w)
 			nRun := 2*n + 1

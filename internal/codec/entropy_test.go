@@ -223,12 +223,103 @@ func coeffStream(start int, levels [][blockSize * blockSize]int32, masks []uint6
 	return w.Bytes()
 }
 
+// boundaryBlocks returns n blocks whose (run, level) pairs sit around
+// pairPeek: runs and level magnitudes at the edges of their code lengths, so
+// pairs run 4 to 24 bits long with many of exactly 12 and 14, and two short
+// pairs meet in one 12-bit prefix or overhang it by a code. Written back to
+// back, their pairs straddle the window's reloads at every phase.
+func boundaryBlocks(rng *rand.Rand, n int) ([][blockSize * blockSize]int32, []uint64) {
+	gaps := []int{0, 0, 0, 1, 2, 3, 6, 7, 14, 15, 30}
+	mags := []int32{1, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64}
+	levels := make([][blockSize * blockSize]int32, n)
+	masks := make([]uint64, n)
+	for b := range levels {
+		for k := rng.Intn(3); k < blockSize*blockSize; k += 1 + gaps[rng.Intn(len(gaps))] {
+			levels[b][zigzag8[k]] = mags[rng.Intn(len(mags))] * int32(1-2*rng.Intn(2))
+		}
+		masks[b] = levelsMask(&levels[b])
+	}
+	return levels, masks
+}
+
+// TestPairTable decodes every 12-bit prefix with ReadUE and ReadSE from a
+// reader holding exactly those bits and requires pairTable's entry to say
+// the same: the first pair, when its two codes lie within the 12 bits with
+// a nonzero level (and 0 otherwise — a longer pair, the end-of-block marker,
+// a zero level), and the second likewise within what the first leaves. It
+// then writes every (run, level) pair whose codes total at most 12 bits,
+// followed by every filler, and requires an entry that decodes it.
+func TestPairTable(t *testing.T) {
+	// read decodes one pair from r, ok when it ends within pairPeek bits.
+	read := func(r *BitReader) (run uint32, l int32, ok bool) {
+		run, err := r.ReadUE()
+		if err != nil || r.pos > pairPeek {
+			return 0, 0, false
+		}
+		l, err = r.ReadSE()
+		return run, l, err == nil && r.pos <= pairPeek && l != 0
+	}
+	for p := range pairTable {
+		e := pairTable[p]
+		// The four bits past the prefix are zeros: a code that reaches
+		// them ends past pairPeek and does not fit.
+		r := NewBitReader([]byte{byte(p >> 4), byte(p << 4)})
+		run, l, ok := read(r)
+		if !ok {
+			if e != 0 {
+				t.Fatalf("prefix %012b: entry %#x for no short pair", p, e)
+			}
+			continue
+		}
+		n := r.pos
+		gotRun, gotL, gotStep, gotN := e>>4&63, int32(e<<6)>>26, e>>10&63, int(e&15)
+		if gotRun != run || gotL != l {
+			t.Fatalf("prefix %012b: entry (run %d, level %d), reader (%d, %d)", p, gotRun, gotL, run, l)
+		}
+		wantStep, wantL2 := uint32(0), l
+		if run2, l2, ok := read(r); ok {
+			n, wantStep, wantL2 = r.pos, run2+1, l2
+		}
+		if gotStep != wantStep || int32(e)>>26 != wantL2 || gotN != n {
+			t.Fatalf("prefix %012b: entry step %d level %d length %d, reader %d, %d, %d",
+				p, gotStep, int32(e)>>26, gotN, wantStep, wantL2, n)
+		}
+	}
+	pairs := 0
+	for run := uint32(0); run < blockSize*blockSize; run++ {
+		for l := int32(-32); l <= 32; l++ {
+			n := ueBits(run) + ueBits(seToUE(l))
+			if l == 0 || n > pairPeek {
+				continue
+			}
+			pairs++
+			for fill := 0; fill < 1<<uint(pairPeek-n); fill++ {
+				var w BitWriter
+				w.WriteUE(run)
+				w.WriteUE(seToUE(l))
+				w.WriteBits(uint64(fill), pairPeek-n)
+				b := w.Bytes()
+				e := pairTable[int(b[0])<<4|int(b[1])>>4]
+				if e == 0 || e>>4&63 != run || int32(e<<6)>>26 != l {
+					t.Fatalf("pair (%d, %d) + filler %b: entry %#x", run, l, fill, e)
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no pair fits the table")
+	}
+}
+
 // TestReadCoeffsMatchesOracle holds the windowed reader to the ReadUE /
 // ReadSE loop it replaced, from every start bit 0–7: on one P-frame's real
 // blocks at QP 2 and 25, read whole and, for the first dozen blocks, cut at
 // every byte; on blocks of levels too long for the window beside short
-// ones; and on random bytes, dense and sparse in ones (long zero runs,
-// over-long codes, runs past the block, zero levels).
+// ones; on blocks of pairs around the table's 12 bits (boundaryBlocks), read
+// whole and cut at every byte, so their pairs straddle the window's reloads
+// and the last seven bytes at every phase; and on random bytes, dense and
+// sparse in ones (long zero runs, over-long codes, runs past the block, zero
+// levels).
 func TestReadCoeffsMatchesOracle(t *testing.T) {
 	coded := interBlocks(t)
 	rng := rand.New(rand.NewSource(33))
@@ -259,6 +350,30 @@ func TestReadCoeffsMatchesOracle(t *testing.T) {
 		for cut := range stream {
 			checkReadCoeffs(t, "long", stream[:cut], start)
 		}
+		edge, edgeMasks := boundaryBlocks(rng, 8)
+		stream = coeffStream(start, edge, edgeMasks)
+		for cut := range stream {
+			checkReadCoeffs(t, "boundary", stream[:cut], start)
+		}
+		checkReadCoeffs(t, "boundary", stream, start)
+		// Short pairs behind a level at zigzag position 57–63, one or two per table
+		// entry, until one lands on 63 or runs past the block.
+		for at := 57; at < blockSize*blockSize; at++ {
+			for trial := 0; trial < 4; trial++ {
+				var w BitWriter
+				w.WriteBits(0x5a, start)
+				w.WriteBit(1)
+				w.WriteUE(uint32(at))
+				w.WriteUE(seToUE(1))
+				for k := 0; k < 4; k++ {
+					w.WriteUE(uint32(rng.Intn(2)))
+					w.WriteUE(seToUE(int32(1 - 2*rng.Intn(2))))
+				}
+				w.WriteUE(blockSize * blockSize)
+				w.WriteBits(rng.Uint64(), 64)
+				checkReadCoeffs(t, "past the block", w.Bytes(), start)
+			}
+		}
 		for trial := 0; trial < 200; trial++ {
 			buf := make([]byte, rng.Intn(64))
 			for i := range buf {
@@ -273,10 +388,18 @@ func TestReadCoeffsMatchesOracle(t *testing.T) {
 
 // FuzzReadCoeffs holds the windowed reader to the oracle on arbitrary bytes
 // read from bit start%8 on. The seeds are the head of one P-frame's real
-// blocks at QP 2 and 25, whole and cut inside a symbol.
+// blocks at QP 2 and 25, and blocks of pairs around the table's 12 bits
+// (boundaryBlocks), whole and cut inside a symbol.
 func FuzzReadCoeffs(f *testing.F) {
 	coded := interBlocks(f)
 	f.Add(uint8(0), []byte{})
+	rng := rand.New(rand.NewSource(48))
+	for _, start := range []int{0, 3, 7} {
+		edge, edgeMasks := boundaryBlocks(rng, 4)
+		s := coeffStream(start, edge, edgeMasks)
+		f.Add(uint8(start), s)
+		f.Add(uint8(start), s[:len(s)-5])
+	}
 	for _, qp := range []int{2, 25} {
 		levels, masks := codeBlocks(coded, qp)
 		for _, start := range []int{0, 5} {

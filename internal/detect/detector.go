@@ -78,12 +78,22 @@ func New(cfg Config) *Detector { return &Detector{cfg: cfg} }
 // Config returns the detector calibration.
 func (d *Detector) Config() Config { return d.cfg }
 
-// Scratch is what DetectInto reuses from frame to frame: the generator,
-// reseeded per frame, and the detection slice it returns. One caller owns
+// Scratch is what DetectInto and Proposals reuse from frame to frame: the
+// generator, reseeded per frame, and the slice they return. One caller owns
 // it; the Detector itself holds no state and is shared.
 type Scratch struct {
 	rng  *rand.Rand
 	dets []Detection
+}
+
+// seed returns s's generator started on the stream NewSource(seed) starts.
+func (s *Scratch) seed(seed int64) *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(seed))
+	} else {
+		s.rng.Seed(seed)
+	}
+	return s.rng
 }
 
 // Detect runs the simulated DNN on decoded, using pristine (the raw render)
@@ -96,12 +106,7 @@ func (d *Detector) Detect(decoded, pristine *imgx.Plane, gt []world.GTBox, frame
 // DetectInto is Detect on s's generator and slice: after the first call it
 // allocates nothing, and its result is valid until the next DetectInto on s.
 func (d *Detector) DetectInto(s *Scratch, decoded, pristine *imgx.Plane, gt []world.GTBox, frameSeed int64) []Detection {
-	if seed := frameSeed ^ 0x5EED; s.rng == nil {
-		s.rng = rand.New(rand.NewSource(seed))
-	} else {
-		s.rng.Seed(seed) // the stream NewSource(seed) starts
-	}
-	rng, out := s.rng, s.dets[:0]
+	rng, out := s.seed(frameSeed^0x5EED), s.dets[:0]
 	for _, obj := range gt {
 		area := obj.Box.Area()
 		if area < d.cfg.MinArea {
@@ -130,10 +135,11 @@ func (d *Detector) DetectInto(s *Scratch, decoded, pristine *imgx.Plane, gt []wo
 // proposals a two-stage DNN produces below its final detection threshold.
 // Server-driven schemes (DDS) feed these back to the agent as the regions
 // worth re-uploading in high quality: an object too degraded to *detect*
-// still usually leaves enough evidence to *propose*.
-func (d *Detector) Proposals(decoded, pristine *imgx.Plane, gt []world.GTBox, frameSeed int64) []Detection {
-	rng := rand.New(rand.NewSource(frameSeed ^ 0x9305))
-	var out []Detection
+// still usually leaves enough evidence to *propose*. It runs on s's
+// generator and slice like DetectInto: after the first call it allocates
+// nothing, and its result is valid until the next call on s.
+func (d *Detector) Proposals(s *Scratch, decoded, pristine *imgx.Plane, gt []world.GTBox, frameSeed int64) []Detection {
+	rng, out := s.seed(frameSeed^0x9305), s.dets[:0]
 	for _, obj := range gt {
 		area := obj.Box.Area()
 		if area < d.cfg.MinArea/2 {
@@ -156,6 +162,7 @@ func (d *Detector) Proposals(decoded, pristine *imgx.Plane, gt []world.GTBox, fr
 			Score: 0.15 + 0.25*rng.Float64(),
 		})
 	}
+	s.dets = out
 	return out
 }
 

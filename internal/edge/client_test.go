@@ -109,7 +109,8 @@ func TestClientSurvivesDisconnect(t *testing.T) {
 	}, agent)
 
 	// Cut the live session once the stream is past the handshake and
-	// frames are flowing.
+	// frames are flowing. The poll is a millisecond: the whole clip can
+	// finish between two 20 ms polls, and then nothing is cut.
 	cutDone := make(chan struct{})
 	go func() {
 		defer close(cutDone)
@@ -118,7 +119,7 @@ func TestClientSurvivesDisconnect(t *testing.T) {
 			if proxy.UpBytes.Load() > 16*1024 && proxy.CutConnections() > 0 {
 				return
 			}
-			time.Sleep(20 * time.Millisecond)
+			time.Sleep(time.Millisecond)
 		}
 	}()
 

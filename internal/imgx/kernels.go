@@ -2,7 +2,8 @@ package imgx
 
 import "encoding/binary"
 
-// The 16-sample-wide row kernels of block matching. Every kernel walks h rows
+// The row kernels: the 16-sample-wide SAD kernels of block matching and ssd,
+// the squared-error row of MSE and RegionMSE. Every SAD kernel walks h rows
 // of a 16-wide block: pa / pb start at the blocks' first samples, wa / wb are
 // the row strides. The exported wrappers below prove, with ordinary slice
 // indexing, that the last byte the kernel will touch lies inside each slice
@@ -12,8 +13,8 @@ import "encoding/binary"
 // input, including the partial sum on an early exit, and kernels_test.go
 // holds it to that on amd64, where both are compiled.
 //
-// Each kernel compares the running sum with earlyExit after each completed
-// row, never inside one, and returns it as soon as it is >= earlyExit.
+// The SAD kernels compare the running sum with earlyExit after each completed
+// row, never inside one, and return it as soon as it is >= earlyExit.
 // h <= 0 returns 0 without touching memory.
 
 // SAD16 returns the sum of |a − b| over a 16×h block.
@@ -68,6 +69,18 @@ func sad16Go(pa []uint8, wa int, pb []uint8, wb, h, earlyExit int) int {
 		}
 	}
 	return sum
+}
+
+// ssdGo is the Go body of ssd: the sum of squared differences of a and b,
+// sample by sample, over len(a) samples.
+func ssdGo(a, b []uint8) uint64 {
+	b = b[:len(a)]
+	var s uint64
+	for i := range a {
+		d := int(a[i]) - int(b[i])
+		s += uint64(d * d)
+	}
+	return s
 }
 
 // sad16avg2Go and sad16avg4Go take each row as two little-endian words per

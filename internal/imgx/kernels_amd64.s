@@ -133,3 +133,99 @@ loop:
 done:
 	MOVQ R8, ret+48(FP)
 	RET
+
+// func ssdSSE2(a, b *uint8, n int) uint64
+// |a − b| is the OR of the two saturating differences; widened to words,
+// PMADDWL squares and pairs them into dwords. A dword lane gains at most
+// 4·255² per 16 samples, so the dword sums are folded into the qword total
+// X0 every 4096 blocks (65536 samples) at the latest, long before 2^32. An
+// 8-sample block and then single samples take the tail.
+TEXT ·ssdSSE2(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	PXOR X0, X0
+	PXOR X7, X7
+
+chunk:
+	MOVQ CX, DX
+	SHRQ $4, DX
+	JZ   tail8
+	CMPQ DX, $4096
+	JLE  blocks
+	MOVQ $4096, DX
+
+blocks:
+	MOVQ DX, R8
+	SHLQ $4, R8
+	SUBQ R8, CX
+	PXOR X6, X6
+
+block:
+	MOVOU     (SI), X1
+	MOVOU     (DI), X2
+	MOVO      X1, X3
+	PSUBUSB   X2, X3
+	PSUBUSB   X1, X2
+	POR       X3, X2
+	MOVO      X2, X3
+	PUNPCKLBW X7, X2
+	PUNPCKHBW X7, X3
+	PMADDWL   X2, X2
+	PMADDWL   X3, X3
+	PADDL     X2, X6
+	PADDL     X3, X6
+	ADDQ      $16, SI
+	ADDQ      $16, DI
+	DECQ      DX
+	JNZ       block
+	MOVO      X6, X5
+	PUNPCKLLQ X7, X6
+	PUNPCKHLQ X7, X5
+	PADDQ     X6, X0
+	PADDQ     X5, X0
+	JMP       chunk
+
+tail8:
+	CMPQ      CX, $8
+	JLT       tail1
+	MOVQ      (SI), X1
+	MOVQ      (DI), X2
+	MOVO      X1, X3
+	PSUBUSB   X2, X3
+	PSUBUSB   X1, X2
+	POR       X3, X2
+	PUNPCKLBW X7, X2
+	PMADDWL   X2, X2
+	MOVO      X2, X5
+	PUNPCKLLQ X7, X2
+	PUNPCKHLQ X7, X5
+	PADDQ     X2, X0
+	PADDQ     X5, X0
+	ADDQ      $8, SI
+	ADDQ      $8, DI
+	SUBQ      $8, CX
+
+tail1:
+	TESTQ CX, CX
+	JZ    done
+
+sample:
+	MOVBLZX (SI), R8
+	MOVBLZX (DI), R9
+	SUBL    R9, R8
+	IMULL   R8, R8
+	ADDQ    R8, AX
+	INCQ    SI
+	INCQ    DI
+	DECQ    CX
+	JNZ     sample
+
+done:
+	PSHUFD $0xEE, X0, X1
+	PADDQ  X1, X0
+	MOVQ   X0, R8
+	ADDQ   R8, AX
+	MOVQ   AX, ret+24(FP)
+	RET

@@ -55,3 +55,24 @@ func TestRowKernelsStayInBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestSSDStaysInBounds runs the squared-error kernel on rows of every width
+// 0…80 that end flush against an inaccessible page: a 16- or 8-sample load
+// that reaches past the row's last sample faults here.
+func TestSSDStaysInBounds(t *testing.T) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("ssd touched memory outside its slices: %v", r)
+		}
+	}()
+	rng := rand.New(rand.NewSource(51))
+	for n := 0; n <= 80; n++ {
+		a, b := guarded(t, n), guarded(t, n)
+		rng.Read(a)
+		rng.Read(b)
+		if got, want := ssd(a, b), ssdPerSample(a, b); got != want {
+			t.Fatalf("ssd (n=%d) = %d, per-sample = %d", n, got, want)
+		}
+	}
+}

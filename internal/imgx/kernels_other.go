@@ -15,3 +15,5 @@ func sad16avg2(pa []uint8, wa int, pb []uint8, wb, off, h, earlyExit int) int {
 func sad16avg4(pa []uint8, wa int, pb []uint8, wb, h, earlyExit int) int {
 	return sad16avg4Go(pa, wa, pb, wb, h, earlyExit)
 }
+
+func ssd(a, b []uint8) uint64 { return ssdGo(a, b) }

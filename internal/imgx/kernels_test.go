@@ -224,3 +224,131 @@ func FuzzSAD16(f *testing.F) {
 		ph.checkSAD(t, pa, wa, pb, wb, off, h, int(early))
 	})
 }
+
+// ssdPerSample is the squared-error sum by definition, for holding ssdGo to.
+func ssdPerSample(a, b []uint8) uint64 {
+	var s uint64
+	for i := range a {
+		d := int64(a[i]) - int64(b[i])
+		s += uint64(d * d)
+	}
+	return s
+}
+
+// checkSSD holds the Go body and the dispatched kernel (the assembly on
+// amd64) to the per-sample sum on one pair of rows.
+func checkSSD(t *testing.T, a, b []uint8) {
+	t.Helper()
+	want := ssdPerSample(a, b)
+	if got := ssdGo(a, b); got != want {
+		t.Fatalf("ssd Go body (n=%d) = %d, per-sample = %d", len(a), got, want)
+	}
+	if got := ssd(a, b); got != want {
+		t.Fatalf("ssd kernel (n=%d) = %d, per-sample = %d", len(a), got, want)
+	}
+}
+
+// TestSSDMatchesGo runs the squared-error kernel over rows of every width
+// 1…80 from every start alignment 0…15, each slice cut to exactly its width;
+// over all-extreme rows, where every dword lane grows fastest, long enough
+// to overflow one unless the dword sums are folded; and holds RegionMSE to
+// a per-sample region loop on rectangles clipped at each border of a
+// 400×128 plane (the KITTI clip size) and of an odd-sized one.
+func TestSSDMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	back := randBytes(rng, 16+80)
+	other := randBytes(rng, 16+80)
+	for n := 0; n <= 80; n++ {
+		for al := 0; al < 16; al++ {
+			checkSSD(t, back[al:al+n:al+n], other[15-al:15-al+n:15-al+n])
+		}
+	}
+	// 20480 blocks of 16 samples at 255² each: four times what a dword lane
+	// holds, if the kernel did not fold every 65536 samples.
+	zero, full := make([]uint8, 5*65536+24+7), bytes.Repeat([]byte{255}, 5*65536+24+7)
+	for _, n := range []int{16, 65536 - 1, 65536, 65536 + 16 + 8 + 7, len(zero)} {
+		checkSSD(t, zero[:n], full[:n])
+		checkSSD(t, full[:n], zero[:n])
+	}
+
+	regionRef := func(a, b *Plane, r Rect) float64 {
+		r = r.ClipTo(a.W, a.H)
+		if r.Empty() {
+			return 0
+		}
+		var s uint64
+		for y := r.MinY; y < r.MaxY; y++ {
+			s += ssdPerSample(a.Pix[y*a.W+r.MinX:y*a.W+r.MaxX], b.Pix[y*b.W+r.MinX:y*b.W+r.MaxX])
+		}
+		return float64(s) / float64(r.Area())
+	}
+	for _, size := range [][2]int{{400, 128}, {37, 23}} {
+		w, h := size[0], size[1]
+		a, b := randomPlane(rng, w, h), randomPlane(rng, w, h)
+		a.Pix, b.Pix = a.Pix[:w*h:w*h], b.Pix[:w*h:w*h]
+		rects := []Rect{{0, 0, w, h}, {-9, -9, w + 9, h + 9}, {w - 1, h - 1, w + 5, h + 5}, {3, 3, 3, 9}}
+		for trial := 0; trial < 200; trial++ {
+			bw, bh := 1+rng.Intn(80), 1+rng.Intn(40)
+			x, y := rng.Intn(w+bw)-bw, rng.Intn(h+bh)-bh
+			switch trial % 5 { // flush against a border, or past it
+			case 1:
+				x = -rng.Intn(bw)
+			case 2:
+				x = w - bw + rng.Intn(bw)
+			case 3:
+				y = -rng.Intn(bh)
+			case 4:
+				y = h - bh + rng.Intn(bh)
+			}
+			rects = append(rects, NewRect(x, y, bw, bh))
+		}
+		for _, r := range rects {
+			if got, want := RegionMSE(a, b, r), regionRef(a, b, r); got != want {
+				t.Fatalf("%dx%d RegionMSE(%v) = %v, per-sample = %v", w, h, r, got, want)
+			}
+		}
+		if got, want := MSE(a, b), regionRef(a, b, Rect{0, 0, w, h}); got != want {
+			t.Fatalf("%dx%d MSE = %v, per-sample = %v", w, h, got, want)
+		}
+	}
+}
+
+// FuzzSSD cuts two rows out of the fuzzer's bytes, the second after an
+// offset that varies its alignment, and holds the squared-error kernel to
+// the per-sample sum.
+func FuzzSSD(f *testing.F) {
+	rng := rand.New(rand.NewSource(49))
+	f.Add(randBytes(rng, 200), uint8(80), uint8(3))
+	f.Add(randBytes(rng, 60), uint8(23), uint8(0))
+	f.Add(bytes.Repeat([]byte{255, 0}, 100), uint8(99), uint8(1))
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, n, skip uint8) {
+		na, off := int(n), int(skip%16)
+		if len(data) < 2*na+off {
+			t.Skip()
+		}
+		checkSSD(t, data[:na:na], data[na+off:2*na+off:2*na+off])
+	})
+}
+
+// BenchmarkRegionMSE scores a 400×128 frame whole, as the detector's false-
+// positive model does once a frame, and one object box, as it does per
+// object. Nothing allocates.
+func BenchmarkRegionMSE(b *testing.B) {
+	rng := rand.New(rand.NewSource(50))
+	p, q := randomPlane(rng, 400, 128), randomPlane(rng, 400, 128)
+	for _, bc := range []struct {
+		name string
+		r    Rect
+	}{{"frame", Rect{0, 0, 400, 128}}, {"box", NewRect(131, 47, 58, 36)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(bc.r.Area()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchMSE += RegionMSE(p, q, bc.r)
+			}
+		})
+	}
+}
+
+var benchMSE float64

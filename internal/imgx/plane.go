@@ -168,12 +168,7 @@ func MSE(a, b *Plane) float64 {
 	if a.W != b.W || a.H != b.H {
 		panic("imgx: MSE size mismatch")
 	}
-	var s uint64
-	for i := range a.Pix {
-		d := int(a.Pix[i]) - int(b.Pix[i])
-		s += uint64(d * d)
-	}
-	return float64(s) / float64(len(a.Pix))
+	return float64(ssd(a.Pix, b.Pix)) / float64(len(a.Pix))
 }
 
 // RegionMSE returns the MSE restricted to rect (clipped to the planes). An
@@ -188,12 +183,7 @@ func RegionMSE(a, b *Plane, rect Rect) float64 {
 	}
 	var s uint64
 	for y := r.MinY; y < r.MaxY; y++ {
-		ra := a.Pix[y*a.W+r.MinX : y*a.W+r.MaxX]
-		rb := b.Pix[y*b.W+r.MinX : y*b.W+r.MaxX]
-		for i := range ra {
-			d := int(ra[i]) - int(rb[i])
-			s += uint64(d * d)
-		}
+		s += ssd(a.Pix[y*a.W+r.MinX:y*a.W+r.MaxX], b.Pix[y*b.W+r.MinX:y*b.W+r.MaxX])
 	}
 	return float64(s) / float64(r.Area())
 }
