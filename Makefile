@@ -58,19 +58,16 @@ bench:
 bench-obs:
 	$(GO) test -run xxx -bench . -benchtime 2s ./internal/obs/
 
-# Smoke run + automated diagnosis (the CI bench-smoke job), both halves
-# machine-independent: export a healthy-run decision journal and have
-# divedoctor check it for journal pathologies, then run the packing ladder to
-# 4 streams and have divedoctor check its runtime series for GC pressure. The
-# journal is 6 s of RobotCar at 1 Mbps, where rate control is tightest, so a
-# base QP that swings frame to frame shows as qp-oscillation findings.
+# Smoke run + automated diagnosis (the CI bench-smoke job), machine-independent:
+# export a healthy-run decision journal and have divedoctor check it for
+# journal pathologies. The journal is 6 s of RobotCar at 1 Mbps, where rate
+# control is tightest, so a base QP that swings frame to frame shows as
+# qp-oscillation findings.
 # Exit 1 on any finding. Wall-clock speed is not judged here: that is the repo
 # benchmark's job (make benchmark, alternated parent/change pairs).
 bench-smoke:
 	$(GO) run ./cmd/divetrace -format journal -profile RobotCar -mbps 1 -duration 6 -o smoke.journal.jsonl
 	$(GO) run ./cmd/divedoctor -journal smoke.journal.jsonl -json
-	$(GO) run ./cmd/divebench -scale smoke -only none -streams 4 -streams-secs 2 -runtime-log streams_runtime.jsonl -json streams_smoke.json
-	$(GO) run ./cmd/divedoctor -runtime streams_runtime.jsonl -json
 
 # Allocation gate (the CI bench-alloc job): run the steady-state encode and
 # decode benchmarks, a forced I-frame's encode, the rate-control trial,
@@ -206,4 +203,4 @@ loc:
 
 clean:
 	$(GO) clean ./...
-	rm -f bench_results.json smoke.journal.jsonl bench_alloc.txt streams_smoke.json streams_runtime.jsonl
+	rm -f bench_results.json smoke.journal.jsonl bench_alloc.txt

@@ -4,28 +4,17 @@
 // Usage:
 //
 //	divebench [-scale smoke|default|full] [-seed N] [-only id,id,...]
-//	          [-json bench_results.json] [-workers N]
-//	          [-streams N] [-streams-secs S] [-runtime-log runtime.jsonl]
+//	          [-json bench_results.json]
 //
 // The experiments are the rows of experiments.Registry, run in its order;
-// -only selects a subset by id (divebench -h lists the ids; "none" is the
-// explicit empty selection, for a run that wants -streams alone). By default
-// every experiment runs at the default scale.
-//
-// -workers bounds the experiment fan-out and encoder/renderer pool width
-// (0 = GOMAXPROCS, 1 = serial). Every table is identical at any width; the
-// parallel layer only changes wall-clock time.
-//
-// -streams runs the multi-stream packing ladder: 1/4/16/64 (≤ N) concurrent
-// serial encoders, reporting aggregate frames/sec/core and GC
-// co-tenancy per rung in -json; -runtime-log captures the highest-density
-// rung's steady window as a runtime-stats JSONL series for divedoctor
-// -runtime.
+// -only selects a subset by id (divebench -h lists the ids). By default
+// every experiment runs at the default scale. The experiments fan their
+// clips and runs out over GOMAXPROCS goroutines; every table is identical at
+// any width.
 //
 // -json also writes a machine-readable results file: the environment that
-// produced the numbers, every selected experiment's typed rows under its id,
-// per-experiment wall times, the packing ladder and the runtime's shape at
-// exit.
+// produced the numbers, every selected experiment's typed rows under its id
+// and per-experiment wall times.
 package main
 
 import (
@@ -51,8 +40,8 @@ func main() {
 
 // collectRunMeta captures the execution environment for the -json output.
 // The git commit is best effort: empty outside a checkout or without git.
-func collectRunMeta(workers int, profile string) obs.RunMeta {
-	meta := obs.CollectRunMeta(workers)
+func collectRunMeta(profile string) obs.RunMeta {
+	meta := obs.CollectRunMeta()
 	meta.Profile = profile
 	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
 		meta.GitCommit = strings.TrimSpace(string(out))
@@ -70,13 +59,13 @@ func experimentIDs() string {
 }
 
 // selectExperiments resolves -only against the registry: "" selects every
-// experiment, "none" none; any other id must be registered. The selection
+// experiment; any other id must be registered. The selection
 // keeps registry order whatever order the ids were given in.
 func selectExperiments(only string) ([]experiments.Experiment, error) {
 	if only == "" {
 		return experiments.Registry, nil
 	}
-	known := map[string]bool{"none": true}
+	known := map[string]bool{}
 	for _, e := range experiments.Registry {
 		known[e.ID] = true
 	}
@@ -84,7 +73,7 @@ func selectExperiments(only string) ([]experiments.Experiment, error) {
 	for _, id := range strings.Split(only, ",") {
 		id = strings.TrimSpace(id)
 		if !known[id] {
-			return nil, fmt.Errorf("unknown experiment %q in -only (valid: %s, or none)", id, experimentIDs())
+			return nil, fmt.Errorf("unknown experiment %q in -only (valid: %s)", id, experimentIDs())
 		}
 		want[id] = true
 	}
@@ -101,12 +90,8 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("divebench", flag.ContinueOnError)
 	scaleName := fs.String("scale", "default", "experiment scale: smoke, default or full")
 	seed := fs.Int64("seed", experiments.BaseSeed, "base random seed")
-	only := fs.String("only", "", "comma-separated experiment ids ("+experimentIDs()+"); none runs no experiment")
+	only := fs.String("only", "", "comma-separated experiment ids ("+experimentIDs()+")")
 	jsonPath := fs.String("json", "bench_results.json", "write machine-readable results here (empty disables)")
-	workers := fs.Int("workers", 0, "experiment fan-out and encoder pool width (0 = GOMAXPROCS, 1 = serial); tables are identical at any width")
-	streams := fs.Int("streams", 0, "run the multi-stream packing ladder up to N concurrent encoders (0 disables; the 1/4/16/64 ladder is filtered to ≤ N)")
-	streamsSecs := fs.Float64("streams-secs", 2, "wall-clock seconds per packing-ladder rung")
-	runtimeLog := fs.String("runtime-log", "", "write periodic runtime snapshots (JSONL) during -streams for divedoctor -runtime")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -118,11 +103,10 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	experiments.SetWorkers(*workers)
 
 	results := &benchResults{
 		Scale: scale.String(), Seed: *seed,
-		RunMeta:        collectRunMeta(*workers, scale.String()),
+		RunMeta:        collectRunMeta(scale.String()),
 		ExperimentSecs: map[string]float64{},
 		Results:        map[string]any{},
 	}
@@ -141,21 +125,7 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "[%s took %.1fs]\n\n", e.ID, took)
 	}
 
-	if *streams > 0 {
-		t0 := time.Now()
-		ms, err := runStreams(scale, *seed, *streams, *streamsSecs, *runtimeLog)
-		if err != nil {
-			return fmt.Errorf("streams: %w", err)
-		}
-		results.MultiStream = &ms
-		results.ExperimentSecs["streams"] = time.Since(t0).Seconds()
-		experiments.RenderMultiStream(ms).Fprint(w)
-		fmt.Fprintln(w)
-	}
-
 	if *jsonPath != "" {
-		rt := obs.CollectRuntimeStats()
-		results.Runtime = &rt
 		data, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
 			return err
@@ -168,25 +138,6 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// runStreams runs the packing ladder up to max streams, writing the top
-// rung's runtime series to logPath when one was given.
-func runStreams(scale experiments.Scale, seed int64, max int, secs float64, logPath string) (ms experiments.MultiStreamResult, err error) {
-	var log io.Writer
-	if logPath != "" {
-		f, cerr := os.Create(logPath)
-		if cerr != nil {
-			return ms, fmt.Errorf("runtime log: %w", cerr)
-		}
-		defer func() {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		log = f
-	}
-	return experiments.MultiStreamPacking(scale, seed, secs, experiments.DefaultStreamLadder(max), log)
-}
-
 // benchResults is the schema of the -json output: what the run printed, in
 // machine-readable form. The performance trajectory successive PRs track is
 // not this file but BENCH_<pr>.json, written by the repo benchmark
@@ -195,18 +146,10 @@ type benchResults struct {
 	Scale string `json:"scale"`
 	Seed  int64  `json:"seed"`
 	// RunMeta pins the environment that produced the numbers (Go version,
-	// machine shape, -workers, git commit) so a reader can tell a code
+	// machine shape, git commit) so a reader can tell a code
 	// regression from a machine change.
 	RunMeta        obs.RunMeta        `json:"run_meta"`
 	ExperimentSecs map[string]float64 `json:"experiment_secs"`
 	// Results holds each selected experiment's typed rows under its id.
 	Results map[string]any `json:"results,omitempty"`
-	// MultiStream is the -streams packing ladder: aggregate frames/sec/core
-	// and GC co-tenancy at 1/4/16/64 concurrent encoders.
-	MultiStream *experiments.MultiStreamResult `json:"multistream,omitempty"`
-	// Runtime captures the Go runtime at the end of the run — live heap,
-	// GC pause p99, goroutine count — sampled via runtime/metrics: with
-	// RunMeta it lets a reader tell a code regression from memory pressure
-	// on the bench machine.
-	Runtime *obs.RuntimeStats `json:"runtime,omitempty"`
 }

@@ -8,8 +8,7 @@
 // Usage:
 //
 //	divedoctor [-journal run.journal.jsonl] [-url http://localhost:7061]
-//	           [-fleet fleet.json] [-runtime runtime.jsonl]
-//	           [-alloc bench_alloc.txt]
+//	           [-fleet fleet.json] [-alloc bench_alloc.txt]
 //	           [-alloc-baseline ci/alloc_baseline.json]
 //	           [-write-alloc-baseline ci/alloc_baseline.json] [-json]
 //	divedoctor -follow -url http://localhost:7061 [-interval 500ms]
@@ -25,9 +24,6 @@
 //     residency), noisy-neighbor (per-session heap or GC pause growing
 //     superlinearly with fleet size) and fleet-burn (aggregate SLO burn
 //     with no straggler standing out — diffuse overload).
-//   - -runtime reads a JSONL series of /debug/runtime snapshots and
-//     diagnoses GC pressure: sustained live-heap growth and GC pause p99
-//     over the ceiling.
 //   - -alloc reads `go test -bench -benchmem` text output; with
 //     -alloc-baseline each benchmark's allocs/op and B/op are gated against
 //     the committed reference (make bench-alloc), with -write-alloc-baseline
@@ -37,17 +33,17 @@
 // going, feeding new records through the streaming detectors and printing
 // each finding as one JSON line the moment it becomes final. Each poll also
 // samples /debug/runtime when the endpoint serves it; the snapshots feed the
-// final GC-pressure diagnosis. A fleet is diagnosed offline, by -fleet on
-// its divefleet -json report. Transient scrape failures are
-// retried with capped exponential backoff (a chaos blackout between doctor
-// and target must not abort the watch) and counted in the exit summary; the
-// watch only ends once the endpoint stays unreachable for several
-// consecutive polls. The newest 8 journal frames are held back so late
-// amendments (acks, outage verdicts) land before analysis. -interval is the
-// poll period; -for bounds the watch (0 follows until the endpoint
-// disappears or the process is interrupted). The stream ends with a final
-// flush over the tail and a summary on stderr; stdout carries only finding
-// JSONL.
+// final GC-pressure diagnosis (sustained live-heap growth, GC pause p99 over
+// the ceiling). A fleet is diagnosed offline, by -fleet on its divefleet
+// -json report. Transient scrape failures are retried with capped
+// exponential backoff (a chaos blackout between doctor and target must not
+// abort the watch) and counted in the exit summary; the watch only ends once
+// the endpoint stays unreachable for several consecutive polls. The newest 8
+// journal frames are held back so late amendments (acks, outage verdicts)
+// land before analysis. -interval is the poll period; -for bounds the watch
+// (0 follows until the endpoint disappears or the process is interrupted).
+// The stream ends with a final flush over the tail and a summary on stderr;
+// stdout carries only finding JSONL.
 //
 // Exit status: 0 when the run diagnoses clean, 1 when any finding fired
 // (machine-gateable), 2 on usage or I/O errors. -json prints the full
@@ -89,7 +85,6 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 	followFor := fs.Duration("for", 0, "stop following after this long (0 = until the endpoint disappears)")
 	outageRun := fs.Int("outage-run", 0, "override the outage-drift run-length threshold (0 = default; scenarios with short outage windows need a lower bar)")
 	fleetPath := fs.String("fleet", "", "divefleet -json report for the fleet detectors (- = stdin)")
-	runtimePath := fs.String("runtime", "", "runtime-stats JSONL file (series of /debug/runtime snapshots) for the GC-pressure checks (- = stdin)")
 	allocPath := fs.String("alloc", "", "go test -bench -benchmem output for the allocation gate (- = stdin)")
 	allocBaselinePath := fs.String("alloc-baseline", "", "committed allocation baseline to compare -alloc against")
 	writeAllocBaseline := fs.String("write-alloc-baseline", "", "write the -alloc measurements as a new allocation baseline file and exit")
@@ -103,9 +98,9 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 		}
 		return followLive(*url, *interval, *followFor, *outageRun, w)
 	}
-	if *journalPath == "" && *url == "" && *runtimePath == "" && *allocPath == "" && *fleetPath == "" {
+	if *journalPath == "" && *url == "" && *allocPath == "" && *fleetPath == "" {
 		fs.Usage()
-		return nil, fmt.Errorf("nothing to analyze: pass -journal, -url, -fleet, -runtime or -alloc")
+		return nil, fmt.Errorf("nothing to analyze: pass -journal, -url, -fleet or -alloc")
 	}
 
 	// Each suite below is listed and run only when its input was supplied.
@@ -137,15 +132,6 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 		frep := doctor.AnalyzeFleet(rollups)
 		rep.Checks = append(rep.Checks, frep.Checks...)
 		rep.Findings = append(rep.Findings, frep.Findings...)
-	}
-
-	if *runtimePath != "" {
-		samples, err := readFile("runtime samples", *runtimePath, obs.ReadJSONL[obs.RuntimeStats])
-		if err != nil {
-			return nil, err
-		}
-		rep.Checks = append(rep.Checks, "gc-pressure")
-		rep.Findings = append(rep.Findings, doctor.AnalyzeRuntime(samples)...)
 	}
 
 	if *allocPath != "" {

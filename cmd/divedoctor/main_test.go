@@ -187,29 +187,12 @@ func TestRunAllocGate(t *testing.T) {
 	}
 }
 
-// TestRunRuntimeFile diagnoses GC pressure from a runtime-snapshot JSONL.
-func TestRunRuntimeFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "runtime.jsonl")
-	var buf bytes.Buffer
-	for i := 0; i < 10; i++ {
-		st := obs.RuntimeStats{HeapLiveBytes: uint64(10e6 + float64(i)*4e6), GCPauseP99Sec: 0.0003}
-		data, _ := json.Marshal(st)
-		buf.Write(append(data, '\n'))
-	}
-	os.WriteFile(path, buf.Bytes(), 0o644)
-	var out bytes.Buffer
-	rep, err := run([]string{"-runtime", path}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Healthy() || !strings.Contains(out.String(), "gc-heap-growth") {
-		t.Fatalf("heap ramp diagnosed healthy:\n%s", out.String())
-	}
-	// Only the suite whose input was supplied is listed: no journal was
-	// read, so no journal detector ran and no frame count is claimed.
-	if len(rep.Checks) != 1 || rep.Checks[0] != "gc-pressure" || rep.Frames != 0 {
-		t.Fatalf("runtime-only input reports checks_run %v over %d frames, want [gc-pressure] over 0", rep.Checks, rep.Frames)
+// TestRunRejectsRemovedFlags: GC pressure is diagnosed by -follow alone;
+// there is no runtime-stats file input.
+func TestRunRejectsRemovedFlags(t *testing.T) {
+	_, err := run([]string{"-runtime", "runtime.jsonl"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-runtime: error %v, want flag provided but not defined", err)
 	}
 }
 

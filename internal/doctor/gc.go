@@ -10,8 +10,7 @@ import (
 // merely churns) heap shows up as a live-heap ramp and a fattening GC pause
 // tail long before it OOMs or misses frame deadlines. The detector consumes
 // a time-ordered series of obs.RuntimeStats snapshots — sampled from
-// /debug/runtime by divedoctor, or exported as JSONL by a soak harness — and
-// fires on two pathologies:
+// /debug/runtime by divedoctor -follow — and fires on two pathologies:
 //
 //   - gc-heap-growth: the live heap grew by more than heapGrowthRatio over
 //     a series of at least heapGrowthMinSamples snapshots AND the growth is
@@ -30,7 +29,7 @@ const (
 )
 
 // AnalyzeRuntime diagnoses GC pressure from a time-ordered series of runtime
-// snapshots (JSONL of /debug/runtime). Fewer than heapGrowthMinSamples
+// snapshots (/debug/runtime polls). Fewer than heapGrowthMinSamples
 // snapshots skips the heap-growth check (the pause check needs only one).
 func AnalyzeRuntime(samples []obs.RuntimeStats) []Finding {
 	var out []Finding

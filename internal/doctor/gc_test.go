@@ -76,15 +76,15 @@ func TestAnalyzeRuntimeGCPause(t *testing.T) {
 // TestReadRuntimeSamples round-trips a JSONL stream of runtime snapshots
 // through the one JSONL reader, skipping blank lines.
 func TestReadRuntimeSamples(t *testing.T) {
-	in := `{"heap_live_bytes":1000,"gc_pause_p99_sec":0.001,"goroutines":2,"num_gc":1,"gomaxprocs":4,"total_alloc_bytes":5000,"mallocs":42}
+	in := `{"heap_live_bytes":1000,"gc_pause_p99_sec":0.001,"goroutines":2,"gomaxprocs":4}
 
-{"heap_live_bytes":2000,"gc_pause_p99_sec":0.002,"goroutines":2,"num_gc":2,"gomaxprocs":4,"total_alloc_bytes":9000,"mallocs":77}
+{"heap_live_bytes":2000,"gc_pause_p99_sec":0.002,"goroutines":3,"gomaxprocs":4}
 `
 	got, err := obs.ReadJSONL[obs.RuntimeStats](strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].HeapLiveBytes != 1000 || got[1].Mallocs != 77 {
+	if len(got) != 2 || got[0].HeapLiveBytes != 1000 || got[1].Goroutines != 3 {
 		t.Fatalf("decoded %+v", got)
 	}
 	if _, err := obs.ReadJSONL[obs.RuntimeStats](strings.NewReader("{broken")); err == nil {

@@ -14,14 +14,14 @@ func TestFanOutDeterministicOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end sweep skipped in -short")
 	}
-	defer SetWorkers(1)
+	defer func() { workers = 0 }()
 
-	SetWorkers(1)
+	workers = 1
 	serial, err := Fig16EndToEndRobotCar(ScaleSmoke, testSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetWorkers(8)
+	workers = 8
 	parallel, err := Fig16EndToEndRobotCar(ScaleSmoke, testSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +42,8 @@ func TestFanOutRepeatable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end sweep skipped in -short")
 	}
-	defer SetWorkers(1)
-	SetWorkers(8)
+	defer func() { workers = 0 }()
+	workers = 8
 	a, err := Fig16EndToEndRobotCar(ScaleSmoke, testSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -54,16 +54,5 @@ func TestFanOutRepeatable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("two same-seed fan-out runs produced different tables")
-	}
-}
-
-func TestSetWorkers(t *testing.T) {
-	defer SetWorkers(1)
-	if Workers() < 1 {
-		t.Errorf("default Workers() = %d", Workers())
-	}
-	SetWorkers(5)
-	if Workers() != 5 {
-		t.Errorf("Workers() = %d after SetWorkers(5)", Workers())
 	}
 }

@@ -40,8 +40,6 @@ type goldenEntry struct {
 // independent, so they fan across the harness pool too.
 func runPinned(t *testing.T, scale Scale) ([]goldenEntry, []Result) {
 	t.Helper()
-	defer SetWorkers(1)
-	SetWorkers(0)
 	entries := make([]goldenEntry, len(Registry))
 	results := make([]Result, len(Registry))
 	pool().ForEach(len(Registry), func(i int) {

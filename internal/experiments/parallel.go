@@ -1,29 +1,12 @@
 package experiments
 
-import (
-	"sync/atomic"
+import "dive/internal/parallel"
 
-	"dive/internal/parallel"
-)
-
-// fanout is the harness fan-out pool. Experiments fan independent work —
+// workers bounds the harness fan-out. Experiments fan independent work —
 // the clips inside one scheme evaluation, the (scheme, bandwidth) cells of
 // a sweep — across it; every result lands in a pre-sized slot indexed by
-// job, so tables are identical at any width.
-var fanout atomic.Pointer[parallel.Pool]
+// job, so tables are identical at any width. 0, what every program runs,
+// sizes it to GOMAXPROCS; the package's tests set other widths.
+var workers int
 
-// SetWorkers bounds the experiment harness fan-out. 0 sizes the pool to
-// GOMAXPROCS, 1 forces sequential evaluation. cmd/divebench wires its
-// -workers flag here.
-func SetWorkers(n int) { fanout.Store(parallel.New(n)) }
-
-// Workers reports the configured fan-out width (1 until SetWorkers is
-// called: library callers stay fully sequential unless they opt in).
-func Workers() int { return pool().Workers() }
-
-func pool() *parallel.Pool {
-	if p := fanout.Load(); p != nil {
-		return p
-	}
-	return parallel.Serial()
-}
+func pool() *parallel.Pool { return parallel.New(workers) }

@@ -12,8 +12,8 @@ func TestRegistryOrder(t *testing.T) {
 	var ids []string
 	seen := map[string]bool{}
 	for _, e := range Registry {
-		if e.ID == "" || e.ID == "none" || seen[e.ID] || e.Run == nil {
-			t.Errorf("bad registry entry %q (empty, reserved, duplicate or no Run)", e.ID)
+		if e.ID == "" || seen[e.ID] || e.Run == nil {
+			t.Errorf("bad registry entry %q (empty, duplicate or no Run)", e.ID)
 		}
 		seen[e.ID] = true
 		ids = append(ids, e.ID)

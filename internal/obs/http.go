@@ -44,8 +44,8 @@ func jsonHandler(marshal func() ([]byte, error)) http.Handler {
 //	/debug/spans   recent frame-trace spans as JSONL
 //	/debug/slo     per-session SLO status with error-budget burn rates
 //	/debug/runtime point-in-time RuntimeStats JSON (live heap, GC pause p99,
-//	               cumulative allocation counters) — what divedoctor's
-//	               gc-pressure follower polls
+//	               goroutines) — what divedoctor's gc-pressure follower
+//	               polls
 //	/debug/pprof/  the standard Go profiler endpoints
 //
 // A nil recorder returns a handler that answers every request with 503

@@ -253,9 +253,6 @@ func TestDebugRuntimeEndpoint(t *testing.T) {
 	if st.HeapLiveBytes == 0 || st.Goroutines == 0 || st.GOMAXPROCS == 0 {
 		t.Errorf("implausible runtime snapshot: %+v", st)
 	}
-	if st.TotalAllocBytes == 0 || st.Mallocs == 0 {
-		t.Errorf("cumulative allocation counters missing: %+v", st)
-	}
 	// Serving the endpoint also refreshes the runtime gauges.
 	if g := rec.Gauge(GaugeGoHeapLiveBytes).Value(); g <= 0 {
 		t.Errorf("heap gauge not refreshed: %v", g)

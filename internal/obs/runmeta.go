@@ -12,8 +12,6 @@ type RunMeta struct {
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Workers is the -workers flag the run used (0 = GOMAXPROCS).
-	Workers int `json:"workers"`
 	// Profile names the workload that produced the numbers (an experiment
 	// scale such as "smoke", or a clip profile name).
 	Profile string `json:"profile,omitempty"`
@@ -24,13 +22,12 @@ type RunMeta struct {
 
 // CollectRunMeta captures the runtime environment. The caller fills
 // Profile and GitCommit, which obs cannot know.
-func CollectRunMeta(workers int) RunMeta {
+func CollectRunMeta() RunMeta {
 	return RunMeta{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    workers,
 	}
 }

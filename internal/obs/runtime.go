@@ -7,10 +7,10 @@ import (
 )
 
 // Go runtime visibility: a small, stable slice of runtime/metrics surfaced
-// as registry gauges and as a machine-readable block in divebench -json.
-// At fleet scale the GC is a co-tenant of the encode path; these three
-// numbers (live heap, GC pause tail, goroutine count) are the ones the
-// ROADMAP's allocation-free steady-state work is graded against.
+// as registry gauges, at /debug/runtime and in the fleet rollup. At fleet
+// scale the GC is a co-tenant of the encode path; these three numbers (live
+// heap, GC pause tail, goroutine count) are what divedoctor's gc-pressure
+// checks and the fleet's noisy-neighbor check read.
 
 // runtimeSamples are the runtime/metrics keys we read. The GC pause
 // histogram moved from /gc/pauses:seconds to /sched/pauses/total/gc:seconds
@@ -20,9 +20,6 @@ var runtimeSamples = []string{
 	"/sched/goroutines:goroutines",
 	"/sched/pauses/total/gc:seconds",
 	"/gc/pauses:seconds",
-	"/gc/heap/allocs:bytes",
-	"/gc/heap/allocs:objects",
-	"/gc/cycles/total:gc-cycles",
 }
 
 // RuntimeStats is a point-in-time snapshot of the Go runtime health signals.
@@ -33,19 +30,12 @@ type RuntimeStats struct {
 	// distribution.
 	GCPauseP99Sec float64 `json:"gc_pause_p99_sec"`
 	Goroutines    int     `json:"goroutines"`
-	NumGC         uint32  `json:"num_gc"`
 	GOMAXPROCS    int     `json:"gomaxprocs"`
-	// TotalAllocBytes/Mallocs are the cumulative heap allocation totals
-	// since process start; deltas between two snapshots give the allocation
-	// rate of the interval — what the packing ladder and the doctor's
-	// gc-pressure detector reason about.
-	TotalAllocBytes uint64 `json:"total_alloc_bytes"`
-	Mallocs         uint64 `json:"mallocs"`
 }
 
 // CollectRuntimeStats reads the runtime counters in one runtime/metrics
-// call, which does not stop the world: samplers run it inside the windows
-// they measure and on live servers.
+// call, which does not stop the world, so live servers can serve it on
+// every poll.
 func CollectRuntimeStats() RuntimeStats {
 	samples := make([]metrics.Sample, len(runtimeSamples))
 	for i, name := range runtimeSamples {
@@ -61,12 +51,6 @@ func CollectRuntimeStats() RuntimeStats {
 				st.HeapLiveBytes = s.Value.Uint64()
 			case "/sched/goroutines:goroutines":
 				st.Goroutines = int(s.Value.Uint64())
-			case "/gc/heap/allocs:bytes":
-				st.TotalAllocBytes = s.Value.Uint64()
-			case "/gc/heap/allocs:objects":
-				st.Mallocs = s.Value.Uint64()
-			case "/gc/cycles/total:gc-cycles":
-				st.NumGC = uint32(s.Value.Uint64())
 			}
 		case metrics.KindFloat64Histogram:
 			if st.GCPauseP99Sec == 0 {

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 func TestCollectRuntimeStats(t *testing.T) {
 	st := CollectRuntimeStats()
@@ -15,15 +12,6 @@ func TestCollectRuntimeStats(t *testing.T) {
 	}
 	if st.GOMAXPROCS < 1 {
 		t.Fatalf("gomaxprocs = %d", st.GOMAXPROCS)
-	}
-	// num_gc counts completed collections, as MemStats.NumGC does.
-	runtime.GC()
-	var lo, hi runtime.MemStats
-	runtime.ReadMemStats(&lo)
-	after := CollectRuntimeStats()
-	runtime.ReadMemStats(&hi)
-	if after.NumGC <= st.NumGC || after.NumGC < lo.NumGC || after.NumGC > hi.NumGC {
-		t.Fatalf("num_gc %d → %d after a forced GC, MemStats says [%d, %d]", st.NumGC, after.NumGC, lo.NumGC, hi.NumGC)
 	}
 }
 

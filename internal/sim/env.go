@@ -42,12 +42,14 @@ func DefaultLatencies() Latencies {
 	}
 }
 
-// Env bundles everything schemes share in one experiment run.
+// Env bundles everything schemes share in one experiment run. One goroutine
+// uses an Env at a time: its detector runs on one scratch.
 type Env struct {
 	Detector *detect.Detector
 	Lat      Latencies
 	// Seed decorrelates stochastic detector decisions across runs.
-	Seed int64
+	Seed    int64
+	scratch detect.Scratch
 }
 
 // NewEnv builds a default environment.
@@ -100,7 +102,7 @@ type Scheme interface {
 func OracleDetections(clip *world.Clip, env *Env) [][]detect.Detection {
 	out := make([][]detect.Detection, clip.NumFrames())
 	for i, frame := range clip.Frames {
-		out[i] = env.Detector.Detect(frame, frame, clip.GT[i], env.Seed^int64(i*2654435761))
+		out[i] = env.detect(frame, frame, clip.GT[i], env.Seed^int64(i*2654435761))
 	}
 	return out
 }
@@ -110,8 +112,14 @@ func OracleDetections(clip *world.Clip, env *Env) [][]detect.Detection {
 // result reaches the agent. Schemes in other packages share it so every
 // system sees the identical server.
 func ServerInference(env *Env, decoded *imgx.Plane, pristine *imgx.Plane, gt []world.GTBox, deliveredAt float64, frameSeed int64) ([]detect.Detection, float64) {
-	dets := env.Detector.Detect(decoded, pristine, gt, frameSeed)
+	dets := env.detect(decoded, pristine, gt, frameSeed)
 	return dets, deliveredAt + env.Lat.Decode + env.Lat.Infer + env.Lat.Downlink
+}
+
+// detect runs the detector on env's scratch and returns a copy, which the
+// caller keeps.
+func (env *Env) detect(decoded, pristine *imgx.Plane, gt []world.GTBox, frameSeed int64) []detect.Detection {
+	return append([]detect.Detection(nil), env.Detector.DetectInto(&env.scratch, decoded, pristine, gt, frameSeed)...)
 }
 
 // validateClip guards schemes against malformed inputs.
