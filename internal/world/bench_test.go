@@ -12,6 +12,7 @@ func BenchmarkRenderFrame(b *testing.B) {
 	scene := buildScene(p, traj, rng)
 	cam := NewCamera(p.focal(), p.W, p.H)
 	rdr := NewRenderer(scene)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := float64(i%48) / p.FPS
@@ -24,6 +25,7 @@ func BenchmarkRenderFrame(b *testing.B) {
 func BenchmarkGenerateClip(b *testing.B) {
 	p := NuScenesLike()
 	p.ClipDuration = 1
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GenerateClip(p, int64(i))

@@ -20,7 +20,7 @@ func renderWith(t *testing.T, workers int) []byte {
 	cam := NewCamera(p.focal(), p.W, p.H)
 	rdr := NewRenderer(scene)
 	rdr.workers = workers
-	rdr.Illumination = 0.4 // exercise the fused illumination + noise pass
+	rdr.Illumination = 0.4 // exercise illumination and noise
 	var out []byte
 	for i := 0; i < 3; i++ {
 		pose := traj.At(float64(i) / 10)
@@ -43,9 +43,9 @@ func TestRenderParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBillboardParallelMatchesSerial isolates the billboard pass: sensor
-// noise and illumination are disabled so every pixel difference would come
-// from billboard rasterization order. Both the pixels and the ground-truth
+// TestBillboardParallelMatchesSerial isolates the billboards: sensor noise
+// and illumination are disabled so every pixel difference would come from
+// the order of the depth tests. Both the pixels and the ground-truth
 // boxes (which depend on the per-object "did it rasterize" bit and the final
 // z-buffer) must be identical at every worker count.
 func TestBillboardParallelMatchesSerial(t *testing.T) {
@@ -88,25 +88,6 @@ func TestBillboardParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkRenderParallel measures a full frame render with the pool sized
-// to GOMAXPROCS, so `go test -cpu 1,4` compares serial and banded execution.
-func BenchmarkRenderParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	p := NuScenesLike()
-	traj := p.Trajectory(rng)
-	scene := buildScene(p, traj, rng)
-	cam := NewCamera(p.focal(), p.W, p.H)
-	pose := traj.At(0)
-	cam.SetPose(pose.Pos, pose.Yaw, pose.Pitch)
-	rdr := NewRenderer(scene)
-	rdr.workers = 0 // GOMAXPROCS-sized
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rdr.Render(cam, 0, int64(i))
-	}
-}
-
 // TestRenderBandsShareCameraRaceFree is the regression test for the Camera
 // data race: the pose changes before every frame and the banded passes then
 // read the camera from several goroutines at once. Camera used to rebuild
@@ -127,27 +108,37 @@ func TestRenderBandsShareCameraRaceFree(t *testing.T) {
 	}
 }
 
-// TestClipPixelsUnchanged pins rendered clips to the hashes the commit
-// before the Camera fix produced (eager and lazy refresh compute the same
-// matrices, so no pixel or ground-truth box may move): the benchmark's
-// kbit_frame and map depend on these clips bit for bit.
+// TestClipPixelsUnchanged pins rendered clips, pixels and ground truth, to
+// hashes taken before the renderer was last rewritten: the benchmark's
+// kbit_frame and map depend on these clips bit for bit. The night profile
+// pins the illumination and boosted-noise branch; the second seed per
+// profile pins another scene and trajectory.
 func TestClipPixelsUnchanged(t *testing.T) {
-	want := map[string]string{
-		"nuScenes": "5fac80a188daf1c29a963d88",
-		"RobotCar": "07c1c1a4218a2b9a58d52234",
-		"KITTI":    "879394cc835b303547a57cdb",
+	cases := []struct {
+		profile Profile
+		seed    int64
+		want    string
+	}{
+		{NuScenesLike(), 77, "5fac80a188daf1c29a963d88"},
+		{RobotCarLike(), 77, "07c1c1a4218a2b9a58d52234"},
+		{KITTILike(), 77, "879394cc835b303547a57cdb"},
+		{NuScenesNightLike(), 77, "afcee3b6f7097c025f498a8c"},
+		{NuScenesLike(), 2024, "02d5dd533ef69a5a2be4c199"},
+		{RobotCarLike(), 2024, "bbc0aba69d4650f4a4290f86"},
+		{KITTILike(), 2024, "7ba66b1b486f86b6e58e672d"},
+		{NuScenesNightLike(), 2024, "3f872394dae13208ea12af55"},
 	}
-	for _, p := range []Profile{NuScenesLike(), RobotCarLike(), KITTILike()} {
+	for _, c := range cases {
+		p := c.profile
 		p.ClipDuration = 1
-		clip := GenerateClip(p, 77)
+		clip := GenerateClip(p, c.seed)
 		h := sha256.New()
 		for i, f := range clip.Frames {
 			h.Write(f.Pix)
 			fmt.Fprintf(h, "%v", clip.GT[i])
 		}
-		got := hex.EncodeToString(h.Sum(nil)[:12])
-		if got != want[p.Name] {
-			t.Errorf("%s: clip hash %s, want %s", p.Name, got, want[p.Name])
+		if got := hex.EncodeToString(h.Sum(nil)[:12]); got != c.want {
+			t.Errorf("%s seed %d: clip hash %s, want %s", p.Name, c.seed, got, c.want)
 		}
 	}
 }

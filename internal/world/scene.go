@@ -120,15 +120,15 @@ type Scene struct {
 // matching a windshield-mounted dashcam.
 const GroundPlaneY = 1.4
 
-// ObjectsNear returns the objects whose position at time t lies within
-// maxDist of p; the renderer's broad-phase cull.
-func (s *Scene) ObjectsNear(p geom.Vec3, t, maxDist float64) []*Billboard {
-	out := make([]*Billboard, 0, len(s.Objects))
+// ObjectsNear appends to dst the objects whose position at time t lies
+// within maxDist of p, and returns the extended slice; the renderer's
+// broad-phase cull.
+func (s *Scene) ObjectsNear(dst []*Billboard, p geom.Vec3, t, maxDist float64) []*Billboard {
 	for _, o := range s.Objects {
 		d := o.Pos(t).Sub(p)
 		if math.Hypot(d.X, d.Z) <= maxDist {
-			out = append(out, o)
+			dst = append(dst, o)
 		}
 	}
-	return out
+	return dst
 }
