@@ -23,10 +23,13 @@
 // in-flight frames finish for up to -drain, then exits.
 //
 // -telemetry serves the telemetry HTTP surface on the given address; GET /
-// lists its endpoints. /metrics carries the per-session frame, byte and NACK
-// counters, the decode and detect latency histograms, the SLO burn-rate
-// gauges and the Go runtime gauges. The server writes no decision journal,
-// so /debug/journal and /debug/frames stay empty: the agent serves them.
+// lists its endpoints. /metrics carries exactly the server's families: the
+// per-session frame, byte and NACK counters and decode and detect latency
+// histograms, the per-session SLO gauges, the Go runtime gauges and the
+// label-overflow counter. Sessions, resumes and redirects are log lines; a
+// corrupt message moves its session's NACK counter. The server writes no
+// decision journal, so /debug/journal and /debug/frames stay empty: the
+// agent serves them.
 package main
 
 import (

@@ -112,7 +112,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	clip := world.GenerateClip(p, *seed)
 	rec := obs.NewRecorder(clip.NumFrames())
 	link := netsim.NewLink(trace, 0.012)
-	link.Obs = rec
 	scheme := &sim.DiVE{ConfigFn: func(cfg *core.AgentConfig) { cfg.Obs = rec }}
 	if *serve != "" {
 		ln, err := net.Listen("tcp", *serve)

@@ -75,11 +75,11 @@ type Config struct {
 	// Seed drives all randomized components (RANSAC); same seed, same
 	// behaviour.
 	Seed int64
-	// Telemetry enables the observability subsystem: per-stage timing
-	// histograms, frame-lifecycle records (the last 1024 frames) and
-	// rate-control internals, queryable via Snapshot, WriteFrameTrace and
-	// TelemetryHandler. Off it costs nothing; on it costs a few clock reads
-	// per frame.
+	// Telemetry enables the observability subsystem: the decision journal
+	// and the per-stage trace spans of the last 1024 frames (rate-control
+	// internals included), queryable via WriteJournal, WriteSpans,
+	// WriteFrameTrace and TelemetryHandler. Off it costs nothing; on it
+	// costs a few clock reads per frame.
 	Telemetry bool
 }
 
@@ -236,17 +236,6 @@ func (a *Agent) CacheDetections(dets []Detection) { a.inner.OnDetections(dets) }
 // dropping frames so the remote decoder can resynchronize.
 func (a *Agent) ForceNextIFrame() { a.inner.ForceNextIFrame() }
 
-// Snapshot returns the agent's telemetry as JSON: counters (frames, bits,
-// I-frames), gauges (η, foreground fraction, bandwidth estimate) and
-// per-stage latency histograms with p50/p95/p99. It fails unless
-// Config.Telemetry was set.
-func (a *Agent) Snapshot() ([]byte, error) {
-	if a.rec == nil {
-		return nil, fmt.Errorf("dive: telemetry not enabled (set Config.Telemetry)")
-	}
-	return a.rec.SnapshotJSON()
-}
-
 // WriteFrameTrace writes the retained frame-lifecycle records as JSONL
 // (one frame per line, oldest first) — the same schema divetrace -format jsonl
 // emits. It fails unless Config.Telemetry was set.
@@ -279,9 +268,9 @@ func (a *Agent) WriteSpans(w io.Writer) error {
 }
 
 // TelemetryHandler returns the agent's live introspection HTTP handler
-// (/metrics in Prometheus text format, /debug/vars, /debug/frames,
-// /debug/journal, /debug/spans, /debug/pprof/). Without Config.Telemetry it
-// returns a handler that answers 503 on every path.
+// (/metrics in Prometheus text format, /debug/frames, /debug/journal,
+// /debug/spans, /debug/slo, /debug/runtime, /debug/pprof/). Without
+// Config.Telemetry it returns a handler that answers 503 on every path.
 func (a *Agent) TelemetryHandler() http.Handler { return a.rec.Handler() }
 
 // Decoder reconstructs frames from Agent bitstreams — the edge-server side.

@@ -31,9 +31,10 @@ type Proxy struct {
 
 	wg sync.WaitGroup
 
-	// Counters for assertions: sessions accepted, bytes relayed per
-	// direction.
+	// Counters for assertions: sessions accepted, connections refused by a
+	// blackout, bytes relayed per direction.
 	Accepted  atomic.Int64
+	Refused   atomic.Int64
 	UpBytes   atomic.Int64
 	DownBytes atomic.Int64
 }
@@ -101,6 +102,7 @@ func (p *Proxy) serve() {
 			return
 		}
 		if p.blackout.Load() {
+			p.Refused.Add(1)
 			conn.Close()
 			continue
 		}

@@ -264,11 +264,11 @@ func TestChooseIntraMatchesPerPixelOracle(t *testing.T) {
 	}
 }
 
-// TestRCStageTimedApartFromFinalPass pins the telemetry split: the bisection
-// lands in codec_rc_seconds once per rate-controlled frame and never on a
-// fixed-QP one, while codec_entropy_seconds (the final pass) is recorded for
-// every frame.
-func TestRCStageTimedApartFromFinalPass(t *testing.T) {
+// TestRCTrialsListEverySearchTrial pins the journal's rate-control record:
+// with telemetry on, the search's trace holds one entry per trial pass it
+// counted, on an intra and an inter search alike, and an encoded frame
+// carries it exactly when rate control ran — never on a fixed-QP frame.
+func TestRCTrialsListEverySearchTrial(t *testing.T) {
 	cfg := DefaultConfig(64, 48)
 	cfg.Obs = obs.NewRecorder(8)
 	enc, err := NewEncoder(cfg)
@@ -277,12 +277,24 @@ func TestRCStageTimedApartFromFinalPass(t *testing.T) {
 	}
 	base := texturedFrame(64, 48, 5)
 	for i, opts := range []EncodeOptions{{BaseQP: 24}, {TargetBits: 20_000}, {BaseQP: 30}, {TargetBits: 9_000}} {
-		if _, err := enc.Encode(chainFrame(base, i), opts); err != nil {
+		ef, err := enc.Encode(chainFrame(base, i), opts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if ran := len(ef.RCTrials) > 0; ran != (opts.TargetBits > 0) {
+			t.Errorf("frame %d (target %d): %d trials journaled", i, opts.TargetBits, len(ef.RCTrials))
+		}
 	}
-	h := cfg.Obs.Snapshot().Histograms
-	if rc, final := h[obs.StageCodecRC].Count, h[obs.StageCodecEntropy].Count; rc != 2 || final != 4 {
-		t.Errorf("4 frames, 2 rate-controlled: %d rc samples (want 2), %d final-pass samples (want 4)", rc, final)
+	frame := chainFrame(base, 4)
+	mf := enc.AnalyzeMotion(frame)
+	cache := enc.buildInterDCTCache(frame, mf)
+	for _, s := range []struct {
+		ftype FrameType
+		cache [][blockSize * blockSize]int32
+	}{{IFrame, nil}, {PFrame, cache}} {
+		_, trials, trace := enc.searchBaseQP(frame, s.ftype, mf, s.cache, 0, EncodeOptions{TargetBits: 9_000})
+		if trials == 0 || len(trace) != trials {
+			t.Errorf("%v search: ran %d trials, traced %d: %+v", s.ftype, trials, len(trace), trace)
+		}
 	}
 }

@@ -49,9 +49,9 @@ type Config struct {
 	// both encoder- and decoder-side, improving reference quality at high
 	// QP exactly as H.264's loop filter does.
 	Deblock bool
-	// Obs receives per-stage encode telemetry (DCT, rate control, the
-	// final entropy pass, rate-control trial counts). Nil disables
-	// instrumentation; the Decoder ignores it.
+	// Obs, when set, makes rate control keep its trial trace
+	// (EncodedFrame.RCTrials) for the decision journal. Nil disables it;
+	// the Decoder ignores it.
 	Obs *obs.Recorder
 	// Workers is ignored: the encoder runs on its caller's goroutine.
 	Workers int

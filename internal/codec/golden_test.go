@@ -156,10 +156,10 @@ func TestDecoderGolden(t *testing.T) {
 
 // TestTrialEqualsFinal holds the rate-control trial to the final pass by
 // property, over the golden chain configs: on every rate-controlled frame
-// RCTrials lists every trial the search ran, the trial at the chosen QP
-// counted exactly the bits the final pass emitted, the chosen QP respects the
-// floor, and it is the lowest that fits — the search ran the trial one QP
-// below (unless that is under the floor) and it overshot the budget.
+// the trial at the chosen QP counted exactly the bits the final pass
+// emitted, the chosen QP respects the floor, and it is the lowest that fits
+// — the search ran the trial one QP below (unless that is under the floor)
+// and it overshot the budget.
 // The chain's budgets are cut to an eighth so they bind at this frame size,
 // and its forced I-frame is rate-controlled too, so intra trials (which
 // reconstruct into trial scratch) are covered as well as inter ones.
@@ -172,7 +172,6 @@ func TestTrialEqualsFinal(t *testing.T) {
 		}
 		mbw, mbh := enc.MBDims()
 		base := texturedFrame(cfg.Width, cfg.Height, 31)
-		counter := cfg.Obs.Counter(obs.MetricRCTrials)
 		for i := 0; i < 9; i++ {
 			opts := chainOpts(i, mbw*mbh, scripted)
 			opts.TargetBits /= 8
@@ -180,13 +179,9 @@ func TestTrialEqualsFinal(t *testing.T) {
 				opts.TargetBits = 20_000
 			}
 			opts.MinQP = (i * 5) % 23
-			before := counter.Value()
 			ef, err := enc.Encode(chainFrame(base, i), opts)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if ran := int(counter.Value() - before); len(ef.RCTrials) != ran {
-				t.Errorf("%s frame %d: ran %d trials, RCTrials lists %d: %+v", name, i, ran, len(ef.RCTrials), ef.RCTrials)
 			}
 			if ef.BaseQP < opts.MinQP {
 				t.Errorf("%s frame %d: base QP %d under the floor %d", name, i, ef.BaseQP, opts.MinQP)

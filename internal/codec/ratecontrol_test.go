@@ -51,8 +51,9 @@ func rcOracle(enc *Encoder, frame *imgx.Plane, opts EncodeOptions, allQPs bool) 
 
 // rcChain drives one rate-controlled encoder through frames/optsFor and
 // holds every frame to the plain bisection: same base QP, and the same bytes
-// as a second encoder handed that QP outright. Every frame's RCTrials lists
-// each trial it ran. On I-frames the probe sequence itself must be the
+// as a second encoder handed that QP outright. A frame's trial count is the
+// length of its RCTrials (TestRCTrialsListEverySearchTrial holds the list to
+// the search's own count). On I-frames the probe sequence itself must be the
 // bisection's; on P-frames the search may run at most two trials more than
 // the bisection did. It returns the P-frame trial counts.
 func rcChain(t *testing.T, name string, cfg Config, n int, frameAt func(i int) *imgx.Plane, optsFor func(i int) EncodeOptions) (pTrials []int) {
@@ -67,19 +68,14 @@ func rcChain(t *testing.T, name string, cfg Config, n int, frameAt func(i int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := rc.cfg.Obs.Counter(obs.MetricRCTrials)
 	for i := 0; i < n; i++ {
 		frame, opts := frameAt(i), optsFor(i)
 		want := rcOracle(rc, frame, opts, false)
-		before := counter.Value()
 		ef, err := rc.Encode(frame, opts)
 		if err != nil {
 			t.Fatalf("%s frame %d: %v", name, i, err)
 		}
-		ran := int(counter.Value() - before)
-		if len(ef.RCTrials) != ran {
-			t.Fatalf("%s frame %d: ran %d trials, RCTrials lists %d: %+v", name, i, ran, len(ef.RCTrials), ef.RCTrials)
-		}
+		ran := len(ef.RCTrials)
 		if ef.Type != want.ftype {
 			t.Fatalf("%s frame %d: type %v, oracle expected %v", name, i, ef.Type, want.ftype)
 		}

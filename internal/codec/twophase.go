@@ -83,26 +83,18 @@ func (e *Encoder) AnalyzeAndQuantize(frame *imgx.Plane, opts EncodeOptions) (*Fr
 	}
 	var dctCache [][blockSize * blockSize]int32
 	if ftype == PFrame {
-		dctSpan := e.cfg.Obs.StartStage(obs.StageCodecDCT)
 		dctCache = e.buildInterDCTCache(frame, mf)
-		dctSpan.End()
 	}
 
 	var rcTrace []obs.QPTrial
 	if opts.TargetBits > 0 {
-		rcSpan := e.cfg.Obs.StartStage(obs.StageCodecRC)
-		var trials int
-		baseQP, trials, rcTrace = e.searchBaseQP(frame, ftype, mf, dctCache, minQP, opts)
-		e.cfg.Obs.Counter(obs.MetricRCTrials).Add(int64(trials))
-		rcSpan.End()
+		baseQP, _, rcTrace = e.searchBaseQP(frame, ftype, mf, dctCache, minQP, opts)
 	}
-	entropySpan := e.cfg.Obs.StartStage(obs.StageCodecEntropy)
 	if e.job == nil {
 		e.job = &FrameJob{qps: make([]int, e.mbw*e.mbh)}
 	}
 	job := e.job
 	nbits := e.quantizePass(frame, ftype, mf, dctCache, baseQP, opts.QPOffsets, job, math.MaxInt)
-	entropySpan.End()
 	if job.bw.Len() != nbits {
 		return nil, fmt.Errorf("codec: wrote %d bits for frame %d, counted %d", job.bw.Len(), e.frameIdx, nbits)
 	}

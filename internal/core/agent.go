@@ -109,9 +109,9 @@ type FrameResult struct {
 	// boxes follow the actual image motion, rotation included.
 	RawField *mvfield.Field
 	// Trace is the frame's causal trace context, minted at capture. The
-	// transport carries it to the edge (FrameMsg fields over TCP,
-	// Link.SendTraced in the simulator) so server-side spans stitch into
-	// the same trace. Invalid (zero) when telemetry is disabled.
+	// transport carries it to the edge (FrameMsg fields over TCP, beside
+	// the bitstream in the simulator) so server-side spans stitch into the
+	// same trace. Invalid (zero) when telemetry is disabled.
 	Trace obs.TraceContext
 }
 
@@ -207,7 +207,7 @@ func (a *Agent) ProcessFrame(frame *imgx.Plane, now float64) (*FrameResult, erro
 		return nil, fmt.Errorf("core: frame size %dx%d does not match agent size %dx%d", frame.W, frame.H, a.cfg.Width, a.cfg.Height)
 	}
 	r := a.cfg.Obs
-	frameSpan := r.StartStageSpan(r.StartTrace(a.frameNum), "frame", "agent", r.Histogram(obs.StageFrame))
+	frameSpan := r.StartSpan(r.StartTrace(a.frameNum), "frame", "agent")
 	// Stage spans parent onto the root span, not the bare trace.
 	actx := frameSpan.Context()
 	res, job, err := a.analyzeFrame(frame, now, actx)
@@ -244,7 +244,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 	res := &FrameResult{Trace: actx}
 
 	// Preprocessing: motion vectors come free from the encoder.
-	motionSpan := r.StartStageSpan(actx, "motion", "agent", r.Histogram(obs.StageMotion))
+	motionSpan := r.StartSpan(actx, "motion", "agent")
 	mf := a.enc.AnalyzeMotion(frame)
 	motionSpan.End()
 	if mf != nil {
@@ -256,7 +256,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 		if res.Moving {
 			// Rotational component elimination (Section III-B3).
 			if !a.cfg.DisableRotation {
-				rotSpan := r.StartStageSpan(actx, "rotation", "agent", r.Histogram(obs.StageRotation))
+				rotSpan := r.StartSpan(actx, "rotation", "agent")
 				phiX, phiY, err := a.cfg.Rotation.EstimateWith(&a.mv, field, a.foeCal.FOE(), a.rng)
 				if err == nil {
 					res.Rotation = RotationEstimate{PhiX: phiX, PhiY: phiY, OK: true}
@@ -274,7 +274,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 			res.Field = field
 
 			// Foreground extraction (Section III-C).
-			fgSpan := r.StartStageSpan(actx, "foreground", "agent", r.Histogram(obs.StageForeground))
+			fgSpan := r.StartSpan(actx, "foreground", "agent")
 			fg := extractForeground(&a.fg, field, a.foeCal.FOE(), a.cfg.Foreground)
 			fgSpan.End()
 			if fg != nil && !fg.Empty() {
@@ -318,7 +318,7 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 		opts.TargetBits = res.TargetBits
 		opts.IFrameBudgetScale = a.cfg.AVE.IFrameBudgetScale
 	}
-	encSpan := r.StartStageSpan(actx, "encode", "agent", r.Histogram(obs.StageEncode))
+	encSpan := r.StartSpan(actx, "encode", "agent")
 	job, err := a.enc.AnalyzeAndQuantize(frame, opts)
 	encSpan.End()
 	if err != nil {
@@ -331,15 +331,9 @@ func (a *Agent) analyzeFrame(frame *imgx.Plane, now float64, actx obs.TraceConte
 
 	if r != nil {
 		r.Counter(obs.MetricFrames).Inc()
-		r.Counter(obs.MetricBits).Add(int64(ef.NumBits))
 		// Data is handed out only by EmitBitstream; the writer pads to a
 		// byte boundary, so its length is fully determined by the bit count.
 		r.Counter(obs.MetricBytes).Add(int64((ef.NumBits + 7) / 8))
-		if ef.Type == codec.IFrame {
-			r.Counter(obs.MetricIFrames).Inc()
-		}
-		r.Gauge(obs.GaugeEta).Set(res.Eta)
-		r.Gauge(obs.GaugeFGFraction).Set(frac)
 		// Journal the frame now, before any transport feedback for it can
 		// arrive: OnTransmitComplete/ForceNextIFrame amend this frame
 		// (amendNewest). Its stage durations are the spans above;
@@ -488,7 +482,6 @@ func (a *Agent) OutageTimeout() float64 { return a.cfg.OutageTimeout }
 // resynchronize on the next delivered frame.
 func (a *Agent) ForceNextIFrame() {
 	a.forceI = true
-	a.cfg.Obs.Counter(obs.MetricForcedIFrames).Inc()
 	a.amendNewest(func(j *obs.JournalRecord) { j.ForcedIFrame = true })
 }
 

@@ -20,7 +20,6 @@ func runDiVE(t *testing.T, profile world.Profile, trace netsim.Trace, dur float6
 	clip := world.GenerateClip(profile, 31)
 	rec := obs.NewRecorder(clip.NumFrames())
 	link := netsim.NewLink(trace, 0.012)
-	link.Obs = rec
 	scheme := &sim.DiVE{ConfigFn: func(cfg *core.AgentConfig) { cfg.Obs = rec }}
 	if _, err := scheme.Run(clip, link, sim.NewEnv(9)); err != nil {
 		t.Fatal(err)

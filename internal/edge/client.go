@@ -403,7 +403,6 @@ func (c *Client) recover(nextFrame int, dets [][]detect.Detection) error {
 		time.Sleep(d)
 		totalBackoff += d.Seconds()
 		c.stats.Reconnects++
-		c.cfg.Obs.Counter(obs.MetricClientReconnects).Inc()
 		addr := c.pickAddr()
 		err := c.connectTo(addr, true, nextFrame)
 		if err == nil {
@@ -435,7 +434,6 @@ func (c *Client) noteMigration(m *migrationInfo, nextFrame int) {
 	if m.forced {
 		c.stats.ForcedMigrations++
 	}
-	c.cfg.Obs.Counter(obs.MetricClientMigrations).Inc()
 	kind := "planned"
 	if m.forced {
 		kind = "forced"
@@ -449,7 +447,6 @@ func (c *Client) noteMigration(m *migrationInfo, nextFrame int) {
 // noteFrameOutage performs the MOT fallback for one lost frame.
 func (c *Client) noteFrameOutage(inf inflightFrame, dets [][]detect.Detection) {
 	c.stats.OutageFrames++
-	c.cfg.Obs.Counter(obs.MetricClientAckTimeout).Inc()
 	tracked := c.agent.TrackLocally(inf.fr.RawField)
 	if inf.idx < len(dets) {
 		dets[inf.idx] = tracked
@@ -488,16 +485,13 @@ func (c *Client) handleAck(ev ackEvent, ok bool, dets [][]detect.Detection) erro
 		// Malformed redirect (empty addr, oversized strings): message-local
 		// damage. Never dialed, session continues on the current member.
 		c.stats.BadRedirects++
-		c.cfg.Obs.Counter(obs.MetricClientBadRedirects).Inc()
 		return nil
 	case ackRedirect:
 		c.stats.Redirects++
-		c.cfg.Obs.Counter(obs.MetricClientRedirects).Inc()
 		if ev.rd.Addr == c.curAddr {
 			// Self-redirect: well-formed but nonsensical — following it
 			// would churn the session for nothing. Reject without dialing.
 			c.stats.BadRedirects++
-			c.cfg.Obs.Counter(obs.MetricClientBadRedirects).Inc()
 			c.logf("ignoring self-redirect to %s", ev.rd.Addr)
 			return nil
 		}
@@ -673,7 +667,6 @@ func (c *Client) Run(clip *world.Clip) ([][]detect.Detection, ClientStats, error
 
 		if skip {
 			c.stats.FramesSkipped++
-			c.cfg.Obs.Counter(obs.MetricClientSkips).Inc()
 			c.cfg.Obs.AmendJournalFrame(fr.Encoded.Index, func(j *obs.JournalRecord) { j.SkippedSend = true })
 			tracked := c.agent.TrackLocally(fr.RawField)
 			dets[i] = tracked

@@ -190,10 +190,12 @@ func TestClientSurvivesCorruption(t *testing.T) {
 	}
 }
 
-// TestClientMidStreamServerClose shuts the server down while frames are in
-// flight: the client must journal the lost frames as outage-tracked, fail
-// its reconnect attempts (nothing is listening), and exit with an error
-// while preserving the detections it has.
+// TestClientMidStreamServerClose kills the server mid-stream, keyed to the
+// stream's progress rather than the wall clock: once the journal holds
+// closeAfter uplink acks, with most of the clip still to stream. The client
+// must journal any frame it lost as outage-tracked, exhaust its reconnect
+// attempts (nothing is listening) and exit with an error, keeping the
+// detections the server returned before the close.
 func TestClientMidStreamServerClose(t *testing.T) {
 	srv := NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -202,57 +204,61 @@ func TestClientMidStreamServerClose(t *testing.T) {
 	}
 	go srv.Serve()
 
-	clip := testClip(t, 45, 1)
+	clip := testClip(t, 45, 2)
 	rec := obs.NewRecorder(256)
 	agent := newTestAgent(t, clip, rec)
+	backoff := BackoffConfig{Initial: 5 * time.Millisecond, Max: 20 * time.Millisecond, MaxAttempts: 3}
 	client := NewClient(ClientConfig{
-		Addr: addr.String(), Profile: "nuScenes", Seed: 45, Duration: 1,
-		AckTimeout: 500 * time.Millisecond,
-		Backoff: BackoffConfig{
-			Initial: 5 * time.Millisecond, Max: 20 * time.Millisecond,
-			MaxAttempts: 3,
-		},
-		Obs: rec,
+		Addr: addr.String(), Profile: "nuScenes", Seed: 45, Duration: 2,
+		AckTimeout: 500 * time.Millisecond, Backoff: backoff, Obs: rec,
 	}, agent)
 
+	// Lock-step: when frame k's uplink ack is journaled, the results of
+	// frames 0 … k−1 are back.
+	const closeAfter = 4
+	closed := make(chan struct{})
 	go func() {
-		time.Sleep(300 * time.Millisecond)
-		srv.Shutdown(100 * time.Millisecond)
+		defer close(closed)
+		waitUntil(10*time.Second, func() bool {
+			acked := 0
+			for _, j := range rec.Journal().Snapshot() {
+				if j.AckBits > 0 {
+					acked++
+				}
+			}
+			return acked >= closeAfter
+		})
+		srv.Kill()
 	}()
 
 	dets, stats, err := client.Run(clip)
+	<-closed
 	if err == nil {
-		// The stream may have finished before the shutdown landed — only a
-		// failed run exercises this path, so demand failure evidence
-		// otherwise.
-		if stats.Reconnects == 0 && stats.FramesUploaded == clip.NumFrames() {
-			t.Skip("stream outran the shutdown; nothing to assert")
-		}
-	} else {
-		// Clean failure: the error is the reconnect exhaustion, not a panic
-		// or a hang, and no frame before the close was lost.
-		if stats.Reconnects == 0 {
-			t.Errorf("no reconnect attempts before giving up: %+v", stats)
-		}
+		t.Fatalf("run outlived the server: %+v", stats)
 	}
-	got := 0
-	for _, d := range dets {
-		if d != nil {
-			got++
+	if stats.Reconnects != backoff.MaxAttempts {
+		t.Errorf("%d reconnect attempts before giving up, want %d: %+v", stats.Reconnects, backoff.MaxAttempts, stats)
+	}
+	if stats.FramesUploaded >= clip.NumFrames() {
+		t.Errorf("all %d frames uploaded: the close did not land mid-stream", stats.FramesUploaded)
+	}
+	for i := 0; i < closeAfter-1; i++ {
+		if dets[i] == nil {
+			t.Errorf("frame %d: detections from before the close not kept", i)
 		}
 	}
-	if got == 0 {
-		t.Error("no detections preserved from before the close")
-	}
-	// Outage-tracked frames must be journaled.
+	// Every frame the agent encoded was either answered by the server or
+	// lost with the connection and journaled as outage-tracked.
 	outaged := 0
 	for _, j := range rec.Journal().Snapshot() {
 		if j.Outage {
 			outaged++
+		} else if dets[j.Frame] == nil {
+			t.Errorf("frame %d: neither answered nor journaled as outage-tracked", j.Frame)
 		}
 	}
-	if err != nil && stats.OutageFrames > 0 && outaged == 0 {
-		t.Error("outage frames in stats but none journaled")
+	if outaged != stats.OutageFrames {
+		t.Errorf("%d frames journaled as outage-tracked, stats count %d", outaged, stats.OutageFrames)
 	}
 }
 
@@ -372,10 +378,9 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 	// Black out the proxy mid-stream, keyed to the stream's progress rather
 	// than the wall clock, so it cannot land in the clip's last frames. It
 	// starts once the ladder's dwell has passed (8 frames journaled, at
-	// least one acked) and lifts once the client has failed two redials
+	// least one acked) and lifts once the proxy has refused two redials
 	// (three link failures take the health score well below the first rung)
 	// or a deadline passes, with most of the clip still to encode.
-	reconnects := rec.Counter(obs.MetricClientReconnects)
 	blackoutDone := make(chan struct{})
 	go func() {
 		defer close(blackoutDone)
@@ -383,7 +388,7 @@ func TestClientLadderEngagesUnderBlackout(t *testing.T) {
 			return proxy.DownBytes.Load() > 0 && len(rec.Journal().Snapshot()) >= 8
 		})
 		proxy.SetBlackout(true)
-		waitUntil(time.Second, func() bool { return reconnects.Value() >= 3 })
+		waitUntil(time.Second, func() bool { return proxy.Refused.Load() >= 2 })
 		proxy.SetBlackout(false)
 	}()
 

@@ -392,7 +392,6 @@ func (s *Server) RedirectSessions(target, reason string) int {
 			continue
 		}
 		n++
-		s.Obs.Counter(obs.MetricEdgeRedirectsSent).Inc()
 	}
 	if n > 0 {
 		s.logf("redirected %d session(s) to %s (%s)", n, target, reason)
@@ -429,15 +428,12 @@ type sessionMetrics struct {
 	decode, detect       *obs.Histogram
 }
 
-// count moves the frame, byte, NACK and corruption counters a row calls for.
-func (m *sessionMetrics) count(rec *obs.Recorder, out outcome, bitstreamLen int) {
+// count moves the frame, byte and NACK counters a row calls for.
+func (m *sessionMetrics) count(out outcome, bitstreamLen int) {
 	row := rules[out]
 	if row.frame {
 		m.frames.Inc()
 		m.bytes.Add(int64(bitstreamLen))
-	}
-	if row.corrupt {
-		rec.Counter(obs.MetricEdgeCorrupt).Inc()
 	}
 	if row.nack {
 		m.nacks.Inc()
@@ -478,7 +474,6 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 		profile.ClipDuration = hello.Duration
 	}
 	if hello.Resume {
-		s.Obs.Counter(obs.MetricEdgeResumes).Inc()
 		s.logf("session resume: profile=%s seed=%d from frame %d",
 			hello.Profile, hello.Seed, hello.FirstFrame)
 	} else {
@@ -488,11 +483,10 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 	if hello.FirstFrame >= clip.NumFrames() {
 		return reject(fmt.Sprintf("resume frame %d beyond clip end %d", hello.FirstFrame, clip.NumFrames()))
 	}
-	// Only a Hello that will be served counts as a session and mints the
-	// per-session series: a label value is a bounded resource (obs.
-	// MaxLabelValues per family), and a stream of rejected Hellos with
-	// distinct names must not push real sessions into the overflow child.
-	s.Obs.Counter(obs.MetricEdgeSessions).Inc()
+	// Only a Hello that will be served mints the per-session series: a
+	// label value is a bounded resource (obs.MaxLabelValues per family), and
+	// a stream of rejected Hellos with distinct names must not push real
+	// sessions into the overflow child.
 	m := &sessionMetrics{label: fmt.Sprintf("%s-%d", hello.Profile, hello.Seed)}
 	m.frames = s.Obs.LabeledCounter(obs.MetricEdgeSessionFrames, obs.SessionLabel).With(m.label)
 	m.bytes = s.Obs.LabeledCounter(obs.MetricEdgeSessionBytes, obs.SessionLabel).With(m.label)
@@ -550,7 +544,7 @@ func (s *Server) serveFrame(st *connState, ss *session, m *sessionMetrics, typ b
 	if out == outAccepted {
 		out = s.decodeAndDetect(ss, m, ctx, &fm, res)
 	}
-	m.count(s.Obs, out, len(fm.Bitstream))
+	m.count(out, len(fm.Bitstream))
 	var ackSpan obs.Span
 	if rules[out].frame {
 		// One reading of the service time (decode + detect + framing)

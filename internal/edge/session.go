@@ -48,11 +48,10 @@ const (
 var rules = [...]struct {
 	frame    bool // a FrameMsg parsed: the reply names its index; the session's frame and byte counters move
 	nack     bool // the session's NACK counter (MetricEdgeSessionNacks) moves
-	corrupt  bool // MetricEdgeCorrupt moves
 	keyframe bool // the reply sets NeedKeyframe
 	desync   bool // needKey is set
 }{
-	outCorrupt:      {nack: true, corrupt: true, keyframe: true, desync: true},
+	outCorrupt:      {nack: true, keyframe: true, desync: true},
 	outWrongType:    {nack: true},
 	outOutOfRange:   {frame: true},
 	outUnreadable:   {frame: true, nack: true, keyframe: true, desync: true},

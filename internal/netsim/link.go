@@ -15,9 +15,6 @@ type Link struct {
 	// PropDelay is the one-way propagation delay in seconds, added on top
 	// of serialization.
 	PropDelay float64
-	// Obs receives link telemetry: the actual trace bandwidth at each
-	// send, queue delays and outage sends. Nil disables instrumentation.
-	Obs *obs.Recorder
 	// busyUntil is when the link finishes draining everything enqueued.
 	busyUntil float64
 	// integrationStep bounds the numeric integration error (seconds).
@@ -25,7 +22,6 @@ type Link struct {
 }
 
 // NewLink creates a link over the trace with the given propagation delay.
-// Obs is left nil; a caller that wants link telemetry sets it.
 func NewLink(trace Trace, propDelay float64) *Link {
 	return &Link{Trace: trace, PropDelay: propDelay, integrationStep: 1e-3}
 }
@@ -42,26 +38,7 @@ func (l *Link) Send(t float64, bits int) (start, serialized, delivery float64) {
 	}
 	end := l.drainTime(start, float64(bits))
 	l.busyUntil = end
-	if l.Obs != nil {
-		actual := l.Trace.BandwidthAt(start)
-		l.Obs.Gauge(obs.GaugeBWActual).Set(actual)
-		l.Obs.Histogram(obs.StageQueueDelay).Observe(start - t)
-		if actual <= 0 {
-			l.Obs.Counter(obs.MetricOutageTx).Inc()
-		}
-	}
 	return start, end, end + l.PropDelay
-}
-
-// SendTraced is Send plus trace carriage: the serialization interval is
-// recorded as a "send" span of the frame's trace (on the simulated clock,
-// at the agent's radio), so agent-side encode spans and edge-side decode
-// spans stitch across the link. An invalid context or nil recorder records
-// nothing; the link behaves identically either way.
-func (l *Link) SendTraced(ctx obs.TraceContext, t float64, bits int) (start, serialized, delivery float64) {
-	start, serialized, delivery = l.Send(t, bits)
-	l.Obs.RecordSpan(ctx, "send", "agent", start, serialized-start)
-	return start, serialized, delivery
 }
 
 // QueueDelay returns how long a message enqueued at t would wait before its
@@ -116,8 +93,8 @@ type Estimator struct {
 	Window float64
 	// Prior is returned before any samples arrive (bits/s).
 	Prior float64
-	// Obs receives estimator telemetry: acked bits, serialization times
-	// and the live bandwidth estimate. Nil disables instrumentation.
+	// Obs receives the live bandwidth estimate (GaugeBWEstimate). Nil
+	// disables instrumentation.
 	Obs     *obs.Recorder
 	samples []ackSample
 }
@@ -144,10 +121,6 @@ func NewEstimator(window, prior float64) *Estimator {
 func (e *Estimator) Record(start, end float64, bits int) {
 	if end < start {
 		start, end = end, start
-	}
-	if e.Obs != nil {
-		e.Obs.Counter(obs.MetricAckedBits).Add(int64(bits))
-		e.Obs.Histogram(obs.StageAck).Observe(end - start)
 	}
 	e.samples = append(e.samples, ackSample{start: start, end: end, bits: float64(bits)})
 	// Trim anything far older than the window to bound memory.

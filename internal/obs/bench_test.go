@@ -9,7 +9,7 @@ func BenchmarkSpanDisabled(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := r.StartStage(StageEncode)
+		s := r.StartSpan(TraceContext{}, "encode", "agent")
 		_ = s.End()
 	}
 }
@@ -31,7 +31,7 @@ func BenchmarkTraceDisabled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ctx := r.StartTrace(i)
-		s := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageMotion))
+		s := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageResponse))
 		_ = s.End()
 		r.RecordSpan(ctx, "send", "agent", 0, 1)
 	}
@@ -92,13 +92,14 @@ func BenchmarkLabeledCounterWith(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanEnabled is the live cost: two clock reads plus one
-// histogram observation.
+// BenchmarkSpanEnabled is the live cost: two clock reads, one span record
+// and one histogram observation.
 func BenchmarkSpanEnabled(b *testing.B) {
 	r := NewRecorder(1)
+	h := r.Histogram(StageResponse)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := r.StartStage(StageEncode)
+		s := r.StartStageSpan(r.StartTrace(i), "encode", "agent", h)
 		_ = s.End()
 	}
 }

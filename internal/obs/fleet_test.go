@@ -73,8 +73,8 @@ func TestLabelOverflowCounter(t *testing.T) {
 	for i := 0; i < MaxLabelValues; i++ {
 		lc.With(fmt.Sprintf("s%d", i)).Inc()
 	}
-	if got := r.Snapshot().Counters; len(got) != 0 {
-		t.Fatalf("counters = %v before cap hit, want none (the overflow counter appears with the first fold)", got)
+	if got := r.Inventory(); len(got) != 1 || got[0] != "counter frames session" {
+		t.Fatalf("families = %v before cap hit, want the labeled one only (the overflow counter appears with the first fold)", got)
 	}
 	lc.With("over-a").Inc()
 	lc.With("over-b").Inc()

@@ -7,41 +7,32 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// The exposition goldens under testdata/ were generated at PR 17's parent
-// commit (0b3b178, six registry maps, separate plain and labeled exposition
-// loops) by copying this file into that checkout and running
-// go test ./internal/obs -run ExpositionGolden -update-golden. The script
-// below only uses API both commits have, so the files pin the wire formats
-// across the one-family refactor. Regenerate only for an intentional
-// format change.
+// The exposition goldens under testdata/ were generated at commit 0b3b178
+// (six registry maps, separate plain and labeled exposition loops) by
+// copying this file into that checkout and running
+// go test ./internal/obs -run ExpositionGolden -update-golden, so they pin
+// the wire formats across the one-family refactor; a family deleted since
+// lost only its "# TYPE" block. Regenerate only for an intentional format
+// change.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/exposition_*.golden")
 
-var uptimeLine = regexp.MustCompile(`(?m)^\s*"uptime_sec": [^\n]*\n`)
-
 // expositionScript drives plain and labeled counters, gauges and histograms
-// (including a cardinality fold and a never-used labeled family) plus an SLO
-// window through one recorder and returns /metrics, /debug/vars (minus
-// uptime_sec) and /debug/slo.
-func expositionScript(t *testing.T) (metrics, vars, slo []byte) {
+// (including an overflow bucket, a cardinality fold and a never-used
+// labeled family) plus an SLO window through one recorder and returns
+// /metrics and /debug/slo.
+func expositionScript(t *testing.T) (metrics, slo []byte) {
 	t.Helper()
 	rec := NewRecorder(8)
 	reg := rec.Registry()
 
 	rec.Counter(MetricFrames).Add(12)
-	rec.Counter(MetricBits).Add(345678)
 	rec.Counter("zero_total")
 	rec.Gauge(GaugeBWEstimate).Set(2.5e6)
-	rec.Gauge(GaugeEta).Set(0.4375)
-	for i := 0; i < 40; i++ {
-		rec.Histogram(StageEncode).Observe(0.0005 * float64(i+1))
-	}
-	rec.Histogram(StageFrame).Observe(42) // overflow bucket
 	custom := reg.Histogram("custom_seconds", []float64{0.5, 0.1, 2})
 	for _, v := range []float64{0.05, 0.3, 0.3, 1.5, 9} {
 		custom.Observe(v)
@@ -53,8 +44,8 @@ func expositionScript(t *testing.T) (metrics, vars, slo []byte) {
 	}
 	frames.With("sess-03").Inc()                             // an established value past the fold
 	rec.LabeledCounter(MetricEdgeSessionNacks, SessionLabel) // never used: not exposed
-	rec.LabeledGauge("queue_depth", "stage").With("decode").Set(3)
-	rec.LabeledGauge("queue_depth", "stage").With("detect").Set(0.25)
+	reg.LabeledGauge("queue_depth", "stage").With("decode").Set(3)
+	reg.LabeledGauge("queue_depth", "stage").With("detect").Set(0.25)
 	for _, s := range []string{"b", "a"} {
 		h := rec.LabeledHistogram(StageEdgeSessionDecode, SessionLabel).With(s)
 		for i := 0; i < 10; i++ {
@@ -77,12 +68,9 @@ func expositionScript(t *testing.T) (metrics, vars, slo []byte) {
 		}
 		return w.Body.Bytes()
 	}
-	// /metrics first: its scrape publishes the SLO gauges /debug/vars then
-	// carries.
 	metrics = get("/metrics")
-	vars = uptimeLine.ReplaceAll(get("/debug/vars"), nil)
 	slo = get("/debug/slo")
-	return metrics, vars, slo
+	return metrics, slo
 }
 
 // typeBlocks splits a Prometheus page into its "# TYPE" blocks, sorted, so
@@ -100,13 +88,12 @@ func typeBlocks(page []byte) []string {
 }
 
 func TestExpositionGolden(t *testing.T) {
-	metrics, vars, slo := expositionScript(t)
+	metrics, slo := expositionScript(t)
 	files := []struct {
 		name string
 		got  []byte
 	}{
 		{"exposition_metrics.golden", metrics},
-		{"exposition_vars.golden", vars},
 		{"exposition_slo.golden", slo},
 	}
 	for _, f := range files {

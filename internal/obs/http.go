@@ -17,27 +17,12 @@ func jsonlHandler[T any](snapshot func() []T) http.Handler {
 	})
 }
 
-// jsonHandler serves one marshalled JSON document, or 500 when marshalling
-// fails.
-func jsonHandler(marshal func() ([]byte, error)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		data, err := marshal()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	})
-}
-
 // Handler returns the telemetry HTTP surface. Its endpoints form one route
 // table, from which both the dispatch and the index at / are driven, so the
 // index lists exactly the paths that answer:
 //
 //	/metrics       Prometheus text exposition of every metric (including
 //	               per-session labeled series)
-//	/debug/vars    JSON snapshot (counters, gauges, histogram quantiles)
 //	/debug/frames  recent frame-lifecycle records as JSONL: the journal
 //	               joined with the agent spans (FrameRecords)
 //	/debug/journal recent per-frame decision-journal records as JSONL
@@ -70,14 +55,18 @@ func (r *Recorder) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.reg.WritePrometheus(w)
 	}))
-	mount("/debug/vars", jsonHandler(r.SnapshotJSON))
 	mount("/debug/frames", jsonlHandler(r.FrameRecords))
 	mount("/debug/journal", jsonlHandler(r.journal.Snapshot))
 	mount("/debug/spans", jsonlHandler(r.spans.Snapshot))
 	mount("/debug/slo", r.slo.Handler())
-	mount("/debug/runtime", jsonHandler(func() ([]byte, error) {
+	mount("/debug/runtime", http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		data, err := json.Marshal(r.UpdateRuntimeGauges())
-		return append(data, '\n'), err
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(append(data, '\n'))
 	}))
 	mount("/debug/pprof/", http.HandlerFunc(pprof.Index))
 	// Below /debug/pprof/, which the index lists: the profiles pprof.Index

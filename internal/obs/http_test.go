@@ -18,7 +18,7 @@ func TestNilRecorderHandlerReturns503(t *testing.T) {
 	if h == nil {
 		t.Fatal("nil recorder Handler() is nil")
 	}
-	for _, path := range []string{"/", "/metrics", "/debug/vars", "/debug/frames", "/debug/journal", "/debug/spans"} {
+	for _, path := range []string{"/", "/metrics", "/debug/frames", "/debug/journal", "/debug/spans"} {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
 		if w.Code != 503 {
@@ -38,7 +38,7 @@ func TestMetricsEndpointPrometheusWellFormed(t *testing.T) {
 	rec.Counter(MetricFrames).Add(12)
 	rec.Gauge(GaugeBWEstimate).Set(2e6)
 	for i := 0; i < 40; i++ {
-		rec.Histogram(StageEncode).Observe(0.004)
+		rec.Histogram(StageResponse).Observe(0.004)
 	}
 
 	w := httptest.NewRecorder()
@@ -167,7 +167,7 @@ func TestDebugFramesRoundTripsThroughDecoder(t *testing.T) {
 }
 
 // TestIndexListsExactlyTheMountedPaths pins the route table: GET / names
-// the eight built-in paths, each of which answers, and nothing that 404s.
+// the seven built-in paths, each of which answers, and nothing that 404s.
 func TestIndexListsExactlyTheMountedPaths(t *testing.T) {
 	rec := NewRecorder(8)
 	h := rec.Handler()
@@ -193,22 +193,22 @@ func TestIndexListsExactlyTheMountedPaths(t *testing.T) {
 		}
 	}
 	for _, path := range []string{
-		"/metrics", "/debug/vars", "/debug/frames", "/debug/journal", "/debug/spans",
+		"/metrics", "/debug/frames", "/debug/journal", "/debug/spans",
 		"/debug/slo", "/debug/runtime", "/debug/pprof/",
 	} {
 		if !listed[path] {
 			t.Errorf("index does not list %s", path)
 		}
 	}
-	if len(listed) != 8 {
-		t.Errorf("index lists %d paths, want 8: %v", len(listed), lines[2:])
+	if len(listed) != 7 {
+		t.Errorf("index lists %d paths, want 7: %v", len(listed), lines[2:])
 	}
 	if status("/debug/pprof/cmdline") != 200 {
 		t.Error("/debug/pprof/cmdline does not answer below the listed /debug/pprof/")
 	}
 	// /debug/cluster is served by diveserver -cluster on a mux of its own;
 	// no process serves /debug/fleet and no doctor is mounted.
-	for _, path := range []string{"/debug/doctor", "/debug/fleet", "/debug/cluster", "/debug", "/nope"} {
+	for _, path := range []string{"/debug/vars", "/debug/doctor", "/debug/fleet", "/debug/cluster", "/debug", "/nope"} {
 		if listed[path] || status(path) != 404 {
 			t.Errorf("%s: listed=%t status=%d, want unlisted 404", path, listed[path], status(path))
 		}

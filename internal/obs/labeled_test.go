@@ -45,7 +45,6 @@ func TestLabeledNilSafety(t *testing.T) {
 
 	var rec *Recorder
 	rec.LabeledCounter("a", "k").With("x").Inc()
-	rec.LabeledGauge("b", "k").With("x").Set(1)
 	rec.LabeledHistogram("c", "k").With("x").Observe(1)
 	rec.ObserveSLO("s", SLOSample{LatencySec: 0.1})
 }
@@ -103,27 +102,5 @@ func TestLabeledPrometheusExposition(t *testing.T) {
 	}
 	if strings.Contains(out, "never_used_total") {
 		t.Errorf("empty family leaked into exposition:\n%s", out)
-	}
-}
-
-func TestSnapshotIncludesLabeledFamilies(t *testing.T) {
-	reg := NewRegistry()
-	reg.LabeledCounter("sess_frames", "session").With("a").Add(4)
-	reg.LabeledGauge("sess_burn", "session").With("a").Set(0.5)
-	reg.LabeledHistogram("sess_lat", "session", DefaultDurationBuckets).With("a").Observe(0.2)
-	reg.LabeledCounter("empty", "session")
-
-	s := reg.Snapshot()
-	if got := s.LabeledCounters["sess_frames"]["a"]; got != 4 {
-		t.Fatalf("snapshot counter = %d, want 4", got)
-	}
-	if got := s.LabeledGauges["sess_burn"]["a"]; got != 0.5 {
-		t.Fatalf("snapshot gauge = %g, want 0.5", got)
-	}
-	if got := s.LabeledHistograms["sess_lat"]["a"].Count; got != 1 {
-		t.Fatalf("snapshot histogram count = %d, want 1", got)
-	}
-	if _, ok := s.LabeledCounters["empty"]; ok {
-		t.Fatal("empty family appeared in snapshot")
 	}
 }

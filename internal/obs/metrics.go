@@ -4,7 +4,7 @@
 //   - one metric family type (registry.go): atomic counters, gauges and
 //     fixed-bucket histograms keyed by at most one label — a plain metric is
 //     the family with no label — in a zero-dependency Registry exposed as
-//     Prometheus text and as a JSON Snapshot;
+//     Prometheus text;
 //   - one bounded ring (ring.go) with one JSONL reader and writer: it holds
 //     the per-frame decision journal (what was decided, wall-clock-free), the
 //     spans of the causal frame traces (how long each agent/link/edge stage
@@ -12,9 +12,9 @@
 //     with the spans at read time;
 //   - per-session SLO windows with error-budget burn rates (slo.go), the
 //     fleet aggregation plane (fleet.go), Go runtime stats (runtime.go);
-//   - one HTTP surface (http.go): /metrics, /debug/vars, /debug/frames,
-//     /debug/journal, /debug/spans, /debug/slo, /debug/runtime and pprof,
-//     all listed by the index at /.
+//   - one HTTP surface (http.go): /metrics, /debug/frames, /debug/journal,
+//     /debug/spans, /debug/slo, /debug/runtime and pprof, all listed by the
+//     index at /.
 //
 // Everything is safe for concurrent use. Instrumented packages hold a
 // *Recorder that may be nil; every method on Recorder, Counter, Gauge,
@@ -133,16 +133,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	return quantileFromBuckets(h.bounds, h.bucketCounts(), q)
-}
-
-// quantileFromBuckets is the quantile estimator over raw (non-cumulative)
-// bucket counts — shared by live histograms and their snapshots so both
-// report identical quantiles for identical bucket contents.
-func quantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
+	counts := make([]int64, len(h.counts))
 	var total int64
-	for _, c := range counts {
-		total += c
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+		total += counts[i]
 	}
 	if total == 0 {
 		return 0
@@ -157,40 +152,20 @@ func quantileFromBuckets(bounds []float64, counts []int64, q float64) float64 {
 		}
 		lo := 0.0
 		if i > 0 {
-			lo = bounds[i-1]
+			lo = h.bounds[i-1]
 		}
-		if i == len(bounds) {
+		if i == len(h.bounds) {
 			// Overflow bucket: no finite upper bound to interpolate to.
 			return lo
 		}
-		hi := bounds[i]
+		hi := h.bounds[i]
 		frac := (rank - cum) / n
 		return lo + frac*(hi-lo)
 	}
-	if len(bounds) > 0 {
-		return bounds[len(bounds)-1]
+	if len(h.bounds) > 0 {
+		return h.bounds[len(h.bounds)-1]
 	}
 	return 0
-}
-
-// Bounds returns a copy of the bucket upper bounds.
-func (h *Histogram) Bounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	return append([]float64(nil), h.bounds...)
-}
-
-// bucketCounts returns the raw (non-cumulative) per-bucket counts.
-func (h *Histogram) bucketCounts() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
 }
 
 // Merge folds every observation recorded in src into h. Both histograms
@@ -245,36 +220,4 @@ var DefaultDurationBuckets = []float64{
 	25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
 	1, 2.5, 5, 10,
-}
-
-// HistogramSnapshot is the point-in-time summary of one histogram. Bounds
-// and Buckets carry the raw (non-cumulative) bucket detail; both are omitted
-// from JSON when absent (hand-built summaries).
-type HistogramSnapshot struct {
-	Count   int64     `json:"count"`
-	Sum     float64   `json:"sum"`
-	P50     float64   `json:"p50"`
-	P95     float64   `json:"p95"`
-	P99     float64   `json:"p99"`
-	Bounds  []float64 `json:"bounds,omitempty"`
-	Buckets []int64   `json:"buckets,omitempty"`
-}
-
-// snapshotHistogram summarizes h including its bucket detail. The quantiles
-// are computed from the same bucket copy that is exported, so a consumer
-// re-deriving quantiles from Buckets reproduces them exactly.
-func snapshotHistogram(h *Histogram) HistogramSnapshot {
-	buckets := h.bucketCounts()
-	var count int64
-	for _, c := range buckets {
-		count += c
-	}
-	return HistogramSnapshot{
-		Count: count, Sum: h.Sum(),
-		P50:     quantileFromBuckets(h.bounds, buckets, 0.50),
-		P95:     quantileFromBuckets(h.bounds, buckets, 0.95),
-		P99:     quantileFromBuckets(h.bounds, buckets, 0.99),
-		Bounds:  h.Bounds(),
-		Buckets: buckets,
-	}
 }

@@ -1,64 +1,22 @@
 package obs
 
 import (
-	"encoding/json"
 	"sync/atomic"
 	"time"
 )
 
-// Canonical metric names. Keeping them in one place documents the schema
-// and lets the README reference a single source of truth.
+// Canonical metric names. Each family here has a reader outside obs's own
+// exposition — a doctor check, a smoke script, the fleet rollup, the
+// benchmark, or an operator query README documents and a test pins —
+// and TestEveryFamilyHasReader names it; a family without one is deleted.
 const (
-	// Agent pipeline (internal/core).
-	MetricFrames        = "dive_frames_total"
-	MetricBits          = "dive_bits_total"
-	MetricBytes         = "dive_bytes_total"
-	MetricIFrames       = "dive_iframes_total"
-	MetricForcedIFrames = "dive_forced_iframes_total"
-	GaugeEta            = "dive_eta"
-	GaugeFGFraction     = "dive_fg_fraction"
-	StageFrame          = "dive_frame_seconds"
-	StageMotion         = "dive_stage_motion_seconds"
-	StageRotation       = "dive_stage_rotation_seconds"
-	StageForeground     = "dive_stage_foreground_seconds"
-	StageEncode         = "dive_stage_encode_seconds"
+	// Agent pipeline (internal/core): frames and payload bytes, the fleet
+	// rollup's per-session totals.
+	MetricFrames = "dive_frames_total"
+	MetricBytes  = "dive_bytes_total"
 
-	// Codec internals (internal/codec), the parts of the agent's encode
-	// span: StageCodecDCT the P-frame transform cache, StageCodecRC the
-	// rate-control search (its trial passes; absent on fixed-QP frames),
-	// StageCodecEntropy the final quantize-reconstruct-count pass at the
-	// chosen QP.
-	StageCodecDCT     = "codec_dct_seconds"
-	StageCodecRC      = "codec_rc_seconds"
-	StageCodecEntropy = "codec_entropy_seconds"
-	MetricRCTrials    = "codec_rc_trials_total"
-
-	// Network simulator (internal/netsim).
+	// Bandwidth estimate (internal/netsim.Estimator).
 	GaugeBWEstimate = "netsim_bw_estimate_bps"
-	GaugeBWActual   = "netsim_bw_actual_bps"
-	MetricAckedBits = "netsim_acked_bits_total"
-	StageAck        = "netsim_ack_seconds"
-	StageQueueDelay = "netsim_queue_delay_seconds"
-	MetricOutageTx  = "netsim_outage_sends_total"
-
-	// Edge server (internal/edge): served sessions, and the robustness
-	// counters — resumed sessions and corrupt/malformed messages survived.
-	MetricEdgeSessions = "edge_sessions_total"
-	MetricEdgeResumes  = "edge_session_resumes_total"
-	MetricEdgeCorrupt  = "edge_corrupt_msgs_total"
-	// Client-side robustness: reconnect attempts, ACK-deadline outage
-	// activations, and sends suppressed by the degradation ladder.
-	MetricClientReconnects = "edge_client_reconnects_total"
-	MetricClientAckTimeout = "edge_client_ack_timeouts_total"
-	MetricClientSkips      = "edge_client_skipped_sends_total"
-	// Cluster migration counters: completed session handoffs (planned +
-	// forced), Redirect messages received, and redirects rejected as
-	// malformed or self-referential (never dialed).
-	MetricClientMigrations   = "edge_client_migrations_total"
-	MetricClientRedirects    = "edge_client_redirects_total"
-	MetricClientBadRedirects = "edge_client_bad_redirects_total"
-	// Server-side drain: sessions redirected away by RedirectSessions.
-	MetricEdgeRedirectsSent = "edge_redirects_sent_total"
 
 	// End-to-end response times, capture to result: edge.Client observes
 	// one per ack, the fleet model one per modelled frame.
@@ -175,14 +133,6 @@ func (r *Recorder) LabeledCounter(name, key string) *LabeledCounter {
 	return r.reg.LabeledCounter(name, key)
 }
 
-// LabeledGauge returns the named gauge family (nil on a nil recorder).
-func (r *Recorder) LabeledGauge(name, key string) *LabeledGauge {
-	if r == nil {
-		return nil
-	}
-	return r.reg.LabeledGauge(name, key)
-}
-
 // LabeledHistogram returns the named duration-histogram family (nil on a
 // nil recorder).
 func (r *Recorder) LabeledHistogram(name, key string) *LabeledHistogram {
@@ -190,23 +140,4 @@ func (r *Recorder) LabeledHistogram(name, key string) *LabeledHistogram {
 		return nil
 	}
 	return r.reg.LabeledHistogram(name, key, DefaultDurationBuckets)
-}
-
-// Snapshot returns a point-in-time copy of every metric plus uptime.
-func (r *Recorder) Snapshot() *Snapshot {
-	if r == nil {
-		return &Snapshot{
-			Counters:   map[string]int64{},
-			Gauges:     map[string]float64{},
-			Histograms: map[string]HistogramSnapshot{},
-		}
-	}
-	s := r.reg.Snapshot()
-	s.UptimeSec = time.Since(r.start).Seconds()
-	return s
-}
-
-// SnapshotJSON marshals Snapshot as indented JSON.
-func (r *Recorder) SnapshotJSON() ([]byte, error) {
-	return json.MarshalIndent(r.Snapshot(), "", "  ")
 }

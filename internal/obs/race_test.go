@@ -66,7 +66,7 @@ func TestLabeledFamilyConcurrentCreateAndIterate(t *testing.T) {
 			t.Error(err)
 			break
 		}
-		_ = reg.Snapshot()
+		_ = reg.Inventory()
 	}
 	wg.Wait()
 	total := int64(0)

@@ -43,7 +43,7 @@ type Family[T any] struct {
 	bounds   []float64 // histogram families: the shared bucket bounds
 	newChild func(bounds []float64) *T
 	// reg receives cardinality folds on MetricLabelOverflow — strictly after
-	// mu is released, because registry readers (Snapshot, WritePrometheus)
+	// mu is released, because registry readers (WritePrometheus, Inventory)
 	// take reg.mu before mu and the reverse order would deadlock.
 	reg *Registry
 
@@ -251,57 +251,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.RUnlock()
 	_, err := w.Write(b.Bytes())
 	return err
-}
-
-// Snapshot is a point-in-time copy of every metric in a registry. Plain
-// metrics are keyed by name; the labeled maps are keyed metric name → label
-// value and omitted when no labeled family has a child, so pre-labeled
-// consumers of the schema are unaffected.
-type Snapshot struct {
-	UptimeSec         float64                                 `json:"uptime_sec"`
-	Counters          map[string]int64                        `json:"counters"`
-	Gauges            map[string]float64                      `json:"gauges"`
-	Histograms        map[string]HistogramSnapshot            `json:"histograms"`
-	LabeledCounters   map[string]map[string]int64             `json:"labeled_counters,omitempty"`
-	LabeledGauges     map[string]map[string]float64           `json:"labeled_gauges,omitempty"`
-	LabeledHistograms map[string]map[string]HistogramSnapshot `json:"labeled_histograms,omitempty"`
-}
-
-// snapshotFamilies copies one kind into the snapshot: families without a
-// label key into plain, the others into *labeled (allocated on demand).
-func snapshotFamilies[T, V any](fams map[string]*Family[T], plain map[string]V, labeled *map[string]map[string]V, value func(*T) V) {
-	for name, f := range fams {
-		vals := make(map[string]V)
-		f.Each(func(v string, child *T) { vals[v] = value(child) })
-		switch {
-		case len(vals) == 0:
-		case f.key == "":
-			plain[name] = vals[""]
-		default:
-			if *labeled == nil {
-				*labeled = make(map[string]map[string]V)
-			}
-			(*labeled)[name] = vals
-		}
-	}
-}
-
-// Snapshot copies the current value of every metric.
-func (r *Registry) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]float64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	if r == nil {
-		return s
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	snapshotFamilies(r.counters, s.Counters, &s.LabeledCounters, (*Counter).Value)
-	snapshotFamilies(r.gauges, s.Gauges, &s.LabeledGauges, (*Gauge).Value)
-	snapshotFamilies(r.hists, s.Histograms, &s.LabeledHistograms, snapshotHistogram)
-	return s
 }
 
 // Inventory lists the families that have at least one child, one

@@ -24,6 +24,9 @@ func TestUpdateRuntimeGauges(t *testing.T) {
 	if got := rec.Gauge(GaugeGoGoroutines).Value(); got != float64(st.Goroutines) {
 		t.Fatalf("goroutine gauge = %g, stats = %d", got, st.Goroutines)
 	}
+	if got := rec.Gauge(GaugeGoGCPauseP99).Value(); got != st.GCPauseP99Sec {
+		t.Fatalf("GC pause gauge = %g, stats = %g", got, st.GCPauseP99Sec)
+	}
 	// Nil recorder: still collects, publishes nowhere.
 	var nilRec *Recorder
 	if st := nilRec.UpdateRuntimeGauges(); st.Goroutines < 1 {

@@ -23,7 +23,7 @@ func TestStartTraceMintsDistinctIDs(t *testing.T) {
 func TestSpanParentChildLinkage(t *testing.T) {
 	rec := NewRecorder(8)
 	ctx := rec.StartTrace(3)
-	root := rec.StartStageSpan(ctx, "frame", "agent", rec.Histogram(StageFrame))
+	root := rec.StartStageSpan(ctx, "frame", "agent", rec.Histogram(StageResponse))
 	child := rec.StartSpan(root.Context(), "motion", "agent")
 	child.End()
 	root.End()
@@ -53,7 +53,7 @@ func TestSpanParentChildLinkage(t *testing.T) {
 		t.Errorf("durations: child %v, root %v", c.DurSec, r.DurSec)
 	}
 	// The stage span also fed the histogram.
-	if got := rec.Histogram(StageFrame).Count(); got != 1 {
+	if got := rec.Histogram(StageResponse).Count(); got != 1 {
 		t.Errorf("stage histogram count = %d, want 1", got)
 	}
 }
@@ -148,7 +148,7 @@ func TestDisabledTracePathAllocFree(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		ctx := r.StartTrace(1)
-		sp := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageMotion))
+		sp := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageResponse))
 		sp.Context()
 		sp.End()
 		r.RecordSpan(ctx, "send", "agent", 0, 1)

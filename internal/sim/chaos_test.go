@@ -23,7 +23,6 @@ func runScenario(t *testing.T, sc chaos.Scenario, rec *obs.Recorder) (*Result, *
 	t.Helper()
 	clip := testClip(t, world.NuScenesLike(), chaosClipDur, 17)
 	link := netsim.NewLink(sc.Trace, 0.012)
-	link.Obs = rec
 	scheme := &DiVE{ConfigFn: func(cfg *core.AgentConfig) { cfg.Obs = rec }}
 	res, err := scheme.Run(clip, link, NewEnv(7))
 	if err != nil {

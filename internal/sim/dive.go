@@ -100,7 +100,10 @@ func (d *DiVE) Run(clip *world.Clip, link *netsim.Link, env *Env) (*Result, erro
 			res.ResponseTimes[i] = env.Lat.Encode + env.Lat.Track
 			agent.NoteOutageAt(fr.Encoded.Index, queueDelay, len(res.Detections[i]))
 		} else {
-			start, serialized, delivered := link.SendTraced(fr.Trace, ready, fr.Encoded.NumBits)
+			start, serialized, delivered := link.Send(ready, fr.Encoded.NumBits)
+			// The uplink leg lives on the simulated clock: serialization at
+			// the agent's radio.
+			rec.RecordSpan(fr.Trace, "send", "agent", start, serialized-start)
 			agent.OnTransmitComplete(start, serialized, fr.Encoded.NumBits)
 			res.BitsSent[i] = fr.Encoded.NumBits
 			res.Uploaded[i] = true

@@ -15,17 +15,16 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/telemetry_inventory.txt")
 
 // TestTelemetryInventory pins the telemetry schema of a traced DiVE run —
-// every (kind, family, label key) the agent, the link and the simulated edge
-// register — against testdata/telemetry_inventory.txt, so a new family, or a
-// second family for a fact one already records, shows up as a diff in
-// review. Regenerate with go test ./internal/sim -run TelemetryInventory
+// every (kind, family, label key) the agent, its estimator and the simulated
+// edge register — against testdata/telemetry_inventory.txt, so a new
+// family, or a second family for a fact one already records, shows up as a
+// diff in review. Regenerate with go test ./internal/sim -run TelemetryInventory
 // -update-golden.
 func TestTelemetryInventory(t *testing.T) {
 	clip := testClip(t, world.NuScenesLike(), 2, 21)
 	rec := obs.NewRecorder(clip.NumFrames())
 	scheme := &DiVE{ConfigFn: func(c *core.AgentConfig) { c.Obs = rec }}
 	link := netsim.NewLink(netsim.ConstantTrace(netsim.Mbps(2)), 0.012)
-	link.Obs = rec
 	if _, err := scheme.Run(clip, link, NewEnv(7)); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ func TestEndToEndTraceStitching(t *testing.T) {
 	env := NewEnv(6)
 	rec := obs.NewRecorder(clip.NumFrames())
 	link := netsim.NewLink(netsim.ConstantTrace(netsim.Mbps(3)), 0.012)
-	link.Obs = rec
 	scheme := &DiVE{ConfigFn: func(cfg *core.AgentConfig) { cfg.Obs = rec }}
 	res, err := scheme.Run(clip, link, env)
 	if err != nil {
@@ -149,7 +148,6 @@ func TestTraceParentage(t *testing.T) {
 	env := NewEnv(6)
 	rec := obs.NewRecorder(clip.NumFrames())
 	link := netsim.NewLink(netsim.ConstantTrace(netsim.Mbps(3)), 0.012)
-	link.Obs = rec
 	scheme := &DiVE{ConfigFn: func(cfg *core.AgentConfig) { cfg.Obs = rec }}
 	res, err := scheme.Run(clip, link, env)
 	if err != nil {

@@ -113,17 +113,16 @@ func (p Profile) focal() float64 {
 	return float64(p.W) / (2 * math.Tan(p.FOVDeg*math.Pi/360))
 }
 
-// ClipSource renders a clip frame by frame, on demand — the streaming
-// counterpart of GenerateClip for pipelined runs where frame capture
-// (pipeline stage A) overlaps the encode of earlier frames instead of
-// materializing the whole clip up front. The trajectory, scene and IMU
-// track are fixed at construction and every frame derives its sensor noise
-// from a per-frame seed, so Frame(i) is byte-identical to
-// GenerateClip(p, seed).Frames[i] regardless of how many frames are pulled.
+// ClipSource renders a clip frame by frame, on demand: GenerateClip pulls
+// every frame through one, and a caller that times or traces each frame's
+// render (the repo benchmark's serial render loop) pulls them itself. The
+// trajectory, scene and IMU track are fixed at construction and every frame
+// derives its sensor noise from a per-frame seed, so Frame(i) is
+// byte-identical to GenerateClip(p, seed).Frames[i] regardless of how many
+// frames are pulled.
 //
 // A ClipSource is not safe for concurrent use: Frame reuses the renderer's
-// scratch state. One pipeline capture stage (a single goroutine) is the
-// intended caller.
+// scratch state, so one goroutine pulls its frames.
 type ClipSource struct {
 	profile Profile
 	seed    int64
