@@ -21,9 +21,8 @@
 //   - -url fetches the journal live from a telemetry endpoint.
 //   - -fleet reads the rollup series of a divefleet -json report and runs
 //     the fleet detectors: straggler-session (sustained straggler-table
-//     residency), noisy-neighbor (per-session heap or GC pause growing
-//     superlinearly with fleet size) and fleet-burn (aggregate SLO burn
-//     with no straggler standing out — diffuse overload).
+//     residency) and fleet-burn (aggregate SLO burn with no straggler
+//     standing out — diffuse overload).
 //   - -alloc reads `go test -bench -benchmem` text output; with
 //     -alloc-baseline each benchmark's allocs/op and B/op are gated against
 //     the committed reference (make bench-alloc), with -write-alloc-baseline
@@ -130,6 +129,9 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 			return nil, err
 		}
 		frep := doctor.AnalyzeFleet(rollups)
+		if *journalPath == "" && *url == "" {
+			rep.Frames = frep.Frames
+		}
 		rep.Checks = append(rep.Checks, frep.Checks...)
 		rep.Findings = append(rep.Findings, frep.Findings...)
 	}
@@ -178,7 +180,7 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 }
 
 func printReport(w io.Writer, rep *doctor.Report) {
-	fmt.Fprintf(w, "divedoctor: %d journal frames, checks: %v\n", rep.Frames, rep.Checks)
+	fmt.Fprintf(w, "divedoctor: %d records, checks: %v\n", rep.Frames, rep.Checks)
 	if rep.Healthy() {
 		fmt.Fprintln(w, "diagnosis: healthy — no findings")
 		return

@@ -59,7 +59,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "divefleet:", err)
 		os.Exit(2)
 	}
-	if len(rep.Final.Stragglers) > 0 || rep.Final.FleetBurn > 1 {
+	if f := rep.Final(); len(f.Stragglers) > 0 || f.FleetBurn > 1 {
 		os.Exit(1)
 	}
 }
@@ -158,7 +158,7 @@ func run(args []string, stdout io.Writer) (*fleet.Report, error) {
 }
 
 func printReport(w io.Writer, rep *fleet.Report) {
-	f := rep.Final
+	f := rep.Final()
 	where := fmt.Sprintf("%d server(s)", rep.Spec.Servers)
 	if rep.Spec.Cluster > 0 {
 		where = fmt.Sprintf("a %d-member cluster", rep.Spec.Cluster)

@@ -28,8 +28,8 @@ func TestRunDeterministicOutput(t *testing.T) {
 	if err := json.Unmarshal(out1.Bytes(), &rep); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}
-	if rep.Final.Sessions != 30 || rep.Final.FramesTotal == 0 {
-		t.Fatalf("final rollup %+v, want 30 sessions with frames", rep.Final)
+	if f := rep.Final(); f.Sessions != 30 || f.FramesTotal == 0 {
+		t.Fatalf("final rollup %+v, want 30 sessions with frames", f)
 	}
 }
 
@@ -41,8 +41,8 @@ func TestRunStragglerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Final.Stragglers) != 1 || rep.Final.Stragglers[0].Session != "RobotCar-004" {
-		t.Fatalf("straggler table %+v, want exactly RobotCar-004", rep.Final.Stragglers)
+	if s := rep.Final().Stragglers; len(s) != 1 || s[0].Session != "RobotCar-004" {
+		t.Fatalf("straggler table %+v, want exactly RobotCar-004", s)
 	}
 	text := out.String()
 	for _, want := range []string{"stragglers", "RobotCar-004", "per-profile"} {

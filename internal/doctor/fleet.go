@@ -16,7 +16,6 @@ import (
 func NewFleetDetectors() []Detector[obs.FleetRollup] {
 	return []Detector[obs.FleetRollup]{
 		&stragglerSessionDetector{streaks: make(map[string]*stragglerStreak)},
-		&noisyNeighborDetector{},
 		&fleetBurnDetector{},
 	}
 }
@@ -79,79 +78,6 @@ func (d *stragglerSessionDetector) Observe(ru obs.FleetRollup) []Finding {
 
 func (d *stragglerSessionDetector) Flush() []Finding {
 	d.streaks = make(map[string]*stragglerStreak)
-	return nil
-}
-
-// noisyNeighborDetector watches per-session resource cost as the fleet
-// grows: live heap per session and GC pause p99 should stay roughly flat
-// when sessions scale. Against the first runtime-bearing rollup as
-// baseline, once the session count has grown by noisySessionGrowth×, heap
-// per session or GC pause p99 exceeding noisyGrowthRatio× the baseline
-// means co-tenants are amplifying each other's cost — superlinear pressure,
-// the noisy-neighbor signature. Runtime-less rollup series (deterministic
-// model runs) never fire this check.
-type noisyNeighborDetector struct {
-	baseSessions int
-	baseHeapPer  float64
-	baseGCPause  float64
-	heapReported bool
-	gcReported   bool
-}
-
-const (
-	noisySessionGrowth = 1.5
-	noisyGrowthRatio   = 2.0
-)
-
-func (d *noisyNeighborDetector) Name() string { return "noisy-neighbor" }
-
-func (d *noisyNeighborDetector) Observe(ru obs.FleetRollup) []Finding {
-	if ru.Runtime == nil || ru.Sessions == 0 {
-		return nil
-	}
-	heapPer := float64(ru.Runtime.HeapLiveBytes) / float64(ru.Sessions)
-	if d.baseSessions == 0 {
-		d.baseSessions = ru.Sessions
-		d.baseHeapPer = heapPer
-		d.baseGCPause = ru.Runtime.GCPauseP99Sec
-		return nil
-	}
-	growth := float64(ru.Sessions) / float64(d.baseSessions)
-	if growth < noisySessionGrowth {
-		return nil
-	}
-	var out []Finding
-	if !d.heapReported && d.baseHeapPer > 0 {
-		if ratio := heapPer / d.baseHeapPer; ratio > noisyGrowthRatio {
-			d.heapReported = true
-			out = append(out, Finding{
-				Check: d.Name(), Severity: Warn,
-				FirstFrame: 0, LastFrame: ru.Tick,
-				Value: ratio, Threshold: noisyGrowthRatio,
-				Message: fmt.Sprintf(
-					"live heap per session grew %.1f× while the fleet grew %d→%d sessions: per-session memory cost is superlinear in fleet size",
-					ratio, d.baseSessions, ru.Sessions),
-			})
-		}
-	}
-	if !d.gcReported && d.baseGCPause > 0 {
-		if ratio := ru.Runtime.GCPauseP99Sec / d.baseGCPause; ratio > noisyGrowthRatio {
-			d.gcReported = true
-			out = append(out, Finding{
-				Check: d.Name(), Severity: Warn,
-				FirstFrame: 0, LastFrame: ru.Tick,
-				Value: ratio, Threshold: noisyGrowthRatio,
-				Message: fmt.Sprintf(
-					"GC pause p99 grew %.1f× (to %.1f ms) while the fleet grew %d→%d sessions: collection pressure is superlinear in fleet size",
-					ratio, ru.Runtime.GCPauseP99Sec*1000, d.baseSessions, ru.Sessions),
-			})
-		}
-	}
-	return out
-}
-
-func (d *noisyNeighborDetector) Flush() []Finding {
-	*d = noisyNeighborDetector{}
 	return nil
 }
 

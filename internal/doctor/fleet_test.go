@@ -88,41 +88,3 @@ func TestFleetBurnDetector(t *testing.T) {
 		}
 	}
 }
-
-// TestNoisyNeighborDetector grows the fleet 10→30 sessions with per-session
-// heap tripling — superlinear — and checks linear growth stays quiet.
-func TestNoisyNeighborDetector(t *testing.T) {
-	super := rollupSeries(6, func(tick int, ru *obs.FleetRollup) {
-		ru.Sessions = 10 * (tick + 1)
-		// Heap per session grows with fleet size: 1MB/session at baseline,
-		// tick k costs (k+1)MB/session.
-		ru.Runtime = &obs.RuntimeRollup{
-			HeapLiveBytes: uint64(ru.Sessions) * uint64(tick+1) << 20,
-			GCPauseP99Sec: 0.001,
-		}
-	})
-	rep := AnalyzeFleet(super)
-	var heap []Finding
-	for _, f := range rep.Findings {
-		if f.Check == "noisy-neighbor" {
-			heap = append(heap, f)
-		}
-	}
-	if len(heap) != 1 {
-		t.Fatalf("noisy-neighbor findings = %+v, want exactly 1 (heap only)", heap)
-	}
-	if heap[0].Severity != Warn || heap[0].Value <= 2 {
-		t.Errorf("finding = %+v, want Warn with ratio > 2", heap[0])
-	}
-
-	linear := rollupSeries(6, func(tick int, ru *obs.FleetRollup) {
-		ru.Sessions = 10 * (tick + 1)
-		ru.Runtime = &obs.RuntimeRollup{
-			HeapLiveBytes: uint64(ru.Sessions) << 20, // flat 1MB/session
-			GCPauseP99Sec: 0.001,
-		}
-	})
-	if rep := AnalyzeFleet(linear); !rep.Healthy() {
-		t.Fatalf("linear growth diagnosed noisy: %+v", rep.Findings)
-	}
-}

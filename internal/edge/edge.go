@@ -29,6 +29,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dive/internal/codec"
@@ -154,11 +155,13 @@ type Server struct {
 	WriteTimeout time.Duration
 	detector     *detect.Detector
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]*connState
-	draining bool
-	wg       sync.WaitGroup
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[net.Conn]*connState
+	wg    sync.WaitGroup
+	// drainBy is the drain deadline in Unix nanoseconds, set by Shutdown or
+	// Kill (now) and 0 before either: no read deadline is armed past it.
+	drainBy atomic.Int64
 
 	clipMu    sync.Mutex
 	clips     map[clipKey]*clipEntry
@@ -249,7 +252,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	}
 	s.mu.Lock()
 	s.ln = ln
-	s.draining = false
+	s.drainBy.Store(0)
 	if s.conns == nil {
 		s.conns = make(map[net.Conn]*connState)
 	}
@@ -257,7 +260,7 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Serve accepts sessions until Close or Shutdown. Each connection is handled
+// Serve accepts sessions until Shutdown or Kill. Each connection is handled
 // on its own goroutine; Serve returns after the listener closes and all
 // handlers exit.
 func (s *Server) Serve() error {
@@ -277,7 +280,7 @@ func (s *Server) Serve() error {
 			return err
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.Draining() {
 			s.mu.Unlock()
 			conn.Close()
 			continue
@@ -300,24 +303,13 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Close stops the listener immediately; active sessions are left to finish
-// on their own. Use Shutdown for a graceful drain.
-func (s *Server) Close() error {
+// stop sets the drain deadline, refuses new sessions, closes the listener
+// and returns the live connections. The deadline is stored before the
+// connections are listed: a handler whose armRead missed it is on the list,
+// and the caller re-arms (Shutdown) or closes (Kill) it after that set.
+func (s *Server) stop(drainBy time.Time) ([]net.Conn, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	err := s.ln.Close()
-	s.ln = nil
-	return err
-}
-
-// stop refuses new sessions, closes the listener and returns the live
-// connections.
-func (s *Server) stop() ([]net.Conn, error) {
-	s.mu.Lock()
-	s.draining = true
+	s.drainBy.Store(drainBy.UnixNano())
 	ln := s.ln
 	s.ln = nil
 	conns := make([]net.Conn, 0, len(s.conns))
@@ -335,10 +327,10 @@ func (s *Server) stop() ([]net.Conn, error) {
 // handlers finish their in-flight frame and exit cleanly within grace, then
 // force-closes whatever remains. Always returns after at most ~grace.
 func (s *Server) Shutdown(grace time.Duration) error {
-	conns, err := s.stop()
 	// Wake blocked readers: their next read fails after the deadline, and
-	// the handler exits cleanly because draining is set.
+	// the handler exits cleanly because the server is draining.
 	deadline := time.Now().Add(grace)
+	conns, err := s.stop(deadline)
 	for _, conn := range conns {
 		conn.SetReadDeadline(deadline)
 	}
@@ -358,12 +350,8 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	return err
 }
 
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+// Draining reports whether Shutdown or Kill has begun.
+func (s *Server) Draining() bool { return s.drainBy.Load() != 0 }
 
 // SessionCount returns the number of active connections.
 func (s *Server) SessionCount() int {
@@ -403,11 +391,22 @@ func (s *Server) RedirectSessions(target, reason string) int {
 // are closed with no drain and no redirect — the chaos "member died"
 // primitive. Safe to call more than once.
 func (s *Server) Kill() {
-	conns, _ := s.stop()
+	conns, _ := s.stop(time.Now())
 	for _, conn := range conns {
 		conn.Close()
 	}
 	s.wg.Wait()
+}
+
+// armRead sets conn's deadline for the next read: readTimeout from now, but
+// never past the drain deadline. It loads drainBy after the set (see stop);
+// before a drain that costs one atomic load.
+func (s *Server) armRead(conn net.Conn) {
+	d := time.Now().Add(s.readTimeout())
+	conn.SetReadDeadline(d)
+	if by := s.drainBy.Load(); by != 0 && by < d.UnixNano() {
+		conn.SetReadDeadline(time.Unix(0, by))
+	}
 }
 
 // isTimeout reports whether err is a deadline expiry.
@@ -447,7 +446,7 @@ func (s *Server) handshake(st *connState, mr *MsgReader) (*session, *sessionMetr
 		WriteResult(st, &ResultMsg{Index: -1, Err: msg})
 		return nil, nil, fmt.Errorf("edge: handshake rejected: %s", msg)
 	}
-	st.conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+	s.armRead(st.conn)
 	typ, payload, err := mr.Next()
 	if err != nil {
 		return nil, nil, fmt.Errorf("edge: handshake: %w", err)
@@ -515,7 +514,7 @@ func (s *Server) handle(st *connState) error {
 		return err
 	}
 	for {
-		st.conn.SetReadDeadline(time.Now().Add(s.readTimeout()))
+		s.armRead(st.conn)
 		typ, payload, rerr := mr.Next()
 		if err := s.serveFrame(st, ss, m, typ, payload, rerr); err != nil {
 			return err

@@ -42,7 +42,7 @@ func startServer(t *testing.T, srv *Server) (string, func()) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve() }()
 	return addr.String(), func() {
-		srv.Close()
+		srv.Kill()
 		select {
 		case err := <-done:
 			if err != nil {
@@ -338,9 +338,7 @@ func TestServeBeforeListen(t *testing.T) {
 	if err := srv.Serve(); err == nil {
 		t.Error("Serve before Listen should fail")
 	}
-	if err := srv.Close(); err != nil {
-		t.Errorf("Close on unbound server: %v", err)
-	}
+	srv.Kill() // stopping an unbound server is a no-op
 }
 
 // TestGracefulShutdown verifies Shutdown lets an in-flight session finish
@@ -368,7 +366,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	shutdownDone := make(chan error, 1)
-	go func() { shutdownDone <- srv.Shutdown(3 * time.Second) }()
+	go func() { shutdownDone <- srv.Shutdown(300 * time.Millisecond) }()
 
 	select {
 	case err := <-shutdownDone:
@@ -394,6 +392,70 @@ func TestGracefulShutdown(t *testing.T) {
 			t.Error("server accepted a session after Shutdown")
 		}
 		c2.Close()
+	}
+}
+
+// TestShutdownDrainsStreamingSession streams frames as fast as the server
+// answers them while Shutdown runs: the per-read deadline must not outlive
+// the drain deadline, so the session ends by the drain path (a clean exit,
+// nothing logged) before grace, not by the force-close that follows it.
+func TestShutdownDrainsStreamingSession(t *testing.T) {
+	srv := NewServer()
+	var mu sync.Mutex
+	var sessionErrs []string
+	srv.Logf = func(format string, args ...interface{}) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "session error") {
+			mu.Lock()
+			sessionErrs = append(sessionErrs, line)
+			mu.Unlock()
+		}
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+
+	conn, mr := testSession(t, addr.String(), Hello{Profile: "nuScenes", Seed: 31, Duration: 0.5})
+	defer conn.Close()
+	// An out-of-range index costs the server no decode and keeps the
+	// session open: each one is read, answered and counted.
+	frame := &FrameMsg{Index: 1 << 20, Bitstream: []byte{1}}
+	if err := WriteFrame(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	if res := readResult(t, conn, mr); res.Err == "" {
+		t.Fatal("out-of-range frame answered without an error")
+	}
+	streamed := make(chan int, 1)
+	go func() {
+		n := 0
+		for ; WriteFrame(conn, frame) == nil; n++ {
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, _, err := mr.Next(); err != nil {
+				break
+			}
+		}
+		streamed <- n
+	}()
+
+	const grace = 200 * time.Millisecond
+	start := time.Now()
+	if err := srv.Shutdown(grace); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	took := time.Since(start)
+	if n := <-streamed; n < 2 {
+		t.Fatalf("client streamed %d frames, want a stream running into the drain", n)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("Serve after Shutdown: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(sessionErrs) > 0 || took >= grace+500*time.Millisecond {
+		t.Errorf("streaming session outlived the drain: Shutdown took %v (grace %v), logged %q", took, grace, sessionErrs)
 	}
 }
 
@@ -529,11 +591,11 @@ func TestLogfAndClosedDetection(t *testing.T) {
 	conn.Write([]byte{0xde, 0xad})
 	conn.Close()
 	time.Sleep(50 * time.Millisecond)
-	srv.Close()
+	srv.Kill()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Errorf("Serve after Close: %v", err)
+			t.Errorf("Serve after Kill: %v", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return")

@@ -94,18 +94,20 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// Report is the machine-readable outcome of a fleet run: the effective spec,
-// every rollup in order, and the final rollup repeated for direct access.
-// A model run collects no runtime stats, so its report contains no
-// wall-clock-derived fields and identical specs serialize byte-identically.
+// Report is the machine-readable outcome of a fleet run: the effective spec
+// and every rollup in order. A model report contains no wall-clock-derived
+// field, so identical specs serialize byte-identically.
 type Report struct {
 	Spec    Spec              `json:"spec"`
 	Rollups []obs.FleetRollup `json:"rollups"`
-	Final   obs.FleetRollup   `json:"final"`
 	// Live carries live-mode extras (migration accounting); nil on model
 	// reports.
 	Live *LiveSummary `json:"live,omitempty"`
 }
+
+// Final is the last rollup: the fleet picture at the end of the run. Run
+// and RunLive always produce at least one.
+func (r *Report) Final() obs.FleetRollup { return r.Rollups[len(r.Rollups)-1] }
 
 // Run executes the deterministic virtual-time fleet simulation.
 func Run(spec Spec) (*Report, error) {
@@ -114,7 +116,7 @@ func Run(spec Spec) (*Report, error) {
 		return nil, err
 	}
 
-	agg := obs.NewFleetAggregator(obs.FleetConfig{})
+	agg := obs.NewFleetAggregator()
 	servers := make([]*modelServer, spec.Servers)
 	for i := range servers {
 		servers[i] = newModelServer(spec, i)
@@ -145,9 +147,6 @@ func Run(spec Spec) (*Report, error) {
 			srv.endTick(rollupEverySec)
 		}
 		report.Rollups = append(report.Rollups, agg.Rollup(tEnd))
-	}
-	if n := len(report.Rollups); n > 0 {
-		report.Final = report.Rollups[n-1]
 	}
 	return report, nil
 }

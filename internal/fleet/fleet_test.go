@@ -59,7 +59,7 @@ func TestRunStragglerPathology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := report.Final
+	final := report.Final()
 	if final.Sessions != 30 {
 		t.Fatalf("final rollup sessions = %d, want 30", final.Sessions)
 	}
@@ -88,8 +88,8 @@ func TestRunStragglerPathology(t *testing.T) {
 }
 
 // TestRunServerContention piles the same fleet onto one server vs. many and
-// asserts the single-server run's latency tail is strictly worse — the
-// cross-session contention signal the noisy-neighbor detector keys on.
+// asserts the single-server run's latency tail is strictly worse: the
+// model's per-server contention feedback reaches the merged fleet p99.
 func TestRunServerContention(t *testing.T) {
 	packed, err := Run(Spec{Agents: 200, Servers: 1, Duration: 10, Seed: 5, ServerCores: 4})
 	if err != nil {
@@ -99,9 +99,9 @@ func TestRunServerContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if packed.Final.LatencyP99Sec <= spread.Final.LatencyP99Sec {
+	if packed.Final().LatencyP99Sec <= spread.Final().LatencyP99Sec {
 		t.Fatalf("packed fleet p99 %.3fs not worse than spread fleet p99 %.3fs",
-			packed.Final.LatencyP99Sec, spread.Final.LatencyP99Sec)
+			packed.Final().LatencyP99Sec, spread.Final().LatencyP99Sec)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestRunLiveSmoke(t *testing.T) {
 			t.Errorf("session %d: %v", i, e)
 		}
 	}
-	final := report.Final
+	final := report.Final()
 	if final.Sessions != 3 {
 		t.Fatalf("final rollup sessions = %d, want 3", final.Sessions)
 	}
@@ -145,9 +145,6 @@ func TestRunLiveSmoke(t *testing.T) {
 	}
 	if len(final.PerProfile) != 3 {
 		t.Fatalf("per-profile rollups = %+v, want 3 profiles", final.PerProfile)
-	}
-	if final.Runtime == nil || final.Runtime.Goroutines == 0 {
-		t.Fatalf("runtime rollup missing: %+v", final.Runtime)
 	}
 }
 
@@ -184,7 +181,7 @@ func TestRunLiveClusterKill(t *testing.T) {
 		t.Errorf("max migration gap %.3fs outside (0, 2.0]", gap)
 	}
 
-	final := report.Final
+	final := report.Final()
 	if len(final.PerServer) != 3 {
 		t.Fatalf("per-server rollups = %+v, want 3 members", final.PerServer)
 	}

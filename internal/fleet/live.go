@@ -75,7 +75,7 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 		logf = func(string, ...interface{}) {}
 	}
 
-	agg := obs.NewFleetAggregator(obs.FleetConfig{CollectRuntime: true})
+	agg := obs.NewFleetAggregator()
 
 	// Servers: either a health-routed cluster or bare servers.
 	var cleanup []func()
@@ -163,11 +163,9 @@ func RunLive(spec LiveSpec) (*Report, []error, error) {
 			ccfg.Addrs = rot
 			ccfg.OnMigrate = func(from, to string, forced bool) {
 				agg.NoteMigration(addrToName[from], addrToName[to])
-				agg.SetSessionServer(sess, addrToName[to])
 				logf("fleet: session %s migrated %s -> %s (forced=%v)",
 					sess, addrToName[from], addrToName[to], forced)
 			}
-			agg.SetSessionServer(sess, addrToName[rot[0]])
 		} else {
 			ccfg.Addr = addrs[i%len(addrs)]
 		}
@@ -259,8 +257,7 @@ loop:
 		}
 	}
 	pollServers()
-	report.Final = agg.Rollup(time.Since(start).Seconds())
-	report.Rollups = append(report.Rollups, report.Final)
+	report.Rollups = append(report.Rollups, agg.Rollup(time.Since(start).Seconds()))
 
 	live := &LiveSummary{}
 	for i := range sessions {
@@ -272,7 +269,6 @@ loop:
 			live.MaxMigrationGapSec = st.MaxMigrationGapSec
 		}
 		if errs[i] != nil {
-			live.SessionErrors++
 			logf("session %d: %v", i, errs[i])
 		}
 	}
@@ -313,6 +309,4 @@ type LiveSummary struct {
 	Redirects        int `json:"redirects"`
 	// MaxMigrationGapSec is the worst re-detection gap any session paid.
 	MaxMigrationGapSec float64 `json:"max_migration_gap_sec"`
-	// SessionErrors counts sessions whose run returned an error.
-	SessionErrors int `json:"session_errors"`
 }

@@ -19,10 +19,10 @@ import (
 // noisy P-frame floor), bandwidth comes from the per-agent chaos/fading
 // trace, and the server's contention factor is a feedback loop on last
 // tick's utilization — pile enough sessions on one server and every
-// co-tenant's latency inflates, which is exactly the cross-session signal
-// the noisy-neighbor detector needs. Frames inside a scripted outage window
-// are covered by local MOT: they observe no latency and mark Outage in the
-// SLO window, matching the real client's ack-timeout path.
+// co-tenant's latency inflates, lifting the fleet's merged latency tail
+// (TestRunServerContention). Frames inside a scripted outage window are
+// covered by local MOT: they observe no latency and mark Outage in the SLO
+// window, matching the real client's ack-timeout path.
 
 const (
 	// modelPropagationSec is the fixed one-way network delay.

@@ -17,16 +17,7 @@ import (
 // straggler table of sessions whose p99 or burn rate stands k× above the
 // fleet median. Rollup returns each fold to its caller, which keeps the
 // series (fleet.Report.Rollups) the fleet doctor detectors
-// (straggler-session, noisy-neighbor, fleet-burn) diagnose.
-
-// FleetConfig holds the one aggregator setting some binary sets. The zero
-// value is usable.
-type FleetConfig struct {
-	// CollectRuntime attaches process runtime stats (heap, GC pause,
-	// goroutines) to each rollup — wall-clock-dependent, so deterministic
-	// report modes leave it off.
-	CollectRuntime bool
-}
+// (straggler-session, fleet-burn) diagnose.
 
 // What a rollup folds and how it judges stragglers. A session's frames,
 // bytes and end-to-end latency are its MetricFrames / MetricBytes counters
@@ -49,10 +40,7 @@ const (
 type Straggler struct {
 	Session string `json:"session"`
 	Profile string `json:"profile,omitempty"`
-	// Server is the cluster member currently serving the session (set via
-	// SetSessionServer), so a straggler is attributable to a member.
-	Server string `json:"server,omitempty"`
-	Frames int    `json:"frames"`
+	Frames  int    `json:"frames"`
 	// LatencyP99Sec/BurnRate are the session's own window values.
 	LatencyP99Sec float64 `json:"latency_p99_sec"`
 	BurnRate      float64 `json:"burn_rate"`
@@ -67,32 +55,17 @@ type ProfileRollup struct {
 	Profile       string  `json:"profile"`
 	Sessions      int     `json:"sessions"`
 	FramesTotal   int64   `json:"frames_total"`
-	BytesTotal    int64   `json:"bytes_total"`
-	LatencyP50Sec float64 `json:"latency_p50_sec"`
-	LatencyP95Sec float64 `json:"latency_p95_sec"`
 	LatencyP99Sec float64 `json:"latency_p99_sec"`
 	MeanBurn      float64 `json:"mean_burn"`
 	Unhealthy     int     `json:"unhealthy"`
-}
-
-// RuntimeRollup is the process runtime slice attached to rollups when
-// FleetConfig.CollectRuntime is set (wall-clock-dependent; omitted from
-// deterministic reports).
-type RuntimeRollup struct {
-	HeapLiveBytes uint64  `json:"heap_live_bytes"`
-	GCPauseP99Sec float64 `json:"gc_pause_p99_sec"`
-	Goroutines    int     `json:"goroutines"`
 }
 
 // FleetRollup is one periodic fold of every session's telemetry into the
 // fleet picture — one element of a fleet report's rollup series and the
 // input of the fleet doctor detectors.
 type FleetRollup struct {
-	// Tick is the rollup sequence number (0-based); SimTimeSec is the
-	// caller-supplied clock (virtual time in the simulator, seconds since
-	// start on a live server).
-	Tick       int     `json:"tick"`
-	SimTimeSec float64 `json:"sim_time_sec"`
+	// Tick is the rollup sequence number (0-based).
+	Tick int `json:"tick"`
 
 	Sessions    int   `json:"sessions"`
 	FramesTotal int64 `json:"frames_total"`
@@ -114,16 +87,13 @@ type FleetRollup struct {
 	Unhealthy  int     `json:"unhealthy_sessions"`
 	OutageFrac float64 `json:"outage_frac"`
 
-	// MedianP99Sec/MedianBurn are the per-session medians the straggler
-	// factors are measured against.
+	// MedianP99Sec is the per-session median p99 the latency straggler
+	// factor is measured against.
 	MedianP99Sec float64 `json:"median_p99_sec"`
-	MedianBurn   float64 `json:"median_burn"`
 
 	PerProfile []ProfileRollup `json:"per_profile,omitempty"`
 	PerServer  []ServerRollup  `json:"per_server,omitempty"`
 	Stragglers []Straggler     `json:"stragglers,omitempty"`
-
-	Runtime *RuntimeRollup `json:"runtime,omitempty"`
 }
 
 // ServerRollup is one cluster member's row in a rollup: how many sessions it
@@ -149,16 +119,13 @@ type ServerRollup struct {
 type sessionSource struct {
 	name    string
 	profile string
-	server  string
 	rec     *Recorder
 }
 
 // FleetAggregator folds per-session recorders into FleetRollups. All methods
 // are safe for concurrent use; Register may race with Rollup (a rollup sees a
-// point-in-time membership). A nil aggregator is a no-op.
+// point-in-time membership).
 type FleetAggregator struct {
-	cfg FleetConfig
-
 	mu       sync.Mutex
 	sessions map[string]*sessionSource
 	tick     int
@@ -180,34 +147,19 @@ type serverStat struct {
 	migOut   int64
 }
 
-// NewFleetAggregator builds an aggregator with cfg (zero value for
-// defaults).
-func NewFleetAggregator(cfg FleetConfig) *FleetAggregator {
-	return &FleetAggregator{cfg: cfg, sessions: make(map[string]*sessionSource)}
+// NewFleetAggregator builds an empty aggregator.
+func NewFleetAggregator() *FleetAggregator {
+	return &FleetAggregator{sessions: make(map[string]*sessionSource)}
 }
 
 // Register adds (or replaces) a session's telemetry source. profile groups
 // the session in per-profile rollups; rec must outlive the registration.
 func (a *FleetAggregator) Register(name, profile string, rec *Recorder) {
-	if a == nil || rec == nil {
+	if rec == nil {
 		return
 	}
 	a.mu.Lock()
 	a.sessions[name] = &sessionSource{name: name, profile: profile, rec: rec}
-	a.mu.Unlock()
-}
-
-// SetSessionServer labels a registered session with the cluster member
-// currently serving it, so straggler rows carry member attribution. Safe to
-// call on every migration; unknown sessions are ignored.
-func (a *FleetAggregator) SetSessionServer(session, server string) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if src := a.sessions[session]; src != nil {
-		src.server = server
-	}
 	a.mu.Unlock()
 }
 
@@ -234,7 +186,7 @@ func (a *FleetAggregator) serverStatFor(name string) *serverStat {
 // state, current session count and the age of its last successful heartbeat.
 // Call once per member per rollup period.
 func (a *FleetAggregator) ObserveServer(name, state string, sessions int, hbAgeSec float64) {
-	if a == nil || name == "" {
+	if name == "" {
 		return
 	}
 	a.serverMu.Lock()
@@ -246,9 +198,6 @@ func (a *FleetAggregator) ObserveServer(name, state string, sessions int, hbAgeS
 // NoteMigration attributes one completed session handoff: out of from, into
 // to. Either side may be empty (unknown member).
 func (a *FleetAggregator) NoteMigration(from, to string) {
-	if a == nil {
-		return
-	}
 	a.serverMu.Lock()
 	if from != "" {
 		a.serverStatFor(from).migOut++
@@ -284,20 +233,14 @@ func (a *FleetAggregator) serverRollups() []ServerRollup {
 	return out
 }
 
-// Rollup folds every registered session into one FleetRollup stamped with
-// the caller's clock.
+// Rollup folds every registered session into one FleetRollup at the
+// caller's clock (virtual seconds in the model, seconds since start live),
+// which paces FramesPerSec.
 func (a *FleetAggregator) Rollup(simTimeSec float64) FleetRollup {
-	if a == nil {
-		return FleetRollup{}
-	}
 	a.mu.Lock()
 	sources := make([]*sessionSource, 0, len(a.sessions))
-	sessServer := make(map[string]string, len(a.sessions))
 	for _, s := range a.sessions {
 		sources = append(sources, s)
-		if s.server != "" {
-			sessServer[s.name] = s.server
-		}
 	}
 	tick := a.tick
 	a.tick++
@@ -305,7 +248,7 @@ func (a *FleetAggregator) Rollup(simTimeSec float64) FleetRollup {
 	a.mu.Unlock()
 	sort.Slice(sources, func(i, j int) bool { return sources[i].name < sources[j].name })
 
-	ru := a.fold(tick, simTimeSec, lastT, lastN, sources, sessServer)
+	ru := fold(tick, simTimeSec, lastT, lastN, sources)
 	ru.PerServer = a.serverRollups()
 
 	a.mu.Lock()
@@ -318,7 +261,6 @@ func (a *FleetAggregator) Rollup(simTimeSec float64) FleetRollup {
 type profileAcc struct {
 	sessions  int
 	frames    int64
-	bytes     int64
 	lat       *Histogram
 	burnSum   float64
 	burnN     int
@@ -327,8 +269,8 @@ type profileAcc struct {
 
 // fold computes the rollup over a fixed source list (no aggregator locks
 // held — sources' own registries do their internal locking).
-func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, sources []*sessionSource, sessServer map[string]string) FleetRollup {
-	ru := FleetRollup{Tick: tick, SimTimeSec: simTime, Sessions: len(sources)}
+func fold(tick int, simTime, lastT float64, lastN int64, sources []*sessionSource) FleetRollup {
+	ru := FleetRollup{Tick: tick, Sessions: len(sources)}
 	fleetLat := NewHistogram(DefaultDurationBuckets)
 	profiles := make(map[string]*profileAcc)
 
@@ -355,7 +297,6 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 		}
 		pa.sessions++
 		pa.frames += frames
-		pa.bytes += bytes
 		_ = pa.lat.Merge(lat)
 
 		st, ok := src.rec.SLO().SessionStatus(src.name)
@@ -405,7 +346,7 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 		burns = append(burns, s.st.BurnRate)
 	}
 	ru.MedianP99Sec = geom.Median(p99s)
-	ru.MedianBurn = geom.Median(burns)
+	medianBurn := geom.Median(burns)
 	for _, s := range stats {
 		if s.st.Frames < fleetMinSessionFrames {
 			continue
@@ -418,14 +359,13 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 		}
 		// Burn factors are measured against max(median, 1): a fleet burning
 		// near zero should not mark a session at burn 0.1 a straggler.
-		if f := s.st.BurnRate / math.Max(ru.MedianBurn, 1); f > factor {
+		if f := s.st.BurnRate / math.Max(medianBurn, 1); f > factor {
 			factor, reason = f, "burn-rate"
 		}
 		if factor > FleetStragglerFactor {
 			ru.Stragglers = append(ru.Stragglers, Straggler{
 				Session:       s.src.name,
 				Profile:       s.src.profile,
-				Server:        sessServer[s.src.name],
 				Frames:        s.st.Frames,
 				LatencyP99Sec: s.st.LatencyP99Sec,
 				BurnRate:      s.st.BurnRate,
@@ -450,9 +390,6 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 			Profile:       name,
 			Sessions:      pa.sessions,
 			FramesTotal:   pa.frames,
-			BytesTotal:    pa.bytes,
-			LatencyP50Sec: pa.lat.Quantile(0.50),
-			LatencyP95Sec: pa.lat.Quantile(0.95),
 			LatencyP99Sec: pa.lat.Quantile(0.99),
 			Unhealthy:     pa.unhealthy,
 		}
@@ -460,15 +397,6 @@ func (a *FleetAggregator) fold(tick int, simTime, lastT float64, lastN int64, so
 			pr.MeanBurn = pa.burnSum / float64(pa.burnN)
 		}
 		ru.PerProfile = append(ru.PerProfile, pr)
-	}
-
-	if a.cfg.CollectRuntime {
-		st := CollectRuntimeStats()
-		ru.Runtime = &RuntimeRollup{
-			HeapLiveBytes: st.HeapLiveBytes,
-			GCPauseP99Sec: st.GCPauseP99Sec,
-			Goroutines:    st.Goroutines,
-		}
 	}
 	return ru
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // Go runtime visibility: a small, stable slice of runtime/metrics surfaced
-// as registry gauges, at /debug/runtime and in the fleet rollup. At fleet
-// scale the GC is a co-tenant of the encode path; these three numbers (live
-// heap, GC pause tail, goroutine count) are what divedoctor's gc-pressure
-// checks and the fleet's noisy-neighbor check read.
+// as registry gauges and at /debug/runtime. The GC is a co-tenant of the
+// encode path; its live heap and pause tail are what divedoctor -follow's
+// gc-pressure checks read.
 
 // runtimeSamples are the runtime/metrics keys we read. The GC pause
 // histogram moved from /gc/pauses:seconds to /sched/pauses/total/gc:seconds
