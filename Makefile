@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test experiments portable race vet bench bench-obs bench-smoke bench-alloc alloc-baseline benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
+.PHONY: all build test experiments portable race vet bench bench-obs bench-smoke benchmark benchmark-test chaos-smoke cluster-smoke doctor-live fleet-smoke fuzz-smoke loc clean
 
 all: build vet test
 
@@ -25,18 +25,20 @@ experiments:
 # quantizer, block transforms, deblocking filter and intra mode decision)
 # runs its Go body, against the same tests, decoder_golden.json and
 # agent_golden.json; internal/world's clip hashes and renderer oracle hold
-# the rendered pixels there too. Needs no 386 machine: a linux/amd64 kernel
-# runs 386 binaries.
+# the rendered pixels there too. mvfield, detect, obs and edge come along so
+# that every steady-state allocation test also holds on a 32-bit build.
+# Needs no 386 machine: a linux/amd64 kernel runs 386 binaries.
 portable:
-	GOARCH=386 $(GO) test ./internal/imgx/ ./internal/codec/ ./internal/core/ ./internal/world/
+	GOARCH=386 $(GO) test ./internal/imgx/ ./internal/codec/ ./internal/core/ ./internal/world/ ./internal/mvfield/ ./internal/detect/ ./internal/obs/ ./internal/edge/
 
-# Race-detector pass over the concurrency-bearing packages (the harness
-# fan-out and renderer bands, telemetry, transports, cluster) and the
-# single-goroutine agent packages they drive (codec, core, sim); doctor is
-# single-goroutine too, but its tests grade the journals of real sim.DiVE
-# runs, so it goes with sim.
+# Race-detector pass (the CI race step) over the concurrency-bearing
+# packages (the harness fan-out and renderer bands, telemetry, transports,
+# cluster) and the single-goroutine agent and server packages they drive
+# (codec, mvfield, core, detect, sim), so every allocation test not tagged
+# !race also runs here; doctor is single-goroutine too, but its tests grade
+# the journals of real sim.DiVE runs, so it goes with sim.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/imgx/... ./internal/codec/... ./internal/world/... ./internal/core/... ./internal/sim/...
+	$(GO) test -race ./internal/obs/... ./internal/doctor/... ./internal/netsim/... ./internal/edge/... ./internal/chaos/... ./internal/cluster/... ./internal/baselines/... ./internal/parallel/... ./internal/imgx/... ./internal/codec/... ./internal/mvfield/... ./internal/detect/... ./internal/world/... ./internal/core/... ./internal/sim/...
 
 # The second vet compiles the side of the GOARCH splits this machine does not
 # run (internal/imgx's kernels_other.go, the pure-Go row kernels, and
@@ -53,9 +55,9 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # Telemetry overhead benchmarks. The machine-independent half of "telemetry
-# off is free" — the nil-recorder paths allocate nothing — is gated by
-# bench-alloc; the wall-clock half (a disabled span stays within a few ns/op)
-# is read off this target.
+# off is free" — the nil-recorder paths allocate nothing — is held by
+# internal/obs's AllocsPerRun tests in make test; the wall-clock half (a
+# disabled span stays within a few ns/op) is read off this target.
 bench-obs:
 	$(GO) test -run xxx -bench . -benchtime 2s ./internal/obs/
 
@@ -69,48 +71,6 @@ bench-obs:
 bench-smoke:
 	$(GO) run ./cmd/divetrace -format journal -profile RobotCar -mbps 1 -duration 6 -o smoke.journal.jsonl
 	$(GO) run ./cmd/divedoctor -journal smoke.journal.jsonl -json
-
-# Allocation gate (the CI bench-alloc job): run the steady-state encode and
-# decode benchmarks, a forced I-frame's encode, the rate-control trial,
-# rate-control search, entropy-writer, entropy-reader and loop-filter
-# benchmarks, the agent's rotation and FOE estimates, the whole agent loop,
-# the detector on a session's scratch, its squared-error scoring of a frame
-# and of an object box (imgx.RegionMSE), the telemetry-off paths of
-# internal/obs, the server's wire paths and a whole server frame with
-# -benchmem and fail if allocs/op or B/op regressed past the committed
-# ci/alloc_baseline.json. The pooled encoder, the session decoder, a trial
-# pass, a whole search, the entropy writer and reader, the loop filter, the
-# detector, every nil-recorder instrumentation path (span, counter, trace,
-# labeled family, SLO — what each end-to-end number in BENCHMARK.json runs
-# with), the journal's O(1) amend-by-frame, reading a frame out of the
-# MsgReader's buffer, writing a result or a frame through a pooled envelope
-# and everything a session runs on one frame (step, decode, detect, reply)
-# are all pinned at 0 allocs/op, a forced I-frame's whole encode and both
-# ego-motion estimates on a warm scratch too, and a core.Agent frame
-# (ProcessFrame + TrackLocally + feedback) at the 13 objects it hands to its
-# caller; allocation counts are deterministic after warm-up, so this gate is
-# machine-independent (unlike wall-clock latency baselines).
-#
-# The per-frame rows (codec, core, mvfield, detect, imgx) run 20 iterations; the
-# rows of obs and edge run 2000 (most are nanosecond-scale), so that one
-# runtime background allocation landing inside the window (≈ 5.5 kB, seen
-# about one run in ten) rounds to ≤ 3 B/op instead of reading 275 B/op
-# against the 64 B floor.
-ALLOC_BENCH = EncodeSteadyState|EncodeIFrame|DecodeSteadyState|RCTrial|RCSearch|WriteCoeffs|ReadCoeffs|DeblockFrame|AgentProcessFrame|EstimateFOE|EstimateRotation|DetectInto|RegionMSE|SpanDisabled|CounterDisabled|TraceDisabled|LabeledCounterDisabled|LabeledHistogramDisabled|SLODisabled|JournalAmendFrameDense|WireFrameRead|WireResultWrite|WriteFrame|ServerFrame
-ALLOC_RUN = ( $(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 20x -benchmem ./internal/codec/ ./internal/core/ ./internal/mvfield/ ./internal/detect/ ./internal/imgx/ && \
-	$(GO) test -run xxx -bench '$(ALLOC_BENCH)' -benchtime 2000x -benchmem ./internal/obs/ ./internal/edge/ ) | tee bench_alloc.txt
-bench-alloc:
-	$(ALLOC_RUN)
-	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -alloc-baseline ci/alloc_baseline.json -json
-
-# Regenerate the committed allocation baseline after an intentional change to
-# the steady-state encode, decode, rate-control or emission path, to what the
-# agent hands out per frame, to the detector, to the telemetry-off paths or to
-# the server's wire and frame paths, then commit
-# ci/alloc_baseline.json.
-alloc-baseline:
-	$(ALLOC_RUN)
-	$(GO) run ./cmd/divedoctor -alloc bench_alloc.txt -write-alloc-baseline ci/alloc_baseline.json
 
 # The repo benchmark (BENCHMARK.json): four closed-loop workloads — agent on
 # a clear and on a tight link, server replay, live lock-step — with nine
@@ -204,4 +164,4 @@ loc:
 
 clean:
 	$(GO) clean ./...
-	rm -f bench_results.json smoke.journal.jsonl bench_alloc.txt
+	rm -f bench_results.json smoke.journal.jsonl

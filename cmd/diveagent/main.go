@@ -40,6 +40,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -76,8 +77,19 @@ func run(args []string) error {
 		return err
 	}
 
-	if !(*duration > 0 && *duration <= world.MaxClipDuration) {
+	// A value the client would silently replace by a default, or that would
+	// break the run, fails by name before the clip renders.
+	switch {
+	case !(*duration > 0 && *duration <= world.MaxClipDuration):
 		return fmt.Errorf("-duration must be in (0, %d] seconds, got %g", world.MaxClipDuration, *duration)
+	case !(*rate >= 0) || math.IsInf(*rate, 1):
+		return fmt.Errorf("-rate must be finite and >= 0 (0 = unthrottled), got %g", *rate)
+	case *window < 1:
+		return fmt.Errorf("-window must be at least 1 (1 = lock-step), got %d", *window)
+	case *ackTimeout <= 0:
+		return fmt.Errorf("-ack-timeout must be positive, got %v", *ackTimeout)
+	case *maxReconnects < 1:
+		return fmt.Errorf("-max-reconnects must be at least 1, got %d", *maxReconnects)
 	}
 	wp, ok := world.ProfileByName(*profile)
 	if !ok {

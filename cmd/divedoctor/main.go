@@ -8,9 +8,7 @@
 // Usage:
 //
 //	divedoctor [-journal run.journal.jsonl] [-url http://localhost:7061]
-//	           [-fleet fleet.json] [-alloc bench_alloc.txt]
-//	           [-alloc-baseline ci/alloc_baseline.json]
-//	           [-write-alloc-baseline ci/alloc_baseline.json] [-json]
+//	           [-fleet fleet.json] [-json]
 //	divedoctor -follow -url http://localhost:7061 [-interval 500ms]
 //	           [-for 15s] [-outage-run 6]
 //
@@ -23,10 +21,6 @@
 //     the fleet detectors: straggler-session (sustained straggler-table
 //     residency) and fleet-burn (aggregate SLO burn with no straggler
 //     standing out — diffuse overload).
-//   - -alloc reads `go test -bench -benchmem` text output; with
-//     -alloc-baseline each benchmark's allocs/op and B/op are gated against
-//     the committed reference (make bench-alloc), with -write-alloc-baseline
-//     the measurements become the new committed baseline.
 //
 // Watch mode: -follow tails -url's /debug/journal while the run is still
 // going, feeding new records through the streaming detectors and printing
@@ -39,8 +33,10 @@
 // abort the watch) and counted in the exit summary; the watch only ends once
 // the endpoint stays unreachable for several consecutive polls. The newest 8
 // journal frames are held back so late amendments (acks, outage verdicts)
-// land before analysis. -interval is the poll period; -for bounds the watch
-// (0 follows until the endpoint disappears or the process is interrupted).
+// land before analysis. -interval is the poll period and must be positive;
+// -for bounds the watch (0 follows until the endpoint disappears or the
+// process is interrupted) and must not be negative. Both are rejected
+// without -follow.
 // The stream ends with a final flush over the tail and a summary on stderr;
 // stdout carries only finding JSONL.
 //
@@ -84,22 +80,31 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 	followFor := fs.Duration("for", 0, "stop following after this long (0 = until the endpoint disappears)")
 	outageRun := fs.Int("outage-run", 0, "override the outage-drift run-length threshold (0 = default; scenarios with short outage windows need a lower bar)")
 	fleetPath := fs.String("fleet", "", "divefleet -json report for the fleet detectors (- = stdin)")
-	allocPath := fs.String("alloc", "", "go test -bench -benchmem output for the allocation gate (- = stdin)")
-	allocBaselinePath := fs.String("alloc-baseline", "", "committed allocation baseline to compare -alloc against")
-	writeAllocBaseline := fs.String("write-alloc-baseline", "", "write the -alloc measurements as a new allocation baseline file and exit")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if *follow {
-		if *url == "" {
-			fs.Usage()
-			return nil, fmt.Errorf("-follow needs -url")
+	// Watch flags without -follow would be ignored, and an interval of zero
+	// or less would poll without sleeping: each fails by name.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"interval", "for"} {
+		if set[name] && !*follow {
+			return nil, fmt.Errorf("-%s only applies with -follow", name)
 		}
-		return followLive(*url, *interval, *followFor, *outageRun, w)
 	}
-	if *journalPath == "" && *url == "" && *allocPath == "" && *fleetPath == "" {
+	switch {
+	case *interval <= 0:
+		return nil, fmt.Errorf("-interval must be positive, got %v", *interval)
+	case *followFor < 0:
+		return nil, fmt.Errorf("-for must not be negative, got %v", *followFor)
+	case *follow && *url == "":
 		fs.Usage()
-		return nil, fmt.Errorf("nothing to analyze: pass -journal, -url, -fleet or -alloc")
+		return nil, fmt.Errorf("-follow needs -url")
+	case *follow:
+		return followLive(*url, *interval, *followFor, *outageRun, w)
+	case *journalPath == "" && *url == "" && *fleetPath == "":
+		fs.Usage()
+		return nil, fmt.Errorf("nothing to analyze: pass -journal, -url or -fleet")
 	}
 
 	// Each suite below is listed and run only when its input was supplied.
@@ -134,37 +139,6 @@ func run(args []string, w io.Writer) (*doctor.Report, error) {
 		}
 		rep.Checks = append(rep.Checks, frep.Checks...)
 		rep.Findings = append(rep.Findings, frep.Findings...)
-	}
-
-	if *allocPath != "" {
-		cur, err := readFile("bench output", *allocPath, doctor.ParseBenchOutput)
-		if err != nil {
-			return nil, err
-		}
-		if *writeAllocBaseline != "" {
-			b := doctor.NewAllocBaseline(cur)
-			if len(b.Benchmarks) == 0 {
-				return nil, fmt.Errorf("%s has no -benchmem benchmark lines", *allocPath)
-			}
-			f, err := os.Create(*writeAllocBaseline)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			if err := b.WriteAllocBaseline(f); err != nil {
-				return nil, err
-			}
-			fmt.Fprintf(w, "wrote alloc baseline %s (%d benchmarks)\n", *writeAllocBaseline, len(b.Benchmarks))
-			return rep, nil
-		}
-		if *allocBaselinePath != "" {
-			base, err := readFile("alloc baseline", *allocBaselinePath, doctor.ReadAllocBaseline)
-			if err != nil {
-				return nil, err
-			}
-			rep.Checks = append(rep.Checks, "alloc-regression")
-			rep.Findings = append(rep.Findings, doctor.CompareAlloc(cur, base)...)
-		}
 	}
 
 	if *asJSON {
@@ -316,31 +290,21 @@ done:
 // connection error.
 var errNotFound = errors.New("endpoint not found")
 
-func fetch(client *http.Client, url string) (io.ReadCloser, error) {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusNotFound {
-		resp.Body.Close()
-		return nil, fmt.Errorf("GET %s: %w", url, errNotFound)
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return resp.Body, nil
-}
-
 // fetchAs GETs url and parses the body; a parse error names the endpoint.
 func fetchAs[T any](client *http.Client, url string, parse func(io.Reader) (T, error)) (T, error) {
 	var zero T
-	body, err := fetch(client, url)
+	resp, err := client.Get(url)
 	if err != nil {
 		return zero, err
 	}
-	defer body.Close()
-	v, err := parse(body)
+	defer resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusNotFound:
+		return zero, fmt.Errorf("GET %s: %w", url, errNotFound)
+	case resp.StatusCode != http.StatusOK:
+		return zero, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	v, err := parse(resp.Body)
 	if err != nil {
 		return zero, fmt.Errorf("parse %s: %w", url, err)
 	}

@@ -153,46 +153,40 @@ func TestRunRejectsEmptyInvocation(t *testing.T) {
 	}
 }
 
-// TestRunAllocGate drives the -alloc/-alloc-baseline path end to end: write
-// a baseline from one bench output, then gate a regressed output against it.
-func TestRunAllocGate(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.txt")
-	bad := filepath.Join(dir, "bad.txt")
-	baseline := filepath.Join(dir, "alloc_baseline.json")
-	os.WriteFile(good, []byte(
-		"BenchmarkEncodeSteadyState-8 100 6000000 ns/op 0 B/op 0 allocs/op\n"), 0o644)
-	os.WriteFile(bad, []byte(
-		"BenchmarkEncodeSteadyState-8 100 6000000 ns/op 4096 B/op 7 allocs/op\n"), 0o644)
-
-	var out bytes.Buffer
-	if _, err := run([]string{"-alloc", good, "-write-alloc-baseline", baseline}, &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	rep, err := run([]string{"-alloc", good, "-alloc-baseline", baseline}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Healthy() {
-		t.Fatalf("clean bench output flagged: %s", out.String())
-	}
-	out.Reset()
-	rep, err = run([]string{"-alloc", bad, "-alloc-baseline", baseline}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Healthy() || !strings.Contains(out.String(), "alloc-regression") {
-		t.Fatalf("regressed bench output diagnosed healthy:\n%s", out.String())
+// TestRunRejectsRemovedFlags: GC pressure is diagnosed by -follow alone,
+// and allocations by the packages' AllocsPerRun tests: there is no
+// runtime-stats or bench-output file input.
+func TestRunRejectsRemovedFlags(t *testing.T) {
+	for _, name := range []string{"-runtime", "-alloc"} {
+		_, err := run([]string{name, "x"}, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: error %v, want flag provided but not defined", name, err)
+		}
 	}
 }
 
-// TestRunRejectsRemovedFlags: GC pressure is diagnosed by -follow alone;
-// there is no runtime-stats file input.
-func TestRunRejectsRemovedFlags(t *testing.T) {
-	_, err := run([]string{"-runtime", "runtime.jsonl"}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("-runtime: error %v, want flag provided but not defined", err)
+// TestRunRejectsBadWatchFlags: a watch flag without -follow, an interval
+// that would poll without sleeping and a negative bound fail by name before
+// anything is read.
+func TestRunRejectsBadWatchFlags(t *testing.T) {
+	path := writeJournal(t, oscillatingJournal())
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-journal", path, "-interval", "1s"}, "-interval"},
+		{[]string{"-journal", path, "-for", "1s"}, "-for"},
+		{[]string{"-follow", "-url", "http://127.0.0.1:1", "-interval", "0"}, "-interval"},
+		{[]string{"-follow", "-url", "http://127.0.0.1:1", "-interval", "-1s"}, "-interval"},
+		{[]string{"-follow", "-url", "http://127.0.0.1:1", "-for", "-1s"}, "-for"},
+	} {
+		var out bytes.Buffer
+		if _, err := run(tc.args, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want an error naming %s", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%v) wrote %q", tc.args, out.String())
+		}
 	}
 }
 

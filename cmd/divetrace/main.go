@@ -89,6 +89,10 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("-mbps must be positive and finite, got %g", *mbps)
 	case *chaosName != "" && set["mbps"]:
 		return fmt.Errorf("-mbps does not apply with -chaos (the scenario sets the link)")
+	case *pace < 0:
+		return fmt.Errorf("-pace must not be negative, got %v", *pace)
+	case *linger < 0:
+		return fmt.Errorf("-linger must not be negative, got %v", *linger)
 	}
 	write, ok := formats[*format]
 	if !ok {

@@ -41,13 +41,16 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 	// Flags that would be ignored (serve-only ones without -serve, -mbps
 	// with -chaos) or would crash or choke the run (a clip duration or link
-	// rate out of range) are rejected up front, by name.
+	// rate out of range, a negative pace or linger) are rejected up front,
+	// by name.
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"-pace", "1ms"}, "-pace"},
 		{[]string{"-linger", "1s"}, "-linger"},
+		{[]string{"-serve", "127.0.0.1:0", "-pace", "-1ms"}, "-pace"},
+		{[]string{"-serve", "127.0.0.1:0", "-linger", "-1s"}, "-linger"},
 		{[]string{"-chaos", "outage-burst", "-mbps", "2"}, "-mbps"},
 		{[]string{"-chaos", "bogus"}, "-chaos"},
 		{[]string{"-mbps", "0"}, "-mbps"},

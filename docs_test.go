@@ -59,21 +59,20 @@ type benchFile struct {
 			Parent      struct{ Median float64 } `json:"parent"`
 			Change      struct{ Median float64 } `json:"change"`
 			ChangeWins  int                      `json:"change_wins"`
+			PerPair     [][2]float64             `json:"per_pair"`
 			WithinBound *bool                    `json:"within_bound"`
 		} `json:"metrics"`
 	} `json:"workloads"`
 }
 
 // perfLedger renders one row per BENCH_<pr>.json, in PR order: the file's
-// claim, each BENCHMARK.json workload's fps change/parent median ratio with
-// the pairs the change won, and whether every end-to-end metric stayed
-// within its bound ("—" where a file does not say); then the product of the
-// fps ratios since the ledgerAnchorPR re-anchor.
+// claim, the claimed metric (claimedCell), each BENCHMARK.json workload's
+// fps change/parent median ratio with the pairs the change won, and whether
+// every end-to-end metric stayed within its bound ("—" where a file does
+// not say); then the product of the fps ratios since the ledgerAnchorPR
+// re-anchor.
 func perfLedger(t *testing.T) string {
-	var spec struct {
-		Workloads []struct{ Name string } `json:"workloads"`
-		EndToEnd  []struct{ Name string } `json:"end_to_end"`
-	}
+	var spec benchSpec
 	readJSON(t, "BENCHMARK.json", &spec)
 	paths, err := filepath.Glob("BENCH_*.json")
 	if err != nil || len(paths) == 0 {
@@ -89,13 +88,13 @@ func perfLedger(t *testing.T) string {
 	sort.Slice(paths, func(i, j int) bool { return prOf(paths[i]) < prOf(paths[j]) })
 
 	var b strings.Builder
-	b.WriteString("| PR | claim |")
+	b.WriteString("| PR | claim | claimed metric |")
 	product := map[string]float64{}
 	for _, w := range spec.Workloads {
 		fmt.Fprintf(&b, " `%s` fps |", w.Name)
 		product[w.Name] = 1
 	}
-	b.WriteString(" within bound |\n|---|---|" + strings.Repeat("---|", len(spec.Workloads)+1) + "\n")
+	b.WriteString(" within bound |\n|---|---|---|" + strings.Repeat("---|", len(spec.Workloads)+1) + "\n")
 	var since []string
 	for _, path := range paths {
 		pr := prOf(path)
@@ -105,7 +104,7 @@ func perfLedger(t *testing.T) string {
 		if claim == "" {
 			claim = "—"
 		}
-		fmt.Fprintf(&b, "| %d | %s |", pr, strings.ReplaceAll(claim, "|", `\|`))
+		fmt.Fprintf(&b, "| %d | %s | %s |", pr, strings.ReplaceAll(claim, "|", `\|`), claimedCell(t, path, spec, f))
 		if pr > ledgerAnchorPR {
 			since = append(since, strconv.Itoa(pr))
 		}
@@ -147,6 +146,59 @@ func perfLedger(t *testing.T) string {
 	fmt.Fprintf(&b, "\nProduct of the fps ratios since the PR %d re-anchor (PRs %s): %s.\n",
 		ledgerAnchorPR, strings.Join(since, ", "), strings.Join(products, ", "))
 	return b.String()
+}
+
+// benchSpec is the part of BENCHMARK.json the ledger reads.
+type benchSpec struct {
+	Workloads []struct{ Name string } `json:"workloads"`
+	EndToEnd  []struct {
+		Name   string
+		Better string
+	} `json:"end_to_end"`
+}
+
+// claimedCell is the ledger cell of a file's claim: for each end-to-end
+// metric and each workload the claim names (as whole words, in
+// BENCHMARK.json order), the metric's change/parent median ratio on that
+// workload and the pairs the change won, a win being a pair where the
+// change moved the metric in its "better" direction. A claim of none, an
+// empty claim and one that names no metric and workload read "—".
+func claimedCell(t *testing.T, path string, spec benchSpec, f benchFile) string {
+	claim := strings.ToLower(f.RunMeta.Claim)
+	if strings.HasPrefix(strings.TrimSpace(claim), "none") {
+		return "—"
+	}
+	named := map[string]bool{}
+	for _, w := range strings.FieldsFunc(claim, func(r rune) bool {
+		return !(r == '_' || r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
+	}) {
+		named[w] = true
+	}
+	var cells []string
+	for _, m := range spec.EndToEnd {
+		for _, w := range spec.Workloads {
+			if !named[m.Name] || !named[w.Name] {
+				continue
+			}
+			wl := f.Workloads[w.Name]
+			mt, ok := wl.Metrics[m.Name]
+			if !ok || mt.Parent.Median == 0 || len(mt.PerPair) == 0 {
+				t.Fatalf("%s: the claimed %s on %s has no medians or pairs", path, m.Name, w.Name)
+			}
+			wins := 0
+			for _, p := range mt.PerPair {
+				if m.Better == "higher" && p[1] > p[0] || m.Better == "lower" && p[1] < p[0] {
+					wins++
+				}
+			}
+			cells = append(cells, fmt.Sprintf("`%s` on `%s` ×%.3f (%d/%d)",
+				m.Name, w.Name, mt.Change.Median/mt.Parent.Median, wins, len(mt.PerPair)))
+		}
+	}
+	if len(cells) == 0 {
+		return "—"
+	}
+	return strings.Join(cells, ", ")
 }
 
 func readJSON(t *testing.T, path string, v any) {

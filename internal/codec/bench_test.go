@@ -139,16 +139,20 @@ func BenchmarkQuantize(b *testing.B) {
 	}
 }
 
-// BenchmarkDeblockFrame times the loop filter on what the decoder hands it:
-// the decodeStream clip (P-frames at base QP 0 to 15, I-frames at 22, as on
-// a clear link) decoded without the filter, so each frame is a real
+// The steady-state benchmarks below each run the op their fixture returns,
+// warmed up; TestEncodeSteadyStateZeroAlloc, TestDecodeSteadyStateZeroAlloc
+// and TestBenchOpsAllocateNothing hold the same ops at 0 allocations.
+
+// deblockOp returns the loop filter on what the decoder hands it: the
+// decodeStream clip (P-frames at base QP 0 to 15, I-frames at 22, as on a
+// clear link) decoded without the filter, so each frame is a real
 // reconstruction before filtering, with the QP map its macroblocks were
-// decoded at. One frame per op, restored from its copy first (a 61 kB copy
-// beside the filter).
-func BenchmarkDeblockFrame(b *testing.B) {
+// decoded at. Each op filters the next frame, restored from its copy first
+// (a 61 kB copy beside the filter).
+func deblockOp(tb testing.TB) func() {
 	cfg := DefaultConfig(320, 192)
 	cfg.Deblock = false
-	dec, streams := decodeStream(b, cfg)
+	dec, streams := decodeStream(tb, cfg)
 	type frame struct {
 		pix []uint8
 		qps []int
@@ -157,184 +161,92 @@ func BenchmarkDeblockFrame(b *testing.B) {
 	for i, s := range streams {
 		df, err := dec.Decode(s)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		frames[i] = frame{slices.Clone(df.Image.Pix), slices.Clone(dec.qps)}
 	}
 	p := imgx.NewPlane(cfg.Width, cfg.Height)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() {
 		f := frames[i%len(frames)]
+		i++
 		copy(p.Pix, f.pix)
 		deblockFrame(p, f.qps, cfg.Width/MBSize)
 	}
 }
 
-// BenchmarkEncodeSteadyState drives a serial streaming encode loop for
-// -benchmem inspection. Its allocs/op is pinned at 0 by
-// TestEncodeSteadyStateZeroAlloc and gated in CI via make bench-alloc.
-func BenchmarkEncodeSteadyState(b *testing.B) {
+// BenchmarkDeblockFrame times deblockOp: one frame per op.
+func BenchmarkDeblockFrame(b *testing.B) {
+	op := deblockOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// encodeSteadyOp returns a serial streaming encode: two shifted frames
+// alternating under a 150 kbit budget, GoP 48, after eight frames of warm-up.
+func encodeSteadyOp(tb testing.TB) func() {
 	cfg := DefaultConfig(320, 192)
 	cfg.GoPSize = 48
 	enc, err := NewEncoder(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f0, f1 := benchFrames()
 	frames := []*imgx.Plane{f0, f1}
+	i := 0
+	op := func() {
+		if _, err := enc.Encode(frames[i%2], EncodeOptions{TargetBits: 150_000}); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
 	for i := 0; i < 8; i++ {
-		if _, err := enc.Encode(frames[i%2], EncodeOptions{TargetBits: 150_000}); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
+	return op
+}
+
+// BenchmarkEncodeSteadyState times encodeSteadyOp: one frame per op.
+func BenchmarkEncodeSteadyState(b *testing.B) {
+	op := encodeSteadyOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := enc.Encode(frames[i%2], EncodeOptions{TargetBits: 150_000}); err != nil {
-			b.Fatal(err)
-		}
+		op()
 	}
 }
 
-// BenchmarkDecodeSteadyState is the server-side counterpart of
-// BenchmarkEncodeSteadyState: one session's Decoder reused across a clip
-// (I-frame, then a P-chain with a mid-clip forced I), one frame per op. Its
-// allocs/op is pinned at 0 by TestDecodeSteadyStateZeroAlloc and gated in CI
-// via make bench-alloc.
-func BenchmarkDecodeSteadyState(b *testing.B) {
-	dec, streams := decodeStream(b, DefaultConfig(320, 192))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// decodeSteadyOp is the server-side counterpart of encodeSteadyOp: one
+// session's Decoder reused across a clip (I-frame, then a P-chain with a
+// mid-clip forced I), one frame per op.
+func decodeSteadyOp(tb testing.TB) func() {
+	dec, streams := decodeStream(tb, DefaultConfig(320, 192))
+	i := 0
+	return func() {
 		if _, err := dec.Decode(streams[i%len(streams)]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		i++
 	}
 }
 
-// BenchmarkRCTrial measures one rate-control trial — a single countPass —
-// on a P-frame (every macroblock inter, fresh sensor noise as residual) and
-// on an I-frame, across the QP range the bisection visits: near-lossless,
-// the clear-link and tight-link operating points, and the dead-zone regime
-// where most inter blocks quantize to nothing. Trials run on recycled
-// scratch, so allocs/op is pinned at 0 in ci/alloc_baseline.json.
-func BenchmarkRCTrial(b *testing.B) {
-	cfg := DefaultConfig(320, 192)
-	enc, err := NewEncoder(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
-		b.Fatal(err)
-	}
-	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
-	mf := enc.AnalyzeMotion(frame)
-	cache := enc.buildInterDCTCache(frame, mf)
-	for _, ft := range []FrameType{PFrame, IFrame} {
-		for _, qp := range []int{2, 12, 25, 40} {
-			b.Run(fmt.Sprintf("%v/qp%d", ft, qp), func(b *testing.B) {
-				enc.countPass(frame, ft, mf, cache, qp, nil) // warm the trial scratch
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchSink = enc.countPass(frame, ft, mf, cache, qp, nil)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEncodeIFrame encodes one forced I-frame per op the way the agent
-// answers an outage: motion analysis (analytics want vectors on I-frames
-// too), the rate-control bisection at the tight link's budget (1.2 Mbit/s at
-// 30 frames/s) scaled by IFrameBudgetScale 3, the final pass and the
-// hand-out. Two shifted frames alternate, so every op is analysed against a
-// different reference. allocs/op is pinned at 0 in ci/alloc_baseline.json.
-func BenchmarkEncodeIFrame(b *testing.B) {
-	cfg := DefaultConfig(320, 192)
-	enc, err := NewEncoder(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := []*imgx.Plane{texturedFrame(320, 192, 11), shiftFrame(texturedFrame(320, 192, 11), 3, 1)}
-	opts := EncodeOptions{TargetBits: 40_000, IFrameBudgetScale: 3, ForceIFrame: true}
-	encode := func(f *imgx.Plane) {
-		enc.AnalyzeMotion(f)
-		ef, err := enc.Encode(f, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if ef.Type != IFrame {
-			b.Fatalf("frame %d is %v, want a forced I-frame", ef.Index, ef.Type)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		encode(frames[i%2])
-	}
+// BenchmarkDecodeSteadyState times decodeSteadyOp: one frame per op.
+func BenchmarkDecodeSteadyState(b *testing.B) {
+	op := decodeSteadyOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		encode(frames[i%2])
+		op()
 	}
 }
 
-// BenchmarkRCSearch measures the rate-control search alone — searchBaseQP
-// over one P-frame's cached coefficients, the encoder's model carried from
-// op to op as AnalyzeAndQuantize carries it — and reports the trial passes it
-// ran per frame. "steady" repeats one budget (the clear-link operating point,
-// QP 12); "swinging" multiplies the budget by 4 and back every four frames;
-// "alternating" doubles it every other frame, a period-two QP as on a tight
-// link; "cold" resets the model before every search, an encoder's first
-// P-frame every time: the floor is probed first, which at this budget costs
-// the bisection's five trials plus two.
-func BenchmarkRCSearch(b *testing.B) {
-	cfg := DefaultConfig(320, 192)
-	enc, err := NewEncoder(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := enc.Encode(texturedFrame(320, 192, 11), EncodeOptions{BaseQP: 20}); err != nil {
-		b.Fatal(err)
-	}
-	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
-	mf := enc.AnalyzeMotion(frame)
-	cache := enc.buildInterDCTCache(frame, mf)
-	budget := (enc.countPass(frame, PFrame, mf, cache, 12, nil) + enc.countPass(frame, PFrame, mf, cache, 11, nil)) / 2
-	for _, c := range []struct {
-		name  string
-		scale [8]int
-		cold  bool
-	}{
-		{"steady", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, false},
-		{"swinging", [8]int{1, 1, 1, 1, 4, 4, 4, 4}, false},
-		{"alternating", [8]int{1, 2, 1, 2, 1, 2, 1, 2}, false},
-		{"cold", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, true},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			enc.rc = rcModel{k: 6}
-			trials := 0
-			b.ReportAllocs()
-			for i := -1; i < b.N; i++ {
-				if i == 0 {
-					b.ResetTimer() // the first search had no history
-					trials = 0
-				}
-				if c.cold {
-					enc.rc = rcModel{k: 6}
-				}
-				_, n, _ := enc.searchBaseQP(frame, PFrame, mf, cache, 0, EncodeOptions{TargetBits: budget * c.scale[(i+8)%8]})
-				trials += n
-			}
-			b.ReportMetric(float64(trials)/float64(b.N), "probes/frame")
-		})
-	}
-}
-
-// interBlocks returns the transform blocks of one P-frame's inter
-// macroblocks, from the encoder's inter-DCT cache, for the entropy coder's
-// benchmarks and the reader's test seeds.
-func interBlocks(tb testing.TB) [][blockSize * blockSize]int32 {
+// rcFrame is the rate-control and entropy-coder fixture: an encoder whose
+// reference is one textured frame, the next frame (another texture, shifted),
+// its motion analysis and its inter-DCT cache.
+func rcFrame(tb testing.TB) (*Encoder, *imgx.Plane, *MotionField, [][blockSize * blockSize]int32) {
 	enc, err := NewEncoder(DefaultConfig(320, 192))
 	if err != nil {
 		tb.Fatal(err)
@@ -344,7 +256,152 @@ func interBlocks(tb testing.TB) [][blockSize * blockSize]int32 {
 	}
 	frame := shiftFrame(texturedFrame(320, 192, 12), 3, 1)
 	mf := enc.AnalyzeMotion(frame)
-	cache := enc.buildInterDCTCache(frame, mf)
+	return enc, frame, mf, enc.buildInterDCTCache(frame, mf)
+}
+
+// rcTrialQPs are the QPs the rate-control trial rows run at: near-lossless,
+// the clear-link and tight-link operating points, and the dead-zone regime
+// where most inter blocks quantize to nothing.
+var rcTrialQPs = []int{2, 12, 25, 40}
+
+// rcTrialFixture returns, for a frame type and QP, one rate-control trial —
+// a single countPass on rcFrame's frame, on a P-frame (every macroblock
+// inter, fresh sensor noise as residual) or an I-frame — with the trial
+// scratch warmed by one first pass.
+func rcTrialFixture(tb testing.TB) func(ft FrameType, qp int) func() {
+	enc, frame, mf, cache := rcFrame(tb)
+	return func(ft FrameType, qp int) func() {
+		op := func() { benchSink = enc.countPass(frame, ft, mf, cache, qp, nil) }
+		op()
+		return op
+	}
+}
+
+// BenchmarkRCTrial times one rate-control trial per op, on a P- and an
+// I-frame at each of rcTrialQPs.
+func BenchmarkRCTrial(b *testing.B) {
+	trial := rcTrialFixture(b)
+	for _, ft := range []FrameType{PFrame, IFrame} {
+		for _, qp := range rcTrialQPs {
+			b.Run(fmt.Sprintf("%v/qp%d", ft, qp), func(b *testing.B) {
+				op := trial(ft, qp)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+			})
+		}
+	}
+}
+
+// encodeIFrameOp encodes one forced I-frame per op the way the agent
+// answers an outage: motion analysis (analytics want vectors on I-frames
+// too), the rate-control bisection at the tight link's budget (1.2 Mbit/s at
+// 30 frames/s) scaled by IFrameBudgetScale 3, the final pass and the
+// hand-out. Two shifted frames alternate, so every op is analysed against a
+// different reference; four ops warm it up.
+func encodeIFrameOp(tb testing.TB) func() {
+	enc, err := NewEncoder(DefaultConfig(320, 192))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frames := []*imgx.Plane{texturedFrame(320, 192, 11), shiftFrame(texturedFrame(320, 192, 11), 3, 1)}
+	opts := EncodeOptions{TargetBits: 40_000, IFrameBudgetScale: 3, ForceIFrame: true}
+	i := 0
+	op := func() {
+		f := frames[i%2]
+		i++
+		enc.AnalyzeMotion(f)
+		ef, err := enc.Encode(f, opts)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if ef.Type != IFrame {
+			tb.Fatalf("frame %d is %v, want a forced I-frame", ef.Index, ef.Type)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		op()
+	}
+	return op
+}
+
+// BenchmarkEncodeIFrame times encodeIFrameOp: one I-frame per op.
+func BenchmarkEncodeIFrame(b *testing.B) {
+	op := encodeIFrameOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// rcSearch is one budget script of the rate-control search rows. "steady"
+// repeats one budget (the clear-link operating point, QP 12); "swinging"
+// multiplies the budget by 4 and back every four frames; "alternating"
+// doubles it every other frame, a period-two QP as on a tight link; "cold"
+// resets the model before every search, an encoder's first P-frame every
+// time: the floor is probed first, which at this budget costs the
+// bisection's five trials plus two.
+type rcSearch struct {
+	name  string
+	scale [8]int
+	cold  bool
+}
+
+var rcSearches = []rcSearch{
+	{"steady", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, false},
+	{"swinging", [8]int{1, 1, 1, 1, 4, 4, 4, 4}, false},
+	{"alternating", [8]int{1, 2, 1, 2, 1, 2, 1, 2}, false},
+	{"cold", [8]int{1, 1, 1, 1, 1, 1, 1, 1}, true},
+}
+
+// rcSearchFixture returns, for a budget script, the rate-control search
+// alone — searchBaseQP over rcFrame's cached coefficients, the encoder's
+// model carried from call to call as AnalyzeAndQuantize carries it — as a
+// function that returns the trials each search ran. The model starts empty:
+// the first search has no history.
+func rcSearchFixture(tb testing.TB) func(c rcSearch) func() int {
+	enc, frame, mf, cache := rcFrame(tb)
+	budget := (enc.countPass(frame, PFrame, mf, cache, 12, nil) + enc.countPass(frame, PFrame, mf, cache, 11, nil)) / 2
+	return func(c rcSearch) func() int {
+		enc.rc = rcModel{k: 6}
+		i := -1
+		return func() int {
+			if c.cold {
+				enc.rc = rcModel{k: 6}
+			}
+			_, n, _ := enc.searchBaseQP(frame, PFrame, mf, cache, 0, EncodeOptions{TargetBits: budget * c.scale[(i+8)%8]})
+			i++
+			return n
+		}
+	}
+}
+
+// BenchmarkRCSearch times one search per op over each of rcSearches, after
+// the first, and reports the trial passes it ran per frame.
+func BenchmarkRCSearch(b *testing.B) {
+	start := rcSearchFixture(b)
+	for _, c := range rcSearches {
+		b.Run(c.name, func(b *testing.B) {
+			search := start(c)
+			search()
+			trials := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				trials += search()
+			}
+			b.ReportMetric(float64(trials)/float64(b.N), "probes/frame")
+		})
+	}
+}
+
+// interBlocks returns the transform blocks of rcFrame's inter macroblocks,
+// for the entropy coder's benchmarks and the reader's test seeds.
+func interBlocks(tb testing.TB) [][blockSize * blockSize]int32 {
+	_, _, mf, cache := rcFrame(tb)
 	var coded [][blockSize * blockSize]int32
 	for i, mode := range mf.Modes {
 		if mode == ModeInter {
@@ -363,56 +420,75 @@ func codeBlocks(coded [][blockSize * blockSize]int32, qp int) ([][blockSize * bl
 	return levels, masks
 }
 
-// BenchmarkWriteCoeffs measures the entropy writer alone: writeCoeffs over
-// every transform block of one P-frame of inter macroblocks, quantized from
-// the encoder's inter-DCT cache, near-lossless, where every coefficient is
-// coded, and at the clear-link operating point, where blocks hold a few. The
-// writer is Reset and refilled; nothing allocates.
+// entropyQPs are the QPs of the entropy coder's rows: near-lossless, where
+// every coefficient is coded, and the clear-link operating point, where
+// blocks hold a few.
+var entropyQPs = []int{2, 25}
+
+// writeCoeffsOp returns the entropy writer alone: writeCoeffs over every
+// block of interBlocks quantized at qp, into a writer that is Reset and
+// refilled. One first frame grows the writer's buffer.
+func writeCoeffsOp(coded [][blockSize * blockSize]int32, qp int) func() {
+	levels, masks := codeBlocks(coded, qp)
+	var w BitWriter
+	op := func() {
+		w.Reset()
+		for k := range levels {
+			writeCoeffs(&w, &levels[k], masks[k])
+		}
+		benchSink = w.Len()
+	}
+	op()
+	return op
+}
+
+// BenchmarkWriteCoeffs times writeCoeffsOp: one frame's blocks per op.
 func BenchmarkWriteCoeffs(b *testing.B) {
 	coded := interBlocks(b)
-	for _, qp := range []int{2, 25} {
+	for _, qp := range entropyQPs {
 		b.Run(fmt.Sprintf("qp%d", qp), func(b *testing.B) {
-			levels, masks := codeBlocks(coded, qp)
-			var w BitWriter
+			op := writeCoeffsOp(coded, qp)
 			b.ReportAllocs()
-			for i := -1; i < b.N; i++ {
-				if i == 0 {
-					b.ResetTimer() // the first frame grew the writer's buffer
-				}
-				w.Reset()
-				for k := range levels {
-					writeCoeffs(&w, &levels[k], masks[k])
-				}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
 			}
-			benchSink = w.Len()
 		})
 	}
 }
 
-// BenchmarkReadCoeffs is BenchmarkWriteCoeffs read back: readCoeffs over the
-// same frame's blocks, written one after another as the decoder meets them,
-// at the same two QPs. Nothing allocates.
+// readCoeffsOp is writeCoeffsOp read back: readCoeffs over the same frame's
+// blocks, written one after another as the decoder meets them. It also
+// returns the bytes one op reads.
+func readCoeffsOp(tb testing.TB, coded [][blockSize * blockSize]int32, qp int) (func(), int) {
+	levels, masks := codeBlocks(coded, qp)
+	var w BitWriter
+	for k := range levels {
+		writeCoeffs(&w, &levels[k], masks[k])
+	}
+	data := w.Bytes()
+	var got [blockSize * blockSize]int32
+	return func() {
+		r := BitReader{buf: data}
+		for range levels {
+			if _, err := readCoeffs(&r, &got); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}, len(data)
+}
+
+// BenchmarkReadCoeffs times readCoeffsOp: one frame's blocks per op.
 func BenchmarkReadCoeffs(b *testing.B) {
 	coded := interBlocks(b)
-	for _, qp := range []int{2, 25} {
+	for _, qp := range entropyQPs {
 		b.Run(fmt.Sprintf("qp%d", qp), func(b *testing.B) {
-			levels, masks := codeBlocks(coded, qp)
-			var w BitWriter
-			for k := range levels {
-				writeCoeffs(&w, &levels[k], masks[k])
-			}
-			data := w.Bytes()
-			var got [blockSize * blockSize]int32
-			b.SetBytes(int64(len(data)))
+			op, n := readCoeffsOp(b, coded, qp)
+			b.SetBytes(int64(n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := BitReader{buf: data}
-				for range levels {
-					if _, err := readCoeffs(&r, &got); err != nil {
-						b.Fatal(err)
-					}
-				}
+				op()
 			}
 		})
 	}

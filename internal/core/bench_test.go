@@ -80,8 +80,8 @@ func BenchmarkAgentResolution(b *testing.B) {
 
 // BenchmarkAgentProcessFrame is one steady-state iteration of the loop every
 // transport runs (ProcessFrame, TrackLocally, OnTransmitComplete,
-// OnDetections) per op. Its allocs/op is a row of ci/alloc_baseline.json:
-// what the agent hands out, nothing else.
+// OnDetections) per op, on steadyAgent's frames. TestAgentAllocsPerFrame
+// holds the same frames to what the agent hands out, nothing else.
 func BenchmarkAgentProcessFrame(b *testing.B) {
 	agent, frames, fps := steadyAgent(b)
 	b.ReportAllocs()

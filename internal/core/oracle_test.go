@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -474,23 +475,40 @@ func stepAgent(tb testing.TB, agent *Agent, frame *imgx.Plane, now float64) {
 	agent.OnDetections(dets)
 }
 
-// TestAgentAllocsPerFrame pins what a steady-state frame allocates: only
-// what the agent hands to its caller. That is 14 objects on a frame that
-// extracts a foreground: the FrameResult (1), the raw and the corrected flow
-// field (struct + vectors each, 4), the
-// ForegroundResult (struct, object list, and one array each for the masks,
-// the index lists and the contours, 5), the tracked detections (1) and the
-// clone of the encoder's frame (EncodedFrame, QPs, Data: 3). (AllocsPerRun
-// reports the whole-number average, so the odd payload buffer that grows
-// mid-frame does not show.)
+// The steady-state frame's allocation ceiling: the whole-number mean count
+// testing.AllocsPerRun reports, and bytes: 52 447 B a frame, as measured
+// when the count was last cut, with 25 % and 64 B of headroom (65 622.75,
+// so 65 622 whole bytes).
+const (
+	maxAllocsPerFrame = 13
+	maxBytesPerFrame  = 52_447*5/4 + 64
+)
+
+// TestAgentAllocsPerFrame pins what a steady-state frame allocates, on
+// BenchmarkAgentProcessFrame's fixture: only what the agent hands to its
+// caller. ProcessFrame hands out 13 objects on a frame that extracts a
+// foreground: the FrameResult (1), the raw and the corrected flow field
+// (struct + vectors each, 4), the ForegroundResult (struct, object list,
+// and one array each for the masks, the index lists and the contours, 5)
+// and the clone of the encoder's frame (EncodedFrame, QPs, Data: 3).
+// TrackLocally adds the tracked detections (1) on a frame that still tracks
+// a box, the first 14 of the 21 here, and the odd payload buffer grows
+// mid-frame: the mean is 13.81, and AllocsPerRun reports the whole-number
+// mean, 13. The bytes are runtime.MemStats.TotalAlloc over the same frames.
 func TestAgentAllocsPerFrame(t *testing.T) {
 	agent, frames, fps := steadyAgent(t)
 	i := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(len(frames)-1, func() {
 		stepAgent(t, agent, frames[i], float64(steadyWarm+i)/fps)
 		i++
 	})
-	if allocs > 14 {
-		t.Errorf("%.0f allocs per steady-state frame, want at most 14", allocs)
+	runtime.ReadMemStats(&after)
+	if allocs > maxAllocsPerFrame {
+		t.Errorf("%.0f allocs per steady-state frame, want at most %d", allocs, maxAllocsPerFrame)
+	}
+	if b := (after.TotalAlloc - before.TotalAlloc) / uint64(i); b > maxBytesPerFrame {
+		t.Errorf("%d B per steady-state frame, want at most %d", b, maxBytesPerFrame)
 	}
 }

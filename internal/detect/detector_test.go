@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -217,10 +218,11 @@ func TestDetectIntoMatchesDetect(t *testing.T) {
 	}
 }
 
-// BenchmarkDetectInto is the server's detect step at steady state, pinned at
-// 0 allocs/op in ci/alloc_baseline.json (make bench-alloc): a degraded frame
-// with a clip's ground truth, through one session's Scratch.
-func BenchmarkDetectInto(b *testing.B) {
+// detectIntoOp returns the server's detect step at steady state: a degraded
+// frame with a clip's ground truth, through one session's Scratch, over
+// sixteen seeds in turn. A first lap of them grows the Scratch's slice to
+// its largest frame.
+func detectIntoOp() func() {
 	p := world.NuScenesLike()
 	p.ClipDuration = 0.2
 	clip := world.GenerateClip(p, 18)
@@ -228,13 +230,55 @@ func BenchmarkDetectInto(b *testing.B) {
 	decoded := degrade(frame, imgx.Rect{MaxX: frame.W, MaxY: frame.H}, 40, 1)
 	d := New(DefaultConfig())
 	var s Scratch
-	const seeds = 16 // a lap of them first: the slice reaches its largest frame
-	for i := 0; i < seeds; i++ {
-		d.DetectInto(&s, decoded, frame, clip.GT[0], int64(i))
+	const seeds = 16
+	i := 0
+	op := func() {
+		d.DetectInto(&s, decoded, frame, clip.GT[0], int64(i%seeds))
+		i++
 	}
+	for range seeds {
+		op()
+	}
+	return op
+}
+
+// BenchmarkDetectInto times detectIntoOp: one frame per op.
+func BenchmarkDetectInto(b *testing.B) {
+	op := detectIntoOp()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.DetectInto(&s, decoded, frame, clip.GT[0], int64(i%seeds))
+		op()
 	}
+}
+
+// allocFree fails t unless op allocates nothing once warm: over the 200
+// calls testing.AllocsPerRun counts after its warm-up call, the
+// whole-number mean count must be 0 and runtime.MemStats.TotalAlloc at most
+// 64 B a call. The byte bound fails an allocation on only some calls, which
+// the truncated count reads as 0. Its 64 B, over 200 calls, leave room for
+// a rare allocation made outside op while it runs (one of 5.5 kB was seen
+// over 32 calls of a warm encoder).
+func allocFree(t *testing.T, name string, op func()) {
+	t.Helper()
+	const runs = 200
+	var before, after runtime.MemStats
+	warm := false
+	allocs := testing.AllocsPerRun(runs, func() {
+		op()
+		if !warm {
+			warm = true
+			runtime.ReadMemStats(&before)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; allocs != 0 || b > 64 {
+		t.Errorf("%s: %.0f allocs and %d B per op, want 0 and at most 64", name, allocs, b)
+	}
+}
+
+// TestDetectIntoAllocatesNothing holds BenchmarkDetectInto's op at 0
+// allocations: a warm Scratch is all the detect step needs.
+func TestDetectIntoAllocatesNothing(t *testing.T) {
+	allocFree(t, "DetectInto on a warm Scratch", detectIntoOp())
 }

@@ -4,9 +4,9 @@
 // bandwidth mis-estimation, foreground-segmentation collapse during turns,
 // stale-MOT drift across long outages, reconnect storms whose backoff
 // collapsed and degradation ladders that stay down after the link healed —
-// and, from their own inputs, fleet stragglers, GC pressure and allocation
-// regressions against a committed baseline. Findings are machine-readable so
-// CI can gate on them.
+// and, from their own inputs, fleet stragglers and GC pressure. Findings
+// are machine-readable so CI can gate on them. Allocations are not
+// diagnosed here: each package's AllocsPerRun tests hold them.
 package doctor
 
 import (

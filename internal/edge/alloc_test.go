@@ -8,13 +8,20 @@ import (
 )
 
 // TestWritersAllocateNothing: every writer encodes into a pooled envelope
-// and keeps its message off the heap. (Not under -race, whose sync.Pool
-// drops items at random.)
+// and keeps its message off the heap, on each golden message and on the
+// ops of BenchmarkWireResultWrite and BenchmarkWriteFrame. (Not under
+// -race, whose sync.Pool drops items at random.)
 func TestWritersAllocateNothing(t *testing.T) {
 	for _, m := range goldenMessages {
 		m.write(io.Discard)
-		if n := testing.AllocsPerRun(200, func() { m.write(io.Discard) }); n != 0 {
-			t.Errorf("%s: %v allocs per write, want 0", m.name, n)
-		}
+		allocFree(t, m.name, func() { m.write(io.Discard) })
 	}
+	allocFree(t, "bench WireResultWrite", resultWriteOp(t))
+	allocFree(t, "bench WriteFrame", writeFrameOp(t))
+}
+
+// TestServerFrameAllocatesNothing holds BenchmarkServerFrame's op — step,
+// decode, detect, count and reply — at 0 allocations.
+func TestServerFrameAllocatesNothing(t *testing.T) {
+	allocFree(t, "serveFrame", serverFrameOp(t))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -331,16 +332,24 @@ func FuzzSSD(f *testing.F) {
 	})
 }
 
-// BenchmarkRegionMSE scores a 400×128 frame whole, as the detector's false-
-// positive model does once a frame, and one object box, as it does per
-// object. Nothing allocates.
-func BenchmarkRegionMSE(b *testing.B) {
+// mseRows are the squared-error rows over msePlanes: the frame scored
+// whole, as the detector's false-positive model does once a frame, and one
+// object box, as it does per object.
+var mseRows = []struct {
+	name string
+	r    Rect
+}{{"frame", Rect{0, 0, 400, 128}}, {"box", NewRect(131, 47, 58, 36)}}
+
+// msePlanes returns the two 400×128 frames mseRows score.
+func msePlanes() (*Plane, *Plane) {
 	rng := rand.New(rand.NewSource(50))
-	p, q := randomPlane(rng, 400, 128), randomPlane(rng, 400, 128)
-	for _, bc := range []struct {
-		name string
-		r    Rect
-	}{{"frame", Rect{0, 0, 400, 128}}, {"box", NewRect(131, 47, 58, 36)}} {
+	return randomPlane(rng, 400, 128), randomPlane(rng, 400, 128)
+}
+
+// BenchmarkRegionMSE times each of mseRows.
+func BenchmarkRegionMSE(b *testing.B) {
+	p, q := msePlanes()
+	for _, bc := range mseRows {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(bc.r.Area()))
 			b.ReportAllocs()
@@ -348,6 +357,40 @@ func BenchmarkRegionMSE(b *testing.B) {
 				benchMSE += RegionMSE(p, q, bc.r)
 			}
 		})
+	}
+}
+
+// allocFree fails t unless op allocates nothing once warm: over the 200
+// calls testing.AllocsPerRun counts after its warm-up call, the
+// whole-number mean count must be 0 and runtime.MemStats.TotalAlloc at most
+// 64 B a call. The byte bound fails an allocation on only some calls, which
+// the truncated count reads as 0. Its 64 B, over 200 calls, leave room for
+// a rare allocation made outside op while it runs (one of 5.5 kB was seen
+// over 32 calls of a warm encoder).
+func allocFree(t *testing.T, name string, op func()) {
+	t.Helper()
+	const runs = 200
+	var before, after runtime.MemStats
+	warm := false
+	allocs := testing.AllocsPerRun(runs, func() {
+		op()
+		if !warm {
+			warm = true
+			runtime.ReadMemStats(&before)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; allocs != 0 || b > 64 {
+		t.Errorf("%s: %.0f allocs and %d B per op, want 0 and at most 64", name, allocs, b)
+	}
+}
+
+// TestRegionMSEAllocatesNothing holds every row of BenchmarkRegionMSE at 0
+// allocations.
+func TestRegionMSEAllocatesNothing(t *testing.T) {
+	p, q := msePlanes()
+	for _, c := range mseRows {
+		allocFree(t, "RegionMSE "+c.name, func() { benchMSE += RegionMSE(p, q, c.r) })
 	}
 }
 

@@ -2,68 +2,97 @@ package obs
 
 import "testing"
 
-// BenchmarkSpanDisabled measures the instrumentation cost when no recorder
-// is installed — the path every library user pays. The acceptance bar is
-// <5 ns/op: a nil check on each side and no clock reads.
+// The nil-recorder paths, one op each: the instrumentation cost when no
+// recorder is installed — the path every library user pays, and the one
+// every end-to-end number in BENCHMARK.json runs with. Each is timed by its
+// Benchmark…Disabled row and held at 0 allocations by
+// TestDisabledTracePathAllocFree.
+
+// spanDisabled is a plain span. The acceptance bar is <5 ns/op: a nil check
+// on each side and no clock reads.
+func spanDisabled() {
+	var r *Recorder
+	s := r.StartSpan(TraceContext{}, "encode", "agent")
+	_ = s.End()
+}
+
+// counterDisabled is the nil-counter fast path.
+func counterDisabled() {
+	var r *Recorder
+	r.Counter(MetricFrames).Inc()
+}
+
+// traceDisabled is the full frame-trace path — mint a context, run a stage
+// span, record a sim span — which must stay within a few nanoseconds, like
+// the plain span path.
+func traceDisabled() {
+	var r *Recorder
+	ctx := r.StartTrace(1)
+	s := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageResponse))
+	_ = s.End()
+	r.RecordSpan(ctx, "send", "agent", 0, 1)
+}
+
+// labeledCounterDisabled is the path through a labeled family — the
+// per-session instrumentation sites in internal/edge and internal/core run
+// this when telemetry is off, so it must stay within a few nanoseconds like
+// the unlabeled path.
+func labeledCounterDisabled() {
+	var r *Recorder
+	r.LabeledCounter(MetricEdgeSessionFrames, SessionLabel).With("s").Inc()
+}
+
+// labeledHistogramDisabled is the labeled-histogram path.
+func labeledHistogramDisabled() {
+	var r *Recorder
+	r.LabeledHistogram(StageEdgeSessionDecode, SessionLabel).With("s").Observe(0.003)
+}
+
+// sloDisabled is the SLO-observation path.
+func sloDisabled() {
+	var r *Recorder
+	r.ObserveSLO("s", SLOSample{LatencySec: 0.01, FGShare: 0.1})
+}
+
 func BenchmarkSpanDisabled(b *testing.B) {
-	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := r.StartSpan(TraceContext{}, "encode", "agent")
-		_ = s.End()
+		spanDisabled()
 	}
 }
 
-// BenchmarkCounterDisabled is the nil-counter fast path.
 func BenchmarkCounterDisabled(b *testing.B) {
-	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Counter(MetricFrames).Inc()
+		counterDisabled()
 	}
 }
 
-// BenchmarkTraceDisabled measures the full disabled frame-trace path —
-// mint a context, run a stage span, record a sim span — which must stay
-// allocation-free and within a few nanoseconds, like the plain span path.
 func BenchmarkTraceDisabled(b *testing.B) {
-	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ctx := r.StartTrace(i)
-		s := r.StartStageSpan(ctx, "motion", "agent", r.Histogram(StageResponse))
-		_ = s.End()
-		r.RecordSpan(ctx, "send", "agent", 0, 1)
+		traceDisabled()
 	}
 }
 
-// BenchmarkLabeledCounterDisabled is the nil fast path through a labeled
-// family — the per-session instrumentation sites in internal/edge and
-// internal/core run this when telemetry is off, so it must stay within a
-// few nanoseconds and allocation-free like the unlabeled path.
 func BenchmarkLabeledCounterDisabled(b *testing.B) {
-	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.LabeledCounter(MetricEdgeSessionFrames, SessionLabel).With("s").Inc()
+		labeledCounterDisabled()
 	}
 }
 
-// BenchmarkLabeledHistogramDisabled is the nil labeled-histogram path.
 func BenchmarkLabeledHistogramDisabled(b *testing.B) {
-	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.LabeledHistogram(StageEdgeSessionDecode, SessionLabel).With("s").Observe(0.003)
+		labeledHistogramDisabled()
 	}
 }
 
-// BenchmarkSLODisabled is the nil SLO-observation path.
 func BenchmarkSLODisabled(b *testing.B) {
-	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.ObserveSLO("s", SLOSample{LatencySec: 0.01, FGShare: 0.1})
+		sloDisabled()
 	}
 }
 

@@ -224,16 +224,32 @@ func TestRingConcurrent(t *testing.T) {
 	}
 }
 
-func BenchmarkJournalAmendFrameDense(b *testing.B) {
+// denseJournalAmend returns an amendment of a full 1024-record journal a
+// few frames behind the newest, as the pipelined transport feedback does —
+// O(1) regardless of ring size.
+func denseJournalAmend() func() {
 	r := NewRecorder(1024).Journal()
 	for f := 0; f < 1024; f++ {
 		r.Append(JournalRecord{Frame: f})
 	}
+	i := 0
+	return func() {
+		r.AmendFrame(1023-(i%8), func(rec *JournalRecord) { rec.Outage = false })
+		i++
+	}
+}
+
+func BenchmarkJournalAmendFrameDense(b *testing.B) {
+	op := denseJournalAmend()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Amend a few frames behind the newest, as the pipelined transport
-		// feedback does — O(1) regardless of ring size.
-		r.AmendFrame(1023-(i%8), func(rec *JournalRecord) { rec.Outage = false })
+		op()
 	}
+}
+
+// TestJournalAmendFrameAllocatesNothing holds BenchmarkJournalAmendFrameDense's
+// op at 0 allocations.
+func TestJournalAmendFrameAllocatesNothing(t *testing.T) {
+	allocFree(t, "AmendFrame on a full journal", denseJournalAmend())
 }
