@@ -126,16 +126,18 @@ fleet-smoke:
 	ci/fleet_smoke.sh
 
 # Native fuzzing smoke over everything that parses network bytes — the edge
-# wire decoders, the codec's bitstream decoder and its coefficient reader (the
-# register-resident window against the ReadUE loop it replaced) — over the
-# entropy writer (the mask walk against the writer it replaced), and over the
-# kernels whose amd64 bodies are assembly (the SAD and squared-error row kernels, the block
-# quantizer, the block transforms, the deblocking filter, the intra mode
-# decision), over the FOE fit's filtered inlier predicate (against the
-# Residual it must agree with on every float64), and over the rate-control
-# search on synthetic bits-vs-QP curves (against the plain bisection's QP and
-# its trial count + 2). Go allows exactly one -fuzz
-# pattern per invocation, so each target gets its own short run.
+# wire decoders, the codec's bitstream decoder, its motion-compensated
+# predictor (the word-wide kernel against the scalar one it replaced, at any
+# vector) and its coefficient reader (the register-resident window against
+# the ReadUE loop it replaced) — over the entropy writer (the mask walk
+# against the writer it replaced), and over the kernels whose amd64 bodies
+# are assembly (the SAD and squared-error row kernels, the block quantizer,
+# the block transforms, the deblocking filter, the intra mode decision), over
+# the FOE fit's filtered inlier predicate (against the Residual it must agree
+# with on every float64), and over the rate-control search on synthetic
+# bits-vs-QP curves (against the plain bisection's QP and its trial count +
+# 2). Go allows exactly one -fuzz pattern per invocation, so each target gets
+# its own short run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzHello -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzFrameMsg -fuzztime=10s -run 'xxx' ./internal/edge/
@@ -143,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMsgReader -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzRedirectMsg -fuzztime=10s -run 'xxx' ./internal/edge/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run 'xxx' ./internal/codec/
+	$(GO) test -fuzz=FuzzPredictBlock -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzReadCoeffs -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzWriteCoeffs -fuzztime=10s -run 'xxx' ./internal/codec/
 	$(GO) test -fuzz=FuzzSAD16 -fuzztime=10s -run 'xxx' ./internal/imgx/

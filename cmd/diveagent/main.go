@@ -10,7 +10,8 @@
 //	          [-ack-timeout 1s] [-max-reconnects 8]
 //
 // -rate throttles the uplink to the given Mbps (0 = unthrottled), pacing
-// writes so the bandwidth estimator sees realistic feedback.
+// writes so the bandwidth estimator sees realistic feedback; a throttled
+// agent's estimator starts from that rate.
 //
 // -window >= 2 lets up to that many frames be in flight to the server at
 // once: frame N's server inference and downlink overlap frame N+1's encode
@@ -62,6 +63,20 @@ func main() {
 	}
 }
 
+// agentConfig is the agent's configuration for clip: the defaults for its
+// geometry, the seed and the recorder, and — when -rate throttles the
+// uplink (rate > 0) — a bandwidth prior of that rate, so the estimator
+// starts from the rate the writes are paced at.
+func agentConfig(clip *world.Clip, seed int64, rate float64, rec *obs.Recorder) core.AgentConfig {
+	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
+	cfg.Seed = seed
+	cfg.Obs = rec
+	if rate > 0 {
+		cfg.BandwidthPrior = netsim.Mbps(rate)
+	}
+	return cfg
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("diveagent", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7060", "edge server address")
@@ -100,13 +115,7 @@ func run(args []string) error {
 	clip := world.GenerateClip(wp, *seed)
 
 	rec := obs.NewRecorder(clip.NumFrames())
-	cfg := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal)
-	cfg.Seed = *seed
-	cfg.Obs = rec
-	if *rate > 0.5 {
-		cfg.BandwidthPrior = netsim.Mbps(*rate)
-	}
-	agent, err := core.NewAgent(cfg)
+	agent, err := core.NewAgent(agentConfig(clip, *seed, *rate, rec))
 	if err != nil {
 		return err
 	}

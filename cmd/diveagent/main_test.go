@@ -5,7 +5,31 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dive/internal/core"
+	"dive/internal/netsim"
+	"dive/internal/world"
 )
+
+// TestAgentConfigSeedsPriorFromRate: every -rate above 0, the ones at or
+// below 0.5 Mbps included, seeds the bandwidth estimator with the rate the
+// uplink is paced at; -rate 0 (unthrottled) keeps the default prior.
+func TestAgentConfigSeedsPriorFromRate(t *testing.T) {
+	clip := &world.Clip{W: 320, H: 192, FPS: 12, Focal: 300}
+	def := core.DefaultAgentConfig(clip.W, clip.H, clip.FPS, clip.Focal).BandwidthPrior
+	for _, c := range []struct{ rate, want float64 }{
+		{0, def},
+		{0.1, netsim.Mbps(0.1)},
+		{0.3, netsim.Mbps(0.3)},
+		{0.5, netsim.Mbps(0.5)},
+		{0.6, netsim.Mbps(0.6)},
+		{4, netsim.Mbps(4)},
+	} {
+		if got := agentConfig(clip, 1, c.rate, nil).BandwidthPrior; got != c.want {
+			t.Errorf("-rate %g: BandwidthPrior = %g, want %g", c.rate, got, c.want)
+		}
+	}
+}
 
 // TestRunRejectsDurationBeforeDialing: a clip duration out of range, NaN
 // included, is rejected by name before rendering and before the agent

@@ -92,11 +92,16 @@ func TestEncodeSteadyStateZeroAlloc(t *testing.T) {
 
 // TestBenchOpsAllocateNothing holds every other steady-state benchmark of
 // this package at 0 allocations, one subtest per benchmark row, on the
-// benchmark's own fixture and warm-up: the loop filter, a forced I-frame's
-// whole encode, one rate-control trial, a whole rate-control search, and
-// the entropy writer and reader over one frame's blocks.
+// benchmark's own fixture and warm-up: the loop filter, one macroblock's
+// motion-compensated prediction (the border case proves the clamped patch
+// stays on the stack), a forced I-frame's whole encode, one rate-control
+// trial, a whole rate-control search, and the entropy writer and reader
+// over one frame's blocks.
 func TestBenchOpsAllocateNothing(t *testing.T) {
 	t.Run("DeblockFrame", func(t *testing.T) { allocFree(t, "op", deblockOp(t)) })
+	for _, c := range predictCases {
+		t.Run("PredictMB/"+c.name, func(t *testing.T) { allocFree(t, "op", predictMBOp(c.px, c.py, c.mv)) })
+	}
 	t.Run("EncodeIFrame", func(t *testing.T) { allocFree(t, "op", encodeIFrameOp(t)) })
 	trial := rcTrialFixture(t)
 	for _, ft := range []FrameType{PFrame, IFrame} {

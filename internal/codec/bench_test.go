@@ -243,6 +243,44 @@ func BenchmarkDecodeSteadyState(b *testing.B) {
 	}
 }
 
+// predictCases are BenchmarkPredictMB's macroblocks of a random 320×192
+// reference: an interior block on each half-pel phase, and the diagonal
+// phase on the last column, whose taps leave the frame so refWindow copies
+// the clamped patch.
+var predictCases = []struct {
+	name   string
+	px, py int
+	mv     MV
+}{
+	{"full", 64, 64, MV{6, -4}},
+	{"H", 64, 64, MV{7, -4}},
+	{"V", 64, 64, MV{6, -3}},
+	{"HV", 64, 64, MV{7, -3}},
+	{"HV-border", 304, 64, MV{1, 1}},
+}
+
+// predictMBOp returns the half-pel prediction of one predictCases
+// macroblock into a 16×16 buffer.
+func predictMBOp(px, py int, mv MV) func() {
+	ref := randPlane(rand.New(rand.NewSource(3)), 320, 192)
+	dst := make([]uint8, MBSize*MBSize)
+	return func() { predictBlock(dst, MBSize, ref, px, py, mv, true) }
+}
+
+// BenchmarkPredictMB times predictMBOp: one macroblock per op.
+func BenchmarkPredictMB(b *testing.B) {
+	for _, c := range predictCases {
+		b.Run(c.name, func(b *testing.B) {
+			op := predictMBOp(c.px, c.py, c.mv)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
 // rcFrame is the rate-control and entropy-coder fixture: an encoder whose
 // reference is one textured frame, the next frame (another texture, shifted),
 // its motion analysis and its inter-DCT cache.

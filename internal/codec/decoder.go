@@ -130,7 +130,7 @@ func (d *Decoder) decode(data []byte, recon *imgx.Plane) (*DecodedFrame, error) 
 			mv := MV{pred.X + int16(mb.dx), pred.Y + int16(mb.dy)}
 			mvs[i] = mv
 			if mb.mode == ModeSkip {
-				predictBlock(recon.Pix[py*recon.W+px:], recon.W, d.ref, px, py, MBSize, MBSize, mv, fh.subpel)
+				predictBlock(recon.Pix[py*recon.W+px:], recon.W, d.ref, px, py, mv, fh.subpel)
 				continue
 			}
 			qps[i] = clampQP(baseQP + int(mb.dqp))

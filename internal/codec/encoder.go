@@ -384,16 +384,6 @@ func (e *Encoder) Encode(frame *imgx.Plane, opts EncodeOptions) (*EncodedFrame, 
 	return e.EmitBitstream(job)
 }
 
-// refSampleI reads the reference pixel at (cx, cy) displaced by mv, which
-// is in half-pel units when subpel is set. Integer throughout: sampleHalf
-// rounds its bilinear taps internally.
-func refSampleI(ref *imgx.Plane, cx, cy int, mv MV, subpel bool) int32 {
-	if subpel {
-		return int32(sampleHalf(ref, cx*2+int(mv.X), cy*2+int(mv.Y)))
-	}
-	return int32(ref.At(cx+int(mv.X), cy+int(mv.Y)))
-}
-
 // buildInterDCTCache computes the forward DCT of every inter macroblock's
 // motion-compensated residual (4 blocks per MB, in raster order), each block
 // straight from the frame and the prediction into its cache slot and its
@@ -413,7 +403,7 @@ func (e *Encoder) buildInterDCTCache(frame *imgx.Plane, mf *MotionField) [][bloc
 			continue
 		}
 		px, py := i%e.mbw*MBSize, i/e.mbw*MBSize
-		predictBlock(pred[:], MBSize, e.ref, px, py, MBSize, MBSize, mf.MVs[i], e.cfg.SubPel)
+		predictBlock(pred[:], MBSize, e.ref, px, py, mf.MVs[i], e.cfg.SubPel)
 		for blk := 0; blk < 4; blk++ {
 			bx, by := blk%2*blockSize, blk/2*blockSize
 			e.dctOr[i*4+blk] = fdctResidual(frame.Pix[(py+by)*frame.W+px+bx:], frame.W,

@@ -13,7 +13,7 @@ import (
 // stops line noise, not a buggy or hostile agent. FuzzDecode asserts the
 // contract the edge server relies on: arbitrary bytes may be rejected, but
 // only with an error wrapping ErrBitstream; the decoder never panics (an
-// out-of-frame vector must take predictBlock's clamped path, or a row slice
+// out-of-frame vector must take refWindow's clamped patch, or a row slice
 // would); it allocates nothing that scales with what the stream claims; and
 // a rejected bitstream leaves it able to decode the next I-frame to exactly
 // the picture a fresh decoder produces.

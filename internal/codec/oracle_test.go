@@ -11,7 +11,8 @@ import (
 // trial, the block quantizer and the mask-walking entropy writer replaced,
 // verbatim from the commit before
 // each — the per-pixel clamped predictor (oracleMotionCompensate
-// and the refSampleI loops), the per-pixel column-major deblocking filter,
+// and the refSampleI loops), the scalar predictBlock (oraclePredictBlock),
+// the per-pixel column-major deblocking filter,
 // the IDCT that transforms every column, and the monolithic encodePass that
 // strings them together. Production reconstructs through predictBlock /
 // reconstructBlock / deblockFrame / idct8Fixed; the randomized tests in
@@ -916,4 +917,94 @@ func oracleBisectQP(minQP, target int, trial func(q int) int) (qp int, probed []
 		}
 	}
 	return lo, probed
+}
+
+// oraclePredictBlock is the scalar predictor the word-wide predictBlock
+// replaced, verbatim but for its name, with the clamped per-sample readers
+// refSampleI and sampleHalf below it: the specification predictBlock is held
+// to. It writes the w×h motion-compensated prediction of the block whose
+// top-left pixel is (x0, y0) into dst (stride bytes per row). mv is
+// in half-pel units when subpel is set. When every reference sample the
+// block touches lies inside ref — always, for vectors the encoder's search
+// produces away from the border — rows are copied or averaged straight from
+// Pix, specialised on which axes sit on a half position; otherwise (border
+// blocks, or an out-of-frame vector in a hostile stream) each sample goes
+// through the clamping refSampleI. Both paths round identically.
+func oraclePredictBlock(dst []uint8, stride int, ref *imgx.Plane, x0, y0, w, h int, mv MV, subpel bool) {
+	ix, iy := x0+int(mv.X), y0+int(mv.Y)
+	oddX, oddY := false, false
+	if subpel {
+		hx, hy := 2*x0+int(mv.X), 2*y0+int(mv.Y)
+		ix, iy = hx>>1, hy>>1
+		oddX, oddY = hx&1 == 1, hy&1 == 1
+	}
+	// xe, ye: one past the last integer sample touched (the bilinear taps
+	// reach one further on an odd axis).
+	xe, ye := ix+w, iy+h
+	if oddX {
+		xe++
+	}
+	if oddY {
+		ye++
+	}
+	if ix < 0 || iy < 0 || xe > ref.W || ye > ref.H {
+		for y := 0; y < h; y++ {
+			row := dst[y*stride : y*stride+w]
+			for x := range row {
+				row[x] = uint8(refSampleI(ref, x0+x, y0+y, mv, subpel))
+			}
+		}
+		return
+	}
+	for y := 0; y < h; y++ {
+		row := dst[y*stride : y*stride+w]
+		r0 := ref.Pix[(iy+y)*ref.W+ix : (iy+y)*ref.W+xe]
+		switch {
+		case !oddX && !oddY:
+			copy(row, r0)
+		case oddX && !oddY:
+			for x := range row {
+				row[x] = uint8((int(r0[x]) + int(r0[x+1]) + 1) / 2)
+			}
+		case !oddX && oddY:
+			r1 := ref.Pix[(iy+y+1)*ref.W+ix : (iy+y+1)*ref.W+xe]
+			for x := range row {
+				row[x] = uint8((int(r0[x]) + int(r1[x]) + 1) / 2)
+			}
+		default:
+			r1 := ref.Pix[(iy+y+1)*ref.W+ix : (iy+y+1)*ref.W+xe]
+			for x := range row {
+				row[x] = uint8((int(r0[x]) + int(r0[x+1]) + int(r1[x]) + int(r1[x+1]) + 2) / 4)
+			}
+		}
+	}
+}
+
+// refSampleI reads the reference pixel at (cx, cy) displaced by mv, which
+// is in half-pel units when subpel is set. Integer throughout: sampleHalf
+// rounds its bilinear taps internally.
+func refSampleI(ref *imgx.Plane, cx, cy int, mv MV, subpel bool) int32 {
+	if subpel {
+		return int32(sampleHalf(ref, cx*2+int(mv.X), cy*2+int(mv.Y)))
+	}
+	return int32(ref.At(cx+int(mv.X), cy+int(mv.Y)))
+}
+
+// sampleHalf reads the reference plane at half-pel position (hx, hy), i.e.
+// pixel position (hx/2, hy/2), with bilinear interpolation for odd
+// coordinates and border clamping.
+func sampleHalf(p *imgx.Plane, hx, hy int) uint8 {
+	ix, iy := hx>>1, hy>>1
+	oddX, oddY := hx&1 == 1, hy&1 == 1
+	switch {
+	case !oddX && !oddY:
+		return p.At(ix, iy)
+	case oddX && !oddY:
+		return uint8((int(p.At(ix, iy)) + int(p.At(ix+1, iy)) + 1) / 2)
+	case !oddX && oddY:
+		return uint8((int(p.At(ix, iy)) + int(p.At(ix, iy+1)) + 1) / 2)
+	default:
+		return uint8((int(p.At(ix, iy)) + int(p.At(ix+1, iy)) +
+			int(p.At(ix, iy+1)) + int(p.At(ix+1, iy+1)) + 2) / 4)
+	}
 }

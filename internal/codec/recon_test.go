@@ -2,6 +2,8 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -70,24 +72,76 @@ func randMV(rng *rand.Rand, ref *imgx.Plane, px, py, scale int) MV {
 	}
 }
 
-func TestPredictBlockMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	ref := randPlane(rng, 80, 64)
-	for trial := 0; trial < 3000; trial++ {
-		subpel := trial%2 == 0
-		scale := 1
-		if subpel {
-			scale = 2
-		}
-		px, py := MBSize*rng.Intn(ref.W/MBSize), MBSize*rng.Intn(ref.H/MBSize)
-		mv := randMV(rng, ref, px, py, scale)
-		got, want := imgx.NewPlane(ref.W, ref.H), imgx.NewPlane(ref.W, ref.H)
-		predictBlock(got.Pix[py*got.W+px:], got.W, ref, px, py, MBSize, MBSize, mv, subpel)
-		oracleMotionCompensate(want, ref, px, py, mv, subpel)
-		if !bytes.Equal(got.Pix, want.Pix) {
-			t.Fatalf("trial %d: MB (%d,%d) mv %v subpel=%v: predictBlock differs from the per-pixel oracle", trial, px, py, mv, subpel)
+// predictPlanes predicts every macroblock of ref displaced by mv twice —
+// with predictBlock into got, with the scalar oraclePredictBlock into want —
+// and reports whether the two planes are equal.
+func predictPlanes(ref, got, want *imgx.Plane, mv MV, subpel bool) bool {
+	for py := 0; py < ref.H; py += MBSize {
+		for px := 0; px < ref.W; px += MBSize {
+			predictBlock(got.Pix[py*got.W+px:], got.W, ref, px, py, mv, subpel)
+			oraclePredictBlock(want.Pix[py*want.W+px:], want.W, ref, px, py, MBSize, MBSize, mv, subpel)
 		}
 	}
+	return bytes.Equal(got.Pix, want.Pix)
+}
+
+// TestPredictBlockMatchesOracle holds the word-wide predictor to the scalar
+// one it replaced at every macroblock of three frame sizes (the benchmark's,
+// VGA-shaped, the KITTI clip's), under both SubPel settings, for every
+// vector within ±2·(searchRange+8) — every phase, at every distance past
+// each border a searched or predicted vector can reach — and for every pair
+// of the int16 extremes a hostile stream can send. Under -race it sweeps
+// the first size only.
+func TestPredictBlockMatchesOracle(t *testing.T) {
+	const r = 2 * (searchRange + 8)
+	extremes := []int16{math.MinInt16, math.MinInt16 + 1, -1, 0, 1, math.MaxInt16 - 1, math.MaxInt16}
+	sizes := [][2]int{{320, 192}, {320, 240}, {400, 128}}
+	if raceEnabled {
+		sizes = sizes[:1]
+	}
+	for i, size := range sizes {
+		t.Run(fmt.Sprintf("%dx%d", size[0], size[1]), func(t *testing.T) {
+			t.Parallel()
+			ref := randPlane(rand.New(rand.NewSource(int64(62+i))), size[0], size[1])
+			got, want := imgx.NewPlane(ref.W, ref.H), imgx.NewPlane(ref.W, ref.H)
+			check := func(mv MV, subpel bool) {
+				if !predictPlanes(ref, got, want, mv, subpel) {
+					t.Fatalf("mv %v subpel=%v: predictBlock differs from the scalar oracle", mv, subpel)
+				}
+			}
+			for _, subpel := range []bool{false, true} {
+				for my := -r; my <= r; my++ {
+					for mx := -r; mx <= r; mx++ {
+						check(MV{int16(mx), int16(my)}, subpel)
+					}
+				}
+				for _, my := range extremes {
+					for _, mx := range extremes {
+						check(MV{mx, my}, subpel)
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzPredictBlock predicts one macroblock of a small random reference at
+// any position and vector, and holds predictBlock to the scalar oracle.
+func FuzzPredictBlock(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), int16(0), int16(0), false)
+	f.Add(int64(2), uint8(4), uint8(2), int16(-3), int16(5), true)
+	f.Add(int64(3), uint8(0), uint8(3), int16(math.MinInt16), int16(math.MaxInt16), true)
+	f.Fuzz(func(t *testing.T, seed int64, bx, by uint8, mx, my int16, subpel bool) {
+		ref := randPlane(rand.New(rand.NewSource(seed)), 5*MBSize, 4*MBSize)
+		px, py := int(bx)%5*MBSize, int(by)%4*MBSize
+		mv := MV{mx, my}
+		var got, want [MBSize * MBSize]uint8
+		predictBlock(got[:], MBSize, ref, px, py, mv, subpel)
+		oraclePredictBlock(want[:], MBSize, ref, px, py, MBSize, MBSize, mv, subpel)
+		if got != want {
+			t.Fatalf("MB (%d,%d) mv %v subpel=%v: predictBlock differs from the scalar oracle", px, py, mv, subpel)
+		}
+	})
 }
 
 // randLevels fills one block with n nonzero levels (n = 64: dense) and

@@ -8,25 +8,6 @@ import "dive/internal/imgx"
 // bilinearly. Sub-pixel vectors roughly halve the quantization noise the
 // geometric stages (rotation estimation, Eq. 8 normalization) see.
 
-// sampleHalf reads the reference plane at half-pel position (hx, hy), i.e.
-// pixel position (hx/2, hy/2), with bilinear interpolation for odd
-// coordinates and border clamping.
-func sampleHalf(p *imgx.Plane, hx, hy int) uint8 {
-	ix, iy := hx>>1, hy>>1
-	oddX, oddY := hx&1 == 1, hy&1 == 1
-	switch {
-	case !oddX && !oddY:
-		return p.At(ix, iy)
-	case oddX && !oddY:
-		return uint8((int(p.At(ix, iy)) + int(p.At(ix+1, iy)) + 1) / 2)
-	case !oddX && oddY:
-		return uint8((int(p.At(ix, iy)) + int(p.At(ix, iy+1)) + 1) / 2)
-	default:
-		return uint8((int(p.At(ix, iy)) + int(p.At(ix+1, iy)) +
-			int(p.At(ix, iy+1)) + int(p.At(ix+1, iy+1)) + 2) / 4)
-	}
-}
-
 // sadHalf computes the SAD between the macroblock at (ax, ay) in a and the
 // half-pel displaced macroblock at half-pel origin (hbx, hby) in b, with
 // early exit (checked after each completed row, matching imgx.SAD).
@@ -35,41 +16,40 @@ func sadHalf(a *imgx.Plane, ax, ay int, b *imgx.Plane, hbx, hby, earlyExit int) 
 	if hbx&1 == 0 && hby&1 == 0 {
 		return imgx.SAD(a, ax, ay, b, hbx>>1, hby>>1, MBSize, MBSize, earlyExit)
 	}
-	// Odd phases go through the imgx row kernels over the samples the
-	// bilinear taps touch: columns ix0..ix0+16 and rows iy0..iy0+16, the last
-	// of each only on its odd axis. When some lie outside b, a border-clamped
-	// copy of them stands in.
-	ix0, iy0 := hbx>>1, hby>>1
-	ox, oy := hbx&1, hby&1
-	pb, wb := b.Pix, b.W
-	if ix0 >= 0 && iy0 >= 0 && ix0+MBSize+ox <= b.W && iy0+MBSize+oy <= b.H {
-		pb = pb[iy0*wb+ix0:]
-	} else {
-		var patch [(MBSize + 1) * patchStride]uint8
-		pp := imgx.Plane{W: patchStride, H: MBSize + 1, Pix: patch[:]}
-		imgx.CopyBlock(&pp, 0, 0, b, ix0, iy0, MBSize+ox, MBSize+oy)
-		pb, wb = patch[:], patchStride
-	}
-	return sadHalf16(a.Pix[ay*a.W+ax:], a.W, pb, wb, ox == 1, oy == 1, earlyExit)
-}
-
-// patchStride is the row stride of sadHalf's border patch: 17 samples a row,
-// padded so the kernels' loads from its last row stay inside the array.
-const patchStride = 24
-
-// sadHalf16 is sadHalf on an odd phase with every tap in bounds: pa and pb
-// start at the blocks' first samples, wa and wb are the row strides. Each
-// phase is one imgx row kernel.
-func sadHalf16(pa []uint8, wa int, pb []uint8, wb int, oddX, oddY bool, earlyExit int) int {
+	// Each odd phase is one imgx row kernel over refWindow's samples.
+	var patch refPatch
+	pb, wb := refWindow(b, hbx, hby, &patch)
+	pa := a.Pix[ay*a.W+ax:]
 	switch {
-	case oddX && oddY:
-		return imgx.SAD16Avg4(pa, wa, pb, wb, MBSize, earlyExit)
-	case oddX:
-		return imgx.SAD16Avg2(pa, wa, pb, wb, 1, MBSize, earlyExit)
+	case hbx&1 == 1 && hby&1 == 1:
+		return imgx.SAD16Avg4(pa, a.W, pb, wb, MBSize, earlyExit)
+	case hbx&1 == 1:
+		return imgx.SAD16Avg2(pa, a.W, pb, wb, 1, MBSize, earlyExit)
 	default:
-		return imgx.SAD16Avg2(pa, wa, pb, wb, wb, MBSize, earlyExit)
+		return imgx.SAD16Avg2(pa, a.W, pb, wb, wb, MBSize, earlyExit)
 	}
 }
+
+// refWindow returns the samples the taps of a macroblock at half-pel origin
+// (hx, hy) read — columns hx>>1 … +16 and rows hy>>1 … +16, the last of each
+// only on its odd axis — from the first of them, and their row stride: a
+// window into ref.Pix when all lie inside ref, else a border-clamped copy
+// (imgx.CopyBlock) in patch, which callers keep on the stack.
+func refWindow(ref *imgx.Plane, hx, hy int, patch *refPatch) ([]uint8, int) {
+	ix, iy, ox, oy := hx>>1, hy>>1, hx&1, hy&1
+	if ix >= 0 && iy >= 0 && ix+MBSize+ox <= ref.W && iy+MBSize+oy <= ref.H {
+		return ref.Pix[iy*ref.W+ix:], ref.W
+	}
+	pp := imgx.Plane{W: patchStride, H: MBSize + 1, Pix: patch[:]}
+	imgx.CopyBlock(&pp, 0, 0, ref, ix, iy, MBSize+ox, MBSize+oy)
+	return patch[:], patchStride
+}
+
+// refPatch is 17 rows of 17 samples, patchStride apart: the padding keeps
+// the kernels' loads from its last row inside the array.
+type refPatch [(MBSize + 1) * patchStride]uint8
+
+const patchStride = 24
 
 // halfPelMargin is the minimum SAD improvement a half-pel candidate must
 // deliver over the integer-pel incumbent. Bilinear interpolation low-passes

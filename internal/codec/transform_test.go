@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -61,7 +63,8 @@ func checkFdct(t *testing.T, name string, cur []uint8, cstride int, pred []uint8
 // checkIdctAdd holds both inverse bodies to the reference reconstruction —
 // dequantizeBlockFixed, the full int64 oracleIdct8, prediction + residual
 // clamped — on one block at one QP. Destination rows sit dstride = 11 bytes
-// apart and start dirty, so a byte stored beside the block shows.
+// apart and start dirty, so a byte stored beside the block shows. The call
+// with the prediction as its destination must store the same rows.
 func checkIdctAdd(t *testing.T, name string, levels *[blockSize * blockSize]int32, qp int, pred []uint8, pstride int) {
 	t.Helper()
 	var dct, res [blockSize * blockSize]int32
@@ -82,6 +85,15 @@ func checkIdctAdd(t *testing.T, name string, levels *[blockSize * blockSize]int3
 			}
 			if v != want {
 				t.Fatalf("%s qp %d %s: byte (%d,%d) = %d, want %d", name, qp, body.name, x, y, v, want)
+			}
+		}
+		// In place, as reconstructInterMB runs it: the prediction rows are
+		// the destination rows.
+		buf := slices.Clone(pred)
+		body.idct(buf, pstride, buf, pstride, levels, qp)
+		for y := 0; y < blockSize; y++ {
+			if in, out := buf[y*pstride:][:blockSize], dst[y*dstride:][:blockSize]; !bytes.Equal(in, out) {
+				t.Fatalf("%s qp %d %s: row %d in place = %v, out of place %v", name, qp, body.name, y, in, out)
 			}
 		}
 	}

@@ -363,7 +363,7 @@ func (e *Encoder) quantizePass(frame *imgx.Plane, ftype FrameType, mf *MotionFie
 				bits += mbHeader{mode: ModeSkip}.put(w)
 				codedMVs[i] = pred
 				if w != nil {
-					predictBlock(recon.Pix[py*recon.W+px:], recon.W, e.ref, px, py, MBSize, MBSize, pred, e.cfg.SubPel)
+					predictBlock(recon.Pix[py*recon.W+px:], recon.W, e.ref, px, py, pred, e.cfg.SubPel)
 				}
 				continue
 			}

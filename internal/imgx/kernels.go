@@ -51,6 +51,59 @@ func SAD16Avg4(pa []uint8, wa int, pb []uint8, wb, h, earlyExit int) int {
 	return sad16avg4(pa, wa, pb, wb, h, earlyExit)
 }
 
+// Interp16 writes into dst (wd bytes a row) the 16×h block of b that the SAD
+// kernels difference against: b itself, SAD16Avg2's two-tap mean with the
+// sample to the right (oddX) or below (oddY), or SAD16Avg4's four-tap mean.
+// It is Go on every architecture; a vertical phase carries each source row
+// to the next output row, the diagonal as its pairSums.
+func Interp16(dst []uint8, wd int, pb []uint8, wb int, oddX, oddY bool, h int) {
+	if h <= 0 {
+		return
+	}
+	checkStrides(h, wd, wb, 0)
+	last := (h-1)*wb + 15
+	if oddX {
+		last++
+	}
+	if oddY {
+		last += wb
+	}
+	_, _ = dst[(h-1)*wd+15], pb[last]
+	le := binary.LittleEndian
+	switch {
+	case oddX && oddY:
+		e0, o0, e1, o1 := pairSums((*[17]uint8)(pb))
+		for y := 0; y < h; y++ {
+			f0, p0, f1, p1 := pairSums((*[17]uint8)(pb[(y+1)*wb:]))
+			d := (*[16]uint8)(dst[y*wd:])
+			le.PutUint64(d[:8], quarter(e0+f0, o0+p0))
+			le.PutUint64(d[8:], quarter(e1+f1, o1+p1))
+			e0, o0, e1, o1 = f0, p0, f1, p1
+		}
+	case oddX:
+		for y := 0; y < h; y++ {
+			r, d := (*[17]uint8)(pb[y*wb:]), (*[16]uint8)(dst[y*wd:])
+			le.PutUint64(d[:8], avgUp8(le.Uint64(r[:8]), le.Uint64(r[1:9])))
+			le.PutUint64(d[8:], avgUp8(le.Uint64(r[8:16]), le.Uint64(r[9:])))
+		}
+	case oddY:
+		r := (*[16]uint8)(pb)
+		a0, a1 := le.Uint64(r[:8]), le.Uint64(r[8:])
+		for y := 0; y < h; y++ {
+			r = (*[16]uint8)(pb[(y+1)*wb:])
+			b0, b1 := le.Uint64(r[:8]), le.Uint64(r[8:])
+			d := (*[16]uint8)(dst[y*wd:])
+			le.PutUint64(d[:8], avgUp8(a0, b0))
+			le.PutUint64(d[8:], avgUp8(a1, b1))
+			a0, a1 = b0, b1
+		}
+	default:
+		for y := 0; y < h; y++ {
+			*(*[16]uint8)(dst[y*wd:]) = *(*[16]uint8)(pb[y*wb:])
+		}
+	}
+}
+
 // checkStrides rejects a negative stride or tap offset, and sizes whose
 // products could wrap: with either, the last row would not be the furthest
 // byte a kernel touches and the wrappers' index checks would prove nothing.
@@ -136,8 +189,9 @@ func sadRow8(a, b *[8]uint8) uint16 {
 	return swarSAD8(x, y)
 }
 
-// hi8 masks the high bit of each byte lane in a uint64.
-const hi8 = 0x8080808080808080
+// hi8 masks the high bit of each byte lane in a uint64, lo16 the low byte of
+// each 16-bit lane.
+const hi8, lo16 = 0x8080808080808080, 0x00ff00ff00ff00ff
 
 // swarSAD8 computes the sum of absolute per-byte differences of two packed
 // 8-byte words without branches or lane splits (a scalar psadbw):
@@ -174,11 +228,23 @@ func avgUp8(a, b uint64) uint64 {
 
 // avg4Up8 is the per-byte (a+b+c+d+2)/4 of four packed words. Chaining
 // avgUp8 would round twice, so the even and the odd bytes are summed exactly
-// in 16-bit lanes (≤ 4·255+2) and shifted there; the lane mask drops the two
-// bits the shift pulls in from the lane above.
+// in 16-bit lanes (≤ 4·255+2) and shifted there (quarter).
 func avg4Up8(a, b, c, d uint64) uint64 {
-	const lo16, two = 0x00ff00ff00ff00ff, 0x0002000200020002
-	even := (a&lo16 + b&lo16 + c&lo16 + d&lo16 + two) >> 2 & lo16
-	odd := (a>>8&lo16 + b>>8&lo16 + c>>8&lo16 + d>>8&lo16 + two) >> 2 & lo16
-	return even | odd<<8
+	return quarter(a&lo16+b&lo16+c&lo16+d&lo16, a>>8&lo16+b>>8&lo16+c>>8&lo16+d>>8&lo16)
+}
+
+// quarter packs the rounded quarters of 16-bit lane sums of the even and the
+// odd bytes into one word; the lane mask drops the bits the shift pulls in.
+func quarter(even, odd uint64) uint64 {
+	const two = 0x0002000200020002
+	return (even+two)>>2&lo16 | ((odd+two)>>2&lo16)<<8
+}
+
+// pairSums returns the lane sums of each sample of r[:16] and its right
+// neighbour: even and odd bytes of the first word, then of the second.
+func pairSums(r *[17]uint8) (e0, o0, e1, o1 uint64) {
+	le := binary.LittleEndian
+	a, b := le.Uint64(r[:8]), le.Uint64(r[1:9])
+	c, d := le.Uint64(r[8:16]), le.Uint64(r[9:])
+	return a&lo16 + b&lo16, a>>8&lo16 + b>>8&lo16, c&lo16 + d&lo16, c>>8&lo16 + d>>8&lo16
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -19,6 +20,8 @@ type phase struct {
 	// ref is the reference sample whose first tap is pb[i].
 	ref        func(pb []uint8, wb, off, i int) int
 	sadGo, sad func(pa []uint8, wa int, pb []uint8, wb, off, h, early int) int
+	// interp is Interp16 on this phase.
+	interp func(dst []uint8, wd int, pb []uint8, wb, off, h int)
 }
 
 var phases = []phase{
@@ -33,6 +36,9 @@ var phases = []phase{
 		sad: func(pa []uint8, wa int, pb []uint8, wb, off, h, early int) int {
 			return SAD16(pa, wa, pb, wb, h, early)
 		},
+		interp: func(dst []uint8, wd int, pb []uint8, wb, off, h int) {
+			Interp16(dst, wd, pb, wb, false, false, h)
+		},
 	},
 	{
 		name: "avg2",
@@ -42,6 +48,9 @@ var phases = []phase{
 			return (int(pb[i]) + int(pb[i+off]) + 1) >> 1
 		},
 		sadGo: sad16avg2Go, sad: SAD16Avg2,
+		interp: func(dst []uint8, wd int, pb []uint8, wb, off, h int) {
+			Interp16(dst, wd, pb, wb, off == 1, off != 1, h)
+		},
 	},
 	{
 		name: "avg4",
@@ -55,6 +64,9 @@ var phases = []phase{
 		},
 		sad: func(pa []uint8, wa int, pb []uint8, wb, off, h, early int) int {
 			return SAD16Avg4(pa, wa, pb, wb, h, early)
+		},
+		interp: func(dst []uint8, wd int, pb []uint8, wb, off, h int) {
+			Interp16(dst, wd, pb, wb, true, true, h)
 		},
 	},
 }
@@ -163,20 +175,22 @@ func TestRowKernelsAtPlaneEdges(t *testing.T) {
 	}
 }
 
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", what)
+		}
+	}()
+	f()
+}
+
 // TestRowKernelsRejectShortSlices: a slice one byte short of what the
 // kernel touches panics in the wrapper instead of returning a sum, as does
 // a negative stride; the assembly never sees either.
 func TestRowKernelsRejectShortSlices(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", what)
-			}
-		}()
-		f()
-	}
 	for i := range phases {
 		ph := &phases[i]
 		for _, h := range []int{1, 7, 16} {
@@ -185,9 +199,50 @@ func TestRowKernelsRejectShortSlices(t *testing.T) {
 				pa := randBytes(rng, blockLen(wa, h))
 				pb := randBytes(rng, ph.need(wb, off, h))
 				ph.checkSAD(t, pa, wa, pb, wb, off, h, math.MaxInt32) // exact lengths are accepted
-				mustPanic(ph.name+" short a", func() { ph.sad(pa[:len(pa)-1], wa, pb, wb, off, h, math.MaxInt32) })
-				mustPanic(ph.name+" short b", func() { ph.sad(pa, wa, pb[:len(pb)-1], wb, off, h, math.MaxInt32) })
-				mustPanic(ph.name+" negative stride", func() { ph.sad(pa, wa, pb, -wb, off, h, math.MaxInt32) })
+				mustPanic(t, ph.name+" short a", func() { ph.sad(pa[:len(pa)-1], wa, pb, wb, off, h, math.MaxInt32) })
+				mustPanic(t, ph.name+" short b", func() { ph.sad(pa, wa, pb[:len(pb)-1], wb, off, h, math.MaxInt32) })
+				mustPanic(t, ph.name+" negative stride", func() { ph.sad(pa, wa, pb, -wb, off, h, math.MaxInt32) })
+			}
+		}
+	}
+}
+
+// TestInterp16 runs the store kernel on every phase over random blocks of
+// every height 0…16 at strides 16…70, source and destination each cut to
+// exactly the bytes it may touch: every stored sample is the phase's
+// per-sample reference, every byte between the destination's rows keeps its
+// value, and a slice one byte short or a negative stride panics.
+func TestInterp16(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := range phases {
+		ph := &phases[i]
+		for trial := 0; trial < 400; trial++ {
+			h := trial % 17
+			wd, wb := 16+rng.Intn(55), 16+rng.Intn(55)
+			for _, off := range ph.offs(wb) {
+				pb := randBytes(rng, max(0, ph.need(wb, off, h)))
+				dst := randBytes(rng, blockLen(wd, h))
+				if h == 0 {
+					pb = nil
+				}
+				was := slices.Clone(dst)
+				ph.interp(dst, wd, pb, wb, off, h)
+				for j, v := range dst {
+					y, x := j/wd, j%wd
+					want := was[j]
+					if x < 16 {
+						want = uint8(ph.ref(pb, wb, off, y*wb+x))
+					}
+					if v != want {
+						t.Fatalf("%s (wd=%d wb=%d off=%d h=%d): byte (%d,%d) = %d, want %d", ph.name, wd, wb, off, h, x, y, v, want)
+					}
+				}
+				if h == 0 {
+					continue
+				}
+				mustPanic(t, ph.name+" short dst", func() { ph.interp(dst[:len(dst)-1], wd, pb, wb, off, h) })
+				mustPanic(t, ph.name+" short b", func() { ph.interp(dst, wd, pb[:len(pb)-1], wb, off, h) })
+				mustPanic(t, ph.name+" negative stride", func() { ph.interp(dst, -wd, pb, wb, off, h) })
 			}
 		}
 	}
